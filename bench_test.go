@@ -14,14 +14,15 @@ import (
 	"vrcg/internal/collective"
 	"vrcg/internal/core"
 	"vrcg/internal/depth"
+	"vrcg/internal/engine"
 	"vrcg/internal/krylov"
 	"vrcg/internal/machine"
-	"vrcg/internal/parcg"
 	"vrcg/internal/pipecg"
 	"vrcg/internal/sstep"
 	"vrcg/internal/trace"
 	"vrcg/internal/vec"
 	"vrcg/precond"
+	"vrcg/solve"
 	"vrcg/sparse"
 )
 
@@ -184,33 +185,26 @@ func BenchmarkE6Stability(b *testing.B) {
 
 func BenchmarkE7Successors(b *testing.B) {
 	a := sparse.TridiagToeplitz(4096, 4.2, -1)
-	p := 256
-	cfg := machine.Config{P: p, Alpha: 64, Beta: 0.01, FlopTime: 0.001}
+	cfg := machine.Config{P: 256, Alpha: 64, Beta: 0.01, FlopTime: 0.001}
 	rhs := vec.New(a.Dim())
 	vec.Random(rhs, 5)
-	opt := parcg.Options{Tol: 1e-6, MaxIter: 120}
 
-	cases := map[string]func(*machine.Machine, *parcg.DistMatrix, *parcg.Dist) (*parcg.Result, error){
-		"CG": func(m *machine.Machine, dm *parcg.DistMatrix, bb *parcg.Dist) (*parcg.Result, error) {
-			return parcg.CG(m, dm, bb, opt)
-		},
-		"PIPECG": func(m *machine.Machine, dm *parcg.DistMatrix, bb *parcg.Dist) (*parcg.Result, error) {
-			return parcg.PipeCG(m, dm, bb, opt)
-		},
-		"VRCG-k8": func(m *machine.Machine, dm *parcg.DistMatrix, bb *parcg.Dist) (*parcg.Result, error) {
-			return parcg.VRCG(m, dm, bb, parcg.VROptions{Options: opt, K: 8})
-		},
-		"SStepSem-k8": func(m *machine.Machine, dm *parcg.DistMatrix, bb *parcg.Dist) (*parcg.Result, error) {
-			return parcg.VRCG(m, dm, bb, parcg.VROptions{Options: opt, K: 8, Blocking: true})
-		},
-	}
-	for name, run := range cases {
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name, method string
+		extra        []solve.Option
+	}{
+		{"CG", "parcg-cg", nil},
+		{"PIPECG", "parcg-pipe", nil},
+		{"VRCG-k8", "parcg", []solve.Option{solve.WithLookahead(8)}},
+		{"SStepSem-k8", "parcg", []solve.Option{solve.WithLookahead(8), solve.WithBlocking(true)}},
+	} {
+		opts := append([]solve.Option{
+			solve.WithMachineConfig(cfg), solve.WithTol(1e-6), solve.WithMaxIter(120),
+		}, c.extra...)
+		b.Run(c.name, func(b *testing.B) {
 			var rate float64
 			for i := 0; i < b.N; i++ {
-				m := machine.New(cfg)
-				dm := parcg.NewDistMatrix(a, p)
-				res, err := run(m, dm, parcg.Scatter(rhs, p))
+				res, err := solve.MustNew(c.method).Solve(a, rhs, opts...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -505,7 +499,8 @@ func BenchmarkSpMV(b *testing.B) {
 }
 
 // BenchmarkPCGSolve compares per-call-allocating serial PCG against the
-// zero-allocation pooled Workspace form on a large grid (n = 102400).
+// zero-allocation form — one kernel reused on one engine workspace,
+// serial and pooled — on a large grid (n = 102400).
 func BenchmarkPCGSolve(b *testing.B) {
 	a := sparse.Poisson2D(320)
 	n := a.Dim()
@@ -515,7 +510,7 @@ func BenchmarkPCGSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := krylov.Options{Tol: 1e-6, MaxIter: 60}
+	opts := krylov.Options{Tol: 1e-6, MaxIter: 60, Precond: jac}
 
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
@@ -525,29 +520,29 @@ func BenchmarkPCGSolve(b *testing.B) {
 			}
 		}
 	})
-	b.Run("workspace-serial", func(b *testing.B) {
-		ws := krylov.NewWorkspace(n, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ws.PCG(a, jac, rhs, opts); err != nil {
+	for _, c := range []struct {
+		name string
+		pool *vec.Pool
+	}{
+		{"workspace-serial", nil},
+		{"workspace-pooled", vec.DefaultPool},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			k, ws := krylov.NewPCGKernel(), engine.NewWorkspace(n, c.pool)
+			var res engine.Result
+			// Warm: arena vectors, pool workers, partition cache.
+			if err := engine.Solve(k, ws, a, rhs, opts, &res); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("workspace-pooled", func(b *testing.B) {
-		ws := krylov.NewWorkspace(n, vec.DefaultPool)
-		if _, err := ws.PCG(a, jac, rhs, opts); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := ws.PCG(a, jac, rhs, opts); err != nil {
-				b.Fatal(err)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := engine.Solve(k, ws, a, rhs, opts, &res); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkDotPooled measures the persistent-pool dot against the
@@ -569,24 +564,4 @@ func BenchmarkDotPooled(b *testing.B) {
 		s += vec.DefaultPool.Dot(x, y)
 	}
 	_ = s
-}
-
-func BenchmarkCGPlainVsFused(b *testing.B) {
-	a := sparse.Poisson2D(64) // n = 4096: memory traffic matters
-	rhs := vec.New(a.Dim())
-	vec.Random(rhs, 51)
-	b.Run("plain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := krylov.CG(a, rhs, krylov.Options{Tol: 1e-8}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := krylov.CGFused(a, rhs, nil, krylov.Options{Tol: 1e-8}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

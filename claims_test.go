@@ -15,9 +15,9 @@ import (
 	"vrcg/internal/depth"
 	"vrcg/internal/krylov"
 	"vrcg/internal/machine"
-	"vrcg/internal/parcg"
 	"vrcg/internal/trace"
 	"vrcg/internal/vec"
+	"vrcg/solve"
 	"vrcg/sparse"
 )
 
@@ -104,26 +104,21 @@ func TestClaimC4DoubleLogIteration(t *testing.T) {
 	}
 	// And the machine realization: reductions leave the critical path.
 	a := sparse.TridiagToeplitz(4096, 4.2, -1)
-	p := 256
-	cfg := machine.Config{P: p, Alpha: 64, Beta: 0.01, FlopTime: 0.001}
-	run := func(f func(*machine.Machine, *parcg.DistMatrix, *parcg.Dist) (*parcg.Result, error)) float64 {
-		m := machine.New(cfg)
-		dm := parcg.NewDistMatrix(a, p)
-		bs := vec.New(a.Dim())
-		vec.Random(bs, 3)
-		res, err := f(m, dm, parcg.Scatter(bs, p))
+	cfg := machine.Config{P: 256, Alpha: 64, Beta: 0.01, FlopTime: 0.001}
+	bs := vec.New(a.Dim())
+	vec.Random(bs, 3)
+	rate := func(method string, extra ...solve.Option) float64 {
+		opts := append([]solve.Option{
+			solve.WithMachineConfig(cfg), solve.WithTol(1e-6), solve.WithMaxIter(120),
+		}, extra...)
+		res, err := solve.MustNew(method).Solve(a, bs, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.PerIterTime()
 	}
-	opt := parcg.Options{Tol: 1e-6, MaxIter: 120}
-	cg := run(func(m *machine.Machine, dm *parcg.DistMatrix, b *parcg.Dist) (*parcg.Result, error) {
-		return parcg.CG(m, dm, b, opt)
-	})
-	vr := run(func(m *machine.Machine, dm *parcg.DistMatrix, b *parcg.Dist) (*parcg.Result, error) {
-		return parcg.VRCG(m, dm, b, parcg.VROptions{Options: opt, K: 8})
-	})
+	cg := rate("parcg-cg")
+	vr := rate("parcg", solve.WithLookahead(8))
 	if vr > 0.25*cg {
 		t.Fatalf("C4 machine: VRCG %.1f not well below CG %.1f", vr, cg)
 	}

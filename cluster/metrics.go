@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"sync"
-	"time"
 
 	"vrcg/cluster/wire"
+	"vrcg/internal/engine"
 )
 
 // Phase indices for per-iteration latency accounting. Workers time each
@@ -24,58 +24,12 @@ const (
 // phaseNames index the Phase* constants for wire and JSON output.
 var phaseNames = [numPhases]string{"spmv", "halo", "reduction", "iteration"}
 
-// phaseBucketsUS are the histogram upper bounds in microseconds, chosen
-// to straddle both in-process loopback fleets (single-digit µs) and
-// real networks (ms).
-const numPhaseBuckets = 14
-
-var phaseBucketsUS = [numPhaseBuckets]float64{5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000}
-
-// PhaseHist is one latency histogram: counts per bucket (the final
-// bucket is overflow), plus count/sum/max for means and tails.
-type PhaseHist struct {
-	Count   uint64
-	SumUS   float64
-	MaxUS   float64
-	Buckets [numPhaseBuckets + 1]uint64
-}
-
-// Observe records one duration.
-func (h *PhaseHist) Observe(d time.Duration) {
-	us := float64(d.Nanoseconds()) / 1e3
-	h.Count++
-	h.SumUS += us
-	if us > h.MaxUS {
-		h.MaxUS = us
-	}
-	for i, ub := range phaseBucketsUS {
-		if us <= ub {
-			h.Buckets[i]++
-			return
-		}
-	}
-	h.Buckets[numPhaseBuckets]++
-}
-
-// Merge folds other into h.
-func (h *PhaseHist) Merge(other *PhaseHist) {
-	h.Count += other.Count
-	h.SumUS += other.SumUS
-	if other.MaxUS > h.MaxUS {
-		h.MaxUS = other.MaxUS
-	}
-	for i := range h.Buckets {
-		h.Buckets[i] += other.Buckets[i]
-	}
-}
-
-// MeanUS returns the mean observation in microseconds.
-func (h *PhaseHist) MeanUS() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.SumUS / float64(h.Count)
-}
+// PhaseHist is one latency histogram — the engine's type, so the
+// fleet's phases and the in-process parcg phases share one Observe/
+// Merge implementation and one bucket vocabulary
+// (engine.PhaseBucketsUS, chosen to straddle both in-process loopback
+// fleets at single-digit µs and real networks at ms).
+type PhaseHist = engine.PhaseHist
 
 // phaseSet is the per-solve bundle of one histogram per phase.
 type phaseSet [numPhases]PhaseHist
@@ -127,7 +81,7 @@ type PhaseSnapshot struct {
 	Buckets map[string]uint64 `json:"buckets"`
 }
 
-func (h *PhaseHist) snapshot() PhaseSnapshot {
+func snapshotPhase(h *PhaseHist) PhaseSnapshot {
 	s := PhaseSnapshot{
 		Count:   h.Count,
 		MeanUS:  h.MeanUS(),
@@ -137,11 +91,11 @@ func (h *PhaseHist) snapshot() PhaseSnapshot {
 	// Cumulative counts keyed by upper bound, Prometheus-style, matching
 	// the server's histogram rendering.
 	var cum uint64
-	for i, ub := range phaseBucketsUS {
+	for i, ub := range engine.PhaseBucketsUS {
 		cum += h.Buckets[i]
 		s.Buckets[formatBucket(ub)] = cum
 	}
-	cum += h.Buckets[numPhaseBuckets]
+	cum += h.Buckets[engine.NumPhaseBuckets]
 	s.Buckets["+Inf"] = cum
 	return s
 }
@@ -244,7 +198,7 @@ func (m *fleetMetrics) snapshotInto(s *MetricsSnapshot) {
 	for method, ps := range m.byMethod {
 		phases := make(map[string]PhaseSnapshot, numPhases)
 		for i := range ps {
-			phases[phaseNames[i]] = ps[i].snapshot()
+			phases[phaseNames[i]] = snapshotPhase(&ps[i])
 		}
 		s.PhaseLatency[method] = phases
 	}

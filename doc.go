@@ -147,11 +147,12 @@
 //   - internal/sstep, internal/pipecg: the published successor methods
 //   - sparse (public), internal/vec: sparse operators and vector kernels
 //   - internal/depth: the dependency-depth cost model of the paper
-//   - internal/parcg: the paper's schedules as real-parallel engine
-//     kernels, reductions overlapped on background goroutines
-//   - internal/machine, internal/collective: a simulated distributed
-//     machine with hand-rolled collectives, now the parcg methods'
-//     opt-in replay monitor (WithProcessors)
+//   - internal/parcg: the paper's schedules, each once as a
+//     real-parallel engine kernel (reductions overlapped on background
+//     goroutines) and once as its cost on the simulated machine
+//     (Replay, the opt-in WithProcessors/WithMachineConfig monitor)
+//   - internal/machine, internal/collective: the simulated distributed
+//     machine and hand-rolled collectives the replay charges
 //   - internal/trace: Figure 1 schedule rendering
 //   - internal/bench: the experiment harness (E1..E10, A1..A6)
 //

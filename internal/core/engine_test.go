@@ -56,28 +56,3 @@ func TestWindowStepZeroAlloc(t *testing.T) {
 		t.Errorf("Window.Step allocates %v per call, want 0", avg)
 	}
 }
-
-// TestIteratorPooled: the step-level API accepts the engine too.
-func TestIteratorPooled(t *testing.T) {
-	a := sparse.Poisson2D(12)
-	b := vec.New(a.Dim())
-	vec.Random(b, 56)
-	pool := vec.NewPoolMinChunk(2, 32)
-	defer pool.Close()
-	it, err := NewIterator(a, b, Options{K: 1, Tol: 1e-8, Pool: pool})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10*a.Dim(); i++ {
-		more, err := it.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !more {
-			break
-		}
-	}
-	if !it.Converged() {
-		t.Fatal("pooled iterator did not converge")
-	}
-}

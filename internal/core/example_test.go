@@ -31,29 +31,6 @@ func ExampleSolve() {
 	// Output: converged=true error-small=true one-matvec-per-iteration=true
 }
 
-// ExampleNewIterator drives the solve step by step.
-func ExampleNewIterator() {
-	a := sparse.Poisson1D(32)
-	b := vec.New(32)
-	vec.Random(b, 2)
-
-	it, err := core.NewIterator(a, b, core.Options{K: 1, Tol: 1e-9})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for {
-		more, err := it.Step()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if !more {
-			break
-		}
-	}
-	fmt.Printf("converged=%v finite-steps=%v\n", it.Converged(), it.Iteration() <= 40)
-	// Output: converged=true finite-steps=true
-}
-
 // ExampleStarCoefficients shows the paper's equation (*) coefficients
 // for a two-step look-ahead with given parameter history.
 func ExampleStarCoefficients() {

@@ -3,9 +3,7 @@ package core
 import (
 	"testing"
 
-	"vrcg/internal/krylov"
 	"vrcg/internal/vec"
-	"vrcg/precond"
 	"vrcg/sparse"
 )
 
@@ -43,99 +41,5 @@ func TestResidualReplacementTightensTrueResidual(t *testing.T) {
 	if errL == nil && loose.Converged && repl.TrueResidualNorm > 10*loose.TrueResidualNorm+1e-13 {
 		t.Fatalf("replacement true residual %g worse than loose %g",
 			repl.TrueResidualNorm, loose.TrueResidualNorm)
-	}
-}
-
-func TestSolveJacobiMatchesPCGIterations(t *testing.T) {
-	// Diagonal scaling == Jacobi preconditioning: iteration counts track
-	// PCG-Jacobi closely.
-	a := sparse.RandomSPD(120, 5, 51)
-	b := vec.New(120)
-	vec.Random(b, 52)
-
-	jac, err := precond.NewJacobi(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcg, err := krylov.PCG(a, jac, b, krylov.Options{Tol: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vr, err := SolveJacobi(a, b, Options{K: 2, Tol: 1e-9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vr.Converged {
-		t.Fatal("SolveJacobi did not converge")
-	}
-	if diff := vr.Iterations - pcg.Iterations; diff < -5 || diff > 5 {
-		t.Fatalf("SolveJacobi iterations %d vs PCG-Jacobi %d", vr.Iterations, pcg.Iterations)
-	}
-	if vr.TrueResidualNorm > 1e-6*vec.Norm2(b) {
-		t.Fatalf("true residual %g", vr.TrueResidualNorm)
-	}
-}
-
-func TestSolveJacobiImprovesOnPlainForBadScaling(t *testing.T) {
-	// A badly row-scaled SPD system: diagonal scaling should cut the
-	// iteration count substantially versus plain VRCG.
-	n := 150
-	d := vec.New(n)
-	for i := range d {
-		d[i] = 1 + 1e4*float64(i%7)/6 // wildly varying diagonal
-	}
-	base := sparse.TridiagToeplitz(n, 0, -0.45)
-	coo := sparse.NewCOO(n)
-	for i := 0; i < n; i++ {
-		base.ScanRow(i, func(j int, v float64) {
-			if i != j {
-				coo.Add(i, j, v)
-			}
-		})
-		coo.Add(i, i, d[i])
-	}
-	a := coo.ToCSR()
-	b := vec.New(n)
-	vec.Random(b, 53)
-
-	plain, errP := Solve(a, b, Options{K: 2, Tol: 1e-8, MaxIter: 6000})
-	scaled, errS := SolveJacobi(a, b, Options{K: 2, Tol: 1e-8, MaxIter: 6000})
-	if errS != nil {
-		t.Fatal(errS)
-	}
-	if !scaled.Converged {
-		t.Fatal("scaled solve did not converge")
-	}
-	if errP == nil && plain.Converged && scaled.Iterations >= plain.Iterations {
-		t.Fatalf("scaling did not help: %d vs %d iterations", scaled.Iterations, plain.Iterations)
-	}
-}
-
-func TestSolveJacobiWarmStart(t *testing.T) {
-	a := sparse.Poisson2D(6)
-	n := a.Dim()
-	xTrue := vec.New(n)
-	vec.Random(xTrue, 54)
-	b := vec.New(n)
-	a.MulVec(b, xTrue)
-	res, err := SolveJacobi(a, b, Options{K: 1, X0: xTrue, Tol: 1e-8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations > 1 {
-		t.Fatalf("warm start took %d iterations", res.Iterations)
-	}
-}
-
-func TestSolveJacobiRejectsBadInput(t *testing.T) {
-	a := sparse.Poisson1D(5)
-	if _, err := SolveJacobi(a, vec.New(6), Options{K: 1}); err == nil {
-		t.Fatal("expected dimension error")
-	}
-	coo := sparse.NewCOO(2)
-	coo.Add(0, 0, 1)
-	coo.Add(1, 1, -1)
-	if _, err := SolveJacobi(coo.ToCSR(), vec.New(2), Options{K: 1}); err == nil {
-		t.Fatal("expected scaling error")
 	}
 }

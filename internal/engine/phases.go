@@ -40,8 +40,9 @@ func (p Phase) Name() string { return phaseNames[p] }
 // NumPhaseBuckets is the bucket count of PhaseHist (excluding overflow).
 const NumPhaseBuckets = 14
 
-// PhaseBucketsUS are the histogram upper bounds in microseconds — the
-// same vocabulary as the cluster workers' phase histograms.
+// PhaseBucketsUS are the histogram upper bounds in microseconds, shared
+// with the cluster workers' phase histograms (cluster.PhaseHist is this
+// type).
 var PhaseBucketsUS = [NumPhaseBuckets]float64{5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000}
 
 // PhaseHist is one latency histogram: counts per bucket (the final

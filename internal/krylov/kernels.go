@@ -10,7 +10,7 @@ import (
 )
 
 // This file holds the engine kernels for the classic iterations: cg
-// (fused-update CG, also serving the "cgfused" registry name), pcg, cr,
+// (fused-update CG; the registry also serves it as "cgfused"), pcg, cr,
 // and sd. Each kernel implements engine.Kernel — Init/Step/Residual/
 // Finish — and draws every vector from the engine workspace arena, so a
 // warm repeated solve allocates nothing. The MINRES kernel lives in
@@ -46,19 +46,14 @@ func initialIterate(run *engine.Run, x, r vec.Vector) {
 // pass over memory instead of three, the sequential analogue of how the
 // restructured algorithms batch elementwise work.
 type cgKernel struct {
-	label       string
 	x, r, p, ap vec.Vector
 	rr          float64
 }
 
 // NewCGKernel returns the cg iteration kernel.
-func NewCGKernel() engine.Kernel { return &cgKernel{label: "cg"} }
+func NewCGKernel() engine.Kernel { return &cgKernel{} }
 
-// NewCGFusedKernel is the same fused iteration under the historical
-// "cgfused" registry name.
-func NewCGFusedKernel() engine.Kernel { return &cgKernel{label: "cgfused"} }
-
-func (k *cgKernel) Name() string { return k.label }
+func (k *cgKernel) Name() string { return "cg" }
 
 func (k *cgKernel) Init(run *engine.Run) (float64, error) {
 	ws := run.Ws

@@ -9,8 +9,9 @@
 // the shared workspace arena — while the engine driver owns option
 // defaults, convergence checks, callbacks, and history. The package
 // functions below (CG, PCG, ...) are thin wrappers that run a fresh
-// kernel through the driver; Workspace binds a kernel to a reusable
-// arena so repeated solves allocate nothing.
+// kernel through the driver on a fresh workspace; callers that solve
+// repeatedly keep an engine.Workspace and a kernel and call
+// engine.Solve themselves, which allocates nothing once warm.
 //
 // Every solver reports operation statistics (matrix–vector products,
 // inner products, vector updates, flops) so the sequential-complexity

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"vrcg/internal/engine"
 	"vrcg/internal/vec"
 	"vrcg/precond"
 	"vrcg/sparse"
@@ -17,6 +18,17 @@ func testSystem(t *testing.T, m int) (*sparse.CSR, vec.Vector) {
 	return a, b
 }
 
+// warm returns a solve function that reuses one kernel on one engine
+// workspace — the way the solve adapter holds them — so the tests below
+// check that the kernels reset fully in Init and allocate nothing once
+// warm.
+func warm(k engine.Kernel, n int, pool *vec.Pool) func(sparse.Matrix, vec.Vector, Options) (*Result, error) {
+	ws, res := engine.NewWorkspace(n, pool), new(Result)
+	return func(a sparse.Matrix, b vec.Vector, o Options) (*Result, error) {
+		return res, engine.Solve(k, ws, a, b, o, res)
+	}
+}
+
 func TestWorkspaceCGMatchesCG(t *testing.T) {
 	a, b := testSystem(t, 24)
 	ref, err := CG(a, b, Options{Tol: 1e-10})
@@ -28,8 +40,8 @@ func TestWorkspaceCGMatchesCG(t *testing.T) {
 		if w > 0 {
 			pool = vec.NewPoolMinChunk(w, 32)
 		}
-		ws := NewWorkspace(a.Dim(), pool)
-		res, err := ws.CG(a, b, Options{Tol: 1e-10})
+		solve := warm(NewCGKernel(), a.Dim(), pool)
+		res, err := solve(a, b, Options{Tol: 1e-10})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -60,8 +72,8 @@ func TestWorkspacePCGMatchesPCG(t *testing.T) {
 		if w > 0 {
 			pool = vec.NewPoolMinChunk(w, 32)
 		}
-		ws := NewWorkspace(a.Dim(), pool)
-		res, err := ws.PCG(a, jac, b, Options{Tol: 1e-10})
+		solve := warm(NewPCGKernel(), a.Dim(), pool)
+		res, err := solve(a, b, Options{Tol: 1e-10, Precond: jac})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -77,16 +89,15 @@ func TestWorkspacePCGMatchesPCG(t *testing.T) {
 	}
 }
 
-// TestWorkspacePCGZeroAllocs is the acceptance-criterion test: a warm
-// Workspace-based PCG solve performs zero heap allocations, pooled or
-// serial.
+// A warm PCG solve on a reused workspace performs zero heap
+// allocations, pooled or serial.
 func TestWorkspacePCGZeroAllocs(t *testing.T) {
 	a, b := testSystem(t, 24) // n = 576
 	jac, err := precond.NewJacobi(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Tol: 1e-8}
+	opts := Options{Tol: 1e-8, Precond: jac}
 
 	for _, tc := range []struct {
 		name string
@@ -95,13 +106,13 @@ func TestWorkspacePCGZeroAllocs(t *testing.T) {
 		{"serial", nil},
 		{"pooled", vec.NewPoolMinChunk(4, 64)},
 	} {
-		ws := NewWorkspace(a.Dim(), tc.pool)
+		solve := warm(NewPCGKernel(), a.Dim(), tc.pool)
 		// Warm: spawn workers, build the partition cache.
-		if _, err := ws.PCG(a, jac, b, opts); err != nil {
+		if _, err := solve(a, b, opts); err != nil {
 			t.Fatal(err)
 		}
 		avg := testing.AllocsPerRun(10, func() {
-			if _, err := ws.PCG(a, jac, b, opts); err != nil {
+			if _, err := solve(a, b, opts); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -118,13 +129,13 @@ func TestWorkspaceCGZeroAllocs(t *testing.T) {
 	a, b := testSystem(t, 24)
 	pool := vec.NewPoolMinChunk(4, 64)
 	defer pool.Close()
-	ws := NewWorkspace(a.Dim(), pool)
+	solve := warm(NewCGKernel(), a.Dim(), pool)
 	opts := Options{Tol: 1e-8}
-	if _, err := ws.CG(a, b, opts); err != nil {
+	if _, err := solve(a, b, opts); err != nil {
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(10, func() {
-		if _, err := ws.CG(a, b, opts); err != nil {
+		if _, err := solve(a, b, opts); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
@@ -135,11 +146,11 @@ func TestWorkspaceCGZeroAllocs(t *testing.T) {
 func TestWorkspaceReusedAcrossRHS(t *testing.T) {
 	a, _ := testSystem(t, 16)
 	n := a.Dim()
-	ws := NewWorkspace(n, nil)
+	solve := warm(NewCGKernel(), n, nil)
 	for seed := uint64(1); seed <= 4; seed++ {
 		b := vec.New(n)
 		vec.Random(b, seed)
-		res, err := ws.CG(a, b, Options{Tol: 1e-9})
+		res, err := solve(a, b, Options{Tol: 1e-9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,18 +170,18 @@ func TestWorkspaceReusedAcrossRHS(t *testing.T) {
 
 func TestWorkspaceDimensionMismatch(t *testing.T) {
 	a, b := testSystem(t, 8)
-	ws := NewWorkspace(a.Dim()+1, nil)
-	if _, err := ws.CG(a, b, Options{}); err == nil {
+	solve := warm(NewCGKernel(), a.Dim()+1, nil)
+	if _, err := solve(a, b, Options{}); err == nil {
 		t.Fatal("workspace accepted mismatched matrix order")
 	}
 }
 
 func TestWorkspaceHistoryAndX0(t *testing.T) {
 	a, b := testSystem(t, 12)
-	ws := NewWorkspace(a.Dim(), nil)
+	solve := warm(NewCGKernel(), a.Dim(), nil)
 	x0 := vec.New(a.Dim())
 	vec.Fill(x0, 0.5)
-	res, err := ws.CG(a, b, Options{Tol: 1e-9, X0: x0, RecordHistory: true})
+	res, err := solve(a, b, Options{Tol: 1e-9, X0: x0, RecordHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,13 @@
-// Package parcg expresses conjugate gradient algorithms as distributed
-// programs over the simulated machine (package machine) with hand-rolled
-// collectives (package collective). All vector data is real — the
-// solvers produce correct solutions — while every operation charges its
-// simulated cost, so a single run yields both the answer and the
-// parallel time the paper reasons about.
+// Package parcg holds the paper's three schedules — blocking CG,
+// pipelined CG, and the anchored look-ahead recurrence — in the two
+// forms the repository needs, each exactly once: real-parallel
+// engine.Kernels that do the numerics with the reductions overlapped on
+// background goroutines (kernels.go), and the schedules' cost on the
+// simulated machine (package machine, collectives from package
+// collective), charged by Replay for the iteration count a solve
+// performed (replay.go). This file is the block-partitioned vector and
+// matrix primitives the replay charges through; they operate on real
+// data, so each is testable against its serial counterpart.
 package parcg
 
 import (
@@ -84,24 +88,6 @@ func (d *Dist) Gather() vec.Vector {
 	return out
 }
 
-// Clone returns an independent copy.
-func (d *Dist) Clone() *Dist {
-	c := NewDist(d.n, d.p)
-	for i := range d.parts {
-		copy(c.parts[i], d.parts[i])
-	}
-	return c
-}
-
-// CopyFrom copies src (same shape) into d, charging the elementwise cost.
-func (d *Dist) CopyFrom(m *machine.Machine, src *Dist) {
-	d.mustMatch(src)
-	for i := range d.parts {
-		copy(d.parts[i], src.parts[i])
-		m.Compute(i, len(d.parts[i]))
-	}
-}
-
 func (d *Dist) mustMatch(o *Dist) {
 	if d.n != o.n || d.p != o.p {
 		panic(fmt.Sprintf("parcg: shape mismatch (%d/%d vs %d/%d)", d.n, d.p, o.n, o.p))
@@ -140,19 +126,6 @@ func Scale(m *machine.Machine, a float64, x *Dist) {
 			xp[j] *= a
 		}
 		m.Compute(i, len(xp))
-	}
-}
-
-// Sub computes dst = x - y blockwise.
-func Sub(m *machine.Machine, dst, x, y *Dist) {
-	dst.mustMatch(x)
-	dst.mustMatch(y)
-	for i := range dst.parts {
-		dp, xp, yp := dst.parts[i], x.parts[i], y.parts[i]
-		for j := range dp {
-			dp[j] = xp[j] - yp[j]
-		}
-		m.Compute(i, len(dp))
 	}
 }
 
@@ -218,29 +191,6 @@ func (dm *DistMatrix) Dim() int { return dm.a.Dim() }
 
 // P returns the processor count of the partition.
 func (dm *DistMatrix) P() int { return dm.p }
-
-// GershgorinBound returns an upper bound on the spectral radius of the
-// operator: the maximum absolute row sum. The restructured solver scales
-// the system by this bound so Krylov power magnitudes stay O(1) — the
-// base inner products span matrix powers up to 4k, and without scaling
-// their magnitude spread of ||A||^(4k) destroys the scalar contractions
-// in double precision.
-func (dm *DistMatrix) GershgorinBound() float64 {
-	bound := 0.0
-	for i := 0; i < dm.a.Dim(); i++ {
-		row := 0.0
-		dm.a.ScanRow(i, func(_ int, v float64) {
-			if v < 0 {
-				v = -v
-			}
-			row += v
-		})
-		if row > bound {
-			bound = row
-		}
-	}
-	return bound
-}
 
 // HaloDegree returns the largest number of distinct processors any one
 // processor must receive from during a matvec — the per-iteration

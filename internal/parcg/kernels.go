@@ -13,22 +13,15 @@ import (
 	"vrcg/sparse"
 )
 
-// This file is the real-parallel port of the machine-model solvers in
-// algos.go/vrcg.go: the same three schedules — blocking CG, pipelined
-// CG, and the paper's anchored look-ahead recurrence — run as
-// engine.Kernels on actual goroutines instead of simulated clocks. The
-// inner-product reductions that the paper's analysis is about are
-// launched on a per-kernel background goroutine while the main
-// goroutine runs the overlapping SpMV, so the overlap is measured on
-// hardware (Result.Phases) rather than charged to a cost model. The
-// simulated Clocks/Machine trajectory survives as an opt-in replay
-// (replay.go) layered over these kernels by the solve adapter.
-//
-// Numerics mirror the machine solvers step for step (same update
-// order, same breakdown checks, same recurrences), so the golden
-// trajectories captured before the port carry over; only the reduction
-// summation order differs (blocked-tree vec kernels instead of
-// per-processor partials), which moves residuals at roundoff level.
+// The paper's three schedules — blocking CG, pipelined CG, and the
+// anchored look-ahead recurrence — as engine.Kernels on actual
+// goroutines. The inner-product reductions that the paper's analysis is
+// about are launched on a per-kernel background goroutine while the
+// main goroutine runs the overlapping SpMV, so the overlap is measured
+// on hardware (Result.Phases) rather than charged to a cost model. The
+// simulated Clocks/Machine trajectory is an opt-in replay of the same
+// schedules' cost (replay.go) layered over these kernels by the solve
+// adapter. solve/parcg_golden_test.go pins the trajectories.
 
 // bgReducer owns the kernel's background reduction goroutines: nw
 // persistent workers, each behind an unbuffered request/done pair,
@@ -92,7 +85,7 @@ func newKernelReducer[T any](kn *T, nw int, part func(wid, nw int)) *bgReducer {
 	return b
 }
 
-// cgKernel is the blocking baseline (paper §2, algos.go CG): one SpMV
+// cgKernel is the blocking baseline (paper §2): one SpMV
 // and two fully blocking reductions per iteration — the inner-product
 // data dependency the other two kernels remove. It exists as the
 // contrast row: identical numerics, no overlap, phases instrumented.
@@ -207,12 +200,12 @@ func (j *pipeJob) run() { j.gamma, j.delta = vec.DotPair(j.r, j.r, j.w) }
 // single worker.
 func (j *pipeJob) runPart(int, int) { j.run() }
 
-// pipeKernel is Ghysels–Vanroose pipelined CG on real goroutines
-// (algos.go PipeCG): one SpMV and ONE reduction per iteration, the
-// reduction genuinely in flight during the SpMV. Each Step issues the
-// next iteration's reduction and matvec together, so the wait lands
-// after the overlap window — the schedule of the machine-model loop,
-// with the simulated IAllreduce replaced by a goroutine.
+// pipeKernel is Ghysels–Vanroose pipelined CG on real goroutines: one
+// SpMV and ONE reduction per iteration, the reduction genuinely in
+// flight during the SpMV. Each Step issues the next iteration's
+// reduction and matvec together, so the wait lands after the overlap
+// window — the schedule replayPipe charges, with the simulated
+// IAllreduce replaced by a goroutine.
 type pipeKernel struct {
 	x, r, w, pv, s, q, nv vec.Vector
 
@@ -483,7 +476,7 @@ func (j *gramJob) runPart(wid, nw int) {
 
 // gramInto fills out (length 3w, w = 2*len(R)-1 = 4k+1) with the Mu,
 // Nu, Omega sequences, splitting index s into factors a = s/2 and s-a
-// exactly as the machine solver's issueBase did.
+// exactly as replayVRCG's issueBase charges them.
 func gramInto(out []float64, R, P []vec.Vector) {
 	w := 2*len(R) - 1
 	gramRows(out[0:w], R, R)
@@ -507,11 +500,11 @@ type rowScanner interface {
 	ScanRow(i int, emit func(j int, v float64))
 }
 
-// lookKernel is the paper's anchored look-ahead recurrence (vrcg.go
-// VRCG) on real goroutines: every k iterations one batched base-product
-// reduction is launched in the background and consumed k iterations
-// later, by which time it has had a full anchor block of SpMV/update
-// work to hide behind; in between, all step scalars are contractions of
+// lookKernel is the paper's anchored look-ahead recurrence on real
+// goroutines: every k iterations one batched base-product reduction is
+// launched in the background and consumed k iterations later, by which
+// time it has had a full anchor block of SpMV/update work to hide
+// behind; in between, all step scalars are contractions of
 // the previous anchor's base products — no reduction on the critical
 // path. Internally the kernel iterates on the Gershgorin-scaled
 // operator A/s so the Gram sequences (powers up to A^4k) keep O(1)
@@ -709,8 +702,7 @@ func (kn *lookKernel) Init(run *engine.Run) (float64, error) {
 	kn.mulScaled(run, kn.P[2*k+1], kn.P[2*k])
 
 	// Anchor 0: computed synchronously (start-up), and it doubles as
-	// the first pending batch — exactly the machine solver's shared
-	// handle, promoted again at iteration k.
+	// the first pending batch, promoted again at iteration k.
 	gramInto(kn.gramBufs[0], kn.R, kn.P)
 	kn.active = kn.gramBufs[0]
 	kn.pendingIdx = 0
@@ -807,9 +799,9 @@ func (kn *lookKernel) restart(run *engine.Run, spmvD, redD *time.Duration) {
 }
 
 // Residual reports the recurrence residual, sharpened by one direct
-// (r,r) before the driver is allowed to trust a convergence decision —
-// the machine solver ran exactly this direct reduction at exit, so a
-// drifted recurrence can neither fake convergence nor hide it.
+// (r,r) before the driver is allowed to trust a convergence decision
+// (the exit reduction replayVRCG charges), so a drifted recurrence can
+// neither fake convergence nor hide it.
 func (kn *lookKernel) Residual(run *engine.Run) float64 {
 	rn := kn.resNorm()
 	if rn <= run.Threshold {

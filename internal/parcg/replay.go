@@ -7,19 +7,18 @@ import (
 	"vrcg/sparse"
 )
 
-// Cost-model replay: the instrumented machine mode of the parcg family.
-// The real-parallel kernels (kernels.go) do the numerics; when a solve
-// asks for the simulated Clocks/Machine trajectory (WithMachineConfig),
-// the adapter replays the machine solver's exact charge sequence — halo
-// exchanges, local sweeps, blocking and non-blocking collectives — for
-// the iteration count the real solve performed. Every machine charge is
-// data-independent (only time is simulated), so replaying on zero
-// vectors reproduces the clocks the retired simulated solvers produced,
-// now layered as a monitor instead of being the execution engine.
+// The paper's cost schedules on the simulated machine. The
+// real-parallel kernels (kernels.go) do the numerics; when a solve asks
+// for the simulated Clocks/Machine trajectory (WithMachineConfig), the
+// adapter charges the method's schedule — halo exchanges, local sweeps,
+// blocking and non-blocking collectives — for the iteration count the
+// real solve performed. Every machine charge is data-independent (only
+// time is simulated), so the schedule runs on zero vectors and needs
+// nothing of the solve but its shape: Iterations, Converged, K.
+// TestReplayGolden pins the resulting clocks and message totals.
 //
-// The replay models the clean pipelined trajectory: drift fallbacks and
-// emergency re-anchors (data-dependent recovery paths) are not
-// replayed.
+// The schedules are the clean trajectories: drift fallbacks and
+// emergency re-anchors (data-dependent recovery paths) are not charged.
 
 // Replay charges the machine-model cost schedule of the named parcg
 // method for the observed result: iters iterations on matrix a over
@@ -51,8 +50,19 @@ func maxProcs(p, n int) int {
 	return p
 }
 
-// replayCG mirrors CG in algos.go: per iteration one distributed matvec
-// and two blocking allreduce fan-ins, plus the start-up (r,r).
+// scalarAll charges a replicated scalar operation on every processor
+// (each processor computes the step scalars redundantly, the standard
+// practice after an allreduce).
+func scalarAll(m *machine.Machine, flops int) {
+	for i := 0; i < m.P(); i++ {
+		m.Compute(i, flops)
+	}
+}
+
+// replayCG is standard Hestenes–Stiefel CG (paper §2): per iteration
+// one distributed matvec (halo exchange + local sweep) and two blocking
+// allreduce fan-ins — the c*log(N) dependency the paper sets out to
+// remove — plus the start-up (r,r).
 func replayCG(m *machine.Machine, dm *DistMatrix, res *engine.Result) {
 	n, p := dm.Dim(), dm.P()
 	x, r, pv, ap := NewDist(n, p), NewDist(n, p), NewDist(n, p), NewDist(n, p)
@@ -71,11 +81,13 @@ func replayCG(m *machine.Machine, dm *DistMatrix, res *engine.Result) {
 	}
 }
 
-// replayPipe mirrors PipeCG in algos.go: one matvec per iteration with
-// the fused (gamma, delta) allreduce in flight behind it. A converged
-// solve breaks right after the final wait, charging one extra
-// matvec+wait beyond the counted iterations, exactly like the original
-// loop.
+// replayPipe is Ghysels–Vanroose pipelined CG (2014), the production
+// descendant of the paper's idea (PETSc KSPPIPECG): one matvec n = A w
+// per iteration with the single fused (gamma, delta) = ((r,r), (w,r))
+// non-blocking allreduce in flight behind it, then three direction and
+// three iterate updates. The convergence test sits after the wait, so
+// a converged solve charges one matvec+wait beyond the counted
+// iterations.
 func replayPipe(m *machine.Machine, dm *DistMatrix, res *engine.Result) {
 	n, p := dm.Dim(), dm.P()
 	x, r, w := NewDist(n, p), NewDist(n, p), NewDist(n, p)
@@ -111,10 +123,21 @@ func replayPipe(m *machine.Machine, dm *DistMatrix, res *engine.Result) {
 	}
 }
 
-// replayVRCG mirrors VRCG in vrcg.go: the anchored look-ahead schedule
-// with one batched non-blocking base reduction per k iterations. The
-// coefficient degrees (which set the replicated contraction flops) are
-// advanced with the same recurrences the real tracks follow.
+// replayVRCG is the paper's restructured CG in the anchored
+// equation-(*) form: every k iterations the base inner products (the
+// Gram sequences Mu, Nu, Omega of the residual/direction Krylov
+// families, 3(4k+1) values) are issued as ONE non-blocking batched
+// allreduce; during the following k iterations all step scalars are
+// contractions of the previous anchor's (by then delivered) products
+// with coefficient polynomials — replicated scalar work whose flop
+// count follows the polynomial degrees, no global communication. One
+// distributed matvec per iteration maintains the top family power
+// (paper §5). With k at least the reduction latency in iteration units
+// no processor ever waits: the log(P) fan-in leaves the critical path.
+//
+// blocking waits for each anchor's reduction at issue instead — the
+// timing semantics of s-step CG (Chronopoulos–Gear), which amortizes
+// reductions across a block but does not hide them.
 func replayVRCG(m *machine.Machine, dm *DistMatrix, blocking bool, res *engine.Result) {
 	n, p := dm.Dim(), dm.P()
 	k := res.K
@@ -136,7 +159,9 @@ func replayVRCG(m *machine.Machine, dm *DistMatrix, blocking bool, res *engine.R
 		Scale(m, 1, dst)
 	}
 
-	// Start-up: Gershgorin bound, family construction, anchor 0.
+	// Start-up: the Gershgorin bound the system is scaled by (one pass
+	// over local rows plus a max-allreduce), family construction,
+	// anchor 0.
 	m.ComputeAll(2 * dm.a.NNZ() / p)
 	collective.AllreduceSum(m, make([]float64, p))
 	Scale(m, 1, R[0])
@@ -221,4 +246,40 @@ func replayVRCG(m *machine.Machine, dm *DistMatrix, blocking bool, res *engine.R
 	}
 	// Final direct (r,r) confirmation.
 	collective.AllreduceSum(m, LocalDotPartials(m, R[0], R[0]))
+}
+
+// AutoK estimates the look-ahead parameter that just hides the base
+// reduction behind the iteration pipeline on this machine/problem pair —
+// the constructive version of the paper's "choose k = log N"
+// prescription. It compares the batched-allreduce completion time
+// against the per-iteration local work (halo exchange + matvec sweep +
+// family updates) for candidate k and returns the smallest k whose
+// block duration covers the reduction, clamped to [1, maxK]. Larger k
+// costs numerically (monomial-basis drift grows with k), so smallest-
+// sufficient is the right objective.
+func AutoK(cfg machine.Config, dm *DistMatrix, maxK int) int {
+	if maxK < 1 {
+		maxK = 1
+	}
+	p := dm.P()
+	localN := dm.Dim() / p
+	if localN < 1 {
+		localN = 1
+	}
+	haloMsgs := dm.HaloDegree()
+	rounds := 0
+	for v := 1; v < p; v <<= 1 {
+		rounds++
+	}
+	for k := 1; k <= maxK; k++ {
+		width := 3 * (4*k + 1)
+		reduction := float64(rounds) * (cfg.Alpha + cfg.Beta*float64(width))
+		perIter := float64(haloMsgs)*cfg.Alpha + // halo latency
+			cfg.FlopTime*float64(2*dm.a.NNZ()/p) + // matvec sweep
+			cfg.FlopTime*float64((4*k+2)*2*localN) // family updates
+		if float64(k)*perIter >= reduction {
+			return k
+		}
+	}
+	return maxK
 }

@@ -4,9 +4,19 @@ import (
 	"runtime"
 	"testing"
 
+	"vrcg/internal/engine"
 	"vrcg/internal/vec"
 	"vrcg/sparse"
 )
+
+// warmGV returns a solve function that reuses one Ghysels–Vanroose
+// kernel on one engine workspace, the way the solve adapter holds them.
+func warmGV(n int, pool *vec.Pool) func(sparse.Matrix, vec.Vector, Options) (*Result, error) {
+	k, ws, res := NewGVKernel(), engine.NewWorkspace(n, pool), new(Result)
+	return func(a sparse.Matrix, b vec.Vector, o Options) (*Result, error) {
+		return res, engine.Solve(k, ws, a, b, o, res)
+	}
+}
 
 func TestWorkspaceGhyselsVanrooseMatchesPackage(t *testing.T) {
 	a := sparse.Poisson2D(20)
@@ -21,8 +31,8 @@ func TestWorkspaceGhyselsVanrooseMatchesPackage(t *testing.T) {
 		if w > 0 {
 			pool = vec.NewPoolMinChunk(w, 32)
 		}
-		ws := NewWorkspace(a.Dim(), pool)
-		res, err := ws.GhyselsVanroose(a, b, Options{Tol: 1e-9})
+		solve := warmGV(a.Dim(), pool)
+		res, err := solve(a, b, Options{Tol: 1e-9})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -47,13 +57,13 @@ func TestWorkspaceGhyselsVanrooseZeroAllocs(t *testing.T) {
 	vec.Random(b, 34)
 	pool := vec.NewPoolMinChunk(4, 64)
 	defer pool.Close()
-	ws := NewWorkspace(a.Dim(), pool)
+	solve := warmGV(a.Dim(), pool)
 	opts := Options{Tol: 1e-8}
-	if _, err := ws.GhyselsVanroose(a, b, opts); err != nil {
+	if _, err := solve(a, b, opts); err != nil {
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(10, func() {
-		if _, err := ws.GhyselsVanroose(a, b, opts); err != nil {
+		if _, err := solve(a, b, opts); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
@@ -64,11 +74,11 @@ func TestWorkspaceGhyselsVanrooseZeroAllocs(t *testing.T) {
 func TestWorkspaceReuse(t *testing.T) {
 	a := sparse.Poisson2D(12)
 	n := a.Dim()
-	ws := NewWorkspace(n, nil)
+	solve := warmGV(n, nil)
 	for seed := uint64(1); seed <= 3; seed++ {
 		b := vec.New(n)
 		vec.Random(b, seed)
-		res, err := ws.GhyselsVanroose(a, b, Options{Tol: 1e-8})
+		res, err := solve(a, b, Options{Tol: 1e-8})
 		if err != nil {
 			t.Fatal(err)
 		}

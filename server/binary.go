@@ -67,15 +67,13 @@ func isBinary(r *http.Request) bool {
 }
 
 // binState is the pooled per-request scratch of the binary path: the
-// body buffer, decoded right-hand-side columns, and the params decode
-// target, all reused across requests so a warm solve reads and decodes
-// without allocating.
+// body buffer and decoded right-hand-side columns, reused across
+// requests so a warm solve reads and decodes without allocating.
 type binState struct {
-	body   []byte
-	rhs    [][]float64
-	lens   []int
-	codes  []string
-	params solve.Params
+	body  []byte
+	rhs   [][]float64
+	lens  []int
+	codes []string
 }
 
 var binStates = sync.Pool{New: func() any { return new(binState) }}
@@ -133,6 +131,9 @@ type affEntry struct {
 	params  string
 	gen     uint64
 	pool    *solve.SessionPool
+	// batchWorkers is params' decoded batch_workers, the one field the
+	// batch handler reads itself rather than through the pool.
+	batchWorkers int
 }
 
 func (e *affEntry) matches(op, method, precond, params []byte) bool {
@@ -222,12 +223,14 @@ func (s *Server) decodeBinRequest(w http.ResponseWriter, st *binState, single bo
 }
 
 // resolveBin turns the decoded request header into a pinned operator
-// and session pool. The affinity fast path compares the raw header
-// bytes against the connection's cached shape and skips every per-
-// request allocation of the slow path; misses run the ordinary
-// solveSetup and install the cache entry. On failure the response has
-// been written and op is nil.
-func (s *Server) resolveBin(w http.ResponseWriter, r *http.Request, st *binState, req binRequest) (op *storedOperator, pool *solve.SessionPool, method string) {
+// and the request's resolved shape (session pool, method,
+// batch_workers). The affinity fast path compares the raw header bytes
+// against the connection's cached shape and skips every per-request
+// allocation of the slow path; misses run the ordinary solveSetup and
+// install the cache entry. Either way the handlers read the shape from
+// the returned entry, so a hit and a miss cannot disagree. On failure
+// the response has been written and op is nil.
+func (s *Server) resolveBin(w http.ResponseWriter, r *http.Request, st *binState, req binRequest) (*storedOperator, *affEntry) {
 	if e := s.aff.get(r.RemoteAddr); e != nil && e.matches(req.operator, req.method, req.precond, req.params) {
 		o, err := s.store.acquire(e.opID)
 		if err == nil {
@@ -238,38 +241,40 @@ func (s *Server) resolveBin(w http.ResponseWriter, r *http.Request, st *binState
 						writeError(w, http.StatusBadRequest, codeDimMismatch,
 							fmt.Sprintf("rhs %d has length %d but operator %q has %d rows",
 								i, n, o.info.ID, o.info.Rows))
-						return nil, nil, ""
+						return nil, nil
 					}
 				}
-				return o, e.pool, e.method
+				return o, e
 			}
 			s.store.release(o) // same name, different matrix: rebuild below
 		}
 	}
 
 	operator, methodStr, precond := string(req.operator), string(req.method), string(req.precond)
+	var params solve.Params
 	var pp *solve.Params
-	st.params = solve.Params{}
 	if len(req.params) > 0 {
-		if err := json.Unmarshal(req.params, &st.params); err != nil {
+		if err := json.Unmarshal(req.params, &params); err != nil {
 			writeError(w, http.StatusBadRequest, codeBadRequest, "malformed params JSON: "+err.Error())
-			return nil, nil, ""
+			return nil, nil
 		}
-		pp = &st.params
+		pp = &params
 	}
-	op, pool = s.solveSetup(w, operator, methodStr, pp, precond, st.lens...)
+	op, pool := s.solveSetup(w, operator, methodStr, pp, precond, st.lens...)
 	if op == nil {
-		return nil, nil, ""
+		return nil, nil
 	}
-	s.aff.put(r.RemoteAddr, &affEntry{
-		opID:    operator,
-		method:  methodStr,
-		precond: precond,
-		params:  string(req.params),
-		gen:     op.gen,
-		pool:    pool,
-	})
-	return op, pool, methodStr
+	e := &affEntry{
+		opID:         operator,
+		method:       methodStr,
+		precond:      precond,
+		params:       string(req.params),
+		gen:          op.gen,
+		pool:         pool,
+		batchWorkers: params.BatchWorkers,
+	}
+	s.aff.put(r.RemoteAddr, e)
+	return op, e
 }
 
 // encodeBinResult appends one result frame section under the given
@@ -316,7 +321,7 @@ func (s *Server) handleSolveBin(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	op, pool, method := s.resolveBin(w, r, st, req)
+	op, shape := s.resolveBin(w, r, st, req)
 	if op == nil {
 		return
 	}
@@ -330,7 +335,7 @@ func (s *Server) handleSolveBin(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ps, err := pool.Acquire(ctx)
+	ps, err := shape.pool.Acquire(ctx)
 	if err != nil {
 		status, code := errorStatus(err)
 		writeError(w, status, code, err.Error())
@@ -338,9 +343,9 @@ func (s *Server) handleSolveBin(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	res, err := ps.Solve(st.rhs[0])
-	s.met.observeSolve(method, time.Since(start))
+	s.met.observeSolve(shape.method, time.Since(start))
 	if res != nil {
-		s.met.observeSolvePhases(method, res.Phases)
+		s.met.observeSolvePhases(shape.method, res.Phases)
 	}
 
 	if err != nil && !errors.Is(err, solve.ErrNotConverged) {
@@ -381,7 +386,7 @@ func (s *Server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	op, pool, method := s.resolveBin(w, r, st, req)
+	op, shape := s.resolveBin(w, r, st, req)
 	if op == nil {
 		return
 	}
@@ -395,20 +400,19 @@ func (s *Server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	ps, err := pool.Acquire(ctx)
+	ps, err := shape.pool.Acquire(ctx)
 	if err != nil {
 		status, code := errorStatus(err)
 		writeError(w, status, code, err.Error())
 		return
 	}
-	bw := st.params.BatchWorkers
-	extra := s.widenBatch(bw, len(st.rhs))
+	extra := s.widenBatch(shape.batchWorkers, len(st.rhs))
 	start := time.Now()
 	results, err := ps.SolveMany(st.rhs, solve.WithBatchWorkers(1+extra))
 	for ; extra > 0; extra-- {
 		<-s.run
 	}
-	s.met.observeSolve(method+"/batch", time.Since(start))
+	s.met.observeSolve(shape.method+"/batch", time.Since(start))
 	ps.Release()
 
 	status := http.StatusOK

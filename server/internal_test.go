@@ -1,13 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"vrcg/cluster/wire"
 	"vrcg/solve"
 	"vrcg/sparse"
 )
@@ -161,6 +164,71 @@ func TestBatchDegradesUnderSaturation(t *testing.T) {
 	}
 	if len(s.run) != 1 {
 		t.Fatalf("run slots leaked: %d still held", len(s.run))
+	}
+}
+
+// runSlotProbe records, from inside the solve, the most run slots held
+// at once — the admission slot plus whatever widenBatch borrowed, i.e.
+// the batch fan-out width of the request being served.
+type runSlotProbe struct {
+	sparse.Matrix
+	s     *Server
+	width atomic.Int32
+}
+
+func (p *runSlotProbe) MulVec(dst, x []float64) {
+	for n := int32(len(p.s.run)); ; {
+		old := p.width.Load()
+		if n <= old || p.width.CompareAndSwap(old, n) {
+			break
+		}
+	}
+	p.Matrix.MulVec(dst, x)
+}
+
+// TestBinaryBatchWidthSurvivesAffinityHit: a warm binary batch must fan
+// out with its own batch_workers. The affinity fast path skips the
+// params decode, so the width has to come from the cached entry, not
+// from pooled request scratch another caller decoded into.
+func TestBinaryBatchWidthSurvivesAffinityHit(t *testing.T) {
+	s := New(Config{MaxConcurrent: 4})
+	probe := &runSlotProbe{Matrix: sparse.Poisson1D(8), s: s}
+	if err := s.Preload("a", probe); err != nil {
+		t.Fatal(err)
+	}
+	width := func(remote, params string) int {
+		t.Helper()
+		enc := wire.NewEnc(512)
+		defer enc.Release()
+		enc.U8(binVersion)
+		enc.Str("a")
+		enc.Str("cg")
+		enc.Str("")
+		enc.Str(params)
+		enc.U32(0) // timeout_ms
+		enc.U32(4)
+		for k := 0; k < 4; k++ {
+			enc.F64s([]float64{1, 2, 3, 4, 5, 6, 7, float64(8 + k)})
+		}
+		req := httptest.NewRequest("POST", "/v1/solve/batch", bytes.NewReader(enc.B))
+		req.Header.Set("Content-Type", BinaryContentType)
+		req.RemoteAddr = remote
+		rec := httptest.NewRecorder()
+		probe.width.Store(0)
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("batch from %s: status %d: %s", remote, rec.Code, rec.Body.String())
+		}
+		return int(probe.width.Load())
+	}
+	const capped, uncapped = "10.0.0.1:1000", "10.0.0.2:2000"
+	for _, pass := range []string{"slow path", "affinity hit"} {
+		if w := width(capped, `{"batch_workers":1}`); w != 1 {
+			t.Errorf("%s: batch_workers=1 fanned out %d wide", pass, w)
+		}
+		if w := width(uncapped, ""); w != 4 {
+			t.Errorf("%s: uncapped batch fanned out %d wide, want MaxConcurrent=4", pass, w)
+		}
 	}
 }
 

@@ -207,8 +207,9 @@ func init() {
 
 	registerEngine("cg", "standard Hestenes-Stiefel CG (paper §2), workspace-backed",
 		krylov.NewCGKernel, blocking, false)
+	// A second name for the cg kernel, kept for wire compatibility.
 	registerEngine("cgfused", "standard CG with the fused-kernel update path, workspace-backed",
-		krylov.NewCGFusedKernel, blocking, false)
+		krylov.NewCGKernel, blocking, false)
 	registerEngine("pcg", "preconditioned CG (WithPreconditioner; identity default), workspace-backed",
 		krylov.NewPCGKernel, blocking, false)
 	registerEngine("cr", "conjugate residuals (minimizes ||b - A x||), workspace-backed",

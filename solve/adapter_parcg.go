@@ -18,13 +18,12 @@ import (
 // this file is only the options shim plus the instrumented machine
 // mode.
 //
-// Machine mode: WithProcessors / WithMachineConfig layer the retired
+// Machine mode: WithProcessors / WithMachineConfig layer the
 // simulated-machine cost model over the real solve as a monitor — the
-// adapter replays the machine solvers' exact charge sequence for the
-// observed iteration count (parcg.Replay), filling Result.Clocks and
-// Result.Machine. The replay needs the sparsity partition, so it
-// requires a *sparse.CSR operator; the real solve itself takes any
-// Operator.
+// adapter charges the method's schedule for the observed iteration
+// count (parcg.Replay), filling Result.Clocks and Result.Machine. The
+// replay needs the sparsity partition, so it requires a *sparse.CSR
+// operator; the real solve itself takes any Operator.
 
 // parcgPost is the shared post hook: machine-mode replay and the
 // blocking-anchor sync count.

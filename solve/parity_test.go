@@ -32,7 +32,6 @@ type refResult struct {
 // numerically reproducible.
 func TestRegistryMatchesInternal(t *testing.T) {
 	a, b := testSystem(16, 42) // 256-unknown 2D Poisson, manufactured rhs
-	n := a.Dim()
 	const tol = 1e-9
 
 	jacobi, err := precond.NewJacobi(a)
@@ -50,8 +49,8 @@ func TestRegistryMatchesInternal(t *testing.T) {
 			pool = vec.NewPool(workers)
 			defer pool.Close()
 		}
-		ko := krylov.Options{Tol: tol}
-		po := pipecg.Options{Tol: tol}
+		ko := krylov.Options{Tol: tol, Pool: pool}
+		po := pipecg.Options{Tol: tol, Pool: pool}
 
 		cases := []struct {
 			method string
@@ -59,15 +58,15 @@ func TestRegistryMatchesInternal(t *testing.T) {
 			ref    func() (refResult, error)
 		}{
 			{"cg", nil, func() (refResult, error) {
-				r, err := krylov.NewWorkspace(n, pool).CG(a, b, ko)
+				r, err := krylov.CG(a, b, ko)
 				return refResult{r.Iterations, r.ResidualNorm, r.Converged}, err
 			}},
 			{"cgfused", nil, func() (refResult, error) {
-				r, err := krylov.CGFused(a, b, pool, ko)
+				r, err := krylov.CG(a, b, ko) // a second name for the cg kernel
 				return refResult{r.Iterations, r.ResidualNorm, r.Converged}, err
 			}},
 			{"pcg", []Option{WithPreconditioner(jacobi)}, func() (refResult, error) {
-				r, err := krylov.NewWorkspace(n, pool).PCG(a, jacobi, b, ko)
+				r, err := krylov.PCG(a, jacobi, b, ko)
 				return refResult{r.Iterations, r.ResidualNorm, r.Converged}, err
 			}},
 			{"cr", nil, func() (refResult, error) {
@@ -83,7 +82,7 @@ func TestRegistryMatchesInternal(t *testing.T) {
 				return refResult{r.Iterations, r.ResidualNorm, r.Converged}, err
 			}},
 			{"pipecg", nil, func() (refResult, error) {
-				r, err := pipecg.NewWorkspace(n, pool).GhyselsVanroose(a, b, po)
+				r, err := pipecg.GhyselsVanroose(a, b, po)
 				return refResult{r.Iterations, r.ResidualNorm, r.Converged}, err
 			}},
 			{"gropp", nil, func() (refResult, error) {
@@ -94,11 +93,9 @@ func TestRegistryMatchesInternal(t *testing.T) {
 				r, err := sstep.Solve(a, b, sstep.Options{S: 4, Tol: tol, Pool: pool})
 				return refResult{r.Iterations, r.ResidualNorm, r.Converged}, err
 			}},
-			// The parcg family has no internal reference anymore: the
-			// machine solvers were retired to an instrumented replay and
-			// the registry kernels ARE the implementation. Their parity
-			// gate is the pre-rewrite golden-trajectory test in
-			// parcg_golden_test.go.
+			// The parcg family has no one-shot internal entry point: the
+			// registry kernels are the implementation. Their parity gate
+			// is the golden-trajectory test in parcg_golden_test.go.
 		}
 
 		for _, tc := range cases {

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"testing"
 
+	"vrcg/internal/engine"
 	"vrcg/internal/krylov"
 	"vrcg/precond"
 	"vrcg/solve"
@@ -32,7 +33,7 @@ func benchSystem(m int) (*sparse.CSR, []float64) {
 
 // BenchmarkSolveDispatch measures the registry-dispatch overhead: the
 // same CG solve through solve.New + Solver.Solve (per-call option
-// parsing, canonical Result) vs the direct internal workspace call.
+// parsing, canonical Result) vs the kernel run directly on an engine workspace.
 func BenchmarkSolveDispatch(b *testing.B) {
 	a, rhs := benchSystem(24)
 	tol := 1e-8
@@ -48,12 +49,16 @@ func BenchmarkSolveDispatch(b *testing.B) {
 		}
 	})
 	b.Run("direct", func(b *testing.B) {
-		ws := krylov.NewWorkspace(a.Dim(), nil)
-		o := krylov.Options{Tol: tol}
+		k, ws := krylov.NewCGKernel(), engine.NewWorkspace(a.Dim(), nil)
+		o := engine.Config{Tol: tol}
+		var res engine.Result
+		if err := engine.Solve(k, ws, a, rhs, o, &res); err != nil { // fill the arena
+			b.Fatal(err)
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ws.CG(a, rhs, o); err != nil {
+			if err := engine.Solve(k, ws, a, rhs, o, &res); err != nil {
 				b.Fatal(err)
 			}
 		}
