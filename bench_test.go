@@ -8,6 +8,7 @@ package vrcg_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"vrcg/internal/bench"
@@ -291,7 +292,7 @@ func BenchmarkMatVecCSRPoisson2D(b *testing.B) {
 	x := vec.New(a.Dim())
 	y := vec.New(a.Dim())
 	vec.Random(x, 4)
-	b.SetBytes(int64(12 * a.NNZ()))
+	b.SetBytes(spmvBytes(a))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.MulVec(y, x)
@@ -456,45 +457,72 @@ func BenchmarkRabenseifnerVsRecursiveDoubling(b *testing.B) {
 
 // --- execution engine: serial vs pooled hot paths ---
 
-// BenchmarkSpMV compares the serial CSR product against the hot path
-// the engine actually runs — format auto-selection (SELL-C-σ when
-// profitable) plus pool dispatch — at sizes where the engine matters
-// (n = 102400 and 409600 for the Poisson grids below). The sell rows
-// isolate the blocked format's serial kernel against CSR.
+// spmvBytes is what one product with op moves when nothing stays in
+// cache: the format's own arrays (CSR 8 B value + 8 B int column per
+// entry and n+1 row pointers; SELL 8 B value + 4 B column per padded
+// entry; DIA 8 B per slab cell, no indices) plus x read and dst written
+// once. Divided into ns/op it is the GB/s column ROADMAP item 1 asks of
+// the SpMV rows.
+func spmvBytes(op sparse.Matrix) int64 {
+	n := int64(op.Dim())
+	switch m := op.(type) {
+	case *sparse.CSR:
+		return 16*int64(m.NNZ()) + 8*(n+1) + 16*n
+	case *sparse.SELL:
+		return 12*int64(m.PaddedNNZ()) + 16*n
+	case *sparse.DIA:
+		return 8*int64(len(m.Offsets()))*n + 16*n
+	}
+	panic(fmt.Sprintf("spmvBytes: unknown operator %T", op))
+}
+
+// BenchmarkSpMV shows the format choice TuneMulVec makes and what it
+// buys. The csr/sell/dia rows time each format's serial kernel and
+// tuned-<format> the operator engine.Solve would dispatch on, over the
+// three operators the judged benchmark runs (serve-*, lib-ladder,
+// lib-stream) and one that is not banded, where the choice is SELL and
+// there is no dia row. The serial/sell/pooled rows at n = 102400 and
+// 409600 keep their names from earlier BENCH_engine.json files; pooled
+// is the tuned operator through the default pool.
 func BenchmarkSpMV(b *testing.B) {
 	vec.DefaultPool.Calibrate()
+	run := func(name string, op sparse.Matrix, pool *vec.Pool) {
+		n := op.Dim()
+		x, y := vec.New(n), vec.New(n)
+		vec.Random(x, 4)
+		b.Run(name, func(b *testing.B) {
+			sparse.PooledMulVec(op, pool, y, x) // warm partition + workers
+			b.SetBytes(spmvBytes(op))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sparse.PooledMulVec(op, pool, y, x)
+			}
+		})
+	}
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"poisson2d-32", sparse.Poisson2D(32)},
+		{"poisson2d-64", sparse.Poisson2D(64)},
+		{"poisson3d-64", sparse.Poisson3D(64)},
+		{"randomspd-16384", sparse.RandomSPD(16384, 6, 5)},
+	} {
+		tuned := sparse.TuneMulVec(c.a)
+		run("csr/"+c.name, c.a, nil)
+		run("sell/"+c.name, c.a.ToSELL(), nil)
+		if d, ok := tuned.(*sparse.DIA); ok {
+			run("dia/"+c.name, d, nil)
+		}
+		format := strings.ToLower(strings.TrimPrefix(fmt.Sprintf("%T", tuned), "*sparse."))
+		run("tuned-"+format+"/"+c.name, tuned, nil)
+	}
 	for _, m := range []int{320, 640} {
 		a := sparse.Poisson2D(m)
-		n := a.Dim()
-		x := vec.New(n)
-		y := vec.New(n)
-		vec.Random(x, 4)
-		b.Run(fmt.Sprintf("serial/n=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(12 * a.NNZ()))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				a.MulVec(y, x)
-			}
-		})
-		b.Run(fmt.Sprintf("sell/n=%d", n), func(b *testing.B) {
-			s := a.ToSELL()
-			b.SetBytes(int64(12 * a.NNZ()))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.MulVec(y, x)
-			}
-		})
-		b.Run(fmt.Sprintf("pooled/n=%d", n), func(b *testing.B) {
-			op := sparse.TuneMulVec(a)                     // the operator engine.Solve dispatches on
-			sparse.PooledMulVec(op, vec.DefaultPool, y, x) // warm partition + workers
-			b.SetBytes(int64(12 * a.NNZ()))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sparse.PooledMulVec(op, vec.DefaultPool, y, x)
-			}
-		})
+		run(fmt.Sprintf("serial/n=%d", a.Dim()), a, nil)
+		run(fmt.Sprintf("sell/n=%d", a.Dim()), a.ToSELL(), nil)
+		run(fmt.Sprintf("pooled/n=%d", a.Dim()), sparse.TuneMulVec(a), vec.DefaultPool)
 	}
 }
 

@@ -135,15 +135,16 @@ func Solve(k Kernel, ws *Workspace, a sparse.Matrix, b vec.Vector, cfg Config, r
 	ws.history = ws.history[:0]
 
 	// Capture the transpose-product capability before tuning: tuned
-	// formats (SELL) do not carry it, and the normal-equations kernels
-	// read it off the Run.
+	// formats (DIA, SELL) do not carry it, and the normal-equations
+	// kernels read it off the Run.
 	at, _ := a.(sparse.TransposeMulVec)
 
 	// Format auto-selection: run the solve's matrix-vector products on
-	// the fastest equivalent operator (e.g. a SELL-C-σ conversion of a
-	// large CSR). The decision is cached on the matrix, so warm sessions
-	// pay nothing, and the tuned operator is bitwise-identical, so
-	// results do not depend on it.
+	// the fastest equivalent operator (diagonal storage for a banded
+	// CSR of any size, else a SELL-C-σ conversion of a large one). The
+	// decision is cached on the matrix, so warm sessions pay nothing,
+	// and the tuned operator is bitwise-identical, so results do not
+	// depend on it.
 	a = sparse.TuneMulVec(a)
 
 	bnorm := vec.Norm2(b)

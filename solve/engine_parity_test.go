@@ -184,25 +184,45 @@ func TestSessionZeroAllocAllMethods(t *testing.T) {
 }
 
 // TestSessionZeroAllocWithSELL repeats the allocation guard on a system
-// large enough that the engine's format auto-selection converts the CSR
-// to SELL-C-σ: the conversion happens once on the first (warm) solve
-// and is cached on the matrix, so warm pooled solves on the blocked
-// format must still allocate nothing.
+// the engine's format auto-selection converts to SELL-C-σ — large and
+// not banded (a banded one goes to DIA, see the twin below): the
+// conversion happens once on the first (warm) solve and is cached on
+// the matrix, so warm pooled solves on the blocked format must still
+// allocate nothing.
 func TestSessionZeroAllocWithSELL(t *testing.T) {
-	a := sparse.Poisson2D(64) // n=4096, above the SELL selection floor
+	a := sparse.RandomSPD(4096, 6, 17) // above the SELL floor, entries on thousands of diagonals
 	if _, ok := sparse.TuneMulVec(a).(*sparse.SELL); !ok {
-		t.Fatal("test premise broken: TuneMulVec did not select SELL for poisson2d n=4096")
+		t.Fatal("test premise broken: TuneMulVec did not select SELL for randomspd n=4096")
 	}
+	pool := sparse.NewPool(4)
+	defer pool.Close()
+	warmSessionZeroAlloc(t, a, "SELL", solve.WithPool(pool))
+}
+
+// TestSessionZeroAllocWithDIA is the same guard on the format banded
+// operators run on: Poisson2D(64) tunes to DIA, and warm sessions on it
+// allocate nothing, serial and pooled.
+func TestSessionZeroAllocWithDIA(t *testing.T) {
+	a := sparse.Poisson2D(64)
+	if _, ok := sparse.TuneMulVec(a).(*sparse.DIA); !ok {
+		t.Fatal("test premise broken: TuneMulVec did not select DIA for poisson2d n=4096")
+	}
+	pool := sparse.NewPool(4)
+	defer pool.Close()
+	t.Run("serial", func(t *testing.T) { warmSessionZeroAlloc(t, a, "DIA", solve.WithPool(nil)) })
+	t.Run("pooled", func(t *testing.T) { warmSessionZeroAlloc(t, a, "DIA", solve.WithPool(pool)) })
+}
+
+// warmSessionZeroAlloc asserts that a warm Session.Solve on a allocates
+// nothing, for a blocking, an aliased and a pipelined method.
+func warmSessionZeroAlloc(t *testing.T, a *sparse.CSR, format string, poolOpt solve.Option) {
 	b := make([]float64, a.Dim())
 	for i := range b {
 		b[i] = 1 + float64(i%5)
 	}
-	pool := sparse.NewPool(4)
-	defer pool.Close()
 	for _, method := range []string{"cg", "cgfused", "pipecg"} {
 		t.Run(method, func(t *testing.T) {
-			sess, err := solve.NewSession(method, a,
-				solve.WithTol(1e-8), solve.WithPool(pool))
+			sess, err := solve.NewSession(method, a, solve.WithTol(1e-8), poolOpt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +235,7 @@ func TestSessionZeroAllocWithSELL(t *testing.T) {
 				}
 			})
 			if avg != 0 {
-				t.Errorf("%s: warm Session.Solve on SELL allocates %v/op, want 0", method, avg)
+				t.Errorf("%s: warm Session.Solve on %s allocates %v/op, want 0", method, format, avg)
 			}
 		})
 	}

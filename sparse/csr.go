@@ -126,9 +126,9 @@ type CSR struct {
 	// callers can share one matrix safely.
 	part atomic.Pointer[rowPartition]
 
-	// tuned caches the TuneMulVec decision for this matrix (a SELL
-	// conversion, or "keep CSR"), so format auto-selection runs once
-	// per matrix rather than once per solve.
+	// tuned caches the TuneMulVec decision for this matrix (a DIA or
+	// SELL conversion, or "keep CSR"), so format auto-selection runs
+	// once per matrix rather than once per solve.
 	tuned atomic.Pointer[tunedOp]
 
 	// tr caches the explicit transpose for MulVecT/MulVecTPool.

@@ -13,11 +13,23 @@ import (
 // valid for that offset are meaningful. Structured grid operators
 // (Poisson stencils) are naturally banded, making DIA both compact and
 // stride-friendly — it is the format the depth model's vectorized matvec
-// assumes.
+// assumes, and the one TuneMulVec runs every banded CSR on.
+//
+// Every row accumulates its diagonals in ascending offset order — which
+// is ascending column order — from +0, one `s += v*x` per diagonal as
+// CSR.MulVec writes it, and a hole in the band adds 0·x = ±0 to a sum
+// that is never -0. So the product of a DIA converted from a CSR is
+// bitwise identical to that CSR's for finite x: the contract SELL
+// carries, with the same exception (0·±Inf is NaN in a hole).
 type DIA struct {
 	n       int
-	offsets []int       // sorted ascending
-	diags   [][]float64 // diags[d][i] multiplies x[i+offsets[d]] in row i
+	offsets []int     // sorted ascending
+	slab    []float64 // slab[d*n+i] multiplies x[i+offsets[d]] in row i
+
+	// nnz and maxRow are fixed at construction: the structurally valid
+	// non-zero values of a NewDIA matrix, the stored-entry counts of the
+	// source CSR for a converted one.
+	nnz, maxRow int
 
 	// rangeFn caches the row-range kernel as a method value so pooled
 	// dispatch (MulVecPool) allocates nothing per call.
@@ -43,14 +55,82 @@ func NewDIA(n int, diagonals map[int][]float64) *DIA {
 		offsets = append(offsets, k)
 	}
 	sort.Ints(offsets)
-	m := &DIA{n: n, offsets: offsets, diags: make([][]float64, len(offsets))}
+	m := &DIA{n: n, offsets: offsets, slab: make([]float64, len(offsets)*n)}
 	for d, k := range offsets {
-		cp := make([]float64, n)
-		copy(cp, diagonals[k])
-		m.diags[d] = cp
+		copy(m.slab[d*n:(d+1)*n], diagonals[k])
+	}
+	for i := 0; i < n; i++ {
+		nz := 0
+		for d, k := range offsets {
+			if j := i + k; j >= 0 && j < n && m.slab[d*n+i] != 0 {
+				nz++
+			}
+		}
+		m.nnz += nz
+		m.maxRow = max(m.maxRow, nz)
 	}
 	m.rangeFn = m.mulRange
 	return m
+}
+
+// diaMaxDiags is the most distinct diagonals a CSR may have and still
+// count as banded for TuneMulVec; the 3- to 9-point grid stencils sit
+// well inside it.
+const diaMaxDiags = 16
+
+// toDIA returns m in diagonal storage when m is banded — at most
+// diaMaxDiags distinct diagonals, one entry per (row, column), and no
+// larger a fraction of the slab left as holes than maxPadding — and nil
+// otherwise. The test is one pass over colIdx that gives up at the
+// first diagonal past the cap, so a matrix that is not banded costs
+// O(rows scanned) and never builds anything.
+func (m *CSR) toDIA(maxPadding float64) *DIA {
+	n := m.n
+	var buf [diaMaxDiags]int
+	offs := buf[:0]
+	for i := 0; i < n; i++ {
+		// Columns ascend within a row, so its offsets merge into offs
+		// with one forward cursor.
+		d := 0
+		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
+			if p > m.rowPtr[i] && m.colIdx[p] == m.colIdx[p-1] {
+				return nil // duplicate entry: two terms, one slab cell
+			}
+			k := m.colIdx[p] - i
+			for d < len(offs) && offs[d] < k {
+				d++
+			}
+			if d == len(offs) || offs[d] != k {
+				if len(offs) == diaMaxDiags {
+					return nil
+				}
+				offs = append(offs, 0)
+				copy(offs[d+1:], offs[d:])
+				offs[d] = k
+			}
+			d++
+		}
+	}
+	cells := len(offs) * n
+	if cells == 0 || float64(cells-len(m.vals)) > maxPadding*float64(cells) {
+		return nil
+	}
+	a := &DIA{
+		n: n, offsets: append([]int(nil), offs...), slab: make([]float64, cells),
+		nnz: len(m.vals), maxRow: m.MaxRowNonzeros(),
+	}
+	for i := 0; i < n; i++ {
+		d := 0
+		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
+			k := m.colIdx[p] - i
+			for offs[d] != k {
+				d++
+			}
+			a.slab[d*n+i] = m.vals[p]
+		}
+	}
+	a.rangeFn = a.mulRange
+	return a
 }
 
 // Dim returns the order of the matrix.
@@ -68,36 +148,178 @@ func (m *DIA) At(i, j int) float64 {
 	k := j - i
 	d := sort.SearchInts(m.offsets, k)
 	if d < len(m.offsets) && m.offsets[d] == k {
-		return m.diags[d][i]
+		return m.slab[d*m.n+i]
 	}
 	return 0
 }
 
-// MulVec computes dst = A*x diagonal by diagonal.
+// MulVec computes dst = A*x.
 func (m *DIA) MulVec(dst, x []float64) {
 	checkMul(m, dst, x)
 	m.mulRange(0, m.n, dst, x)
 }
 
-// mulRange computes rows [rlo, rhi) of dst = A*x, accumulating each row
-// in ascending diagonal order (the same order for every row split, so
-// pooled and serial products are bitwise identical).
+// diaBlock is the most rows one kernel call covers: 16 KB of dst, so a
+// row block that takes several passes (more diagonals than the widest
+// kernel) finds its partial sums still in L1.
+const diaBlock = 2048
+
+// mulRange computes rows [rlo, rhi) of dst = A*x: the one kernel behind
+// MulVec, MulVecPool and the tuned path. Row i holds diagonal k when
+// 0 <= i+k < n — a contiguous run [dlo, dhi) of the ascending offsets
+// that only shrinks from the top and grows at the bottom as i rises —
+// so the range is cut where that run changes and each piece goes to the
+// fused kernels with exactly its diagonals, no per-entry guard. A row's
+// sum never depends on where the cuts fall, so any split of the rows
+// gives the serial product bit for bit.
 func (m *DIA) mulRange(rlo, rhi int, dst, x []float64) {
-	for i := rlo; i < rhi; i++ {
-		dst[i] = 0
+	n, offs := m.n, m.offsets
+	dlo, dhi := len(offs), len(offs)
+	for lo := rlo; lo < rhi; {
+		for dlo > 0 && offs[dlo-1] >= -lo {
+			dlo--
+		}
+		for dhi > 0 && offs[dhi-1] >= n-lo {
+			dhi--
+		}
+		hi := min(rhi, lo+diaBlock)
+		if dlo > 0 { // the next subdiagonal enters at row -k
+			hi = min(hi, -offs[dlo-1])
+		}
+		if dhi > 0 { // the last diagonal leaves at row n-k (past rhi unless k > 0)
+			hi = min(hi, n-offs[dhi-1])
+		}
+		m.mulRows(lo, hi, dlo, dhi, dst[lo:hi], x)
+		lo = hi
 	}
-	for d, k := range m.offsets {
-		dv := m.diags[d]
-		lo, hi := rlo, rhi
-		if k > 0 && hi > m.n-k {
-			hi = m.n - k
+}
+
+// diaPass is the most diagonals one pass over a row block fuses: four
+// value streams, four x streams, dst and the loop state fill the sixteen
+// general registers, and a fifth pair spills (a fused 7-diagonal loop
+// measured 30% slower than a 4-pass and a 3-pass). dia5 is the one
+// exception, worth having because it is the whole 5-point stencil.
+const diaPass = 4
+
+// mulRows computes out = rows [lo, hi) of A*x over diagonals [dlo, dhi),
+// all of which lie inside the matrix on every one of those rows. Up to
+// five diagonals take one pass; more are split into near-equal passes
+// of at most diaPass, the first storing and the rest picking the
+// partial sum back up from out — the same left-to-right sum.
+func (m *DIA) mulRows(lo, hi, dlo, dhi int, out, x []float64) {
+	n, offs := m.n, m.offsets
+	dv := func(d int) []float64 { return m.slab[d*n+lo : d*n+hi] }
+	xv := func(d int) []float64 { return x[lo+offs[d] : hi+offs[d]] }
+	switch dhi - dlo {
+	case 0:
+		clear(out)
+		return
+	case 5:
+		d := dlo
+		dia5(out, dv(d), dv(d+1), dv(d+2), dv(d+3), dv(d+4), xv(d), xv(d+1), xv(d+2), xv(d+3), xv(d+4))
+		return
+	}
+	for d := dlo; d < dhi; {
+		passes := (dhi - d + diaPass - 1) / diaPass
+		acc := d > dlo
+		switch (dhi - d + passes - 1) / passes {
+		case 1:
+			dia1(out, acc, dv(d), xv(d))
+			d++
+		case 2:
+			dia2(out, acc, dv(d), dv(d+1), xv(d), xv(d+1))
+			d += 2
+		case 3:
+			dia3(out, acc, dv(d), dv(d+1), dv(d+2), xv(d), xv(d+1), xv(d+2))
+			d += 3
+		default:
+			dia4(out, acc, dv(d), dv(d+1), dv(d+2), dv(d+3), xv(d), xv(d+1), xv(d+2), xv(d+3))
+			d += 4
 		}
-		if k < 0 && lo < -k {
-			lo = -k
+	}
+}
+
+// The fused row kernels. Each computes out[i] (+)= Σ dk[i]*xk[i] with
+// the streams resliced to len(out) so the loop carries no bounds check,
+// starting from +0 (or, when acc, from out[i]) and adding one diagonal
+// per statement in argument order, exactly as CSR.MulVec adds one entry
+// per statement — so a platform that fuses the multiply-add fuses both.
+
+func dia1(out []float64, acc bool, d0, x0 []float64) {
+	d0, x0 = d0[:len(out)], x0[:len(out)]
+	for i := range out {
+		var s float64
+		if acc {
+			s = out[i]
 		}
-		for i := lo; i < hi; i++ {
-			dst[i] += dv[i] * x[i+k]
+		s += d0[i] * x0[i]
+		out[i] = s
+	}
+}
+
+func dia2(out []float64, acc bool, d0, d1, x0, x1 []float64) {
+	d0, x0 = d0[:len(out)], x0[:len(out)]
+	d1, x1 = d1[:len(out)], x1[:len(out)]
+	for i := range out {
+		var s float64
+		if acc {
+			s = out[i]
 		}
+		s += d0[i] * x0[i]
+		s += d1[i] * x1[i]
+		out[i] = s
+	}
+}
+
+func dia3(out []float64, acc bool, d0, d1, d2, x0, x1, x2 []float64) {
+	d0, x0 = d0[:len(out)], x0[:len(out)]
+	d1, x1 = d1[:len(out)], x1[:len(out)]
+	d2, x2 = d2[:len(out)], x2[:len(out)]
+	for i := range out {
+		var s float64
+		if acc {
+			s = out[i]
+		}
+		s += d0[i] * x0[i]
+		s += d1[i] * x1[i]
+		s += d2[i] * x2[i]
+		out[i] = s
+	}
+}
+
+func dia4(out []float64, acc bool, d0, d1, d2, d3, x0, x1, x2, x3 []float64) {
+	d0, x0 = d0[:len(out)], x0[:len(out)]
+	d1, x1 = d1[:len(out)], x1[:len(out)]
+	d2, x2 = d2[:len(out)], x2[:len(out)]
+	d3, x3 = d3[:len(out)], x3[:len(out)]
+	for i := range out {
+		var s float64
+		if acc {
+			s = out[i]
+		}
+		s += d0[i] * x0[i]
+		s += d1[i] * x1[i]
+		s += d2[i] * x2[i]
+		s += d3[i] * x3[i]
+		out[i] = s
+	}
+}
+
+// dia5 only stores: an acc flag is the register that makes it spill.
+func dia5(out, d0, d1, d2, d3, d4, x0, x1, x2, x3, x4 []float64) {
+	d0, x0 = d0[:len(out)], x0[:len(out)]
+	d1, x1 = d1[:len(out)], x1[:len(out)]
+	d2, x2 = d2[:len(out)], x2[:len(out)]
+	d3, x3 = d3[:len(out)], x3[:len(out)]
+	d4, x4 = d4[:len(out)], x4[:len(out)]
+	for i := range out {
+		var s float64
+		s += d0[i] * x0[i]
+		s += d1[i] * x1[i]
+		s += d2[i] * x2[i]
+		s += d3[i] * x3[i]
+		s += d4[i] * x4[i]
+		out[i] = s
 	}
 }
 
@@ -113,42 +335,14 @@ func (m *DIA) MulVecPool(pool *Pool, dst, x []float64) {
 }
 
 // MaxRowNonzeros returns the maximum count of structurally nonzero
-// entries in any row.
-func (m *DIA) MaxRowNonzeros() int {
-	maxNZ := 0
-	for i := 0; i < m.n; i++ {
-		nz := 0
-		for d, k := range m.offsets {
-			j := i + k
-			if j >= 0 && j < m.n && m.diags[d][i] != 0 {
-				nz++
-			}
-		}
-		if nz > maxNZ {
-			maxNZ = nz
-		}
-	}
-	return maxNZ
-}
+// entries in any row (for a matrix converted from a CSR, that CSR's
+// longest row).
+func (m *DIA) MaxRowNonzeros() int { return m.maxRow }
 
-// NNZ counts the structurally valid nonzero entries.
-func (m *DIA) NNZ() int {
-	nnz := 0
-	for d, k := range m.offsets {
-		lo, hi := 0, m.n
-		if k > 0 {
-			hi = m.n - k
-		} else if k < 0 {
-			lo = -k
-		}
-		for i := lo; i < hi; i++ {
-			if m.diags[d][i] != 0 {
-				nnz++
-			}
-		}
-	}
-	return nnz
-}
+// NNZ returns the count of structurally valid nonzero entries (for a
+// matrix converted from a CSR, that CSR's stored-entry count, explicit
+// zeros included, so flop accounting does not depend on tuning).
+func (m *DIA) NNZ() int { return m.nnz }
 
 // ToCSR converts to CSR form.
 func (m *DIA) ToCSR() *CSR {
@@ -161,7 +355,7 @@ func (m *DIA) ToCSR() *CSR {
 			lo = -k
 		}
 		for i := lo; i < hi; i++ {
-			if v := m.diags[d][i]; v != 0 {
+			if v := m.slab[d*m.n+i]; v != 0 {
 				coo.Add(i, i+k, v)
 			}
 		}

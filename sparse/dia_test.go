@@ -1,0 +1,282 @@
+package sparse
+
+import (
+	"math"
+	"sort"
+	"testing"
+
+	"vrcg/internal/vec"
+)
+
+// bandedCSR builds a deterministic pseudo-random matrix of order n
+// whose entries all lie on ndiag distinct diagonals drawn from the full
+// range (-n, n) — so a band may be wider than the matrix — with about
+// holes/8 of the in-range cells left out and about one stored entry in
+// eight an explicit zero (NewCSR keeps those; COO.ToCSR would drop them).
+func bandedCSR(seed uint64, n, ndiag, holes int) *CSR {
+	rng := seed | 1
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	picked := map[int]bool{0: true}
+	for tries := 0; len(picked) < min(ndiag, 2*n-1) && tries < 64*ndiag; tries++ {
+		picked[int(next()%uint64(2*n-1))-(n-1)] = true
+	}
+	offs := make([]int, 0, len(picked))
+	for k := range picked {
+		offs = append(offs, k)
+	}
+	sort.Ints(offs)
+
+	rowPtr := make([]int, n+1)
+	var colIdx []int
+	var vals []float64
+	for i := 0; i < n; i++ {
+		for _, k := range offs {
+			j := i + k
+			if j < 0 || j >= n || int(next()%8) < holes {
+				continue
+			}
+			v := float64(int64(next()))/float64(1<<40) - 0.5
+			if next()%8 == 0 {
+				v = 0
+			}
+			colIdx = append(colIdx, j)
+			vals = append(vals, v)
+		}
+		rowPtr[i+1] = len(vals)
+	}
+	return NewCSR(n, rowPtr, colIdx, vals)
+}
+
+// bitsEqual is vec.Equal without its blind spot: -0 == +0 there, and
+// the DIA contract is that a hole never turns a +0 sum into -0.
+func bitsEqual(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return len(a) == len(b)
+}
+
+// checkDIAAgainstCSR is the contract a converted DIA carries: the
+// source's counts; At on every cell; MulVec, MulVecPool at 1–4 workers
+// and any split of the rows bit for bit equal to CSR.MulVec; and a
+// ToCSR round trip that loses only the explicit zeros.
+func checkDIAAgainstCSR(t *testing.T, a *CSR, d *DIA, seed uint64) {
+	t.Helper()
+	n := a.Dim()
+	if d.Dim() != n || d.NNZ() != a.NNZ() || d.MaxRowNonzeros() != a.MaxRowNonzeros() {
+		t.Fatalf("counts: dim %d/%d nnz %d/%d maxrow %d/%d",
+			d.Dim(), n, d.NNZ(), a.NNZ(), d.MaxRowNonzeros(), a.MaxRowNonzeros())
+	}
+	if offs := d.Offsets(); !sort.IntsAreSorted(offs) || len(offs) > diaMaxDiags {
+		t.Fatalf("offsets %v not ascending or past the cap", offs)
+	}
+	back := d.ToCSR()
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if d.At(i, j) != a.At(i, j) || back.At(i, j) != a.At(i, j) {
+				t.Fatalf("At(%d,%d): DIA %v, round trip %v, CSR %v", i, j, d.At(i, j), back.At(i, j), a.At(i, j))
+			}
+		}
+	}
+
+	x := vec.New(n)
+	vec.Random(x, seed+3)
+	want, got := vec.New(n), vec.New(n)
+	a.MulVec(want, x)
+	fresh := func() {
+		vec.Fill(got, math.NaN())
+	}
+	fresh()
+	d.MulVec(got, x)
+	if !bitsEqual(want, got) {
+		t.Fatal("DIA.MulVec differs from CSR.MulVec bitwise")
+	}
+	for w := 1; w <= 4; w++ {
+		pool := vec.NewPoolMinChunk(w, 1)
+		fresh()
+		d.MulVecPool(pool, got, x)
+		pool.Close()
+		if !bitsEqual(want, got) {
+			t.Fatalf("DIA.MulVecPool(workers=%d) differs from CSR.MulVec bitwise", w)
+		}
+	}
+	// Arbitrary [rlo, rhi) splits, empty ranges included.
+	rng := seed*2654435761 + 1
+	fresh()
+	for lo := 0; lo < n; {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		hi := min(n, lo+int(rng>>33)%(n/3+2))
+		d.mulRange(lo, hi, got, x)
+		lo = hi
+	}
+	if !bitsEqual(want, got) {
+		t.Fatal("DIA.mulRange over an arbitrary row split differs from CSR.MulVec bitwise")
+	}
+}
+
+// TestDIAFromCSRBitwise sweeps the shapes the conversion must get right:
+// every diagonal count the kernels split differently (1..16), orders
+// from 1 up past one row block, bands wider than the matrix, holes and
+// explicit zeros.
+func TestDIAFromCSRBitwise(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 64, 257} {
+		for ndiag := 1; ndiag <= diaMaxDiags; ndiag++ {
+			for holes := 0; holes <= 2; holes++ {
+				seed := uint64(n*1000 + ndiag*10 + holes)
+				a := bandedCSR(seed, n, ndiag, holes)
+				if a.NNZ() == 0 {
+					continue
+				}
+				d := a.toDIA(1)
+				if d == nil {
+					t.Fatalf("n=%d ndiag=%d holes=%d: banded matrix not converted", n, ndiag, holes)
+				}
+				checkDIAAgainstCSR(t, a, d, seed)
+			}
+		}
+	}
+	// One order past a row block, so blocks, the band's edge cuts and
+	// pool chunks all interleave.
+	for _, a := range []*CSR{Poisson2D(50), Poisson3D(14), Poisson1D(2*diaBlock + 5)} {
+		d, ok := TuneMulVec(a).(*DIA)
+		if !ok {
+			t.Fatalf("n=%d stencil not tuned to DIA", a.Dim())
+		}
+		x := vec.New(a.Dim())
+		vec.Random(x, 77)
+		want, got := vec.New(a.Dim()), vec.New(a.Dim())
+		a.MulVec(want, x)
+		for w := 1; w <= 4; w++ {
+			pool := vec.NewPoolMinChunk(w, 1)
+			d.MulVecPool(pool, got, x)
+			pool.Close()
+			if !bitsEqual(want, got) {
+				t.Fatalf("n=%d workers=%d: tuned DIA differs from CSR bitwise", a.Dim(), w)
+			}
+		}
+	}
+}
+
+// TestToDIARejects: what is not banded is never built.
+func TestToDIARejects(t *testing.T) {
+	if d := bandedCSR(5, 200, diaMaxDiags+1, 0).toDIA(1); d != nil {
+		t.Fatalf("converted a matrix with %d diagonals, cap %d", len(d.offsets), diaMaxDiags)
+	}
+	// Two stored entries in one cell are two terms of CSR's sum; a slab
+	// cell holds one.
+	dup := NewCSR(2, []int{0, 2, 3}, []int{0, 0, 1}, []float64{1, 2, 3})
+	if dup.toDIA(1) != nil {
+		t.Fatal("converted a matrix with a duplicate entry")
+	}
+	// A band that is mostly holes: 5 of every 8 cells missing.
+	sparseBand := bandedCSR(9, 300, 6, 5)
+	if sparseBand.toDIA(sellMaxPadding) != nil {
+		t.Fatal("converted a band past the padding limit")
+	}
+	if sparseBand.toDIA(1) == nil {
+		t.Fatal("padding limit of 1 still rejected the band")
+	}
+	if NewCSR(3, []int{0, 0, 0, 0}, nil, nil).toDIA(1) != nil {
+		t.Fatal("converted an empty matrix")
+	}
+}
+
+// TestDIACountsAreFields: NNZ and MaxRowNonzeros of a hand-built DIA
+// keep their meaning (structurally valid non-zero values) now that they
+// are computed once.
+func TestDIACountsAreFields(t *testing.T) {
+	n := 6
+	main := []float64{4, 4, 0, 4, 4, 4}    // one zero on the diagonal
+	up2 := []float64{1, 1, 1, 1, 9, 9}     // last two fall outside the matrix
+	down5 := []float64{7, 7, 7, 7, 7, 0.5} // only row 5 is inside
+	d := NewDIA(n, map[int][]float64{0: main, 2: up2, -5: down5})
+	if got := d.NNZ(); got != 5+4+1 {
+		t.Fatalf("NNZ = %d, want 10", got)
+	}
+	if got := d.MaxRowNonzeros(); got != 2 {
+		t.Fatalf("MaxRowNonzeros = %d, want 2", got)
+	}
+	if c := d.ToCSR(); c.NNZ() != d.NNZ() || c.MaxRowNonzeros() != d.MaxRowNonzeros() {
+		t.Fatalf("ToCSR counts %d/%d, DIA %d/%d", c.NNZ(), c.MaxRowNonzeros(), d.NNZ(), d.MaxRowNonzeros())
+	}
+	// With the superdiagonal alone, rows 4 and 5 hold nothing: the
+	// product must still write them.
+	for _, m := range []*DIA{d, NewDIA(n, map[int][]float64{2: up2})} {
+		x := []float64{1, 2, 3, 4, 5, 6}
+		got, want := make([]float64, n), make([]float64, n)
+		vec.Fill(got, math.NaN())
+		m.MulVec(got, x)
+		m.ToCSR().MulVec(want, x)
+		if !bitsEqual(want, got) {
+			t.Fatalf("offsets %v: MulVec = %v, want %v", m.Offsets(), got, want)
+		}
+	}
+}
+
+// TestTuneMulVecInvalidation: SetValues and Scale drop the cached DIA
+// exactly as they drop a cached SELL, so a tuned product never runs on
+// stale values.
+func TestTuneMulVecInvalidation(t *testing.T) {
+	a := Poisson2D(12)
+	n := a.Dim()
+	x, want, got := vec.New(n), vec.New(n), vec.New(n)
+	vec.Random(x, 13)
+	first := TuneMulVec(a)
+	if _, ok := first.(*DIA); !ok {
+		t.Fatalf("TuneMulVec(poisson2d 144) = %T, want *DIA", first)
+	}
+
+	vals := append([]float64(nil), a.Values()...)
+	for i := range vals {
+		vals[i] *= 1 + float64(i%5)
+	}
+	a.SetValues(vals)
+	second := TuneMulVec(a)
+	if second == first {
+		t.Fatal("SetValues kept the cached DIA")
+	}
+	a.MulVec(want, x)
+	second.MulVec(got, x)
+	if !bitsEqual(want, got) {
+		t.Fatal("tuned product after SetValues differs from the CSR's")
+	}
+
+	a.Scale(-0.75)
+	third := TuneMulVec(a)
+	if third == second {
+		t.Fatal("Scale kept the cached DIA")
+	}
+	a.MulVec(want, x)
+	third.MulVec(got, x)
+	if !bitsEqual(want, got) {
+		t.Fatal("tuned product after Scale differs from the CSR's")
+	}
+}
+
+// FuzzCSRToDIA drives the CSR→DIA conversion with fuzzed banded shapes
+// (see bandedCSR) and holds it to checkDIAAgainstCSR.
+func FuzzCSRToDIA(f *testing.F) {
+	f.Add(uint64(1), uint(8), uint(0), uint(0))
+	f.Add(uint64(42), uint(100), uint(4), uint(1))
+	f.Add(uint64(7), uint(257), uint(15), uint(3))
+	f.Add(uint64(99), uint(0), uint(6), uint(2))
+	f.Fuzz(func(t *testing.T, seed uint64, un, udiag, uholes uint) {
+		n := int(un%300) + 1
+		a := bandedCSR(seed, n, int(udiag%diaMaxDiags)+1, int(uholes%4))
+		if a.NNZ() == 0 {
+			return
+		}
+		d := a.toDIA(1)
+		if d == nil {
+			t.Fatal("banded matrix not converted")
+		}
+		checkDIAAgainstCSR(t, a, d, seed)
+	})
+}

@@ -39,7 +39,8 @@ const DefaultSellSigma = 128
 // lane — are the documented exceptions; CG iterates never hit either.)
 //
 // Construct with NewSELL or CSR.ToSELL; TuneMulVec picks the format
-// automatically when profitable.
+// automatically for large matrices that are not banded (those run on
+// DIA, under the same contract).
 type SELL struct {
 	n        int
 	sigma    int
@@ -263,29 +264,37 @@ func (s *SELL) At(i, j int) float64 {
 }
 
 // tunedOp caches a TuneMulVec decision on the source CSR. A nil op
-// records "evaluated: SELL not profitable, keep CSR".
+// records "evaluated: neither DIA nor SELL applies, keep CSR".
 type tunedOp struct{ op Matrix }
 
-// sellMinDim is the smallest matrix order TuneMulVec will convert:
-// below it SpMV is cheap enough that conversion cost and the extra
-// format can't pay for themselves.
+// sellMinDim is the smallest matrix order TuneMulVec will convert to
+// SELL: below it SpMV is cheap enough that the O(n log σ) conversion
+// and the extra format can't pay for themselves. (The DIA conversion
+// is one O(nnz) pass and has no floor.)
 const sellMinDim = 2048
 
-// sellMaxPadding is the largest SELL padding ratio TuneMulVec accepts.
-// Padding costs bandwidth exactly like real entries, so beyond ~25%
-// overhead the blocked layout's gains are eaten by the extra traffic
-// and CSR stays the better format.
+// sellMaxPadding is the largest padding ratio TuneMulVec accepts, of
+// SELL chunk padding and of holes in a DIA band alike. Padding costs
+// bandwidth exactly like real entries, so beyond ~25% overhead the
+// regular layout's gains are eaten by the extra traffic and CSR stays
+// the better format.
 const sellMaxPadding = 0.25
 
-// TuneMulVec returns the fastest available operator equivalent to a:
-// for a CSR matrix large enough to matter it builds (once, cached on
-// the matrix) a SELL-C-σ form and returns it when the conversion's
-// padding overhead is acceptable; every other operator is returned
-// unchanged. The engine calls this on entry to Solve, so all registry
-// methods — including warm zero-alloc sessions, which hit the cache —
-// run their SpMV on the blocked format when it wins. The returned
-// operator's MulVec is bitwise identical to a's (see SELL), so tuning
-// never changes results.
+// TuneMulVec returns the fastest available operator equivalent to a.
+// For a CSR matrix it decides once, caches the answer on the matrix
+// (SetValues and Scale drop it), and never holds two tuned forms:
+//
+//  1. banded (a few distinct diagonals, few holes; any size) → DIA,
+//     whose row-fused kernel reads no column indices at all;
+//  2. else large and paddable → SELL-C-σ;
+//  3. else the CSR itself.
+//
+// Every other operator is returned unchanged. The engine calls this on
+// entry to Solve, so all registry methods — including warm zero-alloc
+// sessions, which hit the cache — run their SpMV on the format that
+// wins. DIA and SELL share one contract: MulVec and MulVecPool are
+// bitwise identical to the source CSR's for finite x (see the type
+// comments), so tuning never changes results.
 func TuneMulVec(a Matrix) Matrix {
 	m, ok := a.(*CSR)
 	if !ok {
@@ -298,14 +307,15 @@ func TuneMulVec(a Matrix) Matrix {
 		return a
 	}
 	dec := &tunedOp{}
-	if m.n >= sellMinDim && m.n <= math.MaxInt32 && len(m.vals) > 0 {
-		// Conservative pre-check of the padded size before building:
-		// padding can at most round every row up to the window max, so
-		// a matrix whose nnz is already near MaxInt32 is screened out.
-		if len(m.vals) <= math.MaxInt32/2 {
-			if s := NewSELL(m, DefaultSellSigma); s.PaddingRatio() <= sellMaxPadding {
-				dec.op = s
-			}
+	if d := m.toDIA(sellMaxPadding); d != nil {
+		dec.op = d
+	} else if m.n >= sellMinDim && m.n <= math.MaxInt32 && len(m.vals) > 0 && len(m.vals) <= math.MaxInt32/2 {
+		// The nnz bound is a conservative pre-check of the padded size
+		// before building: padding can at most round every row up to
+		// the window max, so a matrix whose nnz is already near
+		// MaxInt32 is screened out.
+		if s := NewSELL(m, DefaultSellSigma); s.PaddingRatio() <= sellMaxPadding {
+			dec.op = s
 		}
 	}
 	m.tuned.Store(dec)

@@ -163,36 +163,85 @@ func TestSELLChunkPartition(t *testing.T) {
 	}
 }
 
-// TestTuneMulVec pins the auto-selection policy: small and non-CSR
-// operators pass through; a large regular CSR converts to SELL exactly
-// once (cached); a padding-hostile matrix stays CSR.
+// shuffledGridLaplacian is Poisson2D(m) with its unknowns renumbered by
+// a fixed pseudo-random permutation: the same row lengths, so SELL pads
+// almost nothing, but the entries land on thousands of diagonals.
+func shuffledGridLaplacian(m int) *CSR {
+	n := m * m
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	rng := uint64(0x9e3779b97f4a7c15)
+	for i := n - 1; i > 0; i-- {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		j := int((rng >> 33) % uint64(i+1))
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	var edges []Edge
+	for r := 0; r < m; r++ {
+		for c := 0; c < m; c++ {
+			if c+1 < m {
+				edges = append(edges, Edge{U: perm[r*m+c], V: perm[r*m+c+1], W: 1})
+			}
+			if r+1 < m {
+				edges = append(edges, Edge{U: perm[r*m+c], V: perm[(r+1)*m+c], W: 1})
+			}
+		}
+	}
+	return GraphLaplacian(n, edges, 0.5)
+}
+
+// TestTuneMulVec pins the auto-selection policy: banded → DIA at every
+// size, built once and cached; else large and paddable → SELL; else
+// the CSR itself; non-CSR operators pass through.
 func TestTuneMulVec(t *testing.T) {
-	small := Poisson2D(20) // n=400 < sellMinDim
-	if got := TuneMulVec(small); got != Matrix(small) {
-		t.Fatalf("TuneMulVec converted a matrix below the size floor: %T", got)
+	for _, a := range []*CSR{Poisson2D(20), Poisson2D(32), Poisson2D(64), Poisson3D(16)} {
+		t1 := TuneMulVec(a)
+		d, ok := t1.(*DIA)
+		if !ok {
+			t.Fatalf("TuneMulVec(grid stencil, n=%d) = %T, want *DIA", a.Dim(), t1)
+		}
+		if t2 := TuneMulVec(a); t2 != Matrix(d) {
+			t.Fatalf("n=%d: TuneMulVec rebuilt the DIA instead of returning the cached one", a.Dim())
+		}
+		if d.NNZ() != a.NNZ() || d.MaxRowNonzeros() != a.MaxRowNonzeros() {
+			t.Fatalf("n=%d: tuned counts %d/%d, CSR %d/%d",
+				a.Dim(), d.NNZ(), d.MaxRowNonzeros(), a.NNZ(), a.MaxRowNonzeros())
+		}
+		x := vec.New(a.Dim())
+		vec.Random(x, 31)
+		want, got := vec.New(a.Dim()), vec.New(a.Dim())
+		a.MulVec(want, x)
+		d.MulVec(got, x)
+		if !bitsEqual(want, got) {
+			t.Fatalf("n=%d: tuned operator differs from CSR bitwise", a.Dim())
+		}
 	}
 
-	d := NewDense(3)
-	if got := TuneMulVec(d); got != Matrix(d) {
+	dense := NewDense(3)
+	if got := TuneMulVec(dense); got != Matrix(dense) {
 		t.Fatalf("TuneMulVec changed a non-CSR operator: %T", got)
 	}
+	hand := NewDIA(2, map[int][]float64{0: {1, 1}})
+	if got := TuneMulVec(hand); got != Matrix(hand) {
+		t.Fatalf("TuneMulVec changed a hand-built DIA: %T", got)
+	}
 
-	big := Poisson2D(64) // n=4096, near-uniform rows: should convert
+	// Not banded, large, regular rows: SELL, once.
+	big := shuffledGridLaplacian(64)
 	t1 := TuneMulVec(big)
 	s, ok := t1.(*SELL)
 	if !ok {
-		t.Fatalf("TuneMulVec(poisson 4096) = %T, want *SELL", t1)
+		t.Fatalf("TuneMulVec(non-banded n=%d) = %T, want *SELL", big.Dim(), t1)
 	}
 	if t2 := TuneMulVec(big); t2 != Matrix(s) {
 		t.Fatal("TuneMulVec rebuilt the SELL instead of returning the cached one")
 	}
-	x := vec.New(big.Dim())
-	vec.Random(x, 31)
-	want, got := vec.New(big.Dim()), vec.New(big.Dim())
-	big.MulVec(want, x)
-	s.MulVec(got, x)
-	if !vec.Equal(want, got) {
-		t.Fatal("tuned operator differs from CSR bitwise")
+	// Not banded and below the SELL floor: stays CSR.
+	small := shuffledGridLaplacian(20)
+	if got := TuneMulVec(small); got != Matrix(small) {
+		t.Fatalf("TuneMulVec converted a small non-banded matrix: %T", got)
 	}
 
 	// One enormous row per window on an otherwise-diagonal matrix: even

@@ -6,12 +6,15 @@
 //
 // It provides:
 //
-//   - Formats: CSR (with an nnz-balanced parallel MulVecPool), the
-//     cache-blocked SELL-C-σ format (SELL, bitwise-compatible with CSR
-//     and picked automatically by TuneMulVec when profitable), a COO
-//     assembly builder, DIA diagonal storage, matrix-free Stencil
-//     operators (1D/2D/3D Laplacians), and Dense for small reference
-//     problems.
+//   - Formats: CSR (with an nnz-balanced parallel MulVecPool), DIA
+//     diagonal storage with a row-fused kernel that reads no column
+//     indices, the cache-blocked SELL-C-σ format (SELL), a COO assembly
+//     builder, matrix-free Stencil operators (1D/2D/3D Laplacians), and
+//     Dense for small reference problems. TuneMulVec picks the format a
+//     CSR's products run on — banded → DIA at any size, else large and
+//     paddable → SELL, else the CSR itself — and both tuned formats
+//     share one contract: MulVec and MulVecPool bitwise identical to
+//     the source CSR's for finite x.
 //   - I/O: ReadMatrixMarket / WriteMatrixMarket for coordinate-format
 //     .mtx files, plus the array-format vector variants, and the JSON
 //     wire codec (WireMatrix, EncodeCSR) network layers use to carry
