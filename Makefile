@@ -98,8 +98,10 @@ bins:
 # or stray temp file can survive an interrupted run. The solve surface
 # additionally runs under -gate-allocs: any benchmark allocating more
 # per op than its committed BENCH_solve.json value fails the target
-# (allocation counts are deterministic, so the gate tolerates no noise)
-# and leaves the committed file untouched.
+# (allocation counts are deterministic at one GOMAXPROCS, so the gate
+# tolerates no noise) and leaves the committed file untouched; against a
+# file recorded at another GOMAXPROCS (solve.Batch allocates per worker)
+# it says so and re-baselines instead of comparing.
 bench: bins
 	$(GO) test -run '^$$' -bench '$(BENCHPAT)' -benchmem . | tee /dev/stderr | $(BINDIR)/benchjson -prev $(BENCHOUT) -o $(BENCHOUT)
 	@echo "wrote $(BENCHOUT)"

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -45,22 +46,68 @@ type Benchmark struct {
 
 // Summary is the emitted document.
 type Summary struct {
-	GeneratedAt time.Time   `json:"generated_at"`
-	GOOS        string      `json:"goos,omitempty"`
-	GOARCH      string      `json:"goarch,omitempty"`
-	CPU         string      `json:"cpu,omitempty"`
-	Pkg         string      `json:"pkg,omitempty"`
-	Benchmarks  []Benchmark `json:"benchmarks"`
+	GeneratedAt time.Time `json:"generated_at"`
+	GOOS        string    `json:"goos,omitempty"`
+	GOARCH      string    `json:"goarch,omitempty"`
+	CPU         string    `json:"cpu,omitempty"`
+	Pkg         string    `json:"pkg,omitempty"`
+	// GOMAXPROCS is the -N suffix go test put on every benchmark name
+	// (1 when it put none). Allocation counts of code that forks per
+	// worker depend on it, so -gate-allocs compares like with like only.
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
+	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
 func main() {
 	prevPath := flag.String("prev", "", "committed benchmark JSON to diff the fresh results against (delta table on stderr)")
 	outPath := flag.String("o", "", "write the JSON summary to this file atomically (default: stdout)")
-	gateAllocs := flag.Bool("gate-allocs", false, "fail (exit 1, previous file left in place) if any benchmark's allocs/op exceeds its value in -prev")
+	gateAllocs := flag.Bool("gate-allocs", false, "fail (exit 1, previous file left in place) if any benchmark's allocs/op exceeds its value in -prev, when both were recorded at one GOMAXPROCS")
 	flag.Parse()
 
+	sum, err := parse(os.Stdin)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: read: %v\n", err)
+		os.Exit(1)
+	}
+	if *prevPath != "" {
+		prev, ok := loadSummary(*prevPath)
+		if ok {
+			printDiff(*prevPath, prev, sum)
+		}
+		if ok && *gateAllocs {
+			bad, comparable := allocRegressions(prev, sum)
+			if !comparable {
+				fmt.Fprintf(os.Stderr, "benchjson: %s was recorded at GOMAXPROCS=%s, this run at %d: allocs/op not compared\n",
+					*prevPath, procsCell(prev.GOMAXPROCS), sum.GOMAXPROCS)
+			} else if len(bad) > 0 {
+				fmt.Fprintf(os.Stderr, "benchjson: allocs/op regressions vs %s:\n", *prevPath)
+				for _, line := range bad {
+					fmt.Fprintf(os.Stderr, "  %s\n", line)
+				}
+				fmt.Fprintf(os.Stderr, "benchjson: refusing to overwrite %s; fix the allocations or re-baseline deliberately\n", *prevPath)
+				os.Exit(1)
+			}
+		}
+	}
+	if *outPath != "" {
+		if err := writeAtomic(*outPath, sum); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(sum); err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: encode: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// parse reads `go test -bench` output into a Summary.
+func parse(r io.Reader) (Summary, error) {
 	sum := Summary{GeneratedAt: time.Now().UTC()}
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -84,36 +131,31 @@ func main() {
 			sum.Benchmarks = append(sum.Benchmarks, b)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: read: %v\n", err)
-		os.Exit(1)
-	}
-	if *prevPath != "" {
-		diffAgainst(*prevPath, sum)
-		if *gateAllocs {
-			if bad := allocRegressions(*prevPath, sum); len(bad) > 0 {
-				fmt.Fprintf(os.Stderr, "benchjson: allocs/op regressions vs %s:\n", *prevPath)
-				for _, line := range bad {
-					fmt.Fprintf(os.Stderr, "  %s\n", line)
-				}
-				fmt.Fprintf(os.Stderr, "benchjson: refusing to overwrite %s; fix the allocations or re-baseline deliberately\n", *prevPath)
-				os.Exit(1)
-			}
+	sum.GOMAXPROCS = stripProcs(sum.Benchmarks)
+	return sum, sc.Err()
+}
+
+// stripProcs removes the -GOMAXPROCS suffix go test appends to every
+// benchmark name and returns it. go test appends none at GOMAXPROCS=1,
+// and a sub-benchmark may be named "poisson2d-32", so a numeric suffix
+// counts only when every line of the run carries the same one.
+func stripProcs(bs []Benchmark) int {
+	procs := 0
+	for _, b := range bs {
+		i := strings.LastIndex(b.Name, "-")
+		n, err := strconv.Atoi(b.Name[i+1:])
+		if i <= 0 || err != nil || n < 2 || (procs != 0 && n != procs) {
+			return 1
 		}
+		procs = n
 	}
-	if *outPath != "" {
-		if err := writeAtomic(*outPath, sum); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if procs == 0 {
+		return 1
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(sum); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: encode: %v\n", err)
-		os.Exit(1)
+	for i := range bs {
+		bs[i].Name = bs[i].Name[:strings.LastIndex(bs[i].Name, "-")]
 	}
+	return procs
 }
 
 // writeAtomic persists the summary under path via a same-directory temp
@@ -149,21 +191,25 @@ func writeAtomic(path string, sum Summary) error {
 // failing the build.
 const regressThreshold = 0.10
 
-// diffAgainst loads a previously committed summary and prints a
-// per-benchmark delta table to stderr. Missing or unreadable previous
-// files degrade to a note, never an error: the first run on a fresh
-// clone has nothing to diff.
-func diffAgainst(path string, fresh Summary) {
+// loadSummary reads a previously committed summary. A missing or
+// unreadable file degrades to a note, never an error: the first run on
+// a fresh clone has nothing to diff or gate against.
+func loadSummary(path string) (prev Summary, ok bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: no previous results to diff (%v)\n", err)
-		return
+		return prev, false
 	}
-	var prev Summary
 	if err := json.Unmarshal(data, &prev); err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: previous file %s unparseable (%v), skipping diff\n", path, err)
-		return
+		return prev, false
 	}
+	return prev, true
+}
+
+// printDiff prints a per-benchmark delta table of fresh against the
+// summary previously committed at path to stderr.
+func printDiff(path string, prev, fresh Summary) {
 	old := make(map[string]Benchmark, len(prev.Benchmarks))
 	for _, b := range prev.Benchmarks {
 		old[b.Name] = b
@@ -211,28 +257,34 @@ func diffAgainst(path string, fresh Summary) {
 // allocRegressions compares fresh allocs/op against the committed
 // summary: any benchmark allocating more than its committed value is a
 // hard failure (unlike the informational ns/op table, allocation counts
-// are deterministic, so the gate has no noise to tolerate). Benchmarks
-// absent from the committed file are new and pass.
-func allocRegressions(path string, fresh Summary) []string {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil // first run: nothing committed to gate against
-	}
-	var prev Summary
-	if err := json.Unmarshal(data, &prev); err != nil {
-		return nil
+// are deterministic at one GOMAXPROCS, so the gate has no noise to
+// tolerate). Benchmarks absent from the committed file are new and pass.
+// Summaries recorded at different GOMAXPROCS — or a committed one that
+// predates the field — are not comparable: code that forks per worker
+// allocates per worker.
+func allocRegressions(prev, fresh Summary) (bad []string, comparable bool) {
+	if prev.GOMAXPROCS != fresh.GOMAXPROCS {
+		return nil, false
 	}
 	old := make(map[string]Benchmark, len(prev.Benchmarks))
 	for _, b := range prev.Benchmarks {
 		old[b.Name] = b
 	}
-	var bad []string
 	for _, b := range fresh.Benchmarks {
 		if p, ok := old[b.Name]; ok && b.AllocsPerOp > p.AllocsPerOp {
 			bad = append(bad, fmt.Sprintf("%s: %d allocs/op, committed %d", b.Name, b.AllocsPerOp, p.AllocsPerOp))
 		}
 	}
-	return bad
+	return bad, true
+}
+
+// procsCell renders a summary's GOMAXPROCS; files written before the
+// field existed do not say.
+func procsCell(n int) string {
+	if n == 0 {
+		return "unknown"
+	}
+	return strconv.Itoa(n)
 }
 
 func mbCell(v float64) string {
@@ -250,13 +302,7 @@ func parseLine(line string) (Benchmark, bool) {
 	if len(fields) < 3 {
 		return Benchmark{}, false
 	}
-	name := fields[0]
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		// Strip the -GOMAXPROCS suffix when it is numeric.
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
-		}
-	}
+	name := fields[0] // still carrying its -GOMAXPROCS suffix: see stripProcs
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return Benchmark{}, false

@@ -108,8 +108,9 @@
 // is what makes every shared-memory method — cg, cgfused, pcg, cr, sd,
 // minres, vrcg, pipecg, gropp, sstep, and the real-parallel parcg,
 // parcg-cg, parcg-pipe — workspace-backed: a warm Session.Solve on any
-// of them performs zero heap allocations (the parcg kernels' background
-// reduction goroutines are persistent, created once per session).
+// of them performs zero heap allocations (the background reduction
+// goroutines of parcg and parcg-pipe are persistent, started by the
+// workspace on its first overlapped reduction and ended with it).
 //
 // Session/Batch behavior by method family:
 //
@@ -139,7 +140,8 @@
 // The implementation lives under internal/ (plus the public precond):
 //
 //   - internal/engine: the shared iteration driver, Kernel contract,
-//     and workspace arena every shared-memory method runs on
+//     and the workspace every shared-memory method runs on (vector
+//     arena, pool dispatch, reduction issue/await, phase timing)
 //   - internal/core: the paper's algorithm (look-ahead CG, "VRCG")
 //   - internal/krylov: classic CG/PCG/CR/SD/MINRES kernels
 //   - precond (public): Jacobi, SSOR, IC0, and polynomial
@@ -147,10 +149,10 @@
 //   - internal/sstep, internal/pipecg: the published successor methods
 //   - sparse (public), internal/vec: sparse operators and vector kernels
 //   - internal/depth: the dependency-depth cost model of the paper
-//   - internal/parcg: the paper's schedules, each once as a
-//     real-parallel engine kernel (reductions overlapped on background
-//     goroutines) and once as its cost on the simulated machine
-//     (Replay, the opt-in WithProcessors/WithMachineConfig monitor)
+//   - internal/parcg: the look-ahead schedule as a real-parallel
+//     engine kernel, and the cost of all three paper schedules on the
+//     simulated machine (Replay, the opt-in
+//     WithProcessors/WithMachineConfig monitor)
 //   - internal/machine, internal/collective: the simulated distributed
 //     machine and hand-rolled collectives the replay charges
 //   - internal/trace: Figure 1 schedule rendering

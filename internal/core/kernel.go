@@ -57,19 +57,9 @@ func (kn *vrcgKernel) Init(run *engine.Run) (float64, error) {
 	run.Res.K = k
 
 	x := ws.Vec(0)
-	if run.Cfg.X0 != nil {
-		vec.Copy(x, run.Cfg.X0)
-	} else {
-		vec.Zero(x)
-	}
-	run.Res.X = x
-
 	// r(0) = b - A x(0), into the arena scratch the families copy from.
 	r0 := ws.Vec(1)
-	ws.MatVec(run.A, r0, x)
-	vec.Sub(r0, run.B, r0)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
+	run.InitialIterate(x, r0)
 
 	// Start-up (paper: "After an initial start up"): build the Krylov
 	// vector families (k+1 matvecs including the P top) and the scalar
@@ -111,11 +101,8 @@ const divergenceGuard = 1e4
 // residual replacement, for runs whose recursive residual has left the
 // trust region.
 func (kn *vrcgKernel) restart(run *engine.Run) {
-	ws, res, fam := run.Ws, run.Res, kn.fam
-	ws.MatVec(run.A, fam.R[0], res.X)
-	vec.Sub(fam.R[0], run.B, fam.R[0])
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
+	res, fam := run.Res, kn.fam
+	run.ResidualInto(fam.R[0], res.X)
 	fam.Rebuild(run.A, fam.R[0])
 	res.Stats.MatVecs += kn.k + 1
 	res.Stats.Flops += int64(kn.k+1) * engine.MatVecFlops(run.A)
@@ -265,10 +252,7 @@ func (kn *vrcgKernel) Step(run *engine.Run) error {
 	if run.Cfg.ResidualReplaceEvery > 0 && res.Iterations%run.Cfg.ResidualReplaceEvery == 0 {
 		// Residual replacement: overwrite the recursive residual
 		// with b - A x, then rebuild everything from it.
-		ws.MatVec(run.A, fam.R[0], res.X)
-		vec.Sub(fam.R[0], run.B, fam.R[0])
-		res.Stats.MatVecs++
-		res.Stats.Flops += engine.MatVecFlops(run.A)
+		run.ResidualInto(fam.R[0], res.X)
 		// The direction keeps its recursive value (replacing p too
 		// would discard conjugacy); powers and windows rebuild.
 		reanchor(run.A, res, fam, win, true)
@@ -284,12 +268,5 @@ func (kn *vrcgKernel) Step(run *engine.Run) error {
 	return nil
 }
 
-func (kn *vrcgKernel) Finish(run *engine.Run) {
-	// True residual at exit, into the start-up scratch.
-	tr := run.Ws.Vec(1)
-	run.Ws.MatVec(run.A, tr, run.Res.X)
-	vec.Sub(tr, run.B, tr)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-	run.Res.TrueResidualNorm = vec.Norm2(tr)
-}
+// Finish puts the true residual at exit into the start-up scratch.
+func (kn *vrcgKernel) Finish(run *engine.Run) { run.TrueResidual(run.Ws.Vec(1), run.Res.X) }

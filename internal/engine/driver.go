@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
+	"time"
 
 	"vrcg/internal/vec"
 	"vrcg/sparse"
@@ -56,6 +58,9 @@ type Run struct {
 	Threshold float64
 
 	stopped bool
+	// phaseTime accumulates the timed Workspace calls of the step in
+	// progress (Workspace.TimePhases); observePhases publishes it.
+	phaseTime [NumPhases]time.Duration
 }
 
 // Record appends a residual norm to the history when recording is
@@ -101,12 +106,84 @@ func (r *Run) Stop() { r.stopped = true }
 // stop.
 func (r *Run) Stopped() bool { return r.stopped }
 
+// MatVec computes dst = A x on the workspace and counts the product.
+func (r *Run) MatVec(dst, x vec.Vector) {
+	r.Ws.MatVec(r.A, dst, x)
+	r.Res.Stats.MatVecs++
+	r.Res.Stats.Flops += MatVecFlops(r.A)
+}
+
+// Dot returns <x, y> on the workspace and counts the inner product.
+func (r *Run) Dot(x, y vec.Vector) float64 {
+	r.Res.Stats.InnerProducts++
+	r.Res.Stats.Flops += 2 * int64(r.Ws.Dim())
+	return r.Ws.Dot(x, y)
+}
+
+// ResidualInto computes dst = b − A x with one counted product.
+func (r *Run) ResidualInto(dst, x vec.Vector) {
+	r.MatVec(dst, x)
+	vec.Sub(dst, r.B, dst)
+}
+
+// InitialIterate loads X0 (or zero) into x, publishes it as Res.X, and
+// forms the initial residual res = b − A x — the start-up the kernels
+// share. res has the operator's row count, x its column count; for
+// square operators the two coincide.
+func (r *Run) InitialIterate(x, res vec.Vector) {
+	if r.Cfg.X0 != nil {
+		vec.Copy(x, r.Cfg.X0)
+	} else {
+		vec.Zero(x)
+	}
+	r.Res.X = x
+	r.ResidualInto(res, x)
+}
+
+// TrueResidual computes ‖b − A x‖ into scratch (row space) and
+// publishes it as Res.TrueResidualNorm — the exit step the kernels
+// share.
+func (r *Run) TrueResidual(scratch, x vec.Vector) {
+	r.ResidualInto(scratch, x)
+	r.Res.TrueResidualNorm = vec.Norm2(scratch)
+}
+
+// errInFlight is a kernel contract violation: Init or Step returned
+// between a reduction's issue and its await. Nothing may be in flight
+// between driver steps — the convergence test, callbacks and the next
+// solve all assume the kernel's vectors are quiescent.
+var errInFlight = errors.New("kernel returned with a reduction still in flight")
+
+// settle ends one kernel call: a reduction left in flight is completed,
+// so the workspace stays usable, and reported as an error.
+func (r *Run) settle(k Kernel, call string, err error) error {
+	if r.Ws.inFlight {
+		r.Ws.Await()
+		if err == nil {
+			err = fmt.Errorf("%s: %s: %w", k.Name(), call, errInFlight)
+		}
+	}
+	return err
+}
+
+// observePhases publishes the finished step's phase times as one
+// observation per phase.
+func (r *Run) observePhases() {
+	if r.Ws.now == nil {
+		return
+	}
+	for p, d := range r.phaseTime {
+		r.Res.Phases.Observe(Phase(p), d)
+	}
+	r.phaseTime = [NumPhases]time.Duration{}
+}
+
 // Solve is the one driver loop every engine-backed method runs under.
 // It owns what the method silos used to each reimplement: dimension
 // validation, option defaults, the convergence threshold, the
-// iteration/convergence loop, history recording, callback dispatch, and
-// the final Converged classification. The kernel owns only the
-// method's numerics.
+// iteration/convergence loop, history recording, callback dispatch, the
+// per-step phase observations, and the final Converged classification.
+// The kernel owns only the method's numerics.
 //
 // On a kernel error the partial Result (including recorded history) is
 // left populated and the error returned; ResidualNorm and
@@ -155,9 +232,10 @@ func Solve(k Kernel, ws *Workspace, a sparse.Matrix, b vec.Vector, cfg Config, r
 	*run = Run{A: a, AT: at, B: b, Cfg: cfg, Res: res, Ws: ws, Threshold: cfg.Tol * bnorm}
 
 	rn, err := k.Init(run)
-	if err != nil {
+	if err = run.settle(k, "Init", err); err != nil {
 		return err
 	}
+	run.phaseTime = [NumPhases]time.Duration{} // start-up is not a step
 	run.Record(rn)
 
 	for res.Iterations < cfg.MaxIter && !run.stopped {
@@ -166,7 +244,9 @@ func Solve(k Kernel, ws *Workspace, a sparse.Matrix, b vec.Vector, cfg Config, r
 			res.Converged = true
 			break
 		}
-		if err := k.Step(run); err != nil {
+		err := run.settle(k, "Step", k.Step(run))
+		run.observePhases()
+		if err != nil {
 			run.publishHistory()
 			return err
 		}

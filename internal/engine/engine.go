@@ -21,7 +21,7 @@
 //	│ cg, pcg │ cr, sd, │ pipecg,  │ vrcg     │ sstep   │
 //	│ cgfused │ minres  │ gropp    │ (§5)     │ (C–G)   │
 //	└─────────┴─────────┴──────────┴──────────┴─────────┘
-//	              │ Workspace (size-keyed vector arena, pool)
+//	              │ Workspace (arena, pool, issue/await, phases)
 //	      ┌───────┴────────────────────────────────────┐
 //	      │ vec.Pool kernels · sparse.PooledMulVec     │
 //	      └────────────────────────────────────────────┘
@@ -139,10 +139,11 @@ type Config struct {
 	// look-ahead kernel (the A3 ablation: unscaled Gram sequences span
 	// ||A||^(4k) and overflow for deep look-ahead).
 	NoScaling bool
-	// Blocking makes the parcg look-ahead kernel evaluate each anchor's
-	// base-product batch at issue instead of overlapping it with the
-	// following SpMV (s-step/Chronopoulos–Gear timing semantics;
-	// numerically identical).
+	// Blocking makes the Workspace evaluate a reduction at issue, on
+	// the pool, instead of on background goroutines until it is awaited
+	// (reduce.go; bitwise identical). For the pipelined kernel that is
+	// the sequential pipecg, for the parcg look-ahead kernel the
+	// s-step/Chronopoulos–Gear timing semantics.
 	Blocking bool
 
 	// S is the s-step block size (sstep; S >= 1, S = 1 is standard CG).
@@ -216,10 +217,10 @@ type Result struct {
 	// Config.ValidateEvery).
 	Drift DriftStats
 
-	// Phases holds the per-iteration phase latency histograms of the
-	// real-parallel kernels (parcg family): wall time split into SpMV,
-	// reduction wait, and vector updates, measured on actual hardware.
-	// Zero (Phases.Empty()) for the non-instrumented methods.
+	// Phases holds the phase latency histograms of a solve on a
+	// Workspace with TimePhases on: one observation per driver step of
+	// its time in SpMV, reduction wait, and vector updates, measured on
+	// actual hardware. Zero (Phases.Empty()) otherwise.
 	Phases PhaseSet
 
 	// Clocks is the simulated parallel-time trajectory of the

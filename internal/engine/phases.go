@@ -2,29 +2,32 @@ package engine
 
 import "time"
 
-// Per-iteration phase latency instrumentation for the real-parallel
-// kernels (the parcg family): each iteration's wall time is split into
-// the three phases whose scheduling the paper is about — the sparse
-// matrix–vector product, the wait on the (overlapped) inner-product
-// reduction, and the vector updates — so the SpMV/reduction overlap is
-// measured on actual hardware rather than simulated clocks. The bucket
-// vocabulary matches the cluster workers' phase histograms (14 upper
-// bounds in microseconds plus overflow), so fleet and shared-memory
-// numbers read on one scale.
+// Phase latency instrumentation. A Workspace with TimePhases on charges
+// the time spent inside its dispatch methods to the three phases whose
+// scheduling the paper is about — the sparse matrix–vector product, the
+// wait on an inner-product reduction, and the vector updates — and the
+// driver publishes one observation per phase per Step, so the
+// SpMV/reduction overlap is measured on actual hardware rather than
+// simulated clocks. Only what goes through the Workspace is charged: a
+// kernel's private sweeps (copies, parcg's spectral scaling) and scalar
+// work are in no phase. The bucket vocabulary matches the cluster
+// workers' phase histograms (14 upper bounds in microseconds plus
+// overflow), so fleet and shared-memory numbers read on one scale.
 
 // Phase indexes PhaseSet.
 type Phase int
 
 const (
-	// PhaseSpMV is the matrix–vector product (including any spectral
-	// scaling sweep fused to it).
+	// PhaseSpMV is the matrix–vector products (MatVec*).
 	PhaseSpMV Phase = iota
-	// PhaseReduction is the time spent blocked on an inner-product
-	// reduction: for the overlapped kernels this is only the residual
-	// wait after the concurrent SpMV returns, so small values here with
-	// large SpMV times are the overlap working.
+	// PhaseReduction is the time spent on inner-product reductions the
+	// step had to sit through: a blocking Dot* or evaluate-at-issue in
+	// full, but for an overlapped reduction only the Await — the
+	// residual wait after the concurrent work returns — so small values
+	// here with large SpMV times are the overlap working.
 	PhaseReduction
-	// PhaseUpdate is the vector-update phase (axpy/xpay family sweeps).
+	// PhaseUpdate is the vector-update sweeps (Axpy*, Xpay), and the
+	// fused CG sweep whole, its (r,r) included.
 	PhaseUpdate
 
 	// NumPhases is the number of instrumented phases.

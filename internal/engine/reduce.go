@@ -1,0 +1,172 @@
+package engine
+
+import (
+	"runtime"
+
+	"vrcg/internal/vec"
+)
+
+// A reduction is issued, then awaited. The paper's schedules differ in
+// what a kernel does between those two points — nothing (blocking CG),
+// one SpMV (pipelined CG), or an anchor block of iterations' worth of
+// work (look-ahead) — so the Workspace offers exactly that pair and
+// decides, in issue, where the sums run: at issue on the workspace pool
+// when Config.Blocking is set, otherwise on background goroutines while
+// the caller carries on. Serial and pooled sums follow the same blocked
+// tree and every inner product is summed whole by one party, so the two
+// are bitwise identical: overlap is a property of the schedule, never
+// of the arithmetic.
+//
+// One reduction is in flight at a time, and none between driver steps
+// (Solve enforces it). Between issue and await the caller must not
+// write any vector the reduction reads.
+
+// reduction is the job description: either the fused pair
+// (xy, xz) = (<x,y>, <x,z>) when out is nil, or the batch
+// out[i] = <xs[i], ys[i]>.
+type reduction struct {
+	x, y, z vec.Vector
+	xy, xz  float64
+
+	out    []float64
+	xs, ys []vec.Vector
+}
+
+// sum computes the pieces i ≡ wid (mod nw) of the job on pool (nil =
+// the serial kernels): the whole job at issue is sum(pool, 0, 1), a
+// background worker's share sum(nil, wid, nw). Every piece lands in its
+// own result and is summed whole by one party, so the split changes
+// nothing bitwise; it only shortens a batch's critical path so it fits
+// inside its overlap window.
+func (j *reduction) sum(pool *vec.Pool, wid, nw int) {
+	if j.out == nil {
+		j.xy, j.xz = vec.PoolDotPair(pool, j.x, j.y, j.z)
+		return
+	}
+	for i := wid; i < len(j.out); i += nw {
+		j.out[i] = vec.PoolDot(pool, j.xs[i], j.ys[i])
+	}
+}
+
+// bgReducer owns a workspace's reduction job and the goroutines that
+// run it overlapped: persistent workers, each behind an unbuffered
+// request/done pair, started on demand. The goroutines reference the
+// reducer, never the workspace, so a dropped workspace can be
+// collected; its cleanup closes quit and they exit.
+type bgReducer struct {
+	job reduction
+
+	reqs, dones []chan struct{}
+	quit        chan struct{}
+	maxWorkers  int
+	active      int // workers woken by the launch in flight
+}
+
+func (b *bgReducer) startWorker() {
+	wid := len(b.reqs)
+	req, done := make(chan struct{}), make(chan struct{})
+	b.reqs = append(b.reqs, req)
+	b.dones = append(b.dones, done)
+	go func() {
+		for {
+			select {
+			case <-b.quit:
+				return
+			case <-req:
+				b.job.sum(nil, wid, b.active)
+				done <- struct{}{}
+			}
+		}
+	}()
+}
+
+// launch hands the loaded job to one goroutine per independently
+// summable piece — one for the fused pair — up to maxWorkers. The
+// channel send/receive pairs give the happens-before edges that make
+// the job's reads of kernel vectors race-free against the overlapped
+// work (which touches disjoint storage).
+func (b *bgReducer) launch() {
+	nw := 1
+	if b.job.out != nil {
+		nw = min(len(b.job.out), b.maxWorkers)
+	}
+	for len(b.reqs) < nw {
+		b.startWorker()
+	}
+	b.active = nw
+	for _, c := range b.reqs[:nw] {
+		c <- struct{}{}
+	}
+}
+
+// wait blocks until every woken worker is done; after a blocking issue
+// (nothing woken) it returns at once.
+func (b *bgReducer) wait() {
+	for _, c := range b.dones[:b.active] {
+		<-c
+	}
+	b.active = 0
+}
+
+// IssueDotPair starts the fused reduction (<x,y>, <x,z>);
+// AwaitDotPair collects it.
+func (ws *Workspace) IssueDotPair(x, y, z vec.Vector) {
+	j := ws.newJob()
+	j.x, j.y, j.z, j.out = x, y, z, nil
+	ws.issue()
+}
+
+// IssueDots starts the batch out[i] = <xs[i], ys[i]>; Await completes
+// it. The slices are read until then.
+func (ws *Workspace) IssueDots(out []float64, xs, ys []vec.Vector) {
+	j := ws.newJob()
+	j.out, j.xs, j.ys = out, xs, ys
+	ws.issue()
+}
+
+func (ws *Workspace) newJob() *reduction {
+	if ws.inFlight {
+		panic("engine: reduction issued while another is in flight")
+	}
+	if ws.red == nil {
+		ws.red = &bgReducer{}
+	}
+	return &ws.red.job
+}
+
+// issue is the one place a schedule's blocking/overlapped choice is
+// acted on.
+func (ws *Workspace) issue() {
+	ws.inFlight = true
+	if ws.run.Cfg.Blocking {
+		t0 := ws.begin()
+		ws.red.job.sum(ws.pool, 0, 1)
+		ws.charge(PhaseReduction, t0)
+		return
+	}
+	if ws.red.quit == nil {
+		ws.red.quit = make(chan struct{})
+		ws.red.maxWorkers = runtime.GOMAXPROCS(0)
+		runtime.AddCleanup(ws, func(quit chan struct{}) { close(quit) }, ws.red.quit)
+	}
+	ws.red.launch()
+}
+
+// Await blocks until the issued reduction is complete, charging the
+// wait to PhaseReduction.
+func (ws *Workspace) Await() {
+	if !ws.inFlight {
+		panic("engine: Await without an issued reduction")
+	}
+	t0 := ws.begin()
+	ws.red.wait()
+	ws.charge(PhaseReduction, t0)
+	ws.inFlight = false
+}
+
+// AwaitDotPair awaits the reduction started by IssueDotPair and returns
+// its two sums.
+func (ws *Workspace) AwaitDotPair() (xy, xz float64) {
+	ws.Await()
+	return ws.red.job.xy, ws.red.job.xz
+}

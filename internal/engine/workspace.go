@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"time"
+
 	"vrcg/internal/vec"
 	"vrcg/precond"
 	"vrcg/sparse"
@@ -11,6 +13,11 @@ import (
 // index (Vec) and grown lazily, so a warm workspace serves repeated
 // solves against same-order operators with zero heap allocations; the
 // history slab is likewise owned here and reused across solves.
+//
+// Because every SpMV, inner product and vector update a kernel performs
+// goes through the workspace, it is also where a reduction is issued
+// and awaited (reduce.go) and where phase time is measured
+// (TimePhases).
 //
 // Contract: vectors obtained from the arena — including the X field of
 // a Result produced on it — are owned by the workspace and valid only
@@ -30,6 +37,15 @@ type Workspace struct {
 	vecsN   []vec.Vector
 	history []float64
 	run     Run
+
+	// red holds the issue/await reduction job and, once a schedule has
+	// overlapped one, the goroutines that run it (reduce.go).
+	red      *bgReducer
+	inFlight bool
+
+	// now is the phase clock, a monotonic reading; nil (the default)
+	// means phase timing is off and no dispatch below reads a clock.
+	now func() time.Duration
 }
 
 // NewWorkspace returns a workspace for order-n systems running its
@@ -85,55 +101,110 @@ func (ws *Workspace) Reserve(count int) {
 	}
 }
 
+// TimePhases switches on phase timing: from the next solve, the time
+// spent inside the dispatch methods below is accumulated per phase
+// (MatVec* → spmv, Dot* and Await → reduction_wait, Axpy*/Xpay/
+// FusedCGUpdate → update) and the driver publishes one observation set
+// per Step into Result.Phases. It costs a clock pair per call, which is
+// why it is per workspace and off by default: the adapter enables it
+// for the methods that publish phases.
+func (ws *Workspace) TimePhases() {
+	// time.Since reads only the monotonic clock: half the cost of a
+	// time.Now per reading.
+	epoch := time.Now()
+	ws.now = func() time.Duration { return time.Since(epoch) }
+}
+
+// begin reads the phase clock when timing is on.
+func (ws *Workspace) begin() (t0 time.Duration) {
+	if ws.now != nil {
+		t0 = ws.now()
+	}
+	return t0
+}
+
+// charge adds the time since t0 to phase p of the step in progress.
+func (ws *Workspace) charge(p Phase, t0 time.Duration) {
+	if ws.now != nil {
+		ws.run.phaseTime[p] += ws.now() - t0
+	}
+}
+
 // Pooled kernel dispatch: every hot-path vector operation a kernel
-// performs goes through one of these (or MatVec), so pool routing is
-// decided in exactly one place.
+// performs goes through one of these, so pool routing and phase timing
+// are decided in exactly one place.
 
 // Dot returns <x, y> on the workspace pool.
-func (ws *Workspace) Dot(x, y vec.Vector) float64 { return vec.PoolDot(ws.pool, x, y) }
+func (ws *Workspace) Dot(x, y vec.Vector) float64 {
+	t0 := ws.begin()
+	d := vec.PoolDot(ws.pool, x, y)
+	ws.charge(PhaseReduction, t0)
+	return d
+}
 
 // DotPair returns <x, y> and <x, z> in one sweep.
 func (ws *Workspace) DotPair(x, y, z vec.Vector) (xy, xz float64) {
-	return vec.PoolDotPair(ws.pool, x, y, z)
+	t0 := ws.begin()
+	xy, xz = vec.PoolDotPair(ws.pool, x, y, z)
+	ws.charge(PhaseReduction, t0)
+	return xy, xz
 }
 
 // Axpy computes y += alpha*x.
-func (ws *Workspace) Axpy(alpha float64, x, y vec.Vector) { vec.PoolAxpy(ws.pool, alpha, x, y) }
+func (ws *Workspace) Axpy(alpha float64, x, y vec.Vector) {
+	t0 := ws.begin()
+	vec.PoolAxpy(ws.pool, alpha, x, y)
+	ws.charge(PhaseUpdate, t0)
+}
 
 // Xpay computes y = x + alpha*y.
 func (ws *Workspace) Xpay(x vec.Vector, alpha float64, y vec.Vector) {
+	t0 := ws.begin()
 	vec.PoolXpay(ws.pool, x, alpha, y)
+	ws.charge(PhaseUpdate, t0)
 }
 
 // FusedCGUpdate performs x += alpha*p, r -= alpha*ap and returns the
-// new <r, r> in one sweep.
+// new <r, r> in one sweep. The sweep is charged to the update phase,
+// its reduction included.
 func (ws *Workspace) FusedCGUpdate(alpha float64, p, ap, x, r vec.Vector) float64 {
-	return vec.PoolFusedCGUpdate(ws.pool, alpha, p, ap, x, r)
+	t0 := ws.begin()
+	rr := vec.PoolFusedCGUpdate(ws.pool, alpha, p, ap, x, r)
+	ws.charge(PhaseUpdate, t0)
+	return rr
 }
 
 // MatVec computes dst = A*x on the workspace pool when the operator
 // supports pooled products.
 func (ws *Workspace) MatVec(a sparse.Matrix, dst, x vec.Vector) {
+	t0 := ws.begin()
 	sparse.PooledMulVec(a, ws.pool, dst, x)
+	ws.charge(PhaseSpMV, t0)
 }
 
 // MatVecs computes dsts[j] = A*xs[j] for every column on the workspace
 // pool, using the operator's one-pass multi-vector product when it
 // offers one (see sparse.MultiMulVec) and per-column products otherwise.
 func (ws *Workspace) MatVecs(a sparse.Matrix, dsts, xs []vec.Vector) {
+	t0 := ws.begin()
 	sparse.PooledMulVecs(a, ws.pool, dsts, xs)
+	ws.charge(PhaseSpMV, t0)
 }
 
 // DotBlock fills out[i*len(ys)+j] = <xs[i], ys[j]> — the s×s block Gram
 // reduction — in one pooled dispatch.
 func (ws *Workspace) DotBlock(xs, ys []vec.Vector, out []float64) {
+	t0 := ws.begin()
 	vec.PoolDotBlock(ws.pool, xs, ys, out)
+	ws.charge(PhaseReduction, t0)
 }
 
 // AxpyBlock accumulates ys[j] += sum_i coef[i*len(ys)+j]*xs[i] in one
 // pooled dispatch.
 func (ws *Workspace) AxpyBlock(coef []float64, xs, ys []vec.Vector) {
+	t0 := ws.begin()
 	vec.PoolAxpyBlock(ws.pool, coef, xs, ys)
+	ws.charge(PhaseUpdate, t0)
 }
 
 // MatVecT computes dst = Aᵀ*x on the workspace pool when the operator
@@ -141,7 +212,9 @@ func (ws *Workspace) AxpyBlock(coef []float64, xs, ys []vec.Vector) {
 // Run.AT, which the driver populates only when the (pre-tuning)
 // operator supports transpose products at all.
 func (ws *Workspace) MatVecT(a sparse.TransposeMulVec, dst, x vec.Vector) {
+	t0 := ws.begin()
 	sparse.PooledMulVecT(a, ws.pool, dst, x)
+	ws.charge(PhaseSpMV, t0)
 }
 
 // ApplyPrecond computes dst = M^{-1} r, routing pointwise

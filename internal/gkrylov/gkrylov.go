@@ -34,32 +34,6 @@ var (
 	ErrUnsupportedOperator = engine.ErrUnsupportedOperator
 )
 
-// initialIterate loads X0 (or zero) into x, publishes it as Res.X, and
-// forms the initial residual r = b - A x. r has the operator's row
-// count, x its column count; for square operators the two coincide.
-func initialIterate(run *engine.Run, x, r vec.Vector) {
-	if run.Cfg.X0 != nil {
-		vec.Copy(x, run.Cfg.X0)
-	} else {
-		vec.Zero(x)
-	}
-	run.Res.X = x
-	run.Ws.MatVec(run.A, r, x)
-	vec.Sub(r, run.B, r)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-}
-
-// trueResidualInto computes ||b - A x|| into scratch (row-space) and
-// publishes it, charging the matvec — the shared exit step.
-func trueResidualInto(r *engine.Run, scratch, x vec.Vector) {
-	r.Ws.MatVec(r.A, scratch, x)
-	vec.Sub(scratch, r.B, scratch)
-	r.Res.Stats.MatVecs++
-	r.Res.Stats.Flops += engine.MatVecFlops(r.A)
-	r.Res.TrueResidualNorm = vec.Norm2(scratch)
-}
-
 // matVecT computes dst = Aᵀ*x through the run's captured transpose
 // capability, charging it like a forward product.
 func matVecT(run *engine.Run, dst, x vec.Vector) {
@@ -97,7 +71,7 @@ func (k *bicgstabKernel) Init(run *engine.Run) (float64, error) {
 	ws := run.Ws
 	k.x, k.r, k.rhat = ws.Vec(0), ws.Vec(1), ws.Vec(2)
 	k.p, k.v, k.s, k.t = ws.Vec(3), ws.Vec(4), ws.Vec(5), ws.Vec(6)
-	initialIterate(run, k.x, k.r)
+	run.InitialIterate(k.x, k.r)
 	vec.Copy(k.rhat, k.r)
 	vec.Zero(k.p)
 	vec.Zero(k.v)
@@ -126,9 +100,7 @@ func (k *bicgstabKernel) Step(run *engine.Run) error {
 	res.Stats.VectorUpdates += 2
 	res.Stats.Flops += 4 * n
 
-	ws.MatVec(run.A, k.v, k.p)
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
+	run.MatVec(k.v, k.p)
 
 	rhv := ws.Dot(k.rhat, k.v)
 	res.Stats.InnerProducts++
@@ -159,9 +131,7 @@ func (k *bicgstabKernel) Step(run *engine.Run) error {
 		return nil
 	}
 
-	ws.MatVec(run.A, k.t, k.s)
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
+	run.MatVec(k.t, k.s)
 
 	ts, tt := ws.DotPair(k.t, k.s, k.t)
 	res.Stats.InnerProducts += 2
@@ -193,4 +163,4 @@ func (k *bicgstabKernel) Step(run *engine.Run) error {
 	return nil
 }
 
-func (k *bicgstabKernel) Finish(run *engine.Run) { trueResidualInto(run, k.t, k.x) }
+func (k *bicgstabKernel) Finish(run *engine.Run) { run.TrueResidual(k.t, k.x) }

@@ -54,7 +54,7 @@ func (k *gmresKernel) Init(run *engine.Run) (float64, error) {
 		}
 	}
 	k.x, k.r = ws.Vec(0), ws.Vec(1)
-	initialIterate(run, k.x, k.r)
+	run.InitialIterate(k.x, k.r)
 	k.rnorm = vec.Norm2(k.r)
 	return k.rnorm, nil
 }
@@ -91,9 +91,7 @@ func (k *gmresKernel) Step(run *engine.Run) error {
 	j := 0
 	for ; j < m; j++ {
 		w := k.basis(ws, j+1)
-		ws.MatVec(run.A, w, k.basis(ws, j))
-		res.Stats.MatVecs++
-		res.Stats.Flops += engine.MatVecFlops(run.A)
+		run.MatVec(w, k.basis(ws, j))
 
 		for i := 0; i <= j; i++ {
 			vi := k.basis(ws, i)
@@ -163,10 +161,7 @@ func (k *gmresKernel) Step(run *engine.Run) error {
 
 	// True-residual refresh: restarting from the recurrence estimate
 	// would compound rounding across cycles.
-	ws.MatVec(run.A, k.r, k.x)
-	vec.Sub(k.r, run.B, k.r)
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
+	run.ResidualInto(k.r, k.x)
 	k.rnorm = vec.Norm2(k.r)
 	res.Stats.InnerProducts++
 	res.Stats.Flops += 2 * n

@@ -48,7 +48,7 @@ func (k *cgnrKernel) Init(run *engine.Run) (float64, error) {
 	k.x, k.z, k.p = ws.Vec(0), ws.Vec(1), ws.Vec(2)
 	k.r, k.ap = ws.VecN(lsRow0, rows), ws.VecN(lsRow1, rows)
 
-	initialIterate(run, k.x, k.r)
+	run.InitialIterate(k.x, k.r)
 	k.rnorm = vec.Norm2(k.r)
 
 	matVecT(run, k.z, k.r)
@@ -89,9 +89,7 @@ func (k *cgnrKernel) Step(run *engine.Run) error {
 	cols := int64(ws.Dim())
 	rows := int64(len(k.r))
 
-	ws.MatVec(run.A, k.ap, k.p)
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
+	run.MatVec(k.ap, k.p)
 
 	ww := ws.Dot(k.ap, k.ap)
 	res.Stats.InnerProducts++
@@ -135,7 +133,7 @@ func (k *cgnrKernel) Step(run *engine.Run) error {
 }
 
 func (k *cgnrKernel) Finish(run *engine.Run) {
-	trueResidualInto(run, k.ap, k.x)
+	run.TrueResidual(k.ap, k.x)
 	run.Res.ResidualNorm = k.rnorm
 }
 
@@ -171,7 +169,7 @@ func (k *lsqrKernel) Init(run *engine.Run) (float64, error) {
 
 	// u = (b - A x0)/beta, v = Aᵀu/alpha: the first bidiagonalization
 	// step, seeded from the initial residual so warm starts carry over.
-	initialIterate(run, k.x, k.u)
+	run.InitialIterate(k.x, k.u)
 	beta := vec.Norm2(k.u)
 	run.Res.Stats.InnerProducts++
 	run.Res.Stats.Flops += 2 * int64(rows)
@@ -218,9 +216,7 @@ func (k *lsqrKernel) Step(run *engine.Run) error {
 	rows := int64(len(k.u))
 
 	// Continue the bidiagonalization: beta u⁺ = A v - alpha u.
-	ws.MatVec(run.A, k.ut, k.v)
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
+	run.MatVec(k.ut, k.v)
 	ws.Axpy(-k.alpha, k.u, k.ut)
 	beta := vec.Norm2(k.ut)
 	res.Stats.VectorUpdates++
@@ -277,6 +273,6 @@ func (k *lsqrKernel) Step(run *engine.Run) error {
 }
 
 func (k *lsqrKernel) Finish(run *engine.Run) {
-	trueResidualInto(run, k.ut, k.x)
+	run.TrueResidual(k.ut, k.x)
 	run.Res.ResidualNorm = k.phibar
 }

@@ -16,31 +16,6 @@ import (
 // warm repeated solve allocates nothing. The MINRES kernel lives in
 // minres.go.
 
-// trueResidualInto computes ||b - A x|| into scratch and publishes it,
-// charging the matvec — the shared exit step of every kernel here.
-func trueResidualInto(r *engine.Run, scratch, x vec.Vector) {
-	r.Ws.MatVec(r.A, scratch, x)
-	vec.Sub(scratch, r.B, scratch)
-	r.Res.Stats.MatVecs++
-	r.Res.Stats.Flops += engine.MatVecFlops(r.A)
-	r.Res.TrueResidualNorm = vec.Norm2(scratch)
-}
-
-// initialIterate loads X0 (or zero) into x, publishes it as Res.X, and
-// forms the initial residual r = b - A x.
-func initialIterate(run *engine.Run, x, r vec.Vector) {
-	if run.Cfg.X0 != nil {
-		vec.Copy(x, run.Cfg.X0)
-	} else {
-		vec.Zero(x)
-	}
-	run.Res.X = x
-	run.Ws.MatVec(run.A, r, x)
-	vec.Sub(r, run.B, r)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-}
-
 // cgKernel is standard Hestenes–Stiefel CG (paper §2) with the x/r
 // updates and the (r,r) reduction fused into one memory sweep — one
 // pass over memory instead of three, the sequential analogue of how the
@@ -58,11 +33,9 @@ func (k *cgKernel) Name() string { return "cg" }
 func (k *cgKernel) Init(run *engine.Run) (float64, error) {
 	ws := run.Ws
 	k.x, k.r, k.p, k.ap = ws.Vec(0), ws.Vec(1), ws.Vec(2), ws.Vec(3)
-	initialIterate(run, k.x, k.r)
+	run.InitialIterate(k.x, k.r)
 	vec.Copy(k.p, k.r)
-	k.rr = ws.Dot(k.r, k.r)
-	run.Res.Stats.InnerProducts++
-	run.Res.Stats.Flops += 2 * int64(ws.Dim())
+	k.rr = run.Dot(k.r, k.r)
 	return math.Sqrt(k.rr), nil
 }
 
@@ -72,13 +45,9 @@ func (k *cgKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
 	n := int64(ws.Dim())
 
-	ws.MatVec(run.A, k.ap, k.p)
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
+	run.MatVec(k.ap, k.p)
 
-	pap := ws.Dot(k.p, k.ap)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
+	pap := run.Dot(k.p, k.ap)
 	if pap <= 0 {
 		return fmt.Errorf("krylov: curvature %g at iteration %d: %w", pap, res.Iterations, ErrIndefinite)
 	}
@@ -103,7 +72,7 @@ func (k *cgKernel) Step(run *engine.Run) error {
 	return nil
 }
 
-func (k *cgKernel) Finish(run *engine.Run) { trueResidualInto(run, k.ap, k.x) }
+func (k *cgKernel) Finish(run *engine.Run) { run.TrueResidual(k.ap, k.x) }
 
 // pcgKernel is preconditioned CG, iterating on the M-inner-product
 // residual. A nil Config.Precond selects a kernel-cached identity (PCG
@@ -134,7 +103,7 @@ func (k *pcgKernel) Init(run *engine.Run) (float64, error) {
 		return 0, fmt.Errorf("krylov: preconditioner order %d for matrix order %d: %w", k.m.Dim(), n, ErrDim)
 	}
 	k.x, k.r, k.p, k.ap, k.z = ws.Vec(0), ws.Vec(1), ws.Vec(2), ws.Vec(3), ws.Vec(4)
-	initialIterate(run, k.x, k.r)
+	run.InitialIterate(k.x, k.r)
 
 	ws.ApplyPrecond(k.m, k.z, k.r)
 	run.Res.Stats.PrecondSolves++
@@ -153,13 +122,9 @@ func (k *pcgKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
 	n := int64(ws.Dim())
 
-	ws.MatVec(run.A, k.ap, k.p)
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
+	run.MatVec(k.ap, k.p)
 
-	pap := ws.Dot(k.p, k.ap)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
+	pap := run.Dot(k.p, k.ap)
 	if pap <= 0 {
 		return fmt.Errorf("krylov: curvature %g at iteration %d: %w", pap, res.Iterations, ErrIndefinite)
 	}
@@ -194,7 +159,7 @@ func (k *pcgKernel) Step(run *engine.Run) error {
 	return nil
 }
 
-func (k *pcgKernel) Finish(run *engine.Run) { trueResidualInto(run, k.ap, k.x) }
+func (k *pcgKernel) Finish(run *engine.Run) { run.TrueResidual(k.ap, k.x) }
 
 // crKernel is the conjugate residual method, which minimizes
 // ||b - A x|| over the Krylov space (CG minimizes the A-norm error).
@@ -211,17 +176,13 @@ func (k *crKernel) Name() string { return "cr" }
 func (k *crKernel) Init(run *engine.Run) (float64, error) {
 	ws := run.Ws
 	k.x, k.r, k.p, k.ar, k.ap = ws.Vec(0), ws.Vec(1), ws.Vec(2), ws.Vec(3), ws.Vec(4)
-	initialIterate(run, k.x, k.r)
+	run.InitialIterate(k.x, k.r)
 
 	vec.Copy(k.p, k.r)
-	ws.MatVec(run.A, k.ar, k.r)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
+	run.MatVec(k.ar, k.r)
 	vec.Copy(k.ap, k.ar)
 
-	k.rar = ws.Dot(k.r, k.ar)
-	run.Res.Stats.InnerProducts++
-	run.Res.Stats.Flops += 2 * int64(ws.Dim())
+	k.rar = run.Dot(k.r, k.ar)
 	k.rnorm = vec.Norm2(k.r)
 	return k.rnorm, nil
 }
@@ -232,9 +193,7 @@ func (k *crKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
 	n := int64(ws.Dim())
 
-	apap := ws.Dot(k.ap, k.ap)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
+	apap := run.Dot(k.ap, k.ap)
 	if apap == 0 {
 		return fmt.Errorf("krylov: ||Ap|| vanished at iteration %d: %w", res.Iterations, ErrBreakdown)
 	}
@@ -245,13 +204,9 @@ func (k *crKernel) Step(run *engine.Run) error {
 	res.Stats.VectorUpdates += 2
 	res.Stats.Flops += 4 * n
 
-	ws.MatVec(run.A, k.ar, k.r)
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
+	run.MatVec(k.ar, k.r)
 
-	rarNew := ws.Dot(k.r, k.ar)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
+	rarNew := run.Dot(k.r, k.ar)
 	if math.IsNaN(rarNew) || math.IsInf(rarNew, 0) {
 		return fmt.Errorf("krylov: non-finite (r,Ar) at iteration %d: %w", res.Iterations, ErrBreakdown)
 	}
@@ -273,7 +228,7 @@ func (k *crKernel) Step(run *engine.Run) error {
 	return nil
 }
 
-func (k *crKernel) Finish(run *engine.Run) { trueResidualInto(run, k.ap, k.x) }
+func (k *crKernel) Finish(run *engine.Run) { run.TrueResidual(k.ap, k.x) }
 
 // sdKernel is steepest descent with exact line search, the simplest
 // baseline: linear convergence at rate (kappa-1)/(kappa+1).
@@ -290,10 +245,8 @@ func (k *sdKernel) Name() string { return "sd" }
 func (k *sdKernel) Init(run *engine.Run) (float64, error) {
 	ws := run.Ws
 	k.x, k.r, k.ar = ws.Vec(0), ws.Vec(1), ws.Vec(2)
-	initialIterate(run, k.x, k.r)
-	k.rr = ws.Dot(k.r, k.r)
-	run.Res.Stats.InnerProducts++
-	run.Res.Stats.Flops += 2 * int64(ws.Dim())
+	run.InitialIterate(k.x, k.r)
+	k.rr = run.Dot(k.r, k.r)
 	return math.Sqrt(k.rr), nil
 }
 
@@ -303,13 +256,9 @@ func (k *sdKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
 	n := int64(ws.Dim())
 
-	ws.MatVec(run.A, k.ar, k.r)
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
+	run.MatVec(k.ar, k.r)
 
-	rar := ws.Dot(k.r, k.ar)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
+	rar := run.Dot(k.r, k.ar)
 	if rar <= 0 {
 		return fmt.Errorf("krylov: curvature %g at iteration %d: %w", rar, res.Iterations, ErrIndefinite)
 	}
@@ -320,11 +269,9 @@ func (k *sdKernel) Step(run *engine.Run) error {
 	res.Stats.VectorUpdates += 2
 	res.Stats.Flops += 4 * n
 
-	k.rr = ws.Dot(k.r, k.r)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
+	k.rr = run.Dot(k.r, k.r)
 	run.Tick(math.Sqrt(k.rr))
 	return nil
 }
 
-func (k *sdKernel) Finish(run *engine.Run) { trueResidualInto(run, k.ar, k.x) }
+func (k *sdKernel) Finish(run *engine.Run) { run.TrueResidual(k.ar, k.x) }

@@ -36,7 +36,7 @@ func (k *minresKernel) Init(run *engine.Run) (float64, error) {
 	k.av, k.w, k.wPrev, k.wTmp = ws.Vec(3), ws.Vec(4), ws.Vec(5), ws.Vec(6)
 
 	// r = b - A x, formed directly in the first Lanczos vector's buffer.
-	initialIterate(run, k.x, k.v)
+	run.InitialIterate(k.x, k.v)
 
 	beta := vec.Norm2(k.v)
 	run.Res.Stats.InnerProducts++
@@ -66,13 +66,9 @@ func (k *minresKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
 	n := int64(ws.Dim())
 
-	ws.MatVec(run.A, k.av, k.v)
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
+	run.MatVec(k.av, k.v)
 
-	alpha := ws.Dot(k.v, k.av)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
+	alpha := run.Dot(k.v, k.av)
 
 	// av <- av - alpha*v - betaPrev*vPrev
 	ws.Axpy(-alpha, k.v, k.av)
@@ -144,7 +140,7 @@ func (k *minresKernel) Step(run *engine.Run) error {
 }
 
 func (k *minresKernel) Finish(run *engine.Run) {
-	trueResidualInto(run, k.wTmp, k.x)
+	run.TrueResidual(k.wTmp, k.x)
 	// Trust the directly computed residual for the convergence flag.
 	if run.Res.TrueResidualNorm <= run.Threshold*1.01 {
 		run.Res.Converged = true

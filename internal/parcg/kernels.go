@@ -3,8 +3,6 @@ package parcg
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"time"
 
 	"vrcg/internal/core"
 	"vrcg/internal/engine"
@@ -13,330 +11,18 @@ import (
 	"vrcg/sparse"
 )
 
-// The paper's three schedules — blocking CG, pipelined CG, and the
-// anchored look-ahead recurrence — as engine.Kernels on actual
-// goroutines. The inner-product reductions that the paper's analysis is
-// about are launched on a per-kernel background goroutine while the
-// main goroutine runs the overlapping SpMV, so the overlap is measured
-// on hardware (Result.Phases) rather than charged to a cost model. The
-// simulated Clocks/Machine trajectory is an opt-in replay of the same
-// schedules' cost (replay.go) layered over these kernels by the solve
-// adapter. solve/parcg_golden_test.go pins the trajectories.
-
-// bgReducer owns the kernel's background reduction goroutines: nw
-// persistent workers, each behind an unbuffered request/done pair,
-// splitting a fixed partitioned job. A single worker is the plain
-// overlapped reduction; more workers divide an anchor batch's
-// independent dot products among themselves (each dot is still summed
-// serially by one worker, so the partition changes nothing bitwise).
-// The goroutines reference only the job state, never the kernel, so a
-// dropped kernel can be collected; its cleanup closes quit and the
-// goroutines exit.
-type bgReducer struct {
-	reqs, dones []chan struct{}
-	quit        chan struct{}
-}
-
-func startReducer(nw int, part func(wid, nw int)) *bgReducer {
-	b := &bgReducer{quit: make(chan struct{})}
-	for w := 0; w < nw; w++ {
-		req := make(chan struct{})
-		done := make(chan struct{})
-		b.reqs = append(b.reqs, req)
-		b.dones = append(b.dones, done)
-		go func(wid int) {
-			for {
-				select {
-				case <-b.quit:
-					return
-				case <-req:
-					part(wid, nw)
-					done <- struct{}{}
-				}
-			}
-		}(w)
-	}
-	return b
-}
-
-// launch hands the pre-loaded job to the background goroutines. The
-// channel send/receive pairs give the happens-before edges that make
-// the job's reads of kernel vectors race-free against the overlapped
-// SpMV (which touches disjoint storage).
-func (b *bgReducer) launch() {
-	for _, c := range b.reqs {
-		c <- struct{}{}
-	}
-}
-
-// wait blocks until every in-flight worker completes — the "reduction
-// wait" the phase histograms measure.
-func (b *bgReducer) wait() {
-	for _, c := range b.dones {
-		<-c
-	}
-}
-
-// newKernelReducer builds a reducer whose goroutines die with the
-// kernel: the cleanup runs once the kernel becomes unreachable.
-func newKernelReducer[T any](kn *T, nw int, part func(wid, nw int)) *bgReducer {
-	b := startReducer(nw, part)
-	runtime.AddCleanup(kn, func(q chan struct{}) { close(q) }, b.quit)
-	return b
-}
-
-// cgKernel is the blocking baseline (paper §2): one SpMV
-// and two fully blocking reductions per iteration — the inner-product
-// data dependency the other two kernels remove. It exists as the
-// contrast row: identical numerics, no overlap, phases instrumented.
-type cgKernel struct {
-	x, r, pv, ap vec.Vector
-	rr           float64
-}
-
-// NewCGKernel returns the parcg-cg (blocking Hestenes–Stiefel) kernel.
-func NewCGKernel() engine.Kernel { return &cgKernel{} }
-
-func (kn *cgKernel) Name() string { return "parcg-cg" }
-
-func (kn *cgKernel) resNorm() float64 { return math.Sqrt(math.Max(kn.rr, 0)) }
-
-func (kn *cgKernel) Init(run *engine.Run) (float64, error) {
-	ws := run.Ws
-	n := int64(ws.Dim())
-	kn.x, kn.r, kn.pv, kn.ap = ws.Vec(0), ws.Vec(1), ws.Vec(2), ws.Vec(3)
-
-	if run.Cfg.X0 != nil {
-		vec.Copy(kn.x, run.Cfg.X0)
-		ws.MatVec(run.A, kn.r, kn.x)
-		vec.Sub(kn.r, run.B, kn.r)
-		run.Res.Stats.MatVecs++
-		run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-	} else {
-		vec.Zero(kn.x)
-		vec.Copy(kn.r, run.B)
-	}
-	run.Res.X = kn.x
-
-	vec.Copy(kn.pv, kn.r)
-	kn.rr = ws.Dot(kn.r, kn.r)
-	run.Res.Stats.InnerProducts++
-	run.Res.Stats.Flops += 2 * n
-	return kn.resNorm(), nil
-}
-
-func (kn *cgKernel) Residual(*engine.Run) float64 { return kn.resNorm() }
-
-func (kn *cgKernel) Step(run *engine.Run) error {
-	ws, res := run.Ws, run.Res
-	n := int64(ws.Dim())
-
-	t0 := time.Now()
-	ws.MatVec(run.A, kn.ap, kn.pv)
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
-	spmvD := time.Since(t0)
-
-	t0 = time.Now()
-	pap := ws.Dot(kn.pv, kn.ap)
-	redD := time.Since(t0)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
-	if pap <= 0 || math.IsNaN(pap) {
-		return fmt.Errorf("parcg: curvature %g at iteration %d: %w", pap, res.Iterations, krylov.ErrIndefinite)
-	}
-	lambda := kn.rr / pap
-
-	t0 = time.Now()
-	ws.Axpy(lambda, kn.pv, kn.x)
-	ws.Axpy(-lambda, kn.ap, kn.r)
-	updD := time.Since(t0)
-	res.Stats.VectorUpdates += 2
-	res.Stats.Flops += 4 * n
-
-	t0 = time.Now()
-	rrNew := ws.Dot(kn.r, kn.r)
-	redD += time.Since(t0)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
-
-	alpha := rrNew / kn.rr
-	t0 = time.Now()
-	ws.Xpay(kn.r, alpha, kn.pv)
-	updD += time.Since(t0)
-	res.Stats.VectorUpdates++
-	res.Stats.Flops += 2 * n
-
-	kn.rr = rrNew
-	res.Phases.Observe(engine.PhaseSpMV, spmvD)
-	res.Phases.Observe(engine.PhaseReduction, redD)
-	res.Phases.Observe(engine.PhaseUpdate, updD)
-	run.Tick(kn.resNorm())
-	return nil
-}
-
-func (kn *cgKernel) Finish(run *engine.Run) {
-	run.Ws.MatVec(run.A, kn.ap, kn.x)
-	vec.Sub(kn.ap, run.B, kn.ap)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-	run.Res.TrueResidualNorm = vec.Norm2(kn.ap)
-}
-
-// pipeJob is the pipelined kernel's in-flight reduction: the fused
-// (gamma, delta) = ((r,r), (r,w)) pair the background goroutine
-// evaluates while the main goroutine runs n = A w. Serial vec kernels
-// are bitwise-identical to the pooled ones (same blocked-tree combine),
-// so overlapping changes nothing numerically.
-type pipeJob struct {
-	r, w         vec.Vector
-	gamma, delta float64
-}
-
-func (j *pipeJob) run() { j.gamma, j.delta = vec.DotPair(j.r, j.r, j.w) }
-
-// runPart adapts run to the reducer's partitioned-job shape; the fused
-// pair is one indivisible reduction, so the pipe kernel always runs a
-// single worker.
-func (j *pipeJob) runPart(int, int) { j.run() }
-
-// pipeKernel is Ghysels–Vanroose pipelined CG on real goroutines: one
-// SpMV and ONE reduction per iteration, the reduction genuinely in
-// flight during the SpMV. Each Step issues the next iteration's
-// reduction and matvec together, so the wait lands after the overlap
-// window — the schedule replayPipe charges, with the simulated
-// IAllreduce replaced by a goroutine.
-type pipeKernel struct {
-	x, r, w, pv, s, q, nv vec.Vector
-
-	j   *pipeJob
-	red *bgReducer
-
-	gamma, delta       float64
-	gammaOld, alphaOld float64
-	first              bool
-}
-
-// NewPipeKernel returns the parcg-pipe (real-parallel pipelined CG)
-// kernel.
-func NewPipeKernel() engine.Kernel { return &pipeKernel{} }
-
-func (kn *pipeKernel) Name() string { return "parcg-pipe" }
-
-func (kn *pipeKernel) resNorm() float64 { return math.Sqrt(math.Max(kn.gamma, 0)) }
-
-func (kn *pipeKernel) Init(run *engine.Run) (float64, error) {
-	ws := run.Ws
-	n := int64(ws.Dim())
-	kn.x, kn.r, kn.w = ws.Vec(0), ws.Vec(1), ws.Vec(2)
-	kn.pv, kn.s, kn.q, kn.nv = ws.Vec(3), ws.Vec(4), ws.Vec(5), ws.Vec(6)
-	if kn.red == nil {
-		kn.j = &pipeJob{}
-		kn.red = newKernelReducer(kn, 1, kn.j.runPart)
-	}
-	kn.j.r, kn.j.w = kn.r, kn.w
-
-	if run.Cfg.X0 != nil {
-		vec.Copy(kn.x, run.Cfg.X0)
-		ws.MatVec(run.A, kn.r, kn.x)
-		vec.Sub(kn.r, run.B, kn.r)
-		run.Res.Stats.MatVecs++
-		run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-	} else {
-		vec.Zero(kn.x)
-		vec.Copy(kn.r, run.B)
-	}
-	run.Res.X = kn.x
-
-	ws.MatVec(run.A, kn.w, kn.r)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-
-	vec.Zero(kn.pv)
-	vec.Zero(kn.s)
-	vec.Zero(kn.q)
-
-	// Start-up overlap: the (gamma, delta) reduction is in flight while
-	// the first iteration's matvec n = A w runs.
-	kn.red.launch()
-	ws.MatVec(run.A, kn.nv, kn.w)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-	kn.red.wait()
-	kn.gamma, kn.delta = kn.j.gamma, kn.j.delta
-	run.Res.Stats.InnerProducts += 2
-	run.Res.Stats.Flops += 4 * n
-
-	kn.gammaOld, kn.alphaOld = 0, 0
-	kn.first = true
-	return kn.resNorm(), nil
-}
-
-func (kn *pipeKernel) Residual(*engine.Run) float64 { return kn.resNorm() }
-
-func (kn *pipeKernel) Step(run *engine.Run) error {
-	ws, res := run.Ws, run.Res
-	n := int64(ws.Dim())
-
-	var beta, alpha float64
-	if kn.first {
-		beta = 0
-		if kn.delta == 0 || math.IsNaN(kn.delta) {
-			return fmt.Errorf("parcg: pipelined CG breakdown at iteration %d: %w", res.Iterations, krylov.ErrBreakdown)
-		}
-		alpha = kn.gamma / kn.delta
-		kn.first = false
-	} else {
-		beta = kn.gamma / kn.gammaOld
-		den := kn.delta - beta*kn.gamma/kn.alphaOld
-		if den == 0 || math.IsNaN(den) {
-			return fmt.Errorf("parcg: pipelined CG breakdown at iteration %d: %w", res.Iterations, krylov.ErrBreakdown)
-		}
-		alpha = kn.gamma / den
-	}
-
-	t0 := time.Now()
-	ws.Xpay(kn.r, beta, kn.pv)
-	ws.Xpay(kn.w, beta, kn.s)
-	ws.Xpay(kn.nv, beta, kn.q)
-	ws.Axpy(alpha, kn.pv, kn.x)
-	ws.Axpy(-alpha, kn.s, kn.r)
-	ws.Axpy(-alpha, kn.q, kn.w)
-	updD := time.Since(t0)
-	res.Stats.VectorUpdates += 6
-	res.Stats.Flops += 12 * n
-
-	kn.gammaOld, kn.alphaOld = kn.gamma, alpha
-
-	// Next iteration's reduction in flight over the matvec it hides
-	// behind.
-	kn.red.launch()
-	t0 = time.Now()
-	ws.MatVec(run.A, kn.nv, kn.w)
-	spmvD := time.Since(t0)
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
-	t0 = time.Now()
-	kn.red.wait()
-	redD := time.Since(t0)
-	kn.gamma, kn.delta = kn.j.gamma, kn.j.delta
-	res.Stats.InnerProducts += 2
-	res.Stats.Flops += 4 * n
-
-	res.Phases.Observe(engine.PhaseSpMV, spmvD)
-	res.Phases.Observe(engine.PhaseReduction, redD)
-	res.Phases.Observe(engine.PhaseUpdate, updD)
-	run.Tick(kn.resNorm())
-	return nil
-}
-
-func (kn *pipeKernel) Finish(run *engine.Run) {
-	run.Ws.MatVec(run.A, kn.nv, kn.x)
-	vec.Sub(kn.nv, run.B, kn.nv)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-	run.Res.TrueResidualNorm = vec.Norm2(kn.nv)
-}
+// The paper's anchored look-ahead recurrence as an engine.Kernel on
+// actual goroutines. Its batched inner-product reduction is issued
+// through the engine workspace, which (unless the schedule is blocking)
+// runs it on background goroutines while the kernel carries on with the
+// overlapping SpMV, so the overlap is measured on hardware
+// (Result.Phases) rather than charged to a cost model. The other two
+// schedules of the family are registrations, not kernels: parcg-cg is
+// krylov's CG and parcg-pipe is pipecg's Ghysels–Vanroose kernel with
+// an overlapped reduction. The simulated Clocks/Machine trajectory is
+// an opt-in replay of the same schedules' cost (replay.go) layered over
+// the solve by the adapter. solve/parcg_golden_test.go pins the
+// trajectories.
 
 // coeffTrack is a fixed-capacity, in-place CoeffPair: the polynomial
 // coefficients of an iterate over the anchor's Krylov base. The step
@@ -436,62 +122,24 @@ func stepPInto(dst, rNew, p *coeffTrack, alpha float64) {
 	dst.pi = axpyInto(dst.piBuf, rNew.pi, p.pi, alpha)
 }
 
-// gramJob is the look-ahead kernel's anchor batch: all 3*(4k+1) base
-// inner products of the current Krylov families, evaluated on the
-// background goroutine while the main goroutine keeps iterating. The
-// batch never reads P[2k+1] (indices reach only 4k), so it is disjoint
-// from the concurrently running top-power SpMV.
-type gramJob struct {
-	R, P []vec.Vector
-	out  []float64
-}
-
-func (j *gramJob) run() { gramInto(j.out, j.R, j.P) }
-
-// runPart computes the rows r ≡ wid (mod nw) of the flattened batch.
-// Every dot lands in its own out element and is summed serially by
-// exactly one worker, so the result is bitwise identical to the
-// single-goroutine gramInto — the partition only shortens the batch's
-// critical path so it fits inside the k-iteration overlap window.
-func (j *gramJob) runPart(wid, nw int) {
-	w := 2*len(j.R) - 1
-	for r := wid; r < 3*w; r += nw {
-		s := r % w
-		var xs, ys []vec.Vector
-		switch r / w {
-		case 0:
-			xs, ys = j.R, j.R
-		case 1:
-			xs, ys = j.R, j.P
-		default:
-			xs, ys = j.P, j.P
-		}
-		a := s / 2
-		if a >= len(xs) {
-			a = len(xs) - 1
-		}
-		j.out[r] = vec.Dot(xs[a], ys[s-a])
-	}
-}
-
-// gramInto fills out (length 3w, w = 2*len(R)-1 = 4k+1) with the Mu,
-// Nu, Omega sequences, splitting index s into factors a = s/2 and s-a
-// exactly as replayVRCG's issueBase charges them.
-func gramInto(out []float64, R, P []vec.Vector) {
+// gramPairs lists the factors of the anchor batch — all 3(4k+1) base
+// inner products of the Krylov families R, P — as xs[i], ys[i]: the
+// Mu = (R,R), Nu = (R,P) and Omega = (P,P) sequences, w = 2*len(R)-1 =
+// 4k+1 entries each, splitting index s into factors a = s/2 and s-a
+// exactly as replayVRCG's issueBase charges them. The batch never reads
+// P[2k+1] (indices reach only 4k), so it is disjoint from the top-power
+// SpMV it is overlapped with.
+func gramPairs(xs, ys, R, P []vec.Vector) (_, _ []vec.Vector) {
 	w := 2*len(R) - 1
-	gramRows(out[0:w], R, R)
-	gramRows(out[w:2*w], R, P)
-	gramRows(out[2*w:3*w], P, P)
-}
-
-func gramRows(dst []float64, xs, ys []vec.Vector) {
-	for s := range dst {
-		a := s / 2
-		if a >= len(xs) {
-			a = len(xs) - 1
+	xs, ys = xs[:0], ys[:0]
+	for _, fam := range [3][2][]vec.Vector{{R, R}, {R, P}, {P, P}} {
+		for s := 0; s < w; s++ {
+			a := min(s/2, len(fam[0])-1)
+			xs = append(xs, fam[0][a])
+			ys = append(ys, fam[1][s-a])
 		}
-		dst[s] = vec.Dot(xs[a], ys[s-a])
 	}
+	return xs, ys
 }
 
 // rowScanner is the operator capability the Gershgorin bound needs.
@@ -520,8 +168,8 @@ type lookKernel struct {
 	bestNorm   float64 // exactly computed true residual norm at xBest
 	sinceAudit int
 
-	gj  *gramJob
-	red *bgReducer
+	// gxs, gys are the anchor batch's factor lists (gramPairs).
+	gxs, gys []vec.Vector
 
 	// Double-buffered anchor batches: active is the promoted batch the
 	// contractions read; gramBufs[pendingIdx] holds the most recently
@@ -596,12 +244,28 @@ func gershgorin(run *engine.Run) float64 {
 }
 
 func (kn *lookKernel) mulScaled(run *engine.Run, dst, src vec.Vector) {
-	run.Ws.MatVec(run.A, dst, src)
+	run.MatVec(dst, src)
 	if kn.inv != 1 {
 		vec.Scale(kn.inv, dst)
 	}
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A) + int64(len(dst))
+	run.Res.Stats.Flops += int64(len(dst))
+}
+
+// growFamilies scales the unscaled residual b − A x in R[0] and builds
+// both Krylov families on it with real matvecs: R[i] = (A/s)^i R[0],
+// P = R, plus the top power P[2k+1].
+func (kn *lookKernel) growFamilies(run *engine.Run) {
+	k := kn.k
+	if kn.inv != 1 {
+		vec.Scale(kn.inv, kn.R[0])
+	}
+	for i := 1; i <= 2*k; i++ {
+		kn.mulScaled(run, kn.R[i], kn.R[i-1])
+	}
+	for i := 0; i <= 2*k; i++ {
+		vec.Copy(kn.P[i], kn.R[i])
+	}
+	kn.mulScaled(run, kn.P[2*k+1], kn.P[2*k])
 }
 
 func (kn *lookKernel) resetTracks() {
@@ -631,19 +295,6 @@ func (kn *lookKernel) Init(run *engine.Run) (float64, error) {
 		kn.scratch = &kn.tracks[4]
 		kn.builtK = k
 	}
-	if kn.red == nil {
-		kn.gj = &gramJob{}
-		// The anchor batch is 3*(4k+1) independent dots; spread them over
-		// the machine's parallelism (capped by the batch width) so the
-		// background reduction keeps pace with the pooled SpMV it hides
-		// behind. runPart re-derives the batch shape from the job slices,
-		// so a later K change only idles surplus workers.
-		nw := runtime.GOMAXPROCS(0)
-		if rows := 3 * kn.width(); nw > rows {
-			nw = rows
-		}
-		kn.red = newKernelReducer(kn, nw, kn.gj.runPart)
-	}
 
 	// Bind the families to the workspace arena: x, R[0..2k], P[0..2k+1].
 	kn.x = ws.Vec(0)
@@ -658,7 +309,7 @@ func (kn *lookKernel) Init(run *engine.Run) (float64, error) {
 	kn.xBest = ws.Vec(4*k + 4)
 	kn.audit = ws.Vec(4*k + 5)
 	kn.sinceAudit = 0
-	kn.gj.R, kn.gj.P = kn.R, kn.P
+	kn.gxs, kn.gys = gramPairs(kn.gxs, kn.gys, kn.R, kn.P)
 
 	// Spectral scaling: solve (A/s) x = b/s with s the Gershgorin bound
 	// (cached per operator — the row scan is a cold-path cost).
@@ -680,34 +331,17 @@ func (kn *lookKernel) Init(run *engine.Run) (float64, error) {
 	// families above it.
 	if run.Cfg.X0 != nil {
 		vec.Copy(kn.x, run.Cfg.X0)
-		ws.MatVec(run.A, kn.R[0], kn.x)
-		vec.Sub(kn.R[0], run.B, kn.R[0])
-		run.Res.Stats.MatVecs++
-		run.Res.Stats.Flops += engine.MatVecFlops(run.A)
+		run.ResidualInto(kn.R[0], kn.x)
 	} else {
 		vec.Zero(kn.x)
 		vec.Copy(kn.R[0], run.B)
 	}
-	if kn.inv != 1 {
-		vec.Scale(kn.inv, kn.R[0])
-	}
 	run.Res.X = kn.x
+	kn.growFamilies(run)
 
-	for i := 1; i <= 2*k; i++ {
-		kn.mulScaled(run, kn.R[i], kn.R[i-1])
-	}
-	for i := 0; i <= 2*k; i++ {
-		vec.Copy(kn.P[i], kn.R[i])
-	}
-	kn.mulScaled(run, kn.P[2*k+1], kn.P[2*k])
-
-	// Anchor 0: computed synchronously (start-up), and it doubles as
-	// the first pending batch, promoted again at iteration k.
-	gramInto(kn.gramBufs[0], kn.R, kn.P)
-	kn.active = kn.gramBufs[0]
-	kn.pendingIdx = 0
-	run.Res.Stats.InnerProducts += 3 * kn.width()
-	run.Res.Stats.Flops += int64(3*kn.width()) * 2 * int64(ws.Dim())
+	// Anchor 0 doubles as the first pending batch, promoted again at
+	// iteration k.
+	kn.anchorNow(run)
 
 	kn.resetTracks()
 	kn.rr = kn.gram().Contract(kn.cra.pair(), kn.cra.pair(), 0)
@@ -740,6 +374,25 @@ const (
 	auditMismatch = 10
 )
 
+// issueGram issues the anchor batch of the current families into
+// gramBufs[idx].
+func (kn *lookKernel) issueGram(run *engine.Run, idx int) {
+	run.Ws.IssueDots(kn.gramBufs[idx], kn.gxs, kn.gys)
+	run.Res.Stats.InnerProducts += 3 * kn.width()
+	run.Res.Stats.Flops += int64(3*kn.width()) * 2 * int64(run.Ws.Dim())
+}
+
+// anchorNow computes an anchor batch from the current families and
+// promotes it at once — start-up, restarts and emergency re-anchors,
+// where there is nothing to hide the reduction behind.
+func (kn *lookKernel) anchorNow(run *engine.Run) {
+	idx := kn.pendingIdx ^ 1
+	kn.issueGram(run, idx)
+	run.Ws.Await()
+	kn.active = kn.gramBufs[idx]
+	kn.pendingIdx = idx
+}
+
 // restart rebuilds the entire state from the best-known iterate: R[0]
 // becomes the true (scaled) residual b−Ax, the families are regrown
 // with real matvecs, the anchor is recomputed synchronously, and the
@@ -750,48 +403,20 @@ const (
 // stall at the best iterate found, never a blow-up. The trust anchor is
 // rebased to the post-restart norm so a slow decline from a high
 // restart point cannot trigger a restart storm.
-func (kn *lookKernel) restart(run *engine.Run, spmvD, redD *time.Duration) {
-	ws, res := run.Ws, run.Res
-	k := kn.k
-	n := int64(ws.Dim())
-
-	t0 := time.Now()
-	ws.MatVec(run.A, kn.R[0], kn.x)
-	vec.Sub(kn.R[0], run.B, kn.R[0])
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
+func (kn *lookKernel) restart(run *engine.Run) {
+	run.ResidualInto(kn.R[0], kn.x)
 	if rn := vec.Norm2(kn.R[0]); math.IsNaN(rn) || rn > kn.bestNorm {
 		vec.Copy(kn.x, kn.xBest)
-		ws.MatVec(run.A, kn.R[0], kn.x)
-		vec.Sub(kn.R[0], run.B, kn.R[0])
-		res.Stats.MatVecs++
-		res.Stats.Flops += engine.MatVecFlops(run.A)
+		run.ResidualInto(kn.R[0], kn.x)
 	} else {
 		vec.Copy(kn.xBest, kn.x)
 		kn.bestNorm = rn
 	}
-	if kn.inv != 1 {
-		vec.Scale(kn.inv, kn.R[0])
-	}
-	for i := 1; i <= 2*k; i++ {
-		kn.mulScaled(run, kn.R[i], kn.R[i-1])
-	}
-	for i := 0; i <= 2*k; i++ {
-		vec.Copy(kn.P[i], kn.R[i])
-	}
-	kn.mulScaled(run, kn.P[2*k+1], kn.P[2*k])
-	*spmvD += time.Since(t0)
-	res.Refreshes++
+	kn.growFamilies(run)
+	run.Res.Refreshes++
 
-	t0 = time.Now()
-	idx := kn.pendingIdx ^ 1
-	gramInto(kn.gramBufs[idx], kn.R, kn.P)
-	kn.active = kn.gramBufs[idx]
-	kn.pendingIdx = idx
-	*redD += time.Since(t0)
-	res.Reanchors++
-	res.Stats.InnerProducts += 3 * kn.width()
-	res.Stats.Flops += int64(3*kn.width()) * 2 * n
+	kn.anchorNow(run)
+	run.Res.Reanchors++
 
 	kn.resetTracks()
 	kn.rr = kn.gram().Mu[0]
@@ -805,10 +430,8 @@ func (kn *lookKernel) restart(run *engine.Run, spmvD, redD *time.Duration) {
 func (kn *lookKernel) Residual(run *engine.Run) float64 {
 	rn := kn.resNorm()
 	if rn <= run.Threshold {
-		rrDirect := run.Ws.Dot(kn.R[0], kn.R[0])
+		rrDirect := run.Dot(kn.R[0], kn.R[0])
 		run.Res.FallbackDots++
-		run.Res.Stats.InnerProducts++
-		run.Res.Stats.Flops += 2 * int64(run.Ws.Dim())
 		kn.rr = rrDirect
 		rn = kn.resNorm()
 	}
@@ -819,27 +442,21 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
 	k := kn.k
 	n := int64(ws.Dim())
-	var spmvD, redD, updD time.Duration
 
 	// Periodic true-residual audit (see the constants above).
 	if kn.sinceAudit++; kn.sinceAudit >= auditEvery {
 		kn.sinceAudit = 0
-		t0 := time.Now()
-		ws.MatVec(run.A, kn.audit, kn.x)
-		vec.Sub(kn.audit, run.B, kn.audit)
+		run.ResidualInto(kn.audit, kn.x)
 		trueN := vec.Norm2(kn.audit)
-		spmvD += time.Since(t0)
-		res.Stats.MatVecs++
-		res.Stats.Flops += engine.MatVecFlops(run.A) + 3*n
+		res.Stats.Flops += 3 * n
 		if trueN <= kn.bestNorm {
 			vec.Copy(kn.xBest, kn.x)
 			kn.bestNorm = trueN
 		}
 		if math.IsNaN(trueN) || trueN > auditMismatch*math.Max(kn.resNorm(), run.Threshold) {
-			kn.restart(run, &spmvD, &redD)
+			kn.restart(run)
 			if kn.resNorm() <= run.Threshold {
 				run.Stop()
-				kn.observe(res, spmvD, redD, updD)
 				return nil
 			}
 		}
@@ -850,10 +467,9 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 	// detached from the iterate — restart from the true residual rather
 	// than let the drift compound.
 	if rn := kn.resNorm(); math.IsNaN(rn) || rn > divergenceGuard*kn.trust {
-		kn.restart(run, &spmvD, &redD)
+		kn.restart(run)
 		if kn.resNorm() <= run.Threshold {
 			run.Stop()
-			kn.observe(res, spmvD, redD, updD)
 			return nil
 		}
 	} else if rn < kn.trust {
@@ -868,32 +484,22 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 		// emergency re-anchor — refresh the families with true matvecs,
 		// recompute the base products synchronously, restart the
 		// coefficient tracks — then retry.
-		t0 := time.Now()
 		for i := 1; i <= 2*k; i++ {
 			kn.mulScaled(run, kn.R[i], kn.R[i-1])
 		}
 		for i := 1; i <= 2*k+1; i++ {
 			kn.mulScaled(run, kn.P[i], kn.P[i-1])
 		}
-		spmvD += time.Since(t0)
 		res.Refreshes++
 
-		t0 = time.Now()
-		idx := kn.pendingIdx ^ 1
-		gramInto(kn.gramBufs[idx], kn.R, kn.P)
-		kn.active = kn.gramBufs[idx]
-		kn.pendingIdx = idx
-		redD += time.Since(t0)
+		kn.anchorNow(run)
 		res.Reanchors++
-		res.Stats.InnerProducts += 3 * kn.width()
-		res.Stats.Flops += int64(3*kn.width()) * 2 * n
 
 		kn.resetTracks()
 		kn.rr = kn.gram().Mu[0]
 		pap = kn.gram().Omega[1]
 		if kn.resNorm() <= run.Threshold {
 			run.Stop()
-			kn.observe(res, spmvD, redD, updD)
 			return nil
 		}
 		if pap <= 0 || math.IsNaN(pap) {
@@ -903,12 +509,10 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 	lambda := kn.rr / pap
 
 	// Iterate and residual-family updates.
-	t0 := time.Now()
 	ws.Axpy(lambda, kn.P[0], kn.x)
 	for i := 0; i <= 2*k; i++ {
 		ws.Axpy(-lambda, kn.P[i+1], kn.R[i])
 	}
-	updD += time.Since(t0)
 	res.Stats.VectorUpdates += 2*k + 2
 	res.Stats.Flops += int64(2*k+2) * 2 * n
 
@@ -916,12 +520,8 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 	stepRInto(kn.scratch, kn.cra, kn.cpa, lambda)
 	rrNew := kn.gram().Contract(kn.scratch.pair(), kn.scratch.pair(), 0)
 	if fellBack || rrNew <= 0 || math.IsNaN(rrNew) {
-		t0 = time.Now()
-		rrNew = ws.Dot(kn.R[0], kn.R[0])
-		redD += time.Since(t0)
+		rrNew = run.Dot(kn.R[0], kn.R[0])
 		res.FallbackDots++
-		res.Stats.InnerProducts++
-		res.Stats.Flops += 2 * n
 	}
 	if kn.rr == 0 {
 		return fmt.Errorf("parcg: (r,r) vanished at iteration %d: %w", res.Iterations, krylov.ErrBreakdown)
@@ -929,11 +529,9 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 	alpha := rrNew / kn.rr
 
 	// Direction-family updates.
-	t0 = time.Now()
 	for i := 0; i <= 2*k; i++ {
 		ws.Xpay(kn.R[i], alpha, kn.P[i])
 	}
-	updD += time.Since(t0)
 	res.Stats.VectorUpdates += 2*k + 1
 	res.Stats.Flops += int64(2*k+1) * 2 * n
 
@@ -947,12 +545,14 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 
 	run.Tick(kn.resNorm())
 
-	// The top-power SpMV, overlapped at anchor boundaries with the next
-	// batched base-product reduction: the batch reads R[0..2k]/P[0..2k],
-	// the SpMV writes only P[2k+1] — disjoint, so the reduction hides
-	// entirely behind real work.
+	// The top-power SpMV, at anchor boundaries issued between the next
+	// batched base-product reduction's issue and its await: the batch
+	// reads R[0..2k]/P[0..2k], the SpMV writes only P[2k+1] — disjoint,
+	// so an overlapped reduction hides entirely behind real work (and
+	// WithBlocking's evaluate-at-issue gives s-step semantics).
 	next := res.Iterations
-	if next%k == 0 && next < run.Cfg.MaxIter && !run.Stopped() {
+	anchor := next%k == 0 && next < run.Cfg.MaxIter && !run.Stopped()
+	if anchor {
 		// Promote the building anchor (its reduction has had k
 		// iterations to complete) and issue the next one.
 		kn.active = kn.gramBufs[kn.pendingIdx]
@@ -962,62 +562,26 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 		kn.crb.resetR()
 		kn.cpb.resetP()
 
-		kn.gj.out = kn.gramBufs[target]
-		if run.Cfg.Blocking {
-			// s-step semantics: evaluate at issue, no overlap.
-			t0 = time.Now()
-			gramInto(kn.gj.out, kn.R, kn.P)
-			redD += time.Since(t0)
-			t0 = time.Now()
-			kn.mulScaled(run, kn.P[2*k+1], kn.P[2*k])
-			spmvD += time.Since(t0)
-		} else {
-			kn.red.launch()
-			t0 = time.Now()
-			kn.mulScaled(run, kn.P[2*k+1], kn.P[2*k])
-			spmvD += time.Since(t0)
-			t0 = time.Now()
-			kn.red.wait()
-			redD += time.Since(t0)
-		}
+		kn.issueGram(run, target)
 		kn.pendingIdx = target
 		res.Reanchors++
-		res.Stats.InnerProducts += 3 * kn.width()
-		res.Stats.Flops += int64(3*kn.width()) * 2 * n
-
-		kn.rr = kn.gram().Contract(kn.cra.pair(), kn.cra.pair(), 0)
-	} else {
-		t0 = time.Now()
-		kn.mulScaled(run, kn.P[2*k+1], kn.P[2*k])
-		spmvD += time.Since(t0)
 	}
-
-	kn.observe(res, spmvD, redD, updD)
+	kn.mulScaled(run, kn.P[2*k+1], kn.P[2*k])
+	if anchor {
+		ws.Await()
+		kn.rr = kn.gram().Contract(kn.cra.pair(), kn.cra.pair(), 0)
+	}
 	return nil
-}
-
-func (kn *lookKernel) observe(res *engine.Result, spmvD, redD, updD time.Duration) {
-	res.Phases.Observe(engine.PhaseSpMV, spmvD)
-	res.Phases.Observe(engine.PhaseReduction, redD)
-	res.Phases.Observe(engine.PhaseUpdate, updD)
 }
 
 func (kn *lookKernel) Finish(run *engine.Run) {
 	// True residual in unscaled space (R[1] is free after the loop).
 	tr := kn.R[1]
-	run.Ws.MatVec(run.A, tr, kn.x)
-	vec.Sub(tr, run.B, tr)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-	run.Res.TrueResidualNorm = vec.Norm2(tr)
+	run.TrueResidual(tr, kn.x)
 	// A non-converged run whose final iterate drifted past the guard's
 	// best restart point returns the best iterate instead.
 	if run.Res.TrueResidualNorm > kn.bestNorm {
 		vec.Copy(kn.x, kn.xBest)
-		run.Ws.MatVec(run.A, tr, kn.x)
-		vec.Sub(tr, run.B, tr)
-		run.Res.Stats.MatVecs++
-		run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-		run.Res.TrueResidualNorm = vec.Norm2(tr)
+		run.TrueResidual(tr, kn.x)
 	}
 }

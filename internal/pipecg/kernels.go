@@ -9,11 +9,18 @@ import (
 )
 
 // gvKernel is Ghysels–Vanroose single-reduction pipelined CG. Per
-// iteration: one matvec (n = A w, overlappable with the reduction of
-// gamma = (r,r) and delta = (w,r)) and the vector recurrences
+// iteration: one reduction (gamma = (r,r), delta = (w,r)), one matvec
+// (n = A w) issued between that reduction's issue and its await, and
+// the vector recurrences
 //
 //	p = r + beta p;  s = w + beta s (= A p);  q = n + beta q (= A s)
 //	x += alpha p;  r -= alpha s;  w -= alpha q (= A r maintained)
+//
+// Whether the reduction really runs during the matvec is the
+// workspace's decision (engine.Config.Blocking), not the kernel's: the
+// registry's "pipecg" evaluates it at issue, "parcg-pipe" puts it on a
+// background goroutine, and the two are bitwise identical. The price of
+// the pipelined order is one speculative matvec past convergence.
 type gvKernel struct {
 	x, r, w, p, s, q, nv vec.Vector
 
@@ -29,35 +36,29 @@ func (k *gvKernel) Name() string { return "pipecg" }
 
 func (k *gvKernel) resNorm() float64 { return math.Sqrt(math.Max(k.gamma, 0)) }
 
+// reduceOverMatVec is the pipelined stage both Init and Step end on:
+// the (gamma, delta) reduction of the current r, w in flight over the
+// next iteration's n = A w.
+func (k *gvKernel) reduceOverMatVec(run *engine.Run) {
+	run.Ws.IssueDotPair(k.r, k.r, k.w)
+	run.MatVec(k.nv, k.w)
+	k.gamma, k.delta = run.Ws.AwaitDotPair()
+	run.Res.Stats.InnerProducts += 2
+	run.Res.Stats.Flops += 4 * int64(run.Ws.Dim())
+}
+
 func (k *gvKernel) Init(run *engine.Run) (float64, error) {
 	ws := run.Ws
-	n := ws.Dim()
 	k.x, k.r, k.w = ws.Vec(0), ws.Vec(1), ws.Vec(2)
 	k.p, k.s, k.q, k.nv = ws.Vec(3), ws.Vec(4), ws.Vec(5), ws.Vec(6)
 
-	if run.Cfg.X0 != nil {
-		vec.Copy(k.x, run.Cfg.X0)
-	} else {
-		vec.Zero(k.x)
-	}
-	run.Res.X = k.x
-
-	ws.MatVec(run.A, k.r, k.x)
-	vec.Sub(k.r, run.B, k.r)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-
-	ws.MatVec(run.A, k.w, k.r)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-
+	run.InitialIterate(k.x, k.r)
+	run.MatVec(k.w, k.r)
 	vec.Zero(k.p)
 	vec.Zero(k.s)
 	vec.Zero(k.q)
 
-	k.gamma, k.delta = ws.DotPair(k.r, k.r, k.w)
-	run.Res.Stats.InnerProducts += 2
-	run.Res.Stats.Flops += 4 * int64(n)
+	k.reduceOverMatVec(run)
 	k.gammaOld, k.alphaOld = 0, 0
 	k.first = true
 	return k.resNorm(), nil
@@ -68,12 +69,6 @@ func (k *gvKernel) Residual(*engine.Run) float64 { return k.resNorm() }
 func (k *gvKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
 	n := int64(ws.Dim())
-
-	// The matvec below would overlap the (gamma, delta) reduction on
-	// a parallel machine; sequentially we just order them.
-	ws.MatVec(run.A, k.nv, k.w)
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
 
 	var beta, alpha float64
 	if k.first {
@@ -105,21 +100,13 @@ func (k *gvKernel) Step(run *engine.Run) error {
 	res.Stats.Flops += 12 * n
 
 	k.gammaOld, k.alphaOld = k.gamma, alpha
-	k.gamma, k.delta = ws.DotPair(k.r, k.r, k.w)
-	res.Stats.InnerProducts += 2
-	res.Stats.Flops += 4 * n
+	k.reduceOverMatVec(run)
 	run.Tick(k.resNorm())
 	return nil
 }
 
-func (k *gvKernel) Finish(run *engine.Run) {
-	// True residual into nv (no longer needed this solve).
-	run.Ws.MatVec(run.A, k.nv, k.x)
-	vec.Sub(k.nv, run.B, k.nv)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-	run.Res.TrueResidualNorm = vec.Norm2(k.nv)
-}
+// Finish puts the true residual into nv (no longer needed this solve).
+func (k *gvKernel) Finish(run *engine.Run) { run.TrueResidual(k.nv, k.x) }
 
 // groppKernel is Gropp's asynchronous variant: two reductions per
 // iteration, each overlapped with one of the two matvec-shaped
@@ -138,29 +125,13 @@ func (k *groppKernel) resNorm() float64 { return math.Sqrt(math.Max(k.gamma, 0))
 
 func (k *groppKernel) Init(run *engine.Run) (float64, error) {
 	ws := run.Ws
-	n := ws.Dim()
 	k.x, k.r, k.p, k.s, k.w = ws.Vec(0), ws.Vec(1), ws.Vec(2), ws.Vec(3), ws.Vec(4)
 
-	if run.Cfg.X0 != nil {
-		vec.Copy(k.x, run.Cfg.X0)
-	} else {
-		vec.Zero(k.x)
-	}
-	run.Res.X = k.x
-
-	ws.MatVec(run.A, k.r, k.x)
-	vec.Sub(k.r, run.B, k.r)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-
+	run.InitialIterate(k.x, k.r)
 	vec.Copy(k.p, k.r)
-	ws.MatVec(run.A, k.s, k.p)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
+	run.MatVec(k.s, k.p)
 
-	k.gamma = ws.Dot(k.r, k.r)
-	run.Res.Stats.InnerProducts++
-	run.Res.Stats.Flops += 2 * int64(n)
+	k.gamma = run.Dot(k.r, k.r)
 	return k.resNorm(), nil
 }
 
@@ -172,9 +143,7 @@ func (k *groppKernel) Step(run *engine.Run) error {
 
 	// First reduction: delta = (p, s). (In the preconditioned form it
 	// overlaps with the preconditioner solve.)
-	delta := ws.Dot(k.p, k.s)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
+	delta := run.Dot(k.p, k.s)
 	if delta <= 0 || math.IsNaN(delta) {
 		return fmt.Errorf("pipecg: curvature %g at iteration %d: %w", delta, res.Iterations, ErrIndefinite)
 	}
@@ -186,12 +155,8 @@ func (k *groppKernel) Step(run *engine.Run) error {
 
 	// Second reduction gamma' = (r, r) overlaps with the single matvec
 	// w = A r on a parallel machine.
-	gammaNew := ws.Dot(k.r, k.r)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
-	ws.MatVec(run.A, k.w, k.r)
-	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
+	gammaNew := run.Dot(k.r, k.r)
+	run.MatVec(k.w, k.r)
 
 	beta := gammaNew / k.gamma
 	ws.Xpay(k.r, beta, k.p)
@@ -204,10 +169,4 @@ func (k *groppKernel) Step(run *engine.Run) error {
 	return nil
 }
 
-func (k *groppKernel) Finish(run *engine.Run) {
-	run.Ws.MatVec(run.A, k.w, k.x)
-	vec.Sub(k.w, run.B, k.w)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-	run.Res.TrueResidualNorm = vec.Norm2(k.w)
-}
+func (k *groppKernel) Finish(run *engine.Run) { run.TrueResidual(k.w, k.x) }

@@ -7,10 +7,11 @@
 //
 // Both methods are engine kernels (internal/engine): this package owns
 // the pipelined recurrences; the engine driver owns options,
-// convergence, callbacks, and history. These sequential reference
-// implementations validate the recurrences and provide convergence
-// baselines; their parallel-time behaviour is modelled in packages
-// depth and parcg.
+// convergence, callbacks, and history, and the engine workspace owns
+// where an issued reduction runs — so the Ghysels–Vanroose kernel is
+// both the registry's sequential "pipecg" and its overlapped
+// "parcg-pipe". Parallel-time behaviour is modelled in packages depth
+// and parcg.
 package pipecg
 
 import (
@@ -49,8 +50,10 @@ func run(k engine.Kernel, a sparse.Matrix, b vec.Vector, o Options) (*Result, er
 }
 
 // GhyselsVanroose solves A x = b by the single-reduction pipelined CG;
-// see gvKernel for the recurrences.
+// see gvKernel for the recurrences. As the sequential reference it
+// evaluates each reduction at issue.
 func GhyselsVanroose(a sparse.Matrix, b vec.Vector, o Options) (*Result, error) {
+	o.Blocking = true
 	return run(NewGVKernel(), a, b, o)
 }
 

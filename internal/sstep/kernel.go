@@ -113,17 +113,7 @@ func (kn *sstepKernel) Init(run *engine.Run) (float64, error) {
 		kn.s = s
 	}
 
-	if run.Cfg.X0 != nil {
-		vec.Copy(kn.x, run.Cfg.X0)
-	} else {
-		vec.Zero(kn.x)
-	}
-	run.Res.X = kn.x
-
-	ws.MatVec(run.A, kn.r, kn.x)
-	vec.Sub(kn.r, run.B, kn.r)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
+	run.InitialIterate(kn.x, kn.r)
 	vec.Copy(kn.p, kn.r)
 
 	kn.rr = ws.Dot(kn.r, kn.r)
@@ -287,10 +277,4 @@ func (kn *sstepKernel) Step(run *engine.Run) error {
 	return nil
 }
 
-func (kn *sstepKernel) Finish(run *engine.Run) {
-	run.Ws.MatVec(run.A, kn.upd, kn.x)
-	vec.Sub(kn.upd, run.B, kn.upd)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
-	run.Res.TrueResidualNorm = vec.Norm2(kn.upd)
-}
+func (kn *sstepKernel) Finish(run *engine.Run) { run.TrueResidual(kn.upd, kn.x) }

@@ -337,8 +337,7 @@ func (s *Server) handleSolveBin(w http.ResponseWriter, r *http.Request) {
 
 	ps, err := shape.pool.Acquire(ctx)
 	if err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return
 	}
 	start := time.Now()
@@ -350,8 +349,7 @@ func (s *Server) handleSolveBin(w http.ResponseWriter, r *http.Request) {
 
 	if err != nil && !errors.Is(err, solve.ErrNotConverged) {
 		ps.Release()
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return
 	}
 	status := http.StatusOK
@@ -402,8 +400,7 @@ func (s *Server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
 
 	ps, err := shape.pool.Acquire(ctx)
 	if err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return
 	}
 	extra := s.widenBatch(shape.batchWorkers, len(st.rhs))

@@ -117,8 +117,7 @@ func (s *Server) handleClusterUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	m, err := req.Matrix.DecodeLimited(s.cfg.MaxOrder)
 	if err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return
 	}
 	name := req.Name
@@ -126,8 +125,7 @@ func (s *Server) handleClusterUpload(w http.ResponseWriter, r *http.Request) {
 		name = fmt.Sprintf("op-%d", clusterOpSeq.Add(1))
 	}
 	if err := c.Place(name, m); err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return
 	}
 	live := 0
@@ -180,8 +178,7 @@ func (s *Server) handleClusterSolve(w http.ResponseWriter, r *http.Request) {
 		// The partial result is usable; ship it under the 422 status.
 		writeJSON(w, http.StatusUnprocessableEntity, clusterWireResult(res, err))
 	default:
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 	}
 }
 

@@ -37,6 +37,13 @@ func writeError(w http.ResponseWriter, status int, code, detail string) {
 	writeJSON(w, status, ErrorResponse{Code: code, Error: detail})
 }
 
+// fail answers the request with err's classified status and code (see
+// errorStatus) and its message as the detail.
+func fail(w http.ResponseWriter, err error) {
+	status, code := errorStatus(err)
+	writeError(w, status, code, err.Error())
+}
+
 // decodeBody decodes a JSON request body, answering the request itself
 // on failure (400 for malformed JSON, 413 past the body limit).
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
@@ -65,15 +72,13 @@ func (s *Server) handleOperatorUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	m, err := req.Matrix.DecodeGeneralLimited(s.cfg.MaxOrder)
 	if err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return
 	}
 	prewarmPartition(m, s.cfg.EnginePool)
 	entry, evicted, err := s.store.put(req.Name, m)
 	if err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return
 	}
 	for _, e := range evicted {
@@ -111,20 +116,17 @@ func (s *Server) solveSetup(w http.ResponseWriter, operator, method string, para
 		return nil, nil
 	}
 	if err := params.Validate(); err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return nil, nil
 	}
 	op, err := s.store.acquire(operator)
 	if err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return nil, nil
 	}
 	if err := checkMethodShape(method, op); err != nil {
 		s.store.release(op)
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return nil, nil
 	}
 	for i, n := range rhsLens {
@@ -139,8 +141,7 @@ func (s *Server) solveSetup(w http.ResponseWriter, operator, method string, para
 	pool, err = s.pools.get(op, method, precondName, params)
 	if err != nil {
 		s.store.release(op)
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return nil, nil
 	}
 	return op, pool
@@ -194,8 +195,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	ps, err := pool.Acquire(ctx)
 	if err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return
 	}
 	start := time.Now()
@@ -214,8 +214,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// The partial result is usable; ship it under the 422 status.
 		writeJSON(w, http.StatusUnprocessableEntity, wres)
 	default:
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 	}
 }
 
@@ -278,8 +277,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	ps, err := pool.Acquire(ctx)
 	if err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return
 	}
 	// A batch fans out internally, so its workers must come out of the

@@ -175,20 +175,17 @@ func (s *Server) handleSequenceCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := req.Params.Validate(); err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return
 	}
 	op, err := s.store.acquire(req.Operator)
 	if err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return
 	}
 	if err := checkMethodShape(req.Method, op); err != nil {
 		s.store.release(op)
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return
 	}
 
@@ -207,15 +204,13 @@ func (s *Server) handleSequenceCreate(w http.ResponseWriter, r *http.Request) {
 		sq, err = s.buildSequence(op, key, req.Method, req.Precond, req.Params)
 		if err != nil {
 			s.store.release(op)
-			status, code := errorStatus(err)
-			writeError(w, status, code, err.Error())
+			fail(w, err)
 			return
 		}
 	}
 	if err := s.seqs.admit(sq); err != nil {
 		s.store.release(op)
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return
 	}
 	sq.info.Reused = reused
@@ -268,8 +263,7 @@ func (s *Server) buildSequence(op *storedOperator, key, method, precondName stri
 func (s *Server) handleSequenceStep(w http.ResponseWriter, r *http.Request) {
 	sq, err := s.seqs.get(r.PathValue("id"))
 	if err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return
 	}
 	var req SequenceStepRequest
@@ -300,16 +294,14 @@ func (s *Server) handleSequenceStep(w http.ResponseWriter, r *http.Request) {
 	// Operator updates first, so the solve runs against the new system.
 	if req.Rescale != nil {
 		if err := sq.q.Rescale(*req.Rescale); err != nil {
-			status, code := errorStatus(err)
-			writeError(w, status, code, err.Error())
+			fail(w, err)
 			return
 		}
 		sq.dirty = true
 	}
 	if req.Vals != nil {
 		if err := sq.q.UpdateValues(req.Vals); err != nil {
-			status, code := errorStatus(err)
-			writeError(w, status, code, err.Error())
+			fail(w, err)
 			return
 		}
 		sq.dirty = true
@@ -335,8 +327,7 @@ func (s *Server) handleSequenceStep(w http.ResponseWriter, r *http.Request) {
 		// Usable partial result, and it still seeds the next warm start.
 		writeJSON(w, http.StatusUnprocessableEntity, resp)
 	default:
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 	}
 }
 
@@ -346,8 +337,7 @@ func (s *Server) handleSequenceStep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSequenceClose(w http.ResponseWriter, r *http.Request) {
 	sq, err := s.seqs.remove(r.PathValue("id"))
 	if err != nil {
-		status, code := errorStatus(err)
-		writeError(w, status, code, err.Error())
+		fail(w, err)
 		return
 	}
 	sq.mu.Lock() // wait out an in-flight step

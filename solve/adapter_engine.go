@@ -29,8 +29,12 @@ type engineSolver struct {
 	// drift marks the methods that publish Result.Drift (vrcg, parcg).
 	drift bool
 	// phases marks the methods that publish Result.Phases (the
-	// real-parallel parcg family).
+	// real-parallel parcg family); their workspace times its phases.
 	phases bool
+	// blocking marks a schedule that evaluates an issued reduction at
+	// issue whatever the options say (pipecg; WithBlocking asks the same
+	// of parcg and parcg-pipe per solve).
+	blocking bool
 	// post, when non-nil, runs after fill on both solve paths — the
 	// parcg family's machine-mode replay hook. A returned error stands
 	// in for the kernel's when the kernel itself succeeded.
@@ -50,6 +54,9 @@ func (s *engineSolver) workspace(n int, pool *vec.Pool) *engine.Workspace {
 	}
 	if s.ws == nil || s.ws.Dim() != n || s.ws.Pool() != pool {
 		s.ws = engine.NewWorkspace(n, pool)
+		if s.phases {
+			s.ws.TimePhases()
+		}
 	}
 	return s.ws
 }
@@ -117,7 +124,9 @@ func (s *engineSolver) solve(a Operator, b []float64, c *config, cb func(int, fl
 	// b is rows-long, and for square operators the two coincide.
 	m := asMatrix(a)
 	_, cols := sparse.Dims(m)
-	return engine.Solve(s.kernel, s.workspace(cols, c.pool), m, b, c.engineConfig(cb), &s.er)
+	ec := c.engineConfig(cb)
+	ec.Blocking = ec.Blocking || s.blocking
+	return engine.Solve(s.kernel, s.workspace(cols, c.pool), m, b, ec, &s.er)
 }
 
 // fill maps the engine result onto the canonical Result in place (the
@@ -220,9 +229,13 @@ func init() {
 		krylov.NewMINRESKernel, blocking, false)
 
 	// The pipelined successors wait on one (pipecg) or two (gropp)
-	// overlapped reductions per iteration, plus start-up.
-	registerEngine("pipecg", "Ghysels-Vanroose pipelined CG (one fused reduction/iter), workspace-backed",
-		pipecg.NewGVKernel, func(er *engine.Result) int { return er.Iterations + 1 }, false)
+	// overlappable reductions per iteration, plus start-up. pipecg is
+	// the sequential schedule of the Ghysels–Vanroose kernel: its
+	// reduction is evaluated at issue (parcg-pipe overlaps it).
+	Register("pipecg", "Ghysels-Vanroose pipelined CG (one fused reduction/iter), workspace-backed", func() Solver {
+		return &engineSolver{name: "pipecg", kernel: pipecg.NewGVKernel(), blocking: true,
+			syncs: func(er *engine.Result) int { return er.Iterations + 1 }}
+	})
 	registerEngine("gropp", "Gropp asynchronous CG (two overlapped reductions/iter), workspace-backed",
 		pipecg.NewGroppKernel, func(er *engine.Result) int { return 2*er.Iterations + 1 }, false)
 

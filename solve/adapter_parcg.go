@@ -4,19 +4,23 @@ import (
 	"fmt"
 
 	"vrcg/internal/engine"
+	"vrcg/internal/krylov"
 	"vrcg/internal/machine"
 	"vrcg/internal/parcg"
+	"vrcg/internal/pipecg"
 	"vrcg/sparse"
 )
 
-// The parcg family — the paper's three schedules, now real-parallel
-// engine kernels (internal/parcg/kernels.go): per-iteration reductions
-// run on a background goroutine overlapped with the SpMV they hide
-// behind, with measured phase latencies on Result.Phases. Registration
-// goes through the generic engine adapter, so the family shares the
-// Session/Batch zero-allocation fast paths with every other method;
-// this file is only the options shim plus the instrumented machine
-// mode.
+// The parcg family — the paper's three schedules on real goroutines,
+// with measured phase latencies on Result.Phases. Only the look-ahead
+// schedule has a kernel of its own (internal/parcg/kernels.go);
+// parcg-cg and parcg-pipe are the cg and pipecg kernels registered with
+// phase timing on, the latter with its reduction overlapped (the
+// engine workspace runs an issued reduction on background goroutines
+// unless the schedule is blocking). Registration goes through the
+// generic engine adapter, so the family shares the Session/Batch
+// zero-allocation fast paths with every other method; this file is
+// only the options shim plus the instrumented machine mode.
 //
 // Machine mode: WithProcessors / WithMachineConfig layer the
 // simulated-machine cost model over the real solve as a monitor — the
@@ -55,8 +59,8 @@ func parcgPost(s *engineSolver, c *config, a Operator, res *Result) error {
 	return nil
 }
 
-// registerParcg registers one parcg kernel with phases exposure and the
-// machine-mode post hook.
+// registerParcg registers one parcg schedule with phases exposure and
+// the machine-mode post hook.
 func registerParcg(name, summary string, kf func() engine.Kernel, syncs func(*engine.Result) int, drift bool) {
 	Register(name, summary, func() Solver {
 		return &engineSolver{name: name, kernel: kf(), syncs: syncs, drift: drift,
@@ -72,12 +76,12 @@ func init() {
 		// block (WithBlocking adds a stall per anchor; see parcgPost).
 		func(er *engine.Result) int { return 2 + er.FallbackDots }, true)
 	registerParcg("parcg-cg", "standard CG with two real blocking reductions per iteration (the paper's baseline), workspace-backed",
-		parcg.NewCGKernel,
+		krylov.NewCGKernel,
 		// Two blocking reduction waits per iteration — the c*log(N)
 		// dependency the paper sets out to remove.
 		func(er *engine.Result) int { return 2*er.Iterations + 1 }, false)
 	registerParcg("parcg-pipe", "Ghysels-Vanroose pipelined CG with the reduction genuinely in flight behind the matvec, workspace-backed",
-		parcg.NewPipeKernel,
+		pipecg.NewGVKernel,
 		// One in-flight reduction waited on per iteration.
 		func(er *engine.Result) int { return er.Iterations + 1 }, false)
 }

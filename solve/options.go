@@ -155,9 +155,12 @@ func WithMachineConfig(cfg machine.Config) Option {
 	return func(c *config) { c.machineCfg = cfg; c.machineSet = true }
 }
 
-// WithBlocking makes "parcg" wait for each anchor's batched reduction
-// at issue instead of pipelining it behind k iterations — the s-step
-// (Chronopoulos–Gear) timing semantics, the paper's Figure 1 contrast.
+// WithBlocking evaluates every issued inner-product reduction at issue
+// instead of overlapping it with the work that follows; the arithmetic
+// is bitwise unchanged. For "parcg" each anchor's batched reduction
+// stalls the pipeline — the s-step (Chronopoulos–Gear) timing
+// semantics, the paper's Figure 1 contrast; for "parcg-pipe" the result
+// is exactly "pipecg". Methods that overlap nothing ignore it.
 func WithBlocking(on bool) Option { return func(c *config) { c.blocking = on } }
 
 // WithSpectralScaling toggles the Gershgorin spectral scaling of

@@ -48,7 +48,7 @@ type Params struct {
 	// Processors is the simulated machine size for the parcg methods
 	// (WithProcessors).
 	Processors *int `json:"processors,omitempty"`
-	// Blocking selects the blocking-reduction parcg schedule
+	// Blocking evaluates the parcg / parcg-pipe reductions at issue
 	// (WithBlocking).
 	Blocking bool `json:"blocking,omitempty"`
 	// SpectralScaling toggles parcg Gershgorin scaling

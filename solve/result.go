@@ -9,10 +9,10 @@ import (
 	"vrcg/internal/machine"
 )
 
-// PhaseSet is the per-iteration phase latency histogram bundle of the
-// real-parallel methods: wall time split into spmv / reduction_wait /
-// update, one 14-bucket microsecond histogram per phase (the cluster
-// workers' bucket vocabulary). See Result.Phases.
+// PhaseSet is the phase latency histogram bundle of the real-parallel
+// methods: each driver step's time in spmv / reduction_wait / update,
+// one 14-bucket microsecond histogram per phase (the cluster workers'
+// bucket vocabulary). See Result.Phases.
 type PhaseSet = engine.PhaseSet
 
 // Result is the canonical outcome of a solve, shared by every
@@ -54,11 +54,12 @@ type Result struct {
 	// the scalar recurrences wandered from direct inner products, and
 	// the stabilization work spent keeping them honest.
 	Drift *Drift
-	// Phases holds the measured per-iteration phase latency histograms
-	// of the real-parallel parcg family: wall time split into SpMV,
-	// reduction wait, and vector updates on actual hardware, so the
-	// overlap the paper is about shows up as a small reduction_wait
-	// against a large spmv. Nil for the other methods. Aliases
+	// Phases holds the measured phase latency histograms of the
+	// real-parallel parcg family, one observation set per driver step:
+	// the step's time in SpMV, reduction wait, and vector updates on
+	// actual hardware, so the overlap the paper is about shows up as a
+	// small reduction_wait against a large spmv. Nil for the other
+	// methods. Aliases
 	// solver-owned storage: valid until the next Solve on the same
 	// Solver.
 	Phases *PhaseSet

@@ -1,0 +1,157 @@
+package solve_test
+
+import (
+	"math"
+	"runtime"
+	"testing"
+	"time"
+
+	"vrcg/solve"
+	"vrcg/sparse"
+)
+
+// The tests here hold because a reduction is issued and awaited in one
+// place (engine.Workspace): parcg-cg and parcg-pipe are the cg and
+// pipecg kernels under another schedule, not other kernels.
+
+func sameSolve(t *testing.T, name string, got, want *solve.Result) {
+	t.Helper()
+	if got.Iterations != want.Iterations || got.ResidualNorm != want.ResidualNorm {
+		t.Errorf("%s: (%d, %.17g), want (%d, %.17g)", name,
+			got.Iterations, got.ResidualNorm, want.Iterations, want.ResidualNorm)
+	}
+	for i := range want.X {
+		if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) {
+			t.Fatalf("%s: X[%d] = %x, want %x", name, i, got.X[i], want.X[i])
+		}
+	}
+}
+
+// TestOverlapIsScheduleOnly: where an issued reduction runs — at issue
+// on the pool, or on background goroutines during the SpMV — never
+// changes a bit of the solve. pipecg is parcg-pipe with a blocking
+// issue, and WithBlocking turns either overlapped schedule into its
+// blocking twin.
+func TestOverlapIsScheduleOnly(t *testing.T) {
+	pool := sparse.NewPool(4)
+	defer pool.Close()
+	for _, system := range []string{"poisson2d_20", "poisson2d_31"} {
+		a, b := goldenSystem(t, system)
+		for _, pooled := range []bool{false, true} {
+			name := system + "/serial"
+			pipe := []solve.Option{solve.WithTol(1e-8), solve.WithMaxIter(4000)}
+			look := []solve.Option{solve.WithTol(1e-6), solve.WithMaxIter(4000)}
+			if pooled {
+				name = system + "/pooled"
+				pipe = append(pipe, solve.WithPool(pool))
+				look = append(look, solve.WithPool(pool))
+			}
+			run := func(method string, opts []solve.Option, extra ...solve.Option) *solve.Result {
+				res, err := solve.MustNew(method).Solve(a, b, append(opts[:len(opts):len(opts)], extra...)...)
+				if err != nil {
+					t.Fatalf("%s %s: %v", name, method, err)
+				}
+				return res
+			}
+			ref := run("pipecg", pipe)
+			sameSolve(t, name+" parcg-pipe vs pipecg", run("parcg-pipe", pipe), ref)
+			sameSolve(t, name+" parcg-pipe+WithBlocking vs pipecg", run("parcg-pipe", pipe, solve.WithBlocking(true)), ref)
+			sameSolve(t, name+" parcg+WithBlocking vs parcg", run("parcg", look, solve.WithBlocking(true)), run("parcg", look))
+		}
+	}
+}
+
+// TestCGFamilyOneKernel: cg, cgfused and parcg-cg are one kernel under
+// three names; parcg-cg is the one that times its phases.
+func TestCGFamilyOneKernel(t *testing.T) {
+	a, b := goldenSystem(t, "poisson2d_31")
+	results := map[string]*solve.Result{}
+	for _, method := range []string{"cg", "cgfused", "parcg-cg"} {
+		res, err := solve.MustNew(method).Solve(a, b, solve.WithTol(1e-8))
+		if err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		if res.Method != method {
+			t.Errorf("Result.Method = %q, want %q", res.Method, method)
+		}
+		if (res.Phases != nil) != (method == "parcg-cg") {
+			t.Errorf("%s: Phases non-nil = %v", method, res.Phases != nil)
+		}
+		results[method] = res
+	}
+	sameSolve(t, "cgfused vs cg", results["cgfused"], results["cg"])
+	sameSolve(t, "parcg-cg vs cg", results["parcg-cg"], results["cg"])
+	if got, want := results["parcg-cg"].Stats, results["cg"].Stats; got != want {
+		t.Errorf("parcg-cg stats %+v, cg %+v", got, want)
+	}
+}
+
+// settledGoroutines reports whether the goroutine count returns to
+// base once dropped workspaces have been collected (their cleanups stop
+// the reduction goroutines).
+func settledGoroutines(base int) (int, bool) {
+	var n int
+	for i := 0; i < 200; i++ {
+		runtime.GC()
+		if n = runtime.NumGoroutine(); n <= base {
+			return n, true
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return n, false
+}
+
+// TestReducerLifecycle: reduction goroutines exist only for schedules
+// that overlap — a blocking one (cg, pcg, pipecg) never starts any —
+// and they end with the workspace that started them, whether that was
+// dropped with its session, with a Batch fork, or replaced because the
+// system order changed.
+func TestReducerLifecycle(t *testing.T) {
+	a, small := sparse.Poisson2D(12), sparse.Poisson2D(9)
+	B := rhsSet(a.Dim(), 6)
+	base, _ := settledGoroutines(0)
+
+	for _, method := range []string{"cg", "pcg", "pipecg"} {
+		sess, err := solve.NewSession(method, a, solve.WithTol(1e-8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.Solve(B[0]); err != nil {
+			t.Fatalf("%s: %v", method, err)
+		}
+		if n := runtime.NumGoroutine(); n != base {
+			t.Errorf("%s session started %d goroutine(s)", method, n-base)
+		}
+	}
+
+	func() {
+		started := false
+		for _, method := range []string{"parcg-pipe", "parcg"} {
+			sess, err := solve.NewSession(method, a, solve.WithTol(1e-6), solve.WithMaxIter(2000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Solve(B[0]); err != nil {
+				t.Fatalf("%s: %v", method, err)
+			}
+			started = started || runtime.NumGoroutine() > base
+			if _, err := solve.Batch(sess, B, solve.WithBatchWorkers(3)); err != nil {
+				t.Fatalf("%s batch: %v", method, err)
+			}
+			// One solver, two orders: the first workspace is replaced.
+			s := solve.MustNew(method)
+			for _, op := range []*sparse.CSR{a, small} {
+				if _, err := s.Solve(op, B[1][:op.Dim()], solve.WithTol(1e-6), solve.WithMaxIter(2000)); err != nil {
+					t.Fatalf("%s n=%d: %v", method, op.Dim(), err)
+				}
+			}
+		}
+		if !started {
+			t.Error("the overlapped schedules started no reduction goroutine")
+		}
+	}()
+
+	if n, ok := settledGoroutines(base); !ok {
+		t.Errorf("%d goroutine(s) outlive their dropped workspaces", n-base)
+	}
+}

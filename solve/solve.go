@@ -31,11 +31,14 @@
 //     production successors
 //   - "sstep": Chronopoulos–Gear s-step CG (WithBlockSize)
 //   - "parcg", "parcg-cg", "parcg-pipe": the look-ahead, blocking, and
-//     pipelined schedules as real-parallel kernels — inner-product
-//     reductions overlapped on background goroutines, per-iteration
-//     phase latencies on Result.Phases, and a divergence guard that
-//     restarts the look-ahead recurrences from the true residual when
-//     they drift (periodically audited, best iterate retained);
+//     pipelined schedules with per-step phase latencies on
+//     Result.Phases. "parcg-cg" is the "cg" kernel and "parcg-pipe"
+//     the "pipecg" kernel; the overlapped two run each issued
+//     inner-product reduction on background goroutines until it is
+//     awaited (WithBlocking evaluates it at issue instead, bitwise
+//     identically). "parcg" adds a divergence guard that restarts the
+//     look-ahead recurrences from the true residual when they drift
+//     (periodically audited, best iterate retained);
 //     WithProcessors/WithMachineConfig additionally replay the
 //     simulated-machine cost model over the solve, yielding
 //     parallel-time trajectories (Result.Clocks)
