@@ -81,11 +81,13 @@ func BenchmarkClusterSolve(b *testing.B) {
 
 // BenchmarkClusterReduction measures the per-iteration time each
 // variant spends blocked on the global reduction — the paper's target
-// quantity. cg blocks on two allreduce round trips per iteration;
-// pipecg fuses both inner products into one reduction, and gropp
-// overlaps one of its two with the w = A·r matvec. Reported as total
-// reduction-wait µs per iteration per worker from the workers' own
-// phase histograms. The shard is kept small so round-trip latency, not
+// quantity — and how many allreduce rounds it puts on the wire per
+// iteration (rounds/iter; three rounds per solve are start-up and exit).
+// cg and pcg block on two allreduce round trips per iteration; pipecg
+// fuses both inner products into one reduction, gropp overlaps one of
+// its two with the w = A·r matvec, and sstep pays two per block of four
+// iterations. Reported as total reduction-wait µs per iteration per
+// worker from the workers' own phase histograms. The shard is kept small so round-trip latency, not
 // local compute, dominates: that isolates the synchronization count,
 // which is what the variants change. (Overlap-style hiding additionally
 // needs real spare cores to pay; fused-reduction savings do not.)
@@ -93,21 +95,28 @@ func BenchmarkClusterReduction(b *testing.B) {
 	a := sparse.Poisson2D(100) // n = 10000
 	rhs := benchRHS(a.Dim())
 	const tol = 1e-6
-	for _, method := range []string{"cg", "pipecg", "gropp"} {
+	for _, method := range []string{"cg", "pcg", "pipecg", "gropp", "sstep"} {
 		b.Run(method, func(b *testing.B) {
 			c := benchFleet(b, 2)
 			if err := c.Place("op", a); err != nil {
 				b.Fatal(err)
 			}
+			opts := SolveOpts{Tol: tol}
+			if method == "pcg" {
+				opts.Precond = "jacobi"
+			}
 			ctx := context.Background()
-			var spmvUS, haloUS, redUS, iterUS float64
+			var spmvUS, haloUS, redUS, iterUS, roundsPerIter float64
 			var iters int
+			var rounds uint64
+			c.testAfterCombine = func(_, seq uint64) { rounds = seq }
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := c.Solve(ctx, "op", method, rhs, SolveOpts{Tol: tol})
+				res, err := c.Solve(ctx, "op", method, rhs, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
+				roundsPerIter += float64(rounds) / float64(res.Iterations)
 				red := res.Phases["reduction"]
 				if red.Count == 0 {
 					b.Fatal("no reduction-phase observations")
@@ -130,6 +139,7 @@ func BenchmarkClusterReduction(b *testing.B) {
 			b.ReportMetric(redUS/float64(b.N), "reduction_us/iter")
 			b.ReportMetric(iterUS/float64(b.N), "iter_us")
 			b.ReportMetric(float64(iters)/float64(b.N), "iters")
+			b.ReportMetric(roundsPerIter/float64(b.N), "rounds/iter")
 		})
 	}
 }

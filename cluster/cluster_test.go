@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,13 +23,30 @@ type testFleet struct {
 	ids     []string
 }
 
+// logfUntilDone is t.Logf until the test's other cleanups have run:
+// Coordinator.Close does not wait for its reader goroutines, and one
+// that is still reporting its lost connection must not log into a
+// finished test.
+func logfUntilDone(t *testing.T) func(string, ...any) {
+	var mu sync.Mutex
+	done := false
+	t.Cleanup(func() { mu.Lock(); done = true; mu.Unlock() })
+	return func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		if !done {
+			t.Logf(format, args...)
+		}
+	}
+}
+
 func newTestFleet(t *testing.T, n int) *testFleet {
 	t.Helper()
 	f := &testFleet{
 		c: NewCoordinator(CoordinatorConfig{
 			HeartbeatInterval: 50 * time.Millisecond,
 			PlaceTimeout:      10 * time.Second,
-			Logf:              t.Logf,
+			Logf:              logfUntilDone(t), // registered first: runs after Close
 		}),
 	}
 	t.Cleanup(func() { f.c.Close() })
@@ -91,49 +109,95 @@ func parityGap(got, want []float64) float64 {
 	return maxAbsDiff(got, want) / scale
 }
 
-// TestDistributedParity: a sharded solve across a coordinator + 2
-// workers produces the same solution as the single-process solver —
-// within 1e-12 — for every distributed method, and the same iteration
-// count (convergence decisions are made on identical combined scalars).
+// TestDistributedParity: every method the registry declares Sharded —
+// the fleet has no method list of its own — solves across 2 and 3
+// workers to the serial solution within 1e-12, in the serial iteration
+// count (convergence decisions are made on identical combined scalars;
+// sstep's monomial blocks amplify the rounding of the split sums, so it
+// gets one block of slack), doing the serial solve's work on every
+// worker, and with the schedule's synchronization structure on the
+// wire: so many allreduce rounds per iteration and no more.
 func TestDistributedParity(t *testing.T) {
-	f := newTestFleet(t, 2)
 	a := sparse.Poisson2D(20) // n = 400, well conditioned
-	n := a.Dim()
-	b := rhs(n, 7)
-	if err := f.c.Place("op", a); err != nil {
-		t.Fatalf("place: %v", err)
+	b := rhs(a.Dim(), 7)
+	var fleets []*testFleet
+	for _, workers := range []int{2, 3} {
+		f := newTestFleet(t, workers)
+		if err := f.c.Place("op", a); err != nil {
+			t.Fatalf("place: %v", err)
+		}
+		fleets = append(fleets, f)
+	}
+	jacobi, err := precond.ByName("jacobi", a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Allreduce rounds a schedule may spend per `iters` iterations, on
+	// top of three per solve (‖b‖, the start-up products, the true
+	// residual). A method that becomes Sharded states its bound here.
+	onWire := map[string]struct{ rounds, iters int }{
+		"cg": {2, 1}, "cgfused": {2, 1}, "pcg": {2, 1}, "gropp": {2, 1},
+		"pipecg": {1, 1}, "sstep": {2, 4},
 	}
 
 	// Solve well past the parity gate: the two runs round differently
 	// (per-shard dot partials vs the serial blocked reduction), and the
 	// gap between the solutions scales with the residual level reached.
 	const tol = 1e-13
-	for _, method := range []string{"cg", "pipecg", "gropp"} {
+	for _, method := range shardedMethods() {
 		t.Run(method, func(t *testing.T) {
-			want := solveSerial(t, method, a, b, solve.WithTol(tol))
-			got, err := f.c.Solve(context.Background(), "op", method, b, SolveOpts{Tol: tol})
-			if err != nil {
-				t.Fatalf("distributed %s: %v", method, err)
+			bound, ok := onWire[method]
+			if !ok {
+				t.Fatalf("%s is Sharded but declares no allreduce bound", method)
 			}
-			if !got.Converged {
-				t.Fatalf("distributed %s did not converge", method)
+			serialOpts := []solve.Option{solve.WithTol(tol)}
+			opts := SolveOpts{Tol: tol}
+			if method == "pcg" {
+				// Block-Jacobi of the jacobi local is global Jacobi.
+				serialOpts = append(serialOpts, solve.WithPreconditioner(jacobi))
+				opts.Precond = "jacobi"
 			}
-			if got.Workers != 2 {
-				t.Fatalf("ran on %d workers, want 2", got.Workers)
-			}
-			if d := parityGap(got.X, want.X); d > 1e-12 {
-				t.Fatalf("solution diverges from serial by %g (relative)", d)
-			}
-			if got.Iterations != want.Iterations {
-				t.Errorf("iterations: distributed %d, serial %d", got.Iterations, want.Iterations)
-			}
-			if got.TrueResidualNorm > 10*tol*normOf(b) {
-				t.Errorf("true residual %g too large", got.TrueResidualNorm)
-			}
-			for _, phase := range []string{"spmv", "halo", "reduction", "iteration"} {
-				ps, ok := got.Phases[phase]
-				if !ok || ps.Count == 0 {
-					t.Errorf("phase %q not observed (%+v)", phase, got.Phases)
+			want := solveSerial(t, method, a, b, serialOpts...)
+			for _, f := range fleets {
+				workers := len(f.workers)
+				var rounds uint64
+				f.c.testAfterCombine = func(_, seq uint64) { rounds = seq }
+				got, err := f.c.Solve(context.Background(), "op", method, b, opts)
+				if err != nil {
+					t.Fatalf("%d workers: %v", workers, err)
+				}
+				if !got.Converged || got.Workers != workers {
+					t.Fatalf("converged=%v on %d workers, want %d", got.Converged, got.Workers, workers)
+				}
+				if d := parityGap(got.X, want.X); d > 1e-12 {
+					t.Errorf("%d workers: solution diverges from serial by %g (relative)", workers, d)
+				}
+				slack := 0
+				if bound.iters > 1 {
+					slack = bound.iters
+				}
+				if d := got.Iterations - want.Iterations; d < -slack || d > slack {
+					t.Errorf("%d workers: iterations %d, serial %d", workers, got.Iterations, want.Iterations)
+				}
+				if got.Iterations == want.Iterations {
+					// Result.Stats sums the workers'; each did the serial work.
+					ws, k := want.Stats, uint64(workers)
+					fleet := runStats{k * uint64(ws.MatVecs), k * uint64(ws.InnerProducts), k * uint64(ws.VectorUpdates), k * uint64(ws.PrecondSolves)}
+					if got.Stats != fleet {
+						t.Errorf("%d workers: stats %+v, want %d x serial %+v", workers, got.Stats, workers, ws)
+					}
+				}
+				units := (got.Iterations + bound.iters - 1) / bound.iters
+				if max := uint64(bound.rounds*units + 3); rounds == 0 || rounds > max {
+					t.Errorf("%d workers: %d allreduce rounds for %d iterations, want 1..%d", workers, rounds, got.Iterations, max)
+				}
+				if got.TrueResidualNorm > 10*tol*normOf(b) {
+					t.Errorf("%d workers: true residual %g too large", workers, got.TrueResidualNorm)
+				}
+				for _, phase := range []string{"spmv", "halo", "reduction", "iteration"} {
+					if ps, ok := got.Phases[phase]; !ok || ps.Count == 0 {
+						t.Errorf("%d workers: phase %q not observed (%+v)", workers, phase, got.Phases)
+					}
 				}
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -622,13 +623,28 @@ type Result struct {
 	Phases map[string]PhaseSnapshot
 }
 
-// Solve runs one distributed solve of the placed operator against b.
-// Methods: cg, cgfused, pcg, pipecg, gropp. If a worker dies mid-solve
-// the operator is re-placed across the survivors and the solve retried
-// (capacity degrades; availability does not), up to SolveRetries times.
+// shardedMethods lists what a fleet solves with: the registry methods
+// whose kernels take every reduction through the engine workspace
+// (solve.Caps.Sharded), which is all a worker needs to run one on its
+// row block.
+func shardedMethods() []string {
+	var names []string
+	for _, name := range solve.Methods() {
+		if solve.MethodCaps(name).Sharded {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// Solve runs one distributed solve of the placed operator against b by
+// a registry method that declares solve.Caps.Sharded. If a worker dies
+// mid-solve the operator is re-placed across the survivors and the
+// solve retried (capacity degrades; availability does not), up to
+// SolveRetries times.
 func (c *Coordinator) Solve(ctx context.Context, name, method string, b []float64, opts SolveOpts) (*Result, error) {
-	if !distMethodSupported(method) {
-		return nil, fmt.Errorf("%w: %q (distributed methods: cg, cgfused, pcg, pipecg, gropp)", solve.ErrUnknownMethod, method)
+	if !solve.MethodCaps(method).Sharded {
+		return nil, fmt.Errorf("%w: %q (distributed methods: %s)", solve.ErrUnknownMethod, method, strings.Join(shardedMethods(), ", "))
 	}
 	if opts.Tol < 0 || opts.MaxIter < 0 {
 		return nil, fmt.Errorf("%w: tol %g maxiter %d", solve.ErrBadOption, opts.Tol, opts.MaxIter)
@@ -705,10 +721,14 @@ func (c *Coordinator) placementLive(op *clusterOp) bool {
 	return true
 }
 
-// redAcc accumulates one reduction's partials.
+// redAcc holds one reduction's partials by shard until the last one
+// lands: they are added in shard order, so the combined sums — and with
+// them iteration counts and the solution — do not depend on the order
+// the packets arrived in.
 type redAcc struct {
-	sums []float64
-	n    int
+	parts [][]float64
+	arity int
+	n     int
 }
 
 // solveAttempt runs one attempt: ship the solve, combine partials,
@@ -733,6 +753,7 @@ func (c *Coordinator) solveAttempt(ctx context.Context, op *clusterOp, method st
 	}()
 
 	participants := make(map[string]*remoteWorker, len(op.assign))
+	shardOf := make(map[string]int, len(op.assign))
 	for i, id := range op.assign {
 		rw := c.worker(id)
 		if rw == nil {
@@ -740,6 +761,7 @@ func (c *Coordinator) solveAttempt(ctx context.Context, op *clusterOp, method st
 			return nil, nil, fmt.Errorf("%w: %s gone before start", errWorkerLost, id)
 		}
 		participants[id] = rw
+		shardOf[id] = i
 		sh := op.plan.Shards[i]
 		msg := &solveMsg{
 			SolveID: run.id, OpID: op.name, Gen: op.gen,
@@ -765,24 +787,34 @@ func (c *Coordinator) solveAttempt(ctx context.Context, op *clusterOp, method st
 			c.abortAll(participants, run.id)
 			return nil, nil, ctx.Err()
 		}
+		// Only a participant's frames count: a live worker that holds no
+		// shard of this operator has no say in its solve.
+		shard, ours := shardOf[ev.workerID]
+		if !ours {
+			continue
+		}
 		switch ev.kind {
 		case evPartial:
 			a := accs[ev.seq]
 			if a == nil {
-				a = &redAcc{sums: make([]float64, len(ev.vals))}
+				a = &redAcc{parts: make([][]float64, expected), arity: len(ev.vals)}
 				accs[ev.seq] = a
 			}
-			if len(ev.vals) != len(a.sums) {
+			if len(ev.vals) == 0 || len(ev.vals) != a.arity || a.parts[shard] != nil {
 				c.abortAll(participants, run.id)
-				return nil, nil, fmt.Errorf("%w: partial arity mismatch from %s", wire.ErrFrame, ev.workerID)
+				return nil, nil, fmt.Errorf("%w: duplicate or mismatched partial from %s", wire.ErrFrame, ev.workerID)
 			}
-			for i, v := range ev.vals {
-				a.sums[i] += v
-			}
+			a.parts[shard] = ev.vals
 			a.n++
 			if a.n == expected {
 				delete(accs, ev.seq)
-				cm := reduceMsg{SolveID: run.id, Seq: ev.seq, Vals: a.sums}
+				sums := a.parts[0]
+				for _, part := range a.parts[1:] {
+					for i, v := range part {
+						sums[i] += v
+					}
+				}
+				cm := reduceMsg{SolveID: run.id, Seq: ev.seq, Vals: sums}
 				for id, rw := range participants {
 					if err := rw.send(wire.MsgCombined, cm.encode()); err != nil {
 						c.markDead(rw, err)
@@ -804,10 +836,8 @@ func (c *Coordinator) solveAttempt(ctx context.Context, op *clusterOp, method st
 			c.abortAll(participants, run.id)
 			return nil, nil, errFromCode(ev.code, ev.detail)
 		case evDead:
-			if _, ours := participants[ev.workerID]; ours {
-				c.abortAll(participants, run.id)
-				return nil, nil, fmt.Errorf("%w: %s died mid-solve", errWorkerLost, ev.workerID)
-			}
+			c.abortAll(participants, run.id)
+			return nil, nil, fmt.Errorf("%w: %s died mid-solve", errWorkerLost, ev.workerID)
 		}
 	}
 }
@@ -834,7 +864,10 @@ func (c *Coordinator) assemble(op *clusterOp, b []float64, dones map[string]*don
 	for i, id := range op.assign {
 		d := dones[id]
 		sh := op.plan.Shards[i]
-		if d == nil || len(d.X) != sh.NLocal() {
+		if d == nil {
+			return nil, nil, fmt.Errorf("%w: no result from worker %s", wire.ErrFrame, id)
+		}
+		if len(d.X) != sh.NLocal() {
 			return nil, nil, fmt.Errorf("%w: worker %s returned %d rows for shard of %d",
 				wire.ErrFrame, id, len(d.X), sh.NLocal())
 		}

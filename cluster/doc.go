@@ -19,25 +19,37 @@
 // owned entries to gather for each neighbor. All structure is resolved
 // at placement; per-iteration messages carry only float64 values.
 //
-// A distributed solve (Coordinator.Solve) then runs the engine's
-// kernel math unchanged on every worker:
+// A distributed solve (Coordinator.Solve) has no method code of its
+// own. Each worker wraps its shard as one row block of the operator (an
+// engine.RowBlock) and runs the registry's kernel on it through
+// solve.Solver, as a single process runs it on the whole operator; the
+// methods a fleet accepts are the ones registered solve.Caps.Sharded —
+// every reduction of the kernel goes through the engine workspace —
+// so iteration parity with the serial solve is structural:
 //
-//   - SpMV: one batched halo message per neighbor per iteration over
-//     persistent worker-to-worker connections, then the local shard
-//     matvec.
-//   - Inner products: each worker ships its local partial sums; the
-//     coordinator combines them into one global sum per reduction and
-//     broadcasts it. Every worker sees identical scalars, so all
-//     convergence decisions stay in lockstep.
+//   - SpMV: the block operator's MulVec is one batched halo message per
+//     neighbor over persistent worker-to-worker connections, then the
+//     local shard matvec.
+//   - Inner products: every sum the workspace takes is a partial sum
+//     the worker ships; the coordinator adds the partials in shard
+//     order and broadcasts the result. Every worker sees identical
+//     scalars, so all convergence decisions stay in lockstep, and the
+//     answer does not depend on packet arrival order.
 //   - Preconditioning: block-Jacobi / zero-overlap additive Schwarz.
 //     Each worker builds the named precond local ("jacobi", "ssor",
 //     "ic0") on its diagonal block; with "jacobi" this equals the
 //     global preconditioner exactly.
 //
-// The variants keep their communication structure: cg blocks on two
-// allreduces per iteration; gropp overlaps its (r,r) reduction with
-// the w = A r matvec; pipecg's single fused [gamma, delta] reduction
-// is in flight during the next halo exchange and matvec.
+// A schedule keeps on the wire the structure it has in the engine,
+// because issuing a reduction posts the partials and awaiting it
+// collects the sums: cg and pcg block on two allreduce rounds per
+// iteration; gropp's (r,r) round is in flight during the w = A r halo
+// exchange and matvec; pipecg's single fused [gamma, delta] round
+// during the next ones; sstep pays two rounds per block of s
+// iterations. Start-up and exit add three rounds and two halo
+// exchanges per solve (‖b‖, the initial residual, the true residual).
+// A transport failure — timeout, lost peer, abort — ends the solve
+// with that error, never with a breakdown made of half-combined sums.
 //
 // # Fault tolerance
 //

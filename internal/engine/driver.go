@@ -145,7 +145,7 @@ func (r *Run) InitialIterate(x, res vec.Vector) {
 // share.
 func (r *Run) TrueResidual(scratch, x vec.Vector) {
 	r.ResidualInto(scratch, x)
-	r.Res.TrueResidualNorm = vec.Norm2(scratch)
+	r.Res.TrueResidualNorm = r.Ws.Norm2(scratch)
 }
 
 // errInFlight is a kernel contract violation: Init or Step returned
@@ -155,12 +155,20 @@ func (r *Run) TrueResidual(scratch, x vec.Vector) {
 var errInFlight = errors.New("kernel returned with a reduction still in flight")
 
 // settle ends one kernel call: a reduction left in flight is completed,
-// so the workspace stays usable, and reported as an error.
+// so the workspace stays usable, and reported as an error. A row
+// block's transport failure outranks whatever the kernel made of the
+// scalars it was left with: the failure is the operator's own error,
+// never a breakdown.
 func (r *Run) settle(k Kernel, call string, err error) error {
 	if r.Ws.inFlight {
 		r.Ws.Await()
 		if err == nil {
 			err = fmt.Errorf("%s: %s: %w", k.Name(), call, errInFlight)
+		}
+	}
+	if r.Ws.block != nil {
+		if terr := r.Ws.block.Err(); terr != nil {
+			return terr
 		}
 	}
 	return err
@@ -213,8 +221,11 @@ func Solve(k Kernel, ws *Workspace, a sparse.Matrix, b vec.Vector, cfg Config, r
 
 	// Capture the transpose-product capability before tuning: tuned
 	// formats (DIA, SELL) do not carry it, and the normal-equations
-	// kernels read it off the Run.
+	// kernels read it off the Run. Likewise whether the operator is one
+	// row block of a larger one, which is what makes every sum below —
+	// ‖b‖ first — a sum over all the blocks.
 	at, _ := a.(sparse.TransposeMulVec)
+	ws.block, _ = a.(RowBlock)
 
 	// Format auto-selection: run the solve's matrix-vector products on
 	// the fastest equivalent operator (diagonal storage for a banded
@@ -224,7 +235,7 @@ func Solve(k Kernel, ws *Workspace, a sparse.Matrix, b vec.Vector, cfg Config, r
 	// depend on it.
 	a = sparse.TuneMulVec(a)
 
-	bnorm := vec.Norm2(b)
+	bnorm := ws.Norm2(b)
 	if bnorm == 0 {
 		bnorm = 1
 	}
@@ -260,7 +271,7 @@ func Solve(k Kernel, ws *Workspace, a sparse.Matrix, b vec.Vector, cfg Config, r
 	res.ResidualNorm = rn
 	k.Finish(run)
 	run.publishHistory()
-	return nil
+	return run.settle(k, "Finish", nil)
 }
 
 // publishHistory hands the workspace-owned history slab to the result

@@ -24,6 +24,11 @@
 //	              │ Workspace (arena, pool, issue/await, phases)
 //	      ┌───────┴────────────────────────────────────┐
 //	      │ vec.Pool kernels · sparse.PooledMulVec     │
+//	      └───────┬────────────────────────────────────┘
+//	              │ only when the operator is a RowBlock
+//	      ┌───────┴────────────────────────────────────┐
+//	      │ block operator: MulVec = halo + local SpMV │
+//	      │ sums: post partials → collect (allreduce)  │
 //	      └────────────────────────────────────────────┘
 //
 // Kernels draw every vector from the Workspace arena and keep any

@@ -21,12 +21,37 @@ import (
 // (Solve enforces it). Between issue and await the caller must not
 // write any vector the reduction reads.
 
+// RowBlock is implemented by an operator that holds one row block of a
+// larger operator whose other blocks run the same kernel elsewhere (one
+// cluster worker each): Dim is the block's row count and MulVec fetches
+// the entries of x the block reads from its neighbours. Solve detects
+// it from the operator it is handed; every sum the workspace then takes
+// is this block's partial sum, computed exactly as without one and
+// combined across the blocks. An issue evaluates the partial sums at
+// once and posts them, the await collects the combined ones: what a
+// schedule overlaps with its reduction is the exchange between the
+// blocks instead of a goroutine. Every block posts and collects the
+// same sequence of sums and collects identical values, so all of them
+// take every convergence decision alike.
+type RowBlock interface {
+	// PostSums sends this block's partial sums and returns without
+	// waiting for anyone; vals is not retained.
+	PostSums(vals []float64)
+	// CollectSums waits for the sums posted last, combined over every
+	// block, and stores them in dst.
+	CollectSums(dst []float64)
+	// Err is the first transport failure, nil while there is none. Once
+	// it is set MulVec, PostSums and CollectSums return at once, leaving
+	// their outputs alone; the driver ends the solve with this error.
+	Err() error
+}
+
 // reduction is the job description: either the fused pair
-// (xy, xz) = (<x,y>, <x,z>) when out is nil, or the batch
+// out = pair = (<x,y>, <x,z>) when x is set, or the batch
 // out[i] = <xs[i], ys[i]>.
 type reduction struct {
 	x, y, z vec.Vector
-	xy, xz  float64
+	pair    [2]float64
 
 	out    []float64
 	xs, ys []vec.Vector
@@ -39,8 +64,8 @@ type reduction struct {
 // nothing bitwise; it only shortens a batch's critical path so it fits
 // inside its overlap window.
 func (j *reduction) sum(pool *vec.Pool, wid, nw int) {
-	if j.out == nil {
-		j.xy, j.xz = vec.PoolDotPair(pool, j.x, j.y, j.z)
+	if j.x != nil {
+		j.pair[0], j.pair[1] = vec.PoolDotPair(pool, j.x, j.y, j.z)
 		return
 	}
 	for i := wid; i < len(j.out); i += nw {
@@ -87,7 +112,7 @@ func (b *bgReducer) startWorker() {
 // work (which touches disjoint storage).
 func (b *bgReducer) launch() {
 	nw := 1
-	if b.job.out != nil {
+	if b.job.x == nil {
 		nw = min(len(b.job.out), b.maxWorkers)
 	}
 	for len(b.reqs) < nw {
@@ -112,7 +137,7 @@ func (b *bgReducer) wait() {
 // AwaitDotPair collects it.
 func (ws *Workspace) IssueDotPair(x, y, z vec.Vector) {
 	j := ws.newJob()
-	j.x, j.y, j.z, j.out = x, y, z, nil
+	j.x, j.y, j.z, j.out = x, y, z, j.pair[:]
 	ws.issue()
 }
 
@@ -120,7 +145,7 @@ func (ws *Workspace) IssueDotPair(x, y, z vec.Vector) {
 // it. The slices are read until then.
 func (ws *Workspace) IssueDots(out []float64, xs, ys []vec.Vector) {
 	j := ws.newJob()
-	j.out, j.xs, j.ys = out, xs, ys
+	j.x, j.out, j.xs, j.ys = nil, out, xs, ys
 	ws.issue()
 }
 
@@ -135,12 +160,16 @@ func (ws *Workspace) newJob() *reduction {
 }
 
 // issue is the one place a schedule's blocking/overlapped choice is
-// acted on.
+// acted on. A row block's partial sums are always taken here: what it
+// overlaps is the exchange.
 func (ws *Workspace) issue() {
 	ws.inFlight = true
-	if ws.run.Cfg.Blocking {
+	if ws.run.Cfg.Blocking || ws.block != nil {
 		t0 := ws.begin()
 		ws.red.job.sum(ws.pool, 0, 1)
+		if ws.block != nil {
+			ws.block.PostSums(ws.red.job.out)
+		}
 		ws.charge(PhaseReduction, t0)
 		return
 	}
@@ -160,6 +189,9 @@ func (ws *Workspace) Await() {
 	}
 	t0 := ws.begin()
 	ws.red.wait()
+	if ws.block != nil {
+		ws.block.CollectSums(ws.red.job.out)
+	}
 	ws.charge(PhaseReduction, t0)
 	ws.inFlight = false
 }
@@ -168,5 +200,5 @@ func (ws *Workspace) Await() {
 // its two sums.
 func (ws *Workspace) AwaitDotPair() (xy, xz float64) {
 	ws.Await()
-	return ws.red.job.xy, ws.red.job.xz
+	return ws.red.job.pair[0], ws.red.job.pair[1]
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"time"
 
 	"vrcg/internal/vec"
@@ -42,6 +43,11 @@ type Workspace struct {
 	// overlapped one, the goroutines that run it (reduce.go).
 	red      *bgReducer
 	inFlight bool
+	// block is the operator of the solve in progress when it is one row
+	// block of a larger one (RowBlock), else nil; sums is the scratch its
+	// scalar reductions are combined through.
+	block RowBlock
+	sums  [2]float64
 
 	// now is the phase clock, a monotonic reading; nil (the default)
 	// means phase timing is off and no dispatch below reads a clock.
@@ -131,23 +137,63 @@ func (ws *Workspace) charge(p Phase, t0 time.Duration) {
 }
 
 // Pooled kernel dispatch: every hot-path vector operation a kernel
-// performs goes through one of these, so pool routing and phase timing
-// are decided in exactly one place.
+// performs goes through one of these, so pool routing, phase timing and
+// the combination of a row block's sums are decided in exactly one
+// place.
+
+// combine turns a row block's partial sums into the sums over every
+// block, in place: one exchange, waited for. Without a block operator
+// the sums are already whole.
+func (ws *Workspace) combine(vals []float64) {
+	if ws.block != nil {
+		ws.block.PostSums(vals)
+		ws.block.CollectSums(vals)
+	}
+}
+
+// whole is combine for one sum.
+func (ws *Workspace) whole(d float64) float64 {
+	ws.sums[0] = d
+	ws.combine(ws.sums[:1])
+	return ws.sums[0]
+}
 
 // Dot returns <x, y> on the workspace pool.
 func (ws *Workspace) Dot(x, y vec.Vector) float64 {
 	t0 := ws.begin()
-	d := vec.PoolDot(ws.pool, x, y)
+	d := ws.whole(vec.PoolDot(ws.pool, x, y))
 	ws.charge(PhaseReduction, t0)
 	return d
+}
+
+// Dots fills out[i] = <xs[i], ys[i]> now — each inner product summed
+// whole, exactly as Dot would — as one reduction: for a row block, one
+// exchange for the batch.
+func (ws *Workspace) Dots(out []float64, xs, ys []vec.Vector) {
+	t0 := ws.begin()
+	for i := range out {
+		out[i] = vec.PoolDot(ws.pool, xs[i], ys[i])
+	}
+	ws.combine(out)
+	ws.charge(PhaseReduction, t0)
 }
 
 // DotPair returns <x, y> and <x, z> in one sweep.
 func (ws *Workspace) DotPair(x, y, z vec.Vector) (xy, xz float64) {
 	t0 := ws.begin()
-	xy, xz = vec.PoolDotPair(ws.pool, x, y, z)
+	ws.sums[0], ws.sums[1] = vec.PoolDotPair(ws.pool, x, y, z)
+	ws.combine(ws.sums[:])
 	ws.charge(PhaseReduction, t0)
-	return xy, xz
+	return ws.sums[0], ws.sums[1]
+}
+
+// Norm2 returns ‖x‖₂; for a row block, the norm of the whole vector x
+// is this block's rows of.
+func (ws *Workspace) Norm2(x vec.Vector) float64 {
+	if ws.block == nil {
+		return vec.Norm2(x)
+	}
+	return math.Sqrt(ws.whole(vec.PoolDot(ws.pool, x, x)))
 }
 
 // Axpy computes y += alpha*x.
@@ -169,7 +215,7 @@ func (ws *Workspace) Xpay(x vec.Vector, alpha float64, y vec.Vector) {
 // its reduction included.
 func (ws *Workspace) FusedCGUpdate(alpha float64, p, ap, x, r vec.Vector) float64 {
 	t0 := ws.begin()
-	rr := vec.PoolFusedCGUpdate(ws.pool, alpha, p, ap, x, r)
+	rr := ws.whole(vec.PoolFusedCGUpdate(ws.pool, alpha, p, ap, x, r))
 	ws.charge(PhaseUpdate, t0)
 	return rr
 }
@@ -196,6 +242,7 @@ func (ws *Workspace) MatVecs(a sparse.Matrix, dsts, xs []vec.Vector) {
 func (ws *Workspace) DotBlock(xs, ys []vec.Vector, out []float64) {
 	t0 := ws.begin()
 	vec.PoolDotBlock(ws.pool, xs, ys, out)
+	ws.combine(out)
 	ws.charge(PhaseReduction, t0)
 }
 

@@ -82,6 +82,17 @@ type pcgKernel struct {
 	rr, rz         float64
 	m              precond.Preconditioner
 	ident          *precond.Identity
+	// (r,z) and (r,r) are one reduction: sums[i] = <rv[i], zr[i]>.
+	sums   [2]float64
+	rv, zr [2]vec.Vector
+}
+
+// residualDots takes (r,z) and (r,r) in one reduction.
+func (k *pcgKernel) residualDots(run *engine.Run) (rz, rr float64) {
+	run.Ws.Dots(k.sums[:], k.rv[:], k.zr[:])
+	run.Res.Stats.InnerProducts += 2
+	run.Res.Stats.Flops += 4 * int64(run.Ws.Dim())
+	return k.sums[0], k.sums[1]
 }
 
 // NewPCGKernel returns the pcg iteration kernel.
@@ -103,16 +114,14 @@ func (k *pcgKernel) Init(run *engine.Run) (float64, error) {
 		return 0, fmt.Errorf("krylov: preconditioner order %d for matrix order %d: %w", k.m.Dim(), n, ErrDim)
 	}
 	k.x, k.r, k.p, k.ap, k.z = ws.Vec(0), ws.Vec(1), ws.Vec(2), ws.Vec(3), ws.Vec(4)
+	k.rv, k.zr = [2]vec.Vector{k.r, k.r}, [2]vec.Vector{k.z, k.r}
 	run.InitialIterate(k.x, k.r)
 
 	ws.ApplyPrecond(k.m, k.z, k.r)
 	run.Res.Stats.PrecondSolves++
 
 	vec.Copy(k.p, k.z)
-	k.rz = ws.Dot(k.r, k.z)
-	k.rr = ws.Dot(k.r, k.r)
-	run.Res.Stats.InnerProducts += 2
-	run.Res.Stats.Flops += 4 * int64(n)
+	k.rz, k.rr = k.residualDots(run)
 	return math.Sqrt(k.rr), nil
 }
 
@@ -141,10 +150,8 @@ func (k *pcgKernel) Step(run *engine.Run) error {
 	ws.ApplyPrecond(k.m, k.z, k.r)
 	res.Stats.PrecondSolves++
 
-	rzNew := ws.Dot(k.r, k.z)
-	k.rr = ws.Dot(k.r, k.r)
-	res.Stats.InnerProducts += 2
-	res.Stats.Flops += 4 * n
+	var rzNew float64
+	rzNew, k.rr = k.residualDots(run)
 	if math.IsNaN(rzNew) || math.IsInf(rzNew, 0) {
 		return fmt.Errorf("krylov: non-finite (r,z) at iteration %d: %w", res.Iterations, ErrBreakdown)
 	}

@@ -110,10 +110,15 @@ func (k *gvKernel) Finish(run *engine.Run) { run.TrueResidual(k.nv, k.x) }
 
 // groppKernel is Gropp's asynchronous variant: two reductions per
 // iteration, each overlapped with one of the two matvec-shaped
-// operations, using the auxiliary vector s = A p.
+// operations, using the auxiliary vector s = A p. Unpreconditioned,
+// only the second has something to hide behind: (r,r) is issued before
+// w = A r and awaited after it.
 type groppKernel struct {
 	x, r, p, s, w vec.Vector
 	gamma         float64
+	// The issued reduction rr[0] = <rv[0], rv[0]>, rv[0] = r.
+	rr [1]float64
+	rv [1]vec.Vector
 }
 
 // NewGroppKernel returns the gropp iteration kernel.
@@ -126,6 +131,7 @@ func (k *groppKernel) resNorm() float64 { return math.Sqrt(math.Max(k.gamma, 0))
 func (k *groppKernel) Init(run *engine.Run) (float64, error) {
 	ws := run.Ws
 	k.x, k.r, k.p, k.s, k.w = ws.Vec(0), ws.Vec(1), ws.Vec(2), ws.Vec(3), ws.Vec(4)
+	k.rv[0] = k.r
 
 	run.InitialIterate(k.x, k.r)
 	vec.Copy(k.p, k.r)
@@ -153,10 +159,14 @@ func (k *groppKernel) Step(run *engine.Run) error {
 	res.Stats.VectorUpdates += 2
 	res.Stats.Flops += 4 * n
 
-	// Second reduction gamma' = (r, r) overlaps with the single matvec
-	// w = A r on a parallel machine.
-	gammaNew := run.Dot(k.r, k.r)
+	// Second reduction gamma' = (r, r), in flight over the single
+	// matvec w = A r.
+	ws.IssueDots(k.rr[:], k.rv[:], k.rv[:])
 	run.MatVec(k.w, k.r)
+	ws.Await()
+	gammaNew := k.rr[0]
+	res.Stats.InnerProducts++
+	res.Stats.Flops += 2 * n
 
 	beta := gammaNew / k.gamma
 	ws.Xpay(k.r, beta, k.p)

@@ -59,7 +59,9 @@ func GhyselsVanroose(a sparse.Matrix, b vec.Vector, o Options) (*Result, error) 
 
 // Gropp solves A x = b by Gropp's asynchronous variant: two reductions
 // per iteration, each overlapped with one of the two matvec-shaped
-// operations, using the auxiliary vector s = A p.
+// operations, using the auxiliary vector s = A p. Like GhyselsVanroose
+// it is the sequential reference.
 func Gropp(a sparse.Matrix, b vec.Vector, o Options) (*Result, error) {
+	o.Blocking = true
 	return run(NewGroppKernel(), a, b, o)
 }

@@ -65,7 +65,12 @@ type sstepKernel struct {
 	x, r, p, upd vec.Vector
 	rPow, pPow   []vec.Vector
 
+	// The block's Gram sequences mu = (A^i r, A^j r), nu = (A^i r,
+	// A^j p), om = (A^i p, A^j p) are consecutive stretches of gram,
+	// taken as the one reduction gram[i] = <gx[i], gy[i]>.
 	mu, nu, om     []float64
+	gram           []float64
+	gx, gy         []vec.Vector
 	cr, cp, cx, ct coeffVec
 	stepRRs        []float64
 
@@ -102,15 +107,27 @@ func (kn *sstepKernel) Init(run *engine.Run) (float64, error) {
 		kn.pPow = append(kn.pPow, ws.Vec(5+s+i))
 	}
 	if kn.s != s {
-		kn.mu = make([]float64, 2*s+1)
-		kn.nu = make([]float64, 2*s+2)
-		kn.om = make([]float64, 2*s+3)
+		kn.gram = make([]float64, 6*s+6)
+		kn.mu, kn.nu, kn.om = kn.gram[:2*s+1], kn.gram[2*s+1:4*s+3], kn.gram[4*s+3:]
+		kn.gx = make([]vec.Vector, 0, len(kn.gram))
+		kn.gy = make([]vec.Vector, 0, len(kn.gram))
 		kn.cr = newCoeffVec(s + 2)
 		kn.cp = newCoeffVec(s + 2)
 		kn.cx = newCoeffVec(s + 2)
 		kn.ct = newCoeffVec(s + 2)
 		kn.stepRRs = make([]float64, 0, s)
 		kn.s = s
+	}
+	kn.gx, kn.gy = kn.gx[:0], kn.gy[:0]
+	for i := range kn.mu {
+		kn.gx, kn.gy = append(kn.gx, kn.rPow[i/2]), append(kn.gy, kn.rPow[i-i/2])
+	}
+	for i := range kn.nu {
+		x := min(i/2, s)
+		kn.gx, kn.gy = append(kn.gx, kn.rPow[x]), append(kn.gy, kn.pPow[i-x])
+	}
+	for i := range kn.om {
+		kn.gx, kn.gy = append(kn.gx, kn.pPow[i/2]), append(kn.gy, kn.pPow[i-i/2])
 	}
 
 	run.InitialIterate(kn.x, kn.r)
@@ -188,23 +205,9 @@ func (kn *sstepKernel) Step(run *engine.Run) error {
 	res.Stats.Flops += int64(2*s+1) * engine.MatVecFlops(run.A)
 
 	// One batched reduction: Gram sequences to index 2s+2.
-	for i := range kn.mu {
-		x, y := i/2, i-i/2
-		kn.mu[i] = ws.Dot(kn.rPow[x], kn.rPow[y])
-	}
-	for i := range kn.nu {
-		x := i / 2
-		if x > s {
-			x = s
-		}
-		kn.nu[i] = ws.Dot(kn.rPow[x], kn.pPow[i-x])
-	}
-	for i := range kn.om {
-		x, y := i/2, i-i/2
-		kn.om[i] = ws.Dot(kn.pPow[x], kn.pPow[y])
-	}
-	res.Stats.InnerProducts += len(kn.mu) + len(kn.nu) + len(kn.om)
-	res.Stats.Flops += int64(len(kn.mu)+len(kn.nu)+len(kn.om)) * 2 * n
+	ws.Dots(kn.gram, kn.gx, kn.gy)
+	res.Stats.InnerProducts += len(kn.gram)
+	res.Stats.Flops += int64(len(kn.gram)) * 2 * n
 
 	// s CG steps by coefficient recurrences over (rho, pi) relative to
 	// the block base, contracted against the Gram data. cr/cp start as

@@ -38,7 +38,7 @@ type ClusterOperatorInfo struct {
 type ClusterSolveRequest struct {
 	// Operator names an operator placed via POST /v1/cluster/operators.
 	Operator string `json:"operator"`
-	// Method is a distributed method: cg, pcg, pipecg, or gropp.
+	// Method is a registry method declared solve.Caps.Sharded.
 	Method string `json:"method"`
 	// RHS is the full (unsharded) right-hand side.
 	RHS []float64 `json:"rhs"`

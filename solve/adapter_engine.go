@@ -213,14 +213,15 @@ func init() {
 	// The classic iterations block on every inner product: each one is
 	// a completed global reduction on the machine model.
 	blocking := func(er *engine.Result) int { return er.Stats.InnerProducts }
+	sharded := Caps{Sharded: true}
 
-	registerEngine("cg", "standard Hestenes-Stiefel CG (paper §2), workspace-backed",
-		krylov.NewCGKernel, blocking, false)
+	registerEngineCaps("cg", "standard Hestenes-Stiefel CG (paper §2), workspace-backed",
+		sharded, krylov.NewCGKernel, blocking, false)
 	// A second name for the cg kernel, kept for wire compatibility.
-	registerEngine("cgfused", "standard CG with the fused-kernel update path, workspace-backed",
-		krylov.NewCGKernel, blocking, false)
-	registerEngine("pcg", "preconditioned CG (WithPreconditioner; identity default), workspace-backed",
-		krylov.NewPCGKernel, blocking, false)
+	registerEngineCaps("cgfused", "standard CG with the fused-kernel update path, workspace-backed",
+		sharded, krylov.NewCGKernel, blocking, false)
+	registerEngineCaps("pcg", "preconditioned CG (WithPreconditioner; identity default), workspace-backed",
+		sharded, krylov.NewPCGKernel, blocking, false)
 	registerEngine("cr", "conjugate residuals (minimizes ||b - A x||), workspace-backed",
 		krylov.NewCRKernel, blocking, false)
 	registerEngine("sd", "steepest descent with exact line search (baseline), workspace-backed",
@@ -229,15 +230,19 @@ func init() {
 		krylov.NewMINRESKernel, blocking, false)
 
 	// The pipelined successors wait on one (pipecg) or two (gropp)
-	// overlappable reductions per iteration, plus start-up. pipecg is
-	// the sequential schedule of the Ghysels–Vanroose kernel: its
-	// reduction is evaluated at issue (parcg-pipe overlaps it).
-	Register("pipecg", "Ghysels-Vanroose pipelined CG (one fused reduction/iter), workspace-backed", func() Solver {
-		return &engineSolver{name: "pipecg", kernel: pipecg.NewGVKernel(), blocking: true,
-			syncs: func(er *engine.Result) int { return er.Iterations + 1 }}
-	})
-	registerEngine("gropp", "Gropp asynchronous CG (two overlapped reductions/iter), workspace-backed",
-		pipecg.NewGroppKernel, func(er *engine.Result) int { return 2*er.Iterations + 1 }, false)
+	// overlappable reductions per iteration, plus start-up. Under these
+	// names they are the sequential schedules of their kernels: an
+	// issued reduction is evaluated at issue (parcg-pipe overlaps the
+	// Ghysels–Vanroose one; a fleet overlaps both with the wire).
+	pipelined := func(name, summary string, kf func() engine.Kernel, syncs func(*engine.Result) int) {
+		RegisterCaps(name, summary, sharded, func() Solver {
+			return &engineSolver{name: name, kernel: kf(), blocking: true, syncs: syncs}
+		})
+	}
+	pipelined("pipecg", "Ghysels-Vanroose pipelined CG (one fused reduction/iter), workspace-backed",
+		pipecg.NewGVKernel, func(er *engine.Result) int { return er.Iterations + 1 })
+	pipelined("gropp", "Gropp asynchronous CG (two overlapped reductions/iter), workspace-backed",
+		pipecg.NewGroppKernel, func(er *engine.Result) int { return 2*er.Iterations + 1 })
 
 	// The per-iteration window tops ride the k-deep pipeline; the
 	// schedule only blocks at start-up and at each stabilization or
@@ -247,6 +252,6 @@ func init() {
 
 	// One batched Gram reduction plus one residual resync per block,
 	// after the start-up (r,r).
-	registerEngine("sstep", "Chronopoulos-Gear s-step CG (WithBlockSize s, batched reductions), workspace-backed",
-		sstep.NewKernel, func(er *engine.Result) int { return 2*er.Blocks + 1 }, false)
+	registerEngineCaps("sstep", "Chronopoulos-Gear s-step CG (WithBlockSize s, batched reductions), workspace-backed",
+		sharded, sstep.NewKernel, func(er *engine.Result) int { return 2*er.Blocks + 1 }, false)
 }

@@ -108,8 +108,8 @@ func TestGeneralMethodsRegistered(t *testing.T) {
 			t.Errorf("MethodCaps(%q) = %+v, want %+v", name, got, caps)
 		}
 	}
-	if got := solve.MethodCaps("cg"); got != (solve.Caps{}) {
-		t.Errorf("MethodCaps(cg) = %+v, want zero caps", got)
+	if got := solve.MethodCaps("cg"); got != (solve.Caps{Sharded: true}) {
+		t.Errorf("MethodCaps(cg) = %+v, want no operator-shape caps (Sharded only)", got)
 	}
 }
 

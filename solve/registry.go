@@ -27,6 +27,11 @@ type Caps struct {
 	// shared Krylov space per solve (blockcg, blockpcg); Batch routes
 	// shared-operator multi-RHS workloads through these methods.
 	Block bool
+	// Sharded: every reduction the method's kernel performs goes
+	// through the engine workspace, so the kernel runs unchanged on one
+	// row block of an operator whose inner products are sums over all
+	// the blocks — the methods a cluster fleet accepts.
+	Sharded bool
 }
 
 type entry struct {
