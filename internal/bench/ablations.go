@@ -121,7 +121,7 @@ func A3SpectralScaling() *Table {
 			}
 			restarts := 0
 			if res.Drift != nil {
-				restarts = res.Drift.Refreshes
+				restarts = res.Drift.Replacements
 			}
 			// True residual of the original system (the adapter computes
 			// it serially from the gathered solution).

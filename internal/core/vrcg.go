@@ -39,16 +39,32 @@ type DriftStats = engine.DriftStats
 type Result = engine.Result
 
 // DefaultReanchorInterval returns the re-anchoring interval used when
-// Options.ReanchorEvery is zero. Drift grows with the look-ahead k (the
-// windows span matrix powers up to 2k+3, so cancellation amplifies
-// faster), hence the interval shrinks as k grows: 8 for k=0 down to a
-// floor of 2.
+// Options.ReanchorEvery is zero: 8 at k=0, 6 at k=1 and 2, 2 above. A
+// re-anchor costs 2k+1 products and 6k+6 dots, so the interval is the
+// longest at which vrcg was measured to keep cg's iteration count —
+// tol 1e-8, four random right-hand sides each on Poisson2D(64) and
+// (128), Poisson3D(24), Poisson1D(512), RandomSPD(4096) and
+// PrescribedSpectrum(2000) at κ = 1e4 and 1e6:
+//
+//	every 6   cg's count (+1 at most) for k = 0…4 on the first five,
+//	          within 1.02× (κ = 1e4) and 1.06× (κ = 1e6) of it
+//	every 8   k ≤ 2 as every 6; k = 3 takes 666 and 831 for cg's 512 on
+//	          Poisson1D(512), k = 4 from 954 to 9283
+//	every 12  k = 2 does not converge on Poisson1D(512) in 20000
+//
+// so k ≤ 2 sits one step inside the edge, where ceil(8/(k+1)) had it
+// re-anchor every 4 and every 3 iterations. From k = 3 that rule's floor
+// of 2 stays: every 6 loses Poisson1D(64) at tol 1e-9
+// (TestSolveConvergesVariousProblems) — the windows span powers up to
+// 2k+3, and cancellation amplifies with them.
 func DefaultReanchorInterval(k int) int {
-	v := (8 + k) / (k + 1) // ceil(8/(k+1))
-	if v < 2 {
-		v = 2
+	switch {
+	case k == 0:
+		return 8
+	case k <= 2:
+		return 6
 	}
-	return v
+	return 2
 }
 
 // Solve runs the restructured conjugate gradient iteration of the paper

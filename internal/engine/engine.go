@@ -205,14 +205,22 @@ type Result struct {
 	// Blocks is the number of s-step blocks executed (sstep only).
 	Blocks int
 
-	// K echoes the look-ahead parameter used (vrcg only).
+	// K echoes the look-ahead parameter used (vrcg, parcg).
 	K int
-	// Reanchors counts direct window recomputations (vrcg).
+	// Reanchors counts direct window recomputations (vrcg) and anchor
+	// batches issued behind the top-power product (parcg).
 	Reanchors int
-	// Refreshes counts family rebuilds, 2k+1 matvecs each (vrcg).
+	// Refreshes counts family rebuilds from the live residual and
+	// direction: 2k+1 matvecs each (vrcg), 4k each (parcg, scheduled
+	// and emergency alike).
 	Refreshes int
-	// Replacements counts residual replacements (vrcg).
+	// Replacements counts true-residual replacements (vrcg; parcg's
+	// guard and audit restarts).
 	Replacements int
+	// BlockingAnchors counts anchor batches awaited where they were
+	// issued, with nothing to hide behind (parcg: start-up, restarts,
+	// emergency re-anchors).
+	BlockingAnchors int
 	// ValidationDots counts diagnostic-only inner products (vrcg).
 	ValidationDots int
 	// FallbackDots counts direct (r,r) evaluations forced by a

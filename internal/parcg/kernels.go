@@ -157,6 +157,16 @@ type rowScanner interface {
 // path. Internally the kernel iterates on the Gershgorin-scaled
 // operator A/s so the Gram sequences (powers up to A^4k) keep O(1)
 // magnitude; all reported norms are unscaled.
+//
+// The powers R[i], P[i] are advanced by axpy recurrences — only the top
+// one gets a product per iteration — and the batch takes (R[a],R[s−a])
+// for (r,Aˢr), so it is only as good as R[i] = Aⁱr still holds. Every
+// regrowEvery(k) iterations the anchor therefore regrows both families
+// from the live r and p with real products before it issues its batch
+// (regrow): x, r, p and the coefficient tracks are untouched, so the
+// iterates stay CG's, and nothing is waited for. The divergence guard,
+// the audit and the emergency re-anchor below are the safety net for
+// what that does not catch.
 type lookKernel struct {
 	k int
 
@@ -268,6 +278,35 @@ func (kn *lookKernel) growFamilies(run *engine.Run) {
 	kn.mulScaled(run, kn.P[2*k+1], kn.P[2*k])
 }
 
+// regrow rebuilds the powers R[1..2k], P[1..2k] on the live R[0], P[0]
+// with real products: 4k of them, nothing else moves.
+func (kn *lookKernel) regrow(run *engine.Run) {
+	for i := 1; i <= 2*kn.k; i++ {
+		kn.mulScaled(run, kn.R[i], kn.R[i-1])
+		kn.mulScaled(run, kn.P[i], kn.P[i-1])
+	}
+	run.Res.Refreshes++
+}
+
+// regrowEvery is the number of iterations between scheduled regrowths:
+// 16 up to k=2 and 8 above, rounded up to a whole number of anchor
+// blocks. It is the longest interval measured at which parcg still
+// takes cg's iteration count to tol 1e-8 on seven operators; the drift
+// it bounds compounds through powers up to A^4k, so it shrinks with k.
+// One step longer loses that: every 32 at k=2 takes 513-1027 for cg's
+// 512 on Poisson1D(512) and leaves the Poisson2D(64) iterate 11·tol off
+// in true residual; every 24 at k=3 takes 264-310 for cg's 193-199 on
+// Poisson2D(64) and 1277-1373 on Poisson1D(512). The table is
+// ARCHITECTURE.md's ("What the paper's schedules cost"); solve's
+// TestPropertyParcgTracksCG holds its k ≤ 3 columns.
+func regrowEvery(k int) int {
+	m := 8
+	if k <= 2 {
+		m = 16
+	}
+	return (m + k - 1) / k * k
+}
+
 func (kn *lookKernel) resetTracks() {
 	kn.cra.resetR()
 	kn.cpa.resetP()
@@ -354,12 +393,16 @@ func (kn *lookKernel) Init(run *engine.Run) (float64, error) {
 
 // divergenceGuard bounds how far the recurrence residual may rise above
 // the running minimum since the last restart (the trust anchor) before
-// the kernel restarts from the true residual. The look-ahead
-// recurrences iterate a monomial basis up to A^4k, so on larger or
-// worse-conditioned systems the drift between R[0] and b−Ax feeds on
-// itself; catching the rise early — 100× leaves room for CG's normal
-// residual-norm oscillation but fires while the iterate is still close
-// to the cycle's best — turns the explosion into restarted CG.
+// the kernel restarts from the true residual. It is the safety net
+// under the scheduled regrowth, which keeps the families honest on the
+// operators regrowEvery was measured on; where the monomial basis up to
+// A^4k still loses them (deep look-ahead, unscaled Gram sequences), the
+// drift between R[0] and b−Ax feeds on itself, and catching the rise
+// early — 100× leaves room for CG's normal residual-norm oscillation
+// but fires while the iterate is still close to the cycle's best —
+// turns the explosion into restarted CG. A restart throws the Krylov
+// history away and costs a plateau of iterations: it is the recovery,
+// not the method.
 const divergenceGuard = 1e2
 
 // The recurrence guard cannot see drift that keeps the recurrence norm
@@ -384,11 +427,13 @@ func (kn *lookKernel) issueGram(run *engine.Run, idx int) {
 
 // anchorNow computes an anchor batch from the current families and
 // promotes it at once — start-up, restarts and emergency re-anchors,
-// where there is nothing to hide the reduction behind.
+// where there is nothing to hide the reduction behind: a blocking
+// reduction, counted as one.
 func (kn *lookKernel) anchorNow(run *engine.Run) {
 	idx := kn.pendingIdx ^ 1
 	kn.issueGram(run, idx)
 	run.Ws.Await()
+	run.Res.BlockingAnchors++
 	kn.active = kn.gramBufs[idx]
 	kn.pendingIdx = idx
 }
@@ -413,10 +458,8 @@ func (kn *lookKernel) restart(run *engine.Run) {
 		kn.bestNorm = rn
 	}
 	kn.growFamilies(run)
-	run.Res.Refreshes++
-
 	kn.anchorNow(run)
-	run.Res.Reanchors++
+	run.Res.Replacements++
 
 	kn.resetTracks()
 	kn.rr = kn.gram().Mu[0]
@@ -484,16 +527,9 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 		// emergency re-anchor — refresh the families with true matvecs,
 		// recompute the base products synchronously, restart the
 		// coefficient tracks — then retry.
-		for i := 1; i <= 2*k; i++ {
-			kn.mulScaled(run, kn.R[i], kn.R[i-1])
-		}
-		for i := 1; i <= 2*k+1; i++ {
-			kn.mulScaled(run, kn.P[i], kn.P[i-1])
-		}
-		res.Refreshes++
-
+		kn.regrow(run)
+		kn.mulScaled(run, kn.P[2*k+1], kn.P[2*k])
 		kn.anchorNow(run)
-		res.Reanchors++
 
 		kn.resetTracks()
 		kn.rr = kn.gram().Mu[0]
@@ -562,6 +598,9 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 		kn.crb.resetR()
 		kn.cpb.resetP()
 
+		if next%regrowEvery(k) == 0 {
+			kn.regrow(run)
+		}
 		kn.issueGram(run, target)
 		kn.pendingIdx = target
 		res.Reanchors++

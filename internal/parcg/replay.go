@@ -132,8 +132,11 @@ func replayPipe(m *machine.Machine, dm *DistMatrix, res *engine.Result) {
 // with coefficient polynomials — replicated scalar work whose flop
 // count follows the polynomial degrees, no global communication. One
 // distributed matvec per iteration maintains the top family power
-// (paper §5). With k at least the reduction latency in iteration units
-// no processor ever waits: the log(P) fan-in leaves the critical path.
+// (paper §5), and every regrowEvery(k) iterations the anchor first
+// regrows the lower powers with 4k more — a pure function of k and the
+// iteration index, so it is charged at the anchors that perform it.
+// With k at least the reduction latency in iteration units no processor
+// ever waits: the log(P) fan-in leaves the critical path.
 //
 // blocking waits for each anchor's reduction at issue instead — the
 // timing semantics of s-step CG (Chronopoulos–Gear), which amortizes
@@ -201,9 +204,17 @@ func replayVRCG(m *machine.Machine, dm *DistMatrix, blocking bool, res *engine.R
 	// Coefficient degrees of the active (ra, pa) and building (rb, pb)
 	// tracks, advanced like core.StepCGR/StepCGP advance them.
 	ra, pa, rb, pb := 0, 0, 0, 0
-	promote := func() {
+	promote := func(it int) {
 		h.WaitAll(m)
 		ra, pa = rb, pb
+		if it%regrowEvery(k) == 0 {
+			// The scheduled regrowth (lookKernel.regrow): 4k products,
+			// halo exchanges included, ahead of the batch.
+			for i := 1; i <= 2*k; i++ {
+				mulScaled(R[i], R[i-1])
+				mulScaled(P[i], P[i-1])
+			}
+		}
 		h = issueBase()
 		if blocking {
 			h.WaitAll(m)
@@ -212,7 +223,7 @@ func replayVRCG(m *machine.Machine, dm *DistMatrix, blocking bool, res *engine.R
 	}
 	for it := 0; it < res.Iterations; it++ {
 		if it > 0 && it%k == 0 {
-			promote()
+			promote(it)
 		}
 		scalarAll(m, contractCost(pa)+1)
 		Axpy(m, 0, P[0], x)
@@ -242,7 +253,7 @@ func replayVRCG(m *machine.Machine, dm *DistMatrix, blocking bool, res *engine.R
 	}
 	// A convergence exit at an anchor boundary promotes before breaking.
 	if res.Converged && res.Iterations > 0 && res.Iterations%k == 0 {
-		promote()
+		promote(res.Iterations)
 	}
 	// Final direct (r,r) confirmation.
 	collective.AllreduceSum(m, LocalDotPartials(m, R[0], R[0]))

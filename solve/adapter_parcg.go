@@ -69,12 +69,15 @@ func registerParcg(name, summary string, kf func() engine.Kernel, syncs func(*en
 }
 
 func init() {
-	registerParcg("parcg", "the paper's VRCG with real-parallel pipelined anchors (WithLookahead k), workspace-backed",
+	registerParcg("parcg", "the paper's VRCG: cg's iterates on three blocking reductions a solve, real-parallel pipelined anchors (WithLookahead k), workspace-backed",
 		parcg.NewLookaheadKernel,
-		// The anchors ride k iterations behind the pipeline; only
-		// start-up, the final convergence check, and drift fallbacks
-		// block (WithBlocking adds a stall per anchor; see parcgPost).
-		func(er *engine.Result) int { return 2 + er.FallbackDots }, true)
+		// The anchors ride behind the pipeline. What blocks: the
+		// Gershgorin bound, every anchor awaited where it was issued
+		// (start-up, restarts, emergency re-anchors), and the direct
+		// (r,r) of a drift fallback or a convergence check — three on a
+		// clean solve (WithBlocking adds a stall per anchor; see
+		// parcgPost).
+		func(er *engine.Result) int { return 1 + er.BlockingAnchors + er.FallbackDots }, true)
 	registerParcg("parcg-cg", "standard CG with two real blocking reductions per iteration (the paper's baseline), workspace-backed",
 		krylov.NewCGKernel,
 		// Two blocking reduction waits per iteration — the c*log(N)

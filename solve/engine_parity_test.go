@@ -19,6 +19,14 @@ import (
 // before and after). Any future change that moves a norm by more than
 // 1e-12 must be justified the same way: a deliberate, documented
 // summation-order change, never a silent numerical drift.
+//
+// poisson2d_20/vrcg was re-pinned (1.8387398967764855e-07 /
+// 1.838739141778217e-07 before, |diff| 2.8e-11) when
+// core.DefaultReanchorInterval moved from every 3 to every 6 iterations
+// at the default k=2: the windows are recomputed from direct inner
+// products half as often, so the recurrence values between re-anchors
+// carry six steps of rounding instead of three. Still 42 iterations;
+// poisson2d_31/vrcg stayed inside 1e-12.
 type goldenCase struct {
 	system     string
 	method     string
@@ -35,7 +43,7 @@ var goldenCases = []goldenCase{
 	{"poisson2d_20", "cr", 41, true, 3.8963902768109237e-07, 3.8963903024604996e-07},
 	{"poisson2d_20", "sd", 1560, true, 4.2030727599913952e-07, 4.2030704396692528e-07},
 	{"poisson2d_20", "minres", 41, true, 3.8963902768109565e-07, 3.8963899321972399e-07},
-	{"poisson2d_20", "vrcg", 42, true, 1.8387398967764855e-07, 1.838739141778217e-07},
+	{"poisson2d_20", "vrcg", 42, true, 1.8390200978089607e-07, 1.8390189692767524e-07},
 	{"poisson2d_20", "pipecg", 42, true, 1.8387395526824418e-07, 1.8387444264837361e-07},
 	{"poisson2d_20", "gropp", 42, true, 1.8387398966418255e-07, 1.8387391745284183e-07},
 	{"poisson2d_20", "sstep", 42, true, 1.8387400367165679e-07, 1.838740631731661e-07},
@@ -53,7 +61,7 @@ var goldenCases = []goldenCase{
 
 func goldenSystem(t *testing.T, name string) (*sparse.CSR, []float64) {
 	t.Helper()
-	m := map[string]int{"poisson2d_20": 20, "poisson2d_31": 31}[name]
+	m := map[string]int{"poisson2d_20": 20, "poisson2d_31": 31, "poisson2d_64": 64}[name]
 	if m == 0 {
 		t.Fatalf("unknown golden system %q", name)
 	}

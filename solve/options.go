@@ -102,7 +102,8 @@ func WithBatchWorkers(n int) Option { return func(c *config) { c.batchWorkers = 
 
 // WithLookahead sets the look-ahead parameter k of the paper's
 // restructured recurrences: "vrcg" (k >= 0; the §5 window depth,
-// default 2) and "parcg" (k >= 1; the anchor pipeline depth).
+// default 2) and "parcg" (k >= 1; the anchor pipeline depth, cg's
+// iteration count up to k = 3 on the operators measured).
 func WithLookahead(k int) Option {
 	return func(c *config) { c.lookahead = k }
 }

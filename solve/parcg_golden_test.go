@@ -29,10 +29,21 @@ import (
 //     captured values rescaled (×8). Iteration counts still agree ±1;
 //     the norms agree to the recurrences' drift level (~2e-3 relative).
 //
-// parcg runs at tol 1e-6 because the pre-rewrite solver's recurrence
-// stalls below that on poisson2d_31 (the new kernel's direct-dot
-// convergence sharpening actually reaches 1e-8 on poisson2d_20 — a
-// strict improvement the improvement test below pins).
+// The tol-1e-6 parcg rows are the ones the pre-rewrite solver could be
+// captured at: its recurrence stalled below that on poisson2d_31. The
+// kernel no longer does — its Krylov families are regrown on a schedule
+// (internal/parcg regrowEvery), so it takes cg's iterations to any
+// tolerance — and the tol-1e-8 parcg rows pin that: their golden values
+// are the parcg-cg row's own, iteration count ±1 and residual within
+// the same 1e-2. poisson2d_64 (lib-ladder's operator) was never captured
+// from the retired solvers: its parcg-cg row is cg's own trajectory,
+// there for the parcg row to be held to.
+//
+// Re-pinned with the regrowth: poisson2d_31/parcg at tol 1e-6, residual
+// 5.8197951601930317e-05 → 6.0904787855117285e-05, still 59 iterations.
+// The captured value was the retired solver's drifted recurrence; cg
+// itself reads 6.0904913222103954e-05 at iteration 59, which the
+// regrown recurrence now matches to 2e-6.
 var parcgGoldenCases = []struct {
 	system  string
 	method  string
@@ -46,7 +57,10 @@ var parcgGoldenCases = []struct {
 	{"poisson2d_20", "parcg", 1e-6, 1e-2, 35, 2.7333340621817858e-05},
 	{"poisson2d_31", "parcg-cg", 1e-8, 1e-12, 84, 3.9945070346561846e-07},
 	{"poisson2d_31", "parcg-pipe", 1e-8, 1e-4, 84, 3.9945081389853115e-07},
-	{"poisson2d_31", "parcg", 1e-6, 1e-2, 59, 5.8197951601930317e-05},
+	{"poisson2d_31", "parcg", 1e-6, 1e-2, 59, 6.0904787855117285e-05},
+	{"poisson2d_31", "parcg", 1e-8, 1e-2, 84, 3.9945070346561846e-07},
+	{"poisson2d_64", "parcg-cg", 1e-8, 1e-12, 161, 1.1631082644884524e-06},
+	{"poisson2d_64", "parcg", 1e-8, 1e-2, 161, 1.1631082644884524e-06},
 }
 
 // TestParcgGoldenTrajectories is the rewrite acceptance gate: the
@@ -161,9 +175,8 @@ func TestParcgBlockingBitIdentical(t *testing.T) {
 // TestParcgSharpeningImprovement pins a deliberate behavior change of
 // the rewrite: the convergence-sharpening direct dot lets parcg reach
 // tol 1e-8 on poisson2d_20, where the retired solver's recurrence
-// falsely stalled. (The divergence guard's true-residual restarts
-// extend this: poisson2d_31, where the retired solver stalled at
-// ~1e-6, now also grinds to 1e-8 in ~700 restarted iterations.)
+// falsely stalled. (poisson2d_31, where the retired solver stalled at
+// ~1e-6, is a golden row above: 84 iterations, cg's count.)
 func TestParcgSharpeningImprovement(t *testing.T) {
 	a, b := goldenSystem(t, "poisson2d_20")
 	res, err := solve.MustNew("parcg").Solve(a, b,

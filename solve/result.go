@@ -84,9 +84,12 @@ type Drift struct {
 	MaxRelPAP float64
 	// Checks counts drift checkpoints taken.
 	Checks int
-	// Reanchors counts direct window recomputations; Refreshes counts
-	// family rebuilds (2k+1 matvecs each); Replacements counts
-	// true-residual replacements.
+	// Reanchors counts direct window recomputations ("parcg": anchor
+	// batches issued behind the pipeline); Refreshes counts family
+	// rebuilds from the live residual and direction (2k+1 matvecs each;
+	// "parcg": 4k, on its regrowth schedule); Replacements counts
+	// true-residual replacements ("parcg": guard and audit restarts,
+	// 0 on a healthy solve).
 	Reanchors    int
 	Refreshes    int
 	Replacements int

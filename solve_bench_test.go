@@ -116,16 +116,8 @@ func BenchmarkSessionPerMethod(b *testing.B) {
 	for _, method := range solve.Methods() {
 		b.Run(method, func(b *testing.B) {
 			opts := []solve.Option{solve.WithTol(1e-8)}
-			switch method {
-			case "pcg":
+			if method == "pcg" {
 				opts = append(opts, solve.WithPreconditioner(jac))
-			case "parcg":
-				// The deep look-ahead recurrences need divergence-guard
-				// restarts to grind past 1e-6 on this conditioning (~2300
-				// iterations to 1e-8 vs ~40 for cg); 1e-6 keeps the row
-				// cheap and on the pure-recurrence path (matching
-				// TestSessionZeroAllocAllMethods).
-				opts = []solve.Option{solve.WithTol(1e-6)}
 			}
 			sess, err := solve.NewSession(method, a, opts...)
 			if err != nil {
