@@ -44,17 +44,22 @@ vet:
 	$(GO) vet ./...
 
 # Full gate, mirrored by .github/workflows/ci.yml: formatting, vet,
-# build, the test suite under the race detector, a one-iteration
-# benchmark smoke run so bench code cannot rot, a cgsolve smoke (parcg
-# converges in cg's iteration count, ±1), and the judged benchmark's
-# own module (benchmark/, which ./... does not reach) vetted and
-# short-tested against this tree.
+# build, the test suite under the race detector (which runs the Go leaf
+# bodies: assembly is invisible to it) and again without (the AVX2
+# assembly bodies and the differential tests that compare the two), an
+# arm64 cross-build so the portable-only file set cannot rot, a
+# one-iteration benchmark smoke run so bench code cannot rot, a cgsolve
+# smoke (parcg converges in cg's iteration count, ±1), and the judged
+# benchmark's own module (benchmark/, which ./... does not reach) vetted
+# and short-tested against this tree.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+	$(GO) test ./...
+	GOARCH=arm64 $(GO) build ./... && GOARCH=arm64 $(GO) vet ./...
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 	@iters() { $(GO) run ./cmd/cgsolve -problem poisson2d -m 64 -method "$$1" | sed -n 's/^converged=true iterations=\([0-9]*\).*/\1/p'; }; \
 	p=$$(iters parcg); c=$$(iters cg); echo "cgsolve smoke: parcg=$$p cg=$$c"; [ -n "$$p" ] && [ -n "$$c" ] && [ $$((p - c)) -ge -1 ] && [ $$((p - c)) -le 1 ]

@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"vrcg/internal/bench"
+	"vrcg/internal/vec"
 )
 
 func main() {
@@ -43,6 +44,14 @@ func main() {
 		"a5":  bench.A5PartitionQuality,
 		"a6":  bench.A6EngineThroughput,
 	}
+
+	// Which leaf-kernel bodies produced the numbers below; beside a CSV,
+	// not in it.
+	header := os.Stdout
+	if *csv {
+		header = os.Stderr
+	}
+	fmt.Fprintf(header, "cgbench: %s leaf kernels\n\n", vec.Kernels())
 
 	emit := func(t *bench.Table) {
 		if *csv {

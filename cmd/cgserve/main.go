@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"vrcg/cluster"
+	"vrcg/internal/vec"
 	"vrcg/server"
 	"vrcg/sparse"
 )
@@ -118,7 +119,7 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("cgserve: serving on %s", *addr)
+		log.Printf("cgserve: serving on %s (%s leaf kernels)", *addr, vec.Kernels())
 		errc <- httpSrv.ListenAndServe()
 	}()
 
@@ -147,7 +148,7 @@ func runWorker(addr string) {
 	if err != nil {
 		log.Fatalf("cgserve: -worker-listen %q: %v", addr, err)
 	}
-	log.Printf("cgserve: cluster worker on %s", w.Addr())
+	log.Printf("cgserve: cluster worker on %s (%s leaf kernels)", w.Addr(), vec.Kernels())
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	<-ctx.Done()

@@ -1,0 +1,34 @@
+package vec
+
+// useAVX2 selects the assembly bodies in kernels_amd64.s, once, from
+// what the CPU and the OS report. Under the race detector the Go bodies
+// run: assembly is invisible to it, and the pooled-kernel tests rely on
+// it seeing every element access of a chunk.
+var useAVX2 = !raceEnabled && hasAVX2()
+
+func hasAVX2() bool
+
+// The assembly bodies. Each trusts its arguments: every operand holds at
+// least as many elements as the first slice (for diaRowsAVX2, see
+// DIARows), which the Go callers establish before the call.
+
+//go:noescape
+func dotLeafAVX2(x, y []float64) float64
+
+//go:noescape
+func dotPairLeafAVX2(x, y, z []float64) (xy, xz float64)
+
+//go:noescape
+func fusedCGLeafAVX2(alpha float64, p, ap, x, r []float64) float64
+
+//go:noescape
+func axpyAVX2(alpha float64, x, y []float64)
+
+//go:noescape
+func xpayAVX2(x []float64, alpha float64, y []float64)
+
+//go:noescape
+func scaleAVX2(alpha float64, x []float64)
+
+//go:noescape
+func diaRowsAVX2(out, slab []float64, stride int, x []float64, lo int, offs []int)

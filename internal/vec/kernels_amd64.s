@@ -1,0 +1,531 @@
+// AVX2 bodies of the leaf kernels. Each computes the same bits as the Go
+// body it stands in for (vec.go, sparse/dia.go): chain j of a Go leaf is
+// lane j of one register, every product is a VMULPD and every sum a
+// VADDPD/VSUBPD — never a fused multiply-add, which rounds once where
+// the Go bodies (gc does not fuse on amd64) round twice — and a tail
+// shorter than one register goes element by element into lane 0.
+//
+// Every routine is a leaf: NOSPLIT, no frame, no calls, unaligned loads
+// and stores only, VZEROUPPER before RET. The Go callers prove every
+// operand in range before the call (see kernels_amd64.go).
+
+#include "textflag.h"
+
+// func hasAVX2() bool
+//
+// CPUID.1:ECX bit 27 (OSXSAVE) and bit 28 (AVX), XCR0 bits 1-2 (the OS
+// saves XMM and YMM state), CPUID.7.0:EBX bit 5 (AVX2).
+TEXT ·hasAVX2(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JB   no
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  no
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $5, BX
+	JCC  no
+	MOVB $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func dotLeafAVX2(x, y []float64) float64
+//
+// Y0 = (s0, s1, s2, s3). Sixteen elements per trip keep the loads and
+// products ahead of the one add chain; the adds stay in element order.
+TEXT ·dotLeafAVX2(SB), NOSPLIT, $0-56
+	MOVQ   x_base+0(FP), SI
+	MOVQ   x_len+8(FP), CX
+	MOVQ   y_base+24(FP), DI
+	VXORPD Y0, Y0, Y0
+
+dot16:
+	CMPQ    CX, $16
+	JL      dot4
+	VMOVUPD (SI), Y1
+	VMOVUPD 32(SI), Y2
+	VMOVUPD 64(SI), Y3
+	VMOVUPD 96(SI), Y4
+	VMULPD  (DI), Y1, Y1
+	VMULPD  32(DI), Y2, Y2
+	VMULPD  64(DI), Y3, Y3
+	VMULPD  96(DI), Y4, Y4
+	VADDPD  Y1, Y0, Y0
+	VADDPD  Y2, Y0, Y0
+	VADDPD  Y3, Y0, Y0
+	VADDPD  Y4, Y0, Y0
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $16, CX
+	JMP     dot16
+
+dot4:
+	CMPQ    CX, $4
+	JL      dottail
+	VMOVUPD (SI), Y1
+	VMULPD  (DI), Y1, Y1
+	VADDPD  Y1, Y0, Y0
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     dot4
+
+dottail:
+	// A VEX scalar op zeroes bits 128-255 of its destination: park
+	// (s2, s3) in X2 before the tail runs on lane 0 of X0.
+	VEXTRACTF128 $1, Y0, X2
+
+dot1:
+	TESTQ  CX, CX
+	JZ     dotsum
+	VMOVSD (SI), X1
+	VMULSD (DI), X1, X1
+	VADDSD X1, X0, X0
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    dot1
+
+dotsum:
+	VHADDPD X2, X0, X0 // (s0+s1, s2+s3)
+	VHADDPD X0, X0, X0 // (s0+s1)+(s2+s3)
+	VMOVSD  X0, ret+48(FP)
+	VZEROUPPER
+	RET
+
+// func dotPairLeafAVX2(x, y, z []float64) (xy, xz float64)
+//
+// X0 = (a0, a1), X1 = (b0, b1): two chains per sum are two lanes.
+TEXT ·dotPairLeafAVX2(SB), NOSPLIT, $0-88
+	MOVQ   x_base+0(FP), SI
+	MOVQ   x_len+8(FP), CX
+	MOVQ   y_base+24(FP), DI
+	MOVQ   z_base+48(FP), DX
+	VXORPD X0, X0, X0
+	VXORPD X1, X1, X1
+
+pair4:
+	CMPQ    CX, $4
+	JL      pair2
+	VMOVUPD (SI), X2
+	VMOVUPD 16(SI), X3
+	VMULPD  (DI), X2, X4
+	VMULPD  (DX), X2, X5
+	VMULPD  16(DI), X3, X6
+	VMULPD  16(DX), X3, X7
+	VADDPD  X4, X0, X0
+	VADDPD  X5, X1, X1
+	VADDPD  X6, X0, X0
+	VADDPD  X7, X1, X1
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	SUBQ    $4, CX
+	JMP     pair4
+
+pair2:
+	CMPQ    CX, $2
+	JL      pair1
+	VMOVUPD (SI), X2
+	VMULPD  (DI), X2, X4
+	VMULPD  (DX), X2, X5
+	VADDPD  X4, X0, X0
+	VADDPD  X5, X1, X1
+	ADDQ    $16, SI
+	ADDQ    $16, DI
+	ADDQ    $16, DX
+	SUBQ    $2, CX
+
+pair1:
+	TESTQ  CX, CX
+	JZ     pairsum
+	VMOVSD (SI), X2
+	VMULSD (DI), X2, X4
+	VMULSD (DX), X2, X5
+	VADDSD X4, X0, X0
+	VADDSD X5, X1, X1
+
+pairsum:
+	VHADDPD X1, X0, X0 // (a0+a1, b0+b1)
+	VMOVSD  X0, xy+72(FP)
+	VMOVHPD X0, xz+80(FP)
+	VZEROUPPER
+	RET
+
+// func fusedCGLeafAVX2(alpha float64, p, ap, x, r []float64) float64
+//
+// x += alpha*p; r -= alpha*ap; Y0 = (s0, s1, s2, s3) of <r, r>.
+TEXT ·fusedCGLeafAVX2(SB), NOSPLIT, $0-112
+	VBROADCASTSD alpha+0(FP), Y15
+	MOVQ         p_base+8(FP), SI
+	MOVQ         p_len+16(FP), CX
+	MOVQ         ap_base+32(FP), DX
+	MOVQ         x_base+56(FP), DI
+	MOVQ         r_base+80(FP), BX
+	VXORPD       Y0, Y0, Y0
+
+fused8:
+	CMPQ    CX, $8
+	JL      fused4
+	VMULPD  (SI), Y15, Y1
+	VMULPD  32(SI), Y15, Y2
+	VADDPD  (DI), Y1, Y1
+	VADDPD  32(DI), Y2, Y2
+	VMOVUPD Y1, (DI)
+	VMOVUPD Y2, 32(DI)
+	VMULPD  (DX), Y15, Y3
+	VMULPD  32(DX), Y15, Y4
+	VMOVUPD (BX), Y5
+	VMOVUPD 32(BX), Y6
+	VSUBPD  Y3, Y5, Y5
+	VSUBPD  Y4, Y6, Y6
+	VMOVUPD Y5, (BX)
+	VMOVUPD Y6, 32(BX)
+	VMULPD  Y5, Y5, Y5
+	VMULPD  Y6, Y6, Y6
+	VADDPD  Y5, Y0, Y0
+	VADDPD  Y6, Y0, Y0
+	ADDQ    $64, SI
+	ADDQ    $64, DX
+	ADDQ    $64, DI
+	ADDQ    $64, BX
+	SUBQ    $8, CX
+	JMP     fused8
+
+fused4:
+	CMPQ    CX, $4
+	JL      fusedtail
+	VMULPD  (SI), Y15, Y1
+	VADDPD  (DI), Y1, Y1
+	VMOVUPD Y1, (DI)
+	VMULPD  (DX), Y15, Y3
+	VMOVUPD (BX), Y5
+	VSUBPD  Y3, Y5, Y5
+	VMOVUPD Y5, (BX)
+	VMULPD  Y5, Y5, Y5
+	VADDPD  Y5, Y0, Y0
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	ADDQ    $32, BX
+	SUBQ    $4, CX
+
+fusedtail:
+	VEXTRACTF128 $1, Y0, X2 // see dottail
+
+fused1:
+	TESTQ  CX, CX
+	JZ     fusedsum
+	VMULSD (SI), X15, X1
+	VADDSD (DI), X1, X1
+	VMOVSD X1, (DI)
+	VMULSD (DX), X15, X3
+	VMOVSD (BX), X5
+	VSUBSD X3, X5, X5
+	VMOVSD X5, (BX)
+	VMULSD X5, X5, X5
+	VADDSD X5, X0, X0
+	ADDQ   $8, SI
+	ADDQ   $8, DX
+	ADDQ   $8, DI
+	ADDQ   $8, BX
+	DECQ   CX
+	JMP    fused1
+
+fusedsum:
+	VHADDPD X2, X0, X0
+	VHADDPD X0, X0, X0
+	VMOVSD  X0, ret+104(FP)
+	VZEROUPPER
+	RET
+
+// func axpyAVX2(alpha float64, x, y []float64)
+//
+// y += alpha*x.
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-56
+	VBROADCASTSD alpha+0(FP), Y15
+	MOVQ         x_base+8(FP), SI
+	MOVQ         x_len+16(FP), CX
+	MOVQ         y_base+32(FP), DI
+
+axpy16:
+	CMPQ    CX, $16
+	JL      axpy4
+	VMULPD  (SI), Y15, Y0
+	VMULPD  32(SI), Y15, Y1
+	VMULPD  64(SI), Y15, Y2
+	VMULPD  96(SI), Y15, Y3
+	VADDPD  (DI), Y0, Y0
+	VADDPD  32(DI), Y1, Y1
+	VADDPD  64(DI), Y2, Y2
+	VADDPD  96(DI), Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $16, CX
+	JMP     axpy16
+
+axpy4:
+	CMPQ    CX, $4
+	JL      axpy1
+	VMULPD  (SI), Y15, Y0
+	VADDPD  (DI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     axpy4
+
+axpy1:
+	TESTQ  CX, CX
+	JZ     axpydone
+	VMULSD (SI), X15, X0
+	VADDSD (DI), X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    axpy1
+
+axpydone:
+	VZEROUPPER
+	RET
+
+// func xpayAVX2(x []float64, alpha float64, y []float64)
+//
+// y = x + alpha*y.
+TEXT ·xpayAVX2(SB), NOSPLIT, $0-56
+	MOVQ         x_base+0(FP), SI
+	MOVQ         x_len+8(FP), CX
+	VBROADCASTSD alpha+24(FP), Y15
+	MOVQ         y_base+32(FP), DI
+
+xpay16:
+	CMPQ    CX, $16
+	JL      xpay4
+	VMULPD  (DI), Y15, Y0
+	VMULPD  32(DI), Y15, Y1
+	VMULPD  64(DI), Y15, Y2
+	VMULPD  96(DI), Y15, Y3
+	VADDPD  (SI), Y0, Y0
+	VADDPD  32(SI), Y1, Y1
+	VADDPD  64(SI), Y2, Y2
+	VADDPD  96(SI), Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, SI
+	ADDQ    $128, DI
+	SUBQ    $16, CX
+	JMP     xpay16
+
+xpay4:
+	CMPQ    CX, $4
+	JL      xpay1
+	VMULPD  (DI), Y15, Y0
+	VADDPD  (SI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     xpay4
+
+xpay1:
+	TESTQ  CX, CX
+	JZ     xpaydone
+	VMULSD (DI), X15, X0
+	VADDSD (SI), X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, SI
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    xpay1
+
+xpaydone:
+	VZEROUPPER
+	RET
+
+// func scaleAVX2(alpha float64, x []float64)
+//
+// x *= alpha.
+TEXT ·scaleAVX2(SB), NOSPLIT, $0-32
+	VBROADCASTSD alpha+0(FP), Y15
+	MOVQ         x_base+8(FP), DI
+	MOVQ         x_len+16(FP), CX
+
+scale16:
+	CMPQ    CX, $16
+	JL      scale4
+	VMULPD  (DI), Y15, Y0
+	VMULPD  32(DI), Y15, Y1
+	VMULPD  64(DI), Y15, Y2
+	VMULPD  96(DI), Y15, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	SUBQ    $16, CX
+	JMP     scale16
+
+scale4:
+	CMPQ    CX, $4
+	JL      scale1
+	VMULPD  (DI), Y15, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     scale4
+
+scale1:
+	TESTQ  CX, CX
+	JZ     scaledone
+	VMULSD (DI), X15, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, DI
+	DECQ   CX
+	JMP    scale1
+
+scaledone:
+	VZEROUPPER
+	RET
+
+// func diaRowsAVX2(out, slab []float64, stride int, x []float64, lo int, offs []int)
+//
+// out[i] = +0 + Σ_d slab[d*stride+i] * x[lo+offs[d]+i], one VADDPD per
+// diagonal in ascending d, for any len(offs): sixteen rows per trip in
+// Y0-Y3, then four rows in Y0, then one in X0. The inner loop walks the
+// diagonals with R12 = &slab[d*stride+i] and R14 = &x[lo+offs[d]+i].
+TEXT ·diaRowsAVX2(SB), NOSPLIT, $0-112
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), CX
+	MOVQ slab_base+24(FP), SI
+	MOVQ stride+48(FP), R8
+	SHLQ $3, R8                // bytes between diagonals
+	MOVQ x_base+56(FP), DX
+	MOVQ lo+80(FP), AX
+	LEAQ (DX)(AX*8), DX        // &x[lo]
+	MOVQ offs_base+88(FP), R9
+	MOVQ offs_len+96(FP), R10
+
+dia16:
+	CMPQ   CX, $16
+	JL     dia4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   SI, R12
+	MOVQ   R9, R13
+	MOVQ   R10, R11
+	TESTQ  R11, R11
+	JZ     dia16store
+
+dia16diag:
+	MOVQ    (R13), R14
+	LEAQ    (DX)(R14*8), R14
+	VMOVUPD (R12), Y4
+	VMOVUPD 32(R12), Y5
+	VMOVUPD 64(R12), Y6
+	VMOVUPD 96(R12), Y7
+	VMULPD  (R14), Y4, Y4
+	VMULPD  32(R14), Y5, Y5
+	VMULPD  64(R14), Y6, Y6
+	VMULPD  96(R14), Y7, Y7
+	VADDPD  Y4, Y0, Y0
+	VADDPD  Y5, Y1, Y1
+	VADDPD  Y6, Y2, Y2
+	VADDPD  Y7, Y3, Y3
+	ADDQ    R8, R12
+	ADDQ    $8, R13
+	DECQ    R11
+	JNZ     dia16diag
+
+dia16store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	ADDQ    $128, DX
+	SUBQ    $16, CX
+	JMP     dia16
+
+dia4:
+	CMPQ   CX, $4
+	JL     dia1
+	VXORPD Y0, Y0, Y0
+	MOVQ   SI, R12
+	MOVQ   R9, R13
+	MOVQ   R10, R11
+	TESTQ  R11, R11
+	JZ     dia4store
+
+dia4diag:
+	MOVQ    (R13), R14
+	VMOVUPD (R12), Y4
+	VMULPD  (DX)(R14*8), Y4, Y4
+	VADDPD  Y4, Y0, Y0
+	ADDQ    R8, R12
+	ADDQ    $8, R13
+	DECQ    R11
+	JNZ     dia4diag
+
+dia4store:
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	SUBQ    $4, CX
+	JMP     dia4
+
+dia1:
+	TESTQ  CX, CX
+	JZ     diadone
+	VXORPD X0, X0, X0
+	MOVQ   SI, R12
+	MOVQ   R9, R13
+	MOVQ   R10, R11
+	TESTQ  R11, R11
+	JZ     dia1store
+
+dia1diag:
+	MOVQ   (R13), R14
+	VMOVSD (R12), X4
+	VMULSD (DX)(R14*8), X4, X4
+	VADDSD X4, X0, X0
+	ADDQ   R8, R12
+	ADDQ   $8, R13
+	DECQ   R11
+	JNZ    dia1diag
+
+dia1store:
+	VMOVSD X0, (DI)
+	ADDQ   $8, DI
+	ADDQ   $8, SI
+	ADDQ   $8, DX
+	DECQ   CX
+	JMP    dia1
+
+diadone:
+	VZEROUPPER
+	RET

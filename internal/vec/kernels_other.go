@@ -1,0 +1,17 @@
+//go:build !amd64
+
+package vec
+
+// useAVX2 is pinned false where there is no assembly: the Go bodies are
+// the only path, and the stubs below exist so the dispatch compiles.
+const useAVX2 = false
+
+const noAssembly = "vec: no assembly bodies on this platform"
+
+func dotLeafAVX2(x, y []float64) float64                                           { panic(noAssembly) }
+func dotPairLeafAVX2(x, y, z []float64) (xy, xz float64)                           { panic(noAssembly) }
+func fusedCGLeafAVX2(alpha float64, p, ap, x, r []float64) float64                 { panic(noAssembly) }
+func axpyAVX2(alpha float64, x, y []float64)                                       { panic(noAssembly) }
+func xpayAVX2(x []float64, alpha float64, y []float64)                             { panic(noAssembly) }
+func scaleAVX2(alpha float64, x []float64)                                         { panic(noAssembly) }
+func diaRowsAVX2(out, slab []float64, stride int, x []float64, lo int, offs []int) { panic(noAssembly) }

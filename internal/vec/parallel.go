@@ -116,20 +116,44 @@ var opNames = [nOps]string{
 // percent at worst. Reductions pay a wakeup plus a combine, so they
 // need the most length; elementwise streams are pure bandwidth and
 // amortize faster; DotBatch amortizes one dispatch over every ys sweep.
+//
+// The kernels with assembly leaves (kernels_amd64.s) sit a factor of
+// four above where they were set against the Go leaves — 1<<16 for dot,
+// 1<<15 for axpy/xpay/fusedcg, 1<<14 for the batched ones: the serial
+// side got 2.3-4.7x faster per element (BenchmarkLeaf), a wake-up did
+// not. dotpair's two-lane leaf gained 1.2-1.7x and moves by two. Five
+// Calibrate runs on fresh 2-worker pools with the assembly leaves, on
+// the 2-core shared box the BENCH files come from, put the crossovers
+// (median of five; "never" = no win up to 1<<20) at
+//
+//	dot 1<<20 (1<<18 .. never)      axpy 1<<19 (1<<19 .. 1<<20)
+//	dotpair 1<<19 (1<<18 .. 1<<20)  xpay 1<<20 (1<<19 .. 1<<20)
+//	fusedcg 1<<19 (1<<18 .. 1<<19)  dotbatch 1<<18 (1<<18 .. 1<<19)
+//	dotblock 1<<17 (1<<14 .. 1<<18) axpyblock 1<<18 (1<<18 .. 1<<19)
+//
+// every one of them above its default, old or new. The defaults stop
+// short of those medians on purpose: they are what a host that never
+// calibrates runs on, the second core of that box is shared (five runs
+// on the Go leaves the same hour have a median of "never" for every
+// opcode), and the factor the serial leaf gained is the part of the
+// shift that carries over to other machines. Where the Go leaves run
+// the new values are only more conservative. mulelem, the CSR products
+// and rowrange (derived from the CSR probe) have no assembly body and
+// keep their values.
 var defaultCutoffs = [nOps]int64{
-	opDot:       1 << 16,
-	opDotPair:   1 << 16,
-	opAxpy:      1 << 15,
-	opXpay:      1 << 15,
+	opDot:       1 << 18,
+	opDotPair:   1 << 17,
+	opAxpy:      1 << 17,
+	opXpay:      1 << 17,
 	opMulElem:   1 << 15,
-	opFusedCG:   1 << 15,
-	opDotBatch:  1 << 14,
+	opFusedCG:   1 << 17,
+	opDotBatch:  1 << 16,
 	opCSRMulVec: 1 << 15, // in nonzeros
 	opRowRange:  1 << 15, // in rows
 	// The block multi-RHS kernels amortize one dispatch over s (or s^2)
 	// operand sweeps, so they cross over at DotBatch-like sizes.
-	opDotBlock:   1 << 14,
-	opAxpyBlock:  1 << 14,
+	opDotBlock:   1 << 16,
+	opAxpyBlock:  1 << 16,
 	opCSRMulVecs: 1 << 15, // in nonzeros (shared across the s outputs)
 }
 

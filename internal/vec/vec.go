@@ -13,16 +13,36 @@
 // Every reducing kernel (Dot, DotPair, FusedCGUpdate, DotBatch) is
 // defined — not just implemented — as a fixed reduction tree over
 // blocks of BlockLen elements: each block is accumulated by a 4-way
-// unrolled leaf (four independent accumulator chains, so the compiler
-// and the CPU overlap the floating-point adds), and block partials are
-// combined by pairwise recursion whose shape depends only on the vector
-// length. The serial kernels walk that tree directly; the pooled
-// kernels compute the same leaves on worker goroutines and replay the
-// same combine tree over the published block partials. The result is
+// unrolled leaf (four independent accumulator chains, so the CPU
+// overlaps the floating-point adds), and block partials are combined by
+// pairwise recursion whose shape depends only on the vector length. The
+// serial kernels walk that tree directly; the pooled kernels compute
+// the same leaves on worker goroutines and replay the same combine
+// tree over the published block partials. The result is
 // the substrate's core guarantee: serial and pooled reductions are
 // BITWISE IDENTICAL for every worker count, so moving a solve on or
 // off a Pool — or recalibrating its cutoffs — can never change a
 // trajectory.
+//
+// # Leaf bodies
+//
+// The loops at the bottom — dotLeaf, dotPairLeaf, fusedCGLeaf, Axpy,
+// Xpay, Scale here, and the row kernel of sparse.DIA (DIARows) — have
+// two bodies each. The Go body (dotLeafGo, axpyGo, ...) is the
+// definition, the reference the tests compare against, and the only
+// path off amd64; gc never vectorizes it. On amd64 with AVX2 the
+// assembly body in kernels_amd64.s runs instead, chosen once at init
+// from CPUID (see Kernels), and returns the same bits: chain j of a
+// leaf is lane j of one register, products and sums are separate
+// instructions (no fused multiply-add), a short tail goes element by
+// element into lane 0. Every length check and slice expression runs in
+// Go before the call. Under the race detector the Go bodies run, since
+// assembly is invisible to it — so `go test -race` and `go test` each
+// exercise one set. The equality rests on gc compiling s += a*b to a
+// separate multiply and add on amd64, which go1.24 does at every
+// GOAMD64 level (it fuses on arm64, ppc64le, s390x, riscv64 — where
+// there is no assembly body); should a toolchain start fusing there,
+// TestLeafKernelsBitwise reports it.
 package vec
 
 import (
@@ -147,7 +167,16 @@ func treeMid(n int) int { return nblocks(n) / 2 * BlockLen }
 
 // dotLeaf accumulates <x, y> over one block (len(x) <= BlockLen) with
 // four independent accumulator chains, combined as (s0+s1)+(s2+s3).
+// dotLeafGo is that definition; the assembly body holds the four chains
+// in the four lanes of one register and returns the same bits.
 func dotLeaf(x, y []float64) float64 {
+	if useAVX2 {
+		return dotLeafAVX2(x, y[:len(x)])
+	}
+	return dotLeafGo(x, y)
+}
+
+func dotLeafGo(x, y []float64) float64 {
 	var s0, s1, s2, s3 float64
 	n := len(x)
 	y = y[:n]
@@ -261,6 +290,17 @@ func Axpy(alpha float64, x, y Vector) {
 	if alpha == 0 {
 		return
 	}
+	if !useAVX2 {
+		axpyGo(alpha, x, y)
+		return
+	}
+	for ; len(x) > asmChunk; x, y = x[asmChunk:], y[asmChunk:] {
+		axpyAVX2(alpha, x[:asmChunk], y[:asmChunk])
+	}
+	axpyAVX2(alpha, x, y)
+}
+
+func axpyGo(alpha float64, x, y []float64) {
 	n := len(x)
 	y = y[:n]
 	i := 0
@@ -287,6 +327,17 @@ func AxpyTo(dst Vector, alpha float64, x, y Vector) {
 // p = r + beta*p).
 func Xpay(x Vector, alpha float64, y Vector) {
 	mustSameLen2(len(x), len(y))
+	if !useAVX2 {
+		xpayGo(x, alpha, y)
+		return
+	}
+	for ; len(x) > asmChunk; x, y = x[asmChunk:], y[asmChunk:] {
+		xpayAVX2(x[:asmChunk], alpha, y[:asmChunk])
+	}
+	xpayAVX2(x, alpha, y)
+}
+
+func xpayGo(x []float64, alpha float64, y []float64) {
 	n := len(x)
 	y = y[:n]
 	i := 0
@@ -303,6 +354,17 @@ func Xpay(x Vector, alpha float64, y Vector) {
 
 // Scale multiplies every component of x by alpha in place.
 func Scale(alpha float64, x Vector) {
+	if !useAVX2 {
+		scaleGo(alpha, x)
+		return
+	}
+	for ; len(x) > asmChunk; x = x[asmChunk:] {
+		scaleAVX2(alpha, x[:asmChunk])
+	}
+	scaleAVX2(alpha, x)
+}
+
+func scaleGo(alpha float64, x []float64) {
 	for i := range x {
 		x[i] *= alpha
 	}
@@ -400,6 +462,14 @@ func FusedCGUpdate(alpha float64, p, ap, x, r Vector) float64 {
 // fusedCGLeaf performs the fused update over one block and returns its
 // <r, r> partial with the canonical 4-chain accumulation.
 func fusedCGLeaf(alpha float64, p, ap, x, r []float64) float64 {
+	if useAVX2 {
+		n := len(p)
+		return fusedCGLeafAVX2(alpha, p, ap[:n], x[:n], r[:n])
+	}
+	return fusedCGLeafGo(alpha, p, ap, x, r)
+}
+
+func fusedCGLeafGo(alpha float64, p, ap, x, r []float64) float64 {
 	var s0, s1, s2, s3 float64
 	n := len(p)
 	ap = ap[:n]
@@ -460,6 +530,14 @@ func DotPair(x, y, z Vector) (xy, xz float64) {
 // independent chains per sum (the three-operand traffic leaves less
 // headroom than Dot's four).
 func dotPairLeaf(x, y, z []float64) (xy, xz float64) {
+	if useAVX2 {
+		n := len(x)
+		return dotPairLeafAVX2(x, y[:n], z[:n])
+	}
+	return dotPairLeafGo(x, y, z)
+}
+
+func dotPairLeafGo(x, y, z []float64) (xy, xz float64) {
 	var a0, a1, b0, b1 float64
 	n := len(x)
 	y = y[:n]

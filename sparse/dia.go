@@ -161,18 +161,30 @@ func (m *DIA) MulVec(dst, x []float64) {
 
 // diaBlock is the most rows one kernel call covers: 16 KB of dst, so a
 // row block that takes several passes (more diagonals than the widest
-// kernel) finds its partial sums still in L1.
+// Go kernel) finds its partial sums still in L1 — and the most the
+// assembly kernel, which cannot be preempted, runs between two
+// returns to Go (a few µs at sixteen diagonals).
 const diaBlock = 2048
 
 // mulRange computes rows [rlo, rhi) of dst = A*x: the one kernel behind
-// MulVec, MulVecPool and the tuned path. Row i holds diagonal k when
+// MulVec, MulVecPool and the tuned path.
+func (m *DIA) mulRange(rlo, rhi int, dst, x []float64) {
+	m.cutRows(rlo, rhi, dst, x, (*DIA).mulRows)
+}
+
+// diaRowKernel computes out = rows [lo, hi) of A*x over diagonals
+// [dlo, dhi), all inside the matrix on every one of those rows: mulRows,
+// or mulRowsGo for the tests and benchmarks that compare the two.
+type diaRowKernel func(m *DIA, lo, hi, dlo, dhi int, out, x []float64)
+
+// cutRows is mulRange over a given row kernel. Row i holds diagonal k when
 // 0 <= i+k < n — a contiguous run [dlo, dhi) of the ascending offsets
 // that only shrinks from the top and grows at the bottom as i rises —
 // so the range is cut where that run changes and each piece goes to the
-// fused kernels with exactly its diagonals, no per-entry guard. A row's
-// sum never depends on where the cuts fall, so any split of the rows
-// gives the serial product bit for bit.
-func (m *DIA) mulRange(rlo, rhi int, dst, x []float64) {
+// kernel with exactly its diagonals, no per-entry guard. A row's sum
+// never depends on where the cuts fall, so any split of the rows gives
+// the serial product bit for bit.
+func (m *DIA) cutRows(rlo, rhi int, dst, x []float64, rows diaRowKernel) {
 	n, offs := m.n, m.offsets
 	dlo, dhi := len(offs), len(offs)
 	for lo := rlo; lo < rhi; {
@@ -189,24 +201,37 @@ func (m *DIA) mulRange(rlo, rhi int, dst, x []float64) {
 		if dhi > 0 { // the last diagonal leaves at row n-k (past rhi unless k > 0)
 			hi = min(hi, n-offs[dhi-1])
 		}
-		m.mulRows(lo, hi, dlo, dhi, dst[lo:hi], x)
+		rows(m, lo, hi, dlo, dhi, dst[lo:hi], x)
 		lo = hi
 	}
 }
 
-// diaPass is the most diagonals one pass over a row block fuses: four
-// value streams, four x streams, dst and the loop state fill the sixteen
-// general registers, and a fifth pair spills (a fused 7-diagonal loop
-// measured 30% slower than a 4-pass and a 3-pass). dia5 is the one
-// exception, worth having because it is the whole 5-point stencil.
+// diaPass is the most diagonals one pass of the Go kernels over a row
+// block fuses: compiled by gc, four value streams, four x streams, dst
+// and the loop state fill the sixteen general registers, and a fifth
+// pair spills (a fused 7-diagonal loop measured 30% slower than a 4-pass
+// and a 3-pass). dia5 is the one exception, worth having because it is
+// the whole 5-point stencil. The assembly kernel keeps one pointer per
+// operand and walks the diagonals in an inner loop, so it has no such
+// limit.
 const diaPass = 4
 
 // mulRows computes out = rows [lo, hi) of A*x over diagonals [dlo, dhi),
-// all of which lie inside the matrix on every one of those rows. Up to
-// five diagonals take one pass; more are split into near-equal passes
-// of at most diaPass, the first storing and the rest picking the
-// partial sum back up from out — the same left-to-right sum.
+// all of which lie inside the matrix on every one of those rows: in one
+// pass of vec.DIARows where the assembly bodies run, by mulRowsGo — the
+// definition of the sum — everywhere else, bit for bit the same.
 func (m *DIA) mulRows(lo, hi, dlo, dhi int, out, x []float64) {
+	if dhi > dlo && vec.DIARows(out, m.slab[dlo*m.n+lo:], m.n, x, lo, m.offsets[dlo:dhi]) {
+		return
+	}
+	m.mulRowsGo(lo, hi, dlo, dhi, out, x)
+}
+
+// mulRowsGo is mulRows on the Go kernels. Up to five diagonals take one
+// pass; more are split into near-equal passes of at most diaPass, the
+// first storing and the rest picking the partial sum back up from out —
+// the same left-to-right sum.
+func (m *DIA) mulRowsGo(lo, hi, dlo, dhi int, out, x []float64) {
 	n, offs := m.n, m.offsets
 	dv := func(d int) []float64 { return m.slab[d*n+lo : d*n+hi] }
 	xv := func(d int) []float64 { return x[lo+offs[d] : hi+offs[d]] }
@@ -305,7 +330,7 @@ func dia4(out []float64, acc bool, d0, d1, d2, d3, x0, x1, x2, x3 []float64) {
 	}
 }
 
-// dia5 only stores: an acc flag is the register that makes it spill.
+// dia5 only stores: an acc flag is the register that makes gc spill.
 func dia5(out, d0, d1, d2, d3, d4, x0, x1, x2, x3, x4 []float64) {
 	d0, x0 = d0[:len(out)], x0[:len(out)]
 	d1, x1 = d1[:len(out)], x1[:len(out)]

@@ -110,14 +110,84 @@ func checkDIAAgainstCSR(t *testing.T, a *CSR, d *DIA, seed uint64) {
 	// Arbitrary [rlo, rhi) splits, empty ranges included.
 	rng := seed*2654435761 + 1
 	fresh()
+	viaGo := vec.New(n)
+	vec.Fill(viaGo, math.NaN())
 	for lo := 0; lo < n; {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		hi := min(n, lo+int(rng>>33)%(n/3+2))
 		d.mulRange(lo, hi, got, x)
+		d.cutRows(lo, hi, viaGo, x, (*DIA).mulRowsGo)
 		lo = hi
 	}
 	if !bitsEqual(want, got) {
 		t.Fatal("DIA.mulRange over an arbitrary row split differs from CSR.MulVec bitwise")
+	}
+	// The row kernel mulRange dispatches to (assembly where it runs)
+	// against the Go kernels dia1..dia5 on the same split.
+	if !bitsEqual(viaGo, got) {
+		t.Fatalf("DIA.mulRange on the %s row kernel differs from the Go kernels bitwise", vec.Kernels())
+	}
+}
+
+// TestDIARowKernelsBitwise compares the row kernel mulRows dispatches
+// to — one assembly pass over any number of diagonals, where the
+// assembly bodies run — against mulRowsGo's dia1..dia5 passes directly:
+// 1-16 diagonals, row counts from none to four sixteen-row trips plus
+// every tail, out starting at every alignment and fenced by sentinels,
+// values that make ±0, subnormal and overflowing products.
+func TestDIARowKernelsBitwise(t *testing.T) {
+	const n, band, guard = 256, 40, 24
+	edge := []float64{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -1e-310, 1.5e154, -1.5e154, 1e308}
+	sentinel := math.Float64frombits(0x7ff8_dead_beef_0001)
+	for ndiag := 1; ndiag <= diaMaxDiags; ndiag++ {
+		// ndiag distinct offsets inside ±band, so rows [band, n-band)
+		// hold every diagonal.
+		diags := map[int][]float64{}
+		rng := uint64(ndiag)*0x9e3779b97f4a7c15 | 1
+		next := func() uint64 {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			return rng
+		}
+		mixed := func(v []float64) {
+			vec.Random(v, next())
+			for i := range v {
+				if r := next(); r%8 == 0 {
+					v[i] = edge[(r>>3)%uint64(len(edge))]
+				}
+			}
+		}
+		for len(diags) < ndiag {
+			k := int(next()%(2*band+1)) - band
+			if diags[k] == nil {
+				diags[k] = make([]float64, n)
+				mixed(diags[k])
+			}
+		}
+		d := NewDIA(n, diags)
+		x := vec.New(n)
+		mixed(x)
+		for rows := 0; rows <= 4*16+15; rows++ {
+			for align := 0; align < 4; align++ {
+				lo := band + align
+				hi := lo + rows
+				var bufs [2][]float64
+				for side, kernel := range []diaRowKernel{(*DIA).mulRowsGo, (*DIA).mulRows} {
+					bufs[side] = make([]float64, guard+align+rows+guard)
+					vec.Fill(bufs[side], sentinel)
+					kernel(d, lo, hi, 0, ndiag, bufs[side][guard+align:guard+align+rows], x)
+				}
+				for i := range bufs[0] {
+					w, g := bufs[0][i], bufs[1][i]
+					inside := i >= guard+align && i < guard+align+rows
+					if math.Float64bits(w) != math.Float64bits(g) && !(inside && math.IsNaN(w) && math.IsNaN(g)) {
+						t.Fatalf("ndiag=%d rows=%d align=%d: out[%d] = %x (%g) on the %s kernel, %x (%g) on the Go kernels",
+							ndiag, rows, align, i-guard-align, math.Float64bits(g), g, vec.Kernels(), math.Float64bits(w), w)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -267,6 +337,7 @@ func FuzzCSRToDIA(f *testing.F) {
 	f.Add(uint64(42), uint(100), uint(4), uint(1))
 	f.Add(uint64(7), uint(257), uint(15), uint(3))
 	f.Add(uint64(99), uint(0), uint(6), uint(2))
+	f.Add(uint64(171), uint(1), uint(109), uint(163)) // rows that hold no diagonal at all
 	f.Fuzz(func(t *testing.T, seed uint64, un, udiag, uholes uint) {
 		n := int(un%300) + 1
 		a := bandedCSR(seed, n, int(udiag%diaMaxDiags)+1, int(uholes%4))

@@ -11,8 +11,9 @@ import (
 
 // SellC is the SELL chunk height: the number of consecutive row slots
 // stored column-major in each chunk. It matches the 4-way accumulator
-// unrolling of the vec kernels, so one chunk's lanes map onto the
-// independent dependency chains the compiler vectorizes.
+// unrolling of the vec kernels, so one chunk's lanes are four
+// independent dependency chains the CPU overlaps (gc does not
+// vectorize them).
 const SellC = 4
 
 // DefaultSellSigma is the default sorting-window height (in row slots)
