@@ -24,7 +24,7 @@ SOLVEPAT   ?= BenchmarkSolveDispatch|BenchmarkSessionReuse|BenchmarkSessionPerMe
 SOLVEOUT   ?= BENCH_solve.json
 SEQPAT     ?= BenchmarkSequence
 SEQOUT     ?= BENCH_sequence.json
-SERVERPAT  ?= BenchmarkServeSolveWarm|BenchmarkServeBatch|BenchmarkServeMetrics
+SERVERPAT  ?= BenchmarkServeSolveWarm|BenchmarkServeBatch|BenchmarkServeMetrics|BenchmarkServeSequenceStep|BenchmarkDecodeStepJSON
 SERVEROUT  ?= BENCH_server.json
 CLUSTERPAT ?= BenchmarkClusterSolve|BenchmarkClusterReduction
 CLUSTEROUT ?= BENCH_cluster.json

@@ -201,6 +201,47 @@ func BenchmarkServeSolveWarmBinary(b *testing.B) {
 	}
 }
 
+// BenchmarkServeSequenceStep measures one step of the judged
+// benchmark's serve-icp traffic through the handler stack: a 5000x6
+// Jacobian and its residuals as a ~697 KB JSON body into a warm lsqr
+// sequence — body read, decode, value update, a near-converged solve,
+// encode. The request and writer are reused, so the allocations
+// reported are the server's own.
+func BenchmarkServeSequenceStep(b *testing.B) {
+	body, _, vals := server.ICPStepBody(5000, 1)
+	srv := server.New(server.Config{MaxQueue: 1 << 20})
+	if err := srv.Preload("icp-jacobian", icpJacobian(vals)); err != nil {
+		b.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sequence",
+		bytes.NewReader([]byte(`{"operator":"icp-jacobian","method":"lsqr","params":{"tol":1e-10}}`))))
+	var info server.SequenceInfo
+	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || rec.Code != http.StatusCreated {
+		b.Fatalf("create: %d %s", rec.Code, rec.Body)
+	}
+	rb := &replayBody{}
+	req := httptest.NewRequest("POST", "/v1/sequence/"+info.ID+"/step", nil)
+	req.ContentLength = int64(len(body))
+	req.Body = rb
+	w := &discardWriter{h: make(http.Header)}
+	step := func() {
+		rb.Reset(body)
+		w.code = 0
+		srv.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("status %d", w.code)
+		}
+	}
+	step() // the cold solve, and the scratch's growth
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 // BenchmarkServeMetrics measures the observability endpoint, which
 // serving dashboards poll continuously.
 func BenchmarkServeMetrics(b *testing.B) {

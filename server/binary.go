@@ -66,57 +66,100 @@ func isBinary(r *http.Request) bool {
 	return r.Header.Get("Content-Type") == BinaryContentType
 }
 
-// binState is the pooled per-request scratch of the binary path: the
-// body buffer and decoded right-hand-side columns, reused across
-// requests so a warm solve reads and decodes without allocating.
-type binState struct {
+// reqScratch is the pooled per-request scratch of the solve, batch and
+// sequence-step routes on both transports: the body buffer and the
+// decoded vectors, reused across requests so a warm request reads and
+// decodes without allocating anything proportional to its payload. The
+// decoded request aliases it, so a handler puts it back only after the
+// solve has returned and the response is written.
+type reqScratch struct {
 	body  []byte
 	rhs   [][]float64
+	vals  []float64 // a sequence step's operator values
 	lens  []int
 	codes []string
 }
 
-var binStates = sync.Pool{New: func() any { return new(binState) }}
+var reqScratches = sync.Pool{New: func() any { return new(reqScratch) }}
 
-// readBinBody reads the request body into the pooled buffer, answering
-// the request itself on failure. With a declared Content-Length the
-// read is exact (ServeHTTP already bounded it); otherwise it grows the
-// buffer through the MaxBytesReader.
-func (s *Server) readBinBody(w http.ResponseWriter, r *http.Request, st *binState) bool {
+// column0 returns the storage slot of a single right-hand side.
+func (st *reqScratch) column0() *[]float64 {
+	if cap(st.rhs) == 0 {
+		st.rhs = make([][]float64, 1)
+	}
+	st.rhs = st.rhs[:1]
+	return &st.rhs[0]
+}
+
+// bodyReserve bounds how far the body buffer runs ahead of the bytes
+// that have arrived.
+const bodyReserve = 1 << 20
+
+// readBody reads the request body into the pooled buffer. A declared
+// in-bounds Content-Length makes the read exact (ServeHTTP already
+// bounded it; a warm buffer of that size is reused as is), anything
+// else reads to EOF through the MaxBytesReader ServeHTTP installed.
+// The declared length is a hint, not a reservation: the buffer grows as
+// bytes arrive, never more than bodyReserve — or, past 4 MiB, a quarter
+// of what has arrived, so that a large body is copied a bounded number
+// of times — ahead of them. A client that declares 256 MiB and stalls
+// pins 1 MiB.
+//
+// The error is the body's own, io.EOF when it ended short of its
+// declared length; each transport words its own 400/413 from it.
+func (s *Server) readBody(r *http.Request, st *reqScratch) error {
+	want := -1
 	if n := r.ContentLength; n >= 0 && n <= s.cfg.MaxBodyBytes {
-		if cap(st.body) < int(n) {
-			st.body = make([]byte, int(n))
-		}
-		st.body = st.body[:int(n)]
-		if _, err := io.ReadFull(r.Body, st.body); err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "short read: "+err.Error())
-			return false
-		}
-		return true
+		want = int(n)
 	}
 	buf := st.body[:0]
-	for {
+	for len(buf) != want {
 		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+			grow := max(bodyReserve, len(buf)/4)
+			if want >= 0 {
+				grow = min(grow, want-len(buf))
+			}
+			buf = append(make([]byte, 0, len(buf)+grow), buf...)
 		}
-		m, err := r.Body.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+m]
-		if err == io.EOF {
-			st.body = buf
-			return true
+		end := cap(buf)
+		if want >= 0 {
+			end = min(end, want)
 		}
+		n, err := r.Body.Read(buf[len(buf):end])
+		buf = buf[:len(buf)+n]
 		if err != nil {
 			st.body = buf
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				writeError(w, http.StatusRequestEntityTooLarge, codeBadRequest,
-					"request body exceeds the configured limit")
-			} else {
-				writeError(w, http.StatusBadRequest, codeBadRequest, "body read: "+err.Error())
+			if err == io.EOF && (want < 0 || len(buf) == want) {
+				return nil
 			}
-			return false
+			return err
 		}
 	}
+	st.body = buf
+	return nil
+}
+
+// readBinBody is readBody for the binary handlers, answering the
+// request itself on failure.
+func (s *Server) readBinBody(w http.ResponseWriter, r *http.Request, st *reqScratch) bool {
+	err := s.readBody(r, st)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError // escapes through errors.As: declared past the warm path
+	switch {
+	case r.ContentLength >= 0 && r.ContentLength <= s.cfg.MaxBodyBytes:
+		if err == io.EOF && len(st.body) > 0 {
+			err = io.ErrUnexpectedEOF // as io.ReadFull names a partial read
+		}
+		writeError(w, http.StatusBadRequest, codeBadRequest, "short read: "+err.Error())
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, codeBadRequest,
+			"request body exceeds the configured limit")
+	default:
+		writeError(w, http.StatusBadRequest, codeBadRequest, "body read: "+err.Error())
+	}
+	return false
 }
 
 // affEntry caches one caller's resolved request shape: matching raw
@@ -181,7 +224,7 @@ type binRequest struct {
 
 // decodeBinRequest parses the frame into req and st.rhs, answering the
 // request itself on failure.
-func (s *Server) decodeBinRequest(w http.ResponseWriter, st *binState, single bool) (req binRequest, ok bool) {
+func (s *Server) decodeBinRequest(w http.ResponseWriter, st *reqScratch, single bool) (req binRequest, ok bool) {
 	d := wire.NewDec(st.body)
 	if v := d.U8(); v != binVersion && d.Err() == nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "unsupported binary protocol version")
@@ -207,6 +250,8 @@ func (s *Server) decodeBinRequest(w http.ResponseWriter, st *binState, single bo
 	}
 	if cap(st.rhs) < nrhs {
 		st.rhs = append(st.rhs[:cap(st.rhs)], make([][]float64, nrhs-cap(st.rhs))...)
+	}
+	if cap(st.lens) < nrhs {
 		st.lens = make([]int, nrhs)
 	}
 	st.rhs = st.rhs[:nrhs]
@@ -230,7 +275,7 @@ func (s *Server) decodeBinRequest(w http.ResponseWriter, st *binState, single bo
 // install the cache entry. Either way the handlers read the shape from
 // the returned entry, so a hit and a miss cannot disagree. On failure
 // the response has been written and op is nil.
-func (s *Server) resolveBin(w http.ResponseWriter, r *http.Request, st *binState, req binRequest) (*storedOperator, *affEntry) {
+func (s *Server) resolveBin(w http.ResponseWriter, r *http.Request, st *reqScratch, req binRequest) (*storedOperator, *affEntry) {
 	if e := s.aff.get(r.RemoteAddr); e != nil && e.matches(req.operator, req.method, req.precond, req.params) {
 		o, err := s.store.acquire(e.opID)
 		if err == nil {
@@ -312,8 +357,8 @@ func writeBin(w http.ResponseWriter, status int, enc *wire.Enc) {
 
 // handleSolveBin is the binary fast path of POST /v1/solve.
 func (s *Server) handleSolveBin(w http.ResponseWriter, r *http.Request) {
-	st := binStates.Get().(*binState)
-	defer binStates.Put(st)
+	st := reqScratches.Get().(*reqScratch)
+	defer reqScratches.Put(st)
 	if !s.readBinBody(w, r, st) {
 		return
 	}
@@ -375,8 +420,8 @@ func (s *Server) handleSolveBin(w http.ResponseWriter, r *http.Request) {
 // handleBatchBin is the binary path of POST /v1/solve/batch, sharing
 // the JSON handler's slot-widening and per-RHS error attribution.
 func (s *Server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
-	st := binStates.Get().(*binState)
-	defer binStates.Put(st)
+	st := reqScratches.Get().(*reqScratch)
+	defer reqScratches.Put(st)
 	if !s.readBinBody(w, r, st) {
 		return
 	}

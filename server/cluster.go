@@ -112,7 +112,7 @@ func (s *Server) handleClusterUpload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req OperatorUpload
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r.Body, &req) {
 		return
 	}
 	m, err := req.Matrix.DecodeLimited(s.cfg.MaxOrder)
@@ -149,7 +149,7 @@ func (s *Server) handleClusterSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ClusterSolveRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r.Body, &req) {
 		return
 	}
 	if req.Method == "" {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -46,8 +47,8 @@ func fail(w http.ResponseWriter, err error) {
 
 // decodeBody decodes a JSON request body, answering the request itself
 // on failure (400 for malformed JSON, 413 past the body limit).
-func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
+func decodeBody(w http.ResponseWriter, body io.Reader, dst any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		var tooLarge *http.MaxBytesError
@@ -62,12 +63,39 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
+// decodeRequest decodes the JSON body of a solve, batch or step request
+// into req, whose vectors then live in st. The scanner (jsonscan.go)
+// takes the bodies inside its strict subset; for every other body —
+// and for one whose read failed — encoding/json runs over the same
+// bytes, followed by the read error, exactly as decodeBody would have
+// run over the wire, and produces the result, the status and every
+// error byte. On failure the request has been answered.
+func decodeRequest[T any](s *Server, w http.ResponseWriter, r *http.Request, st *reqScratch, req *T, scan func([]byte, *reqScratch, *T) bool) bool {
+	err := s.readBody(r, st)
+	scanned := err == nil && scan(st.body, st, req)
+	s.met.observeJSONBody(scanned)
+	if scanned {
+		return true
+	}
+	*req = *new(T) // a declined body may have written part of it
+	var body io.Reader = bytes.NewReader(st.body)
+	if err != nil {
+		body = io.MultiReader(body, errReader{err})
+	}
+	return decodeBody(w, body, req)
+}
+
+// errReader is a reader that has already failed.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
 // handleOperatorUpload is POST /v1/operators: decode, validate, store,
 // and pre-partition the matrix for the engine pool so the first solve
 // against it pays no setup.
 func (s *Server) handleOperatorUpload(w http.ResponseWriter, r *http.Request) {
 	var req OperatorUpload
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r.Body, &req) {
 		return
 	}
 	m, err := req.Matrix.DecodeGeneralLimited(s.cfg.MaxOrder)
@@ -171,8 +199,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.handleSolveBin(w, r)
 		return
 	}
+	st := reqScratches.Get().(*reqScratch)
+	defer reqScratches.Put(st)
 	var req SolveRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeRequest(s, w, r, st, &req, scanSolveRequest) {
 		return
 	}
 	if len(req.RHS) == 0 {
@@ -218,22 +248,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// lenScratch pools the per-batch rhs-length slices.
-var lenScratch = sync.Pool{New: func() any { s := make([]int, 0, 64); return &s }}
-
-// batchScratch pools the decoded batch request across requests:
-// encoding/json reuses slice capacity when decoding into non-nil
-// slices, so a warm scratch decodes a 64-column batch without
-// reallocating the outer slice or any column. Every field is reset
-// before decoding — absent JSON fields leave Go values untouched, and
-// stale ones must not leak between requests.
-type batchScratch struct {
-	req    BatchRequest
-	params solve.Params
-}
-
-var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
-
 // handleBatch is POST /v1/solve/batch: many right-hand sides fanned out
 // through solve.Batch from a pooled base session. The binary content
 // type selects the framed transport (binary.go).
@@ -242,26 +256,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.handleBatchBin(w, r)
 		return
 	}
-	sc := batchScratches.Get().(*batchScratch)
-	defer batchScratches.Put(sc)
-	sc.params = solve.Params{}
-	req := &sc.req
-	*req = BatchRequest{RHS: req.RHS[:0], Params: &sc.params}
-	if !decodeBody(w, r, req) {
+	st := reqScratches.Get().(*reqScratch)
+	defer reqScratches.Put(st)
+	var req BatchRequest
+	if !decodeRequest(s, w, r, st, &req, scanBatchRequest) {
 		return
 	}
 	if len(req.RHS) == 0 {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "missing rhs")
 		return
 	}
-	lensp := lenScratch.Get().(*[]int)
-	defer lenScratch.Put(lensp)
-	lens := (*lensp)[:0]
+	st.lens = st.lens[:0]
 	for _, b := range req.RHS {
-		lens = append(lens, len(b))
+		st.lens = append(st.lens, len(b))
 	}
-	*lensp = lens[:0]
-	op, pool := s.solveSetup(w, req.Operator, req.Method, req.Params, req.Precond, lens...)
+	op, pool := s.solveSetup(w, req.Operator, req.Method, req.Params, req.Precond, st.lens...)
 	if op == nil {
 		return
 	}

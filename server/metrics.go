@@ -24,6 +24,7 @@ type metrics struct {
 	statuses     map[int]uint64    // HTTP status → count
 	latency      map[string]*histogram
 	queueRejects uint64
+	jsonBodies   jsonBodyCounts
 
 	// solvePhases merges the per-iteration phase histograms the
 	// instrumented kernels (the parcg family) attach to their results:
@@ -100,6 +101,18 @@ func (m *metrics) observeQueueReject() {
 	m.mu.Unlock()
 }
 
+// observeJSONBody counts one solve, batch or step body under the
+// decoder it went to.
+func (m *metrics) observeJSONBody(scanned bool) {
+	m.mu.Lock()
+	if scanned {
+		m.jsonBodies.Scanned++
+	} else {
+		m.jsonBodies.Reflected++
+	}
+	m.mu.Unlock()
+}
+
 func (m *metrics) observeSequenceCreate(reused bool) {
 	m.mu.Lock()
 	m.seqCreated++
@@ -139,6 +152,7 @@ type metricsSnapshot struct {
 	Requests     map[string]uint64            `json:"requests"`
 	Statuses     map[int]uint64               `json:"statuses"`
 	QueueRejects uint64                       `json:"queue_rejects"`
+	JSONBodies   jsonBodyCounts               `json:"json_bodies"`
 	SolveLatency map[string]histogramSnapshot `json:"solve_latency_ms"`
 	// SolvePhases is the in-process solvers' per-method per-phase
 	// iteration latency (the parcg family's measured SpMV/reduction
@@ -154,6 +168,15 @@ type metricsSnapshot struct {
 	// solve counters, per-method per-phase iteration latency) when the
 	// server fronts a distributed tier; absent otherwise.
 	Cluster *cluster.MetricsSnapshot `json:"cluster,omitempty"`
+}
+
+// jsonBodyCounts says which decoder the JSON bodies of the solve, batch
+// and sequence-step routes went to: the scanner (jsonscan.go) or, for
+// bodies outside its subset — malformed ones included — encoding/json.
+// A client whose requests land in Reflected is paying the slow decode.
+type jsonBodyCounts struct {
+	Scanned   uint64 `json:"scanned"`
+	Reflected uint64 `json:"reflected"`
 }
 
 type operatorGauges struct {
@@ -182,6 +205,7 @@ func (m *metrics) snapshot() metricsSnapshot {
 		Requests:     make(map[string]uint64, len(m.requests)),
 		Statuses:     make(map[int]uint64, len(m.statuses)),
 		QueueRejects: m.queueRejects,
+		JSONBodies:   m.jsonBodies,
 		SolveLatency: make(map[string]histogramSnapshot, len(m.latency)),
 	}
 	for k, v := range m.requests {
@@ -546,7 +570,12 @@ func (m *metrics) render(buf *bytes.Buffer, pools poolStats, ops operatorGauges,
 	buf.WriteString(`},"queue_rejects":`)
 	jsonUint(buf, m.queueRejects)
 
-	buf.WriteString(`,"solve_latency_ms":{`)
+	buf.WriteString(`,"json_bodies":{"scanned":`)
+	jsonUint(buf, m.jsonBodies.Scanned)
+	buf.WriteString(`,"reflected":`)
+	jsonUint(buf, m.jsonBodies.Reflected)
+
+	buf.WriteString(`},"solve_latency_ms":{`)
 	keys = keys[:0]
 	for k := range m.latency {
 		keys = append(keys, k)

@@ -35,8 +35,9 @@ type serverSequence struct {
 	// mu serializes steps (a solve.Sequence is single-threaded); close
 	// takes it too, so an in-flight step finishes before teardown.
 	mu sync.Mutex
-	// dirty marks sequences whose private operator values were mutated;
-	// they no longer match the stored operator and cannot be reused.
+	// dirty marks sequences whose private operator values were mutated
+	// and no longer match the stored operator; close copies the stored
+	// values back before parking one.
 	dirty bool
 	// base indexes the first step of the current incarnation inside
 	// q.Steps(), so a reused sequence reports only its own history.
@@ -50,9 +51,9 @@ func (sq *serverSequence) steps() []int {
 }
 
 // sequenceRegistry tracks open sequences by id and keeps a bounded
-// free list of closed, clean ones keyed by shape, so a client loop that
-// opens and closes sequences of one shape keeps hitting hot session
-// workspaces.
+// free list of closed ones, their values equal to the stored
+// operator's again, keyed by shape, so a client loop that opens and
+// closes sequences of one shape keeps hitting hot session workspaces.
 type sequenceRegistry struct {
 	mu   sync.Mutex
 	max  int
@@ -64,6 +65,13 @@ type sequenceRegistry struct {
 // maxFreePerShape bounds the free list per shape key; beyond it closed
 // sequences are simply dropped.
 const maxFreePerShape = 4
+
+// maxParkedHistory bounds the step history a parked sequence may carry:
+// solve.Sequence.Reset keeps the history (an incarnation reports its
+// own tail of it), so a sequence revived forever would otherwise grow
+// by every step it ever took. Past the bound it is dropped and the next
+// create builds a fresh one.
+const maxParkedHistory = 4096
 
 func newSequenceRegistry(max int) *sequenceRegistry {
 	return &sequenceRegistry{
@@ -79,7 +87,7 @@ func (r *sequenceRegistry) count() int {
 	return len(r.open)
 }
 
-// take pops a clean free-listed sequence of the given shape, or nil.
+// take pops a free-listed sequence of the given shape, or nil.
 func (r *sequenceRegistry) take(key string) *serverSequence {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -130,8 +138,8 @@ func (r *sequenceRegistry) remove(id string) (*serverSequence, error) {
 	return sq, nil
 }
 
-// park returns a clean closed sequence to the free list; full lists
-// drop it. Shape keys are client-controlled, so the whole free pool is
+// park returns a closed sequence to the free list; full lists drop
+// it. Shape keys are client-controlled, so the whole free pool is
 // also bounded by the open-sequence cap to keep a key-spraying client
 // from growing server memory.
 func (r *sequenceRegistry) park(sq *serverSequence) bool {
@@ -167,7 +175,7 @@ func clonePrivate(m sparse.Matrix) (sparse.Matrix, error) {
 // handleSequenceCreate is POST /v1/sequence.
 func (s *Server) handleSequenceCreate(w http.ResponseWriter, r *http.Request) {
 	var req SequenceCreateRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r.Body, &req) {
 		return
 	}
 	if req.Method == "" {
@@ -193,9 +201,10 @@ func (s *Server) handleSequenceCreate(w http.ResponseWriter, r *http.Request) {
 	reused := false
 	sq := s.seqs.take(key)
 	if sq != nil {
-		// Free-listed sequences are clean (values == stored operator) and
-		// keyed on the store generation, so the revived workspace is
-		// exactly what a fresh build would produce — minus the setup.
+		// Free-listed sequences carry the stored operator's values (close
+		// restored them if a step had changed them) and are keyed on the
+		// store generation, so the revived workspace is exactly what a
+		// fresh build would produce — minus the setup.
 		reused = true
 		sq.q.Reset()
 		sq.base = len(sq.q.Steps())
@@ -266,8 +275,10 @@ func (s *Server) handleSequenceStep(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
+	st := reqScratches.Get().(*reqScratch)
+	defer reqScratches.Put(st)
 	var req SequenceStepRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeRequest(s, w, r, st, &req, scanStepRequest) {
 		return
 	}
 	if len(req.RHS) == 0 {
@@ -332,8 +343,11 @@ func (s *Server) handleSequenceStep(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSequenceClose is DELETE /v1/sequence/{id}: report the step
-// history, unpin the operator, and park the sequence for reuse when its
-// operator values were never mutated.
+// history, park the sequence for reuse, and unpin the operator. A
+// sequence whose steps changed its operator values — every ICP-shaped
+// one — first gets the stored operator's values copied back into its
+// private clone (one values-sized copy, no allocation), so the next
+// same-shape create revives hot workspaces whatever the steps did.
 func (s *Server) handleSequenceClose(w http.ResponseWriter, r *http.Request) {
 	sq, err := s.seqs.remove(r.PathValue("id"))
 	if err != nil {
@@ -343,9 +357,17 @@ func (s *Server) handleSequenceClose(w http.ResponseWriter, r *http.Request) {
 	sq.mu.Lock() // wait out an in-flight step
 	steps := sq.steps()
 	id := sq.id
+	if sq.dirty {
+		// Both sequence-capable matrix types expose their values (see
+		// clonePrivate), and the lengths agree by construction.
+		stored := sq.op.matrix.(interface{ Values() []float64 })
+		if sq.q.UpdateValues(stored.Values()) == nil {
+			sq.dirty = false
+		}
+	}
 	s.store.release(sq.op)
 	sq.op = nil
-	if !sq.dirty {
+	if !sq.dirty && len(sq.q.Steps()) <= maxParkedHistory {
 		s.seqs.park(sq)
 	}
 	sq.mu.Unlock()

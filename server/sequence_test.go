@@ -3,8 +3,10 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"vrcg/server"
@@ -118,9 +120,10 @@ func TestSequenceWarmStartOverHTTP(t *testing.T) {
 	}
 }
 
-// TestSequenceReuseAndIsolation: closed clean sequences revive from the
-// free list; value-mutated ones do not, and their private values never
-// leak into other requests against the same stored operator.
+// TestSequenceReuseAndIsolation: closed sequences revive from the free
+// list — value-mutated ones with the stored values restored — and their
+// private values never leak into other requests against the same stored
+// operator, nor into the next incarnation.
 func TestSequenceReuseAndIsolation(t *testing.T) {
 	c := newTestClient(t, server.Config{})
 	a, b := testSystem(8)
@@ -164,11 +167,23 @@ func TestSequenceReuseAndIsolation(t *testing.T) {
 	}
 	c.del("/v1/sequence/"+s2.ID, nil)
 
-	// The dirty sequence must not be revived.
+	// The value-mutated sequence is revived too, but with the stored
+	// operator's values back in place: its first step is the clean
+	// baseline again, bit for bit, not the rescaled system's.
 	var s3 server.SequenceInfo
 	c.post("/v1/sequence", server.SequenceCreateRequest{Operator: "poisson", Method: "cg"}, &s3)
-	if s3.Reused {
-		t.Error("value-mutated sequence was revived from the free list")
+	if !s3.Reused {
+		t.Error("value-mutated sequence was not revived from the free list")
+	}
+	var step4 server.SequenceStepResponse
+	c.post("/v1/sequence/"+s3.ID+"/step", server.SequenceStepRequest{RHS: b}, &step4)
+	if step4.Warm || step4.Step != 0 {
+		t.Errorf("revived sequence first step: warm=%v step=%d, want cold step 0", step4.Warm, step4.Step)
+	}
+	for i := range baseline {
+		if math.Float64bits(step4.X[i]) != math.Float64bits(baseline[i]) {
+			t.Fatalf("revived sequence kept mutated values: x[%d] = %g, want %g", i, step4.X[i], baseline[i])
+		}
 	}
 }
 
@@ -315,4 +330,118 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return blob
+}
+
+// TestSequenceRevivedAfterValueUpdates: the traffic the free list is
+// for — every step of an ICP-shaped sequence replaces the operator's
+// values — parks the sequence too: close puts the stored values back,
+// so the next same-shape create is a revival, and the revived
+// sequence's first step is, bit for bit, a fresh sequence's first step.
+func TestSequenceRevivedAfterValueUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	data := make([]float64, 40*6)
+	for i := range data {
+		data[i] = rng.NormFloat64()
+	}
+	rect := sparse.RectFromDense(40, 6, data)
+	square, _ := testSystem(8)
+	for _, tc := range []struct {
+		name   string
+		upload func(c *testClient)
+		create server.SequenceCreateRequest
+		vals   []float64
+		rows   int
+	}{
+		{"lsqr on a Rect", func(c *testClient) { c.uploadRect("op", rect) },
+			server.SequenceCreateRequest{Operator: "op", Method: "lsqr"}, rect.Values(), 40},
+		{"pcg+ic0 on a CSR", func(c *testClient) { c.upload("op", square) },
+			server.SequenceCreateRequest{Operator: "op", Method: "pcg", Precond: "ic0"}, square.Values(), square.Dim()},
+	} {
+		c := newTestClient(t, server.Config{})
+		tc.upload(c)
+		b := make([]float64, tc.rows)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+
+		var first server.SequenceInfo
+		c.post("/v1/sequence", tc.create, &first)
+		if first.Reused {
+			t.Fatalf("%s: the first sequence of its shape reports reused", tc.name)
+		}
+		var fresh server.SequenceStepResponse
+		c.post("/v1/sequence/"+first.ID+"/step", server.SequenceStepRequest{RHS: b}, &fresh)
+
+		// Dirty it both ways: replaced values, then a rescale on top.
+		moved := append([]float64(nil), tc.vals...)
+		for i := range moved {
+			moved[i] *= 1 + 0.05*rng.Float64()
+		}
+		factor := 3.0
+		var dirty server.SequenceStepResponse
+		for _, req := range []server.SequenceStepRequest{{RHS: b, Vals: moved}, {RHS: b, Rescale: &factor}, {RHS: b, Vals: moved}} {
+			if status := c.post("/v1/sequence/"+first.ID+"/step", req, &dirty); status != http.StatusOK {
+				t.Fatalf("%s: dirty step: status %d", tc.name, status)
+			}
+		}
+		c.del("/v1/sequence/"+first.ID, nil)
+
+		var revived server.SequenceInfo
+		c.post("/v1/sequence", tc.create, &revived)
+		if !revived.Reused {
+			t.Fatalf("%s: a sequence closed after value updates was not revived", tc.name)
+		}
+		var again server.SequenceStepResponse
+		c.post("/v1/sequence/"+revived.ID+"/step", server.SequenceStepRequest{RHS: b}, &again)
+		if again.Warm || again.Step != 0 || again.Iterations != fresh.Iterations || len(again.X) != len(fresh.X) {
+			t.Fatalf("%s: revived first step warm=%v step=%d iterations=%d, fresh took cold step 0 in %d",
+				tc.name, again.Warm, again.Step, again.Iterations, fresh.Iterations)
+		}
+		for i := range fresh.X {
+			if math.Float64bits(again.X[i]) != math.Float64bits(fresh.X[i]) {
+				t.Fatalf("%s: revived first step x[%d] = %g, a fresh sequence gives %g", tc.name, i, again.X[i], fresh.X[i])
+			}
+		}
+		var closed server.SequenceCloseResponse
+		c.del("/v1/sequence/"+revived.ID, &closed)
+		if len(closed.Steps) != 1 {
+			t.Errorf("%s: revived sequence reports %d steps, want its own 1", tc.name, len(closed.Steps))
+		}
+	}
+}
+
+// TestSequenceHistoryBoundsRevival: a revived sequence keeps the step
+// history of every earlier incarnation, so one whose history has passed
+// 4096 entries is dropped at close instead of parked, and the next
+// create builds a fresh one.
+func TestSequenceHistoryBoundsRevival(t *testing.T) {
+	c := newTestClient(t, server.Config{})
+	a, b := testSystem(2)
+	c.upload("poisson", a)
+	create := server.SequenceCreateRequest{Operator: "poisson", Method: "cg"}
+	stepBody := mustJSON(t, server.SequenceStepRequest{RHS: b})
+	run := func(steps int) (reused bool) {
+		t.Helper()
+		var info server.SequenceInfo
+		c.post("/v1/sequence", create, &info)
+		for i := 0; i < steps; i++ {
+			rec := httptest.NewRecorder()
+			c.srv.Config.Handler.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sequence/"+info.ID+"/step", bytes.NewReader(stepBody)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("step %d: status %d", i, rec.Code)
+			}
+		}
+		c.del("/v1/sequence/"+info.ID, nil)
+		return info.Reused
+	}
+	run(4096)
+	if !run(1) {
+		t.Error("a sequence with exactly 4096 steps of history was not revived")
+	}
+	if run(1) {
+		t.Error("a sequence with 4097 steps of history was revived")
+	}
+	if !run(0) {
+		t.Error("the fresh sequence built after the drop was not parked in turn")
+	}
 }

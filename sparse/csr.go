@@ -131,8 +131,9 @@ type CSR struct {
 	// once per matrix rather than once per solve.
 	tuned atomic.Pointer[tunedOp]
 
-	// tr caches the explicit transpose for MulVecT/MulVecTPool.
-	// Invalidated (with tuned) by the value-mutating methods.
+	// tr caches the explicit transpose for MulVecT/MulVecTPool. The
+	// value-mutating methods rewrite its values in place (and drop
+	// tuned).
 	tr atomic.Pointer[CSR]
 }
 
@@ -343,7 +344,7 @@ func (m *CSR) transpose() *CSR {
 	if t := m.tr.Load(); t != nil {
 		return t
 	}
-	tPtr, tIdx, tVals := transposeArrays(m.n, m.n, m.rowPtr, m.colIdx, m.vals)
+	tPtr, tIdx, tVals := transposeArrays(m.n, m.rowPtr, m.colIdx, m.vals)
 	t := &CSR{n: m.n, rowPtr: tPtr, colIdx: tIdx, vals: tVals}
 	t.warmPartition()
 	m.tr.Store(t)
@@ -367,28 +368,35 @@ func (m *CSR) MulVecTPool(pool *Pool, dst, x []float64) {
 func (m *CSR) Values() []float64 { return m.vals }
 
 // SetValues replaces the stored values in place (structure unchanged);
-// vals must have length NNZ. Cached derived state (the tuned operator
-// and the explicit transpose, both of which copy values) is invalidated.
+// vals must have length NNZ. Cached derived state copies values: the
+// tuned operator is invalidated, the explicit transpose rewritten in
+// place. Like every mutator it needs exclusive access.
 func (m *CSR) SetValues(vals []float64) {
 	if len(vals) != len(m.vals) {
 		panic(fmt.Sprintf("sparse: SetValues length %d, want %d", len(vals), len(m.vals)))
 	}
 	copy(m.vals, vals)
-	m.invalidate()
+	m.valuesChanged()
 }
 
 // Scale multiplies every stored value by s in place, invalidating the
-// cached tuned operator and transpose.
+// cached tuned operator and rewriting the cached transpose's values.
 func (m *CSR) Scale(s float64) {
 	for i := range m.vals {
 		m.vals[i] *= s
 	}
-	m.invalidate()
+	m.valuesChanged()
 }
 
-func (m *CSR) invalidate() {
+// valuesChanged brings the value-derived caches up to date after a
+// mutation: the tuned operator is dropped (its format choice can depend
+// on the values), the transpose keeps its structure and gets the new
+// values — the scatter that built it, re-run in place.
+func (m *CSR) valuesChanged() {
 	m.tuned.Store(nil)
-	m.tr.Store(nil)
+	if t := m.tr.Load(); t != nil {
+		scatterTranspose(m.rowPtr, m.colIdx, m.vals, t.rowPtr, nil, t.vals)
+	}
 }
 
 // CloneValues returns a matrix sharing this one's immutable structure

@@ -61,10 +61,11 @@ func PooledMulVecT(a TransposeMulVec, pool *Pool, dst, x []float64) {
 	a.MulVecT(dst, x)
 }
 
-// transposeArrays builds the CSR arrays of the transpose of a rows×cols
-// CSR structure via a counting sort over columns. Traversing the source
-// row-major leaves each transposed row's indices already sorted.
-func transposeArrays(rows, cols int, rowPtr, colIdx []int, vals []float64) (tPtr, tIdx []int, tVals []float64) {
+// transposeArrays builds the CSR arrays of the transpose of a CSR
+// structure with cols columns via a counting sort over columns.
+// Traversing the source row-major leaves each transposed row's indices
+// already sorted.
+func transposeArrays(cols int, rowPtr, colIdx []int, vals []float64) (tPtr, tIdx []int, tVals []float64) {
 	nnz := len(vals)
 	tPtr = make([]int, cols+1)
 	for _, j := range colIdx {
@@ -75,18 +76,31 @@ func transposeArrays(rows, cols int, rowPtr, colIdx []int, vals []float64) (tPtr
 	}
 	tIdx = make([]int, nnz)
 	tVals = make([]float64, nnz)
-	cursor := make([]int, cols)
-	copy(cursor, tPtr[:cols])
-	for i := 0; i < rows; i++ {
+	scatterTranspose(rowPtr, colIdx, vals, tPtr, tIdx, tVals)
+	return tPtr, tIdx, tVals
+}
+
+// scatterTranspose is the scatter pass of the counting sort: source
+// entry p of column j lands in the next free slot of transposed row j.
+// It writes tVals and, when tIdx is non-nil, the row indices — so a
+// value update re-runs exactly the pass that built the transpose, over
+// the structure it already has, and allocates nothing: tPtr is its own
+// cursor. Each tPtr[j] ends the pass holding tPtr[j+1], and is shifted
+// back. The caller must own the transpose exclusively meanwhile.
+func scatterTranspose(rowPtr, colIdx []int, vals []float64, tPtr, tIdx []int, tVals []float64) {
+	for i := 0; i+1 < len(rowPtr); i++ {
 		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
 			j := colIdx[p]
-			q := cursor[j]
-			cursor[j]++
-			tIdx[q] = i
+			q := tPtr[j]
+			tPtr[j] = q + 1
+			if tIdx != nil {
+				tIdx[q] = i
+			}
 			tVals[q] = vals[p]
 		}
 	}
-	return tPtr, tIdx, tVals
+	copy(tPtr[1:], tPtr)
+	tPtr[0] = 0
 }
 
 // Rect is a rectangular rows×cols compressed-sparse-row matrix — the
@@ -95,8 +109,8 @@ func transposeArrays(rows, cols int, rowPtr, colIdx []int, vals []float64) (tPtr
 // written against square operators stay correct.
 //
 // The transpose product is served from a lazily built, atomically cached
-// explicit transpose, which the value-mutating methods (Scale,
-// SetValues) invalidate. Structure (rowPtr/colIdx) is immutable after
+// explicit transpose, whose values the value-mutating methods (Scale,
+// SetValues) rewrite in place. Structure (rowPtr/colIdx) is immutable after
 // construction, which is what lets CloneValues share it between a stored
 // operator and the privately mutable copy a solve sequence owns.
 type Rect struct {
@@ -252,7 +266,7 @@ func (m *Rect) transpose() *Rect {
 	if t := m.tr.Load(); t != nil {
 		return t
 	}
-	tPtr, tIdx, tVals := transposeArrays(m.rows, m.cols, m.rowPtr, m.colIdx, m.vals)
+	tPtr, tIdx, tVals := transposeArrays(m.cols, m.rowPtr, m.colIdx, m.vals)
 	t := &Rect{rows: m.cols, cols: m.rows, rowPtr: tPtr, colIdx: tIdx, vals: tVals}
 	m.tr.Store(t)
 	return t
@@ -275,23 +289,33 @@ func (m *Rect) MulVecTPool(pool *Pool, dst, x []float64) {
 func (m *Rect) Values() []float64 { return m.vals }
 
 // SetValues replaces the stored values in place (structure unchanged);
-// vals must have length NNZ. Cached derived state (the explicit
-// transpose) is invalidated.
+// vals must have length NNZ. A cached explicit transpose gets the new
+// values too, in place. Like every mutator it needs exclusive access.
 func (m *Rect) SetValues(vals []float64) {
 	if len(vals) != len(m.vals) {
 		panic(fmt.Sprintf("sparse: SetValues length %d, want %d", len(vals), len(m.vals)))
 	}
 	copy(m.vals, vals)
-	m.tr.Store(nil)
+	m.refreshTranspose()
 }
 
-// Scale multiplies every stored value by s in place, invalidating the
-// cached transpose.
+// Scale multiplies every stored value by s in place, and the cached
+// transpose's with them.
 func (m *Rect) Scale(s float64) {
 	for i := range m.vals {
 		m.vals[i] *= s
 	}
-	m.tr.Store(nil)
+	m.refreshTranspose()
+}
+
+// refreshTranspose carries a value update into the cached transpose:
+// the structure is immutable, so only its values are rewritten — what a
+// rebuild would produce, without reallocating three nnz-sized arrays
+// per update.
+func (m *Rect) refreshTranspose() {
+	if t := m.tr.Load(); t != nil {
+		scatterTranspose(m.rowPtr, m.colIdx, m.vals, t.rowPtr, nil, t.vals)
+	}
 }
 
 // CloneValues returns a matrix sharing this one's immutable structure
