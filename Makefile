@@ -30,7 +30,7 @@ CLUSTERPAT ?= BenchmarkClusterSolve|BenchmarkClusterReduction
 CLUSTEROUT ?= BENCH_cluster.json
 SERVEADDR  ?= :8080
 
-.PHONY: all build test vet fmt check lint bench bench-raw bins serve docs-check clean
+.PHONY: all build test vet fmt check lint server-allocs bench bench-raw bins serve docs-check clean
 
 all: build test
 
@@ -49,9 +49,10 @@ vet:
 # assembly bodies and the differential tests that compare the two), an
 # arm64 cross-build so the portable-only file set cannot rot, a
 # one-iteration benchmark smoke run so bench code cannot rot, a cgsolve
-# smoke (parcg converges in cg's iteration count, ±1), and the judged
-# benchmark's own module (benchmark/, which ./... does not reach) vetted
-# and short-tested against this tree.
+# smoke (parcg converges in cg's iteration count, ±1), the serving
+# path's allocation budgets, and the judged benchmark's own module
+# (benchmark/, which ./... does not reach) vetted and short-tested
+# against this tree.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
@@ -63,7 +64,19 @@ check:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 	@iters() { $(GO) run ./cmd/cgsolve -problem poisson2d -m 64 -method "$$1" | sed -n 's/^converged=true iterations=\([0-9]*\).*/\1/p'; }; \
 	p=$$(iters parcg); c=$$(iters cg); echo "cgsolve smoke: parcg=$$p cg=$$c"; [ -n "$$p" ] && [ -n "$$c" ] && [ $$((p - c)) -ge -1 ] && [ $$((p - c)) -le 1 ]
+	$(MAKE) server-allocs
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+
+# Allocation budgets of the three warm request paths through the one
+# handler per route, at -cpu 1 where the counts are deterministic: a
+# binary solve, a JSON solve, a JSON sequence step. The CI bench-smoke
+# job runs this target.
+server-allocs:
+	@out=$$($(GO) test -run '^$$' -bench '^(BenchmarkServeSolveWarm|BenchmarkServeSolveWarmBinary|BenchmarkServeSequenceStep)$$' -benchtime=200x -benchmem -cpu 1 ./server) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | awk 'BEGIN { max["BenchmarkServeSolveWarmBinary"] = 8; max["BenchmarkServeSolveWarm/cg"] = 46; max["BenchmarkServeSequenceStep"] = 12 } \
+		($$1 in max) { seen++; for (i = 2; i <= NF; i++) if ($$(i) == "allocs/op" && $$(i-1)+0 > max[$$1]) { print $$1 ": " $$(i-1) " allocs/op exceeds the budget of " max[$$1]; bad = 1 } } \
+		END { if (seen != 3) { print "expected 3 benchmark rows, saw " seen+0; bad = 1 }; exit bad }'
 
 fmt:
 	gofmt -l -w .

@@ -886,7 +886,7 @@ func (c *Coordinator) assemble(op *clusterOp, b []float64, dones map[string]*don
 	}
 	res.Phases = make(map[string]PhaseSnapshot, numPhases)
 	for i := range merged {
-		res.Phases[phaseNames[i]] = snapshotPhase(&merged[i])
+		res.Phases[phaseNames[i]] = SnapshotPhase(&merged[i])
 	}
 
 	// True residual from the retained operator: the distributed

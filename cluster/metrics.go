@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strconv"
 	"sync"
 
 	"vrcg/cluster/wire"
@@ -81,7 +82,10 @@ type PhaseSnapshot struct {
 	Buckets map[string]uint64 `json:"buckets"`
 }
 
-func snapshotPhase(h *PhaseHist) PhaseSnapshot {
+// SnapshotPhase converts one phase histogram to its /metrics shape —
+// the one conversion, for the fleet's phases and (from package server)
+// the in-process solvers' alike.
+func SnapshotPhase(h *PhaseHist) PhaseSnapshot {
 	s := PhaseSnapshot{
 		Count:   h.Count,
 		MeanUS:  h.MeanUS(),
@@ -103,24 +107,10 @@ func snapshotPhase(h *PhaseHist) PhaseSnapshot {
 func formatBucket(us float64) string {
 	switch {
 	case us >= 1000:
-		return itoa(int(us/1000)) + "ms"
+		return strconv.Itoa(int(us/1000)) + "ms"
 	default:
-		return itoa(int(us)) + "us"
+		return strconv.Itoa(int(us)) + "us"
 	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }
 
 // WorkerSnapshot is one fleet member's status in /metrics and the
@@ -198,7 +188,7 @@ func (m *fleetMetrics) snapshotInto(s *MetricsSnapshot) {
 	for method, ps := range m.byMethod {
 		phases := make(map[string]PhaseSnapshot, numPhases)
 		for i := range ps {
-			phases[phaseNames[i]] = snapshotPhase(&ps[i])
+			phases[phaseNames[i]] = SnapshotPhase(&ps[i])
 		}
 		s.PhaseLatency[method] = phases
 	}

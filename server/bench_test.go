@@ -242,8 +242,8 @@ func BenchmarkServeSequenceStep(b *testing.B) {
 	}
 }
 
-// BenchmarkServeMetrics measures the observability endpoint, which
-// serving dashboards poll continuously.
+// BenchmarkServeMetrics measures one scrape of the observability
+// endpoint: a snapshot of the counters through encoding/json.
 func BenchmarkServeMetrics(b *testing.B) {
 	srv, rhs := benchServer(b, 8)
 	body := benchSolveBody(b, rhs, "cg")

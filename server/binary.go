@@ -3,11 +3,9 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"vrcg/cluster/wire"
 	"vrcg/solve"
@@ -60,86 +58,7 @@ const BinaryContentType = "application/x-vrcg-bin"
 
 const binVersion = 1
 
-// isBinary reports whether the request opted into the binary
-// transport.
-func isBinary(r *http.Request) bool {
-	return r.Header.Get("Content-Type") == BinaryContentType
-}
-
-// reqScratch is the pooled per-request scratch of the solve, batch and
-// sequence-step routes on both transports: the body buffer and the
-// decoded vectors, reused across requests so a warm request reads and
-// decodes without allocating anything proportional to its payload. The
-// decoded request aliases it, so a handler puts it back only after the
-// solve has returned and the response is written.
-type reqScratch struct {
-	body  []byte
-	rhs   [][]float64
-	vals  []float64 // a sequence step's operator values
-	lens  []int
-	codes []string
-}
-
-var reqScratches = sync.Pool{New: func() any { return new(reqScratch) }}
-
-// column0 returns the storage slot of a single right-hand side.
-func (st *reqScratch) column0() *[]float64 {
-	if cap(st.rhs) == 0 {
-		st.rhs = make([][]float64, 1)
-	}
-	st.rhs = st.rhs[:1]
-	return &st.rhs[0]
-}
-
-// bodyReserve bounds how far the body buffer runs ahead of the bytes
-// that have arrived.
-const bodyReserve = 1 << 20
-
-// readBody reads the request body into the pooled buffer. A declared
-// in-bounds Content-Length makes the read exact (ServeHTTP already
-// bounded it; a warm buffer of that size is reused as is), anything
-// else reads to EOF through the MaxBytesReader ServeHTTP installed.
-// The declared length is a hint, not a reservation: the buffer grows as
-// bytes arrive, never more than bodyReserve — or, past 4 MiB, a quarter
-// of what has arrived, so that a large body is copied a bounded number
-// of times — ahead of them. A client that declares 256 MiB and stalls
-// pins 1 MiB.
-//
-// The error is the body's own, io.EOF when it ended short of its
-// declared length; each transport words its own 400/413 from it.
-func (s *Server) readBody(r *http.Request, st *reqScratch) error {
-	want := -1
-	if n := r.ContentLength; n >= 0 && n <= s.cfg.MaxBodyBytes {
-		want = int(n)
-	}
-	buf := st.body[:0]
-	for len(buf) != want {
-		if len(buf) == cap(buf) {
-			grow := max(bodyReserve, len(buf)/4)
-			if want >= 0 {
-				grow = min(grow, want-len(buf))
-			}
-			buf = append(make([]byte, 0, len(buf)+grow), buf...)
-		}
-		end := cap(buf)
-		if want >= 0 {
-			end = min(end, want)
-		}
-		n, err := r.Body.Read(buf[len(buf):end])
-		buf = buf[:len(buf)+n]
-		if err != nil {
-			st.body = buf
-			if err == io.EOF && (want < 0 || len(buf) == want) {
-				return nil
-			}
-			return err
-		}
-	}
-	st.body = buf
-	return nil
-}
-
-// readBinBody is readBody for the binary handlers, answering the
+// readBinBody is readBody for the binary transport, answering the
 // request itself on failure.
 func (s *Server) readBinBody(w http.ResponseWriter, r *http.Request, st *reqScratch) bool {
 	err := s.readBody(r, st)
@@ -169,14 +88,10 @@ func (s *Server) readBinBody(w http.ResponseWriter, r *http.Request, st *reqScra
 // can never serve a stale pool.
 type affEntry struct {
 	opID    string
-	method  string
 	precond string
 	params  string
 	gen     uint64
-	pool    *solve.SessionPool
-	// batchWorkers is params' decoded batch_workers, the one field the
-	// batch handler reads itself rather than through the pool.
-	batchWorkers int
+	reqShape
 }
 
 func (e *affEntry) matches(op, method, precond, params []byte) bool {
@@ -224,7 +139,7 @@ type binRequest struct {
 
 // decodeBinRequest parses the frame into req and st.rhs, answering the
 // request itself on failure.
-func (s *Server) decodeBinRequest(w http.ResponseWriter, st *reqScratch, single bool) (req binRequest, ok bool) {
+func decodeBinRequest(w http.ResponseWriter, st *reqScratch, single bool) (req binRequest, ok bool) {
 	d := wire.NewDec(st.body)
 	if v := d.U8(); v != binVersion && d.Err() == nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "unsupported binary protocol version")
@@ -251,14 +166,9 @@ func (s *Server) decodeBinRequest(w http.ResponseWriter, st *reqScratch, single 
 	if cap(st.rhs) < nrhs {
 		st.rhs = append(st.rhs[:cap(st.rhs)], make([][]float64, nrhs-cap(st.rhs))...)
 	}
-	if cap(st.lens) < nrhs {
-		st.lens = make([]int, nrhs)
-	}
 	st.rhs = st.rhs[:nrhs]
-	st.lens = st.lens[:nrhs]
 	for i := range st.rhs {
 		st.rhs[i] = d.F64s(st.rhs[i])
-		st.lens[i] = len(st.rhs[i])
 	}
 	if d.Err() != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "malformed binary frame: "+d.Err().Error())
@@ -268,26 +178,20 @@ func (s *Server) decodeBinRequest(w http.ResponseWriter, st *reqScratch, single 
 }
 
 // resolveBin turns the decoded request header into a pinned operator
-// and the request's resolved shape (session pool, method,
-// batch_workers). The affinity fast path compares the raw header bytes
-// against the connection's cached shape and skips every per-request
-// allocation of the slow path; misses run the ordinary solveSetup and
-// install the cache entry. Either way the handlers read the shape from
-// the returned entry, so a hit and a miss cannot disagree. On failure
-// the response has been written and op is nil.
+// and the request's resolved shape. The affinity fast path compares the
+// raw header bytes against the connection's cached shape and skips
+// every per-request allocation of the slow path; misses run the
+// ordinary solveSetup and install the cache entry. Either way the shape
+// comes out of the entry, so a hit and a miss cannot disagree. On
+// failure the response has been written and op is nil.
 func (s *Server) resolveBin(w http.ResponseWriter, r *http.Request, st *reqScratch, req binRequest) (*storedOperator, *affEntry) {
 	if e := s.aff.get(r.RemoteAddr); e != nil && e.matches(req.operator, req.method, req.precond, req.params) {
 		o, err := s.store.acquire(e.opID)
 		if err == nil {
 			if o.gen == e.gen {
-				for i, n := range st.lens {
-					if n != o.info.Rows {
-						s.store.release(o)
-						writeError(w, http.StatusBadRequest, codeDimMismatch,
-							fmt.Sprintf("rhs %d has length %d but operator %q has %d rows",
-								i, n, o.info.ID, o.info.Rows))
-						return nil, nil
-					}
+				if !rowsMatch(w, o, st.rhs) {
+					s.store.release(o)
+					return nil, nil
 				}
 				return o, e
 			}
@@ -295,29 +199,28 @@ func (s *Server) resolveBin(w http.ResponseWriter, r *http.Request, st *reqScrat
 		}
 	}
 
-	operator, methodStr, precond := string(req.operator), string(req.method), string(req.precond)
-	var params solve.Params
-	var pp *solve.Params
+	var params *solve.Params
 	if len(req.params) > 0 {
-		if err := json.Unmarshal(req.params, &params); err != nil {
+		// The field is a whole document, so a syntax error anywhere in
+		// it — past the first value too — comes first and in the words
+		// json.Unmarshal had for it when it decoded the field.
+		var err error
+		if json.Valid(req.params) {
+			params, _, err = decodeParams(req.params)
+		} else {
+			err = json.Unmarshal(req.params, new(json.RawMessage))
+		}
+		if err != nil {
 			writeError(w, http.StatusBadRequest, codeBadRequest, "malformed params JSON: "+err.Error())
 			return nil, nil
 		}
-		pp = &params
 	}
-	op, pool := s.solveSetup(w, operator, methodStr, pp, precond, st.lens...)
+	e := &affEntry{opID: string(req.operator), precond: string(req.precond), params: string(req.params)}
+	op, shape := s.solveSetup(w, e.opID, string(req.method), params, e.precond, st.rhs)
 	if op == nil {
 		return nil, nil
 	}
-	e := &affEntry{
-		opID:         operator,
-		method:       methodStr,
-		precond:      precond,
-		params:       string(req.params),
-		gen:          op.gen,
-		pool:         pool,
-		batchWorkers: params.BatchWorkers,
-	}
+	e.gen, e.reqShape = op.gen, shape
 	s.aff.put(r.RemoteAddr, e)
 	return op, e
 }
@@ -355,164 +258,51 @@ func writeBin(w http.ResponseWriter, status int, enc *wire.Enc) {
 	enc.Release()
 }
 
-// handleSolveBin is the binary fast path of POST /v1/solve.
-func (s *Server) handleSolveBin(w http.ResponseWriter, r *http.Request) {
-	st := reqScratches.Get().(*reqScratch)
-	defer reqScratches.Put(st)
-	if !s.readBinBody(w, r, st) {
-		return
-	}
-	req, ok := s.decodeBinRequest(w, st, true)
-	if !ok {
-		return
-	}
-	op, shape := s.resolveBin(w, r, st, req)
-	if op == nil {
-		return
-	}
-	defer s.store.release(op)
-
-	ctx, cancel := s.solveContext(r, req.timeoutMS)
-	defer cancel()
-	release, ok := s.acquireSlot(ctx, w)
-	if !ok {
-		return
-	}
-	defer release()
-
-	ps, err := shape.pool.Acquire(ctx)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	start := time.Now()
-	res, err := ps.Solve(st.rhs[0])
-	s.met.observeSolve(shape.method, time.Since(start))
-	if res != nil {
-		s.met.observeSolvePhases(shape.method, res.Phases)
-	}
-
-	if err != nil && !errors.Is(err, solve.ErrNotConverged) {
-		ps.Release()
-		fail(w, err)
-		return
-	}
-	status := http.StatusOK
-	if err != nil {
-		status = http.StatusUnprocessableEntity
-	}
-	// Encode while the session is held: the frame copies X, so the
-	// session (and its Result) can go back to the pool before the
-	// response hits the socket.
-	code := ""
-	if err != nil {
-		_, code = errorStatus(err)
-	}
-	enc := wire.NewEnc(64 + 8*len(res.X))
+// binFrame starts a response frame: version, the response-level code,
+// the result count.
+func binFrame(code string, nresults, hint int) *wire.Enc {
+	enc := wire.NewEnc(hint)
 	enc.U8(binVersion)
 	enc.Str(code)
-	enc.U32(1)
+	enc.U32(uint32(nresults))
+	return enc
+}
+
+// binTransport is the framed transport: the request frame above in,
+// the response frame out.
+type binTransport struct{}
+
+func (binTransport) open(s *Server, w http.ResponseWriter, r *http.Request, st *reqScratch, single bool) (*storedOperator, reqShape, int) {
+	if !s.readBinBody(w, r, st) {
+		return nil, reqShape{}, 0
+	}
+	req, ok := decodeBinRequest(w, st, single)
+	if !ok {
+		return nil, reqShape{}, 0
+	}
+	op, e := s.resolveBin(w, r, st, req)
+	if op == nil {
+		return nil, reqShape{}, 0
+	}
+	return op, e.reqShape, req.timeoutMS
+}
+
+// The frame copies X out of the session's storage, which the handler
+// holds until this returns.
+func (binTransport) writeResult(w http.ResponseWriter, status int, code string, res *solve.Result) {
+	enc := binFrame(code, 1, 64+8*len(res.X))
 	encodeBinResult(enc, res, code)
-	ps.Release()
 	writeBin(w, status, enc)
 }
 
-// handleBatchBin is the binary path of POST /v1/solve/batch, sharing
-// the JSON handler's slot-widening and per-RHS error attribution.
-func (s *Server) handleBatchBin(w http.ResponseWriter, r *http.Request) {
-	st := reqScratches.Get().(*reqScratch)
-	defer reqScratches.Put(st)
-	if !s.readBinBody(w, r, st) {
-		return
-	}
-	req, ok := s.decodeBinRequest(w, st, false)
-	if !ok {
-		return
-	}
-	op, shape := s.resolveBin(w, r, st, req)
-	if op == nil {
-		return
-	}
-	defer s.store.release(op)
-
-	ctx, cancel := s.solveContext(r, req.timeoutMS)
-	defer cancel()
-	release, ok := s.acquireSlot(ctx, w)
-	if !ok {
-		return
-	}
-	defer release()
-
-	ps, err := shape.pool.Acquire(ctx)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	extra := s.widenBatch(shape.batchWorkers, len(st.rhs))
-	start := time.Now()
-	results, err := ps.SolveMany(st.rhs, solve.WithBatchWorkers(1+extra))
-	for ; extra > 0; extra-- {
-		<-s.run
-	}
-	s.met.observeSolve(shape.method+"/batch", time.Since(start))
-	ps.Release()
-
-	status := http.StatusOK
-	topCode := ""
-	if cap(st.codes) < len(results) {
-		st.codes = make([]string, len(results))
-	}
-	st.codes = st.codes[:len(results)]
-	for i := range st.codes {
-		st.codes[i] = ""
-	}
-	if err != nil {
-		for _, e := range joinedErrors(err) {
-			var re *solve.RHSError
-			if errors.As(e, &re) && re.Index >= 0 && re.Index < len(st.codes) {
-				_, st.codes[re.Index] = errorStatus(re.Err)
-			}
-		}
-		status, topCode = errorStatus(err)
-		if status != http.StatusUnprocessableEntity {
-			writeError(w, status, topCode, err.Error())
-			return
-		}
-	}
+func (binTransport) writeBatch(w http.ResponseWriter, status int, code string, results []solve.Result, codes []string) {
 	n := 0
 	for i := range results {
 		n += len(results[i].X)
 	}
-	enc := wire.NewEnc(64 + 32*len(results) + 8*n)
-	enc.U8(binVersion)
-	enc.Str(topCode)
-	enc.U32(uint32(len(results)))
+	enc := binFrame(code, len(results), 64+32*len(results)+8*n)
 	for i := range results {
-		encodeBinResult(enc, &results[i], st.codes[i])
+		encodeBinResult(enc, &results[i], codes[i])
 	}
 	writeBin(w, status, enc)
-}
-
-// widenBatch takes extra run slots for a batch fan-out (the admission
-// slot already held counts as one); see handleBatch for the budget
-// rationale. It returns how many extra slots were taken — the caller
-// must drain them.
-func (s *Server) widenBatch(requested, nrhs int) int {
-	bw := requested
-	if bw <= 0 || bw > s.cfg.MaxConcurrent {
-		bw = s.cfg.MaxConcurrent
-	}
-	if bw > nrhs {
-		bw = nrhs
-	}
-	extra := 0
-	for extra < bw-1 {
-		select {
-		case s.run <- struct{}{}:
-			extra++
-		default:
-			return extra
-		}
-	}
-	return extra
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"strconv"
 
 	"vrcg/solve"
@@ -252,11 +251,9 @@ func (s *scanner) value(st *reqScratch, f field) bool {
 		// The sub-object goes to encoding/json itself, under the
 		// request decoder's DisallowUnknownFields: the same decoder
 		// over the same bytes, so the same Params or the same refusal.
-		dec := json.NewDecoder(bytes.NewReader(s.b[s.i:]))
-		dec.DisallowUnknownFields()
-		*dst = new(solve.Params)
-		err := dec.Decode(*dst)
-		s.i += int(dec.InputOffset())
+		p, n, err := decodeParams(s.b[s.i:])
+		*dst = p
+		s.i += n
 		return err == nil
 	}
 	return false

@@ -1,9 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -41,11 +38,6 @@ type metrics struct {
 	seqReused  uint64
 	seqClosed  uint64
 	seqSteps   map[string]*histogram // "cold" | "warm" → iterations
-
-	// keyScratch is the reused sorted-key slice of the manual /metrics
-	// renderer (guarded by mu like everything else here).
-	keyScratch []string
-	intScratch []int
 }
 
 func newMetrics() *metrics {
@@ -222,7 +214,7 @@ func (m *metrics) snapshot() metricsSnapshot {
 		for method, ps := range m.solvePhases {
 			phases := make(map[string]cluster.PhaseSnapshot, engine.NumPhases)
 			for p := engine.Phase(0); p < engine.NumPhases; p++ {
-				phases[p.Name()] = phaseSnapshot(&ps[p])
+				phases[p.Name()] = cluster.SnapshotPhase(&ps[p])
 			}
 			snap.SolvePhases[method] = phases
 		}
@@ -318,359 +310,4 @@ func (h *histogram) snapshot() histogramSnapshot {
 // "1", "2500").
 func formatBound(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// phaseBound renders a µs bucket bound the way the cluster tier's
-// phase histograms do ("250us", "2ms"), so both phase vocabularies
-// read identically off /metrics.
-func phaseBound(us float64) string {
-	if us >= 1000 {
-		return strconv.Itoa(int(us/1000)) + "ms"
-	}
-	return strconv.Itoa(int(us)) + "us"
-}
-
-// phaseSnapshot converts one engine phase histogram to the cluster
-// tier's wire shape: cumulative counts keyed by upper bound.
-func phaseSnapshot(h *engine.PhaseHist) cluster.PhaseSnapshot {
-	s := cluster.PhaseSnapshot{
-		Count:   h.Count,
-		MeanUS:  h.MeanUS(),
-		MaxUS:   h.MaxUS,
-		Buckets: make(map[string]uint64, len(h.Buckets)),
-	}
-	var cum uint64
-	for i, ub := range engine.PhaseBucketsUS {
-		cum += h.Buckets[i]
-		s.Buckets[phaseBound(ub)] = cum
-	}
-	cum += h.Buckets[engine.NumPhaseBuckets]
-	s.Buckets["+Inf"] = cum
-	return s
-}
-
-// The manual /metrics renderer. Dashboards scrape the endpoint
-// continuously, and encoding/json paid ~100 allocations per scrape
-// building snapshot maps just to reflect over them. The renderer
-// writes the identical JSON (same field names, same map-key ordering
-// — keys sorted as encoding/json sorts them) straight into a pooled
-// buffer from the live state, with the bucket label strings
-// precomputed once per bucket vocabulary. snapshot() stays for tests
-// and programmatic use.
-
-// bucketKeys precomputes one bucket vocabulary's JSON key strings in
-// the order encoding/json would emit them (lexically sorted), with
-// idx mapping each key back to its counts slot.
-type bucketKeys struct {
-	keys []string
-	idx  []int
-}
-
-func makeBucketKeys(bounds []float64) *bucketKeys {
-	keys := make([]string, len(bounds)+1)
-	for i, b := range bounds {
-		keys[i] = formatBound(b)
-	}
-	keys[len(bounds)] = "+Inf"
-	return makeKeyTable(keys)
-}
-
-// makeKeyTable sorts pre-rendered bucket keys into emission order.
-func makeKeyTable(keys []string) *bucketKeys {
-	bk := &bucketKeys{keys: keys, idx: make([]int, len(keys))}
-	for i := range bk.idx {
-		bk.idx[i] = i
-	}
-	sort.Slice(bk.idx, func(i, j int) bool { return keys[bk.idx[i]] < keys[bk.idx[j]] })
-	sorted := make([]string, len(keys))
-	for i, o := range bk.idx {
-		sorted[i] = keys[o]
-	}
-	bk.keys = sorted
-	return bk
-}
-
-var (
-	latencyKeys   = makeBucketKeys(latencyBuckets)
-	iterationKeys = makeBucketKeys(iterationBuckets)
-
-	// phaseKeys is the µs phase vocabulary's table; slot
-	// engine.NumPhaseBuckets is overflow.
-	phaseKeys = func() *bucketKeys {
-		keys := make([]string, engine.NumPhaseBuckets+1)
-		for i, ub := range engine.PhaseBucketsUS {
-			keys[i] = phaseBound(ub)
-		}
-		keys[engine.NumPhaseBuckets] = "+Inf"
-		return makeKeyTable(keys)
-	}()
-
-	// phaseRenderOrder lists the engine phases by lexically sorted
-	// name — the order encoding/json emits map keys.
-	phaseRenderOrder = func() []engine.Phase {
-		ps := make([]engine.Phase, engine.NumPhases)
-		for i := range ps {
-			ps[i] = engine.Phase(i)
-		}
-		sort.Slice(ps, func(i, j int) bool { return ps[i].Name() < ps[j].Name() })
-		return ps
-	}()
-)
-
-// keysFor maps a bounds slice to its precomputed key table.
-func keysFor(bounds []float64) *bucketKeys {
-	switch {
-	case len(bounds) == len(latencyBuckets) && &bounds[0] == &latencyBuckets[0]:
-		return latencyKeys
-	case len(bounds) == len(iterationBuckets) && &bounds[0] == &iterationBuckets[0]:
-		return iterationKeys
-	}
-	return makeBucketKeys(bounds)
-}
-
-// jsonUint writes an unsigned integer.
-func jsonUint(buf *bytes.Buffer, v uint64) {
-	var tmp [20]byte
-	buf.Write(strconv.AppendUint(tmp[:0], v, 10))
-}
-
-// jsonIntVal writes a signed integer.
-func jsonIntVal(buf *bytes.Buffer, v int) {
-	var tmp [20]byte
-	buf.Write(strconv.AppendInt(tmp[:0], int64(v), 10))
-}
-
-// jsonFloat writes a float the way encoding/json does: shortest 'f'
-// form, switching to 'e' (with the two-digit exponent's leading zero
-// trimmed) only for very large or very small magnitudes.
-func jsonFloat(buf *bytes.Buffer, v float64) {
-	abs := math.Abs(v)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	var tmp [32]byte
-	b := strconv.AppendFloat(tmp[:0], v, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	buf.Write(b)
-}
-
-// render writes one histogram as its histogramSnapshot JSON.
-func (h *histogram) render(buf *bytes.Buffer) {
-	buf.WriteString(`{"count":`)
-	jsonUint(buf, h.count)
-	buf.WriteString(`,"sum_ms":`)
-	jsonFloat(buf, h.sumMS)
-	buf.WriteString(`,"mean_ms":`)
-	mean := 0.0
-	if h.count > 0 {
-		mean = h.sumMS / float64(h.count)
-	}
-	jsonFloat(buf, mean)
-	buf.WriteString(`,"max_ms":`)
-	jsonFloat(buf, h.maxMS)
-	buf.WriteString(`,"buckets":{`)
-	var cum [32]uint64
-	c := uint64(0)
-	for i, v := range h.counts {
-		c += v
-		cum[i] = c
-	}
-	bk := keysFor(h.bounds)
-	for i, key := range bk.keys {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.WriteByte('"')
-		buf.WriteString(key)
-		buf.WriteString(`":`)
-		jsonUint(buf, cum[bk.idx[i]])
-	}
-	buf.WriteString("}}")
-}
-
-// renderPhaseHist writes one engine phase histogram as its
-// cluster.PhaseSnapshot JSON.
-func renderPhaseHist(buf *bytes.Buffer, h *engine.PhaseHist) {
-	buf.WriteString(`{"count":`)
-	jsonUint(buf, h.Count)
-	buf.WriteString(`,"mean_us":`)
-	jsonFloat(buf, h.MeanUS())
-	buf.WriteString(`,"max_us":`)
-	jsonFloat(buf, h.MaxUS)
-	buf.WriteString(`,"buckets":{`)
-	var cum [engine.NumPhaseBuckets + 1]uint64
-	c := uint64(0)
-	for i := range cum {
-		c += h.Buckets[i]
-		cum[i] = c
-	}
-	for i, key := range phaseKeys.keys {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.WriteByte('"')
-		buf.WriteString(key)
-		buf.WriteString(`":`)
-		jsonUint(buf, cum[phaseKeys.idx[i]])
-	}
-	buf.WriteString("}}")
-}
-
-// render writes the full /metrics document (sans trailing newline).
-// The out-of-band gauges (session pools, operators, open sequences,
-// marshaled cluster block) are collected by the caller before taking
-// m.mu, so no two locks are ever held together. Route and method
-// names are a fixed safe vocabulary, written unescaped.
-func (m *metrics) render(buf *bytes.Buffer, pools poolStats, ops operatorGauges, seqOpen int, clusterBlob []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	buf.WriteString(`{"uptime_s":`)
-	jsonFloat(buf, time.Since(m.start).Seconds())
-
-	buf.WriteString(`,"requests":{`)
-	keys := m.keyScratch[:0]
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for i, k := range keys {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.WriteByte('"')
-		buf.WriteString(k)
-		buf.WriteString(`":`)
-		jsonUint(buf, m.requests[k])
-	}
-
-	buf.WriteString(`},"statuses":{`)
-	ints := m.intScratch[:0]
-	for k := range m.statuses {
-		ints = append(ints, k)
-	}
-	sort.Ints(ints)
-	for i, k := range ints {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.WriteByte('"')
-		jsonIntVal(buf, k)
-		buf.WriteString(`":`)
-		jsonUint(buf, m.statuses[k])
-	}
-	m.intScratch = ints[:0]
-
-	buf.WriteString(`},"queue_rejects":`)
-	jsonUint(buf, m.queueRejects)
-
-	buf.WriteString(`,"json_bodies":{"scanned":`)
-	jsonUint(buf, m.jsonBodies.Scanned)
-	buf.WriteString(`,"reflected":`)
-	jsonUint(buf, m.jsonBodies.Reflected)
-
-	buf.WriteString(`},"solve_latency_ms":{`)
-	keys = keys[:0]
-	for k := range m.latency {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for i, k := range keys {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.WriteByte('"')
-		buf.WriteString(k)
-		buf.WriteString(`":`)
-		m.latency[k].render(buf)
-	}
-	buf.WriteByte('}')
-
-	if len(m.solvePhases) > 0 {
-		buf.WriteString(`,"solve_phase_latency_us":{`)
-		keys = keys[:0]
-		for k := range m.solvePhases {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for i, k := range keys {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			buf.WriteByte('"')
-			buf.WriteString(k)
-			buf.WriteString(`":{`)
-			ps := m.solvePhases[k]
-			for j, p := range phaseRenderOrder {
-				if j > 0 {
-					buf.WriteByte(',')
-				}
-				buf.WriteByte('"')
-				buf.WriteString(p.Name())
-				buf.WriteString(`":`)
-				renderPhaseHist(buf, &ps[p])
-			}
-			buf.WriteByte('}')
-		}
-		buf.WriteByte('}')
-	}
-
-	buf.WriteString(`,"session_pools":{"pools":`)
-	jsonIntVal(buf, pools.Pools)
-	buf.WriteString(`,"sessions":`)
-	jsonIntVal(buf, pools.Sessions)
-	buf.WriteString(`,"idle":`)
-	jsonIntVal(buf, pools.Idle)
-	buf.WriteString(`,"hits":`)
-	jsonUint(buf, pools.Hits)
-	buf.WriteString(`,"misses":`)
-	jsonUint(buf, pools.Misses)
-	buf.WriteString(`,"hit_rate":`)
-	jsonFloat(buf, pools.HitRate)
-
-	buf.WriteString(`},"operators":{"count":`)
-	jsonIntVal(buf, ops.Count)
-	buf.WriteString(`,"capacity":`)
-	jsonIntVal(buf, ops.Capacity)
-	buf.WriteByte('}')
-
-	if m.seqCreated > 0 || len(m.seqSteps) > 0 {
-		buf.WriteString(`,"sequences":{"created":`)
-		jsonUint(buf, m.seqCreated)
-		buf.WriteString(`,"reused":`)
-		jsonUint(buf, m.seqReused)
-		buf.WriteString(`,"closed":`)
-		jsonUint(buf, m.seqClosed)
-		buf.WriteString(`,"open":`)
-		jsonIntVal(buf, seqOpen)
-		buf.WriteString(`,"step_iterations":{`)
-		keys = keys[:0]
-		for k := range m.seqSteps {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for i, k := range keys {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			buf.WriteByte('"')
-			buf.WriteString(k)
-			buf.WriteString(`":`)
-			m.seqSteps[k].render(buf)
-		}
-		buf.WriteString("}}")
-	}
-
-	if clusterBlob != nil {
-		buf.WriteString(`,"cluster":`)
-		buf.Write(clusterBlob)
-	}
-	buf.WriteByte('}')
-	m.keyScratch = keys[:0]
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -178,27 +177,14 @@ func (s *Server) handleSequenceCreate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r.Body, &req) {
 		return
 	}
-	if req.Method == "" {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "missing method")
-		return
-	}
-	if err := req.Params.Validate(); err != nil {
-		fail(w, err)
-		return
-	}
-	op, err := s.store.acquire(req.Operator)
-	if err != nil {
-		fail(w, err)
-		return
-	}
-	if err := checkMethodShape(req.Method, op); err != nil {
-		s.store.release(op)
-		fail(w, err)
+	op := s.pinOperator(w, req.Operator, req.Method, req.Params)
+	if op == nil {
 		return
 	}
 
 	key := poolKey(op, req.Method, req.Precond, req.Params)
 	reused := false
+	var err error
 	sq := s.seqs.take(key)
 	if sq != nil {
 		// Free-listed sequences carry the stored operator's values (close
@@ -270,7 +256,8 @@ func (s *Server) buildSequence(op *storedOperator, key, method, precondName stri
 // handleSequenceStep is POST /v1/sequence/{id}/step: optional in-place
 // operator update, then one warm-started solve.
 func (s *Server) handleSequenceStep(w http.ResponseWriter, r *http.Request) {
-	sq, err := s.seqs.get(r.PathValue("id"))
+	id := r.PathValue("id")
+	sq, err := s.seqs.get(id)
 	if err != nil {
 		fail(w, err)
 		return
@@ -287,20 +274,25 @@ func (s *Server) handleSequenceStep(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.RHS) != sq.info.Rows {
 		writeError(w, http.StatusBadRequest, codeDimMismatch,
-			fmt.Sprintf("rhs has length %d but sequence %q expects %d rows", len(req.RHS), sq.id, sq.info.Rows))
+			fmt.Sprintf("rhs has length %d but sequence %q expects %d rows", len(req.RHS), id, sq.info.Rows))
 		return
 	}
-
-	ctx, cancel := s.solveContext(r, req.TimeoutMS)
-	defer cancel()
-	release, ok := s.acquireSlot(ctx, w)
+	run, ok := s.start(w, r, req.TimeoutMS, nil)
 	if !ok {
 		return
 	}
-	defer release()
+	defer s.finish(run)
 
 	sq.mu.Lock()
 	defer sq.mu.Unlock()
+	// sq was looked up a body read and a wait for a slot ago. A close
+	// since then has parked it, and a create may already have revived it
+	// for another client under another id: it is this request's only
+	// while it is still what id names.
+	if cur, err := s.seqs.get(id); cur != sq {
+		fail(w, err)
+		return
+	}
 
 	// Operator updates first, so the solve runs against the new system.
 	if req.Rescale != nil {
@@ -320,24 +312,21 @@ func (s *Server) handleSequenceStep(w http.ResponseWriter, r *http.Request) {
 
 	warm := sq.q.Warm()
 	start := time.Now()
-	res, err := sq.q.Step(req.RHS)
+	res, err := sq.q.StepContext(run.ctx, req.RHS)
 	s.met.observeSolve(sq.info.Method+"/sequence", time.Since(start))
 	if res != nil {
 		s.met.observeSequenceStep(warm, res.Iterations)
 		s.met.observeSolvePhases(sq.info.Method, res.Phases)
 	}
-	resp := SequenceStepResponse{
-		WireResult: wireResult(res, err),
-		Step:       len(sq.q.Steps()) - 1 - sq.base,
-		Warm:       warm,
-	}
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusOK, resp)
-	case errors.Is(err, solve.ErrNotConverged):
-		// Usable partial result, and it still seeds the next warm start.
-		writeJSON(w, http.StatusUnprocessableEntity, resp)
-	default:
+	// A partial result is usable, and it still seeds the next warm
+	// start. res lives in the sequence, locked until the reply is written.
+	if status, code, ok := replyStatus(err, false); ok {
+		writeJSON(w, status, SequenceStepResponse{
+			WireResult: wireResult(res, code),
+			Step:       len(sq.q.Steps()) - 1 - sq.base,
+			Warm:       warm,
+		})
+	} else {
 		fail(w, err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"vrcg/cluster"
+	"vrcg/solve"
 	"vrcg/sparse"
 )
 
@@ -38,8 +39,10 @@ type Config struct {
 	// solver workspaces, so the cap is what bounds that memory.
 	// Default: 64.
 	MaxSequences int
-	// DefaultTimeout bounds each solve; a request's timeout_ms can
-	// shorten it but not extend it. Default: 30s.
+	// DefaultTimeout bounds each solve — single, batch, sequence step and
+	// cluster alike, from the wait for a run slot to the last iteration;
+	// a request's timeout_ms can shorten it but not extend it.
+	// Default: 30s.
 	DefaultTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (operator uploads dominate).
 	// Default: 256 MiB.
@@ -237,31 +240,60 @@ func (r *statusRecorder) WriteHeader(status int) {
 	r.ResponseWriter.WriteHeader(status)
 }
 
-// acquireSlot admits one solve request through the bounded queue. It
-// returns a release function on success; otherwise the request was
-// already answered (429 on a full queue, 504 when the deadline passed
-// while waiting, 503 during shutdown).
-func (s *Server) acquireSlot(ctx context.Context, w http.ResponseWriter) (release func(), ok bool) {
+// running is what a solve holds while it runs: its deadline, a place in
+// the admission queue and a run slot, and — on the pooled routes — a
+// warm session.
+type running struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	ps     *solve.PooledSession
+}
+
+// start takes a decoded request to the point where it may solve: through
+// the bounded admission queue, under its deadline (solveContext) while
+// it waits for a run slot and from then on, and — given a pool — with a
+// warm session checked out under that deadline. On success the caller
+// must finish what it returns; otherwise nothing is held and the
+// request has been answered (429 on a full queue, 504 when the deadline
+// passed while waiting, 499 when the client left).
+func (s *Server) start(w http.ResponseWriter, r *http.Request, timeoutMS int, pool *solve.SessionPool) (run running, ok bool) {
 	select {
 	case s.admit <- struct{}{}:
 	default:
 		s.met.observeQueueReject()
 		writeError(w, http.StatusTooManyRequests, codeQueueFull,
 			fmt.Sprintf("solve queue full (%d running + %d waiting)", s.cfg.MaxConcurrent, s.cfg.MaxQueue))
-		return nil, false
+		return run, false
 	}
+	run.ctx, run.cancel = s.solveContext(r, timeoutMS)
 	select {
 	case s.run <- struct{}{}:
-	case <-ctx.Done():
+	case <-run.ctx.Done():
 		<-s.admit
-		status, code := errorStatus(ctx.Err())
+		status, code := errorStatus(run.ctx.Err())
+		run.cancel()
 		writeError(w, status, code, "deadline passed while waiting for a solve slot")
-		return nil, false
+		return run, false
 	}
-	return func() {
-		<-s.run
-		<-s.admit
-	}, true
+	if pool != nil {
+		var err error
+		if run.ps, err = pool.Acquire(run.ctx); err != nil {
+			s.finish(run)
+			fail(w, err)
+			return run, false
+		}
+	}
+	return run, true
+}
+
+// finish gives back what start took.
+func (s *Server) finish(run running) {
+	if run.ps != nil {
+		run.ps.Release()
+	}
+	<-s.run
+	<-s.admit
+	run.cancel()
 }
 
 // solveContext derives the per-request solve context: the client's
@@ -289,9 +321,9 @@ func (s *Server) Preload(name string, m sparse.Matrix) error {
 }
 
 // Shutdown refuses new requests and waits for in-flight requests to
-// drain, or for ctx to expire. (Solves themselves run under the
-// server's DefaultTimeout, so the drain is bounded.) Safe to call more
-// than once.
+// drain, or for ctx to expire. (Every solve, a sequence step's
+// included, runs under the server's DefaultTimeout, so the drain is
+// bounded.) Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.closed = true

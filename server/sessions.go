@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"vrcg/precond"
@@ -57,12 +58,16 @@ func poolKey(op *storedOperator, method, precondName string, params *solve.Param
 		norm = *params
 	}
 	norm.BatchWorkers = 0
-	// The store generation, not just the client-chosen id, is part of
-	// the key: a name that is evicted and re-uploaded with a different
-	// matrix must never hit a pool built against the old one, however
-	// the eviction and pool cleanup interleave.
-	return fmt.Sprintf("%s\x00%d\x00%s\x00%s\x00%s",
-		op.info.ID, op.gen, method, precondName, norm.Key())
+	return operatorKey(op) + method + "\x00" + precondName + "\x00" + norm.Key()
+}
+
+// operatorKey is the part of a pool key that names the operator. The
+// store generation, not just the client-chosen id, is part of it: a
+// name that is evicted and re-uploaded with a different matrix must
+// never hit a pool built against the old one, however the eviction and
+// pool cleanup interleave.
+func operatorKey(op *storedOperator) string {
+	return op.info.ID + "\x00" + strconv.FormatUint(op.gen, 10) + "\x00"
 }
 
 // get returns the pool for the request shape, creating it (and its
@@ -196,7 +201,7 @@ func (l *lockedPrecond) Apply(dst, r []float64) {
 // entry would otherwise evict a live pool rebuilt later under the same
 // key.
 func (sp *sessionPools) dropOperator(op *storedOperator) {
-	prefix := fmt.Sprintf("%s\x00%d\x00", op.info.ID, op.gen)
+	prefix := operatorKey(op)
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	for key := range sp.pools {

@@ -195,15 +195,16 @@ type Health struct {
 	UptimeS float64 `json:"uptime_s"`
 }
 
-// wireResultView maps a solver result (and its per-solve error, if
-// any) onto the wire form, sharing X and History with the result — the
-// right shape when the result already owns its storage (Batch results
-// do).
-func wireResultView(res *solve.Result, err error) WireResult {
+// wireResult maps a solver result onto the wire form under its stable
+// error code ("" when it converged). X and History are shared with the
+// result, not copied: the caller encodes the reply while it still holds
+// whatever owns them (a pooled session, a locked sequence; Batch
+// results own theirs).
+func wireResult(res *solve.Result, code string) WireResult {
 	if res == nil {
 		return WireResult{}
 	}
-	w := WireResult{
+	return WireResult{
 		Method:           res.Method,
 		X:                res.X,
 		Iterations:       res.Iterations,
@@ -220,23 +221,8 @@ func wireResultView(res *solve.Result, err error) WireResult {
 		Syncs:   res.Syncs,
 		Blocks:  res.Blocks,
 		History: res.History,
+		Error:   code,
 	}
-	if err != nil {
-		_, w.Error = errorStatus(err)
-	}
-	return w
-}
-
-// wireResult is wireResultView with X and History copied out of
-// session-owned storage, so a pooled session can be released before
-// the response is written.
-func wireResult(res *solve.Result, err error) WireResult {
-	w := wireResultView(res, err)
-	w.X = append([]float64(nil), w.X...)
-	if w.History != nil {
-		w.History = append([]float64(nil), w.History...)
-	}
-	return w
 }
 
 // Stable error codes; docs/api.md carries the full table.

@@ -1,6 +1,7 @@
 package solve
 
 import (
+	"context"
 	"fmt"
 
 	"vrcg/sparse"
@@ -27,7 +28,8 @@ import (
 // Result returned by Step is valid only until the next Step.
 type Sequence struct {
 	sess  *Session
-	x0    []float64 // persistent warm-start buffer, column-space length
+	sctx  swapContext // points at each StepContext's context in turn
+	x0    []float64   // persistent warm-start buffer, column-space length
 	warm  bool
 	steps []int
 }
@@ -36,11 +38,14 @@ type Sequence struct {
 // method against a. The first Step is a cold start from zero; every
 // later Step starts from the previous solution. Extra options merge
 // before the sequence's own WithX0 (a caller-supplied WithX0 would be
-// overridden — the warm-start buffer is the point of the type).
+// overridden — the warm-start buffer is the point of the type) and
+// after its swappable per-step context (a caller-supplied WithContext
+// still bounds every step, in place of the one given to StepContext).
 func NewSequence(method string, a Operator, opts ...Option) (*Sequence, error) {
 	_, cols := sparse.Dims(asMatrix(a))
 	q := &Sequence{x0: make([]float64, cols)}
-	sess, err := NewSession(method, a, append(append([]Option(nil), opts...), WithX0(q.x0))...)
+	all := append(append([]Option{WithContext(&q.sctx)}, opts...), WithX0(q.x0))
+	sess, err := NewSession(method, a, all...)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +73,17 @@ func (q *Sequence) Steps() []int { return q.steps }
 // the next warm start — in an outer loop that is exactly the iterate to
 // continue from.
 func (q *Sequence) Step(b []float64) (*Result, error) {
+	return q.StepContext(context.Background(), b)
+}
+
+// StepContext is Step under ctx: the solve polls it every iteration, as
+// WithContext describes, and a step it stops returns the partial Result
+// with an error wrapping ctx.Err(). Such a step is a step like any
+// other — counted in Steps, its iterate the next warm start.
+func (q *Sequence) StepContext(ctx context.Context, b []float64) (*Result, error) {
+	q.sctx.set(ctx)
 	res, err := q.sess.Solve(b)
+	q.sctx.set(nil)
 	if res != nil {
 		q.steps = append(q.steps, res.Iterations)
 		if len(res.X) == len(q.x0) {

@@ -1,6 +1,7 @@
 package solve_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -219,5 +220,69 @@ func TestSequenceLeastSquares(t *testing.T) {
 	}
 	if r2.Iterations >= coldIters {
 		t.Fatalf("warm rectangular step took %d iterations, cold took %d", r2.Iterations, coldIters)
+	}
+}
+
+// stopAfter is a context that reports itself canceled from its n-th
+// Err call on: a deadline that passes mid-solve, with no clock in it.
+type stopAfter struct {
+	context.Context
+	polls, n int
+}
+
+func (c *stopAfter) Err() error {
+	if c.polls++; c.polls >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSequenceStepContext: a context given to StepContext stops that
+// step — and only that step — mid-solve; the stopped step is counted
+// and its partial iterate seeds the next, which a plain Step then
+// finishes, bitwise the solve a WithContext-free sequence runs, and
+// without allocating.
+func TestSequenceStepContext(t *testing.T) {
+	a := sparse.Poisson2D(16)
+	b := make([]float64, a.Dim())
+	for i := range b {
+		b[i] = 1 + float64(i%3)
+	}
+	q, err := solve.NewSequence("cg", a, solve.WithTol(1e-10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := q.StepContext(&stopAfter{Context: context.Background(), n: 5}, b)
+	if !errors.Is(err, context.Canceled) || res == nil || res.Converged {
+		t.Fatalf("stopped step: result %+v, err %v; want a partial result and context.Canceled", res, err)
+	}
+	cut := res.Iterations
+	if steps := q.Steps(); len(steps) != 1 || steps[0] != cut || !q.Warm() {
+		t.Fatalf("after the stopped step: Steps() = %v, warm = %v", steps, q.Warm())
+	}
+	x0 := append([]float64(nil), res.X...)
+
+	res, err = q.Step(b)
+	if err != nil || !res.Converged {
+		t.Fatalf("step after the stopped one: %+v, %v", res, err)
+	}
+	want, err := solve.MustNew("cg").Solve(a, b, solve.WithTol(1e-10), solve.WithX0(x0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Iterations != want.Iterations {
+		t.Fatalf("step after the stopped one took %d iterations, a solve from the same iterate takes %d", res.Iterations, want.Iterations)
+	}
+	for i := range want.X {
+		if res.X[i] != want.X[i] {
+			t.Fatalf("x[%d] = %g, a solve from the same iterate gives %g", i, res.X[i], want.X[i])
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := q.Step(b); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a warm Step allocates %v times", allocs)
 	}
 }
