@@ -1,11 +1,11 @@
 # Build / test / benchmark entry points for the vrcg repository.
 #
 # `make bench` runs the execution-engine microbenchmarks (SpMV, dot,
-# fused CG update, PCG solve), the public-surface serving benchmarks
-# (registry dispatch overhead, Session reuse vs fresh solver, Batch
-# throughput at 1/8/64 right-hand sides), and the HTTP serving-layer
-# benchmarks (warm-pool /v1/solve, /v1/solve/batch fan-out) with
-# -benchmem, and the distributed-tier benchmarks (sharded vs
+# fused CG update, PCG solve, IC0 factor and apply), the public-surface
+# serving benchmarks (registry dispatch overhead, Session reuse vs fresh
+# solver, Batch throughput at 1/8/64 right-hand sides), and the HTTP
+# serving-layer benchmarks (warm-pool /v1/solve, /v1/solve/batch
+# fan-out) with -benchmem, and the distributed-tier benchmarks (sharded vs
 # single-process solves, per-iteration reduction wait by method),
 # writing the parsed results to BENCH_engine.json, BENCH_solve.json,
 # BENCH_sequence.json (cold vs warm-started sequence steps),
@@ -18,7 +18,7 @@
 
 GO         ?= go
 BINDIR     ?= bin
-BENCHPAT   ?= BenchmarkSpMV|BenchmarkPCGSolve|BenchmarkDotSerial|BenchmarkDotParallel|BenchmarkDotPooled|BenchmarkFusedCGUpdate|BenchmarkMatVecCSR
+BENCHPAT   ?= BenchmarkSpMV|BenchmarkPCGSolve|BenchmarkDotSerial|BenchmarkDotParallel|BenchmarkDotPooled|BenchmarkFusedCGUpdate|BenchmarkMatVecCSR|BenchmarkIC0FactorAndApply
 BENCHOUT   ?= BENCH_engine.json
 SOLVEPAT   ?= BenchmarkSolveDispatch|BenchmarkSessionReuse|BenchmarkSessionPerMethod|BenchmarkFreshSolvePerCall|BenchmarkBatch|BenchmarkParcgFamily
 SOLVEOUT   ?= BENCH_solve.json

@@ -10,7 +10,8 @@ func hasAVX2() bool
 
 // The assembly bodies. Each trusts its arguments: every operand holds at
 // least as many elements as the first slice (for diaRowsAVX2, see
-// DIARows), which the Go callers establish before the call.
+// DIARows; for triRunAVX2, TriSweep.Solve and the checks NewTriSweeps
+// makes once), which the Go callers establish before the call.
 
 //go:noescape
 func dotLeafAVX2(x, y []float64) float64
@@ -32,3 +33,6 @@ func scaleAVX2(alpha float64, x []float64)
 
 //go:noescape
 func diaRowsAVX2(out, slab []float64, stride int, x []float64, lo int, offs []int)
+
+//go:noescape
+func triRunAVX2(x []float64, lo int, d, vals []float64, pos []int32, width int, w float64)

@@ -529,3 +529,96 @@ dia1store:
 diadone:
 	VZEROUPPER
 	RET
+
+// func triRunAVX2(x []float64, lo int, d, vals []float64, pos []int32, width int, w float64)
+//
+// One run of a TriSweep, rows = len(d): for row j, s = x[lo+j]; then
+// s -= vals[k*rows+j] * x[pos[k*rows+j]] for k = 0..width-1 in that
+// order, one VMULPD and one VSUBPD each; then s *= w unless w is 1; then
+// x[lo+j] = s / d[j]. Four rows per trip in Y0 (the rows of a run do not
+// read each other), then one in X0. R12 is the byte offset of entry k in
+// pos, and half that of it in vals; R8 its value after the last entry.
+TEXT ·triRunAVX2(SB), NOSPLIT, $0-120
+	MOVQ         x_base+0(FP), DX
+	MOVQ         lo+24(FP), AX
+	LEAQ         (DX)(AX*8), DI     // &x[lo]
+	MOVQ         d_base+32(FP), SI
+	MOVQ         d_len+40(FP), CX
+	MOVQ         vals_base+56(FP), R9
+	MOVQ         pos_base+80(FP), R10
+	LEAQ         (CX*4), BX         // bytes between a row's entries in pos
+	MOVQ         width+104(FP), R8
+	IMULQ        BX, R8
+	VBROADCASTSD w+112(FP), Y15
+	MOVQ         w+112(FP), AX
+	MOVQ         $0x3ff0000000000000, R11
+	SUBQ         R11, AX            // zero: w is 1, skip the multiply
+
+tri4:
+	CMPQ    CX, $4
+	JL      tri1
+	VMOVUPD (DI), Y0
+	XORQ    R12, R12
+	CMPQ    R12, R8
+	JE      tri4finish
+
+tri4entry:
+	VMOVDQU    (R10)(R12*1), X1
+	VPCMPEQD   Y3, Y3, Y3
+	VGATHERDPD Y3, (DX)(X1*8), Y2
+	VMULPD     (R9)(R12*2), Y2, Y2
+	VSUBPD     Y2, Y0, Y0
+	ADDQ       BX, R12
+	CMPQ       R12, R8
+	JNE        tri4entry
+
+tri4finish:
+	TESTQ  AX, AX
+	JZ     tri4div
+	VMULPD Y15, Y0, Y0
+
+tri4div:
+	VDIVPD  (SI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, R9
+	ADDQ    $16, R10
+	SUBQ    $4, CX
+	JMP     tri4
+
+tri1:
+	TESTQ  CX, CX
+	JZ     tridone
+	VMOVSD (DI), X0
+	XORQ   R12, R12
+	CMPQ   R12, R8
+	JE     tri1finish
+
+tri1entry:
+	MOVL   (R10)(R12*1), R13
+	VMOVSD (DX)(R13*8), X2
+	VMULSD (R9)(R12*2), X2, X2
+	VSUBSD X2, X0, X0
+	ADDQ   BX, R12
+	CMPQ   R12, R8
+	JNE    tri1entry
+
+tri1finish:
+	TESTQ  AX, AX
+	JZ     tri1div
+	VMULSD X15, X0, X0
+
+tri1div:
+	VDIVSD (SI), X0, X0
+	VMOVSD X0, (DI)
+	ADDQ   $8, DI
+	ADDQ   $8, SI
+	ADDQ   $8, R9
+	ADDQ   $4, R10
+	DECQ   CX
+	JMP    tri1
+
+tridone:
+	VZEROUPPER
+	RET

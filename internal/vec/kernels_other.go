@@ -15,3 +15,6 @@ func axpyAVX2(alpha float64, x, y []float64)                                    
 func xpayAVX2(x []float64, alpha float64, y []float64)                             { panic(noAssembly) }
 func scaleAVX2(alpha float64, x []float64)                                         { panic(noAssembly) }
 func diaRowsAVX2(out, slab []float64, stride int, x []float64, lo int, offs []int) { panic(noAssembly) }
+func triRunAVX2(x []float64, lo int, d, vals []float64, pos []int32, width int, w float64) {
+	panic(noAssembly)
+}

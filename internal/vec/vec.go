@@ -27,8 +27,8 @@
 // # Leaf bodies
 //
 // The loops at the bottom — dotLeaf, dotPairLeaf, fusedCGLeaf, Axpy,
-// Xpay, Scale here, and the row kernel of sparse.DIA (DIARows) — have
-// two bodies each. The Go body (dotLeafGo, axpyGo, ...) is the
+// Xpay, Scale here, the row kernel of sparse.DIA (DIARows) and the run
+// kernel of TriSweep — have two bodies each. The Go body (dotLeafGo, axpyGo, ...) is the
 // definition, the reference the tests compare against, and the only
 // path off amd64; gc never vectorizes it. On amd64 with AVX2 the
 // assembly body in kernels_amd64.s runs instead, chosen once at init

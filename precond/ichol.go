@@ -13,125 +13,89 @@ import (
 // (the discrete Laplacians in this repository) the factorization exists
 // and PCG with IC(0) is the classical workhorse the paper's
 // preconditioning remark points at.
+//
+// The factor is kept only as the two packed sweeps Apply runs: L by
+// rows, and L^T by rows with every row's entries in descending column
+// order.
 type IC0 struct {
-	n      int
-	rowPtr []int
-	colIdx []int // column indices per row, ascending, diagonal last
-	vals   []float64
-	diag   []int // position of the diagonal entry in each row
-	tmp    vec.Vector
+	tri *triSolve
 }
 
 // NewIC0 computes the IC(0) factorization of the symmetric positive
-// definite matrix a. It returns an error if a pivot becomes non-positive
-// (the factorization does not exist for this sparsity; shift the matrix
-// or use a different preconditioner).
+// definite matrix a. It returns an error if a pivot is not positive and
+// finite (the factorization does not exist for this sparsity; shift the
+// matrix or use a different preconditioner).
 func NewIC0(a *sparse.CSR) (*IC0, error) {
-	n := a.Dim()
-	ic := &IC0{n: n, rowPtr: make([]int, n+1), diag: make([]int, n), tmp: vec.New(n)}
-
-	// Collect the lower-triangular pattern (including diagonal).
-	for i := 0; i < n; i++ {
-		count := 0
-		hasDiag := false
-		a.ScanRow(i, func(j int, _ float64) {
-			if j < i {
-				count++
-			} else if j == i {
-				hasDiag = true
-			}
-		})
-		if !hasDiag {
-			return nil, fmt.Errorf("precond: row %d has no diagonal entry", i)
-		}
-		ic.rowPtr[i+1] = ic.rowPtr[i] + count + 1
+	l, d, err := ic0Factor(a)
+	if err != nil {
+		return nil, err
 	}
-	nnz := ic.rowPtr[n]
-	ic.colIdx = make([]int, nnz)
-	ic.vals = make([]float64, nnz)
-	for i := 0; i < n; i++ {
-		p := ic.rowPtr[i]
-		a.ScanRow(i, func(j int, v float64) {
-			if j < i {
-				ic.colIdx[p] = j
-				ic.vals[p] = v
-				p++
-			}
-		})
-		// Diagonal last (ScanRow is ascending so this keeps order).
-		ic.colIdx[p] = i
-		ic.vals[p] = a.At(i, i)
-		ic.diag[i] = p
+	return &IC0{tri: newTriSolve(l, transposed(l), d, 1)}, nil
+}
+
+// ic0Factor returns the factor's strictly lower rows and its diagonal.
+func ic0Factor(a *sparse.CSR) (l vec.TriRows, d []float64, err error) {
+	// The lower-triangular pattern of a; l.Vals and d become the factor
+	// in place.
+	if err := checkOrder(a.Dim()); err != nil {
+		return l, nil, err
+	}
+	l, d, missing := triangle(a, false)
+	if missing >= 0 {
+		return l, nil, fmt.Errorf("precond: row %d has no diagonal entry", missing)
 	}
 
 	// Row-oriented IC(0): for each row i, update against previous rows
 	// restricted to the existing pattern.
 	// l[i][j] = (a[i][j] - sum_k l[i][k] l[j][k]) / l[j][j], k < j
 	// l[i][i] = sqrt(a[i][i] - sum_k l[i][k]^2)
-	find := func(row, col int) int {
-		lo, hi := ic.rowPtr[row], ic.rowPtr[row+1]
-		for p := lo; p < hi; p++ {
-			if ic.colIdx[p] == col {
+	find := func(row, col int32) int {
+		for p := l.Ptr[row]; p < l.Ptr[row+1]; p++ {
+			if l.Idx[p] == col {
 				return p
 			}
 		}
 		return -1
 	}
-	for i := 0; i < n; i++ {
-		for p := ic.rowPtr[i]; p < ic.diag[i]; p++ {
-			j := ic.colIdx[p]
-			s := ic.vals[p]
+	for i := range d {
+		lo, hi := l.Ptr[i], l.Ptr[i+1]
+		for p := lo; p < hi; p++ {
+			j := l.Idx[p]
+			s := l.Vals[p]
 			// Dot of row i and row j patterns below column j.
-			for q := ic.rowPtr[i]; q < p; q++ {
-				k := ic.colIdx[q]
-				if jq := find(j, k); jq >= 0 {
-					s -= ic.vals[q] * ic.vals[jq]
+			for q := lo; q < p; q++ {
+				if jq := find(j, l.Idx[q]); jq >= 0 {
+					s -= l.Vals[q] * l.Vals[jq]
 				}
 			}
-			ic.vals[p] = s / ic.vals[ic.diag[j]]
+			l.Vals[p] = s / d[j]
 		}
-		d := ic.vals[ic.diag[i]]
-		for q := ic.rowPtr[i]; q < ic.diag[i]; q++ {
-			d -= ic.vals[q] * ic.vals[q]
+		pivot := d[i]
+		for q := lo; q < hi; q++ {
+			pivot -= l.Vals[q] * l.Vals[q]
 		}
-		if d <= 0 || math.IsNaN(d) {
-			return nil, fmt.Errorf("precond: IC(0) pivot %g at row %d: %w", d, i, ErrNotFactorizable)
+		if !(pivot > 0) || math.IsInf(pivot, 1) {
+			return l, nil, fmt.Errorf("precond: IC(0) pivot %g at row %d: %w", pivot, i, ErrNotFactorizable)
 		}
-		ic.vals[ic.diag[i]] = math.Sqrt(d)
+		d[i] = math.Sqrt(pivot)
 	}
-	return ic, nil
+	return l, d, nil
 }
 
 // ErrNotFactorizable reports that IC(0) broke down on this matrix.
 var ErrNotFactorizable = fmt.Errorf("precond: matrix has no IC(0) factorization")
 
 // Dim returns the operator order.
-func (ic *IC0) Dim() int { return ic.n }
+func (ic *IC0) Dim() int { return len(ic.tri.perm) }
 
 // Apply computes dst = (L L^T)^{-1} r by forward and backward
-// substitution over the triangular factor.
+// substitution over the triangular factor, level by level.
 func (ic *IC0) Apply(dst, r vec.Vector) {
-	if len(dst) != ic.n || len(r) != ic.n {
+	if len(dst) != ic.Dim() || len(r) != ic.Dim() {
 		panic("precond: IC0 dimension mismatch")
 	}
-	y := ic.tmp
-	// Forward solve L y = r.
-	for i := 0; i < ic.n; i++ {
-		s := r[i]
-		for p := ic.rowPtr[i]; p < ic.diag[i]; p++ {
-			s -= ic.vals[p] * y[ic.colIdx[p]]
-		}
-		y[i] = s / ic.vals[ic.diag[i]]
-	}
-	// Backward solve L^T dst = y: process rows in reverse, scattering.
-	copy(dst, y)
-	for i := ic.n - 1; i >= 0; i-- {
-		dst[i] /= ic.vals[ic.diag[i]]
-		xi := dst[i]
-		for p := ic.rowPtr[i]; p < ic.diag[i]; p++ {
-			dst[ic.colIdx[p]] -= ic.vals[p] * xi
-		}
-	}
+	ic.tri.forward(r)
+	ic.tri.backward(dst)
 }
 
 var _ Preconditioner = (*IC0)(nil)

@@ -12,15 +12,20 @@
 // preconditioners additionally implement PoolApplier and run on the
 // shared worker pool inside pooled solves.
 //
-// Concurrency: Identity and Jacobi write only dst and may be shared
-// across goroutines; SSOR and IC0 use internal scratch in Apply, so
-// one instance must not be applied concurrently — build one per
-// goroutine, or serialize Apply behind a lock when a single
-// factorization is shared (as solve.Batch workers share the options
-// they fork from).
+// The triangular-solve preconditioners (SSOR, IC0) do not substitute in
+// row order: a row waits only for the rows it reads, so the rows are
+// levelled by that dependency graph when the preconditioner is built and
+// Apply sweeps level by level — sequential across levels (127 of them
+// for the 64×64 five-point grid's 4096 rows; 4096 for a chain of that
+// order), independent within one — returning, bit for bit, what the
+// row-order substitution returns (trisweep.go, vec.TriSweep).
 //
-// The package was promoted from internal/precond; internal/precond
-// remains as a deprecated alias-only shim.
+// Concurrency: Identity and Jacobi write only dst and may be shared
+// across goroutines; SSOR and IC0 carry the vector between their two
+// sweeps in internal scratch, so one instance must not be applied
+// concurrently — build one per goroutine, or serialize Apply behind a
+// lock when a single factorization is shared (as solve.Batch workers
+// share the options they fork from).
 package precond
 
 import (
@@ -65,8 +70,9 @@ type Preconditioner interface {
 
 // PoolApplier is a Preconditioner that can apply itself over a worker
 // pool. Pointwise preconditioners (Identity, Jacobi) implement it;
-// triangular-solve preconditioners (SSOR, IC0) are inherently sequential
-// across rows and do not.
+// triangular-solve preconditioners (SSOR, IC0) are sequential across
+// the levels of their dependency graph, with too little work in one
+// level to hand to a pool, and do not.
 type PoolApplier interface {
 	Preconditioner
 	// ApplyPool computes dst = M^{-1} r using pooled kernels.
@@ -100,18 +106,30 @@ type Jacobi struct {
 
 // NewJacobi extracts the diagonal of a and returns the Jacobi
 // preconditioner. It returns an error if any diagonal entry is not
-// strictly positive (A must be SPD).
+// positive and finite (A must be SPD).
 func NewJacobi(a *sparse.CSR) (*Jacobi, error) {
 	d := vec.New(a.Dim())
 	a.Diag(d)
+	if err := checkDiagonal(d); err != nil {
+		return nil, err
+	}
 	inv := vec.New(a.Dim())
 	for i, v := range d {
-		if v <= 0 {
-			return nil, fmt.Errorf("precond: non-positive diagonal entry %g at row %d", v, i)
-		}
 		inv[i] = 1 / v
 	}
 	return &Jacobi{invDiag: inv}, nil
+}
+
+// checkDiagonal reports the first diagonal entry that is not positive
+// and finite; an SPD matrix has none (and a NaN fails every comparison,
+// an Inf inverts to a zero of M^{-1}).
+func checkDiagonal(d vec.Vector) error {
+	for i, v := range d {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("precond: diagonal entry %g at row %d is not positive and finite", v, i)
+		}
+	}
+	return nil
 }
 
 // Dim returns the operator order.
@@ -140,13 +158,11 @@ func (p *Jacobi) ApplyPool(pool *vec.Pool, dst, r vec.Vector) {
 //
 // for A = L + D + U with relaxation parameter 0 < w < 2. Applying M^{-1}
 // is a forward triangular solve, a diagonal scale, and a backward
-// triangular solve over the CSR structure.
+// triangular solve, the two triangles of A packed once as level-
+// scheduled sweeps.
 type SSOR struct {
-	a     *sparse.CSR
-	w     float64
-	diag  vec.Vector
-	tmp   vec.Vector
-	scale float64 // (2-w)/w
+	tri *triSolve
+	mid vec.Vector // ((2-w)/w)·D, by sweep position
 }
 
 // NewSSOR builds the SSOR preconditioner for symmetric a with relaxation
@@ -155,18 +171,24 @@ func NewSSOR(a *sparse.CSR, w float64) (*SSOR, error) {
 	if w <= 0 || w >= 2 {
 		return nil, fmt.Errorf("precond: SSOR relaxation parameter %g outside (0,2)", w)
 	}
-	d := vec.New(a.Dim())
-	a.Diag(d)
-	for i, v := range d {
-		if v <= 0 {
-			return nil, fmt.Errorf("precond: non-positive diagonal entry %g at row %d", v, i)
-		}
+	if err := checkOrder(a.Dim()); err != nil {
+		return nil, err
 	}
-	return &SSOR{a: a, w: w, diag: d, tmp: vec.New(a.Dim()), scale: (2 - w) / w}, nil
+	lower, d, _ := triangle(a, false)
+	upper, _, _ := triangle(a, true)
+	if err := checkDiagonal(d); err != nil {
+		return nil, err
+	}
+	p := &SSOR{tri: newTriSolve(lower, upper, d, w), mid: vec.New(len(d))}
+	scale := (2 - w) / w
+	for q, i := range p.tri.perm {
+		p.mid[q] = scale * d[i]
+	}
+	return p, nil
 }
 
 // Dim returns the operator order.
-func (p *SSOR) Dim() int { return p.a.Dim() }
+func (p *SSOR) Dim() int { return len(p.mid) }
 
 // Apply computes dst = M^{-1} r via forward solve, diagonal scale,
 // backward solve.
@@ -175,33 +197,12 @@ func (p *SSOR) Apply(dst, r vec.Vector) {
 	if len(dst) != n || len(r) != n {
 		panic("precond: SSOR dimension mismatch")
 	}
-	w := p.w
-	y := p.tmp
-	// Forward solve (D/w + L) y = r, traversing rows in order and using
-	// only already-computed components (columns j < i).
-	for i := 0; i < n; i++ {
-		s := r[i]
-		p.a.ScanRow(i, func(j int, v float64) {
-			if j < i {
-				s -= v * y[j]
-			}
-		})
-		y[i] = s * w / p.diag[i]
-	}
+	// Forward solve (D/w + L) y = r.
+	y := p.tri.forward(r)
 	// Scale: y <- ((2-w)/w) * D * y
-	for i := 0; i < n; i++ {
-		y[i] *= p.scale * p.diag[i]
-	}
+	vec.MulElem(y, y, p.mid)
 	// Backward solve (D/w + U) dst = y.
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		p.a.ScanRow(i, func(j int, v float64) {
-			if j > i {
-				s -= v * dst[j]
-			}
-		})
-		dst[i] = s * w / p.diag[i]
-	}
+	p.tri.backward(dst)
 }
 
 // Polynomial preconditions with a fixed polynomial in A:

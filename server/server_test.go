@@ -18,8 +18,9 @@ import (
 
 // testClient wraps an httptest server with JSON round-trip helpers.
 type testClient struct {
-	t   *testing.T
-	srv *httptest.Server
+	t      *testing.T
+	srv    *httptest.Server
+	server *server.Server
 }
 
 func newTestClient(t *testing.T, cfg server.Config) *testClient {
@@ -27,7 +28,7 @@ func newTestClient(t *testing.T, cfg server.Config) *testClient {
 	s := server.New(cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return &testClient{t: t, srv: ts}
+	return &testClient{t: t, srv: ts, server: s}
 }
 
 // post sends body as JSON and decodes the response into out (skipped
@@ -405,6 +406,13 @@ func TestErrorTable(t *testing.T) {
 	a, b := testSystem(6)
 	c := newTestClient(t, server.Config{})
 	c.upload("poisson", a)
+	// An SPD pattern whose first diagonal entry is +Inf (JSON cannot
+	// carry one, an embedding caller can): "is it positive" says yes.
+	infDiag := sparse.NewCSR(3, []int{0, 2, 5, 7}, []int{0, 1, 0, 1, 2, 1, 2},
+		[]float64{math.Inf(1), -1, -1, 2, -1, -1, 2})
+	if err := c.server.Preload("infdiag", infDiag); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name       string
@@ -423,6 +431,9 @@ func TestErrorTable(t *testing.T) {
 			http.StatusBadRequest, "bad_option"},
 		{"bad precond", server.SolveRequest{Operator: "poisson", Method: "pcg", RHS: b,
 			Precond: "magic"},
+			http.StatusBadRequest, "bad_option"},
+		{"ic0 on a non-finite diagonal", server.SolveRequest{Operator: "infdiag", Method: "pcg", RHS: []float64{1, 1, 1},
+			Precond: "ic0"},
 			http.StatusBadRequest, "bad_option"},
 	}
 	for _, tc := range cases {
