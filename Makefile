@@ -1,7 +1,8 @@
 # Build / test / benchmark entry points for the vrcg repository.
 #
 # `make bench` runs the execution-engine microbenchmarks (SpMV, dot,
-# fused CG update, PCG solve, IC0 factor and apply), the public-surface
+# fused CG update, PCG solve, IC0 factor and apply, one cg iteration
+# swept and whole-vector with its computed MB/iter), the public-surface
 # serving benchmarks (registry dispatch overhead, Session reuse vs fresh
 # solver, Batch throughput at 1/8/64 right-hand sides), and the HTTP
 # serving-layer benchmarks (warm-pool /v1/solve, /v1/solve/batch
@@ -18,7 +19,7 @@
 
 GO         ?= go
 BINDIR     ?= bin
-BENCHPAT   ?= BenchmarkSpMV|BenchmarkPCGSolve|BenchmarkDotSerial|BenchmarkDotParallel|BenchmarkDotPooled|BenchmarkFusedCGUpdate|BenchmarkMatVecCSR|BenchmarkIC0FactorAndApply
+BENCHPAT   ?= BenchmarkSpMV|BenchmarkPCGSolve|BenchmarkDotSerial|BenchmarkDotParallel|BenchmarkDotPooled|BenchmarkFusedCGUpdate|BenchmarkMatVecCSR|BenchmarkIC0FactorAndApply|BenchmarkCGIteration
 BENCHOUT   ?= BENCH_engine.json
 SOLVEPAT   ?= BenchmarkSolveDispatch|BenchmarkSessionReuse|BenchmarkSessionPerMethod|BenchmarkFreshSolvePerCall|BenchmarkBatch|BenchmarkParcgFamily
 SOLVEOUT   ?= BENCH_solve.json

@@ -605,3 +605,69 @@ func BenchmarkDotPooled(b *testing.B) {
 	}
 	_ = s
 }
+
+// wholeVectorOnly hides everything of an operator but its whole product
+// and its counts — the shape of the judged benchmark's tracing decorator —
+// so the engine cannot take the product by rows.
+type wholeVectorOnly struct{ sparse.Sparse }
+
+// BenchmarkCGIteration is one cg iteration, cache-resident and not, on
+// the schedule the engine runs when the operator offers its rows (sweep:
+// update, product and (p,Ap) in one pass, then the fused x/r/(r,r) pass)
+// against the same kernel on the same diagonals behind a wrapper that
+// offers only MulVec (whole: product, dot, fused update, direction update,
+// four passes). Both solve to the same bits. MB/iter is computed, not
+// measured — the vector-lengths each schedule moves per iteration times
+// 8n bytes — so the row carries a quantity that does not depend on the
+// host's mood beside a time that does.
+func BenchmarkCGIteration(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"poisson2d-32", sparse.Poisson2D(32)},
+		{"poisson2d-64", sparse.Poisson2D(64)},
+		{"poisson3d-32", sparse.Poisson3D(32)},
+		{"poisson3d-64", sparse.Poisson3D(64)},
+	} {
+		d, ok := sparse.TuneMulVec(c.a).(*sparse.DIA)
+		if !ok {
+			b.Fatalf("%s is not tuned to diagonal storage", c.name)
+		}
+		n := d.Dim()
+		rhs := vec.New(n)
+		vec.Random(rhs, 9)
+		// Vector-lengths per iteration: the product reads the diagonals
+		// and p and writes ap; the dot reads two, the fused update moves
+		// six, the direction update three. The sweep folds the last, the
+		// first and the dot into diagonals + r, p (read and written), ap.
+		diags := len(d.Offsets())
+		for _, s := range []struct {
+			name    string
+			op      sparse.Matrix
+			vectors int
+		}{
+			{"sweep", d, (diags + 4) + 6},
+			{"whole", wholeVectorOnly{d}, (diags + 2) + 2 + 6 + 3},
+		} {
+			b.Run(s.name+"/"+c.name, func(b *testing.B) {
+				k, ws := krylov.NewCGKernel(), engine.NewWorkspace(n, nil)
+				var res engine.Result
+				opts := krylov.Options{Tol: 1e-8}
+				if err := engine.Solve(k, ws, s.op, rhs, opts, &res); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := engine.Solve(k, ws, s.op, rhs, opts, &res); err != nil {
+						b.Fatal(err)
+					}
+				}
+				iters := float64(b.N) * float64(res.Iterations)
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/iters, "us/iter")
+				b.ReportMetric(float64(s.vectors*8*n)/1e6, "MB/iter")
+			})
+		}
+	}
+}

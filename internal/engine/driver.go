@@ -120,6 +120,19 @@ func (r *Run) Dot(x, y vec.Vector) float64 {
 	return r.Ws.Dot(x, y)
 }
 
+// Direction completes the pending update p = src + beta*p (src nil: none
+// pending), forms ap = A p and returns <p, ap> on the workspace, counting
+// the product and the inner product. The update is not counted here but
+// by the step that determined beta, so an iteration's counts do not
+// depend on where its last update is executed — and the last update of a
+// converged solve, which nothing reads, is counted and never run.
+func (r *Run) Direction(src vec.Vector, beta float64, p, ap vec.Vector) float64 {
+	r.Res.Stats.MatVecs++
+	r.Res.Stats.InnerProducts++
+	r.Res.Stats.Flops += MatVecFlops(r.A) + 2*int64(r.Ws.Dim())
+	return r.Ws.Direction(r.A, src, beta, p, ap)
+}
+
 // ResidualInto computes dst = b − A x with one counted product.
 func (r *Run) ResidualInto(dst, x vec.Vector) {
 	r.MatVec(dst, x)
@@ -234,6 +247,10 @@ func Solve(k Kernel, ws *Workspace, a sparse.Matrix, b vec.Vector, cfg Config, r
 	// and the tuned operator is bitwise-identical, so results do not
 	// depend on it.
 	a = sparse.TuneMulVec(a)
+	ws.sweep = nil
+	if ws.pool == nil && ws.block == nil {
+		ws.sweep, _ = a.(RowSweeper)
+	}
 
 	bnorm := ws.Norm2(b)
 	if bnorm == 0 {

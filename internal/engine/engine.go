@@ -35,6 +35,18 @@
 // structured state (Krylov families, Gram buffers) cached across
 // solves, so a warm repeated solve on one kernel performs zero heap
 // allocations — the property the public solve.Session serves through.
+//
+// Most Workspace calls are one kernel step and one pass over memory.
+// Direction is the exception the paper's own observation licenses: the
+// inner products are the only things an iteration must wait for, so
+// what lies between two of them — the direction update, the product,
+// the leaves of (p,Ap) — is one call, and on an operator that offers its
+// rows (RowSweeper: the tuned diagonal format, the stencils) one blocked
+// sweep in which each vector crosses memory once. cg, pcg and sd are two
+// such stretches per iteration. On a pooled workspace, a row block or
+// any other operator the same call is the three steps in their old
+// order; the bits are the same either way (ARCHITECTURE.md, "What an
+// iteration streams").
 package engine
 
 import (
@@ -55,6 +67,22 @@ var ErrIndefinite = errors.New("krylov: operator not positive definite")
 // ErrBreakdown is returned when an iteration produces a non-finite or
 // degenerate scalar and cannot continue.
 var ErrBreakdown = errors.New("krylov: iteration breakdown")
+
+// CheckCurvature classifies a curvature <p, Ap> (or a step length that
+// carries its sign) before the kernel writes any vector with it: nil
+// when it is finite and positive, ErrBreakdown when it is NaN or ±Inf,
+// ErrIndefinite when it is finite and <= 0. NaN fails every ordered
+// comparison, so `c <= 0` alone lets it through to the update, and the
+// caller's iterate is NaN by the time a later check notices.
+func CheckCurvature(c float64) error {
+	switch {
+	case math.IsNaN(c) || math.IsInf(c, 0):
+		return ErrBreakdown
+	case c <= 0:
+		return ErrIndefinite
+	}
+	return nil
+}
 
 // ErrBadOption is returned when solver options are invalid for the
 // method (negative look-ahead, zero block size, and the like). All

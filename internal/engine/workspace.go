@@ -48,6 +48,14 @@ type Workspace struct {
 	// scalar reductions are combined through.
 	block RowBlock
 	sums  [2]float64
+	// sweep is the operator of the solve in progress when Direction can
+	// run it a range of rows at a time (a RowSweeper, on a serial
+	// workspace, not a row block), else nil; part is the slab of block
+	// partials the sweep's inner product is combined from, and lapAt the
+	// phase clock's last reading inside it.
+	sweep RowSweeper
+	part  []float64
+	lapAt time.Duration
 
 	// now is the phase clock, a monotonic reading; nil (the default)
 	// means phase timing is off and no dispatch below reads a clock.
@@ -110,10 +118,11 @@ func (ws *Workspace) Reserve(count int) {
 // TimePhases switches on phase timing: from the next solve, the time
 // spent inside the dispatch methods below is accumulated per phase
 // (MatVec* → spmv, Dot* and Await → reduction_wait, Axpy*/Xpay/
-// FusedCGUpdate → update) and the driver publishes one observation set
-// per Step into Result.Phases. It costs a clock pair per call, which is
-// why it is per workspace and off by default: the adapter enables it
-// for the methods that publish phases.
+// FusedCGUpdate → update, Direction → all three, part by part) and the
+// driver publishes one observation set per Step into Result.Phases. It
+// costs a clock pair per call, which is why it is per workspace and off
+// by default: the adapter enables it for the methods that publish
+// phases.
 func (ws *Workspace) TimePhases() {
 	// time.Since reads only the monotonic clock: half the cost of a
 	// time.Now per reading.
@@ -235,6 +244,64 @@ func (ws *Workspace) MatVecs(a sparse.Matrix, dsts, xs []vec.Vector) {
 	t0 := ws.begin()
 	sparse.PooledMulVecs(a, ws.pool, dsts, xs)
 	ws.charge(PhaseSpMV, t0)
+}
+
+// RowSweeper is an operator whose product can be taken a range of rows
+// at a time and that knows how far ahead of a row it reads — what
+// Direction needs to run the product just behind the update of its
+// operand. *sparse.DIA and *sparse.Stencil are; *sparse.CSR is not, so
+// a solve reaches the capability through the tuned format or not at
+// all, and a wrapper that embeds a CSR hides it.
+type RowSweeper interface {
+	// MulRows computes rows [lo, hi) of dst = A*x, writing dst[lo:hi]
+	// only, each row exactly as MulVec computes it.
+	MulRows(lo, hi int, dst, x []float64)
+	// Reach is the largest col − row over the operator's entries: rows
+	// [lo, hi) read no x at or past hi+Reach.
+	Reach() int
+}
+
+// sweepPhase is the phase each part of a direction sweep is charged to:
+// the one the whole-vector call it stands in for is.
+var sweepPhase = [...]Phase{
+	vec.SweepUpdate:  PhaseUpdate,
+	vec.SweepProduct: PhaseSpMV,
+	vec.SweepDots:    PhaseReduction,
+}
+
+// lap charges the time since the last reading to the phase of the sweep
+// part that just finished.
+func (ws *Workspace) lap(part vec.SweepPart) {
+	now := ws.now()
+	ws.run.phaseTime[sweepPhase[part]] += now - ws.lapAt
+	ws.lapAt = now
+}
+
+// Direction is the stretch of an iteration between its two inner
+// products: it completes the pending direction update p = src + beta*p
+// (none when src is nil), forms ap = A*p and returns <p, ap>. When the
+// operator is a RowSweeper that is one blocked sweep over memory
+// (vec.DirectionSweep); otherwise — a pooled workspace, a row block, any
+// other operator — it is Xpay, MatVec and Dot, in that order. The two
+// return the same bits, so which one runs is decided by what the
+// operator offers and by nothing else.
+func (ws *Workspace) Direction(a sparse.Matrix, src vec.Vector, beta float64, p, ap vec.Vector) float64 {
+	if ws.sweep == nil {
+		if src != nil {
+			ws.Xpay(src, beta, p)
+		}
+		ws.MatVec(a, ap, p)
+		return ws.Dot(p, ap)
+	}
+	if ws.part == nil {
+		ws.part = vec.New((ws.n + vec.BlockLen - 1) / vec.BlockLen)
+	}
+	var lap func(vec.SweepPart)
+	if ws.now != nil {
+		ws.lapAt = ws.now()
+		lap = ws.lap
+	}
+	return vec.DirectionSweep(ws.sweep.MulRows, ws.sweep.Reach(), src, beta, p, ap, ws.part, lap)
 }
 
 // DotBlock fills out[i*len(ys)+j] = <xs[i], ys[j]> — the s×s block Gram

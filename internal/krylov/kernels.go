@@ -16,13 +16,29 @@ import (
 // warm repeated solve allocates nothing. The MINRES kernel lives in
 // minres.go.
 
-// cgKernel is standard Hestenes–Stiefel CG (paper §2) with the x/r
-// updates and the (r,r) reduction fused into one memory sweep — one
-// pass over memory instead of three, the sequential analogue of how the
-// restructured algorithms batch elementwise work.
+// cgKernel is standard Hestenes–Stiefel CG (paper §2) scheduled around
+// its two inner products, which are all that anything in an iteration
+// has to wait for: one sweep over memory ends in each. run.Direction is
+// p = r + beta p, ap = A p and (p,ap); FusedCGUpdate is x += lambda p,
+// r -= lambda ap and (r,r). On an operator the engine can sweep by rows
+// that is two passes over memory where the six steps taken one at a
+// time make four — the sequential analogue of how the restructured
+// algorithms batch everything between two reductions.
+//
+// The direction update therefore belongs to the step after the one that
+// determines its beta: Step leaves it pending (src, beta) and the next
+// Step's Direction applies it on the way to the product. Nothing between
+// two steps reads p — the driver's convergence test and the callbacks see
+// rr and x — and the update after the last iteration of a converged
+// solve is never executed. It is counted where it is determined, so an
+// iteration is three updates whichever step runs them.
 type cgKernel struct {
 	x, r, p, ap vec.Vector
 	rr          float64
+	// src and beta are the pending update p = src + beta p; src is nil
+	// when there is none (the first step: p = r already).
+	src  vec.Vector
+	beta float64
 }
 
 // NewCGKernel returns the cg iteration kernel.
@@ -35,21 +51,28 @@ func (k *cgKernel) Init(run *engine.Run) (float64, error) {
 	k.x, k.r, k.p, k.ap = ws.Vec(0), ws.Vec(1), ws.Vec(2), ws.Vec(3)
 	run.InitialIterate(k.x, k.r)
 	vec.Copy(k.p, k.r)
+	k.src = nil
 	k.rr = run.Dot(k.r, k.r)
 	return math.Sqrt(k.rr), nil
 }
 
 func (k *cgKernel) Residual(*engine.Run) float64 { return math.Sqrt(k.rr) }
 
+// curvature is engine.CheckCurvature with the iteration in the message.
+func curvature(pap float64, iter int) error {
+	if err := engine.CheckCurvature(pap); err != nil {
+		return fmt.Errorf("krylov: curvature %g at iteration %d: %w", pap, iter, err)
+	}
+	return nil
+}
+
 func (k *cgKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
 	n := int64(ws.Dim())
 
-	run.MatVec(k.ap, k.p)
-
-	pap := run.Dot(k.p, k.ap)
-	if pap <= 0 {
-		return fmt.Errorf("krylov: curvature %g at iteration %d: %w", pap, res.Iterations, ErrIndefinite)
+	pap := run.Direction(k.src, k.beta, k.p, k.ap)
+	if err := curvature(pap, res.Iterations); err != nil {
+		return err
 	}
 	lambda := k.rr / pap
 
@@ -62,8 +85,7 @@ func (k *cgKernel) Step(run *engine.Run) error {
 		return fmt.Errorf("krylov: non-finite residual at iteration %d: %w", res.Iterations, ErrBreakdown)
 	}
 
-	alpha := rrNew / k.rr
-	ws.Xpay(k.r, alpha, k.p)
+	k.src, k.beta = k.r, rrNew/k.rr
 	res.Stats.VectorUpdates++
 	res.Stats.Flops += 2 * n
 
@@ -80,8 +102,11 @@ func (k *cgKernel) Finish(run *engine.Run) { run.TrueResidual(k.ap, k.x) }
 type pcgKernel struct {
 	x, r, p, ap, z vec.Vector
 	rr, rz         float64
-	m              precond.Preconditioner
-	ident          *precond.Identity
+	// src and beta are the pending update p = z + beta p, as in cgKernel.
+	src   vec.Vector
+	beta  float64
+	m     precond.Preconditioner
+	ident *precond.Identity
 	// (r,z) and (r,r) are one reduction: sums[i] = <rv[i], zr[i]>.
 	sums   [2]float64
 	rv, zr [2]vec.Vector
@@ -121,6 +146,7 @@ func (k *pcgKernel) Init(run *engine.Run) (float64, error) {
 	run.Res.Stats.PrecondSolves++
 
 	vec.Copy(k.p, k.z)
+	k.src = nil
 	k.rz, k.rr = k.residualDots(run)
 	return math.Sqrt(k.rr), nil
 }
@@ -131,11 +157,9 @@ func (k *pcgKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
 	n := int64(ws.Dim())
 
-	run.MatVec(k.ap, k.p)
-
-	pap := run.Dot(k.p, k.ap)
-	if pap <= 0 {
-		return fmt.Errorf("krylov: curvature %g at iteration %d: %w", pap, res.Iterations, ErrIndefinite)
+	pap := run.Direction(k.src, k.beta, k.p, k.ap)
+	if err := curvature(pap, res.Iterations); err != nil {
+		return err
 	}
 	if k.rz == 0 {
 		return fmt.Errorf("krylov: (r,z) vanished at iteration %d: %w", res.Iterations, ErrBreakdown)
@@ -156,8 +180,7 @@ func (k *pcgKernel) Step(run *engine.Run) error {
 		return fmt.Errorf("krylov: non-finite (r,z) at iteration %d: %w", res.Iterations, ErrBreakdown)
 	}
 
-	beta := rzNew / k.rz
-	ws.Xpay(k.z, beta, k.p)
+	k.src, k.beta = k.z, rzNew/k.rz
 	res.Stats.VectorUpdates++
 	res.Stats.Flops += 2 * n
 
@@ -201,8 +224,8 @@ func (k *crKernel) Step(run *engine.Run) error {
 	n := int64(ws.Dim())
 
 	apap := run.Dot(k.ap, k.ap)
-	if apap == 0 {
-		return fmt.Errorf("krylov: ||Ap|| vanished at iteration %d: %w", res.Iterations, ErrBreakdown)
+	if !(apap > 0) || math.IsInf(apap, 0) { // zero, or NaN, which == 0 lets through
+		return fmt.Errorf("krylov: ||Ap||^2 = %g at iteration %d: %w", apap, res.Iterations, ErrBreakdown)
 	}
 	alpha := k.rar / apap
 
@@ -263,11 +286,10 @@ func (k *sdKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
 	n := int64(ws.Dim())
 
-	run.MatVec(k.ar, k.r)
-
-	rar := run.Dot(k.r, k.ar)
-	if rar <= 0 {
-		return fmt.Errorf("krylov: curvature %g at iteration %d: %w", rar, res.Iterations, ErrIndefinite)
+	// The direction is r itself: a sweep with no update pending.
+	rar := run.Direction(nil, 0, k.r, k.ar)
+	if err := curvature(rar, res.Iterations); err != nil {
+		return err
 	}
 	alpha := k.rr / rar
 
@@ -277,6 +299,9 @@ func (k *sdKernel) Step(run *engine.Run) error {
 	res.Stats.Flops += 4 * n
 
 	k.rr = run.Dot(k.r, k.r)
+	if math.IsNaN(k.rr) || math.IsInf(k.rr, 0) {
+		return fmt.Errorf("krylov: non-finite residual at iteration %d: %w", res.Iterations, ErrBreakdown)
+	}
 	run.Tick(math.Sqrt(k.rr))
 	return nil
 }

@@ -86,8 +86,8 @@ func (k *gvKernel) Step(run *engine.Run) error {
 		}
 		alpha = k.gamma / den
 	}
-	if alpha <= 0 || math.IsNaN(alpha) {
-		return fmt.Errorf("pipecg: nonpositive step %g at iteration %d: %w", alpha, res.Iterations, ErrIndefinite)
+	if err := engine.CheckCurvature(alpha); err != nil {
+		return fmt.Errorf("pipecg: step %g at iteration %d: %w", alpha, res.Iterations, err)
 	}
 
 	ws.Xpay(k.r, beta, k.p)
@@ -150,8 +150,8 @@ func (k *groppKernel) Step(run *engine.Run) error {
 	// First reduction: delta = (p, s). (In the preconditioned form it
 	// overlaps with the preconditioner solve.)
 	delta := run.Dot(k.p, k.s)
-	if delta <= 0 || math.IsNaN(delta) {
-		return fmt.Errorf("pipecg: curvature %g at iteration %d: %w", delta, res.Iterations, ErrIndefinite)
+	if err := engine.CheckCurvature(delta); err != nil {
+		return fmt.Errorf("pipecg: curvature %g at iteration %d: %w", delta, res.Iterations, err)
 	}
 	alpha := k.gamma / delta
 	ws.Axpy(alpha, k.p, k.x)

@@ -24,6 +24,13 @@
 // off a Pool — or recalibrating its cutoffs — can never change a
 // trajectory.
 //
+// DirectionSweep (sweep.go) composes the same pieces along a different
+// axis: for one granule of a vector at a time it runs the elementwise
+// update, the operator's row kernel and the dot leaves into the partials
+// slab, then replays the combine — so the three steps between two of a
+// CG iteration's inner products cross memory once, and return the bits
+// of the three whole-vector calls.
+//
 // # Leaf bodies
 //
 // The loops at the bottom — dotLeaf, dotPairLeaf, fusedCGLeaf, Axpy,

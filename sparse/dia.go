@@ -159,6 +159,25 @@ func (m *DIA) MulVec(dst, x []float64) {
 	m.mulRange(0, m.n, dst, x)
 }
 
+// MulRows computes rows [lo, hi) of dst = A*x and writes nothing else of
+// dst: any cut of the rows into ranges gives MulVec's product bit for
+// bit. With Reach it is what lets a solver run the product a few rows
+// behind whatever is still writing x.
+func (m *DIA) MulRows(lo, hi int, dst, x []float64) {
+	checkMul(m, dst, x)
+	checkRows(m, lo, hi)
+	m.mulRange(lo, hi, dst, x)
+}
+
+// Reach returns the largest col − row of any stored entry, 0 when none
+// lies above the diagonal: rows [lo, hi) read no x at or past hi+Reach.
+func (m *DIA) Reach() int {
+	if len(m.offsets) == 0 {
+		return 0
+	}
+	return max(0, m.offsets[len(m.offsets)-1])
+}
+
 // diaBlock is the most rows one kernel call covers: 16 KB of dst, so a
 // row block that takes several passes (more diagonals than the widest
 // Go kernel) finds its partial sums still in L1 — and the most the

@@ -351,3 +351,97 @@ func FuzzCSRToDIA(f *testing.F) {
 		checkDIAAgainstCSR(t, a, d, seed)
 	})
 }
+
+// rowSweeper is the capability the engine looks for (engine.RowSweeper),
+// restated here so the test does not import the engine.
+type rowSweeper interface {
+	Matrix
+	MulRows(lo, hi int, dst, x []float64)
+	Reach() int
+}
+
+// checkRowSweeper: the product taken in ranges of every awkward width is
+// MulVec's bit for bit and writes only its own rows, and Reach is true —
+// a range's rows do not change when everything at or past hi+Reach is
+// replaced by NaN — and tight: some row reads the element just before it.
+func checkRowSweeper(t *testing.T, name string, a rowSweeper, seed uint64) {
+	t.Helper()
+	n, reach := a.Dim(), a.Reach()
+	x, want := make([]float64, n), make([]float64, n)
+	vec.Random(x, seed)
+	a.MulVec(want, x)
+	for _, step := range []int{1, 7, 1024, 2049, n} {
+		got := make([]float64, n)
+		for lo := 0; lo < n; lo += step {
+			hi := min(n, lo+step)
+			for i := range got[hi:] {
+				got[hi+i] = math.Inf(1) // not this call's to write
+			}
+			a.MulRows(lo, hi, got, x)
+			if hi < n && !math.IsInf(got[hi], 1) {
+				t.Fatalf("%s: MulRows(%d, %d) wrote row %d", name, lo, hi, hi)
+			}
+		}
+		if !bitsEqual(got, want) {
+			t.Fatalf("%s: rows taken %d at a time differ from MulVec", name, step)
+		}
+	}
+	if reach < 0 || reach >= max(n, 2) {
+		t.Fatalf("%s: reach %d for order %d", name, reach, n)
+	}
+	tight := reach == 0
+	for _, hi := range []int{1, n / 3, n / 2, n - reach, n - reach + 1} {
+		if hi < 1 || hi > n {
+			continue
+		}
+		lo := max(0, hi-5)
+		blind := append([]float64(nil), x...)
+		for i := hi + reach; i < n; i++ {
+			blind[i] = math.NaN()
+		}
+		got := make([]float64, n)
+		a.MulRows(lo, hi, got, blind)
+		if !bitsEqual(got[lo:hi], want[lo:hi]) {
+			t.Fatalf("%s: rows [%d, %d) read x at or past %d; Reach says %d", name, lo, hi, hi+reach, reach)
+		}
+		if reach > 0 && hi+reach-1 < n {
+			blind[hi+reach-1] = math.NaN()
+			a.MulRows(lo, hi, got, blind)
+			tight = tight || !bitsEqual(got[lo:hi], want[lo:hi])
+		}
+	}
+	if !tight {
+		t.Errorf("%s: no row reads x %d past itself; Reach is loose", name, reach)
+	}
+}
+
+func TestRowSweepers(t *testing.T) {
+	for i, c := range []struct {
+		name string
+		a    *CSR
+	}{
+		{"poisson1d-100", Poisson1D(100)},
+		{"poisson2d-17", Poisson2D(17)},
+		{"poisson3d-12", Poisson3D(12)},
+		{"banded-3000x5", bandedCSR(11, 3000, 5, 1)},
+		{"banded-70x16", bandedCSR(12, 70, 16, 2)},
+	} {
+		d := c.a.toDIA(1)
+		if d == nil {
+			t.Fatalf("%s does not convert to diagonal storage", c.name)
+		}
+		checkRowSweeper(t, "dia/"+c.name, d, uint64(i)+1)
+	}
+	lower := NewDIA(40, map[int][]float64{-3: make([]float64, 40), 0: make([]float64, 40)})
+	if lower.Reach() != 0 {
+		t.Errorf("a lower-triangular DIA has reach %d", lower.Reach())
+	}
+	for _, kind := range []StencilKind{Stencil1D3, Stencil2D5, Stencil2D9, Stencil3D7, Stencil3D27} {
+		for _, m := range []int{1, 2, 9} {
+			checkRowSweeper(t, kind.String(), NewStencil(kind, m), uint64(m))
+		}
+	}
+	if _, ok := Matrix(Poisson2D(4)).(rowSweeper); ok {
+		t.Error("*CSR offers MulRows: a wrapper that embeds one would promote it past its own MulVec")
+	}
+}

@@ -131,6 +131,12 @@ func checkMul(a Matrix, dst, x []float64) {
 	}
 }
 
+func checkRows(a Matrix, lo, hi int) {
+	if lo < 0 || hi < lo || hi > a.Dim() {
+		panic(fmt.Sprintf("sparse: MulRows range [%d, %d) of %d rows", lo, hi, a.Dim()))
+	}
+}
+
 func checkMulVecs(a Matrix, dsts, xs [][]float64) {
 	if len(dsts) != len(xs) {
 		panic(fmt.Sprintf("sparse: MulVecs column count mismatch: %d dsts, %d xs", len(dsts), len(xs)))

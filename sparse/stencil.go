@@ -142,6 +142,34 @@ func (s *Stencil) MulVecPool(pool *Pool, dst, x []float64) {
 	}
 }
 
+// MulRows computes rows [lo, hi) of dst = A*x and writes nothing else of
+// dst; see DIA.MulRows.
+func (s *Stencil) MulRows(lo, hi int, dst, x []float64) {
+	checkMul(s, dst, x)
+	checkRows(s, lo, hi)
+	s.mulRange(lo, hi, dst, x)
+}
+
+// Reach returns the largest col − row of any entry: the far corner of
+// the stencil's neighbourhood. Rows [lo, hi) read no x at or past
+// hi+Reach.
+func (s *Stencil) Reach() int {
+	m, far := s.m, 0
+	switch s.kind {
+	case Stencil1D3:
+		far = 1
+	case Stencil2D5:
+		far = m
+	case Stencil2D9:
+		far = m + 1
+	case Stencil3D7:
+		far = m * m
+	case Stencil3D27:
+		far = m*m + m + 1
+	}
+	return min(far, s.n-1) // a one-point side has no neighbour there
+}
+
 // mulRange computes rows [lo, hi) of dst = A*x. Each row's accumulation
 // order is independent of the split, so chunked parallel products are
 // bitwise identical to the serial one.
