@@ -8,6 +8,7 @@ package vrcg_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -472,9 +473,10 @@ func BenchmarkRabenseifnerVsRecursiveDoubling(b *testing.B) {
 // spmvBytes is what one product with op moves when nothing stays in
 // cache: the format's own arrays (CSR 8 B value + 8 B int column per
 // entry and n+1 row pointers; SELL 8 B value + 4 B column per padded
-// entry; DIA 8 B per slab cell, no indices) plus x read and dst written
-// once. Divided into ns/op it is the GB/s column ROADMAP item 1 asks of
-// the SpMV rows.
+// entry; DIA 8 B per slab cell — a symmetric band stores only the
+// diagonals k >= 0 — no indices) plus x read and dst written once.
+// Divided into ns/op it is the GB/s column ROADMAP item 1 asks of the
+// SpMV rows.
 func spmvBytes(op sparse.Matrix) int64 {
 	n := int64(op.Dim())
 	switch m := op.(type) {
@@ -483,13 +485,37 @@ func spmvBytes(op sparse.Matrix) int64 {
 	case *sparse.SELL:
 		return 12*int64(m.PaddedNNZ()) + 16*n
 	case *sparse.DIA:
-		return 8*int64(len(m.Offsets()))*n + 16*n
+		return 8*int64(m.StoredDiagonals())*n + 16*n
 	}
 	panic(fmt.Sprintf("spmvBytes: unknown operator %T", op))
 }
 
+// fullBandDIA is a's band with every diagonal stored, as a symmetric
+// band was before it folded: one subdiagonal cell moved by an ulp, which
+// changes no timing.
+func fullBandDIA(b *testing.B, a *sparse.CSR) *sparse.DIA {
+	n := a.Dim()
+	diags := map[int][]float64{}
+	for i := 0; i < n; i++ {
+		a.ScanRow(i, func(j int, v float64) {
+			if diags[j-i] == nil {
+				diags[j-i] = make([]float64, n)
+			}
+			diags[j-i][i] = v
+		})
+	}
+	diags[-1][1] = math.Nextafter(diags[-1][1], 2)
+	d := sparse.NewDIA(n, diags)
+	if d.StoredDiagonals() != len(diags) {
+		b.Fatalf("full band stores %d of %d diagonals", d.StoredDiagonals(), len(diags))
+	}
+	return d
+}
+
 // BenchmarkSpMV shows the format choice TuneMulVec makes and what it
-// buys. The csr/sell/dia rows time each format's serial kernel and
+// buys. The csr/sell/dia rows time each format's serial kernel (dia-full
+// the same band with its subdiagonals stored, what a symmetric operator
+// streamed before it folded and an unsymmetric one still does) and
 // tuned-<format> the operator engine.Solve would dispatch on, over the
 // three operators the judged benchmark runs (serve-*, lib-ladder,
 // lib-stream) and one that is not banded, where the choice is SELL and
@@ -526,6 +552,7 @@ func BenchmarkSpMV(b *testing.B) {
 		run("sell/"+c.name, c.a.ToSELL(), nil)
 		if d, ok := tuned.(*sparse.DIA); ok {
 			run("dia/"+c.name, d, nil)
+			run("dia-full/"+c.name, fullBandDIA(b, c.a), nil)
 		}
 		format := strings.ToLower(strings.TrimPrefix(fmt.Sprintf("%T", tuned), "*sparse."))
 		run("tuned-"+format+"/"+c.name, tuned, nil)
@@ -641,7 +668,9 @@ func BenchmarkCGIteration(b *testing.B) {
 		// and p and writes ap; the dot reads two, the fused update moves
 		// six, the direction update three. The sweep folds the last, the
 		// first and the dot into diagonals + r, p (read and written), ap.
-		diags := len(d.Offsets())
+		// The diagonals streamed are the ones stored: a symmetric band
+		// reads its subdiagonals back out of their mirrors.
+		diags := d.StoredDiagonals()
 		for _, s := range []struct {
 			name    string
 			op      sparse.Matrix

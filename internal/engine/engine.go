@@ -43,7 +43,7 @@
 // the leaves of (p,Ap) — is one call, and on an operator that offers its
 // rows (RowSweeper: the tuned diagonal format, the stencils) one blocked
 // sweep in which each vector crosses memory once. cg, pcg and sd are two
-// such stretches per iteration. On a pooled workspace, a row block or
+// such stretches per iteration; cr takes A·r and (r,A·r) the same way. On a pooled workspace, a row block or
 // any other operator the same call is the three steps in their old
 // order; the bits are the same either way (ARCHITECTURE.md, "What an
 // iteration streams").

@@ -213,7 +213,7 @@ func (k *crKernel) Init(run *engine.Run) (float64, error) {
 	vec.Copy(k.ap, k.ar)
 
 	k.rar = run.Dot(k.r, k.ar)
-	k.rnorm = vec.Norm2(k.r)
+	k.rnorm = ws.Norm2(k.r)
 	return k.rnorm, nil
 }
 
@@ -234,9 +234,8 @@ func (k *crKernel) Step(run *engine.Run) error {
 	res.Stats.VectorUpdates += 2
 	res.Stats.Flops += 4 * n
 
-	run.MatVec(k.ar, k.r)
-
-	rarNew := run.Dot(k.r, k.ar)
+	// Ar and (r,Ar) in one sweep; like sd's, with no update pending.
+	rarNew := run.Direction(nil, 0, k.r, k.ar)
 	if math.IsNaN(rarNew) || math.IsInf(rarNew, 0) {
 		return fmt.Errorf("krylov: non-finite (r,Ar) at iteration %d: %w", res.Iterations, ErrBreakdown)
 	}
@@ -251,7 +250,7 @@ func (k *crKernel) Step(run *engine.Run) error {
 	res.Stats.Flops += 4 * n
 
 	k.rar = rarNew
-	k.rnorm = vec.Norm2(k.r)
+	k.rnorm = ws.Norm2(k.r)
 	res.Stats.InnerProducts++
 	res.Stats.Flops += 2 * n
 	run.Tick(k.rnorm)

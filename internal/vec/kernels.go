@@ -17,22 +17,25 @@ func Kernels() string {
 	return "portable"
 }
 
-// DIARows is the assembly row kernel of sparse.DIA: with diagonal d of
-// a row block at slab[d*stride:] and its operand at x[lo+offs[d]:], it
-// sets out[i] = Σ_d slab[d*stride+i] * x[lo+offs[d]+i] — from +0, one
-// add per diagonal in ascending d, any number of diagonals in one pass —
-// and reports true. It reports false, out untouched, when this process
-// runs the portable bodies and the caller must run its own. A diagonal
-// that would index outside slab or x panics here, before the call.
-func DIARows(out, slab []float64, stride int, x []float64, lo int, offs []int) bool {
+// DIARows is the assembly row kernel of sparse.DIA: with row i of
+// diagonal d at slab[base[d]+i] and its operand at x[i+offs[d]], it sets
+// out[i] = Σ_d slab[base[d]+lo+i] * x[lo+offs[d]+i] — from +0, one add
+// per diagonal in ascending d, any number of diagonals in one pass — and
+// reports true. Bases need not be distinct or ordered, and may be
+// negative: a symmetric band points a subdiagonal into its mirror's
+// stream. It reports false, out untouched, when this process runs the
+// portable bodies and the caller must run its own. A diagonal that would
+// index outside slab or x panics here, before the call.
+func DIARows(out, slab []float64, base []int, x []float64, lo int, offs []int) bool {
 	if !useAVX2 {
 		return false
 	}
 	rows := len(out)
+	base = base[:len(offs)]
 	for d, k := range offs {
-		_ = slab[d*stride : d*stride+rows]
+		_ = slab[base[d]+lo : base[d]+lo+rows]
 		_ = x[lo+k : lo+k+rows]
 	}
-	diaRowsAVX2(out, slab, stride, x, lo, offs)
+	diaRowsAVX2(out, slab, base, x, lo, offs)
 	return true
 }

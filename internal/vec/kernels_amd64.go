@@ -32,7 +32,7 @@ func xpayAVX2(x []float64, alpha float64, y []float64)
 func scaleAVX2(alpha float64, x []float64)
 
 //go:noescape
-func diaRowsAVX2(out, slab []float64, stride int, x []float64, lo int, offs []int)
+func diaRowsAVX2(out, slab []float64, base []int, x []float64, lo int, offs []int)
 
 //go:noescape
 func triRunAVX2(x []float64, lo int, d, vals []float64, pos []int32, width int, w float64)

@@ -408,23 +408,92 @@ scaledone:
 	VZEROUPPER
 	RET
 
-// func diaRowsAVX2(out, slab []float64, stride int, x []float64, lo int, offs []int)
+// func diaRowsAVX2(out, slab []float64, base []int, x []float64, lo int, offs []int)
 //
-// out[i] = +0 + Σ_d slab[d*stride+i] * x[lo+offs[d]+i], one VADDPD per
-// diagonal in ascending d, for any len(offs): sixteen rows per trip in
-// Y0-Y3, then four rows in Y0, then one in X0. The inner loop walks the
-// diagonals with R12 = &slab[d*stride+i] and R14 = &x[lo+offs[d]+i].
-TEXT ·diaRowsAVX2(SB), NOSPLIT, $0-112
+// out[i] = +0 + Σ_d slab[base[d]+lo+i] * x[lo+offs[d]+i], one VADDPD per
+// diagonal in ascending d, for any len(offs): thirty-two rows per trip in
+// Y0-Y7, then sixteen in Y0-Y3, then four in Y0, then one in X0. SI and
+// DX are &slab[lo+i] and &x[lo+i]; the inner loop walks the two tables
+// together from their ends, R11 = 8*(d - len(offs)) rising to zero, and
+// addresses each stream off its entry (R12 = base[d], R14 = offs[d]).
+// The wide trip is what pays for the two tables: one entry load per
+// eight vector loads; at sixteen rows a trip the cache-resident product
+// measured 6-13 % slower.
+TEXT ·diaRowsAVX2(SB), NOSPLIT, $0-128
 	MOVQ out_base+0(FP), DI
 	MOVQ out_len+8(FP), CX
+	MOVQ lo+96(FP), AX
 	MOVQ slab_base+24(FP), SI
-	MOVQ stride+48(FP), R8
-	SHLQ $3, R8                // bytes between diagonals
-	MOVQ x_base+56(FP), DX
-	MOVQ lo+80(FP), AX
+	LEAQ (SI)(AX*8), SI        // &slab[lo]
+	MOVQ x_base+72(FP), DX
 	LEAQ (DX)(AX*8), DX        // &x[lo]
-	MOVQ offs_base+88(FP), R9
-	MOVQ offs_len+96(FP), R10
+	MOVQ offs_len+112(FP), R10
+	SHLQ $3, R10               // bytes in each table
+	MOVQ base_base+48(FP), R8
+	ADDQ R10, R8               // one past base
+	MOVQ offs_base+104(FP), R9
+	ADDQ R10, R9               // one past offs
+	NEGQ R10
+
+dia32:
+	CMPQ   CX, $32
+	JL     dia16
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	MOVQ   R10, R11
+	TESTQ  R11, R11
+	JZ     dia32store
+
+dia32diag:
+	MOVQ    (R8)(R11*1), R12
+	MOVQ    (R9)(R11*1), R14
+	VMOVUPD (SI)(R12*8), Y8
+	VMOVUPD 32(SI)(R12*8), Y9
+	VMOVUPD 64(SI)(R12*8), Y10
+	VMOVUPD 96(SI)(R12*8), Y11
+	VMOVUPD 128(SI)(R12*8), Y12
+	VMOVUPD 160(SI)(R12*8), Y13
+	VMOVUPD 192(SI)(R12*8), Y14
+	VMOVUPD 224(SI)(R12*8), Y15
+	VMULPD  (DX)(R14*8), Y8, Y8
+	VMULPD  32(DX)(R14*8), Y9, Y9
+	VMULPD  64(DX)(R14*8), Y10, Y10
+	VMULPD  96(DX)(R14*8), Y11, Y11
+	VMULPD  128(DX)(R14*8), Y12, Y12
+	VMULPD  160(DX)(R14*8), Y13, Y13
+	VMULPD  192(DX)(R14*8), Y14, Y14
+	VMULPD  224(DX)(R14*8), Y15, Y15
+	VADDPD  Y8, Y0, Y0
+	VADDPD  Y9, Y1, Y1
+	VADDPD  Y10, Y2, Y2
+	VADDPD  Y11, Y3, Y3
+	VADDPD  Y12, Y4, Y4
+	VADDPD  Y13, Y5, Y5
+	VADDPD  Y14, Y6, Y6
+	VADDPD  Y15, Y7, Y7
+	ADDQ    $8, R11
+	JNZ     dia32diag
+
+dia32store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, SI
+	ADDQ    $256, DX
+	SUBQ    $32, CX
+	JMP     dia32
 
 dia16:
 	CMPQ   CX, $16
@@ -433,30 +502,26 @@ dia16:
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
-	MOVQ   SI, R12
-	MOVQ   R9, R13
 	MOVQ   R10, R11
 	TESTQ  R11, R11
 	JZ     dia16store
 
 dia16diag:
-	MOVQ    (R13), R14
-	LEAQ    (DX)(R14*8), R14
-	VMOVUPD (R12), Y4
-	VMOVUPD 32(R12), Y5
-	VMOVUPD 64(R12), Y6
-	VMOVUPD 96(R12), Y7
-	VMULPD  (R14), Y4, Y4
-	VMULPD  32(R14), Y5, Y5
-	VMULPD  64(R14), Y6, Y6
-	VMULPD  96(R14), Y7, Y7
+	MOVQ    (R8)(R11*1), R12
+	MOVQ    (R9)(R11*1), R14
+	VMOVUPD (SI)(R12*8), Y4
+	VMOVUPD 32(SI)(R12*8), Y5
+	VMOVUPD 64(SI)(R12*8), Y6
+	VMOVUPD 96(SI)(R12*8), Y7
+	VMULPD  (DX)(R14*8), Y4, Y4
+	VMULPD  32(DX)(R14*8), Y5, Y5
+	VMULPD  64(DX)(R14*8), Y6, Y6
+	VMULPD  96(DX)(R14*8), Y7, Y7
 	VADDPD  Y4, Y0, Y0
 	VADDPD  Y5, Y1, Y1
 	VADDPD  Y6, Y2, Y2
 	VADDPD  Y7, Y3, Y3
-	ADDQ    R8, R12
-	ADDQ    $8, R13
-	DECQ    R11
+	ADDQ    $8, R11
 	JNZ     dia16diag
 
 dia16store:
@@ -474,20 +539,17 @@ dia4:
 	CMPQ   CX, $4
 	JL     dia1
 	VXORPD Y0, Y0, Y0
-	MOVQ   SI, R12
-	MOVQ   R9, R13
 	MOVQ   R10, R11
 	TESTQ  R11, R11
 	JZ     dia4store
 
 dia4diag:
-	MOVQ    (R13), R14
-	VMOVUPD (R12), Y4
+	MOVQ    (R8)(R11*1), R12
+	MOVQ    (R9)(R11*1), R14
+	VMOVUPD (SI)(R12*8), Y4
 	VMULPD  (DX)(R14*8), Y4, Y4
 	VADDPD  Y4, Y0, Y0
-	ADDQ    R8, R12
-	ADDQ    $8, R13
-	DECQ    R11
+	ADDQ    $8, R11
 	JNZ     dia4diag
 
 dia4store:
@@ -502,20 +564,17 @@ dia1:
 	TESTQ  CX, CX
 	JZ     diadone
 	VXORPD X0, X0, X0
-	MOVQ   SI, R12
-	MOVQ   R9, R13
 	MOVQ   R10, R11
 	TESTQ  R11, R11
 	JZ     dia1store
 
 dia1diag:
-	MOVQ   (R13), R14
-	VMOVSD (R12), X4
+	MOVQ   (R8)(R11*1), R12
+	MOVQ   (R9)(R11*1), R14
+	VMOVSD (SI)(R12*8), X4
 	VMULSD (DX)(R14*8), X4, X4
 	VADDSD X4, X0, X0
-	ADDQ   R8, R12
-	ADDQ   $8, R13
-	DECQ   R11
+	ADDQ   $8, R11
 	JNZ    dia1diag
 
 dia1store:

@@ -14,7 +14,7 @@ func fusedCGLeafAVX2(alpha float64, p, ap, x, r []float64) float64              
 func axpyAVX2(alpha float64, x, y []float64)                                       { panic(noAssembly) }
 func xpayAVX2(x []float64, alpha float64, y []float64)                             { panic(noAssembly) }
 func scaleAVX2(alpha float64, x []float64)                                         { panic(noAssembly) }
-func diaRowsAVX2(out, slab []float64, stride int, x []float64, lo int, offs []int) { panic(noAssembly) }
+func diaRowsAVX2(out, slab []float64, base []int, x []float64, lo int, offs []int) { panic(noAssembly) }
 func triRunAVX2(x []float64, lo int, d, vals []float64, pos []int32, width int, w float64) {
 	panic(noAssembly)
 }

@@ -232,7 +232,9 @@ func bitsEqual(a, b []float64) bool {
 }
 
 // TestDIARowsChecksBeforeTheCall: a diagonal that would index outside
-// slab or x panics in Go; the assembly never sees it.
+// slab or x panics in Go; the assembly never sees it. Bases are free to
+// be negative or to overlap — a folded band's are — so long as every
+// row read lands inside slab.
 func TestDIARowsChecksBeforeTheCall(t *testing.T) {
 	needAssembly(t)
 	mustPanic := func(name string, f func()) {
@@ -245,12 +247,57 @@ func TestDIARowsChecksBeforeTheCall(t *testing.T) {
 		f()
 	}
 	out, slab, x := make([]float64, 8), make([]float64, 16), make([]float64, 12)
-	if !DIARows(out, slab, 8, x, 2, []int{-2, 2}) {
+	if !DIARows(out, slab, []int{-2, 6}, x, 2, []int{-2, 2}) {
 		t.Fatal("in-range call refused")
 	}
-	mustPanic("x before its start", func() { DIARows(out, slab, 8, x, 2, []int{-3, 2}) })
-	mustPanic("x past its end", func() { DIARows(out, slab, 8, x, 2, []int{-2, 3}) })
-	mustPanic("slab past its end", func() { DIARows(out, slab, 9, x, 2, []int{-2, 2}) })
+	mustPanic("x before its start", func() { DIARows(out, slab, []int{0, 6}, x, 2, []int{-3, 2}) })
+	mustPanic("x past its end", func() { DIARows(out, slab, []int{0, 6}, x, 2, []int{-2, 3}) })
+	mustPanic("slab past its end", func() { DIARows(out, slab, []int{0, 7}, x, 2, []int{-2, 2}) })
+	mustPanic("negative base before slab", func() { DIARows(out, slab, []int{-3, 6}, x, 2, []int{-2, 2}) })
+	mustPanic("mirrored base one row past slab", func() { DIARows(out, slab, []int{9 - 2, 0}, x, 2, []int{-2, 0}) })
+	mustPanic("fewer bases than diagonals", func() { DIARows(out, slab, []int{0}, x, 2, []int{-2, 2}) })
+}
+
+// TestDIARowsAliasedBases runs diaRowsAVX2 against the sum it stands for
+// with diagonals that share a stream: two read one run of slab at a
+// shift of 1, 4 and 64 rows, as a folded band's subdiagonal reads its
+// mirror, a third sits apart, at row counts around every trip size.
+func TestDIARowsAliasedBases(t *testing.T) {
+	needAssembly(t)
+	const lo, pad = 70, 80
+	var counts []int
+	for _, r := range [][2]int{{0, 17}, {63, 65}, {1023, 1025}} {
+		for n := r[0]; n <= r[1]; n++ {
+			counts = append(counts, n)
+		}
+	}
+	for _, shift := range []int{1, 4, 64} {
+		for _, rows := range counts {
+			n := lo + rows + pad
+			slab, x := New(2*n), New(n)
+			Random(slab, uint64(shift*4096+rows)+1)
+			Random(x, uint64(rows)+7)
+			slab[lo+3], x[lo+1] = math.Copysign(0, -1), math.Inf(1)
+			base := []int{-shift, 0, n}
+			offs := []int{-shift, 0, shift}
+			want := make([]float64, rows)
+			for i := range want {
+				var s float64
+				for d, k := range offs {
+					s += slab[base[d]+lo+i] * x[lo+k+i]
+				}
+				want[i] = s
+			}
+			got := make([]float64, rows)
+			Fill(got, math.NaN())
+			if !DIARows(got, slab, base, x, lo, offs) {
+				t.Fatal("in-range call refused")
+			}
+			if !bitsEqual(got, want) {
+				t.Fatalf("shift %d, %d rows: assembly differs from the Go sum", shift, rows)
+			}
+		}
+	}
 }
 
 // TestKernelsRaceRule: a -race build runs the Go bodies whatever the CPU

@@ -59,7 +59,7 @@ func sweepOperators(t *testing.T) map[string]sparse.Sparse {
 	return ops
 }
 
-// TestSweepIsTheWholeVectorSolve: cg, cgfused, pcg and sd on an operator
+// TestSweepIsTheWholeVectorSolve: cg, cgfused, pcg, sd and cr on an operator
 // that offers its rows against the same solve on a wrapper that offers
 // only MulVec — solution bits, residual history, iterations and work
 // counts equal, from a cold start and from a warm one.
@@ -79,7 +79,7 @@ func TestSweepIsTheWholeVectorSolve(t *testing.T) {
 			}
 			jacobi = m
 		}
-		for _, method := range []string{"cg", "cgfused", "pcg", "sd"} {
+		for _, method := range []string{"cg", "cgfused", "pcg", "sd", "cr"} {
 			for _, warm := range []bool{false, true} {
 				opts := []solve.Option{solve.WithTol(1e-10), solve.WithMaxIter(300), solve.WithHistory(true)}
 				if warm {

@@ -9,8 +9,10 @@ import (
 // BenchmarkSpMV times DIA.MulVec's two row kernels side by side on the
 // operators of the root package's BenchmarkSpMV dia/* rows (which can
 // reach only the one MulVec dispatches to): go is dia1..dia5, avx2 the
-// one-pass assembly kernel. MB/s counts the slab, x and dst once each,
-// as the root benchmark's spmvBytes does.
+// one-pass assembly kernel. MB/s counts the slab — for these symmetric
+// bands, the diagonals k >= 0 — x and dst once each, as the root
+// benchmark's spmvBytes does; its dia-full rows are the same bands with
+// every diagonal stored.
 func BenchmarkSpMV(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -32,7 +34,7 @@ func BenchmarkSpMV(b *testing.B) {
 				if k.name != "go" && vec.Kernels() != k.name {
 					b.Skipf("this process runs the %s bodies", vec.Kernels())
 				}
-				b.SetBytes(int64(8*len(d.offsets)*n + 16*n))
+				b.SetBytes(int64(8*len(d.slab) + 16*n))
 				for i := 0; i < b.N; i++ {
 					d.cutRows(0, n, y, x, k.rows)
 				}

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"vrcg/internal/vec"
@@ -9,22 +10,41 @@ import (
 
 // DIA is a diagonal-storage sparse matrix: each stored diagonal has a
 // fixed offset k (k=0 is the main diagonal, k>0 superdiagonals, k<0
-// subdiagonals) and a full-length value array in which only positions
-// valid for that offset are meaningful. Structured grid operators
+// subdiagonals) and a run of values indexed by row, of which only the
+// rows valid for that offset are meaningful. Structured grid operators
 // (Poisson stencils) are naturally banded, making DIA both compact and
 // stride-friendly — it is the format the depth model's vectorized matvec
 // assumes, and the one TuneMulVec runs every banded CSR on.
+//
+// The values sit in one slab behind a per-diagonal base: row i's
+// coefficient on diagonal d is slab[base[d]+i]. A band in which every
+// subdiagonal −k repeats a stored superdiagonal +k bit for bit — A = Aᵀ,
+// the one property every operator CG sees has — keeps only the diagonals
+// k >= 0, n values each, and reads the others out of them: A[i, i−k] is
+// A[i−k, i], so base[−k] = base[+k] − k, and rows i < k, where that
+// would leave the run, are the ones diagonal −k is not in. Its products
+// stream ⌈(d+1)/2⌉·n values where the full band streams d·n. Any other
+// band stores all d diagonals, base[d] = d·n, behind the same kernels;
+// nothing but the matrix's own bits chooses between the two.
 //
 // Every row accumulates its diagonals in ascending offset order — which
 // is ascending column order — from +0, one `s += v*x` per diagonal as
 // CSR.MulVec writes it, and a hole in the band adds 0·x = ±0 to a sum
 // that is never -0. So the product of a DIA converted from a CSR is
 // bitwise identical to that CSR's for finite x: the contract SELL
-// carries, with the same exception (0·±Inf is NaN in a hole).
+// carries, with the same exception (0·±Inf is NaN in a hole). Folding
+// changes where a v is read from, never its bits or its place in the
+// sum, so a folded band returns the full band's product bit for bit for
+// every x, non-finite ones included.
 type DIA struct {
 	n       int
 	offsets []int     // sorted ascending
-	slab    []float64 // slab[d*n+i] multiplies x[i+offsets[d]] in row i
+	base    []int     // slab[base[d]+i] multiplies x[i+offsets[d]] in row i
+	slab    []float64 // n values per stored diagonal
+
+	// mirrored counts the leading offsets — all the subdiagonals, or none
+	// — whose cells are read out of their mirrors' and not stored.
+	mirrored int
 
 	// nnz and maxRow are fixed at construction: the structurally valid
 	// non-zero values of a NewDIA matrix, the stored-entry counts of the
@@ -34,6 +54,62 @@ type DIA struct {
 	// rangeFn caches the row-range kernel as a method value so pooled
 	// dispatch (MulVecPool) allocates nothing per call.
 	rangeFn vec.RowKernel
+}
+
+// newDIA lays out the band over offs (ascending) and fills it. fill
+// calls m.put for every cell of the band inside the matrix — a hole as
+// +0 — stopping at the first put that reports false, and reaches
+// A[i−k, i] before A[i, i−k], which row order and descending diagonal
+// order both do. The folded slab is built directly, each subdiagonal
+// cell compared with the mirror cell already written; only a band that
+// turns out not to repeat itself is filled a second time, in full.
+func newDIA(n int, offs []int, fill func(m *DIA) bool) *DIA {
+	m := &DIA{n: n, offsets: offs, base: make([]int, len(offs))}
+	m.rangeFn = m.mulRange
+	if m.fold() && fill(m) {
+		return m
+	}
+	m.mirrored = 0
+	for d := range offs {
+		m.base[d] = d * n
+	}
+	m.slab = make([]float64, len(offs)*n)
+	fill(m)
+	return m
+}
+
+// fold sets up the folded layout — the diagonals k >= 0 stored in
+// order, each subdiagonal pointed k rows back into its mirror — and
+// reports false, nothing allocated, when some subdiagonal has no mirror
+// to read.
+func (m *DIA) fold() bool {
+	up := sort.SearchInts(m.offsets, 0)
+	stored := m.offsets[up:]
+	for s := range stored {
+		m.base[up+s] = s * m.n
+	}
+	for d, k := range m.offsets[:up] {
+		s := sort.SearchInts(stored, -k)
+		if s == len(stored) || stored[s] != -k {
+			return false
+		}
+		m.base[d] = m.base[up+s] + k
+	}
+	m.mirrored = up
+	m.slab = make([]float64, len(stored)*m.n)
+	return true
+}
+
+// put gives row i's cell on diagonal d the value v. A mirrored
+// subdiagonal's cell is its mirror's, written already: put stores
+// nothing there and reports whether the cell holds v's bits.
+func (m *DIA) put(d, i int, v float64) bool {
+	cell := &m.slab[m.base[d]+i]
+	if d < m.mirrored {
+		return math.Float64bits(*cell) == math.Float64bits(v)
+	}
+	*cell = v
+	return true
 }
 
 // NewDIA builds a DIA matrix of order n from offset -> diagonal values.
@@ -55,21 +131,28 @@ func NewDIA(n int, diagonals map[int][]float64) *DIA {
 		offsets = append(offsets, k)
 	}
 	sort.Ints(offsets)
-	m := &DIA{n: n, offsets: offsets, slab: make([]float64, len(offsets)*n)}
-	for d, k := range offsets {
-		copy(m.slab[d*n:(d+1)*n], diagonals[k])
-	}
+	m := newDIA(n, offsets, func(m *DIA) bool {
+		for d := len(offsets) - 1; d >= 0; d-- {
+			k := offsets[d]
+			dv := diagonals[k]
+			for i := max(0, -k); i < min(n, n-k); i++ {
+				if !m.put(d, i, dv[i]) {
+					return false
+				}
+			}
+		}
+		return true
+	})
 	for i := 0; i < n; i++ {
 		nz := 0
 		for d, k := range offsets {
-			if j := i + k; j >= 0 && j < n && m.slab[d*n+i] != 0 {
+			if j := i + k; j >= 0 && j < n && m.slab[m.base[d]+i] != 0 {
 				nz++
 			}
 		}
 		m.nnz += nz
 		m.maxRow = max(m.maxRow, nz)
 	}
-	m.rangeFn = m.mulRange
 	return m
 }
 
@@ -80,10 +163,12 @@ const diaMaxDiags = 16
 
 // toDIA returns m in diagonal storage when m is banded — at most
 // diaMaxDiags distinct diagonals, one entry per (row, column), and no
-// larger a fraction of the slab left as holes than maxPadding — and nil
+// larger a fraction of the band left as holes than maxPadding — and nil
 // otherwise. The test is one pass over colIdx that gives up at the
 // first diagonal past the cap, so a matrix that is not banded costs
-// O(rows scanned) and never builds anything.
+// O(rows scanned) and never builds anything. Padding is judged on the
+// logical band, every diagonal at full length, so whether a matrix runs
+// as a DIA never depends on whether its band folds.
 func (m *CSR) toDIA(maxPadding float64) *DIA {
 	n := m.n
 	var buf [diaMaxDiags]int
@@ -115,21 +200,28 @@ func (m *CSR) toDIA(maxPadding float64) *DIA {
 	if cells == 0 || float64(cells-len(m.vals)) > maxPadding*float64(cells) {
 		return nil
 	}
-	a := &DIA{
-		n: n, offsets: append([]int(nil), offs...), slab: make([]float64, cells),
-		nnz: len(m.vals), maxRow: m.MaxRowNonzeros(),
-	}
-	for i := 0; i < n; i++ {
-		d := 0
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			k := m.colIdx[p] - i
-			for offs[d] != k {
-				d++
+	offs = append([]int(nil), offs...)
+	a := newDIA(n, offs, func(a *DIA) bool {
+		for i := 0; i < n; i++ {
+			p, end := m.rowPtr[i], m.rowPtr[i+1]
+			for d, k := range offs {
+				j := i + k
+				if j < 0 || j >= n {
+					continue
+				}
+				var v float64 // a hole, unless row i stores column j
+				if p < end && m.colIdx[p] == j {
+					v = m.vals[p]
+					p++
+				}
+				if !a.put(d, i, v) {
+					return false
+				}
 			}
-			a.slab[d*n+i] = m.vals[p]
 		}
-	}
-	a.rangeFn = a.mulRange
+		return true
+	})
+	a.nnz, a.maxRow = len(m.vals), m.MaxRowNonzeros()
 	return a
 }
 
@@ -143,12 +235,21 @@ func (m *DIA) Offsets() []int {
 	return out
 }
 
-// At returns A[i,j] (zero when the diagonal j-i is not stored).
+// StoredDiagonals returns how many diagonals' values the matrix holds
+// and a product streams: ⌈(d+1)/2⌉ of the d in Offsets for a symmetric
+// band, which reads its subdiagonals out of their mirrors, else all d.
+func (m *DIA) StoredDiagonals() int { return len(m.offsets) - m.mirrored }
+
+// At returns A[i,j] (zero when the diagonal j-i is not stored, or
+// column j is not in the matrix).
 func (m *DIA) At(i, j int) float64 {
+	if j < 0 || j >= m.n {
+		return 0
+	}
 	k := j - i
 	d := sort.SearchInts(m.offsets, k)
 	if d < len(m.offsets) && m.offsets[d] == k {
-		return m.slab[d*m.n+i]
+		return m.slab[m.base[d]+i]
 	}
 	return 0
 }
@@ -240,7 +341,7 @@ const diaPass = 4
 // pass of vec.DIARows where the assembly bodies run, by mulRowsGo — the
 // definition of the sum — everywhere else, bit for bit the same.
 func (m *DIA) mulRows(lo, hi, dlo, dhi int, out, x []float64) {
-	if dhi > dlo && vec.DIARows(out, m.slab[dlo*m.n+lo:], m.n, x, lo, m.offsets[dlo:dhi]) {
+	if dhi > dlo && vec.DIARows(out, m.slab, m.base[dlo:dhi], x, lo, m.offsets[dlo:dhi]) {
 		return
 	}
 	m.mulRowsGo(lo, hi, dlo, dhi, out, x)
@@ -251,8 +352,8 @@ func (m *DIA) mulRows(lo, hi, dlo, dhi int, out, x []float64) {
 // first storing and the rest picking the partial sum back up from out —
 // the same left-to-right sum.
 func (m *DIA) mulRowsGo(lo, hi, dlo, dhi int, out, x []float64) {
-	n, offs := m.n, m.offsets
-	dv := func(d int) []float64 { return m.slab[d*n+lo : d*n+hi] }
+	offs := m.offsets
+	dv := func(d int) []float64 { return m.slab[m.base[d]+lo : m.base[d]+hi] }
 	xv := func(d int) []float64 { return x[lo+offs[d] : hi+offs[d]] }
 	switch dhi - dlo {
 	case 0:
@@ -399,7 +500,7 @@ func (m *DIA) ToCSR() *CSR {
 			lo = -k
 		}
 		for i := lo; i < hi; i++ {
-			if v := m.slab[d*m.n+i]; v != 0 {
+			if v := m.slab[m.base[d]+i]; v != 0 {
 				coo.Add(i, i+k, v)
 			}
 		}

@@ -63,13 +63,39 @@ func bitsEqual(a, b []float64) bool {
 	return len(a) == len(b)
 }
 
+// wantStoredDiagonals is the fold rule read off the matrix itself: the
+// diagonals k >= 0 when every subdiagonal −k has a +k among offs and
+// A[i, i−k] and A[i−k, i] are the same bits in every row (CSR.At gives a
+// hole as +0 and an explicit zero as stored), else all of them.
+func wantStoredDiagonals(a *CSR, offs []int) int {
+	up := len(offs) - sort.SearchInts(offs, 0)
+	for _, k := range offs {
+		if k >= 0 {
+			break
+		}
+		if u := sort.SearchInts(offs, -k); u == len(offs) || offs[u] != -k {
+			return len(offs)
+		}
+		for i := -k; i < a.Dim(); i++ {
+			if math.Float64bits(a.At(i, i+k)) != math.Float64bits(a.At(i+k, i)) {
+				return len(offs)
+			}
+		}
+	}
+	return up
+}
+
 // checkDIAAgainstCSR is the contract a converted DIA carries: the
-// source's counts; At on every cell; MulVec, MulVecPool at 1–4 workers
-// and any split of the rows bit for bit equal to CSR.MulVec; and a
-// ToCSR round trip that loses only the explicit zeros.
+// source's counts; the band folded exactly when the fold rule says so;
+// At on every cell; MulVec, MulVecPool at 1–4 workers and any split of
+// the rows bit for bit equal to CSR.MulVec; and a ToCSR round trip that
+// loses only the explicit zeros.
 func checkDIAAgainstCSR(t *testing.T, a *CSR, d *DIA, seed uint64) {
 	t.Helper()
 	n := a.Dim()
+	if got, want := d.StoredDiagonals(), wantStoredDiagonals(a, d.Offsets()); got != want {
+		t.Fatalf("offsets %v: %d diagonals stored, the fold rule says %d", d.Offsets(), got, want)
+	}
 	if d.Dim() != n || d.NNZ() != a.NNZ() || d.MaxRowNonzeros() != a.MaxRowNonzeros() {
 		t.Fatalf("counts: dim %d/%d nnz %d/%d maxrow %d/%d",
 			d.Dim(), n, d.NNZ(), a.NNZ(), d.MaxRowNonzeros(), a.MaxRowNonzeros())
@@ -330,23 +356,77 @@ func TestTuneMulVecInvalidation(t *testing.T) {
 	}
 }
 
+// mirrorLower returns a with its upper triangle replaced by the mirror
+// of its lower one, holes and explicit zeros included: the same band
+// made symmetric bit for bit.
+func mirrorLower(a *CSR) *CSR {
+	var cells []cell
+	for _, c := range cellsOf(a) {
+		if c.j <= c.i {
+			cells = append(cells, c)
+		}
+		if c.j < c.i {
+			cells = append(cells, cell{c.j, c.i, c.v})
+		}
+	}
+	return cellsCSR(a.Dim(), cells)
+}
+
+// nudgeOneSuperdiagonalCell moves the first stored entry above the
+// diagonal by one ulp, in place, and reports whether there was one.
+func nudgeOneSuperdiagonalCell(a *CSR) bool {
+	for i := 0; i < a.n; i++ {
+		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
+			if a.colIdx[p] > i {
+				a.vals[p] = math.Nextafter(a.vals[p], 2)
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // FuzzCSRToDIA drives the CSR→DIA conversion with fuzzed banded shapes
-// (see bandedCSR) and holds it to checkDIAAgainstCSR.
+// (see bandedCSR) and holds it to checkDIAAgainstCSR. Bit 0 of sym
+// mirrors the lower band onto the upper one, so the band folds; bit 1
+// then moves one superdiagonal cell by an ulp, so it must not.
 func FuzzCSRToDIA(f *testing.F) {
-	f.Add(uint64(1), uint(8), uint(0), uint(0))
-	f.Add(uint64(42), uint(100), uint(4), uint(1))
-	f.Add(uint64(7), uint(257), uint(15), uint(3))
-	f.Add(uint64(99), uint(0), uint(6), uint(2))
-	f.Add(uint64(171), uint(1), uint(109), uint(163)) // rows that hold no diagonal at all
-	f.Fuzz(func(t *testing.T, seed uint64, un, udiag, uholes uint) {
+	f.Add(uint64(1), uint(8), uint(0), uint(0), uint(0))
+	f.Add(uint64(42), uint(100), uint(4), uint(1), uint(0))
+	f.Add(uint64(7), uint(257), uint(15), uint(3), uint(0))
+	f.Add(uint64(99), uint(0), uint(6), uint(2), uint(0))
+	f.Add(uint64(171), uint(1), uint(109), uint(163), uint(0)) // rows that hold no diagonal at all
+	f.Add(uint64(42), uint(100), uint(4), uint(1), uint(1))
+	f.Add(uint64(42), uint(100), uint(4), uint(1), uint(3))
+	f.Add(uint64(7), uint(257), uint(7), uint(3), uint(1))
+	f.Add(uint64(5), uint(2), uint(3), uint(0), uint(3))
+	f.Fuzz(func(t *testing.T, seed uint64, un, udiag, uholes, sym uint) {
 		n := int(un%300) + 1
-		a := bandedCSR(seed, n, int(udiag%diaMaxDiags)+1, int(uholes%4))
+		ndiag := int(udiag%diaMaxDiags) + 1
+		if sym&1 != 0 {
+			ndiag = (ndiag + 1) / 2 // mirrored, at most 2·ndiag − 1 ≤ diaMaxDiags
+		}
+		a := bandedCSR(seed, n, ndiag, int(uholes%4))
+		folds, broken := sym&1 != 0, false
+		if folds {
+			a = mirrorLower(a)
+			if sym&2 != 0 {
+				broken = nudgeOneSuperdiagonalCell(a)
+			}
+		}
 		if a.NNZ() == 0 {
 			return
 		}
 		d := a.toDIA(1)
 		if d == nil {
 			t.Fatal("banded matrix not converted")
+		}
+		want := len(d.offsets) - sort.SearchInts(d.offsets, 0)
+		if broken {
+			want = len(d.offsets)
+		}
+		if folds && d.StoredDiagonals() != want {
+			t.Fatalf("mirrored band over %v (one cell moved: %v) stores %d diagonals", d.offsets, broken, d.StoredDiagonals())
 		}
 		checkDIAAgainstCSR(t, a, d, seed)
 	})

@@ -278,15 +278,18 @@ const sellMinDim = 2048
 // SELL chunk padding and of holes in a DIA band alike. Padding costs
 // bandwidth exactly like real entries, so beyond ~25% overhead the
 // regular layout's gains are eaten by the extra traffic and CSR stays
-// the better format.
+// the better format. A DIA band is judged as the logical band, every
+// diagonal at full length, whether or not it then folds onto half of
+// them: folding removes holes and entries in the same proportion.
 const sellMaxPadding = 0.25
 
 // TuneMulVec returns the fastest available operator equivalent to a.
 // For a CSR matrix it decides once, caches the answer on the matrix
 // (SetValues and Scale drop it), and never holds two tuned forms:
 //
-//  1. banded (a few distinct diagonals, few holes; any size) → DIA,
-//     whose row-fused kernel reads no column indices at all;
+//  1. banded (a few distinct diagonals, few holes in the logical band;
+//     any size) → DIA, whose row-fused kernel reads no column indices
+//     at all, and which stores a symmetric band's diagonals k >= 0 only;
 //  2. else large and paddable → SELL-C-σ;
 //  3. else the CSR itself.
 //

@@ -8,9 +8,11 @@
 //
 //   - Formats: CSR (with an nnz-balanced parallel MulVecPool), DIA
 //     diagonal storage with a row-fused kernel that reads no column
-//     indices, the cache-blocked SELL-C-σ format (SELL), a COO assembly
-//     builder, matrix-free Stencil operators (1D/2D/3D Laplacians), and
-//     Dense for small reference problems. TuneMulVec picks the format a
+//     indices and, for a symmetric band, stores the diagonals k >= 0
+//     once and reads the subdiagonals out of them (bit for bit the full
+//     band's products), the cache-blocked SELL-C-σ format (SELL), a COO
+//     assembly builder, matrix-free Stencil operators (1D/2D/3D
+//     Laplacians), and Dense for small reference problems. TuneMulVec picks the format a
 //     CSR's products run on — banded → DIA at any size, else large and
 //     paddable → SELL, else the CSR itself — and both tuned formats
 //     share one contract: MulVec and MulVecPool bitwise identical to
