@@ -70,14 +70,15 @@ check:
 
 # Allocation budgets of the three warm request paths through the one
 # handler per route, at -cpu 1 where the counts are deterministic: a
-# binary solve, a JSON solve, a JSON sequence step. The CI bench-smoke
+# binary solve, a JSON solve, a JSON sequence step — and of the step
+# body's decode on its own, which allocates nothing. The CI bench-smoke
 # job runs this target.
 server-allocs:
-	@out=$$($(GO) test -run '^$$' -bench '^(BenchmarkServeSolveWarm|BenchmarkServeSolveWarmBinary|BenchmarkServeSequenceStep)$$' -benchtime=200x -benchmem -cpu 1 ./server) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) test -run '^$$' -bench '^(BenchmarkServeSolveWarm|BenchmarkServeSolveWarmBinary|BenchmarkServeSequenceStep|BenchmarkDecodeStepJSON)$$' -benchtime=200x -benchmem -cpu 1 ./server) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
-	echo "$$out" | awk 'BEGIN { max["BenchmarkServeSolveWarmBinary"] = 8; max["BenchmarkServeSolveWarm/cg"] = 46; max["BenchmarkServeSequenceStep"] = 12 } \
+	echo "$$out" | awk 'BEGIN { max["BenchmarkServeSolveWarmBinary"] = 8; max["BenchmarkServeSolveWarm/cg"] = 46; max["BenchmarkServeSequenceStep"] = 12; max["BenchmarkDecodeStepJSON/scanner"] = 0 } \
 		($$1 in max) { seen++; for (i = 2; i <= NF; i++) if ($$(i) == "allocs/op" && $$(i-1)+0 > max[$$1]) { print $$1 ": " $$(i-1) " allocs/op exceeds the budget of " max[$$1]; bad = 1 } } \
-		END { if (seen != 3) { print "expected 3 benchmark rows, saw " seen+0; bad = 1 }; exit bad }'
+		END { if (seen != 4) { print "expected 4 benchmark rows, saw " seen+0; bad = 1 }; exit bad }'
 
 fmt:
 	gofmt -l -w .

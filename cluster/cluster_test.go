@@ -5,7 +5,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sync"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,30 +24,13 @@ type testFleet struct {
 	ids     []string
 }
 
-// logfUntilDone is t.Logf until the test's other cleanups have run:
-// Coordinator.Close does not wait for its reader goroutines, and one
-// that is still reporting its lost connection must not log into a
-// finished test.
-func logfUntilDone(t *testing.T) func(string, ...any) {
-	var mu sync.Mutex
-	done := false
-	t.Cleanup(func() { mu.Lock(); done = true; mu.Unlock() })
-	return func(format string, args ...any) {
-		mu.Lock()
-		defer mu.Unlock()
-		if !done {
-			t.Logf(format, args...)
-		}
-	}
-}
-
 func newTestFleet(t *testing.T, n int) *testFleet {
 	t.Helper()
 	f := &testFleet{
 		c: NewCoordinator(CoordinatorConfig{
 			HeartbeatInterval: 50 * time.Millisecond,
 			PlaceTimeout:      10 * time.Second,
-			Logf:              logfUntilDone(t), // registered first: runs after Close
+			Logf:              t.Logf,
 		}),
 	}
 	t.Cleanup(func() { f.c.Close() })
@@ -272,6 +256,59 @@ func TestSingleWorkerFleet(t *testing.T) {
 	}
 	if d := parityGap(got.X, want.X); d > 1e-12 {
 		t.Fatalf("single-worker fleet diverges by %g (relative)", d)
+	}
+}
+
+// TestCoordinatorCloseWaits: Close returns only after the reader and
+// heartbeat goroutines it started have exited — here one whose worker
+// died first and which is held inside its "removed" log line — so
+// nothing is left to log into a finished test, and the process is back
+// to its goroutine baseline.
+func TestCoordinatorCloseWaits(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var calls atomic.Int32
+	inLog, release := make(chan struct{}), make(chan struct{})
+	c := NewCoordinator(CoordinatorConfig{
+		HeartbeatInterval: 50 * time.Millisecond,
+		Logf: func(string, ...any) {
+			if calls.Add(1) == 1 { // w0's reader, reporting the lost connection
+				close(inLog)
+				<-release
+			}
+		},
+	})
+	var workers []*Worker
+	for i := 0; i < 2; i++ {
+		w, err := NewWorker(WorkerConfig{})
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+		defer w.Close()
+		if _, err := c.AddWorker(w.Addr()); err != nil {
+			t.Fatalf("register worker %d: %v", i, err)
+		}
+		workers = append(workers, w)
+	}
+	workers[0].Close()
+	<-inLog
+	closed := make(chan struct{})
+	go func() { c.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a reader goroutine was still running")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	workers[1].Close()
+	// A goroutine is counted until it has left its deferred Done.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the fleet", runtime.NumGoroutine(), base)
+		}
+	}
+	if _, err := c.AddWorker(workers[1].Addr()); !errors.Is(err, ErrClosed) {
+		t.Fatalf("AddWorker after Close: %v, want ErrClosed", err)
 	}
 }
 

@@ -73,6 +73,7 @@ type Coordinator struct {
 	active  *solveRun
 	closed  bool
 	done    chan struct{}
+	wg      sync.WaitGroup // every worker's readLoop and heartbeat
 
 	// solveMu serializes placements and solves fleet-wide: workers run
 	// one solve at a time by design (the fleet is the parallelism).
@@ -221,6 +222,7 @@ func (c *Coordinator) AddWorker(addr string) (string, error) {
 	}
 	c.workers[id] = rw
 	c.order = append(c.order, id)
+	c.wg.Add(2) // under mu with the closed check, so before Close waits
 	c.mu.Unlock()
 
 	go c.readLoop(rw)
@@ -280,6 +282,7 @@ func (c *Coordinator) forward(ev runEvent) {
 // routes them (pongs to the heartbeat state, acks to pending
 // placements, data-plane frames to the active solve).
 func (c *Coordinator) readLoop(rw *remoteWorker) {
+	defer c.wg.Done()
 	for {
 		typ, payload, err := wire.ReadFrame(rw.conn, c.cfg.MaxPayload)
 		if err != nil {
@@ -346,6 +349,7 @@ func (c *Coordinator) readLoop(rw *remoteWorker) {
 // heartbeat pings one worker on the configured cadence and declares it
 // dead after HeartbeatMisses silent intervals.
 func (c *Coordinator) heartbeat(rw *remoteWorker) {
+	defer c.wg.Done()
 	t := time.NewTicker(c.cfg.HeartbeatInterval)
 	defer t.Stop()
 	for {
@@ -902,12 +906,14 @@ func (c *Coordinator) assemble(op *clusterOp, b []float64, dones map[string]*don
 	return res, phases, nil
 }
 
-// Close shuts the coordinator down and disconnects the fleet. Workers
-// keep running (they are owned by their own processes).
+// Close shuts the coordinator down, disconnects the fleet and returns
+// once every reader and heartbeat goroutine it started has exited.
+// Workers keep running (they are owned by their own processes).
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
+		c.wg.Wait()
 		return nil
 	}
 	c.closed = true
@@ -920,5 +926,6 @@ func (c *Coordinator) Close() error {
 	for _, rw := range workers {
 		c.markDead(rw, ErrClosed)
 	}
+	c.wg.Wait()
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -189,7 +190,9 @@ func (s *Server) solveSetup(w http.ResponseWriter, operator, method string, para
 }
 
 // rowsMatch answers 400 dim_mismatch for the first right-hand side
-// whose length is not the operator's row count.
+// whose length is not the operator's row count, then 400 bad_request
+// for the first value that is not finite: every solve and batch passes
+// here, cold or affinity-warm, whichever transport decoded it.
 func rowsMatch(w http.ResponseWriter, op *storedOperator, rhs [][]float64) bool {
 	for i, b := range rhs {
 		if len(b) != op.info.Rows {
@@ -197,6 +200,23 @@ func rowsMatch(w http.ResponseWriter, op *storedOperator, rhs [][]float64) bool 
 				fmt.Sprintf("rhs %d has length %d but operator %q has %d rows",
 					i, len(b), op.info.ID, op.info.Rows))
 			return false
+		}
+	}
+	return allFinite(w, "rhs", rhs...)
+}
+
+// allFinite answers 400 bad_request for the first NaN or ±Inf in vecs,
+// the request's field name. Only a binary frame can carry one (JSON
+// cannot spell it), and a solve fed one breaks down naming nothing.
+func allFinite(w http.ResponseWriter, name string, vecs ...[]float64) bool {
+	const expMask = 0x7FF << 52
+	for k, v := range vecs {
+		for i, x := range v {
+			if math.Float64bits(x)&expMask == expMask {
+				writeError(w, http.StatusBadRequest, codeBadRequest,
+					fmt.Sprintf("%s %d has a non-finite value at index %d", name, k, i))
+				return false
+			}
 		}
 	}
 	return true

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -317,5 +318,30 @@ func TestSessionPoolsCapacity(t *testing.T) {
 	}
 	if after := sp.stats().Sessions; after != before {
 		t.Fatalf("newest shape was evicted: sessions %d -> %d", before, after)
+	}
+}
+
+// TestNonFiniteStepVectorsRejected: the sequence step makes the solve
+// routes' non-finite check on its right-hand side and its operator
+// values. No body reaches it today — the step route is JSON only, and
+// JSON cannot spell the values — so it is held here at the call it
+// makes.
+func TestNonFiniteStepVectorsRejected(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		v    []float64
+		want string
+	}{
+		{"rhs", []float64{0, math.NaN()}, "rhs 0 has a non-finite value at index 1"},
+		{"vals", []float64{math.Inf(-1), 0}, "vals 0 has a non-finite value at index 0"},
+	} {
+		rec := httptest.NewRecorder()
+		if allFinite(rec, c.name, c.v) || rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), c.want) {
+			t.Errorf("%s: status %d body %s, want 400 %q", c.name, rec.Code, rec.Body.String(), c.want)
+		}
+	}
+	rec := httptest.NewRecorder()
+	if !allFinite(rec, "vals", nil, []float64{}, []float64{0, -0.0, math.MaxFloat64, 5e-324}) || rec.Body.Len() != 0 {
+		t.Errorf("finite vectors refused: %s", rec.Body.String())
 	}
 }

@@ -10,20 +10,21 @@ import (
 // This file is the fast path of the three hot JSON request bodies
 // (solve, batch, sequence step): one pass over the bytes, numbers
 // parsed straight into the pooled request scratch. A 5000x6 ICP step
-// ships 35,000 floats in ~690 KB; encoding/json spends ~11 ms and
-// 3.4 MB of garbage reflecting them into fresh slices, this ~4.5 ms and
+// ships 35,000 floats in ~690 KB; encoding/json spends ~10 ms and
+// 3.4 MB of garbage reflecting them into fresh slices, this ~1.4 ms and
 // nothing proportional to the payload.
 //
 // The scanner can only accept. encoding/json stays the specification
 // of the request grammar and the author of every error message; the
 // scanner takes a strict subset of what it takes — one object, keys
 // byte for byte the lowercase field tags and each at most once,
-// escape-free ASCII strings, JSON-grammar numbers handed to strconv
-// (the call encoding/json makes, so the same bits), null, number
-// arrays — and decodes that subset to the identical value. Anything
-// else it declines, without saying why, and decodeRequest runs
-// encoding/json over the same bytes. Nothing selects between the two
-// but the bytes themselves.
+// escape-free ASCII strings, JSON-grammar numbers read to the bits
+// strconv gives them (the call encoding/json makes; floatscan.go reads
+// a float in one pass — exact, else Eisel–Lemire, else strconv itself
+// over the token), null, number arrays — and decodes that subset to the
+// identical value. Anything else it declines, without saying why, and
+// decodeRequest runs encoding/json over the same bytes. Nothing selects
+// between the two but the bytes themselves.
 
 // scanner is a cursor over one request body. Its methods consume what
 // they accept and report false to decline the body.
@@ -66,51 +67,15 @@ func (s *scanner) str() ([]byte, bool) {
 	return nil, false
 }
 
-// digits consumes a run of decimal digits and reports whether there
-// was at least one.
-func (s *scanner) digits() bool {
-	b, i := s.b, s.i
-	for i < len(b) && b[i]-'0' <= 9 {
-		i++
-	}
-	ok := i > s.i
-	s.i = i
-	return ok
-}
-
 // number consumes one token of the JSON number grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?. strconv alone would
-// also take 01, 1., .5, +1, 0x10, 1_0, NaN and Infinity; this pass is
-// what keeps them out. The token ends at the first byte that cannot
-// continue it and every caller then requires a separator, so "01"
-// declines as "0" followed by '1'.
+// also take 01, 1., .5, +1, 0x10, 1_0, NaN and Infinity; decimal's walk
+// (floatscan.go) is what keeps them out. The token ends at the first
+// byte that cannot continue it and every caller then requires a
+// separator, so "01" declines as "0" followed by '1'.
 func (s *scanner) number() ([]byte, bool) {
-	start := s.i
-	s.eat('-')
-	if !s.eat('0') && !s.digits() {
-		return nil, false
-	}
-	if s.eat('.') && !s.digits() {
-		return nil, false
-	}
-	if s.eat('e') || s.eat('E') {
-		if !s.eat('+') {
-			s.eat('-')
-		}
-		if !s.digits() {
-			return nil, false
-		}
-	}
-	return s.b[start:s.i], true
-}
-
-// float consumes a number as a float64. An out-of-range token (1e999)
-// is an error to encoding/json, so it declines; underflow (1e-400) is
-// not, and yields strconv's zero.
-func (s *scanner) float() (float64, bool) {
-	tok, ok := s.number()
-	f, err := strconv.ParseFloat(string(tok), 64)
-	return f, ok && err == nil
+	_, _, _, _, tok := s.decimal()
+	return tok, tok != nil
 }
 
 // array consumes [elem, ...].

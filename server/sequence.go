@@ -277,6 +277,9 @@ func (s *Server) handleSequenceStep(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("rhs has length %d but sequence %q expects %d rows", len(req.RHS), id, sq.info.Rows))
 		return
 	}
+	if !allFinite(w, "rhs", req.RHS) || !allFinite(w, "vals", req.Vals) {
+		return
+	}
 	run, ok := s.start(w, r, req.TimeoutMS, nil)
 	if !ok {
 		return
