@@ -1,7 +1,8 @@
 # Build / test / benchmark entry points for the vrcg repository.
 #
 # `make bench` runs the execution-engine microbenchmarks (SpMV, dot,
-# fused CG update, PCG solve, IC0 factor and apply, one cg iteration
+# a 27-pair Gram batch and a 9-term combination against the calls they
+# replace, fused CG update, PCG solve, IC0 factor and apply, one cg iteration
 # swept and whole-vector with its computed MB/iter), the public-surface
 # serving benchmarks (registry dispatch overhead, Session reuse vs fresh
 # solver, Batch throughput at 1/8/64 right-hand sides), and the HTTP
@@ -19,7 +20,7 @@
 
 GO         ?= go
 BINDIR     ?= bin
-BENCHPAT   ?= BenchmarkSpMV|BenchmarkPCGSolve|BenchmarkDotSerial|BenchmarkDotParallel|BenchmarkDotPooled|BenchmarkFusedCGUpdate|BenchmarkMatVecCSR|BenchmarkIC0FactorAndApply|BenchmarkCGIteration
+BENCHPAT   ?= BenchmarkSpMV|BenchmarkPCGSolve|BenchmarkDotSerial|BenchmarkDotParallel|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine|BenchmarkFusedCGUpdate|BenchmarkMatVecCSR|BenchmarkIC0FactorAndApply|BenchmarkCGIteration
 BENCHOUT   ?= BENCH_engine.json
 SOLVEPAT   ?= BenchmarkSolveDispatch|BenchmarkSessionReuse|BenchmarkSessionPerMethod|BenchmarkFreshSolvePerCall|BenchmarkBatch|BenchmarkParcgFamily
 SOLVEOUT   ?= BENCH_solve.json
@@ -31,7 +32,7 @@ CLUSTERPAT ?= BenchmarkClusterSolve|BenchmarkClusterReduction
 CLUSTEROUT ?= BENCH_cluster.json
 SERVEADDR  ?= :8080
 
-.PHONY: all build test vet fmt check lint server-allocs bench bench-raw bins serve docs-check clean
+.PHONY: all build test vet fmt check lint kernel-allocs server-allocs bench bench-raw bins serve docs-check clean
 
 all: build test
 
@@ -65,8 +66,18 @@ check:
 	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 	@iters() { $(GO) run ./cmd/cgsolve -problem poisson2d -m 64 -method "$$1" | sed -n 's/^converged=true iterations=\([0-9]*\).*/\1/p'; }; \
 	p=$$(iters parcg); c=$$(iters cg); echo "cgsolve smoke: parcg=$$p cg=$$c"; [ -n "$$p" ] && [ -n "$$c" ] && [ $$((p - c)) -ge -1 ] && [ $$((p - c)) -le 1 ]
+	$(MAKE) kernel-allocs
 	$(MAKE) server-allocs
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
+
+# The substrate kernels the solvers call per iteration allocate nothing:
+# products, inner products one at a time and batched, combinations. The
+# CI bench-smoke job runs this target.
+kernel-allocs:
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkSpMV|BenchmarkDotSerial|BenchmarkDotParallel|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine' -benchtime=1x -benchmem .) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	bad=$$(echo "$$out" | awk '$$1 ~ /^Benchmark(SpMV|Dot|GramBatch|Combine)/ { for (i = 2; i <= NF; i++) if ($$(i) == "allocs/op" && $$(i-1)+0 != 0) print $$1 }'); \
+	if [ -n "$$bad" ]; then echo "kernels allocated:"; echo "$$bad"; exit 1; fi
 
 # Allocation budgets of the three warm request paths through the one
 # handler per route, at -cpu 1 where the counts are deterministic: a

@@ -633,6 +633,77 @@ func BenchmarkDotPooled(b *testing.B) {
 	_ = s
 }
 
+// gramFamily is ten n-vectors and the 27 pairs of a parcg anchor batch at
+// k = 2 over them: (R,R), (R,P) and (P,P) to index 8, R and P five
+// vectors each. L1 is n = 512 (40 KB in all), L2 n = 4096 (320 KB).
+func gramFamily(n int) (fam, xs, ys []vec.Vector) {
+	for i := 0; i < 10; i++ {
+		fam = append(fam, vec.New(n))
+		vec.Random(fam[i], uint64(i)+1)
+	}
+	for _, f := range [3][2][]vec.Vector{{fam[:5], fam[:5]}, {fam[:5], fam[5:]}, {fam[5:], fam[5:]}} {
+		for s := 0; s < 9; s++ {
+			xs, ys = append(xs, f[0][s/2]), append(ys, f[1][s-s/2])
+		}
+	}
+	return fam, xs, ys
+}
+
+// BenchmarkGramBatch is the batched inner product of the look-ahead
+// schedules against the loop of Dot calls it replaced, bit for bit the
+// same 27 sums.
+func BenchmarkGramBatch(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"L1", 512}, {"L2", 4096}} {
+		_, xs, ys := gramFamily(c.n)
+		out, part := make([]float64, len(xs)), make([]float64, len(xs)*4)
+		b.Run(c.name+"/dot-calls", func(b *testing.B) {
+			b.SetBytes(int64(16 * c.n * len(xs)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j := range out {
+					out[j] = vec.Dot(xs[j], ys[j])
+				}
+			}
+		})
+		b.Run(c.name+"/dots", func(b *testing.B) {
+			b.SetBytes(int64(16 * c.n * len(xs)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				vec.Dots(out, xs, ys, part)
+			}
+		})
+	}
+}
+
+// BenchmarkCombine is a nine-term combination over a Krylov family
+// against Zero and nine Axpy calls, bit for bit the same vector.
+func BenchmarkCombine(b *testing.B) {
+	const n = 4096
+	fam, _, _ := gramFamily(n)
+	dst, xs := fam[9], fam[:9]
+	coef := []float64{0.5, -0.25, 0.125, 0.5, -0.25, 0.125, 0.5, -0.25, 0.125}
+	b.Run("zero-axpy", func(b *testing.B) {
+		b.SetBytes(int64(8 * n * (len(xs) + 1)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			vec.Zero(dst)
+			for j, x := range xs {
+				vec.Axpy(coef[j], x, dst)
+			}
+		}
+	})
+	b.Run("combine", func(b *testing.B) {
+		b.SetBytes(int64(8 * n * (len(xs) + 1)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			vec.Combine(dst, nil, coef, xs)
+		}
+	})
+}
+
 // wholeVectorOnly hides everything of an operator but its whole product
 // and its counts — the shape of the judged benchmark's tracing decorator —
 // so the engine cannot take the product by rows.

@@ -239,7 +239,7 @@ func (kn *Kernel) Init(run *engine.Run) (float64, error) {
 	kn.views()
 	ws.MatVecs(run.A, kn.ra, kn.xa)
 	run.Res.Stats.MatVecs += s
-	run.Res.Stats.Flops += int64(s) * engine.MatVecFlops(run.A)
+	run.Res.Stats.Flops += int64(s) * run.MatVecFlops
 	for j := 0; j < s; j++ {
 		vec.Sub(kn.r[j], kn.bs[j], kn.r[j])
 		kn.rn[j] = vec.Norm2(kn.r[j])
@@ -322,7 +322,7 @@ func (kn *Kernel) Step(run *engine.Run) error {
 	// Q = A P in one row pass over all active columns.
 	ws.MatVecs(run.A, kn.qa, kn.pa)
 	res.Stats.MatVecs += na
-	res.Stats.Flops += int64(na) * engine.MatVecFlops(run.A)
+	res.Stats.Flops += int64(na) * run.MatVecFlops
 
 	// Spq = PᵀQ: the s×s curvature Gram, one fused reduction.
 	spq := kn.spq[:na*na]
@@ -427,7 +427,7 @@ func (kn *Kernel) Finish(run *engine.Run) {
 	}
 	ws.MatVecs(run.A, all, xall)
 	res.Stats.MatVecs += s
-	res.Stats.Flops += int64(s) * engine.MatVecFlops(run.A)
+	res.Stats.Flops += int64(s) * run.MatVecFlops
 	max := 0.0
 	for j := 0; j < s; j++ {
 		vec.Sub(kn.q[j], kn.bs[j], kn.q[j])

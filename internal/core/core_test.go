@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"vrcg/internal/engine"
 	"vrcg/internal/krylov"
 	"vrcg/internal/vec"
 	"vrcg/sparse"
@@ -88,7 +89,7 @@ func TestInitDirectMatchesBruteForce(t *testing.T) {
 	k := 2
 	fam := NewFamilies(a, r0, k)
 	w := NewWindow(k)
-	w.InitDirect(fam.R, fam.P)
+	w.InitDirect(engine.NewWorkspace(10, nil), fam)
 
 	// Brute force: materialize A^i r0 up to 2k+2 and dot directly.
 	powsR := sparse.PowerApply(a, r0, 2*k+2)
@@ -119,7 +120,8 @@ func TestInitDirectSizePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewWindow(2).InitDirect(make([]vec.Vector, 1), make([]vec.Vector, 1))
+	a := sparse.Poisson1D(10)
+	NewWindow(2).InitDirect(engine.NewWorkspace(10, nil), NewFamilies(a, vec.New(10), 1))
 }
 
 // TestWindowStepTracksDirectDots is the central §5 verification: run CG
@@ -133,7 +135,8 @@ func TestWindowStepTracksDirectDots(t *testing.T) {
 		vec.Random(r, 7)
 		fam := NewFamilies(a, r, k)
 		win := NewWindow(k)
-		win.InitDirect(fam.R, fam.P)
+		ws := engine.NewWorkspace(n, nil)
+		win.InitDirect(ws, fam)
 
 		// The recurrences are exact in exact arithmetic; in floating
 		// point the M update cancels catastrophically as the residual
@@ -151,7 +154,7 @@ func TestWindowStepTracksDirectDots(t *testing.T) {
 			rrNew := win.PeekRR(lambda)
 			alpha := rrNew / rr
 			fam.StepP(a, alpha)
-			topN, topW1, topW2 := fam.DirectTops()
+			topN, topW1, topW2 := fam.DirectTops(ws)
 			win.Step(lambda, alpha, topN, topW1, topW2)
 
 			within := func(got, want float64) bool {
@@ -689,7 +692,8 @@ func TestWindowVsContractionEngines(t *testing.T) {
 		// Engine 1: families + window.
 		fam := NewFamilies(a, r0, k)
 		win := NewWindow(k)
-		win.InitDirect(fam.R, fam.P)
+		ws := engine.NewWorkspace(n, nil)
+		win.InitDirect(ws, fam)
 
 		// Engine 2: base Gram at iteration 0 + coefficient pairs.
 		pows := sparse.PowerApply(a, r0, 2*k+3)
@@ -722,7 +726,7 @@ func TestWindowVsContractionEngines(t *testing.T) {
 			rrNew := win.PeekRR(lambda)
 			alpha := rrNew / rrWin
 			fam.StepP(a, alpha)
-			topN, topW1, topW2 := fam.DirectTops()
+			topN, topW1, topW2 := fam.DirectTops(ws)
 			win.Step(lambda, alpha, topN, topW1, topW2)
 			cr, cp = StepCG(cr, cp, lambda, alpha)
 		}

@@ -68,14 +68,13 @@ func (kn *vrcgKernel) Init(run *engine.Run) (float64, error) {
 	if kn.fam == nil || kn.n != n || kn.k != k || kn.pool != ws.Pool() {
 		kn.fam = NewFamiliesPool(run.A, r0, k, ws.Pool())
 		kn.win = NewWindow(k)
-		kn.win.SetPool(ws.Pool())
 		kn.n, kn.k, kn.pool = n, k, ws.Pool()
 	} else {
 		kn.fam.Rebuild(run.A, r0)
 	}
 	run.Res.Stats.MatVecs += k + 1
-	run.Res.Stats.Flops += int64(k+1) * engine.MatVecFlops(run.A)
-	kn.win.InitDirect(kn.fam.R, kn.fam.P)
+	run.Res.Stats.Flops += int64(k+1) * run.MatVecFlops
+	kn.win.InitDirect(ws, kn.fam)
 	nDots := (2*k + 1) + (2*k + 2) + (2*k + 3)
 	run.Res.Stats.InnerProducts += nDots
 	run.Res.Stats.Flops += int64(nDots) * 2 * int64(n)
@@ -105,8 +104,8 @@ func (kn *vrcgKernel) restart(run *engine.Run) {
 	run.ResidualInto(fam.R[0], res.X)
 	fam.Rebuild(run.A, fam.R[0])
 	res.Stats.MatVecs += kn.k + 1
-	res.Stats.Flops += int64(kn.k+1) * engine.MatVecFlops(run.A)
-	reanchor(run.A, res, fam, kn.win, false)
+	res.Stats.Flops += int64(kn.k+1) * run.MatVecFlops
+	reanchor(run, fam, kn.win, false)
 	res.Replacements++
 	kn.rr = kn.win.RR()
 	// Rebase the guard on the restarted residual: on systems whose
@@ -180,7 +179,7 @@ func (kn *vrcgKernel) Step(run *engine.Run) error {
 		// recovery: rebuild the families from the live r and p and
 		// re-anchor the windows. Only if the genuinely recomputed
 		// (p, A p) is still non-positive is the operator indefinite.
-		reanchor(run.A, res, fam, win, true)
+		reanchor(run, fam, win, true)
 		kn.rr = win.RR()
 		pap = win.PAP()
 		if pap <= 0 || math.IsNaN(pap) {
@@ -230,11 +229,11 @@ func (kn *vrcgKernel) Step(run *engine.Run) error {
 	res.Stats.VectorUpdates += k + 1
 	res.Stats.Flops += int64(k+1) * 2 * n
 	res.Stats.MatVecs++
-	res.Stats.Flops += engine.MatVecFlops(run.A)
+	res.Stats.Flops += run.MatVecFlops
 
 	// Window advance: all-but-top entries by scalar recurrence, tops
 	// by the three direct inner products of §5.
-	topN, topW1, topW2 := fam.DirectTops()
+	topN, topW1, topW2 := fam.DirectTops(ws)
 	res.Stats.InnerProducts += 3
 	res.Stats.Flops += 3 * 2 * n
 	win.Step(lambda, alpha, topN, topW1, topW2)
@@ -247,7 +246,7 @@ func (kn *vrcgKernel) Step(run *engine.Run) error {
 	res.Iterations++
 
 	if run.Cfg.ValidateEvery > 0 && res.Iterations%run.Cfg.ValidateEvery == 0 {
-		validateDrift(res, fam, kn.rr, win.PAP())
+		validateDrift(ws, res, fam, kn.rr, win.PAP())
 	}
 	if run.Cfg.ResidualReplaceEvery > 0 && res.Iterations%run.Cfg.ResidualReplaceEvery == 0 {
 		// Residual replacement: overwrite the recursive residual
@@ -255,11 +254,11 @@ func (kn *vrcgKernel) Step(run *engine.Run) error {
 		run.ResidualInto(fam.R[0], res.X)
 		// The direction keeps its recursive value (replacing p too
 		// would discard conjugacy); powers and windows rebuild.
-		reanchor(run.A, res, fam, win, true)
+		reanchor(run, fam, win, true)
 		res.Replacements++
 		kn.rr = win.RR()
 	} else if run.Cfg.ReanchorEvery > 0 && res.Iterations%run.Cfg.ReanchorEvery == 0 {
-		reanchor(run.A, res, fam, win, !run.Cfg.WindowOnlyReanchor)
+		reanchor(run, fam, win, !run.Cfg.WindowOnlyReanchor)
 		kn.rr = win.RR()
 	}
 

@@ -83,9 +83,9 @@ func Solve(a sparse.Matrix, b vec.Vector, o Options) (*Result, error) {
 	return res, err
 }
 
-func validateDrift(res *Result, fam *Families, rrRec, papRec float64) {
-	rrDir := vec.Dot(fam.Residual(), fam.Residual())
-	papDir := vec.Dot(fam.Direction(), fam.AP())
+func validateDrift(ws *engine.Workspace, res *Result, fam *Families, rrRec, papRec float64) {
+	rrDir := ws.Dot(fam.Residual(), fam.Residual())
+	papDir := ws.Dot(fam.Direction(), fam.AP())
 	res.ValidationDots += 2
 	res.Drift.Checks++
 	if d := relErr(rrRec, rrDir); d > res.Drift.MaxRelRR {
@@ -104,7 +104,8 @@ func relErr(got, want float64) float64 {
 	return math.Abs(got-want) / den
 }
 
-func reanchor(a sparse.Matrix, res *Result, fam *Families, win *Window, refresh bool) {
+func reanchor(run *engine.Run, fam *Families, win *Window, refresh bool) {
+	a, res := run.A, run.Res
 	n := a.Dim()
 	k := fam.K
 	if refresh {
@@ -115,16 +116,12 @@ func reanchor(a sparse.Matrix, res *Result, fam *Families, win *Window, refresh 
 			sparse.PooledMulVec(a, fam.pool, fam.P[i], fam.P[i-1])
 		}
 		res.Stats.MatVecs += 2*k + 1
-		res.Stats.Flops += int64(2*k+1) * matvecFlops(a)
+		res.Stats.Flops += int64(2*k+1) * run.MatVecFlops
 		res.Refreshes++
 	}
-	win.InitDirect(fam.R, fam.P)
+	win.InitDirect(run.Ws, fam)
 	nDots := (2*k + 1) + (2*k + 2) + (2*k + 3)
 	res.Stats.InnerProducts += nDots
 	res.Stats.Flops += int64(nDots) * 2 * int64(n)
 	res.Reanchors++
-}
-
-func matvecFlops(a sparse.Matrix) int64 {
-	return engine.MatVecFlops(a)
 }

@@ -35,22 +35,23 @@ package core
 import (
 	"fmt"
 
+	"vrcg/internal/engine"
 	"vrcg/internal/vec"
 	"vrcg/sparse"
 )
 
-// pdot, paxpy and pxpay are package-local shorthands for the shared
-// pool-or-serial dispatch helpers (vec.PoolDot and friends) — the
-// engine seam of this package: every hot-path vector operation in the
-// solver goes through one of them (or sparse.PooledMulVec).
-func pdot(p *vec.Pool, x, y vec.Vector) float64 { return vec.PoolDot(p, x, y) }
-
+// paxpy and pxpay are package-local shorthands for the shared
+// pool-or-serial dispatch helpers (vec.PoolAxpy and friends) — the
+// engine seam of the family updates; the inner products are taken on the
+// engine Workspace, batched (InitDirect, DirectTops).
 func paxpy(p *vec.Pool, alpha float64, x, y vec.Vector) { vec.PoolAxpy(p, alpha, x, y) }
 
 func pxpay(p *vec.Pool, x vec.Vector, alpha float64, y vec.Vector) { vec.PoolXpay(p, x, alpha, y) }
 
 // Window holds the three sliding inner-product families for look-ahead
-// parameter k. The slices are sized M: 2k+1, N: 2k+2, W: 2k+3 entries.
+// parameter k. The slices are sized M: 2k+1, N: 2k+2, W: 2k+3 entries,
+// consecutive stretches of one array, so InitDirect fills them as one
+// batch.
 type Window struct {
 	K int
 	M []float64 // M[i] = (r, A^i r),   i = 0..2k
@@ -60,8 +61,6 @@ type Window struct {
 	// scratch slabs swapped with M/N/W by Step, so advancing the window
 	// is allocation-free.
 	m2, n2, w2 []float64
-
-	pool *vec.Pool // used by InitDirect's inner products; nil = serial
 }
 
 // NewWindow allocates a zero window for look-ahead parameter k >= 0.
@@ -69,20 +68,13 @@ func NewWindow(k int) *Window {
 	if k < 0 {
 		panic("core: look-ahead parameter must be >= 0")
 	}
+	a, b := make([]float64, 6*k+6), make([]float64, 6*k+6)
 	return &Window{
-		K:  k,
-		M:  make([]float64, 2*k+1),
-		N:  make([]float64, 2*k+2),
-		W:  make([]float64, 2*k+3),
-		m2: make([]float64, 2*k+1),
-		n2: make([]float64, 2*k+2),
-		w2: make([]float64, 2*k+3),
+		K: k,
+		M: a[:2*k+1], N: a[2*k+1 : 4*k+3], W: a[4*k+3:],
+		m2: b[:2*k+1], n2: b[2*k+1 : 4*k+3], w2: b[4*k+3:],
 	}
 }
-
-// SetPool routes InitDirect's inner products through the given worker
-// pool (nil restores the serial kernels).
-func (w *Window) SetPool(p *vec.Pool) { w.pool = p }
 
 // RR returns (r, r), the scalar the paper's recurrence delivers for the
 // current iteration.
@@ -136,36 +128,15 @@ func (w *Window) PeekRR(lambda float64) float64 {
 	return w.M[0] - 2*lambda*w.N[1] + lambda*lambda*w.W[2]
 }
 
-// InitDirect fills the window with directly computed inner products from
-// the Krylov vector families rPow[i] = A^i r (i = 0..k) and
-// pPow[i] = A^i p (i = 0..k+1), using symmetry (A^a x, A^b y) = (x, A^{a+b} y).
-func (w *Window) InitDirect(rPow, pPow []vec.Vector) {
-	k := w.K
-	if len(rPow) != k+1 || len(pPow) != k+2 {
-		panic(fmt.Sprintf("core: InitDirect needs %d r-powers and %d p-powers, got %d and %d",
-			k+1, k+2, len(rPow), len(pPow)))
+// InitDirect fills the window with directly computed inner products of
+// the Krylov vector families f.R[i] = A^i r (i = 0..k) and f.P[i] = A^i p
+// (i = 0..k+1) — all 6k+6 as one reduction on ws, over the pairs f lists.
+func (w *Window) InitDirect(ws *engine.Workspace, f *Families) {
+	if f.K != w.K {
+		panic(fmt.Sprintf("core: InitDirect of a k=%d window from k=%d families", w.K, f.K))
 	}
-	// M_i = (r, A^i r): split i = a + b with a, b <= k.
-	for i := 0; i <= 2*k; i++ {
-		a := i / 2
-		b := i - a
-		w.M[i] = pdot(w.pool, rPow[a], rPow[b])
-	}
-	// N_i = (r, A^i p): a <= k (r side), b <= k+1.
-	for i := 0; i <= 2*k+1; i++ {
-		a := i / 2
-		if a > k {
-			a = k
-		}
-		b := i - a
-		w.N[i] = pdot(w.pool, rPow[a], pPow[b])
-	}
-	// W_i = (p, A^i p): a, b <= k+1.
-	for i := 0; i <= 2*k+2; i++ {
-		a := i / 2
-		b := i - a
-		w.W[i] = pdot(w.pool, pPow[a], pPow[b])
-	}
+	m := 6*w.K + 6
+	ws.Dots(w.M[:m], f.gx[:m], f.gy[:m]) // M, N and W are one array
 }
 
 // Families holds the Krylov vector families of §5: R[i] = A^i r for
@@ -176,7 +147,32 @@ type Families struct {
 	R []vec.Vector // k+1 vectors
 	P []vec.Vector // k+2 vectors
 
+	// gx[i], gy[i] are the factors of the window's i-th direct inner
+	// product, by symmetry (x, A^i y) = (A^a x, A^{i-a} y): M_0..M_2k,
+	// N_0..N_2k+1, W_0..W_2k+2, then the three window tops again.
+	gx, gy []vec.Vector
+	tops   [3]float64
+
 	pool *vec.Pool // kernels dispatch here; nil = serial
+}
+
+// listPairs builds gx, gy; the families keep their vectors for life.
+func (f *Families) listPairs() {
+	k := f.K
+	add := func(x, y vec.Vector) { f.gx, f.gy = append(f.gx, x), append(f.gy, y) }
+	for i := 0; i <= 2*k; i++ { // M_i = (r, A^i r): a, b <= k
+		add(f.R[i/2], f.R[i-i/2])
+	}
+	for i := 0; i <= 2*k+1; i++ { // N_i = (r, A^i p): a <= k, b <= k+1
+		a := min(i/2, k)
+		add(f.R[a], f.P[i-a])
+	}
+	for i := 0; i <= 2*k+2; i++ { // W_i = (p, A^i p): a, b <= k+1
+		add(f.P[i/2], f.P[i-i/2])
+	}
+	add(f.R[k], f.P[k+1])
+	add(f.P[k], f.P[k+1])
+	add(f.P[k+1], f.P[k+1])
 }
 
 // NewFamilies builds the families at start-up from r(0) = p(0) using
@@ -204,6 +200,7 @@ func NewFamiliesPool(a sparse.Matrix, r0 vec.Vector, k int, pool *vec.Pool) *Fam
 	for i := range f.P {
 		f.P[i] = vec.New(n)
 	}
+	f.listPairs()
 	f.Rebuild(a, r0)
 	return f
 }
@@ -250,17 +247,15 @@ func (f *Families) StepP(a sparse.Matrix, alpha float64) {
 }
 
 // DirectTops computes the three window-top inner products from the
-// current (already advanced) families:
+// current (already advanced) families, as one reduction on ws:
 //
 //	topN  = (r, A^{2k+1} p) = (A^k r,     A^{k+1} p)
 //	topW1 = (p, A^{2k+1} p) = (A^k p,     A^{k+1} p)
 //	topW2 = (p, A^{2k+2} p) = (A^{k+1} p, A^{k+1} p)
-func (f *Families) DirectTops() (topN, topW1, topW2 float64) {
-	k := f.K
-	topN = pdot(f.pool, f.R[k], f.P[k+1])
-	topW1 = pdot(f.pool, f.P[k], f.P[k+1])
-	topW2 = pdot(f.pool, f.P[k+1], f.P[k+1])
-	return topN, topW1, topW2
+func (f *Families) DirectTops(ws *engine.Workspace) (topN, topW1, topW2 float64) {
+	m := 6*f.K + 6
+	ws.Dots(f.tops[:], f.gx[m:], f.gy[m:])
+	return f.tops[0], f.tops[1], f.tops[2]
 }
 
 // Residual returns the live residual vector r (family member R[0]).

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"time"
 
 	"vrcg/internal/vec"
@@ -56,6 +57,8 @@ type Run struct {
 	Ws  *Workspace
 	// Threshold is the absolute convergence threshold Tol*||b||.
 	Threshold float64
+	// MatVecFlops is the flop cost charged for one product with A.
+	MatVecFlops int64
 
 	stopped bool
 	// phaseTime accumulates the timed Workspace calls of the step in
@@ -110,7 +113,7 @@ func (r *Run) Stopped() bool { return r.stopped }
 func (r *Run) MatVec(dst, x vec.Vector) {
 	r.Ws.MatVec(r.A, dst, x)
 	r.Res.Stats.MatVecs++
-	r.Res.Stats.Flops += MatVecFlops(r.A)
+	r.Res.Stats.Flops += r.MatVecFlops
 }
 
 // Dot returns <x, y> on the workspace and counts the inner product.
@@ -129,7 +132,7 @@ func (r *Run) Dot(x, y vec.Vector) float64 {
 func (r *Run) Direction(src vec.Vector, beta float64, p, ap vec.Vector) float64 {
 	r.Res.Stats.MatVecs++
 	r.Res.Stats.InnerProducts++
-	r.Res.Stats.Flops += MatVecFlops(r.A) + 2*int64(r.Ws.Dim())
+	r.Res.Stats.Flops += r.MatVecFlops + 2*int64(r.Ws.Dim())
 	return r.Ws.Direction(r.A, src, beta, p, ap)
 }
 
@@ -247,6 +250,7 @@ func Solve(k Kernel, ws *Workspace, a sparse.Matrix, b vec.Vector, cfg Config, r
 	// and the tuned operator is bitwise-identical, so results do not
 	// depend on it.
 	a = sparse.TuneMulVec(a)
+	ws.oneP = runtime.GOMAXPROCS(0) == 1
 	ws.sweep = nil
 	if ws.pool == nil && ws.block == nil {
 		ws.sweep, _ = a.(RowSweeper)
@@ -257,7 +261,7 @@ func Solve(k Kernel, ws *Workspace, a sparse.Matrix, b vec.Vector, cfg Config, r
 		bnorm = 1
 	}
 	run := &ws.run
-	*run = Run{A: a, AT: at, B: b, Cfg: cfg, Res: res, Ws: ws, Threshold: cfg.Tol * bnorm}
+	*run = Run{A: a, AT: at, B: b, Cfg: cfg, Res: res, Ws: ws, Threshold: cfg.Tol * bnorm, MatVecFlops: matVecFlops(a)}
 
 	rn, err := k.Init(run)
 	if err = run.settle(k, "Init", err); err != nil {

@@ -48,29 +48,30 @@ type RowBlock interface {
 
 // reduction is the job description: either the fused pair
 // out = pair = (<x,y>, <x,z>) when x is set, or the batch
-// out[i] = <xs[i], ys[i]>.
+// out[i] = <xs[i], ys[i]>, part its block partials, nb to an inner product.
 type reduction struct {
 	x, y, z vec.Vector
 	pair    [2]float64
 
 	out    []float64
 	xs, ys []vec.Vector
+	part   []float64
+	nb     int
 }
 
-// sum computes the pieces i ≡ wid (mod nw) of the job on pool (nil =
-// the serial kernels): the whole job at issue is sum(pool, 0, 1), a
-// background worker's share sum(nil, wid, nw). Every piece lands in its
-// own result and is summed whole by one party, so the split changes
-// nothing bitwise; it only shortens a batch's critical path so it fits
-// inside its overlap window.
+// sum computes share wid of nw of the job — a contiguous run of a
+// batch's inner products, as one vec.Dots — on pool (nil = the serial
+// kernels): the whole job at issue is sum(pool, 0, 1), a background
+// worker's share sum(nil, wid, nw). Every piece lands in its own result
+// and is summed whole by one party, so the split changes nothing bitwise;
+// it only shortens a batch's critical path to fit its overlap window.
 func (j *reduction) sum(pool *vec.Pool, wid, nw int) {
 	if j.x != nil {
 		j.pair[0], j.pair[1] = vec.PoolDotPair(pool, j.x, j.y, j.z)
 		return
 	}
-	for i := wid; i < len(j.out); i += nw {
-		j.out[i] = vec.PoolDot(pool, j.xs[i], j.ys[i])
-	}
+	lo, hi := wid*len(j.out)/nw, (wid+1)*len(j.out)/nw
+	vec.PoolDots(pool, j.out[lo:hi], j.xs[lo:hi], j.ys[lo:hi], j.part[lo*j.nb:hi*j.nb:hi*j.nb])
 }
 
 // bgReducer owns a workspace's reduction job and the goroutines that
@@ -141,11 +142,13 @@ func (ws *Workspace) IssueDotPair(x, y, z vec.Vector) {
 	ws.issue()
 }
 
-// IssueDots starts the batch out[i] = <xs[i], ys[i]>; Await completes
-// it. The slices are read until then.
+// IssueDots starts the batch out[i] = <xs[i], ys[i]> of arena vectors;
+// Await completes it. The slices are read until then.
 func (ws *Workspace) IssueDots(out []float64, xs, ys []vec.Vector) {
 	j := ws.newJob()
 	j.x, j.out, j.xs, j.ys = nil, out, xs, ys
+	j.nb = blocks(ws.n)
+	j.part = grown(j.part, len(out)*j.nb)
 	ws.issue()
 }
 
@@ -161,10 +164,11 @@ func (ws *Workspace) newJob() *reduction {
 
 // issue is the one place a schedule's blocking/overlapped choice is
 // acted on. A row block's partial sums are always taken here: what it
-// overlaps is the exchange.
+// overlaps is the exchange. So are the sums of a host with one P, where
+// the goroutines could only take turns with the caller.
 func (ws *Workspace) issue() {
 	ws.inFlight = true
-	if ws.run.Cfg.Blocking || ws.block != nil {
+	if ws.run.Cfg.Blocking || ws.block != nil || ws.oneP {
 		t0 := ws.begin()
 		ws.red.job.sum(ws.pool, 0, 1)
 		if ws.block != nil {

@@ -48,11 +48,12 @@ type Workspace struct {
 	// scalar reductions are combined through.
 	block RowBlock
 	sums  [2]float64
+	oneP  bool // the solve in progress runs on one P (see issue)
 	// sweep is the operator of the solve in progress when Direction can
 	// run it a range of rows at a time (a RowSweeper, on a serial
 	// workspace, not a row block), else nil; part is the slab of block
-	// partials the sweep's inner product is combined from, and lapAt the
-	// phase clock's last reading inside it.
+	// partials its inner product and Dots' are combined from (slab), and
+	// lapAt the phase clock's last reading inside the sweep.
 	sweep RowSweeper
 	part  []float64
 	lapAt time.Duration
@@ -175,14 +176,29 @@ func (ws *Workspace) Dot(x, y vec.Vector) float64 {
 	return d
 }
 
+// blocks is the number of reduction-tree leaves of an n-vector.
+func blocks(n int) int { return (n + vec.BlockLen - 1) / vec.BlockLen }
+
+// grown returns s, or a new slab if s has no room for need cells.
+func grown(s []float64, need int) []float64 {
+	if cap(s) < need {
+		s = make([]float64, need)
+	}
+	return s[:cap(s)]
+}
+
+// slab returns ws.part with room for m arena inner products' block partials.
+func (ws *Workspace) slab(m int) []float64 {
+	ws.part = grown(ws.part, m*blocks(ws.n))
+	return ws.part
+}
+
 // Dots fills out[i] = <xs[i], ys[i]> now — each inner product summed
-// whole, exactly as Dot would — as one reduction: for a row block, one
-// exchange for the batch.
+// whole, exactly as Dot would — as one reduction (vec.Dots): one pass
+// over the operands and, for a row block, one exchange.
 func (ws *Workspace) Dots(out []float64, xs, ys []vec.Vector) {
 	t0 := ws.begin()
-	for i := range out {
-		out[i] = vec.PoolDot(ws.pool, xs[i], ys[i])
-	}
+	vec.PoolDots(ws.pool, out, xs, ys, ws.slab(len(out)))
 	ws.combine(out)
 	ws.charge(PhaseReduction, t0)
 }
@@ -209,6 +225,13 @@ func (ws *Workspace) Norm2(x vec.Vector) float64 {
 func (ws *Workspace) Axpy(alpha float64, x, y vec.Vector) {
 	t0 := ws.begin()
 	vec.PoolAxpy(ws.pool, alpha, x, y)
+	ws.charge(PhaseUpdate, t0)
+}
+
+// Combine computes dst = init + sum_j coef[j]*xs[j] in one pass (vec.Combine).
+func (ws *Workspace) Combine(dst, init vec.Vector, coef []float64, xs []vec.Vector) {
+	t0 := ws.begin()
+	vec.PoolCombine(ws.pool, dst, init, coef, xs)
 	ws.charge(PhaseUpdate, t0)
 }
 
@@ -293,22 +316,19 @@ func (ws *Workspace) Direction(a sparse.Matrix, src vec.Vector, beta float64, p,
 		ws.MatVec(a, ap, p)
 		return ws.Dot(p, ap)
 	}
-	if ws.part == nil {
-		ws.part = vec.New((ws.n + vec.BlockLen - 1) / vec.BlockLen)
-	}
 	var lap func(vec.SweepPart)
 	if ws.now != nil {
 		ws.lapAt = ws.now()
 		lap = ws.lap
 	}
-	return vec.DirectionSweep(ws.sweep.MulRows, ws.sweep.Reach(), src, beta, p, ap, ws.part, lap)
+	return vec.DirectionSweep(ws.sweep.MulRows, ws.sweep.Reach(), src, beta, p, ap, ws.slab(1), lap)
 }
 
 // DotBlock fills out[i*len(ys)+j] = <xs[i], ys[j]> — the s×s block Gram
 // reduction — in one pooled dispatch.
 func (ws *Workspace) DotBlock(xs, ys []vec.Vector, out []float64) {
 	t0 := ws.begin()
-	vec.PoolDotBlock(ws.pool, xs, ys, out)
+	vec.PoolDotBlock(ws.pool, xs, ys, out, ws.slab(len(out)))
 	ws.combine(out)
 	ws.charge(PhaseReduction, t0)
 }
@@ -343,9 +363,9 @@ func (ws *Workspace) ApplyPrecond(m precond.Preconditioner, dst, r vec.Vector) {
 	m.Apply(dst, r)
 }
 
-// MatVecFlops returns the flop cost charged for one product with a:
-// 2*nnz for sparse operators, 2*n^2 for dense ones.
-func MatVecFlops(a sparse.Matrix) int64 {
+// matVecFlops returns the flop cost charged for one product with a:
+// 2*nnz for sparse operators, 2*n^2 for dense ones (Run.MatVecFlops).
+func matVecFlops(a sparse.Matrix) int64 {
 	if sp, ok := a.(sparse.Sparse); ok {
 		return 2 * int64(sp.NNZ())
 	}

@@ -39,7 +39,7 @@ var (
 func matVecT(run *engine.Run, dst, x vec.Vector) {
 	run.Ws.MatVecT(run.AT, dst, x)
 	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += engine.MatVecFlops(run.A)
+	run.Res.Stats.Flops += run.MatVecFlops
 }
 
 // requireTranspose fails with ErrUnsupportedOperator when the operator

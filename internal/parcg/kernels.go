@@ -450,7 +450,7 @@ func (kn *lookKernel) anchorNow(run *engine.Run) {
 // restart point cannot trigger a restart storm.
 func (kn *lookKernel) restart(run *engine.Run) {
 	run.ResidualInto(kn.R[0], kn.x)
-	if rn := vec.Norm2(kn.R[0]); math.IsNaN(rn) || rn > kn.bestNorm {
+	if rn := run.Ws.Norm2(kn.R[0]); math.IsNaN(rn) || rn > kn.bestNorm {
 		vec.Copy(kn.x, kn.xBest)
 		run.ResidualInto(kn.R[0], kn.x)
 	} else {
@@ -490,7 +490,7 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 	if kn.sinceAudit++; kn.sinceAudit >= auditEvery {
 		kn.sinceAudit = 0
 		run.ResidualInto(kn.audit, kn.x)
-		trueN := vec.Norm2(kn.audit)
+		trueN := ws.Norm2(kn.audit)
 		res.Stats.Flops += 3 * n
 		if trueN <= kn.bestNorm {
 			vec.Copy(kn.xBest, kn.x)

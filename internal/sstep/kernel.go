@@ -73,6 +73,10 @@ type sstepKernel struct {
 	gx, gy         []vec.Vector
 	cr, cp, cx, ct coeffVec
 	stepRRs        []float64
+	// fam is rPow followed by pPow and comb a coefficient per member: what
+	// applyCombo hands the Workspace.
+	fam  []vec.Vector
+	comb []float64
 
 	rr float64
 }
@@ -116,8 +120,10 @@ func (kn *sstepKernel) Init(run *engine.Run) (float64, error) {
 		kn.cx = newCoeffVec(s + 2)
 		kn.ct = newCoeffVec(s + 2)
 		kn.stepRRs = make([]float64, 0, s)
+		kn.comb = make([]float64, 2*s+3)
 		kn.s = s
 	}
+	kn.fam = append(append(kn.fam[:0], kn.rPow...), kn.pPow...)
 	kn.gx, kn.gy = kn.gx[:0], kn.gy[:0]
 	for i := range kn.mu {
 		kn.gx, kn.gy = append(kn.gx, kn.rPow[i/2]), append(kn.gy, kn.rPow[i-i/2])
@@ -172,16 +178,13 @@ func (kn *sstepKernel) contract(x, y coeffVec, shift int) float64 {
 }
 
 // applyCombo materializes a coefficient combination over the power
-// families into dst — the s-step economy: no per-step matvecs, just
-// combination sweeps.
+// families into dst — the s-step economy: no per-step matvecs, just one
+// combination sweep, its terms in rho then pi order.
 func (kn *sstepKernel) applyCombo(run *engine.Run, dst vec.Vector, c coeffVec) {
-	vec.Zero(dst)
-	for i, v := range c.rho {
-		run.Ws.Axpy(v, kn.rPow[i], dst)
-	}
-	for i, v := range c.pi {
-		run.Ws.Axpy(v, kn.pPow[i], dst)
-	}
+	clear(kn.comb)
+	copy(kn.comb, c.rho)
+	copy(kn.comb[len(kn.rPow):], c.pi)
+	run.Ws.Combine(dst, nil, kn.comb, kn.fam)
 	run.Res.Stats.VectorUpdates += len(c.rho) + len(c.pi)
 	run.Res.Stats.Flops += int64(len(c.rho)+len(c.pi)) * 2 * int64(run.Ws.Dim())
 }
@@ -202,7 +205,7 @@ func (kn *sstepKernel) Step(run *engine.Run) error {
 		ws.MatVec(run.A, kn.pPow[i], kn.pPow[i-1])
 	}
 	res.Stats.MatVecs += 2*s + 1
-	res.Stats.Flops += int64(2*s+1) * engine.MatVecFlops(run.A)
+	res.Stats.Flops += int64(2*s+1) * run.MatVecFlops
 
 	// One batched reduction: Gram sequences to index 2s+2.
 	ws.Dots(kn.gram, kn.gx, kn.gy)
@@ -258,12 +261,13 @@ func (kn *sstepKernel) Step(run *engine.Run) error {
 			res.Iterations, s, ErrBreakdown)
 	}
 
-	// Apply the block as linear combinations of the power families.
+	// Apply the block as linear combinations of the power families. x
+	// takes its update as a sum of its own, x + (0 + c0 p0 + ...): as
+	// the first term of one combination it would round differently.
 	kn.applyCombo(run, kn.upd, kn.cx)
-	vec.Add(kn.x, kn.x, kn.upd)
+	run.Ws.Axpy(1, kn.upd, kn.x)
 	kn.applyCombo(run, kn.r, kn.cr)
-	kn.applyCombo(run, kn.upd, kn.cp)
-	vec.Copy(kn.p, kn.upd)
+	kn.applyCombo(run, kn.p, kn.cp)
 
 	res.Blocks++
 	for _, v := range kn.stepRRs {

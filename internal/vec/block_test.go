@@ -40,7 +40,7 @@ func TestDotBlockMatchesPairwiseDot(t *testing.T) {
 		Random(ys[j], uint64(200+j))
 	}
 	out := make([]float64, len(xs)*len(ys))
-	DotBlock(xs, ys, out)
+	DotBlock(xs, ys, out, make([]float64, len(out)*nblocks(n)))
 	for i := range xs {
 		for j := range ys {
 			if want := Dot(xs[i], ys[j]); out[i*len(ys)+j] != want {
@@ -110,7 +110,8 @@ func TestPooledBlockKernelsBitwiseSerial(t *testing.T) {
 		coef := make([]float64, 9)
 		Random(coef, 55)
 		wantOut := make([]float64, 9)
-		DotBlock(xs, ys, wantOut)
+		part := make([]float64, 9*nblocks(n))
+		DotBlock(xs, ys, wantOut, part)
 		wantYs := make([]Vector, 3)
 		for j := range ys {
 			wantYs[j] = Clone(ys[j])
@@ -119,7 +120,7 @@ func TestPooledBlockKernelsBitwiseSerial(t *testing.T) {
 
 		for _, w := range []int{2, 3, 4, 7} {
 			p := NewPoolMinChunk(w, 1)
-			p.DotBlock(xs, ys, out)
+			p.DotBlock(xs, ys, out, part)
 			for k := range out {
 				if out[k] != wantOut[k] {
 					t.Fatalf("n=%d w=%d pooled DotBlock[%d] = %.17g, serial %.17g", n, w, k, out[k], wantOut[k])
@@ -216,13 +217,13 @@ func TestPoolZeroAllocBlockKernels(t *testing.T) {
 	defer p.Close()
 	p.cut[opCSRMulVecs].Store(1)
 	bounds := []int{0, n / 4, n / 2, 3 * n / 4, n}
-	p.DotBlock(xs, ys, out) // warm: workers + batch slab
+	p.DotBlock(xs, ys, out, nil) // warm: workers + batch slab
 	p.AxpyBlock(coef, xs, ys)
 	if !p.CSRMulVecs(bounds, rowPtr, colIdx, vals, ys, xs) {
 		t.Fatal("pooled CSRMulVecs refused the warmup dispatch")
 	}
 
-	if avg := testing.AllocsPerRun(100, func() { p.DotBlock(xs, ys, out) }); avg != 0 {
+	if avg := testing.AllocsPerRun(100, func() { p.DotBlock(xs, ys, out, nil) }); avg != 0 {
 		t.Errorf("pooled DotBlock allocates %v per call, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(100, func() { p.AxpyBlock(coef, xs, ys) }); avg != 0 {

@@ -83,7 +83,7 @@ func (p *Pool) calibrate() Calibration {
 		x[i], y[i], z[i], w[i] = next(), next(), next(), next()
 	}
 	var sink float64
-	dots := make([]float64, 4)
+	dots, part := make([]float64, 4), make([]float64, 4*nblocks(maxN))
 	// Tiny coefficients keep the AxpyBlock probe's accumulating
 	// destinations finite across arbitrarily many timing reps.
 	tinyCoef := [4]float64{1e-9, -1e-9, 1e-9, -1e-9}
@@ -112,11 +112,11 @@ func (p *Pool) calibrate() Calibration {
 			func(n int) { sink = FusedCGUpdate(1e-9, x[:n], y[:n], z[:n], w[:n]) },
 			func(n int) { sink = p.FusedCGUpdate(1e-9, x[:n], y[:n], z[:n], w[:n]) }},
 		{opDotBatch,
-			func(n int) { DotBatch(x[:n], []Vector{y[:n], z[:n], w[:n], y[:n]}, dots) },
-			func(n int) { p.DotBatch(x[:n], []Vector{y[:n], z[:n], w[:n], y[:n]}, dots) }},
+			func(n int) { DotBatch(x[:n], []Vector{y[:n], z[:n], w[:n], y[:n]}, dots, part) },
+			func(n int) { p.DotBatch(x[:n], []Vector{y[:n], z[:n], w[:n], y[:n]}, dots, part) }},
 		{opDotBlock,
-			func(n int) { DotBlock([]Vector{x[:n], y[:n]}, []Vector{z[:n], w[:n]}, dots) },
-			func(n int) { p.DotBlock([]Vector{x[:n], y[:n]}, []Vector{z[:n], w[:n]}, dots) }},
+			func(n int) { DotBlock([]Vector{x[:n], y[:n]}, []Vector{z[:n], w[:n]}, dots, part) },
+			func(n int) { p.DotBlock([]Vector{x[:n], y[:n]}, []Vector{z[:n], w[:n]}, dots, part) }},
 		{opAxpyBlock,
 			func(n int) { AxpyBlock(tinyCoef[:], []Vector{x[:n], y[:n]}, []Vector{z[:n], w[:n]}) },
 			func(n int) { p.AxpyBlock(tinyCoef[:], []Vector{x[:n], y[:n]}, []Vector{z[:n], w[:n]}) }},

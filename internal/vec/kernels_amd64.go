@@ -10,11 +10,15 @@ func hasAVX2() bool
 
 // The assembly bodies. Each trusts its arguments: every operand holds at
 // least as many elements as the first slice (for diaRowsAVX2, see
-// DIARows; for triRunAVX2, TriSweep.Solve and the checks NewTriSweeps
+// DIARows; for dotsAccAVX2 and combineAVX2, dotsRange and combineRange;
+// for triRunAVX2, TriSweep.Solve and the checks NewTriSweeps
 // makes once), which the Go callers establish before the call.
 
 //go:noescape
 func dotLeafAVX2(x, y []float64) float64
+
+//go:noescape
+func dotsAccAVX2(acc *[4 * dotsPass]float64, ops *[2 * dotsPass]*float64, groups, off, n int)
 
 //go:noescape
 func dotPairLeafAVX2(x, y, z []float64) (xy, xz float64)
@@ -24,6 +28,9 @@ func fusedCGLeafAVX2(alpha float64, p, ap, x, r []float64) float64
 
 //go:noescape
 func axpyAVX2(alpha float64, x, y []float64)
+
+//go:noescape
+func combineAVX2(dst, init []float64, coef *float64, cstride int, xs [][]float64, lo int)
 
 //go:noescape
 func xpayAVX2(x []float64, alpha float64, y []float64)

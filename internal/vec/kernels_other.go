@@ -8,10 +8,16 @@ const useAVX2 = false
 
 const noAssembly = "vec: no assembly bodies on this platform"
 
-func dotLeafAVX2(x, y []float64) float64                                           { panic(noAssembly) }
-func dotPairLeafAVX2(x, y, z []float64) (xy, xz float64)                           { panic(noAssembly) }
-func fusedCGLeafAVX2(alpha float64, p, ap, x, r []float64) float64                 { panic(noAssembly) }
-func axpyAVX2(alpha float64, x, y []float64)                                       { panic(noAssembly) }
+func dotLeafAVX2(x, y []float64) float64 { panic(noAssembly) }
+func dotsAccAVX2(acc *[4 * dotsPass]float64, ops *[2 * dotsPass]*float64, groups, off, n int) {
+	panic(noAssembly)
+}
+func dotPairLeafAVX2(x, y, z []float64) (xy, xz float64)           { panic(noAssembly) }
+func fusedCGLeafAVX2(alpha float64, p, ap, x, r []float64) float64 { panic(noAssembly) }
+func axpyAVX2(alpha float64, x, y []float64)                       { panic(noAssembly) }
+func combineAVX2(dst, init []float64, coef *float64, cstride int, xs [][]float64, lo int) {
+	panic(noAssembly)
+}
 func xpayAVX2(x []float64, alpha float64, y []float64)                             { panic(noAssembly) }
 func scaleAVX2(alpha float64, x []float64)                                         { panic(noAssembly) }
 func diaRowsAVX2(out, slab []float64, base []int, x []float64, lo int, offs []int) { panic(noAssembly) }

@@ -68,6 +68,7 @@ type Pool struct {
 	blockPart2 []float64 // second partial set (DotPair)
 	batchPart  []float64 // DotBatch partials, one padded stride per y
 	batchCap   int       // per-y stride of batchPart
+	lefts      []Vector  // the left operands of the batch in flight
 }
 
 // lineBlocks is the number of BlockLen blocks whose partials share one
@@ -169,9 +170,10 @@ type job struct {
 	w     []float64
 	ys    []Vector
 	// ds is the second vector set of the block multi-RHS kernels
-	// (destinations for opAxpyBlock/opCSRMulVecs, the right-hand operand
-	// family for opDotBlock).
-	ds []Vector
+	// (destinations for opAxpyBlock/opCSRMulVecs, the right-hand operands
+	// of the batched inner products, paired with ys as cross says).
+	ds    []Vector
+	cross bool
 	// CSR SpMV operands (row-partitioned; see CSRMulVec).
 	rowPtr []int
 	colIdx []int
@@ -443,6 +445,7 @@ func (p *Pool) run(nc int) {
 // the dispatch lock.
 func (p *Pool) end() {
 	p.job = job{}
+	clear(p.lefts)
 	p.bounds = nil
 	p.nchunks = 0
 	p.mu.Unlock()
@@ -503,18 +506,8 @@ func (p *Pool) exec(c int) {
 			}
 			p.blockPart[b0/BlockLen] = fusedCGLeaf(a, pv[b0:b1], ap[b0:b1], x[b0:b1], r[b0:b1])
 		}
-	case opDotBatch:
-		x, ys := j.x, j.ys
-		for jj, y := range ys {
-			row := p.batchPart[jj*p.batchCap:]
-			for b0 := lo; b0 < hi; b0 += BlockLen {
-				b1 := b0 + BlockLen
-				if b1 > hi {
-					b1 = hi
-				}
-				row[b0/BlockLen] = dotLeaf(x[b0:b1], y[b0:b1])
-			}
-		}
+	case opDotBatch, opDotBlock:
+		dotsRange(p.batchPart, p.batchCap, j.ys, j.ds, j.cross, lo, hi)
 	case opCSRMulVec:
 		rowPtr, colIdx, vals := j.rowPtr, j.colIdx, j.vals
 		x, dst := j.x, j.z
@@ -527,23 +520,12 @@ func (p *Pool) exec(c int) {
 		}
 	case opRowRange:
 		j.fn(lo, hi, j.z, j.x)
-	case opDotBlock:
-		xs, ys := j.ys, j.ds
-		ny := len(ys)
-		for ii, x := range xs {
-			for jj, y := range ys {
-				row := p.batchPart[(ii*ny+jj)*p.batchCap:]
-				for b0 := lo; b0 < hi; b0 += BlockLen {
-					b1 := b0 + BlockLen
-					if b1 > hi {
-						b1 = hi
-					}
-					row[b0/BlockLen] = dotLeaf(x[b0:b1], y[b0:b1])
-				}
-			}
-		}
 	case opAxpyBlock:
-		axpyBlockRange(j.x, j.ys, j.ds, lo, hi)
+		if j.z == nil {
+			axpyBlockRange(j.x, j.ys, j.ds, lo, hi)
+		} else {
+			combineRange(j.z, j.w, j.x, 1, j.ys, lo, hi)
+		}
 	case opCSRMulVecs:
 		CSRMulVecsRows(j.rowPtr, j.colIdx, j.vals, j.ds, j.ys, lo, hi)
 	}
@@ -641,58 +623,34 @@ func (p *Pool) FusedCGUpdate(alpha float64, pv, ap, x, r Vector) float64 {
 	return s
 }
 
-// DotBatch computes dots[j] = <x, ys[j]>, parallelizing across chunks
-// of x; every dots[j] is bitwise identical to the serial DotBatch.
-func (p *Pool) DotBatch(x Vector, ys []Vector, dots []float64) {
-	if len(ys) != len(dots) {
-		panic("vec: DotBatch output length mismatch")
-	}
-	for _, y := range ys {
-		mustSameLen2(len(x), len(y))
-	}
-	nc := 0
-	if len(ys) > 0 {
-		nc = p.beginEqual(opDotBatch, len(x))
-	}
-	if nc == 0 {
-		DotBatch(x, ys, dots)
-		return
-	}
-	p.growBatchSlab(len(x), len(ys))
-	p.job = job{op: opDotBatch, x: x, ys: ys}
-	p.run(nc)
-	nb := nblocks(len(x))
-	for j := range dots {
-		dots[j] = combineTree(p.batchPart[j*p.batchCap : j*p.batchCap+nb])
-	}
-	p.end()
+// Dots, DotBatch and DotBlock are the pooled batches: one dispatch for
+// every pair, parallel across chunks of the elements, bitwise identical to
+// the serial form — which runs, on the caller's part, when none is made.
+func (p *Pool) Dots(out []float64, xs, ys []Vector, part []float64) {
+	p.dots(opDotBlock, out, xs, ys, false, part)
 }
 
-// DotBlock fills out[i*len(ys)+j] = <xs[i], ys[j]>, parallelizing
-// across element chunks with one dispatch for all len(xs)*len(ys)
-// pairs; every output is bitwise identical to the serial DotBlock.
-func (p *Pool) DotBlock(xs, ys []Vector, out []float64) {
-	if len(out) != len(xs)*len(ys) {
-		panic("vec: DotBlock output length mismatch")
-	}
+func (p *Pool) DotBatch(x Vector, ys []Vector, out, part []float64) {
+	p.dots(opDotBatch, out, []Vector{x}, ys, true, part)
+}
+
+func (p *Pool) DotBlock(xs, ys []Vector, out, part []float64) {
+	p.dots(opDotBlock, out, xs, ys, true, part)
+}
+
+func (p *Pool) dots(op opcode, out []float64, xs, ys []Vector, cross bool, part []float64) {
 	nc := 0
-	if len(xs) > 0 && len(ys) > 0 {
-		n := len(xs[0])
-		for _, x := range xs {
-			mustSameLen2(n, len(x))
-		}
-		for _, y := range ys {
-			mustSameLen2(n, len(y))
-		}
-		nc = p.beginEqual(opDotBlock, n)
+	n := dotsLen(out, xs, ys, cross)
+	if n > 0 {
+		nc = p.beginEqual(op, n)
 	}
 	if nc == 0 {
-		DotBlock(xs, ys, out)
+		dots(out, xs, ys, cross, part)
 		return
 	}
-	n := len(xs[0])
-	p.growBatchSlab(n, len(xs)*len(ys))
-	p.job = job{op: opDotBlock, ys: xs, ds: ys}
+	p.growBatchSlab(n, len(out))
+	p.lefts = append(p.lefts[:0], xs...) // copied: DotBatch's list of one stays on its stack
+	p.job = job{op: op, ys: p.lefts, ds: ys, cross: cross}
 	p.run(nc)
 	nb := nblocks(n)
 	for k := range out {
@@ -728,14 +686,46 @@ func (p *Pool) AxpyBlock(coef []float64, xs, ys []Vector) {
 	p.end()
 }
 
-// PoolDotBlock runs DotBlock on the pool when p is non-nil and serially
-// otherwise.
-func PoolDotBlock(p *Pool, xs, ys []Vector, out []float64) {
-	if p != nil {
-		p.DotBlock(xs, ys, out)
+// Combine is the pooled vec.Combine, dispatched as the one-output
+// AxpyBlock it is; elementwise, so bitwise identical.
+func (p *Pool) Combine(dst, init Vector, coef []float64, xs []Vector) {
+	checkCombine(dst, init, coef, xs)
+	nc := p.beginEqual(opAxpyBlock, len(dst))
+	if nc == 0 {
+		combineRange(dst, init, coef, 1, xs, 0, len(dst))
 		return
 	}
-	DotBlock(xs, ys, out)
+	p.job = job{op: opAxpyBlock, x: coef, ys: xs, z: dst, w: init}
+	p.run(nc)
+	p.end()
+}
+
+// PoolDots runs Dots on the pool when p is non-nil, else serially.
+func PoolDots(p *Pool, out []float64, xs, ys []Vector, part []float64) {
+	if p != nil {
+		p.Dots(out, xs, ys, part)
+		return
+	}
+	Dots(out, xs, ys, part)
+}
+
+// PoolDotBlock runs DotBlock on the pool when p is non-nil and serially
+// otherwise.
+func PoolDotBlock(p *Pool, xs, ys []Vector, out, part []float64) {
+	if p != nil {
+		p.DotBlock(xs, ys, out, part)
+		return
+	}
+	DotBlock(xs, ys, out, part)
+}
+
+// PoolCombine runs Combine on the pool when p is non-nil, else serially.
+func PoolCombine(p *Pool, dst, init Vector, coef []float64, xs []Vector) {
+	if p != nil {
+		p.Combine(dst, init, coef, xs)
+		return
+	}
+	Combine(dst, init, coef, xs)
 }
 
 // PoolAxpyBlock runs AxpyBlock on the pool when p is non-nil and

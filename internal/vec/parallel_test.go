@@ -113,9 +113,9 @@ func TestPoolDotBatchMatchesSerial(t *testing.T) {
 		Random(ys[j], uint64(100+j))
 	}
 	want := make([]float64, len(ys))
-	DotBatch(x, ys, want)
+	DotBatch(x, ys, want, make([]float64, len(ys)*nblocks(len(x))))
 	got := make([]float64, len(ys))
-	forcedPool(4).DotBatch(x, ys, got)
+	forcedPool(4).DotBatch(x, ys, got, nil)
 	for j := range want {
 		if !almostEqual(want[j], got[j], 1e-12) {
 			t.Fatalf("batch dot %d: %v vs %v", j, got[j], want[j])
@@ -135,7 +135,7 @@ func TestPoolSmallFallsBackToSerial(t *testing.T) {
 func TestPoolDotBatchEmpty(t *testing.T) {
 	p := forcedPool(2)
 	x := New(16)
-	p.DotBatch(x, nil, nil) // must not panic
+	p.DotBatch(x, nil, nil, nil) // must not panic
 }
 
 func TestPropPoolDotMatchesSerial(t *testing.T) {

@@ -23,7 +23,8 @@ func TestPooledReductionsBitwiseSerial(t *testing.T) {
 		wantDot := Dot(x, y)
 		wantXY, wantXZ := DotPair(x, y, z)
 		wantBatch := make([]float64, 3)
-		DotBatch(x, []Vector{y, z, w}, wantBatch)
+		part := make([]float64, 3*nblocks(n))
+		DotBatch(x, []Vector{y, z, w}, wantBatch, part)
 
 		for _, workers := range []int{2, 3, 4, 7} {
 			p := NewPoolMinChunk(workers, 1)
@@ -50,7 +51,7 @@ func TestPooledReductionsBitwiseSerial(t *testing.T) {
 			}
 
 			gotBatch := make([]float64, 3)
-			p.DotBatch(x, []Vector{y, z, w}, gotBatch)
+			p.DotBatch(x, []Vector{y, z, w}, gotBatch, part)
 			for j := range wantBatch {
 				if gotBatch[j] != wantBatch[j] {
 					t.Fatalf("n=%d w=%d: pooled DotBatch[%d] = %.17g, serial %.17g",
@@ -122,7 +123,7 @@ func TestPoolZeroAllocNewKernels(t *testing.T) {
 	dots := make([]float64, 3)
 	p := NewPoolMinChunk(4, 64)
 	defer p.Close()
-	p.DotBatch(x, ys, dots) // warm: workers + batch slab
+	p.DotBatch(x, ys, dots, nil) // warm: workers + batch slab
 	p.MulElem(z, x, y)
 
 	if avg := testing.AllocsPerRun(100, func() { p.Xpay(x, 0.5, y) }); avg != 0 {
@@ -131,7 +132,7 @@ func TestPoolZeroAllocNewKernels(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { p.MulElem(z, x, y) }); avg != 0 {
 		t.Errorf("pooled MulElem allocates %v per call, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(100, func() { p.DotBatch(x, ys, dots) }); avg != 0 {
+	if avg := testing.AllocsPerRun(100, func() { p.DotBatch(x, ys, dots, nil) }); avg != 0 {
 		t.Errorf("pooled DotBatch allocates %v per call, want 0", avg)
 	}
 }

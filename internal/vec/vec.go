@@ -10,7 +10,7 @@
 //
 // # Canonical blocked reductions
 //
-// Every reducing kernel (Dot, DotPair, FusedCGUpdate, DotBatch) is
+// Every reducing kernel (Dot, DotPair, FusedCGUpdate, Dots) is
 // defined — not just implemented — as a fixed reduction tree over
 // blocks of BlockLen elements: each block is accumulated by a 4-way
 // unrolled leaf (four independent accumulator chains, so the CPU
@@ -31,11 +31,23 @@
 // CG iteration's inner products cross memory once, and return the bits
 // of the three whole-vector calls.
 //
+// # Batches and combinations
+//
+// The two vector shapes the paper's schedules add to CG have a leaf each.
+// Dots(out, xs, ys, part): out[i] is exactly Dot(xs[i], ys[i]) — the same
+// four chains per block, the same combine, over partials in the caller's
+// slab — taken a stretch of every pair at a time, four pairs' chains in
+// flight. Combine(dst, init, coef, xs): dst[i] = ((init[i] + c0*x0[i]) +
+// c1*x1[i]) + ..., from +0 without init, zero coefficients skipped — Axpy
+// after Axpy with one load per term and one store. DotBatch, DotBlock,
+// Lincomb and AxpyBlock are these two, the same bits serial and pooled.
+//
 // # Leaf bodies
 //
 // The loops at the bottom — dotLeaf, dotPairLeaf, fusedCGLeaf, Axpy,
-// Xpay, Scale here, the row kernel of sparse.DIA (DIARows) and the run
-// kernel of TriSweep — have two bodies each. The Go body (dotLeafGo, axpyGo, ...) is the
+// Xpay, Scale, dotsRange and combineRange here, the row kernel of
+// sparse.DIA (DIARows) and the run kernel of TriSweep — have two bodies
+// each. The Go body (dotLeafGo, axpyGo, ...) is the
 // definition, the reference the tests compare against, and the only
 // path off amd64; gc never vectorizes it. On amd64 with AVX2 the
 // assembly body in kernels_amd64.s runs instead, chosen once at init
@@ -437,15 +449,59 @@ func Lincomb2(dst Vector, a float64, x Vector, b float64, y Vector) {
 	}
 }
 
-// Lincomb accumulates dst = sum_j coeffs[j] * xs[j]. All vectors must share
-// dst's length. An empty coefficient list zeroes dst.
+// Lincomb computes dst = sum_j coeffs[j] * xs[j]: Combine from +0.
 func Lincomb(dst Vector, coeffs []float64, xs []Vector) {
-	if len(coeffs) != len(xs) {
-		panic(fmt.Sprintf("vec: %d coefficients for %d vectors", len(coeffs), len(xs)))
+	Combine(dst, nil, coeffs, xs)
+}
+
+// Combine computes dst[i] = ((init[i] + coef[0]*xs[0][i]) + coef[1]*xs[1][i])
+// + ..., from +0 when init is nil, a zero coefficient skipped as Axpy
+// skips it: the bits of Copy (or Zero) and one Axpy per term, with each
+// operand loaded and dst stored once. dst may be init or any xs[j]
+// itself, never a shifted overlap of one.
+func Combine(dst, init Vector, coef []float64, xs []Vector) {
+	checkCombine(dst, init, coef, xs)
+	combineRange(dst, init, coef, 1, xs, 0, len(dst))
+}
+
+func checkCombine(dst, init Vector, coef []float64, xs []Vector) {
+	if len(coef) != len(xs) {
+		panic(fmt.Sprintf("vec: %d coefficients for %d vectors", len(coef), len(xs)))
 	}
-	Zero(dst)
-	for j, x := range xs {
-		Axpy(coeffs[j], x, dst)
+	if init != nil {
+		mustSameLen2(len(dst), len(init))
+	}
+	for _, x := range xs {
+		mustSameLen2(len(dst), len(x))
+	}
+}
+
+// combineRange is Combine over elements [lo, hi), term j's coefficient at
+// coef[j*stride]. combineGo is the definition; the assembly body takes
+// four blocks a call (see asmChunk; its work grows with the terms).
+func combineRange(dst, init Vector, coef []float64, stride int, xs []Vector, lo, hi int) {
+	if !useAVX2 || len(xs) == 0 {
+		combineGo(dst, init, coef, stride, xs, lo, hi)
+		return
+	}
+	_ = coef[(len(xs)-1)*stride]
+	for ; lo < hi; lo += 4 * BlockLen {
+		combineAVX2(dst[lo:min(hi, lo+4*BlockLen)], init, &coef[0], stride, xs, lo)
+	}
+}
+
+func combineGo(dst, init Vector, coef []float64, stride int, xs []Vector, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		var s float64
+		if init != nil {
+			s = init[i]
+		}
+		for j, x := range xs {
+			if c := coef[j*stride]; c != 0 {
+				s += c * x[i]
+			}
+		}
+		dst[i] = s
 	}
 }
 
@@ -574,30 +630,121 @@ func dotPairTree(x, y, z []float64) (xy, xz float64) {
 	return ly + ry, lz + rz
 }
 
-// DotBatch computes dots[j] = <x, ys[j]> for all j in a single sweep over x.
-func DotBatch(x Vector, ys []Vector, dots []float64) {
-	if len(ys) != len(dots) {
-		panic(fmt.Sprintf("vec: %d outputs for %d vectors", len(dots), len(ys)))
-	}
-	for j, y := range ys {
-		mustSameLen2(len(x), len(y))
-		dots[j] = Dot(x, y)
-	}
+// Dots fills out[i] = <xs[i], ys[i]>, each exactly Dot's sum, in one pass
+// over the operands: the leaf partials of every pair go to part — the
+// caller's slab of at least len(out)*ceil(n/BlockLen) cells — and each
+// pair's are combined as Dot combines them (see dotsRange).
+func Dots(out []float64, xs, ys []Vector, part []float64) {
+	dots(out, xs, ys, false, part)
+}
+
+// DotBatch computes out[j] = <x, ys[j]> for all j in a single sweep over x.
+func DotBatch(x Vector, ys []Vector, out []float64, part []float64) {
+	dots(out, []Vector{x}, ys, true, part)
 }
 
 // DotBlock fills out[i*len(ys)+j] = <xs[i], ys[j]> for every pair — the
-// s×s Gram reduction of the block multi-RHS methods, batched so the
-// whole block costs one synchronization on the pooled path. Each pair is
-// defined by the canonical reduction tree, so the pooled form is bitwise
-// identical to this serial one.
-func DotBlock(xs, ys []Vector, out []float64) {
-	if len(out) != len(xs)*len(ys) {
-		panic(fmt.Sprintf("vec: DotBlock output length %d for %dx%d pairs", len(out), len(xs), len(ys)))
+// s×s Gram reduction of the block multi-RHS methods — as one Dots.
+func DotBlock(xs, ys []Vector, out []float64, part []float64) {
+	dots(out, xs, ys, true, part)
+}
+
+// dotsLen checks a batch of inner products — pair i is (xs[i], ys[i]), or
+// with cross set (xs[i/len(ys)], ys[i%len(ys)]) — and returns its length.
+func dotsLen(out []float64, xs, ys []Vector, cross bool) int {
+	if m := len(xs); (cross && len(out) != m*len(ys)) || (!cross && (len(out) != m || len(ys) != m)) {
+		panic(fmt.Sprintf("vec: %d outputs for %dx%d vectors", len(out), len(xs), len(ys)))
 	}
-	for i, x := range xs {
-		for j, y := range ys {
-			mustSameLen2(len(x), len(y))
-			out[i*len(ys)+j] = Dot(x, y)
+	if len(out) == 0 {
+		return 0
+	}
+	n := len(xs[0])
+	for _, x := range xs {
+		mustSameLen2(n, len(x))
+	}
+	for _, y := range ys {
+		mustSameLen2(n, len(y))
+	}
+	return n
+}
+
+func dots(out []float64, xs, ys []Vector, cross bool, part []float64) {
+	n := dotsLen(out, xs, ys, cross)
+	if n == 0 {
+		clear(out) // Dot of nothing
+		return
+	}
+	nb := nblocks(n)
+	part = part[:len(out)*nb]
+	dotsRange(part, nb, xs, ys, cross, 0, n)
+	for i := range out {
+		out[i] = combineTree(part[i*nb : (i+1)*nb])
+	}
+}
+
+// pairAt returns pair i of a batch (see dotsLen).
+func pairAt(xs, ys []Vector, cross bool, i int) (x, y Vector) {
+	if cross {
+		return xs[i/len(ys)], ys[i%len(ys)]
+	}
+	return xs[i], ys[i]
+}
+
+// The assembly body of a batch takes its pairs dotsPass at a time (the lane
+// sums one frame holds) and each block dotsSub elements at a time: a
+// stretch of every pair before the next, so a stretch of every operand (ten
+// vectors: 20 KB) stays in L1 and is read there however many pairs it is in.
+const (
+	dotsPass = 32
+	dotsSub  = 256
+)
+
+// dotsRange writes the leaf partial of pair i over each block b of
+// [lo, hi) to part[i*stride+b]: the serial/pooled body of the batches.
+// The Go body is dotLeafGo, pair by pair. The assembly body (dotsAccAVX2)
+// runs the same chains in fours and leaves (s0+s1)+(s2+s3) to be taken
+// here; one or two pairs over, or three alone, go to dotLeaf, which is
+// measured no slower than a four with repeats in it.
+func dotsRange(part []float64, stride int, xs, ys []Vector, cross bool, lo, hi int) {
+	m := len(xs)
+	if cross {
+		m *= len(ys)
+	}
+	fours := m &^ 3
+	if !useAVX2 {
+		fours = 0
+	} else if m%4 == 3 && m > 3 {
+		fours = m
+	}
+	for i := fours; i < m; i++ {
+		x, y := pairAt(xs, ys, cross, i)
+		for b0 := lo; b0 < hi; b0 += BlockLen {
+			b1 := min(hi, b0+BlockLen)
+			part[i*stride+b0/BlockLen] = dotLeaf(x[b0:b1], y[b0:b1])
+		}
+	}
+	if fours == 0 {
+		return // before the frames below are zeroed
+	}
+	var ops [2 * dotsPass]*float64
+	var acc [4 * dotsPass]float64
+	for i0 := 0; i0 < fours; i0 += dotsPass {
+		g := min(fours-i0, dotsPass)
+		groups := (g + 3) / 4
+		for j := 0; j < 4*groups; j++ { // a short last group repeats the last pair into spare sums
+			x, y := pairAt(xs, ys, cross, i0+min(j, g-1))
+			ops[2*j], ops[2*j+1] = &x[0], &y[0]
+		}
+		for b0 := lo; b0 < hi; b0 += BlockLen {
+			b1 := min(hi, b0+BlockLen)
+			clear(acc[:16*groups])
+			for s0 := b0; s0 < b1; s0 += dotsSub {
+				dotsAccAVX2(&acc, &ops, groups, s0, min(b1, s0+dotsSub)-s0)
+			}
+			for j := 0; j < g; j++ {
+				a := acc[4*j : 4*j+4]
+				part[(i0+j)*stride+b0/BlockLen] = (a[0] + a[1]) + (a[2] + a[3])
+			}
 		}
 	}
 }
@@ -625,35 +772,12 @@ func AxpyBlock(coef []float64, xs, ys []Vector) {
 }
 
 // axpyBlockRange is the shared serial/pooled body of AxpyBlock over
-// element range [lo, hi).
+// element range [lo, hi): one Combine per output and block.
 func axpyBlockRange(coef []float64, xs, ys []Vector, lo, hi int) {
-	s := len(ys)
 	for b0 := lo; b0 < hi; b0 += BlockLen {
-		b1 := b0 + BlockLen
-		if b1 > hi {
-			b1 = hi
-		}
+		b1 := min(hi, b0+BlockLen)
 		for j, y := range ys {
-			yb := y[b0:b1]
-			for i, x := range xs {
-				Axpy(coef[i*s+j], x[b0:b1], yb)
-			}
-		}
-	}
-}
-
-// GramBlock fills g[i][j] = <xs[i], ys[j]>. It is the kernel behind the
-// base Gram sequences mu, nu, omega of the look-ahead algorithm.
-func GramBlock(xs, ys []Vector, g [][]float64) {
-	if len(g) != len(xs) {
-		panic(fmt.Sprintf("vec: gram rows %d for %d vectors", len(g), len(xs)))
-	}
-	for i, x := range xs {
-		if len(g[i]) != len(ys) {
-			panic(fmt.Sprintf("vec: gram cols %d for %d vectors", len(g[i]), len(ys)))
-		}
-		for j, y := range ys {
-			g[i][j] = Dot(x, y)
+			combineRange(y, y, coef[j:], len(ys), xs, b0, b1)
 		}
 	}
 }

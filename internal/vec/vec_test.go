@@ -269,23 +269,9 @@ func TestDotPairAndBatch(t *testing.T) {
 		t.Fatalf("DotPair got %v %v", xy, xz)
 	}
 	dots := make([]float64, 2)
-	DotBatch(x, []Vector{y, z}, dots)
+	DotBatch(x, []Vector{y, z}, dots, make([]float64, 2))
 	if dots[0] != 11 || dots[1] != 17 {
 		t.Fatalf("DotBatch got %v", dots)
-	}
-}
-
-func TestGramBlock(t *testing.T) {
-	xs := []Vector{NewFrom([]float64{1, 0}), NewFrom([]float64{0, 2})}
-	g := [][]float64{make([]float64, 2), make([]float64, 2)}
-	GramBlock(xs, xs, g)
-	want := [][]float64{{1, 0}, {0, 4}}
-	for i := range want {
-		for j := range want[i] {
-			if g[i][j] != want[i][j] {
-				t.Fatalf("GramBlock[%d][%d] = %v, want %v", i, j, g[i][j], want[i][j])
-			}
-		}
 	}
 }
 

@@ -146,12 +146,75 @@ func TestReducerLifecycle(t *testing.T) {
 				}
 			}
 		}
-		if !started {
-			t.Error("the overlapped schedules started no reduction goroutine")
+		// With one P the workspace evaluates at issue: nothing to start.
+		if want := runtime.GOMAXPROCS(0) > 1; started != want {
+			t.Errorf("overlapped schedules started a reduction goroutine: %v, on %d P(s)", started, runtime.GOMAXPROCS(0))
 		}
 	}()
 
 	if n, ok := settledGoroutines(base); !ok {
 		t.Errorf("%d goroutine(s) outlive their dropped workspaces", n-base)
+	}
+}
+
+// TestOnePEvaluatesAtIssue: on a host with one P a background reducer
+// could only take turns with the solve, so parcg and parcg-pipe evaluate
+// their reductions where they issue them — no goroutine is started — and
+// return what they return with two: same bits, same counts, same Syncs.
+func TestOnePEvaluatesAtIssue(t *testing.T) {
+	a := sparse.Poisson2D(24)
+	b := rhsSet(a.Dim(), 1)[0]
+	methods := []string{"parcg", "parcg-pipe"}
+	run := func(procs int) []*solve.Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		base, _ := settledGoroutines(0)
+		var out []*solve.Result
+		for _, method := range methods {
+			sess, err := solve.NewSession(method, a, solve.WithTol(1e-8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sess.Solve(b)
+			if err != nil {
+				t.Fatalf("%s on %d P(s): %v", method, procs, err)
+			}
+			if started := runtime.NumGoroutine() > base; started != (procs > 1) {
+				t.Errorf("%s on %d P(s): reduction goroutine started: %v", method, procs, started)
+			}
+			cp := *res
+			cp.X = append([]float64(nil), res.X...)
+			out = append(out, &cp)
+		}
+		return out
+	}
+	one, two := run(1), run(2)
+	for i, method := range methods {
+		sameSolve(t, method+" on one P", one[i], two[i])
+		if one[i].Stats != two[i].Stats || one[i].Syncs != two[i].Syncs {
+			t.Errorf("%s: one P %+v syncs %d, two %+v syncs %d", method, one[i].Stats, one[i].Syncs, two[i].Stats, two[i].Syncs)
+		}
+	}
+}
+
+// TestScheduleSessionsZeroAlloc: a warm session of each schedule that
+// takes its inner products in batches and its vectors as combinations
+// allocates nothing — the partials slabs are the workspace's, the pair
+// and term lists the kernel's.
+func TestScheduleSessionsZeroAlloc(t *testing.T) {
+	a := sparse.Poisson2D(40)
+	b := rhsSet(a.Dim(), 1)[0]
+	for _, method := range []string{"sstep", "parcg", "vrcg", "blockcg"} {
+		sess, err := solve.NewSession(method, a, solve.WithTol(1e-6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ { // the second solve is the first on a warm kernel
+			if res, err := sess.Solve(b); err != nil || !res.Converged {
+				t.Fatalf("%s: %+v, %v", method, res, err)
+			}
+		}
+		if avg := testing.AllocsPerRun(5, func() { sess.Solve(b) }); avg != 0 {
+			t.Errorf("%s: %v allocs per warm solve", method, avg)
+		}
 	}
 }
