@@ -1,9 +1,10 @@
 # Build / test / benchmark entry points for the vrcg repository.
 #
 # `make bench` runs the execution-engine microbenchmarks (SpMV, dot,
-# a 27-pair Gram batch and a 9-term combination against the calls they
-# replace, fused CG update, PCG solve, IC0 factor and apply, one cg iteration
-# swept and whole-vector with its computed MB/iter), the public-surface
+# a 27-pair Gram batch, a 9-term combination and the pipelined update
+# leaf against the calls they replace, fused CG update, PCG solve, IC0
+# factor and apply, one cg iteration swept and whole-vector with its
+# computed MB/iter), the public-surface
 # serving benchmarks (registry dispatch overhead, Session reuse vs fresh
 # solver, Batch throughput at 1/8/64 right-hand sides), and the HTTP
 # serving-layer benchmarks (warm-pool /v1/solve, /v1/solve/batch
@@ -20,7 +21,7 @@
 
 GO         ?= go
 BINDIR     ?= bin
-BENCHPAT   ?= BenchmarkSpMV|BenchmarkPCGSolve|BenchmarkDotSerial|BenchmarkDotParallel|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine|BenchmarkFusedCGUpdate|BenchmarkMatVecCSR|BenchmarkIC0FactorAndApply|BenchmarkCGIteration
+BENCHPAT   ?= BenchmarkSpMV|BenchmarkPCGSolve|BenchmarkDotSerial|BenchmarkDotParallel|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine|BenchmarkPipeUpdate|BenchmarkFusedCGUpdate|BenchmarkMatVecCSR|BenchmarkIC0FactorAndApply|BenchmarkCGIteration
 BENCHOUT   ?= BENCH_engine.json
 SOLVEPAT   ?= BenchmarkSolveDispatch|BenchmarkSessionReuse|BenchmarkSessionPerMethod|BenchmarkFreshSolvePerCall|BenchmarkBatch|BenchmarkParcgFamily
 SOLVEOUT   ?= BENCH_solve.json
@@ -71,12 +72,12 @@ check:
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...
 
 # The substrate kernels the solvers call per iteration allocate nothing:
-# products, inner products one at a time and batched, combinations. The
-# CI bench-smoke job runs this target.
+# products, inner products one at a time and batched, combinations, the
+# pipelined update leaf. The CI bench-smoke job runs this target.
 kernel-allocs:
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkSpMV|BenchmarkDotSerial|BenchmarkDotParallel|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine' -benchtime=1x -benchmem .) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkSpMV|BenchmarkDotSerial|BenchmarkDotParallel|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine|BenchmarkPipeUpdate' -benchtime=1x -benchmem .) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
-	bad=$$(echo "$$out" | awk '$$1 ~ /^Benchmark(SpMV|Dot|GramBatch|Combine)/ { for (i = 2; i <= NF; i++) if ($$(i) == "allocs/op" && $$(i-1)+0 != 0) print $$1 }'); \
+	bad=$$(echo "$$out" | awk '$$1 ~ /^Benchmark(SpMV|Dot|GramBatch|Combine|PipeUpdate)/ { for (i = 2; i <= NF; i++) if ($$(i) == "allocs/op" && $$(i-1)+0 != 0) print $$1 }'); \
 	if [ -n "$$bad" ]; then echo "kernels allocated:"; echo "$$bad"; exit 1; fi
 
 # Allocation budgets of the three warm request paths through the one

@@ -704,6 +704,46 @@ func BenchmarkCombine(b *testing.B) {
 	})
 }
 
+// BenchmarkPipeUpdate is the stretch of a pipecg iteration between its
+// product and its reduction — six recurrences, then (r,r) and (w,r) — as
+// the six whole-vector calls and DotPair it was, and as the one leaf:
+// seven vectors in L1 (n = 1024), in L2 (4096, the judged lib-ladder's
+// order) and streamed (262144). The scalars keep every vector bounded
+// however often the call repeats.
+var pipeSink [2]float64
+
+func BenchmarkPipeUpdate(b *testing.B) {
+	for _, n := range []int{1024, 4096, 262144} {
+		o := make([]vec.Vector, 7)
+		for j := range o {
+			o[j] = vec.New(n)
+			vec.Random(o[j], uint64(j)+1)
+		}
+		r, w, nv, p, s, q, x := o[0], o[1], o[2], o[3], o[4], o[5], o[6]
+		const alpha, beta = 1e-9, 0.5
+		b.Run(fmt.Sprintf("six-calls-dotpair/n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(8 * n * 21))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				vec.Xpay(r, beta, p)
+				vec.Xpay(w, beta, s)
+				vec.Xpay(nv, beta, q)
+				vec.Axpy(alpha, p, x)
+				vec.Axpy(-alpha, s, r)
+				vec.Axpy(-alpha, q, w)
+				pipeSink[0], pipeSink[1] = vec.DotPair(r, r, w)
+			}
+		})
+		b.Run(fmt.Sprintf("leaf/n=%d", n), func(b *testing.B) {
+			b.SetBytes(int64(8 * n * 13))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pipeSink[0], pipeSink[1] = vec.PipeUpdate(alpha, beta, r, w, nv, p, s, q, x)
+			}
+		})
+	}
+}
+
 // wholeVectorOnly hides everything of an operator but its whole product
 // and its counts — the shape of the judged benchmark's tracing decorator —
 // so the engine cannot take the product by rows.

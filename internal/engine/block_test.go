@@ -219,3 +219,76 @@ func TestTransportFailureIsTheSolveError(t *testing.T) {
 		}
 	}
 }
+
+// recorder is the whole operator posing as a row block (see lone) that
+// writes down what a solve asks of it, in order: "mul", "post<m>" for m
+// sums posted, "collect", and "tick" from the solve's callback as each
+// iteration ends.
+type recorder struct {
+	sparse.Matrix
+	log []string
+}
+
+func (r *recorder) Err() error { return nil }
+
+func (r *recorder) MulVec(dst, x []float64) {
+	r.log = append(r.log, "mul")
+	r.Matrix.MulVec(dst, x)
+}
+
+func (r *recorder) PostSums(vals []float64) {
+	r.log = append(r.log, "post"+string(rune('0'+len(vals))))
+}
+
+func (r *recorder) CollectSums([]float64) { r.log = append(r.log, "collect") }
+
+// TestIssuedSumsStraddleTheProduct: the sums pipecg and gropp take inside
+// their fused update pass are posted before the product they are issued
+// over and collected after it, every iteration — a fleet still hides the
+// exchange behind the product — and nothing else crosses the seam in
+// between: pipecg's iteration is (gamma, delta) around n = A w, gropp's is
+// a blocking (p, s) and then (r, r) around w = A r.
+func TestIssuedSumsStraddleTheProduct(t *testing.T) {
+	a, b := blockSystem()
+	for _, tc := range []struct {
+		name string
+		mk   func() engine.Kernel
+		step []string
+	}{
+		{"pipecg", pipecg.NewGVKernel, []string{"post2", "mul", "collect", "tick"}},
+		{"gropp", pipecg.NewGroppKernel, []string{"post1", "collect", "post1", "mul", "collect", "tick"}},
+	} {
+		op := &recorder{Matrix: a}
+		cfg := engine.Config{Tol: 1e-10, Blocking: true, Callback: func(int, float64) bool {
+			op.log = append(op.log, "tick")
+			return true
+		}}
+		var res engine.Result
+		if err := engine.Solve(tc.mk(), engine.NewWorkspace(a.Dim(), nil), op, b, cfg, &res); err != nil || !res.Converged {
+			t.Fatalf("%s: converged=%v, %v", tc.name, res.Converged, err)
+		}
+		ticks := 0
+		for end, ev := range op.log {
+			if ev != "tick" {
+				continue
+			}
+			ticks++
+			if end+1 < len(tc.step) {
+				t.Fatalf("%s: iteration %d ends after %v", tc.name, ticks, op.log[:end+1])
+			}
+			got := op.log[end+1-len(tc.step) : end+1]
+			for i := range got {
+				if got[i] != tc.step[i] {
+					t.Fatalf("%s: iteration %d crossed the seam as %v, want %v", tc.name, ticks, got, tc.step)
+				}
+			}
+			// Nothing of an earlier iteration trails into this one.
+			if ticks > 1 && op.log[end-len(tc.step)] != "tick" {
+				t.Fatalf("%s: iteration %d: %q before %v", tc.name, ticks, op.log[end-len(tc.step)], tc.step)
+			}
+		}
+		if ticks != res.Iterations || ticks < 10 {
+			t.Errorf("%s: %d iterations recorded, %d run", tc.name, ticks, res.Iterations)
+		}
+	}
+}

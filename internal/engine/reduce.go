@@ -200,9 +200,65 @@ func (ws *Workspace) Await() {
 	ws.inFlight = false
 }
 
-// AwaitDotPair awaits the reduction started by IssueDotPair and returns
-// its two sums.
+// AwaitDotPair awaits the reduction started by IssueDotPair or
+// IssuePipeUpdate and returns its two sums.
 func (ws *Workspace) AwaitDotPair() (xy, xz float64) {
 	ws.Await()
 	return ws.red.job.pair[0], ws.red.job.pair[1]
+}
+
+// AwaitSum awaits the reduction started by IssueFusedCGUpdate and returns
+// its sum.
+func (ws *Workspace) AwaitSum() float64 {
+	ws.Await()
+	return ws.red.job.pair[0]
+}
+
+// issueSums puts in flight the first m sums of j.pair, which the pass that
+// just wrote the vectors took on its way: a row block posts its partial
+// sums now and collects the combined ones at the await, so the exchange
+// still rides over whatever the schedule does in between; one process has
+// nothing left to wait for, and starts nothing.
+func (ws *Workspace) issueSums(j *reduction, m int) {
+	j.out = j.pair[:m]
+	ws.inFlight = true
+	if ws.block != nil {
+		ws.block.PostSums(j.out)
+	}
+}
+
+// IssuePipeUpdate is the stretch of a Ghysels–Vanroose iteration between
+// its product and its reduction — p = r + beta*p, s = w + beta*s,
+// q = n + beta*q, x += alpha*p, r -= alpha*s, w -= alpha*q — with the
+// reduction (<r,r>, <w,r>) of the new r, w issued; AwaitDotPair collects
+// it. A serial workspace takes all of it in one pass (vec.PipeUpdate,
+// charged to the update phase like FusedCGUpdate); a pooled one makes the
+// six pooled calls and IssueDotPair. Same bits either way, so nothing
+// selects but whether there is a pool — the rule Direction follows.
+func (ws *Workspace) IssuePipeUpdate(alpha, beta float64, r, w, n, p, s, q, x vec.Vector) {
+	if ws.pool != nil {
+		ws.Xpay(r, beta, p)
+		ws.Xpay(w, beta, s)
+		ws.Xpay(n, beta, q)
+		ws.Axpy(alpha, p, x)
+		ws.Axpy(-alpha, s, r)
+		ws.Axpy(-alpha, q, w)
+		ws.IssueDotPair(r, r, w)
+		return
+	}
+	j := ws.newJob()
+	t0 := ws.begin()
+	j.pair[0], j.pair[1] = vec.PipeUpdate(alpha, beta, r, w, n, p, s, q, x)
+	ws.issueSums(j, 2)
+	ws.charge(PhaseUpdate, t0)
+}
+
+// IssueFusedCGUpdate is FusedCGUpdate — x += alpha*p, r -= alpha*ap —
+// with its <r,r> issued instead of returned; AwaitSum collects it.
+func (ws *Workspace) IssueFusedCGUpdate(alpha float64, p, ap, x, r vec.Vector) {
+	j := ws.newJob()
+	t0 := ws.begin()
+	j.pair[0] = vec.PoolFusedCGUpdate(ws.pool, alpha, p, ap, x, r)
+	ws.issueSums(j, 1)
+	ws.charge(PhaseUpdate, t0)
 }

@@ -16,11 +16,14 @@ import (
 //	p = r + beta p;  s = w + beta s (= A p);  q = n + beta q (= A s)
 //	x += alpha p;  r -= alpha s;  w -= alpha q (= A r maintained)
 //
-// Whether the reduction really runs during the matvec is the
-// workspace's decision (engine.Config.Blocking), not the kernel's: the
-// registry's "pipecg" evaluates it at issue, "parcg-pipe" puts it on a
-// background goroutine, and the two are bitwise identical. The price of
-// the pipelined order is one speculative matvec past convergence.
+// Everything between the product and the reduction is one Workspace call
+// (IssuePipeUpdate), and where its sums are taken is the workspace's
+// decision, not the kernel's: inside that one pass on a serial workspace;
+// after six pooled calls on a pooled one, at issue under the registry's
+// "pipecg" (engine.Config.Blocking) and on a background goroutine under
+// "parcg-pipe"; posted to the other row blocks of a fleet and collected
+// after the product. All are bitwise identical. The price of the
+// pipelined order is one speculative matvec past convergence.
 type gvKernel struct {
 	x, r, w, p, s, q, nv vec.Vector
 
@@ -36,13 +39,8 @@ func (k *gvKernel) Name() string { return "pipecg" }
 
 func (k *gvKernel) resNorm() float64 { return math.Sqrt(math.Max(k.gamma, 0)) }
 
-// reduceOverMatVec is the pipelined stage both Init and Step end on:
-// the (gamma, delta) reduction of the current r, w in flight over the
-// next iteration's n = A w.
-func (k *gvKernel) reduceOverMatVec(run *engine.Run) {
-	run.Ws.IssueDotPair(k.r, k.r, k.w)
-	run.MatVec(k.nv, k.w)
-	k.gamma, k.delta = run.Ws.AwaitDotPair()
+// countReduction counts the (gamma, delta) pair.
+func (k *gvKernel) countReduction(run *engine.Run) {
 	run.Res.Stats.InnerProducts += 2
 	run.Res.Stats.Flops += 4 * int64(run.Ws.Dim())
 }
@@ -58,7 +56,12 @@ func (k *gvKernel) Init(run *engine.Run) (float64, error) {
 	vec.Zero(k.s)
 	vec.Zero(k.q)
 
-	k.reduceOverMatVec(run)
+	// The one reduction of a solve taken outside IssuePipeUpdate, and
+	// waited for: issued over the product below it would start an
+	// overlapped schedule's reducer goroutine for this pair alone.
+	k.gamma, k.delta = ws.DotPair(k.r, k.r, k.w)
+	k.countReduction(run)
+	run.MatVec(k.nv, k.w)
 	k.gammaOld, k.alphaOld = 0, 0
 	k.first = true
 	return k.resNorm(), nil
@@ -90,17 +93,15 @@ func (k *gvKernel) Step(run *engine.Run) error {
 		return fmt.Errorf("pipecg: step %g at iteration %d: %w", alpha, res.Iterations, err)
 	}
 
-	ws.Xpay(k.r, beta, k.p)
-	ws.Xpay(k.w, beta, k.s)
-	ws.Xpay(k.nv, beta, k.q)
-	ws.Axpy(alpha, k.p, k.x)
-	ws.Axpy(-alpha, k.s, k.r)
-	ws.Axpy(-alpha, k.q, k.w)
+	// The reduction of the new r, w is in flight over the next
+	// iteration's n = A w.
+	ws.IssuePipeUpdate(alpha, beta, k.r, k.w, k.nv, k.p, k.s, k.q, k.x)
 	res.Stats.VectorUpdates += 6
 	res.Stats.Flops += 12 * n
-
+	run.MatVec(k.nv, k.w)
 	k.gammaOld, k.alphaOld = k.gamma, alpha
-	k.reduceOverMatVec(run)
+	k.gamma, k.delta = ws.AwaitDotPair()
+	k.countReduction(run)
 	run.Tick(k.resNorm())
 	return nil
 }
@@ -116,9 +117,6 @@ func (k *gvKernel) Finish(run *engine.Run) { run.TrueResidual(k.nv, k.x) }
 type groppKernel struct {
 	x, r, p, s, w vec.Vector
 	gamma         float64
-	// The issued reduction rr[0] = <rv[0], rv[0]>, rv[0] = r.
-	rr [1]float64
-	rv [1]vec.Vector
 }
 
 // NewGroppKernel returns the gropp iteration kernel.
@@ -131,7 +129,6 @@ func (k *groppKernel) resNorm() float64 { return math.Sqrt(math.Max(k.gamma, 0))
 func (k *groppKernel) Init(run *engine.Run) (float64, error) {
 	ws := run.Ws
 	k.x, k.r, k.p, k.s, k.w = ws.Vec(0), ws.Vec(1), ws.Vec(2), ws.Vec(3), ws.Vec(4)
-	k.rv[0] = k.r
 
 	run.InitialIterate(k.x, k.r)
 	vec.Copy(k.p, k.r)
@@ -154,17 +151,15 @@ func (k *groppKernel) Step(run *engine.Run) error {
 		return fmt.Errorf("pipecg: curvature %g at iteration %d: %w", delta, res.Iterations, err)
 	}
 	alpha := k.gamma / delta
-	ws.Axpy(alpha, k.p, k.x)
-	ws.Axpy(-alpha, k.s, k.r)
+
+	// x += alpha p, r -= alpha s and the second reduction gamma' = (r, r)
+	// in one pass (cg's), the reduction in flight over the single matvec
+	// w = A r.
+	ws.IssueFusedCGUpdate(alpha, k.p, k.s, k.x, k.r)
 	res.Stats.VectorUpdates += 2
 	res.Stats.Flops += 4 * n
-
-	// Second reduction gamma' = (r, r), in flight over the single
-	// matvec w = A r.
-	ws.IssueDots(k.rr[:], k.rv[:], k.rv[:])
 	run.MatVec(k.w, k.r)
-	ws.Await()
-	gammaNew := k.rr[0]
+	gammaNew := ws.AwaitSum()
 	res.Stats.InnerProducts++
 	res.Stats.Flops += 2 * n
 

@@ -27,6 +27,9 @@ func dotPairLeafAVX2(x, y, z []float64) (xy, xz float64)
 func fusedCGLeafAVX2(alpha float64, p, ap, x, r []float64) float64
 
 //go:noescape
+func pipeLeafAVX2(alpha, beta float64, r, w, n, p, s, q, x []float64) (rr, wr float64)
+
+//go:noescape
 func axpyAVX2(alpha float64, x, y []float64)
 
 //go:noescape

@@ -253,6 +253,111 @@ fusedsum:
 	VZEROUPPER
 	RET
 
+// func pipeLeafAVX2(alpha, beta float64, r, w, n, p, s, q, x []float64) (rr, wr float64)
+//
+// p = r + beta*p; s = w + beta*s; q = n + beta*q; x += alpha*p;
+// r += (-alpha)*s; w += (-alpha)*q, four elements a trip, every operand
+// loaded once and stored once. X0 = (a0, a1) of <r, r> and X1 = (b0, b1)
+// of <w, r> take the low then the high half of each trip's products, as
+// dotPairLeafAVX2 takes them two elements at a time; the stores of the
+// next trip issue while those adds wait on each other. A tail element
+// goes into lane 0 and the lanes then trade places, so the next one finds
+// its own chain there; the final sum does not care which lane is which.
+TEXT ·pipeLeafAVX2(SB), NOSPLIT, $0-200
+	VBROADCASTSD alpha+0(FP), Y15
+	VBROADCASTSD beta+8(FP), Y13
+	VPCMPEQQ     Y14, Y14, Y14
+	VPSLLQ       $63, Y14, Y14
+	VXORPD       Y15, Y14, Y14    // -alpha
+	MOVQ         r_base+16(FP), SI
+	MOVQ         r_len+24(FP), CX
+	MOVQ         w_base+40(FP), DI
+	MOVQ         n_base+64(FP), DX
+	MOVQ         p_base+88(FP), BX
+	MOVQ         s_base+112(FP), R8
+	MOVQ         q_base+136(FP), R9
+	MOVQ         x_base+160(FP), R10
+	XORQ         AX, AX
+	VXORPD       X0, X0, X0
+	VXORPD       X1, X1, X1
+
+pipe4:
+	SUBQ         $4, CX
+	JL           pipetail
+	VMOVUPD      (SI)(AX*8), Y2
+	VMOVUPD      (DI)(AX*8), Y3
+	VMULPD       (BX)(AX*8), Y13, Y4
+	VMULPD       (R8)(AX*8), Y13, Y5
+	VMULPD       (R9)(AX*8), Y13, Y6
+	VADDPD       Y2, Y4, Y4
+	VADDPD       Y3, Y5, Y5
+	VADDPD       (DX)(AX*8), Y6, Y6
+	VMOVUPD      Y4, (BX)(AX*8)
+	VMOVUPD      Y5, (R8)(AX*8)
+	VMOVUPD      Y6, (R9)(AX*8)
+	VMULPD       Y4, Y15, Y4
+	VMULPD       Y5, Y14, Y5
+	VMULPD       Y6, Y14, Y6
+	VADDPD       (R10)(AX*8), Y4, Y4
+	VADDPD       Y2, Y5, Y5
+	VADDPD       Y3, Y6, Y6
+	VMOVUPD      Y4, (R10)(AX*8)
+	VMOVUPD      Y5, (SI)(AX*8)
+	VMOVUPD      Y6, (DI)(AX*8)
+	VMULPD       Y6, Y5, Y6
+	VMULPD       Y5, Y5, Y5
+	VEXTRACTF128 $1, Y5, X7
+	VEXTRACTF128 $1, Y6, X8
+	VADDPD       X5, X0, X0
+	VADDPD       X6, X1, X1
+	VADDPD       X7, X0, X0
+	VADDPD       X8, X1, X1
+	ADDQ         $4, AX
+	JMP          pipe4
+
+pipetail:
+	ADDQ $4, CX
+
+pipe1:
+	TESTQ     CX, CX
+	JZ        pipesum
+	VMOVSD    (SI)(AX*8), X2
+	VMOVSD    (DI)(AX*8), X3
+	VMULSD    (BX)(AX*8), X13, X4
+	VMULSD    (R8)(AX*8), X13, X5
+	VMULSD    (R9)(AX*8), X13, X6
+	VADDSD    X2, X4, X4
+	VADDSD    X3, X5, X5
+	VADDSD    (DX)(AX*8), X6, X6
+	VMOVSD    X4, (BX)(AX*8)
+	VMOVSD    X5, (R8)(AX*8)
+	VMOVSD    X6, (R9)(AX*8)
+	VMULSD    X4, X15, X4
+	VMULSD    X5, X14, X5
+	VMULSD    X6, X14, X6
+	VADDSD    (R10)(AX*8), X4, X4
+	VADDSD    X2, X5, X5
+	VADDSD    X3, X6, X6
+	VMOVSD    X4, (R10)(AX*8)
+	VMOVSD    X5, (SI)(AX*8)
+	VMOVSD    X6, (DI)(AX*8)
+	VMULSD    X6, X5, X6
+	VMULSD    X5, X5, X5
+	VADDSD    X5, X0, X0
+	VADDSD    X6, X1, X1
+	VPERMILPD $1, X0, X0
+	VPERMILPD $1, X1, X1
+	INCQ      AX
+	DECQ      CX
+	JMP       pipe1
+
+pipesum:
+	VHADDPD X1, X0, X0 // (a0+a1, b0+b1)
+	VMOVSD  X0, rr+184(FP)
+	VMOVHPD X0, wr+192(FP)
+	VZEROUPPER
+	RET
+
 // func axpyAVX2(alpha float64, x, y []float64)
 //
 // y += alpha*x.

@@ -14,7 +14,10 @@ func dotsAccAVX2(acc *[4 * dotsPass]float64, ops *[2 * dotsPass]*float64, groups
 }
 func dotPairLeafAVX2(x, y, z []float64) (xy, xz float64)           { panic(noAssembly) }
 func fusedCGLeafAVX2(alpha float64, p, ap, x, r []float64) float64 { panic(noAssembly) }
-func axpyAVX2(alpha float64, x, y []float64)                       { panic(noAssembly) }
+func pipeLeafAVX2(alpha, beta float64, r, w, n, p, s, q, x []float64) (rr, wr float64) {
+	panic(noAssembly)
+}
+func axpyAVX2(alpha float64, x, y []float64) { panic(noAssembly) }
 func combineAVX2(dst, init []float64, coef *float64, cstride int, xs [][]float64, lo int) {
 	panic(noAssembly)
 }

@@ -107,12 +107,7 @@ func checkLeafKernel(k leafKernel, n, off int, alpha float64, seed uint64, mode 
 	ops := [2][][]float64{make([][]float64, k.nops), make([][]float64, k.nops)}
 	for j := range bufs {
 		for side := range bufs[j] {
-			buf := make([]float64, leafGuard+off+n+leafGuard)
-			Fill(buf, leafSentinel)
-			v := buf[leafGuard+off : leafGuard+off+n : leafGuard+off+n]
-			fillLeafOperand(v, seed+uint64(j)*0x9e37, mode)
-			bufs[j][side] = buf
-			ops[side][j] = v
+			bufs[j][side], ops[side][j] = guardedOperand(n, off, seed+uint64(j)*0x9e37, mode)
 		}
 	}
 	w0, w1 := k.goBody(alpha, ops[0])
@@ -123,16 +118,34 @@ func checkLeafKernel(k leafKernel, n, off int, alpha float64, seed uint64, mode 
 			math.Float64bits(g0), math.Float64bits(g1), g0, g1)
 	}
 	for j := range bufs {
-		w, g := bufs[j][0], bufs[j][1]
-		for i := range w {
-			if i < leafGuard+off || i >= leafGuard+off+n {
-				if math.Float64bits(g[i]) != math.Float64bits(leafSentinel) {
-					return fmt.Errorf("operand %d: sentinel at %d overwritten with %g", j, i-leafGuard-off, g[i])
-				}
-			} else if !sameFloat(w[i], g[i]) {
-				return fmt.Errorf("operand %d element %d: go %x (%g), asm %x (%g)", j, i-leafGuard-off,
-					math.Float64bits(w[i]), w[i], math.Float64bits(g[i]), g[i])
+		if err := sameGuarded(bufs[j][0], bufs[j][1], n, off); err != nil {
+			return fmt.Errorf("operand %d: go, asm: %w", j, err)
+		}
+	}
+	return nil
+}
+
+// guardedOperand returns an n-element operand filled per mode that starts
+// leafGuard+off elements into its backing array, sentinels either side.
+func guardedOperand(n, off int, seed uint64, mode int) (buf, v []float64) {
+	buf = make([]float64, leafGuard+off+n+leafGuard)
+	Fill(buf, leafSentinel)
+	v = buf[leafGuard+off : leafGuard+off+n : leafGuard+off+n]
+	fillLeafOperand(v, seed, mode)
+	return buf, v
+}
+
+// sameGuarded reports the first place the backing array got differs from
+// want: an element of the operand, or a sentinel of got overwritten.
+func sameGuarded(want, got []float64, n, off int) error {
+	for i := range want {
+		if i < leafGuard+off || i >= leafGuard+off+n {
+			if math.Float64bits(got[i]) != math.Float64bits(leafSentinel) {
+				return fmt.Errorf("sentinel at %d overwritten with %g", i-leafGuard-off, got[i])
 			}
+		} else if !sameFloat(want[i], got[i]) {
+			return fmt.Errorf("element %d: %x (%g), %x (%g)", i-leafGuard-off,
+				math.Float64bits(want[i]), want[i], math.Float64bits(got[i]), got[i])
 		}
 	}
 	return nil

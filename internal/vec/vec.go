@@ -10,7 +10,7 @@
 //
 // # Canonical blocked reductions
 //
-// Every reducing kernel (Dot, DotPair, FusedCGUpdate, Dots) is
+// Every reducing kernel (Dot, DotPair, FusedCGUpdate, PipeUpdate, Dots) is
 // defined — not just implemented — as a fixed reduction tree over
 // blocks of BlockLen elements: each block is accumulated by a 4-way
 // unrolled leaf (four independent accumulator chains, so the CPU
@@ -39,15 +39,29 @@
 // slab — taken a stretch of every pair at a time, four pairs' chains in
 // flight. Combine(dst, init, coef, xs): dst[i] = ((init[i] + c0*x0[i]) +
 // c1*x1[i]) + ..., from +0 without init, zero coefficients skipped — Axpy
-// after Axpy with one load per term and one store. DotBatch, DotBlock,
-// Lincomb and AxpyBlock are these two, the same bits serial and pooled.
+// after Axpy with one load per term and one store. DotBatch, DotBlock and
+// AxpyBlock are these two, the same bits serial and pooled.
+//
+// # The pipelined update
+//
+// A Ghysels–Vanroose iteration has one more shape: six recurrences and
+// the two inner products of their results, with nothing between them to
+// wait for. PipeUpdate(alpha, beta, r, w, n, p, s, q, x) is that stretch
+// in one pass — p = r + beta*p, s = w + beta*s, q = n + beta*q,
+// x += alpha*p, r += (-alpha)*s, w += (-alpha)*q — over seven distinct,
+// equal-length, non-overlapping operands, each loaded once and stored
+// once (n is only read). It returns <r,r> and <w,r> of the new r, w: the
+// bits of Xpay three times, Axpy three times (all skipped when alpha is
+// ±0, as Axpy skips) and DotPair(r, r, w) — DotPair's two chains per
+// sum and block, its combine over blocks — and leaves in every operand
+// the bits those calls leave.
 //
 // # Leaf bodies
 //
-// The loops at the bottom — dotLeaf, dotPairLeaf, fusedCGLeaf, Axpy,
-// Xpay, Scale, dotsRange and combineRange here, the row kernel of
-// sparse.DIA (DIARows) and the run kernel of TriSweep — have two bodies
-// each. The Go body (dotLeafGo, axpyGo, ...) is the
+// The loops at the bottom — dotLeaf, dotPairLeaf, fusedCGLeaf, the leaf
+// of PipeUpdate, Axpy, Xpay, Scale, dotsRange and combineRange here, the
+// row kernel of sparse.DIA (DIARows) and the run kernel of TriSweep —
+// have two bodies each. The Go body (dotLeafGo, axpyGo, ...) is the
 // definition, the reference the tests compare against, and the only
 // path off amd64; gc never vectorizes it. On amd64 with AVX2 the
 // assembly body in kernels_amd64.s runs instead, chosen once at init
@@ -243,21 +257,6 @@ func Dot(x, y Vector) float64 {
 	return dotTree(x, y)
 }
 
-// DotKahan returns <x, y> accumulated with Kahan compensated summation.
-// It is used where the recurrence-exactness experiments need a reference
-// inner product with reduced rounding error.
-func DotKahan(x, y Vector) float64 {
-	mustSameLen2(len(x), len(y))
-	var sum, comp float64
-	for i := range x {
-		t := x[i]*y[i] - comp
-		next := sum + t
-		comp = (next - sum) - t
-		sum = next
-	}
-	return sum
-}
-
 // Norm2 returns the Euclidean norm of x, guarding against overflow for
 // large components by scaling.
 func Norm2(x Vector) float64 {
@@ -292,15 +291,6 @@ func NormInf(x Vector) float64 {
 		}
 	}
 	return m
-}
-
-// Norm1 returns the sum of absolute components of x.
-func Norm1(x Vector) float64 {
-	var s float64
-	for _, xi := range x {
-		s += math.Abs(xi)
-	}
-	return s
 }
 
 // Axpy computes y += alpha*x in place.
@@ -429,29 +419,6 @@ func MulElem(dst, x, y Vector) {
 	for ; i < n; i++ {
 		dst[i] = x[i] * y[i]
 	}
-}
-
-// DivElem computes dst = x ./ y componentwise. Division by a zero
-// component yields ±Inf or NaN per IEEE semantics; callers that need
-// protection should validate y first.
-func DivElem(dst, x, y Vector) {
-	mustSameLen3(len(dst), len(x), len(y))
-	for i := range x {
-		dst[i] = x[i] / y[i]
-	}
-}
-
-// Lincomb2 computes dst = a*x + b*y.
-func Lincomb2(dst Vector, a float64, x Vector, b float64, y Vector) {
-	mustSameLen3(len(dst), len(x), len(y))
-	for i := range x {
-		dst[i] = a*x[i] + b*y[i]
-	}
-}
-
-// Lincomb computes dst = sum_j coeffs[j] * xs[j]: Combine from +0.
-func Lincomb(dst Vector, coeffs []float64, xs []Vector) {
-	Combine(dst, nil, coeffs, xs)
 }
 
 // Combine computes dst[i] = ((init[i] + coef[0]*xs[0][i]) + coef[1]*xs[1][i])
@@ -630,6 +597,66 @@ func dotPairTree(x, y, z []float64) (xy, xz float64) {
 	return ly + ry, lz + rz
 }
 
+// PipeUpdate is everything a Ghysels–Vanroose iteration does between its
+// product n = A·w and its reduction, in one pass:
+//
+//	p = r + beta*p;  s = w + beta*s;  q = n + beta*q
+//	x += alpha*p;    r += (-alpha)*s; w += (-alpha)*q
+//
+// returning <r,r> and <w,r> of the new r, w. The package comment states
+// the contract: which calls' bits these are, and what the seven operands
+// must be.
+func PipeUpdate(alpha, beta float64, r, w, n, p, s, q, x Vector) (rr, wr float64) {
+	m := len(r)
+	mustSameLen3(m, len(w), len(n))
+	mustSameLen3(m, len(p), len(s))
+	mustSameLen3(m, len(q), len(x))
+	if alpha == 0 {
+		Xpay(r, beta, p)
+		Xpay(w, beta, s)
+		Xpay(n, beta, q)
+		return DotPair(r, r, w)
+	}
+	return pipeTree(alpha, beta, r, w, n, p, s, q, x, 0, m)
+}
+
+// pipeTree is dotPairTree's recursion over elements [lo, hi).
+func pipeTree(alpha, beta float64, r, w, n, p, s, q, x []float64, lo, hi int) (rr, wr float64) {
+	if hi-lo > BlockLen {
+		mid := lo + treeMid(hi-lo)
+		lr, lw := pipeTree(alpha, beta, r, w, n, p, s, q, x, lo, mid)
+		hr, hw := pipeTree(alpha, beta, r, w, n, p, s, q, x, mid, hi)
+		return lr + hr, lw + hw
+	}
+	r, w, n, p, s, q, x = r[lo:hi], w[lo:hi], n[lo:hi], p[lo:hi], s[lo:hi], q[lo:hi], x[lo:hi]
+	if useAVX2 {
+		return pipeLeafAVX2(alpha, beta, r, w, n, p, s, q, x)
+	}
+	return pipeLeafGo(alpha, beta, r, w, n, p, s, q, x)
+}
+
+// pipeLeafGo is PipeUpdate over one block: dotPairLeafGo's two chains per
+// sum, fed by the elements as they are stored.
+func pipeLeafGo(alpha, beta float64, r, w, n, p, s, q, x []float64) (rr, wr float64) {
+	var a, b [2]float64
+	na := -alpha
+	m := len(r)
+	w, n, p, s, q, x = w[:m], n[:m], p[:m], s[:m], q[:m], x[:m]
+	for i := range r {
+		pi := r[i] + beta*p[i]
+		si := w[i] + beta*s[i]
+		qi := n[i] + beta*q[i]
+		p[i], s[i], q[i] = pi, si, qi
+		x[i] += alpha * pi
+		ri := r[i] + na*si
+		wi := w[i] + na*qi
+		r[i], w[i] = ri, wi
+		a[i&1] += ri * ri
+		b[i&1] += ri * wi
+	}
+	return a[0] + a[1], b[0] + b[1]
+}
+
 // Dots fills out[i] = <xs[i], ys[i]>, each exactly Dot's sum, in one pass
 // over the operands: the leaf partials of every pair go to part — the
 // caller's slab of at least len(out)*ceil(n/BlockLen) cells — and each
@@ -800,24 +827,4 @@ func splitmix64(state *uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// HasNaN reports whether any component of v is NaN.
-func HasNaN(v Vector) bool {
-	for _, x := range v {
-		if math.IsNaN(x) {
-			return true
-		}
-	}
-	return false
-}
-
-// HasInf reports whether any component of v is infinite.
-func HasInf(v Vector) bool {
-	for _, x := range v {
-		if math.IsInf(x, 0) {
-			return true
-		}
-	}
-	return false
 }

@@ -120,6 +120,9 @@ func (s *Server) handleClusterUpload(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
+	if !operatorFinite(w, m) {
+		return
+	}
 	name := req.Name
 	if name == "" {
 		name = fmt.Sprintf("op-%d", clusterOpSeq.Add(1))

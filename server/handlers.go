@@ -104,6 +104,9 @@ func (s *Server) handleOperatorUpload(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
+	if !operatorFinite(w, m) {
+		return
+	}
 	prewarmPartition(m, s.cfg.EnginePool)
 	entry, evicted, err := s.store.put(req.Name, m)
 	if err != nil {
@@ -209,15 +212,41 @@ func rowsMatch(w http.ResponseWriter, op *storedOperator, rhs [][]float64) bool 
 // the request's field name. Only a binary frame can carry one (JSON
 // cannot spell it), and a solve fed one breaks down naming nothing.
 func allFinite(w http.ResponseWriter, name string, vecs ...[]float64) bool {
-	const expMask = 0x7FF << 52
 	for k, v := range vecs {
-		for i, x := range v {
-			if math.Float64bits(x)&expMask == expMask {
-				writeError(w, http.StatusBadRequest, codeBadRequest,
-					fmt.Sprintf("%s %d has a non-finite value at index %d", name, k, i))
-				return false
-			}
+		if i := firstNonFinite(v); i >= 0 {
+			writeError(w, http.StatusBadRequest, codeBadRequest,
+				fmt.Sprintf("%s %d has a non-finite value at index %d", name, k, i))
+			return false
 		}
+	}
+	return true
+}
+
+// firstNonFinite returns the index of the first NaN or ±Inf in v, or -1.
+func firstNonFinite(v []float64) int {
+	const expMask = 0x7FF << 52
+	for i, x := range v {
+		if math.Float64bits(x)&expMask == expMask {
+			return i
+		}
+	}
+	return -1
+}
+
+// operatorFinite answers 400 bad_request for the first NaN or ±Inf among
+// a decoded upload's stored values, before it is stored or placed: a
+// MatrixMarket document can spell one and coo duplicates can sum to one,
+// and every later solve on the operator would break down naming nothing.
+// Both decoded forms (*sparse.CSR, *sparse.Rect) expose their values.
+func operatorFinite(w http.ResponseWriter, m sparse.Matrix) bool {
+	v, ok := m.(interface{ Values() []float64 })
+	if !ok {
+		return true
+	}
+	if i := firstNonFinite(v.Values()); i >= 0 {
+		writeError(w, http.StatusBadRequest, codeBadRequest,
+			fmt.Sprintf("matrix has a non-finite value at stored entry %d (row-major order)", i))
+		return false
 	}
 	return true
 }

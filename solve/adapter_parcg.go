@@ -83,7 +83,7 @@ func init() {
 		// Two blocking reduction waits per iteration — the c*log(N)
 		// dependency the paper sets out to remove.
 		func(er *engine.Result) int { return 2*er.Iterations + 1 }, false)
-	registerParcg("parcg-pipe", "Ghysels-Vanroose pipelined CG with the reduction genuinely in flight behind the matvec, workspace-backed",
+	registerParcg("parcg-pipe", "Ghysels-Vanroose pipelined CG with phase timing and, on a pool, the reduction genuinely in flight behind the matvec, workspace-backed",
 		pipecg.NewGVKernel,
 		// One in-flight reduction waited on per iteration.
 		func(er *engine.Result) int { return er.Iterations + 1 }, false)

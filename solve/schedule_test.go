@@ -61,6 +61,34 @@ func TestOverlapIsScheduleOnly(t *testing.T) {
 	}
 }
 
+// TestPipelinedPooledIsSerial: a serial workspace takes a pipelined
+// iteration's recurrences and reduction in one fused pass, a pooled one as
+// six pooled calls and an issued pair (pipecg, parcg-pipe) or as the pooled
+// fused update (gropp) — and the two return the same bits, counts and
+// Syncs, so the unfused path stays pinned to the fused one.
+func TestPipelinedPooledIsSerial(t *testing.T) {
+	pool := sparse.NewPoolMinChunk(3, 64)
+	defer pool.Close()
+	for _, system := range []string{"poisson2d_31", "poisson2d_64"} {
+		a, b := goldenSystem(t, system)
+		for _, method := range []string{"pipecg", "parcg-pipe", "gropp"} {
+			serial, err := solve.MustNew(method).Solve(a, b, solve.WithTol(1e-8))
+			if err != nil {
+				t.Fatalf("%s %s: %v", system, method, err)
+			}
+			pooled, err := solve.MustNew(method).Solve(a, b, solve.WithTol(1e-8), solve.WithPool(pool))
+			if err != nil {
+				t.Fatalf("%s %s pooled: %v", system, method, err)
+			}
+			sameSolve(t, system+" "+method+" pooled vs serial", pooled, serial)
+			if pooled.Stats != serial.Stats || pooled.Syncs != serial.Syncs {
+				t.Errorf("%s %s: pooled %+v syncs %d, serial %+v syncs %d", system, method,
+					pooled.Stats, pooled.Syncs, serial.Stats, serial.Syncs)
+			}
+		}
+	}
+}
+
 // TestCGFamilyOneKernel: cg, cgfused and parcg-cg are one kernel under
 // three names; parcg-cg is the one that times its phases.
 func TestCGFamilyOneKernel(t *testing.T) {
@@ -102,16 +130,17 @@ func settledGoroutines(base int) (int, bool) {
 }
 
 // TestReducerLifecycle: reduction goroutines exist only for schedules
-// that overlap — a blocking one (cg, pcg, pipecg) never starts any —
-// and they end with the workspace that started them, whether that was
-// dropped with its session, with a Batch fork, or replaced because the
-// system order changed.
+// that overlap — a blocking one (cg, pcg, pipecg) never starts any, nor
+// does parcg-pipe on a serial workspace, whose sums are taken inside the
+// pass that writes r and w — and they end with the workspace that started
+// them, whether that was dropped with its session, with a Batch fork, or
+// replaced because the system order changed.
 func TestReducerLifecycle(t *testing.T) {
 	a, small := sparse.Poisson2D(12), sparse.Poisson2D(9)
 	B := rhsSet(a.Dim(), 6)
 	base, _ := settledGoroutines(0)
 
-	for _, method := range []string{"cg", "pcg", "pipecg"} {
+	for _, method := range []string{"cg", "pcg", "pipecg", "parcg-pipe"} {
 		sess, err := solve.NewSession(method, a, solve.WithTol(1e-8))
 		if err != nil {
 			t.Fatal(err)
@@ -146,7 +175,8 @@ func TestReducerLifecycle(t *testing.T) {
 				}
 			}
 		}
-		// With one P the workspace evaluates at issue: nothing to start.
+		// parcg's batches do start one — unless there is one P, where the
+		// workspace evaluates at issue.
 		if want := runtime.GOMAXPROCS(0) > 1; started != want {
 			t.Errorf("overlapped schedules started a reduction goroutine: %v, on %d P(s)", started, runtime.GOMAXPROCS(0))
 		}
@@ -158,13 +188,14 @@ func TestReducerLifecycle(t *testing.T) {
 }
 
 // TestOnePEvaluatesAtIssue: on a host with one P a background reducer
-// could only take turns with the solve, so parcg and parcg-pipe evaluate
-// their reductions where they issue them — no goroutine is started — and
-// return what they return with two: same bits, same counts, same Syncs.
+// could only take turns with the solve, so parcg evaluates its reductions
+// where it issues them — no goroutine is started — and returns what it
+// returns with two: same bits, same counts, same Syncs. parcg-pipe on a
+// serial workspace has nothing to hand a reducer on any number of Ps.
 func TestOnePEvaluatesAtIssue(t *testing.T) {
 	a := sparse.Poisson2D(24)
 	b := rhsSet(a.Dim(), 1)[0]
-	methods := []string{"parcg", "parcg-pipe"}
+	methods := []string{"parcg-pipe", "parcg"} // the one that starts nothing first
 	run := func(procs int) []*solve.Result {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		base, _ := settledGoroutines(0)
@@ -178,7 +209,8 @@ func TestOnePEvaluatesAtIssue(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on %d P(s): %v", method, procs, err)
 			}
-			if started := runtime.NumGoroutine() > base; started != (procs > 1) {
+			want := method == "parcg" && procs > 1
+			if started := runtime.NumGoroutine() > base; started != want {
 				t.Errorf("%s on %d P(s): reduction goroutine started: %v", method, procs, started)
 			}
 			cp := *res
@@ -197,13 +229,14 @@ func TestOnePEvaluatesAtIssue(t *testing.T) {
 }
 
 // TestScheduleSessionsZeroAlloc: a warm session of each schedule that
-// takes its inner products in batches and its vectors as combinations
-// allocates nothing — the partials slabs are the workspace's, the pair
-// and term lists the kernel's.
+// takes its inner products in batches and its vectors as combinations, or
+// issues its sums from inside a fused pass, allocates nothing — the
+// partials slabs and the issued job are the workspace's, the pair and
+// term lists the kernel's.
 func TestScheduleSessionsZeroAlloc(t *testing.T) {
 	a := sparse.Poisson2D(40)
 	b := rhsSet(a.Dim(), 1)[0]
-	for _, method := range []string{"sstep", "parcg", "vrcg", "blockcg"} {
+	for _, method := range []string{"sstep", "parcg", "vrcg", "blockcg", "pipecg", "gropp", "parcg-pipe"} {
 		sess, err := solve.NewSession(method, a, solve.WithTol(1e-6))
 		if err != nil {
 			t.Fatal(err)

@@ -36,7 +36,8 @@
 //     the "pipecg" kernel; the overlapped two run each issued
 //     inner-product reduction on background goroutines until it is
 //     awaited (WithBlocking evaluates it at issue instead, bitwise
-//     identically). "parcg" adds a divergence guard that restarts the
+//     identically; without WithPool "parcg-pipe" has none to run, its
+//     sums being taken inside the one pass that updates its vectors). "parcg" adds a divergence guard that restarts the
 //     look-ahead recurrences from the true residual when they drift
 //     (periodically audited, best iterate retained);
 //     WithProcessors/WithMachineConfig additionally replay the
