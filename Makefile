@@ -21,7 +21,7 @@
 
 GO         ?= go
 BINDIR     ?= bin
-BENCHPAT   ?= BenchmarkSpMV|BenchmarkPCGSolve|BenchmarkDotSerial|BenchmarkDotParallel|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine|BenchmarkPipeUpdate|BenchmarkFusedCGUpdate|BenchmarkMatVecCSR|BenchmarkIC0FactorAndApply|BenchmarkCGIteration
+BENCHPAT   ?= BenchmarkSpMV|BenchmarkPCGSolve|BenchmarkDotSerial|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine|BenchmarkPipeUpdate|BenchmarkFusedCGUpdate|BenchmarkMatVecCSR|BenchmarkIC0FactorAndApply|BenchmarkCGIteration
 BENCHOUT   ?= BENCH_engine.json
 SOLVEPAT   ?= BenchmarkSolveDispatch|BenchmarkSessionReuse|BenchmarkSessionPerMethod|BenchmarkFreshSolvePerCall|BenchmarkBatch|BenchmarkParcgFamily
 SOLVEOUT   ?= BENCH_solve.json
@@ -75,7 +75,7 @@ check:
 # products, inner products one at a time and batched, combinations, the
 # pipelined update leaf. The CI bench-smoke job runs this target.
 kernel-allocs:
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkSpMV|BenchmarkDotSerial|BenchmarkDotParallel|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine|BenchmarkPipeUpdate' -benchtime=1x -benchmem .) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkSpMV|BenchmarkDotSerial|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine|BenchmarkPipeUpdate' -benchtime=1x -benchmem .) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	bad=$$(echo "$$out" | awk '$$1 ~ /^Benchmark(SpMV|Dot|GramBatch|Combine|PipeUpdate)/ { for (i = 2; i <= NF; i++) if ($$(i) == "allocs/op" && $$(i-1)+0 != 0) print $$1 }'); \
 	if [ -n "$$bad" ]; then echo "kernels allocated:"; echo "$$bad"; exit 1; fi

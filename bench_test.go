@@ -255,23 +255,6 @@ func BenchmarkDotSerial(b *testing.B) {
 	_ = s
 }
 
-func BenchmarkDotParallel(b *testing.B) {
-	x := vec.New(1 << 20)
-	y := vec.New(1 << 20)
-	vec.Random(x, 1)
-	vec.Random(y, 2)
-	vec.DefaultPool.Calibrate() // one-shot: measured per-op cutoffs
-	vec.DefaultPool.Dot(x, y)   // warm the pooled path outside the timer
-	b.SetBytes(int64(16 * len(x)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var s float64
-	for i := 0; i < b.N; i++ {
-		s += vec.DefaultPool.Dot(x, y)
-	}
-	_ = s
-}
-
 func BenchmarkFusedCGUpdate(b *testing.B) {
 	n := 1 << 16
 	p := vec.New(n)
@@ -523,7 +506,6 @@ func fullBandDIA(b *testing.B, a *sparse.CSR) *sparse.DIA {
 // 409600 keep their names from earlier BENCH_engine.json files; pooled
 // is the tuned operator through the default pool.
 func BenchmarkSpMV(b *testing.B) {
-	vec.DefaultPool.Calibrate()
 	run := func(name string, op sparse.Matrix, pool *vec.Pool) {
 		n := op.Dim()
 		x, y := vec.New(n), vec.New(n)
@@ -612,17 +594,15 @@ func BenchmarkPCGSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkDotPooled measures the persistent-pool dot against the
-// serial kernel at engine scale (the old per-call-goroutine pool is
-// gone; DotParallel above uses the same persistent engine).
+// BenchmarkDotPooled measures the persistent-pool dot at engine scale,
+// against BenchmarkDotSerial's serial kernel.
 func BenchmarkDotPooled(b *testing.B) {
 	n := 1 << 20
 	x := vec.New(n)
 	y := vec.New(n)
 	vec.Random(x, 1)
 	vec.Random(y, 2)
-	vec.DefaultPool.Calibrate()
-	vec.DefaultPool.Dot(x, y)
+	vec.DefaultPool.Dot(x, y) // warm the pooled path outside the timer
 	b.SetBytes(int64(16 * n))
 	b.ReportAllocs()
 	b.ResetTimer()

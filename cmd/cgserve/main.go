@@ -78,15 +78,9 @@ func main() {
 		DefaultTimeout:  *timeout,
 	}
 	if *engineWorkers > 1 {
+		// The pool decides per call, from the input size against fixed
+		// cutoffs, whether a kernel runs on its workers; nothing to tune.
 		cfg.EnginePool = sparse.NewPool(*engineWorkers)
-		// One-shot startup calibration: replace the pool's conservative
-		// default parallel cutoffs with crossovers measured on this
-		// machine. Dispatch decisions never change numerics, so this is
-		// purely a performance knob.
-		start := time.Now()
-		cfg.EnginePool.Calibrate()
-		log.Printf("cgserve: calibrated %d-worker engine pool in %v",
-			*engineWorkers, time.Since(start).Round(time.Millisecond))
 	}
 	var coord *cluster.Coordinator
 	if *fleet != "" {

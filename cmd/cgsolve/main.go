@@ -190,12 +190,8 @@ flags:
 		fatalf("%v", err)
 	}
 
-	engineWorkers := 1
-	if pool != nil {
-		engineWorkers = pool.Workers()
-	}
 	fmt.Printf("problem=%s n=%d nnz=%d maxrow=%d method=%s engine-workers=%d repeat=%d\n",
-		*problem, dim, a.NNZ(), a.MaxRowNonzeros(), *method, engineWorkers, *repeat)
+		*problem, dim, a.NNZ(), a.MaxRowNonzeros(), *method, pool.Workers(), *repeat)
 
 	start := time.Now()
 	var res *solve.Result

@@ -22,10 +22,10 @@ func usable(err error) bool { return err == nil || errors.Is(err, solve.ErrNotCo
 var EnginePool = vec.DefaultPool
 
 // TablePool is the pool the numeric experiment tables (E4/E5/E6) pass
-// to the solvers. Routing them through pooled kernels exercises the
-// engine, but pooled reductions reassociate by chunk, so the worker
-// count is pinned rather than host-sized: the printed floating-point
-// values (drift, residuals) stay reproducible across machines.
+// to the solvers, so they exercise the engine. Pooled reductions are
+// bitwise serial by construction, so the printed floating-point values
+// (drift, residuals) do not depend on it; the worker count is pinned
+// rather than host-sized so what the tables exercise does not either.
 var TablePool = vec.NewPool(4)
 
 // timeIt runs f repeatedly until ~minDuration has elapsed and returns
@@ -104,8 +104,8 @@ func A6EngineThroughput() *Table {
 
 	_ = sink
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("host: %d CPU(s); pooled kernels fall back to serial below per-opcode cutoffs (dot cutoff %d elements)",
-			runtime.GOMAXPROCS(0), EnginePool.DotCutoff()),
+		fmt.Sprintf("host: %d CPU(s); pooled kernels fall back to serial below fixed per-opcode cutoffs",
+			runtime.GOMAXPROCS(0)),
 		"the PCG row also swaps per-solve allocation (plain PCG) for a zero-allocation Workspace")
 	return t
 }

@@ -40,14 +40,6 @@ import (
 	"vrcg/sparse"
 )
 
-// paxpy and pxpay are package-local shorthands for the shared
-// pool-or-serial dispatch helpers (vec.PoolAxpy and friends) — the
-// engine seam of the family updates; the inner products are taken on the
-// engine Workspace, batched (InitDirect, DirectTops).
-func paxpy(p *vec.Pool, alpha float64, x, y vec.Vector) { vec.PoolAxpy(p, alpha, x, y) }
-
-func pxpay(p *vec.Pool, x vec.Vector, alpha float64, y vec.Vector) { vec.PoolXpay(p, x, alpha, y) }
-
 // Window holds the three sliding inner-product families for look-ahead
 // parameter k. The slices are sized M: 2k+1, N: 2k+2, W: 2k+3 entries,
 // consecutive stretches of one array, so InitDirect fills them as one
@@ -233,7 +225,7 @@ func (f *Families) Step(a sparse.Matrix, lambda, alpha float64) {
 // residual (for example to form alpha) before calling StepP.
 func (f *Families) StepR(lambda float64) {
 	for i := 0; i <= f.K; i++ {
-		paxpy(f.pool, -lambda, f.P[i+1], f.R[i])
+		f.pool.Axpy(-lambda, f.P[i+1], f.R[i])
 	}
 }
 
@@ -241,7 +233,7 @@ func (f *Families) StepR(lambda float64) {
 // for i <= k, then the single matrix–vector product P'_{k+1} = A P'_k.
 func (f *Families) StepP(a sparse.Matrix, alpha float64) {
 	for i := 0; i <= f.K; i++ {
-		pxpay(f.pool, f.R[i], alpha, f.P[i])
+		f.pool.Xpay(f.R[i], alpha, f.P[i])
 	}
 	sparse.PooledMulVec(a, f.pool, f.P[f.K+1], f.P[f.K])
 }

@@ -67,11 +67,11 @@ type reduction struct {
 // it only shortens a batch's critical path to fit its overlap window.
 func (j *reduction) sum(pool *vec.Pool, wid, nw int) {
 	if j.x != nil {
-		j.pair[0], j.pair[1] = vec.PoolDotPair(pool, j.x, j.y, j.z)
+		j.pair[0], j.pair[1] = pool.DotPair(j.x, j.y, j.z)
 		return
 	}
 	lo, hi := wid*len(j.out)/nw, (wid+1)*len(j.out)/nw
-	vec.PoolDots(pool, j.out[lo:hi], j.xs[lo:hi], j.ys[lo:hi], j.part[lo*j.nb:hi*j.nb:hi*j.nb])
+	pool.Dots(j.out[lo:hi], j.xs[lo:hi], j.ys[lo:hi], j.part[lo*j.nb:hi*j.nb:hi*j.nb])
 }
 
 // bgReducer owns a workspace's reduction job and the goroutines that
@@ -258,7 +258,7 @@ func (ws *Workspace) IssuePipeUpdate(alpha, beta float64, r, w, n, p, s, q, x ve
 func (ws *Workspace) IssueFusedCGUpdate(alpha float64, p, ap, x, r vec.Vector) {
 	j := ws.newJob()
 	t0 := ws.begin()
-	j.pair[0] = vec.PoolFusedCGUpdate(ws.pool, alpha, p, ap, x, r)
+	j.pair[0] = ws.pool.FusedCGUpdate(alpha, p, ap, x, r)
 	ws.issueSums(j, 1)
 	ws.charge(PhaseUpdate, t0)
 }

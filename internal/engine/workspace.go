@@ -171,7 +171,7 @@ func (ws *Workspace) whole(d float64) float64 {
 // Dot returns <x, y> on the workspace pool.
 func (ws *Workspace) Dot(x, y vec.Vector) float64 {
 	t0 := ws.begin()
-	d := ws.whole(vec.PoolDot(ws.pool, x, y))
+	d := ws.whole(ws.pool.Dot(x, y))
 	ws.charge(PhaseReduction, t0)
 	return d
 }
@@ -198,7 +198,7 @@ func (ws *Workspace) slab(m int) []float64 {
 // over the operands and, for a row block, one exchange.
 func (ws *Workspace) Dots(out []float64, xs, ys []vec.Vector) {
 	t0 := ws.begin()
-	vec.PoolDots(ws.pool, out, xs, ys, ws.slab(len(out)))
+	ws.pool.Dots(out, xs, ys, ws.slab(len(out)))
 	ws.combine(out)
 	ws.charge(PhaseReduction, t0)
 }
@@ -206,7 +206,7 @@ func (ws *Workspace) Dots(out []float64, xs, ys []vec.Vector) {
 // DotPair returns <x, y> and <x, z> in one sweep.
 func (ws *Workspace) DotPair(x, y, z vec.Vector) (xy, xz float64) {
 	t0 := ws.begin()
-	ws.sums[0], ws.sums[1] = vec.PoolDotPair(ws.pool, x, y, z)
+	ws.sums[0], ws.sums[1] = ws.pool.DotPair(x, y, z)
 	ws.combine(ws.sums[:])
 	ws.charge(PhaseReduction, t0)
 	return ws.sums[0], ws.sums[1]
@@ -218,27 +218,27 @@ func (ws *Workspace) Norm2(x vec.Vector) float64 {
 	if ws.block == nil {
 		return vec.Norm2(x)
 	}
-	return math.Sqrt(ws.whole(vec.PoolDot(ws.pool, x, x)))
+	return math.Sqrt(ws.whole(ws.pool.Dot(x, x)))
 }
 
 // Axpy computes y += alpha*x.
 func (ws *Workspace) Axpy(alpha float64, x, y vec.Vector) {
 	t0 := ws.begin()
-	vec.PoolAxpy(ws.pool, alpha, x, y)
+	ws.pool.Axpy(alpha, x, y)
 	ws.charge(PhaseUpdate, t0)
 }
 
 // Combine computes dst = init + sum_j coef[j]*xs[j] in one pass (vec.Combine).
 func (ws *Workspace) Combine(dst, init vec.Vector, coef []float64, xs []vec.Vector) {
 	t0 := ws.begin()
-	vec.PoolCombine(ws.pool, dst, init, coef, xs)
+	ws.pool.Combine(dst, init, coef, xs)
 	ws.charge(PhaseUpdate, t0)
 }
 
 // Xpay computes y = x + alpha*y.
 func (ws *Workspace) Xpay(x vec.Vector, alpha float64, y vec.Vector) {
 	t0 := ws.begin()
-	vec.PoolXpay(ws.pool, x, alpha, y)
+	ws.pool.Xpay(x, alpha, y)
 	ws.charge(PhaseUpdate, t0)
 }
 
@@ -247,7 +247,7 @@ func (ws *Workspace) Xpay(x vec.Vector, alpha float64, y vec.Vector) {
 // its reduction included.
 func (ws *Workspace) FusedCGUpdate(alpha float64, p, ap, x, r vec.Vector) float64 {
 	t0 := ws.begin()
-	rr := ws.whole(vec.PoolFusedCGUpdate(ws.pool, alpha, p, ap, x, r))
+	rr := ws.whole(ws.pool.FusedCGUpdate(alpha, p, ap, x, r))
 	ws.charge(PhaseUpdate, t0)
 	return rr
 }
@@ -328,7 +328,7 @@ func (ws *Workspace) Direction(a sparse.Matrix, src vec.Vector, beta float64, p,
 // reduction — in one pooled dispatch.
 func (ws *Workspace) DotBlock(xs, ys []vec.Vector, out []float64) {
 	t0 := ws.begin()
-	vec.PoolDotBlock(ws.pool, xs, ys, out, ws.slab(len(out)))
+	ws.pool.DotBlock(xs, ys, out, ws.slab(len(out)))
 	ws.combine(out)
 	ws.charge(PhaseReduction, t0)
 }
@@ -337,7 +337,7 @@ func (ws *Workspace) DotBlock(xs, ys []vec.Vector, out []float64) {
 // pooled dispatch.
 func (ws *Workspace) AxpyBlock(coef []float64, xs, ys []vec.Vector) {
 	t0 := ws.begin()
-	vec.PoolAxpyBlock(ws.pool, coef, xs, ys)
+	ws.pool.AxpyBlock(coef, xs, ys)
 	ws.charge(PhaseUpdate, t0)
 }
 

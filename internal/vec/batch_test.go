@@ -156,9 +156,9 @@ func TestDotsBitwise(t *testing.T) {
 	}
 }
 
-// TestDotBatchAndBlockAreDots: the one-to-many and the cross-product
-// shapes are the same sums, serial and pooled.
-func TestDotBatchAndBlockAreDots(t *testing.T) {
+// TestDotBlockIsDots: the cross-product shape, one-to-many included, is
+// the same sums, serial and pooled.
+func TestDotBlockIsDots(t *testing.T) {
 	pools := testPools(t)
 	for _, n := range []int{5, BlockLen + 1, 3*BlockLen + 258} {
 		for _, shape := range [][2]int{{1, 1}, {1, 5}, {3, 2}, {4, 9}, {7, 7}} {
@@ -182,16 +182,6 @@ func TestDotBatchAndBlockAreDots(t *testing.T) {
 				Fill(out, leafSentinel)
 				p.DotBlock(xs, ys, out, part)
 				check("pooled DotBlock")
-			}
-			if len(xs) == 1 {
-				Fill(out, leafSentinel)
-				DotBatch(xs[0], ys, out, part)
-				check("DotBatch")
-				for _, p := range pools {
-					Fill(out, leafSentinel)
-					p.DotBatch(xs[0], ys, out, part)
-					check("pooled DotBatch")
-				}
 			}
 		}
 	}

@@ -174,7 +174,7 @@ func TestCSRMulVecsMatchesMulVecPerColumn(t *testing.T) {
 		}
 		for _, w := range []int{2, 3, 4} {
 			p := NewPoolMinChunk(w, 1)
-			p.cut[opCSRMulVecs].Store(1)
+			p.cut[opCSRMulVecs] = 1
 			bounds := make([]int, w+1)
 			for c := 0; c <= w; c++ {
 				bounds[c] = c * n / w
@@ -215,7 +215,7 @@ func TestPoolZeroAllocBlockKernels(t *testing.T) {
 	rowPtr, colIdx, vals := bandCSR(n, 31)
 	p := NewPoolMinChunk(4, 64)
 	defer p.Close()
-	p.cut[opCSRMulVecs].Store(1)
+	p.cut[opCSRMulVecs] = 1
 	bounds := []int{0, n / 4, n / 2, 3 * n / 4, n}
 	p.DotBlock(xs, ys, out, nil) // warm: workers + batch slab
 	p.AxpyBlock(coef, xs, ys)

@@ -1,7 +1,6 @@
 package vec
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -27,13 +26,11 @@ import (
 // never on the worker count — so pooled reductions are bitwise
 // identical to the serial kernels.
 //
-// Whether a kernel parallelizes at all is decided by a per-opcode
-// cutoff: the minimum total element (or nonzero) count at which handing
-// work to other cores beats running the serial kernel in place.
-// Construction installs conservative static cutoffs (reductions must
-// amortize a cross-core wakeup plus a combine; cheap elementwise
-// streams need even more length); Calibrate replaces them with measured
-// crossovers for this machine.
+// Whether a kernel parallelizes at all is the pool's decision alone, made
+// from the input size against a fixed per-opcode cutoff (defaultCutoffs):
+// the minimum total element (or nonzero) count at which handing work to
+// other cores beats running the serial kernel in place. Nothing measures
+// or moves a cutoff after construction.
 //
 // A single Pool serializes its kernels behind an internal mutex: one
 // parallel kernel runs at a time, and concurrent callers queue. This is
@@ -41,19 +38,19 @@ import (
 // dependent anyway); independent solvers wanting concurrent parallelism
 // should each own a Pool.
 //
-// A Pool with Workers == 1 degenerates to the serial kernels and never
-// spawns goroutines. The zero value is not usable; construct with
-// NewPool.
+// A nil *Pool is the serial pool: every method runs the serial kernel
+// (or, for the row and CSR products, returns false so the caller does),
+// Workers is 1 and Close does nothing. A Pool with Workers == 1 behaves
+// the same and never spawns goroutines. The zero value is not usable;
+// construct with NewPool.
 type Pool struct {
 	workers  int
-	minChunk atomic.Int64       // granularity floor (legacy knob; see SetMinChunk)
-	cut      [nOps]atomic.Int64 // per-opcode parallel cutoff in elements (nnz for opCSRMulVec)
+	minChunk int         // granularity floor, fixed at construction
+	cut      [nOps]int64 // per-opcode parallel cutoff in elements (nnz for the CSR products)
 	closed   atomic.Bool
 
-	mu      sync.Mutex // serializes dispatches; held while workers run
-	start   sync.Once  // spawns the persistent workers lazily
-	calOnce sync.Once  // one-shot Calibrate
-	cal     Calibration
+	mu    sync.Mutex // serializes dispatches; held while workers run
+	start sync.Once  // spawns the persistent workers lazily
 
 	wake []chan struct{} // wake[c] wakes the worker owning chunk c (c >= 1)
 	done chan struct{}   // workers signal chunk completion
@@ -66,9 +63,8 @@ type Pool struct {
 	boundsSlab []int     // backing array reused by equal splits
 	blockPart  []float64 // per-block reduction partials (reused)
 	blockPart2 []float64 // second partial set (DotPair)
-	batchPart  []float64 // DotBatch partials, one padded stride per y
-	batchCap   int       // per-y stride of batchPart
-	lefts      []Vector  // the left operands of the batch in flight
+	batchPart  []float64 // Dots/DotBlock partials, one padded stride per pair
+	batchCap   int       // per-pair stride of batchPart
 }
 
 // lineBlocks is the number of BlockLen blocks whose partials share one
@@ -91,7 +87,6 @@ const (
 	opXpay
 	opMulElem
 	opFusedCG
-	opDotBatch
 	opCSRMulVec
 	opRowRange
 	opDotBlock
@@ -100,32 +95,26 @@ const (
 	nOps = iota
 )
 
-// opNames label the opcodes in Calibration reports.
-var opNames = [nOps]string{
-	opNone: "none", opDot: "dot", opDotPair: "dotpair", opAxpy: "axpy",
-	opXpay: "xpay", opMulElem: "mulelem", opFusedCG: "fusedcg",
-	opDotBatch: "dotbatch", opCSRMulVec: "csrmulvec", opRowRange: "rowrange",
-	opDotBlock: "dotblock", opAxpyBlock: "axpyblock", opCSRMulVecs: "csrmulvecs",
-}
-
-// defaultCutoffs are the conservative fallback crossovers installed at
-// construction, used until (unless) Calibrate measures real ones. They
+// defaultCutoffs are the fixed crossovers every pool dispatches by. They
 // are deliberately high: a pooled kernel that dispatches below its true
 // crossover loses integer factors to wakeup latency (the old single
 // global minChunk of 4096 made pooled dots up to 20x slower than
 // serial), while one that stays serial a bit too long loses a few
 // percent at worst. Reductions pay a wakeup plus a combine, so they
 // need the most length; elementwise streams are pure bandwidth and
-// amortize faster; DotBatch amortizes one dispatch over every ys sweep.
+// amortize faster; the batched kernels amortize one dispatch over every
+// pair's sweep.
 //
 // The kernels with assembly leaves (kernels_amd64.s) sit a factor of
 // four above where they were set against the Go leaves — 1<<16 for dot,
 // 1<<15 for axpy/xpay/fusedcg, 1<<14 for the batched ones: the serial
 // side got 2.3-4.7x faster per element (BenchmarkLeaf), a wake-up did
 // not. dotpair's two-lane leaf gained 1.2-1.7x and moves by two. Five
-// Calibrate runs on fresh 2-worker pools with the assembly leaves, on
-// the 2-core shared box the BENCH files come from, put the crossovers
-// (median of five; "never" = no win up to 1<<20) at
+// runs of the crossover sweep this package used to carry (each kernel
+// timed serial and force-pooled from 1<<13 to 1<<20) on fresh 2-worker
+// pools with the assembly leaves, on the 2-core shared box the BENCH
+// files come from, put the crossovers (median of five; "never" = no win
+// up to 1<<20) at
 //
 //	dot 1<<20 (1<<18 .. never)      axpy 1<<19 (1<<19 .. 1<<20)
 //	dotpair 1<<19 (1<<18 .. 1<<20)  xpay 1<<20 (1<<19 .. 1<<20)
@@ -133,14 +122,14 @@ var opNames = [nOps]string{
 //	dotblock 1<<17 (1<<14 .. 1<<18) axpyblock 1<<18 (1<<18 .. 1<<19)
 //
 // every one of them above its default, old or new. The defaults stop
-// short of those medians on purpose: they are what a host that never
-// calibrates runs on, the second core of that box is shared (five runs
-// on the Go leaves the same hour have a median of "never" for every
-// opcode), and the factor the serial leaf gained is the part of the
-// shift that carries over to other machines. Where the Go leaves run
-// the new values are only more conservative. mulelem, the CSR products
-// and rowrange (derived from the CSR probe) have no assembly body and
-// keep their values.
+// short of those medians on purpose: the second core of that box is
+// shared (five runs on the Go leaves the same hour have a median of
+// "never" for every opcode), and the factor the serial leaf gained is
+// the part of the shift that carries over to other machines. That
+// spread is why the sweep is gone: which crossover a process measured
+// depended on the mode it drew, not on the machine. Where the Go leaves
+// run the values are only more conservative. mulelem, the CSR products
+// and rowrange have no assembly body and keep their values.
 var defaultCutoffs = [nOps]int64{
 	opDot:       1 << 18,
 	opDotPair:   1 << 17,
@@ -148,11 +137,10 @@ var defaultCutoffs = [nOps]int64{
 	opXpay:      1 << 17,
 	opMulElem:   1 << 15,
 	opFusedCG:   1 << 17,
-	opDotBatch:  1 << 16,
 	opCSRMulVec: 1 << 15, // in nonzeros
 	opRowRange:  1 << 15, // in rows
 	// The block multi-RHS kernels amortize one dispatch over s (or s^2)
-	// operand sweeps, so they cross over at DotBatch-like sizes.
+	// operand sweeps, so they cross over earlier.
 	opDotBlock:   1 << 16,
 	opAxpyBlock:  1 << 16,
 	opCSRMulVecs: 1 << 15, // in nonzeros (shared across the s outputs)
@@ -192,108 +180,76 @@ type job struct {
 // concurrently. All of x may be read.
 type RowKernel func(lo, hi int, dst, x Vector)
 
-// DefaultPool uses all available CPUs with the conservative default
-// cutoffs. Long-running hosts (servers, CLIs) should DefaultPool.Calibrate()
-// once at startup to replace them with measured crossovers.
+// DefaultPool uses all available CPUs.
 var DefaultPool = NewPool(runtime.GOMAXPROCS(0))
 
-// DefaultMinChunk is the legacy granularity floor: the smallest
-// per-worker slice length a parallel dispatch will hand to a worker.
-// Whether a kernel parallelizes at all is governed by the per-opcode
-// cutoffs (see Calibrate); this knob only bounds chunk granularity.
-const DefaultMinChunk = 4096
+// defaultMinChunk is the granularity floor of a pool from NewPool: the
+// smallest per-worker slice length a parallel dispatch hands a worker.
+const defaultMinChunk = 4096
 
 // NewPool returns a pool using the given number of workers (at least 1)
-// with the conservative default per-op cutoffs.
+// that dispatches by defaultCutoffs.
 func NewPool(workers int) *Pool {
-	return NewPoolMinChunk(workers, DefaultMinChunk)
+	return NewPoolMinChunk(workers, defaultMinChunk)
 }
 
 // NewPoolMinChunk returns a pool with an explicit minimum per-worker
 // chunk length. A minChunk below the default also lowers every per-op
-// cutoff to 2*minChunk (clamped to two reduction blocks), which is how
-// tests force tiny kernels onto the parallel path; a larger minChunk
-// only coarsens chunk granularity.
+// cutoff to 2*minChunk (clamped to two reduction blocks, so reduction
+// chunk boundaries stay BlockLen-aligned): the seam tests use to force
+// tiny kernels onto the parallel path. A larger minChunk only coarsens
+// chunk granularity.
 func NewPoolMinChunk(workers, minChunk int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	if minChunk < 1 {
-		minChunk = 1
-	}
-	p := &Pool{workers: workers}
-	p.minChunk.Store(int64(minChunk))
-	for op := range p.cut {
-		p.cut[op].Store(defaultCutoffs[op])
-	}
-	if minChunk < DefaultMinChunk {
-		p.applyMinChunkCutoffs(minChunk)
+	minChunk = max(minChunk, 1)
+	p := &Pool{workers: max(workers, 1), minChunk: minChunk, cut: defaultCutoffs}
+	if minChunk < defaultMinChunk {
+		c := max(int64(2*minChunk), 2*BlockLen)
+		for op := opNone + 1; op < nOps; op++ {
+			p.cut[op] = c
+		}
 	}
 	return p
 }
 
-// applyMinChunkCutoffs maps the legacy single-knob threshold onto the
-// per-op cutoffs: parallelize anything with at least two chunks of
-// minChunk, but never below two reduction blocks (reduction chunk
-// boundaries must stay BlockLen-aligned).
-func (p *Pool) applyMinChunkCutoffs(minChunk int) {
-	c := int64(2 * minChunk)
-	if min := int64(2 * BlockLen); c < min {
-		c = min
+// Fork returns a new pool of the given number of workers that dispatches
+// exactly as p does: the same cutoffs and chunk floor. A fork of the
+// serial (nil) pool is the serial pool.
+func (p *Pool) Fork(workers int) *Pool {
+	if p == nil {
+		return nil
 	}
-	for op := 1; op < nOps; op++ {
-		p.cut[op].Store(c)
-	}
+	f := NewPool(workers)
+	f.minChunk, f.cut = p.minChunk, p.cut
+	return f
 }
 
-// Workers returns the configured worker count.
-func (p *Pool) Workers() int { return p.workers }
-
-// MinChunk returns the current granularity floor.
-func (p *Pool) MinChunk() int { return int(p.minChunk.Load()) }
-
-// SetMinChunk overrides the granularity floor and rebases every per-op
-// cutoff to 2*n (clamped to two reduction blocks). It is safe to call
-// concurrently with running kernels (the values are atomic); in-flight
-// kernels keep the split they already planned. Calibrate supersedes it:
-// prefer measured cutoffs on long-lived pools.
-func (p *Pool) SetMinChunk(n int) {
-	if n < 1 {
-		n = 1
+// Workers returns the configured worker count (1 for the nil pool).
+func (p *Pool) Workers() int {
+	if p == nil {
+		return 1
 	}
-	p.minChunk.Store(int64(n))
-	p.applyMinChunkCutoffs(n)
+	return p.workers
 }
 
-// cutoff returns the current parallel cutoff for op.
-func (p *Pool) cutoff(op opcode) int64 { return p.cut[op].Load() }
-
-// DotCutoff returns the vector length below which pooled dot products
-// run serially. It is reporting surface (diagnostics, bench notes);
-// kernels consult their own opcode's cutoff internally.
-func (p *Pool) DotCutoff() int {
-	c := p.cutoff(opDot)
-	if c > math.MaxInt32 {
-		return math.MaxInt32
+// SpMVParts is the question a sparse product asks before it partitions
+// its rows: how many parts to cut for this pool, or 0 when a product over
+// nnz stored entries runs serially — a nil, serial or closed pool, or nnz
+// below the SpMV cutoff. The pooled products decline those cases
+// themselves; asking first spares the partition.
+func (p *Pool) SpMVParts(nnz int) int {
+	if p == nil || p.workers < 2 || p.closed.Load() || int64(nnz) < p.cut[opCSRMulVec] {
+		return 0
 	}
-	return int(c)
-}
-
-// SpMVCutoff returns the nonzero count below which pooled sparse
-// matrix-vector products run serially. sparse.CSR and sparse.SELL
-// consult it before partitioned dispatch.
-func (p *Pool) SpMVCutoff() int {
-	c := p.cutoff(opCSRMulVec)
-	if c > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	return int(c)
+	return p.workers
 }
 
 // Close stops the persistent workers. Subsequent kernel calls fall back
 // to the serial forms. Close is intended for tests and short-lived
 // pools; long-lived pools (DefaultPool) never need it.
 func (p *Pool) Close() {
+	if p == nil {
+		return
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed.Swap(true) {
@@ -345,16 +301,16 @@ func (p *Pool) growSlabs(n int, pair bool) {
 	}
 }
 
-// growBatchSlab sizes the DotBatch slab: one stride of block partials
-// per y, strides padded to whole cache lines so worker boundary cells
-// never share a line across ys.
-func (p *Pool) growBatchSlab(n, nys int) {
+// growBatchSlab sizes the batch slab: one stride of block partials per
+// pair, strides padded to whole cache lines so worker boundary cells
+// never share a line across pairs.
+func (p *Pool) growBatchSlab(n, pairs int) {
 	nb := nblocks(n)
 	stride := (nb + lineBlocks - 1) / lineBlocks * lineBlocks
-	if cap(p.batchPart) < stride*nys {
-		p.batchPart = make([]float64, stride*nys)
+	if cap(p.batchPart) < stride*pairs {
+		p.batchPart = make([]float64, stride*pairs)
 	}
-	p.batchPart = p.batchPart[:stride*nys]
+	p.batchPart = p.batchPart[:stride*pairs]
 	p.batchCap = stride
 }
 
@@ -370,7 +326,7 @@ func (p *Pool) planParts(n int) (parts, align int) {
 		align = lineBlocks * BlockLen
 	}
 	floor := align
-	if mc := p.MinChunk(); mc > floor {
+	if mc := p.minChunk; mc > floor {
 		floor = (mc + align - 1) / align * align
 	}
 	parts = p.workers
@@ -382,10 +338,10 @@ func (p *Pool) planParts(n int) (parts, align int) {
 
 // beginEqual plans a block-aligned near-equal split of [0, n) for op
 // and acquires the dispatch lock. It returns the chunk count, or 0
-// (lock not held) when the kernel should run serially: pool closed,
-// n below the op's cutoff, or too little work per worker.
+// (lock not held) when the kernel should run serially: a nil, serial or
+// closed pool, n below the op's cutoff, or too little work per worker.
 func (p *Pool) beginEqual(op opcode, n int) int {
-	if p.closed.Load() || p.workers < 2 || int64(n) < p.cutoff(op) {
+	if p == nil || p.workers < 2 || p.closed.Load() || int64(n) < p.cut[op] {
 		return 0
 	}
 	parts, align := p.planParts(n)
@@ -412,10 +368,11 @@ func (p *Pool) beginEqual(op opcode, n int) int {
 // beginBounds plans a dispatch over caller-provided chunk boundaries
 // (len(bounds)-1 chunks, e.g. an nnz-balanced CSR row partition) and
 // acquires the dispatch lock. It returns the chunk count, or 0 (lock
-// not held) when the partition does not fit this pool.
-func (p *Pool) beginBounds(bounds []int) int {
+// not held) when the pool is nil or closed, size is below op's cutoff,
+// or the partition does not fit this pool.
+func (p *Pool) beginBounds(op opcode, size int, bounds []int) int {
 	nc := len(bounds) - 1
-	if nc < 2 || nc > p.workers || p.closed.Load() {
+	if p == nil || nc < 2 || nc > p.workers || p.closed.Load() || int64(size) < p.cut[op] {
 		return 0
 	}
 	p.mu.Lock()
@@ -445,7 +402,6 @@ func (p *Pool) run(nc int) {
 // the dispatch lock.
 func (p *Pool) end() {
 	p.job = job{}
-	clear(p.lefts)
 	p.bounds = nil
 	p.nchunks = 0
 	p.mu.Unlock()
@@ -506,7 +462,7 @@ func (p *Pool) exec(c int) {
 			}
 			p.blockPart[b0/BlockLen] = fusedCGLeaf(a, pv[b0:b1], ap[b0:b1], x[b0:b1], r[b0:b1])
 		}
-	case opDotBatch, opDotBlock:
+	case opDotBlock:
 		dotsRange(p.batchPart, p.batchCap, j.ys, j.ds, j.cross, lo, hi)
 	case opCSRMulVec:
 		rowPtr, colIdx, vals := j.rowPtr, j.colIdx, j.vals
@@ -623,34 +579,29 @@ func (p *Pool) FusedCGUpdate(alpha float64, pv, ap, x, r Vector) float64 {
 	return s
 }
 
-// Dots, DotBatch and DotBlock are the pooled batches: one dispatch for
-// every pair, parallel across chunks of the elements, bitwise identical to
-// the serial form — which runs, on the caller's part, when none is made.
+// Dots and DotBlock are the pooled batches: one dispatch for every pair,
+// parallel across chunks of the elements, bitwise identical to the serial
+// form — which runs, on the caller's part, when none is made.
 func (p *Pool) Dots(out []float64, xs, ys []Vector, part []float64) {
-	p.dots(opDotBlock, out, xs, ys, false, part)
-}
-
-func (p *Pool) DotBatch(x Vector, ys []Vector, out, part []float64) {
-	p.dots(opDotBatch, out, []Vector{x}, ys, true, part)
+	p.dots(out, xs, ys, false, part)
 }
 
 func (p *Pool) DotBlock(xs, ys []Vector, out, part []float64) {
-	p.dots(opDotBlock, out, xs, ys, true, part)
+	p.dots(out, xs, ys, true, part)
 }
 
-func (p *Pool) dots(op opcode, out []float64, xs, ys []Vector, cross bool, part []float64) {
+func (p *Pool) dots(out []float64, xs, ys []Vector, cross bool, part []float64) {
 	nc := 0
 	n := dotsLen(out, xs, ys, cross)
 	if n > 0 {
-		nc = p.beginEqual(op, n)
+		nc = p.beginEqual(opDotBlock, n)
 	}
 	if nc == 0 {
 		dots(out, xs, ys, cross, part)
 		return
 	}
 	p.growBatchSlab(n, len(out))
-	p.lefts = append(p.lefts[:0], xs...) // copied: DotBatch's list of one stays on its stack
-	p.job = job{op: op, ys: p.lefts, ds: ys, cross: cross}
+	p.job = job{op: opDotBlock, ys: xs, ds: ys, cross: cross}
 	p.run(nc)
 	nb := nblocks(n)
 	for k := range out {
@@ -700,107 +651,11 @@ func (p *Pool) Combine(dst, init Vector, coef []float64, xs []Vector) {
 	p.end()
 }
 
-// PoolDots runs Dots on the pool when p is non-nil, else serially.
-func PoolDots(p *Pool, out []float64, xs, ys []Vector, part []float64) {
-	if p != nil {
-		p.Dots(out, xs, ys, part)
-		return
-	}
-	Dots(out, xs, ys, part)
-}
-
-// PoolDotBlock runs DotBlock on the pool when p is non-nil and serially
-// otherwise.
-func PoolDotBlock(p *Pool, xs, ys []Vector, out, part []float64) {
-	if p != nil {
-		p.DotBlock(xs, ys, out, part)
-		return
-	}
-	DotBlock(xs, ys, out, part)
-}
-
-// PoolCombine runs Combine on the pool when p is non-nil, else serially.
-func PoolCombine(p *Pool, dst, init Vector, coef []float64, xs []Vector) {
-	if p != nil {
-		p.Combine(dst, init, coef, xs)
-		return
-	}
-	Combine(dst, init, coef, xs)
-}
-
-// PoolAxpyBlock runs AxpyBlock on the pool when p is non-nil and
-// serially otherwise.
-func PoolAxpyBlock(p *Pool, coef []float64, xs, ys []Vector) {
-	if p != nil {
-		p.AxpyBlock(coef, xs, ys)
-		return
-	}
-	AxpyBlock(coef, xs, ys)
-}
-
-// PoolDot returns p.Dot(x, y) when p is non-nil and the serial Dot
-// otherwise. The Pool* helpers are the single pool-or-serial dispatch
-// point shared by every solver hot path.
-func PoolDot(p *Pool, x, y Vector) float64 {
-	if p != nil {
-		return p.Dot(x, y)
-	}
-	return Dot(x, y)
-}
-
-// PoolDotPair returns p.DotPair(x, y, z) when p is non-nil and the
-// serial DotPair otherwise.
-func PoolDotPair(p *Pool, x, y, z Vector) (xy, xz float64) {
-	if p != nil {
-		return p.DotPair(x, y, z)
-	}
-	return DotPair(x, y, z)
-}
-
-// PoolAxpy computes y += alpha*x on the pool when p is non-nil and
-// serially otherwise.
-func PoolAxpy(p *Pool, alpha float64, x, y Vector) {
-	if p != nil {
-		p.Axpy(alpha, x, y)
-		return
-	}
-	Axpy(alpha, x, y)
-}
-
-// PoolXpay computes y = x + alpha*y on the pool when p is non-nil and
-// serially otherwise.
-func PoolXpay(p *Pool, x Vector, alpha float64, y Vector) {
-	if p != nil {
-		p.Xpay(x, alpha, y)
-		return
-	}
-	Xpay(x, alpha, y)
-}
-
-// PoolMulElem computes dst = x .* y on the pool when p is non-nil and
-// serially otherwise.
-func PoolMulElem(p *Pool, dst, x, y Vector) {
-	if p != nil {
-		p.MulElem(dst, x, y)
-		return
-	}
-	MulElem(dst, x, y)
-}
-
-// PoolFusedCGUpdate runs the fused CG update on the pool when p is
-// non-nil and serially otherwise.
-func PoolFusedCGUpdate(p *Pool, alpha float64, pv, ap, x, r Vector) float64 {
-	if p != nil {
-		return p.FusedCGUpdate(alpha, pv, ap, x, r)
-	}
-	return FusedCGUpdate(alpha, pv, ap, x, r)
-}
-
 // RowMulVec computes dst = A*x for an operator whose rows are
 // independent, splitting the n rows into near-equal chunks and running
 // fn on each (the pooled matvec of sparse.DIA and sparse.Stencil, whose
 // per-row work is uniform enough that an equal split balances). It
-// returns false — leaving dst untouched — when the pool is closed,
+// returns false — leaving dst untouched — when the pool is nil, closed,
 // serial, or n is below the row-op cutoff, in which case the caller
 // should run its serial kernel. fn should be a function value cached by
 // the caller (e.g. a method value stored at construction) so
@@ -821,10 +676,10 @@ func (p *Pool) RowMulVec(n int, dst, x Vector, fn RowKernel) bool {
 // SELL row-chunks weighted by nonzeros). The ranges' dst writes must be
 // pairwise disjoint but need not be contiguous — sparse.SELL writes
 // through its row permutation. It returns false — leaving dst untouched
-// — when the partition does not fit this pool and the caller should use
-// its serial kernel.
+// — when the pool is nil or closed or the partition does not fit it, and
+// the caller should use its serial kernel.
 func (p *Pool) RowMulVecBounds(bounds []int, dst, x Vector, fn RowKernel) bool {
-	nc := p.beginBounds(bounds)
+	nc := p.beginBounds(opNone, 0, bounds)
 	if nc == 0 {
 		return false
 	}
@@ -838,18 +693,15 @@ func (p *Pool) RowMulVecBounds(bounds []int, dst, x Vector, fn RowKernel) bool {
 // colIdx, vals), parallelized over the caller-provided row partition
 // bounds (len(bounds)-1 chunks; see sparse.CSR.MulVecPool, which supplies
 // an nnz-balanced partition). It returns false — leaving dst untouched —
-// when the total nonzero count is below the SpMV cutoff or the
-// partition does not fit this pool, in which case the caller should use
-// its serial kernel.
+// when the pool is nil or closed, the total nonzero count is below the
+// SpMV cutoff or the partition does not fit this pool, in which case the
+// caller should use its serial kernel.
 //
 // The pool deliberately knows this one structured kernel: SpMV dominates
 // every solver's hot path, and routing it through the same opcode
 // dispatch keeps the parallel form allocation-free.
 func (p *Pool) CSRMulVec(bounds []int, rowPtr, colIdx []int, vals []float64, dst, x Vector) bool {
-	if int64(len(vals)) < p.cutoff(opCSRMulVec) {
-		return false
-	}
-	nc := p.beginBounds(bounds)
+	nc := p.beginBounds(opCSRMulVec, len(vals), bounds)
 	if nc == 0 {
 		return false
 	}
@@ -901,10 +753,7 @@ func CSRMulVecsRows(rowPtr, colIdx []int, vals []float64, dsts, xs []Vector, lo,
 // destinations untouched — when the nonzero count is below the
 // multi-vector SpMV cutoff or the partition does not fit this pool.
 func (p *Pool) CSRMulVecs(bounds []int, rowPtr, colIdx []int, vals []float64, dsts, xs []Vector) bool {
-	if int64(len(vals)) < p.cutoff(opCSRMulVecs) {
-		return false
-	}
-	nc := p.beginBounds(bounds)
+	nc := p.beginBounds(opCSRMulVecs, len(vals), bounds)
 	if nc == 0 {
 		return false
 	}

@@ -128,42 +128,6 @@ func TestPoolGoroutineCountStable(t *testing.T) {
 	}
 }
 
-// TestSetMinChunkConcurrent exercises the SetMinChunk data-race fix:
-// mutating the chunk threshold while kernels run must be safe (run
-// under -race to see the old bug).
-func TestSetMinChunkConcurrent(t *testing.T) {
-	n := 1 << 13
-	x := New(n)
-	y := New(n)
-	Random(x, 7)
-	Random(y, 8)
-	p := NewPool(4)
-	defer p.Close()
-	want := Dot(x, y)
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 1; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			p.SetMinChunk(i%5000 + 1)
-		}
-	}()
-	for i := 0; i < 500; i++ {
-		if got := p.Dot(x, y); !almostEqual(got, want, 1e-11) {
-			t.Fatalf("Dot under concurrent SetMinChunk = %v want %v", got, want)
-		}
-	}
-	close(stop)
-	wg.Wait()
-}
-
 // TestPoolConcurrentDispatch checks that concurrent callers of one pool
 // serialize correctly and all get right answers.
 func TestPoolConcurrentDispatch(t *testing.T) {

@@ -7,9 +7,7 @@ import (
 
 // forcedPool returns a pool that parallelizes even tiny vectors.
 func forcedPool(workers int) *Pool {
-	p := NewPool(workers)
-	p.SetMinChunk(1)
-	return p
+	return NewPoolMinChunk(workers, 1)
 }
 
 func TestNewPoolClampsWorkers(t *testing.T) {
@@ -103,7 +101,9 @@ func TestPoolFusedCGUpdateMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestPoolDotBatchMatchesSerial(t *testing.T) {
+// TestPoolDotBlockOneXMatchesSerial: the one-to-many shape — one left
+// operand against a list, the cross path of the batched inner products.
+func TestPoolDotBlockOneXMatchesSerial(t *testing.T) {
 	n := 2048
 	x := New(n)
 	Random(x, 11)
@@ -113,9 +113,9 @@ func TestPoolDotBatchMatchesSerial(t *testing.T) {
 		Random(ys[j], uint64(100+j))
 	}
 	want := make([]float64, len(ys))
-	DotBatch(x, ys, want, make([]float64, len(ys)*nblocks(len(x))))
+	DotBlock([]Vector{x}, ys, want, make([]float64, len(ys)*nblocks(len(x))))
 	got := make([]float64, len(ys))
-	forcedPool(4).DotBatch(x, ys, got, nil)
+	forcedPool(4).DotBlock([]Vector{x}, ys, got, nil)
 	for j := range want {
 		if !almostEqual(want[j], got[j], 1e-12) {
 			t.Fatalf("batch dot %d: %v vs %v", j, got[j], want[j])
@@ -132,10 +132,10 @@ func TestPoolSmallFallsBackToSerial(t *testing.T) {
 	}
 }
 
-func TestPoolDotBatchEmpty(t *testing.T) {
+func TestPoolDotBlockEmpty(t *testing.T) {
 	p := forcedPool(2)
 	x := New(16)
-	p.DotBatch(x, nil, nil, nil) // must not panic
+	p.DotBlock([]Vector{x}, nil, nil, nil) // must not panic
 }
 
 func TestPropPoolDotMatchesSerial(t *testing.T) {

@@ -1,7 +1,6 @@
 package vec
 
 import (
-	"math"
 	"testing"
 )
 
@@ -24,7 +23,8 @@ func TestPooledReductionsBitwiseSerial(t *testing.T) {
 		wantXY, wantXZ := DotPair(x, y, z)
 		wantBatch := make([]float64, 3)
 		part := make([]float64, 3*nblocks(n))
-		DotBatch(x, []Vector{y, z, w}, wantBatch, part)
+		xs, ys := []Vector{x}, []Vector{y, z, w}
+		DotBlock(xs, ys, wantBatch, part)
 
 		for _, workers := range []int{2, 3, 4, 7} {
 			p := NewPoolMinChunk(workers, 1)
@@ -51,10 +51,10 @@ func TestPooledReductionsBitwiseSerial(t *testing.T) {
 			}
 
 			gotBatch := make([]float64, 3)
-			p.DotBatch(x, []Vector{y, z, w}, gotBatch, part)
+			p.DotBlock(xs, ys, gotBatch, part)
 			for j := range wantBatch {
 				if gotBatch[j] != wantBatch[j] {
-					t.Fatalf("n=%d w=%d: pooled DotBatch[%d] = %.17g, serial %.17g",
+					t.Fatalf("n=%d w=%d: pooled DotBlock[%d] = %.17g, serial %.17g",
 						n, workers, j, gotBatch[j], wantBatch[j])
 				}
 			}
@@ -111,7 +111,7 @@ func TestDotTreeShape(t *testing.T) {
 
 // TestPoolZeroAllocNewKernels extends the steady-state allocation guard
 // to the kernels added with the substrate rework: pooled Xpay, MulElem,
-// and DotBatch must also be allocation-free when warm.
+// and a one-to-many DotBlock must also be allocation-free when warm.
 func TestPoolZeroAllocNewKernels(t *testing.T) {
 	n := 1 << 15
 	x, y, z, w := New(n), New(n), New(n), New(n)
@@ -119,11 +119,11 @@ func TestPoolZeroAllocNewKernels(t *testing.T) {
 	Random(y, 42)
 	Random(z, 43)
 	Random(w, 44)
-	ys := []Vector{y, z, w}
+	xs, ys := []Vector{x}, []Vector{y, z, w}
 	dots := make([]float64, 3)
 	p := NewPoolMinChunk(4, 64)
 	defer p.Close()
-	p.DotBatch(x, ys, dots, nil) // warm: workers + batch slab
+	p.DotBlock(xs, ys, dots, nil) // warm: workers + batch slab
 	p.MulElem(z, x, y)
 
 	if avg := testing.AllocsPerRun(100, func() { p.Xpay(x, 0.5, y) }); avg != 0 {
@@ -132,73 +132,8 @@ func TestPoolZeroAllocNewKernels(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { p.MulElem(z, x, y) }); avg != 0 {
 		t.Errorf("pooled MulElem allocates %v per call, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(100, func() { p.DotBatch(x, ys, dots, nil) }); avg != 0 {
-		t.Errorf("pooled DotBatch allocates %v per call, want 0", avg)
-	}
-}
-
-// TestCalibrateInstallsCutoffs: Calibrate runs once, reports a cutoff
-// for every opcode, installs the same values it reports, and repeated
-// calls return the stored report without re-measuring.
-func TestCalibrateInstallsCutoffs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration sweep in -short mode")
-	}
-	p := NewPool(2)
-	defer p.Close()
-	cal := p.Calibrate()
-	if cal.Workers != 2 {
-		t.Fatalf("Calibration.Workers = %d, want 2", cal.Workers)
-	}
-	for op := 1; op < nOps; op++ {
-		name := opNames[op]
-		c, ok := cal.Cutoffs[name]
-		if !ok || c <= 0 {
-			t.Fatalf("no positive cutoff reported for %q: %v", name, cal.Cutoffs)
-		}
-		if got := p.cut[op].Load(); got != c {
-			t.Fatalf("installed cutoff for %q = %d, reported %d", name, got, c)
-		}
-	}
-	again := p.Calibrate()
-	for name, c := range cal.Cutoffs {
-		if again.Cutoffs[name] != c {
-			t.Fatalf("second Calibrate changed %q: %d -> %d", name, c, again.Cutoffs[name])
-		}
-	}
-}
-
-// TestCalibrateSerialPool: a one-worker pool can never win, so every
-// cutoff must be "always serial".
-func TestCalibrateSerialPool(t *testing.T) {
-	p := NewPool(1)
-	cal := p.Calibrate()
-	for name, c := range cal.Cutoffs {
-		if c != math.MaxInt64 {
-			t.Fatalf("serial pool reported finite cutoff for %q: %d", name, c)
-		}
-	}
-}
-
-// TestCalibrateKeepsResults: calibration only moves the dispatch
-// cutoffs, never the numbers — a dot computed before and after
-// calibration is bitwise identical.
-func TestCalibrateKeepsResults(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration sweep in -short mode")
-	}
-	n := 1 << 17
-	x, y := New(n), New(n)
-	Random(x, 51)
-	Random(y, 52)
-	p := NewPool(4)
-	defer p.Close()
-	before := p.Dot(x, y)
-	p.Calibrate()
-	after := p.Dot(x, y)
-	if before != after || before != Dot(x, y) {
-		t.Fatalf("calibration changed Dot: before %.17g after %.17g serial %.17g",
-			before, after, Dot(x, y))
+	if avg := testing.AllocsPerRun(100, func() { p.DotBlock(xs, ys, dots, nil) }); avg != 0 {
+		t.Errorf("pooled DotBlock allocates %v per call, want 0", avg)
 	}
 }
 
@@ -210,10 +145,10 @@ func TestCalibrateKeepsResults(t *testing.T) {
 func TestDefaultCutoffsConservative(t *testing.T) {
 	p := NewPool(8)
 	defer p.Close()
-	if c := p.cutoff(opDot); c < 1<<16 {
+	if c := p.cut[opDot]; c < 1<<16 {
 		t.Fatalf("default dot cutoff %d, want >= %d", c, 1<<16)
 	}
-	if c := p.cutoff(opAxpy); c < 1<<15 {
+	if c := p.cut[opAxpy]; c < 1<<15 {
 		t.Fatalf("default axpy cutoff %d, want >= %d", c, 1<<15)
 	}
 	// Observable behavior: a 16Ki pooled dot must not dispatch (same
@@ -227,5 +162,139 @@ func TestDefaultCutoffsConservative(t *testing.T) {
 	}
 	if p.wake != nil {
 		t.Fatal("below-cutoff dispatch spawned workers")
+	}
+}
+
+// TestNilPoolIsSerial: a nil *Pool is the serial pool. Every kernel
+// method returns the serial kernel's bits, each product that hands back
+// to its caller declines and leaves dst alone, and none of them
+// allocates — at lengths past every cutoff, where a real pool dispatches.
+func TestNilPoolIsSerial(t *testing.T) {
+	var p *Pool
+	if p.Workers() != 1 || p.SpMVParts(1<<30) != 0 || p.Fork(4) != nil {
+		t.Fatalf("nil pool: Workers %d, SpMVParts %d, Fork %v", p.Workers(), p.SpMVParts(1<<30), p.Fork(4))
+	}
+	p.Close()
+	for _, n := range []int{1, BlockLen + 3, 1<<18 + 5} {
+		x, y, z := New(n), New(n), New(n)
+		Random(x, uint64(n)+1)
+		Random(y, uint64(n)+2)
+		Random(z, uint64(n)+3)
+		rowPtr, colIdx := make([]int, n+1), make([]int, n)
+		for i := range colIdx {
+			rowPtr[i+1], colIdx[i] = i+1, i
+		}
+		bounds := []int{0, n / 2, n}
+		xs, ys := []Vector{x, y}, []Vector{y, z}
+		coef := []float64{0.5, -0.25, 1.5, 0}
+		kern := RowKernel(func(lo, hi int, dst, x Vector) { copy(dst[lo:hi], x[lo:hi]) })
+		part := make([]float64, 4*nblocks(n))
+		cases := []struct {
+			name           string
+			serial, pooled func(d []Vector, s []float64)
+		}{
+			{"Dot",
+				func(d []Vector, s []float64) { s[0] = Dot(x, y) },
+				func(d []Vector, s []float64) { s[0] = p.Dot(x, y) }},
+			{"DotPair",
+				func(d []Vector, s []float64) { s[0], s[1] = DotPair(x, y, z) },
+				func(d []Vector, s []float64) { s[0], s[1] = p.DotPair(x, y, z) }},
+			{"Axpy",
+				func(d []Vector, s []float64) { Axpy(0.37, x, d[0]) },
+				func(d []Vector, s []float64) { p.Axpy(0.37, x, d[0]) }},
+			{"Xpay",
+				func(d []Vector, s []float64) { Xpay(x, -0.5, d[0]) },
+				func(d []Vector, s []float64) { p.Xpay(x, -0.5, d[0]) }},
+			{"MulElem",
+				func(d []Vector, s []float64) { MulElem(d[0], x, y) },
+				func(d []Vector, s []float64) { p.MulElem(d[0], x, y) }},
+			{"FusedCGUpdate",
+				func(d []Vector, s []float64) { s[0] = FusedCGUpdate(0.37, x, y, d[0], d[1]) },
+				func(d []Vector, s []float64) { s[0] = p.FusedCGUpdate(0.37, x, y, d[0], d[1]) }},
+			{"Dots",
+				func(d []Vector, s []float64) { Dots(s[:2], xs, ys, part) },
+				func(d []Vector, s []float64) { p.Dots(s[:2], xs, ys, part) }},
+			{"DotBlock",
+				func(d []Vector, s []float64) { DotBlock(xs, ys, s, part) },
+				func(d []Vector, s []float64) { p.DotBlock(xs, ys, s, part) }},
+			{"AxpyBlock",
+				func(d []Vector, s []float64) { AxpyBlock(coef, xs, d) },
+				func(d []Vector, s []float64) { p.AxpyBlock(coef, xs, d) }},
+			{"Combine",
+				func(d []Vector, s []float64) { Combine(d[0], d[1], coef[:2], xs) },
+				func(d []Vector, s []float64) { p.Combine(d[0], d[1], coef[:2], xs) }},
+			{"RowMulVec", func([]Vector, []float64) {},
+				func(d []Vector, s []float64) { s[0] = b2f(p.RowMulVec(n, d[0], x, kern)) }},
+			{"RowMulVecBounds", func([]Vector, []float64) {},
+				func(d []Vector, s []float64) { s[0] = b2f(p.RowMulVecBounds(bounds, d[0], x, kern)) }},
+			{"CSRMulVec", func([]Vector, []float64) {},
+				func(d []Vector, s []float64) { s[0] = b2f(p.CSRMulVec(bounds, rowPtr, colIdx, y, d[0], x)) }},
+			{"CSRMulVecs", func([]Vector, []float64) {},
+				func(d []Vector, s []float64) { s[0] = b2f(p.CSRMulVecs(bounds, rowPtr, colIdx, y, d, xs)) }},
+		}
+		want, got := []Vector{New(n), New(n)}, []Vector{New(n), New(n)}
+		wantS, gotS := make([]float64, 4), make([]float64, 4)
+		for _, c := range cases {
+			for i := range want {
+				Random(want[i], uint64(n+i)+9)
+				copy(got[i], want[i])
+			}
+			clear(wantS)
+			clear(gotS)
+			c.serial(want, wantS)
+			c.pooled(got, gotS)
+			for i := range want {
+				for k := range want[i] {
+					if !sameFloat(got[i][k], want[i][k]) {
+						t.Fatalf("n=%d %s: nil pool wrote %v at [%d][%d], serial %v", n, c.name, got[i][k], i, k, want[i][k])
+					}
+				}
+			}
+			for k := range wantS {
+				if !sameFloat(gotS[k], wantS[k]) {
+					t.Fatalf("n=%d %s: nil pool result %d = %v, serial %v", n, c.name, k, gotS[k], wantS[k])
+				}
+			}
+			if avg := testing.AllocsPerRun(5, func() { c.pooled(got, gotS) }); avg != 0 {
+				t.Errorf("n=%d %s on the nil pool allocates %v per call, want 0", n, c.name, avg)
+			}
+		}
+	}
+}
+
+// b2f is 1 for true: a declined product and the serial side both read 0.
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestForkKeepsCutoffs: a fork has its own workers and dispatches by its
+// parent's rule — NewPool's cutoffs, or the test seam's — and a forced
+// parent's fork still takes small kernels onto its workers.
+func TestForkKeepsCutoffs(t *testing.T) {
+	for _, parent := range []*Pool{NewPool(4), NewPoolMinChunk(4, 1), NewPoolMinChunk(2, 64)} {
+		for _, w := range []int{0, 1, 3} {
+			f := parent.Fork(w)
+			if f == parent || f.Workers() != max(w, 1) || f.cut != parent.cut || f.minChunk != parent.minChunk {
+				t.Fatalf("Fork(%d) of a %d-worker pool: %d workers, cutoffs %v chunk %d; parent %v chunk %d",
+					w, parent.Workers(), f.Workers(), f.cut, f.minChunk, parent.cut, parent.minChunk)
+			}
+			f.Close()
+		}
+		parent.Close()
+	}
+	f := NewPoolMinChunk(4, 1).Fork(2)
+	defer f.Close()
+	n := 4 * BlockLen
+	x, y := New(n), New(n)
+	Random(x, 71)
+	Random(y, 72)
+	if got, want := f.Dot(x, y), Dot(x, y); got != want {
+		t.Fatalf("fork Dot = %.17g, serial %.17g", got, want)
+	}
+	if f.wake == nil {
+		t.Fatal("the fork of a forced pool ran a 4-block Dot serially")
 	}
 }

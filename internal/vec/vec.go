@@ -21,8 +21,8 @@
 // tree over the published block partials. The result is
 // the substrate's core guarantee: serial and pooled reductions are
 // BITWISE IDENTICAL for every worker count, so moving a solve on or
-// off a Pool — or recalibrating its cutoffs — can never change a
-// trajectory.
+// off a Pool — or changing where a Pool's cutoffs sit — can never
+// change a trajectory.
 //
 // DirectionSweep (sweep.go) composes the same pieces along a different
 // axis: for one granule of a vector at a time it runs the elementwise
@@ -39,8 +39,8 @@
 // slab — taken a stretch of every pair at a time, four pairs' chains in
 // flight. Combine(dst, init, coef, xs): dst[i] = ((init[i] + c0*x0[i]) +
 // c1*x1[i]) + ..., from +0 without init, zero coefficients skipped — Axpy
-// after Axpy with one load per term and one store. DotBatch, DotBlock and
-// AxpyBlock are these two, the same bits serial and pooled.
+// after Axpy with one load per term and one store. DotBlock and AxpyBlock
+// are these two, the same bits serial and pooled.
 //
 // # The pipelined update
 //
@@ -280,17 +280,6 @@ func Norm2(x Vector) float64 {
 		return 0
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// NormInf returns the maximum absolute component of x.
-func NormInf(x Vector) float64 {
-	var m float64
-	for _, xi := range x {
-		if a := math.Abs(xi); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Axpy computes y += alpha*x in place.
@@ -663,11 +652,6 @@ func pipeLeafGo(alpha, beta float64, r, w, n, p, s, q, x []float64) (rr, wr floa
 // pair's are combined as Dot combines them (see dotsRange).
 func Dots(out []float64, xs, ys []Vector, part []float64) {
 	dots(out, xs, ys, false, part)
-}
-
-// DotBatch computes out[j] = <x, ys[j]> for all j in a single sweep over x.
-func DotBatch(x Vector, ys []Vector, out []float64, part []float64) {
-	dots(out, []Vector{x}, ys, true, part)
 }
 
 // DotBlock fills out[i*len(ys)+j] = <xs[i], ys[j]> for every pair — the

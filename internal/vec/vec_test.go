@@ -121,13 +121,6 @@ func TestNorm2Overflow(t *testing.T) {
 	}
 }
 
-func TestNormInfNorm1(t *testing.T) {
-	v := NewFrom([]float64{-3, 2, 1})
-	if NormInf(v) != 3 {
-		t.Fatalf("NormInf = %v", NormInf(v))
-	}
-}
-
 func TestAxpyFamily(t *testing.T) {
 	x := NewFrom([]float64{1, 2})
 	y := NewFrom([]float64{10, 20})
@@ -213,9 +206,9 @@ func TestDotPairAndBatch(t *testing.T) {
 		t.Fatalf("DotPair got %v %v", xy, xz)
 	}
 	dots := make([]float64, 2)
-	DotBatch(x, []Vector{y, z}, dots, make([]float64, 2))
+	DotBlock([]Vector{x}, []Vector{y, z}, dots, make([]float64, 2))
 	if dots[0] != 11 || dots[1] != 17 {
-		t.Fatalf("DotBatch got %v", dots)
+		t.Fatalf("DotBlock got %v", dots)
 	}
 }
 

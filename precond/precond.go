@@ -149,7 +149,7 @@ func (p *Jacobi) ApplyPool(pool *vec.Pool, dst, r vec.Vector) {
 	if len(dst) != p.Dim() || len(r) != p.Dim() {
 		panic("precond: Jacobi dimension mismatch")
 	}
-	vec.PoolMulElem(pool, dst, r, p.invDiag)
+	pool.MulElem(dst, r, p.invDiag)
 }
 
 // SSOR is the symmetric successive over-relaxation preconditioner

@@ -37,7 +37,8 @@ import (
 // sharing it across concurrent workers would serialize the batch's hot
 // paths. Batch therefore re-slices the engine: with W > 1 workers, each
 // fork gets its own pool of Workers/W workers (at least one, i.e.
-// serial kernels), closed when the batch completes — coarse-grained
+// serial kernels) dispatching by the same cutoffs (Pool.Fork), closed
+// when the batch completes — coarse-grained
 // parallelism across right-hand sides takes precedence over
 // fine-grained parallelism within one solve.
 func Batch(s *Session, B [][]float64, extra ...Option) ([]Result, error) {
@@ -86,16 +87,8 @@ func Batch(s *Session, B [][]float64, extra ...Option) ([]Result, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			workerOpts := baseOpts
-			if cfg.pool != nil && nw > 1 {
-				pw := cfg.pool.Workers() / nw
-				if pw < 1 {
-					pw = 1
-				}
-				wp := sparse.NewPoolMinChunk(pw, cfg.pool.MinChunk())
-				defer wp.Close()
-				workerOpts = append(append([]Option(nil), baseOpts...), WithPool(wp))
-			}
+			workerOpts, wp := workerOptions(cfg, baseOpts, nw)
+			defer wp.Close()
 			sess, err := NewSession(s.method, s.op, workerOpts...)
 			if err != nil {
 				for i := w; i < len(B); i += nw {
@@ -175,15 +168,9 @@ func blockBatch(s *Session, twin string, B [][]float64, baseOpts []Option, cfg *
 		go func(w int) {
 			defer wg.Done()
 			wcfg := cfg
-			workerOpts := baseOpts
-			if cfg.pool != nil && nw > 1 {
-				pw := cfg.pool.Workers() / nw
-				if pw < 1 {
-					pw = 1
-				}
-				wp := sparse.NewPoolMinChunk(pw, cfg.pool.MinChunk())
-				defer wp.Close()
-				workerOpts = append(append([]Option(nil), baseOpts...), WithPool(wp))
+			workerOpts, wp := workerOptions(cfg, baseOpts, nw)
+			defer wp.Close()
+			if wp != nil {
 				wcfg = newConfig(workerOpts)
 			}
 			sol, err := New(twin)
@@ -244,6 +231,18 @@ func blockBatch(s *Session, twin string, B [][]float64, baseOpts []Option, cfg *
 		}
 	}
 	return results, errors.Join(joined...), true
+}
+
+// workerOptions returns the options one of nw batch workers solves with:
+// baseOpts, plus — when the session has a pool and the batch more than
+// one worker — a fork of that pool with its share of the workers, which
+// the worker closes when it is done (a nil pool's Close does nothing).
+func workerOptions(cfg *config, baseOpts []Option, nw int) ([]Option, *sparse.Pool) {
+	if cfg.pool == nil || nw < 2 {
+		return baseOpts, nil
+	}
+	wp := cfg.pool.Fork(max(cfg.pool.Workers()/nw, 1))
+	return append(append([]Option(nil), baseOpts...), WithPool(wp)), wp
 }
 
 // panelBounds returns the half-open column range of panel pi in a

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"vrcg/internal/vec"
 	"vrcg/precond"
 	"vrcg/solve"
 	"vrcg/sparse"
@@ -148,7 +149,7 @@ var bitsAtParent = []parentBits{
 // lib-ladder's, are the recorded ones bit for bit.
 func TestBitsUnchangedFromParent(t *testing.T) {
 	names, as, bs := bitsSystems(t)
-	pool := sparse.NewPoolMinChunk(3, 64)
+	pool := vec.NewPoolMinChunk(3, 64)
 	defer pool.Close()
 	seen := 0
 	for i, name := range names {

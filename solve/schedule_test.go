@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vrcg/internal/vec"
 	"vrcg/solve"
 	"vrcg/sparse"
 )
@@ -67,7 +68,7 @@ func TestOverlapIsScheduleOnly(t *testing.T) {
 // fused update (gropp) — and the two return the same bits, counts and
 // Syncs, so the unfused path stays pinned to the fused one.
 func TestPipelinedPooledIsSerial(t *testing.T) {
-	pool := sparse.NewPoolMinChunk(3, 64)
+	pool := vec.NewPoolMinChunk(3, 64)
 	defer pool.Close()
 	for _, system := range []string{"poisson2d_31", "poisson2d_64"} {
 		a, b := goldenSystem(t, system)

@@ -335,7 +335,7 @@ func ExampleSession() {
 func TestBatchWithPoolMatchesSequential(t *testing.T) {
 	a := sparse.Poisson2D(16)
 	B := rhsSet(a.Dim(), 6)
-	pool := sparse.NewPoolMinChunk(4, 32)
+	pool := sparse.NewPool(4)
 	defer pool.Close()
 	sess, err := solve.NewSession("cg", a, solve.WithTol(1e-11), solve.WithPool(pool))
 	if err != nil {

@@ -295,19 +295,14 @@ func nnzBalancedBounds(rowPtr []int, parts int) []int {
 }
 
 // MulVecPool computes dst = A*x in parallel over the pool using the
-// cached nnz-balanced row partition. Small matrices (nonzeros below the
-// pool's SpMV cutoff), a nil pool, or a serial pool all fall back to
-// the serial MulVec. The result is bitwise identical to MulVec:
+// cached nnz-balanced row partition, or serially where the pool declines
+// (see Pool.SpMVParts). The result is bitwise identical to MulVec:
 // parallelism is across rows, and each row's accumulation order is
 // unchanged.
 func (m *CSR) MulVecPool(pool *Pool, dst, x []float64) {
 	checkMul(m, dst, x)
-	if pool == nil || pool.Workers() < 2 || len(m.vals) < pool.SpMVCutoff() {
-		m.MulVec(dst, x)
-		return
-	}
-	bounds := m.RowPartition(pool.Workers())
-	if !pool.CSRMulVec(bounds, m.rowPtr, m.colIdx, m.vals, dst, x) {
+	parts := pool.SpMVParts(len(m.vals))
+	if parts == 0 || !pool.CSRMulVec(m.RowPartition(parts), m.rowPtr, m.colIdx, m.vals, dst, x) {
 		m.MulVec(dst, x)
 	}
 }
@@ -328,12 +323,8 @@ func (m *CSR) MulVecs(dsts, xs [][]float64) {
 // fallbacks and the same bitwise-identity guarantee as MulVecPool.
 func (m *CSR) MulVecsPool(pool *Pool, dsts, xs [][]float64) {
 	checkMulVecs(m, dsts, xs)
-	if pool == nil || pool.Workers() < 2 || len(m.vals) < pool.SpMVCutoff() {
-		vec.CSRMulVecsRows(m.rowPtr, m.colIdx, m.vals, dsts, xs, 0, m.n)
-		return
-	}
-	bounds := m.RowPartition(pool.Workers())
-	if !pool.CSRMulVecs(bounds, m.rowPtr, m.colIdx, m.vals, dsts, xs) {
+	parts := pool.SpMVParts(len(m.vals))
+	if parts == 0 || !pool.CSRMulVecs(m.RowPartition(parts), m.rowPtr, m.colIdx, m.vals, dsts, xs) {
 		vec.CSRMulVecsRows(m.rowPtr, m.colIdx, m.vals, dsts, xs, 0, m.n)
 	}
 }

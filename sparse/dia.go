@@ -474,7 +474,7 @@ func dia5(out, d0, d1, d2, d3, d4, x0, x1, x2, x3, x4 []float64) {
 // the serial MulVec. The result is bitwise identical to MulVec.
 func (m *DIA) MulVecPool(pool *Pool, dst, x []float64) {
 	checkMul(m, dst, x)
-	if pool == nil || pool.Workers() < 2 || !pool.RowMulVec(m.n, dst, x, m.rangeFn) {
+	if !pool.RowMulVec(m.n, dst, x, m.rangeFn) {
 		m.MulVec(dst, x)
 	}
 }

@@ -11,6 +11,11 @@ import (
 // can construct pools, hand them to the pool-aware operators in this
 // package, and to solve.WithPool.
 //
+// Whether a call runs on the workers is the pool's own decision, made
+// from the input size against fixed per-kernel cutoffs; below its
+// kernel's cutoff a call runs serially on the calling goroutine. A nil
+// *Pool is the serial pool: every product and kernel accepts it.
+//
 // A single Pool serializes its kernels behind an internal mutex, which
 // is the natural contract for one iterative solve; independent
 // concurrent solves should each own a Pool (they are cheap until their
@@ -20,24 +25,6 @@ type Pool = vec.Pool
 // DefaultPool is a process-wide pool using all available CPUs.
 var DefaultPool = vec.DefaultPool
 
-// DefaultMinChunk is the default granularity floor: the smallest
-// per-worker slice length a parallel dispatch will plan. Whether a call
-// parallelizes at all is decided by per-opcode cutoffs (conservative
-// defaults, replaced by measured crossovers when Pool.Calibrate is
-// called once at startup); below its opcode's cutoff a kernel runs
-// serially on the calling goroutine.
-const DefaultMinChunk = vec.DefaultMinChunk
-
 // NewPool returns a pool with the given number of workers (at least 1;
 // 1 means every kernel runs serially and no goroutines are spawned).
-// Call Calibrate on the returned pool once at process startup to
-// replace the conservative default parallel cutoffs with crossovers
-// measured on the actual machine.
 func NewPool(workers int) *Pool { return vec.NewPool(workers) }
-
-// NewPoolMinChunk returns a pool with an explicit per-worker chunk
-// granularity floor (construction-time alternative to
-// Pool.SetMinChunk). Lowering it below DefaultMinChunk also rebases the
-// per-opcode parallel cutoffs, which is how tests force small inputs
-// onto the parallel path.
-func NewPoolMinChunk(workers, minChunk int) *Pool { return vec.NewPoolMinChunk(workers, minChunk) }

@@ -230,12 +230,8 @@ func (m *Rect) MulVec(dst, x []float64) {
 // partition, bitwise identical to MulVec (see CSR.MulVecPool).
 func (m *Rect) MulVecPool(pool *Pool, dst, x []float64) {
 	m.checkMul(dst, x)
-	if pool == nil || pool.Workers() < 2 || len(m.vals) < pool.SpMVCutoff() {
-		m.MulVec(dst, x)
-		return
-	}
-	bounds := m.rowBounds(pool.Workers())
-	if !pool.CSRMulVec(bounds, m.rowPtr, m.colIdx, m.vals, dst, x) {
+	parts := pool.SpMVParts(len(m.vals))
+	if parts == 0 || !pool.CSRMulVec(m.rowBounds(parts), m.rowPtr, m.colIdx, m.vals, dst, x) {
 		m.MulVec(dst, x)
 	}
 }

@@ -233,12 +233,8 @@ func (s *SELL) ChunkPartition(parts int) []int {
 // is bitwise identical to MulVec at any worker count.
 func (s *SELL) MulVecPool(pool *Pool, dst, x []float64) {
 	checkMul(s, dst, x)
-	if pool == nil || pool.Workers() < 2 || len(s.vals) < pool.SpMVCutoff() {
-		s.MulVec(dst, x)
-		return
-	}
-	bounds := s.ChunkPartition(pool.Workers())
-	if !pool.RowMulVecBounds(bounds, dst, x, s.kernel) {
+	parts := pool.SpMVParts(len(s.vals))
+	if parts == 0 || !pool.RowMulVecBounds(s.ChunkPartition(parts), dst, x, s.kernel) {
 		s.MulVec(dst, x)
 	}
 }

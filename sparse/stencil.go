@@ -137,7 +137,7 @@ func (s *Stencil) MulVec(dst, x []float64) {
 // identical to MulVec.
 func (s *Stencil) MulVecPool(pool *Pool, dst, x []float64) {
 	checkMul(s, dst, x)
-	if pool == nil || pool.Workers() < 2 || !pool.RowMulVec(s.n, dst, x, s.rangeFn) {
+	if !pool.RowMulVec(s.n, dst, x, s.rangeFn) {
 		s.MulVec(dst, x)
 	}
 }
