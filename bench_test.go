@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"vrcg/internal/bench"
-	"vrcg/internal/collective"
 	"vrcg/internal/core"
 	"vrcg/internal/depth"
 	"vrcg/internal/engine"
@@ -298,10 +297,9 @@ func BenchmarkMatVecStencil2D(b *testing.B) {
 func BenchmarkAllreduceSimulated(b *testing.B) {
 	for _, p := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			contrib := make([]float64, p)
 			for i := 0; i < b.N; i++ {
 				m := machine.New(machine.DefaultConfig(p))
-				collective.AllreduceSum(m, contrib)
+				m.Allreduce(1)
 			}
 		})
 	}
@@ -421,34 +419,6 @@ func BenchmarkRCMOrder(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sparse.RCMOrder(a)
 	}
-}
-
-func BenchmarkRabenseifnerVsRecursiveDoubling(b *testing.B) {
-	p := 256
-	w := 1024
-	contrib := make([][]float64, p)
-	for i := range contrib {
-		contrib[i] = make([]float64, w)
-	}
-	cfg := machine.Config{P: p, Alpha: 1, Beta: 1, FlopTime: 0}
-	b.Run("recursive-doubling", func(b *testing.B) {
-		var t float64
-		for i := 0; i < b.N; i++ {
-			m := machine.New(cfg)
-			collective.AllreduceVec(m, contrib)
-			t = m.MaxClock()
-		}
-		b.ReportMetric(t, "simtime")
-	})
-	b.Run("rabenseifner", func(b *testing.B) {
-		var t float64
-		for i := 0; i < b.N; i++ {
-			m := machine.New(cfg)
-			collective.AllreduceRabenseifner(m, contrib)
-			t = m.MaxClock()
-		}
-		b.ReportMetric(t, "simtime")
-	})
 }
 
 // --- execution engine: serial vs pooled hot paths ---

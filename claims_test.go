@@ -10,7 +10,6 @@ import (
 	"math"
 	"testing"
 
-	"vrcg/internal/collective"
 	"vrcg/internal/core"
 	"vrcg/internal/depth"
 	"vrcg/internal/krylov"
@@ -24,11 +23,11 @@ import (
 // C1: "The inner product of two vectors of length N requires time
 // c*log(N)" and standard CG is bound by two of them per iteration.
 func TestClaimC1InnerProductBound(t *testing.T) {
-	// The hand-rolled collective realizes the log-time fan-in: doubling
-	// P from 512 to 1024 adds one round, not a factor.
+	// The simulated machine's allreduce realizes the log-time fan-in:
+	// doubling P from 512 to 1024 adds one round, not a factor.
 	fanIn := func(p int) float64 {
 		m := machine.New(machine.Config{P: p, Alpha: 1, Beta: 0, FlopTime: 0})
-		collective.ReduceSum(m, make([]float64, p), 0)
+		m.Allreduce(1)
 		return m.MaxClock()
 	}
 	if d := fanIn(1024) - fanIn(512); d > 1.5 {

@@ -149,12 +149,13 @@
 //   - internal/sstep, internal/pipecg: the published successor methods
 //   - sparse (public), internal/vec: sparse operators and vector kernels
 //   - internal/depth: the dependency-depth cost model of the paper
+//     (its own schedules: CG, VRCG, the window form)
 //   - internal/parcg: the look-ahead schedule as a real-parallel
 //     engine kernel, and the cost of all three paper schedules on the
-//     simulated machine (Replay, the opt-in
-//     WithProcessors/WithMachineConfig monitor)
-//   - internal/machine, internal/collective: the simulated distributed
-//     machine and hand-rolled collectives the replay charges
+//     simulated machine, charged through a row partition (Replay, the
+//     opt-in WithProcessors/WithMachineConfig monitor)
+//   - internal/machine: the α–β simulated distributed machine and its
+//     cost-only recursive-doubling allreduce, blocking and issued
 //   - internal/trace: Figure 1 schedule rendering
 //   - internal/bench: the experiment harness (E1..E10, A1..A6)
 //

@@ -27,12 +27,12 @@ func main() {
 	// at low latency.
 	a := sparse.TridiagToeplitz(4096, 4.2, -1)
 	p := 256
-	dm := parcg.NewDistMatrix(a, p)
+	pt := parcg.NewPartition(a, p)
 	fmt.Println("AutoK: look-ahead sized to the machine (P=256, n=4096, k covers the reduction):")
 	fmt.Printf("%10s %8s\n", "alpha", "k")
 	for _, alpha := range []float64{0.5, 4, 32, 256, 2048} {
 		cfg := machine.Config{P: p, Alpha: alpha, Beta: 0.01, FlopTime: 0.001}
-		fmt.Printf("%10.1f %8d\n", alpha, parcg.AutoK(cfg, dm, 32))
+		fmt.Printf("%10.1f %8d\n", alpha, parcg.AutoK(cfg, pt, 32))
 	}
 
 	// Part 2: a Monitor watchdog — run VRCG under external observation,

@@ -1,6 +1,6 @@
-// Machine simulation: runs the four algorithms as distributed programs
-// on the simulated P-processor machine with hand-rolled collectives, and
-// sweeps the message latency alpha. As alpha grows, standard CG pays two
+// Machine simulation: charges the four algorithms' schedules on the
+// simulated P-processor machine, collectives included, and sweeps the
+// message latency alpha. As alpha grows, standard CG pays two
 // log(P) reductions per iteration, pipelined CG hides one, s-step
 // semantics amortize them, and the paper's k-deep pipeline hides them
 // entirely. The solver comparison runs through the solve registry: the
@@ -14,7 +14,6 @@ import (
 	"log"
 	"math"
 
-	"vrcg/internal/collective"
 	"vrcg/internal/machine"
 	"vrcg/internal/vec"
 	"vrcg/solve"
@@ -22,12 +21,12 @@ import (
 )
 
 func main() {
-	// First, the collectives themselves: cost of one allreduce vs P.
+	// First, the collective itself: cost of one allreduce vs P.
 	fmt.Println("Hand-rolled recursive-doubling allreduce (alpha=1, beta=0.01):")
 	fmt.Printf("%8s %12s %10s\n", "P", "time", "time/log2P")
 	for _, p := range []int{16, 64, 256, 1024, 4096} {
 		m := machine.New(machine.DefaultConfig(p))
-		collective.AllreduceSum(m, make([]float64, p))
+		m.Allreduce(1)
 		lg := 0
 		for v := 1; v < p; v <<= 1 {
 			lg++

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"vrcg/internal/collective"
 	"vrcg/internal/machine"
 	"vrcg/internal/parcg"
 	"vrcg/internal/vec"
@@ -148,15 +147,11 @@ func A4BatchedReductions() *Table {
 		for _, k := range []int{2, 8} {
 			w := 3 * (4*k + 1)
 			batched := machine.New(machine.Config{P: p, Alpha: 16, Beta: 0.01, FlopTime: 0.001})
-			contrib := make([][]float64, p)
-			for i := range contrib {
-				contrib[i] = make([]float64, w)
-			}
-			collective.AllreduceVec(batched, contrib)
+			batched.Allreduce(w)
 
 			separate := machine.New(machine.Config{P: p, Alpha: 16, Beta: 0.01, FlopTime: 0.001})
 			for j := 0; j < w; j++ {
-				collective.AllreduceSum(separate, make([]float64, p))
+				separate.Allreduce(1)
 			}
 			t.AddRow(p, k, w, batched.MaxClock(), separate.MaxClock(),
 				separate.MaxClock()/batched.MaxClock())
@@ -216,12 +211,10 @@ func A5PartitionQuality() *Table {
 		{"random shuffle", shuffled},
 		{"RCM of shuffle", recovered},
 	} {
-		dm := parcg.NewDistMatrix(cs.a, p)
+		pt := parcg.NewPartition(cs.a, p)
 		m := machine.New(machine.Config{P: p, Alpha: 16, Beta: 0.01, FlopTime: 0.001})
-		x := parcg.NewDist(n, p)
-		dst := parcg.NewDist(n, p)
-		dm.MulVec(m, dst, x)
-		t.AddRow(cs.name, sparse.Bandwidth(cs.a), dm.HaloDegree(), dm.TotalHaloWords(), m.MaxClock())
+		pt.MulVec(m)
+		t.AddRow(cs.name, sparse.Bandwidth(cs.a), pt.HaloDegree(), pt.TotalHaloWords(), m.MaxClock())
 	}
 	t.Notes = append(t.Notes,
 		"a shuffled ordering makes every processor talk to every other (halo explodes);",

@@ -193,79 +193,6 @@ func VRCGWindowRate(n, d, k int) float64 {
 	return SteadyStateRate(SimulateVRCGWindow(NewModel(n, d), k, iters))
 }
 
-// SimulatePIPECG models the Ghysels–Vanroose pipelined CG (2014), the
-// direct successor of the paper's idea adopted by PETSc (KSPPIPECG): one
-// global reduction per iteration, overlapped with the matvec, i.e. a
-// depth-one software pipeline. Its per-iteration time is
-// ~ max(log2(d)+O(1), log2(N) - overlap) + O(1): the single reduction is
-// hidden behind one iteration of local work, which beats standard CG by
-// the same 2x as the paper's k=1 but cannot reach log log N.
-func SimulatePIPECG(m Model, iters int) []Clock {
-	mustIters(iters)
-	vecReady := Clock(0)
-	redIssued := m.DotAvailableAt(0) // reduction in flight from warm-up
-	prev := At(0)
-
-	out := make([]Clock, iters)
-	for n := 0; n < iters; n++ {
-		// Scalars for this iteration come from the reduction issued last
-		// iteration.
-		scalars := ScalarOp(redIssued, prev)
-		// Local vector work: fused updates + matvec, gated by scalars.
-		upd := Elementwise([]Val{scalars}, VecAt(vecReady))
-		mv := m.MatVec(upd)
-		vecReady = mv.Ready
-		// Issue next reduction immediately on the updated vectors; it
-		// completes during the next iteration's local work.
-		redIssued = m.DotAvailableAt(upd.Ready)
-		prev = scalars
-		out[n] = scalars.Ready
-	}
-	return out
-}
-
-// SimulateSStep models Chronopoulos–Gear s-step CG (1989): s iterations
-// are blocked together; one batched reduction of 2s+1 inner products per
-// block, then s iterations of local recurrence work. Per-iteration time
-// ~ (log2 N)/s + log2(d) + O(1): the reduction cost amortizes across the
-// block but is not hidden, and the block's local work is serial in the
-// matvec chain.
-func SimulateSStep(m Model, s, iters int) []Clock {
-	mustIters(iters)
-	if s < 1 {
-		panic(fmt.Sprintf("depth: SimulateSStep needs s >= 1, got %d", s))
-	}
-	out := make([]Clock, 0, iters)
-	blockDone := Clock(0)
-	for len(out) < iters {
-		// Build the s-dimensional Krylov block: s matvecs in sequence.
-		v := VecAt(blockDone)
-		for j := 0; j < s; j++ {
-			v = m.MatVec(v)
-		}
-		// One batched reduction for the block Gram data.
-		gram := m.Dot(v, v)
-		// s iterations of scalar/vector recurrence work. Each
-		// iteration's scalars contract coefficient vectors against the
-		// 2s+1 Gram entries — a fan-in of depth ~log(2s+1) — then update
-		// the local vectors.
-		t := gram
-		scalarTerms := make([]Val, 2*s+1)
-		for j := 0; j < s && len(out) < iters; j++ {
-			prod := ScalarOp(t)
-			for i := range scalarTerms {
-				scalarTerms[i] = prod
-			}
-			t = ScalarOp(ScalarFanIn(scalarTerms))
-			upd := Elementwise([]Val{t}, v)
-			out = append(out, t.Ready)
-			v = upd
-		}
-		blockDone = v.Ready
-	}
-	return out
-}
-
 func mustIters(iters int) {
 	if iters < 2 {
 		panic(fmt.Sprintf("depth: need at least 2 iterations, got %d", iters))
@@ -286,18 +213,4 @@ func VRCGRate(n, d, k int) float64 {
 		iters = 64
 	}
 	return SteadyStateRate(SimulateVRCG(NewModel(n, d), k, iters))
-}
-
-// PipeCGRate returns the steady-state per-iteration time of pipelined CG.
-func PipeCGRate(n, d int) float64 {
-	return SteadyStateRate(SimulatePIPECG(NewModel(n, d), 64))
-}
-
-// SStepRate returns the steady-state per-iteration time of s-step CG.
-func SStepRate(n, d, s int) float64 {
-	iters := 8 * s
-	if iters < 64 {
-		iters = 64
-	}
-	return SteadyStateRate(SimulateSStep(NewModel(n, d), s, iters))
 }

@@ -218,46 +218,11 @@ func TestMaxLogDLogLogNShape(t *testing.T) {
 	}
 }
 
-// --- successor context (E7) ---
-
-func TestPipeCGBetweenCGAndVRCG(t *testing.T) {
-	n := 1 << 18
-	d := 5
-	cg := CGRate(n, d)
-	pipe := PipeCGRate(n, d)
-	vr := VRCGRate(n, d, 18)
-	if !(vr < pipe && pipe < cg) {
-		t.Fatalf("expected VRCG < PIPECG < CG, got %.2f, %.2f, %.2f", vr, pipe, cg)
-	}
-}
-
-func TestSStepAmortizesReduction(t *testing.T) {
-	n := 1 << 18
-	d := 5
-	s1 := SStepRate(n, d, 1)
-	s4 := SStepRate(n, d, 4)
-	s16 := SStepRate(n, d, 16)
-	if !(s16 < s4 && s4 < s1) {
-		t.Fatalf("s-step rate should fall with s: %.2f, %.2f, %.2f", s1, s4, s16)
-	}
-}
-
-func TestVRCGBeatsSStepAtEqualLookahead(t *testing.T) {
-	// s-step still pays (log N)/s + log d + c with an un-hidden
-	// reduction; VRCG hides it entirely behind the k-deep pipeline.
-	n := 1 << 20
-	d := 5
-	if vr, ss := VRCGRate(n, d, 20), SStepRate(n, d, 20); vr >= ss {
-		t.Fatalf("VRCG %.2f not below s-step %.2f", vr, ss)
-	}
-}
-
 func TestSimulatePanics(t *testing.T) {
 	m := NewModel(16, 3)
 	for _, f := range []func(){
 		func() { SimulateCG(m, 1) },
 		func() { SimulateVRCG(m, 0, 16) },
-		func() { SimulateSStep(m, 0, 16) },
 	} {
 		func() {
 			defer func() {
@@ -281,8 +246,6 @@ func TestPropCompletionsMonotone(t *testing.T) {
 		for _, cs := range [][]Clock{
 			SimulateCG(m, 20),
 			SimulateVRCG(m, k, 20),
-			SimulatePIPECG(m, 20),
-			SimulateSStep(m, k, 20),
 		} {
 			for i := 1; i < len(cs); i++ {
 				if cs[i] <= cs[i-1] {

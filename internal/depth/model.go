@@ -11,6 +11,12 @@
 // rate of the iteration completion times — exactly the quantity in the
 // paper's abstract ("can perform a conjugate gradient iteration in time
 // c*log(log(N))").
+//
+// The model holds the paper's own schedules: standard CG, the
+// restructured iteration, and its sliding-window form (algos.go). The
+// published successors — pipelined CG and s-step CG's blocking anchors —
+// are modelled once, on the α–β simulated machine (package machine:
+// parcg-pipe, and parcg with WithBlocking).
 package depth
 
 import (

@@ -1,13 +1,13 @@
-// Package machine provides a deterministic simulated distributed-memory
-// parallel machine: P processors with per-processor logical clocks, an
-// alpha+beta*words point-to-point message cost model, and compute-time
-// charging. There is no MPI ecosystem for Go, so the collectives the
-// paper's machine model assumes are hand-rolled on these primitives (see
-// package collective).
-//
-// All simulation is pure clock arithmetic — no goroutines, no real time
-// — so runs are exactly reproducible. Parallel time is read off as the
-// maximum clock, mirroring the paper's "parallel time" unit.
+// Package machine is the α–β cost model of a distributed-memory
+// machine: P processors with logical clocks, a message costing its
+// sender Alpha and reaching its receiver Alpha + Beta·words after it
+// departs, FlopTime a flop of local work, and the recursive-doubling
+// allreduce the schedules' inner products ride on, blocking and issued.
+// Go has no MPI, and the model needs none: nothing here carries data. A
+// schedule is charged from its shape alone — internal/parcg replays the
+// paper's schedules through a row partition of the operator — so every
+// run is pure clock arithmetic, exact and reproducible. Parallel time is
+// the latest clock, the paper's "parallel time" unit.
 package machine
 
 import "fmt"
@@ -44,6 +44,10 @@ type Machine struct {
 	cfg    Config
 	clocks []float64
 	stats  Stats
+	// SendPhase's scratch: messages posted and latest arrival per
+	// processor.
+	sent     []int
+	arrivals []float64
 }
 
 // New builds a machine from the configuration.
@@ -54,7 +58,8 @@ func New(cfg Config) *Machine {
 	if cfg.Alpha < 0 || cfg.Beta < 0 || cfg.FlopTime < 0 {
 		panic("machine: negative cost parameters")
 	}
-	return &Machine{cfg: cfg, clocks: make([]float64, cfg.P)}
+	return &Machine{cfg: cfg, clocks: make([]float64, cfg.P),
+		sent: make([]int, cfg.P), arrivals: make([]float64, cfg.P)}
 }
 
 // Config returns the machine configuration.
@@ -77,17 +82,6 @@ func (m *Machine) MaxClock() float64 {
 	return mx
 }
 
-// MinClock returns the earliest clock.
-func (m *Machine) MinClock() float64 {
-	mn := m.clocks[0]
-	for _, c := range m.clocks[1:] {
-		if c < mn {
-			mn = c
-		}
-	}
-	return mn
-}
-
 // Stats returns the accumulated activity counters.
 func (m *Machine) Stats() Stats { return m.stats }
 
@@ -96,6 +90,12 @@ func (m *Machine) check(i int) int {
 		panic(fmt.Sprintf("machine: processor %d out of range [0,%d)", i, m.cfg.P))
 	}
 	return i
+}
+
+func checkWords(words int) {
+	if words < 0 {
+		panic("machine: negative message size")
+	}
 }
 
 // Compute charges flops of local computation to processor i.
@@ -124,9 +124,7 @@ func (m *Machine) ComputeAll(flopsPerProc int) {
 func (m *Machine) Send(from, to, words int) {
 	m.check(from)
 	m.check(to)
-	if words < 0 {
-		panic("machine: negative message size")
-	}
+	checkWords(words)
 	if from == to {
 		return // local move, free under the model
 	}
@@ -146,6 +144,7 @@ func (m *Machine) Send(from, to, words int) {
 func (m *Machine) Exchange(a, b, words int) {
 	m.check(a)
 	m.check(b)
+	checkWords(words)
 	if a == b {
 		return
 	}
@@ -172,36 +171,30 @@ type Message struct {
 // calls, receiving inside the phase does not delay a processor's own
 // sends — the semantics of posted/nonblocking communication.
 func (m *Machine) SendPhase(msgs []Message) {
-	start := make([]float64, m.cfg.P)
-	copy(start, m.clocks)
-	sent := make([]int, m.cfg.P)
-	arrivals := make([]float64, m.cfg.P)
-	copy(arrivals, m.clocks)
+	clear(m.sent)
+	copy(m.arrivals, m.clocks)
 	for _, msg := range msgs {
 		m.check(msg.From)
 		m.check(msg.To)
-		if msg.Words < 0 {
-			panic("machine: negative message size")
-		}
+		checkWords(msg.Words)
 		if msg.From == msg.To {
 			continue
 		}
-		depart := start[msg.From] + float64(sent[msg.From])*m.cfg.Alpha
-		sent[msg.From]++
+		depart := m.clocks[msg.From] + float64(m.sent[msg.From])*m.cfg.Alpha
+		m.sent[msg.From]++
 		arrive := depart + m.cfg.Alpha + m.cfg.Beta*float64(msg.Words)
-		if arrive > arrivals[msg.To] {
-			arrivals[msg.To] = arrive
+		if arrive > m.arrivals[msg.To] {
+			m.arrivals[msg.To] = arrive
 		}
 		m.stats.Messages++
 		m.stats.Words += msg.Words
 	}
-	for i := 0; i < m.cfg.P; i++ {
-		occupied := start[i] + float64(sent[i])*m.cfg.Alpha
-		c := arrivals[i]
-		if occupied > c {
+	for i, start := range m.clocks {
+		c := m.arrivals[i]
+		if occupied := start + float64(m.sent[i])*m.cfg.Alpha; occupied > c {
 			c = occupied
 		}
-		if c > m.clocks[i] {
+		if c > start {
 			m.clocks[i] = c
 		}
 	}
@@ -223,20 +216,64 @@ func (m *Machine) Clocks() []float64 {
 	return out
 }
 
-// Fork returns a machine sharing the configuration with a copy of the
-// clocks and zeroed statistics. Collectives can be "trial run" on a fork
-// to obtain completion times without disturbing the primary timeline —
-// the mechanism behind non-blocking (pipelined) collectives.
-func (m *Machine) Fork() *Machine {
-	f := New(m.cfg)
-	copy(f.clocks, m.clocks)
-	return f
+// Allreduce charges a blocking allreduce of words words a processor by
+// recursive doubling: the processors past the largest power of two
+// not above P fold into that core first (a message and words additions
+// each), the core exchanges and adds in log2 rounds, and the sums replay
+// out to the folded tail. One batched allreduce of w words costs
+// ceil(log2 P)·(Alpha + Beta·w) — batching the paper's 6k+O(1) base
+// inner products into one collective is what makes their pipelined
+// computation affordable.
+func (m *Machine) Allreduce(words int) {
+	checkWords(words)
+	p := m.cfg.P
+	core := 1
+	for core*2 <= p {
+		core *= 2
+	}
+	for i := core; i < p; i++ {
+		m.Send(i, i-core, words)
+		m.Compute(i-core, words)
+	}
+	for gap := 1; gap < core; gap <<= 1 {
+		for i := 0; i < core; i++ {
+			if partner := i ^ gap; partner > i {
+				m.Exchange(i, partner, words)
+				m.Compute(i, words)
+				m.Compute(partner, words)
+			}
+		}
+	}
+	for i := core; i < p; i++ {
+		m.Send(i-core, i, words)
+	}
 }
 
-// AddStats merges the counters of another machine (typically a fork
-// whose activity should be accounted on the primary timeline).
-func (m *Machine) AddStats(s Stats) {
-	m.stats.Messages += s.Messages
-	m.stats.Words += s.Words
-	m.stats.Flops += s.Flops
+// Handle is an allreduce in flight: the clock at which each processor
+// holds its result.
+type Handle struct{ done []float64 }
+
+// IAllreduce issues a words-wide allreduce into h without blocking. It
+// runs on a copy of the clocks — a communication co-processor, or
+// network progress overlapped with local work — so its messages and
+// additions count now, while no processor's clock moves until Wait.
+// This is the machinery behind the paper's Figure 1: inner products
+// issued at iteration n-k complete during the following k iterations.
+// h's storage is reused from issue to issue.
+func (m *Machine) IAllreduce(h *Handle, words int) {
+	checkWords(words) // before the swap, so a refusal leaves m whole
+	primary := m.clocks
+	h.done = append(h.done[:0], primary...)
+	m.clocks = h.done // the blocking schedule, run on the copy
+	m.Allreduce(words)
+	m.clocks = primary
+}
+
+// Wait blocks every processor on h: a clock behind the reduction's
+// completion advances to it; a clock past it (the reduction finished
+// during local work) does not move.
+func (m *Machine) Wait(h *Handle) {
+	for i, t := range h.done {
+		m.AdvanceTo(i, t)
+	}
 }

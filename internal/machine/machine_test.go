@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -10,8 +11,10 @@ func TestNewAndAccessors(t *testing.T) {
 	if m.P() != 4 {
 		t.Fatalf("P = %d", m.P())
 	}
-	if m.MaxClock() != 0 || m.MinClock() != 0 {
-		t.Fatal("fresh machine clocks not zero")
+	for i := 0; i < m.P(); i++ {
+		if m.Clock(i) != 0 {
+			t.Fatal("fresh machine clocks not zero")
+		}
 	}
 	if m.Config().Beta != 0.5 {
 		t.Fatal("config not preserved")
@@ -117,23 +120,6 @@ func TestAdvanceTo(t *testing.T) {
 	}
 }
 
-func TestForkIsolation(t *testing.T) {
-	m := New(DefaultConfig(2))
-	m.Compute(0, 5)
-	f := m.Fork()
-	f.Compute(0, 100)
-	if m.Clock(0) != 5 {
-		t.Fatal("fork mutated parent clocks")
-	}
-	if f.Clock(0) != 105 {
-		t.Fatalf("fork clock %v", f.Clock(0))
-	}
-	m.AddStats(f.Stats())
-	if m.Stats().Flops != 105 {
-		t.Fatalf("AddStats flops %d", m.Stats().Flops)
-	}
-}
-
 func TestClocksCopy(t *testing.T) {
 	m := New(DefaultConfig(3))
 	cs := m.Clocks()
@@ -151,6 +137,7 @@ func TestOutOfRangePanics(t *testing.T) {
 		func() { m.Send(0, 5, 1) },
 		func() { m.Compute(0, -1) },
 		func() { m.Send(0, 1, -1) },
+		func() { m.Exchange(0, 1, -1) },
 	} {
 		func() {
 			defer func() {
@@ -282,5 +269,211 @@ func TestSendPhaseEmptyNoop(t *testing.T) {
 	m.SendPhase(nil)
 	if m.Clock(1) != 7 || m.Clock(0) != 0 {
 		t.Fatal("empty phase changed clocks")
+	}
+}
+
+// allreduceTime is the parallel time of one words-wide allreduce on a
+// fresh machine.
+func allreduceTime(cfg Config, words int) float64 {
+	m := New(cfg)
+	m.Allreduce(words)
+	return m.MaxClock()
+}
+
+// allreduceShape is the recursive-doubling schedule on p processors:
+// its critical-path rounds and its message count. On a power of two,
+// log2 P exchange rounds of 2 messages a pair; past it, one fold message
+// in and one replay message out per extra processor, two rounds more on
+// the critical path.
+func allreduceShape(p int) (rounds, msgs int) {
+	core := 1
+	for core*2 <= p {
+		core *= 2
+		rounds++
+	}
+	msgs = core * rounds
+	if tail := p - core; tail > 0 {
+		rounds += 2
+		msgs += 2 * tail
+	}
+	return rounds, msgs
+}
+
+// TestAllreduceRoundsAndMessages pins the one-word schedule for every
+// shape of P — powers of two, a single extra processor, a tail nearly
+// the size of the core — and checks that every processor leaves the
+// allreduce: none ends past the critical path, each has paid at least
+// the exchange rounds of the core.
+func TestAllreduceRoundsAndMessages(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4, 6, 7, 8, 12, 16, 31, 33} {
+		rounds, msgs := allreduceShape(p)
+		m := New(Config{P: p, Alpha: 1, Beta: 0.5, FlopTime: 0})
+		m.Allreduce(1)
+		if want := float64(rounds) * 1.5; m.MaxClock() != want {
+			t.Fatalf("P=%d: time %v, want %v", p, m.MaxClock(), want)
+		}
+		if st := m.Stats(); st.Messages != msgs || st.Words != msgs {
+			t.Fatalf("P=%d: stats %+v, want %d messages", p, st, msgs)
+		}
+		coreRounds := 0
+		for 2<<coreRounds <= p {
+			coreRounds++
+		}
+		for i, c := range m.Clocks() {
+			if c < float64(coreRounds)*1.5 {
+				t.Fatalf("P=%d proc %d left the allreduce at %v, before the core's rounds", p, i, c)
+			}
+		}
+	}
+}
+
+// TestAllreduceBatchedWords: a w-word allreduce takes the one-word
+// schedule's rounds and messages; words scale the beta term and the word
+// count, never the rounds.
+func TestAllreduceBatchedWords(t *testing.T) {
+	for _, p := range []int{8, 13} {
+		rounds, msgs := allreduceShape(p)
+		for _, w := range []int{1, 5, 64} {
+			m := New(Config{P: p, Alpha: 1, Beta: 0.5, FlopTime: 0})
+			m.Allreduce(w)
+			if want := float64(rounds) * (1 + 0.5*float64(w)); m.MaxClock() != want {
+				t.Fatalf("P=%d w=%d: time %v, want %v", p, w, m.MaxClock(), want)
+			}
+			if st := m.Stats(); st.Messages != msgs || st.Words != w*msgs {
+				t.Fatalf("P=%d w=%d: stats %+v, want %d messages of %d words", p, w, st, msgs, w)
+			}
+		}
+	}
+}
+
+func TestAllreducePanicsOnBadArguments(t *testing.T) {
+	m := New(DefaultConfig(4))
+	m.Compute(1, 3)
+	var h Handle
+	for _, f := range []func(){
+		func() { m.Allreduce(-1) },
+		func() { m.IAllreduce(&h, -1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected panic")
+				}
+			}()
+			f()
+		}()
+	}
+	// A refused issue leaves the machine on its own clocks, not the
+	// handle's copy.
+	if m.Clock(1) != 3 || m.MaxClock() != 3 || m.Stats().Messages != 0 {
+		t.Fatalf("refused allreduce changed the machine: clocks %v, stats %+v", m.Clocks(), m.Stats())
+	}
+	m.Compute(0, 2)
+	if m.Clock(0) != 2 {
+		t.Fatalf("machine lost its clocks after a refused issue: %v", m.Clocks())
+	}
+}
+
+func TestAllreduceBatchingCheaperThanSeparate(t *testing.T) {
+	// One 16-word allreduce must beat sixteen 1-word allreduces: the
+	// latency term amortizes. This is why VRCG batches its base inner
+	// products.
+	p, w := 64, 16
+	batched := New(DefaultConfig(p))
+	batched.Allreduce(w)
+	separate := New(DefaultConfig(p))
+	for j := 0; j < w; j++ {
+		separate.Allreduce(1)
+	}
+	if batched.MaxClock() >= separate.MaxClock() {
+		t.Fatalf("batched %v not cheaper than separate %v", batched.MaxClock(), separate.MaxClock())
+	}
+}
+
+func TestAllreduceLogTime(t *testing.T) {
+	tcost := func(p int) float64 { return allreduceTime(DefaultConfig(p), 1) }
+	// log2 ratio: 12/8 = 1.5; linear would be 16.
+	if ratio := tcost(4096) / tcost(256); ratio > 2.5 {
+		t.Fatalf("allreduce not logarithmic: ratio %.2f", ratio)
+	}
+}
+
+// Property: allreduce completion time grows at most logarithmically:
+// doubling P adds at most one round's cost.
+func TestPropAllreduceLogRounds(t *testing.T) {
+	f := func(e uint8) bool {
+		exp := int(e)%8 + 2 // P = 4 .. 512
+		p := 1 << exp
+		t1 := allreduceTime(DefaultConfig(p), 1)
+		t2 := allreduceTime(DefaultConfig(2*p), 1)
+		perRound := t1 / float64(exp)
+		return t2 <= t1+perRound*1.5
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIAllreduceIssueIsolation: an issued allreduce runs on its own copy
+// of the clocks — the primary clocks, whatever they held, do not move at
+// issue — while its messages, words and additions add to the machine's
+// stats at once.
+func TestIAllreduceIssueIsolation(t *testing.T) {
+	p := 6
+	m := New(DefaultConfig(p))
+	m.Compute(0, 5)
+	before := m.Clocks()
+	var h Handle
+	m.IAllreduce(&h, 2)
+	if got := m.Clocks(); !slices.Equal(got, before) {
+		t.Fatalf("issue moved primary clocks: %v -> %v", before, got)
+	}
+	blocking := New(DefaultConfig(p))
+	blocking.Allreduce(2)
+	want := blocking.Stats()
+	want.Flops += 5
+	if m.Stats() != want {
+		t.Fatalf("issued stats %+v, want %+v", m.Stats(), want)
+	}
+	if h.done[0] <= m.Clock(0) {
+		t.Fatalf("handle completes at %v, not past the issuing clock %v", h.done[0], m.Clock(0))
+	}
+}
+
+func TestIAllreduceOverlap(t *testing.T) {
+	p := 16
+	m := New(DefaultConfig(p))
+	var h Handle
+	m.IAllreduce(&h, 1)
+	// Primary clocks untouched at issue.
+	if m.MaxClock() != 0 {
+		t.Fatalf("issue advanced primary clocks to %v", m.MaxClock())
+	}
+	// Overlapped local work longer than the reduction: wait is then free.
+	m.ComputeAll(10000)
+	before := m.Clocks()
+	m.Wait(&h)
+	after := m.Clocks()
+	for i := range before {
+		if after[i] != before[i] {
+			t.Fatalf("wait stalled proc %d despite overlap: %v -> %v", i, before[i], after[i])
+		}
+	}
+}
+
+func TestIAllreduceWaitStallsWithoutOverlap(t *testing.T) {
+	// No local work: waiting must advance the clocks to where the
+	// blocking form ends.
+	p := 13
+	m := New(DefaultConfig(p))
+	var h Handle
+	m.IAllreduce(&h, 3)
+	m.Wait(&h)
+	blocking := New(DefaultConfig(p))
+	blocking.Allreduce(3)
+	for i := 0; i < p; i++ {
+		if m.Clock(i) != blocking.Clock(i) {
+			t.Fatalf("proc %d: issued+wait %v, blocking %v", i, m.Clock(i), blocking.Clock(i))
+		}
 	}
 }

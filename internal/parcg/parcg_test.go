@@ -2,119 +2,117 @@ package parcg
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"vrcg/internal/engine"
 	"vrcg/internal/machine"
-	"vrcg/internal/vec"
 	"vrcg/sparse"
 )
 
-func mkMachine(p int) *machine.Machine {
-	return machine.New(machine.DefaultConfig(p))
-}
-
-func TestDistScatterGather(t *testing.T) {
-	x := vec.New(17)
-	vec.Random(x, 1)
-	for _, p := range []int{1, 2, 3, 5, 17} {
-		d := Scatter(x, p)
-		if !vec.Equal(d.Gather(), x) {
-			t.Fatalf("p=%d: gather(scatter) != identity", p)
-		}
-		if d.Len() != 17 || d.Parts() != p {
-			t.Fatalf("p=%d: wrong shape", p)
-		}
-	}
-}
-
-func TestDistOwnerAndAt(t *testing.T) {
-	x := vec.New(10)
-	vec.Random(x, 2)
-	d := Scatter(x, 3)
-	for g := 0; g < 10; g++ {
-		o := d.Owner(g)
-		if g < d.Lo(o) || g >= d.Hi(o) {
-			t.Fatalf("Owner(%d) = %d but range [%d,%d)", g, o, d.Lo(o), d.Hi(o))
-		}
-		if d.At(g) != x[g] {
-			t.Fatalf("At(%d) = %v want %v", g, d.At(g), x[g])
-		}
-	}
-}
-
-func TestDistBlockwiseOps(t *testing.T) {
-	m := mkMachine(4)
-	n := 20
-	xs := vec.New(n)
-	ys := vec.New(n)
-	vec.Random(xs, 3)
-	vec.Random(ys, 4)
-	x := Scatter(xs, 4)
-	y := Scatter(ys, 4)
-
-	Axpy(m, 2.5, x, y)
-	want := vec.Clone(ys)
-	vec.Axpy(2.5, xs, want)
-	if !vec.EqualTol(y.Gather(), want, 1e-14) {
-		t.Fatal("distributed Axpy wrong")
-	}
-
-	Xpay(m, x, -0.5, y)
-	vec.Xpay(xs, -0.5, want)
-	if !vec.EqualTol(y.Gather(), want, 1e-14) {
-		t.Fatal("distributed Xpay wrong")
-	}
-
-	if m.Stats().Flops == 0 {
-		t.Fatal("vector ops charged no flops")
-	}
-}
-
-func TestLocalDotPartials(t *testing.T) {
-	m := mkMachine(3)
-	n := 11
-	xs := vec.New(n)
-	ys := vec.New(n)
-	vec.Random(xs, 5)
-	vec.Random(ys, 6)
-	parts := LocalDotPartials(m, Scatter(xs, 3), Scatter(ys, 3))
-	var got float64
-	for _, v := range parts {
-		got += v
-	}
-	if math.Abs(got-vec.Dot(xs, ys)) > 1e-12 {
-		t.Fatalf("partials sum %v, want %v", got, vec.Dot(xs, ys))
-	}
-}
-
-func TestDistMatrixMulVecMatchesSerial(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 7} {
-		a := sparse.Poisson2D(6)
-		dm := NewDistMatrix(a, p)
-		m := mkMachine(p)
-		xs := vec.New(a.Dim())
-		vec.Random(xs, uint64(p))
-		x := Scatter(xs, p)
-		dst := NewDist(a.Dim(), p)
-		dm.MulVec(m, dst, x)
-		want := vec.New(a.Dim())
-		a.MulVec(want, xs)
-		if !vec.EqualTol(dst.Gather(), want, 1e-12) {
-			t.Fatalf("p=%d: distributed matvec differs from serial", p)
-		}
-	}
-}
-
-func TestDistMatrixHaloSmallForStencil(t *testing.T) {
-	// A row-partitioned 2D stencil needs only one ghost layer: the halo
-	// message is at most ~grid-side words.
+// TestPartitionHaloSmallForStencil: a row-partitioned 2D stencil needs
+// only one ghost layer, so a halo message is at most ~grid-side words.
+func TestPartitionHaloSmallForStencil(t *testing.T) {
 	side := 12
-	a := sparse.Poisson2D(side)
-	dm := NewDistMatrix(a, 4)
-	if h := dm.MaxHaloWords(); h > side+2 {
-		t.Fatalf("halo %d words for side %d", h, side)
+	pt := NewPartition(sparse.Poisson2D(side), 4)
+	for _, msg := range pt.halo {
+		if msg.Words > side+2 {
+			t.Fatalf("halo message %+v for side %d", msg, side)
+		}
+	}
+	if d := pt.HaloDegree(); d != 2 {
+		t.Fatalf("interior blocks receive from %d processors, want 2", d)
+	}
+}
+
+// TestPartitionOwner: the row blocks tile [0, n) in processor order, and
+// owner(g) is the processor whose block holds g — for every n up to 40,
+// with P from 1 up to n.
+func TestPartitionOwner(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		for p := 1; p <= n; p++ {
+			pt := NewPartition(sparse.TridiagToeplitz(n, 4, -1), p)
+			if pt.lo(0) != 0 || pt.lo(p) != n {
+				t.Fatalf("n=%d P=%d: blocks span [%d,%d)", n, p, pt.lo(0), pt.lo(p))
+			}
+			for g := 0; g < n; g++ {
+				o := pt.owner(g)
+				if o < 0 || o >= p || g < pt.lo(o) || g >= pt.lo(o+1) {
+					t.Fatalf("n=%d P=%d: owner(%d) = %d, block [%d,%d)", n, p, g, o, pt.lo(o), pt.lo(o+1))
+				}
+			}
+			m := machine.New(machine.Config{P: p, FlopTime: 1})
+			pt.Sweep(m, 1)
+			if got := m.Stats().Flops; got != int64(n) {
+				t.Fatalf("n=%d P=%d: a one-flop sweep charged %d flops, want %d", n, p, got, n)
+			}
+		}
+	}
+}
+
+// Property: the partition's shape is the operator's — every stored
+// nonzero counted on the processor owning its row, and one product's
+// messages exactly the distinct off-block columns each processor's rows
+// read, grouped by the processor that owns them.
+func TestPropPartitionShape(t *testing.T) {
+	f := func(seed uint64, pRaw uint8) bool {
+		n := 30
+		p := int(pRaw)%n + 1
+		a := sparse.RandomSPD(n, 4, seed)
+		pt := NewPartition(a, p)
+		var want []machine.Message
+		total := 0
+		for dst := 0; dst < p; dst++ {
+			lo, hi := dst*n/p, (dst+1)*n/p
+			need := map[int]map[int]bool{}
+			nnz := 0
+			for r := lo; r < hi; r++ {
+				a.ScanRow(r, func(c int, _ float64) {
+					nnz++
+					if c < lo || c >= hi {
+						src := 0
+						for (src+1)*n/p <= c {
+							src++
+						}
+						if need[src] == nil {
+							need[src] = map[int]bool{}
+						}
+						need[src][c] = true
+					}
+				})
+			}
+			if pt.nnz[dst] != nnz {
+				return false
+			}
+			total += nnz
+			for src := 0; src < p; src++ {
+				if len(need[src]) > 0 {
+					want = append(want, machine.Message{From: src, To: dst, Words: len(need[src])})
+				}
+			}
+		}
+		return total == a.NNZ() && slices.Equal(pt.halo, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplayAllocsBounded: a replay builds its partition once and then
+// charges arithmetic on it — no allocation per product or per iteration,
+// so the count grows with neither n nor P. (The data-carrying replay
+// this replaced made 225,272 here at P = 64.)
+func TestReplayAllocsBounded(t *testing.T) {
+	a := sparse.Poisson2D(64)
+	for _, p := range []int{64, 4096} {
+		res := &engine.Result{Iterations: 119, Converged: true}
+		allocs := testing.AllocsPerRun(1, func() {
+			Replay(latencyCfg(p), a, "parcg-cg", false, res)
+		})
+		if allocs > 5000 {
+			t.Errorf("P=%d: replaying parcg-cg for 119 iterations allocated %.0f times, want <= 5000", p, allocs)
+		}
 	}
 }
 
@@ -192,71 +190,33 @@ func TestResultPerIterTime(t *testing.T) {
 	}
 }
 
-// Property: distributed matvec equals serial matvec for random SPD
-// matrices and partitions.
-func TestPropDistMatVec(t *testing.T) {
-	f := func(seed uint64, pRaw uint8) bool {
-		n := 30
-		p := int(pRaw)%8 + 1
-		a := sparse.RandomSPD(n, 4, seed)
-		dm := NewDistMatrix(a, p)
-		m := mkMachine(p)
-		xs := vec.New(n)
-		vec.Random(xs, seed+1)
-		dst := NewDist(n, p)
-		dm.MulVec(m, dst, Scatter(xs, p))
-		want := vec.New(n)
-		a.MulVec(want, xs)
-		return vec.EqualTol(dst.Gather(), want, 1e-11)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDistScale(t *testing.T) {
-	m := mkMachine(3)
-	xs := vec.New(10)
-	vec.Random(xs, 44)
-	x := Scatter(xs, 3)
-	Scale(m, -2.5, x)
-	want := vec.Clone(xs)
-	vec.Scale(-2.5, want)
-	if !vec.EqualTol(x.Gather(), want, 0) {
-		t.Fatal("distributed Scale wrong")
-	}
-	if m.Stats().Flops != 10 {
-		t.Fatalf("Scale charged %d flops, want 10", m.Stats().Flops)
-	}
-}
-
 func TestAutoKTracksReductionToLocalRatio(t *testing.T) {
 	// k must cover ~log2(P) reduction rounds with iterations whose halo
 	// pays the same alpha: for a 2-neighbor halo and P=256 (8 rounds)
 	// the latency-dominated ratio is ~4, so k in the 4..8 range across
 	// a wide alpha sweep.
 	a := latencyProblem(4096)
-	dm := NewDistMatrix(a, 256)
+	pt := NewPartition(a, 256)
 	for _, alpha := range []float64{1, 16, 256, 2048} {
 		cfg := machine.Config{P: 256, Alpha: alpha, Beta: 0.01, FlopTime: 0.001}
-		k := AutoK(cfg, dm, 32)
+		k := AutoK(cfg, pt, 32)
 		if k < 3 || k > 10 {
 			t.Fatalf("alpha=%v: AutoK gave k=%d outside the expected band", alpha, k)
 		}
 	}
 	// Expensive local flops shrink the needed look-ahead to the minimum.
 	slowFlops := machine.Config{P: 256, Alpha: 1, Beta: 0.01, FlopTime: 10}
-	if k := AutoK(slowFlops, dm, 32); k != 1 {
+	if k := AutoK(slowFlops, pt, 32); k != 1 {
 		t.Fatalf("compute-bound machine should give k=1, got %d", k)
 	}
 }
 
 func TestAutoKClampsAndMinimum(t *testing.T) {
 	a := latencyProblem(256)
-	dm := NewDistMatrix(a, 8)
+	pt := NewPartition(a, 8)
 	// Negligible latency: smallest k suffices.
 	cheap := machine.Config{P: 8, Alpha: 0.001, Beta: 0.0001, FlopTime: 1}
-	if k := AutoK(cheap, dm, 16); k != 1 {
+	if k := AutoK(cheap, pt, 16); k != 1 {
 		t.Fatalf("cheap communication should give k=1, got %d", k)
 	}
 	// Bandwidth-dominated reductions grow with the batch width as fast
@@ -264,10 +224,10 @@ func TestAutoKClampsAndMinimum(t *testing.T) {
 	// maxK. (Pure latency is always eventually covered because the halo
 	// pays alpha too.)
 	expensive := machine.Config{P: 8, Alpha: 0, Beta: 1, FlopTime: 1e-9}
-	if k := AutoK(expensive, dm, 5); k != 5 {
+	if k := AutoK(expensive, pt, 5); k != 5 {
 		t.Fatalf("bandwidth-bound reduction should clamp to maxK=5, got %d", k)
 	}
-	if k := AutoK(expensive, dm, 0); k != 1 {
+	if k := AutoK(expensive, pt, 0); k != 1 {
 		t.Fatalf("maxK < 1 should clamp to 1, got %d", k)
 	}
 }
@@ -276,7 +236,7 @@ func TestAutoKChoiceActuallyHides(t *testing.T) {
 	// Charge the schedule at the AutoK choice and verify per-iteration
 	// time is close to the reduction-free floor (no promotion stalls).
 	a, cfg := latencyProblem(4096), latencyCfg(256)
-	k := AutoK(cfg, NewDistMatrix(a, cfg.P), 12)
+	k := AutoK(cfg, NewPartition(a, cfg.P), 12)
 	vr := replayed(cfg, a, "parcg", false, 48, k).PerIterTime()
 	cg := replayed(cfg, a, "parcg-cg", false, 48, 0).PerIterTime()
 	if vr >= 0.5*cg {

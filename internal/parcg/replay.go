@@ -1,7 +1,6 @@
 package parcg
 
 import (
-	"vrcg/internal/collective"
 	"vrcg/internal/engine"
 	"vrcg/internal/machine"
 	"vrcg/sparse"
@@ -11,11 +10,14 @@ import (
 // real-parallel kernels (kernels.go) do the numerics; when a solve asks
 // for the simulated Clocks/Machine trajectory (WithMachineConfig), the
 // adapter charges the method's schedule — halo exchanges, local sweeps,
-// blocking and non-blocking collectives — for the iteration count the
-// real solve performed. Every machine charge is data-independent (only
-// time is simulated), so the schedule runs on zero vectors and needs
-// nothing of the solve but its shape: Iterations, Converged, K.
-// TestReplayGolden pins the resulting clocks and message totals.
+// blocking and issued allreduces — for the iteration count the real
+// solve performed. Every machine charge is data-independent (only time
+// is simulated), so a schedule is charged from its shape alone: the
+// partition, and of the solve only Iterations, Converged and K. Each
+// vector operation is its own charge, in the schedule's order, so the
+// clocks round exactly as a run over real vectors would.
+// TestReplayGolden pins the resulting clocks and message totals,
+// TestReplayBitsUnchangedFromParent every clock bit.
 //
 // The schedules are the clean trajectories: drift fallbacks and
 // emergency re-anchors (data-dependent recovery paths) are not charged.
@@ -25,58 +27,40 @@ import (
 // procs processors, with res.Converged selecting the early-exit shape.
 // It fills res.Clocks and res.Machine in place.
 func Replay(cfg machine.Config, a *sparse.CSR, method string, blocking bool, res *engine.Result) {
-	cfg.P = maxProcs(cfg.P, a.Dim())
+	cfg.P = min(max(cfg.P, 1), a.Dim())
 	m := machine.New(cfg)
-	dm := NewDistMatrix(a, cfg.P)
+	pt := NewPartition(a, cfg.P)
 	res.Clocks = res.Clocks[:0]
 	switch method {
 	case "parcg-cg":
-		replayCG(m, dm, res)
+		replayCG(m, pt, res)
 	case "parcg-pipe":
-		replayPipe(m, dm, res)
+		replayPipe(m, pt, res)
 	default:
-		replayVRCG(m, dm, blocking, res)
+		replayVRCG(m, pt, blocking, res)
 	}
 	res.Machine = m.Stats()
-}
-
-func maxProcs(p, n int) int {
-	if p < 1 {
-		p = 1
-	}
-	if p > n {
-		p = n
-	}
-	return p
-}
-
-// scalarAll charges a replicated scalar operation on every processor
-// (each processor computes the step scalars redundantly, the standard
-// practice after an allreduce).
-func scalarAll(m *machine.Machine, flops int) {
-	for i := 0; i < m.P(); i++ {
-		m.Compute(i, flops)
-	}
 }
 
 // replayCG is standard Hestenes–Stiefel CG (paper §2): per iteration
 // one distributed matvec (halo exchange + local sweep) and two blocking
 // allreduce fan-ins — the c*log(N) dependency the paper sets out to
 // remove — plus the start-up (r,r).
-func replayCG(m *machine.Machine, dm *DistMatrix, res *engine.Result) {
-	n, p := dm.Dim(), dm.P()
-	x, r, pv, ap := NewDist(n, p), NewDist(n, p), NewDist(n, p), NewDist(n, p)
-
-	collective.AllreduceSum(m, LocalDotPartials(m, r, r))
+func replayCG(m *machine.Machine, pt *Partition, res *engine.Result) {
+	dot := func() {
+		pt.Sweep(m, 2)
+		m.Allreduce(1)
+	}
+	dot() // (r,r)
 	for it := 0; it < res.Iterations; it++ {
-		dm.MulVec(m, ap, pv)
-		collective.AllreduceSum(m, LocalDotPartials(m, pv, ap))
-		scalarAll(m, 1)
-		Axpy(m, 0, pv, x)
-		Axpy(m, 0, ap, r)
-		collective.AllreduceSum(m, LocalDotPartials(m, r, r))
-		scalarAll(m, 1)
-		Xpay(m, r, 0, pv)
+		pt.MulVec(m) // Ap
+		dot()        // (p,Ap)
+		m.ComputeAll(1)
+		pt.Sweep(m, 2) // x += λp
+		pt.Sweep(m, 2) // r -= λAp
+		dot()          // (r,r)
+		m.ComputeAll(1)
+		pt.Sweep(m, 2) // p = r + αp
 		res.Clocks = append(res.Clocks, m.MaxClock())
 	}
 }
@@ -84,140 +68,101 @@ func replayCG(m *machine.Machine, dm *DistMatrix, res *engine.Result) {
 // replayPipe is Ghysels–Vanroose pipelined CG (2014), the production
 // descendant of the paper's idea (PETSc KSPPIPECG): one matvec n = A w
 // per iteration with the single fused (gamma, delta) = ((r,r), (w,r))
-// non-blocking allreduce in flight behind it, then three direction and
+// issued allreduce in flight behind it, then three direction and
 // three iterate updates. The convergence test sits after the wait, so
 // a converged solve charges one matvec+wait beyond the counted
 // iterations.
-func replayPipe(m *machine.Machine, dm *DistMatrix, res *engine.Result) {
-	n, p := dm.Dim(), dm.P()
-	x, r, w := NewDist(n, p), NewDist(n, p), NewDist(n, p)
-	pv, s, q, nv := NewDist(n, p), NewDist(n, p), NewDist(n, p), NewDist(n, p)
-
-	dm.MulVec(m, w, r)
-	issue := func() *collective.Handle {
-		gp := LocalDotPartials(m, r, r)
-		dp := LocalDotPartials(m, w, r)
-		contrib := make([][]float64, p)
-		for i := 0; i < p; i++ {
-			contrib[i] = []float64{gp[i], dp[i]}
-		}
-		return collective.IAllreduceVec(m, contrib)
+func replayPipe(m *machine.Machine, pt *Partition, res *engine.Result) {
+	var h machine.Handle
+	issue := func() {
+		pt.Sweep(m, 2) // (r,r)
+		pt.Sweep(m, 2) // (w,r)
+		m.IAllreduce(&h, 2)
 	}
-	h := issue()
+	pt.MulVec(m) // w = Ar
+	issue()
 	for it := 0; it < res.Iterations; it++ {
-		dm.MulVec(m, nv, w)
-		h.WaitAll(m)
-		scalarAll(m, 4)
-		Xpay(m, r, 0, pv)
-		Xpay(m, w, 0, s)
-		Xpay(m, nv, 0, q)
-		Axpy(m, 0, pv, x)
-		Axpy(m, 0, s, r)
-		Axpy(m, 0, q, w)
-		h = issue()
+		pt.MulVec(m) // n = Aw
+		m.Wait(&h)
+		m.ComputeAll(4)
+		for range 6 { // p, s, q; then x, r, w
+			pt.Sweep(m, 2)
+		}
+		issue()
 		res.Clocks = append(res.Clocks, m.MaxClock())
 	}
 	if res.Converged {
-		dm.MulVec(m, nv, w)
-		h.WaitAll(m)
+		pt.MulVec(m)
+		m.Wait(&h)
 	}
 }
 
 // replayVRCG is the paper's restructured CG in the anchored
 // equation-(*) form: every k iterations the base inner products (the
 // Gram sequences Mu, Nu, Omega of the residual/direction Krylov
-// families, 3(4k+1) values) are issued as ONE non-blocking batched
-// allreduce; during the following k iterations all step scalars are
-// contractions of the previous anchor's (by then delivered) products
-// with coefficient polynomials — replicated scalar work whose flop
-// count follows the polynomial degrees, no global communication. One
-// distributed matvec per iteration maintains the top family power
-// (paper §5), and every regrowEvery(k) iterations the anchor first
-// regrows the lower powers with 4k more — a pure function of k and the
-// iteration index, so it is charged at the anchors that perform it.
-// With k at least the reduction latency in iteration units no processor
-// ever waits: the log(P) fan-in leaves the critical path.
+// families, 3(4k+1) values) are issued as ONE batched allreduce; during
+// the following k iterations all step scalars are contractions of the
+// previous anchor's (by then delivered) products with coefficient
+// polynomials — replicated scalar work whose flop count follows the
+// polynomial degrees, no global communication. One distributed matvec
+// per iteration maintains the top family power (paper §5), and every
+// regrowEvery(k) iterations the anchor first regrows the lower powers
+// with 4k more — a pure function of k and the iteration index, so it is
+// charged at the anchors that perform it. With k at least the reduction
+// latency in iteration units no processor ever waits: the log(P) fan-in
+// leaves the critical path.
 //
 // blocking waits for each anchor's reduction at issue instead — the
 // timing semantics of s-step CG (Chronopoulos–Gear), which amortizes
 // reductions across a block but does not hide them.
-func replayVRCG(m *machine.Machine, dm *DistMatrix, blocking bool, res *engine.Result) {
-	n, p := dm.Dim(), dm.P()
-	k := res.K
-	if k < 1 {
-		k = 1
-	}
-
-	x := NewDist(n, p)
-	R := make([]*Dist, 2*k+1)
-	P := make([]*Dist, 2*k+2)
-	for i := range R {
-		R[i] = NewDist(n, p)
-	}
-	for i := range P {
-		P[i] = NewDist(n, p)
-	}
-	mulScaled := func(dst, src *Dist) {
-		dm.MulVec(m, dst, src)
-		Scale(m, 1, dst)
+func replayVRCG(m *machine.Machine, pt *Partition, blocking bool, res *engine.Result) {
+	k := max(res.K, 1)
+	mulScaled := func() {
+		pt.MulVec(m)
+		pt.Sweep(m, 1)
 	}
 
 	// Start-up: the Gershgorin bound the system is scaled by (one pass
 	// over local rows plus a max-allreduce), family construction,
 	// anchor 0.
-	m.ComputeAll(2 * dm.a.NNZ() / p)
-	collective.AllreduceSum(m, make([]float64, p))
-	Scale(m, 1, R[0])
+	m.ComputeAll(2 * pt.total / pt.p)
+	m.Allreduce(1)
+	pt.Sweep(m, 1) // R[0] scaled
 	for i := 1; i <= 2*k; i++ {
-		mulScaled(R[i], R[i-1])
+		mulScaled() // R[i] = A·R[i-1]
 	}
-	mulScaled(P[2*k+1], P[2*k])
+	mulScaled() // P[2k+1] = A·P[2k]
 
-	issueBase := func() *collective.Handle {
-		width := 3 * (4*k + 1)
-		contrib := make([][]float64, p)
-		for i := range contrib {
-			contrib[i] = make([]float64, 0, width)
+	// The base products: (4k+1) partials of each of the R·R, R·P and
+	// P·P Gram sequences, then one batched allreduce.
+	var h machine.Handle
+	issueBase := func() {
+		for range 3 * (4*k + 1) {
+			pt.Sweep(m, 2)
 		}
-		appendDots := func(xs, ys []*Dist, count int) {
-			for s := 0; s < count; s++ {
-				a := s / 2
-				if a >= len(xs) {
-					a = len(xs) - 1
-				}
-				partials := LocalDotPartials(m, xs[a], ys[s-a])
-				for i := range contrib {
-					contrib[i] = append(contrib[i], partials[i])
-				}
-			}
-		}
-		appendDots(R, R, 4*k+1)
-		appendDots(R, P, 4*k+1)
-		appendDots(P, P, 4*k+1)
-		return collective.IAllreduceVec(m, contrib)
+		m.IAllreduce(&h, 3*(4*k+1))
 	}
 	contractCost := func(q int) int { return 6 * (q + 1) * (q + 1) }
 
-	h := issueBase()
-	h.WaitAll(m)
+	issueBase()
+	m.Wait(&h)
 
 	// Coefficient degrees of the active (ra, pa) and building (rb, pb)
 	// tracks, advanced like core.StepCGR/StepCGP advance them.
 	ra, pa, rb, pb := 0, 0, 0, 0
 	promote := func(it int) {
-		h.WaitAll(m)
+		m.Wait(&h)
 		ra, pa = rb, pb
 		if it%regrowEvery(k) == 0 {
 			// The scheduled regrowth (lookKernel.regrow): 4k products,
 			// halo exchanges included, ahead of the batch.
-			for i := 1; i <= 2*k; i++ {
-				mulScaled(R[i], R[i-1])
-				mulScaled(P[i], P[i-1])
+			for range 4 * k {
+				mulScaled()
 			}
 		}
-		h = issueBase()
+		issueBase()
 		if blocking {
-			h.WaitAll(m)
+			m.Wait(&h)
 		}
 		rb, pb = 0, 0
 	}
@@ -225,30 +170,20 @@ func replayVRCG(m *machine.Machine, dm *DistMatrix, blocking bool, res *engine.R
 		if it > 0 && it%k == 0 {
 			promote(it)
 		}
-		scalarAll(m, contractCost(pa)+1)
-		Axpy(m, 0, P[0], x)
-		for i := 0; i <= 2*k; i++ {
-			Axpy(m, 0, P[i+1], R[i])
+		m.ComputeAll(contractCost(pa) + 1)
+		for range 2*k + 2 { // x, then R[0..2k]
+			pt.Sweep(m, 2)
 		}
-		raNew := ra
-		if pa+1 > raNew {
-			raNew = pa + 1
+		raNew := max(ra, pa+1)
+		m.ComputeAll(contractCost(raNew))
+		for range 2*k + 1 { // P[0..2k]
+			pt.Sweep(m, 2)
 		}
-		scalarAll(m, contractCost(raNew))
-		for i := 0; i <= 2*k; i++ {
-			Xpay(m, R[i], 0, P[i])
-		}
-		mulScaled(P[2*k+1], P[2*k])
+		mulScaled() // P[2k+1] = A·P[2k]
 		ra = raNew
-		if ra > pa {
-			pa = ra
-		}
-		if pb+1 > rb {
-			rb = pb + 1
-		}
-		if rb > pb {
-			pb = rb
-		}
+		pa = max(pa, ra)
+		rb = max(rb, pb+1)
+		pb = max(pb, rb)
 		res.Clocks = append(res.Clocks, m.MaxClock())
 	}
 	// A convergence exit at an anchor boundary promotes before breaking.
@@ -256,7 +191,8 @@ func replayVRCG(m *machine.Machine, dm *DistMatrix, blocking bool, res *engine.R
 		promote(res.Iterations)
 	}
 	// Final direct (r,r) confirmation.
-	collective.AllreduceSum(m, LocalDotPartials(m, R[0], R[0]))
+	pt.Sweep(m, 2)
+	m.Allreduce(1)
 }
 
 // AutoK estimates the look-ahead parameter that just hides the base
@@ -268,16 +204,11 @@ func replayVRCG(m *machine.Machine, dm *DistMatrix, blocking bool, res *engine.R
 // block duration covers the reduction, clamped to [1, maxK]. Larger k
 // costs numerically (monomial-basis drift grows with k), so smallest-
 // sufficient is the right objective.
-func AutoK(cfg machine.Config, dm *DistMatrix, maxK int) int {
-	if maxK < 1 {
-		maxK = 1
-	}
-	p := dm.P()
-	localN := dm.Dim() / p
-	if localN < 1 {
-		localN = 1
-	}
-	haloMsgs := dm.HaloDegree()
+func AutoK(cfg machine.Config, pt *Partition, maxK int) int {
+	maxK = max(maxK, 1)
+	p := pt.p
+	localN := max(pt.n/p, 1)
+	haloMsgs := pt.HaloDegree()
 	rounds := 0
 	for v := 1; v < p; v <<= 1 {
 		rounds++
@@ -286,7 +217,7 @@ func AutoK(cfg machine.Config, dm *DistMatrix, maxK int) int {
 		width := 3 * (4*k + 1)
 		reduction := float64(rounds) * (cfg.Alpha + cfg.Beta*float64(width))
 		perIter := float64(haloMsgs)*cfg.Alpha + // halo latency
-			cfg.FlopTime*float64(2*dm.a.NNZ()/p) + // matvec sweep
+			cfg.FlopTime*float64(2*pt.total/p) + // matvec sweep
 			cfg.FlopTime*float64((4*k+2)*2*localN) // family updates
 		if float64(k)*perIter >= reduction {
 			return k

@@ -154,7 +154,7 @@ var scannedSeeds = []string{
 	`{"operator":"tiny","method":"cg","rhs":[1,1],"params":{"tol":1e-12}}`,
 	`{"operator":"tiny","method":"pipecg","rhs":[[1,1],[2,0],[0,3]]}`,
 	`{"operator":"poisson2d","method":"cg","rhs":[1,1,1,1],"params":{"tol":1e-10}}`,
-	`{"operator":"p","method":"pcg","rhs":[1],"params":{"tol":1e-10,"max_iter":500,"history":true,"lookahead":3,"block_size":4,"restart":30,"processors":64},"precond":"jacobi","timeout_ms":2000}`,
+	`{"operator":"p","method":"pcg","rhs":[1],"params":{"tol":1e-10,"max_iter":500,"history":true,"lookahead":3,"block_size":4,"restart":30},"precond":"jacobi","timeout_ms":2000}`,
 	// Whitespace, key order, empty and null values.
 	" \t\r\n{ \"vals\" : [ 1 , 2 ] ,\n\"rhs\" : [ 3 ]\n}\n",
 	`{}`,
@@ -229,7 +229,7 @@ func TestScannerTakesEveryMarshaledRequest(t *testing.T) {
 	srv := New(Config{})
 	k, on, f := 3, true, -2.5
 	params := &solve.Params{Tol: 1e-10, MaxIter: 500, History: true, Lookahead: &k, ReanchorEvery: &k, WindowOnlyReanchor: true,
-		ValidateEvery: 2, ResidualReplaceEvery: 3, BlockSize: &k, Restart: &k, Processors: &k, Blocking: true, SpectralScaling: &on, BatchWorkers: 2}
+		ValidateEvery: 2, ResidualReplaceEvery: 3, BlockSize: &k, Restart: &k, Blocking: true, SpectralScaling: &on, BatchWorkers: 2}
 	vec := []float64{0, -0.0, 1e-7, 1e21, math.MaxFloat64, math.SmallestNonzeroFloat64, 1.0 / 3}
 	mustScan := func(v any, scanned func(body []byte) bool) {
 		t.Helper()

@@ -319,6 +319,54 @@ func TestParamsDecodeAgree(t *testing.T) {
 	}
 }
 
+// TestProcessorsParamRefused: the simulated machine is not on the wire.
+// A parcg-cg request that still names "processors" — once the switch
+// into a machine replay that ran past the request's deadline and whose
+// clocks no response carried — is refused like any other unknown param,
+// on both routes and both transports, before any solve runs.
+func TestProcessorsParamRefused(t *testing.T) {
+	a, b := testSystem(6)
+	srv := server.New(server.Config{})
+	if err := srv.Preload("poisson", a); err != nil {
+		t.Fatal(err)
+	}
+	const params = `{"tol":1e-8,"processors":64}`
+	unknown := `json: unknown field "processors"`
+	rhs := string(mustJSON(t, b))
+	for _, route := range []struct{ path, rhs string }{
+		{"/v1/solve", rhs},
+		{"/v1/solve/batch", "[" + rhs + "]"},
+	} {
+		enc := wire.NewEnc(256)
+		enc.U8(1)
+		enc.Str("poisson")
+		enc.Str("parcg-cg")
+		enc.Str("")
+		enc.Str(params)
+		enc.U32(0)
+		enc.U32(1)
+		enc.F64s(b)
+		for _, send := range []struct {
+			contentType string
+			body        []byte
+			want        string
+		}{
+			{"application/json", []byte(`{"operator":"poisson","method":"parcg-cg","rhs":` + route.rhs + `,"params":` + params + `}`), malformed(unknown)},
+			{server.BinaryContentType, enc.B, errBody("bad_request", "malformed params JSON: "+unknown)},
+		} {
+			before := latencyCounts(t, srv)
+			got := ask(t, srv, route.path, send.contentType, send.body)
+			if got.status != http.StatusBadRequest || got.errBody != send.want {
+				t.Errorf("%s %s: got %d %s, want 400 %s", route.path, send.contentType, got.status, got.errBody, send.want)
+			}
+			if after := latencyCounts(t, srv); !reflect.DeepEqual(after, before) {
+				t.Errorf("%s %s: a solve ran: solve_latency_ms %v -> %v", route.path, send.contentType, before, after)
+			}
+		}
+		enc.Release()
+	}
+}
+
 // FuzzBinaryRequestDecode: no body makes the binary frame decoder
 // panic or answer anything but 400; a decode allocates no more floats
 // than the body has bytes for; and the right-hand sides of a frame it

@@ -145,7 +145,8 @@ func WithRestart(m int) Option { return func(c *config) { c.restart = m } }
 // and the machine cost model is replayed over its iteration count,
 // filling Result.Clocks and Result.Machine. Requires a *sparse.CSR
 // operator (the replay partitions by sparsity). Ignored when
-// WithMachineConfig supplies a full configuration (its P wins).
+// WithMachineConfig supplies a full configuration (its P wins). It
+// has no Params counterpart: the machine is not on the wire.
 func WithProcessors(p int) Option { return func(c *config) { c.procs = p; c.procsSet = true } }
 
 // WithMachineConfig supplies the full simulated-machine cost model

@@ -15,7 +15,11 @@ import (
 // Lookahead 0 is a valid vrcg setting, so only a non-nil pointer
 // overrides the default. Options that need live objects (WithPool,
 // WithPreconditioner, WithContext, WithMonitor, WithX0) have no Params
-// counterpart; callers append them alongside Params.Options().
+// counterpart; callers append them alongside Params.Options(). Neither
+// has the simulated machine (WithProcessors, WithMachineConfig): its
+// Clocks and Machine are library and CLI output that no wire response
+// carries, so a request naming "processors" is refused as an unknown
+// field.
 type Params struct {
 	// Tol is the relative residual tolerance (WithTol). 0 keeps the
 	// method default.
@@ -45,9 +49,6 @@ type Params struct {
 	// the default min(30, n).
 	Restart *int `json:"restart,omitempty"`
 
-	// Processors is the simulated machine size for the parcg methods
-	// (WithProcessors).
-	Processors *int `json:"processors,omitempty"`
 	// Blocking evaluates the parcg / parcg-pipe reductions at issue
 	// (WithBlocking).
 	Blocking bool `json:"blocking,omitempty"`
@@ -98,9 +99,6 @@ func (p *Params) Options() []Option {
 	if p.Restart != nil {
 		opts = append(opts, WithRestart(*p.Restart))
 	}
-	if p.Processors != nil {
-		opts = append(opts, WithProcessors(*p.Processors))
-	}
 	if p.Blocking {
 		opts = append(opts, WithBlocking(true))
 	}
@@ -131,8 +129,6 @@ func (p *Params) Validate() error {
 		return fmt.Errorf("solve: params: block_size must be >= 1, got %d: %w", *p.BlockSize, ErrBadOption)
 	case p.Restart != nil && *p.Restart < 1:
 		return fmt.Errorf("solve: params: restart must be >= 1, got %d: %w", *p.Restart, ErrBadOption)
-	case p.Processors != nil && *p.Processors < 1:
-		return fmt.Errorf("solve: params: processors must be >= 1, got %d: %w", *p.Processors, ErrBadOption)
 	case p.BatchWorkers < 0:
 		return fmt.Errorf("solve: params: batch_workers must be >= 0, got %d: %w", p.BatchWorkers, ErrBadOption)
 	}

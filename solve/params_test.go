@@ -61,7 +61,6 @@ func TestParamsValidate(t *testing.T) {
 		{MaxIter: -1},
 		{Lookahead: intp(-1)},
 		{BlockSize: intp(0)},
-		{Processors: intp(0)},
 		{BatchWorkers: -2},
 	}
 	for i, p := range bad {
