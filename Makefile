@@ -4,7 +4,8 @@
 # a 27-pair Gram batch, a 9-term combination and the pipelined update
 # leaf against the calls they replace, fused CG update, PCG solve, IC0
 # factor and apply, one cg iteration swept and whole-vector with its
-# computed MB/iter), the public-surface
+# computed MB/iter, and an operator's set-up: assembly, NewCSR of sorted
+# rows, a cold TuneMulVec), the public-surface
 # serving benchmarks (registry dispatch overhead, Session reuse vs fresh
 # solver, Batch throughput at 1/8/64 right-hand sides), and the HTTP
 # serving-layer benchmarks (warm-pool /v1/solve, /v1/solve/batch
@@ -21,7 +22,7 @@
 
 GO         ?= go
 BINDIR     ?= bin
-BENCHPAT   ?= BenchmarkSpMV|BenchmarkPCGSolve|BenchmarkDotSerial|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine|BenchmarkPipeUpdate|BenchmarkFusedCGUpdate|BenchmarkMatVecCSR|BenchmarkIC0FactorAndApply|BenchmarkCGIteration
+BENCHPAT   ?= BenchmarkSpMV|BenchmarkPCGSolve|BenchmarkDotSerial|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine|BenchmarkPipeUpdate|BenchmarkFusedCGUpdate|BenchmarkMatVecCSR|BenchmarkIC0FactorAndApply|BenchmarkCGIteration|BenchmarkOperatorSetup
 BENCHOUT   ?= BENCH_engine.json
 SOLVEPAT   ?= BenchmarkSolveDispatch|BenchmarkSessionReuse|BenchmarkSessionPerMethod|BenchmarkFreshSolvePerCall|BenchmarkBatch|BenchmarkParcgFamily
 SOLVEOUT   ?= BENCH_solve.json

@@ -517,6 +517,47 @@ func BenchmarkSpMV(b *testing.B) {
 	}
 }
 
+// BenchmarkOperatorSetup times the stages between lib-stream's operator
+// and its tuned product on Poisson3D(64) (n = 262144, 1.8 M entries):
+// assemble is the generator writing its CSR; newcsr-sorted is NewCSR
+// over arrays whose rows are already in column order, what an upload of
+// such an operator costs; tune-cold is TuneMulVec on a matrix with no
+// cached decision — the offset scan and the folded band's fill, which
+// every SetValues or Scale on a CSR pays again at its next solve.
+func BenchmarkOperatorSetup(b *testing.B) {
+	const m = 64
+	a := sparse.Poisson3D(m)
+	b.Run("assemble/poisson3d-64", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			sparse.Poisson3D(m)
+		}
+	})
+	rowPtr := make([]int, a.Dim()+1)
+	colIdx := make([]int, 0, a.NNZ())
+	for i := 0; i < a.Dim(); i++ {
+		a.ScanRow(i, func(j int, _ float64) { colIdx = append(colIdx, j) })
+		rowPtr[i+1] = len(colIdx)
+	}
+	b.Run("newcsr-sorted/poisson3d-64", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			sparse.NewCSR(a.Dim(), rowPtr, colIdx, a.Values())
+		}
+	})
+	b.Run("tune-cold/poisson3d-64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh := a.CloneValues()
+			b.StartTimer()
+			if _, ok := sparse.TuneMulVec(fresh).(*sparse.DIA); !ok {
+				b.Fatal("poisson3d-64 not tuned to DIA")
+			}
+		}
+	})
+}
+
 // BenchmarkPCGSolve compares per-call-allocating serial PCG against the
 // zero-allocation form — one kernel reused on one engine workspace,
 // serial and pooled — on a large grid (n = 102400).

@@ -130,7 +130,8 @@
 //     matrix construction and cached on the CSR; sparse.DIA and
 //     sparse.Stencil parallelize by equal row splits through the same
 //     pool. COO assembly itself is a sort-based two-pass build, not a
-//     hash merge.
+//     hash merge, and the grid generators skip it: each writes its
+//     rows in column order straight into the CSR arrays.
 //
 // See internal/core/README.md for the engine architecture and the
 // pooled-vs-serial decision guide.

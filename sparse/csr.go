@@ -54,11 +54,10 @@ func (c *COO) Len() int { return len(c.vals) }
 // summing duplicates and dropping entries that cancel to exactly zero.
 //
 // The build is sort-based rather than map-based: a counting sort buckets
-// entries by row in O(nnz), each row is sorted by column, and duplicates
-// are merged in a single in-place compaction pass. For the large regular
-// stencils this repository assembles, that replaces O(nnz) hash-map
-// inserts (the old dominant cost) with two linear passes plus short
-// per-row sorts.
+// entries by row in O(nnz), each row is put in column order by sortRow,
+// and duplicates are merged in a single in-place compaction pass. A row
+// whose entries were added in strictly ascending column order is not
+// touched, and duplicates are summed in the order they always were.
 func (c *COO) ToCSR() *CSR {
 	n := c.n
 	nnz := len(c.vals)
@@ -89,7 +88,7 @@ func (c *COO) ToCSR() *CSR {
 	out := 0
 	for i := 0; i < n; i++ {
 		lo, hi := ptr[i], ptr[i+1]
-		sort.Sort(rowView{cols: cols[lo:hi], vals: vals[lo:hi]})
+		sortRow(cols[lo:hi], vals[lo:hi])
 		p := lo
 		for p < hi {
 			j := cols[p]
@@ -146,7 +145,9 @@ type rowPartition struct {
 
 // NewCSR builds a CSR matrix directly from its raw arrays. The arrays are
 // used without copying; rowPtr must have length n+1 and colIdx/vals must
-// have length rowPtr[n]. Rows are sorted during construction.
+// have length rowPtr[n]. Rows are sorted by column during construction
+// (see sortRow): a row that is already sorted is not touched, and
+// repeated columns keep the order they always did.
 func NewCSR(n int, rowPtr, colIdx []int, vals []float64) *CSR {
 	if len(rowPtr) != n+1 {
 		panic(fmt.Sprintf("sparse: rowPtr length %d, want %d", len(rowPtr), n+1))
@@ -155,16 +156,48 @@ func NewCSR(n int, rowPtr, colIdx []int, vals []float64) *CSR {
 		panic("sparse: colIdx/vals length disagrees with rowPtr")
 	}
 	m := &CSR{n: n, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
-	m.sortRows()
+	sortRows(rowPtr, colIdx, vals)
 	m.warmPartition()
 	return m
 }
 
-func (m *CSR) sortRows() {
-	for i := 0; i < m.n; i++ {
-		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-		row := rowView{cols: m.colIdx[lo:hi], vals: m.vals[lo:hi]}
-		sort.Sort(row)
+// sortRows puts every row of a CSR structure in column order.
+func sortRows(rowPtr, colIdx []int, vals []float64) {
+	for i := 0; i+1 < len(rowPtr); i++ {
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		sortRow(colIdx[lo:hi], vals[lo:hi])
+	}
+}
+
+// sortRowInsertion is sort.Sort's maxInsertion: the longest slice its
+// pattern-defeating quicksort hands straight to an insertion sort.
+const sortRowInsertion = 12
+
+// sortRow sorts one row's entries by column, carrying the values along,
+// and leaves them exactly as sort.Sort(rowView) would. A row whose
+// columns already strictly increase has one sorted order and is in it,
+// so it is left as it is. A row of at most sortRowInsertion entries gets
+// the insertion sort sort.Sort runs at that length, swap for swap, on
+// the concrete slices. Only a longer unsorted row goes through sort.Sort.
+// So repeated columns end in the same order for every input, and
+// COO.ToCSR sums them in the same order.
+func sortRow(cols []int, vals []float64) {
+	i := 1
+	for i < len(cols) && cols[i-1] < cols[i] {
+		i++
+	}
+	if i >= len(cols) {
+		return
+	}
+	if len(cols) > sortRowInsertion {
+		sort.Sort(rowView{cols: cols, vals: vals})
+		return
+	}
+	for ; i < len(cols); i++ {
+		for j := i; j > 0 && cols[j] < cols[j-1]; j-- {
+			cols[j], cols[j-1] = cols[j-1], cols[j]
+			vals[j], vals[j-1] = vals[j-1], vals[j]
+		}
 	}
 }
 
@@ -344,12 +377,14 @@ func (m *CSR) transpose() *CSR {
 
 // MulVecT computes dst = Aᵀ*x from a cached explicit transpose.
 func (m *CSR) MulVecT(dst, x []float64) {
+	checkMulT("CSR.MulVecT", m.n, m.n, dst, x)
 	m.transpose().MulVec(dst, x)
 }
 
 // MulVecTPool computes dst = Aᵀ*x over the pool — a race-free row-wise
 // gather on the cached explicit transpose, bitwise identical to MulVecT.
 func (m *CSR) MulVecTPool(pool *Pool, dst, x []float64) {
+	checkMulT("CSR.MulVecTPool", m.n, m.n, dst, x)
 	m.transpose().MulVecPool(pool, dst, x)
 }
 

@@ -56,25 +56,18 @@ type DIA struct {
 	rangeFn vec.RowKernel
 }
 
-// newDIA lays out the band over offs (ascending) and fills it. fill
-// calls m.put for every cell of the band inside the matrix — a hole as
-// +0 — stopping at the first put that reports false, and reaches
-// A[i−k, i] before A[i, i−k], which row order and descending diagonal
-// order both do. The folded slab is built directly, each subdiagonal
-// cell compared with the mirror cell already written; only a band that
-// turns out not to repeat itself is filled a second time, in full.
-func newDIA(n int, offs []int, fill func(m *DIA) bool) *DIA {
+// newDIA lays out an empty band over offs (ascending), folded when every
+// subdiagonal has a mirror to read. The caller then puts every cell of
+// the band inside the matrix — a hole as +0 — in row order, which
+// reaches A[i−k, i] before A[i, i−k]: the folded slab is built directly,
+// each subdiagonal cell compared with the mirror cell already written,
+// and a band that turns out not to repeat itself unfolds where it stops.
+func newDIA(n int, offs []int) *DIA {
 	m := &DIA{n: n, offsets: offs, base: make([]int, len(offs))}
 	m.rangeFn = m.mulRange
-	if m.fold() && fill(m) {
-		return m
+	if !m.fold() {
+		m.unfold(0)
 	}
-	m.mirrored = 0
-	for d := range offs {
-		m.base[d] = d * n
-	}
-	m.slab = make([]float64, len(offs)*n)
-	fill(m)
 	return m
 }
 
@@ -100,16 +93,36 @@ func (m *DIA) fold() bool {
 	return true
 }
 
+// unfold moves the band onto the layout that stores every diagonal,
+// base[d] = d·n, keeping what rows [0, rows) hold. The stored diagonals
+// k >= 0 are the full slab's tail, in the same order; each subdiagonal
+// cell of those rows is its mirror's, which put has compared bit for bit.
+func (m *DIA) unfold(rows int) {
+	n, up := m.n, m.mirrored
+	slab := make([]float64, len(m.offsets)*n)
+	copy(slab[up*n:], m.slab)
+	for d, k := range m.offsets[:up] {
+		if lo := -k; lo < rows {
+			copy(slab[d*n+lo:d*n+rows], m.slab[m.base[d]+lo:m.base[d]+rows])
+		}
+	}
+	for d := range m.base {
+		m.base[d] = d * n
+	}
+	m.slab, m.mirrored = slab, 0
+}
+
 // put gives row i's cell on diagonal d the value v. A mirrored
 // subdiagonal's cell is its mirror's, written already: put stores
-// nothing there and reports whether the cell holds v's bits.
-func (m *DIA) put(d, i int, v float64) bool {
-	cell := &m.slab[m.base[d]+i]
-	if d < m.mirrored {
-		return math.Float64bits(*cell) == math.Float64bits(v)
+// nothing there when the mirror holds v's bits, and otherwise unfolds
+// the band through row i and stores v.
+func (m *DIA) put(d, i int, v float64) {
+	if d >= m.mirrored {
+		m.slab[m.base[d]+i] = v
+	} else if math.Float64bits(m.slab[m.base[d]+i]) != math.Float64bits(v) {
+		m.unfold(i + 1)
+		m.slab[m.base[d]+i] = v
 	}
-	*cell = v
-	return true
 }
 
 // NewDIA builds a DIA matrix of order n from offset -> diagonal values.
@@ -131,18 +144,18 @@ func NewDIA(n int, diagonals map[int][]float64) *DIA {
 		offsets = append(offsets, k)
 	}
 	sort.Ints(offsets)
-	m := newDIA(n, offsets, func(m *DIA) bool {
-		for d := len(offsets) - 1; d >= 0; d-- {
-			k := offsets[d]
-			dv := diagonals[k]
-			for i := max(0, -k); i < min(n, n-k); i++ {
-				if !m.put(d, i, dv[i]) {
-					return false
-				}
+	dvs := make([][]float64, len(offsets))
+	for d, k := range offsets {
+		dvs[d] = diagonals[k]
+	}
+	m := newDIA(n, offsets)
+	for i := 0; i < n; i++ {
+		for d, k := range offsets {
+			if j := i + k; j >= 0 && j < n {
+				m.put(d, i, dvs[d][i])
 			}
 		}
-		return true
-	})
+	}
 	for i := 0; i < n; i++ {
 		nz := 0
 		for d, k := range offsets {
@@ -170,18 +183,23 @@ const diaMaxDiags = 16
 // logical band, every diagonal at full length, so whether a matrix runs
 // as a DIA never depends on whether its band folds.
 func (m *CSR) toDIA(maxPadding float64) *DIA {
-	n := m.n
+	n, rowPtr, colIdx, vals := m.n, m.rowPtr, m.colIdx, m.vals
 	var buf [diaMaxDiags]int
 	offs := buf[:0]
 	for i := 0; i < n; i++ {
 		// Columns ascend within a row, so its offsets merge into offs
 		// with one forward cursor.
-		d := 0
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			if p > m.rowPtr[i] && m.colIdx[p] == m.colIdx[p-1] {
+		d, last := 0, -n // no offset is -n
+		for _, j := range colIdx[rowPtr[i]:rowPtr[i+1]] {
+			k := j - i
+			if k == last {
 				return nil // duplicate entry: two terms, one slab cell
 			}
-			k := m.colIdx[p] - i
+			last = k
+			if d < len(offs) && offs[d] == k {
+				d++ // the common case: the next offset already known
+				continue
+			}
 			for d < len(offs) && offs[d] < k {
 				d++
 			}
@@ -197,31 +215,37 @@ func (m *CSR) toDIA(maxPadding float64) *DIA {
 		}
 	}
 	cells := len(offs) * n
-	if cells == 0 || float64(cells-len(m.vals)) > maxPadding*float64(cells) {
+	if cells == 0 || float64(cells-len(vals)) > maxPadding*float64(cells) {
 		return nil
 	}
-	offs = append([]int(nil), offs...)
-	a := newDIA(n, offs, func(a *DIA) bool {
-		for i := 0; i < n; i++ {
-			p, end := m.rowPtr[i], m.rowPtr[i+1]
-			for d, k := range offs {
-				j := i + k
-				if j < 0 || j >= n {
-					continue
-				}
-				var v float64 // a hole, unless row i stores column j
-				if p < end && m.colIdx[p] == j {
-					v = m.vals[p]
-					p++
-				}
-				if !a.put(d, i, v) {
-					return false
-				}
+	// One sweep over the rows fills the band, put's fast path inline:
+	// row i holds the run [dlo, dhi) of diagonals (see cutRows).
+	a := newDIA(n, append([]int(nil), offs...))
+	slab, base, mirrored := a.slab, a.base, a.mirrored
+	dlo, dhi := len(offs), len(offs)
+	for i := 0; i < n; i++ {
+		for dlo > 0 && offs[dlo-1] >= -i {
+			dlo--
+		}
+		for dhi > 0 && offs[dhi-1] >= n-i {
+			dhi--
+		}
+		p, end := rowPtr[i], rowPtr[i+1]
+		for d := dlo; d < dhi; d++ {
+			var v float64 // a hole, unless row i stores this diagonal's column
+			if p < end && colIdx[p] == i+offs[d] {
+				v = vals[p]
+				p++
+			}
+			if c := base[d] + i; d >= mirrored {
+				slab[c] = v
+			} else if math.Float64bits(slab[c]) != math.Float64bits(v) {
+				a.put(d, i, v) // unfolds
+				slab, mirrored = a.slab, a.mirrored
 			}
 		}
-		return true
-	})
-	a.nnz, a.maxRow = len(m.vals), m.MaxRowNonzeros()
+	}
+	a.nnz, a.maxRow = len(vals), m.MaxRowNonzeros()
 	return a
 }
 

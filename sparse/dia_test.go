@@ -428,6 +428,9 @@ func FuzzCSRToDIA(f *testing.F) {
 		if folds && d.StoredDiagonals() != want {
 			t.Fatalf("mirrored band over %v (one cell moved: %v) stores %d diagonals", d.offsets, broken, d.StoredDiagonals())
 		}
+		if diff := diaDiff(d, a.toDIARef(1)); diff != "" {
+			t.Fatalf("band over %v: %s from the reference fill", d.offsets, diff)
+		}
 		checkDIAAgainstCSR(t, a, d, seed)
 	})
 }

@@ -12,17 +12,7 @@ import (
 // number growing like m^2 — a convenient ill-conditioned family for the
 // stability experiments.
 func Poisson1D(m int) *CSR {
-	coo := NewCOO(m)
-	for i := 0; i < m; i++ {
-		coo.Add(i, i, 2)
-		if i > 0 {
-			coo.Add(i, i-1, -1)
-		}
-		if i < m-1 {
-			coo.Add(i, i+1, -1)
-		}
-	}
-	return coo.ToCSR()
+	return NewStencil(Stencil1D3, m).ToCSR()
 }
 
 // Poisson2D returns the five-point Laplacian on an m x m grid in CSR form
@@ -39,18 +29,12 @@ func Poisson3D(m int) *CSR {
 
 // TridiagToeplitz returns the symmetric Toeplitz tridiagonal matrix with
 // the given diagonal and off-diagonal values. SPD requires diag > 2*|off|.
+// A value that is exactly zero is not stored.
 func TridiagToeplitz(n int, diag, off float64) *CSR {
-	coo := NewCOO(n)
-	for i := 0; i < n; i++ {
-		coo.Add(i, i, diag)
-		if i > 0 {
-			coo.Add(i, i-1, off)
-		}
-		if i < n-1 {
-			coo.Add(i, i+1, off)
-		}
+	if n <= 0 {
+		panic("sparse: TridiagToeplitz requires n > 0")
 	}
-	return coo.ToCSR()
+	return gridCSR(gridSides(n, 1), []stencilPoint{{di: -1, w: off}, {w: diag}, {di: 1, w: off}})
 }
 
 // RandomSPD returns a random symmetric strictly diagonally dominant (hence

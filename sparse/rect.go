@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 )
 
@@ -128,7 +127,9 @@ type Rect struct {
 // NewRect builds a rectangular CSR matrix from raw arrays, used without
 // copying. rowPtr must have length rows+1, colIdx/vals length
 // rowPtr[rows], and every column index must lie in [0, cols). Rows are
-// sorted by column during construction.
+// sorted by column during construction, as NewCSR sorts them: a row that
+// is already sorted is not touched, and repeated columns keep the order
+// they always did.
 func NewRect(rows, cols int, rowPtr, colIdx []int, vals []float64) *Rect {
 	if rows <= 0 || cols <= 0 {
 		panic("sparse: NewRect requires rows > 0 and cols > 0")
@@ -144,12 +145,8 @@ func NewRect(rows, cols int, rowPtr, colIdx []int, vals []float64) *Rect {
 			panic(fmt.Sprintf("sparse: column index %d out of range for cols=%d", j, cols))
 		}
 	}
-	m := &Rect{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
-	for i := 0; i < rows; i++ {
-		lo, hi := rowPtr[i], rowPtr[i+1]
-		sort.Sort(rowView{cols: colIdx[lo:hi], vals: vals[lo:hi]})
-	}
-	return m
+	sortRows(rowPtr, colIdx, vals)
+	return &Rect{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
 }
 
 // RectFromDense builds a Rect from a row-major rows×cols dense array,
@@ -268,14 +265,25 @@ func (m *Rect) transpose() *Rect {
 	return t
 }
 
+// checkMulT panics unless dst has A's column count and x its row count —
+// before a transpose product builds the transpose it would run on.
+func checkMulT(method string, rows, cols int, dst, x []float64) {
+	if len(dst) != cols || len(x) != rows {
+		panic(fmt.Sprintf("sparse: %s dimension mismatch: A is %dx%d, dst %d, x %d",
+			method, rows, cols, len(dst), len(x)))
+	}
+}
+
 // MulVecT computes dst = Aᵀ*x (dst length cols, x length rows).
 func (m *Rect) MulVecT(dst, x []float64) {
+	checkMulT("Rect.MulVecT", m.rows, m.cols, dst, x)
 	m.transpose().MulVec(dst, x)
 }
 
 // MulVecTPool computes dst = Aᵀ*x over the pool, a race-free row-wise
 // gather on the cached explicit transpose.
 func (m *Rect) MulVecTPool(pool *Pool, dst, x []float64) {
+	checkMulT("Rect.MulVecTPool", m.rows, m.cols, dst, x)
 	m.transpose().MulVecPool(pool, dst, x)
 }
 

@@ -23,7 +23,10 @@
 //     matrices with full validation on decode.
 //   - Generators: Poisson1D/2D/3D, variable-coefficient and anisotropic
 //     Poisson, Toeplitz, graph Laplacians, random SPD matrices, and
-//     prescribed-spectrum test problems.
+//     prescribed-spectrum test problems. The grid stencils and the
+//     Toeplitz tridiagonal write their rows in column order straight
+//     into the CSR arrays; the rest assemble through a COO, whose rows
+//     are sorted only where they arrive unsorted.
 //   - Reordering and spectra: RCM bandwidth reduction, symmetric
 //     permutations, Gershgorin/power-method/Lanczos spectral estimates,
 //     and symmetric diagonal scaling.

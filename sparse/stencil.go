@@ -118,10 +118,8 @@ func (s *Stencil) MaxRowNonzeros() int { return s.kind.Degree() }
 // NNZ returns an exact count of structural nonzeros (interior rows have
 // full degree; boundary rows fewer).
 func (s *Stencil) NNZ() int {
-	// Count via the same neighbor enumeration MulVec uses.
-	count := 0
-	s.forEachEntry(func(_, _ int, _ float64) { count++ })
-	return count
+	var buf [27]stencilPoint
+	return gridNNZ(gridSides(s.m, s.kind.Dims()), s.kind.points(buf[:0]))
 }
 
 // MulVec computes dst = A*x.
@@ -341,125 +339,126 @@ func (s *Stencil) mul3D27(lo, hi int, dst, x []float64) {
 	}
 }
 
-// forEachEntry enumerates structural nonzeros (i, j, value).
-func (s *Stencil) forEachEntry(emit func(i, j int, v float64)) {
-	n := s.n
-	// Reuse MulVec against unit vectors only for small n; otherwise
-	// enumerate analytically. For simplicity and correctness we enumerate
-	// analytically for each kind.
-	switch s.kind {
+// stencilPoint is one term of a constant-coefficient stencil: weight w
+// on the grid point (di, dj, dk) away from the row's own.
+type stencilPoint struct {
+	di, dj, dk int
+	w          float64
+}
+
+// points appends the kind's stencil to buf, the centre included, in
+// ascending (dk, dj, di) order — the order in which gridCSR stores a row.
+// The weights are the ones the kind's product multiplies by.
+func (k StencilKind) points(buf []stencilPoint) []stencilPoint {
+	var center, off float64
+	axes := true // only the points one step along one axis
+	switch k {
 	case Stencil1D3:
-		for i := 0; i < n; i++ {
-			emit(i, i, 2)
-			if i > 0 {
-				emit(i, i-1, -1)
-			}
-			if i < n-1 {
-				emit(i, i+1, -1)
-			}
-		}
+		center, off = 2, -1
 	case Stencil2D5:
-		m := s.m
-		for j := 0; j < m; j++ {
-			for i := 0; i < m; i++ {
-				idx := j*m + i
-				emit(idx, idx, 4)
-				if i > 0 {
-					emit(idx, idx-1, -1)
-				}
-				if i < m-1 {
-					emit(idx, idx+1, -1)
-				}
-				if j > 0 {
-					emit(idx, idx-m, -1)
-				}
-				if j < m-1 {
-					emit(idx, idx+m, -1)
-				}
-			}
-		}
+		center, off = 4, -1
 	case Stencil2D9:
-		m := s.m
-		for j := 0; j < m; j++ {
-			for i := 0; i < m; i++ {
-				idx := j*m + i
-				emit(idx, idx, 8.0/3.0)
-				for dj := -1; dj <= 1; dj++ {
-					for di := -1; di <= 1; di++ {
-						if di == 0 && dj == 0 {
-							continue
-						}
-						ii, jj := i+di, j+dj
-						if ii < 0 || ii >= m || jj < 0 || jj >= m {
-							continue
-						}
-						emit(idx, jj*m+ii, -1.0/3.0)
-					}
-				}
-			}
-		}
+		center, off, axes = 8.0/3.0, -1.0/3.0, false
 	case Stencil3D7:
-		m := s.m
-		mm := m * m
-		for k := 0; k < m; k++ {
-			for j := 0; j < m; j++ {
-				for i := 0; i < m; i++ {
-					idx := k*mm + j*m + i
-					emit(idx, idx, 6)
-					if i > 0 {
-						emit(idx, idx-1, -1)
-					}
-					if i < m-1 {
-						emit(idx, idx+1, -1)
-					}
-					if j > 0 {
-						emit(idx, idx-m, -1)
-					}
-					if j < m-1 {
-						emit(idx, idx+m, -1)
-					}
-					if k > 0 {
-						emit(idx, idx-mm, -1)
-					}
-					if k < m-1 {
-						emit(idx, idx+mm, -1)
-					}
-				}
-			}
-		}
+		center, off = 6, -1
 	case Stencil3D27:
-		m := s.m
-		mm := m * m
-		for k := 0; k < m; k++ {
-			for j := 0; j < m; j++ {
-				for i := 0; i < m; i++ {
-					idx := k*mm + j*m + i
-					emit(idx, idx, 2.0)
-					for dk := -1; dk <= 1; dk++ {
-						for dj := -1; dj <= 1; dj++ {
-							for di := -1; di <= 1; di++ {
-								if di == 0 && dj == 0 && dk == 0 {
-									continue
-								}
-								ii, jj, kk := i+di, j+dj, k+dk
-								if ii < 0 || ii >= m || jj < 0 || jj >= m || kk < 0 || kk >= m {
-									continue
-								}
-								emit(idx, kk*mm+jj*m+ii, -2.0/26.0)
-							}
-						}
-					}
+		center, off, axes = 2.0, -2.0/26.0, false
+	}
+	var r [3]int // how far the stencil reaches along each axis
+	for d := 0; d < k.Dims(); d++ {
+		r[d] = 1
+	}
+	for dk := -r[2]; dk <= r[2]; dk++ {
+		for dj := -r[1]; dj <= r[1]; dj++ {
+			for di := -r[0]; di <= r[0]; di++ {
+				switch far := abs(di) + abs(dj) + abs(dk); {
+				case far == 0:
+					buf = append(buf, stencilPoint{di, dj, dk, center})
+				case far == 1 || !axes:
+					buf = append(buf, stencilPoint{di, dj, dk, off})
 				}
 			}
 		}
 	}
+	return buf
 }
 
-// ToCSR expands the stencil into explicit CSR form.
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
+// gridSides returns the extent of an m-per-side grid of dims (≤ 3)
+// dimensions along each of three axes: m along its own, 1 past them.
+func gridSides(m, dims int) [3]int {
+	side := [3]int{1, 1, 1}
+	for d := 0; d < dims; d++ {
+		side[d] = m
+	}
+	return side
+}
+
+// gridNNZ counts the entries gridCSR stores: a point of non-zero weight
+// lies inside the grid from side−|step| of the positions on every axis.
+func gridNNZ(side [3]int, pts []stencilPoint) int {
+	nnz := 0
+	for _, p := range pts {
+		if p.w != 0 {
+			nnz += (side[0] - abs(p.di)) * (side[1] - abs(p.dj)) * (side[2] - abs(p.dk))
+		}
+	}
+	return nnz
+}
+
+// gridCSR writes the CSR form of a constant-coefficient stencil on a
+// grid with homogeneous Dirichlet boundaries, in one pass into arrays of
+// exactly its nnz: row (i, j, k) stores, in pts' order, every point that
+// lies inside the grid and whose weight is not zero (the entries
+// COO.ToCSR would drop). pts must ascend in (dk, dj, di) order, which
+// among the points inside the grid is ascending column order, so no row
+// needs sorting.
+func gridCSR(side [3]int, pts []stencilPoint) *CSR {
+	type term struct {
+		di, dj, dk, shift int
+		w                 float64
+	}
+	var buf [27]term
+	terms := buf[:0]
+	for _, p := range pts {
+		if p.w != 0 {
+			terms = append(terms, term{p.di, p.dj, p.dk, (p.dk*side[1]+p.dj)*side[0] + p.di, p.w})
+		}
+	}
+	n, nnz := side[0]*side[1]*side[2], gridNNZ(side, pts)
+	rowPtr, colIdx, vals := make([]int, n+1), make([]int, nnz), make([]float64, nnz)
+	row, q := 0, 0
+	for k := 0; k < side[2]; k++ {
+		for j := 0; j < side[1]; j++ {
+			for i := 0; i < side[0]; i++ {
+				for _, t := range terms {
+					if uint(i+t.di) >= uint(side[0]) || uint(j+t.dj) >= uint(side[1]) || uint(k+t.dk) >= uint(side[2]) {
+						continue
+					}
+					colIdx[q], vals[q] = row+t.shift, t.w
+					q++
+				}
+				row++
+				rowPtr[row] = q
+			}
+		}
+	}
+	a := &CSR{n: n, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+	a.warmPartition()
+	return a
+}
+
+// ToCSR expands the stencil into explicit CSR form, each row written in
+// ascending column order straight into its place.
 func (s *Stencil) ToCSR() *CSR {
-	coo := NewCOO(s.n)
-	s.forEachEntry(func(i, j int, v float64) { coo.Add(i, j, v) })
-	return coo.ToCSR()
+	var buf [27]stencilPoint
+	return gridCSR(gridSides(s.m, s.kind.Dims()), s.kind.points(buf[:0]))
 }
 
 var (
