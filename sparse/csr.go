@@ -169,34 +169,17 @@ func sortRows(rowPtr, colIdx []int, vals []float64) {
 	}
 }
 
-// sortRowInsertion is sort.Sort's maxInsertion: the longest slice its
-// pattern-defeating quicksort hands straight to an insertion sort.
-const sortRowInsertion = 12
-
 // sortRow sorts one row's entries by column, carrying the values along,
 // and leaves them exactly as sort.Sort(rowView) would. A row whose
 // columns already strictly increase has one sorted order and is in it,
-// so it is left as it is. A row of at most sortRowInsertion entries gets
-// the insertion sort sort.Sort runs at that length, swap for swap, on
-// the concrete slices. Only a longer unsorted row goes through sort.Sort.
-// So repeated columns end in the same order for every input, and
-// COO.ToCSR sums them in the same order.
+// so it is left as it is; any other row goes through sort.Sort. So
+// repeated columns end in the same order for every input, and COO.ToCSR
+// sums them in the same order.
 func sortRow(cols []int, vals []float64) {
-	i := 1
-	for i < len(cols) && cols[i-1] < cols[i] {
-		i++
-	}
-	if i >= len(cols) {
-		return
-	}
-	if len(cols) > sortRowInsertion {
-		sort.Sort(rowView{cols: cols, vals: vals})
-		return
-	}
-	for ; i < len(cols); i++ {
-		for j := i; j > 0 && cols[j] < cols[j-1]; j-- {
-			cols[j], cols[j-1] = cols[j-1], cols[j]
-			vals[j], vals[j-1] = vals[j-1], vals[j]
+	for i := 1; i < len(cols); i++ {
+		if cols[i-1] >= cols[i] {
+			sort.Sort(rowView{cols: cols, vals: vals})
+			return
 		}
 	}
 }

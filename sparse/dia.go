@@ -112,17 +112,18 @@ func (m *DIA) unfold(rows int) {
 	m.slab, m.mirrored = slab, 0
 }
 
-// put gives row i's cell on diagonal d the value v. A mirrored
-// subdiagonal's cell is its mirror's, written already: put stores
-// nothing there when the mirror holds v's bits, and otherwise unfolds
-// the band through row i and stores v.
-func (m *DIA) put(d, i int, v float64) {
-	if d >= m.mirrored {
-		m.slab[m.base[d]+i] = v
-	} else if math.Float64bits(m.slab[m.base[d]+i]) != math.Float64bits(v) {
-		m.unfold(i + 1)
-		m.slab[m.base[d]+i] = v
+// put gives row i's cell on diagonal d the value v, or reports false
+// when it cannot: a mirrored subdiagonal's cell is its mirror's, written
+// already, so put stores nothing there and reports whether the mirror
+// holds v's bits. On false the caller unfolds the band through row i
+// and puts v again. put makes no call, so it inlines into the fills.
+func (m *DIA) put(d, i int, v float64) bool {
+	c := m.base[d] + i
+	if d < m.mirrored {
+		return math.Float64bits(m.slab[c]) == math.Float64bits(v)
 	}
+	m.slab[c] = v
+	return true
 }
 
 // NewDIA builds a DIA matrix of order n from offset -> diagonal values.
@@ -152,7 +153,10 @@ func NewDIA(n int, diagonals map[int][]float64) *DIA {
 	for i := 0; i < n; i++ {
 		for d, k := range offsets {
 			if j := i + k; j >= 0 && j < n {
-				m.put(d, i, dvs[d][i])
+				if !m.put(d, i, dvs[d][i]) {
+					m.unfold(i + 1)
+					m.put(d, i, dvs[d][i])
+				}
 			}
 		}
 	}
@@ -196,10 +200,6 @@ func (m *CSR) toDIA(maxPadding float64) *DIA {
 				return nil // duplicate entry: two terms, one slab cell
 			}
 			last = k
-			if d < len(offs) && offs[d] == k {
-				d++ // the common case: the next offset already known
-				continue
-			}
 			for d < len(offs) && offs[d] < k {
 				d++
 			}
@@ -218,10 +218,9 @@ func (m *CSR) toDIA(maxPadding float64) *DIA {
 	if cells == 0 || float64(cells-len(vals)) > maxPadding*float64(cells) {
 		return nil
 	}
-	// One sweep over the rows fills the band, put's fast path inline:
-	// row i holds the run [dlo, dhi) of diagonals (see cutRows).
+	// One sweep over the rows fills the band: row i holds the run
+	// [dlo, dhi) of diagonals (see cutRows).
 	a := newDIA(n, append([]int(nil), offs...))
-	slab, base, mirrored := a.slab, a.base, a.mirrored
 	dlo, dhi := len(offs), len(offs)
 	for i := 0; i < n; i++ {
 		for dlo > 0 && offs[dlo-1] >= -i {
@@ -237,11 +236,9 @@ func (m *CSR) toDIA(maxPadding float64) *DIA {
 				v = vals[p]
 				p++
 			}
-			if c := base[d] + i; d >= mirrored {
-				slab[c] = v
-			} else if math.Float64bits(slab[c]) != math.Float64bits(v) {
-				a.put(d, i, v) // unfolds
-				slab, mirrored = a.slab, a.mirrored
+			if !a.put(d, i, v) {
+				a.unfold(i + 1)
+				a.put(d, i, v)
 			}
 		}
 	}
