@@ -282,18 +282,6 @@ func BenchmarkMatVecCSRPoisson2D(b *testing.B) {
 	}
 }
 
-func BenchmarkMatVecStencil2D(b *testing.B) {
-	st := sparse.NewStencil(sparse.Stencil2D5, 128)
-	x := vec.New(st.Dim())
-	y := vec.New(st.Dim())
-	vec.Random(x, 4)
-	b.SetBytes(int64(8 * st.Dim() * 5))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.MulVec(y, x)
-	}
-}
-
 func BenchmarkAllreduceSimulated(b *testing.B) {
 	for _, p := range []int{64, 1024} {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {

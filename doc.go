@@ -12,8 +12,8 @@
 // []float64 so nothing internal leaks through the boundary.
 // ARCHITECTURE.md draws how they stack.
 //
-// Package sparse is the data plane: CSR/COO/DIA and matrix-free stencil
-// operators, MatrixMarket I/O, Poisson and variable-coefficient
+// Package sparse is the data plane: CSR/COO/DIA/SELL operators,
+// MatrixMarket I/O, grid stencil, Poisson and variable-coefficient
 // generators, RCM reordering, spectral estimates, and the worker-pool
 // handle (sparse.NewPool) the parallel kernels run on. Every matrix
 // type satisfies solve.Operator, and any type with Dim/MulVec is an
@@ -127,9 +127,8 @@
 //     performs zero heap allocations in steady state.
 //   - sparse.CSR.MulVecPool: parallel SpMV over an nnz-balanced row
 //     partition (equal work per chunk, not equal rows) precomputed at
-//     matrix construction and cached on the CSR; sparse.DIA and
-//     sparse.Stencil parallelize by equal row splits through the same
-//     pool. COO assembly itself is a sort-based two-pass build, not a
+//     matrix construction and cached on the CSR; sparse.DIA
+//     parallelizes by equal row splits through the same pool. COO assembly itself is a sort-based two-pass build, not a
 //     hash merge, and the grid generators skip it: each writes its
 //     rows in column order straight into the CSR arrays.
 //

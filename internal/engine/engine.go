@@ -41,7 +41,7 @@
 // inner products are the only things an iteration must wait for, so
 // what lies between two of them — the direction update, the product,
 // the leaves of (p,Ap) — is one call, and on an operator that offers its
-// rows (RowSweeper: the tuned diagonal format, the stencils) one blocked
+// rows (RowSweeper: the tuned diagonal format) one blocked
 // sweep in which each vector crosses memory once. cg, pcg and sd are two
 // such stretches per iteration; cr takes A·r and (r,A·r) the same way. On a pooled workspace, a row block or
 // any other operator the same call is the three steps in their old

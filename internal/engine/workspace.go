@@ -272,9 +272,10 @@ func (ws *Workspace) MatVecs(a sparse.Matrix, dsts, xs []vec.Vector) {
 // RowSweeper is an operator whose product can be taken a range of rows
 // at a time and that knows how far ahead of a row it reads — what
 // Direction needs to run the product just behind the update of its
-// operand. *sparse.DIA and *sparse.Stencil are; *sparse.CSR is not, so
-// a solve reaches the capability through the tuned format or not at
-// all, and a wrapper that embeds a CSR hides it.
+// operand. *sparse.DIA is; *sparse.CSR is not, so a solve reaches the
+// capability through the tuned format or not at all, and a wrapper that
+// embeds a CSR hides it. The interface keeps the format out of the
+// engine, and lets a test substitute a wrapper for it.
 type RowSweeper interface {
 	// MulRows computes rows [lo, hi) of dst = A*x, writing dst[lo:hi]
 	// only, each row exactly as MulVec computes it.

@@ -653,8 +653,8 @@ func (p *Pool) Combine(dst, init Vector, coef []float64, xs []Vector) {
 
 // RowMulVec computes dst = A*x for an operator whose rows are
 // independent, splitting the n rows into near-equal chunks and running
-// fn on each (the pooled matvec of sparse.DIA and sparse.Stencil, whose
-// per-row work is uniform enough that an equal split balances). It
+// fn on each (the pooled matvec of sparse.DIA, whose per-row work is
+// uniform enough that an equal split balances). It
 // returns false — leaving dst untouched — when the pool is nil, closed,
 // serial, or n is below the row-op cutoff, in which case the caller
 // should run its serial kernel. fn should be a function value cached by

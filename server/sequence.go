@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 	"time"
@@ -299,6 +300,10 @@ func (s *Server) handleSequenceStep(w http.ResponseWriter, r *http.Request) {
 
 	// Operator updates first, so the solve runs against the new system.
 	if req.Rescale != nil {
+		if msg := rescaleFault(sq.q.Operator(), *req.Rescale); msg != "" {
+			writeError(w, http.StatusBadRequest, codeBadRequest, msg)
+			return
+		}
 		if err := sq.q.Rescale(*req.Rescale); err != nil {
 			fail(w, err)
 			return
@@ -332,6 +337,23 @@ func (s *Server) handleSequenceStep(w http.ResponseWriter, r *http.Request) {
 	} else {
 		fail(w, err)
 	}
+}
+
+// rescaleFault says why multiplying op's stored values by s would break
+// the sequence for every later step, or returns "": no later factor
+// brings back a value that s takes to ±Inf, or from non-zero to zero.
+func rescaleFault(op solve.Operator, s float64) string {
+	if s == 0 {
+		return "rescale 0 would leave no operator to solve with"
+	}
+	if v, ok := op.(interface{ Values() []float64 }); ok {
+		for i, x := range v.Values() {
+			if y := x * s; math.IsInf(y, 0) || (y == 0 && x != 0) {
+				return fmt.Sprintf("rescale %v takes stored value %d (%v) to %v", s, i, x, y)
+			}
+		}
+	}
+	return ""
 }
 
 // handleSequenceClose is DELETE /v1/sequence/{id}: report the step

@@ -295,6 +295,29 @@ func TestSequenceCapAndValidation(t *testing.T) {
 	}
 }
 
+// TestSequenceBadRescaleRefused: a rescale factor that no later step
+// could undo — zero, or one that overflows a stored value — answers 400
+// and leaves the operator as it was, so the next plain step converges.
+func TestSequenceBadRescaleRefused(t *testing.T) {
+	c := newTestClient(t, server.Config{})
+	a, b := testSystem(8)
+	c.upload("poisson", a)
+	var info server.SequenceInfo
+	if status := c.post("/v1/sequence", server.SequenceCreateRequest{Operator: "poisson", Method: "cg"}, &info); status != http.StatusCreated {
+		t.Fatalf("create: status %d", status)
+	}
+	for _, f := range []float64{1e308, -1e308, 0} {
+		var e server.ErrorResponse
+		if status := c.post("/v1/sequence/"+info.ID+"/step", server.SequenceStepRequest{RHS: b, Rescale: &f}, &e); status != http.StatusBadRequest || e.Code != "bad_request" {
+			t.Errorf("rescale %v: status %d code %q, want 400 bad_request", f, status, e.Code)
+		}
+		var res server.SequenceStepResponse
+		if status := c.post("/v1/sequence/"+info.ID+"/step", server.SequenceStepRequest{RHS: b}, &res); status != http.StatusOK || !res.Converged {
+			t.Errorf("plain step after rescale %v: status %d converged %v, want 200 and converged", f, status, res.Converged)
+		}
+	}
+}
+
 // TestMethodsReportCaps: /v1/methods carries the capability flags the
 // CLI and clients key their vocabulary off.
 func TestMethodsReportCaps(t *testing.T) {

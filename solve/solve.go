@@ -7,8 +7,8 @@
 //	s, err := solve.New("vrcg")
 //	res, err := s.Solve(a, b, solve.WithTol(1e-10), solve.WithLookahead(4))
 //
-// Operators come from the public sparse package (CSR/DIA/stencil
-// matrices, MatrixMarket I/O, Poisson generators) or from any type
+// Operators come from the public sparse package (CSR/DIA matrices,
+// MatrixMarket I/O, grid stencil and Poisson generators) or from any type
 // implementing the two-method Operator interface on plain []float64.
 // For repeated solves against one operator, prepare a Session once and
 // call Session.Solve per right-hand side; for many right-hand sides,
@@ -61,7 +61,7 @@ package solve
 // any package can implement it; all methods need only matrix–vector
 // products, so operators may be matrix-free. Every matrix type in the
 // public sparse package satisfies it. Operators that additionally
-// implement sparse.PoolMulVec (CSR, DIA, and Stencil do) run their
+// implement sparse.PoolMulVec (CSR, DIA and SELL do) run their
 // products on the worker pool when WithPool is given; the distributed
 // methods ("parcg*") require a *sparse.CSR, whose sparsity defines the
 // halo partition.

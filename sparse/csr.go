@@ -51,42 +51,53 @@ func (c *COO) AddSym(i, j int, v float64) {
 func (c *COO) Len() int { return len(c.vals) }
 
 // ToCSR converts the accumulated entries into compressed sparse row form,
-// summing duplicates and dropping entries that cancel to exactly zero.
+// summing duplicates and dropping entries that cancel to exactly zero
+// (see assemble).
+func (c *COO) ToCSR() *CSR {
+	rowPtr, cols, vals := assemble(c.n, c.rows, c.cols, c.vals)
+	csr := &CSR{n: c.n, rowPtr: rowPtr, colIdx: cols, vals: vals}
+	csr.warmPartition()
+	return csr
+}
+
+// assemble builds the CSR arrays of a matrix with the given number of
+// rows from triplets (rs[k], cs[k], vs[k]), which it leaves untouched:
+// duplicates summed, entries that sum to exactly zero dropped. Every
+// triplet must lie inside the matrix; the column count is the caller's.
 //
 // The build is sort-based rather than map-based: a counting sort buckets
 // entries by row in O(nnz), each row is put in column order by sortRow,
 // and duplicates are merged in a single in-place compaction pass. A row
 // whose entries were added in strictly ascending column order is not
 // touched, and duplicates are summed in the order they always were.
-func (c *COO) ToCSR() *CSR {
-	n := c.n
-	nnz := len(c.vals)
+func assemble(rows int, rs, cs []int, vs []float64) (rowPtr, cols []int, vals []float64) {
+	nnz := len(vs)
 
 	// Pass 1: counting sort by row.
-	ptr := make([]int, n+1)
-	for _, i := range c.rows {
+	ptr := make([]int, rows+1)
+	for _, i := range rs {
 		ptr[i+1]++
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < rows; i++ {
 		ptr[i+1] += ptr[i]
 	}
-	cols := make([]int, nnz)
-	vals := make([]float64, nnz)
-	cursor := make([]int, n)
-	copy(cursor, ptr[:n])
-	for k, i := range c.rows {
+	cols = make([]int, nnz)
+	vals = make([]float64, nnz)
+	cursor := make([]int, rows)
+	copy(cursor, ptr[:rows])
+	for k, i := range rs {
 		p := cursor[i]
 		cursor[i]++
-		cols[p] = c.cols[k]
-		vals[p] = c.vals[k]
+		cols[p] = cs[k]
+		vals[p] = vs[k]
 	}
 
 	// Pass 2: per-row column sort, then in-place merge of duplicate
 	// columns (summed) and exact zeros (dropped). The write cursor never
 	// overtakes the read cursor, so compaction reuses the same arrays.
-	rowPtr := make([]int, n+1)
+	rowPtr = make([]int, rows+1)
 	out := 0
-	for i := 0; i < n; i++ {
+	for i := 0; i < rows; i++ {
 		lo, hi := ptr[i], ptr[i+1]
 		sortRow(cols[lo:hi], vals[lo:hi])
 		p := lo
@@ -106,9 +117,7 @@ func (c *COO) ToCSR() *CSR {
 		}
 		rowPtr[i+1] = out
 	}
-	csr := &CSR{n: n, rowPtr: rowPtr, colIdx: cols[:out], vals: vals[:out]}
-	csr.warmPartition()
-	return csr
+	return rowPtr, cols[:out], vals[:out]
 }
 
 // CSR is a compressed sparse row matrix: for row i, the structural

@@ -77,7 +77,7 @@ func TestMulVecsPoolZeroAlloc(t *testing.T) {
 // multi-vector product still serve PooledMulVecs via per-column
 // products.
 func TestPooledMulVecsFallsBackPerColumn(t *testing.T) {
-	st := NewStencil(Stencil2D5, 16) // Stencil has MulVecPool but no MulVecsPool
+	st := Poisson2D(16).toDIA(1) // DIA has MulVecPool but no MulVecsPool
 	n := st.Dim()
 	xs := make([][]float64, 2)
 	want := make([][]float64, 2)

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -519,9 +520,18 @@ func TestRowSweepers(t *testing.T) {
 	if lower.Reach() != 0 {
 		t.Errorf("a lower-triangular DIA has reach %d", lower.Reach())
 	}
-	for _, kind := range []StencilKind{Stencil1D3, Stencil2D5, Stencil2D9, Stencil3D7, Stencil3D27} {
+	// Every grid kind's band, down to a one-point side, where the far
+	// corner of the stencil lies outside the grid.
+	for _, kind := range allStencilKinds {
 		for _, m := range []int{1, 2, 9} {
-			checkRowSweeper(t, kind.String(), NewStencil(kind, m), uint64(m))
+			d := kind.CSR(m).toDIA(1)
+			if d == nil {
+				if kind.Degree() <= diaMaxDiags {
+					t.Fatalf("%v m=%d does not convert to diagonal storage", kind, m)
+				}
+				continue // more diagonals than the format takes
+			}
+			checkRowSweeper(t, fmt.Sprintf("dia/%v m=%d", kind, m), d, uint64(m))
 		}
 	}
 	if _, ok := Matrix(Poisson2D(4)).(rowSweeper); ok {

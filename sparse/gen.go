@@ -12,19 +12,19 @@ import (
 // number growing like m^2 — a convenient ill-conditioned family for the
 // stability experiments.
 func Poisson1D(m int) *CSR {
-	return NewStencil(Stencil1D3, m).ToCSR()
+	return Stencil1D3.CSR(m)
 }
 
 // Poisson2D returns the five-point Laplacian on an m x m grid in CSR form
 // (order m^2).
 func Poisson2D(m int) *CSR {
-	return NewStencil(Stencil2D5, m).ToCSR()
+	return Stencil2D5.CSR(m)
 }
 
 // Poisson3D returns the seven-point Laplacian on an m^3 grid in CSR form
 // (order m^3).
 func Poisson3D(m int) *CSR {
-	return NewStencil(Stencil3D7, m).ToCSR()
+	return Stencil3D7.CSR(m)
 }
 
 // TridiagToeplitz returns the symmetric Toeplitz tridiagonal matrix with

@@ -39,8 +39,9 @@ func TestDIAMulVecPoolMatchesSerial(t *testing.T) {
 }
 
 // TestStencilMulVecPoolMatchesSerial: every stencil kind's pooled
-// product is bitwise identical to the serial one, including splits that
-// cut mid-scanline and mid-plane.
+// product, on the operator TuneMulVec runs it on, is bitwise identical
+// to the serial one, including splits that cut mid-scanline and
+// mid-plane.
 func TestStencilMulVecPoolMatchesSerial(t *testing.T) {
 	cases := []struct {
 		kind StencilKind
@@ -53,7 +54,7 @@ func TestStencilMulVecPoolMatchesSerial(t *testing.T) {
 		{Stencil3D27, 7},
 	}
 	for _, tc := range cases {
-		s := NewStencil(tc.kind, tc.m)
+		s := TuneMulVec(tc.kind.CSR(tc.m)).(PoolMulVec)
 		n := s.Dim()
 		x := vec.New(n)
 		vec.Random(x, uint64(n))
@@ -65,28 +66,18 @@ func TestStencilMulVecPoolMatchesSerial(t *testing.T) {
 			vec.Fill(got, -321)
 			s.MulVecPool(pool, got, x)
 			if !vec.Equal(want, got) {
-				t.Fatalf("%s workers=%d: Stencil MulVecPool differs from MulVec", tc.kind, w)
+				t.Fatalf("%s workers=%d: %T MulVecPool differs from MulVec", tc.kind, w, s)
 			}
 			pool.Close()
 		}
 	}
 }
 
-// TestOpsPoolZeroAlloc: warm pooled DIA and Stencil products allocate
-// nothing (the row-range kernel is a cached method value, not a fresh
-// closure).
+// TestOpsPoolZeroAlloc: a warm pooled DIA product allocates nothing
+// (the row-range kernel is a cached method value, not a fresh closure).
 func TestOpsPoolZeroAlloc(t *testing.T) {
 	pool := vec.NewPoolMinChunk(4, 64)
 	defer pool.Close()
-
-	st := NewStencil(Stencil2D5, 64) // n=4096
-	x := vec.New(st.Dim())
-	vec.Random(x, 5)
-	dst := vec.New(st.Dim())
-	st.MulVecPool(pool, dst, x)
-	if avg := testing.AllocsPerRun(100, func() { st.MulVecPool(pool, dst, x) }); avg != 0 {
-		t.Errorf("warm Stencil MulVecPool allocates %v per call, want 0", avg)
-	}
 
 	n := 4096
 	main := make([]float64, n)
@@ -112,7 +103,7 @@ func TestPooledMulVecDispatch(t *testing.T) {
 	pool := vec.NewPoolMinChunk(2, 1)
 	defer pool.Close()
 	n := 64
-	ops := []Matrix{Poisson1D(n), NewStencil(Stencil1D3, n)}
+	ops := []Matrix{Poisson1D(n), Poisson1D(n).toDIA(1)}
 	x := vec.New(n)
 	vec.Random(x, 9)
 	for _, a := range ops {

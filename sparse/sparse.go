@@ -11,22 +11,23 @@
 //     indices and, for a symmetric band, stores the diagonals k >= 0
 //     once and reads the subdiagonals out of them (bit for bit the full
 //     band's products), the cache-blocked SELL-C-σ format (SELL), a COO
-//     assembly builder, matrix-free Stencil operators (1D/2D/3D
-//     Laplacians), and Dense for small reference problems. TuneMulVec picks the format a
-//     CSR's products run on — banded → DIA at any size, else large and
-//     paddable → SELL, else the CSR itself — and both tuned formats
-//     share one contract: MulVec and MulVecPool bitwise identical to
-//     the source CSR's for finite x.
+//     assembly builder, and Dense for small reference problems.
+//     TuneMulVec picks the format a CSR's products run on — banded →
+//     DIA at any size, else large and paddable → SELL, else the CSR
+//     itself — and both tuned formats share one contract: MulVec and
+//     MulVecPool bitwise identical to the source CSR's for finite x.
 //   - I/O: ReadMatrixMarket / WriteMatrixMarket for coordinate-format
 //     .mtx files, plus the array-format vector variants, and the JSON
 //     wire codec (WireMatrix, EncodeCSR) network layers use to carry
 //     matrices with full validation on decode.
-//   - Generators: Poisson1D/2D/3D, variable-coefficient and anisotropic
-//     Poisson, Toeplitz, graph Laplacians, random SPD matrices, and
-//     prescribed-spectrum test problems. The grid stencils and the
-//     Toeplitz tridiagonal write their rows in column order straight
-//     into the CSR arrays; the rest assemble through a COO, whose rows
-//     are sorted only where they arrive unsorted.
+//   - Generators: the grid Laplacians of every StencilKind (3- to
+//     27-point, 1D/2D/3D; Poisson1D/2D/3D are three of them),
+//     variable-coefficient and anisotropic Poisson, Toeplitz, graph
+//     Laplacians, random SPD matrices, and prescribed-spectrum test
+//     problems. The grid stencils and the Toeplitz tridiagonal write
+//     their rows in column order straight into the CSR arrays; the rest
+//     assemble through a COO, whose rows are sorted only where they
+//     arrive unsorted.
 //   - Reordering and spectra: RCM bandwidth reduction, symmetric
 //     permutations, Gershgorin/power-method/Lanczos spectral estimates,
 //     and symmetric diagonal scaling.
@@ -73,7 +74,7 @@ type Sparse interface {
 
 // PoolMulVec is a Matrix that also offers a worker-pool-parallel
 // matrix–vector product. CSR implements it with an nnz-balanced row
-// partition, and DIA and Stencil with equal row splits; solvers route
+// partition, and DIA with equal row splits; solvers route
 // their hot-path products through PooledMulVec so any operator that can
 // parallelize, does.
 type PoolMulVec interface {

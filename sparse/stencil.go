@@ -1,16 +1,13 @@
 package sparse
 
-import (
-	"fmt"
+import "fmt"
 
-	"vrcg/internal/vec"
-)
-
-// Stencil kinds supported by the matrix-free grid operators. The paper's
+// StencilKind names a constant-coefficient grid Laplacian. The paper's
 // complexity bound max(log d, log log N) is parameterized by d, the row
 // degree; these stencils realize d = 3, 5, 7, 9 and 27 on regular grids
 // with homogeneous Dirichlet boundaries. All are symmetric positive
 // definite discrete Laplacians (scaled so the diagonal is positive).
+// CSR builds one; TuneMulVec runs the banded kinds on diagonal storage.
 type StencilKind int
 
 const (
@@ -76,267 +73,15 @@ func (k StencilKind) Dims() int {
 	}
 }
 
-// Stencil is a matrix-free discrete Laplacian on a regular grid of side
-// m per dimension with homogeneous Dirichlet boundary conditions. Its
-// order is m^dims.
-type Stencil struct {
-	kind StencilKind
-	m    int // grid points per dimension
-	n    int // total unknowns = m^dims
-
-	// rangeFn caches the row-range kernel as a method value so pooled
-	// dispatch (MulVecPool) allocates nothing per call.
-	rangeFn vec.RowKernel
-}
-
-// NewStencil returns the stencil operator on an m-per-side grid.
-func NewStencil(kind StencilKind, m int) *Stencil {
+// CSR returns the kind's operator on a grid of m points per side, order
+// m^Dims, each row written in ascending column order straight into its
+// place.
+func (k StencilKind) CSR(m int) *CSR {
 	if m <= 0 {
-		panic("sparse: NewStencil requires m > 0")
+		panic("sparse: StencilKind.CSR requires m > 0")
 	}
-	n := m
-	for i := 1; i < kind.Dims(); i++ {
-		n *= m
-	}
-	s := &Stencil{kind: kind, m: m, n: n}
-	s.rangeFn = s.mulRange
-	return s
-}
-
-// Kind returns the stencil kind.
-func (s *Stencil) Kind() StencilKind { return s.kind }
-
-// GridSide returns points per dimension.
-func (s *Stencil) GridSide() int { return s.m }
-
-// Dim returns the operator order m^dims.
-func (s *Stencil) Dim() int { return s.n }
-
-// MaxRowNonzeros returns the stencil degree d.
-func (s *Stencil) MaxRowNonzeros() int { return s.kind.Degree() }
-
-// NNZ returns an exact count of structural nonzeros (interior rows have
-// full degree; boundary rows fewer).
-func (s *Stencil) NNZ() int {
 	var buf [27]stencilPoint
-	return gridNNZ(gridSides(s.m, s.kind.Dims()), s.kind.points(buf[:0]))
-}
-
-// MulVec computes dst = A*x.
-func (s *Stencil) MulVec(dst, x []float64) {
-	checkMul(s, dst, x)
-	s.mulRange(0, s.n, dst, x)
-}
-
-// MulVecPool computes dst = A*x in parallel over the pool by splitting
-// the rows (grid points) into near-equal chunks; a stencil does uniform
-// work per row, so an equal split balances. Small grids, a nil pool, or
-// a serial pool fall back to the serial MulVec. The result is bitwise
-// identical to MulVec.
-func (s *Stencil) MulVecPool(pool *Pool, dst, x []float64) {
-	checkMul(s, dst, x)
-	if !pool.RowMulVec(s.n, dst, x, s.rangeFn) {
-		s.MulVec(dst, x)
-	}
-}
-
-// MulRows computes rows [lo, hi) of dst = A*x and writes nothing else of
-// dst; see DIA.MulRows.
-func (s *Stencil) MulRows(lo, hi int, dst, x []float64) {
-	checkMul(s, dst, x)
-	checkRows(s, lo, hi)
-	s.mulRange(lo, hi, dst, x)
-}
-
-// Reach returns the largest col − row of any entry: the far corner of
-// the stencil's neighbourhood. Rows [lo, hi) read no x at or past
-// hi+Reach.
-func (s *Stencil) Reach() int {
-	m, far := s.m, 0
-	switch s.kind {
-	case Stencil1D3:
-		far = 1
-	case Stencil2D5:
-		far = m
-	case Stencil2D9:
-		far = m + 1
-	case Stencil3D7:
-		far = m * m
-	case Stencil3D27:
-		far = m*m + m + 1
-	}
-	return min(far, s.n-1) // a one-point side has no neighbour there
-}
-
-// mulRange computes rows [lo, hi) of dst = A*x. Each row's accumulation
-// order is independent of the split, so chunked parallel products are
-// bitwise identical to the serial one.
-func (s *Stencil) mulRange(lo, hi int, dst, x []float64) {
-	switch s.kind {
-	case Stencil1D3:
-		s.mul1D(lo, hi, dst, x)
-	case Stencil2D5:
-		s.mul2D5(lo, hi, dst, x)
-	case Stencil2D9:
-		s.mul2D9(lo, hi, dst, x)
-	case Stencil3D7:
-		s.mul3D7(lo, hi, dst, x)
-	case Stencil3D27:
-		s.mul3D27(lo, hi, dst, x)
-	}
-}
-
-func (s *Stencil) mul1D(lo, hi int, dst, x []float64) {
-	m := s.m
-	for i := lo; i < hi; i++ {
-		v := 2 * x[i]
-		if i > 0 {
-			v -= x[i-1]
-		}
-		if i < m-1 {
-			v -= x[i+1]
-		}
-		dst[i] = v
-	}
-}
-
-// mul2D5 walks [lo, hi) scanline by scanline so the inner loop stays
-// free of divisions.
-func (s *Stencil) mul2D5(lo, hi int, dst, x []float64) {
-	m := s.m
-	for idx := lo; idx < hi; {
-		j := idx / m
-		i := idx - j*m
-		end := (j + 1) * m
-		if end > hi {
-			end = hi
-		}
-		for ; idx < end; idx, i = idx+1, i+1 {
-			v := 4 * x[idx]
-			if i > 0 {
-				v -= x[idx-1]
-			}
-			if i < m-1 {
-				v -= x[idx+1]
-			}
-			if j > 0 {
-				v -= x[idx-m]
-			}
-			if j < m-1 {
-				v -= x[idx+m]
-			}
-			dst[idx] = v
-		}
-	}
-}
-
-func (s *Stencil) mul2D9(lo, hi int, dst, x []float64) {
-	// 9-point compact Laplacian: center 8/3, edge neighbors -1/3,
-	// corner neighbors -1/3 (scaled variant that stays SPD).
-	m := s.m
-	const center, edge, corner = 8.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0
-	for idx := lo; idx < hi; {
-		j := idx / m
-		i := idx - j*m
-		end := (j + 1) * m
-		if end > hi {
-			end = hi
-		}
-		for ; idx < end; idx, i = idx+1, i+1 {
-			v := center * x[idx]
-			for dj := -1; dj <= 1; dj++ {
-				for di := -1; di <= 1; di++ {
-					if di == 0 && dj == 0 {
-						continue
-					}
-					ii, jj := i+di, j+dj
-					if ii < 0 || ii >= m || jj < 0 || jj >= m {
-						continue
-					}
-					w := edge
-					if di != 0 && dj != 0 {
-						w = corner
-					}
-					v += w * x[jj*m+ii]
-				}
-			}
-			dst[idx] = v
-		}
-	}
-}
-
-func (s *Stencil) mul3D7(lo, hi int, dst, x []float64) {
-	m := s.m
-	mm := m * m
-	for idx := lo; idx < hi; {
-		k := idx / mm
-		rem := idx - k*mm
-		j := rem / m
-		i := rem - j*m
-		end := k*mm + (j+1)*m
-		if end > hi {
-			end = hi
-		}
-		for ; idx < end; idx, i = idx+1, i+1 {
-			v := 6 * x[idx]
-			if i > 0 {
-				v -= x[idx-1]
-			}
-			if i < m-1 {
-				v -= x[idx+1]
-			}
-			if j > 0 {
-				v -= x[idx-m]
-			}
-			if j < m-1 {
-				v -= x[idx+m]
-			}
-			if k > 0 {
-				v -= x[idx-mm]
-			}
-			if k < m-1 {
-				v -= x[idx+mm]
-			}
-			dst[idx] = v
-		}
-	}
-}
-
-func (s *Stencil) mul3D27(lo, hi int, dst, x []float64) {
-	// 27-point Laplacian with center 2, neighbors -2/26, keeping strict
-	// diagonal dominance and SPD.
-	m := s.m
-	mm := m * m
-	const center = 2.0
-	const w = -2.0 / 26.0
-	for idx := lo; idx < hi; {
-		k := idx / mm
-		rem := idx - k*mm
-		j := rem / m
-		i := rem - j*m
-		end := k*mm + (j+1)*m
-		if end > hi {
-			end = hi
-		}
-		for ; idx < end; idx, i = idx+1, i+1 {
-			v := center * x[idx]
-			for dk := -1; dk <= 1; dk++ {
-				for dj := -1; dj <= 1; dj++ {
-					for di := -1; di <= 1; di++ {
-						if di == 0 && dj == 0 && dk == 0 {
-							continue
-						}
-						ii, jj, kk := i+di, j+dj, k+dk
-						if ii < 0 || ii >= m || jj < 0 || jj >= m || kk < 0 || kk >= m {
-							continue
-						}
-						v += w * x[kk*mm+jj*m+ii]
-					}
-				}
-			}
-			dst[idx] = v
-		}
-	}
+	return gridCSR(gridSides(m, k.Dims()), k.points(buf[:0]))
 }
 
 // stencilPoint is one term of a constant-coefficient stencil: weight w
@@ -348,7 +93,6 @@ type stencilPoint struct {
 
 // points appends the kind's stencil to buf, the centre included, in
 // ascending (dk, dj, di) order — the order in which gridCSR stores a row.
-// The weights are the ones the kind's product multiplies by.
 func (k StencilKind) points(buf []stencilPoint) []stencilPoint {
 	var center, off float64
 	axes := true // only the points one step along one axis
@@ -453,16 +197,3 @@ func gridCSR(side [3]int, pts []stencilPoint) *CSR {
 	a.warmPartition()
 	return a
 }
-
-// ToCSR expands the stencil into explicit CSR form, each row written in
-// ascending column order straight into its place.
-func (s *Stencil) ToCSR() *CSR {
-	var buf [27]stencilPoint
-	return gridCSR(gridSides(s.m, s.kind.Dims()), s.kind.points(buf[:0]))
-}
-
-var (
-	_ Matrix     = (*Stencil)(nil)
-	_ Sparse     = (*Stencil)(nil)
-	_ PoolMulVec = (*Stencil)(nil)
-)

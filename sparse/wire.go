@@ -3,7 +3,6 @@ package sparse
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -112,40 +111,7 @@ func (w *WireMatrix) DecodeGeneral() (Matrix, error) {
 // dimensions (0 means unlimited), enforced before any
 // dimension-sized allocation.
 func (w *WireMatrix) DecodeGeneralLimited(maxOrder int) (Matrix, error) {
-	if w.NRows == 0 && w.NCols == 0 {
-		return w.DecodeLimited(maxOrder)
-	}
-	rows, cols := w.NRows, w.NCols
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("%w: rectangular shape needs n_rows > 0 and n_cols > 0, got %dx%d",
-			ErrWire, rows, cols)
-	}
-	if w.N != 0 && w.N != rows {
-		return nil, fmt.Errorf("%w: n %d disagrees with n_rows %d (declare one shape)", ErrWire, w.N, rows)
-	}
-	if err := checkOrder(rows, maxOrder); err != nil {
-		return nil, err
-	}
-	if err := checkOrder(cols, maxOrder); err != nil {
-		return nil, err
-	}
-	if rows == cols {
-		// A square general decode still yields *CSR (DecodeLimited
-		// normalizes the n_rows/n_cols spelling), so every square
-		// consumer — preconditioners, symmetry probes — keeps working.
-		return w.DecodeLimited(maxOrder)
-	}
-	switch w.Format {
-	case WireCSR:
-		return w.decodeRectCSR(rows, cols)
-	case WireCOO:
-		return w.decodeRectCOO(rows, cols)
-	case WireMatrixMarket:
-		return nil, fmt.Errorf("%w: matrixmarket wire form is square-only (use csr or coo with n_rows/n_cols)", ErrWire)
-	default:
-		return nil, fmt.Errorf("%w: unknown format %q (want %s, %s, or %s)",
-			ErrWire, w.Format, WireCSR, WireCOO, WireMatrixMarket)
-	}
+	return w.decode(maxOrder, true)
 }
 
 // DecodeLimited is Decode with an upper bound on the matrix order
@@ -153,30 +119,32 @@ func (w *WireMatrix) DecodeGeneralLimited(maxOrder int) (Matrix, error) {
 // allocation happens, for every wire format — including the dimensions
 // declared inside a MatrixMarket header.
 func (w *WireMatrix) DecodeLimited(maxOrder int) (*CSR, error) {
-	if w.NRows != 0 || w.NCols != 0 {
-		if w.NRows != w.NCols {
-			return nil, fmt.Errorf("%w: envelope declares a %dx%d rectangular shape; decode it with DecodeGeneral",
-				ErrWire, w.NRows, w.NCols)
-		}
-		if w.N != 0 && w.N != w.NRows {
-			return nil, fmt.Errorf("%w: n %d disagrees with n_rows %d (declare one shape)", ErrWire, w.N, w.NRows)
-		}
-		sq := *w
-		sq.N, sq.NRows, sq.NCols = w.NRows, 0, 0
-		w = &sq
+	m, err := w.decode(maxOrder, false)
+	if err != nil {
+		return nil, err
+	}
+	return m.(*CSR), nil
+}
+
+// decode is every Decode variant: one shape, one validator per format,
+// and a *CSR whenever the shape is square, however it is spelled — so
+// every square consumer (preconditioners, symmetry probes) keeps
+// working. A rectangular shape is an error unless general is set.
+func (w *WireMatrix) decode(maxOrder int, general bool) (Matrix, error) {
+	rows, cols, err := w.shape()
+	if err != nil {
+		return nil, err
+	}
+	if rows != cols && !general {
+		return nil, fmt.Errorf("%w: envelope declares a %dx%d rectangular shape; decode it with DecodeGeneral",
+			ErrWire, rows, cols)
 	}
 	switch w.Format {
-	case WireCSR:
-		if err := checkOrder(w.N, maxOrder); err != nil {
-			return nil, err
-		}
-		return w.decodeCSR()
-	case WireCOO:
-		if err := checkOrder(w.N, maxOrder); err != nil {
-			return nil, err
-		}
-		return w.decodeCOO()
+	case WireCSR, WireCOO:
 	case WireMatrixMarket:
+		if rows != cols {
+			return nil, fmt.Errorf("%w: matrixmarket wire form is square-only (use csr or coo with n_rows/n_cols)", ErrWire)
+		}
 		if maxOrder > 0 {
 			if n, err := peekMatrixMarketOrder(w.MatrixMarket); err == nil {
 				// Parse errors fall through to the real reader for a
@@ -195,6 +163,45 @@ func (w *WireMatrix) DecodeLimited(maxOrder int) (*CSR, error) {
 		return nil, fmt.Errorf("%w: unknown format %q (want %s, %s, or %s)",
 			ErrWire, w.Format, WireCSR, WireCOO, WireMatrixMarket)
 	}
+	if rows <= 0 {
+		return nil, fmt.Errorf("%w: %s needs n > 0, got %d", ErrWire, w.Format, rows)
+	}
+	if err := checkOrder(max(rows, cols), maxOrder); err != nil {
+		return nil, err
+	}
+	var rowPtr, colIdx []int
+	var vals []float64
+	if w.Format == WireCSR {
+		rowPtr, colIdx, vals, err = w.csrArrays(rows, cols)
+	} else {
+		rowPtr, colIdx, vals, err = w.cooArrays(rows, cols)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if rows == cols {
+		m := &CSR{n: rows, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+		m.warmPartition()
+		return m, nil
+	}
+	return &Rect{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}, nil
+}
+
+// shape returns the declared rows × cols: N × N when the envelope
+// declares N alone, else NRows × NCols, both positive, with any N
+// beside them equal to NRows.
+func (w *WireMatrix) shape() (rows, cols int, err error) {
+	if w.NRows == 0 && w.NCols == 0 {
+		return w.N, w.N, nil
+	}
+	if w.NRows <= 0 || w.NCols <= 0 {
+		return 0, 0, fmt.Errorf("%w: a declared shape needs n_rows > 0 and n_cols > 0, got %dx%d",
+			ErrWire, w.NRows, w.NCols)
+	}
+	if w.N != 0 && w.N != w.NRows {
+		return 0, 0, fmt.Errorf("%w: n %d disagrees with n_rows %d (declare one shape)", ErrWire, w.N, w.NRows)
+	}
+	return w.NRows, w.NCols, nil
 }
 
 func checkOrder(n, maxOrder int) error {
@@ -236,160 +243,63 @@ func peekMatrixMarketOrder(src string) (int, error) {
 	return 0, fmt.Errorf("sparse: missing size line")
 }
 
-func (w *WireMatrix) decodeCSR() (*CSR, error) {
-	n := w.N
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: csr needs n > 0, got %d", ErrWire, n)
-	}
-	if len(w.RowPtr) != n+1 {
-		return nil, fmt.Errorf("%w: row_ptr length %d, want n+1 = %d", ErrWire, len(w.RowPtr), n+1)
-	}
-	if w.RowPtr[0] != 0 {
-		return nil, fmt.Errorf("%w: row_ptr must start at 0, got %d", ErrWire, w.RowPtr[0])
-	}
-	for i := 0; i < n; i++ {
-		if w.RowPtr[i+1] < w.RowPtr[i] {
-			return nil, fmt.Errorf("%w: row_ptr not monotone at row %d (%d then %d)",
-				ErrWire, i, w.RowPtr[i], w.RowPtr[i+1])
-		}
-	}
-	nnz := w.RowPtr[n]
-	if len(w.ColIdx) != nnz || len(w.Vals) != nnz {
-		return nil, fmt.Errorf("%w: row_ptr promises %d entries but col_idx has %d and vals has %d",
-			ErrWire, nnz, len(w.ColIdx), len(w.Vals))
-	}
-	for k, j := range w.ColIdx {
-		if j < 0 || j >= n {
-			return nil, fmt.Errorf("%w: col_idx[%d] = %d outside [0,%d)", ErrWire, k, j, n)
-		}
-	}
-	// NewCSR copies nothing, so clone the arrays: wire buffers often
-	// alias decoder scratch the caller will reuse.
-	rowPtr := append([]int(nil), w.RowPtr...)
-	colIdx := append([]int(nil), w.ColIdx...)
-	vals := append([]float64(nil), w.Vals...)
-	m := NewCSR(n, rowPtr, colIdx, vals)
-	// NewCSR sorts each row but keeps duplicate columns, which would
-	// make MulVec (sums them) disagree with At/Diag (sees one). The
-	// COO path sums duplicates by design; the CSR wire form asserts
-	// the matrix is already assembled, so duplicates are an error.
-	for i := 0; i < n; i++ {
-		for p := rowPtr[i] + 1; p < rowPtr[i+1]; p++ {
-			if colIdx[p] == colIdx[p-1] {
-				return nil, fmt.Errorf("%w: duplicate entry (%d,%d) in csr form (use coo to sum duplicates)",
-					ErrWire, i, colIdx[p])
-			}
-		}
-	}
-	return m, nil
-}
-
-func (w *WireMatrix) decodeRectCSR(rows, cols int) (*Rect, error) {
+// csrArrays validates the "csr" arrays of a rows × cols matrix and
+// returns private copies with every row in column order. The arrays are
+// cloned because wire buffers often alias decoder scratch the caller
+// will reuse. The form asserts an assembled matrix, so a repeated
+// column is an error: kept, it would make MulVec (which sums it)
+// disagree with At and Diag (which see one entry).
+func (w *WireMatrix) csrArrays(rows, cols int) (rowPtr, colIdx []int, vals []float64, err error) {
 	if len(w.RowPtr) != rows+1 {
-		return nil, fmt.Errorf("%w: row_ptr length %d, want n_rows+1 = %d", ErrWire, len(w.RowPtr), rows+1)
+		return nil, nil, nil, fmt.Errorf("%w: row_ptr length %d, want rows+1 = %d", ErrWire, len(w.RowPtr), rows+1)
 	}
 	if w.RowPtr[0] != 0 {
-		return nil, fmt.Errorf("%w: row_ptr must start at 0, got %d", ErrWire, w.RowPtr[0])
+		return nil, nil, nil, fmt.Errorf("%w: row_ptr must start at 0, got %d", ErrWire, w.RowPtr[0])
 	}
 	for i := 0; i < rows; i++ {
 		if w.RowPtr[i+1] < w.RowPtr[i] {
-			return nil, fmt.Errorf("%w: row_ptr not monotone at row %d (%d then %d)",
+			return nil, nil, nil, fmt.Errorf("%w: row_ptr not monotone at row %d (%d then %d)",
 				ErrWire, i, w.RowPtr[i], w.RowPtr[i+1])
 		}
 	}
 	nnz := w.RowPtr[rows]
 	if len(w.ColIdx) != nnz || len(w.Vals) != nnz {
-		return nil, fmt.Errorf("%w: row_ptr promises %d entries but col_idx has %d and vals has %d",
+		return nil, nil, nil, fmt.Errorf("%w: row_ptr promises %d entries but col_idx has %d and vals has %d",
 			ErrWire, nnz, len(w.ColIdx), len(w.Vals))
 	}
 	for k, j := range w.ColIdx {
 		if j < 0 || j >= cols {
-			return nil, fmt.Errorf("%w: col_idx[%d] = %d outside [0,%d)", ErrWire, k, j, cols)
+			return nil, nil, nil, fmt.Errorf("%w: col_idx[%d] = %d outside [0,%d)", ErrWire, k, j, cols)
 		}
 	}
-	rowPtr := append([]int(nil), w.RowPtr...)
-	colIdx := append([]int(nil), w.ColIdx...)
-	vals := append([]float64(nil), w.Vals...)
-	m := NewRect(rows, cols, rowPtr, colIdx, vals)
-	// Same assembled-form contract as the square CSR wire form:
-	// duplicates are an error, not a summation request.
+	rowPtr = append([]int(nil), w.RowPtr...)
+	colIdx = append([]int(nil), w.ColIdx...)
+	vals = append([]float64(nil), w.Vals...)
+	sortRows(rowPtr, colIdx, vals)
 	for i := 0; i < rows; i++ {
 		for p := rowPtr[i] + 1; p < rowPtr[i+1]; p++ {
 			if colIdx[p] == colIdx[p-1] {
-				return nil, fmt.Errorf("%w: duplicate entry (%d,%d) in csr form (use coo to sum duplicates)",
+				return nil, nil, nil, fmt.Errorf("%w: duplicate entry (%d,%d) in csr form (use coo to sum duplicates)",
 					ErrWire, i, colIdx[p])
 			}
 		}
 	}
-	return m, nil
+	return rowPtr, colIdx, vals, nil
 }
 
-func (w *WireMatrix) decodeRectCOO(rows, cols int) (*Rect, error) {
+// cooArrays validates the "coo" triplets of a rows × cols matrix and
+// assembles them as COO.ToCSR does, whatever the shape: duplicates
+// summed, exact zeros dropped.
+func (w *WireMatrix) cooArrays(rows, cols int) (rowPtr, colIdx []int, vals []float64, err error) {
 	if len(w.Rows) != len(w.Cols) || len(w.Rows) != len(w.Vals) {
-		return nil, fmt.Errorf("%w: coo triplet arrays disagree: rows %d, cols %d, vals %d",
+		return nil, nil, nil, fmt.Errorf("%w: coo triplet arrays disagree: rows %d, cols %d, vals %d",
 			ErrWire, len(w.Rows), len(w.Cols), len(w.Vals))
 	}
 	for k := range w.Rows {
-		i, j := w.Rows[k], w.Cols[k]
-		if i < 0 || i >= rows || j < 0 || j >= cols {
-			return nil, fmt.Errorf("%w: entry %d at (%d,%d) outside %dx%d", ErrWire, k, i, j, rows, cols)
+		if i, j := w.Rows[k], w.Cols[k]; i < 0 || i >= rows || j < 0 || j >= cols {
+			return nil, nil, nil, fmt.Errorf("%w: entry %d at (%d,%d) outside %dx%d", ErrWire, k, i, j, rows, cols)
 		}
 	}
-	// Assemble by counting sort on rows, then sum duplicates within each
-	// sorted row (the COO contract), compacting in place.
-	count := make([]int, rows+1)
-	for _, i := range w.Rows {
-		count[i+1]++
-	}
-	for i := 0; i < rows; i++ {
-		count[i+1] += count[i]
-	}
-	nnz := len(w.Rows)
-	colIdx := make([]int, nnz)
-	vals := make([]float64, nnz)
-	next := append([]int(nil), count...)
-	for k := range w.Rows {
-		p := next[w.Rows[k]]
-		next[w.Rows[k]]++
-		colIdx[p] = w.Cols[k]
-		vals[p] = w.Vals[k]
-	}
-	rowPtr := make([]int, rows+1)
-	out := 0
-	for i := 0; i < rows; i++ {
-		rowPtr[i] = out
-		lo, hi := count[i], count[i+1]
-		sort.Sort(rowView{cols: colIdx[lo:hi], vals: vals[lo:hi]})
-		for p := lo; p < hi; p++ {
-			if out > rowPtr[i] && colIdx[out-1] == colIdx[p] {
-				vals[out-1] += vals[p]
-				continue
-			}
-			colIdx[out] = colIdx[p]
-			vals[out] = vals[p]
-			out++
-		}
-	}
-	rowPtr[rows] = out
-	return NewRect(rows, cols, rowPtr, colIdx[:out], vals[:out]), nil
-}
-
-func (w *WireMatrix) decodeCOO() (*CSR, error) {
-	n := w.N
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: coo needs n > 0, got %d", ErrWire, n)
-	}
-	if len(w.Rows) != len(w.Cols) || len(w.Rows) != len(w.Vals) {
-		return nil, fmt.Errorf("%w: coo triplet arrays disagree: rows %d, cols %d, vals %d",
-			ErrWire, len(w.Rows), len(w.Cols), len(w.Vals))
-	}
-	coo := NewCOO(n)
-	for k := range w.Rows {
-		i, j := w.Rows[k], w.Cols[k]
-		if i < 0 || i >= n || j < 0 || j >= n {
-			return nil, fmt.Errorf("%w: entry %d at (%d,%d) outside %dx%d", ErrWire, k, i, j, n, n)
-		}
-		coo.Add(i, j, w.Vals[k])
-	}
-	return coo.ToCSR(), nil
+	rowPtr, colIdx, vals = assemble(rows, w.Rows, w.Cols, w.Vals)
+	return rowPtr, colIdx, vals, nil
 }
