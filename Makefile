@@ -131,9 +131,13 @@ bench-raw:
 bins:
 	$(GO) build -o $(BINDIR)/ ./cmd/...
 
-# JSON summaries for the perf trajectory across PRs. Fresh results are
-# diffed against the committed file (benchjson -prev prints the delta
-# table to stderr) before replacing it; benchjson -o writes the summary
+# JSON summaries for the perf trajectory across PRs. Every benchmark
+# runs -count 5 and benchjson folds the five runs into one row: the
+# median run (ns/op and its allocations) with the min and max ns/op.
+# One run per row told no delta from noise, so the table now flags a
+# row only when its min–max range and the committed one do not overlap.
+# Fresh results are diffed against the committed file (benchjson -prev
+# prints the delta table to stderr) before replacing it; benchjson -o writes the summary
 # atomically (same-dir temp + rename), so no half-written BENCH_*.json
 # or stray temp file can survive an interrupted run. The solve surface
 # additionally runs under -gate-allocs: any benchmark allocating more
@@ -143,15 +147,15 @@ bins:
 # file recorded at another GOMAXPROCS (solve.Batch allocates per worker)
 # it says so and re-baselines instead of comparing.
 bench: bins
-	$(GO) test -run '^$$' -bench '$(BENCHPAT)' -benchmem . | tee /dev/stderr | $(BINDIR)/benchjson -prev $(BENCHOUT) -o $(BENCHOUT)
+	$(GO) test -run '^$$' -bench '$(BENCHPAT)' -count 5 -benchmem . | tee /dev/stderr | $(BINDIR)/benchjson -prev $(BENCHOUT) -o $(BENCHOUT)
 	@echo "wrote $(BENCHOUT)"
-	$(GO) test -run '^$$' -bench '$(SOLVEPAT)' -benchmem . | tee /dev/stderr | $(BINDIR)/benchjson -prev $(SOLVEOUT) -gate-allocs -o $(SOLVEOUT)
+	$(GO) test -run '^$$' -bench '$(SOLVEPAT)' -count 5 -benchmem . | tee /dev/stderr | $(BINDIR)/benchjson -prev $(SOLVEOUT) -gate-allocs -o $(SOLVEOUT)
 	@echo "wrote $(SOLVEOUT)"
-	$(GO) test -run '^$$' -bench '$(SEQPAT)' -benchmem . | tee /dev/stderr | $(BINDIR)/benchjson -prev $(SEQOUT) -o $(SEQOUT)
+	$(GO) test -run '^$$' -bench '$(SEQPAT)' -count 5 -benchmem . | tee /dev/stderr | $(BINDIR)/benchjson -prev $(SEQOUT) -o $(SEQOUT)
 	@echo "wrote $(SEQOUT)"
-	$(GO) test -run '^$$' -bench '$(SERVERPAT)' -benchmem ./server | tee /dev/stderr | $(BINDIR)/benchjson -prev $(SERVEROUT) -o $(SERVEROUT)
+	$(GO) test -run '^$$' -bench '$(SERVERPAT)' -count 5 -benchmem ./server | tee /dev/stderr | $(BINDIR)/benchjson -prev $(SERVEROUT) -o $(SERVEROUT)
 	@echo "wrote $(SERVEROUT)"
-	$(GO) test -run '^$$' -bench '$(CLUSTERPAT)' -benchtime=1x -benchmem ./cluster | tee /dev/stderr | $(BINDIR)/benchjson -prev $(CLUSTEROUT) -o $(CLUSTEROUT)
+	$(GO) test -run '^$$' -bench '$(CLUSTERPAT)' -benchtime=1x -count 5 -benchmem ./cluster | tee /dev/stderr | $(BINDIR)/benchjson -prev $(CLUSTEROUT) -o $(CLUSTEROUT)
 	@echo "wrote $(CLUSTEROUT)"
 
 # Boot the solve server locally with a demo operator resident.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vrcg/cluster/wire"
+	"vrcg/sparse"
 )
 
 // FuzzDecodeGeneral drives every cluster message decoder over arbitrary
@@ -25,7 +26,7 @@ func FuzzDecodeGeneral(f *testing.F) {
 	place := placeMsg{
 		OpID: "op", Gen: 3, NGlobal: 4, Row0: 0, Row1: 2,
 		RowPtr: []int{0, 2, 4},
-		Cols:   []int{1, 1, 7, 7},
+		Cols:   []int32{1, 1, 7, 7},
 		Vals:   []float64{1, 2, 3, 4},
 		HaloN:  1,
 		Recv:   []placeRecv{{FromID: "w1", Off: 2, Count: 1}},
@@ -58,7 +59,7 @@ func FuzzDecodeGeneral(f *testing.F) {
 			if err == nil {
 				// Decoded lengths must be backed by real payload bytes —
 				// the length-prefix validation contract.
-				if 8*(len(m.RowPtr)+len(m.Cols))+8*len(m.Vals) > len(payload) {
+				if 8*len(m.RowPtr)+4*len(m.Cols)+8*len(m.Vals) > len(payload) {
 					t.Fatalf("decoded slices larger than the payload: %d+%d+%d elems from %d bytes",
 						len(m.RowPtr), len(m.Cols), len(m.Vals), len(payload))
 				}
@@ -95,13 +96,13 @@ func FuzzPlaceRoundTrip(f *testing.F) {
 			return
 		}
 		m := placeMsg{OpID: opID, Gen: gen, NGlobal: nglobal, Row0: row0, Row1: row1,
-			RowPtr: make([]int, nnz/4+1), Cols: make([]int, nnz), Vals: make([]float64, nnz),
+			RowPtr: make([]int, nnz/4+1), Cols: make([]int32, nnz), Vals: make([]float64, nnz),
 			HaloN: nnz % 7,
 			Recv:  []placeRecv{{FromID: from, Off: row0, Count: row1}},
 			Send:  []placeSend{{ToID: to, ToAddr: to + ":0", Local: []int{nnz}}},
 		}
 		for i := range m.Cols {
-			m.Cols[i] = (i * 7) % (nnz + 1)
+			m.Cols[i] = int32((i * 7) % (nnz + 1))
 			m.Vals[i] = float64(i) / 3
 		}
 		e := m.encode()
@@ -129,4 +130,68 @@ func FuzzPlaceRoundTrip(f *testing.F) {
 			t.Fatalf("send schedule differs")
 		}
 	})
+}
+
+// FuzzPlaceInstall holds the worker to what it installs: any decoded
+// placeMsg that newWorkerShard (install's check, short of dialing the
+// peers) accepts must survive, on arbitrary x, the shard product, every
+// halo gather and landing, and a halo-free shardOp product — all of it
+// runs in the solve goroutine, where a panic takes the worker down.
+func FuzzPlaceInstall(f *testing.F) {
+	plan, err := BuildPlan(sparse.Poisson2D(4), 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, sh := range plan.Shards {
+		m := placeOf(sh)
+		e := m.encode()
+		f.Add(append([]byte(nil), e.B...), 0.5)
+		e.Release()
+	}
+	for _, tc := range malformedPlacements() {
+		e := tc.m.encode()
+		f.Add(append([]byte(nil), e.B...), -1.25)
+		e.Release()
+	}
+	f.Fuzz(func(t *testing.T, payload []byte, seed float64) {
+		m, err := decodePlace(payload)
+		if err != nil {
+			return
+		}
+		ws, err := newWorkerShard(&m)
+		if err != nil {
+			return
+		}
+		nl := ws.sh.NLocal()
+		x := make([]float64, nl+ws.sh.HaloN)
+		for i := range x {
+			x[i] = seed * float64(i+1)
+		}
+		dst := make([]float64, nl)
+		ws.sh.MulVec(dst, x)
+
+		op := newShardOp(nil, &workerSolve{}, ws, nil)
+		for i := range ws.sends {
+			op.gatherFor(&ws.sends[i], x[:nl])
+		}
+		for _, rv := range ws.recvs {
+			copy(op.haloRegion(rv), x[nl:])
+		}
+		ws.sends, ws.recvs = nil, nil
+		op.MulVec(dst, x[:nl])
+	})
+}
+
+// placeOf is the placement the coordinator ships for sh, its peers
+// named by shard index.
+func placeOf(sh *Shard) placeMsg {
+	m := placeMsg{OpID: "op", Gen: 1, NGlobal: 16, Row0: sh.Row0, Row1: sh.Row1,
+		RowPtr: sh.RowPtr, Cols: sh.Cols, Vals: sh.Vals, HaloN: sh.HaloN}
+	for _, rv := range sh.Recv {
+		m.Recv = append(m.Recv, placeRecv{FromID: string(rune('a' + rv.From)), Off: rv.Off, Count: rv.Count})
+	}
+	for _, s := range sh.Send {
+		m.Send = append(m.Send, placeSend{ToID: string(rune('a' + s.To)), ToAddr: "127.0.0.1:1", Local: s.Local})
+	}
+	return m
 }

@@ -57,7 +57,7 @@ type placeMsg struct {
 	Row0    int
 	Row1    int
 	RowPtr  []int
-	Cols    []int
+	Cols    []int32
 	Vals    []float64
 	HaloN   int
 	Recv    []placeRecv
@@ -65,14 +65,14 @@ type placeMsg struct {
 }
 
 func (m *placeMsg) encode() *wire.Enc {
-	e := wire.NewEnc(64 + 8*(len(m.RowPtr)+len(m.Cols)+len(m.Vals)))
+	e := wire.NewEnc(64 + 8*(len(m.RowPtr)+len(m.Vals)) + 4*len(m.Cols))
 	e.Str(m.OpID)
 	e.U64(m.Gen)
 	e.U64(uint64(m.NGlobal))
 	e.U64(uint64(m.Row0))
 	e.U64(uint64(m.Row1))
 	e.Ints(m.RowPtr)
-	e.Ints(m.Cols)
+	e.Int32s(m.Cols)
 	e.F64s(m.Vals)
 	e.U64(uint64(m.HaloN))
 	e.U32(uint32(len(m.Recv)))
@@ -99,7 +99,7 @@ func decodePlace(b []byte) (placeMsg, error) {
 		Row0:    int(d.U64()),
 		Row1:    int(d.U64()),
 		RowPtr:  d.Ints(nil),
-		Cols:    d.Ints(nil),
+		Cols:    d.Int32s(nil),
 		Vals:    d.F64s(nil),
 	}
 	m.HaloN = int(d.U64())

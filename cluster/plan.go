@@ -39,9 +39,10 @@ type Shard struct {
 	Row0, Row1 int
 
 	// Local CSR arrays: RowPtr has NLocal+1 offsets; Cols are local
-	// column indices (owned then halo); Vals the nonzero values.
+	// column indices (owned then halo), 32-bit as sparse.CSR's are; Vals
+	// the nonzero values.
 	RowPtr []int
-	Cols   []int
+	Cols   []int32
 	Vals   []float64
 
 	// HaloN is the number of external values this shard reads per
@@ -104,7 +105,7 @@ func (sh *Shard) DiagBlock() *sparse.CSR {
 	rowPtr := make([]int, n+1)
 	for i := 0; i < n; i++ {
 		for p := sh.RowPtr[i]; p < sh.RowPtr[i+1]; p++ {
-			if sh.Cols[p] < n {
+			if int(sh.Cols[p]) < n {
 				rowPtr[i+1]++
 			}
 		}
@@ -117,8 +118,8 @@ func (sh *Shard) DiagBlock() *sparse.CSR {
 	k := 0
 	for i := 0; i < n; i++ {
 		for p := sh.RowPtr[i]; p < sh.RowPtr[i+1]; p++ {
-			if sh.Cols[p] < n {
-				cols[k] = sh.Cols[p]
+			if int(sh.Cols[p]) < n {
+				cols[k] = int(sh.Cols[p])
 				vals[k] = sh.Vals[p]
 				k++
 			}
@@ -199,15 +200,15 @@ func BuildPlan(a *sparse.CSR, parts int) (*Plan, error) {
 
 		// Pass 2: fill the local CSR with remapped columns. Owned
 		// columns map to j-r0; halo columns to nl + position in ext.
-		sh.Cols = make([]int, sh.RowPtr[nl])
+		sh.Cols = make([]int32, sh.RowPtr[nl])
 		sh.Vals = make([]float64, sh.RowPtr[nl])
 		k := 0
 		for i := r0; i < r1; i++ {
 			a.ScanRow(i, func(j int, v float64) {
 				if j >= r0 && j < r1 {
-					sh.Cols[k] = j - r0
+					sh.Cols[k] = int32(j - r0)
 				} else {
-					sh.Cols[k] = nl + sort.SearchInts(ext, j)
+					sh.Cols[k] = int32(nl + sort.SearchInts(ext, j))
 				}
 				sh.Vals[k] = v
 				k++

@@ -251,3 +251,63 @@ func TestTransportFailureMidReduction(t *testing.T) {
 		check("timeout")
 	}
 }
+
+// malformedPlacement is a placement install must refuse: each breaks
+// one thing the solve goroutine indexes by, and each was once accepted.
+type malformedPlacement struct {
+	name string
+	m    placeMsg
+}
+
+// placement is a well-formed two-row shard that reads one halo value
+// from w1, after edit.
+func placement(edit func(m *placeMsg)) placeMsg {
+	m := placeMsg{OpID: "op", Gen: 1, NGlobal: 4, Row0: 0, Row1: 2,
+		RowPtr: []int{0, 1, 2}, Cols: []int32{0, 2}, Vals: []float64{1, 1}, HaloN: 1,
+		Recv: []placeRecv{{FromID: "w1", Off: 0, Count: 1}}}
+	edit(&m)
+	return m
+}
+
+func malformedPlacements() []malformedPlacement {
+	return []malformedPlacement{
+		{"rowptr starts past 0", placement(func(m *placeMsg) { m.RowPtr = []int{1, 1, 2} })},
+		{"rowptr falls", placement(func(m *placeMsg) { m.RowPtr = []int{0, 3, 1}; m.Cols, m.Vals = m.Cols[:1], m.Vals[:1] })},
+		{"negative halo width", placement(func(m *placeMsg) {
+			m.RowPtr, m.Cols, m.Vals, m.HaloN, m.Recv = []int{0, 0, 0}, nil, nil, -1, nil
+		})},
+		{"halo wider than the entries", placement(func(m *placeMsg) { m.HaloN = 1 << 40 })},
+		{"send index negative", placement(func(m *placeMsg) {
+			m.Send = []placeSend{{ToID: "w1", ToAddr: "127.0.0.1:1", Local: []int{0, -1}}}
+		})},
+		{"send index past the owned rows", placement(func(m *placeMsg) {
+			m.Send = []placeSend{{ToID: "w1", ToAddr: "127.0.0.1:1", Local: []int{2}}}
+		})},
+		{"recv offset negative", placement(func(m *placeMsg) { m.Recv[0].Off = -1 })},
+		{"recv count negative", placement(func(m *placeMsg) { m.Recv[0].Count = -1 })},
+		{"recv past the halo", placement(func(m *placeMsg) { m.Recv[0].Off, m.Recv[0].Count = 1, 1 })},
+	}
+}
+
+// TestInstallRefusesMalformedPlacement: a placement comes off the wire,
+// and a solve on a bad one panics in a goroutine with no recover — the
+// whole worker exits. install refuses each with its malformed-shard
+// error instead, and still accepts the placement every case was made
+// from.
+func TestInstallRefusesMalformedPlacement(t *testing.T) {
+	w, err := NewWorker(WorkerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, tc := range malformedPlacements() {
+		err := w.install(&tc.m)
+		if err == nil || !strings.Contains(err.Error(), "malformed shard") {
+			t.Errorf("%s: install returned %v, want a malformed shard error", tc.name, err)
+		}
+	}
+	good := placement(func(*placeMsg) {})
+	if err := w.install(&good); err != nil {
+		t.Fatalf("install refused a well-formed placement: %v", err)
+	}
+}

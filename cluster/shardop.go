@@ -70,10 +70,7 @@ func (op *shardOp) Observe(int, float64) bool {
 // runSolve executes one distributed solve and reports Done or Err on
 // the control connection. Aborts exit silently.
 func (w *Worker) runSolve(s *workerSolve, ws *workerShard, m *solveMsg, send func(byte, *wire.Enc) error) {
-	op := &shardOp{w: w, s: s, ws: ws, send: send, lastIter: time.Now()}
-	if ws.sh.HaloN > 0 {
-		op.x = make([]float64, ws.sh.NLocal()+ws.sh.HaloN)
-	}
+	op := newShardOp(w, s, ws, send)
 	res, err := op.solve(m)
 	if errors.Is(err, errAborted) {
 		return
@@ -103,6 +100,16 @@ func (w *Worker) runSolve(s *workerSolve, ws *workerShard, m *solveMsg, send fun
 	if serr := send(wire.MsgDone, done.encode()); serr != nil {
 		w.logf("worker: report done: %v", serr)
 	}
+}
+
+// newShardOp sets up one solve's row block. The iterate is [owned |
+// halo] whenever a neighbour writes into it, even a batch of no values.
+func newShardOp(w *Worker, s *workerSolve, ws *workerShard, send func(byte, *wire.Enc) error) *shardOp {
+	op := &shardOp{w: w, s: s, ws: ws, send: send, lastIter: time.Now()}
+	if ws.sh.HaloN > 0 || len(ws.recvs) > 0 {
+		op.x = make([]float64, ws.sh.NLocal()+ws.sh.HaloN)
+	}
+	return op
 }
 
 // solve runs the registry's kernel for m.Method on this row block. The
@@ -235,17 +242,11 @@ func (op *shardOp) halo(x []float64) error {
 	op.haloSeq++
 	for i := range op.ws.sends {
 		snd := &op.ws.sends[i]
-		buf := op.gather[:0]
-		for _, li := range snd.local {
-			buf = append(buf, x[li])
-		}
-		op.gather = buf
-		m := reduceMsg{SolveID: op.s.id, Seq: op.haloSeq, Vals: buf}
+		m := reduceMsg{SolveID: op.s.id, Seq: op.haloSeq, Vals: op.gatherFor(snd, x)}
 		if err := snd.link.sendHalo(&m); err != nil {
 			return &solveErr{code: codeInternal, detail: "halo send: " + err.Error()}
 		}
 	}
-	nl := len(x)
 	for _, rv := range op.ws.recvs {
 		f, err := op.recvFrom(rv.FromID)
 		if err != nil {
@@ -255,10 +256,27 @@ func (op *shardOp) halo(x []float64) error {
 			return &solveErr{code: codeInternal,
 				detail: fmt.Sprintf("halo batch %d values from %s, want %d", len(f.vals), rv.FromID, rv.Count)}
 		}
-		copy(op.x[nl+rv.Off:nl+rv.Off+rv.Count], f.vals)
+		copy(op.haloRegion(rv), f.vals)
 	}
 	op.phases[phaseHalo].Observe(time.Since(start))
 	return nil
+}
+
+// gatherFor packs the owned entries of x that snd's neighbour reads, in
+// its order, into the reused gather buffer.
+func (op *shardOp) gatherFor(snd *wsSend, x []float64) []float64 {
+	buf := op.gather[:0]
+	for _, li := range snd.local {
+		buf = append(buf, x[li])
+	}
+	op.gather = buf
+	return buf
+}
+
+// haloRegion is where rv's batch lands in the iterate.
+func (op *shardOp) haloRegion(rv placeRecv) []float64 {
+	nl := op.ws.sh.NLocal()
+	return op.x[nl+rv.Off : nl+rv.Off+rv.Count]
 }
 
 // MulVec computes this block's rows of A x: the halo exchange for x,

@@ -76,15 +76,17 @@ func FuzzDecFields(f *testing.F) {
 	e.Str("worker-3")
 	e.F64s([]float64{1, 2.5, math.Inf(1)})
 	e.Ints([]int{0, -1, 1 << 40})
-	f.Add([]byte{0, 1, 2, 3, 4}, e.B)
+	e.Int32s([]int32{0, -1, math.MaxInt32})
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, e.B)
 	e.Release()
 
 	f.Fuzz(func(t *testing.T, script, payload []byte) {
 		d := NewDec(payload)
 		var f64buf []float64
 		var intbuf []int
+		var int32buf []int32
 		for _, op := range script {
-			switch op % 7 {
+			switch op % 8 {
 			case 0:
 				d.U8()
 			case 1:
@@ -99,6 +101,8 @@ func FuzzDecFields(f *testing.F) {
 				f64buf = d.F64s(f64buf)
 			case 6:
 				intbuf = d.Ints(intbuf)
+			case 7:
+				int32buf = d.Int32s(int32buf)
 			}
 		}
 		if err := d.Err(); err != nil && !errors.Is(err, ErrFrame) {

@@ -6,8 +6,9 @@
 //	bytes 1..4  payload length, uint32 little-endian
 //	bytes 5..   payload
 //
-// — and payloads are packed little-endian scalars and float64 slices
-// (8 bytes each, IEEE 754 bits), so a halo exchange or an allreduce
+// — and payloads are packed little-endian scalars and slices (float64s
+// as their 8-byte IEEE 754 bits, a placement's column indices as 4-byte
+// int32s, other integers as 8 bytes), so a halo exchange or an allreduce
 // contribution costs exactly its data plus five bytes of framing. No
 // JSON, no reflection, no per-frame allocation in steady state: frame
 // payloads and encode buffers come from a shared pool and are returned
@@ -53,8 +54,9 @@ const (
 )
 
 // Version is the protocol version carried in Hello/HelloAck; a mismatch
-// refuses the connection rather than misinterpreting frames.
-const Version = 1
+// refuses the connection rather than misinterpreting frames. Version 2
+// ships a placement's column indices as int32s (Int32s).
+const Version = 2
 
 // DefaultMaxPayload bounds incoming frame payloads (shards of a 4M-row
 // operator fit comfortably; a corrupt length prefix does not take the
@@ -187,6 +189,16 @@ func (e *Enc) Ints(v []int) {
 	e.B = append(e.B, make([]byte, 8*len(v))...)
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(e.B[off+8*i:], uint64(x))
+	}
+}
+
+// Int32s appends a length-prefixed []int32, 4 bytes per element.
+func (e *Enc) Int32s(v []int32) {
+	e.U64(uint64(len(v)))
+	off := len(e.B)
+	e.B = append(e.B, make([]byte, 4*len(v))...)
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(e.B[off+4*i:], uint32(x))
 	}
 }
 
@@ -325,6 +337,27 @@ func (d *Dec) Ints(dst []int) []int {
 	dst = dst[:n]
 	for i := range dst {
 		dst[i] = int(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return dst
+}
+
+// Int32s reads a length-prefixed []int32 into dst (grown as needed),
+// returning the filled slice.
+func (d *Dec) Int32s(dst []int32) []int32 {
+	n := d.lenPrefix(4, "[]int32")
+	if d.err != nil {
+		return dst[:0]
+	}
+	raw := d.take(4*n, "[]int32")
+	if raw == nil {
+		return dst[:0]
+	}
+	if cap(dst) < n {
+		dst = make([]int32, n)
+	}
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	return dst
 }

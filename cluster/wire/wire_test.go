@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -75,6 +76,7 @@ func TestEncDecRoundTrip(t *testing.T) {
 	e.F64s([]float64{1.5, -2.25, 0})
 	e.F64s(nil)
 	e.Ints([]int{0, 5, 1 << 33})
+	e.Int32s([]int32{0, -7, math.MaxInt32})
 
 	d := NewDec(e.B)
 	if got := d.U8(); got != 7 {
@@ -108,6 +110,12 @@ func TestEncDecRoundTrip(t *testing.T) {
 	ints := d.Ints(nil)
 	if len(ints) != 3 || ints[2] != 1<<33 {
 		t.Fatalf("ints: %v", ints)
+	}
+	if i32 := d.Int32s(nil); len(i32) != 3 || i32[1] != -7 || i32[2] != math.MaxInt32 {
+		t.Fatalf("int32s: %v", i32)
+	}
+	if len(d.b) != 0 {
+		t.Fatalf("%d bytes left over", len(d.b))
 	}
 	if err := d.Err(); err != nil {
 		t.Fatalf("decode err: %v", err)
@@ -143,6 +151,10 @@ func TestDecHostileLengths(t *testing.T) {
 	_ = d.F64s(nil)
 	if !errors.Is(d.Err(), ErrFrame) {
 		t.Fatalf("hostile length accepted: %v", d.Err())
+	}
+	d = NewDec(append(binary.LittleEndian.AppendUint64(nil, 3), make([]byte, 11)...)) // 3 int32s want 12 bytes
+	if got := d.Int32s(nil); len(got) != 0 || !errors.Is(d.Err(), ErrFrame) {
+		t.Fatalf("int32s past the payload: %v, %v", got, d.Err())
 	}
 
 	e2 := NewEnc(16)

@@ -442,20 +442,59 @@ func (w *Worker) controlLoop(conn net.Conn) {
 // install builds a workerShard from a placement, dialing (or reusing)
 // peer links for its halo sends.
 func (w *Worker) install(m *placeMsg) error {
+	ws, err := newWorkerShard(m)
+	if err != nil {
+		return err
+	}
+	for i, s := range m.Send {
+		if ws.sends[i].link, err = w.peerLinkTo(s.ToID, s.ToAddr); err != nil {
+			return err
+		}
+	}
+	w.mu.Lock()
+	if w.closed {
+		w.mu.Unlock()
+		return ErrClosed
+	}
+	w.shards[m.OpID] = ws
+	w.mu.Unlock()
+	return nil
+}
+
+// newWorkerShard checks a placement and builds its shard, with the
+// halo sends' peer links still to dial. Placements come off the wire,
+// so anything the solve would index by is checked here, where a bad one
+// is an error, and not in the solve goroutine, where it would be a
+// panic: RowPtr starts at 0, never decreases and ends at len(Cols);
+// every column lies in [0, NLocal+HaloN); HaloN is at most the entry
+// count, as in any plan (each halo value is read by an entry), which
+// also bounds the iterate the solve allocates; every Local lies in
+// [0, NLocal), and every Recv region in [0, HaloN).
+func newWorkerShard(m *placeMsg) (*workerShard, error) {
 	nl := m.Row1 - m.Row0
-	if nl < 0 || len(m.RowPtr) != nl+1 {
-		return fmt.Errorf("malformed shard: rows [%d,%d) rowptr %d", m.Row0, m.Row1, len(m.RowPtr))
+	if nl < 0 || len(m.RowPtr) != nl+1 || m.RowPtr[0] != 0 {
+		return nil, fmt.Errorf("malformed shard: rows [%d,%d) rowptr %d", m.Row0, m.Row1, len(m.RowPtr))
 	}
-	nnz := 0
-	if nl > 0 {
-		nnz = m.RowPtr[nl]
+	for i := 0; i < nl; i++ {
+		if m.RowPtr[i+1] < m.RowPtr[i] {
+			return nil, fmt.Errorf("malformed shard: rowptr falls at row %d (%d then %d)", i, m.RowPtr[i], m.RowPtr[i+1])
+		}
 	}
+	nnz := m.RowPtr[nl]
 	if len(m.Cols) != nnz || len(m.Vals) != nnz {
-		return fmt.Errorf("malformed shard: nnz %d cols %d vals %d", nnz, len(m.Cols), len(m.Vals))
+		return nil, fmt.Errorf("malformed shard: nnz %d cols %d vals %d", nnz, len(m.Cols), len(m.Vals))
+	}
+	if m.HaloN < 0 || m.HaloN > nnz {
+		return nil, fmt.Errorf("malformed shard: halo width %d for %d entries", m.HaloN, nnz)
 	}
 	for _, c := range m.Cols {
-		if c < 0 || c >= nl+m.HaloN {
-			return fmt.Errorf("malformed shard: column %d outside local space %d", c, nl+m.HaloN)
+		if c < 0 || int(c) >= nl+m.HaloN {
+			return nil, fmt.Errorf("malformed shard: column %d outside local space %d", c, nl+m.HaloN)
+		}
+	}
+	for _, r := range m.Recv {
+		if r.Off < 0 || r.Count < 0 || r.Off > m.HaloN || r.Count > m.HaloN-r.Off {
+			return nil, fmt.Errorf("malformed shard: halo batch [%d,+%d) from %s outside halo width %d", r.Off, r.Count, r.FromID, m.HaloN)
 		}
 	}
 	ws := &workerShard{
@@ -471,20 +510,14 @@ func (w *Worker) install(m *placeMsg) error {
 		pre:   make(map[string]precond.Preconditioner),
 	}
 	for _, s := range m.Send {
-		link, err := w.peerLinkTo(s.ToID, s.ToAddr)
-		if err != nil {
-			return err
+		for _, li := range s.Local {
+			if li < 0 || li >= nl {
+				return nil, fmt.Errorf("malformed shard: send to %s gathers index %d outside %d owned rows", s.ToID, li, nl)
+			}
 		}
-		ws.sends = append(ws.sends, wsSend{link: link, local: s.Local})
+		ws.sends = append(ws.sends, wsSend{local: s.Local})
 	}
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return ErrClosed
-	}
-	w.shards[m.OpID] = ws
-	w.mu.Unlock()
-	return nil
+	return ws, nil
 }
 
 // peerLinkTo returns a persistent halo link to the named peer, dialing

@@ -6,10 +6,16 @@
 //
 //	go test -run '^$' -bench 'SpMV|PCGSolve' -benchmem . | go run ./cmd/benchjson > BENCH_engine.json
 //
+// Repeated runs of one benchmark (go test -count N) fold into one row:
+// the median run's ns/op, allocations and other metrics, plus the
+// fastest and slowest run's ns/op as ns_min and ns_max.
+//
 // With -prev FILE, the fresh results are additionally diffed against a
-// previously committed summary and a per-benchmark delta table (ns/op,
-// MB/s, with regressions flagged) is printed to stderr — so `make
-// bench` shows at a glance what moved before the JSON is overwritten.
+// previously committed summary and a per-benchmark delta table (median
+// and min–max ns/op, MB/s) is printed to stderr — so `make bench` shows
+// at a glance what moved before the JSON is overwritten. A row is
+// flagged only when its min–max range and the committed one do not
+// overlap; a file recorded from one run reads as min = max = median.
 //
 // With -o FILE, the summary is written to FILE atomically (temp file in
 // the same directory + rename) instead of stdout, so an interrupted run
@@ -34,9 +40,13 @@ import (
 
 // Benchmark is one parsed benchmark result line.
 type Benchmark struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
+	Name       string  `json:"name"`
+	Iterations int64   `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	// NsMin and NsMax are the fastest and slowest of the runs folded
+	// into the row (zero in files written before the fold).
+	NsMin       float64 `json:"ns_min,omitempty"`
+	NsMax       float64 `json:"ns_max,omitempty"`
 	MBPerS      float64 `json:"mb_per_s,omitempty"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
@@ -72,7 +82,7 @@ func main() {
 	if *prevPath != "" {
 		prev, ok := loadSummary(*prevPath)
 		if ok {
-			printDiff(*prevPath, prev, sum)
+			printDiff(os.Stderr, *prevPath, prev, sum)
 		}
 		if ok && *gateAllocs {
 			bad, comparable := allocRegressions(prev, sum)
@@ -132,7 +142,42 @@ func parse(r io.Reader) (Summary, error) {
 		}
 	}
 	sum.GOMAXPROCS = stripProcs(sum.Benchmarks)
+	sum.Benchmarks = fold(sum.Benchmarks)
 	return sum, sc.Err()
+}
+
+// fold merges the runs of each name (go test -count N prints one line
+// per run) into one row, in the order names first appear: the median
+// run by ns/op — the lower middle one for an even count — with the
+// fastest and slowest run's ns/op beside it. Every other field is the
+// median run's, so -gate-allocs compares one run's allocations.
+func fold(bs []Benchmark) []Benchmark {
+	runs := make(map[string][]Benchmark, len(bs))
+	var names []string
+	for _, b := range bs {
+		if _, seen := runs[b.Name]; !seen {
+			names = append(names, b.Name)
+		}
+		runs[b.Name] = append(runs[b.Name], b)
+	}
+	out := make([]Benchmark, 0, len(names))
+	for _, name := range names {
+		rs := runs[name]
+		sort.SliceStable(rs, func(i, j int) bool { return rs[i].NsPerOp < rs[j].NsPerOp })
+		b := rs[(len(rs)-1)/2]
+		b.NsMin, b.NsMax = rs[0].NsPerOp, rs[len(rs)-1].NsPerOp
+		out = append(out, b)
+	}
+	return out
+}
+
+// nsRange is the min–max ns/op of a row; a row without one (a file
+// written from one run per name) is its own range.
+func (b Benchmark) nsRange() (lo, hi float64) {
+	if b.NsMin == 0 && b.NsMax == 0 {
+		return b.NsPerOp, b.NsPerOp
+	}
+	return b.NsMin, b.NsMax
 }
 
 // stripProcs removes the -GOMAXPROCS suffix go test appends to every
@@ -185,12 +230,6 @@ func writeAtomic(path string, sum Summary) error {
 	return nil
 }
 
-// regressThreshold is the ns/op growth beyond which a row is flagged in
-// the delta table. It is deliberately loose: shared CI boxes routinely
-// show double-digit noise, and the table informs a human rather than
-// failing the build.
-const regressThreshold = 0.10
-
 // loadSummary reads a previously committed summary. A missing or
 // unreadable file degrades to a note, never an error: the first run on
 // a fresh clone has nothing to diff or gate against.
@@ -208,20 +247,23 @@ func loadSummary(path string) (prev Summary, ok bool) {
 }
 
 // printDiff prints a per-benchmark delta table of fresh against the
-// summary previously committed at path to stderr.
-func printDiff(path string, prev, fresh Summary) {
+// summary previously committed at path to out. The table informs a
+// human rather than failing the build, and flags a row only when the
+// two min–max ranges are apart: within them, a delta of medians on a
+// shared box is noise.
+func printDiff(out io.Writer, path string, prev, fresh Summary) {
 	old := make(map[string]Benchmark, len(prev.Benchmarks))
 	for _, b := range prev.Benchmarks {
 		old[b.Name] = b
 	}
 
-	w := tabwriter.NewWriter(os.Stderr, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "\nbenchmark\told ns/op\tnew ns/op\tΔ ns/op\told MB/s\tnew MB/s\t\n")
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(w, "\nbenchmark\told ns/op\tnew ns/op\tΔ median\told MB/s\tnew MB/s\t\n")
 	var regressions []string
 	for _, b := range fresh.Benchmarks {
 		p, ok := old[b.Name]
 		if !ok {
-			fmt.Fprintf(w, "%s\t-\t%.0f\tnew\t-\t%s\t\n", b.Name, b.NsPerOp, mbCell(b.MBPerS))
+			fmt.Fprintf(w, "%s\t-\t%s\tnew\t-\t%s\t\n", b.Name, nsCell(b), mbCell(b.MBPerS))
 			continue
 		}
 		delta := 0.0
@@ -229,12 +271,12 @@ func printDiff(path string, prev, fresh Summary) {
 			delta = (b.NsPerOp - p.NsPerOp) / p.NsPerOp
 		}
 		mark := ""
-		if delta > regressThreshold {
+		if slower(p, b) {
 			mark = "  <-- regression"
 			regressions = append(regressions, b.Name)
 		}
-		fmt.Fprintf(w, "%s\t%.0f\t%.0f\t%+.1f%%%s\t%s\t%s\t\n",
-			b.Name, p.NsPerOp, b.NsPerOp, 100*delta, mark, mbCell(p.MBPerS), mbCell(b.MBPerS))
+		fmt.Fprintf(w, "%s\t%s\t%s\t%+.1f%%%s\t%s\t%s\t\n",
+			b.Name, nsCell(p), nsCell(b), 100*delta, mark, mbCell(p.MBPerS), mbCell(b.MBPerS))
 		delete(old, b.Name)
 	}
 	names := make([]string, 0, len(old))
@@ -243,15 +285,32 @@ func printDiff(path string, prev, fresh Summary) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Fprintf(w, "%s\t%.0f\t-\tgone\t%s\t-\t\n", name, old[name].NsPerOp, mbCell(old[name].MBPerS))
+		fmt.Fprintf(w, "%s\t%s\t-\tgone\t%s\t-\t\n", name, nsCell(old[name]), mbCell(old[name].MBPerS))
 	}
 	w.Flush()
 	if len(regressions) > 0 {
-		fmt.Fprintf(os.Stderr, "\nbenchjson: %d benchmark(s) slower than %s by >%.0f%%: %s\n",
-			len(regressions), path, 100*regressThreshold, strings.Join(regressions, ", "))
+		fmt.Fprintf(out, "\nbenchjson: %d benchmark(s) slower than %s, min–max ranges apart: %s\n",
+			len(regressions), path, strings.Join(regressions, ", "))
 	} else {
-		fmt.Fprintf(os.Stderr, "\nbenchjson: no regressions beyond %.0f%% vs %s\n", 100*regressThreshold, path)
+		fmt.Fprintf(out, "\nbenchjson: no min–max range slower than %s\n", path)
 	}
+}
+
+// slower reports whether every fresh run was slower than every
+// committed one.
+func slower(prev, fresh Benchmark) bool {
+	_, phi := prev.nsRange()
+	flo, _ := fresh.nsRange()
+	return flo > phi
+}
+
+// nsCell renders a row's median ns/op, with its range when it has one.
+func nsCell(b Benchmark) string {
+	lo, hi := b.nsRange()
+	if lo == hi {
+		return fmt.Sprintf("%.0f", b.NsPerOp)
+	}
+	return fmt.Sprintf("%.0f [%.0f–%.0f]", b.NsPerOp, lo, hi)
 }
 
 // allocRegressions compares fresh allocs/op against the committed

@@ -7,7 +7,7 @@ import (
 // bandCSR builds a deterministic 5-band n×n CSR system for the
 // multi-vector SpMV tests: uniform-ish rows so an equal row split is a
 // valid nnz-balanced partition.
-func bandCSR(n int, seed uint64) (rowPtr, colIdx []int, vals []float64) {
+func bandCSR(n int, seed uint64) (rowPtr []int, colIdx []int32, vals []float64) {
 	rowPtr = make([]int, n+1)
 	noise := New(5 * n)
 	Random(noise, seed)
@@ -15,7 +15,7 @@ func bandCSR(n int, seed uint64) (rowPtr, colIdx []int, vals []float64) {
 	for i := 0; i < n; i++ {
 		for _, j := range [5]int{i - 2, i - 1, i, i + 1, i + 2} {
 			if j >= 0 && j < n {
-				colIdx = append(colIdx, j)
+				colIdx = append(colIdx, int32(j))
 				vals = append(vals, noise[k%len(noise)])
 				k++
 			}

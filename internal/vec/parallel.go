@@ -164,7 +164,7 @@ type job struct {
 	cross bool
 	// CSR SpMV operands (row-partitioned; see CSRMulVec).
 	rowPtr []int
-	colIdx []int
+	colIdx []int32
 	vals   []float64
 	// fn is the row-range kernel of RowMulVec. Callers pass a cached
 	// function value (not a fresh closure) so dispatch stays
@@ -700,7 +700,7 @@ func (p *Pool) RowMulVecBounds(bounds []int, dst, x Vector, fn RowKernel) bool {
 // The pool deliberately knows this one structured kernel: SpMV dominates
 // every solver's hot path, and routing it through the same opcode
 // dispatch keeps the parallel form allocation-free.
-func (p *Pool) CSRMulVec(bounds []int, rowPtr, colIdx []int, vals []float64, dst, x Vector) bool {
+func (p *Pool) CSRMulVec(bounds, rowPtr []int, colIdx []int32, vals []float64, dst, x Vector) bool {
 	nc := p.beginBounds(opCSRMulVec, len(vals), bounds)
 	if nc == 0 {
 		return false
@@ -717,7 +717,7 @@ func (p *Pool) CSRMulVec(bounds []int, rowPtr, colIdx []int, vals []float64, dst
 // column, which is where the multi-RHS bandwidth win comes from. Each
 // column's accumulation order matches the single-vector CSR loop
 // exactly, so every output column is bitwise identical to MulVec.
-func CSRMulVecsRows(rowPtr, colIdx []int, vals []float64, dsts, xs []Vector, lo, hi int) {
+func CSRMulVecsRows(rowPtr []int, colIdx []int32, vals []float64, dsts, xs []Vector, lo, hi int) {
 	s := len(xs)
 	j := 0
 	for ; j+4 <= s; j += 4 {
@@ -752,7 +752,7 @@ func CSRMulVecsRows(rowPtr, colIdx []int, vals []float64, dsts, xs []Vector, lo,
 // CSRMulVec for the partition contract). It returns false — leaving the
 // destinations untouched — when the nonzero count is below the
 // multi-vector SpMV cutoff or the partition does not fit this pool.
-func (p *Pool) CSRMulVecs(bounds []int, rowPtr, colIdx []int, vals []float64, dsts, xs []Vector) bool {
+func (p *Pool) CSRMulVecs(bounds, rowPtr []int, colIdx []int32, vals []float64, dsts, xs []Vector) bool {
 	nc := p.beginBounds(opCSRMulVecs, len(vals), bounds)
 	if nc == 0 {
 		return false

@@ -180,7 +180,7 @@ func TestPoolCSRMulVecRejectsOversizedPartition(t *testing.T) {
 	// 3 chunks > 2 workers: must refuse and leave dst untouched.
 	n := 6
 	rowPtr := []int{0, 1, 2, 3, 4, 5, 6}
-	colIdx := []int{0, 1, 2, 3, 4, 5}
+	colIdx := []int32{0, 1, 2, 3, 4, 5}
 	vals := []float64{1, 1, 1, 1, 1, 1}
 	dst := New(n)
 	Fill(dst, -1)

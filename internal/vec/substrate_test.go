@@ -180,9 +180,9 @@ func TestNilPoolIsSerial(t *testing.T) {
 		Random(x, uint64(n)+1)
 		Random(y, uint64(n)+2)
 		Random(z, uint64(n)+3)
-		rowPtr, colIdx := make([]int, n+1), make([]int, n)
+		rowPtr, colIdx := make([]int, n+1), make([]int32, n)
 		for i := range colIdx {
-			rowPtr[i+1], colIdx[i] = i+1, i
+			rowPtr[i+1], colIdx[i] = i+1, int32(i)
 		}
 		bounds := []int{0, n / 2, n}
 		xs, ys := []Vector{x, y}, []Vector{y, z}

@@ -3,10 +3,12 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"vrcg/internal/vec"
 )
@@ -143,12 +145,12 @@ func cooToCSRRef(c *COO) *CSR {
 	for i := 0; i < n; i++ {
 		ptr[i+1] += ptr[i]
 	}
-	cols, vals, cursor := make([]int, nnz), make([]float64, nnz), make([]int, n)
+	cols, vals, cursor := make([]int32, nnz), make([]float64, nnz), make([]int, n)
 	copy(cursor, ptr[:n])
 	for k, i := range c.rows {
 		p := cursor[i]
 		cursor[i]++
-		cols[p], vals[p] = c.cols[k], c.vals[k]
+		cols[p], vals[p] = int32(c.cols[k]), c.vals[k]
 	}
 	rowPtr, out := make([]int, n+1), 0
 	for i := 0; i < n; i++ {
@@ -181,7 +183,7 @@ func (m *CSR) toDIARef(maxPadding float64) *DIA {
 			if p > m.rowPtr[i] && m.colIdx[p] == m.colIdx[p-1] {
 				return nil
 			}
-			k := m.colIdx[p] - i
+			k := int(m.colIdx[p]) - i
 			for d < len(offs) && offs[d] < k {
 				d++
 			}
@@ -207,7 +209,7 @@ func (m *CSR) toDIARef(maxPadding float64) *DIA {
 					continue
 				}
 				var v float64
-				if p < end && m.colIdx[p] == j {
+				if p < end && int(m.colIdx[p]) == j {
 					v = m.vals[p]
 					p++
 				}
@@ -353,17 +355,17 @@ func TestSortRowIsSortSort(t *testing.T) {
 	}
 	for trial := 0; trial < 3000; trial++ {
 		n := next(40)
-		cols, vals := make([]int, n), make([]float64, n)
+		cols, vals := make([]int32, n), make([]float64, n)
 		span := 1 + next(2*n+1)
 		for p := range cols {
-			cols[p], vals[p] = next(span), float64(p)
+			cols[p], vals[p] = int32(next(span)), float64(p)
 		}
 		switch trial % 4 {
 		case 1:
-			sort.Ints(cols)
+			slices.Sort(cols)
 		case 2:
 			for p := range cols {
-				cols[p] = 3 * p
+				cols[p] = int32(3 * p)
 			}
 		}
 		wantC, wantV := slices.Clone(cols), slices.Clone(vals)
@@ -449,7 +451,7 @@ func TestToDIAMatchesRef(t *testing.T) {
 		a := Poisson2D(9)
 		var below []int
 		for i := 0; i < a.n; i++ {
-			for p := a.rowPtr[i]; p < a.rowPtr[i+1] && a.colIdx[p] < i; p++ {
+			for p := a.rowPtr[i]; p < a.rowPtr[i+1] && int(a.colIdx[p]) < i; p++ {
 				below = append(below, p)
 			}
 		}
@@ -546,5 +548,33 @@ func TestStencilCSRAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(5, func() { TridiagToeplitz(100, 4, -1) }); got != want {
 		t.Errorf("TridiagToeplitz allocates %v times, want %v", got, want)
+	}
+}
+
+// arrayBytes is what a CSR's three arrays hold, at their element widths.
+func arrayBytes(m *CSR) int {
+	return cap(m.rowPtr)*int(unsafe.Sizeof(m.rowPtr[0])) +
+		cap(m.colIdx)*int(unsafe.Sizeof(m.colIdx[0])) +
+		cap(m.vals)*int(unsafe.Sizeof(m.vals[0]))
+}
+
+// TestStencilCSRFootprint: Poisson3D(32) built by StencilKind.CSR holds
+// 12 bytes an entry (a 4-byte column index and an 8-byte value) and 8 a
+// row offset, and building it allocates little past those arrays — no
+// wider index array on the way.
+func TestStencilCSRFootprint(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a := Stencil3D7.CSR(32)
+	runtime.ReadMemStats(&after)
+	n, nnz := a.Dim(), a.NNZ()
+	want := 12*nnz + 8*(n+1)
+	if got := arrayBytes(a); got > want {
+		t.Errorf("Poisson3D(32) arrays hold %d bytes, want at most 12·nnz + 8·(n+1) = %d", got, want)
+	}
+	// Large objects round up to whole pages; 64 KiB covers that, the
+	// struct and the warmed partition, and not another nnz-sized array.
+	if grew := int(after.TotalAlloc - before.TotalAlloc); grew > want+64<<10 {
+		t.Errorf("building Poisson3D(32) allocated %d bytes, want at most %d", grew, want+64<<10)
 	}
 }

@@ -2,6 +2,8 @@ package sparse
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -20,8 +22,8 @@ type COO struct {
 
 // NewCOO returns an empty n x n coordinate builder.
 func NewCOO(n int) *COO {
-	if n <= 0 {
-		panic("sparse: NewCOO requires n > 0")
+	if n <= 0 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: NewCOO requires 0 < n <= %d, got %d", math.MaxInt32, n))
 	}
 	return &COO{n: n}
 }
@@ -63,14 +65,15 @@ func (c *COO) ToCSR() *CSR {
 // assemble builds the CSR arrays of a matrix with the given number of
 // rows from triplets (rs[k], cs[k], vs[k]), which it leaves untouched:
 // duplicates summed, entries that sum to exactly zero dropped. Every
-// triplet must lie inside the matrix; the column count is the caller's.
+// triplet must lie inside the matrix; the column count is the caller's,
+// and at most math.MaxInt32.
 //
 // The build is sort-based rather than map-based: a counting sort buckets
 // entries by row in O(nnz), each row is put in column order by sortRow,
 // and duplicates are merged in a single in-place compaction pass. A row
 // whose entries were added in strictly ascending column order is not
 // touched, and duplicates are summed in the order they always were.
-func assemble(rows int, rs, cs []int, vs []float64) (rowPtr, cols []int, vals []float64) {
+func assemble(rows int, rs, cs []int, vs []float64) (rowPtr []int, cols []int32, vals []float64) {
 	nnz := len(vs)
 
 	// Pass 1: counting sort by row.
@@ -81,14 +84,14 @@ func assemble(rows int, rs, cs []int, vs []float64) (rowPtr, cols []int, vals []
 	for i := 0; i < rows; i++ {
 		ptr[i+1] += ptr[i]
 	}
-	cols = make([]int, nnz)
+	cols = make([]int32, nnz)
 	vals = make([]float64, nnz)
 	cursor := make([]int, rows)
 	copy(cursor, ptr[:rows])
 	for k, i := range rs {
 		p := cursor[i]
 		cursor[i]++
-		cols[p] = cs[k]
+		cols[p] = int32(cs[k])
 		vals[p] = vs[k]
 	}
 
@@ -122,11 +125,13 @@ func assemble(rows int, rs, cs []int, vs []float64) (rowPtr, cols []int, vals []
 
 // CSR is a compressed sparse row matrix: for row i, the structural
 // nonzeros live at positions rowPtr[i]..rowPtr[i+1] of colIdx/vals,
-// with column indices sorted ascending within each row.
+// with column indices sorted ascending within each row. Column indices
+// are 32-bit, since the order is at most math.MaxInt32; row offsets
+// count entries, which can pass it, and stay int.
 type CSR struct {
 	n      int
 	rowPtr []int
-	colIdx []int
+	colIdx []int32
 	vals   []float64
 
 	// part caches the most recent nnz-balanced row partition (see
@@ -152,26 +157,47 @@ type rowPartition struct {
 	bounds []int
 }
 
-// NewCSR builds a CSR matrix directly from its raw arrays. The arrays are
-// used without copying; rowPtr must have length n+1 and colIdx/vals must
-// have length rowPtr[n]. Rows are sorted by column during construction
-// (see sortRow): a row that is already sorted is not touched, and
-// repeated columns keep the order they always did.
+// NewCSR builds a CSR matrix from its raw arrays. rowPtr and vals are
+// used without copying; the column indices are copied once into the
+// matrix's own 32-bit array, so colIdx is left as it was and may be
+// reused. rowPtr must have length n+1, colIdx/vals length rowPtr[n], and
+// every column index must lie in [0, n), with n at most math.MaxInt32.
+// Rows are sorted by column during construction (see sortRow) — the
+// copied indices and vals in place: a row that is already sorted is not
+// touched, and repeated columns keep the order they always did.
 func NewCSR(n int, rowPtr, colIdx []int, vals []float64) *CSR {
+	cols := columns32("NewCSR", n, colIdx)
 	if len(rowPtr) != n+1 {
 		panic(fmt.Sprintf("sparse: rowPtr length %d, want %d", len(rowPtr), n+1))
 	}
 	if len(colIdx) != rowPtr[n] || len(vals) != rowPtr[n] {
 		panic("sparse: colIdx/vals length disagrees with rowPtr")
 	}
-	m := &CSR{n: n, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
-	sortRows(rowPtr, colIdx, vals)
+	m := &CSR{n: n, rowPtr: rowPtr, colIdx: cols, vals: vals}
+	sortRows(rowPtr, cols, vals)
 	m.warmPartition()
 	return m
 }
 
+// columns32 returns colIdx as 32-bit column indices of a matrix with
+// cols columns, panicking, in the name of the constructor, on a column
+// count past math.MaxInt32 or an index outside [0, cols).
+func columns32(method string, cols int, colIdx []int) []int32 {
+	if cols > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: %s: %d columns exceed the 32-bit column index", method, cols))
+	}
+	out := make([]int32, len(colIdx))
+	for k, j := range colIdx {
+		if j < 0 || j >= cols {
+			panic(fmt.Sprintf("sparse: %s: column index %d out of range for cols=%d", method, j, cols))
+		}
+		out[k] = int32(j)
+	}
+	return out
+}
+
 // sortRows puts every row of a CSR structure in column order.
-func sortRows(rowPtr, colIdx []int, vals []float64) {
+func sortRows(rowPtr []int, colIdx []int32, vals []float64) {
 	for i := 0; i+1 < len(rowPtr); i++ {
 		lo, hi := rowPtr[i], rowPtr[i+1]
 		sortRow(colIdx[lo:hi], vals[lo:hi])
@@ -184,7 +210,7 @@ func sortRows(rowPtr, colIdx []int, vals []float64) {
 // so it is left as it is; any other row goes through sort.Sort. So
 // repeated columns end in the same order for every input, and COO.ToCSR
 // sums them in the same order.
-func sortRow(cols []int, vals []float64) {
+func sortRow(cols []int32, vals []float64) {
 	for i := 1; i < len(cols); i++ {
 		if cols[i-1] >= cols[i] {
 			sort.Sort(rowView{cols: cols, vals: vals})
@@ -194,7 +220,7 @@ func sortRow(cols []int, vals []float64) {
 }
 
 type rowView struct {
-	cols []int
+	cols []int32
 	vals []float64
 }
 
@@ -225,10 +251,11 @@ func (m *CSR) MaxRowNonzeros() int {
 
 // At returns A[i,j] (zero if the entry is not stored).
 func (m *CSR) At(i, j int) float64 {
+	if uint(j) >= uint(m.n) {
+		return 0
+	}
 	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	cols := m.colIdx[lo:hi]
-	k := sort.SearchInts(cols, j)
-	if k < len(cols) && cols[k] == j {
+	if k, ok := slices.BinarySearch(m.colIdx[lo:hi], int32(j)); ok {
 		return m.vals[lo+k]
 	}
 	return 0
@@ -238,7 +265,7 @@ func (m *CSR) At(i, j int) float64 {
 // ascending column order.
 func (m *CSR) ScanRow(i int, emit func(j int, v float64)) {
 	for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-		emit(m.colIdx[p], m.vals[p])
+		emit(int(m.colIdx[p]), m.vals[p])
 	}
 }
 
@@ -437,7 +464,7 @@ func (m *CSR) CloneValues() *CSR {
 func (m *CSR) IsSymmetric(tol float64) bool {
 	for i := 0; i < m.n; i++ {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			j := m.colIdx[p]
+			j := int(m.colIdx[p])
 			if diff := m.vals[p] - m.At(j, i); diff > tol || diff < -tol {
 				return false
 			}
@@ -457,7 +484,7 @@ func (m *CSR) IsDiagonallyDominant() bool {
 			if v < 0 {
 				v = -v
 			}
-			if m.colIdx[p] == i {
+			if int(m.colIdx[p]) == i {
 				diag = v
 			} else {
 				off += v
@@ -475,7 +502,7 @@ func (m *CSR) ToDense() *Dense {
 	d := NewDense(m.n)
 	for i := 0; i < m.n; i++ {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			d.Set(i, m.colIdx[p], m.vals[p])
+			d.Set(i, int(m.colIdx[p]), m.vals[p])
 		}
 	}
 	return d

@@ -195,7 +195,7 @@ func (m *CSR) toDIA(maxPadding float64) *DIA {
 		// with one forward cursor.
 		d, last := 0, -n // no offset is -n
 		for _, j := range colIdx[rowPtr[i]:rowPtr[i+1]] {
-			k := j - i
+			k := int(j) - i
 			if k == last {
 				return nil // duplicate entry: two terms, one slab cell
 			}
@@ -232,7 +232,7 @@ func (m *CSR) toDIA(maxPadding float64) *DIA {
 		p, end := rowPtr[i], rowPtr[i+1]
 		for d := dlo; d < dhi; d++ {
 			var v float64 // a hole, unless row i stores this diagonal's column
-			if p < end && colIdx[p] == i+offs[d] {
+			if p < end && int(colIdx[p]) == i+offs[d] {
 				v = vals[p]
 				p++
 			}

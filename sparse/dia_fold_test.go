@@ -18,7 +18,7 @@ func cellsOf(a *CSR) []cell {
 	var cells []cell
 	for i := 0; i < a.n; i++ {
 		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
-			cells = append(cells, cell{i, a.colIdx[p], a.vals[p]})
+			cells = append(cells, cell{i, int(a.colIdx[p]), a.vals[p]})
 		}
 	}
 	return cells
@@ -66,7 +66,7 @@ func unfoldedTwin(t *testing.T, a *CSR, build func() *DIA) *DIA {
 	t.Helper()
 	for i := 0; i < a.n; i++ {
 		p := a.rowPtr[i]
-		if p == a.rowPtr[i+1] || a.colIdx[p] >= i {
+		if p == a.rowPtr[i+1] || int(a.colIdx[p]) >= i {
 			continue
 		}
 		v := a.vals[p]
@@ -76,7 +76,7 @@ func unfoldedTwin(t *testing.T, a *CSR, build func() *DIA) *DIA {
 		if u.StoredDiagonals() != len(u.offsets) {
 			t.Fatalf("band with A[%d,%d] moved an ulp stores %d of %d diagonals", i, a.colIdx[p], u.StoredDiagonals(), len(u.offsets))
 		}
-		u.slab[u.base[sort.SearchInts(u.offsets, a.colIdx[p]-i)]+i] = v
+		u.slab[u.base[sort.SearchInts(u.offsets, int(a.colIdx[p])-i)]+i] = v
 		return u
 	}
 	t.Fatal("no entry below the diagonal")

@@ -378,7 +378,7 @@ func mirrorLower(a *CSR) *CSR {
 func nudgeOneSuperdiagonalCell(a *CSR) bool {
 	for i := 0; i < a.n; i++ {
 		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
-			if a.colIdx[p] > i {
+			if int(a.colIdx[p]) > i {
 				a.vals[p] = math.Nextafter(a.vals[p], 2)
 				return true
 			}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -64,6 +65,9 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	}
 	if rows != cols {
 		return nil, fmt.Errorf("sparse: matrix is %dx%d, need square", rows, cols)
+	}
+	if rows < 0 || rows > math.MaxInt32 {
+		return nil, fmt.Errorf("sparse: order %d outside [1, %d]", rows, math.MaxInt32)
 	}
 
 	coo := NewCOO(rows)

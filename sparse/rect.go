@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 )
 
@@ -64,7 +65,7 @@ func PooledMulVecT(a TransposeMulVec, pool *Pool, dst, x []float64) {
 // structure with cols columns via a counting sort over columns.
 // Traversing the source row-major leaves each transposed row's indices
 // already sorted.
-func transposeArrays(cols int, rowPtr, colIdx []int, vals []float64) (tPtr, tIdx []int, tVals []float64) {
+func transposeArrays(cols int, rowPtr []int, colIdx []int32, vals []float64) (tPtr []int, tIdx []int32, tVals []float64) {
 	nnz := len(vals)
 	tPtr = make([]int, cols+1)
 	for _, j := range colIdx {
@@ -73,7 +74,7 @@ func transposeArrays(cols int, rowPtr, colIdx []int, vals []float64) (tPtr, tIdx
 	for j := 0; j < cols; j++ {
 		tPtr[j+1] += tPtr[j]
 	}
-	tIdx = make([]int, nnz)
+	tIdx = make([]int32, nnz)
 	tVals = make([]float64, nnz)
 	scatterTranspose(rowPtr, colIdx, vals, tPtr, tIdx, tVals)
 	return tPtr, tIdx, tVals
@@ -86,14 +87,14 @@ func transposeArrays(cols int, rowPtr, colIdx []int, vals []float64) (tPtr, tIdx
 // the structure it already has, and allocates nothing: tPtr is its own
 // cursor. Each tPtr[j] ends the pass holding tPtr[j+1], and is shifted
 // back. The caller must own the transpose exclusively meanwhile.
-func scatterTranspose(rowPtr, colIdx []int, vals []float64, tPtr, tIdx []int, tVals []float64) {
+func scatterTranspose(rowPtr []int, colIdx []int32, vals []float64, tPtr []int, tIdx []int32, tVals []float64) {
 	for i := 0; i+1 < len(rowPtr); i++ {
 		for p := rowPtr[i]; p < rowPtr[i+1]; p++ {
 			j := colIdx[p]
 			q := tPtr[j]
 			tPtr[j] = q + 1
 			if tIdx != nil {
-				tIdx[q] = i
+				tIdx[q] = int32(i)
 			}
 			tVals[q] = vals[p]
 		}
@@ -104,8 +105,10 @@ func scatterTranspose(rowPtr, colIdx []int, vals []float64, tPtr, tIdx []int, tV
 
 // Rect is a rectangular rows×cols compressed-sparse-row matrix — the
 // operator type of the least-squares tier (cgnr, lsqr). Storage follows
-// CSR exactly; Dim returns the row count, so row-space length checks
-// written against square operators stay correct.
+// CSR exactly, 32-bit column indices included (so both dimensions are
+// at most math.MaxInt32: the rows are the transpose's columns); Dim
+// returns the row count, so row-space length checks written against
+// square operators stay correct.
 //
 // The transpose product is served from a lazily built, atomically cached
 // explicit transpose, whose values the value-mutating methods (Scale,
@@ -115,7 +118,7 @@ func scatterTranspose(rowPtr, colIdx []int, vals []float64, tPtr, tIdx []int, tV
 type Rect struct {
 	rows, cols int
 	rowPtr     []int
-	colIdx     []int
+	colIdx     []int32
 	vals       []float64
 
 	// part caches the nnz-balanced row partition for MulVecPool.
@@ -124,29 +127,27 @@ type Rect struct {
 	tr atomic.Pointer[Rect]
 }
 
-// NewRect builds a rectangular CSR matrix from raw arrays, used without
-// copying. rowPtr must have length rows+1, colIdx/vals length
-// rowPtr[rows], and every column index must lie in [0, cols). Rows are
-// sorted by column during construction, as NewCSR sorts them: a row that
-// is already sorted is not touched, and repeated columns keep the order
-// they always did.
+// NewRect builds a rectangular CSR matrix from raw arrays. rowPtr and
+// vals are used without copying; the column indices are copied once into
+// the matrix's own 32-bit array, so colIdx is left as it was and may be
+// reused. rowPtr must have length rows+1, colIdx/vals length
+// rowPtr[rows], every column index must lie in [0, cols), and neither
+// dimension may pass math.MaxInt32. Rows are sorted by column during
+// construction, as NewCSR sorts them: a row that is already sorted is
+// not touched, and repeated columns keep the order they always did.
 func NewRect(rows, cols int, rowPtr, colIdx []int, vals []float64) *Rect {
-	if rows <= 0 || cols <= 0 {
-		panic("sparse: NewRect requires rows > 0 and cols > 0")
+	if rows <= 0 || cols <= 0 || rows > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: NewRect requires 0 < rows <= %d and cols > 0, got %dx%d", math.MaxInt32, rows, cols))
 	}
+	idx := columns32("NewRect", cols, colIdx)
 	if len(rowPtr) != rows+1 {
 		panic(fmt.Sprintf("sparse: rowPtr length %d, want %d", len(rowPtr), rows+1))
 	}
 	if len(colIdx) != rowPtr[rows] || len(vals) != rowPtr[rows] {
 		panic("sparse: colIdx/vals length disagrees with rowPtr")
 	}
-	for _, j := range colIdx {
-		if j < 0 || j >= cols {
-			panic(fmt.Sprintf("sparse: column index %d out of range for cols=%d", j, cols))
-		}
-	}
-	sortRows(rowPtr, colIdx, vals)
-	return &Rect{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+	sortRows(rowPtr, idx, vals)
+	return &Rect{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: idx, vals: vals}
 }
 
 // RectFromDense builds a Rect from a row-major rows×cols dense array,
@@ -197,7 +198,7 @@ func (m *Rect) MaxRowNonzeros() int {
 // At returns A[i,j] (zero if the entry is not stored).
 func (m *Rect) At(i, j int) float64 {
 	for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-		if m.colIdx[p] == j {
+		if int(m.colIdx[p]) == j {
 			return m.vals[p]
 		}
 	}
@@ -342,7 +343,7 @@ func (m *Rect) ToDense() []float64 {
 	data := make([]float64, m.rows*m.cols)
 	for i := 0; i < m.rows; i++ {
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			data[i*m.cols+m.colIdx[p]] = m.vals[p]
+			data[i*m.cols+int(m.colIdx[p])] = m.vals[p]
 		}
 	}
 	return data

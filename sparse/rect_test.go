@@ -1,7 +1,9 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -276,6 +278,42 @@ func TestRectRejectsMalformed(t *testing.T) {
 			}()
 			NewRect(tc.rows, tc.cols, tc.rowPtr, tc.colIdx, tc.vals)
 		}()
+	}
+}
+
+// TestConstructorsCheckColumnWidth: NewCSR and NewRect copy the column
+// indices into 32 bits, so each refuses, in its own name, an index
+// outside [0, cols) and a column count past math.MaxInt32.
+func TestConstructorsCheckColumnWidth(t *testing.T) {
+	wide := math.MaxInt32 + 1
+	for _, tc := range []struct {
+		name, want string
+		build      func()
+	}{
+		{"NewCSR negative", "NewCSR: column index -1", func() { NewCSR(2, []int{0, 1, 1}, []int{-1}, []float64{1}) }},
+		{"NewCSR index = n", "NewCSR: column index 2", func() { NewCSR(2, []int{0, 1, 1}, []int{2}, []float64{1}) }},
+		{"NewCSR n past int32", "NewCSR: 2147483648 columns", func() { NewCSR(wide, []int{0}, nil, nil) }},
+		{"NewRect negative", "NewRect: column index -1", func() { NewRect(1, 3, []int{0, 1}, []int{-1}, []float64{1}) }},
+		{"NewRect index = cols", "NewRect: column index 3", func() { NewRect(1, 3, []int{0, 1}, []int{3}, []float64{1}) }},
+		{"NewRect cols past int32", "NewRect: 2147483648 columns", func() { NewRect(1, wide, []int{0, 0}, nil, nil) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: panic %q, want one naming %q", tc.name, msg, tc.want)
+				}
+			}()
+			tc.build()
+		}()
+	}
+
+	// The index slice is copied, not sorted in place; the values are
+	// the matrix's own.
+	cols, vals := []int{2, 0}, []float64{5, 3}
+	m := NewCSR(3, []int{0, 2, 2, 2}, cols, vals)
+	if cols[0] != 2 || cols[1] != 0 || vals[0] != 3 || m.At(0, 2) != 5 {
+		t.Errorf("NewCSR left cols %v, vals %v; want cols untouched and vals in column order", cols, vals)
 	}
 }
 

@@ -30,8 +30,8 @@ const DefaultSellSigma = 128
 // slots. Sorting keeps chunk-mates similar in length, which bounds
 // padding even for skewed row-length distributions; the column-major
 // chunk layout turns the per-chunk kernel into SellC independent
-// accumulator chains with unit-stride value/column loads; and 32-bit
-// column indices halve index bandwidth relative to CSR.
+// accumulator chains with unit-stride value/column loads. Column
+// indices are 32-bit, as in the CSR it is built from.
 //
 // Each row's entries keep their CSR (ascending-column) order, and chunk
 // padding contributes terms of exactly +0.0, so MulVec is bitwise
@@ -75,9 +75,6 @@ func NewSELL(m *CSR, sigma int) *SELL {
 	}
 	sigma = (sigma + SellC - 1) / SellC * SellC
 	n := m.n
-	if n > math.MaxInt32 {
-		panic("sparse: NewSELL matrix order overflows int32 indices")
-	}
 	nslots := (n + SellC - 1) / SellC * SellC
 	nchunks := nslots / SellC
 
@@ -129,7 +126,7 @@ func NewSELL(m *CSR, sigma int) *SELL {
 			}
 			lo := m.rowPtr[row]
 			for t := 0; t < rowLen(row); t++ {
-				cols[off+t*SellC+lane] = int32(m.colIdx[lo+t])
+				cols[off+t*SellC+lane] = m.colIdx[lo+t]
 				vals[off+t*SellC+lane] = m.vals[lo+t]
 			}
 		}
@@ -309,7 +306,7 @@ func TuneMulVec(a Matrix) Matrix {
 	dec := &tunedOp{}
 	if d := m.toDIA(sellMaxPadding); d != nil {
 		dec.op = d
-	} else if m.n >= sellMinDim && m.n <= math.MaxInt32 && len(m.vals) > 0 && len(m.vals) <= math.MaxInt32/2 {
+	} else if m.n >= sellMinDim && len(m.vals) > 0 && len(m.vals) <= math.MaxInt32/2 {
 		// The nnz bound is a conservative pre-check of the padded size
 		// before building: padding can at most round every row up to
 		// the window max, so a matrix whose nnz is already near

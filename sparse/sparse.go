@@ -16,6 +16,12 @@
 //     DIA at any size, else large and paddable → SELL, else the CSR
 //     itself — and both tuned formats share one contract: MulVec and
 //     MulVecPool bitwise identical to the source CSR's for finite x.
+//     Every stored operator — CSR, Rect and their cached transposes,
+//     SELL — holds 32-bit column indices, so an order (and a Rect's
+//     either dimension) is at most math.MaxInt32; row offsets count
+//     entries and stay int. NewCSR and NewRect take []int and copy the
+//     indices once into the matrix's own array, so the caller's index
+//     slice is left as it was (no longer sorted in place).
 //   - I/O: ReadMatrixMarket / WriteMatrixMarket for coordinate-format
 //     .mtx files, plus the array-format vector variants, and the JSON
 //     wire codec (WireMatrix, EncodeCSR) network layers use to carry

@@ -1,6 +1,9 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // StencilKind names a constant-coefficient grid Laplacian. The paper's
 // complexity bound max(log d, log log N) is parameterized by d, the row
@@ -176,7 +179,10 @@ func gridCSR(side [3]int, pts []stencilPoint) *CSR {
 		}
 	}
 	n, nnz := side[0]*side[1]*side[2], gridNNZ(side, pts)
-	rowPtr, colIdx, vals := make([]int, n+1), make([]int, nnz), make([]float64, nnz)
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: a grid of order %d exceeds the 32-bit column index", n))
+	}
+	rowPtr, colIdx, vals := make([]int, n+1), make([]int32, nnz), make([]float64, nnz)
 	row, q := 0, 0
 	for k := 0; k < side[2]; k++ {
 		for j := 0; j < side[1]; j++ {
@@ -185,7 +191,7 @@ func gridCSR(side [3]int, pts []stencilPoint) *CSR {
 					if uint(i+t.di) >= uint(side[0]) || uint(j+t.dj) >= uint(side[1]) || uint(k+t.dk) >= uint(side[2]) {
 						continue
 					}
-					colIdx[q], vals[q] = row+t.shift, t.w
+					colIdx[q], vals[q] = int32(row+t.shift), t.w
 					q++
 				}
 				row++

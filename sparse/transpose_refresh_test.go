@@ -62,20 +62,20 @@ func TestValueUpdateRefreshesTransposeInPlace(t *testing.T) {
 			cols = rows
 		}
 		rowPtr, colIdx, vals := randomStructure(rng, rows, cols)
-		build := func(v []float64) (transposeUpdater, func() (ptr, idx []int, tv []float64)) {
+		build := func(v []float64) (transposeUpdater, func() (ptr []int, idx []int32, tv []float64)) {
 			v = append([]float64(nil), v...)
 			if square {
 				m := NewCSR(rows, rowPtr, colIdx, v)
-				return m, func() ([]int, []int, []float64) { tr := m.transpose(); return tr.rowPtr, tr.colIdx, tr.vals }
+				return m, func() ([]int, []int32, []float64) { tr := m.transpose(); return tr.rowPtr, tr.colIdx, tr.vals }
 			}
 			m := NewRect(rows, cols, rowPtr, colIdx, v)
-			return m, func() ([]int, []int, []float64) { tr := m.transpose(); return tr.rowPtr, tr.colIdx, tr.vals }
+			return m, func() ([]int, []int32, []float64) { tr := m.transpose(); return tr.rowPtr, tr.colIdx, tr.vals }
 		}
 		x := make([]float64, rows)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		check := func(step string, got transposeUpdater, gotT func() ([]int, []int, []float64)) {
+		check := func(step string, got transposeUpdater, gotT func() ([]int, []int32, []float64)) {
 			t.Helper()
 			want, wantT := build(got.Values())
 			gp, gi, gv := gotT()

@@ -3,6 +3,7 @@ package sparse
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -64,31 +65,39 @@ type WireMatrix struct {
 	MatrixMarket string `json:"matrix_market,omitempty"`
 }
 
-// EncodeCSR wraps a matrix in its wire envelope (format "csr"). The
-// arrays are shared with the matrix, not copied; treat the result as
-// read-only.
+// EncodeCSR wraps a matrix in its wire envelope (format "csr"). RowPtr
+// and Vals are shared with the matrix, not copied, so treat the result
+// as read-only; ColIdx is the 32-bit column indices widened into a new
+// slice.
 func EncodeCSR(m *CSR) *WireMatrix {
 	return &WireMatrix{
 		Format: WireCSR,
 		N:      m.n,
 		RowPtr: m.rowPtr,
-		ColIdx: m.colIdx,
+		ColIdx: widen(m.colIdx),
 		Vals:   m.vals,
 	}
 }
 
 // EncodeRect wraps a rectangular matrix in its wire envelope (format
-// "csr" with NRows/NCols). The arrays are shared with the matrix, not
-// copied; treat the result as read-only.
+// "csr" with NRows/NCols), sharing arrays as EncodeCSR does.
 func EncodeRect(m *Rect) *WireMatrix {
 	return &WireMatrix{
 		Format: WireCSR,
 		NRows:  m.rows,
 		NCols:  m.cols,
 		RowPtr: m.rowPtr,
-		ColIdx: m.colIdx,
+		ColIdx: widen(m.colIdx),
 		Vals:   m.vals,
 	}
+}
+
+func widen(cols []int32) []int {
+	out := make([]int, len(cols))
+	for k, j := range cols {
+		out[k] = int(j)
+	}
+	return out
 }
 
 // Decode validates the envelope and returns the matrix in CSR form.
@@ -169,7 +178,11 @@ func (w *WireMatrix) decode(maxOrder int, general bool) (Matrix, error) {
 	if err := checkOrder(max(rows, cols), maxOrder); err != nil {
 		return nil, err
 	}
-	var rowPtr, colIdx []int
+	if max(rows, cols) > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: a %dx%d shape exceeds the 32-bit column index", ErrWire, rows, cols)
+	}
+	var rowPtr []int
+	var colIdx []int32
 	var vals []float64
 	if w.Format == WireCSR {
 		rowPtr, colIdx, vals, err = w.csrArrays(rows, cols)
@@ -249,7 +262,7 @@ func peekMatrixMarketOrder(src string) (int, error) {
 // will reuse. The form asserts an assembled matrix, so a repeated
 // column is an error: kept, it would make MulVec (which sums it)
 // disagree with At and Diag (which see one entry).
-func (w *WireMatrix) csrArrays(rows, cols int) (rowPtr, colIdx []int, vals []float64, err error) {
+func (w *WireMatrix) csrArrays(rows, cols int) (rowPtr []int, colIdx []int32, vals []float64, err error) {
 	if len(w.RowPtr) != rows+1 {
 		return nil, nil, nil, fmt.Errorf("%w: row_ptr length %d, want rows+1 = %d", ErrWire, len(w.RowPtr), rows+1)
 	}
@@ -267,13 +280,14 @@ func (w *WireMatrix) csrArrays(rows, cols int) (rowPtr, colIdx []int, vals []flo
 		return nil, nil, nil, fmt.Errorf("%w: row_ptr promises %d entries but col_idx has %d and vals has %d",
 			ErrWire, nnz, len(w.ColIdx), len(w.Vals))
 	}
+	colIdx = make([]int32, nnz)
 	for k, j := range w.ColIdx {
 		if j < 0 || j >= cols {
 			return nil, nil, nil, fmt.Errorf("%w: col_idx[%d] = %d outside [0,%d)", ErrWire, k, j, cols)
 		}
+		colIdx[k] = int32(j)
 	}
 	rowPtr = append([]int(nil), w.RowPtr...)
-	colIdx = append([]int(nil), w.ColIdx...)
 	vals = append([]float64(nil), w.Vals...)
 	sortRows(rowPtr, colIdx, vals)
 	for i := 0; i < rows; i++ {
@@ -290,7 +304,7 @@ func (w *WireMatrix) csrArrays(rows, cols int) (rowPtr, colIdx []int, vals []flo
 // cooArrays validates the "coo" triplets of a rows × cols matrix and
 // assembles them as COO.ToCSR does, whatever the shape: duplicates
 // summed, exact zeros dropped.
-func (w *WireMatrix) cooArrays(rows, cols int) (rowPtr, colIdx []int, vals []float64, err error) {
+func (w *WireMatrix) cooArrays(rows, cols int) (rowPtr []int, colIdx []int32, vals []float64, err error) {
 	if len(w.Rows) != len(w.Cols) || len(w.Rows) != len(w.Vals) {
 		return nil, nil, nil, fmt.Errorf("%w: coo triplet arrays disagree: rows %d, cols %d, vals %d",
 			ErrWire, len(w.Rows), len(w.Cols), len(w.Vals))

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -307,7 +308,8 @@ func TestWireCOOOneSemantics(t *testing.T) {
 // wireFromBytes decodes fuzz input into an envelope and an order limit.
 // Byte 0 picks the format (low two bits), how the shape is spelled (the
 // next two) and a corruption of row_ptr (the two after); bytes 1–3 give
-// rows+1, cols+1 and the limit; the rest is the MatrixMarket document,
+// rows+1, cols+1 (11 meaning one column past the 32-bit index) and the
+// limit; the rest is the MatrixMarket document,
 // or (row, column, value) triplets that a "csr" envelope carries as row
 // counts, column indices and values in the order given.
 func wireFromBytes(data []byte) (w sparse.WireMatrix, limit int) {
@@ -316,6 +318,9 @@ func wireFromBytes(data []byte) (w sparse.WireMatrix, limit int) {
 	copy(hdr[:], data)
 	data = data[min(len(data), 4):]
 	rows, cols := int(hdr[1]%12)-1, int(hdr[2]%12)-1
+	if cols == 10 {
+		cols = math.MaxInt32 + 1 // past the 32-bit column index
+	}
 	limit = int(hdr[3] % 12)
 	w.Format = []string{sparse.WireCSR, sparse.WireCOO, sparse.WireMatrixMarket, "dense"}[hdr[0]%4]
 	switch hdr[0] / 4 % 4 {
@@ -362,6 +367,31 @@ func wireFromBytes(data []byte) (w sparse.WireMatrix, limit int) {
 	return w, limit
 }
 
+// TestWireColumnBound: a column index is 32 bits, so an envelope that
+// declares more columns than that is an ErrWire, found before anything
+// the size of that dimension is allocated — by DecodeGeneralLimited(0)
+// as well, which has no order limit to stop it first.
+func TestWireColumnBound(t *testing.T) {
+	wide := math.MaxInt32 + 1
+	for _, w := range []sparse.WireMatrix{
+		{Format: sparse.WireCSR, NRows: 1, NCols: wide, RowPtr: []int{0, 0}},
+		{Format: sparse.WireCOO, NRows: 1, NCols: wide, Rows: []int{0}, Cols: []int{wide - 1}, Vals: []float64{1}},
+		{Format: sparse.WireCOO, NRows: wide, NCols: 1},
+		{Format: sparse.WireCOO, N: wide},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := w.DecodeGeneralLimited(0)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, sparse.ErrWire) {
+			t.Errorf("%s %dx%d (n %d): decoded %T, err %v; want an ErrWire", w.Format, w.NRows, w.NCols, w.N, m, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s %dx%d (n %d): allocated %d bytes before refusing", w.Format, w.NRows, w.NCols, w.N, grew)
+		}
+	}
+}
+
 // FuzzWireMatrixDecode holds the upload decoder to its contract on any
 // envelope and limit: no panic, every error an ErrWire, a decoded
 // matrix that re-encodes and decodes to the same arrays, and triplets
@@ -376,6 +406,7 @@ func FuzzWireMatrixDecode(f *testing.F) {
 	f.Add(append([]byte{2, 0, 0, 3}, "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 4\n2 2 -1\n"...))
 	f.Add(append([]byte{6, 3, 4, 0}, "%%MatrixMarket matrix coordinate real general\n2 3 0\n"...))
 	f.Add([]byte{3, 4, 4, 0})
+	f.Add([]byte{4, 3, 11, 0, 0, 0, 0}) // 2 x (MaxInt32+1) csr: past the 32-bit column index
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, limit := wireFromBytes(data)
 		m, err := w.DecodeGeneralLimited(limit)
