@@ -414,8 +414,9 @@ func BenchmarkRCMOrder(b *testing.B) {
 // spmvBytes is what one product with op moves when nothing stays in
 // cache: the format's own arrays (CSR 8 B value + 8 B int column per
 // entry and n+1 row pointers; SELL 8 B value + 4 B column per padded
-// entry; DIA 8 B per slab cell — a symmetric band stores only the
-// diagonals k >= 0 — no indices) plus x read and dst written once.
+// entry; DIA 8 B per stored value — a symmetric band stores only the
+// diagonals k >= 0, a repeating diagonal one run — no indices) plus x
+// read and dst written once.
 // Divided into ns/op it is the GB/s column ROADMAP item 1 asks of the
 // SpMV rows.
 func spmvBytes(op sparse.Matrix) int64 {
@@ -426,7 +427,7 @@ func spmvBytes(op sparse.Matrix) int64 {
 	case *sparse.SELL:
 		return 12*int64(m.PaddedNNZ()) + 16*n
 	case *sparse.DIA:
-		return 8*int64(m.StoredDiagonals())*n + 16*n
+		return 8*int64(m.StoredValues()) + 16*n
 	}
 	panic(fmt.Sprintf("spmvBytes: unknown operator %T", op))
 }
@@ -754,20 +755,21 @@ func BenchmarkCGIteration(b *testing.B) {
 		n := d.Dim()
 		rhs := vec.New(n)
 		vec.Random(rhs, 9)
-		// Vector-lengths per iteration: the product reads the diagonals
-		// and p and writes ap; the dot reads two, the fused update moves
+		// Vector-lengths per iteration: the product reads p and writes
+		// ap beside the band; the dot reads two, the fused update moves
 		// six, the direction update three. The sweep folds the last, the
-		// first and the dot into diagonals + r, p (read and written), ap.
-		// The diagonals streamed are the ones stored: a symmetric band
-		// reads its subdiagonals back out of their mirrors.
-		diags := d.StoredDiagonals()
+		// first and the dot into the band + r, p (read and written), ap.
+		// The band streamed is the values stored: a symmetric band reads
+		// its subdiagonals back out of their mirrors, and a repeating
+		// diagonal is one short run.
+		band := d.StoredValues()
 		for _, s := range []struct {
 			name    string
 			op      sparse.Matrix
 			vectors int
 		}{
-			{"sweep", d, (diags + 4) + 6},
-			{"whole", wholeVectorOnly{d}, (diags + 2) + 2 + 6 + 3},
+			{"sweep", d, 4 + 6},
+			{"whole", wholeVectorOnly{d}, 2 + 2 + 6 + 3},
 		} {
 			b.Run(s.name+"/"+c.name, func(b *testing.B) {
 				k, ws := krylov.NewCGKernel(), engine.NewWorkspace(n, nil)
@@ -785,7 +787,7 @@ func BenchmarkCGIteration(b *testing.B) {
 				}
 				iters := float64(b.N) * float64(res.Iterations)
 				b.ReportMetric(float64(b.Elapsed().Microseconds())/iters, "us/iter")
-				b.ReportMetric(float64(s.vectors*8*n)/1e6, "MB/iter")
+				b.ReportMetric(float64(8*(band+s.vectors*n))/1e6, "MB/iter")
 			})
 		}
 	}

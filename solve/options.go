@@ -173,12 +173,15 @@ func WithSpectralScaling(on bool) Option { return func(c *config) { c.noScaling 
 // callback folds the context and monitor into the per-iteration
 // callback the internal solvers accept, recording why the solve
 // stopped so finish can distinguish cancellation from a monitor stop.
+// It polls the context's Done channel, an atomic load for the standard
+// contexts, where Err takes a mutex that every worker of a Batch
+// sharing one context would contend on each iteration.
 func (c *config) callback(canceled, stopped *bool) func(int, float64) bool {
 	if c.ctx == nil && c.monitor == nil {
 		return nil
 	}
 	return func(iter int, resNorm float64) bool {
-		if c.ctx != nil && c.ctx.Err() != nil {
+		if c.ctx != nil && done(c.ctx) {
 			*canceled = true
 			return false
 		}
@@ -187,5 +190,15 @@ func (c *config) callback(canceled, stopped *bool) func(int, float64) bool {
 			return false
 		}
 		return true
+	}
+}
+
+// done reports whether ctx's Done channel has closed, without blocking.
+func done(ctx context.Context) bool {
+	select {
+	case <-ctx.Done():
+		return true
+	default:
+		return false
 	}
 }

@@ -223,15 +223,27 @@ func TestSequenceLeastSquares(t *testing.T) {
 	}
 }
 
-// stopAfter is a context that reports itself canceled from its n-th
-// Err call on: a deadline that passes mid-solve, with no clock in it.
+// stopAfter is a context that is canceled at its n-th Done call: a
+// deadline that passes mid-solve, with no clock in it. Err is non-nil
+// exactly once Done has closed, as the Context contract has it.
 type stopAfter struct {
 	context.Context
 	polls, n int
+	done     chan struct{}
+}
+
+func (c *stopAfter) Done() <-chan struct{} {
+	if c.done == nil {
+		c.done = make(chan struct{})
+	}
+	if c.polls++; c.polls == c.n {
+		close(c.done)
+	}
+	return c.done
 }
 
 func (c *stopAfter) Err() error {
-	if c.polls++; c.polls >= c.n {
+	if c.polls >= c.n {
 		return context.Canceled
 	}
 	return nil

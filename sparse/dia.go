@@ -22,10 +22,19 @@ import (
 // the one property every operator CG sees has — keeps only the diagonals
 // k >= 0, n values each, and reads the others out of them: A[i, i−k] is
 // A[i−k, i], so base[−k] = base[+k] − k, and rows i < k, where that
-// would leave the run, are the ones diagonal −k is not in. Its products
-// stream ⌈(d+1)/2⌉·n values where the full band streams d·n. Any other
+// would leave the run, are the ones diagonal −k is not in. Any other
 // band stores all d diagonals, base[d] = d·n, behind the same kernels;
 // nothing but the matrix's own bits chooses between the two.
+//
+// A stored diagonal whose valid cells repeat with a short period P — a
+// constant-coefficient stencil's, grid-face holes included — keeps only
+// its first diaBlock + P of them, a run: no kernel call covers more than
+// diaBlock rows, so every call finds its rows' cells, from row lo's
+// phase on, inside that run (see finish). A mirrored subdiagonal reads
+// its mirror's run. So a product streams ⌈(d+1)/2⌉·n values for a
+// symmetric band, d·n for any other, less each run's n − (diaBlock + P)
+// (StoredValues): Poisson3D(64)'s four stored diagonals are four runs,
+// 12,354 values for 1,048,576.
 //
 // Every row accumulates its diagonals in ascending offset order — which
 // is ascending column order — from +0, one `s += v*x` per diagonal as
@@ -33,18 +42,23 @@ import (
 // that is never -0. So the product of a DIA converted from a CSR is
 // bitwise identical to that CSR's for finite x: the contract SELL
 // carries, with the same exception (0·±Inf is NaN in a hole). Folding
-// changes where a v is read from, never its bits or its place in the
-// sum, so a folded band returns the full band's product bit for bit for
-// every x, non-finite ones included.
+// and runs change where a v is read from, never its bits or its place
+// in the sum, so a folded band returns the full band's product bit for
+// bit for every x, non-finite ones included.
 type DIA struct {
 	n       int
 	offsets []int     // sorted ascending
-	base    []int     // slab[base[d]+i] multiplies x[i+offsets[d]] in row i
-	slab    []float64 // n values per stored diagonal
+	base    []int     // slab[base[d]+i] multiplies x[i+offsets[d]] in row i (see cell)
+	slab    []float64 // n values per stored diagonal, or a run of diaBlock + P
 
 	// mirrored counts the leading offsets — all the subdiagonals, or none
 	// — whose cells are read out of their mirrors' and not stored.
 	mirrored int
+
+	// runs holds each diagonal's period P when the stream it reads is a
+	// run, base[d] the run's start, and 0 when that stream is whole; nil
+	// when no diagonal reads a run.
+	runs []int
 
 	// nnz and maxRow are fixed at construction: the structurally valid
 	// non-zero values of a NewDIA matrix, the stored-entry counts of the
@@ -126,6 +140,88 @@ func (m *DIA) put(d, i int, v float64) bool {
 	return true
 }
 
+// finish turns every stored diagonal whose valid cells repeat with a
+// short period into a run, moving the band onto a slab of exactly what
+// it keeps: a diagonal with L valid cells of smallest period P (bit for
+// bit) keeps its first diaBlock + P, which hold its first period
+// repeated, when that is at most L/2. A kernel call over runs takes its
+// bases from a stack array of diaMaxDiags, so a wider band, which only
+// NewDIA builds, keeps every diagonal whole.
+func (m *DIA) finish() {
+	n, offs, up := m.n, m.offsets, m.mirrored
+	if len(offs) > diaMaxDiags {
+		return
+	}
+	var pi []int32
+	runs := make([]int, len(offs))
+	size := 0
+	for d := up; d < len(offs); d++ {
+		lo, hi := max(0, -offs[d]), min(n, n-offs[d])
+		if hi-lo >= 2*(diaBlock+1) {
+			if pi == nil {
+				pi = make([]int32, n)
+			}
+			if p := period(m.slab[m.base[d]+lo:m.base[d]+hi], pi); 2*(diaBlock+p) <= hi-lo {
+				runs[d] = p
+				size += diaBlock + p
+				continue
+			}
+		}
+		size += n
+	}
+	if size == len(m.slab) {
+		return
+	}
+	slab, at := make([]float64, size), 0
+	for d := up; d < len(offs); d++ {
+		from, cells := m.base[d], n
+		if runs[d] > 0 {
+			from, cells = from+max(0, -offs[d]), diaBlock+runs[d]
+		}
+		copy(slab[at:at+cells], m.slab[from:])
+		m.base[d] = at
+		at += cells
+	}
+	for d, k := range offs[:up] {
+		s := sort.SearchInts(offs, -k)
+		m.base[d], runs[d] = m.base[s], runs[s]
+		if runs[s] == 0 {
+			m.base[d] += k
+		}
+	}
+	m.slab, m.runs = slab, runs
+}
+
+// period returns the smallest P >= 1 with v[t+P] and v[t] the same bits
+// for every t, len(v) when no shorter one holds: len(v) less the longest
+// proper prefix of v that is also its suffix, taken with the prefix
+// function in pi (at least len(v) long) in O(len(v)).
+func period(v []float64, pi []int32) int {
+	pi[0] = 0
+	for t := 1; t < len(v); t++ {
+		c, j := math.Float64bits(v[t]), pi[t-1]
+		for j > 0 && c != math.Float64bits(v[j]) {
+			j = pi[j-1]
+		}
+		if c == math.Float64bits(v[j]) {
+			j++
+		}
+		pi[t] = j
+	}
+	return len(v) - int(pi[len(v)-1])
+}
+
+// cell returns the slab index of row i's value on diagonal d, for a row
+// the diagonal lies inside the matrix on: slab[base[d]+i] for a whole
+// stream; for a run, the cell of row i's phase — its distance from the
+// diagonal's first valid row, mod P — from the run's start.
+func (m *DIA) cell(d, i int) int {
+	if m.runs == nil || m.runs[d] == 0 {
+		return m.base[d] + i
+	}
+	return m.base[d] + (i-max(0, -m.offsets[d]))%m.runs[d]
+}
+
 // NewDIA builds a DIA matrix of order n from offset -> diagonal values.
 // Each diagonal slice must have length n; entry i of diagonal with offset
 // k contributes A[i, i+k] when 0 <= i+k < n (values outside that range
@@ -170,6 +266,7 @@ func NewDIA(n int, diagonals map[int][]float64) *DIA {
 		m.nnz += nz
 		m.maxRow = max(m.maxRow, nz)
 	}
+	m.finish()
 	return m
 }
 
@@ -243,6 +340,7 @@ func (m *CSR) toDIA(maxPadding float64) *DIA {
 		}
 	}
 	a.nnz, a.maxRow = len(vals), m.MaxRowNonzeros()
+	a.finish()
 	return a
 }
 
@@ -256,21 +354,30 @@ func (m *DIA) Offsets() []int {
 	return out
 }
 
-// StoredDiagonals returns how many diagonals' values the matrix holds
-// and a product streams: ⌈(d+1)/2⌉ of the d in Offsets for a symmetric
-// band, which reads its subdiagonals out of their mirrors, else all d.
+// StoredDiagonals returns how many diagonals' values the matrix holds:
+// ⌈(d+1)/2⌉ of the d in Offsets for a symmetric band, which reads its
+// subdiagonals out of their mirrors, else all d. A diagonal kept as a
+// run counts as stored; StoredValues says how many cells they hold.
 func (m *DIA) StoredDiagonals() int { return len(m.offsets) - m.mirrored }
 
+// StoredValues returns how many float64 cells the matrix holds and a
+// product streams: n per stored diagonal, diaBlock + P per run.
+func (m *DIA) StoredValues() int { return len(m.slab) }
+
 // At returns A[i,j] (zero when the diagonal j-i is not stored, or
-// column j is not in the matrix).
+// column j is not in the matrix). It panics when row i is not in the
+// matrix, as CSR.At does.
 func (m *DIA) At(i, j int) float64 {
+	if i < 0 || i >= m.n {
+		panic(fmt.Sprintf("sparse: DIA.At row %d of %d rows", i, m.n))
+	}
 	if j < 0 || j >= m.n {
 		return 0
 	}
 	k := j - i
 	d := sort.SearchInts(m.offsets, k)
 	if d < len(m.offsets) && m.offsets[d] == k {
-		return m.slab[m.base[d]+i]
+		return m.slab[m.cell(d, i)]
 	}
 	return 0
 }
@@ -304,7 +411,9 @@ func (m *DIA) Reach() int {
 // row block that takes several passes (more diagonals than the widest
 // Go kernel) finds its partial sums still in L1 — and the most the
 // assembly kernel, which cannot be preempted, runs between two
-// returns to Go (a few µs at sixteen diagonals).
+// returns to Go (a few µs at sixteen diagonals). It also bounds a run:
+// a call's rows start at some phase < P and read at most diaBlock
+// cells on from it, all inside the run's diaBlock + P.
 const diaBlock = 2048
 
 // mulRange computes rows [rlo, rhi) of dst = A*x: the one kernel behind
@@ -357,15 +466,32 @@ func (m *DIA) cutRows(rlo, rhi int, dst, x []float64, rows diaRowKernel) {
 // limit.
 const diaPass = 4
 
-// mulRows computes out = rows [lo, hi) of A*x over diagonals [dlo, dhi),
-// all of which lie inside the matrix on every one of those rows: in one
-// pass of vec.DIARows where the assembly bodies run, by mulRowsGo — the
-// definition of the sum — everywhere else, bit for bit the same.
+// mulRows computes out = rows [lo, hi) of A*x — at most diaBlock rows —
+// over diagonals [dlo, dhi), all of which lie inside the matrix on every
+// one of those rows: in one pass of vec.DIARows where the assembly
+// bodies run, by mulRowsGo — the definition of the sum — everywhere
+// else, bit for bit the same.
 func (m *DIA) mulRows(lo, hi, dlo, dhi int, out, x []float64) {
-	if dhi > dlo && vec.DIARows(out, m.slab, m.base[dlo:dhi], x, lo, m.offsets[dlo:dhi]) {
+	base := m.base[dlo:dhi]
+	if m.runs != nil {
+		var buf [diaMaxDiags]int
+		base = m.runBases(buf[:dhi-dlo], lo, dlo)
+	}
+	if dhi > dlo && vec.DIARows(out, m.slab, base, x, lo, m.offsets[dlo:dhi]) {
 		return
 	}
 	m.mulRowsGo(lo, hi, dlo, dhi, out, x)
+}
+
+// runBases fills buf with the bases one kernel call over rows from lo
+// reads diagonals dlo, dlo+1, … through: cell(d, lo) − lo, so that
+// slab[base+i] is row i's cell, which for a run is its start plus row
+// lo's phase.
+func (m *DIA) runBases(buf []int, lo, dlo int) []int {
+	for d := range buf {
+		buf[d] = m.cell(dlo+d, lo) - lo
+	}
+	return buf
 }
 
 // mulRowsGo is mulRows on the Go kernels. Up to five diagonals take one
@@ -373,8 +499,12 @@ func (m *DIA) mulRows(lo, hi, dlo, dhi int, out, x []float64) {
 // first storing and the rest picking the partial sum back up from out —
 // the same left-to-right sum.
 func (m *DIA) mulRowsGo(lo, hi, dlo, dhi int, out, x []float64) {
-	offs := m.offsets
-	dv := func(d int) []float64 { return m.slab[m.base[d]+lo : m.base[d]+hi] }
+	offs, base := m.offsets, m.base[dlo:dhi]
+	if m.runs != nil {
+		var buf [diaMaxDiags]int
+		base = m.runBases(buf[:dhi-dlo], lo, dlo)
+	}
+	dv := func(d int) []float64 { return m.slab[base[d-dlo]+lo : base[d-dlo]+hi] }
 	xv := func(d int) []float64 { return x[lo+offs[d] : hi+offs[d]] }
 	switch dhi - dlo {
 	case 0:
@@ -521,7 +651,7 @@ func (m *DIA) ToCSR() *CSR {
 			lo = -k
 		}
 		for i := lo; i < hi; i++ {
-			if v := m.slab[m.base[d]+i]; v != 0 {
+			if v := m.slab[m.cell(d, i)]; v != 0 {
 				coo.Add(i, i+k, v)
 			}
 		}

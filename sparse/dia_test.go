@@ -390,7 +390,10 @@ func nudgeOneSuperdiagonalCell(a *CSR) bool {
 // FuzzCSRToDIA drives the CSR→DIA conversion with fuzzed banded shapes
 // (see bandedCSR) and holds it to checkDIAAgainstCSR. Bit 0 of sym
 // mirrors the lower band onto the upper one, so the band folds; bit 1
-// then moves one superdiagonal cell by an ulp, so it must not.
+// then moves one superdiagonal cell by an ulp, so it must not. Bit 2
+// draws the band from the periodic family instead (see periodicCSR),
+// of order up to 20000, so its diagonals become runs, and holds it to
+// checkBandAgainstCSR.
 func FuzzCSRToDIA(f *testing.F) {
 	f.Add(uint64(1), uint(8), uint(0), uint(0), uint(0))
 	f.Add(uint64(42), uint(100), uint(4), uint(1), uint(0))
@@ -401,13 +404,24 @@ func FuzzCSRToDIA(f *testing.F) {
 	f.Add(uint64(42), uint(100), uint(4), uint(1), uint(3))
 	f.Add(uint64(7), uint(257), uint(7), uint(3), uint(1))
 	f.Add(uint64(5), uint(2), uint(3), uint(0), uint(3))
+	f.Add(uint64(3), uint(9000), uint(6), uint(1), uint(4))
+	f.Add(uint64(8), uint(19999), uint(15), uint(2), uint(4))
+	f.Add(uint64(11), uint(12000), uint(8), uint(3), uint(5))
+	f.Add(uint64(12), uint(16000), uint(9), uint(0), uint(7))
 	f.Fuzz(func(t *testing.T, seed uint64, un, udiag, uholes, sym uint) {
+		periodic := sym&4 != 0
 		n := int(un%300) + 1
+		if periodic {
+			n = int(un%20000) + 1
+		}
 		ndiag := int(udiag%diaMaxDiags) + 1
 		if sym&1 != 0 {
 			ndiag = (ndiag + 1) / 2 // mirrored, at most 2·ndiag − 1 ≤ diaMaxDiags
 		}
 		a := bandedCSR(seed, n, ndiag, int(uholes%4))
+		if periodic {
+			a = periodicCSR(seed, n, ndiag, int(uholes%4))
+		}
 		folds, broken := sym&1 != 0, false
 		if folds {
 			a = mirrorLower(a)
@@ -428,6 +442,10 @@ func FuzzCSRToDIA(f *testing.F) {
 		}
 		if folds && d.StoredDiagonals() != want {
 			t.Fatalf("mirrored band over %v (one cell moved: %v) stores %d diagonals", d.offsets, broken, d.StoredDiagonals())
+		}
+		if periodic {
+			checkBandAgainstCSR(t, fmt.Sprintf("band over %v", d.offsets), a, d, seed)
+			return
 		}
 		if diff := diaDiff(d, a.toDIARef(1)); diff != "" {
 			t.Fatalf("band over %v: %s from the reference fill", d.offsets, diff)

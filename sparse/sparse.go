@@ -9,8 +9,10 @@
 //   - Formats: CSR (with an nnz-balanced parallel MulVecPool), DIA
 //     diagonal storage with a row-fused kernel that reads no column
 //     indices and, for a symmetric band, stores the diagonals k >= 0
-//     once and reads the subdiagonals out of them (bit for bit the full
-//     band's products), the cache-blocked SELL-C-σ format (SELL), a COO
+//     once and reads the subdiagonals out of them, and keeps a long
+//     diagonal that repeats with a short period as one run of that
+//     period (bit for bit the full band's products either way), the
+//     cache-blocked SELL-C-σ format (SELL), a COO
 //     assembly builder, and Dense for small reference problems.
 //     TuneMulVec picks the format a CSR's products run on — banded →
 //     DIA at any size, else large and paddable → SELL, else the CSR
