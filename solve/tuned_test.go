@@ -4,7 +4,10 @@
 package solve_test
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"vrcg/solve"
@@ -69,9 +72,10 @@ func TestStatsIndependentOfFormat(t *testing.T) {
 }
 
 // TestSetValuesNeverSolvesStale: solve (which caches the DIA form on the
-// matrix), replace the values, solve again — the second answer must be
-// the one a freshly built matrix with those values gives, bit for bit,
-// for SetValues and for Scale.
+// matrix and, since the band reproduces it, releases the CSR's arrays),
+// replace the values, solve again — the second answer must be the one a
+// freshly built matrix with those values, never released, gives: the
+// same X bit for bit, iterations and Stats, for SetValues and for Scale.
 func TestSetValuesNeverSolvesStale(t *testing.T) {
 	a := sparse.Poisson2D(24)
 	b := make([]float64, a.Dim())
@@ -113,6 +117,9 @@ func TestSetValuesNeverSolvesStale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got.Iterations != want.Iterations || got.Stats != want.Stats {
+			t.Fatalf("after %s: %d iterations, %v; fresh matrix %d, %v", mu.name, got.Iterations, got.Stats, want.Iterations, want.Stats)
+		}
 		same := true
 		for i := range got.X {
 			if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) {
@@ -122,6 +129,135 @@ func TestSetValuesNeverSolvesStale(t *testing.T) {
 		}
 		if same {
 			t.Fatalf("after %s: solution unchanged — the solve ran on stale values", mu.name)
+		}
+	}
+}
+
+// TestSolveReleasesBandedCSR: a solve tunes Poisson3D(32) to its band,
+// which reproduces it, so the CSR's arrays — 12 bytes an entry and 8 a
+// row offset, 2.8 MiB — leave the live heap while the matrix stays
+// alive; what the matrix keeps instead (the band's runs, the cached
+// decision and row partition) is under 256 KiB.
+func TestSolveReleasesBandedCSR(t *testing.T) {
+	a := sparse.Poisson3D(32)
+	n, nnz := a.Dim(), a.NNZ()
+	arrays := uint64(12*nnz + 8*(n+1))
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = 1 + float64(i%5)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	iters := func() int {
+		res, err := solve.MustNew("cg").Solve(a, b, solve.WithTol(1e-8))
+		if err != nil || !res.Converged {
+			t.Fatalf("solve: %v, converged %v", err, err == nil && res.Converged)
+		}
+		return res.Iterations
+	}()
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if after.HeapAlloc+arrays > before.HeapAlloc+256<<10 {
+		t.Errorf("live heap %d → %d bytes across the solve (%d iterations); want it %d bytes (the arrays) lower, within 256 KiB",
+			before.HeapAlloc, after.HeapAlloc, iters, arrays)
+	}
+	if a.NNZ() != nnz || a.MaxRowNonzeros() != 7 {
+		t.Fatalf("released matrix counts NNZ %d (want %d), MaxRowNonzeros %d (want 7)", a.NNZ(), nnz, a.MaxRowNonzeros())
+	}
+	runtime.KeepAlive(a)
+}
+
+// TestReleaseConcurrent: eight goroutines take one CSR's first solve —
+// which tunes it and may release its arrays — its rows, pooled products
+// and Values at once, on fresh matrices round after round; each gets
+// what a matrix that never releases gives, bit for bit, whichever of
+// the release, a second first tuning and the pin lands first.
+func TestReleaseConcurrent(t *testing.T) {
+	const m = 24
+	ref := sparse.Poisson2D(m)
+	ref.Values() // pinned: never released
+	n := ref.Dim()
+	b, x := make([]float64, n), make([]float64, n)
+	for i := range b {
+		b[i], x[i] = 1+float64(i%3), float64(i%7)-3
+	}
+	wantRes, err := solve.MustNew("cg").Solve(ref, b, solve.WithTol(1e-10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAx := make([]float64, n)
+	ref.MulVec(wantAx, x)
+	wantVals := append([]float64(nil), ref.Values()...)
+	type entry struct {
+		i, j int
+		v    float64
+	}
+	var wantRows []entry
+	for i := 0; i < n; i++ {
+		ref.ScanRow(i, func(j int, v float64) { wantRows = append(wantRows, entry{i, j, v}) })
+	}
+	sameBits := func(got, want []float64) bool {
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return false
+			}
+		}
+		return len(got) == len(want)
+	}
+
+	for round := 0; round < 8; round++ {
+		a := sparse.Poisson2D(m)
+		start := make(chan struct{})
+		errs := make(chan error, 8)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				switch g % 4 {
+				case 0:
+					res, err := solve.MustNew("cg").Solve(a, b, solve.WithTol(1e-10))
+					if err != nil || res.Iterations != wantRes.Iterations || res.Stats != wantRes.Stats || !sameBits(res.X, wantRes.X) {
+						errs <- fmt.Errorf("solve: %v, %d iterations (want %d), X same bits %v", err, res.Iterations, wantRes.Iterations, err == nil && sameBits(res.X, wantRes.X))
+					}
+				case 1:
+					var rows []entry
+					for i := 0; i < n; i++ {
+						a.ScanRow(i, func(j int, v float64) { rows = append(rows, entry{i, j, v}) })
+					}
+					for k := range wantRows {
+						if k >= len(rows) || rows[k] != wantRows[k] || math.Float64bits(rows[k].v) != math.Float64bits(wantRows[k].v) {
+							errs <- fmt.Errorf("ScanRow: entry %d differs", k)
+							return
+						}
+					}
+				case 2:
+					pool := sparse.NewPool(2)
+					defer pool.Close()
+					got := make([]float64, n)
+					for rep := 0; rep < 3; rep++ {
+						a.MulVecPool(pool, got, x)
+						if !sameBits(got, wantAx) {
+							errs <- fmt.Errorf("MulVecPool: product %d differs", rep)
+							return
+						}
+					}
+				case 3:
+					if !sameBits(a.Values(), wantVals) {
+						errs <- fmt.Errorf("Values differ")
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Errorf("round %d: %v", round, err)
 		}
 	}
 }

@@ -168,14 +168,14 @@ func cooToCSRRef(c *COO) *CSR {
 		}
 		rowPtr[i+1] = out
 	}
-	return &CSR{n: n, rowPtr: rowPtr, colIdx: cols[:out], vals: vals[:out]}
+	return newCSR(n, rowPtr, cols[:out], vals[:out])
 }
 
 // toDIARef is CSR.toDIA filling the band through a closure: one put per
 // cell, stopping at the first subdiagonal cell that differs from its
 // mirror, then filling it again in full.
-func (m *CSR) toDIARef(maxPadding float64) *DIA {
-	n := m.n
+func (c *CSR) toDIARef(maxPadding float64) *DIA {
+	n, m := c.n, c.arrays.Load()
 	var offs []int
 	for i := 0; i < n; i++ {
 		d := 0
@@ -220,7 +220,7 @@ func (m *CSR) toDIARef(maxPadding float64) *DIA {
 		}
 		return true
 	})
-	a.nnz, a.maxRow = len(m.vals), m.MaxRowNonzeros()
+	a.nnz, a.maxRow = len(m.vals), m.maxRow()
 	return a
 }
 
@@ -271,10 +271,11 @@ func putRef(m *DIA, d, i int, v float64) bool {
 
 // csrDiff names the first array in which got differs from want, bit for
 // bit, or returns "".
-func csrDiff(got, want *CSR) string {
+func csrDiff(gotM, wantM *CSR) string {
+	got, want := gotM.arrays.Load(), wantM.arrays.Load()
 	switch {
-	case got.n != want.n:
-		return fmt.Sprintf("order %d, want %d", got.n, want.n)
+	case gotM.n != wantM.n:
+		return fmt.Sprintf("order %d, want %d", gotM.n, wantM.n)
 	case !slices.Equal(got.rowPtr, want.rowPtr):
 		return "rowPtr differs"
 	case !slices.Equal(got.colIdx, want.colIdx):
@@ -449,14 +450,15 @@ func TestToDIAMatchesRef(t *testing.T) {
 	// subdiagonal cell.
 	for _, at := range []string{"first", "middle", "last"} {
 		a := Poisson2D(9)
+		arr := a.arrays.Load()
 		var below []int
 		for i := 0; i < a.n; i++ {
-			for p := a.rowPtr[i]; p < a.rowPtr[i+1] && int(a.colIdx[p]) < i; p++ {
+			for p := arr.rowPtr[i]; p < arr.rowPtr[i+1] && int(arr.colIdx[p]) < i; p++ {
 				below = append(below, p)
 			}
 		}
 		p := map[string]int{"first": below[0], "middle": below[len(below)/2], "last": below[len(below)-1]}[at]
-		a.vals[p] = math.Nextafter(a.vals[p], 0)
+		arr.vals[p] = math.Nextafter(arr.vals[p], 0)
 		cases["broken-at-"+at] = a
 	}
 	for name, a := range cases {
@@ -531,11 +533,11 @@ func TestMulVecTChecksBeforeItBuilds(t *testing.T) {
 }
 
 // TestStencilCSRAllocs: writing a stencil's CSR allocates its three
-// arrays and the matrix, at every grid size — plus, where the default
-// pool has more than one worker, the row partition every CSR
-// constructor warms (its bounds and the cache entry).
+// arrays, the matrix and the arrays' holder, at every grid size — plus,
+// where the default pool has more than one worker, the row partition
+// every CSR constructor warms (its bounds and the cache entry).
 func TestStencilCSRAllocs(t *testing.T) {
-	want := 4.0
+	want := 5.0
 	if vec.DefaultPool.Workers() > 1 {
 		want += 2
 	}
@@ -552,7 +554,8 @@ func TestStencilCSRAllocs(t *testing.T) {
 }
 
 // arrayBytes is what a CSR's three arrays hold, at their element widths.
-func arrayBytes(m *CSR) int {
+func arrayBytes(c *CSR) int {
+	m := c.arrays.Load()
 	return cap(m.rowPtr)*int(unsafe.Sizeof(m.rowPtr[0])) +
 		cap(m.colIdx)*int(unsafe.Sizeof(m.colIdx[0])) +
 		cap(m.vals)*int(unsafe.Sizeof(m.vals[0]))

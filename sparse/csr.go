@@ -57,9 +57,7 @@ func (c *COO) Len() int { return len(c.vals) }
 // (see assemble).
 func (c *COO) ToCSR() *CSR {
 	rowPtr, cols, vals := assemble(c.n, c.rows, c.cols, c.vals)
-	csr := &CSR{n: c.n, rowPtr: rowPtr, colIdx: cols, vals: vals}
-	csr.warmPartition()
-	return csr
+	return newCSR(c.n, rowPtr, cols, vals)
 }
 
 // assemble builds the CSR arrays of a matrix with the given number of
@@ -128,11 +126,29 @@ func assemble(rows int, rs, cs []int, vs []float64) (rowPtr []int, cols []int32,
 // with column indices sorted ascending within each row. Column indices
 // are 32-bit, since the order is at most math.MaxInt32; row offsets
 // count entries, which can pass it, and stay int.
+//
+// A CSR that TuneMulVec runs on a band is stored as that band once the
+// band reproduces it: when no stored value compares equal to zero, the
+// band's cells are +0 exactly where the CSR stores nothing and its
+// values, bit for bit, everywhere else, so the arrays are released.
+// Products then run on the band, and NNZ and MaxRowNonzeros read its
+// counts. Every other method that needs the arrays — the row reads
+// (At, ScanRow, Diag, IsSymmetric, IsDiagonallyDominant, ToDense, a
+// RowPartition the cache does not hold) and what hands the arrays out
+// or writes them (Values, SetValues, Scale, CloneValues, MulVecT's
+// transpose, ToSELL, EncodeCSR) — rebuilds them from the band, exactly,
+// and pins them: a pinned CSR is never released again. No read returns
+// a different bit for it, nor does a product for finite x (see
+// TuneMulVec).
 type CSR struct {
-	n      int
-	rowPtr []int
-	colIdx []int32
-	vals   []float64
+	n int
+
+	// arrays is the matrix's storage, nil once released. Released ⇒
+	// tuned is the *DIA the arrays were built into: publish releases
+	// only after caching it, and only valuesChanged clears tuned, on
+	// arrays it has pinned. Every method loads arrays once and works
+	// on what it loaded.
+	arrays atomic.Pointer[csrArrays]
 
 	// part caches the most recent nnz-balanced row partition (see
 	// RowPartition). It is an atomic pointer so concurrent MulVecPool
@@ -157,6 +173,86 @@ type rowPartition struct {
 	bounds []int
 }
 
+// csrArrays is a CSR's storage. Once published it is never changed but
+// for vals, which only the mutators rewrite, on pinned arrays; pinned
+// arrays are never released.
+type csrArrays struct {
+	rowPtr []int
+	colIdx []int32
+	vals   []float64
+	pinned bool
+}
+
+// newCSR wraps arrays in CSR order, rows sorted, as a matrix whose row
+// partition is warmed (see warmPartition).
+func newCSR(n int, rowPtr []int, colIdx []int32, vals []float64) *CSR {
+	m := &CSR{n: n}
+	m.arrays.Store(&csrArrays{rowPtr: rowPtr, colIdx: colIdx, vals: vals})
+	m.warmPartition()
+	return m
+}
+
+// band returns the tuned DIA, which stands for the arrays once they are
+// released.
+func (m *CSR) band() *DIA { return m.tuned.Load().op.(*DIA) }
+
+// operands returns what a product runs on: the cached tuned operator
+// when there is one, else the arrays.
+func (m *CSR) operands() (Matrix, *csrArrays) {
+	if t := m.tuned.Load(); t != nil && t.op != nil {
+		return t.op, nil
+	}
+	if a := m.arrays.Load(); a != nil {
+		return nil, a
+	}
+	return m.band(), nil // tuned and released since the first load
+}
+
+// held returns the arrays, rebuilt from the band and pinned when they
+// were released (see pin).
+func (m *CSR) held() *csrArrays {
+	if a := m.arrays.Load(); a != nil {
+		return a
+	}
+	return m.pin()
+}
+
+// pin returns the arrays, marked never to be released, rebuilding them
+// from the band (DIA.arrays, exact here) first when they were.
+func (m *CSR) pin() *csrArrays {
+	for {
+		a := m.arrays.Load()
+		if a != nil && a.pinned {
+			return a
+		}
+		p := &csrArrays{pinned: true}
+		if a != nil {
+			p.rowPtr, p.colIdx, p.vals = a.rowPtr, a.colIdx, a.vals
+		} else {
+			p.rowPtr, p.colIdx, p.vals = m.band().arrays()
+		}
+		if m.arrays.CompareAndSwap(a, p) {
+			return p
+		}
+	}
+}
+
+// publish caches dec, the TuneMulVec decision made over the arrays a,
+// with one compare-and-swap, and returns the cached decision: a call
+// that loses to another returns the winner's. The winner releases a
+// when dec is a band, built from a, that reproduces it — no stored value
+// compares equal to zero, so its +0 cells are exactly the entries a
+// does not store — and a has not been pinned before or since.
+func (m *CSR) publish(a *csrArrays, dec *tunedOp) *tunedOp {
+	if !m.tuned.CompareAndSwap(nil, dec) {
+		return m.tuned.Load()
+	}
+	if _, ok := dec.op.(*DIA); ok && !a.pinned && !slices.Contains(a.vals, 0) {
+		m.arrays.CompareAndSwap(a, nil)
+	}
+	return dec
+}
+
 // NewCSR builds a CSR matrix from its raw arrays. rowPtr and vals are
 // used without copying; the column indices are copied once into the
 // matrix's own 32-bit array, so colIdx is left as it was and may be
@@ -173,10 +269,8 @@ func NewCSR(n int, rowPtr, colIdx []int, vals []float64) *CSR {
 	if len(colIdx) != rowPtr[n] || len(vals) != rowPtr[n] {
 		panic("sparse: colIdx/vals length disagrees with rowPtr")
 	}
-	m := &CSR{n: n, rowPtr: rowPtr, colIdx: cols, vals: vals}
 	sortRows(rowPtr, cols, vals)
-	m.warmPartition()
-	return m
+	return newCSR(n, rowPtr, cols, vals)
 }
 
 // columns32 returns colIdx as 32-bit column indices of a matrix with
@@ -231,41 +325,70 @@ func (r rowView) Swap(i, j int) {
 	r.vals[i], r.vals[j] = r.vals[j], r.vals[i]
 }
 
-// Dim returns the order of the matrix.
-func (m *CSR) Dim() int { return m.n }
+// at returns entry (i, j), zero if it is not stored.
+func (a *csrArrays) at(i, j int) float64 {
+	if uint(j) >= uint(len(a.rowPtr)-1) {
+		return 0
+	}
+	lo, hi := a.rowPtr[i], a.rowPtr[i+1]
+	if k, ok := slices.BinarySearch(a.colIdx[lo:hi], int32(j)); ok {
+		return a.vals[lo+k]
+	}
+	return 0
+}
 
-// NNZ returns the number of stored nonzeros.
-func (m *CSR) NNZ() int { return len(m.vals) }
-
-// MaxRowNonzeros returns the maximum number of stored entries in any row
-// (the paper's sparsity parameter d).
-func (m *CSR) MaxRowNonzeros() int {
+// maxRow returns the most entries any row stores.
+func (a *csrArrays) maxRow() int {
 	maxNZ := 0
-	for i := 0; i < m.n; i++ {
-		if nz := m.rowPtr[i+1] - m.rowPtr[i]; nz > maxNZ {
+	for i := 0; i+1 < len(a.rowPtr); i++ {
+		if nz := a.rowPtr[i+1] - a.rowPtr[i]; nz > maxNZ {
 			maxNZ = nz
 		}
 	}
 	return maxNZ
 }
 
-// At returns A[i,j] (zero if the entry is not stored).
-func (m *CSR) At(i, j int) float64 {
-	if uint(j) >= uint(m.n) {
-		return 0
+// mulVec computes dst = A*x row by row, each row's entries summed in
+// column order from +0.
+func (a *csrArrays) mulVec(dst, x []float64) {
+	for i := range dst {
+		var s float64
+		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
+			s += a.vals[p] * x[a.colIdx[p]]
+		}
+		dst[i] = s
 	}
-	lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-	if k, ok := slices.BinarySearch(m.colIdx[lo:hi], int32(j)); ok {
-		return m.vals[lo+k]
-	}
-	return 0
 }
+
+// Dim returns the order of the matrix.
+func (m *CSR) Dim() int { return m.n }
+
+// NNZ returns the number of stored nonzeros.
+func (m *CSR) NNZ() int {
+	if a := m.arrays.Load(); a != nil {
+		return len(a.vals)
+	}
+	return m.band().nnz
+}
+
+// MaxRowNonzeros returns the maximum number of stored entries in any row
+// (the paper's sparsity parameter d).
+func (m *CSR) MaxRowNonzeros() int {
+	if a := m.arrays.Load(); a != nil {
+		return a.maxRow()
+	}
+	return m.band().maxRow
+}
+
+// At returns A[i,j] (zero if the entry is not stored).
+func (m *CSR) At(i, j int) float64 { return m.held().at(i, j) }
 
 // ScanRow calls emit for every stored entry (column, value) of row i in
 // ascending column order.
 func (m *CSR) ScanRow(i int, emit func(j int, v float64)) {
-	for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-		emit(int(m.colIdx[p]), m.vals[p])
+	a := m.held()
+	for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
+		emit(int(a.colIdx[p]), a.vals[p])
 	}
 }
 
@@ -275,20 +398,21 @@ func (m *CSR) Diag(dst []float64) {
 	if len(dst) != m.n {
 		panic("sparse: Diag dimension mismatch")
 	}
+	a := m.held()
 	for i := 0; i < m.n; i++ {
-		dst[i] = m.At(i, i)
+		dst[i] = a.at(i, i)
 	}
 }
 
-// MulVec computes dst = A*x.
+// MulVec computes dst = A*x: on the cached tuned operator when there is
+// one, which returns the CSR's bits for finite x (see TuneMulVec), else
+// row by row.
 func (m *CSR) MulVec(dst, x []float64) {
 	checkMul(m, dst, x)
-	for i := 0; i < m.n; i++ {
-		var s float64
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			s += m.vals[p] * x[m.colIdx[p]]
-		}
-		dst[i] = s
+	if op, a := m.operands(); op != nil {
+		op.MulVec(dst, x)
+	} else {
+		a.mulVec(dst, x)
 	}
 }
 
@@ -317,7 +441,7 @@ func (m *CSR) RowPartition(parts int) []int {
 	if cached := m.part.Load(); cached != nil && cached.parts == parts {
 		return cached.bounds
 	}
-	bounds := nnzBalancedBounds(m.rowPtr, parts)
+	bounds := nnzBalancedBounds(m.held().rowPtr, parts)
 	m.part.Store(&rowPartition{parts: parts, bounds: bounds})
 	return bounds
 }
@@ -346,50 +470,68 @@ func nnzBalancedBounds(rowPtr []int, parts int) []int {
 	return append(bounds, n)
 }
 
-// MulVecPool computes dst = A*x in parallel over the pool using the
-// cached nnz-balanced row partition, or serially where the pool declines
-// (see Pool.SpMVParts). The result is bitwise identical to MulVec:
+// MulVecPool computes dst = A*x in parallel over the pool: on the
+// cached tuned operator when there is one, else over the cached
+// nnz-balanced row partition, or serially where the pool declines (see
+// Pool.SpMVParts). The result is bitwise identical to MulVec:
 // parallelism is across rows, and each row's accumulation order is
 // unchanged.
 func (m *CSR) MulVecPool(pool *Pool, dst, x []float64) {
 	checkMul(m, dst, x)
-	parts := pool.SpMVParts(len(m.vals))
-	if parts == 0 || !pool.CSRMulVec(m.RowPartition(parts), m.rowPtr, m.colIdx, m.vals, dst, x) {
-		m.MulVec(dst, x)
+	op, a := m.operands()
+	if op != nil {
+		PooledMulVec(op, pool, dst, x)
+		return
+	}
+	parts := pool.SpMVParts(len(a.vals))
+	if parts == 0 || !pool.CSRMulVec(m.RowPartition(parts), a.rowPtr, a.colIdx, a.vals, dst, x) {
+		a.mulVec(dst, x)
 	}
 }
 
-// MulVecs computes dsts[j] = A*xs[j] for every column in one pass over
-// the row data, reading each row's (value, column) stream once per
-// group of four columns instead of once per column. Each output column
-// is bitwise identical to MulVec on the same input. dsts and xs must
+// MulVecs computes dsts[j] = A*xs[j] for every column: one column at a
+// time on the cached tuned operator when there is one (the row loop's
+// bits for finite x, see TuneMulVec), else in one pass over the row
+// data, reading each row's (value, column) stream once per group of
+// four columns instead of once per column. Each output column is
+// bitwise identical to MulVec on the same input. dsts and xs must
 // have equal length, with every vector of length Dim; no dst may alias
 // any x.
 func (m *CSR) MulVecs(dsts, xs [][]float64) {
 	checkMulVecs(m, dsts, xs)
-	vec.CSRMulVecsRows(m.rowPtr, m.colIdx, m.vals, dsts, xs, 0, m.n)
+	if op, a := m.operands(); op != nil {
+		PooledMulVecs(op, nil, dsts, xs)
+	} else {
+		vec.CSRMulVecsRows(a.rowPtr, a.colIdx, a.vals, dsts, xs, 0, m.n)
+	}
 }
 
-// MulVecsPool computes dsts[j] = A*xs[j] in parallel over the pool
-// using the cached nnz-balanced row partition, with the same serial
+// MulVecsPool computes dsts[j] = A*xs[j] in parallel over the pool —
+// column by column on the cached tuned operator when there is one, else
+// over the cached nnz-balanced row partition — with the same serial
 // fallbacks and the same bitwise-identity guarantee as MulVecPool.
 func (m *CSR) MulVecsPool(pool *Pool, dsts, xs [][]float64) {
 	checkMulVecs(m, dsts, xs)
-	parts := pool.SpMVParts(len(m.vals))
-	if parts == 0 || !pool.CSRMulVecs(m.RowPartition(parts), m.rowPtr, m.colIdx, m.vals, dsts, xs) {
-		vec.CSRMulVecsRows(m.rowPtr, m.colIdx, m.vals, dsts, xs, 0, m.n)
+	op, a := m.operands()
+	if op != nil {
+		PooledMulVecs(op, pool, dsts, xs)
+		return
+	}
+	parts := pool.SpMVParts(len(a.vals))
+	if parts == 0 || !pool.CSRMulVecs(m.RowPartition(parts), a.rowPtr, a.colIdx, a.vals, dsts, xs) {
+		vec.CSRMulVecsRows(a.rowPtr, a.colIdx, a.vals, dsts, xs, 0, m.n)
 	}
 }
 
 // transpose returns the cached explicit transpose, building it on first
-// use.
+// use. It is never tuned, so its own arrays are never released.
 func (m *CSR) transpose() *CSR {
 	if t := m.tr.Load(); t != nil {
 		return t
 	}
-	tPtr, tIdx, tVals := transposeArrays(m.n, m.rowPtr, m.colIdx, m.vals)
-	t := &CSR{n: m.n, rowPtr: tPtr, colIdx: tIdx, vals: tVals}
-	t.warmPartition()
+	a := m.pin()
+	tPtr, tIdx, tVals := transposeArrays(m.n, a.rowPtr, a.colIdx, a.vals)
+	t := newCSR(m.n, tPtr, tIdx, tVals)
 	m.tr.Store(t)
 	return t
 }
@@ -408,39 +550,44 @@ func (m *CSR) MulVecTPool(pool *Pool, dst, x []float64) {
 }
 
 // Values returns the stored nonzero values in row-major CSR order. The
-// slice is the matrix's backing storage: treat it as read-only and use
-// SetValues or Scale to mutate.
-func (m *CSR) Values() []float64 { return m.vals }
+// slice is the matrix's backing storage, pinned (never released): treat
+// it as read-only and use SetValues or Scale to mutate.
+func (m *CSR) Values() []float64 { return m.pin().vals }
 
 // SetValues replaces the stored values in place (structure unchanged);
 // vals must have length NNZ. Cached derived state copies values: the
 // tuned operator is invalidated, the explicit transpose rewritten in
-// place. Like every mutator it needs exclusive access.
+// place. Like every mutator it needs exclusive access, and it pins the
+// arrays.
 func (m *CSR) SetValues(vals []float64) {
-	if len(vals) != len(m.vals) {
-		panic(fmt.Sprintf("sparse: SetValues length %d, want %d", len(vals), len(m.vals)))
+	a := m.pin()
+	if len(vals) != len(a.vals) {
+		panic(fmt.Sprintf("sparse: SetValues length %d, want %d", len(vals), len(a.vals)))
 	}
-	copy(m.vals, vals)
-	m.valuesChanged()
+	copy(a.vals, vals)
+	m.valuesChanged(a)
 }
 
 // Scale multiplies every stored value by s in place, invalidating the
 // cached tuned operator and rewriting the cached transpose's values.
 func (m *CSR) Scale(s float64) {
-	for i := range m.vals {
-		m.vals[i] *= s
+	a := m.pin()
+	for i := range a.vals {
+		a.vals[i] *= s
 	}
-	m.valuesChanged()
+	m.valuesChanged(a)
 }
 
 // valuesChanged brings the value-derived caches up to date after a
-// mutation: the tuned operator is dropped (its format choice can depend
-// on the values), the transpose keeps its structure and gets the new
-// values — the scatter that built it, re-run in place.
-func (m *CSR) valuesChanged() {
+// mutation of the pinned arrays a: the tuned operator is dropped (its
+// format choice can depend on the values), the transpose keeps its
+// structure and gets the new values — the scatter that built it, re-run
+// in place.
+func (m *CSR) valuesChanged(a *csrArrays) {
 	m.tuned.Store(nil)
 	if t := m.tr.Load(); t != nil {
-		scatterTranspose(m.rowPtr, m.colIdx, m.vals, t.rowPtr, nil, t.vals)
+		ta := t.arrays.Load()
+		scatterTranspose(a.rowPtr, a.colIdx, a.vals, ta.rowPtr, nil, ta.vals)
 	}
 }
 
@@ -448,11 +595,11 @@ func (m *CSR) valuesChanged() {
 // (rowPtr/colIdx and the cached row partition) but owning a private copy
 // of the values, so the clone can be mutated (SetValues, Scale) without
 // affecting the original — the isolation a solve sequence needs over a
-// shared stored operator.
+// shared stored operator. Both matrices' arrays are pinned.
 func (m *CSR) CloneValues() *CSR {
-	vals := make([]float64, len(m.vals))
-	copy(vals, m.vals)
-	c := &CSR{n: m.n, rowPtr: m.rowPtr, colIdx: m.colIdx, vals: vals}
+	a := m.pin()
+	c := &CSR{n: m.n}
+	c.arrays.Store(&csrArrays{rowPtr: a.rowPtr, colIdx: a.colIdx, vals: slices.Clone(a.vals), pinned: true})
 	if p := m.part.Load(); p != nil {
 		c.part.Store(p)
 	}
@@ -462,10 +609,11 @@ func (m *CSR) CloneValues() *CSR {
 // IsSymmetric reports whether every stored entry (i,j) has a matching
 // (j,i) entry equal within tol.
 func (m *CSR) IsSymmetric(tol float64) bool {
+	a := m.held()
 	for i := 0; i < m.n; i++ {
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			j := int(m.colIdx[p])
-			if diff := m.vals[p] - m.At(j, i); diff > tol || diff < -tol {
+		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
+			j := int(a.colIdx[p])
+			if diff := a.vals[p] - a.at(j, i); diff > tol || diff < -tol {
 				return false
 			}
 		}
@@ -477,14 +625,15 @@ func (m *CSR) IsSymmetric(tol float64) bool {
 // every row, a convenient sufficient condition when generating random
 // SPD test matrices.
 func (m *CSR) IsDiagonallyDominant() bool {
+	a := m.held()
 	for i := 0; i < m.n; i++ {
 		var off, diag float64
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			v := m.vals[p]
+		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
+			v := a.vals[p]
 			if v < 0 {
 				v = -v
 			}
-			if int(m.colIdx[p]) == i {
+			if int(a.colIdx[p]) == i {
 				diag = v
 			} else {
 				off += v
@@ -500,9 +649,10 @@ func (m *CSR) IsDiagonallyDominant() bool {
 // ToDense expands the matrix to dense form (intended for small n in tests).
 func (m *CSR) ToDense() *Dense {
 	d := NewDense(m.n)
+	a := m.held()
 	for i := 0; i < m.n; i++ {
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			d.Set(i, int(m.colIdx[p]), m.vals[p])
+		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
+			d.Set(i, int(a.colIdx[p]), a.vals[p])
 		}
 	}
 	return d

@@ -88,7 +88,7 @@ func TestRowPartitionBalance(t *testing.T) {
 				if bounds[c+1] <= bounds[c] {
 					t.Fatalf("%s parts=%d: bounds %v not strictly increasing", name, parts, bounds)
 				}
-				nnz := a.rowPtr[bounds[c+1]] - a.rowPtr[bounds[c]]
+				nnz := a.arrays.Load().rowPtr[bounds[c+1]] - a.arrays.Load().rowPtr[bounds[c]]
 				// A chunk can exceed the ideal share by at most one row
 				// (cuts land on row boundaries).
 				if nnz > ideal+maxRow {

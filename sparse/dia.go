@@ -60,8 +60,8 @@ type DIA struct {
 	// when no diagonal reads a run.
 	runs []int
 
-	// nnz and maxRow are fixed at construction: the structurally valid
-	// non-zero values of a NewDIA matrix, the stored-entry counts of the
+	// nnz and maxRow are fixed at construction: the cells inside a
+	// NewDIA matrix whose bits are not +0, the stored-entry counts of the
 	// source CSR for a converted one.
 	nnz, maxRow int
 
@@ -259,7 +259,7 @@ func NewDIA(n int, diagonals map[int][]float64) *DIA {
 	for i := 0; i < n; i++ {
 		nz := 0
 		for d, k := range offsets {
-			if j := i + k; j >= 0 && j < n && m.slab[m.base[d]+i] != 0 {
+			if j := i + k; j >= 0 && j < n && math.Float64bits(m.slab[m.base[d]+i]) != 0 {
 				nz++
 			}
 		}
@@ -275,16 +275,16 @@ func NewDIA(n int, diagonals map[int][]float64) *DIA {
 // well inside it.
 const diaMaxDiags = 16
 
-// toDIA returns m in diagonal storage when m is banded — at most
-// diaMaxDiags distinct diagonals, one entry per (row, column), and no
-// larger a fraction of the band left as holes than maxPadding — and nil
-// otherwise. The test is one pass over colIdx that gives up at the
+// toDIA returns the CSR arrays m in diagonal storage when they are
+// banded — at most diaMaxDiags distinct diagonals, one entry per (row,
+// column), and no larger a fraction of the band left as holes than
+// maxPadding — and nil otherwise. The test is one pass over colIdx that gives up at the
 // first diagonal past the cap, so a matrix that is not banded costs
 // O(rows scanned) and never builds anything. Padding is judged on the
 // logical band, every diagonal at full length, so whether a matrix runs
 // as a DIA never depends on whether its band folds.
-func (m *CSR) toDIA(maxPadding float64) *DIA {
-	n, rowPtr, colIdx, vals := m.n, m.rowPtr, m.colIdx, m.vals
+func (m *csrArrays) toDIA(maxPadding float64) *DIA {
+	n, rowPtr, colIdx, vals := len(m.rowPtr)-1, m.rowPtr, m.colIdx, m.vals
 	var buf [diaMaxDiags]int
 	offs := buf[:0]
 	for i := 0; i < n; i++ {
@@ -339,7 +339,7 @@ func (m *CSR) toDIA(maxPadding float64) *DIA {
 			}
 		}
 	}
-	a.nnz, a.maxRow = len(vals), m.MaxRowNonzeros()
+	a.nnz, a.maxRow = len(vals), m.maxRow()
 	a.finish()
 	return a
 }
@@ -635,28 +635,38 @@ func (m *DIA) MulVecPool(pool *Pool, dst, x []float64) {
 // longest row).
 func (m *DIA) MaxRowNonzeros() int { return m.maxRow }
 
-// NNZ returns the count of structurally valid nonzero entries (for a
-// matrix converted from a CSR, that CSR's stored-entry count, explicit
-// zeros included, so flop accounting does not depend on tuning).
+// NNZ returns the count of cells inside the matrix whose bits are not
+// +0, a stored −0 included (for a matrix converted from a CSR, that
+// CSR's stored-entry count, explicit zeros included, so flop accounting
+// does not depend on tuning).
 func (m *DIA) NNZ() int { return m.nnz }
 
-// ToCSR converts to CSR form.
+// ToCSR converts to CSR form: every cell inside the matrix whose bits
+// are not +0 — a stored −0 included — is an entry, so the result's NNZ
+// is NNZ's.
 func (m *DIA) ToCSR() *CSR {
-	coo := NewCOO(m.n)
-	for d, k := range m.offsets {
-		lo, hi := 0, m.n
-		if k > 0 {
-			hi = m.n - k
-		} else if k < 0 {
-			lo = -k
-		}
-		for i := lo; i < hi; i++ {
-			if v := m.slab[m.cell(d, i)]; v != 0 {
-				coo.Add(i, i+k, v)
+	rowPtr, colIdx, vals := m.arrays()
+	return newCSR(m.n, rowPtr, colIdx, vals)
+}
+
+// arrays returns the band's CSR arrays: every cell inside the matrix
+// whose bits are not +0, row by row, offsets ascending. For a band built
+// from a CSR that stores no value comparing equal to zero these are that
+// CSR's arrays, bit for bit: a +0 cell is a hole.
+func (m *DIA) arrays() (rowPtr []int, colIdx []int32, vals []float64) {
+	rowPtr = make([]int, m.n+1)
+	colIdx, vals = make([]int32, 0, m.nnz), make([]float64, 0, m.nnz)
+	for i := 0; i < m.n; i++ {
+		for d, k := range m.offsets {
+			if j := i + k; j >= 0 && j < m.n {
+				if v := m.slab[m.cell(d, i)]; math.Float64bits(v) != 0 {
+					colIdx, vals = append(colIdx, int32(j)), append(vals, v)
+				}
 			}
 		}
+		rowPtr[i+1] = len(vals)
 	}
-	return coo.ToCSR()
+	return rowPtr, colIdx, vals
 }
 
 var (

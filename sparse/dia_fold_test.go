@@ -14,9 +14,10 @@ type cell struct {
 	v    float64
 }
 
-func cellsOf(a *CSR) []cell {
+func cellsOf(m *CSR) []cell {
 	var cells []cell
-	for i := 0; i < a.n; i++ {
+	a := m.arrays.Load()
+	for i := 0; i < m.n; i++ {
 		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
 			cells = append(cells, cell{i, int(a.colIdx[p]), a.vals[p]})
 		}
@@ -62,9 +63,10 @@ func diagonalsOf(a *CSR) map[int][]float64 {
 // unfoldedTwin builds the band a second time with one subdiagonal cell
 // an ulp off, so nothing folds, and puts the value back into the slab:
 // the matrix build() gives, every diagonal stored.
-func unfoldedTwin(t *testing.T, a *CSR, build func() *DIA) *DIA {
+func unfoldedTwin(t *testing.T, m *CSR, build func() *DIA) *DIA {
 	t.Helper()
-	for i := 0; i < a.n; i++ {
+	a := m.arrays.Load()
+	for i := 0; i < m.n; i++ {
 		p := a.rowPtr[i]
 		if p == a.rowPtr[i+1] || int(a.colIdx[p]) >= i {
 			continue
@@ -312,7 +314,7 @@ func TestTuneMulVecRefolds(t *testing.T) {
 		t.Fatalf("poisson2d stores %d diagonals, want 3", got)
 	}
 	vals := append([]float64(nil), a.Values()...)
-	vals[a.rowPtr[1]] *= 2 // A[1,0], not A[0,1]
+	vals[a.arrays.Load().rowPtr[1]] *= 2 // A[1,0], not A[0,1]
 	a.SetValues(vals)
 	if got := stored(); got != 5 {
 		t.Fatalf("after breaking one cell: %d diagonals stored, want 5", got)
@@ -321,7 +323,7 @@ func TestTuneMulVecRefolds(t *testing.T) {
 	if got := stored(); got != 5 {
 		t.Fatalf("after Scale: %d diagonals stored, want 5", got)
 	}
-	vals[a.rowPtr[1]] /= 2
+	vals[a.arrays.Load().rowPtr[1]] /= 2
 	a.SetValues(vals)
 	if got := stored(); got != 3 {
 		t.Fatalf("after restoring it: %d diagonals stored, want 3", got)

@@ -53,6 +53,17 @@ func bandedCSR(seed uint64, n, ndiag, holes int) *CSR {
 	return NewCSR(n, rowPtr, colIdx, vals)
 }
 
+// toDIA converts m's arrays to diagonal storage, as TuneMulVec does
+// before it publishes the band: the conversion under test, without the
+// cache or a release.
+func (m *CSR) toDIA(maxPadding float64) *DIA { return m.arrays.Load().toDIA(maxPadding) }
+
+// rowLoop computes dst = A*x with m's CSR row loop, never the cached
+// tuned operator CSR.MulVec runs on: the reference a tuned product is
+// held to. m must hold its arrays, so take it before tuning can release
+// them, or after something pins them.
+func rowLoop(m *CSR, dst, x []float64) { m.arrays.Load().mulVec(dst, x) }
+
 // bitsEqual is vec.Equal without its blind spot: -0 == +0 there, and
 // the DIA contract is that a hole never turns a +0 sum into -0.
 func bitsEqual(a, b []float64) bool {
@@ -242,14 +253,14 @@ func TestDIAFromCSRBitwise(t *testing.T) {
 	// One order past a row block, so blocks, the band's edge cuts and
 	// pool chunks all interleave.
 	for _, a := range []*CSR{Poisson2D(50), Poisson3D(14), Poisson1D(2*diaBlock + 5)} {
+		x := vec.New(a.Dim())
+		vec.Random(x, 77)
+		want, got := vec.New(a.Dim()), vec.New(a.Dim())
+		rowLoop(a, want, x)
 		d, ok := TuneMulVec(a).(*DIA)
 		if !ok {
 			t.Fatalf("n=%d stencil not tuned to DIA", a.Dim())
 		}
-		x := vec.New(a.Dim())
-		vec.Random(x, 77)
-		want, got := vec.New(a.Dim()), vec.New(a.Dim())
-		a.MulVec(want, x)
 		for w := 1; w <= 4; w++ {
 			pool := vec.NewPoolMinChunk(w, 1)
 			d.MulVecPool(pool, got, x)
@@ -339,7 +350,7 @@ func TestTuneMulVecInvalidation(t *testing.T) {
 	if second == first {
 		t.Fatal("SetValues kept the cached DIA")
 	}
-	a.MulVec(want, x)
+	rowLoop(a, want, x) // SetValues pinned the arrays
 	second.MulVec(got, x)
 	if !bitsEqual(want, got) {
 		t.Fatal("tuned product after SetValues differs from the CSR's")
@@ -350,7 +361,7 @@ func TestTuneMulVecInvalidation(t *testing.T) {
 	if third == second {
 		t.Fatal("Scale kept the cached DIA")
 	}
-	a.MulVec(want, x)
+	rowLoop(a, want, x)
 	third.MulVec(got, x)
 	if !bitsEqual(want, got) {
 		t.Fatal("tuned product after Scale differs from the CSR's")
@@ -375,8 +386,9 @@ func mirrorLower(a *CSR) *CSR {
 
 // nudgeOneSuperdiagonalCell moves the first stored entry above the
 // diagonal by one ulp, in place, and reports whether there was one.
-func nudgeOneSuperdiagonalCell(a *CSR) bool {
-	for i := 0; i < a.n; i++ {
+func nudgeOneSuperdiagonalCell(m *CSR) bool {
+	a := m.arrays.Load()
+	for i := 0; i < m.n; i++ {
 		for p := a.rowPtr[i]; p < a.rowPtr[i+1]; p++ {
 			if int(a.colIdx[p]) > i {
 				a.vals[p] = math.Nextafter(a.vals[p], 2)
@@ -393,7 +405,9 @@ func nudgeOneSuperdiagonalCell(a *CSR) bool {
 // then moves one superdiagonal cell by an ulp, so it must not. Bit 2
 // draws the band from the periodic family instead (see periodicCSR),
 // of order up to 20000, so its diagonals become runs, and holds it to
-// checkBandAgainstCSR.
+// checkBandAgainstCSR. Every band then goes through the release round
+// trip (checkReleaseRoundTrip), as drawn — released only when it stores
+// no zero — and with its zeros replaced, so that it is.
 func FuzzCSRToDIA(f *testing.F) {
 	f.Add(uint64(1), uint(8), uint(0), uint(0), uint(0))
 	f.Add(uint64(42), uint(100), uint(4), uint(1), uint(0))
@@ -445,12 +459,14 @@ func FuzzCSRToDIA(f *testing.F) {
 		}
 		if periodic {
 			checkBandAgainstCSR(t, fmt.Sprintf("band over %v", d.offsets), a, d, seed)
-			return
+		} else {
+			if diff := diaDiff(d, a.toDIARef(1)); diff != "" {
+				t.Fatalf("band over %v: %s from the reference fill", d.offsets, diff)
+			}
+			checkDIAAgainstCSR(t, a, d, seed)
 		}
-		if diff := diaDiff(d, a.toDIARef(1)); diff != "" {
-			t.Fatalf("band over %v: %s from the reference fill", d.offsets, diff)
-		}
-		checkDIAAgainstCSR(t, a, d, seed)
+		checkReleaseRoundTrip(t, withoutZeros(a))
+		checkReleaseRoundTrip(t, a)
 	})
 }
 

@@ -66,15 +66,18 @@ func (m *CSR) ToSELL() *SELL { return NewSELL(m, DefaultSellSigma) }
 // NewSELL converts a CSR matrix to SELL-C-σ form with the given sorting
 // window (rows; rounded up to a multiple of SellC, non-positive means
 // DefaultSellSigma). The conversion is O(nnz + n log σ) and the result
-// shares no storage with the source. It panics if the padded entry
-// count would overflow the 32-bit column indices; TuneMulVec screens
-// for that instead of panicking.
-func NewSELL(m *CSR, sigma int) *SELL {
+// shares no storage with the source, whose arrays it pins (see CSR). It
+// panics if the padded entry count would overflow the 32-bit column
+// indices; TuneMulVec screens for that instead of panicking.
+func NewSELL(m *CSR, sigma int) *SELL { return newSELL(m.pin(), sigma) }
+
+// newSELL is NewSELL over a CSR's arrays.
+func newSELL(m *csrArrays, sigma int) *SELL {
 	if sigma <= 0 {
 		sigma = DefaultSellSigma
 	}
 	sigma = (sigma + SellC - 1) / SellC * SellC
-	n := m.n
+	n := len(m.rowPtr) - 1
 	nslots := (n + SellC - 1) / SellC * SellC
 	nchunks := nslots / SellC
 
@@ -133,7 +136,7 @@ func NewSELL(m *CSR, sigma int) *SELL {
 	}
 
 	s := &SELL{
-		n: n, sigma: sigma, nnz: len(m.vals), maxRow: m.MaxRowNonzeros(),
+		n: n, sigma: sigma, nnz: len(m.vals), maxRow: m.maxRow(),
 		perm: perm, chunkPtr: chunkPtr, cols: cols, vals: vals,
 	}
 	s.kernel = s.mulChunks
@@ -291,35 +294,50 @@ const sellMaxPadding = 0.25
 // sessions, which hit the cache — run their SpMV on the format that
 // wins. DIA and SELL share one contract: MulVec and MulVecPool are
 // bitwise identical to the source CSR's for finite x (see the type
-// comments), so tuning never changes results.
+// comments), so tuning never changes results, and once a decision is
+// cached the CSR's own products run on it.
+//
+// A DIA that reproduces the CSR — no stored value compares equal to
+// zero — becomes its storage: the CSR releases its arrays, runs its
+// products on the band and reads its counts from it, until a method
+// that needs the arrays rebuilds and pins them (see CSR). Two
+// first calls at once may each build a form; the first to publish wins,
+// the other returns the winner's, and only the winner releases.
 func TuneMulVec(a Matrix) Matrix {
 	m, ok := a.(*CSR)
 	if !ok {
 		return a
 	}
-	if t := m.tuned.Load(); t != nil {
-		if t.op != nil {
-			return t.op
-		}
-		return a
+	t := m.tuned.Load()
+	if t == nil {
+		t = m.tune()
+	}
+	if t.op != nil {
+		return t.op
+	}
+	return a
+}
+
+// tune makes the TuneMulVec decision over m's arrays and publishes it
+// (see publish, which may release them).
+func (m *CSR) tune() *tunedOp {
+	a := m.arrays.Load()
+	if a == nil { // tuned and released since the caller looked
+		return m.tuned.Load()
 	}
 	dec := &tunedOp{}
-	if d := m.toDIA(sellMaxPadding); d != nil {
+	if d := a.toDIA(sellMaxPadding); d != nil {
 		dec.op = d
-	} else if m.n >= sellMinDim && len(m.vals) > 0 && len(m.vals) <= math.MaxInt32/2 {
+	} else if m.n >= sellMinDim && len(a.vals) > 0 && len(a.vals) <= math.MaxInt32/2 {
 		// The nnz bound is a conservative pre-check of the padded size
 		// before building: padding can at most round every row up to
 		// the window max, so a matrix whose nnz is already near
 		// MaxInt32 is screened out.
-		if s := NewSELL(m, DefaultSellSigma); s.PaddingRatio() <= sellMaxPadding {
+		if s := newSELL(a, DefaultSellSigma); s.PaddingRatio() <= sellMaxPadding {
 			dec.op = s
 		}
 	}
-	m.tuned.Store(dec)
-	if dec.op != nil {
-		return dec.op
-	}
-	return a
+	return m.publish(a, dec)
 }
 
 var (

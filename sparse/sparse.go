@@ -18,6 +18,11 @@
 //     DIA at any size, else large and paddable → SELL, else the CSR
 //     itself — and both tuned formats share one contract: MulVec and
 //     MulVecPool bitwise identical to the source CSR's for finite x.
+//     Once a form is cached the CSR's own products run on it, for
+//     finite x with the row loop's bits, and a banded CSR that stores
+//     no ±0 releases its arrays to the band until a method that needs
+//     them (a row read, Values, CloneValues, EncodeCSR, ...) rebuilds
+//     and pins them (see CSR).
 //     Every stored operator — CSR, Rect and their cached transposes,
 //     SELL — holds 32-bit column indices, so an order (and a Rect's
 //     either dimension) is at most math.MaxInt32; row offsets count

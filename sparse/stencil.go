@@ -199,7 +199,5 @@ func gridCSR(side [3]int, pts []stencilPoint) *CSR {
 			}
 		}
 	}
-	a := &CSR{n: n, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
-	a.warmPartition()
-	return a
+	return newCSR(n, rowPtr, colIdx, vals)
 }

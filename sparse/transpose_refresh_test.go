@@ -66,7 +66,10 @@ func TestValueUpdateRefreshesTransposeInPlace(t *testing.T) {
 			v = append([]float64(nil), v...)
 			if square {
 				m := NewCSR(rows, rowPtr, colIdx, v)
-				return m, func() ([]int, []int32, []float64) { tr := m.transpose(); return tr.rowPtr, tr.colIdx, tr.vals }
+				return m, func() ([]int, []int32, []float64) {
+					tr := m.transpose().arrays.Load()
+					return tr.rowPtr, tr.colIdx, tr.vals
+				}
 			}
 			m := NewRect(rows, cols, rowPtr, colIdx, v)
 			return m, func() ([]int, []int32, []float64) { tr := m.transpose(); return tr.rowPtr, tr.colIdx, tr.vals }

@@ -66,16 +66,17 @@ type WireMatrix struct {
 }
 
 // EncodeCSR wraps a matrix in its wire envelope (format "csr"). RowPtr
-// and Vals are shared with the matrix, not copied, so treat the result
-// as read-only; ColIdx is the 32-bit column indices widened into a new
-// slice.
+// and Vals are shared with the matrix, not copied, and pinned (see
+// CSR), so treat the result as read-only; ColIdx is the 32-bit column
+// indices widened into a new slice.
 func EncodeCSR(m *CSR) *WireMatrix {
+	a := m.pin()
 	return &WireMatrix{
 		Format: WireCSR,
 		N:      m.n,
-		RowPtr: m.rowPtr,
-		ColIdx: widen(m.colIdx),
-		Vals:   m.vals,
+		RowPtr: a.rowPtr,
+		ColIdx: widen(a.colIdx),
+		Vals:   a.vals,
 	}
 }
 
@@ -193,9 +194,7 @@ func (w *WireMatrix) decode(maxOrder int, general bool) (Matrix, error) {
 		return nil, err
 	}
 	if rows == cols {
-		m := &CSR{n: rows, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
-		m.warmPartition()
-		return m, nil
+		return newCSR(rows, rowPtr, colIdx, vals), nil
 	}
 	return &Rect{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}, nil
 }
