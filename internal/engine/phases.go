@@ -18,7 +18,8 @@ import "time"
 type Phase int
 
 const (
-	// PhaseSpMV is the matrix–vector products (MatVec*).
+	// PhaseSpMV is the matrix–vector products (MatVec*), and the rows of
+	// a direction sweep with the update its row kernel carries.
 	PhaseSpMV Phase = iota
 	// PhaseReduction is the time spent on inner-product reductions the
 	// step had to sit through: a blocking Dot* or evaluate-at-issue in
@@ -26,8 +27,9 @@ const (
 	// residual wait after the concurrent work returns — so small values
 	// here with large SpMV times are the overlap working.
 	PhaseReduction
-	// PhaseUpdate is the vector-update sweeps (Axpy*, Xpay), and the
-	// fused CG sweep whole, its (r,r) included.
+	// PhaseUpdate is the vector-update sweeps (Axpy*, Xpay), the fused
+	// CG sweep whole, its (r,r) included, and a direction sweep's update
+	// of the elements ahead of its first rows.
 	PhaseUpdate
 
 	// NumPhases is the number of instrumented phases.

@@ -57,9 +57,9 @@ func (o *spyOp) MulVecPool(pool *sparse.Pool, dst, x []float64) {
 	o.DIA.MulVecPool(pool, dst, x)
 }
 
-func (o *spyOp) MulRows(lo, hi int, dst, x []float64) {
+func (o *spyOp) MulRows(lo, hi int, dst, x, src []float64, beta float64, lead int) {
 	o.log = append(o.log, "MulRows")
-	o.DIA.MulRows(lo, hi, dst, x)
+	o.DIA.MulRows(lo, hi, dst, x, src, beta, lead)
 }
 
 type spyBlock struct{ *spyOp }
@@ -126,11 +126,12 @@ func TestDirectionFollowsTheOperator(t *testing.T) {
 	}
 }
 
-// TestDirectionPhaseClock: with timing on, each part of each granule of
-// the sweep is charged to the phase of the call it stands in for — the
-// update to update, the rows to spmv, the leaf dots to reduction — one
-// clock reading per part and one to start; the whole-vector form reads it
-// twice a call as before. With timing off there is no clock to read.
+// TestDirectionPhaseClock: with timing on, each part of the sweep is
+// charged to a phase — the update of the first lead elements to update,
+// each granule's rows, with the update the row kernel carries inside
+// them, to spmv, the leaf dots to reduction — one clock reading per part
+// and one to start; the whole-vector form reads it twice a call as
+// before. With timing off there is no clock to read.
 func TestDirectionPhaseClock(t *testing.T) {
 	const n, steps = 10240, 4
 	a := sparse.TridiagToeplitz(n, 2, -1)
@@ -142,10 +143,9 @@ func TestDirectionPhaseClock(t *testing.T) {
 		reads int
 		us    [NumPhases]float64
 	}{
-		// Reach 1: the update runs two granules ahead of the first
-		// product, finishes ahead of the second, and has nothing left
-		// to do before the third.
-		{"sweep", a, 1 + 8, [NumPhases]float64{PhaseSpMV: 3, PhaseReduction: 3, PhaseUpdate: 2}},
+		// Reach 1, so a lead of one trip: the sweep updates 32
+		// elements, then each of the three granules' rows carry the rest.
+		{"sweep", a, 1 + 7, [NumPhases]float64{PhaseSpMV: 3, PhaseReduction: 3, PhaseUpdate: 1}},
 		{"whole", struct{ sparse.Matrix }{sparse.TuneMulVec(a)}, 2 * 3, [NumPhases]float64{PhaseSpMV: 1, PhaseReduction: 1, PhaseUpdate: 1}},
 	} {
 		ws := NewWorkspace(n, nil)
@@ -164,10 +164,17 @@ func TestDirectionPhaseClock(t *testing.T) {
 		if reads != steps*c.reads {
 			t.Errorf("%s: clock read %d times over %d steps, want %d", c.name, reads, steps, steps*c.reads)
 		}
+		charged := 0.0
 		for p, us := range c.us {
 			if got := res.Phases[p].SumUS; got != us*steps {
 				t.Errorf("%s: phase %s charged %g us, want %g", c.name, Phase(p).Name(), got, us*steps)
 			}
+			charged += res.Phases[p].SumUS
+		}
+		// The sweep charges every tick after its start reading: its parts
+		// sum to the call.
+		if c.name == "sweep" && charged != float64(reads-steps) {
+			t.Errorf("sweep: %g us charged of %d ticks after the start readings", charged, reads-steps)
 		}
 	}
 }

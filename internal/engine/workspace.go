@@ -119,7 +119,10 @@ func (ws *Workspace) Reserve(count int) {
 // TimePhases switches on phase timing: from the next solve, the time
 // spent inside the dispatch methods below is accumulated per phase
 // (MatVec* → spmv, Dot* and Await → reduction_wait, Axpy*/Xpay/
-// FusedCGUpdate → update, Direction → all three, part by part) and the
+// FusedCGUpdate → update, Direction → all three, part by part: a sweep's
+// leading update of the first lead elements → update, its rows — which
+// carry the rest of the update inside the row kernel — → spmv, its leaf
+// dots → reduction_wait) and the
 // driver publishes one observation set per Step into Result.Phases. It
 // costs a clock pair per call, which is why it is per workspace and off
 // by default: the adapter enables it for the methods that publish
@@ -270,23 +273,28 @@ func (ws *Workspace) MatVecs(a sparse.Matrix, dsts, xs []vec.Vector) {
 }
 
 // RowSweeper is an operator whose product can be taken a range of rows
-// at a time and that knows how far ahead of a row it reads — what
-// Direction needs to run the product just behind the update of its
-// operand. *sparse.DIA is; *sparse.CSR is not, so a solve reaches the
-// capability through the tuned format or not at all, and a wrapper that
-// embeds a CSR hides it. The interface keeps the format out of the
+// at a time, completing the pending update of its operand a lead ahead
+// of the rows, and that knows how far ahead of a row it reads — what
+// Direction needs to take the update, the product and the inner product
+// in one pass. *sparse.DIA is; *sparse.CSR is not, so a solve reaches
+// the capability through the tuned format or not at all, and a wrapper
+// that embeds a CSR hides it. The interface keeps the format out of the
 // engine, and lets a test substitute a wrapper for it.
 type RowSweeper interface {
 	// MulRows computes rows [lo, hi) of dst = A*x, writing dst[lo:hi]
-	// only, each row exactly as MulVec computes it.
-	MulRows(lo, hi int, dst, x []float64)
+	// only, each row exactly as MulVec computes it, after applying what
+	// these rows owe of the pending update x ← src + beta·x (vec.Carry;
+	// src nil: none) — a vec.SweepKernel.
+	MulRows(lo, hi int, dst, x, src []float64, beta float64, lead int)
 	// Reach is the largest col − row over the operator's entries: rows
 	// [lo, hi) read no x at or past hi+Reach.
 	Reach() int
 }
 
 // sweepPhase is the phase each part of a direction sweep is charged to:
-// the one the whole-vector call it stands in for is.
+// the leading update to update, as the Xpay it is; the rows, with the
+// update the row kernel carries inside them, to spmv; the leaf dots to
+// reduction.
 var sweepPhase = [...]Phase{
 	vec.SweepUpdate:  PhaseUpdate,
 	vec.SweepProduct: PhaseSpMV,

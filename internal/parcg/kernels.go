@@ -225,8 +225,10 @@ func (kn *lookKernel) resNorm() float64 {
 }
 
 // gershgorin computes max_i sum_j |a_ij| over whichever operator view
-// still supports row scans (the pre-tuning CSR survives on run.AT when
-// the tuned operator does not scan).
+// supports row scans: the tuned operator when it does — a band's
+// ScanRow skips only +0 cells, which add nothing, so the bound is the
+// CSR's bit for bit and a released CSR stays released — else the
+// pre-tuning CSR on run.AT (a SELL does not scan).
 func gershgorin(run *engine.Run) float64 {
 	sc, ok := run.A.(rowScanner)
 	if !ok {

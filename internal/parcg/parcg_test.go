@@ -315,3 +315,40 @@ func TestReplayGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestGershgorinOnTheBand: the bound taken through the tuned band's
+// ScanRow — which parcg now finds on run.A, leaving a released CSR
+// released — is the one the CSR's rows give, bit for bit: on Poisson, a
+// variable-coefficient grid, and bands that store an explicit +0 (a
+// hole to the band, and nothing to a sum of |v|) and a −0 (kept).
+func TestGershgorinOnTheBand(t *testing.T) {
+	varcoeff, err := sparse.VarCoeffPoisson2D(24, sparse.JumpCoefficient(50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withValue := func(a *sparse.CSR, every int, v float64) *sparse.CSR {
+		c := a.CloneValues()
+		vals := slices.Clone(c.Values())
+		for i := 0; i < len(vals); i += every {
+			vals[i] = v
+		}
+		c.SetValues(vals)
+		return c
+	}
+	for name, a := range map[string]*sparse.CSR{
+		"poisson2d-64":  sparse.Poisson2D(64),
+		"poisson3d-12":  sparse.Poisson3D(12),
+		"varcoeff-24":   varcoeff,
+		"explicit-zero": withValue(sparse.Poisson2D(20), 7, 0),
+		"negative-zero": withValue(sparse.Poisson2D(20), 5, math.Copysign(0, -1)),
+	} {
+		want := gershgorin(&engine.Run{A: a})
+		d, ok := sparse.TuneMulVec(a).(*sparse.DIA)
+		if !ok {
+			t.Fatalf("%s is not tuned to diagonal storage", name)
+		}
+		if got := gershgorin(&engine.Run{A: d}); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: bound %v through the band, %v through the CSR", name, got, want)
+		}
+	}
+}

@@ -23,10 +23,22 @@ func Kernels() string {
 // per diagonal in ascending d, any number of diagonals in one pass — and
 // reports true. Bases need not be distinct or ordered, and may be
 // negative: a symmetric band points a subdiagonal into its mirror's
-// stream. It reports false, out untouched, when this process runs the
-// portable bodies and the caller must run its own. A diagonal that would
-// index outside slab or x panics here, before the call.
-func DIARows(out, slab []float64, base []int, x []float64, lo int, offs []int) bool {
+// stream. Bit d of scalar says that every cell diagonal d has on these
+// rows holds the same bits; the kernel may multiply by that value
+// without reading the rest, which changes no bit of the sum.
+//
+// When src is not nil, x carries a pending update x ← src + beta·x, and
+// lead is at least the largest offset: the call first applies what rows
+// [lo, lo+len(out)) owe of it (Carry), so that every x a row reads is
+// final. The wide trip over rows i..i+31 updates the next thirty-two of
+// those elements before it loads any x; what no such trip covers — past
+// the last whole trip, or crossing the end of x — goes through Xpay
+// before the call.
+//
+// It reports false, nothing touched, when this process runs the portable
+// bodies and the caller must run its own. A diagonal or an update that
+// would index outside slab, x or src panics here, before the call.
+func DIARows(out, slab []float64, base []int, x []float64, lo int, offs []int, scalar uint64, src []float64, beta float64, lead int) bool {
 	if !useAVX2 {
 		return false
 	}
@@ -36,6 +48,15 @@ func DIARows(out, slab []float64, base []int, x []float64, lo int, offs []int) b
 		_ = slab[base[d]+lo : base[d]+lo+rows]
 		_ = x[lo+k : lo+k+rows]
 	}
-	diaRowsAVX2(out, slab, base, x, lo, offs)
+	ahead, stop := 0, rows // no trip updates
+	if from, to := owed(lo, lo+rows, lead, len(x)); src != nil && from < to {
+		_ = src[from:to]
+		trips := min(rows, to-from) / sweepTrip
+		if at := from + sweepTrip*trips; at < to {
+			Xpay(src[at:to], beta, x[at:to])
+		}
+		ahead, stop = from-lo, rows-sweepTrip*trips
+	}
+	diaRowsAVX2(out, slab, base, x, lo, offs, scalar, src, beta, ahead, stop)
 	return true
 }

@@ -8,6 +8,12 @@
 // Every routine is a leaf: NOSPLIT, no frame, no calls, unaligned loads
 // and stores only, VZEROUPPER before RET. The Go callers prove every
 // operand in range before the call (see kernels_amd64.go).
+//
+// The DIA row kernel's wide trip does two things no Go body does, both
+// without moving a bit: it applies a direction sweep's pending update to
+// the x it will read, with xpayAVX2's operations in xpayAVX2's order,
+// and it multiplies a diagonal that holds one value by a broadcast of
+// that value in place of loading the stream.
 
 #include "textflag.h"
 
@@ -513,7 +519,7 @@ scaledone:
 	VZEROUPPER
 	RET
 
-// func diaRowsAVX2(out, slab []float64, base []int, x []float64, lo int, offs []int)
+// func diaRowsAVX2(out, slab []float64, base []int, x []float64, lo int, offs []int, scalar uint64, src []float64, beta float64, ahead, stop int)
 //
 // out[i] = +0 + Σ_d slab[base[d]+lo+i] * x[lo+offs[d]+i], one VADDPD per
 // diagonal in ascending d, for any len(offs): thirty-two rows per trip in
@@ -524,14 +530,30 @@ scaledone:
 // The wide trip is what pays for the two tables: one entry load per
 // eight vector loads; at sixteen rows a trip the cache-resident product
 // measured 6-13 % slower.
-TEXT ·diaRowsAVX2(SB), NOSPLIT, $0-128
+//
+// The wide trip does two things more. While CX > stop it first sets
+// x[j] = src[j] + beta*x[j] for the thirty-two j from lo+i+ahead on, in
+// xpayAVX2's operand order (BX = 8*ahead; R13 = &src[0] − &x[0] +
+// 8*ahead, so (DX)(R13*1) is &src[lo+i+ahead]): the update a sweep owes
+// the rows ahead of them rides on the product's trip instead of a pass
+// of its own.
+// And a diagonal whose bit in scalar is set (AX shifts the mask out one
+// diagonal at a time) holds one value in every cell its rows read, so it
+// is broadcast from the trip's first cell and the stream is not loaded:
+// the same product, the same first operand, the same bits.
+TEXT ·diaRowsAVX2(SB), NOSPLIT, $0-184
 	MOVQ out_base+0(FP), DI
 	MOVQ out_len+8(FP), CX
 	MOVQ lo+96(FP), AX
 	MOVQ slab_base+24(FP), SI
 	LEAQ (SI)(AX*8), SI        // &slab[lo]
 	MOVQ x_base+72(FP), DX
+	MOVQ src_base+136(FP), R13
+	SUBQ DX, R13               // &src[0] − &x[0]
 	LEAQ (DX)(AX*8), DX        // &x[lo]
+	MOVQ ahead+168(FP), BX
+	SHLQ $3, BX                // bytes from a row to the x it updates
+	ADDQ BX, R13
 	MOVQ offs_len+112(FP), R10
 	SHLQ $3, R10               // bytes in each table
 	MOVQ base_base+48(FP), R8
@@ -541,8 +563,39 @@ TEXT ·diaRowsAVX2(SB), NOSPLIT, $0-128
 	NEGQ R10
 
 dia32:
-	CMPQ   CX, $32
-	JL     dia16
+	CMPQ         CX, $32
+	JL           dia16
+	CMPQ         CX, stop+176(FP)
+	JLE          dia32rows
+	VBROADCASTSD beta+160(FP), Y15
+	LEAQ         (DX)(BX*1), R12 // &x[lo+i+ahead]
+	LEAQ         (DX)(R13*1), R14 // &src[lo+i+ahead]
+	VMULPD       (R12), Y15, Y8
+	VMULPD       32(R12), Y15, Y9
+	VMULPD       64(R12), Y15, Y10
+	VMULPD       96(R12), Y15, Y11
+	VADDPD       (R14), Y8, Y8
+	VADDPD       32(R14), Y9, Y9
+	VADDPD       64(R14), Y10, Y10
+	VADDPD       96(R14), Y11, Y11
+	VMOVUPD      Y8, (R12)
+	VMOVUPD      Y9, 32(R12)
+	VMOVUPD      Y10, 64(R12)
+	VMOVUPD      Y11, 96(R12)
+	VMULPD       128(R12), Y15, Y8
+	VMULPD       160(R12), Y15, Y9
+	VMULPD       192(R12), Y15, Y10
+	VMULPD       224(R12), Y15, Y11
+	VADDPD       128(R14), Y8, Y8
+	VADDPD       160(R14), Y9, Y9
+	VADDPD       192(R14), Y10, Y10
+	VADDPD       224(R14), Y11, Y11
+	VMOVUPD      Y8, 128(R12)
+	VMOVUPD      Y9, 160(R12)
+	VMOVUPD      Y10, 192(R12)
+	VMOVUPD      Y11, 224(R12)
+
+dia32rows:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -551,6 +604,7 @@ dia32:
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
+	MOVQ   scalar+128(FP), AX
 	MOVQ   R10, R11
 	TESTQ  R11, R11
 	JZ     dia32store
@@ -558,6 +612,8 @@ dia32:
 dia32diag:
 	MOVQ    (R8)(R11*1), R12
 	MOVQ    (R9)(R11*1), R14
+	SHRQ    $1, AX
+	JCS     dia32bcast
 	VMOVUPD (SI)(R12*8), Y8
 	VMOVUPD 32(SI)(R12*8), Y9
 	VMOVUPD 64(SI)(R12*8), Y10
@@ -574,16 +630,30 @@ dia32diag:
 	VMULPD  160(DX)(R14*8), Y13, Y13
 	VMULPD  192(DX)(R14*8), Y14, Y14
 	VMULPD  224(DX)(R14*8), Y15, Y15
-	VADDPD  Y8, Y0, Y0
-	VADDPD  Y9, Y1, Y1
-	VADDPD  Y10, Y2, Y2
-	VADDPD  Y11, Y3, Y3
-	VADDPD  Y12, Y4, Y4
-	VADDPD  Y13, Y5, Y5
-	VADDPD  Y14, Y6, Y6
-	VADDPD  Y15, Y7, Y7
-	ADDQ    $8, R11
-	JNZ     dia32diag
+	JMP     dia32add
+
+dia32bcast:
+	VBROADCASTSD (SI)(R12*8), Y15
+	VMULPD       (DX)(R14*8), Y15, Y8
+	VMULPD       32(DX)(R14*8), Y15, Y9
+	VMULPD       64(DX)(R14*8), Y15, Y10
+	VMULPD       96(DX)(R14*8), Y15, Y11
+	VMULPD       128(DX)(R14*8), Y15, Y12
+	VMULPD       160(DX)(R14*8), Y15, Y13
+	VMULPD       192(DX)(R14*8), Y15, Y14
+	VMULPD       224(DX)(R14*8), Y15, Y15
+
+dia32add:
+	VADDPD Y8, Y0, Y0
+	VADDPD Y9, Y1, Y1
+	VADDPD Y10, Y2, Y2
+	VADDPD Y11, Y3, Y3
+	VADDPD Y12, Y4, Y4
+	VADDPD Y13, Y5, Y5
+	VADDPD Y14, Y6, Y6
+	VADDPD Y15, Y7, Y7
+	ADDQ   $8, R11
+	JNZ    dia32diag
 
 dia32store:
 	VMOVUPD Y0, (DI)

@@ -21,9 +21,11 @@ func axpyAVX2(alpha float64, x, y []float64) { panic(noAssembly) }
 func combineAVX2(dst, init []float64, coef *float64, cstride int, xs [][]float64, lo int) {
 	panic(noAssembly)
 }
-func xpayAVX2(x []float64, alpha float64, y []float64)                             { panic(noAssembly) }
-func scaleAVX2(alpha float64, x []float64)                                         { panic(noAssembly) }
-func diaRowsAVX2(out, slab []float64, base []int, x []float64, lo int, offs []int) { panic(noAssembly) }
+func xpayAVX2(x []float64, alpha float64, y []float64) { panic(noAssembly) }
+func scaleAVX2(alpha float64, x []float64)             { panic(noAssembly) }
+func diaRowsAVX2(out, slab []float64, base []int, x []float64, lo int, offs []int, scalar uint64, src []float64, beta float64, ahead, stop int) {
+	panic(noAssembly)
+}
 func triRunAVX2(x []float64, lo int, d, vals []float64, pos []int32, width int, w float64) {
 	panic(noAssembly)
 }

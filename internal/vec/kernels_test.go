@@ -260,15 +260,21 @@ func TestDIARowsChecksBeforeTheCall(t *testing.T) {
 		f()
 	}
 	out, slab, x := make([]float64, 8), make([]float64, 16), make([]float64, 12)
-	if !DIARows(out, slab, []int{-2, 6}, x, 2, []int{-2, 2}) {
+	if !DIARows(out, slab, []int{-2, 6}, x, 2, []int{-2, 2}, 0, nil, 0, 0) {
 		t.Fatal("in-range call refused")
 	}
-	mustPanic("x before its start", func() { DIARows(out, slab, []int{0, 6}, x, 2, []int{-3, 2}) })
-	mustPanic("x past its end", func() { DIARows(out, slab, []int{0, 6}, x, 2, []int{-2, 3}) })
-	mustPanic("slab past its end", func() { DIARows(out, slab, []int{0, 7}, x, 2, []int{-2, 2}) })
-	mustPanic("negative base before slab", func() { DIARows(out, slab, []int{-3, 6}, x, 2, []int{-2, 2}) })
-	mustPanic("mirrored base one row past slab", func() { DIARows(out, slab, []int{9 - 2, 0}, x, 2, []int{-2, 0}) })
-	mustPanic("fewer bases than diagonals", func() { DIARows(out, slab, []int{0}, x, 2, []int{-2, 2}) })
+	mustPanic("x before its start", func() { DIARows(out, slab, []int{0, 6}, x, 2, []int{-3, 2}, 0, nil, 0, 0) })
+	mustPanic("x past its end", func() { DIARows(out, slab, []int{0, 6}, x, 2, []int{-2, 3}, 0, nil, 0, 0) })
+	mustPanic("slab past its end", func() { DIARows(out, slab, []int{0, 7}, x, 2, []int{-2, 2}, 0, nil, 0, 0) })
+	mustPanic("negative base before slab", func() { DIARows(out, slab, []int{-3, 6}, x, 2, []int{-2, 2}, 0, nil, 0, 0) })
+	mustPanic("mirrored base one row past slab", func() { DIARows(out, slab, []int{9 - 2, 0}, x, 2, []int{-2, 0}, 0, nil, 0, 0) })
+	mustPanic("fewer bases than diagonals", func() { DIARows(out, slab, []int{0}, x, 2, []int{-2, 2}, 0, nil, 0, 0) })
+	// Rows [30, 38) a lead of 2 ahead owe the update x[32:64] (Carry).
+	long := make([]float64, 72)
+	mustPanic("update source shorter than what the rows owe", func() { DIARows(out, slab, []int{-30, -30}, long, 30, []int{-2, 2}, 0, make([]float64, 63), 1, 2) })
+	if !DIARows(out, slab, []int{-30, -30}, long, 30, []int{-2, 2}, 0, make([]float64, 64), 1, 2) {
+		t.Fatal("in-range update refused")
+	}
 }
 
 // TestDIARowsAliasedBases runs diaRowsAVX2 against the sum it stands for
@@ -303,7 +309,7 @@ func TestDIARowsAliasedBases(t *testing.T) {
 			}
 			got := make([]float64, rows)
 			Fill(got, math.NaN())
-			if !DIARows(got, slab, base, x, lo, offs) {
+			if !DIARows(got, slab, base, x, lo, offs, 0, nil, 0, 0) {
 				t.Fatal("in-range call refused")
 			}
 			if !bitsEqual(got, want) {

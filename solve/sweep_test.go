@@ -9,6 +9,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"vrcg/precond"
 	"vrcg/solve"
@@ -133,6 +134,35 @@ func TestSweepSessionZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSweptPhasesSumToSteps: parcg-cg — cg's kernel with phase timing
+// on — over a swept operator charges each step to the three phases, one
+// observation of each per step, the leading update to update and the
+// rows with the update they carry to spmv, and all of it together inside
+// the solve's wall time.
+func TestSweptPhasesSumToSteps(t *testing.T) {
+	a := sparse.Poisson2D(80)
+	b := rhsSet(a.Dim(), 1)[0]
+	start := time.Now()
+	res, err := solve.MustNew("parcg-cg").Solve(a, b, solve.WithTol(1e-8))
+	wall := float64(time.Since(start).Nanoseconds()) / 1e3
+	if err != nil || res.Phases == nil {
+		t.Fatalf("solve: %v, phases %v", err, res.Phases != nil)
+	}
+	sum := 0.0
+	for p, h := range res.Phases {
+		if h.Count != uint64(res.Iterations) {
+			t.Errorf("phase %d: %d observations over %d steps", p, h.Count, res.Iterations)
+		}
+		if h.SumUS <= 0 {
+			t.Errorf("phase %d: nothing charged", p)
+		}
+		sum += h.SumUS
+	}
+	if sum > wall {
+		t.Errorf("phases sum to %.0f us, the solve took %.0f", sum, wall)
+	}
+}
+
 // turnsNaN is a row-sweepable operator whose products are NaN from the
 // after-th on, whichever way they are taken.
 type turnsNaN struct {
@@ -148,11 +178,11 @@ func (o *turnsNaN) MulVec(dst, x []float64) {
 	}
 }
 
-func (o *turnsNaN) MulRows(lo, hi int, dst, x []float64) {
+func (o *turnsNaN) MulRows(lo, hi int, dst, x, src []float64, beta float64, lead int) {
 	if lo == 0 {
 		o.products++
 	}
-	o.DIA.MulRows(lo, hi, dst, x)
+	o.DIA.MulRows(lo, hi, dst, x, src, beta, lead)
 	if o.products >= o.after {
 		dst[lo] = math.NaN()
 	}

@@ -170,6 +170,38 @@ func TestSolveReleasesBandedCSR(t *testing.T) {
 	runtime.KeepAlive(a)
 }
 
+// TestParcgKeepsBandReleased: parcg's Gershgorin bound scans the tuned
+// band, so a parcg solve on a Poisson2D(64) that a cg solve released
+// leaves its arrays — 12 bytes an entry and 8 a row offset, 269 KiB —
+// out of the live heap, where scanning the CSR on run.AT rebuilt and
+// pinned them.
+func TestParcgKeepsBandReleased(t *testing.T) {
+	a := sparse.Poisson2D(64)
+	n, nnz := a.Dim(), a.NNZ()
+	arrays := uint64(12*nnz + 8*(n+1))
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = 1 + float64(i%5)
+	}
+	var before, after runtime.MemStats
+	for _, method := range []string{"cg", "parcg"} {
+		res, err := solve.MustNew(method).Solve(a, b, solve.WithTol(1e-8))
+		if err != nil || !res.Converged {
+			t.Fatalf("%s: %v, converged %v", method, err, err == nil && res.Converged)
+		}
+		runtime.GC()
+		runtime.GC()
+		if method == "cg" {
+			runtime.ReadMemStats(&before)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if after.HeapAlloc > before.HeapAlloc+arrays/2 {
+		t.Errorf("live heap %d → %d bytes across the parcg solve; the arrays are %d bytes", before.HeapAlloc, after.HeapAlloc, arrays)
+	}
+	runtime.KeepAlive(a)
+}
+
 // TestReleaseConcurrent: eight goroutines take one CSR's first solve —
 // which tunes it and may release its arrays — its rows, pooled products
 // and Values at once, on fresh matrices round after round; each gets

@@ -36,9 +36,39 @@ func BenchmarkSpMV(b *testing.B) {
 				}
 				b.SetBytes(int64(8*len(d.slab) + 16*n))
 				for i := 0; i < b.N; i++ {
-					d.cutRows(0, n, y, x, k.rows)
+					d.cutRows(0, n, y, x, carry{}, k.rows)
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkDirectionSweep times what a cg iteration does between its two
+// inner products on the tuned band — p = r + βp, Ap, (p, Ap) — as
+// vec.DirectionSweep takes it, the update riding the row kernel's wide
+// trip; BenchmarkSpMV's rows are the product alone.
+func BenchmarkDirectionSweep(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		a    *CSR
+	}{
+		{"poisson2d-64", Poisson2D(64)},
+		{"poisson3d-32", Poisson3D(32)},
+		{"poisson3d-64", Poisson3D(64)},
+	} {
+		d, ok := TuneMulVec(c.a).(*DIA)
+		if !ok {
+			b.Fatalf("%s is not tuned to diagonal storage", c.name)
+		}
+		n := d.n
+		r, p, ap, part := vec.New(n), vec.New(n), vec.New(n), vec.New((n+vec.BlockLen-1)/vec.BlockLen)
+		vec.Random(r, 1)
+		vec.Random(p, 2)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				vec.DirectionSweep(d.MulRows, d.Reach(), r, 0.5, p, ap, part, nil)
+			}
+		})
 	}
 }

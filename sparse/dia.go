@@ -60,6 +60,12 @@ type DIA struct {
 	// when no diagonal reads a run.
 	runs []int
 
+	// scalar has bit d set when every cell diagonal d has inside the
+	// matrix holds the same bits: the assembly row kernel multiplies by
+	// that one value instead of loading the stream. The cells stay
+	// stored; only the kernel reads the mark.
+	scalar uint64
+
 	// nnz and maxRow are fixed at construction: the cells inside a
 	// NewDIA matrix whose bits are not +0, the stored-entry counts of the
 	// source CSR for a converted one.
@@ -148,6 +154,7 @@ func (m *DIA) put(d, i int, v float64) bool {
 // bases from a stack array of diaMaxDiags, so a wider band, which only
 // NewDIA builds, keeps every diagonal whole.
 func (m *DIA) finish() {
+	defer m.markScalars()
 	n, offs, up := m.n, m.offsets, m.mirrored
 	if len(offs) > diaMaxDiags {
 		return
@@ -190,6 +197,37 @@ func (m *DIA) finish() {
 		}
 	}
 	m.slab, m.runs = slab, runs
+}
+
+// markScalars sets the scalar bit of every diagonal, among the first 64,
+// whose cells inside the matrix all hold one value, bit for bit: a run of
+// period 1, or a whole stream found so by one scan that stops at the
+// first cell that differs. A mirrored subdiagonal reads its mirror's
+// cells, so it gets the mirror's mark. Poisson's main diagonal and its
+// ±n^(d−1) ones are marked at any size.
+func (m *DIA) markScalars() {
+	n, offs := m.n, m.offsets
+	for d := range min(len(offs), 64) {
+		lo, hi := max(0, -offs[d]), min(n, n-offs[d])
+		if lo >= hi {
+			continue
+		}
+		one := true
+		if m.runs != nil && m.runs[d] > 0 {
+			one = m.runs[d] == 1
+		} else {
+			first := math.Float64bits(m.slab[m.base[d]+lo])
+			for _, v := range m.slab[m.base[d]+lo+1 : m.base[d]+hi] {
+				if math.Float64bits(v) != first {
+					one = false
+					break
+				}
+			}
+		}
+		if one {
+			m.scalar |= 1 << d
+		}
+	}
 }
 
 // period returns the smallest P >= 1 with v[t+P] and v[t] the same bits
@@ -382,6 +420,25 @@ func (m *DIA) At(i, j int) float64 {
 	return 0
 }
 
+// ScanRow calls emit for every cell of row i inside the matrix whose
+// bits are not +0 — a stored −0 included — in ascending column order:
+// row i's entries in ToCSR. It panics when row i is not in the matrix.
+// For a band converted from a CSR it skips only that CSR's explicit +0
+// entries, which add nothing to a sum of |v|, so a Gershgorin bound or a
+// sparsity pattern taken through it is the CSR's.
+func (m *DIA) ScanRow(i int, emit func(j int, v float64)) {
+	if i < 0 || i >= m.n {
+		panic(fmt.Sprintf("sparse: DIA.ScanRow row %d of %d rows", i, m.n))
+	}
+	for d, k := range m.offsets {
+		if j := i + k; j >= 0 && j < m.n {
+			if v := m.slab[m.cell(d, i)]; math.Float64bits(v) != 0 {
+				emit(j, v)
+			}
+		}
+	}
+}
+
 // MulVec computes dst = A*x.
 func (m *DIA) MulVec(dst, x []float64) {
 	checkMul(m, dst, x)
@@ -390,12 +447,30 @@ func (m *DIA) MulVec(dst, x []float64) {
 
 // MulRows computes rows [lo, hi) of dst = A*x and writes nothing else of
 // dst: any cut of the rows into ranges gives MulVec's product bit for
-// bit. With Reach it is what lets a solver run the product a few rows
-// behind whatever is still writing x.
-func (m *DIA) MulRows(lo, hi int, dst, x []float64) {
+// bit. When src is not nil, x carries a pending update x ← src + beta·x,
+// and the call first applies what these rows owe of it (vec.Carry: x
+// from lo+lead to hi+lead, on whole trips) — the row kernel's wide trip
+// a lead ahead of the rows it multiplies — so every x a row reads is
+// final; lead must be at least Reach. It is a vec.SweepKernel, the one
+// vec.DirectionSweep runs: the update, the product and the inner product
+// of a CG iteration in one pass over memory.
+func (m *DIA) MulRows(lo, hi int, dst, x, src []float64, beta float64, lead int) {
 	checkMul(m, dst, x)
 	checkRows(m, lo, hi)
-	m.mulRange(lo, hi, dst, x)
+	if src != nil && (len(src) != m.n || lead < m.Reach()) {
+		panic(fmt.Sprintf("sparse: MulRows update of %d elements a lead of %d ahead, on %d rows of reach %d",
+			len(src), lead, m.n, m.Reach()))
+	}
+	m.cutRows(lo, hi, dst, x, carry{src, beta, lead}, (*DIA).mulRows)
+}
+
+// carry is an update x ← src + beta·x pending on x past some row, which
+// a row kernel completes a lead ahead of the rows it computes (MulRows);
+// the zero carry has none.
+type carry struct {
+	src  []float64
+	beta float64
+	lead int
 }
 
 // Reach returns the largest col − row of any stored entry, 0 when none
@@ -419,13 +494,14 @@ const diaBlock = 2048
 // mulRange computes rows [rlo, rhi) of dst = A*x: the one kernel behind
 // MulVec, MulVecPool and the tuned path.
 func (m *DIA) mulRange(rlo, rhi int, dst, x []float64) {
-	m.cutRows(rlo, rhi, dst, x, (*DIA).mulRows)
+	m.cutRows(rlo, rhi, dst, x, carry{}, (*DIA).mulRows)
 }
 
 // diaRowKernel computes out = rows [lo, hi) of A*x over diagonals
-// [dlo, dhi), all inside the matrix on every one of those rows: mulRows,
-// or mulRowsGo for the tests and benchmarks that compare the two.
-type diaRowKernel func(m *DIA, lo, hi, dlo, dhi int, out, x []float64)
+// [dlo, dhi), all inside the matrix on every one of those rows, after
+// completing c's update for those rows: mulRows, or mulRowsGo for the
+// tests and benchmarks that compare the two.
+type diaRowKernel func(m *DIA, lo, hi, dlo, dhi int, out, x []float64, c carry)
 
 // cutRows is mulRange over a given row kernel. Row i holds diagonal k when
 // 0 <= i+k < n — a contiguous run [dlo, dhi) of the ascending offsets
@@ -433,8 +509,9 @@ type diaRowKernel func(m *DIA, lo, hi, dlo, dhi int, out, x []float64)
 // so the range is cut where that run changes and each piece goes to the
 // kernel with exactly its diagonals, no per-entry guard. A row's sum
 // never depends on where the cuts fall, so any split of the rows gives
-// the serial product bit for bit.
-func (m *DIA) cutRows(rlo, rhi int, dst, x []float64, rows diaRowKernel) {
+// the serial product bit for bit. The pieces run in ascending order, so
+// c's update reaches each piece's rows a lead ahead.
+func (m *DIA) cutRows(rlo, rhi int, dst, x []float64, c carry, rows diaRowKernel) {
 	n, offs := m.n, m.offsets
 	dlo, dhi := len(offs), len(offs)
 	for lo := rlo; lo < rhi; {
@@ -451,7 +528,7 @@ func (m *DIA) cutRows(rlo, rhi int, dst, x []float64, rows diaRowKernel) {
 		if dhi > 0 { // the last diagonal leaves at row n-k (past rhi unless k > 0)
 			hi = min(hi, n-offs[dhi-1])
 		}
-		rows(m, lo, hi, dlo, dhi, dst[lo:hi], x)
+		rows(m, lo, hi, dlo, dhi, dst[lo:hi], x, c)
 		lo = hi
 	}
 }
@@ -468,19 +545,19 @@ const diaPass = 4
 
 // mulRows computes out = rows [lo, hi) of A*x — at most diaBlock rows —
 // over diagonals [dlo, dhi), all of which lie inside the matrix on every
-// one of those rows: in one pass of vec.DIARows where the assembly
-// bodies run, by mulRowsGo — the definition of the sum — everywhere
-// else, bit for bit the same.
-func (m *DIA) mulRows(lo, hi, dlo, dhi int, out, x []float64) {
+// one of those rows, after completing c's update for them: in one pass
+// of vec.DIARows where the assembly bodies run, by mulRowsGo — the
+// definition of the sum — everywhere else, bit for bit the same.
+func (m *DIA) mulRows(lo, hi, dlo, dhi int, out, x []float64, c carry) {
 	base := m.base[dlo:dhi]
 	if m.runs != nil {
 		var buf [diaMaxDiags]int
 		base = m.runBases(buf[:dhi-dlo], lo, dlo)
 	}
-	if dhi > dlo && vec.DIARows(out, m.slab, base, x, lo, m.offsets[dlo:dhi]) {
+	if dhi > dlo && vec.DIARows(out, m.slab, base, x, lo, m.offsets[dlo:dhi], m.scalar>>dlo, c.src, c.beta, c.lead) {
 		return
 	}
-	m.mulRowsGo(lo, hi, dlo, dhi, out, x)
+	m.mulRowsGo(lo, hi, dlo, dhi, out, x, c)
 }
 
 // runBases fills buf with the bases one kernel call over rows from lo
@@ -494,11 +571,12 @@ func (m *DIA) runBases(buf []int, lo, dlo int) []int {
 	return buf
 }
 
-// mulRowsGo is mulRows on the Go kernels. Up to five diagonals take one
-// pass; more are split into near-equal passes of at most diaPass, the
-// first storing and the rest picking the partial sum back up from out —
-// the same left-to-right sum.
-func (m *DIA) mulRowsGo(lo, hi, dlo, dhi int, out, x []float64) {
+// mulRowsGo is mulRows on the Go kernels: c's update through vec.Carry,
+// then the rows. Up to five diagonals take one pass; more are split into
+// near-equal passes of at most diaPass, the first storing and the rest
+// picking the partial sum back up from out — the same left-to-right sum.
+func (m *DIA) mulRowsGo(lo, hi, dlo, dhi int, out, x []float64, c carry) {
+	vec.Carry(lo, hi, c.lead, c.src, c.beta, x)
 	offs, base := m.offsets, m.base[dlo:dhi]
 	if m.runs != nil {
 		var buf [diaMaxDiags]int
@@ -649,21 +727,15 @@ func (m *DIA) ToCSR() *CSR {
 	return newCSR(m.n, rowPtr, colIdx, vals)
 }
 
-// arrays returns the band's CSR arrays: every cell inside the matrix
-// whose bits are not +0, row by row, offsets ascending. For a band built
-// from a CSR that stores no value comparing equal to zero these are that
-// CSR's arrays, bit for bit: a +0 cell is a hole.
+// arrays returns the band's CSR arrays: ScanRow's cells, row by row.
+// For a band built from a CSR that stores no value comparing equal to
+// zero these are that CSR's arrays, bit for bit: a +0 cell is a hole.
 func (m *DIA) arrays() (rowPtr []int, colIdx []int32, vals []float64) {
 	rowPtr = make([]int, m.n+1)
 	colIdx, vals = make([]int32, 0, m.nnz), make([]float64, 0, m.nnz)
+	emit := func(j int, v float64) { colIdx, vals = append(colIdx, int32(j)), append(vals, v) }
 	for i := 0; i < m.n; i++ {
-		for d, k := range m.offsets {
-			if j := i + k; j >= 0 && j < m.n {
-				if v := m.slab[m.cell(d, i)]; math.Float64bits(v) != 0 {
-					colIdx, vals = append(colIdx, int32(j)), append(vals, v)
-				}
-			}
-		}
+		m.ScanRow(i, emit)
 		rowPtr[i+1] = len(vals)
 	}
 	return rowPtr, colIdx, vals

@@ -160,7 +160,7 @@ func TestDIAFoldBitwise(t *testing.T) {
 			for _, step := range []int{1, 7, 1024, 2049, n} {
 				vec.Fill(got, 1)
 				for lo := 0; lo < n; lo += step {
-					folded.MulRows(lo, min(n, lo+step), got, x)
+					folded.MulRows(lo, min(n, lo+step), got, x, nil, 0, 0)
 				}
 				if !bitsEqual(got, want) {
 					t.Fatalf("%s mix %d: folded MulRows %d rows at a time differs from the unfolded band's", c.name, mix, step)
@@ -178,9 +178,9 @@ func TestDIAFoldBitwise(t *testing.T) {
 			// The Go row kernels, whichever ones MulVec ran: folded
 			// against unfolded to the bit.
 			goWant := vec.New(n)
-			full.cutRows(0, n, goWant, x, (*DIA).mulRowsGo)
+			full.cutRows(0, n, goWant, x, carry{}, (*DIA).mulRowsGo)
 			vec.Fill(got, 1)
-			folded.cutRows(0, n, got, x, (*DIA).mulRowsGo)
+			folded.cutRows(0, n, got, x, carry{}, (*DIA).mulRowsGo)
 			if !bitsEqual(got, goWant) {
 				t.Fatalf("%s mix %d: folded Go kernels differ from the unfolded band's", c.name, mix)
 			}

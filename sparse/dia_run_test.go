@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"vrcg/internal/vec"
@@ -52,6 +53,48 @@ func periodicCSR(seed uint64, n, ndiag, holes int) *CSR {
 	return cellsCSR(n, cells)
 }
 
+// constantCSR is a band of up to ndiag diagonals within a width w
+// drawn like periodicCSR's, each holding one value at every cell inside
+// the matrix — ±0, a NaN payload and ±Inf among the values — but for
+// the first odd of them, which hold one other value in one cell: the
+// diagonals the scalar mark is for, and the near misses it must refuse.
+func constantCSR(seed uint64, n, ndiag, odd int) *CSR {
+	rng := seed | 1
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	values := []float64{4, -1, 0, math.Copysign(0, -1), math.Float64frombits(0x7ff8_0000_0000_0bad), math.Inf(-1), 0.1}
+	w := min(n-1, 1<<(next()%16))
+	var cells []cell
+	picked := map[int]bool{}
+	for tries := 0; len(picked) < min(ndiag, 2*w+1) && tries < 64*ndiag; tries++ {
+		k := int(next()%uint64(2*w+1)) - w
+		if picked[k] {
+			continue
+		}
+		picked[k] = true
+		lo, hi := max(0, -k), min(n, n-k)
+		v, at := values[next()%uint64(len(values))], -1
+		if len(picked) <= odd {
+			at = lo + int(next()%uint64(hi-lo))
+		}
+		for i := lo; i < hi; i++ {
+			c := cell{i, i + k, v}
+			if i == at {
+				c.v = math.Nextafter(v, 2)
+				if math.IsNaN(v) || v == 0 {
+					c.v = 2.5
+				}
+			}
+			cells = append(cells, c)
+		}
+	}
+	return cellsCSR(n, cells)
+}
+
 // shortPeriod is the run rule read off the matrix itself, by brute
 // force: the smallest P that diagonal k's cells (holes as +0) repeat
 // with bit for bit, when its diaBlock + P cells are at most half of
@@ -73,6 +116,30 @@ candidates:
 		return p
 	}
 	return 0
+}
+
+// oneValue is the scalar rule read off the matrix itself: whether every
+// cell of diagonal k inside the matrix (holes as +0) has the same bits.
+func oneValue(a *CSR, k int) bool {
+	n := a.Dim()
+	lo, hi := max(0, -k), min(n, n-k)
+	for i := lo + 1; i < hi; i++ {
+		if math.Float64bits(a.At(i, i+k)) != math.Float64bits(a.At(lo, lo+k)) {
+			return false
+		}
+	}
+	return lo < hi
+}
+
+// checkScalarMarks: d marks a diagonal scalar exactly when the scalar
+// rule says so.
+func checkScalarMarks(t *testing.T, name string, a *CSR, d *DIA) {
+	t.Helper()
+	for s, k := range d.Offsets() {
+		if got, want := d.scalar>>s&1 == 1, oneValue(a, k); got != want {
+			t.Fatalf("%s: diagonal %d marked one value %v, its cells say %v", name, k, got, want)
+		}
+	}
 }
 
 // checkBandAgainstCSR is checkDIAAgainstCSR in O(n·d), for orders whose
@@ -106,13 +173,27 @@ func checkBandAgainstCSR(t *testing.T, name string, a *CSR, d *DIA, seed uint64)
 	if d.StoredValues() != values {
 		t.Fatalf("%s: %d values stored, the run rule says %d", name, d.StoredValues(), values)
 	}
+	checkScalarMarks(t, name, a, d)
 	back := d.ToCSR()
 	for _, k := range offs {
 		for i := max(0, -k); i < min(n, n-k); i++ {
 			want := a.At(i, i+k)
-			if got := d.At(i, i+k); math.Float64bits(got) != math.Float64bits(want) || back.At(i, i+k) != want {
+			if got := d.At(i, i+k); math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(back.At(i, i+k)) != math.Float64bits(want) {
 				t.Fatalf("%s: At(%d,%d): DIA %v, round trip %v, CSR %v", name, i, i+k, got, back.At(i, i+k), want)
 			}
+		}
+	}
+	type entry struct {
+		j int
+		v uint64
+	}
+	var rowDIA, rowBack []entry
+	for i := 0; i < n; i++ {
+		rowDIA, rowBack = rowDIA[:0], rowBack[:0]
+		d.ScanRow(i, func(j int, v float64) { rowDIA = append(rowDIA, entry{j, math.Float64bits(v)}) })
+		back.ScanRow(i, func(j int, v float64) { rowBack = append(rowBack, entry{j, math.Float64bits(v)}) })
+		if !slices.Equal(rowDIA, rowBack) {
+			t.Fatalf("%s: ScanRow(%d) = %v, ToCSR's row %v", name, i, rowDIA, rowBack)
 		}
 	}
 
@@ -127,7 +208,7 @@ func checkBandAgainstCSR(t *testing.T, name string, a *CSR, d *DIA, seed uint64)
 	for _, step := range []int{1, 7, 63, 64, 65, 4095, diaBlock - 1, diaBlock + 1, 3*diaBlock + 5} {
 		vec.Fill(got, math.NaN())
 		for lo := 0; lo < n; lo += step {
-			d.MulRows(lo, min(n, lo+step), got, x)
+			d.MulRows(lo, min(n, lo+step), got, x, nil, 0, 0)
 		}
 		if !bitsEqual(got, want) {
 			t.Fatalf("%s: MulRows %d rows at a time differs from CSR.MulVec bitwise", name, step)
@@ -138,7 +219,7 @@ func checkBandAgainstCSR(t *testing.T, name string, a *CSR, d *DIA, seed uint64)
 	for lo := 0; lo < n; {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		hi := min(n, lo+int(rng>>33)%(n/5+2))
-		d.cutRows(lo, hi, got, x, (*DIA).mulRowsGo)
+		d.cutRows(lo, hi, got, x, carry{}, (*DIA).mulRowsGo)
 		lo = hi
 	}
 	if !bitsEqual(got, want) {

@@ -3,6 +3,7 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -115,6 +116,7 @@ func checkDIAAgainstCSR(t *testing.T, a *CSR, d *DIA, seed uint64) {
 	if offs := d.Offsets(); !sort.IntsAreSorted(offs) || len(offs) > diaMaxDiags {
 		t.Fatalf("offsets %v not ascending or past the cap", offs)
 	}
+	checkScalarMarks(t, "band", a, d)
 	back := d.ToCSR()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -154,7 +156,7 @@ func checkDIAAgainstCSR(t *testing.T, a *CSR, d *DIA, seed uint64) {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		hi := min(n, lo+int(rng>>33)%(n/3+2))
 		d.mulRange(lo, hi, got, x)
-		d.cutRows(lo, hi, viaGo, x, (*DIA).mulRowsGo)
+		d.cutRows(lo, hi, viaGo, x, carry{}, (*DIA).mulRowsGo)
 		lo = hi
 	}
 	if !bitsEqual(want, got) {
@@ -214,7 +216,7 @@ func TestDIARowKernelsBitwise(t *testing.T) {
 				for side, kernel := range []diaRowKernel{(*DIA).mulRowsGo, (*DIA).mulRows} {
 					bufs[side] = make([]float64, guard+align+rows+guard)
 					vec.Fill(bufs[side], sentinel)
-					kernel(d, lo, hi, 0, ndiag, bufs[side][guard+align:guard+align+rows], x)
+					kernel(d, lo, hi, 0, ndiag, bufs[side][guard+align:guard+align+rows], x, carry{})
 				}
 				for i := range bufs[0] {
 					w, g := bufs[0][i], bufs[1][i]
@@ -222,6 +224,100 @@ func TestDIARowKernelsBitwise(t *testing.T) {
 					if math.Float64bits(w) != math.Float64bits(g) && !(inside && math.IsNaN(w) && math.IsNaN(g)) {
 						t.Fatalf("ndiag=%d rows=%d align=%d: out[%d] = %x (%g) on the %s kernel, %x (%g) on the Go kernels",
 							ndiag, rows, align, i-guard-align, math.Float64bits(g), g, vec.Kernels(), math.Float64bits(w), w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDIARowsScalarBitwise: the row kernel on every trip path — thirty-
+// two rows with the update a lead ahead and without, sixteen, four, one
+// — against itself with no diagonal marked, bit for bit, and against the
+// Go bodies, bit for bit but for which NaN a sum of NaNs keeps. The band
+// holds diagonals of one value (2.5, ±0, a NaN payload) beside one of
+// random values, a periodic one and one a single cell short of one
+// value, as whole streams and as runs; x holds ±Inf; the update is
+// pending at a lead inside x, at one that crosses its end, or not at all.
+func TestDIARowsScalarBitwise(t *testing.T) {
+	// Poisson's main diagonal and ±m^(d−1) are one value, at any size.
+	for _, c := range []struct {
+		a    *CSR
+		want []int
+	}{{Poisson2D(5), []int{-5, 0, 5}}, {Poisson2D(64), []int{-64, 0, 64}}, {Poisson3D(12), []int{-144, 0, 144}}, {Poisson3D(64), []int{-4096, 0, 4096}}} {
+		d := c.a.toDIA(1)
+		var marked []int
+		for s, k := range d.offsets {
+			if d.scalar>>s&1 == 1 {
+				marked = append(marked, k)
+			}
+		}
+		if !slices.Equal(marked, c.want) {
+			t.Fatalf("order %d: offsets %v marked one value, want %v", d.n, marked, c.want)
+		}
+	}
+	const guard = 8
+	sentinel := math.Float64frombits(0x7ff8_dead_beef_0001)
+	nan := math.Float64frombits(0x7ff8_0000_0000_0bad)
+	for _, n := range []int{400, 3*diaBlock + 400} {
+		for _, v := range []float64{2.5, 0, math.Copysign(0, -1), nan} {
+			diag := func(f func(i int) float64) []float64 {
+				out := make([]float64, n)
+				for i := range out {
+					out[i] = f(i)
+				}
+				return out
+			}
+			random := vec.New(n)
+			vec.Random(random, uint64(n))
+			odd := diag(func(int) float64 { return -1 })
+			odd[n/4+40] = -1.5
+			d := NewDIA(n, map[int][]float64{
+				-n / 4: odd,
+				-3:     diag(func(i int) float64 { return []float64{1, v, 3}[i%3] }),
+				-1:     diag(func(int) float64 { return v }),
+				0:      diag(func(int) float64 { return 6 }),
+				1:      random,
+				7:      diag(func(int) float64 { return v }),
+			})
+			if d.scalar != 0b101100 {
+				t.Fatalf("n=%d v=%v: scalar marks %b over %v, want 101100", n, v, d.scalar, d.offsets)
+			}
+			plain := *d
+			plain.scalar = 0
+			x, src := vec.New(n), vec.New(n)
+			vec.Random(x, 5)
+			vec.Random(src, 6)
+			x[n/4+1], x[n/4+70], x[n-3] = math.Inf(1), math.Inf(-1), math.Inf(1)
+			for rows := 0; rows <= 4*32+15; rows++ {
+				for align := 0; align < 4; align++ {
+					lo := n/4 + align
+					hi := lo + rows
+					for _, c := range []carry{{}, {src, -0.5, 32}, {src, 0.75, n - lo - rows/2}} {
+						var outs, xs [3][]float64
+						for side, run := range []func(out, x []float64){
+							func(out, x []float64) { d.mulRows(lo, hi, 0, len(d.offsets), out, x, c) },
+							func(out, x []float64) { plain.mulRows(lo, hi, 0, len(d.offsets), out, x, c) },
+							func(out, x []float64) { d.mulRowsGo(lo, hi, 0, len(d.offsets), out, x, c) },
+						} {
+							outs[side] = make([]float64, guard+rows+guard)
+							vec.Fill(outs[side], sentinel)
+							xs[side] = slices.Clone(x)
+							run(outs[side][guard:guard+rows], xs[side])
+						}
+						what := fmt.Sprintf("n=%d v=%v rows=%d lo=%d lead=%d pending=%v", n, v, rows, lo, c.lead, c.src != nil)
+						if !bitsEqual(outs[0], outs[1]) || !bitsEqual(xs[0], xs[1]) {
+							t.Fatalf("%s: the marked band differs from the unmarked one", what)
+						}
+						if !bitsEqual(xs[0], xs[2]) {
+							t.Fatalf("%s: the update differs from the Go bodies'", what)
+						}
+						for i, w := range outs[2] {
+							g := outs[0][i]
+							if math.Float64bits(w) != math.Float64bits(g) && !(math.IsNaN(w) && math.IsNaN(g) && i >= guard && i < guard+rows) {
+								t.Fatalf("%s: out[%d] = %x on the %s kernel, %x on the Go bodies", what, i-guard, math.Float64bits(g), vec.Kernels(), math.Float64bits(w))
+							}
+						}
 					}
 				}
 			}
@@ -405,7 +501,9 @@ func nudgeOneSuperdiagonalCell(m *CSR) bool {
 // then moves one superdiagonal cell by an ulp, so it must not. Bit 2
 // draws the band from the periodic family instead (see periodicCSR),
 // of order up to 20000, so its diagonals become runs, and holds it to
-// checkBandAgainstCSR. Every band then goes through the release round
+// checkBandAgainstCSR; bit 3 draws it from the constant-diagonal family
+// (constantCSR: one value a diagonal, uholes of them with one odd cell),
+// which the scalar marks are for, and holds it to the same. Every band then goes through the release round
 // trip (checkReleaseRoundTrip), as drawn — released only when it stores
 // no zero — and with its zeros replaced, so that it is.
 func FuzzCSRToDIA(f *testing.F) {
@@ -422,8 +520,13 @@ func FuzzCSRToDIA(f *testing.F) {
 	f.Add(uint64(8), uint(19999), uint(15), uint(2), uint(4))
 	f.Add(uint64(11), uint(12000), uint(8), uint(3), uint(5))
 	f.Add(uint64(12), uint(16000), uint(9), uint(0), uint(7))
+	f.Add(uint64(13), uint(300), uint(5), uint(0), uint(8))
+	f.Add(uint64(14), uint(9000), uint(7), uint(2), uint(8))
+	f.Add(uint64(15), uint(20000), uint(9), uint(1), uint(9))
+	f.Add(uint64(16), uint(40), uint(4), uint(3), uint(11))
 	f.Fuzz(func(t *testing.T, seed uint64, un, udiag, uholes, sym uint) {
-		periodic := sym&4 != 0
+		constant := sym&8 != 0
+		periodic := sym&4 != 0 || constant
 		n := int(un%300) + 1
 		if periodic {
 			n = int(un%20000) + 1
@@ -433,7 +536,9 @@ func FuzzCSRToDIA(f *testing.F) {
 			ndiag = (ndiag + 1) / 2 // mirrored, at most 2·ndiag − 1 ≤ diaMaxDiags
 		}
 		a := bandedCSR(seed, n, ndiag, int(uholes%4))
-		if periodic {
+		if constant {
+			a = constantCSR(seed, n, ndiag, int(uholes%4))
+		} else if periodic {
 			a = periodicCSR(seed, n, ndiag, int(uholes%4))
 		}
 		folds, broken := sym&1 != 0, false
@@ -474,13 +579,16 @@ func FuzzCSRToDIA(f *testing.F) {
 // restated here so the test does not import the engine.
 type rowSweeper interface {
 	Matrix
-	MulRows(lo, hi int, dst, x []float64)
+	MulRows(lo, hi int, dst, x, src []float64, beta float64, lead int)
 	Reach() int
 }
 
 // checkRowSweeper: the product taken in ranges of every awkward width is
-// MulVec's bit for bit and writes only its own rows, and Reach is true —
-// a range's rows do not change when everything at or past hi+Reach is
+// MulVec's bit for bit and writes only its own rows — with an update
+// pending, at leads of Reach, Reach rounded up to a wide trip and past
+// it, p and the product are Xpay's then MulVec's, the first trips of p
+// updated before the first call — and Reach is true — a
+// range's rows do not change when everything at or past hi+Reach is
 // replaced by NaN — and tight: some row reads the element just before it.
 func checkRowSweeper(t *testing.T, name string, a rowSweeper, seed uint64) {
 	t.Helper()
@@ -495,13 +603,32 @@ func checkRowSweeper(t *testing.T, name string, a rowSweeper, seed uint64) {
 			for i := range got[hi:] {
 				got[hi+i] = math.Inf(1) // not this call's to write
 			}
-			a.MulRows(lo, hi, got, x)
+			a.MulRows(lo, hi, got, x, nil, 0, 0)
 			if hi < n && !math.IsInf(got[hi], 1) {
 				t.Fatalf("%s: MulRows(%d, %d) wrote row %d", name, lo, hi, hi)
 			}
 		}
 		if !bitsEqual(got, want) {
 			t.Fatalf("%s: rows taken %d at a time differ from MulVec", name, step)
+		}
+	}
+	src, wantP, wantAP := make([]float64, n), append([]float64(nil), x...), make([]float64, n)
+	vec.Random(src, seed+1)
+	const beta = -0.75
+	vec.Xpay(src, beta, wantP)
+	a.MulVec(wantAP, wantP)
+	for _, lead := range []int{reach, (reach + 31) / 32 * 32, reach + 37} {
+		for _, step := range []int{1, 7, 33, 1024, 2049, n} {
+			p, got := append([]float64(nil), x...), make([]float64, n)
+			head := min(n, (lead+31)/32*32) // what Carry owes no row
+			vec.Xpay(src[:head], beta, p[:head])
+			for lo := 0; lo < n; lo += step {
+				a.MulRows(lo, min(n, lo+step), got, p, src, beta, lead)
+			}
+			if !bitsEqual(p, wantP) || !bitsEqual(got, wantAP) {
+				t.Fatalf("%s: rows taken %d at a time a lead of %d ahead of the update differ from Xpay then MulVec (p equal: %v)",
+					name, step, lead, bitsEqual(p, wantP))
+			}
 		}
 	}
 	if reach < 0 || reach >= max(n, 2) {
@@ -518,13 +645,13 @@ func checkRowSweeper(t *testing.T, name string, a rowSweeper, seed uint64) {
 			blind[i] = math.NaN()
 		}
 		got := make([]float64, n)
-		a.MulRows(lo, hi, got, blind)
+		a.MulRows(lo, hi, got, blind, nil, 0, 0)
 		if !bitsEqual(got[lo:hi], want[lo:hi]) {
 			t.Fatalf("%s: rows [%d, %d) read x at or past %d; Reach says %d", name, lo, hi, hi+reach, reach)
 		}
 		if reach > 0 && hi+reach-1 < n {
 			blind[hi+reach-1] = math.NaN()
-			a.MulRows(lo, hi, got, blind)
+			a.MulRows(lo, hi, got, blind, nil, 0, 0)
 			tight = tight || !bitsEqual(got[lo:hi], want[lo:hi])
 		}
 	}
