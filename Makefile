@@ -54,10 +54,10 @@ vet:
 # arm64 cross-build so the portable-only file set cannot rot, a
 # one-iteration benchmark smoke run so bench code cannot rot, a cgsolve
 # smoke (parcg converges in cg's iteration count, ±1), every example,
-# cmd/figure1 and `cgbench -exp all` run to a zero exit, the serving
-# path's allocation budgets, and the judged benchmark's own module
-# (benchmark/, which ./... does not reach) vetted and short-tested
-# against this tree.
+# `cgbench -exp all` and `-exp ablations` run to a zero exit, the
+# serving path's allocation budgets, and the judged benchmark's own
+# module (benchmark/, which ./... does not reach) vetted and
+# short-tested against this tree.
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
@@ -70,8 +70,8 @@ check:
 	@iters() { $(GO) run ./cmd/cgsolve -problem poisson2d -m 64 -method "$$1" | sed -n 's/^converged=true iterations=\([0-9]*\).*/\1/p'; }; \
 	p=$$(iters parcg); c=$$(iters cg); echo "cgsolve smoke: parcg=$$p cg=$$c"; [ -n "$$p" ] && [ -n "$$c" ] && [ $$((p - c)) -ge -1 ] && [ $$((p - c)) -le 1 ]
 	@for ex in ./examples/*/; do $(GO) run "$$ex" >/dev/null || exit 1; done
-	$(GO) run ./cmd/figure1 >/dev/null
 	$(GO) run ./cmd/cgbench -exp all >/dev/null
+	$(GO) run ./cmd/cgbench -exp ablations >/dev/null
 	$(MAKE) kernel-allocs
 	$(MAKE) server-allocs
 	cd benchmark && $(GO) vet ./... && $(GO) test -short ./...

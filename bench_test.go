@@ -1,7 +1,8 @@
-// Benchmarks regenerating every experiment in EXPERIMENTS.md (the
-// paper's claims C1..C7 and Figure 1, experiments E1..E10), plus kernel
-// microbenchmarks. Custom metrics carry the quantities of interest:
-// depth/iter (parallel-time units), simtime/iter (machine units).
+// Kernel, operator and solve microbenchmarks; BENCH_engine.json's rows
+// (`make bench`, BENCHPAT) come from here. The paper's experiment tables are not timed
+// here: cmd/cgbench prints them, claims_test.go asserts the claims they
+// show, and ARCHITECTURE.md "What the paper's schedules cost" describes
+// the models behind them.
 //
 // Run:  go test -bench=. -benchmem
 package vrcg_test
@@ -12,230 +13,14 @@ import (
 	"strings"
 	"testing"
 
-	"vrcg/internal/bench"
 	"vrcg/internal/core"
-	"vrcg/internal/depth"
 	"vrcg/internal/engine"
 	"vrcg/internal/krylov"
 	"vrcg/internal/machine"
-	"vrcg/internal/pipecg"
-	"vrcg/internal/sstep"
-	"vrcg/internal/trace"
 	"vrcg/internal/vec"
 	"vrcg/precond"
-	"vrcg/solve"
 	"vrcg/sparse"
 )
-
-// --- E1: per-iteration depth, CG (c log N) vs VRCG (c log log N) ---
-
-func BenchmarkE1DepthScaling(b *testing.B) {
-	for _, lg := range []int{10, 14, 18, 22} {
-		n := 1 << lg
-		b.Run(fmt.Sprintf("CG/logN=%d", lg), func(b *testing.B) {
-			var r float64
-			for i := 0; i < b.N; i++ {
-				r = depth.CGRate(n, 5)
-			}
-			b.ReportMetric(r, "depth/iter")
-		})
-		b.Run(fmt.Sprintf("VRCG/logN=%d", lg), func(b *testing.B) {
-			var r float64
-			for i := 0; i < b.N; i++ {
-				r = depth.VRCGRate(n, 5, lg)
-			}
-			b.ReportMetric(r, "depth/iter")
-		})
-	}
-}
-
-// --- E2: the §3 k=1 doubling ---
-
-func BenchmarkE2DoubleSpeed(b *testing.B) {
-	for _, lg := range []int{12, 20, 28} {
-		n := 1 << lg
-		b.Run(fmt.Sprintf("logN=%d", lg), func(b *testing.B) {
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				ratio = depth.CGRate(n, 5) / depth.VRCGRate(n, 5, 1)
-			}
-			b.ReportMetric(ratio, "speedup")
-		})
-	}
-}
-
-// --- E3: the §6 max(log d, log log N) degree sweep ---
-
-func BenchmarkE3DegreeSweep(b *testing.B) {
-	for _, d := range []int{3, 9, 27, 1024, 16384} {
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			var r float64
-			for i := 0; i < b.N; i++ {
-				r = depth.VRCGRate(1<<20, d, 20)
-			}
-			b.ReportMetric(r, "depth/iter")
-		})
-	}
-}
-
-// --- E4: sequential cost (wall-clock benchmarks of real solves) ---
-
-func benchSolve(b *testing.B, run func(*sparse.CSR, vec.Vector) (int, error)) {
-	a := sparse.Poisson2D(32)
-	rhs := vec.New(a.Dim())
-	vec.Random(rhs, 9)
-	b.ResetTimer()
-	iters := 0
-	for i := 0; i < b.N; i++ {
-		it, err := run(a, rhs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		iters = it
-	}
-	b.ReportMetric(float64(iters), "iterations")
-}
-
-func BenchmarkE4SequentialCost(b *testing.B) {
-	b.Run("CG", func(b *testing.B) {
-		benchSolve(b, func(a *sparse.CSR, rhs vec.Vector) (int, error) {
-			r, err := krylov.CG(a, rhs, krylov.Options{Tol: 1e-8})
-			if err != nil {
-				return 0, err
-			}
-			return r.Iterations, nil
-		})
-	})
-	for _, k := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("VRCG/k=%d", k), func(b *testing.B) {
-			benchSolve(b, func(a *sparse.CSR, rhs vec.Vector) (int, error) {
-				r, err := core.Solve(a, rhs, core.Options{K: k, Tol: 1e-8})
-				if err != nil {
-					return 0, err
-				}
-				return r.Iterations, nil
-			})
-		})
-	}
-	b.Run("PIPECG", func(b *testing.B) {
-		benchSolve(b, func(a *sparse.CSR, rhs vec.Vector) (int, error) {
-			r, err := pipecg.GhyselsVanroose(a, rhs, pipecg.Options{Tol: 1e-8})
-			if err != nil {
-				return 0, err
-			}
-			return r.Iterations, nil
-		})
-	})
-	b.Run("SStep/s=4", func(b *testing.B) {
-		benchSolve(b, func(a *sparse.CSR, rhs vec.Vector) (int, error) {
-			r, err := sstep.Solve(a, rhs, sstep.Options{S: 4, Tol: 1e-8})
-			if err != nil {
-				return 0, err
-			}
-			return r.Iterations, nil
-		})
-	})
-}
-
-// --- E5: recurrence exactness (drift measured during a real solve) ---
-
-func BenchmarkE5RecurrenceExactness(b *testing.B) {
-	a := sparse.Poisson2D(16)
-	rhs := vec.New(a.Dim())
-	vec.Random(rhs, 31)
-	for _, k := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			var drift float64
-			for i := 0; i < b.N; i++ {
-				r, err := core.Solve(a, rhs, core.Options{K: k, Tol: 1e-8, ValidateEvery: 1, ReanchorEvery: 4})
-				if err != nil {
-					b.Fatal(err)
-				}
-				drift = r.Drift.MaxRelPAP
-			}
-			b.ReportMetric(drift, "max-rel-drift")
-		})
-	}
-}
-
-// --- E6: stability vs conditioning ---
-
-func BenchmarkE6Stability(b *testing.B) {
-	n := 256
-	for _, kappa := range []float64{10, 1000} {
-		a := sparse.PrescribedSpectrum(n, kappa)
-		rhs := vec.New(n)
-		vec.Random(rhs, 17)
-		for _, k := range []int{1, 4} {
-			b.Run(fmt.Sprintf("kappa=%g/k=%d", kappa, k), func(b *testing.B) {
-				iters := 0
-				for i := 0; i < b.N; i++ {
-					r, err := core.Solve(a, rhs, core.Options{K: k, Tol: 1e-9, MaxIter: 8000})
-					if err != nil {
-						b.Skip("breakdown (documented instability)")
-					}
-					iters = r.Iterations
-				}
-				b.ReportMetric(float64(iters), "iterations")
-			})
-		}
-	}
-}
-
-// --- E7: successors on the simulated machine ---
-
-func BenchmarkE7Successors(b *testing.B) {
-	a := sparse.TridiagToeplitz(4096, 4.2, -1)
-	cfg := machine.Config{P: 256, Alpha: 64, Beta: 0.01, FlopTime: 0.001}
-	rhs := vec.New(a.Dim())
-	vec.Random(rhs, 5)
-
-	for _, c := range []struct {
-		name, method string
-		extra        []solve.Option
-	}{
-		{"CG", "parcg-cg", nil},
-		{"PIPECG", "parcg-pipe", nil},
-		{"VRCG-k8", "parcg", []solve.Option{solve.WithLookahead(8)}},
-		{"SStepSem-k8", "parcg", []solve.Option{solve.WithLookahead(8), solve.WithBlocking(true)}},
-	} {
-		opts := append([]solve.Option{
-			solve.WithMachineConfig(cfg), solve.WithTol(1e-6), solve.WithMaxIter(120),
-		}, c.extra...)
-		b.Run(c.name, func(b *testing.B) {
-			var rate float64
-			for i := 0; i < b.N; i++ {
-				res, err := solve.MustNew(c.method).Solve(a, rhs, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rate = res.PerIterTime()
-			}
-			b.ReportMetric(rate, "simtime/iter")
-		})
-	}
-}
-
-// --- E8 / Figure 1: schedule construction and rendering ---
-
-func BenchmarkE8Schedule(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tr := trace.VRCGSchedule(1<<16, 5, 16, 24)
-		if tr.Render(96) == "" {
-			b.Fatal("empty render")
-		}
-	}
-}
-
-// --- whole-harness regeneration ---
-
-func BenchmarkAllExperimentTables(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if len(bench.All()) != 9 {
-			b.Fatal("experiment tables missing")
-		}
-	}
-}
 
 // --- kernel microbenchmarks ---
 
@@ -325,28 +110,6 @@ func BenchmarkVRCGSolvePoisson(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// --- E10: contraction vs window formulation depth ---
-
-func BenchmarkE10WindowForm(b *testing.B) {
-	for _, lg := range []int{14, 22} {
-		n := 1 << lg
-		b.Run(fmt.Sprintf("contract/logN=%d", lg), func(b *testing.B) {
-			var r float64
-			for i := 0; i < b.N; i++ {
-				r = depth.VRCGRate(n, 5, lg)
-			}
-			b.ReportMetric(r, "depth/iter")
-		})
-		b.Run(fmt.Sprintf("window/logN=%d", lg), func(b *testing.B) {
-			var r float64
-			for i := 0; i < b.N; i++ {
-				r = depth.VRCGWindowRate(n, 5, lg)
-			}
-			b.ReportMetric(r, "depth/iter")
 		})
 	}
 }

@@ -1,6 +1,7 @@
-// Claims conformance suite: every claim of Van Rosendale (1983), as
-// catalogued in DESIGN.md §1 (C1..C7 and Figure 1), asserted end to end
-// against this implementation. Each test names the claim it checks and
+// Claims conformance suite: every claim of Van Rosendale (1983), C1..C7
+// and Figure 1 — the content cmd/cgbench prints as tables E1..E10, from
+// the models ARCHITECTURE.md "What the paper's schedules cost" describes
+// — asserted end to end against this implementation. Each test names the claim it checks and
 // fails with the measured value if the reproduction drifts. The detailed
 // per-module behaviour lives in the package test suites; this file is
 // the paper-facing index.

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"fmt"
@@ -10,13 +10,13 @@ import (
 	"vrcg/sparse"
 )
 
-// Ablations for the design choices DESIGN.md calls out: each isolates
-// one mechanism of the implementation and shows what it buys.
+// The ablations A1..A5 each isolate one mechanism of the implementation
+// and show what it buys.
 
-// A1ReanchorInterval sweeps the re-anchoring interval: the stabilization
+// a1ReanchorInterval sweeps the re-anchoring interval: the stabilization
 // frequency trades direct inner products against recurrence drift.
-func A1ReanchorInterval() *Table {
-	t := &Table{
+func a1ReanchorInterval() *table {
+	t := &table{
 		ID:      "A1",
 		Title:   "ablation: re-anchor interval (VRCG k=3, Poisson2D 16x16, tol 1e-9)",
 		Columns: []string{"interval", "iters", "converged", "true rel residual", "drift (p,Ap)", "dots/iter"},
@@ -47,11 +47,11 @@ func A1ReanchorInterval() *Table {
 	return t
 }
 
-// A2StabilizationModes contrasts the stabilization mechanisms at a fixed
+// a2StabilizationModes contrasts the stabilization mechanisms at a fixed
 // interval: window-only re-anchoring, family refresh, and residual
 // replacement.
-func A2StabilizationModes() *Table {
-	t := &Table{
+func a2StabilizationModes() *table {
+	t := &table{
 		ID:      "A2",
 		Title:   "ablation: stabilization mode (VRCG k=3, interval 8, Poisson1D 128, tol 1e-9)",
 		Columns: []string{"mode", "iters", "converged", "true rel residual", "matvec/iter"},
@@ -88,10 +88,10 @@ func A2StabilizationModes() *Table {
 	return t
 }
 
-// A3SpectralScaling isolates the Gershgorin scaling of the distributed
+// a3SpectralScaling isolates the Gershgorin scaling of the distributed
 // solver: without it the Gram magnitudes span ||A||^(4k).
-func A3SpectralScaling() *Table {
-	t := &Table{
+func a3SpectralScaling() *table {
+	t := &table{
 		ID:      "A3",
 		Title:   "ablation: spectral scaling in the distributed VRCG (P=8, kappa~2.6, ||A||~6e12, tol 1e-8)",
 		Columns: []string{"k", "scaling", "iters", "converged", "rel residual", "guard restarts"},
@@ -135,10 +135,10 @@ func A3SpectralScaling() *Table {
 	return t
 }
 
-// A4BatchedReductions isolates the collective-level design choice of
+// a4BatchedReductions isolates the collective-level design choice of
 // batching the 3(4k+1) base inner products into one allreduce.
-func A4BatchedReductions() *Table {
-	t := &Table{
+func a4BatchedReductions() *table {
+	t := &table{
 		ID:      "A4",
 		Title:   "ablation: batched vs separate base-product reductions (alpha=16, beta=0.01)",
 		Columns: []string{"P", "k", "words", "batched time", "separate time", "ratio"},
@@ -163,11 +163,11 @@ func A4BatchedReductions() *Table {
 	return t
 }
 
-// A5PartitionQuality isolates how the matrix ordering drives the halo
+// a5PartitionQuality isolates how the matrix ordering drives the halo
 // (communication) volume of the row-block partition: the natural grid
 // order, a random shuffle, and RCM recovery.
-func A5PartitionQuality() *Table {
-	t := &Table{
+func a5PartitionQuality() *table {
+	t := &table{
 		ID:      "A5",
 		Title:   "ablation: ordering vs halo volume (2D Poisson 24x24, P=8 row blocks)",
 		Columns: []string{"ordering", "bandwidth", "halo msgs/proc", "total halo words", "matvec time (alpha=16)"},
@@ -223,13 +223,12 @@ func A5PartitionQuality() *Table {
 }
 
 // Ablations runs every ablation table.
-func Ablations() []*Table {
-	return []*Table{
-		A1ReanchorInterval(),
-		A2StabilizationModes(),
-		A3SpectralScaling(),
-		A4BatchedReductions(),
-		A5PartitionQuality(),
-		A6EngineThroughput(),
+func ablations() []*table {
+	return []*table{
+		a1ReanchorInterval(),
+		a2StabilizationModes(),
+		a3SpectralScaling(),
+		a4BatchedReductions(),
+		a5PartitionQuality(),
 	}
 }

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"strings"
@@ -6,7 +6,7 @@ import (
 )
 
 func TestA1Shape(t *testing.T) {
-	tb := A1ReanchorInterval()
+	tb := a1ReanchorInterval()
 	if len(tb.Rows) < 5 {
 		t.Fatalf("A1 has %d rows", len(tb.Rows))
 	}
@@ -36,7 +36,7 @@ func TestA1Shape(t *testing.T) {
 }
 
 func TestA2Shape(t *testing.T) {
-	tb := A2StabilizationModes()
+	tb := a2StabilizationModes()
 	if len(tb.Rows) != 4 {
 		t.Fatalf("A2 has %d rows", len(tb.Rows))
 	}
@@ -60,7 +60,7 @@ func TestA2Shape(t *testing.T) {
 }
 
 func TestA3Shape(t *testing.T) {
-	tb := A3SpectralScaling()
+	tb := a3SpectralScaling()
 	// At k=8 the unscaled Gram sequence overflows double precision
 	// (||A||^(4k) ~ 1e409): with scaling on, the recurrence itself
 	// converges and the divergence guard never fires; with scaling off,
@@ -85,7 +85,7 @@ func TestA3Shape(t *testing.T) {
 }
 
 func TestA4Shape(t *testing.T) {
-	tb := A4BatchedReductions()
+	tb := a4BatchedReductions()
 	for i, row := range tb.Rows {
 		if parseF(t, row[5]) <= 1 {
 			t.Fatalf("A4 row %d: batching shows no advantage", i)
@@ -100,7 +100,7 @@ func TestA4Shape(t *testing.T) {
 }
 
 func TestA5Shape(t *testing.T) {
-	tb := A5PartitionQuality()
+	tb := a5PartitionQuality()
 	rows := map[string][]string{}
 	for _, row := range tb.Rows {
 		rows[row[0]] = row
@@ -126,8 +126,8 @@ func TestA5Shape(t *testing.T) {
 }
 
 func TestAblationsAll(t *testing.T) {
-	tabs := Ablations()
-	if len(tabs) != 6 {
+	tabs := ablations()
+	if len(tabs) != 5 {
 		t.Fatalf("Ablations returned %d tables", len(tabs))
 	}
 	for _, tb := range tabs {

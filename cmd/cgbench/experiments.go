@@ -1,6 +1,7 @@
-package bench
+package main
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -12,12 +13,24 @@ import (
 	"vrcg/sparse"
 )
 
-// E1DepthScaling regenerates the headline comparison (claims C1 and C4):
+// usable reports whether a solve outcome is meaningful for
+// tabulation: clean convergence, or the honest not-converged result
+// (the tables report the converged column themselves).
+func usable(err error) bool { return err == nil || errors.Is(err, solve.ErrNotConverged) }
+
+// tablePool is the pool the numeric experiment tables (E4/E5/E6) pass
+// to the solvers, so they exercise the engine. Pooled reductions are
+// bitwise serial by construction, so the printed floating-point values
+// (drift, residuals) do not depend on it; the worker count is pinned
+// rather than host-sized so what the tables exercise does not either.
+var tablePool = vec.NewPool(4)
+
+// e1DepthScaling regenerates the headline comparison (claims C1 and C4):
 // per-iteration parallel time of standard CG (~2 log2 N) versus the
 // restructured algorithm with k = log2 N (~log log N), in the paper's
 // dependency-depth unit.
-func E1DepthScaling() *Table {
-	t := &Table{
+func e1DepthScaling() *table {
+	t := &table{
 		ID:      "E1",
 		Title:   "per-iteration parallel time: standard CG ~ c*log(N) vs VRCG(k=log N) ~ c*log(log N)",
 		Columns: []string{"log2(N)", "N", "CG", "VRCG(k=logN)", "speedup", "2*log2(N)", "log2(6k+5)+c"},
@@ -35,10 +48,10 @@ func E1DepthScaling() *Table {
 	return t
 }
 
-// E2Doubling regenerates claim C2 (§3): the k=1 one-step recurrence
+// e2Doubling regenerates claim C2 (§3): the k=1 one-step recurrence
 // approximately doubles parallel speed.
-func E2Doubling() *Table {
-	t := &Table{
+func e2Doubling() *table {
+	t := &table{
 		ID:      "E2",
 		Title:   "k=1 look-ahead approximately doubles parallel speed (paper §3)",
 		Columns: []string{"log2(N)", "CG", "VRCG(k=1)", "ratio"},
@@ -54,10 +67,10 @@ func E2Doubling() *Table {
 	return t
 }
 
-// E3DegreeSweep regenerates claim C6 (§6): per-iteration time of the
+// e3DegreeSweep regenerates claim C6 (§6): per-iteration time of the
 // restructured algorithm is max(log d, log log N) + O(1).
-func E3DegreeSweep() *Table {
-	t := &Table{
+func e3DegreeSweep() *table {
+	t := &table{
 		ID:      "E3",
 		Title:   "VRCG per-iteration time = max(log d, log log N) + O(1) (paper §6)",
 		Columns: []string{"d", "log2(d)", "rate(N=2^14)", "rate(N=2^20)", "rate(N=2^26)"},
@@ -74,11 +87,11 @@ func E3DegreeSweep() *Table {
 	return t
 }
 
-// E4SequentialCost regenerates claim C7 (§6): sequential complexity of
+// e4SequentialCost regenerates claim C7 (§6): sequential complexity of
 // the restructured algorithm is essentially that of standard CG — one
 // matvec per iteration; direct inner products O(1) per iteration.
-func E4SequentialCost() *Table {
-	t := &Table{
+func e4SequentialCost() *table {
+	t := &table{
 		ID:    "E4",
 		Title: "sequential cost per iteration (paper §6: still ~2 inner products + 1 matvec)",
 		Columns: []string{"method", "k", "iters", "matvec/it", "dots/it", "updates/it",
@@ -104,14 +117,14 @@ func E4SequentialCost() *Table {
 		// under this profile — the honest finite-precision price,
 		// reported in the last column.
 		r, err := solve.MustNew("vrcg").Solve(a, b, solve.WithLookahead(k), solve.WithTol(1e-8),
-			solve.WithMaxIter(4000), solve.WithWindowOnlyReanchor(true), solve.WithPool(TablePool))
+			solve.WithMaxIter(4000), solve.WithWindowOnlyReanchor(true), solve.WithPool(tablePool))
 		if !usable(err) {
 			continue
 		}
 		row("VRCG", k, r)
 	}
 	if r, err := solve.MustNew("sstep").Solve(a, b, solve.WithBlockSize(4), solve.WithTol(1e-8),
-		solve.WithPool(TablePool)); usable(err) {
+		solve.WithPool(tablePool)); usable(err) {
 		row("s-step", 4, r)
 	}
 	if r, err := solve.MustNew("pipecg").Solve(a, b, solve.WithTol(1e-8)); usable(err) {
@@ -123,11 +136,11 @@ func E4SequentialCost() *Table {
 	return t
 }
 
-// E5Exactness regenerates claims C3/C5: the recurrence-produced scalars
+// e5Exactness regenerates claims C3/C5: the recurrence-produced scalars
 // equal direct inner products (up to floating-point drift, which the
 // table quantifies).
-func E5Exactness() *Table {
-	t := &Table{
+func e5Exactness() *table {
+	t := &table{
 		ID:      "E5",
 		Title:   "recurrence scalars vs direct inner products: max relative drift (claims C3/C5)",
 		Columns: []string{"k", "reanchor", "iters", "max drift (r,r)", "max drift (p,Ap)", "fallbacks"},
@@ -139,7 +152,7 @@ func E5Exactness() *Table {
 		for _, re := range []int{-1, 4} {
 			res, err := solve.MustNew("vrcg").Solve(a, b,
 				solve.WithLookahead(k), solve.WithTol(1e-8), solve.WithMaxIter(3000),
-				solve.WithValidateEvery(1), solve.WithReanchorEvery(re), solve.WithPool(TablePool))
+				solve.WithValidateEvery(1), solve.WithReanchorEvery(re), solve.WithPool(tablePool))
 			label := fmt.Sprintf("%d", re)
 			if re < 0 {
 				label = "never"
@@ -157,10 +170,10 @@ func E5Exactness() *Table {
 	return t
 }
 
-// E6Stability regenerates the implicit stability story: convergence of
+// e6Stability regenerates the implicit stability story: convergence of
 // the look-ahead algorithm versus k and conditioning.
-func E6Stability() *Table {
-	t := &Table{
+func e6Stability() *table {
+	t := &table{
 		ID:      "E6",
 		Title:   "numerical robustness vs look-ahead k and conditioning (successor-motivating behaviour)",
 		Columns: []string{"kappa", "method", "k", "iters", "true rel residual", "converged"},
@@ -178,7 +191,7 @@ func E6Stability() *Table {
 		}
 		for _, k := range []int{1, 2, 4, 8} {
 			vr, err := solve.MustNew("vrcg").Solve(a, b, solve.WithLookahead(k),
-				solve.WithTol(1e-10), solve.WithMaxIter(8000), solve.WithPool(TablePool))
+				solve.WithTol(1e-10), solve.WithMaxIter(8000), solve.WithPool(tablePool))
 			if !usable(err) {
 				t.AddRow(kappa, "VRCG", k, "-", "breakdown", false)
 				continue
@@ -192,10 +205,10 @@ func E6Stability() *Table {
 	return t
 }
 
-// E7Successors compares the 1983 algorithm against its published
+// e7Successors compares the 1983 algorithm against its published
 // successors on the simulated machine across communication latencies.
-func E7Successors() *Table {
-	t := &Table{
+func e7Successors() *table {
+	t := &table{
 		ID:    "E7",
 		Title: "simulated machine, per-iteration parallel time vs latency alpha (P=256, n=4096, kappa~2.6)",
 		Columns: []string{"alpha", "CG", "PIPECG", "VRCG(k=8)", "CG/VRCG",
@@ -244,12 +257,12 @@ func E7Successors() *Table {
 	return t
 }
 
-// E9Startup quantifies the paper's "after an initial start up" caveat:
+// e9Startup quantifies the paper's "after an initial start up" caveat:
 // the restructured algorithm pays k+2 matvecs and 6k+6 inner products
 // before iterating, so there is a break-even iteration count below
 // which standard CG finishes first even on the parallel machine.
-func E9Startup() *Table {
-	t := &Table{
+func e9Startup() *table {
+	t := &table{
 		ID:      "E9",
 		Title:   "start-up cost and break-even ('after an initial start up', abstract)",
 		Columns: []string{"log2(N)", "k", "startup (depth)", "CG/iter", "VRCG/iter", "break-even iters"},
@@ -258,7 +271,6 @@ func E9Startup() *Table {
 	for _, lg := range []int{10, 14, 18, 22} {
 		n := 1 << lg
 		k := lg
-		m := depth.NewModel(n, d)
 		// Start-up in the depth model: k+1 sequential matvecs to build
 		// the families plus the first base reduction fan-in.
 		startup := float64(k+1)*float64(1+depth.Log2Ceil(d)) + 1 + float64(1+depth.Log2Ceil(n))
@@ -267,7 +279,6 @@ func E9Startup() *Table {
 		// Break-even: startup + j*vr <= j*cg  =>  j >= startup/(cg-vr).
 		breakEven := math.Ceil(startup / (cg - vr))
 		t.AddRow(lg, k, startup, cg, vr, breakEven)
-		_ = m
 	}
 	t.Notes = append(t.Notes,
 		"the look-ahead pays off after a handful of iterations; real solves run hundreds",
@@ -275,14 +286,14 @@ func E9Startup() *Table {
 	return t
 }
 
-// E10WindowForm compares the paper's equation-(*) contraction accounting
+// e10WindowForm compares the paper's equation-(*) contraction accounting
 // (per-iteration depth ~ log k = log log N) against the sliding-window
 // formulation this repository implements (the recurrence details the
 // paper deferred): the window form pipelines even the contraction,
 // reaching O(1) per-iteration depth for k >= log N — beyond the paper's
 // own bound.
-func E10WindowForm() *Table {
-	t := &Table{
+func e10WindowForm() *table {
+	t := &table{
 		ID:      "E10",
 		Title:   "beyond the paper: contraction form (log log N) vs sliding-window form (O(1))",
 		Columns: []string{"log2(N)", "k", "CG", "contract form", "window form", "paper bound log2(6k+5)+c"},
@@ -301,10 +312,10 @@ func E10WindowForm() *Table {
 	return t
 }
 
-// E8Schedule returns the Figure 1 reproduction: the paper's
+// e8Schedule returns the Figure 1 reproduction: the paper's
 // data-movement diagram plus measured pipelined schedules in the depth
 // model.
-func E8Schedule(k int) string {
+func e8Schedule(k int) string {
 	if k < 1 {
 		k = 4
 	}
@@ -318,16 +329,16 @@ func E8Schedule(k int) string {
 }
 
 // All runs every tabular experiment in order.
-func All() []*Table {
-	return []*Table{
-		E1DepthScaling(),
-		E2Doubling(),
-		E3DegreeSweep(),
-		E4SequentialCost(),
-		E5Exactness(),
-		E6Stability(),
-		E7Successors(),
-		E9Startup(),
-		E10WindowForm(),
+func all() []*table {
+	return []*table{
+		e1DepthScaling(),
+		e2Doubling(),
+		e3DegreeSweep(),
+		e4SequentialCost(),
+		e5Exactness(),
+		e6Stability(),
+		e7Successors(),
+		e9Startup(),
+		e10WindowForm(),
 	}
 }

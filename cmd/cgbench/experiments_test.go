@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"strconv"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestTableFormatAndCSV(t *testing.T) {
-	tb := &Table{ID: "T", Title: "demo", Columns: []string{"a", "b"}}
+	tb := &table{ID: "T", Title: "demo", Columns: []string{"a", "b"}}
 	tb.AddRow(1, 2.5)
 	tb.AddRow("x,y", 0.0001)
 	txt := tb.Format()
@@ -29,7 +29,7 @@ func TestTableAddRowPanicsOnArity(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	tb := &Table{Columns: []string{"one"}}
+	tb := &table{Columns: []string{"one"}}
 	tb.AddRow(1, 2)
 }
 
@@ -43,7 +43,7 @@ func parseF(t *testing.T, s string) float64 {
 }
 
 func TestE1Shape(t *testing.T) {
-	tb := E1DepthScaling()
+	tb := e1DepthScaling()
 	if len(tb.Rows) < 5 {
 		t.Fatalf("E1 has %d rows", len(tb.Rows))
 	}
@@ -72,7 +72,7 @@ func TestE1Shape(t *testing.T) {
 }
 
 func TestE2Shape(t *testing.T) {
-	tb := E2Doubling()
+	tb := e2Doubling()
 	last := tb.Rows[len(tb.Rows)-1]
 	ratio := parseF(t, last[3])
 	if ratio < 1.6 || ratio > 2.2 {
@@ -85,7 +85,7 @@ func TestE2Shape(t *testing.T) {
 }
 
 func TestE3Shape(t *testing.T) {
-	tb := E3DegreeSweep()
+	tb := e3DegreeSweep()
 	// Rates must be non-decreasing down the d column for each N column.
 	for col := 2; col <= 4; col++ {
 		prev := 0.0
@@ -107,7 +107,7 @@ func TestE3Shape(t *testing.T) {
 }
 
 func TestE4Shape(t *testing.T) {
-	tb := E4SequentialCost()
+	tb := e4SequentialCost()
 	if len(tb.Rows) < 4 {
 		t.Fatalf("E4 has %d rows", len(tb.Rows))
 	}
@@ -131,7 +131,7 @@ func TestE4Shape(t *testing.T) {
 }
 
 func TestE5Shape(t *testing.T) {
-	tb := E5Exactness()
+	tb := e5Exactness()
 	// With re-anchoring, drift of (p,Ap) stays small for every k.
 	for _, row := range tb.Rows {
 		if row[1] != "4" {
@@ -147,7 +147,7 @@ func TestE5Shape(t *testing.T) {
 }
 
 func TestE6Shape(t *testing.T) {
-	tb := E6Stability()
+	tb := e6Stability()
 	// For kappa=10 every method converges.
 	okSmall := 0
 	for _, row := range tb.Rows {
@@ -163,7 +163,7 @@ func TestE6Shape(t *testing.T) {
 }
 
 func TestE7Shape(t *testing.T) {
-	tb := E7Successors()
+	tb := e7Successors()
 	// At the largest alpha, CG/VRCG speedup must exceed the low-alpha one.
 	first := parseF(t, tb.Rows[0][4])
 	last := parseF(t, tb.Rows[len(tb.Rows)-1][4])
@@ -182,20 +182,20 @@ func TestE7Shape(t *testing.T) {
 }
 
 func TestE8ContainsFigure(t *testing.T) {
-	out := E8Schedule(4)
+	out := e8Schedule(4)
 	for _, want := range []string{"Figure 1", "REDUCE", "SCALAR", "inner products"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("E8 output missing %q", want)
 		}
 	}
 	// Default k.
-	if !strings.Contains(E8Schedule(0), "Figure 1") {
+	if !strings.Contains(e8Schedule(0), "Figure 1") {
 		t.Fatal("E8 default k failed")
 	}
 }
 
 func TestAllRuns(t *testing.T) {
-	tables := All()
+	tables := all()
 	if len(tables) != 9 {
 		t.Fatalf("All returned %d tables", len(tables))
 	}
@@ -215,7 +215,7 @@ func TestAllRuns(t *testing.T) {
 }
 
 func TestE9Shape(t *testing.T) {
-	tb := E9Startup()
+	tb := e9Startup()
 	for i, row := range tb.Rows {
 		be := parseF(t, row[5])
 		if be < 1 || be > 40 {
@@ -234,7 +234,7 @@ func TestE9Shape(t *testing.T) {
 }
 
 func TestE10Shape(t *testing.T) {
-	tb := E10WindowForm()
+	tb := e10WindowForm()
 	var firstW, lastW float64
 	for i, row := range tb.Rows {
 		c := parseF(t, row[3])

@@ -1,84 +1,115 @@
-// Command cgbench regenerates the reproduction experiments E1..E8 (see
-// DESIGN.md section 4 and EXPERIMENTS.md): each experiment prints the
-// table (or, for E8, the Figure 1 schedule) corresponding to one of the
-// paper's claims.
+// Command cgbench prints the reproduction's experiment tables, and is
+// the only program that does: the paper itself has no empirical tables,
+// so its claims C1..C7 and Figure 1 are the reproducible content. Each
+// table E1..E10 regenerates one claim (E8 is the Figure 1 schedule);
+// claims_test.go asserts the same claims, and ARCHITECTURE.md "What the
+// paper's schedules cost" describes the models the numbers come from.
+// The ablations A1..A5 each isolate one mechanism of the implementation.
 //
 // Usage:
 //
-//	cgbench -exp all          # run every tabular experiment
+//	cgbench -exp all          # every table, then the Figure 1 schedule
 //	cgbench -exp e1           # one experiment
 //	cgbench -exp e8 -k 6      # Figure 1 schedule with look-ahead 6
+//	cgbench -exp ablations    # A1..A5
 //	cgbench -exp e3 -csv      # emit CSV instead of an aligned table
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
-	"vrcg/internal/bench"
 	"vrcg/internal/vec"
 )
 
-func main() {
-	exp := flag.String("exp", "all", "experiment id: e1..e8 or 'all'")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	k := flag.Int("k", 4, "look-ahead parameter for the e8 schedule rendering")
-	flag.Parse()
+// experiment is one id -exp accepts: the tables it prints, then, when
+// figure is set, the Figure 1 schedule.
+type experiment struct {
+	id     string
+	tables func() []*table
+	figure bool
+}
 
-	runners := map[string]func() *bench.Table{
-		"e1":  bench.E1DepthScaling,
-		"e2":  bench.E2Doubling,
-		"e3":  bench.E3DegreeSweep,
-		"e4":  bench.E4SequentialCost,
-		"e5":  bench.E5Exactness,
-		"e6":  bench.E6Stability,
-		"e7":  bench.E7Successors,
-		"e9":  bench.E9Startup,
-		"e10": bench.E10WindowForm,
-		"a1":  bench.A1ReanchorInterval,
-		"a2":  bench.A2StabilizationModes,
-		"a3":  bench.A3SpectralScaling,
-		"a4":  bench.A4BatchedReductions,
-		"a5":  bench.A5PartitionQuality,
-		"a6":  bench.A6EngineThroughput,
+func one(f func() *table) func() []*table { return func() []*table { return []*table{f()} } }
+
+// experiments is every id -exp accepts, in the order the usage and the
+// unknown-id message name them.
+var experiments = []experiment{
+	{"all", all, true},
+	{"ablations", ablations, false},
+	{"e1", one(e1DepthScaling), false},
+	{"e2", one(e2Doubling), false},
+	{"e3", one(e3DegreeSweep), false},
+	{"e4", one(e4SequentialCost), false},
+	{"e5", one(e5Exactness), false},
+	{"e6", one(e6Stability), false},
+	{"e7", one(e7Successors), false},
+	{"e8", nil, true},
+	{"e9", one(e9Startup), false},
+	{"e10", one(e10WindowForm), false},
+	{"a1", one(a1ReanchorInterval), false},
+	{"a2", one(a2StabilizationModes), false},
+	{"a3", one(a3SpectralScaling), false},
+	{"a4", one(a4BatchedReductions), false},
+	{"a5", one(a5PartitionQuality), false},
+}
+
+// ids lists the experiment ids, comma-separated.
+func ids() string {
+	names := make([]string, len(experiments))
+	for i, e := range experiments {
+		names[i] = e.id
 	}
+	return strings.Join(names, ", ")
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command on its arguments and outputs; it returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("cgbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment id, one of: "+ids())
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned text")
+	k := fs.Int("k", 4, "look-ahead parameter for the e8 schedule rendering")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	i := slices.IndexFunc(experiments, func(e experiment) bool { return e.id == strings.ToLower(*exp) })
+	if i < 0 {
+		fmt.Fprintf(stderr, "cgbench: unknown experiment %q (ids: %s)\n", *exp, ids())
+		return 2
+	}
+	e := experiments[i]
 
 	// Which leaf-kernel bodies produced the numbers below; beside a CSV,
 	// not in it.
-	header := os.Stdout
+	header := stdout
 	if *csv {
-		header = os.Stderr
+		header = stderr
 	}
 	fmt.Fprintf(header, "cgbench: %s leaf kernels\n\n", vec.Kernels())
 
-	emit := func(t *bench.Table) {
-		if *csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Println(t.Format())
+	if e.tables != nil {
+		for _, t := range e.tables() {
+			if *csv {
+				fmt.Fprint(stdout, t.CSV())
+			} else {
+				fmt.Fprintln(stdout, t.Format())
+			}
 		}
 	}
-
-	switch id := strings.ToLower(*exp); id {
-	case "all":
-		for _, t := range bench.All() {
-			emit(t)
-		}
-		fmt.Println(bench.E8Schedule(*k))
-	case "ablations":
-		for _, t := range bench.Ablations() {
-			emit(t)
-		}
-	case "e8":
-		fmt.Println(bench.E8Schedule(*k))
-	default:
-		run, ok := runners[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "cgbench: unknown experiment %q (want e1..e10, a1..a6, ablations, or all)\n", *exp)
-			os.Exit(2)
-		}
-		emit(run())
+	if e.figure {
+		fmt.Fprintln(stdout, e8Schedule(*k))
 	}
+	return 0
 }

@@ -1,16 +1,12 @@
-// Package bench is the experiment harness: it regenerates, as printable
-// tables, every quantitative claim of the paper (the paper itself has no
-// empirical tables — its claims C1..C7 and Figure 1 are the reproducible
-// content; see DESIGN.md section 4 for the experiment index E1..E8).
-package bench
+package main
 
 import (
 	"fmt"
 	"strings"
 )
 
-// Table is a formatted experiment result.
-type Table struct {
+// table is a formatted experiment result.
+type table struct {
 	// ID is the experiment identifier (e.g. "E1").
 	ID string
 	// Title describes what the table shows and which claim it checks.
@@ -24,7 +20,7 @@ type Table struct {
 }
 
 // AddRow appends a row of cells formatted with %v.
-func (t *Table) AddRow(cells ...interface{}) {
+func (t *table) AddRow(cells ...interface{}) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
@@ -35,7 +31,7 @@ func (t *Table) AddRow(cells ...interface{}) {
 		}
 	}
 	if len(row) != len(t.Columns) {
-		panic(fmt.Sprintf("bench: row with %d cells for %d columns", len(row), len(t.Columns)))
+		panic(fmt.Sprintf("cgbench: row with %d cells for %d columns", len(row), len(t.Columns)))
 	}
 	t.Rows = append(t.Rows, row)
 }
@@ -58,7 +54,7 @@ func fmtFloat(v float64) string {
 }
 
 // Format renders the table as aligned text.
-func (t *Table) Format() string {
+func (t *table) Format() string {
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
 		widths[i] = len(c)
@@ -95,7 +91,7 @@ func (t *Table) Format() string {
 }
 
 // CSV renders the table as comma-separated values (header + rows).
-func (t *Table) CSV() string {
+func (t *table) CSV() string {
 	var sb strings.Builder
 	esc := func(s string) string {
 		if strings.ContainsAny(s, ",\"\n") {

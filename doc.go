@@ -157,15 +157,14 @@
 //   - internal/machine: the α–β simulated distributed machine and its
 //     cost-only recursive-doubling allreduce, blocking and issued
 //   - internal/trace: Figure 1 schedule rendering
-//   - internal/bench: the experiment harness (E1..E10, A1..A6)
 //
 // Executables: cmd/cgserve (the HTTP solve server; docs/api.md),
-// cmd/cgbench (experiments), cmd/cgsolve (solver CLI over the solve
-// registry; -matrix loads MatrixMarket systems and -workers/-repeat
-// exercise the engine), cmd/figure1 (schedule diagrams), cmd/benchjson
-// (bench output → BENCH_engine.json, BENCH_solve.json, and
-// BENCH_server.json). Runnable examples live in examples/ (quickstart
-// is the public-surface walkthrough). See README.md for the
+// cmd/cgbench (the experiment tables E1..E10 and Figure 1, ablations
+// A1..A5), cmd/cgsolve (solver CLI over the solve registry; -matrix
+// loads MatrixMarket systems and -workers/-repeat exercise the engine),
+// cmd/benchjson (bench output → BENCH_engine.json, BENCH_solve.json,
+// and BENCH_server.json). Runnable examples live in examples/
+// (quickstart is the public-surface walkthrough). See README.md for the
 // external-consumer quickstart and ARCHITECTURE.md for the system
 // inventory: the full layer diagram, the Kernel contract, and the
 // home of every registry method.

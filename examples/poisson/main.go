@@ -75,5 +75,5 @@ func main() {
 	fmt.Println("schedule on a parallel machine — the syncs column. The distributed")
 	fmt.Println("\"parcg\" run shows the un-stabilized recurrences drifting at tight")
 	fmt.Println("tolerances (the finite-precision price the successors fixed); see")
-	fmt.Println("examples/stability and examples/depthscaling for both sides.")
+	fmt.Println("examples/stability and `cgbench -exp e1` for both sides.")
 }

@@ -53,7 +53,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"vrcg/internal/machine"
 	"vrcg/internal/vec"
@@ -273,44 +272,12 @@ type Result struct {
 	Machine machine.Stats
 }
 
-// PerIterTime estimates the steady-state parallel time per iteration of
-// a simulated-machine solve as the median clock increment after the
-// start-up transient. The median is exact for the uniform trajectories
-// of CG and pipelined CG, and for the recurrence methods it is robust
-// to the occasional drift-fallback iteration (a blocking reduction or
-// emergency re-anchor) that would contaminate a mean. NaN when the
-// result has no Clocks (the shared-memory methods) or fewer than two
+// PerIterTime is the steady-state parallel time per iteration of a
+// simulated-machine solve, machine.PerIterTime of its Clocks: NaN for
+// the shared-memory methods, which have none, or fewer than two
 // iterations.
-func (r *Result) PerIterTime() float64 {
-	n := len(r.Clocks)
-	if n < 2 {
-		return math.NaN()
-	}
-	skip := n / 4
-	if skip < 1 {
-		skip = 1
-	}
-	deltas := make([]float64, 0, n-skip)
-	for i := skip; i < n; i++ {
-		deltas = append(deltas, r.Clocks[i]-r.Clocks[i-1])
-	}
-	sort.Float64s(deltas)
-	m := len(deltas)
-	if m == 0 {
-		return math.NaN()
-	}
-	if m%2 == 1 {
-		return deltas[m/2]
-	}
-	return 0.5 * (deltas[m/2-1] + deltas[m/2])
-}
+func (r *Result) PerIterTime() float64 { return machine.PerIterTime(r.Clocks) }
 
-// TotalTime returns the final simulated machine clock of a
-// machine-model solve — the end-to-end parallel time including
-// start-up. NaN for the shared-memory methods.
-func (r *Result) TotalTime() float64 {
-	if len(r.Clocks) == 0 {
-		return math.NaN()
-	}
-	return r.Clocks[len(r.Clocks)-1]
-}
+// TotalTime is the final simulated machine clock of a machine-model
+// solve, start-up included: NaN for the shared-memory methods.
+func (r *Result) TotalTime() float64 { return machine.TotalTime(r.Clocks) }

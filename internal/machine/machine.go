@@ -10,7 +10,11 @@
 // the latest clock, the paper's "parallel time" unit.
 package machine
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"sort"
+)
 
 // Config fixes the machine parameters.
 type Config struct {
@@ -214,6 +218,41 @@ func (m *Machine) Clocks() []float64 {
 	out := make([]float64, len(m.clocks))
 	copy(out, m.clocks)
 	return out
+}
+
+// PerIterTime estimates the steady-state parallel time per iteration of
+// a clock trajectory — clocks[i] the MaxClock after iteration i+1 — as
+// the median clock increment after the start-up transient (the first
+// quarter of the increments, at least one). The median is exact for the
+// uniform trajectories of CG and pipelined CG, and for the recurrence
+// schedules it is robust to the occasional drift-fallback iteration (a
+// blocking reduction or emergency re-anchor) that would contaminate a
+// mean. NaN for fewer than two clocks.
+func PerIterTime(clocks []float64) float64 {
+	n := len(clocks)
+	if n < 2 {
+		return math.NaN()
+	}
+	skip := max(n/4, 1)
+	deltas := make([]float64, 0, n-skip)
+	for i := skip; i < n; i++ {
+		deltas = append(deltas, clocks[i]-clocks[i-1])
+	}
+	sort.Float64s(deltas)
+	m := len(deltas)
+	if m%2 == 1 {
+		return deltas[m/2]
+	}
+	return 0.5 * (deltas[m/2-1] + deltas[m/2])
+}
+
+// TotalTime is the last clock of a trajectory, the end-to-end parallel
+// time including start-up. NaN for no clocks.
+func TotalTime(clocks []float64) float64 {
+	if len(clocks) == 0 {
+		return math.NaN()
+	}
+	return clocks[len(clocks)-1]
 }
 
 // Allreduce charges a blocking allreduce of words words a processor by
