@@ -34,7 +34,7 @@ CLUSTERPAT ?= BenchmarkClusterSolve|BenchmarkClusterReduction
 CLUSTEROUT ?= BENCH_cluster.json
 SERVEADDR  ?= :8080
 
-.PHONY: all build test vet fmt check lint kernel-allocs server-allocs bench bench-raw bins serve docs-check clean
+.PHONY: all build test vet fmt check lint kernel-allocs server-allocs bench bench-raw bins serve docs-check loc clean
 
 all: build test
 
@@ -101,6 +101,12 @@ server-allocs:
 
 fmt:
 	gofmt -l -w .
+
+# The two sizes ROADMAP item 5 tracks: non-test Go lines outside the
+# benchmark module, and the lines of the amd64 assembly.
+loc:
+	@echo "non-test Go lines outside benchmark/: $$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs cat | wc -l)"
+	@echo "internal/vec/kernels_amd64.s: $$(wc -l < internal/vec/kernels_amd64.s)"
 
 # Static analysis + vulnerability scan, mirrored by the staticcheck and
 # govulncheck CI jobs. Tools are installed on demand (network required

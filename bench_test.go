@@ -106,7 +106,7 @@ func BenchmarkVRCGSolvePoisson(b *testing.B) {
 	for _, k := range []int{1, 4} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Solve(a, rhs, core.Options{K: k, Tol: 1e-8}); err != nil {
+				if _, err := engine.SolveOnce(core.NewKernel(), a, rhs, engine.Config{K: k, Tol: 1e-8}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -122,7 +122,7 @@ func BenchmarkMINRESSolve(b *testing.B) {
 	vec.Random(rhs, 41)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := krylov.MINRES(a, rhs, krylov.Options{Tol: 1e-8}); err != nil {
+		if _, err := engine.SolveOnce(krylov.NewMINRESKernel(), a, rhs, engine.Config{Tol: 1e-8}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -322,12 +322,12 @@ func BenchmarkPCGSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := krylov.Options{Tol: 1e-6, MaxIter: 60, Precond: jac}
+	opts := engine.Config{Tol: 1e-6, MaxIter: 60, Precond: jac}
 
 	b.Run("serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := krylov.PCG(a, jac, rhs, opts); err != nil {
+			if _, err := engine.SolveOnce(krylov.NewPCGKernel(), a, rhs, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -537,7 +537,7 @@ func BenchmarkCGIteration(b *testing.B) {
 			b.Run(s.name+"/"+c.name, func(b *testing.B) {
 				k, ws := krylov.NewCGKernel(), engine.NewWorkspace(n, nil)
 				var res engine.Result
-				opts := krylov.Options{Tol: 1e-8}
+				opts := engine.Config{Tol: 1e-8}
 				if err := engine.Solve(k, ws, s.op, rhs, opts, &res); err != nil {
 					b.Fatal(err)
 				}

@@ -13,6 +13,7 @@ import (
 
 	"vrcg/internal/core"
 	"vrcg/internal/depth"
+	"vrcg/internal/engine"
 	"vrcg/internal/krylov"
 	"vrcg/internal/machine"
 	"vrcg/internal/trace"
@@ -131,7 +132,7 @@ func TestClaimC5OperationEconomy(t *testing.T) {
 	b := vec.New(a.Dim())
 	vec.Random(b, 5)
 	k := 3
-	res, err := core.Solve(a, b, core.Options{K: k, Tol: 1e-8, WindowOnlyReanchor: true})
+	res, err := engine.SolveOnce(core.NewKernel(), a, b, engine.Config{K: k, Tol: 1e-8, WindowOnlyReanchor: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +171,11 @@ func TestClaimC7SequentialEquivalence(t *testing.T) {
 	a := sparse.Poisson2D(16)
 	b := vec.New(a.Dim())
 	vec.Random(b, 7)
-	cg, err := krylov.CG(a, b, krylov.Options{Tol: 1e-8})
+	cg, err := engine.SolveOnce(krylov.NewCGKernel(), a, b, engine.Config{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vr, err := core.Solve(a, b, core.Options{K: 2, Tol: 1e-8, WindowOnlyReanchor: true})
+	vr, err := engine.SolveOnce(core.NewKernel(), a, b, engine.Config{K: 2, Tol: 1e-8, WindowOnlyReanchor: true})
 	if err != nil {
 		t.Fatal(err)
 	}

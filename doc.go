@@ -83,7 +83,7 @@
 // method is a Kernel implementing one four-hook contract against a
 // shared driver (internal/engine):
 //
-//	          solve registry (13 methods)
+//	          solve registry (19 methods)
 //	                   │ one generic adapter (solveInto fast path)
 //	     ┌─────────────┴─────────────┐
 //	     │ engine.Solve — the driver │   owns: defaults, dim checks,
@@ -132,7 +132,7 @@
 //     hash merge, and the grid generators skip it: each writes its
 //     rows in column order straight into the CSR arrays.
 //
-// See internal/core/README.md for the engine architecture and the
+// See ARCHITECTURE.md for the engine architecture and the
 // pooled-vs-serial decision guide.
 //
 // # Implementation layout

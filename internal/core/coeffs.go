@@ -48,45 +48,100 @@ func (c CoeffPair) Degree() int {
 	return d
 }
 
-// shiftA returns the representation of A*v: every power index rises by one.
-func (c CoeffPair) shiftA() CoeffPair {
-	out := CoeffPair{}
-	if len(c.Rho) > 0 {
-		out.Rho = append([]float64{0}, c.Rho...)
-	}
-	if len(c.Pi) > 0 {
-		out.Pi = append([]float64{0}, c.Pi...)
-	}
-	return out
+// Coeffs is the allocation-free form of a CoeffPair: the representation
+// lives in fixed backing buffers, and the CG steps overwrite it in place.
+// It is the one implementation of the step algebra — StepCGR, StepCGP
+// and AddScaled are allocating wrappers over it — so a kernel stepping
+// Coeffs rounds exactly as the symbolic reference does.
+type Coeffs struct {
+	CoeffPair // prefixes of the buffers below
+
+	rhoBuf, piBuf []float64
 }
 
-// axpyCoeff returns x + s*y on coefficient vectors.
-func axpyCoeff(x, y []float64, s float64) []float64 {
-	n := len(x)
-	if len(y) > n {
-		n = len(y)
+// NewCoeffs returns the zero vector's representation (both slices empty)
+// with room for capacity coefficients per slot, powers 0..capacity-1.
+// Steps that would exceed it panic.
+func NewCoeffs(capacity int) Coeffs {
+	c := Coeffs{rhoBuf: make([]float64, capacity), piBuf: make([]float64, capacity)}
+	c.SetZero()
+	return c
+}
+
+// SetZero makes c the zero vector.
+func (c *Coeffs) SetZero() { c.Rho, c.Pi = c.rhoBuf[:0], c.piBuf[:0] }
+
+// SetR makes c the representation of r(m) itself: Rho = [1].
+func (c *Coeffs) SetR() {
+	c.SetZero()
+	c.Rho = append(c.Rho, 1)
+}
+
+// SetP makes c the representation of p(m) itself: Pi = [1].
+func (c *Coeffs) SetP() {
+	c.SetZero()
+	c.Pi = append(c.Pi, 1)
+}
+
+// StepR sets c = r − λ A p, the residual half of a CG step.
+func (c *Coeffs) StepR(r, p CoeffPair, lambda float64) { c.set(r, -lambda, p, 1) }
+
+// StepP sets c = r + a p, the direction half of a CG step.
+func (c *Coeffs) StepP(r, p CoeffPair, alpha float64) { c.set(r, alpha, p, 0) }
+
+// Axpy sets c += s y: the iterate's update x += λ p.
+func (c *Coeffs) Axpy(s float64, y CoeffPair) { c.set(c.CoeffPair, s, y, 0) }
+
+// set writes x + s A^shift y (shift 0 or 1) into c's buffers. c may be
+// x or y, at either shift.
+func (c *Coeffs) set(x CoeffPair, s float64, y CoeffPair, shift int) {
+	c.Rho = addScaledInto(c.rhoBuf, x.Rho, y.Rho, s, shift)
+	c.Pi = addScaledInto(c.piBuf, x.Pi, y.Pi, s, shift)
+}
+
+// addScaledInto writes x + s A^shift y into buf and returns the written
+// prefix. Multiplying by A lifts every power by one, so A y is y behind
+// a leading zero; the scaled term is added across A^shift y's length
+// only, and an empty y adds nothing. Entries are written last to first,
+// each after the only reads of x[i] and y[i-shift] that need it, so buf
+// may back x or y.
+func addScaledInto(buf, x, y []float64, s float64, shift int) []float64 {
+	ylen := 0
+	if len(y) > 0 {
+		ylen = len(y) + shift
 	}
-	out := make([]float64, n)
-	copy(out, x)
-	for i := range y {
-		out[i] += s * y[i]
+	out := buf[:max(len(x), ylen)]
+	for i := len(out) - 1; i >= 0; i-- {
+		v := 0.0
+		if i < len(x) {
+			v = x[i]
+		}
+		if i < ylen {
+			yi := 0.0
+			if i >= shift {
+				yi = y[i-shift]
+			}
+			v += s * yi
+		}
+		out[i] = v
 	}
 	return out
 }
 
 // AddScaled returns c + s*other.
 func (c CoeffPair) AddScaled(s float64, other CoeffPair) CoeffPair {
-	return CoeffPair{
-		Rho: axpyCoeff(c.Rho, other.Rho, s),
-		Pi:  axpyCoeff(c.Pi, other.Pi, s),
-	}
+	out := NewCoeffs(max(len(c.Rho), len(c.Pi), len(other.Rho), len(other.Pi)))
+	out.set(c, s, other, 0)
+	return out.CoeffPair
 }
 
 // StepCGR advances the residual representation alone: r' = r - λ A p.
 // Splitting the step lets callers evaluate (r', r') — and hence alpha —
 // before committing the direction update, mirroring Families.StepR.
 func StepCGR(r, p CoeffPair, lambda float64) CoeffPair {
-	return r.AddScaled(-lambda, p.shiftA())
+	out := NewCoeffs(max(len(r.Rho), len(r.Pi), len(p.Rho)+1, len(p.Pi)+1))
+	out.StepR(r, p, lambda)
+	return out.CoeffPair
 }
 
 // StepCGP completes the step: p' = r' + a p.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -193,9 +194,11 @@ func TestCoeffPairBasics(t *testing.T) {
 	if r.Degree() != 0 || p.Degree() != 0 {
 		t.Fatal("fresh coefficient pairs should have degree 0")
 	}
-	s := r.shiftA()
-	if s.Degree() != 1 || s.Rho[0] != 0 || s.Rho[1] != 1 {
-		t.Fatalf("shiftA wrong: %+v", s)
+	// A r = 0 − (−1) A r: the shifted representation, Rho = [0, 1].
+	shifted := NewCoeffs(2)
+	shifted.StepR(CoeffPair{}, r, -1)
+	if s := shifted.CoeffPair; s.Degree() != 1 || s.Rho[0] != 0 || s.Rho[1] != 1 || len(s.Pi) != 0 {
+		t.Fatalf("A r wrong: %+v", s)
 	}
 	sum := r.AddScaled(2, p)
 	if sum.Rho[0] != 1 || sum.Pi[0] != 2 {
@@ -215,6 +218,130 @@ func TestStepCGDegreeGrowth(t *testing.T) {
 		r, p = StepCG(r, p, 0.5, 0.25)
 		if r.Degree() != j || p.Degree() != j {
 			t.Fatalf("after %d steps degrees %d/%d", j, r.Degree(), p.Degree())
+		}
+	}
+}
+
+// refAxpy is x + s A^shift y as the allocating algebra computed it
+// before Coeffs: A prepends a zero to a non-empty y, then a copy of x
+// takes s*y added entry by entry.
+func refAxpy(x, y []float64, s float64, shift int) []float64 {
+	if len(y) > 0 && shift == 1 {
+		y = append([]float64{0}, y...)
+	}
+	out := make([]float64, max(len(x), len(y)))
+	copy(out, x)
+	for i := range y {
+		out[i] += s * y[i]
+	}
+	return out
+}
+
+func refPair(x, y CoeffPair, s float64, shift int) CoeffPair {
+	return CoeffPair{Rho: refAxpy(x.Rho, y.Rho, s, shift), Pi: refAxpy(x.Pi, y.Pi, s, shift)}
+}
+
+// coeffsOf copies c into fresh Coeffs of the given capacity.
+func coeffsOf(c CoeffPair, capacity int) Coeffs {
+	d := NewCoeffs(capacity)
+	d.Rho = d.rhoBuf[:copy(d.rhoBuf, c.Rho)]
+	d.Pi = d.piBuf[:copy(d.piBuf, c.Pi)]
+	return d
+}
+
+func sameBits(a, b CoeffPair) bool {
+	eq := func(x, y []float64) bool {
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return eq(a.Rho, b.Rho) && eq(a.Pi, b.Pi)
+}
+
+// TestCoeffsInPlaceMatchesReference steps the in-place algebra over
+// random λ/α histories of k = 1…8 steps and holds every result — each
+// operation into a fresh destination and into one that aliases an
+// operand, at shift 1 (r − λ A p) and shift 0 (r + a p, x + λ p) — and
+// the Contract of the results bitwise equal to the allocating
+// reference, which StepCG must match too.
+func TestCoeffsInPlaceMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for k := 1; k <= 8; k++ {
+		capacity := k + 2
+		g := BaseGram{Mu: make([]float64, 2*k+2), Nu: make([]float64, 2*k+2), Omega: make([]float64, 2*k+2)}
+		for i := range g.Mu {
+			g.Mu[i], g.Nu[i], g.Omega[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+		}
+		rRef, pRef, xRef := NewCoeffR(), NewCoeffP(), CoeffPair{}
+		r, p, x, tmp := NewCoeffs(capacity), NewCoeffs(capacity), NewCoeffs(capacity), NewCoeffs(capacity)
+		r.SetR()
+		p.SetP()
+		for j := 0; j < k; j++ {
+			lambda, alpha := 4*rng.Float64()-2, 4*rng.Float64()-2
+
+			// Each operation three ways: fresh destination, destination
+			// aliasing the first operand, destination aliasing the second.
+			wantR := refPair(rRef, pRef, -lambda, 1)
+			wantX := refPair(xRef, pRef, lambda, 0)
+			ops := []struct {
+				name  string
+				x, y  CoeffPair
+				want  CoeffPair
+				apply func(dst *Coeffs, x, y CoeffPair)
+			}{
+				{"StepR", rRef, pRef, wantR, func(d *Coeffs, x, y CoeffPair) { d.StepR(x, y, lambda) }},
+				{"StepP", wantR, pRef, refPair(wantR, pRef, alpha, 0), func(d *Coeffs, x, y CoeffPair) { d.StepP(x, y, alpha) }},
+			}
+			for _, op := range ops {
+				fresh := NewCoeffs(capacity)
+				op.apply(&fresh, op.x, op.y)
+				ax := coeffsOf(op.x, capacity)
+				op.apply(&ax, ax.CoeffPair, op.y)
+				ay := coeffsOf(op.y, capacity)
+				op.apply(&ay, op.x, ay.CoeffPair)
+				for _, got := range []struct {
+					how string
+					c   CoeffPair
+				}{{"fresh", fresh.CoeffPair}, {"dst=x", ax.CoeffPair}, {"dst=y", ay.CoeffPair}} {
+					if !sameBits(got.c, op.want) {
+						t.Fatalf("k=%d step %d: %s into %s = %+v, reference %+v", k, j, op.name, got.how, got.c, op.want)
+					}
+				}
+			}
+			ax := coeffsOf(xRef, capacity)
+			ax.Axpy(lambda, pRef)
+			if !sameBits(ax.CoeffPair, wantX) {
+				t.Fatalf("k=%d step %d: Axpy = %+v, reference %+v", k, j, ax.CoeffPair, wantX)
+			}
+
+			// The kernels' trajectory: r stepped in place, p in place,
+			// x accumulated in place, against the reference and StepCG.
+			x.Axpy(lambda, p.CoeffPair)
+			tmp.StepR(r.CoeffPair, p.CoeffPair, lambda)
+			r, tmp = tmp, r
+			p.StepP(r.CoeffPair, p.CoeffPair, alpha)
+			sr, sp := StepCG(rRef, pRef, lambda, alpha)
+			xRef = refPair(xRef, pRef, lambda, 0)
+			rRef = wantR
+			pRef = refPair(rRef, pRef, alpha, 0)
+			if !sameBits(r.CoeffPair, rRef) || !sameBits(p.CoeffPair, pRef) || !sameBits(x.CoeffPair, xRef) {
+				t.Fatalf("k=%d step %d: in-place trajectory left the reference", k, j)
+			}
+			if !sameBits(sr, rRef) || !sameBits(sp, pRef) {
+				t.Fatalf("k=%d step %d: StepCG left the reference", k, j)
+			}
+			for shift := 0; shift <= 1; shift++ {
+				got, want := g.Contract(r.CoeffPair, p.CoeffPair, shift), g.Contract(rRef, pRef, shift)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("k=%d step %d shift %d: Contract %v, reference %v", k, j, shift, got, want)
+				}
+			}
 		}
 	}
 }
@@ -404,12 +531,12 @@ func TestSolveMatchesCGIterates(t *testing.T) {
 	n := a.Dim()
 	b := vec.New(n)
 	vec.Random(b, 31)
-	cg, err := krylov.CG(a, b, krylov.Options{Tol: 1e-10, RecordHistory: true})
+	cg, err := engine.SolveOnce(krylov.NewCGKernel(), a, b, engine.Config{Tol: 1e-10, RecordHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int{0, 1, 2, 4} {
-		vr, err := Solve(a, b, Options{K: k, Tol: 1e-10, RecordHistory: true})
+		vr, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: k, Tol: 1e-10, RecordHistory: true})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -452,7 +579,7 @@ func TestSolveConvergesVariousProblems(t *testing.T) {
 		n := pr.a.Dim()
 		b := vec.New(n)
 		vec.Random(b, pr.seed)
-		res, err := Solve(pr.a, b, Options{K: 3, Tol: 1e-9})
+		res, err := engine.SolveOnce(NewKernel(), pr.a, b, engine.Config{K: 3, Tol: 1e-9})
 		if err != nil {
 			t.Fatalf("%s: %v", pr.name, err)
 		}
@@ -467,7 +594,7 @@ func TestSolveConvergesVariousProblems(t *testing.T) {
 
 func TestSolveZeroRHS(t *testing.T) {
 	a := sparse.Poisson1D(8)
-	res, err := Solve(a, vec.New(8), Options{K: 2})
+	res, err := engine.SolveOnce(NewKernel(), a, vec.New(8), engine.Config{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,13 +605,13 @@ func TestSolveZeroRHS(t *testing.T) {
 
 func TestSolveRejectsBadArguments(t *testing.T) {
 	a := sparse.Poisson1D(5)
-	if _, err := Solve(a, vec.New(6), Options{K: 1}); err == nil {
+	if _, err := engine.SolveOnce(NewKernel(), a, vec.New(6), engine.Config{K: 1}); err == nil {
 		t.Fatal("expected dimension error")
 	}
-	if _, err := Solve(a, vec.New(5), Options{K: -1}); err == nil {
+	if _, err := engine.SolveOnce(NewKernel(), a, vec.New(5), engine.Config{K: -1}); err == nil {
 		t.Fatal("expected K error")
 	}
-	if _, err := Solve(a, vec.New(5), Options{K: 1, X0: vec.New(3)}); err == nil {
+	if _, err := engine.SolveOnce(NewKernel(), a, vec.New(5), engine.Config{K: 1, X0: vec.New(3)}); err == nil {
 		t.Fatal("expected x0 dimension error")
 	}
 }
@@ -492,7 +619,7 @@ func TestSolveRejectsBadArguments(t *testing.T) {
 func TestSolveIndefiniteDetected(t *testing.T) {
 	a := sparse.DiagonalMatrix(vec.NewFrom([]float64{1, -2, 1}))
 	b := vec.NewFrom([]float64{1, 1, 1})
-	if _, err := Solve(a, b, Options{K: 1}); err == nil {
+	if _, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: 1}); err == nil {
 		t.Fatal("expected indefinite error")
 	}
 }
@@ -504,7 +631,7 @@ func TestSolveOneMatvecPerIteration(t *testing.T) {
 	b := vec.New(a.Dim())
 	vec.Random(b, 17)
 	k := 3
-	res, err := Solve(a, b, Options{K: k, Tol: 1e-8})
+	res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: k, Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +643,7 @@ func TestSolveOneMatvecPerIteration(t *testing.T) {
 	}
 	// The paper-pure profile: window-only re-anchoring keeps it at
 	// exactly one matvec per iteration.
-	pure, err := Solve(a, b, Options{K: k, Tol: 1e-8, WindowOnlyReanchor: true})
+	pure, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: k, Tol: 1e-8, WindowOnlyReanchor: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +662,7 @@ func TestSolveDirectDotsPerIterationBounded(t *testing.T) {
 	vec.Random(b, 18)
 	k := 2
 	interval := 8
-	res, err := Solve(a, b, Options{K: k, Tol: 1e-8, ReanchorEvery: interval})
+	res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: k, Tol: 1e-8, ReanchorEvery: interval})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +683,7 @@ func TestSolveDriftSmallWithValidation(t *testing.T) {
 	a := sparse.Poisson2D(7)
 	b := vec.New(a.Dim())
 	vec.Random(b, 19)
-	res, err := Solve(a, b, Options{K: 2, Tol: 1e-8, ValidateEvery: 1, ReanchorEvery: 4})
+	res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: 2, Tol: 1e-8, ValidateEvery: 1, ReanchorEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,15 +708,15 @@ func TestSolveNoReanchorDriftsMoreThanAnchored(t *testing.T) {
 	a := sparse.Poisson1D(64)
 	b := vec.New(64)
 	vec.Random(b, 23)
-	opts := Options{K: 4, Tol: 1e-9, MaxIter: 800, ValidateEvery: 1}
+	opts := engine.Config{K: 4, Tol: 1e-9, MaxIter: 800, ValidateEvery: 1}
 
 	loose := opts
 	loose.ReanchorEvery = -1
-	looseRes, looseErr := Solve(a, b, loose)
+	looseRes, looseErr := engine.SolveOnce(NewKernel(), a, b, loose)
 
 	anchored := opts
 	anchored.ReanchorEvery = 8
-	anchoredRes, err := Solve(a, b, anchored)
+	anchoredRes, err := engine.SolveOnce(NewKernel(), a, b, anchored)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,7 +741,7 @@ func TestSolveCallbackEarlyStop(t *testing.T) {
 	a := sparse.Poisson2D(8)
 	b := vec.New(a.Dim())
 	vec.Random(b, 29)
-	res, err := Solve(a, b, Options{
+	res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{
 		K: 2, Tol: 1e-14,
 		Callback: func(it int, _ float64) bool { return it < 4 },
 	})
@@ -633,7 +760,7 @@ func TestSolveWarmStart(t *testing.T) {
 	vec.Random(xTrue, 33)
 	b := vec.New(n)
 	a.MulVec(b, xTrue)
-	res, err := Solve(a, b, Options{K: 2, X0: xTrue, Tol: 1e-8})
+	res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: 2, X0: xTrue, Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -652,7 +779,7 @@ func TestPropSolveRandomSPD(t *testing.T) {
 		vec.Random(x, seed+1)
 		b := vec.New(n)
 		a.MulVec(b, x)
-		res, err := Solve(a, b, Options{K: k, Tol: 1e-9, MaxIter: 30 * n})
+		res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: k, Tol: 1e-9, MaxIter: 30 * n})
 		if err != nil || !res.Converged {
 			return false
 		}
@@ -674,7 +801,7 @@ func TestPropRecurrenceScalarExactness(t *testing.T) {
 		a := sparse.RandomSPD(n, 4, seed)
 		b := vec.New(n)
 		vec.Random(b, seed+2)
-		res, err := Solve(a, b, Options{K: k, Tol: 1e-6, MaxIter: 200, ValidateEvery: 1, ReanchorEvery: 4})
+		res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: k, Tol: 1e-6, MaxIter: 200, ValidateEvery: 1, ReanchorEvery: 4})
 		if err != nil {
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"vrcg/internal/engine"
 	"vrcg/internal/vec"
 	"vrcg/sparse"
 )
@@ -16,13 +17,13 @@ func TestSolvePooledMatchesSerial(t *testing.T) {
 	b := vec.New(a.Dim())
 	vec.Random(b, 55)
 	for _, k := range []int{0, 2} {
-		ref, err := Solve(a, b, Options{K: k, Tol: 1e-9})
+		ref, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: k, Tol: 1e-9})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
 			pool := vec.NewPoolMinChunk(w, 32)
-			res, err := Solve(a, b, Options{K: k, Tol: 1e-9, Pool: pool})
+			res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: k, Tol: 1e-9, Pool: pool})
 			if err != nil {
 				t.Fatalf("k=%d workers=%d: %v", k, w, err)
 			}

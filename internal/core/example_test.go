@@ -5,20 +5,22 @@ import (
 	"log"
 
 	"vrcg/internal/core"
+	"vrcg/internal/engine"
 	"vrcg/internal/vec"
 	"vrcg/sparse"
 )
 
-// ExampleSolve demonstrates the basic solver call: the restructured CG
-// iteration with look-ahead k = 2 on a 2D Poisson system.
-func ExampleSolve() {
+// ExampleNewKernel demonstrates the basic solver call: the restructured
+// CG iteration with look-ahead k = 2 on a 2D Poisson system, run once
+// through the engine driver.
+func ExampleNewKernel() {
 	a := sparse.Poisson2D(16) // 256 unknowns
 	xTrue := vec.New(a.Dim())
 	vec.Random(xTrue, 1)
 	b := vec.New(a.Dim())
 	a.MulVec(b, xTrue)
 
-	res, err := core.Solve(a, b, core.Options{K: 2, Tol: 1e-10})
+	res, err := engine.SolveOnce(core.NewKernel(), a, b, engine.Config{K: 2, Tol: 1e-10})
 	if err != nil {
 		log.Fatal(err)
 	}

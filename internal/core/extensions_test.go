@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"vrcg/internal/engine"
 	"vrcg/internal/vec"
 	"vrcg/sparse"
 )
@@ -11,7 +12,7 @@ func TestResidualReplacementActivates(t *testing.T) {
 	a := sparse.Poisson2D(8)
 	b := vec.New(a.Dim())
 	vec.Random(b, 41)
-	res, err := Solve(a, b, Options{K: 2, Tol: 1e-9, ResidualReplaceEvery: 6, ReanchorEvery: -1})
+	res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: 2, Tol: 1e-9, ResidualReplaceEvery: 6, ReanchorEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,8 +31,8 @@ func TestResidualReplacementTightensTrueResidual(t *testing.T) {
 	a := sparse.Poisson1D(96)
 	b := vec.New(96)
 	vec.Random(b, 43)
-	loose, errL := Solve(a, b, Options{K: 3, Tol: 1e-10, MaxIter: 3000, WindowOnlyReanchor: true})
-	repl, errR := Solve(a, b, Options{K: 3, Tol: 1e-10, MaxIter: 3000, ResidualReplaceEvery: 8})
+	loose, errL := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: 3, Tol: 1e-10, MaxIter: 3000, WindowOnlyReanchor: true})
+	repl, errR := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: 3, Tol: 1e-10, MaxIter: 3000, ResidualReplaceEvery: 8})
 	if errR != nil {
 		t.Fatal(errR)
 	}

@@ -48,7 +48,7 @@ func (kn *vrcgKernel) Init(run *engine.Run) (float64, error) {
 	ws := run.Ws
 	n := ws.Dim()
 	if run.Cfg.K < 0 {
-		return 0, fmt.Errorf("core: look-ahead parameter K = %d must be >= 0: %w", run.Cfg.K, ErrBadOption)
+		return 0, fmt.Errorf("core: look-ahead parameter K = %d must be >= 0: %w", run.Cfg.K, engine.ErrBadOption)
 	}
 	k := run.Cfg.K
 	if run.Cfg.ReanchorEvery == 0 {
@@ -193,7 +193,7 @@ func (kn *vrcgKernel) Step(run *engine.Run) error {
 				return nil
 			}
 			return fmt.Errorf("core: (p,Ap) = %g at iteration %d: %w",
-				pap, res.Iterations, ErrIndefinite)
+				pap, res.Iterations, engine.ErrIndefinite)
 		}
 	}
 	lambda := kn.rr / pap
@@ -220,7 +220,7 @@ func (kn *vrcgKernel) Step(run *engine.Run) error {
 		res.Stats.Flops += 2 * n
 	}
 	if kn.rr == 0 {
-		return fmt.Errorf("core: (r,r) vanished at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("core: (r,r) vanished at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 	alpha := rrNew / kn.rr
 

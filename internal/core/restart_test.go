@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"vrcg/internal/engine"
 	"vrcg/internal/vec"
 	"vrcg/sparse"
 )
@@ -20,7 +21,7 @@ func TestDivergenceRestartRecovers(t *testing.T) {
 	vec.Random(x, seed+1)
 	b := vec.New(n)
 	a.MulVec(b, x)
-	res, err := Solve(a, b, Options{K: 0, Tol: 1e-9, MaxIter: 30 * n})
+	res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: 0, Tol: 1e-9, MaxIter: 30 * n})
 	if err != nil {
 		t.Fatalf("divergent seed no longer recovers: %v", err)
 	}
@@ -44,7 +45,7 @@ func TestDivergenceGuardNotStormy(t *testing.T) {
 	vec.Random(x, 7)
 	b := vec.New(a.Dim())
 	a.MulVec(b, x)
-	res, err := Solve(a, b, Options{K: 2, Tol: 1e-8, MaxIter: 2000})
+	res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{K: 2, Tol: 1e-8, MaxIter: 2000})
 	// Convergence at kappa 1e9 is not guaranteed in the budget; the
 	// claim under test is only that restarts do not storm.
 	if res == nil {

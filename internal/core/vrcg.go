@@ -1,45 +1,14 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"vrcg/internal/engine"
-	"vrcg/internal/vec"
 	"vrcg/sparse"
 )
 
-// Error sentinels shared with the rest of the solver family.
-var (
-	ErrIndefinite = engine.ErrIndefinite
-	ErrBreakdown  = engine.ErrBreakdown
-	ErrBadOption  = engine.ErrBadOption
-)
-
-// Options configures a VRCG solve. It is the engine's shared Config:
-// the fields this package consumes are K (the §5 look-ahead parameter;
-// K = 0 keeps only the one-step §3 recurrence, K = 1 is the "doubling"
-// configuration, the paper's headline setting is K = log2(N)),
-// ReanchorEvery / WindowOnlyReanchor (periodic direct window
-// recomputation — the stabilization successor methods later formalized;
-// 0 selects DefaultReanchorInterval(K), negative disables),
-// ValidateEvery (diagnostic-only drift checkpoints into Result.Drift),
-// ResidualReplaceEvery (van der Vorst–Ye residual replacement), plus
-// the common Tol/MaxIter/X0/RecordHistory/Callback/Pool.
-type Options = engine.Config
-
-// DriftStats records how far the recurrence-produced scalars wandered
-// from directly computed inner products (measured only at ValidateEvery
-// checkpoints).
-type DriftStats = engine.DriftStats
-
-// Result reports a VRCG solve: the canonical engine result, whose
-// K/Reanchors/Refreshes/Replacements/ValidationDots/FallbackDots/Drift
-// fields carry the recurrence-specific diagnostics.
-type Result = engine.Result
-
 // DefaultReanchorInterval returns the re-anchoring interval used when
-// Options.ReanchorEvery is zero: 8 at k=0, 6 at k=1 and 2, 2 above. A
+// Config.ReanchorEvery is zero: 8 at k=0, 6 at k=1 and 2, 2 above. A
 // re-anchor costs 2k+1 products and 6k+6 dots, so the interval is the
 // longest at which vrcg was measured to keep cg's iteration count —
 // tol 1e-8, four random right-hand sides each on Poisson2D(64) and
@@ -67,23 +36,7 @@ func DefaultReanchorInterval(k int) int {
 	return 2
 }
 
-// Solve runs the restructured conjugate gradient iteration of the paper
-// with look-ahead parameter o.K: identical iterates to standard CG in
-// exact arithmetic, but with every (r,r) and (p,Ap) delivered by the §4/§5
-// scalar recurrences from inner products computed k iterations earlier,
-// one matrix–vector product per iteration, and three direct inner
-// products per iteration replenishing the window tops. See vrcgKernel
-// for the mechanics; the engine driver owns the loop.
-func Solve(a sparse.Matrix, b vec.Vector, o Options) (*Result, error) {
-	if a.Dim() <= 0 {
-		return nil, fmt.Errorf("core: operator order %d must be positive: %w", a.Dim(), sparse.ErrDim)
-	}
-	res := new(Result)
-	err := engine.Solve(NewKernel(), engine.NewWorkspace(a.Dim(), o.Pool), a, b, o, res)
-	return res, err
-}
-
-func validateDrift(ws *engine.Workspace, res *Result, fam *Families, rrRec, papRec float64) {
+func validateDrift(ws *engine.Workspace, res *engine.Result, fam *Families, rrRec, papRec float64) {
 	rrDir := ws.Dot(fam.Residual(), fam.Residual())
 	papDir := ws.Dot(fam.Direction(), fam.AP())
 	res.ValidationDots += 2

@@ -295,6 +295,20 @@ func Solve(k Kernel, ws *Workspace, a sparse.Matrix, b vec.Vector, cfg Config, r
 	return run.settle(k, "Finish", nil)
 }
 
+// SolveOnce runs kernel k once on a fresh workspace sized by the
+// operator's column count: the one-shot form of Solve, for callers that
+// do not solve repeatedly. An operator of order <= 0 is rejected with
+// sparse.ErrDim.
+func SolveOnce(k Kernel, a sparse.Matrix, b vec.Vector, cfg Config) (*Result, error) {
+	_, cols := sparse.Dims(a)
+	if cols <= 0 {
+		return nil, fmt.Errorf("%s: operator order %d must be positive: %w", k.Name(), cols, sparse.ErrDim)
+	}
+	res := new(Result)
+	err := Solve(k, NewWorkspace(cols, cfg.Pool), a, b, cfg, res)
+	return res, err
+}
+
 // publishHistory hands the workspace-owned history slab to the result
 // when recording was requested.
 func (r *Run) publishHistory() {

@@ -28,12 +28,6 @@ import (
 	"vrcg/internal/vec"
 )
 
-// Re-exported sentinels, matching the internal/krylov convention.
-var (
-	ErrBreakdown           = engine.ErrBreakdown
-	ErrUnsupportedOperator = engine.ErrUnsupportedOperator
-)
-
 // matVecT computes dst = Aᵀ*x through the run's captured transpose
 // capability, charging it like a forward product.
 func matVecT(run *engine.Run, dst, x vec.Vector) {
@@ -42,12 +36,12 @@ func matVecT(run *engine.Run, dst, x vec.Vector) {
 	run.Res.Stats.Flops += run.MatVecFlops
 }
 
-// requireTranspose fails with ErrUnsupportedOperator when the operator
+// requireTranspose fails with engine.ErrUnsupportedOperator when the operator
 // cannot apply its transpose (Run.AT is nil).
 func requireTranspose(run *engine.Run, method string) error {
 	if run.AT == nil {
 		return fmt.Errorf("gkrylov: %s needs transpose products but the operator does not implement sparse.TransposeMulVec: %w",
-			method, ErrUnsupportedOperator)
+			method, engine.ErrUnsupportedOperator)
 	}
 	return nil
 }
@@ -90,7 +84,7 @@ func (k *bicgstabKernel) Step(run *engine.Run) error {
 	res.Stats.InnerProducts++
 	res.Stats.Flops += 2 * n
 	if rhoNew == 0 || math.IsNaN(rhoNew) || math.IsInf(rhoNew, 0) {
-		return fmt.Errorf("gkrylov: (r̂,r) = %g at iteration %d: %w", rhoNew, res.Iterations, ErrBreakdown)
+		return fmt.Errorf("gkrylov: (r̂,r) = %g at iteration %d: %w", rhoNew, res.Iterations, engine.ErrBreakdown)
 	}
 	beta := (rhoNew / k.rho) * (k.alpha / k.omega)
 
@@ -106,7 +100,7 @@ func (k *bicgstabKernel) Step(run *engine.Run) error {
 	res.Stats.InnerProducts++
 	res.Stats.Flops += 2 * n
 	if rhv == 0 {
-		return fmt.Errorf("gkrylov: (r̂,Ap) vanished at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("gkrylov: (r̂,Ap) vanished at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 	k.alpha = rhoNew / rhv
 
@@ -137,11 +131,11 @@ func (k *bicgstabKernel) Step(run *engine.Run) error {
 	res.Stats.InnerProducts += 2
 	res.Stats.Flops += 4 * n
 	if tt == 0 {
-		return fmt.Errorf("gkrylov: ||As|| vanished at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("gkrylov: ||As|| vanished at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 	k.omega = ts / tt
 	if k.omega == 0 || math.IsNaN(k.omega) || math.IsInf(k.omega, 0) {
-		return fmt.Errorf("gkrylov: stabilization weight %g at iteration %d: %w", k.omega, res.Iterations, ErrBreakdown)
+		return fmt.Errorf("gkrylov: stabilization weight %g at iteration %d: %w", k.omega, res.Iterations, engine.ErrBreakdown)
 	}
 
 	// x += alpha*p + omega*s; r = s - omega*t.
@@ -157,7 +151,7 @@ func (k *bicgstabKernel) Step(run *engine.Run) error {
 	res.Stats.InnerProducts++
 	res.Stats.Flops += 2 * n
 	if math.IsNaN(k.rnorm) || math.IsInf(k.rnorm, 0) {
-		return fmt.Errorf("gkrylov: non-finite residual at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("gkrylov: non-finite residual at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 	run.Tick(k.rnorm)
 	return nil

@@ -221,7 +221,7 @@ func TestBreakdownOnZeroOperator(t *testing.T) {
 	for _, k := range []engine.Kernel{NewBiCGStabKernel(), NewGMRESKernel(), NewCGNRKernel(), NewLSQRKernel()} {
 		res := new(engine.Result)
 		err := engine.Solve(k, engine.NewWorkspace(n, nil), zero, b, engine.Config{Tol: 1e-10}, res)
-		if !errors.Is(err, ErrBreakdown) {
+		if !errors.Is(err, engine.ErrBreakdown) {
 			t.Errorf("%s on zero operator: err = %v, want ErrBreakdown", k.Name(), err)
 		}
 	}
@@ -234,7 +234,7 @@ func TestLeastSquaresRequireTransposeCapability(t *testing.T) {
 	for _, k := range []engine.Kernel{NewCGNRKernel(), NewLSQRKernel()} {
 		res := new(engine.Result)
 		err := engine.Solve(k, engine.NewWorkspace(4, nil), a, b, engine.Config{}, res)
-		if !errors.Is(err, ErrUnsupportedOperator) {
+		if !errors.Is(err, engine.ErrUnsupportedOperator) {
 			t.Errorf("%s without transpose: err = %v, want ErrUnsupportedOperator", k.Name(), err)
 		}
 	}

@@ -130,7 +130,7 @@ func (k *gmresKernel) Step(run *engine.Run) error {
 
 		est := math.Abs(g[j+1])
 		if math.IsNaN(est) || math.IsInf(est, 0) {
-			return fmt.Errorf("gkrylov: non-finite residual estimate at iteration %d: %w", res.Iterations, ErrBreakdown)
+			return fmt.Errorf("gkrylov: non-finite residual estimate at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 		}
 		run.Tick(est)
 		if happy || est <= run.Threshold || run.Stopped() {
@@ -145,7 +145,7 @@ func (k *gmresKernel) Step(run *engine.Run) error {
 		d := h[i*m+i]
 		if d == 0 {
 			return fmt.Errorf("gkrylov: singular projected system (R[%d,%d] = 0) at iteration %d: %w",
-				i, i, res.Iterations, ErrBreakdown)
+				i, i, res.Iterations, engine.ErrBreakdown)
 		}
 		s := g[i]
 		for l := i + 1; l < j; l++ {
@@ -166,7 +166,7 @@ func (k *gmresKernel) Step(run *engine.Run) error {
 	res.Stats.InnerProducts++
 	res.Stats.Flops += 2 * n
 	if math.IsNaN(k.rnorm) || math.IsInf(k.rnorm, 0) {
-		return fmt.Errorf("gkrylov: non-finite residual at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("gkrylov: non-finite residual at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 	return nil
 }

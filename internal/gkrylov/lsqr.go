@@ -57,7 +57,7 @@ func (k *cgnrKernel) Init(run *engine.Run) (float64, error) {
 	run.Res.Stats.InnerProducts += 2
 	run.Res.Stats.Flops += 2*int64(rows) + 2*int64(ws.Dim())
 	if k.zz == 0 && k.rnorm > run.Threshold {
-		return 0, fmt.Errorf("gkrylov: Aᵀr vanished at start (rank-deficient or zero operator): %w", ErrBreakdown)
+		return 0, fmt.Errorf("gkrylov: Aᵀr vanished at start (rank-deficient or zero operator): %w", engine.ErrBreakdown)
 	}
 
 	// Stationarity scale: tol*||Aᵀb||. With a zero initial guess Aᵀr
@@ -95,7 +95,7 @@ func (k *cgnrKernel) Step(run *engine.Run) error {
 	res.Stats.InnerProducts++
 	res.Stats.Flops += 2 * rows
 	if ww == 0 {
-		return fmt.Errorf("gkrylov: ||Ap|| vanished at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("gkrylov: ||Ap|| vanished at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 	alpha := k.zz / ww
 
@@ -109,7 +109,7 @@ func (k *cgnrKernel) Step(run *engine.Run) error {
 	res.Stats.InnerProducts++
 	res.Stats.Flops += 2 * cols
 	if math.IsNaN(zzNew) || math.IsInf(zzNew, 0) {
-		return fmt.Errorf("gkrylov: non-finite gradient at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("gkrylov: non-finite gradient at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 
 	beta := zzNew / k.zz
@@ -186,7 +186,7 @@ func (k *lsqrKernel) Init(run *engine.Run) (float64, error) {
 	run.Res.Stats.VectorUpdates++
 	run.Res.Stats.Flops += int64(rows) + 2*int64(cols)
 	if k.alpha == 0 {
-		return 0, fmt.Errorf("gkrylov: Aᵀu vanished at start (rank-deficient or zero operator): %w", ErrBreakdown)
+		return 0, fmt.Errorf("gkrylov: Aᵀu vanished at start (rank-deficient or zero operator): %w", engine.ErrBreakdown)
 	}
 	vec.Scale(1/k.alpha, k.v)
 	vec.Copy(k.w, k.v)
@@ -245,7 +245,7 @@ func (k *lsqrKernel) Step(run *engine.Run) error {
 	// One Givens rotation updates the QR of the bidiagonal system.
 	rho := math.Hypot(k.rhobar, beta)
 	if rho == 0 {
-		return fmt.Errorf("gkrylov: bidiagonal pivot vanished at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("gkrylov: bidiagonal pivot vanished at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 	c := k.rhobar / rho
 	s := beta / rho
@@ -260,7 +260,7 @@ func (k *lsqrKernel) Step(run *engine.Run) error {
 	res.Stats.Flops += 4 * cols
 
 	if math.IsNaN(k.phibar) || math.IsInf(k.phibar, 0) {
-		return fmt.Errorf("gkrylov: non-finite residual estimate at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("gkrylov: non-finite residual estimate at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 	k.atrEst = k.phibar * k.alpha * math.Abs(c)
 	run.Tick(k.phibar)

@@ -7,6 +7,7 @@ import (
 	"vrcg/internal/engine"
 	"vrcg/internal/vec"
 	"vrcg/precond"
+	"vrcg/sparse"
 )
 
 // This file holds the engine kernels for the classic iterations: cg
@@ -82,7 +83,7 @@ func (k *cgKernel) Step(run *engine.Run) error {
 	res.Stats.InnerProducts++
 	res.Stats.Flops += 6 * n
 	if math.IsNaN(rrNew) || math.IsInf(rrNew, 0) {
-		return fmt.Errorf("krylov: non-finite residual at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("krylov: non-finite residual at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 
 	k.src, k.beta = k.r, rrNew/k.rr
@@ -136,7 +137,7 @@ func (k *pcgKernel) Init(run *engine.Run) (float64, error) {
 		k.m = k.ident
 	}
 	if k.m.Dim() != n {
-		return 0, fmt.Errorf("krylov: preconditioner order %d for matrix order %d: %w", k.m.Dim(), n, ErrDim)
+		return 0, fmt.Errorf("krylov: preconditioner order %d for matrix order %d: %w", k.m.Dim(), n, sparse.ErrDim)
 	}
 	k.x, k.r, k.p, k.ap, k.z = ws.Vec(0), ws.Vec(1), ws.Vec(2), ws.Vec(3), ws.Vec(4)
 	k.rv, k.zr = [2]vec.Vector{k.r, k.r}, [2]vec.Vector{k.z, k.r}
@@ -162,7 +163,7 @@ func (k *pcgKernel) Step(run *engine.Run) error {
 		return err
 	}
 	if k.rz == 0 {
-		return fmt.Errorf("krylov: (r,z) vanished at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("krylov: (r,z) vanished at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 	lambda := k.rz / pap
 
@@ -177,7 +178,7 @@ func (k *pcgKernel) Step(run *engine.Run) error {
 	var rzNew float64
 	rzNew, k.rr = k.residualDots(run)
 	if math.IsNaN(rzNew) || math.IsInf(rzNew, 0) {
-		return fmt.Errorf("krylov: non-finite (r,z) at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("krylov: non-finite (r,z) at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 
 	k.src, k.beta = k.z, rzNew/k.rz
@@ -225,7 +226,7 @@ func (k *crKernel) Step(run *engine.Run) error {
 
 	apap := run.Dot(k.ap, k.ap)
 	if !(apap > 0) || math.IsInf(apap, 0) { // zero, or NaN, which == 0 lets through
-		return fmt.Errorf("krylov: ||Ap||^2 = %g at iteration %d: %w", apap, res.Iterations, ErrBreakdown)
+		return fmt.Errorf("krylov: ||Ap||^2 = %g at iteration %d: %w", apap, res.Iterations, engine.ErrBreakdown)
 	}
 	alpha := k.rar / apap
 
@@ -237,10 +238,10 @@ func (k *crKernel) Step(run *engine.Run) error {
 	// Ar and (r,Ar) in one sweep; like sd's, with no update pending.
 	rarNew := run.Direction(nil, 0, k.r, k.ar)
 	if math.IsNaN(rarNew) || math.IsInf(rarNew, 0) {
-		return fmt.Errorf("krylov: non-finite (r,Ar) at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("krylov: non-finite (r,Ar) at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 	if k.rar == 0 {
-		return fmt.Errorf("krylov: (r,Ar) vanished at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("krylov: (r,Ar) vanished at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 	beta := rarNew / k.rar
 
@@ -299,7 +300,7 @@ func (k *sdKernel) Step(run *engine.Run) error {
 
 	k.rr = run.Dot(k.r, k.r)
 	if math.IsNaN(k.rr) || math.IsInf(k.rr, 0) {
-		return fmt.Errorf("krylov: non-finite residual at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("krylov: non-finite residual at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 	run.Tick(math.Sqrt(k.rr))
 	return nil

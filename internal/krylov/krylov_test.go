@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"vrcg/internal/engine"
 	"vrcg/internal/vec"
 	"vrcg/precond"
 	"vrcg/sparse"
@@ -13,7 +14,7 @@ import (
 
 // solveCheck runs a solver and verifies the true residual meets a
 // tolerance relative to ||b||.
-func solveCheck(t *testing.T, name string, res *Result, err error, b vec.Vector, tol float64) {
+func solveCheck(t *testing.T, name string, res *engine.Result, err error, b vec.Vector, tol float64) {
 	t.Helper()
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -39,7 +40,7 @@ func poissonSystem(m int, seed uint64) (*sparse.CSR, vec.Vector, vec.Vector) {
 
 func TestCGSolvesPoisson2D(t *testing.T) {
 	a, b, xTrue := poissonSystem(8, 1)
-	res, err := CG(a, b, Options{Tol: 1e-12})
+	res, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{Tol: 1e-12})
 	solveCheck(t, "CG", res, err, b, 1e-10)
 	if !vec.EqualTol(res.X, xTrue, 1e-8) {
 		t.Fatal("CG solution differs from truth")
@@ -51,7 +52,7 @@ func TestCGExactTerminationSmall(t *testing.T) {
 	// well-conditioned system it should take <= 3 + rounding slack.
 	a := sparse.TridiagToeplitz(3, 4, -1)
 	b := vec.NewFrom([]float64{1, 2, 3})
-	res, err := CG(a, b, Options{Tol: 1e-13})
+	res, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{Tol: 1e-13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestCGExactTerminationSmall(t *testing.T) {
 func TestCGZeroRHS(t *testing.T) {
 	a := sparse.Poisson1D(10)
 	b := vec.New(10)
-	res, err := CG(a, b, Options{})
+	res, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestCGZeroRHS(t *testing.T) {
 func TestCGWarmStart(t *testing.T) {
 	a, b, xTrue := poissonSystem(6, 2)
 	// Start from the exact solution: should converge immediately.
-	res, err := CG(a, b, Options{X0: xTrue, Tol: 1e-8})
+	res, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{X0: xTrue, Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +90,10 @@ func TestCGWarmStart(t *testing.T) {
 
 func TestCGDimensionMismatch(t *testing.T) {
 	a := sparse.Poisson1D(5)
-	if _, err := CG(a, vec.New(6), Options{}); !errors.Is(err, sparse.ErrDim) {
+	if _, err := engine.SolveOnce(NewCGKernel(), a, vec.New(6), engine.Config{}); !errors.Is(err, sparse.ErrDim) {
 		t.Fatalf("want ErrDim, got %v", err)
 	}
-	if _, err := CG(a, vec.New(5), Options{X0: vec.New(4)}); !errors.Is(err, sparse.ErrDim) {
+	if _, err := engine.SolveOnce(NewCGKernel(), a, vec.New(5), engine.Config{X0: vec.New(4)}); !errors.Is(err, sparse.ErrDim) {
 		t.Fatalf("want ErrDim for x0, got %v", err)
 	}
 }
@@ -100,15 +101,15 @@ func TestCGDimensionMismatch(t *testing.T) {
 func TestCGIndefiniteDetected(t *testing.T) {
 	a := sparse.DiagonalMatrix(vec.NewFrom([]float64{1, -1}))
 	b := vec.NewFrom([]float64{1, 1})
-	_, err := CG(a, b, Options{})
-	if !errors.Is(err, ErrIndefinite) {
+	_, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{})
+	if !errors.Is(err, engine.ErrIndefinite) {
 		t.Fatalf("want ErrIndefinite, got %v", err)
 	}
 }
 
 func TestCGHistoryMonotoneTail(t *testing.T) {
 	a, b, _ := poissonSystem(8, 3)
-	res, err := CG(a, b, Options{RecordHistory: true, Tol: 1e-12})
+	res, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{RecordHistory: true, Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestCGHistoryMonotoneTail(t *testing.T) {
 func TestCGCallbackEarlyStop(t *testing.T) {
 	a, b, _ := poissonSystem(8, 4)
 	stopAt := 3
-	res, err := CG(a, b, Options{
+	res, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{
 		Tol: 1e-14,
 		Callback: func(it int, _ float64) bool {
 			return it < stopAt
@@ -147,7 +148,7 @@ func TestCGStatsPerIteration(t *testing.T) {
 	// iteration. Verify the counters reflect exactly that (plus setup:
 	// 1 matvec + 1 dot, and the exit true-residual matvec).
 	a, b, _ := poissonSystem(6, 5)
-	res, err := CG(a, b, Options{Tol: 1e-10})
+	res, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestCGStatsPerIteration(t *testing.T) {
 
 func TestCGMaxIterRespected(t *testing.T) {
 	a, b, _ := poissonSystem(16, 6)
-	res, err := CG(a, b, Options{MaxIter: 2, Tol: 1e-14})
+	res, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{MaxIter: 2, Tol: 1e-14})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestPCGJacobiSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, errSolve := PCG(a, m, b, Options{Tol: 1e-12})
+	res, errSolve := engine.SolveOnce(NewPCGKernel(), a, b, engine.Config{Tol: 1e-12, Precond: m})
 	solveCheck(t, "PCG-Jacobi", res, errSolve, b, 1e-10)
 }
 
@@ -197,7 +198,7 @@ func TestPCGSSORFasterThanCGOnIllConditioned(t *testing.T) {
 	n := a.Dim()
 	b := vec.New(n)
 	vec.Random(b, 8)
-	plain, err := CG(a, b, Options{Tol: 1e-8})
+	plain, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestPCGSSORFasterThanCGOnIllConditioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := PCG(a, m, b, Options{Tol: 1e-8})
+	pre, err := engine.SolveOnce(NewPCGKernel(), a, b, engine.Config{Tol: 1e-8, Precond: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +220,12 @@ func TestPCGSSORFasterThanCGOnIllConditioned(t *testing.T) {
 
 func TestPCGIdentityMatchesCG(t *testing.T) {
 	a, b, _ := poissonSystem(6, 9)
-	plain, err := CG(a, b, Options{Tol: 1e-10, RecordHistory: true})
+	plain, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{Tol: 1e-10, RecordHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := precond.NewIdentity(a.Dim())
-	pre, err := PCG(a, id, b, Options{Tol: 1e-10, RecordHistory: true})
+	pre, err := engine.SolveOnce(NewPCGKernel(), a, b, engine.Config{Tol: 1e-10, RecordHistory: true, Precond: id})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,21 +240,21 @@ func TestPCGIdentityMatchesCG(t *testing.T) {
 func TestPCGDimChecks(t *testing.T) {
 	a := sparse.Poisson1D(5)
 	id := precond.NewIdentity(4)
-	if _, err := PCG(a, id, vec.New(5), Options{}); !errors.Is(err, sparse.ErrDim) {
+	if _, err := engine.SolveOnce(NewPCGKernel(), a, vec.New(5), engine.Config{Precond: id}); !errors.Is(err, sparse.ErrDim) {
 		t.Fatalf("want ErrDim, got %v", err)
 	}
 }
 
 func TestSteepestDescentConvergesSlowly(t *testing.T) {
 	a, b, _ := poissonSystem(6, 10)
-	sd, err := SteepestDescent(a, b, Options{Tol: 1e-8, MaxIter: 100000})
+	sd, err := engine.SolveOnce(NewSDKernel(), a, b, engine.Config{Tol: 1e-8, MaxIter: 100000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sd.Converged {
 		t.Fatal("steepest descent did not converge")
 	}
-	cg, err := CG(a, b, Options{Tol: 1e-8})
+	cg, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,21 +265,21 @@ func TestSteepestDescentConvergesSlowly(t *testing.T) {
 
 func TestSteepestDescentIndefinite(t *testing.T) {
 	a := sparse.DiagonalMatrix(vec.NewFrom([]float64{-1, 1}))
-	if _, err := SteepestDescent(a, vec.NewFrom([]float64{1, 0}), Options{}); !errors.Is(err, ErrIndefinite) {
+	if _, err := engine.SolveOnce(NewSDKernel(), a, vec.NewFrom([]float64{1, 0}), engine.Config{}); !errors.Is(err, engine.ErrIndefinite) {
 		t.Fatalf("want ErrIndefinite, got %v", err)
 	}
 }
 
 func TestCRSolves(t *testing.T) {
 	a, b, _ := poissonSystem(8, 11)
-	res, err := CR(a, b, Options{Tol: 1e-11})
+	res, err := engine.SolveOnce(NewCRKernel(), a, b, engine.Config{Tol: 1e-11})
 	solveCheck(t, "CR", res, err, b, 1e-9)
 }
 
 func TestCRResidualMonotone(t *testing.T) {
 	// CR minimizes the residual norm, so history must be non-increasing.
 	a, b, _ := poissonSystem(8, 12)
-	res, err := CR(a, b, Options{Tol: 1e-10, RecordHistory: true})
+	res, err := engine.SolveOnce(NewCRKernel(), a, b, engine.Config{Tol: 1e-10, RecordHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,8 +291,8 @@ func TestCRResidualMonotone(t *testing.T) {
 }
 
 func TestStatsAddAndString(t *testing.T) {
-	s := Stats{MatVecs: 1, InnerProducts: 2, VectorUpdates: 3, PrecondSolves: 4, Flops: 5}
-	s.Add(Stats{MatVecs: 10, InnerProducts: 20, VectorUpdates: 30, PrecondSolves: 40, Flops: 50})
+	s := engine.Stats{MatVecs: 1, InnerProducts: 2, VectorUpdates: 3, PrecondSolves: 4, Flops: 5}
+	s.Add(engine.Stats{MatVecs: 10, InnerProducts: 20, VectorUpdates: 30, PrecondSolves: 40, Flops: 50})
 	if s.MatVecs != 11 || s.InnerProducts != 22 || s.VectorUpdates != 33 || s.PrecondSolves != 44 || s.Flops != 55 {
 		t.Fatalf("Stats.Add wrong: %+v", s)
 	}
@@ -310,7 +311,7 @@ func TestCGIterationBoundKappa(t *testing.T) {
 	a := sparse.PrescribedSpectrum(n, kappa)
 	b := vec.New(n)
 	vec.Random(b, 13)
-	res, err := CG(a, b, Options{Tol: 1e-8})
+	res, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestPropCGSolvesRandomSPD(t *testing.T) {
 		vec.Random(x, seed+1)
 		b := vec.New(n)
 		a.MulVec(b, x)
-		res, err := CG(a, b, Options{Tol: 1e-10, MaxIter: 20 * n})
+		res, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{Tol: 1e-10, MaxIter: 20 * n})
 		if err != nil || !res.Converged {
 			return false
 		}

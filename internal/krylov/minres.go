@@ -6,7 +6,6 @@ import (
 
 	"vrcg/internal/engine"
 	"vrcg/internal/vec"
-	"vrcg/sparse"
 )
 
 // minresKernel is the minimum-residual method of Paige & Saunders
@@ -90,7 +89,7 @@ func (k *minresKernel) Step(run *engine.Run) error {
 	// New rotation annihilating betaNext.
 	gamma := math.Hypot(gbar, betaNext)
 	if gamma == 0 {
-		return fmt.Errorf("krylov: MINRES breakdown at iteration %d: %w", res.Iterations, ErrBreakdown)
+		return fmt.Errorf("krylov: MINRES breakdown at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 	k.cs = gbar / gamma
 	k.sn = betaNext / gamma
@@ -145,10 +144,4 @@ func (k *minresKernel) Finish(run *engine.Run) {
 	if run.Res.TrueResidualNorm <= run.Threshold*1.01 {
 		run.Res.Converged = true
 	}
-}
-
-// MINRES solves A x = b for symmetric (possibly indefinite) A by the
-// minimum-residual method; see minresKernel.
-func MINRES(a sparse.Matrix, b vec.Vector, o Options) (*Result, error) {
-	return run(NewMINRESKernel(), a, b, o)
 }

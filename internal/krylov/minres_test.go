@@ -4,13 +4,14 @@ import (
 	"testing"
 	"testing/quick"
 
+	"vrcg/internal/engine"
 	"vrcg/internal/vec"
 	"vrcg/sparse"
 )
 
 func TestMINRESSolvesSPD(t *testing.T) {
 	a, b, xTrue := poissonSystem(8, 21)
-	res, err := MINRES(a, b, Options{Tol: 1e-10})
+	res, err := engine.SolveOnce(NewMINRESKernel(), a, b, engine.Config{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +38,10 @@ func TestMINRESSolvesIndefinite(t *testing.T) {
 	b := vec.New(30)
 	a.MulVec(b, xTrue)
 
-	if _, err := CG(a, b, Options{}); err == nil {
+	if _, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{}); err == nil {
 		t.Fatal("CG should fail on an indefinite system")
 	}
-	res, err := MINRES(a, b, Options{Tol: 1e-10, MaxIter: 600})
+	res, err := engine.SolveOnce(NewMINRESKernel(), a, b, engine.Config{Tol: 1e-10, MaxIter: 600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestMINRESResidualMonotone(t *testing.T) {
 	// MINRES minimizes the residual over the Krylov space: the recorded
 	// history must be non-increasing.
 	a, b, _ := poissonSystem(8, 23)
-	res, err := MINRES(a, b, Options{Tol: 1e-10, RecordHistory: true})
+	res, err := engine.SolveOnce(NewMINRESKernel(), a, b, engine.Config{Tol: 1e-10, RecordHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +70,11 @@ func TestMINRESResidualMonotone(t *testing.T) {
 
 func TestMINRESMatchesCGIterationsOnSPD(t *testing.T) {
 	a, b, _ := poissonSystem(7, 24)
-	cg, err := CG(a, b, Options{Tol: 1e-8})
+	cg, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mr, err := MINRES(a, b, Options{Tol: 1e-8})
+	mr, err := engine.SolveOnce(NewMINRESKernel(), a, b, engine.Config{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestMINRESMatchesCGIterationsOnSPD(t *testing.T) {
 
 func TestMINRESZeroRHS(t *testing.T) {
 	a := sparse.Poisson1D(10)
-	res, err := MINRES(a, vec.New(10), Options{})
+	res, err := engine.SolveOnce(NewMINRESKernel(), a, vec.New(10), engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestMINRESZeroRHS(t *testing.T) {
 
 func TestMINRESCallbackStops(t *testing.T) {
 	a, b, _ := poissonSystem(8, 25)
-	res, err := MINRES(a, b, Options{
+	res, err := engine.SolveOnce(NewMINRESKernel(), a, b, engine.Config{
 		Tol:      1e-14,
 		Callback: func(it int, _ float64) bool { return it < 3 },
 	})
@@ -109,7 +110,7 @@ func TestMINRESCallbackStops(t *testing.T) {
 
 func TestMINRESDimErrors(t *testing.T) {
 	a := sparse.Poisson1D(4)
-	if _, err := MINRES(a, vec.New(5), Options{}); err == nil {
+	if _, err := engine.SolveOnce(NewMINRESKernel(), a, vec.New(5), engine.Config{}); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }
@@ -136,7 +137,7 @@ func TestPropMINRESSymmetric(t *testing.T) {
 		if vec.Norm2(b) == 0 {
 			return true
 		}
-		res, err := MINRES(a, b, Options{Tol: 1e-8, MaxIter: 50 * n})
+		res, err := engine.SolveOnce(NewMINRESKernel(), a, b, engine.Config{Tol: 1e-8, MaxIter: 50 * n})
 		if err != nil {
 			return false
 		}

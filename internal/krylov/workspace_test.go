@@ -22,16 +22,16 @@ func testSystem(t *testing.T, m int) (*sparse.CSR, vec.Vector) {
 // workspace — the way the solve adapter holds them — so the tests below
 // check that the kernels reset fully in Init and allocate nothing once
 // warm.
-func warm(k engine.Kernel, n int, pool *vec.Pool) func(sparse.Matrix, vec.Vector, Options) (*Result, error) {
-	ws, res := engine.NewWorkspace(n, pool), new(Result)
-	return func(a sparse.Matrix, b vec.Vector, o Options) (*Result, error) {
+func warm(k engine.Kernel, n int, pool *vec.Pool) func(sparse.Matrix, vec.Vector, engine.Config) (*engine.Result, error) {
+	ws, res := engine.NewWorkspace(n, pool), new(engine.Result)
+	return func(a sparse.Matrix, b vec.Vector, o engine.Config) (*engine.Result, error) {
 		return res, engine.Solve(k, ws, a, b, o, res)
 	}
 }
 
 func TestWorkspaceCGMatchesCG(t *testing.T) {
 	a, b := testSystem(t, 24)
-	ref, err := CG(a, b, Options{Tol: 1e-10})
+	ref, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestWorkspaceCGMatchesCG(t *testing.T) {
 			pool = vec.NewPoolMinChunk(w, 32)
 		}
 		solve := warm(NewCGKernel(), a.Dim(), pool)
-		res, err := solve(a, b, Options{Tol: 1e-10})
+		res, err := solve(a, b, engine.Config{Tol: 1e-10})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -63,7 +63,7 @@ func TestWorkspacePCGMatchesPCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := PCG(a, jac, b, Options{Tol: 1e-10})
+	ref, err := engine.SolveOnce(NewPCGKernel(), a, b, engine.Config{Tol: 1e-10, Precond: jac})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestWorkspacePCGMatchesPCG(t *testing.T) {
 			pool = vec.NewPoolMinChunk(w, 32)
 		}
 		solve := warm(NewPCGKernel(), a.Dim(), pool)
-		res, err := solve(a, b, Options{Tol: 1e-10, Precond: jac})
+		res, err := solve(a, b, engine.Config{Tol: 1e-10, Precond: jac})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -97,7 +97,7 @@ func TestWorkspacePCGZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Tol: 1e-8, Precond: jac}
+	opts := engine.Config{Tol: 1e-8, Precond: jac}
 
 	for _, tc := range []struct {
 		name string
@@ -130,7 +130,7 @@ func TestWorkspaceCGZeroAllocs(t *testing.T) {
 	pool := vec.NewPoolMinChunk(4, 64)
 	defer pool.Close()
 	solve := warm(NewCGKernel(), a.Dim(), pool)
-	opts := Options{Tol: 1e-8}
+	opts := engine.Config{Tol: 1e-8}
 	if _, err := solve(a, b, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestWorkspaceReusedAcrossRHS(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		b := vec.New(n)
 		vec.Random(b, seed)
-		res, err := solve(a, b, Options{Tol: 1e-9})
+		res, err := solve(a, b, engine.Config{Tol: 1e-9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestWorkspaceReusedAcrossRHS(t *testing.T) {
 			t.Fatalf("seed %d: not converged", seed)
 		}
 		// Verify against a fresh solve: stale workspace state must not leak.
-		ref, err := CG(a, b, Options{Tol: 1e-9})
+		ref, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{Tol: 1e-9})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestWorkspaceReusedAcrossRHS(t *testing.T) {
 func TestWorkspaceDimensionMismatch(t *testing.T) {
 	a, b := testSystem(t, 8)
 	solve := warm(NewCGKernel(), a.Dim()+1, nil)
-	if _, err := solve(a, b, Options{}); err == nil {
+	if _, err := solve(a, b, engine.Config{}); err == nil {
 		t.Fatal("workspace accepted mismatched matrix order")
 	}
 }
@@ -181,7 +181,7 @@ func TestWorkspaceHistoryAndX0(t *testing.T) {
 	solve := warm(NewCGKernel(), a.Dim(), nil)
 	x0 := vec.New(a.Dim())
 	vec.Fill(x0, 0.5)
-	res, err := solve(a, b, Options{Tol: 1e-9, X0: x0, RecordHistory: true})
+	res, err := solve(a, b, engine.Config{Tol: 1e-9, X0: x0, RecordHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}

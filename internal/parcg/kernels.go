@@ -6,7 +6,6 @@ import (
 
 	"vrcg/internal/core"
 	"vrcg/internal/engine"
-	"vrcg/internal/krylov"
 	"vrcg/internal/vec"
 	"vrcg/sparse"
 )
@@ -23,104 +22,6 @@ import (
 // an opt-in replay of the same schedules' cost (replay.go) layered over
 // the solve by the adapter. solve/parcg_golden_test.go pins the
 // trajectories.
-
-// coeffTrack is a fixed-capacity, in-place CoeffPair: the polynomial
-// coefficients of an iterate over the anchor's Krylov base. The step
-// arithmetic replicates core.StepCGR/StepCGP exactly (same expression
-// shape, so identical rounding) without their per-step allocations.
-type coeffTrack struct {
-	rho, pi       []float64
-	rhoBuf, piBuf []float64
-}
-
-func (t *coeffTrack) grow(capacity int) {
-	if cap(t.rhoBuf) < capacity {
-		t.rhoBuf = make([]float64, capacity)
-		t.piBuf = make([]float64, capacity)
-	}
-}
-
-// resetR makes the track the fresh residual representation (Rho=[1]).
-func (t *coeffTrack) resetR() {
-	t.rho = t.rhoBuf[:1]
-	t.rho[0] = 1
-	t.pi = t.piBuf[:0]
-}
-
-// resetP makes the track the fresh direction representation (Pi=[1]).
-func (t *coeffTrack) resetP() {
-	t.rho = t.rhoBuf[:0]
-	t.pi = t.piBuf[:1]
-	t.pi[0] = 1
-}
-
-func (t *coeffTrack) pair() core.CoeffPair { return core.CoeffPair{Rho: t.rho, Pi: t.pi} }
-
-// axpyShiftInto writes x + s*shift(y) into buf, mirroring
-// core.axpyCoeff over core.shiftA: shift(y)[0] = 0, shift(y)[i] =
-// y[i-1], and the scaled term is added only inside shift(y)'s length.
-// Safe when buf backs x (same-index reads precede writes).
-func axpyShiftInto(buf, x, y []float64, s float64) []float64 {
-	ylen := 0
-	if len(y) > 0 {
-		ylen = len(y) + 1
-	}
-	n := len(x)
-	if ylen > n {
-		n = ylen
-	}
-	out := buf[:n]
-	for i := 0; i < n; i++ {
-		v := 0.0
-		if i < len(x) {
-			v = x[i]
-		}
-		if i < ylen {
-			yi := 0.0
-			if i >= 1 {
-				yi = y[i-1]
-			}
-			v += s * yi
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// axpyInto writes x + s*y into buf, mirroring core.axpyCoeff. Safe when
-// buf backs x or y.
-func axpyInto(buf, x, y []float64, s float64) []float64 {
-	n := len(x)
-	if len(y) > n {
-		n = len(y)
-	}
-	out := buf[:n]
-	for i := 0; i < n; i++ {
-		v := 0.0
-		if i < len(x) {
-			v = x[i]
-		}
-		if i < len(y) {
-			v += s * y[i]
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// stepRInto advances the residual representation r' = r - λ A p into
-// dst (core.StepCGR, allocation-free).
-func stepRInto(dst, r, p *coeffTrack, lambda float64) {
-	dst.rho = axpyShiftInto(dst.rhoBuf, r.rho, p.rho, -lambda)
-	dst.pi = axpyShiftInto(dst.piBuf, r.pi, p.pi, -lambda)
-}
-
-// stepPInto completes the step p' = r' + a p into dst (core.StepCGP,
-// allocation-free; dst may be p itself).
-func stepPInto(dst, rNew, p *coeffTrack, alpha float64) {
-	dst.rho = axpyInto(dst.rhoBuf, rNew.rho, p.rho, alpha)
-	dst.pi = axpyInto(dst.piBuf, rNew.pi, p.pi, alpha)
-}
 
 // gramPairs lists the factors of the anchor batch — all 3(4k+1) base
 // inner products of the Krylov families R, P — as xs[i], ys[i]: the
@@ -191,8 +92,8 @@ type lookKernel struct {
 	// Coefficient tracks: (cra, cpa) contract against the active
 	// anchor, (crb, cpb) build toward the pending one; scratch stages
 	// the half-step residual representation.
-	cra, cpa, crb, cpb, scratch *coeffTrack
-	tracks                      [5]coeffTrack
+	cra, cpa, crb, cpb, scratch *core.Coeffs
+	tracks                      [5]core.Coeffs
 
 	rr    float64
 	trust float64 // divergence-guard anchor, rebased per restart
@@ -310,16 +211,16 @@ func regrowEvery(k int) int {
 }
 
 func (kn *lookKernel) resetTracks() {
-	kn.cra.resetR()
-	kn.cpa.resetP()
-	kn.crb.resetR()
-	kn.cpb.resetP()
+	kn.cra.SetR()
+	kn.cpa.SetP()
+	kn.crb.SetR()
+	kn.cpb.SetP()
 }
 
 func (kn *lookKernel) Init(run *engine.Run) (float64, error) {
 	k := run.Cfg.K
 	if k < 1 {
-		return 0, fmt.Errorf("parcg: VRCG needs K >= 1, got %d: %w", k, krylov.ErrBadOption)
+		return 0, fmt.Errorf("parcg: VRCG needs K >= 1, got %d: %w", k, engine.ErrBadOption)
 	}
 	ws := run.Ws
 	kn.k = k
@@ -329,7 +230,7 @@ func (kn *lookKernel) Init(run *engine.Run) (float64, error) {
 		kn.gramBufs[0] = make([]float64, 3*w)
 		kn.gramBufs[1] = make([]float64, 3*w)
 		for i := range kn.tracks {
-			kn.tracks[i].grow(2*k + 2)
+			kn.tracks[i] = core.NewCoeffs(2*k + 2)
 		}
 		kn.cra, kn.cpa = &kn.tracks[0], &kn.tracks[1]
 		kn.crb, kn.cpb = &kn.tracks[2], &kn.tracks[3]
@@ -385,7 +286,7 @@ func (kn *lookKernel) Init(run *engine.Run) (float64, error) {
 	kn.anchorNow(run)
 
 	kn.resetTracks()
-	kn.rr = kn.gram().Contract(kn.cra.pair(), kn.cra.pair(), 0)
+	kn.rr = kn.gram().Contract(kn.cra.CoeffPair, kn.cra.CoeffPair, 0)
 	kn.trust = kn.resNorm()
 	vec.Copy(kn.xBest, kn.x)
 	kn.bestNorm = kn.resNorm() // families are fresh here, so this is the true norm
@@ -522,7 +423,7 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 	}
 
 	fellBack := false
-	pap := kn.gram().Contract(kn.cpa.pair(), kn.cpa.pair(), 1)
+	pap := kn.gram().Contract(kn.cpa.CoeffPair, kn.cpa.CoeffPair, 1)
 	if pap <= 0 || math.IsNaN(pap) {
 		fellBack = true
 		// Contraction drift (the monomial-basis conditioning problem):
@@ -541,7 +442,7 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 			return nil
 		}
 		if pap <= 0 || math.IsNaN(pap) {
-			return fmt.Errorf("parcg: (p,Ap) = %g at iteration %d: %w", pap, res.Iterations, krylov.ErrIndefinite)
+			return fmt.Errorf("parcg: (p,Ap) = %g at iteration %d: %w", pap, res.Iterations, engine.ErrIndefinite)
 		}
 	}
 	lambda := kn.rr / pap
@@ -555,14 +456,14 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 	res.Stats.Flops += int64(2*k+2) * 2 * n
 
 	// Coefficient half-step and alpha via contraction.
-	stepRInto(kn.scratch, kn.cra, kn.cpa, lambda)
-	rrNew := kn.gram().Contract(kn.scratch.pair(), kn.scratch.pair(), 0)
+	kn.scratch.StepR(kn.cra.CoeffPair, kn.cpa.CoeffPair, lambda)
+	rrNew := kn.gram().Contract(kn.scratch.CoeffPair, kn.scratch.CoeffPair, 0)
 	if fellBack || rrNew <= 0 || math.IsNaN(rrNew) {
 		rrNew = run.Dot(kn.R[0], kn.R[0])
 		res.FallbackDots++
 	}
 	if kn.rr == 0 {
-		return fmt.Errorf("parcg: (r,r) vanished at iteration %d: %w", res.Iterations, krylov.ErrBreakdown)
+		return fmt.Errorf("parcg: (r,r) vanished at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 	alpha := rrNew / kn.rr
 
@@ -576,9 +477,9 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 	// Commit the coefficient steps (in place; cra adopts the staged
 	// half-step by pointer swap).
 	kn.cra, kn.scratch = kn.scratch, kn.cra
-	stepPInto(kn.cpa, kn.cra, kn.cpa, alpha)
-	stepRInto(kn.crb, kn.crb, kn.cpb, lambda)
-	stepPInto(kn.cpb, kn.crb, kn.cpb, alpha)
+	kn.cpa.StepP(kn.cra.CoeffPair, kn.cpa.CoeffPair, alpha)
+	kn.crb.StepR(kn.crb.CoeffPair, kn.cpb.CoeffPair, lambda)
+	kn.cpb.StepP(kn.crb.CoeffPair, kn.cpb.CoeffPair, alpha)
 	kn.rr = rrNew
 
 	run.Tick(kn.resNorm())
@@ -597,8 +498,8 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 		target := kn.pendingIdx ^ 1
 		kn.cra, kn.crb = kn.crb, kn.cra
 		kn.cpa, kn.cpb = kn.cpb, kn.cpa
-		kn.crb.resetR()
-		kn.cpb.resetP()
+		kn.crb.SetR()
+		kn.cpb.SetP()
 
 		if next%regrowEvery(k) == 0 {
 			kn.regrow(run)
@@ -610,7 +511,7 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 	kn.mulScaled(run, kn.P[2*k+1], kn.P[2*k])
 	if anchor {
 		ws.Await()
-		kn.rr = kn.gram().Contract(kn.cra.pair(), kn.cra.pair(), 0)
+		kn.rr = kn.gram().Contract(kn.cra.CoeffPair, kn.cra.CoeffPair, 0)
 	}
 	return nil
 }

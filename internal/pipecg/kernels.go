@@ -77,7 +77,7 @@ func (k *gvKernel) Step(run *engine.Run) error {
 	if k.first {
 		beta = 0
 		if k.delta == 0 {
-			return fmt.Errorf("pipecg: (w,r) vanished at startup: %w", ErrBreakdown)
+			return fmt.Errorf("pipecg: (w,r) vanished at startup: %w", engine.ErrBreakdown)
 		}
 		alpha = k.gamma / k.delta
 		k.first = false
@@ -85,7 +85,7 @@ func (k *gvKernel) Step(run *engine.Run) error {
 		beta = k.gamma / k.gammaOld
 		den := k.delta - beta*k.gamma/k.alphaOld
 		if den == 0 || math.IsNaN(den) {
-			return fmt.Errorf("pipecg: pipelined scalar breakdown at iteration %d: %w", res.Iterations, ErrBreakdown)
+			return fmt.Errorf("pipecg: pipelined scalar breakdown at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 		}
 		alpha = k.gamma / den
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"vrcg/internal/engine"
 	"vrcg/internal/krylov"
 	"vrcg/internal/vec"
 	"vrcg/sparse"
@@ -21,7 +22,7 @@ func testSystem(m int, seed uint64) (*sparse.CSR, vec.Vector, vec.Vector) {
 
 func TestGhyselsVanrooseSolves(t *testing.T) {
 	a, b, _ := testSystem(8, 1)
-	res, err := GhyselsVanroose(a, b, Options{Tol: 1e-10})
+	res, err := engine.SolveOnce(NewGVKernel(), a, b, engine.Config{Blocking: true, Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestGhyselsVanrooseSolves(t *testing.T) {
 
 func TestGroppSolves(t *testing.T) {
 	a, b, _ := testSystem(8, 2)
-	res, err := Gropp(a, b, Options{Tol: 1e-10})
+	res, err := engine.SolveOnce(NewGroppKernel(), a, b, engine.Config{Blocking: true, Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,15 +52,15 @@ func TestPipelinedMatchesCGIterationCounts(t *testing.T) {
 	// Same Krylov method, rearranged recurrences: iteration counts track
 	// standard CG closely on well-conditioned problems.
 	a, b, _ := testSystem(7, 3)
-	cg, err := krylov.CG(a, b, krylov.Options{Tol: 1e-8})
+	cg, err := engine.SolveOnce(krylov.NewCGKernel(), a, b, engine.Config{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gv, err := GhyselsVanroose(a, b, Options{Tol: 1e-8})
+	gv, err := engine.SolveOnce(NewGVKernel(), a, b, engine.Config{Blocking: true, Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gr, err := Gropp(a, b, Options{Tol: 1e-8})
+	gr, err := engine.SolveOnce(NewGroppKernel(), a, b, engine.Config{Blocking: true, Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestPipelinedMatchesCGIterationCounts(t *testing.T) {
 
 func TestGhyselsVanrooseOneMatvecPerIteration(t *testing.T) {
 	a, b, _ := testSystem(6, 4)
-	res, err := GhyselsVanroose(a, b, Options{Tol: 1e-8})
+	res, err := engine.SolveOnce(NewGVKernel(), a, b, engine.Config{Blocking: true, Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestGhyselsVanrooseOneMatvecPerIteration(t *testing.T) {
 
 func TestGroppOneMatvecPerIteration(t *testing.T) {
 	a, b, _ := testSystem(6, 5)
-	res, err := Gropp(a, b, Options{Tol: 1e-8})
+	res, err := engine.SolveOnce(NewGroppKernel(), a, b, engine.Config{Blocking: true, Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestGroppOneMatvecPerIteration(t *testing.T) {
 
 func TestHistoryAndZeroRHS(t *testing.T) {
 	a := sparse.Poisson1D(12)
-	res, err := GhyselsVanroose(a, vec.New(12), Options{})
+	res, err := engine.SolveOnce(NewGVKernel(), a, vec.New(12), engine.Config{Blocking: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestHistoryAndZeroRHS(t *testing.T) {
 
 	b := vec.New(12)
 	vec.Random(b, 6)
-	res, err = GhyselsVanroose(a, b, Options{Tol: 1e-8, RecordHistory: true})
+	res, err = engine.SolveOnce(NewGVKernel(), a, b, engine.Config{Blocking: true, Tol: 1e-8, RecordHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,10 +129,10 @@ func TestHistoryAndZeroRHS(t *testing.T) {
 
 func TestRejectsBadArguments(t *testing.T) {
 	a := sparse.Poisson1D(5)
-	if _, err := GhyselsVanroose(a, vec.New(6), Options{}); err == nil {
+	if _, err := engine.SolveOnce(NewGVKernel(), a, vec.New(6), engine.Config{Blocking: true}); err == nil {
 		t.Fatal("expected dimension error")
 	}
-	if _, err := Gropp(a, vec.New(5), Options{X0: vec.New(2)}); err == nil {
+	if _, err := engine.SolveOnce(NewGroppKernel(), a, vec.New(5), engine.Config{Blocking: true, X0: vec.New(2)}); err == nil {
 		t.Fatal("expected x0 error")
 	}
 }
@@ -139,10 +140,10 @@ func TestRejectsBadArguments(t *testing.T) {
 func TestIndefiniteDetected(t *testing.T) {
 	a := sparse.DiagonalMatrix(vec.NewFrom([]float64{1, -1}))
 	b := vec.NewFrom([]float64{1, 1})
-	if _, err := Gropp(a, b, Options{}); err == nil {
+	if _, err := engine.SolveOnce(NewGroppKernel(), a, b, engine.Config{Blocking: true}); err == nil {
 		t.Fatal("Gropp: expected error on indefinite operator")
 	}
-	if _, err := GhyselsVanroose(a, b, Options{}); err == nil {
+	if _, err := engine.SolveOnce(NewGVKernel(), a, b, engine.Config{Blocking: true}); err == nil {
 		t.Fatal("GV: expected error on indefinite operator")
 	}
 }
@@ -152,11 +153,11 @@ func TestPipelinedDriftVsCG(t *testing.T) {
 	// residual floor is somewhat above plain CG's. Document it holds
 	// within a couple orders of magnitude, not that it is free.
 	a, b, _ := testSystem(10, 7)
-	cg, err := krylov.CG(a, b, krylov.Options{Tol: 1e-12, MaxIter: 2000})
+	cg, err := engine.SolveOnce(krylov.NewCGKernel(), a, b, engine.Config{Tol: 1e-12, MaxIter: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gv, err := GhyselsVanroose(a, b, Options{Tol: 1e-12, MaxIter: 2000})
+	gv, err := engine.SolveOnce(NewGVKernel(), a, b, engine.Config{Blocking: true, Tol: 1e-12, MaxIter: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +176,13 @@ func TestPropPipelinedSolves(t *testing.T) {
 		b := vec.New(n)
 		a.MulVec(b, x)
 		var (
-			res *Result
+			res *engine.Result
 			err error
 		)
 		if whichGV {
-			res, err = GhyselsVanroose(a, b, Options{Tol: 1e-8, MaxIter: 20 * n})
+			res, err = engine.SolveOnce(NewGVKernel(), a, b, engine.Config{Blocking: true, Tol: 1e-8, MaxIter: 20 * n})
 		} else {
-			res, err = Gropp(a, b, Options{Tol: 1e-8, MaxIter: 20 * n})
+			res, err = engine.SolveOnce(NewGroppKernel(), a, b, engine.Config{Blocking: true, Tol: 1e-8, MaxIter: 20 * n})
 		}
 		if err != nil || !res.Converged {
 			return false

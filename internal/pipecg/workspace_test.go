@@ -11,9 +11,9 @@ import (
 
 // warmGV returns a solve function that reuses one Ghysels–Vanroose
 // kernel on one engine workspace, the way the solve adapter holds them.
-func warmGV(n int, pool *vec.Pool) func(sparse.Matrix, vec.Vector, Options) (*Result, error) {
-	k, ws, res := NewGVKernel(), engine.NewWorkspace(n, pool), new(Result)
-	return func(a sparse.Matrix, b vec.Vector, o Options) (*Result, error) {
+func warmGV(n int, pool *vec.Pool) func(sparse.Matrix, vec.Vector, engine.Config) (*engine.Result, error) {
+	k, ws, res := NewGVKernel(), engine.NewWorkspace(n, pool), new(engine.Result)
+	return func(a sparse.Matrix, b vec.Vector, o engine.Config) (*engine.Result, error) {
 		return res, engine.Solve(k, ws, a, b, o, res)
 	}
 }
@@ -22,7 +22,7 @@ func TestWorkspaceGhyselsVanrooseMatchesPackage(t *testing.T) {
 	a := sparse.Poisson2D(20)
 	b := vec.New(a.Dim())
 	vec.Random(b, 33)
-	ref, err := GhyselsVanroose(a, b, Options{Tol: 1e-9})
+	ref, err := engine.SolveOnce(NewGVKernel(), a, b, engine.Config{Blocking: true, Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestWorkspaceGhyselsVanrooseMatchesPackage(t *testing.T) {
 			pool = vec.NewPoolMinChunk(w, 32)
 		}
 		solve := warmGV(a.Dim(), pool)
-		res, err := solve(a, b, Options{Tol: 1e-9})
+		res, err := solve(a, b, engine.Config{Tol: 1e-9})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -58,7 +58,7 @@ func TestWorkspaceGhyselsVanrooseZeroAllocs(t *testing.T) {
 	pool := vec.NewPoolMinChunk(4, 64)
 	defer pool.Close()
 	solve := warmGV(a.Dim(), pool)
-	opts := Options{Tol: 1e-8}
+	opts := engine.Config{Tol: 1e-8}
 	if _, err := solve(a, b, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestWorkspaceReuse(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		b := vec.New(n)
 		vec.Random(b, seed)
-		res, err := solve(a, b, Options{Tol: 1e-8})
+		res, err := solve(a, b, engine.Config{Tol: 1e-8})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"vrcg/internal/engine"
 	"vrcg/internal/vec"
 	"vrcg/sparse"
 )
@@ -14,13 +15,13 @@ func TestSolvePooledMatchesSerial(t *testing.T) {
 	a := sparse.Poisson2D(14)
 	b := vec.New(a.Dim())
 	vec.Random(b, 61)
-	ref, err := Solve(a, b, Options{S: 4, Tol: 1e-9})
+	ref, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{S: 4, Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range []int{2, runtime.GOMAXPROCS(0)} {
 		pool := vec.NewPoolMinChunk(w, 32)
-		res, err := Solve(a, b, Options{S: 4, Tol: 1e-9, Pool: pool})
+		res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{S: 4, Tol: 1e-9, Pool: pool})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}

@@ -11,46 +11,9 @@
 //
 // The method is an engine kernel (internal/engine): this package owns
 // the block algebra; the engine driver owns options, convergence,
-// callbacks, and history.
+// callbacks, and history. It reads the block size from
+// engine.Config.S (>= 1; S = 1 reduces to standard CG). The callback
+// runs after each CG step, the steps inside a block included, with that
+// step's recurrence residual norm; returning false stops the solve at
+// the end of the current block.
 package sstep
-
-import (
-	"fmt"
-
-	"vrcg/internal/engine"
-	"vrcg/internal/krylov"
-	"vrcg/internal/vec"
-	"vrcg/sparse"
-)
-
-// Error sentinels shared with the rest of the solver family.
-var (
-	ErrBreakdown = engine.ErrBreakdown
-	ErrBadOption = engine.ErrBadOption
-)
-
-// Options configures an s-step solve: the engine's shared Config, of
-// which this package consumes S (the block size, >= 1; S = 1 reduces to
-// standard CG) plus the common Tol/MaxIter/X0/RecordHistory/Callback/
-// Pool. The callback is invoked after each CG step, including the steps
-// inside a block, with that step's recurrence residual norm; returning
-// false stops the solve at the end of the current block.
-type Options = engine.Config
-
-// Result reports an s-step solve (the canonical engine result; Blocks
-// counts the s-step blocks executed).
-type Result = engine.Result
-
-// Stats re-exports the shared work counters.
-type Stats = krylov.Stats
-
-// Solve runs s-step CG on the SPD system A x = b; see sstepKernel for
-// the block mechanics.
-func Solve(a sparse.Matrix, b vec.Vector, o Options) (*Result, error) {
-	if a.Dim() <= 0 {
-		return nil, fmt.Errorf("sstep: operator order %d must be positive: %w", a.Dim(), sparse.ErrDim)
-	}
-	res := new(Result)
-	err := engine.Solve(NewKernel(), engine.NewWorkspace(a.Dim(), o.Pool), a, b, o, res)
-	return res, err
-}

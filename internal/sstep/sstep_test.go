@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"vrcg/internal/engine"
 	"vrcg/internal/krylov"
 	"vrcg/internal/vec"
 	"vrcg/sparse"
@@ -15,11 +16,11 @@ func TestSolveS1MatchesCG(t *testing.T) {
 	n := a.Dim()
 	b := vec.New(n)
 	vec.Random(b, 1)
-	cg, err := krylov.CG(a, b, krylov.Options{Tol: 1e-9})
+	cg, err := engine.SolveOnce(krylov.NewCGKernel(), a, b, engine.Config{Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := Solve(a, b, Options{S: 1, Tol: 1e-9})
+	ss, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{S: 1, Tol: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestSolveBlocksS4(t *testing.T) {
 	vec.Random(xTrue, 2)
 	b := vec.New(n)
 	a.MulVec(b, xTrue)
-	res, err := Solve(a, b, Options{S: 4, Tol: 1e-8})
+	res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{S: 4, Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,12 +66,12 @@ func TestSolveConvergenceAcrossS(t *testing.T) {
 	a := sparse.TridiagToeplitz(128, 4.2, -1) // kappa ~ 2.6
 	b := vec.New(128)
 	vec.Random(b, 3)
-	base, err := Solve(a, b, Options{S: 1, Tol: 1e-8})
+	base, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{S: 1, Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []int{2, 3, 5} {
-		res, err := Solve(a, b, Options{S: s, Tol: 1e-8})
+		res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{S: s, Tol: 1e-8})
 		if err != nil {
 			t.Fatalf("s=%d: %v", s, err)
 		}
@@ -91,7 +92,7 @@ func TestSolveMatvecEconomy(t *testing.T) {
 	b := vec.New(96)
 	vec.Random(b, 4)
 	s := 4
-	res, err := Solve(a, b, Options{S: s, Tol: 1e-8})
+	res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{S: s, Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestSolveMatvecEconomy(t *testing.T) {
 
 func TestSolveZeroRHS(t *testing.T) {
 	a := sparse.Poisson1D(10)
-	res, err := Solve(a, vec.New(10), Options{S: 3})
+	res, err := engine.SolveOnce(NewKernel(), a, vec.New(10), engine.Config{S: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +123,13 @@ func TestSolveZeroRHS(t *testing.T) {
 
 func TestSolveRejectsBadArguments(t *testing.T) {
 	a := sparse.Poisson1D(5)
-	if _, err := Solve(a, vec.New(6), Options{S: 2}); err == nil {
+	if _, err := engine.SolveOnce(NewKernel(), a, vec.New(6), engine.Config{S: 2}); err == nil {
 		t.Fatal("expected dimension error")
 	}
-	if _, err := Solve(a, vec.New(5), Options{S: 0}); err == nil {
+	if _, err := engine.SolveOnce(NewKernel(), a, vec.New(5), engine.Config{S: 0}); err == nil {
 		t.Fatal("expected S error")
 	}
-	if _, err := Solve(a, vec.New(5), Options{S: 2, X0: vec.New(3)}); err == nil {
+	if _, err := engine.SolveOnce(NewKernel(), a, vec.New(5), engine.Config{S: 2, X0: vec.New(3)}); err == nil {
 		t.Fatal("expected x0 error")
 	}
 }
@@ -137,7 +138,7 @@ func TestSolveHistoryRecorded(t *testing.T) {
 	a := sparse.Poisson2D(5)
 	b := vec.New(a.Dim())
 	vec.Random(b, 7)
-	res, err := Solve(a, b, Options{S: 3, Tol: 1e-8, RecordHistory: true})
+	res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{S: 3, Tol: 1e-8, RecordHistory: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +157,9 @@ func TestLargeSBreaksDownGracefully(t *testing.T) {
 	a := sparse.Poisson1D(256) // kappa ~ 2.7e4
 	b := vec.New(256)
 	vec.Random(b, 8)
-	res, err := Solve(a, b, Options{S: 12, Tol: 1e-9, MaxIter: 3000})
+	res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{S: 12, Tol: 1e-9, MaxIter: 3000})
 	if err != nil {
-		if !errors.Is(err, krylov.ErrBreakdown) {
+		if !errors.Is(err, engine.ErrBreakdown) {
 			t.Fatalf("unexpected error type: %v", err)
 		}
 		return
@@ -173,7 +174,7 @@ func TestWarmStart(t *testing.T) {
 	vec.Random(xTrue, 9)
 	b := vec.New(n)
 	a.MulVec(b, xTrue)
-	res, err := Solve(a, b, Options{S: 3, X0: xTrue, Tol: 1e-8})
+	res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{S: 3, X0: xTrue, Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestPropSolveRandomSPD(t *testing.T) {
 		vec.Random(x, seed+1)
 		b := vec.New(n)
 		a.MulVec(b, x)
-		res, err := Solve(a, b, Options{S: s, Tol: 1e-8, MaxIter: 30 * n})
+		res, err := engine.SolveOnce(NewKernel(), a, b, engine.Config{S: s, Tol: 1e-8, MaxIter: 30 * n})
 		if err != nil || !res.Converged {
 			return false
 		}

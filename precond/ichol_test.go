@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"vrcg/internal/engine"
 	"vrcg/internal/krylov"
 	"vrcg/internal/vec"
 	"vrcg/precond"
@@ -74,7 +75,7 @@ func TestIC0AcceleratesPCG(t *testing.T) {
 	a := sparse.Poisson2D(24)
 	b := vec.New(a.Dim())
 	vec.Random(b, 2)
-	plain, err := krylov.CG(a, b, krylov.Options{Tol: 1e-8})
+	plain, err := engine.SolveOnce(krylov.NewCGKernel(), a, b, engine.Config{Tol: 1e-8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestIC0AcceleratesPCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := krylov.PCG(a, ic, b, krylov.Options{Tol: 1e-8})
+	pre, err := engine.SolveOnce(krylov.NewPCGKernel(), a, b, engine.Config{Tol: 1e-8, Precond: ic})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestIC0AcceleratesPCG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jacRes, err := krylov.PCG(a, jac, b, krylov.Options{Tol: 1e-8})
+	jacRes, err := engine.SolveOnce(krylov.NewPCGKernel(), a, b, engine.Config{Tol: 1e-8, Precond: jac})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"vrcg/internal/pipecg"
 	"vrcg/internal/sstep"
 	"vrcg/internal/vec"
-	"vrcg/precond"
 	"vrcg/sparse"
 )
 
@@ -81,52 +80,19 @@ func (c *config) engineConfig(cb func(int, float64) bool) engine.Config {
 		Blocking:             c.blocking,
 		S:                    c.blockSize,
 		Restart:              c.restart,
-	}
-	if c.precond != nil {
-		ec.Precond = asPrecond(c.precond)
+		Precond:              c.precond,
 	}
 	return ec
 }
-
-// asMatrix views a public Operator as the sparse.Matrix the engine
-// consumes. The method sets are identical (both are stated on plain
-// []float64), so the assertion always succeeds for concrete types; the
-// wrapper exists only as a compile-safe fallback.
-func asMatrix(a Operator) sparse.Matrix {
-	if m, ok := a.(sparse.Matrix); ok {
-		return m
-	}
-	return matrixShim{a}
-}
-
-type matrixShim struct{ a Operator }
-
-func (m matrixShim) Dim() int                { return m.a.Dim() }
-func (m matrixShim) MulVec(dst, x []float64) { m.a.MulVec(dst, x) }
-
-// asPrecond likewise views a public Preconditioner as the precond
-// package interface.
-func asPrecond(p Preconditioner) precond.Preconditioner {
-	if m, ok := p.(precond.Preconditioner); ok {
-		return m
-	}
-	return precondShim{p}
-}
-
-type precondShim struct{ p Preconditioner }
-
-func (m precondShim) Dim() int                { return m.p.Dim() }
-func (m precondShim) Apply(dst, r vec.Vector) { m.p.Apply(dst, r) }
 
 func (s *engineSolver) solve(a Operator, b []float64, c *config, cb func(int, float64) bool) error {
 	// The workspace lives in the operator's column space: for the
 	// rectangular least-squares methods the solution is cols-long while
 	// b is rows-long, and for square operators the two coincide.
-	m := asMatrix(a)
-	_, cols := sparse.Dims(m)
+	_, cols := sparse.Dims(a)
 	ec := c.engineConfig(cb)
 	ec.Blocking = ec.Blocking || s.blocking
-	return engine.Solve(s.kernel, s.workspace(cols, c.pool), m, b, ec, &s.er)
+	return engine.Solve(s.kernel, s.workspace(cols, c.pool), a, b, ec, &s.er)
 }
 
 // fill maps the engine result onto the canonical Result in place (the
@@ -217,8 +183,7 @@ func init() {
 
 	registerEngineCaps("cg", "standard Hestenes-Stiefel CG (paper §2), workspace-backed",
 		sharded, krylov.NewCGKernel, blocking, false)
-	// A second name for the cg kernel, kept for wire compatibility.
-	registerEngineCaps("cgfused", "standard CG with the fused-kernel update path, workspace-backed",
+	registerEngineCaps("cgfused", "a second name for cg, kept for wire compatibility, workspace-backed",
 		sharded, krylov.NewCGKernel, blocking, false)
 	registerEngineCaps("pcg", "preconditioned CG (WithPreconditioner; identity default), workspace-backed",
 		sharded, krylov.NewPCGKernel, blocking, false)

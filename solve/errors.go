@@ -3,7 +3,7 @@ package solve
 import (
 	"errors"
 
-	"vrcg/internal/krylov"
+	"vrcg/internal/engine"
 	"vrcg/sparse"
 )
 
@@ -24,9 +24,9 @@ var ErrUnknownMethod = errors.New("solve: unknown method")
 // need transpose products, sparse.TransposeMulVec). Re-exported from
 // the engine so internal kernels and public wrappers share one
 // sentinel.
-var ErrUnsupportedOperator = krylov.ErrUnsupportedOperator
+var ErrUnsupportedOperator = engine.ErrUnsupportedOperator
 
-// Sentinels from the internal solver packages, re-exported so callers
+// Sentinels of the internal engine, re-exported so callers
 // can errors.Is against this package alone. Every error a registered
 // method returns wraps one of the sentinels in this file, except
 // cancellation: a solve stopped through WithContext wraps ctx.Err()
@@ -34,13 +34,13 @@ var ErrUnsupportedOperator = krylov.ErrUnsupportedOperator
 var (
 	// ErrIndefinite: the operator is not positive definite (a
 	// curvature <p, Ap> <= 0 was encountered).
-	ErrIndefinite = krylov.ErrIndefinite
+	ErrIndefinite = engine.ErrIndefinite
 	// ErrBreakdown: an iteration produced a non-finite or degenerate
 	// scalar and cannot continue.
-	ErrBreakdown = krylov.ErrBreakdown
+	ErrBreakdown = engine.ErrBreakdown
 	// ErrBadOption: solver options invalid for the method (negative
 	// look-ahead, zero block size, ...).
-	ErrBadOption = krylov.ErrBadOption
+	ErrBadOption = engine.ErrBadOption
 	// ErrDim: dimension mismatch between operator, right-hand side,
 	// initial guess, or preconditioner.
 	ErrDim = sparse.ErrDim

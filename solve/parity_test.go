@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"vrcg/internal/core"
+	"vrcg/internal/engine"
 	"vrcg/internal/krylov"
 	"vrcg/internal/pipecg"
 	"vrcg/internal/sstep"
@@ -49,8 +50,8 @@ func TestRegistryMatchesInternal(t *testing.T) {
 			pool = vec.NewPool(workers)
 			defer pool.Close()
 		}
-		ko := krylov.Options{Tol: tol, Pool: pool}
-		po := pipecg.Options{Tol: tol, Pool: pool}
+		ko := engine.Config{Tol: tol, Pool: pool}
+		po := engine.Config{Tol: tol, Pool: pool, Blocking: true}
 
 		cases := []struct {
 			method string
@@ -58,44 +59,43 @@ func TestRegistryMatchesInternal(t *testing.T) {
 			ref    func() (refResult, error)
 		}{
 			{"cg", nil, func() (refResult, error) {
-				r, err := krylov.CG(a, b, ko)
+				r, err := engine.SolveOnce(krylov.NewCGKernel(), a, b, ko)
 				return refResult{r.Iterations, r.ResidualNorm, r.Converged}, err
 			}},
 			{"cgfused", nil, func() (refResult, error) {
-				r, err := krylov.CG(a, b, ko) // a second name for the cg kernel
+				r, err := engine.SolveOnce(krylov.NewCGKernel(), a, b, ko) // a second name for the cg kernel
 				return refResult{r.Iterations, r.ResidualNorm, r.Converged}, err
 			}},
 			{"pcg", []Option{WithPreconditioner(jacobi)}, func() (refResult, error) {
-				r, err := krylov.PCG(a, jacobi, b, ko)
+				r, err := engine.SolveOnce(krylov.NewPCGKernel(), a, b, engine.Config{Tol: tol, Pool: pool, Precond: jacobi})
 				return refResult{r.Iterations, r.ResidualNorm, r.Converged}, err
 			}},
 			{"cr", nil, func() (refResult, error) {
-				r, err := krylov.CR(a, b, ko)
+				r, err := engine.SolveOnce(krylov.NewCRKernel(), a, b, ko)
 				return refResult{r.Iterations, r.ResidualNorm, r.Converged}, err
 			}},
 			{"minres", nil, func() (refResult, error) {
-				r, err := krylov.MINRES(a, b, ko)
+				r, err := engine.SolveOnce(krylov.NewMINRESKernel(), a, b, ko)
 				return refResult{r.Iterations, r.ResidualNorm, r.Converged}, err
 			}},
 			{"vrcg", []Option{WithLookahead(3)}, func() (refResult, error) {
-				r, err := core.Solve(a, b, core.Options{K: 3, Tol: tol, Pool: pool})
+				r, err := engine.SolveOnce(core.NewKernel(), a, b, engine.Config{K: 3, Tol: tol, Pool: pool})
 				return refResult{r.Iterations, r.ResidualNorm, r.Converged}, err
 			}},
 			{"pipecg", nil, func() (refResult, error) {
-				r, err := pipecg.GhyselsVanroose(a, b, po)
+				r, err := engine.SolveOnce(pipecg.NewGVKernel(), a, b, po)
 				return refResult{r.Iterations, r.ResidualNorm, r.Converged}, err
 			}},
 			{"gropp", nil, func() (refResult, error) {
-				r, err := pipecg.Gropp(a, b, po)
+				r, err := engine.SolveOnce(pipecg.NewGroppKernel(), a, b, po)
 				return refResult{r.Iterations, r.ResidualNorm, r.Converged}, err
 			}},
 			{"sstep", []Option{WithBlockSize(4)}, func() (refResult, error) {
-				r, err := sstep.Solve(a, b, sstep.Options{S: 4, Tol: tol, Pool: pool})
+				r, err := engine.SolveOnce(sstep.NewKernel(), a, b, engine.Config{S: 4, Tol: tol, Pool: pool})
 				return refResult{r.Iterations, r.ResidualNorm, r.Converged}, err
 			}},
-			// The parcg family has no one-shot internal entry point: the
-			// registry kernels are the implementation. Their parity gate
-			// is the golden-trajectory test in parcg_golden_test.go.
+			// The parcg family's parity gate is the golden-trajectory
+			// test in parcg_golden_test.go.
 		}
 
 		for _, tc := range cases {

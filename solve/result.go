@@ -2,7 +2,6 @@ package solve
 
 import (
 	"vrcg/internal/engine"
-	"vrcg/internal/krylov"
 	"vrcg/internal/machine"
 )
 
@@ -14,8 +13,8 @@ type PhaseSet = engine.PhaseSet
 
 // Result is the canonical outcome of a solve, shared by every
 // registered method. Fields a method does not produce stay at their
-// zero values (Drift is nil outside "vrcg", Clocks nil outside
-// "parcg*", Blocks zero outside "sstep").
+// zero values (Drift is nil outside "vrcg" and "parcg", Clocks nil
+// outside "parcg*", Blocks zero outside "sstep").
 type Result struct {
 	// Method is the registry name of the solver that produced this.
 	Method string
@@ -35,7 +34,7 @@ type Result struct {
 	History []float64
 	// Stats counts the arithmetic work performed (matvecs, inner
 	// products, vector updates, preconditioner solves, flops).
-	Stats krylov.Stats
+	Stats engine.Stats
 	// Syncs estimates the blocking global-synchronization points of
 	// the schedule — the reductions whose completion the iteration had
 	// to wait for. This is the quantity the paper minimizes: standard
@@ -47,9 +46,10 @@ type Result struct {
 	Syncs int
 	// Blocks is the number of s-step blocks executed ("sstep" only).
 	Blocks int
-	// Drift holds the recurrence drift diagnostics of "vrcg": how far
-	// the scalar recurrences wandered from direct inner products, and
-	// the stabilization work spent keeping them honest.
+	// Drift holds the recurrence drift diagnostics of "vrcg" and
+	// "parcg": how far the scalar recurrences wandered from direct
+	// inner products, and the stabilization work spent keeping them
+	// honest.
 	Drift *Drift
 	// Phases holds the measured phase latency histograms of the
 	// real-parallel parcg family, one observation set per driver step:
@@ -71,8 +71,8 @@ type Result struct {
 	Machine *machine.Stats
 }
 
-// Drift reports how the "vrcg" scalar recurrences behaved in floating
-// point, and what stabilization they required.
+// Drift reports how the "vrcg" and "parcg" scalar recurrences behaved
+// in floating point, and what stabilization they required.
 type Drift struct {
 	// MaxRelRR / MaxRelPAP are the maximum relative errors of the
 	// recurrence (r,r) and (p,Ap) against direct inner products,

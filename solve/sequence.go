@@ -42,7 +42,7 @@ type Sequence struct {
 // after its swappable per-step context (a caller-supplied WithContext
 // still bounds every step, in place of the one given to StepContext).
 func NewSequence(method string, a Operator, opts ...Option) (*Sequence, error) {
-	_, cols := sparse.Dims(asMatrix(a))
+	_, cols := sparse.Dims(a)
 	q := &Sequence{x0: make([]float64, cols)}
 	all := append(append([]Option{WithContext(&q.sctx)}, opts...), WithX0(q.x0))
 	sess, err := NewSession(method, a, all...)

@@ -52,10 +52,9 @@
 //	sess, err := solve.NewSession("cg", a, solve.WithTol(1e-10))
 //	res, err := sess.Solve(b)
 //
-// The package was promoted from internal/mat; the deprecated forwarding
-// shim that briefly remained there has been removed (see
-// internal/core/README.md for the migration table, and ARCHITECTURE.md
-// for where this data plane sits in the system).
+// The package was promoted from internal/mat, keeping every name; the
+// forwarding shim that briefly remained there has been removed (see
+// ARCHITECTURE.md for where this data plane sits in the system).
 package sparse
 
 import (
