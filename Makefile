@@ -78,14 +78,18 @@ check:
 
 # The substrate kernels the solvers call per iteration allocate nothing:
 # products, inner products one at a time and batched, combinations, the
-# pipelined update leaf, and a warm cg solve through engine.Solve, whose
-# direction sweep hands the row kernel the update it carries. The CI
-# bench-smoke job runs this target.
+# pipelined update leaf, a warm cg solve through engine.Solve, whose
+# direction sweep hands the row kernel the update it carries, and a
+# least-squares step's Rect products and value update, dense and sparse.
+# The CI bench-smoke job runs this target.
 kernel-allocs:
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkSpMV|BenchmarkDotSerial|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine|BenchmarkPipeUpdate|BenchmarkCGIteration' -benchtime=1x -benchmem .) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkSpMV|BenchmarkDotSerial|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine|BenchmarkPipeUpdate|BenchmarkCGIteration' -benchtime=1x -benchmem . && \
+		$(GO) test -run '^$$' -bench 'BenchmarkRectProducts' -benchtime=1x -benchmem ./sparse) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
-	bad=$$(echo "$$out" | awk '$$1 ~ /^Benchmark(SpMV|Dot|GramBatch|Combine|PipeUpdate|CGIteration)/ { for (i = 2; i <= NF; i++) if ($$(i) == "allocs/op" && $$(i-1)+0 != 0) print $$1 }'); \
-	if [ -n "$$bad" ]; then echo "kernels allocated:"; echo "$$bad"; exit 1; fi
+	bad=$$(echo "$$out" | awk '$$1 ~ /^Benchmark(SpMV|Dot|GramBatch|Combine|PipeUpdate|CGIteration|RectProducts)/ { for (i = 2; i <= NF; i++) if ($$(i) == "allocs/op" && $$(i-1)+0 != 0) print $$1 }'); \
+	if [ -n "$$bad" ]; then echo "kernels allocated:"; echo "$$bad"; exit 1; fi; \
+	rect=$$(echo "$$out" | grep -c '^BenchmarkRectProducts/'); \
+	if [ "$$rect" -ne 6 ]; then echo "expected 6 BenchmarkRectProducts rows, saw $$rect"; exit 1; fi
 
 # Allocation budgets of the three warm request paths through the one
 # handler per route, at -cpu 1 where the counts are deterministic: a

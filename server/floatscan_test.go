@@ -165,6 +165,39 @@ func TestFloatScanCases(t *testing.T) {
 	}
 }
 
+// TestFloatScanFractionTails: a fraction of whole eight-digit groups
+// and then 0 to 8 more digits reads the same — value, cursor, man,
+// exp10, exact and token — whether the tail is read as one word (eight
+// or more bytes follow the token's start of tail) or byte by byte (the
+// token ends at the buffer's last byte), and agrees with the reference.
+// "1." before a non-digit declines either way.
+func TestFloatScanFractionTails(t *testing.T) {
+	const digits = "987654321012345678900090"
+	for groups := 0; groups <= 2; groups++ {
+		for tail := 0; tail <= 8; tail++ {
+			frac := digits[:8*groups+tail]
+			for _, after := range []string{"", ",12345678", "e-5]1234567", "/abcdefgh", ":", "}        "} {
+				in := []byte("1." + frac + after)
+				checkFloat(t, in)
+				word := scanner{b: in}
+				man, exp10, neg, exact, tok := word.decimal()
+				if len(frac) == 0 {
+					if tok != nil {
+						t.Fatalf("%q: accepted %q", in, tok)
+					}
+					continue
+				}
+				alone := scanner{b: append([]byte(nil), tok...)}
+				wman, wexp10, wneg, wexact, wtok := alone.decimal()
+				if man != wman || exp10 != wexp10 || neg != wneg || exact != wexact || !bytes.Equal(tok, wtok) {
+					t.Fatalf("%q: decimal %d %d %v %v %q; the token alone %d %d %v %v %q",
+						in, man, exp10, neg, exact, tok, wman, wexp10, wneg, wexact, wtok)
+				}
+			}
+		}
+	}
+}
+
 // A float64 printed the two ways clients print them — shortest
 // round-trip, and 17 significant digits — reads back to its bits, over
 // a million random bit patterns.

@@ -1,6 +1,7 @@
 package solve_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,13 +52,7 @@ func bitsOf(t *testing.T, system, method string, a *sparse.CSR, b []float64, poo
 	if err != nil {
 		t.Fatalf("%s/%s: %v", system, method, err)
 	}
-	h := uint64(14695981039346656037)
-	for _, v := range res.X {
-		h = (h ^ math.Float64bits(v)) * 1099511628211
-	}
-	s := res.Stats
-	return parentBits{system, method, res.Iterations, math.Float64bits(res.ResidualNorm), h,
-		[5]int64{int64(s.MatVecs), int64(s.InnerProducts), int64(s.VectorUpdates), int64(s.PrecondSolves), s.Flops}}
+	return resultBits(system, method, res)
 }
 
 // bitsAtParent is what every registry method returned at the commit
@@ -174,5 +169,163 @@ func TestBitsUnchangedFromParent(t *testing.T) {
 	}
 	if seen != len(bitsAtParent) {
 		t.Errorf("%d of %d recorded rows checked", seen, len(bitsAtParent))
+	}
+}
+
+// denseRectSystem builds one of the least-squares fixtures whose every
+// row stores every column: "icp" is a 5000×6 point-to-plane Jacobian
+// (row i is [pᵢ×nᵢ, nᵢ] for a point pᵢ and unit normal nᵢ) with a
+// right-hand side of plane distances plus noise; "wide" (300×40) and
+// "thin" (64×3) are Gaussian.
+func denseRectSystem(t *testing.T, name string) (*sparse.Rect, []float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(43))
+	var rows, cols int
+	switch name {
+	case "icp":
+		rows, cols = 5000, 6
+	case "wide":
+		rows, cols = 300, 40
+	case "thin":
+		rows, cols = 64, 3
+	default:
+		t.Fatalf("unknown dense system %q", name)
+	}
+	data := make([]float64, rows*cols)
+	b := make([]float64, rows)
+	for i := 0; i < rows; i++ {
+		row := data[i*cols : (i+1)*cols]
+		if name != "icp" {
+			for j := range row {
+				row[j] = rng.NormFloat64()
+			}
+			b[i] = rng.NormFloat64()
+			continue
+		}
+		var p, n [3]float64
+		var nn float64
+		for k := range p {
+			p[k], n[k] = 2*rng.Float64()-1, rng.NormFloat64()
+			nn += n[k] * n[k]
+		}
+		nn = math.Sqrt(nn)
+		for k := range n {
+			n[k] /= nn
+		}
+		row[0], row[1], row[2] = p[1]*n[2]-p[2]*n[1], p[2]*n[0]-p[0]*n[2], p[0]*n[1]-p[1]*n[0]
+		row[3], row[4], row[5] = n[0], n[1], n[2]
+		b[i] = 0.01*(row[0]-2*row[1]+row[3]+0.5*row[5]) + 1e-4*rng.NormFloat64()
+	}
+	a := sparse.RectFromDense(rows, cols, data)
+	if a.NNZ() != rows*cols {
+		t.Fatalf("%s: %d stored entries, want every one of %d", name, a.NNZ(), rows*cols)
+	}
+	return a, b
+}
+
+// resultBits reduces one solve's outcome to a parentBits row.
+func resultBits(system, method string, res *solve.Result) parentBits {
+	h := uint64(14695981039346656037)
+	for _, v := range res.X {
+		h = (h ^ math.Float64bits(v)) * 1099511628211
+	}
+	s := res.Stats
+	return parentBits{system, method, res.Iterations, math.Float64bits(res.ResidualNorm), h,
+		[5]int64{int64(s.MatVecs), int64(s.InnerProducts), int64(s.VectorUpdates), int64(s.PrecondSolves), s.Flops}}
+}
+
+// denseRectBitsAtParent is what cgnr and lsqr returned on the dense
+// fixtures, tol 1e-10, serial and on a three-worker pool alike, at the
+// commit before Rect multiplied a matrix that stores every column as
+// dense rows (2689e39): the dense kernels sum in the CSR loop's order,
+// so nothing here may move.
+var denseRectBitsAtParent = []parentBits{
+	{"icp", "cgnr", 6, 0x3f7cc24d9c72b039, 0x2b34d0b0f1cd627f, [5]int64{15, 20, 18, 0, 1090228}},
+	{"icp", "lsqr", 6, 0x3f7cc24d9c72b077, 0xe276f86db85222eb, [5]int64{15, 14, 39, 0, 1065348}},
+	{"wide", "cgnr", 20, 0x402feba52fdff0e6, 0x7e7fcdfa0e993c19, [5]int64{43, 62, 60, 0, 1073480}},
+	{"wide", "lsqr", 20, 0x402feba52fdff0ea, 0x5f7e3807aad2035, [5]int64{43, 42, 123, 0, 1070260}},
+	{"thin", "cgnr", 3, 0x401c1b8becb3bdb3, 0x4cf1c078f7d583fa, [5]int64{9, 11, 9, 0, 4796}},
+	{"thin", "lsqr", 3, 0x401c1b8becb3bdb4, 0x7f735d7949502118, [5]int64{9, 8, 21, 0, 4701}},
+}
+
+// TestDenseRectBitsUnchangedFromParent: cgnr and lsqr on Rects that
+// store every column of every row, serial and pooled, are the recorded
+// ones bit for bit.
+func TestDenseRectBitsUnchangedFromParent(t *testing.T) {
+	pool := vec.NewPoolMinChunk(3, 64)
+	defer pool.Close()
+	var got []parentBits
+	for _, name := range []string{"icp", "wide", "thin"} {
+		a, b := denseRectSystem(t, name)
+		for _, method := range []string{"cgnr", "lsqr"} {
+			var serial parentBits
+			for _, p := range []*sparse.Pool{nil, pool} {
+				res, err := solve.MustNew(method).Solve(a, b, solve.WithTol(1e-10), solve.WithPool(p))
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, method, err)
+				}
+				r := resultBits(name, method, res)
+				if p == nil {
+					serial = r
+					got = append(got, r)
+				} else if r != serial {
+					t.Errorf("%s/%s: pooled %+v, serial %+v", name, method, r, serial)
+				}
+			}
+		}
+	}
+	checkRecorded(t, got, denseRectBitsAtParent)
+}
+
+// denseRectSequenceBitsAtParent is an lsqr Sequence on the icp fixture
+// over five rounds of UpdateValues (every value moved by a few parts in
+// a thousand, as an ICP outer iteration moves them) and Step, recorded
+// at the same commit as denseRectBitsAtParent.
+var denseRectSequenceBitsAtParent = []parentBits{
+	{"icp-seq", "lsqr/0", 6, 0x3f7d96b001862794, 0xea269ab1e15603f1, [5]int64{16, 15, 39, 0, 1125360}},
+	{"icp-seq", "lsqr/1", 5, 0x3f7e872c7d418eeb, 0xe39c6054a5b0e488, [5]int64{14, 13, 33, 0, 980306}},
+	{"icp-seq", "lsqr/2", 6, 0x3f7f5ae4f310bf3c, 0xdc54f412568ffe00, [5]int64{16, 15, 39, 0, 1125360}},
+	{"icp-seq", "lsqr/3", 5, 0x3f80087af6872687, 0xed34a4baa9b1c4c5, [5]int64{14, 13, 33, 0, 980306}},
+	{"icp-seq", "lsqr/4", 6, 0x3f80711d4c18fc4b, 0x7b7fbff0d12b1699, [5]int64{16, 15, 39, 0, 1125360}},
+}
+
+// TestDenseRectSequenceBitsUnchangedFromParent: the warm-started steps
+// of a sequence whose Rect values change between steps are the recorded
+// ones bit for bit.
+func TestDenseRectSequenceBitsUnchangedFromParent(t *testing.T) {
+	a, b := denseRectSystem(t, "icp")
+	q, err := solve.NewSequence("lsqr", a.CloneValues(), solve.WithTol(1e-10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(47))
+	vals := append([]float64(nil), a.Values()...)
+	var got []parentBits
+	for round := 0; round < 5; round++ {
+		for i := range vals {
+			vals[i] *= 1 + 2e-3*rng.NormFloat64()
+		}
+		if err := q.UpdateValues(vals); err != nil {
+			t.Fatal(err)
+		}
+		res, err := q.Step(b)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		got = append(got, resultBits("icp-seq", fmt.Sprintf("lsqr/%d", round), res))
+	}
+	checkRecorded(t, got, denseRectSequenceBitsAtParent)
+}
+
+// checkRecorded compares rows with a recorded table, row by row.
+func checkRecorded(t *testing.T, got, want []parentBits) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, recorded %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("got %+v, recorded %+v", got[i], want[i])
+		}
 	}
 }

@@ -72,3 +72,49 @@ func BenchmarkDirectionSweep(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRectProducts times a least-squares step's operator work on an
+// ICP-shaped 5000×6 Jacobian: the dense Rect it is stored as, and the
+// same matrix with one entry of every row dropped, which stays on the
+// CSR loop and the cached transpose (built before the timer starts).
+// SetValues is a copy on the dense Rect and a copy plus a transpose
+// rescatter on the sparse one.
+func BenchmarkRectProducts(b *testing.B) {
+	const rows, cols = 5000, 6
+	data := make([]float64, rows*cols)
+	vec.Random(data, 7)
+	holed := append([]float64(nil), data...)
+	for i := 0; i < rows; i++ {
+		holed[i*cols+i%cols] = 0
+	}
+	for _, c := range []struct {
+		name string
+		m    *Rect
+	}{
+		{"dense", RectFromDense(rows, cols, data)},
+		{"sparse", RectFromDense(rows, cols, holed)},
+	} {
+		m := c.m
+		x, xt := make([]float64, cols), make([]float64, rows)
+		vec.Random(x, 8)
+		vec.Random(xt, 9)
+		y, yt := make([]float64, rows), make([]float64, cols)
+		m.MulVecT(yt, xt)
+		vals := append([]float64(nil), m.Values()...)
+		for _, op := range []struct {
+			name string
+			fn   func()
+		}{
+			{"MulVec", func() { m.MulVec(y, x) }},
+			{"MulVecT", func() { m.MulVecT(yt, xt) }},
+			{"SetValues", func() { m.SetValues(vals) }},
+		} {
+			b.Run(c.name+"/"+op.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					op.fn()
+				}
+			})
+		}
+	}
+}

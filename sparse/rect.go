@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sync/atomic"
+
+	"vrcg/internal/vec"
 )
 
 // Shaped is a Matrix that may be rectangular. Dim returns the row count
@@ -38,9 +40,10 @@ type TransposeMulVec interface {
 }
 
 // PoolMulVecT is a TransposeMulVec that also offers a worker-pool
-// parallel transpose product (CSR and Rect serve it from a cached
-// explicit transpose, so the parallel kernel is a race-free row-wise
-// gather, not a scattered accumulation).
+// parallel transpose product (CSR and a sparse Rect serve it from a
+// cached explicit transpose, so the parallel kernel is a race-free
+// row-wise gather, not a scattered accumulation; a dense Rect splits
+// its column groups).
 type PoolMulVecT interface {
 	TransposeMulVec
 	// MulVecTPool computes dst = Aᵀ*x over the pool, falling back to
@@ -110,21 +113,86 @@ func scatterTranspose(rowPtr []int, colIdx []int32, vals []float64, tPtr []int, 
 // returns the row count, so row-space length checks written against
 // square operators stay correct.
 //
-// The transpose product is served from a lazily built, atomically cached
-// explicit transpose, whose values the value-mutating methods (Scale,
-// SetValues) rewrite in place. Structure (rowPtr/colIdx) is immutable after
-// construction, which is what lets CloneValues share it between a stored
-// operator and the privately mutable copy a solve sequence owns.
+// A Rect is dense when every row stores every column, in order:
+// rowPtr[i] = cols·i and row i lists columns 0…cols−1 — an m×6
+// point-to-plane Jacobian, say. Construction decides it in one pass over
+// the structure, and a dense Rect multiplies its values as row-major
+// dense rows: MulVec takes each row as a unit-stride sum, and MulVecT
+// walks the rows once per group of up to eight columns, keeping one
+// running sum per column. It never builds a transpose. The bits are the
+// sparse path's for every input, non-finite ones included (a NaN's
+// payload aside, which depends on operand order that neither path
+// defines): each sum starts from +0 and adds v·x term by term in the
+// order the CSR loop (for Aᵀx, the explicit transpose's row) adds them.
+//
+// A sparse Rect serves the transpose product from a lazily built,
+// atomically cached explicit transpose, whose values the value-mutating
+// methods (Scale, SetValues) rewrite in place. Structure
+// (rowPtr/colIdx) is immutable after construction, which is what lets
+// CloneValues share it between a stored operator and the privately
+// mutable copy a solve sequence owns.
 type Rect struct {
 	rows, cols int
 	rowPtr     []int
 	colIdx     []int32
 	vals       []float64
 
-	// part caches the nnz-balanced row partition for MulVecPool.
-	part atomic.Pointer[rowPartition]
-	// tr caches the explicit transpose for MulVecT/MulVecTPool.
+	// dense says every row stores every column in order (see Rect);
+	// rowKernel and groupKernel are then its products over a range of
+	// rows and of column groups, bound once so that a pooled dispatch
+	// allocates nothing.
+	dense       bool
+	rowKernel   vec.RowKernel
+	groupKernel vec.RowKernel
+
+	// part caches the nnz-balanced row partition for MulVecPool, and
+	// groups a dense Rect's column-group partition for MulVecTPool.
+	part, groups atomic.Pointer[rowPartition]
+	// tr caches a sparse Rect's explicit transpose for
+	// MulVecT/MulVecTPool.
 	tr atomic.Pointer[Rect]
+}
+
+// newRect is the constructor every Rect but a clone goes through
+// (CloneValues copies the answer): it decides whether the structure is
+// dense.
+func newRect(rows, cols int, rowPtr []int, colIdx []int32, vals []float64) *Rect {
+	m := &Rect{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}
+	m.dense = denseStructure(cols, rowPtr, colIdx)
+	m.bindKernels()
+	return m
+}
+
+// denseStructure reports whether every row lists every one of cols
+// columns, in order.
+func denseStructure(cols int, rowPtr []int, colIdx []int32) bool {
+	rows := len(rowPtr) - 1
+	if len(colIdx) != rows*cols {
+		return false
+	}
+	for i := 0; i <= rows; i++ {
+		if rowPtr[i] != i*cols {
+			return false
+		}
+	}
+	for p := 0; p < len(colIdx); p += cols {
+		for j, c := range colIdx[p : p+cols] {
+			if int(c) != j {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// bindKernels caches a dense Rect's range kernels (see Rect.rowKernel).
+func (m *Rect) bindKernels() {
+	if m.dense {
+		m.rowKernel = func(lo, hi int, dst, x vec.Vector) { denseRowSums(m.vals, m.cols, lo, hi, dst, x) }
+		m.groupKernel = func(lo, hi int, dst, x vec.Vector) {
+			denseColumnSums(m.vals, m.cols, lo*denseGroup, min(hi*denseGroup, m.cols), dst, x)
+		}
+	}
 }
 
 // NewRect builds a rectangular CSR matrix from raw arrays. rowPtr and
@@ -147,11 +215,12 @@ func NewRect(rows, cols int, rowPtr, colIdx []int, vals []float64) *Rect {
 		panic("sparse: colIdx/vals length disagrees with rowPtr")
 	}
 	sortRows(rowPtr, idx, vals)
-	return &Rect{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: idx, vals: vals}
+	return newRect(rows, cols, rowPtr, idx, vals)
 }
 
 // RectFromDense builds a Rect from a row-major rows×cols dense array,
-// dropping exact zeros. Convenient for the small dense Jacobians of
+// dropping exact zeros (so the Rect is dense — see Rect — exactly when
+// no entry is zero). Convenient for the small dense Jacobians of
 // registration problems (m×6 point-to-plane ICP blocks).
 func RectFromDense(rows, cols int, data []float64) *Rect {
 	if len(data) != rows*cols {
@@ -215,6 +284,10 @@ func (m *Rect) checkMul(dst, x []float64) {
 // MulVec computes dst = A*x (dst length rows, x length cols).
 func (m *Rect) MulVec(dst, x []float64) {
 	m.checkMul(dst, x)
+	if m.dense {
+		denseRowSums(m.vals, m.cols, 0, m.rows, dst, x)
+		return
+	}
 	for i := 0; i < m.rows; i++ {
 		var s float64
 		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
@@ -229,8 +302,60 @@ func (m *Rect) MulVec(dst, x []float64) {
 func (m *Rect) MulVecPool(pool *Pool, dst, x []float64) {
 	m.checkMul(dst, x)
 	parts := pool.SpMVParts(len(m.vals))
-	if parts == 0 || !pool.CSRMulVec(m.rowBounds(parts), m.rowPtr, m.colIdx, m.vals, dst, x) {
+	if parts == 0 {
 		m.MulVec(dst, x)
+		return
+	}
+	bounds := m.rowBounds(parts)
+	if m.dense {
+		if !pool.RowMulVecBounds(bounds, dst, x, m.rowKernel) {
+			m.MulVec(dst, x)
+		}
+		return
+	}
+	if !pool.CSRMulVec(bounds, m.rowPtr, m.colIdx, m.vals, dst, x) {
+		m.MulVec(dst, x)
+	}
+}
+
+// denseRowSums computes rows [lo, hi) of dst = A*x for the row-major
+// rows of a dense Rect. The first eight entries of x stay in registers;
+// each row's sum starts from +0 and adds its products in column order,
+// as the CSR loop does.
+func denseRowSums(vals []float64, cols, lo, hi int, dst, x []float64) {
+	var xr [denseGroup]float64
+	copy(xr[:], x)
+	x0, x1, x2, x3, x4, x5, x6, x7 := xr[0], xr[1], xr[2], xr[3], xr[4], xr[5], xr[6], xr[7]
+	x = x[:cols]
+	for i := lo; i < hi; i++ {
+		row := vals[i*cols : i*cols+cols]
+		s := 0.0
+		s += row[0] * x0
+		if cols > 1 {
+			s += row[1] * x1
+		}
+		if cols > 2 {
+			s += row[2] * x2
+		}
+		if cols > 3 {
+			s += row[3] * x3
+		}
+		if cols > 4 {
+			s += row[4] * x4
+		}
+		if cols > 5 {
+			s += row[5] * x5
+		}
+		if cols > 6 {
+			s += row[6] * x6
+		}
+		if cols > 7 {
+			s += row[7] * x7
+			for j := denseGroup; j < cols; j++ {
+				s += row[j] * x[j]
+			}
+		}
+		dst[i] = s
 	}
 }
 
@@ -261,7 +386,7 @@ func (m *Rect) transpose() *Rect {
 		return t
 	}
 	tPtr, tIdx, tVals := transposeArrays(m.cols, m.rowPtr, m.colIdx, m.vals)
-	t := &Rect{rows: m.cols, cols: m.rows, rowPtr: tPtr, colIdx: tIdx, vals: tVals}
+	t := newRect(m.cols, m.rows, tPtr, tIdx, tVals)
 	m.tr.Store(t)
 	return t
 }
@@ -278,14 +403,86 @@ func checkMulT(method string, rows, cols int, dst, x []float64) {
 // MulVecT computes dst = Aᵀ*x (dst length cols, x length rows).
 func (m *Rect) MulVecT(dst, x []float64) {
 	checkMulT("Rect.MulVecT", m.rows, m.cols, dst, x)
+	if m.dense {
+		denseColumnSums(m.vals, m.cols, 0, m.cols, dst, x)
+		return
+	}
 	m.transpose().MulVec(dst, x)
 }
 
-// MulVecTPool computes dst = Aᵀ*x over the pool, a race-free row-wise
-// gather on the cached explicit transpose.
+// MulVecTPool computes dst = Aᵀ*x over the pool: a dense Rect splits its
+// column groups across the workers (one group runs serially), a sparse
+// one runs a race-free row-wise gather on the cached explicit transpose.
 func (m *Rect) MulVecTPool(pool *Pool, dst, x []float64) {
 	checkMulT("Rect.MulVecTPool", m.rows, m.cols, dst, x)
-	m.transpose().MulVecPool(pool, dst, x)
+	if !m.dense {
+		m.transpose().MulVecPool(pool, dst, x)
+		return
+	}
+	groups := (m.cols + denseGroup - 1) / denseGroup
+	parts := min(pool.SpMVParts(len(m.vals)), groups)
+	if parts < 2 || !pool.RowMulVecBounds(m.groupBounds(parts, groups), dst, x, m.groupKernel) {
+		m.MulVecT(dst, x)
+	}
+}
+
+// denseGroup is how many columns of a dense Rect one pass of
+// denseColumnSums sums side by side (and how many entries of x
+// denseRowSums holds in registers).
+const denseGroup = 8
+
+// groupBounds returns (and caches) an equal split of a dense Rect's
+// column groups into parts ranges, parts <= groups.
+func (m *Rect) groupBounds(parts, groups int) []int {
+	if cached := m.groups.Load(); cached != nil && cached.parts == parts {
+		return cached.bounds
+	}
+	bounds := make([]int, parts+1)
+	for c := range bounds {
+		bounds[c] = c * groups / parts
+	}
+	m.groups.Store(&rowPartition{parts: parts, bounds: bounds})
+	return bounds
+}
+
+// denseColumnSums computes dst[c0:c1] of dst = Aᵀ*x for the row-major
+// rows of a dense Rect, in one pass over the rows per group of
+// denseGroup columns. Each column keeps its own running sum from +0 and
+// adds its products in row order — the transpose row's sum, term for
+// term — so the group's sums are independent chains where the
+// transpose has one chain per column.
+//
+// While a whole denseGroup-wide window fits inside vals, the window is
+// read whether or not the group is that wide: a narrower group's extra
+// lanes read the next row's leading values into sums that are never
+// stored. The last rows, where the window would run off the end, add
+// only the group's own columns.
+func denseColumnSums(vals []float64, cols, c0, c1 int, dst, x []float64) {
+	for ; c0 < c1; c0 += denseGroup {
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		win, i := vals[c0:], 0
+		for ; i < len(x) && len(win) >= denseGroup; i++ {
+			xi := x[i]
+			a0 += win[0] * xi
+			a1 += win[1] * xi
+			a2 += win[2] * xi
+			a3 += win[3] * xi
+			a4 += win[4] * xi
+			a5 += win[5] * xi
+			a6 += win[6] * xi
+			a7 += win[7] * xi
+			win = win[min(cols, len(win)):]
+		}
+		sums := [denseGroup]float64{a0, a1, a2, a3, a4, a5, a6, a7}
+		w := min(c1-c0, denseGroup)
+		for ; i < len(x); i++ {
+			for j, v := range win[:w] {
+				sums[j] += v * x[i]
+			}
+			win = win[min(cols, len(win)):]
+		}
+		copy(dst[c0:c0+w], sums[:w])
+	}
 }
 
 // Values returns the stored nonzero values in row-major CSR order. The
@@ -295,7 +492,8 @@ func (m *Rect) Values() []float64 { return m.vals }
 
 // SetValues replaces the stored values in place (structure unchanged);
 // vals must have length NNZ. A cached explicit transpose gets the new
-// values too, in place. Like every mutator it needs exclusive access.
+// values too, in place (a dense Rect has none, so this is a copy). Like
+// every mutator it needs exclusive access.
 func (m *Rect) SetValues(vals []float64) {
 	if len(vals) != len(m.vals) {
 		panic(fmt.Sprintf("sparse: SetValues length %d, want %d", len(vals), len(m.vals)))
@@ -304,7 +502,7 @@ func (m *Rect) SetValues(vals []float64) {
 	m.refreshTranspose()
 }
 
-// Scale multiplies every stored value by s in place, and the cached
+// Scale multiplies every stored value by s in place, and a cached
 // transpose's with them.
 func (m *Rect) Scale(s float64) {
 	for i := range m.vals {
@@ -331,9 +529,13 @@ func (m *Rect) refreshTranspose() {
 func (m *Rect) CloneValues() *Rect {
 	vals := make([]float64, len(m.vals))
 	copy(vals, m.vals)
-	c := &Rect{rows: m.rows, cols: m.cols, rowPtr: m.rowPtr, colIdx: m.colIdx, vals: vals}
+	c := &Rect{rows: m.rows, cols: m.cols, rowPtr: m.rowPtr, colIdx: m.colIdx, vals: vals, dense: m.dense}
+	c.bindKernels()
 	if p := m.part.Load(); p != nil {
 		c.part.Store(p)
+	}
+	if g := m.groups.Load(); g != nil {
+		c.groups.Store(g)
 	}
 	return c
 }

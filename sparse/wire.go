@@ -196,7 +196,7 @@ func (w *WireMatrix) decode(maxOrder int, general bool) (Matrix, error) {
 	if rows == cols {
 		return newCSR(rows, rowPtr, colIdx, vals), nil
 	}
-	return &Rect{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}, nil
+	return newRect(rows, cols, rowPtr, colIdx, vals), nil
 }
 
 // shape returns the declared rows × cols: N × N when the envelope
