@@ -103,11 +103,15 @@ func (s *scanner) decimal() (man uint64, exp10 int, neg, exact bool, tok []byte)
 // with the index of the first byte that is not one. It reads eight at a
 // time while eight bytes remain; the word that is not eight digits
 // starts with the 0–7 that end the run, which are counted and read as
-// eight with leading '0's. Only the buffer's last bytes go one by one.
+// eight with leading '0's (none: the run has ended). Only the buffer's
+// last bytes go one by one.
 func fraction(b []byte, i int, man uint64) (uint64, int) {
 	for ; i+8 <= len(b); i += 8 {
 		w := binary.LittleEndian.Uint64(b[i:])
 		if nd := nonDigits(w); nd != 0 {
+			if nd&0xFF != 0 {
+				return man, i
+			}
 			n := bits.TrailingZeros64(nd) / 8
 			return man*pow10u[n] + eightDigits(w<<(64-8*n)|0x3030303030303030>>(8*n)), i + n
 		}

@@ -460,9 +460,9 @@ func (m *Rect) groupBounds(parts, groups int) []int {
 func denseColumnSums(vals []float64, cols, c0, c1 int, dst, x []float64) {
 	for ; c0 < c1; c0 += denseGroup {
 		var a0, a1, a2, a3, a4, a5, a6, a7 float64
-		win, i := vals[c0:], 0
-		for ; i < len(x) && len(win) >= denseGroup; i++ {
-			xi := x[i]
+		i, p := 0, c0
+		for ; i < len(x) && p+denseGroup <= len(vals); i, p = i+1, p+cols {
+			xi, win := x[i], vals[p:p+denseGroup:p+denseGroup]
 			a0 += win[0] * xi
 			a1 += win[1] * xi
 			a2 += win[2] * xi
@@ -471,15 +471,13 @@ func denseColumnSums(vals []float64, cols, c0, c1 int, dst, x []float64) {
 			a5 += win[5] * xi
 			a6 += win[6] * xi
 			a7 += win[7] * xi
-			win = win[min(cols, len(win)):]
 		}
 		sums := [denseGroup]float64{a0, a1, a2, a3, a4, a5, a6, a7}
 		w := min(c1-c0, denseGroup)
-		for ; i < len(x); i++ {
-			for j, v := range win[:w] {
+		for ; i < len(x); i, p = i+1, p+cols {
+			for j, v := range vals[p : p+w] {
 				sums[j] += v * x[i]
 			}
-			win = win[min(cols, len(win)):]
 		}
 		copy(dst[c0:c0+w], sums[:w])
 	}
