@@ -61,7 +61,16 @@ func (s *scanner) decimal() (man uint64, exp10 int, neg, exact bool, tok []byte)
 	if i < len(b) && b[i] == '.' {
 		i++
 		frac := i
-		man, i = fraction(b, i, man)
+		for ; i+8 <= len(b); i += 8 {
+			v, ok := eightDigits(binary.LittleEndian.Uint64(b[i:]))
+			if !ok {
+				break
+			}
+			man = man*1e8 + v
+		}
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			man = man*10 + uint64(b[i]-'0')
+		}
 		if i == frac {
 			return 0, 0, false, false, nil
 		}
@@ -99,51 +108,20 @@ func (s *scanner) decimal() (man uint64, exp10 int, neg, exact bool, tok []byte)
 	return man, exp10, neg, digits <= 19, tok
 }
 
-// fraction reads the digits that start at b[i] into man, and returns it
-// with the index of the first byte that is not one. It reads eight at a
-// time while eight bytes remain; the word that is not eight digits
-// starts with the 0–7 that end the run, which are counted and read as
-// eight with leading '0's (none: the run has ended). Only the buffer's
-// last bytes go one by one.
-func fraction(b []byte, i int, man uint64) (uint64, int) {
-	for ; i+8 <= len(b); i += 8 {
-		w := binary.LittleEndian.Uint64(b[i:])
-		if nd := nonDigits(w); nd != 0 {
-			if nd&0xFF != 0 {
-				return man, i
-			}
-			n := bits.TrailingZeros64(nd) / 8
-			return man*pow10u[n] + eightDigits(w<<(64-8*n)|0x3030303030303030>>(8*n)), i + n
-		}
-		man = man*1e8 + eightDigits(w)
+// eightDigits reports whether the eight bytes of v, loaded little
+// endian, are all ASCII digits, and if so their value as a decimal
+// number, first byte most significant.
+func eightDigits(v uint64) (uint64, bool) {
+	const hi = 0xF0F0F0F0F0F0F0F0
+	if (v&hi)|((v+0x0606060606060606)&hi)>>4 != 0x3333333333333333 {
+		return 0, false
 	}
-	for ; i < len(b) && b[i]-'0' <= 9; i++ {
-		man = man*10 + uint64(b[i]-'0')
-	}
-	return man, i
-}
-
-// eightDigits is the value of eight ASCII digits loaded little endian,
-// first byte most significant.
-func eightDigits(v uint64) uint64 {
 	v -= 0x3030303030303030
 	v = v*10 + v>>8 // bytes 1, 3, 5, 7 now hold the pairs, 0…99
 	const mask = 0x000000FF000000FF
-	return ((v&mask)*(100+1000000<<32) + ((v>>16)&mask)*(1+10000<<32)) >> 32
+	v = ((v&mask)*(100+1000000<<32) + ((v>>16)&mask)*(1+10000<<32)) >> 32
+	return v, true
 }
-
-// nonDigits sets bits in the high nibble of every byte of v that is not
-// an ASCII digit, and clears the byte's bits where it is one — up to
-// the first non-digit: a byte past 0xF9 carries into the next one, whose
-// flag then says nothing. Its trailing zero bits, over eight, count the
-// digits v starts with.
-func nonDigits(v uint64) uint64 {
-	const hi, zeros = 0xF0F0F0F0F0F0F0F0, 0x3030303030303030
-	return (v&hi ^ zeros) | ((v+0x0606060606060606)&hi ^ zeros)
-}
-
-// pow10u are the powers of ten below 10^8.
-var pow10u = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7}
 
 // pow10 are the powers of ten a float64 holds exactly: 5^22 < 2^53.
 var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,

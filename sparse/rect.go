@@ -42,8 +42,8 @@ type TransposeMulVec interface {
 // PoolMulVecT is a TransposeMulVec that also offers a worker-pool
 // parallel transpose product (CSR and a sparse Rect serve it from a
 // cached explicit transpose, so the parallel kernel is a race-free
-// row-wise gather, not a scattered accumulation; a dense Rect splits
-// its column groups).
+// row-wise gather, not a scattered accumulation; a dense Rect runs
+// its serial product).
 type PoolMulVecT interface {
 	TransposeMulVec
 	// MulVecTPool computes dst = Aᵀ*x over the pool, falling back to
@@ -113,13 +113,13 @@ func scatterTranspose(rowPtr []int, colIdx []int32, vals []float64, tPtr []int, 
 // returns the row count, so row-space length checks written against
 // square operators stay correct.
 //
-// A Rect is dense when every row stores every column, in order:
-// rowPtr[i] = cols·i and row i lists columns 0…cols−1 — an m×6
-// point-to-plane Jacobian, say. Construction decides it in one pass over
-// the structure, and a dense Rect multiplies its values as row-major
-// dense rows: MulVec takes each row as a unit-stride sum, and MulVecT
-// walks the rows once per group of up to eight columns, keeping one
-// running sum per column. It never builds a transpose. The bits are the
+// A Rect is dense when it has at most eight columns and every row
+// stores every column, in order: rowPtr[i] = cols·i and row i lists
+// columns 0…cols−1 — an m×6 point-to-plane Jacobian, say. Construction
+// decides it in one pass over the structure, and a dense Rect multiplies
+// its values as row-major dense rows: MulVec takes each row as a
+// unit-stride sum, and MulVecT walks the rows once, keeping one running
+// sum per column. It never builds a transpose. The bits are the
 // sparse path's for every input, non-finite ones included (a NaN's
 // payload aside, which depends on operand order that neither path
 // defines): each sum starts from +0 and adds v·x term by term in the
@@ -138,16 +138,13 @@ type Rect struct {
 	vals       []float64
 
 	// dense says every row stores every column in order (see Rect);
-	// rowKernel and groupKernel are then its products over a range of
-	// rows and of column groups, bound once so that a pooled dispatch
-	// allocates nothing.
-	dense       bool
-	rowKernel   vec.RowKernel
-	groupKernel vec.RowKernel
+	// rowKernel is then its product over a range of rows, bound once so
+	// that a pooled dispatch allocates nothing.
+	dense     bool
+	rowKernel vec.RowKernel
 
-	// part caches the nnz-balanced row partition for MulVecPool, and
-	// groups a dense Rect's column-group partition for MulVecTPool.
-	part, groups atomic.Pointer[rowPartition]
+	// part caches the nnz-balanced row partition for MulVecPool.
+	part atomic.Pointer[rowPartition]
 	// tr caches a sparse Rect's explicit transpose for
 	// MulVecT/MulVecTPool.
 	tr atomic.Pointer[Rect]
@@ -164,10 +161,10 @@ func newRect(rows, cols int, rowPtr []int, colIdx []int32, vals []float64) *Rect
 }
 
 // denseStructure reports whether every row lists every one of cols
-// columns, in order.
+// columns, in order, and cols is at most maxDenseCols.
 func denseStructure(cols int, rowPtr []int, colIdx []int32) bool {
 	rows := len(rowPtr) - 1
-	if len(colIdx) != rows*cols {
+	if cols > maxDenseCols || len(colIdx) != rows*cols {
 		return false
 	}
 	for i := 0; i <= rows; i++ {
@@ -185,13 +182,10 @@ func denseStructure(cols int, rowPtr []int, colIdx []int32) bool {
 	return true
 }
 
-// bindKernels caches a dense Rect's range kernels (see Rect.rowKernel).
+// bindKernels caches a dense Rect's row-range kernel (see Rect.rowKernel).
 func (m *Rect) bindKernels() {
 	if m.dense {
 		m.rowKernel = func(lo, hi int, dst, x vec.Vector) { denseRowSums(m.vals, m.cols, lo, hi, dst, x) }
-		m.groupKernel = func(lo, hi int, dst, x vec.Vector) {
-			denseColumnSums(m.vals, m.cols, lo*denseGroup, min(hi*denseGroup, m.cols), dst, x)
-		}
 	}
 }
 
@@ -319,14 +313,12 @@ func (m *Rect) MulVecPool(pool *Pool, dst, x []float64) {
 }
 
 // denseRowSums computes rows [lo, hi) of dst = A*x for the row-major
-// rows of a dense Rect. The first eight entries of x stay in registers;
-// each row's sum starts from +0 and adds its products in column order,
-// as the CSR loop does.
+// rows of a dense Rect. x stays in registers; each row's sum starts
+// from +0 and adds its products in column order, as the CSR loop does.
 func denseRowSums(vals []float64, cols, lo, hi int, dst, x []float64) {
-	var xr [denseGroup]float64
+	var xr [maxDenseCols]float64
 	copy(xr[:], x)
 	x0, x1, x2, x3, x4, x5, x6, x7 := xr[0], xr[1], xr[2], xr[3], xr[4], xr[5], xr[6], xr[7]
-	x = x[:cols]
 	for i := lo; i < hi; i++ {
 		row := vals[i*cols : i*cols+cols]
 		s := 0.0
@@ -351,9 +343,6 @@ func denseRowSums(vals []float64, cols, lo, hi int, dst, x []float64) {
 		}
 		if cols > 7 {
 			s += row[7] * x7
-			for j := denseGroup; j < cols; j++ {
-				s += row[j] * x[j]
-			}
 		}
 		dst[i] = s
 	}
@@ -404,83 +393,61 @@ func checkMulT(method string, rows, cols int, dst, x []float64) {
 func (m *Rect) MulVecT(dst, x []float64) {
 	checkMulT("Rect.MulVecT", m.rows, m.cols, dst, x)
 	if m.dense {
-		denseColumnSums(m.vals, m.cols, 0, m.cols, dst, x)
+		denseColumnSums(m.vals, m.cols, dst, x)
 		return
 	}
 	m.transpose().MulVec(dst, x)
 }
 
-// MulVecTPool computes dst = Aᵀ*x over the pool: a dense Rect splits its
-// column groups across the workers (one group runs serially), a sparse
-// one runs a race-free row-wise gather on the cached explicit transpose.
+// MulVecTPool computes dst = Aᵀ*x over the pool: a dense Rect runs its
+// serial product, whose one pass over the rows holds every column's
+// sum; a sparse one runs a race-free row-wise gather on the cached
+// explicit transpose.
 func (m *Rect) MulVecTPool(pool *Pool, dst, x []float64) {
 	checkMulT("Rect.MulVecTPool", m.rows, m.cols, dst, x)
-	if !m.dense {
-		m.transpose().MulVecPool(pool, dst, x)
+	if m.dense {
+		denseColumnSums(m.vals, m.cols, dst, x)
 		return
 	}
-	groups := (m.cols + denseGroup - 1) / denseGroup
-	parts := min(pool.SpMVParts(len(m.vals)), groups)
-	if parts < 2 || !pool.RowMulVecBounds(m.groupBounds(parts, groups), dst, x, m.groupKernel) {
-		m.MulVecT(dst, x)
-	}
+	m.transpose().MulVecPool(pool, dst, x)
 }
 
-// denseGroup is how many columns of a dense Rect one pass of
-// denseColumnSums sums side by side (and how many entries of x
-// denseRowSums holds in registers).
-const denseGroup = 8
+// maxDenseCols is the widest dense Rect: denseColumnSums keeps one sum
+// per column in registers, and denseRowSums holds x in them.
+const maxDenseCols = 8
 
-// groupBounds returns (and caches) an equal split of a dense Rect's
-// column groups into parts ranges, parts <= groups.
-func (m *Rect) groupBounds(parts, groups int) []int {
-	if cached := m.groups.Load(); cached != nil && cached.parts == parts {
-		return cached.bounds
-	}
-	bounds := make([]int, parts+1)
-	for c := range bounds {
-		bounds[c] = c * groups / parts
-	}
-	m.groups.Store(&rowPartition{parts: parts, bounds: bounds})
-	return bounds
-}
-
-// denseColumnSums computes dst[c0:c1] of dst = Aᵀ*x for the row-major
-// rows of a dense Rect, in one pass over the rows per group of
-// denseGroup columns. Each column keeps its own running sum from +0 and
-// adds its products in row order — the transpose row's sum, term for
-// term — so the group's sums are independent chains where the
+// denseColumnSums computes dst = Aᵀ*x for the row-major rows of a dense
+// Rect, in one pass over the rows. Each column keeps its own running sum
+// from +0 and adds its products in row order — the transpose row's sum,
+// term for term — so the sums are independent chains where the
 // transpose has one chain per column.
 //
-// While a whole denseGroup-wide window fits inside vals, the window is
-// read whether or not the group is that wide: a narrower group's extra
+// While a whole maxDenseCols-wide window fits inside vals, the window is
+// read whether or not the Rect is that wide: a narrower Rect's extra
 // lanes read the next row's leading values into sums that are never
 // stored. The last rows, where the window would run off the end, add
-// only the group's own columns.
-func denseColumnSums(vals []float64, cols, c0, c1 int, dst, x []float64) {
-	for ; c0 < c1; c0 += denseGroup {
-		var a0, a1, a2, a3, a4, a5, a6, a7 float64
-		i, p := 0, c0
-		for ; i < len(x) && p+denseGroup <= len(vals); i, p = i+1, p+cols {
-			xi, win := x[i], vals[p:p+denseGroup:p+denseGroup]
-			a0 += win[0] * xi
-			a1 += win[1] * xi
-			a2 += win[2] * xi
-			a3 += win[3] * xi
-			a4 += win[4] * xi
-			a5 += win[5] * xi
-			a6 += win[6] * xi
-			a7 += win[7] * xi
-		}
-		sums := [denseGroup]float64{a0, a1, a2, a3, a4, a5, a6, a7}
-		w := min(c1-c0, denseGroup)
-		for ; i < len(x); i, p = i+1, p+cols {
-			for j, v := range vals[p : p+w] {
-				sums[j] += v * x[i]
-			}
-		}
-		copy(dst[c0:c0+w], sums[:w])
+// only the Rect's own columns.
+func denseColumnSums(vals []float64, cols int, dst, x []float64) {
+	var a0, a1, a2, a3, a4, a5, a6, a7 float64
+	i, p := 0, 0
+	for ; i < len(x) && p+maxDenseCols <= len(vals); i, p = i+1, p+cols {
+		xi, win := x[i], vals[p:p+maxDenseCols:p+maxDenseCols]
+		a0 += win[0] * xi
+		a1 += win[1] * xi
+		a2 += win[2] * xi
+		a3 += win[3] * xi
+		a4 += win[4] * xi
+		a5 += win[5] * xi
+		a6 += win[6] * xi
+		a7 += win[7] * xi
 	}
+	sums := [maxDenseCols]float64{a0, a1, a2, a3, a4, a5, a6, a7}
+	for ; i < len(x); i, p = i+1, p+cols {
+		for j, v := range vals[p : p+cols] {
+			sums[j] += v * x[i]
+		}
+	}
+	copy(dst, sums[:cols])
 }
 
 // Values returns the stored nonzero values in row-major CSR order. The
@@ -531,9 +498,6 @@ func (m *Rect) CloneValues() *Rect {
 	c.bindKernels()
 	if p := m.part.Load(); p != nil {
 		c.part.Store(p)
-	}
-	if g := m.groups.Load(); g != nil {
-		c.groups.Store(g)
 	}
 	return c
 }

@@ -20,7 +20,8 @@ func jacobianData(rows, cols int) []float64 {
 // in any order), RectFromDense, the upload decoder, CloneValues — yields
 // a dense Rect when every row stores every column, and a Rect missing
 // one entry, or storing one column twice, stays on the CSR path, whose
-// transpose product builds the transpose.
+// transpose product builds the transpose. So does a Rect that stores
+// every column but is wider than eight.
 func TestDenseRectConstructors(t *testing.T) {
 	const rows, cols = 40, 6
 	data := jacobianData(rows, cols)
@@ -60,11 +61,12 @@ func TestDenseRectConstructors(t *testing.T) {
 	repeated := sparse.NewRect(rows, cols, append([]int(nil), rowPtr...), twice, append([]float64(nil), vals...))
 	data[3*cols+2] = 0 // RectFromDense drops it
 	holed := sparse.RectFromDense(rows, cols, data)
-	for name, m := range map[string]*sparse.Rect{"a repeated column": repeated, "a missing entry": holed} {
+	wide := sparse.RectFromDense(rows, 9, jacobianData(rows, 9))
+	for name, m := range map[string]*sparse.Rect{"a repeated column": repeated, "a missing entry": holed, "nine columns": wide} {
 		if m.IsDense() {
 			t.Errorf("a Rect with %s is dense", name)
 		}
-		m.MulVecT(make([]float64, cols), make([]float64, rows))
+		m.MulVecT(make([]float64, m.Cols()), make([]float64, rows))
 		if !m.HasTranspose() {
 			t.Errorf("a Rect with %s: its transpose product built no transpose", name)
 		}

@@ -95,11 +95,13 @@ func sameProducts(a, b []float64) bool {
 
 // checkDenseProducts holds m's four products to the CSR loop over m's
 // arrays (MulVec, MulVecPool) and over the arrays of its explicit
-// transpose (MulVecT, MulVecTPool), bit for bit.
+// transpose (MulVecT, MulVecTPool), bit for bit. m stores every column,
+// so it is dense exactly when it is at most maxDenseCols wide; a wider
+// one keeps the CSR loop and the cached transpose.
 func checkDenseProducts(t *testing.T, m *Rect, x, xt []float64, pool *Pool) {
 	t.Helper()
-	if !m.dense {
-		t.Fatalf("%dx%d: a Rect storing every column is not dense", m.rows, m.cols)
+	if m.dense != (m.cols <= maxDenseCols) {
+		t.Fatalf("%dx%d: a Rect storing every column has dense = %v", m.rows, m.cols, m.dense)
 	}
 	want, got := make([]float64, m.rows), make([]float64, m.rows)
 	csrLoop(m.rowPtr, m.colIdx, m.vals, want, x)
@@ -125,16 +127,16 @@ func checkDenseProducts(t *testing.T, m *Rect, x, xt []float64, pool *Pool) {
 	if !sameProducts(gotT, wantT) {
 		t.Fatalf("%dx%d MulVecTPool: %v, transpose product %v", m.rows, m.cols, gotT, wantT)
 	}
-	if m.tr.Load() != nil {
+	if m.dense && m.tr.Load() != nil {
 		t.Fatalf("%dx%d: a dense Rect built a transpose", m.rows, m.cols)
 	}
 }
 
-// TestRectDenseBitwise: on every width from 1 to 12 (across the
-// eight-column group), with row counts whose products run serially and
-// ones a pool partitions, the dense kernels return the CSR loop's bits
-// and the explicit transpose product's — on finite values and on
-// specials in both the values and x.
+// TestRectDenseBitwise: on every width from 1 to 12 (the dense kernels
+// up to eight, the CSR path past it), with row counts whose products
+// run serially and ones a pool partitions, the products return the CSR
+// loop's bits and the explicit transpose product's — on finite values
+// and on specials in both the values and x.
 func TestRectDenseBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	pool := vec.NewPoolMinChunk(3, 1) // partitions products of 2048 entries or more
@@ -158,8 +160,8 @@ func TestRectDenseBitwise(t *testing.T) {
 	}
 }
 
-// FuzzRectDense holds the dense kernels to the same oracle on any shape
-// and values: the bytes give the shape and then the values, cycled.
+// FuzzRectDense holds the dense kernels (and, past eight columns, the
+// CSR path) to the same oracle on any shape and values: the bytes give the shape and then the values, cycled.
 func FuzzRectDense(f *testing.F) {
 	f.Add(uint8(6), uint16(50), []byte{1, 2, 3})
 	f.Add(uint8(9), uint16(300), binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.Inf(-1))))

@@ -15,8 +15,8 @@
 //     cache-blocked SELL-C-σ format (SELL), a COO
 //     assembly builder, and Dense for small reference problems. Rect,
 //     the rectangular CSR of the least-squares methods, multiplies a
-//     matrix whose rows each store every column as dense rows, and
-//     builds no transpose for it (see Rect).
+//     matrix of at most eight columns whose rows each store every
+//     column as dense rows, and builds no transpose for it (see Rect).
 //     TuneMulVec picks the format a CSR's products run on — banded →
 //     DIA at any size, else large and paddable → SELL, else the CSR
 //     itself — and both tuned formats share one contract: MulVec and
