@@ -83,8 +83,8 @@ check:
 # least-squares step's Rect products and value update, dense and sparse.
 # The CI bench-smoke job runs this target.
 kernel-allocs:
-	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkSpMV|BenchmarkDotSerial|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine|BenchmarkPipeUpdate|BenchmarkCGIteration' -benchtime=1x -benchmem . && \
-		$(GO) test -run '^$$' -bench 'BenchmarkRectProducts' -benchtime=1x -benchmem ./sparse) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) test -run '^$$' -bench 'BenchmarkSpMV|BenchmarkDotSerial|BenchmarkDotPooled|BenchmarkGramBatch|BenchmarkCombine|BenchmarkPipeUpdate|BenchmarkCGIteration' -benchtime=100x -benchmem . && \
+		$(GO) test -run '^$$' -bench 'BenchmarkRectProducts' -benchtime=100x -benchmem ./sparse) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
 	bad=$$(echo "$$out" | awk '$$1 ~ /^Benchmark(SpMV|Dot|GramBatch|Combine|PipeUpdate|CGIteration|RectProducts)/ { for (i = 2; i <= NF; i++) if ($$(i) == "allocs/op" && $$(i-1)+0 != 0) print $$1 }'); \
 	if [ -n "$$bad" ]; then echo "kernels allocated:"; echo "$$bad"; exit 1; fi; \

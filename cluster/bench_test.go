@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vrcg/internal/engine"
 	"vrcg/solve"
 	"vrcg/sparse"
 )
@@ -125,13 +126,13 @@ func BenchmarkClusterReduction(b *testing.B) {
 				// cg pays two allreduce round trips per iteration where
 				// pipecg pays one fused reduce and gropp hides one of its
 				// two behind the matvec.
-				perIter := func(ps PhaseSnapshot) float64 {
-					return ps.MeanUS * float64(ps.Count) / float64(2*res.Iterations)
+				perIter := func(ps engine.HistSnapshot) float64 {
+					return ps.Mean * float64(ps.Count) / float64(2*res.Iterations)
 				}
 				redUS += perIter(red)
 				spmvUS += perIter(res.Phases["spmv"])
 				haloUS += perIter(res.Phases["halo"])
-				iterUS += res.Phases["iteration"].MeanUS
+				iterUS += res.Phases["iteration"].Mean
 				iters += res.Iterations
 			}
 			b.ReportMetric(spmvUS/float64(b.N), "spmv_us/iter")

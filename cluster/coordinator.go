@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"vrcg/cluster/wire"
+	"vrcg/internal/engine"
 	"vrcg/solve"
 	"vrcg/sparse"
 )
@@ -624,7 +625,7 @@ type Result struct {
 	Stats    runStats
 	// Phases holds this solve's fleet-merged per-iteration latency
 	// histograms keyed spmv/halo/reduction/iteration.
-	Phases map[string]PhaseSnapshot
+	Phases map[string]engine.HistSnapshot
 }
 
 // shardedMethods lists what a fleet solves with: the registry methods
@@ -888,10 +889,7 @@ func (c *Coordinator) assemble(op *clusterOp, b []float64, dones map[string]*don
 		phases = append(phases, &d.Phases)
 		merged.merge(&d.Phases)
 	}
-	res.Phases = make(map[string]PhaseSnapshot, numPhases)
-	for i := range merged {
-		res.Phases[phaseNames[i]] = SnapshotPhase(&merged[i])
-	}
+	res.Phases = merged.snapshot()
 
 	// True residual from the retained operator: the distributed
 	// recurrence is verified against ground truth on every solve.

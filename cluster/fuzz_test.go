@@ -47,6 +47,10 @@ func FuzzDecodeGeneral(f *testing.F) {
 	f.Add(byte(4), append([]byte(nil), e.B...))
 	e.Release()
 
+	// A MsgDone whose phases declare 2^32−1 buckets each: refused at the
+	// count, before any bucket is read.
+	f.Add(byte(5), forgedDone(1<<32-1))
+
 	f.Fuzz(func(t *testing.T, which byte, payload []byte) {
 		switch which % 9 {
 		case 0:

@@ -1,8 +1,9 @@
 package cluster
 
 import (
-	"strconv"
+	"fmt"
 	"sync"
+	"time"
 
 	"vrcg/cluster/wire"
 	"vrcg/internal/engine"
@@ -25,44 +26,46 @@ const (
 // phaseNames index the Phase* constants for wire and JSON output.
 var phaseNames = [numPhases]string{"spmv", "halo", "reduction", "iteration"}
 
-// PhaseHist is one latency histogram — the engine's type, so the
-// fleet's phases and the in-process parcg phases share one Observe/
-// Merge implementation and one bucket vocabulary
-// (engine.PhaseBucketsUS, chosen to straddle both in-process loopback
-// fleets at single-digit µs and real networks at ms).
-type PhaseHist = engine.PhaseHist
+// phaseSet is the per-solve bundle of one histogram per phase, on the
+// engine's µs phase ladder (engine.PhaseBucketsUS) so fleet and
+// in-process phases read on one scale.
+type phaseSet [numPhases]engine.PhaseHist
 
-// phaseSet is the per-solve bundle of one histogram per phase.
-type phaseSet [numPhases]PhaseHist
+// phaseBuckets is the bucket count of one phase histogram on the wire:
+// the ladder's bounds plus overflow.
+var phaseBuckets = len(engine.PhaseBucketsUS) + 1
+
+// observe records one duration under phase p.
+func (ps *phaseSet) observe(p int, d time.Duration) {
+	ps[p].Observe(engine.PhaseBucketsUS, float64(d)/1e3)
+}
 
 func (ps *phaseSet) encode(e *wire.Enc) {
 	for i := range ps {
 		h := &ps[i]
 		e.U64(h.Count)
-		e.F64(h.SumUS)
-		e.F64(h.MaxUS)
-		e.U32(uint32(len(h.Buckets)))
-		for _, c := range h.Buckets {
+		e.F64(h.Sum)
+		e.F64(h.Max)
+		e.U32(uint32(phaseBuckets))
+		for _, c := range h.Buckets[:phaseBuckets] {
 			e.U64(c)
 		}
 	}
 }
 
+// decode refuses a bucket count other than the ladder's before reading
+// any bucket, so a forged count costs nothing.
 func (ps *phaseSet) decode(d *wire.Dec) error {
 	for i := range ps {
 		h := &ps[i]
 		h.Count = d.U64()
-		h.SumUS = d.F64()
-		h.MaxUS = d.F64()
-		nb := int(d.U32())
-		if err := d.Err(); err != nil {
-			return err
+		h.Sum = d.F64()
+		h.Max = d.F64()
+		if nb := d.U32(); d.Err() == nil && nb != uint32(phaseBuckets) {
+			return fmt.Errorf("%w: phase %s declares %d buckets, want %d", wire.ErrFrame, phaseNames[i], nb, phaseBuckets)
 		}
-		for j := 0; j < nb; j++ {
-			c := d.U64()
-			if j < len(h.Buckets) {
-				h.Buckets[j] = c
-			}
+		for j := range h.Buckets[:phaseBuckets] {
+			h.Buckets[j] = d.U64()
 		}
 	}
 	return d.Err()
@@ -74,43 +77,13 @@ func (ps *phaseSet) merge(other *phaseSet) {
 	}
 }
 
-// PhaseSnapshot is the JSON shape of one phase histogram in /metrics.
-type PhaseSnapshot struct {
-	Count   uint64            `json:"count"`
-	MeanUS  float64           `json:"mean_us"`
-	MaxUS   float64           `json:"max_us"`
-	Buckets map[string]uint64 `json:"buckets"`
-}
-
-// SnapshotPhase converts one phase histogram to its /metrics shape —
-// the one conversion, for the fleet's phases and (from package server)
-// the in-process solvers' alike.
-func SnapshotPhase(h *PhaseHist) PhaseSnapshot {
-	s := PhaseSnapshot{
-		Count:   h.Count,
-		MeanUS:  h.MeanUS(),
-		MaxUS:   h.MaxUS,
-		Buckets: make(map[string]uint64, len(h.Buckets)),
+// snapshot renders ps keyed by phase name.
+func (ps *phaseSet) snapshot() map[string]engine.HistSnapshot {
+	m := make(map[string]engine.HistSnapshot, numPhases)
+	for i := range ps {
+		m[phaseNames[i]] = ps[i].Snapshot(engine.PhaseBucketsUS)
 	}
-	// Cumulative counts keyed by upper bound, Prometheus-style, matching
-	// the server's histogram rendering.
-	var cum uint64
-	for i, ub := range engine.PhaseBucketsUS {
-		cum += h.Buckets[i]
-		s.Buckets[formatBucket(ub)] = cum
-	}
-	cum += h.Buckets[engine.NumPhaseBuckets]
-	s.Buckets["+Inf"] = cum
-	return s
-}
-
-func formatBucket(us float64) string {
-	switch {
-	case us >= 1000:
-		return strconv.Itoa(int(us/1000)) + "ms"
-	default:
-		return strconv.Itoa(int(us)) + "us"
-	}
+	return m
 }
 
 // WorkerSnapshot is one fleet member's status in /metrics and the
@@ -126,13 +99,13 @@ type WorkerSnapshot struct {
 // fleet membership, solve counters, and per-method per-phase iteration
 // latency histograms merged across every worker that participated.
 type MetricsSnapshot struct {
-	Workers      []WorkerSnapshot                    `json:"workers"`
-	Operators    int                                 `json:"operators"`
-	Solves       uint64                              `json:"solves"`
-	Failures     uint64                              `json:"failures"`
-	Retries      uint64                              `json:"retries"`
-	Replacements uint64                              `json:"replacements"`
-	PhaseLatency map[string]map[string]PhaseSnapshot `json:"phase_latency_us"`
+	Workers      []WorkerSnapshot                          `json:"workers"`
+	Operators    int                                       `json:"operators"`
+	Solves       uint64                                    `json:"solves"`
+	Failures     uint64                                    `json:"failures"`
+	Retries      uint64                                    `json:"retries"`
+	Replacements uint64                                    `json:"replacements"`
+	PhaseLatency map[string]map[string]engine.HistSnapshot `json:"phase_latency_us"`
 }
 
 // fleetMetrics accumulates coordinator-side counters and the merged
@@ -184,12 +157,8 @@ func (m *fleetMetrics) snapshotInto(s *MetricsSnapshot) {
 	s.Failures = m.failures
 	s.Retries = m.retries
 	s.Replacements = m.replacements
-	s.PhaseLatency = make(map[string]map[string]PhaseSnapshot, len(m.byMethod))
+	s.PhaseLatency = make(map[string]map[string]engine.HistSnapshot, len(m.byMethod))
 	for method, ps := range m.byMethod {
-		phases := make(map[string]PhaseSnapshot, numPhases)
-		for i := range ps {
-			phases[phaseNames[i]] = SnapshotPhase(&ps[i])
-		}
-		s.PhaseLatency[method] = phases
+		s.PhaseLatency[method] = ps.snapshot()
 	}
 }

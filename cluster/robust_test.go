@@ -311,3 +311,60 @@ func TestInstallRefusesMalformedPlacement(t *testing.T) {
 		t.Fatalf("install refused a well-formed placement: %v", err)
 	}
 }
+
+// forgedDone is a MsgDone payload with no solution rows whose four
+// phase histograms each declare nb buckets and carry none.
+func forgedDone(nb uint32) []byte {
+	e := wire.NewEnc(256)
+	defer e.Release()
+	e.U64(1)    // SolveID
+	e.U64(3)    // Iterations
+	e.U8(1)     // Converged
+	e.F64(1e-9) // ResNorm
+	e.F64s(nil) // X
+	for i := 0; i < 4; i++ {
+		e.U64(0) // Stats
+	}
+	for p := 0; p < numPhases; p++ {
+		e.U64(0) // Count
+		e.F64(0) // Sum
+		e.F64(0) // Max
+		e.U32(nb)
+	}
+	return append([]byte(nil), e.B...)
+}
+
+// TestDecodeDoneRefusesForgedBucketCount: the coordinator's read loop
+// for a worker decodes its MsgDone inline, so a bucket count is checked
+// before any bucket is read. A frame that declares 2^32−1 buckets per
+// phase fails at once with wire.ErrFrame instead of spinning through
+// four billion reads of an exhausted payload, and a well-formed frame
+// still decodes back to the histograms it was encoded from.
+func TestDecodeDoneRefusesForgedBucketCount(t *testing.T) {
+	for _, nb := range []uint32{math.MaxUint32, 1 << 31, uint32(phaseBuckets) + 1, uint32(phaseBuckets) - 1, 0} {
+		start := time.Now()
+		_, err := decodeDone(forgedDone(nb))
+		if took := time.Since(start); took > 10*time.Millisecond {
+			t.Errorf("%d buckets: decode took %v", nb, took)
+		}
+		if !errors.Is(err, wire.ErrFrame) {
+			t.Errorf("%d buckets: decode returned %v, want wire.ErrFrame", nb, err)
+		}
+	}
+
+	m := doneMsg{SolveID: 7, Iterations: 2, X: []float64{1, 2}}
+	for p := range m.Phases {
+		for i := 0; i <= p; i++ {
+			m.Phases.observe(p, time.Duration(i+1)*time.Millisecond)
+		}
+	}
+	e := m.encode()
+	got, err := decodeDone(e.B)
+	e.Release()
+	if err != nil {
+		t.Fatalf("well-formed MsgDone: %v", err)
+	}
+	if got.Phases != m.Phases {
+		t.Fatalf("phases round trip: got %+v, want %+v", got.Phases, m.Phases)
+	}
+}

@@ -62,7 +62,7 @@ func (op *shardOp) Err() error { return op.err }
 // Observe is the solve's monitor: it times whole iterations.
 func (op *shardOp) Observe(int, float64) bool {
 	now := time.Now()
-	op.phases[phaseIter].Observe(now.Sub(op.lastIter))
+	op.phases.observe(phaseIter, now.Sub(op.lastIter))
 	op.lastIter = now
 	return true
 }
@@ -198,7 +198,7 @@ func (op *shardOp) CollectSums(dst []float64) {
 		op.err = &solveErr{code: codeInternal, detail: "allreduce timeout"}
 		return
 	}
-	op.phases[phaseReduction].Observe(time.Since(start))
+	op.phases.observe(phaseReduction, time.Since(start))
 }
 
 // recvFrom takes the next halo frame for (this solve, current haloSeq)
@@ -258,7 +258,7 @@ func (op *shardOp) halo(x []float64) error {
 		}
 		copy(op.haloRegion(rv), f.vals)
 	}
-	op.phases[phaseHalo].Observe(time.Since(start))
+	op.phases.observe(phaseHalo, time.Since(start))
 	return nil
 }
 
@@ -296,5 +296,5 @@ func (op *shardOp) MulVec(dst, x []float64) {
 	}
 	start := time.Now()
 	op.ws.sh.MulVec(dst, x)
-	op.phases[phaseSpMV].Observe(time.Since(start))
+	op.phases.observe(phaseSpMV, time.Since(start))
 }

@@ -188,7 +188,7 @@ func TestPhaseClock(t *testing.T) {
 	// Each timed call lasts one tick of the fake clock: 2 spmv, 5
 	// reduction (Dot, two issues, two awaits), 2 update per step.
 	for p, calls := range map[Phase]float64{PhaseSpMV: 2, PhaseReduction: 5, PhaseUpdate: 2} {
-		if got := res.Phases[p].SumUS; got != calls*float64(res.Iterations) {
+		if got := res.Phases[p].Sum; got != calls*float64(res.Iterations) {
 			t.Errorf("phase %s: %g us charged, want %g", p.Name(), got, calls*float64(res.Iterations))
 		}
 	}

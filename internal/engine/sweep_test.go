@@ -166,10 +166,10 @@ func TestDirectionPhaseClock(t *testing.T) {
 		}
 		charged := 0.0
 		for p, us := range c.us {
-			if got := res.Phases[p].SumUS; got != us*steps {
+			if got := res.Phases[p].Sum; got != us*steps {
 				t.Errorf("%s: phase %s charged %g us, want %g", c.name, Phase(p).Name(), got, us*steps)
 			}
-			charged += res.Phases[p].SumUS
+			charged += res.Phases[p].Sum
 		}
 		// The sweep charges every tick after its start reading: its parts
 		// sum to the call.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"strconv"
 	"sync"
 	"time"
 
@@ -17,18 +16,17 @@ type metrics struct {
 	start time.Time
 
 	mu           sync.Mutex
-	requests     map[string]uint64 // route → count
-	statuses     map[int]uint64    // HTTP status → count
-	latency      map[string]*histogram
+	requests     map[string]uint64            // route → count
+	statuses     map[int]uint64               // HTTP status → count
+	latency      map[string]*engine.PhaseHist // method → ms, on latencyBuckets
 	queueRejects uint64
 	jsonBodies   jsonBodyCounts
 
 	// solvePhases merges the per-iteration phase histograms the
 	// instrumented kernels (the parcg family) attach to their results:
-	// method → SpMV / reduction-wait / update latency, in the cluster
-	// workers' µs bucket vocabulary, so the SpMV/reduction overlap is
-	// observable straight off /metrics for in-process solves exactly as
-	// it is for fleet ones.
+	// method → SpMV / reduction-wait / update latency in µs, so the
+	// SpMV/reduction overlap is observable straight off /metrics for
+	// in-process solves exactly as it is for fleet ones.
 	solvePhases map[string]*engine.PhaseSet
 
 	// Sequence bookkeeping: lifecycle counters and iterations-per-step
@@ -37,7 +35,7 @@ type metrics struct {
 	seqCreated uint64
 	seqReused  uint64
 	seqClosed  uint64
-	seqSteps   map[string]*histogram // "cold" | "warm" → iterations
+	seqSteps   map[string]*engine.PhaseHist // "cold" | "warm" → iterations, on iterationBuckets
 }
 
 func newMetrics() *metrics {
@@ -45,9 +43,9 @@ func newMetrics() *metrics {
 		start:       time.Now(),
 		requests:    make(map[string]uint64),
 		statuses:    make(map[int]uint64),
-		latency:     make(map[string]*histogram),
+		latency:     make(map[string]*engine.PhaseHist),
 		solvePhases: make(map[string]*engine.PhaseSet),
-		seqSteps:    make(map[string]*histogram),
+		seqSteps:    make(map[string]*engine.PhaseHist),
 	}
 }
 
@@ -63,10 +61,10 @@ func (m *metrics) observeSolve(method string, d time.Duration) {
 	m.mu.Lock()
 	h := m.latency[method]
 	if h == nil {
-		h = newHistogram()
+		h = new(engine.PhaseHist)
 		m.latency[method] = h
 	}
-	h.observe(ms)
+	h.Observe(latencyBuckets, ms)
 	m.mu.Unlock()
 }
 
@@ -131,29 +129,29 @@ func (m *metrics) observeSequenceStep(warm bool, iterations int) {
 	m.mu.Lock()
 	h := m.seqSteps[key]
 	if h == nil {
-		h = newHistogramWith(iterationBuckets)
+		h = new(engine.PhaseHist)
 		m.seqSteps[key] = h
 	}
-	h.observe(float64(iterations))
+	h.Observe(iterationBuckets, float64(iterations))
 	m.mu.Unlock()
 }
 
 // metricsSnapshot is the JSON shape of GET /metrics.
 type metricsSnapshot struct {
-	UptimeS      float64                      `json:"uptime_s"`
-	Requests     map[string]uint64            `json:"requests"`
-	Statuses     map[int]uint64               `json:"statuses"`
-	QueueRejects uint64                       `json:"queue_rejects"`
-	JSONBodies   jsonBodyCounts               `json:"json_bodies"`
-	SolveLatency map[string]histogramSnapshot `json:"solve_latency_ms"`
+	UptimeS      float64                        `json:"uptime_s"`
+	Requests     map[string]uint64              `json:"requests"`
+	Statuses     map[int]uint64                 `json:"statuses"`
+	QueueRejects uint64                         `json:"queue_rejects"`
+	JSONBodies   jsonBodyCounts                 `json:"json_bodies"`
+	SolveLatency map[string]engine.HistSnapshot `json:"solve_latency_ms"`
 	// SolvePhases is the in-process solvers' per-method per-phase
 	// iteration latency (the parcg family's measured SpMV/reduction
-	// overlap), in the cluster workers' µs bucket vocabulary so fleet
-	// and shared-memory numbers read on one scale. Absent until an
+	// overlap), on the cluster workers' µs ladder so fleet and
+	// shared-memory numbers read on one scale. Absent until an
 	// instrumented method has solved.
-	SolvePhases  map[string]map[string]cluster.PhaseSnapshot `json:"solve_phase_latency_us,omitempty"`
-	SessionPools poolStats                                   `json:"session_pools"`
-	Operators    operatorGauges                              `json:"operators"`
+	SolvePhases  map[string]map[string]engine.HistSnapshot `json:"solve_phase_latency_us,omitempty"`
+	SessionPools poolStats                                 `json:"session_pools"`
+	Operators    operatorGauges                            `json:"operators"`
 	// Sequences is present once any /v1/sequence activity happened.
 	Sequences *sequenceMetrics `json:"sequences,omitempty"`
 	// Cluster is the coordinator's fleet-aggregated view (membership,
@@ -186,7 +184,7 @@ type sequenceMetrics struct {
 	Closed  uint64 `json:"closed"`
 	Open    int    `json:"open"`
 
-	StepIterations map[string]histogramSnapshot `json:"step_iterations"`
+	StepIterations map[string]engine.HistSnapshot `json:"step_iterations"`
 }
 
 func (m *metrics) snapshot() metricsSnapshot {
@@ -198,7 +196,7 @@ func (m *metrics) snapshot() metricsSnapshot {
 		Statuses:     make(map[int]uint64, len(m.statuses)),
 		QueueRejects: m.queueRejects,
 		JSONBodies:   m.jsonBodies,
-		SolveLatency: make(map[string]histogramSnapshot, len(m.latency)),
+		SolveLatency: make(map[string]engine.HistSnapshot, len(m.latency)),
 	}
 	for k, v := range m.requests {
 		snap.Requests[k] = v
@@ -207,16 +205,12 @@ func (m *metrics) snapshot() metricsSnapshot {
 		snap.Statuses[k] = v
 	}
 	for k, h := range m.latency {
-		snap.SolveLatency[k] = h.snapshot()
+		snap.SolveLatency[k] = h.Snapshot(latencyBuckets)
 	}
 	if len(m.solvePhases) > 0 {
-		snap.SolvePhases = make(map[string]map[string]cluster.PhaseSnapshot, len(m.solvePhases))
+		snap.SolvePhases = make(map[string]map[string]engine.HistSnapshot, len(m.solvePhases))
 		for method, ps := range m.solvePhases {
-			phases := make(map[string]cluster.PhaseSnapshot, engine.NumPhases)
-			for p := engine.Phase(0); p < engine.NumPhases; p++ {
-				phases[p.Name()] = cluster.SnapshotPhase(&ps[p])
-			}
-			snap.SolvePhases[method] = phases
+			snap.SolvePhases[method] = ps.Snapshot()
 		}
 	}
 	if m.seqCreated > 0 || len(m.seqSteps) > 0 {
@@ -224,10 +218,10 @@ func (m *metrics) snapshot() metricsSnapshot {
 			Created:        m.seqCreated,
 			Reused:         m.seqReused,
 			Closed:         m.seqClosed,
-			StepIterations: make(map[string]histogramSnapshot, len(m.seqSteps)),
+			StepIterations: make(map[string]engine.HistSnapshot, len(m.seqSteps)),
 		}
 		for k, h := range m.seqSteps {
-			sm.StepIterations[k] = h.snapshot()
+			sm.StepIterations[k] = h.Snapshot(iterationBuckets)
 		}
 		snap.Sequences = sm
 	}
@@ -243,71 +237,3 @@ var latencyBuckets = []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 
 // warm-started step on a converged outer loop lands in the lowest
 // buckets while a cold start lands by problem difficulty.
 var iterationBuckets = []float64{0, 1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500}
-
-// histogram is a fixed-bucket histogram over arbitrary upper bounds
-// (latency in milliseconds, iteration counts, ...). Guarded by
-// metrics.mu.
-type histogram struct {
-	bounds []float64
-	counts []uint64 // len(bounds)+1; last is +Inf
-	count  uint64
-	sumMS  float64
-	maxMS  float64
-}
-
-func newHistogram() *histogram { return newHistogramWith(latencyBuckets) }
-
-func newHistogramWith(bounds []float64) *histogram {
-	return &histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-func (h *histogram) observe(ms float64) {
-	i := 0
-	for i < len(h.bounds) && ms > h.bounds[i] {
-		i++
-	}
-	h.counts[i]++
-	h.count++
-	h.sumMS += ms
-	if ms > h.maxMS {
-		h.maxMS = ms
-	}
-}
-
-// histogramSnapshot is the wire form: cumulative bucket counts keyed by
-// upper bound, plus count/sum/mean/max.
-type histogramSnapshot struct {
-	Count   uint64            `json:"count"`
-	SumMS   float64           `json:"sum_ms"`
-	MeanMS  float64           `json:"mean_ms"`
-	MaxMS   float64           `json:"max_ms"`
-	Buckets map[string]uint64 `json:"buckets"`
-}
-
-func (h *histogram) snapshot() histogramSnapshot {
-	snap := histogramSnapshot{
-		Count:   h.count,
-		SumMS:   h.sumMS,
-		MaxMS:   h.maxMS,
-		Buckets: make(map[string]uint64, len(h.counts)),
-	}
-	if h.count > 0 {
-		snap.MeanMS = h.sumMS / float64(h.count)
-	}
-	cum := uint64(0)
-	for i, c := range h.counts {
-		cum += c
-		key := "+Inf"
-		if i < len(h.bounds) {
-			key = formatBound(h.bounds[i])
-		}
-		snap.Buckets[key] = cum
-	}
-	return snap
-}
-
-// formatBound renders a bucket bound without trailing zeros ("0.25",
-// "1", "2500").
-func formatBound(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}

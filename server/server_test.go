@@ -323,7 +323,7 @@ func TestMetricsReportSolvePhases(t *testing.T) {
 	var snap struct {
 		SolvePhases map[string]map[string]struct {
 			Count   uint64            `json:"count"`
-			MeanUS  float64           `json:"mean_us"`
+			Mean    float64           `json:"mean"`
 			Buckets map[string]uint64 `json:"buckets"`
 		} `json:"solve_phase_latency_us"`
 	}

@@ -7,8 +7,8 @@ import (
 
 // PhaseSet is the phase latency histogram bundle of the real-parallel
 // methods: each driver step's time in spmv / reduction_wait / update,
-// one 14-bucket microsecond histogram per phase (the cluster workers'
-// bucket vocabulary). See Result.Phases.
+// one histogram per phase in microseconds, on the same bounds as the
+// cluster workers' phases. See Result.Phases.
 type PhaseSet = engine.PhaseSet
 
 // Result is the canonical outcome of a solve, shared by every

@@ -153,10 +153,10 @@ func TestSweptPhasesSumToSteps(t *testing.T) {
 		if h.Count != uint64(res.Iterations) {
 			t.Errorf("phase %d: %d observations over %d steps", p, h.Count, res.Iterations)
 		}
-		if h.SumUS <= 0 {
+		if h.Sum <= 0 {
 			t.Errorf("phase %d: nothing charged", p)
 		}
-		sum += h.SumUS
+		sum += h.Sum
 	}
 	if sum > wall {
 		t.Errorf("phases sum to %.0f us, the solve took %.0f", sum, wall)
