@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"vrcg/cluster/wire"
-	"vrcg/internal/engine"
 	"vrcg/solve"
 	"vrcg/sparse"
 )
@@ -625,7 +624,7 @@ type Result struct {
 	Stats    runStats
 	// Phases holds this solve's fleet-merged per-iteration latency
 	// histograms keyed spmv/halo/reduction/iteration.
-	Phases map[string]engine.HistSnapshot
+	Phases map[string]solve.HistSnapshot
 }
 
 // shardedMethods lists what a fleet solves with: the registry methods

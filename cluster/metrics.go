@@ -7,6 +7,7 @@ import (
 
 	"vrcg/cluster/wire"
 	"vrcg/internal/engine"
+	"vrcg/solve"
 )
 
 // Phase indices for per-iteration latency accounting. Workers time each
@@ -99,13 +100,13 @@ type WorkerSnapshot struct {
 // fleet membership, solve counters, and per-method per-phase iteration
 // latency histograms merged across every worker that participated.
 type MetricsSnapshot struct {
-	Workers      []WorkerSnapshot                          `json:"workers"`
-	Operators    int                                       `json:"operators"`
-	Solves       uint64                                    `json:"solves"`
-	Failures     uint64                                    `json:"failures"`
-	Retries      uint64                                    `json:"retries"`
-	Replacements uint64                                    `json:"replacements"`
-	PhaseLatency map[string]map[string]engine.HistSnapshot `json:"phase_latency_us"`
+	Workers      []WorkerSnapshot                         `json:"workers"`
+	Operators    int                                      `json:"operators"`
+	Solves       uint64                                   `json:"solves"`
+	Failures     uint64                                   `json:"failures"`
+	Retries      uint64                                   `json:"retries"`
+	Replacements uint64                                   `json:"replacements"`
+	PhaseLatency map[string]map[string]solve.HistSnapshot `json:"phase_latency_us"`
 }
 
 // fleetMetrics accumulates coordinator-side counters and the merged

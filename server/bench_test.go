@@ -208,38 +208,47 @@ func BenchmarkServeSolveWarmBinary(b *testing.B) {
 // encode. The request and writer are reused, so the allocations
 // reported are the server's own.
 func BenchmarkServeSequenceStep(b *testing.B) {
+	step, size := icpStepper(b)
+	step() // the cold solve, and the scratch's growth
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// icpStepper opens an lsqr sequence on a 5000x6 Jacobian and returns a
+// function that sends it one serve-icp step body — the request and
+// writer reused — and fails tb unless the step answers 200, and the
+// body's size.
+func icpStepper(tb testing.TB) (step func(), size int) {
+	tb.Helper()
 	body, _, vals := server.ICPStepBody(5000, 1)
 	srv := server.New(server.Config{MaxQueue: 1 << 20})
 	if err := srv.Preload("icp-jacobian", icpJacobian(vals)); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sequence",
 		bytes.NewReader([]byte(`{"operator":"icp-jacobian","method":"lsqr","params":{"tol":1e-10}}`))))
 	var info server.SequenceInfo
 	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || rec.Code != http.StatusCreated {
-		b.Fatalf("create: %d %s", rec.Code, rec.Body)
+		tb.Fatalf("create: %d %s", rec.Code, rec.Body)
 	}
 	rb := &replayBody{}
 	req := httptest.NewRequest("POST", "/v1/sequence/"+info.ID+"/step", nil)
 	req.ContentLength = int64(len(body))
 	req.Body = rb
 	w := &discardWriter{h: make(http.Header)}
-	step := func() {
+	return func() {
 		rb.Reset(body)
 		w.code = 0
 		srv.ServeHTTP(w, req)
 		if w.code != http.StatusOK {
-			b.Fatalf("status %d", w.code)
+			tb.Fatalf("status %d", w.code)
 		}
-	}
-	step() // the cold solve, and the scratch's growth
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		step()
-	}
+	}, len(body)
 }
 
 // BenchmarkServeMetrics measures one scrape of the observability

@@ -81,27 +81,21 @@ func (s *Server) readBinBody(w http.ResponseWriter, r *http.Request, st *reqScra
 	return false
 }
 
-// affEntry caches one caller's resolved request shape: matching raw
-// request bytes against it skips the string materialization, params
+// affEntry caches one request shape: a request whose raw header bytes
+// match a cached entry skips the string materialization, params
 // decode, and pool-map lookup of the slow path. The operator is
 // revalidated by generation on every hit, so eviction and re-upload
 // can never serve a stale pool.
 type affEntry struct {
-	opID    string
-	precond string
-	params  string
-	gen     uint64
+	opID string
+	gen  uint64
 	reqShape
 }
 
-func (e *affEntry) matches(op, method, precond, params []byte) bool {
-	return e.opID == string(op) && e.method == string(method) &&
-		e.precond == string(precond) && e.params == string(params)
-}
-
-// affinity is the connection-persistent session-affinity cache, keyed
-// by RemoteAddr: one keep-alive connection keeps one entry, so repeat
-// solves over it hit the fast path. The map is bounded; at capacity it
+// affinity is the binary transport's shape cache, keyed by a request's
+// header bytes — its operator, method, precond and params, each with
+// its length prefix — so every connection that repeats a shape, however
+// it interleaves shapes, hits it. The map is bounded; at capacity it
 // resets wholesale (entries rebuild on the next slow path) rather than
 // tracking recency.
 type affinity struct {
@@ -111,19 +105,19 @@ type affinity struct {
 
 const maxAffinityEntries = 1024
 
-func (a *affinity) get(key string) *affEntry {
+func (a *affinity) get(key []byte) *affEntry {
 	a.mu.Lock()
-	e := a.m[key]
+	e := a.m[string(key)] // the conversion in an index expression does not allocate
 	a.mu.Unlock()
 	return e
 }
 
-func (a *affinity) put(key string, e *affEntry) {
+func (a *affinity) put(key []byte, e *affEntry) {
 	a.mu.Lock()
 	if a.m == nil || len(a.m) >= maxAffinityEntries {
 		a.m = make(map[string]*affEntry)
 	}
-	a.m[key] = e
+	a.m[string(key)] = e
 	a.mu.Unlock()
 }
 
@@ -135,6 +129,9 @@ type binRequest struct {
 	precond   []byte
 	params    []byte
 	timeoutMS int
+	// shape is the four strings above with their length prefixes, as
+	// the frame carries them: the affinity key.
+	shape []byte
 }
 
 // decodeBinRequest parses the frame into req and st.rhs, answering the
@@ -149,6 +146,9 @@ func decodeBinRequest(w http.ResponseWriter, st *reqScratch, single bool) (req b
 	req.method = d.StrBytes()
 	req.precond = d.StrBytes()
 	req.params = d.StrBytes()
+	if d.Err() == nil {
+		req.shape = st.body[1 : 1+4*4+len(req.operator)+len(req.method)+len(req.precond)+len(req.params)]
+	}
 	req.timeoutMS = int(d.U32())
 	nrhs := int(d.U32())
 	if d.Err() != nil {
@@ -178,14 +178,14 @@ func decodeBinRequest(w http.ResponseWriter, st *reqScratch, single bool) (req b
 }
 
 // resolveBin turns the decoded request header into a pinned operator
-// and the request's resolved shape. The affinity fast path compares the
-// raw header bytes against the connection's cached shape and skips
-// every per-request allocation of the slow path; misses run the
-// ordinary solveSetup and install the cache entry. Either way the shape
-// comes out of the entry, so a hit and a miss cannot disagree. On
-// failure the response has been written and op is nil.
-func (s *Server) resolveBin(w http.ResponseWriter, r *http.Request, st *reqScratch, req binRequest) (*storedOperator, *affEntry) {
-	if e := s.aff.get(r.RemoteAddr); e != nil && e.matches(req.operator, req.method, req.precond, req.params) {
+// and the request's resolved shape. The affinity fast path looks the raw
+// header bytes up among the cached shapes and skips every per-request
+// allocation of the slow path; misses run the ordinary solveSetup and
+// install the cache entry. Either way the shape comes out of the entry,
+// so a hit and a miss cannot disagree. On failure the response has been
+// written and op is nil.
+func (s *Server) resolveBin(w http.ResponseWriter, st *reqScratch, req binRequest) (*storedOperator, *affEntry) {
+	if e := s.aff.get(req.shape); e != nil {
 		o, err := s.store.acquire(e.opID)
 		if err == nil {
 			if o.gen == e.gen {
@@ -215,13 +215,13 @@ func (s *Server) resolveBin(w http.ResponseWriter, r *http.Request, st *reqScrat
 			return nil, nil
 		}
 	}
-	e := &affEntry{opID: string(req.operator), precond: string(req.precond), params: string(req.params)}
-	op, shape := s.solveSetup(w, e.opID, string(req.method), params, e.precond, st.rhs)
+	e := &affEntry{opID: string(req.operator)}
+	op, shape := s.solveSetup(w, e.opID, string(req.method), params, string(req.precond), st.rhs)
 	if op == nil {
 		return nil, nil
 	}
 	e.gen, e.reqShape = op.gen, shape
-	s.aff.put(r.RemoteAddr, e)
+	s.aff.put(req.shape, e)
 	return op, e
 }
 
@@ -280,7 +280,7 @@ func (binTransport) open(s *Server, w http.ResponseWriter, r *http.Request, st *
 	if !ok {
 		return nil, reqShape{}, 0
 	}
-	op, e := s.resolveBin(w, r, st, req)
+	op, e := s.resolveBin(w, st, req)
 	if op == nil {
 		return nil, reqShape{}, 0
 	}

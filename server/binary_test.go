@@ -3,13 +3,16 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"vrcg/cluster/wire"
 	"vrcg/server"
 	"vrcg/solve"
+	"vrcg/sparse"
 )
 
 // binSolveBody frames one binary request (shared by /v1/solve with one
@@ -266,3 +269,87 @@ func TestBinaryErrors(t *testing.T) {
 		t.Fatalf("not-converged frame: code %q results %+v", topCode, results)
 	}
 }
+
+// TestBinaryAffinityAcrossOperators: the binary shape cache is keyed by
+// the request header, not by the connection, so one connection that
+// round-robins four operators takes the warm path on every request —
+// within the warm binary solve's allocation budget — and gets the bytes
+// a cold server answers the same request with.
+func TestBinaryAffinityAcrossOperators(t *testing.T) {
+	srv, conn := server.New(server.Config{}), newBinConn()
+	bodies := make([][]byte, 4)
+	cold := make([][]byte, 4)
+	for k := range bodies {
+		name := fmt.Sprintf("op%d", k)
+		a := sparse.Poisson2D(6 + k)
+		b := make([]float64, a.Dim())
+		for i := range b {
+			b[i] = 1 + float64((i+k)%5)
+		}
+		bodies[k] = binSolveBody(name, "cg", "", &solve.Params{Tol: 1e-10}, 0, b)
+		fresh := server.New(server.Config{})
+		for _, s := range []*server.Server{srv, fresh} {
+			if err := s.Preload(name, a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cold[k] = append([]byte(nil), newBinConn().solve(t, fresh, bodies[k])...)
+	}
+	for k := range bodies { // install the four shapes
+		conn.solve(t, srv, bodies[k])
+	}
+	for k := range bodies {
+		if got := conn.solve(t, srv, bodies[k]); !bytes.Equal(got, cold[k]) {
+			t.Fatalf("op%d: the warm reply differs from the cold server's", k)
+		}
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		conn.solve(t, srv, bodies[k%4])
+		k++
+	})
+	if allocs > 8 && !raceEnabled {
+		t.Fatalf("alternating four operators: %v allocs a request, want <= 8 (the warm path)", allocs)
+	}
+}
+
+// binConn is one client connection: a reused binary /v1/solve request
+// and a reply buffer.
+type binConn struct {
+	req  *http.Request
+	body replayBody
+	w    captureWriter
+}
+
+func newBinConn() *binConn {
+	c := &binConn{req: httptest.NewRequest("POST", "/v1/solve", nil), w: captureWriter{h: make(http.Header)}}
+	c.req.Header.Set("Content-Type", server.BinaryContentType)
+	c.req.Body = &c.body
+	return c
+}
+
+// solve sends body through srv's handler stack, fails t unless it
+// answers 200, and returns the reply, valid until the next call.
+func (c *binConn) solve(t *testing.T, srv *server.Server, body []byte) []byte {
+	t.Helper()
+	c.body.Reset(body)
+	c.req.ContentLength = int64(len(body))
+	c.w.code, c.w.buf = 0, c.w.buf[:0]
+	srv.ServeHTTP(&c.w, c.req)
+	if c.w.code != http.StatusOK {
+		t.Fatalf("status %d: %s", c.w.code, c.w.buf)
+	}
+	return c.w.buf
+}
+
+// captureWriter is a ResponseWriter that keeps the reply in a reused
+// buffer.
+type captureWriter struct {
+	h    http.Header
+	code int
+	buf  []byte
+}
+
+func (c *captureWriter) Header() http.Header         { return c.h }
+func (c *captureWriter) Write(p []byte) (int, error) { c.buf = append(c.buf, p...); return len(p), nil }
+func (c *captureWriter) WriteHeader(code int)        { c.code = code }

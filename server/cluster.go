@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"vrcg/cluster"
-	"vrcg/internal/engine"
 	"vrcg/solve"
 )
 
@@ -71,7 +70,7 @@ type ClusterSolveResult struct {
 	Stats    WireStats `json:"stats"`
 	// Phases holds the fleet-merged per-iteration latency histograms
 	// for this solve, keyed spmv/halo/reduction/iteration.
-	Phases map[string]engine.HistSnapshot `json:"phase_latency_us,omitempty"`
+	Phases map[string]solve.HistSnapshot `json:"phase_latency_us,omitempty"`
 	// Error carries the stable code when the solve failed but still
 	// produced a usable partial result ("not_converged").
 	Error string `json:"error,omitempty"`

@@ -270,8 +270,8 @@ func checkMethodShape(method string, op *storedOperator) error {
 // handleSolve is POST /v1/solve: one right-hand side through a warm
 // pooled session.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	st := reqScratches.Get().(*reqScratch)
-	defer reqScratches.Put(st)
+	st := s.scratch.get()
+	defer s.scratch.put(st)
 	tr := transportOf(r)
 	op, shape, timeoutMS := tr.open(s, w, r, st, true)
 	if op == nil {
@@ -299,10 +299,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatch is POST /v1/solve/batch: many right-hand sides fanned out
-// through solve.Batch from a pooled base session.
+// on warm sessions of the request's pool (PooledSession.SolveMany).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	st := reqScratches.Get().(*reqScratch)
-	defer reqScratches.Put(st)
+	st := s.scratch.get()
+	defer s.scratch.put(st)
 	tr := transportOf(r)
 	op, shape, timeoutMS := tr.open(s, w, r, st, false)
 	if op == nil {
@@ -332,8 +332,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// whole fan-out, a different timescale than single solves.
 	s.met.observeSolve(shape.method+"/batch", time.Since(start))
 
-	// Batch results own their storage (Batch clones X/History out of
-	// the worker workspaces), so the reply can share their slices.
+	// The results live in the session, held until the reply is written.
 	if status, code, ok := replyStatus(err, true); ok {
 		tr.writeBatch(w, status, code, results, st.rhsCodes(len(results), err))
 	} else {

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -344,4 +345,63 @@ func TestNonFiniteStepVectorsRejected(t *testing.T) {
 	if !allFinite(rec, "vals", nil, []float64{}, []float64{0, -0.0, math.MaxFloat64, 5e-324}) || rec.Body.Len() != 0 {
 		t.Errorf("finite vectors refused: %s", rec.Body.String())
 	}
+}
+
+// FuzzSequenceCreate sends arbitrary bodies to POST /v1/sequence on a
+// server holding one small Rect. Every body must be answered without a
+// panic, with 201 and the sequence it opened or with a JSON error body
+// under a 4xx/5xx status; once a created sequence is closed again, the
+// open-sequence count and the operator's pins are back where they
+// started.
+func FuzzSequenceCreate(f *testing.F) {
+	for _, seed := range []string{
+		`{"operator":"tall","method":"lsqr"}`,
+		`{"operator":"tall","method":"lsqr","params":{"tol":1e-8,"max_iter":5}}`,
+		`{"operator":"tall","method":"cgnr","params":{"batch_workers":3}}`,
+		`{"operator":"tall","method":"cg"}`,
+		`{"operator":"tall","method":"lsqr","precond":"jacobi"}`,
+		`{"operator":"tall","method":"nope"}`,
+		`{"operator":"missing","method":"lsqr"}`,
+		`{"operator":"tall"}`,
+		`{"operator":"tall","method":"lsqr","rhs":[1,2,3]}`,
+		`{"operator":"tall","method":"lsqr","params":{"tol":-1}}`,
+		`{"operator":"tall","method":"lsqr","params":{"processors":4}}`,
+		`{"operator":"tall","method":"lsqr"}{"operator":"tall"}`,
+		`{"operator":1}`, `{`, ``, `null`, `[]`, `"tall"`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s := New(Config{MaxSequences: 4})
+	if err := s.Preload("tall", sparse.RectFromDense(3, 2, []float64{1, 2, 3, 4, 5, 6})); err != nil {
+		f.Fatal(err)
+	}
+	pins := func() int {
+		s.store.mu.Lock()
+		defer s.store.mu.Unlock()
+		return s.store.entries["tall"].refs
+	}
+	basePins, baseOpen := pins(), s.seqs.count()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sequence", bytes.NewReader(body)))
+		if rec.Code == http.StatusCreated {
+			var info SequenceInfo
+			if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil || info.ID == "" || info.Operator != "tall" {
+				t.Fatalf("201 with body %q (%v)", rec.Body, err)
+			}
+			closed := httptest.NewRecorder()
+			s.ServeHTTP(closed, httptest.NewRequest("DELETE", "/v1/sequence/"+info.ID, nil))
+			if closed.Code != http.StatusOK {
+				t.Fatalf("close %s: status %d: %s", info.ID, closed.Code, closed.Body)
+			}
+		} else {
+			var e ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || rec.Code < 400 || e.Code == "" || e.Error == "" {
+				t.Fatalf("status %d with body %q (%v), want 201 or a JSON error", rec.Code, rec.Body, err)
+			}
+		}
+		if p, open := pins(), s.seqs.count(); p != basePins || open != baseOpen {
+			t.Fatalf("after %q: %d pins and %d open sequences, want %d and %d", body, p, open, basePins, baseOpen)
+		}
+	})
 }

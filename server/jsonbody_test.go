@@ -298,6 +298,25 @@ func TestDeclaredLengthIsNotAReservation(t *testing.T) {
 	}
 }
 
+// TestStepScratchSurvivesCollection: the request scratch a warm
+// serve-icp step decodes into (a ~690 KB body buffer, 35,000 floats) is
+// the server's, not the collector's: after two collections the next
+// step allocates nothing proportional to its payload.
+func TestStepScratchSurvivesCollection(t *testing.T) {
+	step, _ := icpStepper(t)
+	step() // the cold solve, and the scratch's growth
+	step()
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	step()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("a warm step after two collections allocated %d bytes, want < 64 KiB", got)
+	}
+}
+
 // TestJSONBodiesMetric: /metrics counts which decoder each solve, batch
 // and step body went to, and every body the repository itself emits —
 // json.Marshal of the request structs, as examples/icp and the test

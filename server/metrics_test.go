@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"vrcg/cluster"
 	"vrcg/server"
+	"vrcg/solve"
 	"vrcg/sparse"
 )
 
@@ -182,5 +184,28 @@ func checkHistogram(t *testing.T, name string, raw json.RawMessage, labels []str
 	}
 	if h.Mean != h.Sum/float64(h.Count) {
 		t.Errorf("%s: mean %v != sum/count %v", name, h.Mean, h.Sum/float64(h.Count))
+	}
+}
+
+// TestHistSnapshotIsNameable: code outside the module names the
+// histogram shape the exported results carry as solve.HistSnapshot —
+// the fleet's per-solve and per-method phases among them — and decodes
+// a rendered block into it.
+func TestHistSnapshotIsNameable(t *testing.T) {
+	var solveReply server.ClusterSolveResult
+	var fleetMetrics cluster.MetricsSnapshot
+	var fleetSolve cluster.Result
+	var (
+		perSolve  map[string]solve.HistSnapshot            = solveReply.Phases
+		perMethod map[string]map[string]solve.HistSnapshot = fleetMetrics.PhaseLatency
+		perResult map[string]solve.HistSnapshot            = fleetSolve.Phases
+	)
+	_, _, _ = perSolve, perMethod, perResult
+	var snap solve.HistSnapshot
+	if err := json.Unmarshal([]byte(`{"count":2,"sum":3,"mean":1.5,"max":2,"buckets":{"1":1,"+Inf":2}}`), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Count != 2 || snap.Mean != 1.5 || snap.Buckets["+Inf"] != 2 {
+		t.Fatalf("decoded %+v", snap)
 	}
 }

@@ -263,8 +263,8 @@ func (s *Server) handleSequenceStep(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 		return
 	}
-	st := reqScratches.Get().(*reqScratch)
-	defer reqScratches.Put(st)
+	st := s.scratch.get()
+	defer s.scratch.put(st)
 	var req SequenceStepRequest
 	if !decodeRequest(s, w, r, st, &req, scanStepRequest) {
 		return

@@ -104,10 +104,13 @@ type Server struct {
 	pools *sessionPools
 	seqs  *sequenceRegistry
 	met   *metrics
-	// aff is the binary transport's connection-persistent affinity
-	// cache (binary.go): repeat callers on one connection skip the
-	// session-pool lookup entirely.
+	// aff is the binary transport's shape cache (binary.go): a request
+	// whose header repeats a cached one skips the session-pool lookup
+	// entirely.
 	aff affinity
+	// scratch holds the request scratch of the solve, batch and step
+	// routes between requests (transport.go).
+	scratch scratchList
 
 	// admit bounds admitted solve requests (running + waiting); a full
 	// channel is the 429 backpressure signal. run bounds actual solver
@@ -139,6 +142,7 @@ func New(cfg Config) *Server {
 		run:   make(chan struct{}, cfg.MaxConcurrent),
 		mux:   http.NewServeMux(),
 	}
+	s.scratch.maxIdle = cfg.MaxConcurrent + cfg.MaxQueue
 	s.mux.HandleFunc("POST /v1/operators", s.handleOperatorUpload)
 	s.mux.HandleFunc("GET /v1/operators", s.handleOperatorList)
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)

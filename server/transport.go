@@ -51,11 +51,11 @@ type reqShape struct {
 	batchWorkers int
 }
 
-// reqScratch is the pooled per-request scratch of the solve, batch and
+// reqScratch is the per-request scratch of the solve, batch and
 // sequence-step routes on both transports: the body buffer and the
 // decoded vectors, reused across requests so a warm request reads and
 // decodes without allocating anything proportional to its payload. The
-// decoded request aliases it, so a handler puts it back only after the
+// decoded request aliases it, so a handler gives it back only after the
 // solve has returned and the response is written.
 type reqScratch struct {
 	body  []byte
@@ -64,7 +64,58 @@ type reqScratch struct {
 	codes []string  // a batch's per-right-hand-side error codes
 }
 
-var reqScratches = sync.Pool{New: func() any { return new(reqScratch) }}
+// size is the bytes the scratch's buffers hold.
+func (st *reqScratch) size() int {
+	n := cap(st.body) + 8*cap(st.vals)
+	for _, c := range st.rhs[:cap(st.rhs)] {
+		n += 8 * cap(c)
+	}
+	return n
+}
+
+// maxKeptScratch is the largest scratch the server keeps: past it
+// readBody grows a body by a quarter of what has arrived, so such a
+// body is rare and large enough to pay for its own buffers.
+const maxKeptScratch = 4 * bodyReserve
+
+// scratchList is the server's free list of request scratch, shaped like
+// SessionPool's: a LIFO stack that never shrinks, so it converges to the
+// peak number of requests holding a scratch at once, bounded by the
+// admission bound (maxIdle). Unlike a sync.Pool a collection does not
+// empty it, so a warm request decodes into the buffers an earlier one
+// grew however many collections ran in between.
+type scratchList struct {
+	mu      sync.Mutex
+	free    []*reqScratch
+	maxIdle int
+}
+
+// get pops the most recently returned scratch, or a new one.
+func (l *scratchList) get() *reqScratch {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return new(reqScratch)
+	}
+	st := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return st
+}
+
+// put gives st back; one past maxKeptScratch bytes, or past maxIdle
+// idle ones, is left to the collector.
+func (l *scratchList) put(st *reqScratch) {
+	if st.size() > maxKeptScratch {
+		return
+	}
+	l.mu.Lock()
+	if len(l.free) < l.maxIdle {
+		l.free = append(l.free, st)
+	}
+	l.mu.Unlock()
+}
 
 // column0 returns the storage slot of a single right-hand side.
 func (st *reqScratch) column0() *[]float64 {

@@ -1,9 +1,11 @@
 package solve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"vrcg/sparse"
@@ -47,85 +49,128 @@ func Batch(s *Session, B [][]float64, extra ...Option) ([]Result, error) {
 	}
 	baseOpts := append(append([]Option(nil), s.opts...), extra...)
 	cfg := newConfig(baseOpts)
-
-	// Shared-operator batches of a blockable method route through its
-	// block twin: one solve iterates a whole panel of right-hand sides,
-	// amortizing every SpMV row pass and fusing the per-column inner
-	// products into single block reductions. The route is gated on a
-	// multi-worker pool because that is the regime the block method is
-	// for: a block iteration costs a fixed number of kernel dispatches
-	// (reduction barriers) regardless of width, where independent solves
-	// pay O(width) of them per iteration. On serial kernels the trade
-	// reverses — the block's O(width²·n) Gram and update flops lose to
-	// warm independent solves at every width and size measured
-	// (BenchmarkBatchBlockVsIndependent: ~1.6-2.2x slower at widths 2-8,
-	// n 256-9216), so batches without a pooled backend stay on the
-	// generic fan-out. History recording and monitors also stay on the
-	// independent path — their per-RHS semantics have no block
-	// equivalent.
-	if tw, ok := blockTwin[s.method]; ok && len(B) >= blockRouteThreshold &&
-		cfg.pool != nil && cfg.pool.Workers() >= blockRoutePoolWorkers &&
-		!cfg.history && cfg.monitor == nil {
-		if results, err, handled := blockBatch(s, tw, B, baseOpts, cfg); handled {
-			return results, err
-		}
+	if results, err, handled := s.blockRoute(B, cfg, extra); handled {
+		return results, err
 	}
+	nw := batchWidth(cfg, len(B))
+	var br batchRun
+	return br.fanOut(B, nw, cfg.ctx, func(int) (*Session, func(), error) {
+		workerOpts, wp := workerOptions(cfg, baseOpts, nw)
+		sess, err := NewSession(s.method, s.op, workerOpts...)
+		return sess, wp.Close, err
+	}, nil)
+}
 
+// blockRoute sends a shared-operator batch of a blockable method
+// through its block twin: one solve iterates a whole panel of
+// right-hand sides, amortizing every SpMV row pass and fusing the
+// per-column inner products into single block reductions. cfg is the
+// session's options with extra applied. The route is gated on a
+// multi-worker pool because that is the regime the block method is
+// for: a block iteration costs a fixed number of kernel dispatches
+// (reduction barriers) regardless of width, where independent solves
+// pay O(width) of them per iteration. On serial kernels the trade
+// reverses — the block's O(width²·n) Gram and update flops lose to
+// warm independent solves at every width and size measured
+// (BenchmarkBatchBlockVsIndependent: ~1.6-2.2x slower at widths 2-8,
+// n 256-9216), so batches without a pooled backend stay on the
+// generic fan-out. History recording and monitors also stay on the
+// independent path — their per-RHS semantics have no block
+// equivalent. The third return is false when the batch is not routed.
+func (s *Session) blockRoute(B [][]float64, cfg *config, extra []Option) ([]Result, error, bool) {
+	tw, ok := blockTwin[s.method]
+	if !ok || len(B) < blockRouteThreshold || cfg.pool == nil ||
+		cfg.pool.Workers() < blockRoutePoolWorkers || cfg.history || cfg.monitor != nil {
+		return nil, nil, false
+	}
+	return blockBatch(s, tw, B, append(append([]Option(nil), s.opts...), extra...), cfg)
+}
+
+// batchWidth is the number of workers a batch of n right-hand sides
+// (or panels) fans out to: WithBatchWorkers, else GOMAXPROCS, at most n.
+func batchWidth(cfg *config, n int) int {
 	nw := cfg.batchWorkers
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-	if nw > len(B) {
-		nw = len(B)
-	}
+	return min(nw, n)
+}
 
-	results := make([]Result, len(B))
-	errs := make([]error, len(B))
+// batchRun is the outcome of one per-right-hand-side fan-out and the
+// storage each result's X and History are copied into. Batch uses a
+// fresh one per call, so its results own their storage; a PooledSession
+// keeps one, so a warm SolveMany copies into the storage the last one
+// grew.
+type batchRun struct {
+	results []Result
+	errs    []error
+	xs, hs  [][]float64
+}
 
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			workerOpts, wp := workerOptions(cfg, baseOpts, nw)
-			defer wp.Close()
-			sess, err := NewSession(s.method, s.op, workerOpts...)
+// fanOut solves B round-robin across nw workers, worker 0 on the
+// calling goroutine. open returns worker w's session and what ends the
+// worker's use of it (nil: nothing); every solve passes extra. When ctx
+// is canceled, right-hand sides not yet started report its error.
+func (br *batchRun) fanOut(B [][]float64, nw int, ctx context.Context, open func(w int) (*Session, func(), error), extra []Option) ([]Result, error) {
+	n := len(B)
+	br.results = slices.Grow(br.results[:0], n)[:n]
+	br.errs = slices.Grow(br.errs[:0], n)[:n]
+	br.xs = slices.Grow(br.xs[:0], n)[:n]
+	br.hs = slices.Grow(br.hs[:0], n)[:n]
+	clear(br.results)
+	clear(br.errs)
+	work := func(w int) {
+		sess, done, err := open(w)
+		if done != nil {
+			defer done()
+		}
+		for i := w; i < n; i += nw {
 			if err != nil {
-				for i := w; i < len(B); i += nw {
-					errs[i] = err
-				}
-				return
+				br.errs[i] = err
+				continue
 			}
-			for i := w; i < len(B); i += nw {
-				if cfg.ctx != nil && cfg.ctx.Err() != nil {
-					errs[i] = fmt.Errorf("solve: batch rhs not started: %w", cfg.ctx.Err())
-					continue
-				}
-				res, err := sess.Solve(B[i])
-				if err != nil {
-					errs[i] = err
-				}
-				if res != nil {
-					results[i] = *res
-					// X (and History) alias the fork's workspace, which the
-					// next round-robin solve overwrites; copy them out.
-					results[i].X = append([]float64(nil), res.X...)
-					if res.History != nil {
-						results[i].History = append([]float64(nil), res.History...)
-					}
+			if ctx != nil && ctx.Err() != nil {
+				br.errs[i] = fmt.Errorf("solve: batch rhs not started: %w", ctx.Err())
+				continue
+			}
+			res, err := sess.Solve(B[i], extra...)
+			br.errs[i] = err
+			if res != nil {
+				// X (and History) alias the worker's workspace, which the
+				// next round-robin solve overwrites; copy them out.
+				br.results[i] = *res
+				br.xs[i] = append(br.xs[i][:0], res.X...)
+				br.results[i].X = br.xs[i]
+				if res.History != nil {
+					br.hs[i] = append(br.hs[i][:0], res.History...)
+					br.results[i].History = br.hs[i]
 				}
 			}
-		}(w)
+		}
 	}
+	var wg sync.WaitGroup
+	wg.Add(nw - 1)
+	for w := 1; w < nw; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
 	wg.Wait()
+	return br.results, joinRHSErrors(br.errs)
+}
 
+// joinRHSErrors joins every failure in errs, wrapped as an *RHSError
+// carrying its index; nil when there is none.
+func joinRHSErrors(errs []error) error {
 	var joined []error
 	for i, err := range errs {
 		if err != nil {
 			joined = append(joined, &RHSError{Index: i, Err: err})
 		}
 	}
-	return results, errors.Join(joined...)
+	return errors.Join(joined...)
 }
 
 // blockBatch routes a shared-operator batch through the block twin of
@@ -151,13 +196,7 @@ func blockBatch(s *Session, twin string, B [][]float64, baseOpts []Option, cfg *
 	}
 
 	npanels := (len(B) + blockPanelWidth - 1) / blockPanelWidth
-	nw := cfg.batchWorkers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw > npanels {
-		nw = npanels
-	}
+	nw := batchWidth(cfg, npanels)
 
 	results := make([]Result, len(B))
 	errs := make([]error, len(B))
@@ -223,14 +262,7 @@ func blockBatch(s *Session, twin string, B [][]float64, baseOpts []Option, cfg *
 		}(w)
 	}
 	wg.Wait()
-
-	var joined []error
-	for i, err := range errs {
-		if err != nil {
-			joined = append(joined, &RHSError{Index: i, Err: err})
-		}
-	}
-	return results, errors.Join(joined...), true
+	return results, joinRHSErrors(errs), true
 }
 
 // workerOptions returns the options one of nw batch workers solves with:

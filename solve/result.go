@@ -11,6 +11,13 @@ import (
 // cluster workers' phases. See Result.Phases.
 type PhaseSet = engine.PhaseSet
 
+// HistSnapshot is the JSON shape of every histogram on /metrics and of
+// the fleet's phase latencies (server.ClusterSolveResult.Phases,
+// cluster.Result.Phases): a count, sum, mean and max, and cumulative
+// counts keyed by upper bound plus "+Inf". The unit is in the name of
+// the enclosing block.
+type HistSnapshot = engine.HistSnapshot
+
 // Result is the canonical outcome of a solve, shared by every
 // registered method. Fields a method does not produce stay at their
 // zero values (Drift is nil outside "vrcg" and "parcg", Clocks nil

@@ -146,6 +146,13 @@ type PooledSession struct {
 	sess *Session
 	pool *SessionPool
 	sctx *swapContext
+
+	// SolveMany's reused state: the fan-out's results and the storage
+	// their X and History are copied into, the call's resolved options,
+	// the extras its solves pass, and a config setsBatchWorkers probes.
+	batch        batchRun
+	cfg, probe   config
+	perSolveOpts []Option
 }
 
 // Session exposes the underlying prepared session.
@@ -157,10 +164,55 @@ func (ps *PooledSession) Solve(b []float64, extra ...Option) (*Result, error) {
 	return ps.sess.Solve(b, extra...)
 }
 
-// SolveMany fans B out through Batch under the acquired context; see
-// Batch. Unlike Solve, the returned Results own their storage.
+// SolveMany fans B out as Batch does, with Batch's results, under the
+// acquired context, but on warm sessions: this one and, for each further
+// worker, one acquired from the same pool and released when the batch
+// is done. Each X and History is copied into storage the PooledSession
+// keeps, so the Results are valid until Release; see Batch.
 func (ps *PooledSession) SolveMany(B [][]float64, extra ...Option) ([]Result, error) {
-	return ps.sess.SolveMany(B, extra...)
+	if len(B) == 0 {
+		return nil, nil
+	}
+	s := ps.sess
+	ps.cfg = *s.cfg
+	ps.perSolveOpts = ps.perSolveOpts[:0]
+	for _, o := range extra {
+		o(&ps.cfg)
+		if !setsBatchWorkers(o, &ps.probe) {
+			ps.perSolveOpts = append(ps.perSolveOpts, o)
+		}
+	}
+	if results, err, handled := s.blockRoute(B, &ps.cfg, extra); handled {
+		return results, err
+	}
+	return ps.batch.fanOut(B, batchWidth(&ps.cfg, len(B)), ps.cfg.ctx, ps.worker, ps.perSolveOpts)
+}
+
+// worker is SolveMany's source of worker sessions: worker 0 is ps,
+// every other one a session acquired under ps's request context.
+func (ps *PooledSession) worker(w int) (*Session, func(), error) {
+	if w == 0 {
+		return ps.sess, nil, nil
+	}
+	q, err := ps.pool.Acquire(ps.sctx.current())
+	if err != nil {
+		return nil, nil, err
+	}
+	return q.sess, q.Release, nil
+}
+
+// setsBatchWorkers reports whether o is a WithBatchWorkers option — the
+// one option that writes config.batchWorkers — by applying it to probe
+// under two different marks.
+func setsBatchWorkers(o Option, probe *config) bool {
+	for _, mark := range [2]int{-1, -2} {
+		*probe = config{batchWorkers: mark}
+		o(probe)
+		if probe.batchWorkers != mark {
+			return true
+		}
+	}
+	return false
 }
 
 // Release clears the request context and returns the session to the

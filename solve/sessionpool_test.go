@@ -3,7 +3,9 @@ package solve_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -213,5 +215,161 @@ func TestSessionPoolWarmSolveZeroAlloc(t *testing.T) {
 	ps.Release()
 	if allocs != 0 {
 		t.Fatalf("warm pooled Solve allocates %v times per op, want 0", allocs)
+	}
+}
+
+// TestPooledSolveManyIsBatch: a pooled SolveMany, which fans out on the
+// acquired session and sessions acquired from its pool, returns Batch's
+// bits — X, iterations, residual norms, Stats, History and errors —
+// for every engine method at one and two workers, warm calls included,
+// and gives its worker sessions back.
+func TestPooledSolveManyIsBatch(t *testing.T) {
+	a := sparse.Poisson2D(9)
+	B := rhsSet(a.Dim(), 5)
+	cases := []struct {
+		name  string
+		extra []solve.Option
+	}{
+		{"plain", nil},
+		{"history", []solve.Option{solve.WithHistory(true)}},
+		{"capped", []solve.Option{solve.WithMaxIter(3)}},
+	}
+	for _, method := range engineMethods {
+		sess, err := solve.NewSession(method, a, solve.WithTol(1e-11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := solve.NewSessionPool(method, a, solve.WithTol(1e-11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			for _, c := range cases {
+				extra := append([]solve.Option{solve.WithBatchWorkers(workers)}, c.extra...)
+				want, wantErr := solve.Batch(sess, B, extra...)
+				ps, err := p.Acquire(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for round := 0; round < 2; round++ { // cold storage, then warm
+					got, gotErr := ps.SolveMany(B, extra...)
+					where := fmt.Sprintf("%s workers=%d %s round %d", method, workers, c.name, round)
+					if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+						t.Fatalf("%s: error %v, want %v", where, gotErr, wantErr)
+					}
+					sameBatchBits(t, where, got, want)
+				}
+				ps.Release()
+			}
+		}
+		if st := p.Stats(); st.Size != 2 || st.Idle != 2 {
+			t.Errorf("%s: pool %+v, want both sessions built and given back", method, st)
+		}
+	}
+}
+
+// TestPooledSolveManyConcurrent: pooled batches running at once on one
+// pool, each fanning out to workers acquired from it, keep their own
+// results.
+func TestPooledSolveManyConcurrent(t *testing.T) {
+	a := sparse.Poisson2D(9)
+	sess, err := solve.NewSession("cg", a, solve.WithTol(1e-11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := solve.NewSessionPool("cg", a, solve.WithTol(1e-11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients = 4
+	sets := make([][][]float64, clients)
+	wants := make([][]solve.Result, clients)
+	for c := range sets {
+		sets[c] = rhsSet(a.Dim(), 3+c)[c:]
+		if wants[c], err = solve.Batch(sess, sets[c]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				ps, err := p.Acquire(context.Background())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := ps.SolveMany(sets[c], solve.WithBatchWorkers(2))
+				if err != nil {
+					t.Error(err)
+				}
+				for i := range got {
+					if !slices.Equal(got[i].X, wants[c][i].X) {
+						t.Errorf("client %d round %d rhs %d: X differs from Batch's", c, round, i)
+					}
+				}
+				ps.Release()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// sameBatchBits fails t unless got and want agree bit for bit in every
+// field Batch computes.
+func sameBatchBits(t *testing.T, where string, got, want []solve.Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", where, len(got), len(want))
+	}
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, x := range v {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Method != w.Method || g.Iterations != w.Iterations || g.Converged != w.Converged ||
+			math.Float64bits(g.ResidualNorm) != math.Float64bits(w.ResidualNorm) ||
+			math.Float64bits(g.TrueResidualNorm) != math.Float64bits(w.TrueResidualNorm) ||
+			g.Stats != w.Stats || g.Syncs != w.Syncs || g.Blocks != w.Blocks ||
+			!slices.Equal(bits(g.X), bits(w.X)) || !slices.Equal(bits(g.History), bits(w.History)) ||
+			(g.History == nil) != (w.History == nil) {
+			t.Fatalf("%s rhs %d: got %+v, want %+v", where, i, g, w)
+		}
+	}
+}
+
+// TestPooledSolveManyAllocsFlat: a warm pooled SolveMany copies into
+// storage it keeps, so its allocations do not grow with the number of
+// right-hand sides.
+func TestPooledSolveManyAllocsFlat(t *testing.T) {
+	a := sparse.Poisson2D(9)
+	p, err := solve.NewSessionPool("cg", a, solve.WithTol(1e-10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := p.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Release()
+	for _, workers := range []int{1, 2} {
+		allocs := func(B [][]float64) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := ps.SolveMany(B, solve.WithBatchWorkers(workers)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		narrow, wide := allocs(rhsSet(a.Dim(), 2)), allocs(rhsSet(a.Dim(), 16))
+		if wide > narrow {
+			t.Errorf("workers=%d: a warm 16-rhs SolveMany allocates %v times, a 2-rhs one %v", workers, wide, narrow)
+		}
+		t.Logf("workers=%d: %v allocs at 2 rhs, %v at 16", workers, narrow, wide)
 	}
 }
