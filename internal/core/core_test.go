@@ -22,6 +22,47 @@ func relErrT(got, want float64) float64 {
 
 // --- Window / Families unit tests ---
 
+// NewFamilies builds depth-k families from r0 = p0 on a serial
+// workspace of their own, for the tests that step them by hand.
+func NewFamilies(a sparse.Matrix, r0 vec.Vector, k int) *Families {
+	f := new(Families)
+	f.Bind(engine.NewWorkspace(a.Dim(), nil), 0, k)
+	f.Rebuild(a, r0)
+	return f
+}
+
+// Step advances the families by one CG iteration: StepR, then StepP.
+func (f *Families) Step(a Operator, lambda, alpha float64) {
+	f.StepR(lambda)
+	f.StepP(a, alpha)
+}
+
+// CheckInvariant verifies that every stored power really equals A times
+// its predecessor within tol, returning the largest violation.
+func (f *Families) CheckInvariant(a sparse.Matrix, tol float64) (maxErr float64, ok bool) {
+	n := a.Dim()
+	tmp := vec.New(n)
+	check := func(hi, lo vec.Vector) {
+		a.MulVec(tmp, lo)
+		for i := range tmp {
+			d := tmp[i] - hi[i]
+			if d < 0 {
+				d = -d
+			}
+			if d > maxErr {
+				maxErr = d
+			}
+		}
+	}
+	for i := 1; i <= f.K; i++ {
+		check(f.R[i], f.R[i-1])
+	}
+	for i := 1; i <= f.K+1; i++ {
+		check(f.P[i], f.P[i-1])
+	}
+	return maxErr, maxErr <= tol
+}
+
 func TestNewWindowSizes(t *testing.T) {
 	for _, k := range []int{0, 1, 3, 7} {
 		w := NewWindow(k)

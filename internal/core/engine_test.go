@@ -57,3 +57,20 @@ func TestWindowStepZeroAlloc(t *testing.T) {
 		t.Errorf("Window.Step allocates %v per call, want 0", avg)
 	}
 }
+
+// TestProductsGoThroughTheWorkspace: every product the families take is
+// the workspace's, so a phase-timed solve charges time to spmv.
+func TestProductsGoThroughTheWorkspace(t *testing.T) {
+	a := sparse.Poisson2D(64)
+	b := vec.New(a.Dim())
+	vec.Random(b, 3)
+	ws := engine.NewWorkspace(a.Dim(), nil)
+	ws.TimePhases()
+	var res engine.Result
+	if err := engine.Solve(NewKernel(), ws, a, b, engine.Config{K: 2, Tol: 1e-8}, &res); err != nil {
+		t.Fatal(err)
+	}
+	if sum := res.Phases[engine.PhaseSpMV].Sum; sum <= 0 {
+		t.Fatalf("spmv phase time %g after %d iterations, want > 0", sum, res.Iterations)
+	}
+}

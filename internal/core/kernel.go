@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"vrcg/internal/engine"
-	"vrcg/internal/vec"
 )
 
 // vrcgKernel is the paper's restructured conjugate gradient iteration
@@ -16,11 +15,11 @@ import (
 // iteration, and three direct inner products per iteration replenishing
 // the window tops.
 //
-// The Krylov vector families and scalar windows are cached on the
-// kernel and rebuilt in place per solve, keyed on (order, K, pool), so
-// a warm repeated solve allocates nothing.
+// The Krylov vector families are arena vectors of the solve's
+// workspace, rebound per solve, and the scalar window is kept while K
+// is, so a warm repeated solve allocates nothing.
 type vrcgKernel struct {
-	fam *Families
+	fam Families
 	win *Window
 	rr  float64
 	// r0 is the initial residual norm of the current solve, the scale
@@ -30,11 +29,6 @@ type vrcgKernel struct {
 	// periodic replacements do not taint the recursive residual).
 	r0       float64
 	diverged bool
-
-	// cache key for the families/window.
-	n    int
-	k    int
-	pool *vec.Pool
 }
 
 // NewKernel returns the vrcg iteration kernel.
@@ -63,18 +57,13 @@ func (kn *vrcgKernel) Init(run *engine.Run) (float64, error) {
 
 	// Start-up (paper: "After an initial start up"): build the Krylov
 	// vector families (k+1 matvecs including the P top) and the scalar
-	// windows (6k+6 direct inner products). Warm kernels rebuild the
-	// cached families in place.
-	if kn.fam == nil || kn.n != n || kn.k != k || kn.pool != ws.Pool() {
-		kn.fam = NewFamiliesPool(run.A, r0, k, ws.Pool())
+	// windows (6k+6 direct inner products).
+	kn.fam.Bind(ws, 2, k)
+	kn.fam.Rebuild(runOp{run}, r0)
+	if kn.win == nil || kn.win.K != k {
 		kn.win = NewWindow(k)
-		kn.n, kn.k, kn.pool = n, k, ws.Pool()
-	} else {
-		kn.fam.Rebuild(run.A, r0)
 	}
-	run.Res.Stats.MatVecs += k + 1
-	run.Res.Stats.Flops += int64(k+1) * run.MatVecFlops
-	kn.win.InitDirect(ws, kn.fam)
+	kn.win.InitDirect(ws, &kn.fam)
 	nDots := (2*k + 1) + (2*k + 2) + (2*k + 3)
 	run.Res.Stats.InnerProducts += nDots
 	run.Res.Stats.Flops += int64(nDots) * 2 * int64(n)
@@ -100,11 +89,9 @@ const divergenceGuard = 1e4
 // residual replacement, for runs whose recursive residual has left the
 // trust region.
 func (kn *vrcgKernel) restart(run *engine.Run) {
-	res, fam := run.Res, kn.fam
+	res, fam := run.Res, &kn.fam
 	run.ResidualInto(fam.R[0], res.X)
-	fam.Rebuild(run.A, fam.R[0])
-	res.Stats.MatVecs += kn.k + 1
-	res.Stats.Flops += int64(kn.k+1) * run.MatVecFlops
+	fam.Rebuild(runOp{run}, fam.R[0])
 	reanchor(run, fam, kn.win, false)
 	res.Replacements++
 	kn.rr = kn.win.RR()
@@ -128,10 +115,8 @@ func (kn *vrcgKernel) restart(run *engine.Run) {
 func (kn *vrcgKernel) Residual(run *engine.Run) float64 {
 	rn := kn.resNorm()
 	if rn <= run.Threshold {
-		rrDirect := run.Ws.Dot(kn.fam.Residual(), kn.fam.Residual())
+		rrDirect := run.Dot(kn.fam.Residual(), kn.fam.Residual())
 		run.Res.FallbackDots++
-		run.Res.Stats.InnerProducts++
-		run.Res.Stats.Flops += 2 * int64(run.Ws.Dim())
 		kn.win.M[0] = rrDirect
 		kn.rr = rrDirect
 		rn = kn.resNorm()
@@ -149,8 +134,8 @@ func (kn *vrcgKernel) Residual(run *engine.Run) float64 {
 func (kn *vrcgKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
 	n := int64(ws.Dim())
-	fam, win := kn.fam, kn.win
-	k := kn.k
+	fam, win := &kn.fam, kn.win
+	k := fam.K
 
 	// Divergence guard: a recurrence residual far above the solve's
 	// starting scale (or non-finite) means the scalar recurrences have
@@ -167,10 +152,8 @@ func (kn *vrcgKernel) Step(run *engine.Run) error {
 	if pap <= 0 || math.IsNaN(pap) {
 		// Drift symptom: fall back to the direct inner product
 		// (A p is family member P[1], so this is one dot).
-		pap = ws.Dot(fam.Direction(), fam.AP())
+		pap = run.Dot(fam.Direction(), fam.AP())
 		res.FallbackDots++
-		res.Stats.InnerProducts++
-		res.Stats.Flops += 2 * n
 		win.W[1] = pap
 	}
 	if pap <= 0 || math.IsNaN(pap) {
@@ -213,11 +196,9 @@ func (kn *vrcgKernel) Step(run *engine.Run) error {
 	if rrNew <= 0 || math.IsNaN(rrNew) {
 		// Drift pushed the recurrence nonpositive (typically at
 		// convergence); fall back to one direct inner product.
-		rrNew = ws.Dot(fam.Residual(), fam.Residual())
+		rrNew = run.Dot(fam.Residual(), fam.Residual())
 		fellBack = true
 		res.FallbackDots++
-		res.Stats.InnerProducts++
-		res.Stats.Flops += 2 * n
 	}
 	if kn.rr == 0 {
 		return fmt.Errorf("core: (r,r) vanished at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
@@ -225,11 +206,9 @@ func (kn *vrcgKernel) Step(run *engine.Run) error {
 	alpha := rrNew / kn.rr
 
 	// Direction-family half step: 2k+2 axpys + the single matvec.
-	fam.StepP(run.A, alpha)
+	fam.StepP(runOp{run}, alpha)
 	res.Stats.VectorUpdates += k + 1
 	res.Stats.Flops += int64(k+1) * 2 * n
-	res.Stats.MatVecs++
-	res.Stats.Flops += run.MatVecFlops
 
 	// Window advance: all-but-top entries by scalar recurrence, tops
 	// by the three direct inner products of §5.

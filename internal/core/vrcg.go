@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"vrcg/internal/engine"
-	"vrcg/sparse"
 )
 
 // DefaultReanchorInterval returns the re-anchoring interval used when
@@ -58,18 +57,12 @@ func relErr(got, want float64) float64 {
 }
 
 func reanchor(run *engine.Run, fam *Families, win *Window, refresh bool) {
-	a, res := run.A, run.Res
-	n := a.Dim()
+	res := run.Res
+	n := run.Ws.Dim()
 	k := fam.K
 	if refresh {
-		for i := 1; i <= k; i++ {
-			sparse.PooledMulVec(a, fam.pool, fam.R[i], fam.R[i-1])
-		}
-		for i := 1; i <= k+1; i++ {
-			sparse.PooledMulVec(a, fam.pool, fam.P[i], fam.P[i-1])
-		}
-		res.Stats.MatVecs += 2*k + 1
-		res.Stats.Flops += int64(2*k+1) * run.MatVecFlops
+		fam.Regrow(runOp{run})
+		fam.Top(runOp{run})
 		res.Refreshes++
 	}
 	win.InitDirect(run.Ws, fam)

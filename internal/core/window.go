@@ -37,7 +37,6 @@ import (
 
 	"vrcg/internal/engine"
 	"vrcg/internal/vec"
-	"vrcg/sparse"
 )
 
 // Window holds the three sliding inner-product families for look-ahead
@@ -122,120 +121,130 @@ func (w *Window) PeekRR(lambda float64) float64 {
 
 // InitDirect fills the window with directly computed inner products of
 // the Krylov vector families f.R[i] = A^i r (i = 0..k) and f.P[i] = A^i p
-// (i = 0..k+1) — all 6k+6 as one reduction on ws, over the pairs f lists.
+// (i = 0..k+1) — all 6k+6 as one reduction on ws, over the pairs f.Gram
+// lists.
 func (w *Window) InitDirect(ws *engine.Workspace, f *Families) {
 	if f.K != w.K {
 		panic(fmt.Sprintf("core: InitDirect of a k=%d window from k=%d families", w.K, f.K))
 	}
-	m := 6*w.K + 6
-	ws.Dots(w.M[:m], f.gx[:m], f.gy[:m]) // M, N and W are one array
+	k := w.K
+	xs, ys := f.Gram(2*k+1, 2*k+2, 2*k+3)
+	ws.Dots(w.M[:6*k+6], xs, ys) // M, N and W are one array
 }
 
-// Families holds the Krylov vector families of §5: R[i] = A^i r for
-// i = 0..k and P[i] = A^i p for i = 0..k+1. R[0] and P[0] are the actual
-// CG residual and direction vectors.
+// Operator is what the families multiply by: a sparse.Matrix, or a
+// kernel's product on its run, which goes through the workspace and is
+// counted in the run's Stats (engine.Run.MatVec).
+type Operator interface{ MulVec(dst, x []float64) }
+
+// runOp is the run's operator as an Operator.
+type runOp struct{ run *engine.Run }
+
+func (o runOp) MulVec(dst, x []float64) { o.run.MatVec(dst, x) }
+
+// Families holds the Krylov vector families of §5 to depth d: R[i] =
+// A^i r for i = 0..d and P[i] = A^i p for i = 0..d+1 — d = k for vrcg,
+// whose windows span powers up to 2k+2, and d = 2k for parcg, whose
+// anchor batch spans powers up to 4k. R[0] and P[0] are the actual CG
+// residual and direction vectors. The vectors are arena vectors of the
+// workspace the families are bound to, and every update goes through
+// it.
 type Families struct {
-	K int
-	R []vec.Vector // k+1 vectors
-	P []vec.Vector // k+2 vectors
+	K    int // the depth d
+	R, P []vec.Vector
 
-	// gx[i], gy[i] are the factors of the window's i-th direct inner
-	// product, by symmetry (x, A^i y) = (A^a x, A^{i-a} y): M_0..M_2k,
-	// N_0..N_2k+1, W_0..W_2k+2, then the three window tops again.
+	ws *engine.Workspace
+	// gx, gy are the factor lists Gram last built; tx, ty the window
+	// tops' (DirectTops).
 	gx, gy []vec.Vector
+	tx, ty [3]vec.Vector
 	tops   [3]float64
-
-	pool *vec.Pool // kernels dispatch here; nil = serial
 }
 
-// listPairs builds gx, gy; the families keep their vectors for life.
-func (f *Families) listPairs() {
-	k := f.K
-	add := func(x, y vec.Vector) { f.gx, f.gy = append(f.gx, x), append(f.gy, y) }
-	for i := 0; i <= 2*k; i++ { // M_i = (r, A^i r): a, b <= k
-		add(f.R[i/2], f.R[i-i/2])
+// Bind points depth-d families at arena vectors first … first+2d+2 of
+// ws — R[0..d], then P[0..d+1] — and returns the next free index. It
+// allocates only what the arena lacks, so a warm kernel rebinds per
+// solve for free; Rebuild fills the vectors.
+func (f *Families) Bind(ws *engine.Workspace, first, d int) int {
+	f.K, f.ws = d, ws
+	f.R, f.P = f.R[:0], f.P[:0]
+	for i := 0; i <= d; i++ {
+		f.R = append(f.R, ws.Vec(first+i))
 	}
-	for i := 0; i <= 2*k+1; i++ { // N_i = (r, A^i p): a <= k, b <= k+1
-		a := min(i/2, k)
-		add(f.R[a], f.P[i-a])
+	for i := 0; i <= d+1; i++ {
+		f.P = append(f.P, ws.Vec(first+d+1+i))
 	}
-	for i := 0; i <= 2*k+2; i++ { // W_i = (p, A^i p): a, b <= k+1
-		add(f.P[i/2], f.P[i-i/2])
-	}
-	add(f.R[k], f.P[k+1])
-	add(f.P[k], f.P[k+1])
-	add(f.P[k+1], f.P[k+1])
+	f.tx = [3]vec.Vector{f.R[d], f.P[d], f.P[d+1]}
+	f.ty = [3]vec.Vector{f.P[d+1], f.P[d+1], f.P[d+1]}
+	return first + 2*d + 3
 }
 
-// NewFamilies builds the families at start-up from r(0) = p(0) using
-// k+1 matrix–vector products (the paper's "initial start up").
-func NewFamilies(a sparse.Matrix, r0 vec.Vector, k int) *Families {
-	return NewFamiliesPool(a, r0, k, nil)
+// Gram returns the factor lists of the base inner products
+// (r, A^s r) for s < rr, (r, A^s p) for s < rp and (p, A^s p) for
+// s < pp, in that order, by symmetry (x, A^s y) = (A^a x, A^{s-a} y)
+// with a = min(s/2, d) for x = r and min(s/2, d+1) for x = p. The lists
+// are the families' own, rebuilt by every call.
+func (f *Families) Gram(rr, rp, pp int) (xs, ys []vec.Vector) {
+	f.gx, f.gy = f.gx[:0], f.gy[:0]
+	for _, g := range [...]struct {
+		x, y []vec.Vector
+		w    int
+	}{{f.R, f.R, rr}, {f.R, f.P, rp}, {f.P, f.P, pp}} {
+		for s := 0; s < g.w; s++ {
+			a := min(s/2, len(g.x)-1)
+			f.gx, f.gy = append(f.gx, g.x[a]), append(f.gy, g.y[s-a])
+		}
+	}
+	return f.gx, f.gy
 }
 
-// NewFamiliesPool is NewFamilies with the family's axpy/matvec kernels
-// routed through the given worker pool (nil = serial).
-func NewFamiliesPool(a sparse.Matrix, r0 vec.Vector, k int, pool *vec.Pool) *Families {
-	if k < 0 {
-		panic("core: look-ahead parameter must be >= 0")
-	}
-	f := &Families{
-		K:    k,
-		R:    make([]vec.Vector, k+1),
-		P:    make([]vec.Vector, k+2),
-		pool: pool,
-	}
-	n := a.Dim()
-	for i := range f.R {
-		f.R[i] = vec.New(n)
-	}
-	for i := range f.P {
-		f.P[i] = vec.New(n)
-	}
-	f.listPairs()
-	f.Rebuild(a, r0)
-	return f
-}
-
-// Rebuild refills the families in place from a fresh start-up residual
-// r0 = p0, using the same k+1 matrix–vector products as construction —
-// the warm-reuse path of the engine kernels: a persistent Families is
-// rebuilt per solve with zero allocations.
-func (f *Families) Rebuild(a sparse.Matrix, r0 vec.Vector) {
+// Rebuild refills the families from a start-up residual r0 = p0 (which
+// may be R[0] itself) with the paper's "initial start up": R[i] =
+// A R[i-1], P = R, and the top P[d+1] = A P[d] — d+1 products.
+func (f *Families) Rebuild(a Operator, r0 vec.Vector) {
 	vec.Copy(f.R[0], r0)
 	for i := 1; i <= f.K; i++ {
-		sparse.PooledMulVec(a, f.pool, f.R[i], f.R[i-1])
+		a.MulVec(f.R[i], f.R[i-1])
 	}
 	for i := 0; i <= f.K; i++ {
 		vec.Copy(f.P[i], f.R[i])
 	}
-	sparse.PooledMulVec(a, f.pool, f.P[f.K+1], f.P[f.K])
+	f.Top(a)
 }
 
-// Step advances the families by one CG iteration: R'_i = R_i - λ P_{i+1}
-// (axpys), P'_i = R'_i + a P_i for i <= k (axpys), and the single
-// matrix–vector product P'_{k+1} = A P'_k.
-func (f *Families) Step(a sparse.Matrix, lambda, alpha float64) {
-	f.StepR(lambda)
-	f.StepP(a, alpha)
+// Regrow recomputes R[1..d] and P[1..d] from the live R[0] and P[0]
+// with 2d products, restoring the power invariant the axpy recurrences
+// drift from; the top P[d+1] is Top's.
+func (f *Families) Regrow(a Operator) {
+	for i := 1; i <= f.K; i++ {
+		a.MulVec(f.R[i], f.R[i-1])
+		a.MulVec(f.P[i], f.P[i-1])
+	}
 }
+
+// Top takes an iteration's one product: P[d+1] = A P[d].
+func (f *Families) Top(a Operator) { a.MulVec(f.P[f.K+1], f.P[f.K]) }
 
 // StepR performs the residual-family half of a step: R'_i = R_i - λ P_{i+1}.
 // The direction family is untouched, so the caller may inspect the new
 // residual (for example to form alpha) before calling StepP.
 func (f *Families) StepR(lambda float64) {
 	for i := 0; i <= f.K; i++ {
-		f.pool.Axpy(-lambda, f.P[i+1], f.R[i])
+		f.ws.Axpy(-lambda, f.P[i+1], f.R[i])
 	}
 }
 
-// StepP performs the direction-family half of a step: P'_i = R'_i + a P_i
-// for i <= k, then the single matrix–vector product P'_{k+1} = A P'_k.
-func (f *Families) StepP(a sparse.Matrix, alpha float64) {
+// StepP performs the direction-family half of a step: UpdateP, then Top.
+func (f *Families) StepP(a Operator, alpha float64) {
+	f.UpdateP(alpha)
+	f.Top(a)
+}
+
+// UpdateP is StepP without its product: P'_i = R'_i + a P_i for i <= d.
+func (f *Families) UpdateP(alpha float64) {
 	for i := 0; i <= f.K; i++ {
-		f.pool.Xpay(f.R[i], alpha, f.P[i])
+		f.ws.Xpay(f.R[i], alpha, f.P[i])
 	}
-	sparse.PooledMulVec(a, f.pool, f.P[f.K+1], f.P[f.K])
 }
 
 // DirectTops computes the three window-top inner products from the
@@ -245,8 +254,7 @@ func (f *Families) StepP(a sparse.Matrix, alpha float64) {
 //	topW1 = (p, A^{2k+1} p) = (A^k p,     A^{k+1} p)
 //	topW2 = (p, A^{2k+2} p) = (A^{k+1} p, A^{k+1} p)
 func (f *Families) DirectTops(ws *engine.Workspace) (topN, topW1, topW2 float64) {
-	m := 6*f.K + 6
-	ws.Dots(f.tops[:], f.gx[m:], f.gy[m:])
+	ws.Dots(f.tops[:], f.tx[:], f.ty[:])
 	return f.tops[0], f.tops[1], f.tops[2]
 }
 
@@ -258,30 +266,3 @@ func (f *Families) Direction() vec.Vector { return f.P[0] }
 
 // AP returns A p (family member P[1]).
 func (f *Families) AP() vec.Vector { return f.P[1] }
-
-// CheckInvariant verifies that every stored power really equals A times
-// its predecessor within tol, returning the largest violation. It is a
-// test/diagnostic hook; the solver never calls it.
-func (f *Families) CheckInvariant(a sparse.Matrix, tol float64) (maxErr float64, ok bool) {
-	n := a.Dim()
-	tmp := vec.New(n)
-	check := func(hi, lo vec.Vector) {
-		a.MulVec(tmp, lo)
-		for i := range tmp {
-			d := tmp[i] - hi[i]
-			if d < 0 {
-				d = -d
-			}
-			if d > maxErr {
-				maxErr = d
-			}
-		}
-	}
-	for i := 1; i <= f.K; i++ {
-		check(f.R[i], f.R[i-1])
-	}
-	for i := 1; i <= f.K+1; i++ {
-		check(f.P[i], f.P[i-1])
-	}
-	return maxErr, maxErr <= tol
-}

@@ -7,9 +7,10 @@ import (
 )
 
 // A reduction is issued, then awaited. The paper's schedules differ in
-// what a kernel does between those two points — nothing (blocking CG),
-// one SpMV (pipelined CG), or an anchor block of iterations' worth of
-// work (look-ahead) — so the Workspace offers exactly that pair and
+// what a kernel does between those two points — nothing (blocking CG)
+// or one SpMV (pipelined CG, and look-ahead, whose anchor batch is
+// awaited in the step that issues it though its values are first read
+// k iterations later) — so the Workspace offers exactly that pair and
 // decides, in issue, where the sums run: at issue on the workspace pool
 // when Config.Blocking is set, otherwise on background goroutines while
 // the caller carries on. Serial and pooled sums follow the same blocked

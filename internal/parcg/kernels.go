@@ -23,26 +23,6 @@ import (
 // the solve by the adapter. solve/parcg_golden_test.go pins the
 // trajectories.
 
-// gramPairs lists the factors of the anchor batch — all 3(4k+1) base
-// inner products of the Krylov families R, P — as xs[i], ys[i]: the
-// Mu = (R,R), Nu = (R,P) and Omega = (P,P) sequences, w = 2*len(R)-1 =
-// 4k+1 entries each, splitting index s into factors a = s/2 and s-a
-// exactly as replayVRCG's issueBase charges them. The batch never reads
-// P[2k+1] (indices reach only 4k), so it is disjoint from the top-power
-// SpMV it is overlapped with.
-func gramPairs(xs, ys, R, P []vec.Vector) (_, _ []vec.Vector) {
-	w := 2*len(R) - 1
-	xs, ys = xs[:0], ys[:0]
-	for _, fam := range [3][2][]vec.Vector{{R, R}, {R, P}, {P, P}} {
-		for s := 0; s < w; s++ {
-			a := min(s/2, len(fam[0])-1)
-			xs = append(xs, fam[0][a])
-			ys = append(ys, fam[1][s-a])
-		}
-	}
-	return xs, ys
-}
-
 // rowScanner is the operator capability the Gershgorin bound needs.
 type rowScanner interface {
 	Dim() int
@@ -51,36 +31,36 @@ type rowScanner interface {
 
 // lookKernel is the paper's anchored look-ahead recurrence on real
 // goroutines: every k iterations one batched base-product reduction is
-// launched in the background and consumed k iterations later, by which
-// time it has had a full anchor block of SpMV/update work to hide
-// behind; in between, all step scalars are contractions of
+// issued, overlapped with that iteration's top-power product and
+// awaited in the same Step (nothing may be in flight between driver
+// steps), and its values are first read at the next anchor, k
+// iterations later; in between, all step scalars are contractions of
 // the previous anchor's base products — no reduction on the critical
 // path. Internally the kernel iterates on the Gershgorin-scaled
 // operator A/s so the Gram sequences (powers up to A^4k) keep O(1)
 // magnitude; all reported norms are unscaled.
 //
-// The powers R[i], P[i] are advanced by axpy recurrences — only the top
-// one gets a product per iteration — and the batch takes (R[a],R[s−a])
-// for (r,Aˢr), so it is only as good as R[i] = Aⁱr still holds. Every
-// regrowEvery(k) iterations the anchor therefore regrows both families
-// from the live r and p with real products before it issues its batch
-// (regrow): x, r, p and the coefficient tracks are untouched, so the
-// iterates stay CG's, and nothing is waited for. The divergence guard,
-// the audit and the emergency re-anchor below are the safety net for
-// what that does not catch.
+// The Krylov families are core.Families of depth 2k, advanced by axpy
+// recurrences — only the top power gets a product per iteration — and
+// the batch takes (R[a],R[s−a]) for (r,Aˢr), so it is only as good as
+// R[i] = Aⁱr still holds. Every regrowEvery(k) iterations the anchor
+// therefore regrows both families from the live r and p with real
+// products before it issues its batch (Families.Regrow, 4k products):
+// x, r, p and the coefficient tracks are untouched, so the iterates
+// stay CG's, and nothing is waited for. The divergence guard, the audit
+// and the emergency re-anchor below are the safety net for what that
+// does not catch.
 type lookKernel struct {
 	k int
 
 	x     vec.Vector
 	xBest vec.Vector // best-true-residual iterate, the restart rollback point
 	audit vec.Vector // scratch for the periodic true-residual audit
-	R, P  []vec.Vector
+	fam   core.Families
+	op    scaledOp // the operator the families multiply by, A/s
 
 	bestNorm   float64 // exactly computed true residual norm at xBest
 	sinceAudit int
-
-	// gxs, gys are the anchor batch's factor lists (gramPairs).
-	gxs, gys []vec.Vector
 
 	// Double-buffered anchor batches: active is the promoted batch the
 	// contractions read; gramBufs[pendingIdx] holds the most recently
@@ -98,7 +78,6 @@ type lookKernel struct {
 	rr    float64
 	trust float64 // divergence-guard anchor, rebased per restart
 	scale float64 // Gershgorin bound of the bound operator (1 when disabled)
-	inv   float64
 
 	scaleFor sparse.Matrix // operator identity the cached bound belongs to
 	scaleVal float64
@@ -156,39 +135,31 @@ func gershgorin(run *engine.Run) float64 {
 	return bound
 }
 
-func (kn *lookKernel) mulScaled(run *engine.Run, dst, src vec.Vector) {
-	run.MatVec(dst, src)
-	if kn.inv != 1 {
-		vec.Scale(kn.inv, dst)
-	}
-	run.Res.Stats.Flops += int64(len(dst))
+// scaledOp is A/s as the families multiply by it: each product is the
+// run's (through the workspace, counted), then divided by s — charged
+// one flop an entry, also when s = 1 and the division is skipped.
+type scaledOp struct {
+	run *engine.Run
+	inv float64
 }
 
-// growFamilies scales the unscaled residual b − A x in R[0] and builds
-// both Krylov families on it with real matvecs: R[i] = (A/s)^i R[0],
-// P = R, plus the top power P[2k+1].
-func (kn *lookKernel) growFamilies(run *engine.Run) {
-	k := kn.k
-	if kn.inv != 1 {
-		vec.Scale(kn.inv, kn.R[0])
+func (o *scaledOp) MulVec(dst, x []float64) {
+	o.run.MatVec(dst, x)
+	if o.inv != 1 {
+		vec.Scale(o.inv, dst)
 	}
-	for i := 1; i <= 2*k; i++ {
-		kn.mulScaled(run, kn.R[i], kn.R[i-1])
-	}
-	for i := 0; i <= 2*k; i++ {
-		vec.Copy(kn.P[i], kn.R[i])
-	}
-	kn.mulScaled(run, kn.P[2*k+1], kn.P[2*k])
+	o.run.Res.Stats.Flops += int64(len(dst))
 }
 
-// regrow rebuilds the powers R[1..2k], P[1..2k] on the live R[0], P[0]
-// with real products: 4k of them, nothing else moves.
-func (kn *lookKernel) regrow(run *engine.Run) {
-	for i := 1; i <= 2*kn.k; i++ {
-		kn.mulScaled(run, kn.R[i], kn.R[i-1])
-		kn.mulScaled(run, kn.P[i], kn.P[i-1])
+// grow scales the unscaled residual b − A x in R[0] and rebuilds both
+// Krylov families on it with real products: R[i] = (A/s)^i R[0], P = R,
+// plus the top power P[2k+1].
+func (kn *lookKernel) grow() {
+	r := kn.fam.Residual()
+	if kn.op.inv != 1 {
+		vec.Scale(kn.op.inv, r)
 	}
-	run.Res.Refreshes++
+	kn.fam.Rebuild(&kn.op, r)
 }
 
 // regrowEvery is the number of iterations between scheduled regrowths:
@@ -238,20 +209,12 @@ func (kn *lookKernel) Init(run *engine.Run) (float64, error) {
 		kn.builtK = k
 	}
 
-	// Bind the families to the workspace arena: x, R[0..2k], P[0..2k+1].
+	// Bind the workspace arena: x, the families, xBest, audit.
 	kn.x = ws.Vec(0)
-	kn.R = kn.R[:0]
-	for i := 0; i <= 2*k; i++ {
-		kn.R = append(kn.R, ws.Vec(1+i))
-	}
-	kn.P = kn.P[:0]
-	for i := 0; i <= 2*k+1; i++ {
-		kn.P = append(kn.P, ws.Vec(2*k+2+i))
-	}
-	kn.xBest = ws.Vec(4*k + 4)
-	kn.audit = ws.Vec(4*k + 5)
+	next := kn.fam.Bind(ws, 1, 2*k)
+	kn.xBest = ws.Vec(next)
+	kn.audit = ws.Vec(next + 1)
 	kn.sinceAudit = 0
-	kn.gxs, kn.gys = gramPairs(kn.gxs, kn.gys, kn.R, kn.P)
 
 	// Spectral scaling: solve (A/s) x = b/s with s the Gershgorin bound
 	// (cached per operator — the row scan is a cold-path cost).
@@ -267,19 +230,19 @@ func (kn *lookKernel) Init(run *engine.Run) (float64, error) {
 			kn.scale = 1
 		}
 	}
-	kn.inv = 1 / kn.scale
+	kn.op = scaledOp{run: run, inv: 1 / kn.scale}
 
 	// Scaled initial residual R[0] = (b - A x0)/s and the Krylov
 	// families above it.
 	if run.Cfg.X0 != nil {
 		vec.Copy(kn.x, run.Cfg.X0)
-		run.ResidualInto(kn.R[0], kn.x)
+		run.ResidualInto(kn.fam.Residual(), kn.x)
 	} else {
 		vec.Zero(kn.x)
-		vec.Copy(kn.R[0], run.B)
+		vec.Copy(kn.fam.Residual(), run.B)
 	}
 	run.Res.X = kn.x
-	kn.growFamilies(run)
+	kn.grow()
 
 	// Anchor 0 doubles as the first pending batch, promoted again at
 	// iteration k.
@@ -321,9 +284,15 @@ const (
 )
 
 // issueGram issues the anchor batch of the current families into
-// gramBufs[idx].
+// gramBufs[idx]: all 3(4k+1) base inner products, the Mu = (R,R),
+// Nu = (R,P) and Omega = (P,P) sequences, w = 4k+1 entries each, split
+// into factors exactly as replayVRCG's issueBase charges them. The batch
+// never reads P[2k+1] (indices reach only 4k), so it is disjoint from
+// the top-power SpMV it is overlapped with.
 func (kn *lookKernel) issueGram(run *engine.Run, idx int) {
-	run.Ws.IssueDots(kn.gramBufs[idx], kn.gxs, kn.gys)
+	w := kn.width()
+	xs, ys := kn.fam.Gram(w, w, w)
+	run.Ws.IssueDots(kn.gramBufs[idx], xs, ys)
 	run.Res.Stats.InnerProducts += 3 * kn.width()
 	run.Res.Stats.Flops += int64(3*kn.width()) * 2 * int64(run.Ws.Dim())
 }
@@ -352,15 +321,16 @@ func (kn *lookKernel) anchorNow(run *engine.Run) {
 // rebased to the post-restart norm so a slow decline from a high
 // restart point cannot trigger a restart storm.
 func (kn *lookKernel) restart(run *engine.Run) {
-	run.ResidualInto(kn.R[0], kn.x)
-	if rn := run.Ws.Norm2(kn.R[0]); math.IsNaN(rn) || rn > kn.bestNorm {
+	r := kn.fam.Residual()
+	run.ResidualInto(r, kn.x)
+	if rn := run.Ws.Norm2(r); math.IsNaN(rn) || rn > kn.bestNorm {
 		vec.Copy(kn.x, kn.xBest)
-		run.ResidualInto(kn.R[0], kn.x)
+		run.ResidualInto(r, kn.x)
 	} else {
 		vec.Copy(kn.xBest, kn.x)
 		kn.bestNorm = rn
 	}
-	kn.growFamilies(run)
+	kn.grow()
 	kn.anchorNow(run)
 	run.Res.Replacements++
 
@@ -376,7 +346,7 @@ func (kn *lookKernel) restart(run *engine.Run) {
 func (kn *lookKernel) Residual(run *engine.Run) float64 {
 	rn := kn.resNorm()
 	if rn <= run.Threshold {
-		rrDirect := run.Dot(kn.R[0], kn.R[0])
+		rrDirect := run.Dot(kn.fam.Residual(), kn.fam.Residual())
 		run.Res.FallbackDots++
 		kn.rr = rrDirect
 		rn = kn.resNorm()
@@ -430,8 +400,9 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 		// emergency re-anchor — refresh the families with true matvecs,
 		// recompute the base products synchronously, restart the
 		// coefficient tracks — then retry.
-		kn.regrow(run)
-		kn.mulScaled(run, kn.P[2*k+1], kn.P[2*k])
+		kn.fam.Regrow(&kn.op)
+		kn.fam.Top(&kn.op)
+		res.Refreshes++
 		kn.anchorNow(run)
 
 		kn.resetTracks()
@@ -448,10 +419,8 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 	lambda := kn.rr / pap
 
 	// Iterate and residual-family updates.
-	ws.Axpy(lambda, kn.P[0], kn.x)
-	for i := 0; i <= 2*k; i++ {
-		ws.Axpy(-lambda, kn.P[i+1], kn.R[i])
-	}
+	ws.Axpy(lambda, kn.fam.Direction(), kn.x)
+	kn.fam.StepR(lambda)
 	res.Stats.VectorUpdates += 2*k + 2
 	res.Stats.Flops += int64(2*k+2) * 2 * n
 
@@ -459,7 +428,7 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 	kn.scratch.StepR(kn.cra.CoeffPair, kn.cpa.CoeffPair, lambda)
 	rrNew := kn.gram().Contract(kn.scratch.CoeffPair, kn.scratch.CoeffPair, 0)
 	if fellBack || rrNew <= 0 || math.IsNaN(rrNew) {
-		rrNew = run.Dot(kn.R[0], kn.R[0])
+		rrNew = run.Dot(kn.fam.Residual(), kn.fam.Residual())
 		res.FallbackDots++
 	}
 	if kn.rr == 0 {
@@ -467,10 +436,8 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 	}
 	alpha := rrNew / kn.rr
 
-	// Direction-family updates.
-	for i := 0; i <= 2*k; i++ {
-		ws.Xpay(kn.R[i], alpha, kn.P[i])
-	}
+	// Direction-family updates; the top power's product comes below.
+	kn.fam.UpdateP(alpha)
 	res.Stats.VectorUpdates += 2*k + 1
 	res.Stats.Flops += int64(2*k+1) * 2 * n
 
@@ -487,13 +454,14 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 	// The top-power SpMV, at anchor boundaries issued between the next
 	// batched base-product reduction's issue and its await: the batch
 	// reads R[0..2k]/P[0..2k], the SpMV writes only P[2k+1] — disjoint,
-	// so an overlapped reduction hides entirely behind real work (and
+	// so an overlapped reduction runs behind that one product (and
 	// WithBlocking's evaluate-at-issue gives s-step semantics).
 	next := res.Iterations
 	anchor := next%k == 0 && next < run.Cfg.MaxIter && !run.Stopped()
 	if anchor {
-		// Promote the building anchor (its reduction has had k
-		// iterations to complete) and issue the next one.
+		// Promote the building anchor (its reduction, awaited when it
+		// was issued k iterations ago, is first read now) and issue the
+		// next one.
 		kn.active = kn.gramBufs[kn.pendingIdx]
 		target := kn.pendingIdx ^ 1
 		kn.cra, kn.crb = kn.crb, kn.cra
@@ -502,13 +470,14 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 		kn.cpb.SetP()
 
 		if next%regrowEvery(k) == 0 {
-			kn.regrow(run)
+			kn.fam.Regrow(&kn.op)
+			res.Refreshes++
 		}
 		kn.issueGram(run, target)
 		kn.pendingIdx = target
 		res.Reanchors++
 	}
-	kn.mulScaled(run, kn.P[2*k+1], kn.P[2*k])
+	kn.fam.Top(&kn.op)
 	if anchor {
 		ws.Await()
 		kn.rr = kn.gram().Contract(kn.cra.CoeffPair, kn.cra.CoeffPair, 0)
@@ -518,7 +487,7 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 
 func (kn *lookKernel) Finish(run *engine.Run) {
 	// True residual in unscaled space (R[1] is free after the loop).
-	tr := kn.R[1]
+	tr := kn.fam.R[1]
 	run.TrueResidual(tr, kn.x)
 	// A non-converged run whose final iterate drifted past the guard's
 	// best restart point returns the best iterate instead.

@@ -16,7 +16,8 @@
 //	POST /v1/solve        one right-hand side through a pooled warm
 //	                      Session (zero allocations on the solver hot
 //	                      path for every engine-backed method)
-//	POST /v1/solve/batch  many right-hand sides via solve.Batch
+//	POST /v1/solve/batch  many right-hand sides on warm pooled sessions
+//	                      (solve.PooledSession.SolveMany)
 //	POST /v1/sequence, POST /v1/sequence/{id}/step,
 //	DELETE /v1/sequence/{id}
 //	                      warm-started solve chains (solve.Sequence)

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 
+	"vrcg/internal/machine"
 	"vrcg/sparse"
 )
 
@@ -16,8 +17,9 @@ import (
 // goroutines: each worker forks the session once (its own solver and
 // reusable workspace) and takes right-hand sides round-robin, so a
 // batch of any size costs a fixed number of workspaces. Results come
-// back aggregated, in input order, with each X independently owned
-// (cloned out of the per-worker workspace).
+// back aggregated, in input order, each owning what it reports: X,
+// History, Drift, Phases, Clocks and Machine are copied out of the
+// worker's session.
 //
 // Per-RHS failures do not stop the batch: the returned error joins
 // every failure wrapped as an *RHSError carrying its index, and
@@ -97,14 +99,50 @@ func batchWidth(cfg *config, n int) int {
 }
 
 // batchRun is the outcome of one per-right-hand-side fan-out and the
-// storage each result's X and History are copied into. Batch uses a
-// fresh one per call, so its results own their storage; a PooledSession
-// keeps one, so a warm SolveMany copies into the storage the last one
-// grew.
+// storage each result's reports are copied into. Batch uses a fresh one
+// per call, so its results own their storage; a PooledSession keeps
+// one, so a warm SolveMany copies into the storage the last one grew.
 type batchRun struct {
 	results []Result
 	errs    []error
-	xs, hs  [][]float64
+	own     []owned
+}
+
+// owned is the storage one batch result's reports are copied into: a
+// solve's Result points into its worker session (X and History into the
+// workspace, Drift, Phases, Clocks and Machine into the solver), which
+// the worker's next solve overwrites.
+type owned struct {
+	x, history, clocks []float64
+	drift              Drift
+	phases             PhaseSet
+	machine            machine.Stats
+}
+
+// adopt copies what res points at into o and points res at the copies.
+func (o *owned) adopt(res *Result) {
+	o.x = append(o.x[:0], res.X...)
+	res.X = o.x
+	if res.History != nil {
+		o.history = append(o.history[:0], res.History...)
+		res.History = o.history
+	}
+	if res.Clocks != nil {
+		o.clocks = append(o.clocks[:0], res.Clocks...)
+		res.Clocks = o.clocks
+	}
+	if res.Drift != nil {
+		o.drift = *res.Drift
+		res.Drift = &o.drift
+	}
+	if res.Phases != nil {
+		o.phases = *res.Phases
+		res.Phases = &o.phases
+	}
+	if res.Machine != nil {
+		o.machine = *res.Machine
+		res.Machine = &o.machine
+	}
 }
 
 // fanOut solves B round-robin across nw workers, worker 0 on the
@@ -115,8 +153,7 @@ func (br *batchRun) fanOut(B [][]float64, nw int, ctx context.Context, open func
 	n := len(B)
 	br.results = slices.Grow(br.results[:0], n)[:n]
 	br.errs = slices.Grow(br.errs[:0], n)[:n]
-	br.xs = slices.Grow(br.xs[:0], n)[:n]
-	br.hs = slices.Grow(br.hs[:0], n)[:n]
+	br.own = slices.Grow(br.own[:0], n)[:n]
 	clear(br.results)
 	clear(br.errs)
 	work := func(w int) {
@@ -136,15 +173,8 @@ func (br *batchRun) fanOut(B [][]float64, nw int, ctx context.Context, open func
 			res, err := sess.Solve(B[i], extra...)
 			br.errs[i] = err
 			if res != nil {
-				// X (and History) alias the worker's workspace, which the
-				// next round-robin solve overwrites; copy them out.
 				br.results[i] = *res
-				br.xs[i] = append(br.xs[i][:0], res.X...)
-				br.results[i].X = br.xs[i]
-				if res.History != nil {
-					br.hs[i] = append(br.hs[i][:0], res.History...)
-					br.results[i].History = br.hs[i]
-				}
+				br.own[i].adopt(&br.results[i])
 			}
 		}
 	}
@@ -255,7 +285,7 @@ func blockBatch(s *Session, twin string, B [][]float64, baseOpts []Option, cfg *
 					}
 					if res != nil {
 						results[i] = *res
-						results[i].X = append([]float64(nil), res.X...)
+						new(owned).adopt(&results[i])
 					}
 				}
 			}

@@ -148,7 +148,7 @@ type PooledSession struct {
 	sctx *swapContext
 
 	// SolveMany's reused state: the fan-out's results and the storage
-	// their X and History are copied into, the call's resolved options,
+	// their reports are copied into, the call's resolved options,
 	// the extras its solves pass, and a config setsBatchWorkers probes.
 	batch        batchRun
 	cfg, probe   config
@@ -167,8 +167,9 @@ func (ps *PooledSession) Solve(b []float64, extra ...Option) (*Result, error) {
 // SolveMany fans B out as Batch does, with Batch's results, under the
 // acquired context, but on warm sessions: this one and, for each further
 // worker, one acquired from the same pool and released when the batch
-// is done. Each X and History is copied into storage the PooledSession
-// keeps, so the Results are valid until Release; see Batch.
+// is done. What each Result reports is copied into storage the
+// PooledSession keeps, so the Results are valid until Release; see
+// Batch.
 func (ps *PooledSession) SolveMany(B [][]float64, extra ...Option) ([]Result, error) {
 	if len(B) == 0 {
 		return nil, nil

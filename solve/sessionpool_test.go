@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -372,4 +373,201 @@ func TestPooledSolveManyAllocsFlat(t *testing.T) {
 		}
 		t.Logf("workers=%d: %v allocs at 2 rhs, %v at 16", workers, narrow, wide)
 	}
+}
+
+// TestBatchResultsOwnTheirReports: every fan-out route — Batch,
+// Session.SolveMany, PooledSession.SolveMany — hands back results that
+// report their own solve and share no storage. Drift (and, in machine
+// mode, Clocks and Machine) must equal the lone Session.Solve's for the
+// same right-hand side; Phases holds measured times, so its per-phase
+// observation counts (one a driver step) must.
+func TestBatchResultsOwnTheirReports(t *testing.T) {
+	a := sparse.Poisson2D(9)
+	B := rhsSet(a.Dim(), 5)
+	cases := []struct {
+		name, method string
+		opts         []solve.Option
+	}{
+		{"vrcg", "vrcg", nil},
+		{"parcg", "parcg", nil},
+		{"parcg machine", "parcg", []solve.Option{solve.WithProcessors(4)}},
+		{"parcg-cg", "parcg-cg", nil},
+		{"parcg-pipe", "parcg-pipe", nil},
+	}
+	for _, c := range cases {
+		opts := append([]solve.Option{solve.WithTol(1e-11), solve.WithValidateEvery(5)}, c.opts...)
+		lone, err := solve.NewSession(c.method, a, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]solve.Result, len(B))
+		for i, b := range B {
+			res, err := lone.Solve(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = detach(*res)
+		}
+		sess, err := solve.NewSession(c.method, a, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := solve.NewSessionPool(c.method, a, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routes := []struct {
+			name string
+			run  func(w solve.Option) ([]solve.Result, func())
+		}{
+			{"Batch", func(w solve.Option) ([]solve.Result, func()) {
+				got, err := solve.Batch(sess, B, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return got, func() {}
+			}},
+			{"Session.SolveMany", func(w solve.Option) ([]solve.Result, func()) {
+				got, err := sess.SolveMany(B, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return got, func() {}
+			}},
+			{"PooledSession.SolveMany", func(w solve.Option) ([]solve.Result, func()) {
+				ps, err := p.Acquire(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := ps.SolveMany(B, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return got, ps.Release
+			}},
+		}
+		for _, r := range routes {
+			for _, workers := range []int{1, 2} {
+				where := fmt.Sprintf("%s %s workers=%d", c.name, r.name, workers)
+				got, done := r.run(solve.WithBatchWorkers(workers))
+				sameReports(t, where, got, want)
+				shareNothing(t, where, got)
+				done()
+			}
+		}
+	}
+}
+
+// detach copies out what a lone solve's result points at, so the
+// session's next solve cannot change it.
+func detach(res solve.Result) solve.Result {
+	res.X = slices.Clone(res.X)
+	res.History = slices.Clone(res.History)
+	res.Clocks = slices.Clone(res.Clocks)
+	if res.Drift != nil {
+		d := *res.Drift
+		res.Drift = &d
+	}
+	if res.Phases != nil {
+		ph := *res.Phases
+		res.Phases = &ph
+	}
+	if res.Machine != nil {
+		m := *res.Machine
+		res.Machine = &m
+	}
+	return res
+}
+
+// sameReports fails t unless every result reports what the lone solve
+// of its right-hand side reported: X, Drift, Clocks and Machine to the
+// bit, Phases by its observation counts.
+func sameReports(t *testing.T, where string, got, want []solve.Result) {
+	t.Helper()
+	sameBatchBits(t, where, got, want)
+	for i := range want {
+		g, w := got[i], want[i]
+		if (g.Drift == nil) != (w.Drift == nil) || g.Drift != nil && *g.Drift != *w.Drift {
+			t.Errorf("%s rhs %d: Drift %+v, want %+v", where, i, g.Drift, w.Drift)
+		}
+		if (g.Phases == nil) != (w.Phases == nil) {
+			t.Errorf("%s rhs %d: Phases %v, want %v", where, i, g.Phases != nil, w.Phases != nil)
+		} else if g.Phases != nil {
+			for ph := range w.Phases {
+				if g.Phases[ph].Count != w.Phases[ph].Count {
+					t.Errorf("%s rhs %d: phase %d observed %d times, want %d", where, i, ph, g.Phases[ph].Count, w.Phases[ph].Count)
+				}
+			}
+		}
+		if !slices.Equal(g.Clocks, w.Clocks) || (g.Machine == nil) != (w.Machine == nil) || g.Machine != nil && *g.Machine != *w.Machine {
+			t.Errorf("%s rhs %d: Clocks/Machine differ from the lone solve's", where, i)
+		}
+	}
+}
+
+// shareNothing fails t if any storage reachable from one result — the
+// target of a pointer, the backing array of a slice, a map — overlaps
+// storage reachable from another.
+func shareNothing(t *testing.T, where string, results []solve.Result) {
+	t.Helper()
+	reach := make([][]span, len(results))
+	for i := range results {
+		reach[i] = spans(reflect.ValueOf(results[i]), nil)
+	}
+	for i := range reach {
+		for j := i + 1; j < len(reach); j++ {
+			for _, a := range reach[i] {
+				for _, b := range reach[j] {
+					if a.lo < b.hi && b.lo < a.hi {
+						t.Errorf("%s: results %d and %d share %s storage", where, i, j, a.kind)
+					}
+				}
+			}
+		}
+	}
+}
+
+// span is one block of memory a result reaches: [lo, hi) and what kind
+// of reference reached it.
+type span struct {
+	lo, hi uintptr
+	kind   reflect.Kind
+}
+
+// spans appends the memory v reaches through pointers, slices and maps.
+func spans(v reflect.Value, out []span) []span {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			out = append(out, span{v.Pointer(), v.Pointer() + max(v.Type().Elem().Size(), 1), reflect.Pointer})
+			out = spans(v.Elem(), out)
+		}
+	case reflect.Slice:
+		if v.Cap() > 0 {
+			out = append(out, span{v.Pointer(), v.Pointer() + max(uintptr(v.Cap())*v.Type().Elem().Size(), 1), reflect.Slice})
+			for i := 0; i < v.Len(); i++ {
+				out = spans(v.Index(i), out)
+			}
+		}
+	case reflect.Map:
+		if !v.IsNil() {
+			out = append(out, span{v.Pointer(), v.Pointer() + 1, reflect.Map})
+			for it := v.MapRange(); it.Next(); {
+				out = spans(it.Value(), spans(it.Key(), out))
+			}
+		}
+	case reflect.Interface:
+		if !v.IsNil() {
+			out = spans(v.Elem(), out)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			out = spans(v.Field(i), out)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			out = spans(v.Index(i), out)
+		}
+	}
+	return out
 }
