@@ -95,17 +95,17 @@ kernel-allocs:
 # request paths through the one handler per route, at -cpu 1 where the
 # counts are deterministic: a binary solve, a JSON solve, a JSON
 # sequence step, a 16-rhs binary batch (which allocates nothing per
-# right-hand side) — and of the step body's decode on its own, which
-# allocates nothing. The CI bench-smoke job runs this target.
+# right-hand side) unpooled and on a 2-worker engine pool — and of the
+# step body's decode on its own, which allocates nothing. The CI bench-smoke job runs this target.
 server-allocs:
-	@out=$$($(GO) test -run '^$$' -bench '^(BenchmarkServeSolveWarm|BenchmarkServeSolveWarmBinary|BenchmarkServeSequenceStep|BenchmarkDecodeStepJSON|BenchmarkServeBatch)$$' -benchtime=200x -benchmem -cpu 1 ./server) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) test -run '^$$' -bench '^(BenchmarkServeSolveWarm|BenchmarkServeSolveWarmBinary|BenchmarkServeSequenceStep|BenchmarkDecodeStepJSON|BenchmarkServeBatch|BenchmarkServeBatchEnginePool)$$' -benchtime=200x -benchmem -cpu 1 ./server) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \
-	echo "$$out" | awk 'BEGIN { max["BenchmarkServeSolveWarmBinary"] = 8; max["BenchmarkServeSolveWarm/cg"] = 46; max["BenchmarkServeSequenceStep"] = 12; max["BenchmarkDecodeStepJSON/scanner"] = 0; max["BenchmarkServeBatch/rhs16"] = 24; \
-			maxB["BenchmarkServeSolveWarmBinary"] = 1024; maxB["BenchmarkServeSolveWarm/cg"] = 16384; maxB["BenchmarkServeSequenceStep"] = 4096; maxB["BenchmarkServeBatch/rhs16"] = 8192 } \
+	echo "$$out" | awk 'BEGIN { max["BenchmarkServeSolveWarmBinary"] = 8; max["BenchmarkServeSolveWarm/cg"] = 46; max["BenchmarkServeSequenceStep"] = 12; max["BenchmarkDecodeStepJSON/scanner"] = 0; max["BenchmarkServeBatch/rhs16"] = 24; max["BenchmarkServeBatchEnginePool"] = 24; \
+			maxB["BenchmarkServeSolveWarmBinary"] = 1024; maxB["BenchmarkServeSolveWarm/cg"] = 16384; maxB["BenchmarkServeSequenceStep"] = 4096; maxB["BenchmarkServeBatch/rhs16"] = 8192; maxB["BenchmarkServeBatchEnginePool"] = 8192 } \
 		($$1 in max) { seen++; for (i = 2; i <= NF; i++) { \
 			if ($$(i) == "allocs/op" && $$(i-1)+0 > max[$$1]) { print $$1 ": " $$(i-1) " allocs/op exceeds the budget of " max[$$1]; bad = 1 } \
 			if ($$(i) == "B/op" && ($$1 in maxB) && $$(i-1)+0 > maxB[$$1]) { print $$1 ": " $$(i-1) " B/op exceeds the budget of " maxB[$$1]; bad = 1 } } } \
-		END { if (seen != 5) { print "expected 5 benchmark rows, saw " seen+0; bad = 1 }; exit bad }'
+		END { if (seen != 6) { print "expected 6 benchmark rows, saw " seen+0; bad = 1 }; exit bad }'
 
 fmt:
 	gofmt -l -w .

@@ -22,7 +22,12 @@ import (
 
 func benchServer(b *testing.B, grid int) (*server.Server, []float64) {
 	b.Helper()
-	srv := server.New(server.Config{MaxQueue: 1 << 20})
+	return benchServerConfig(b, grid, server.Config{MaxQueue: 1 << 20})
+}
+
+func benchServerConfig(b *testing.B, grid int, cfg server.Config) (*server.Server, []float64) {
+	b.Helper()
+	srv := server.New(cfg)
 	a := sparse.Poisson2D(grid)
 	if err := srv.Preload("poisson", a); err != nil {
 		b.Fatal(err)
@@ -73,48 +78,64 @@ func BenchmarkServeSolveWarm(b *testing.B) {
 // /v1/solve/batch over the binary content type — the transport the
 // batch path is built around: one frame decode and one frame encode
 // per request, pooled buffers, no per-float text formatting. Columns
-// are distinct (the block route must not be flattered by linearly
-// dependent right-hand sides), and allocs/rhs tracks how per-request
-// overhead amortizes. The JSON batch path stays covered by
+// are distinct, and allocs/rhs tracks how per-request overhead
+// amortizes. The JSON batch path stays covered by
 // BenchmarkServeBatchJSONRhs64, the rung where its per-float encode
 // cost peaks.
 func BenchmarkServeBatch(b *testing.B) {
 	for _, nrhs := range []int{1, 8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("rhs%d", nrhs), func(b *testing.B) {
 			srv, rhs := benchServer(b, 16)
-			B := make([][]float64, nrhs)
-			for k := range B {
-				col := make([]float64, len(rhs))
-				for i := range col {
-					col[i] = rhs[i] + float64(k)
-				}
-				B[k] = col
-			}
-			body := binSolveBody("poisson", "cg", "", &solve.Params{Tol: 1e-10}, 0, B...)
-			rb := &replayBody{}
-			req := httptest.NewRequest("POST", "/v1/solve/batch", nil)
-			req.Header.Set("Content-Type", server.BinaryContentType)
-			req.ContentLength = int64(len(body))
-			req.Body = rb
-			w := &discardWriter{h: make(http.Header)}
-			b.ReportAllocs()
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rb.Reset(body)
-				w.code = 0
-				srv.ServeHTTP(w, req)
-				if w.code != http.StatusOK {
-					b.Fatalf("status %d", w.code)
-				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&ms1)
-			b.ReportMetric(float64(nrhs)*float64(b.N)/b.Elapsed().Seconds(), "solves/s")
-			b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N)/float64(nrhs), "allocs/rhs")
+			benchServeBatch(b, srv, rhs, nrhs)
 		})
 	}
+}
+
+// BenchmarkServeBatchEnginePool is BenchmarkServeBatch's rhs16 rung on
+// a server whose solvers run on a 2-worker engine pool: a cg batch is
+// solved by cg there too, on the same warm sessions, so it keeps the
+// unpooled rung's allocation budget.
+func BenchmarkServeBatchEnginePool(b *testing.B) {
+	pool := sparse.NewPool(2)
+	defer pool.Close()
+	srv, rhs := benchServerConfig(b, 16, server.Config{MaxQueue: 1 << 20, EnginePool: pool})
+	benchServeBatch(b, srv, rhs, 16)
+}
+
+// benchServeBatch times one binary batch request of nrhs distinct
+// right-hand sides, derived from rhs, against srv.
+func benchServeBatch(b *testing.B, srv *server.Server, rhs []float64, nrhs int) {
+	B := make([][]float64, nrhs)
+	for k := range B {
+		col := make([]float64, len(rhs))
+		for i := range col {
+			col[i] = rhs[i] + float64(k)
+		}
+		B[k] = col
+	}
+	body := binSolveBody("poisson", "cg", "", &solve.Params{Tol: 1e-10}, 0, B...)
+	rb := &replayBody{}
+	req := httptest.NewRequest("POST", "/v1/solve/batch", nil)
+	req.Header.Set("Content-Type", server.BinaryContentType)
+	req.ContentLength = int64(len(body))
+	req.Body = rb
+	w := &discardWriter{h: make(http.Header)}
+	b.ReportAllocs()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rb.Reset(body)
+		w.code = 0
+		srv.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			b.Fatalf("status %d", w.code)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms1)
+	b.ReportMetric(float64(nrhs)*float64(b.N)/b.Elapsed().Seconds(), "solves/s")
+	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(b.N)/float64(nrhs), "allocs/rhs")
 }
 
 // BenchmarkServeBatchJSONRhs64 pins the JSON batch path at its widest

@@ -120,7 +120,7 @@ type MethodInfo struct {
 	Rectangular  bool `json:"rectangular,omitempty"`
 	// Block marks the multi-RHS methods that iterate a whole panel of
 	// right-hand sides through one shared Krylov space; /v1/solve/batch
-	// routes wide shared-operator batches through them automatically.
+	// on one of them runs the batch in panels of up to eight.
 	Block bool `json:"block,omitempty"`
 }
 

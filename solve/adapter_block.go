@@ -1,47 +1,56 @@
 package solve
 
 import (
-	"fmt"
-
 	"vrcg/internal/block"
 	"vrcg/internal/engine"
 )
 
 // blockSolver is the generic engine adapter specialized for the block
 // multi-RHS kernels: besides the ordinary single-RHS Solver surface it
-// offers solvePanel, the entry point Batch routes shared-operator
-// multi-RHS workloads through — one solve iterating every panel column
-// simultaneously, amortizing each SpMV row pass and fusing the s×s
-// inner products into single block reductions.
+// offers solvePanel, which Batch calls for every panel of a batch of a
+// block method — one solve iterating every panel column simultaneously,
+// amortizing each SpMV row pass and fusing the s×s inner products into
+// single block reductions.
 type blockSolver struct {
 	engineSolver
 }
 
-func (s *blockSolver) bk() *block.Kernel { return s.engineSolver.kernel.(*block.Kernel) }
+// blockPanelWidth caps the width of one block solve. The Gram solves
+// cost s³ and very wide blocks slow per-column convergence, so a batch
+// runs as a sequence of panels.
+const blockPanelWidth = 8
 
 // solvePanel solves A x_j = B[j] for every column of the panel in one
-// block solve, filling results[j] and errs[j] per column. A returned
-// error means the block iteration itself failed (breakdown, indefinite
-// operator, validation) before producing per-column outcomes — the
-// caller decides whether to fall back to independent solves.
+// block solve on session s (whose solver is bs), with extra applied
+// after the session's options, filling results[j] and errs[j] per
+// column. A returned error means the block iteration itself failed
+// (breakdown, indefinite operator, validation) before producing
+// per-column outcomes.
 //
-// Per-column semantics: X is cloned out of the kernel workspace;
-// Iterations/Converged/ResidualNorm/TrueResidualNorm are per column.
-// Stats and Syncs are the panel aggregate divided evenly across the
-// columns — block work is genuinely shared, so no exact per-column
-// attribution exists.
-func (s *blockSolver) solvePanel(a Operator, B [][]float64, c *config, results []Result, errs []error) error {
-	if len(B) == 0 {
-		return nil
+// Per-column semantics: X points into the kernel workspace and History
+// (the panel's scaled residual) into the driver's, valid until the
+// session's next solve; Iterations/Converged/ResidualNorm/
+// TrueResidualNorm are per column. Stats and Syncs are the panel
+// aggregate divided evenly across the columns — block work is
+// genuinely shared, so no exact per-column attribution exists.
+func (bs *blockSolver) solvePanel(s *Session, B [][]float64, extra []Option, results []Result, errs []error) error {
+	c, cb := s.cfg, s.cb
+	if len(extra) > 0 {
+		c = newConfig(append(append([]Option(nil), s.opts...), extra...))
+		cb = c.callback(&s.canceled, &s.stopped)
 	}
-	kn := s.bk()
-	var canceled, stopped bool
-	cb := c.callback(&canceled, &stopped)
-	kn.SetExtraRHS(B[1:])
-	if err := s.solve(a, B[0], c, cb); err != nil {
+	if err := c.preflight(bs.name); err != nil {
 		return err
 	}
-	er := &s.er
+	s.canceled, s.stopped = false, false
+	kn := bs.kernel.(*block.Kernel)
+	kn.SetExtraRHS(B[1:])
+	err := bs.solve(s.op, B[0], c, cb)
+	kn.SetExtraRHS(nil) // Init consumes them, but a solve can fail before Init
+	if err != nil {
+		return err
+	}
+	er := &bs.er
 	nc := len(B)
 	stats := er.Stats
 	stats.MatVecs /= nc
@@ -49,56 +58,23 @@ func (s *blockSolver) solvePanel(a Operator, B [][]float64, c *config, results [
 	stats.VectorUpdates /= nc
 	stats.PrecondSolves /= nc
 	stats.Flops /= int64(nc)
-	syncs := s.syncs(er) / nc
+	syncs := bs.syncs(er) / nc
 	for j := range B {
 		results[j] = Result{
-			Method:           s.name,
-			X:                append([]float64(nil), kn.ColumnX(j)...),
+			Method:           bs.name,
+			X:                kn.ColumnX(j),
 			Iterations:       kn.ColumnIterations(j),
 			Converged:        kn.ColumnConverged(j),
 			ResidualNorm:     kn.ColumnResidual(j),
 			TrueResidualNorm: kn.ColumnTrueResidual(j),
+			History:          er.History,
 			Stats:            stats,
 			Syncs:            syncs,
 		}
-		switch {
-		case results[j].Converged:
-			errs[j] = nil
-		case canceled:
-			errs[j] = fmt.Errorf("solve: %s canceled at iteration %d: %w",
-				s.name, results[j].Iterations, c.ctx.Err())
-		default:
-			errs[j] = fmt.Errorf("solve: %s stopped after %d iterations with residual %.3e: %w",
-				s.name, results[j].Iterations, results[j].ResidualNorm, ErrNotConverged)
-		}
+		_, errs[j] = finish(c, &results[j], nil, s.canceled, s.stopped)
 	}
 	return nil
 }
-
-// blockTwin maps a single-RHS method to the block method Batch may
-// route its shared-operator multi-RHS workloads through.
-var blockTwin = map[string]string{
-	"cg":      "blockcg",
-	"cgfused": "blockcg",
-	"pcg":     "blockpcg",
-}
-
-const (
-	// blockRouteThreshold is the batch size at which Batch prefers the
-	// block twin over independent fan-out: below it the block Gram
-	// overhead outweighs the amortized SpMV.
-	blockRouteThreshold = 4
-	// blockRoutePoolWorkers is the minimum pool width for the block
-	// route. The block method wins by collapsing O(width) reduction
-	// barriers per iteration into O(1); with fewer workers than this
-	// there are no barriers to save and the measured serial trade is a
-	// loss (see Batch).
-	blockRoutePoolWorkers = 2
-	// blockPanelWidth caps the width of one block solve. The Gram
-	// solves cost s³ and very wide blocks slow per-column convergence,
-	// so large batches run as a sequence of panels.
-	blockPanelWidth = 8
-)
 
 func init() {
 	// Each block iteration blocks on three fused reductions — the

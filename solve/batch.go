@@ -13,13 +13,19 @@ import (
 )
 
 // Batch solves A x = b_i for every right-hand side in B against the
-// session's prepared operator, fanning the solves out across worker
-// goroutines: each worker forks the session once (its own solver and
-// reusable workspace) and takes right-hand sides round-robin, so a
-// batch of any size costs a fixed number of workspaces. Results come
-// back aggregated, in input order, each owning what it reports: X,
-// History, Drift, Phases, Clocks and Machine are copied out of the
-// worker's session.
+// session's prepared operator with the session's own method, fanning
+// the solves out across worker goroutines: each worker forks the
+// session once (its own solver and reusable workspace) and takes units
+// of work round-robin, so a batch of any size costs a fixed number of
+// workspaces. A unit is one right-hand side, or for a block method
+// (Caps.Block: blockcg, blockpcg) a panel of up to eight consecutive
+// ones iterated through one shared Krylov space; a panel whose block
+// iteration fails (a breakdown, an indefinite operator) is solved
+// again one column at a time by the same method. Results come back
+// aggregated, in input order, each owning what it reports: X, History,
+// Drift, Phases, Clocks and Machine are copied out of the worker's
+// session. The columns of one panel report the panel's residual
+// History and share its Stats and Syncs, divided evenly among them.
 //
 // Per-RHS failures do not stop the batch: the returned error joins
 // every failure wrapped as an *RHSError carrying its index, and
@@ -30,7 +36,7 @@ import (
 // worker at its next iteration; right-hand sides never started report
 // the context error.
 //
-// The worker count defaults to min(len(B), GOMAXPROCS) and can be
+// The worker count defaults to min(units, GOMAXPROCS) and can be
 // pinned with WithBatchWorkers. Extra options apply to every solve in
 // the batch. Option values holding state are shared across workers:
 // in particular a WithPreconditioner instance whose Apply mutates
@@ -51,51 +57,34 @@ func Batch(s *Session, B [][]float64, extra ...Option) ([]Result, error) {
 	}
 	baseOpts := append(append([]Option(nil), s.opts...), extra...)
 	cfg := newConfig(baseOpts)
-	if results, err, handled := s.blockRoute(B, cfg, extra); handled {
-		return results, err
-	}
-	nw := batchWidth(cfg, len(B))
+	width := s.panelWidth()
+	nw := batchWidth(cfg, len(B), width)
 	var br batchRun
-	return br.fanOut(B, nw, cfg.ctx, func(int) (*Session, func(), error) {
+	return br.fanOut(B, width, nw, cfg.ctx, func(int) (*Session, func(), error) {
 		workerOpts, wp := workerOptions(cfg, baseOpts, nw)
 		sess, err := NewSession(s.method, s.op, workerOpts...)
 		return sess, wp.Close, err
 	}, nil)
 }
 
-// blockRoute sends a shared-operator batch of a blockable method
-// through its block twin: one solve iterates a whole panel of
-// right-hand sides, amortizing every SpMV row pass and fusing the
-// per-column inner products into single block reductions. cfg is the
-// session's options with extra applied. The route is gated on a
-// multi-worker pool because that is the regime the block method is
-// for: a block iteration costs a fixed number of kernel dispatches
-// (reduction barriers) regardless of width, where independent solves
-// pay O(width) of them per iteration. On serial kernels the trade
-// reverses — the block's O(width²·n) Gram and update flops lose to
-// warm independent solves at every width and size measured
-// (BenchmarkBatchBlockVsIndependent: ~1.6-2.2x slower at widths 2-8,
-// n 256-9216), so batches without a pooled backend stay on the
-// generic fan-out. History recording and monitors also stay on the
-// independent path — their per-RHS semantics have no block
-// equivalent. The third return is false when the batch is not routed.
-func (s *Session) blockRoute(B [][]float64, cfg *config, extra []Option) ([]Result, error, bool) {
-	tw, ok := blockTwin[s.method]
-	if !ok || len(B) < blockRouteThreshold || cfg.pool == nil ||
-		cfg.pool.Workers() < blockRoutePoolWorkers || cfg.history || cfg.monitor != nil {
-		return nil, nil, false
+// panelWidth is the number of right-hand sides one unit of a batch on s
+// carries: a panel for a block method, one otherwise.
+func (s *Session) panelWidth() int {
+	if _, ok := s.solver.(*blockSolver); ok {
+		return blockPanelWidth
 	}
-	return blockBatch(s, tw, B, append(append([]Option(nil), s.opts...), extra...), cfg)
+	return 1
 }
 
-// batchWidth is the number of workers a batch of n right-hand sides
-// (or panels) fans out to: WithBatchWorkers, else GOMAXPROCS, at most n.
-func batchWidth(cfg *config, n int) int {
+// batchWidth is the number of workers a batch of n right-hand sides in
+// units of width fans out to: WithBatchWorkers, else GOMAXPROCS, at
+// most the number of units.
+func batchWidth(cfg *config, n, width int) int {
 	nw := cfg.batchWorkers
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-	return min(nw, n)
+	return min(nw, (n+width-1)/width)
 }
 
 // batchRun is the outcome of one per-right-hand-side fan-out and the
@@ -145,11 +134,12 @@ func (o *owned) adopt(res *Result) {
 	}
 }
 
-// fanOut solves B round-robin across nw workers, worker 0 on the
-// calling goroutine. open returns worker w's session and what ends the
-// worker's use of it (nil: nothing); every solve passes extra. When ctx
-// is canceled, right-hand sides not yet started report its error.
-func (br *batchRun) fanOut(B [][]float64, nw int, ctx context.Context, open func(w int) (*Session, func(), error), extra []Option) ([]Result, error) {
+// fanOut solves B in units of width consecutive right-hand sides,
+// round-robin across nw workers, worker 0 on the calling goroutine.
+// open returns worker w's session and what ends the worker's use of it
+// (nil: nothing); every solve passes extra. When ctx is canceled,
+// right-hand sides not yet started report its error.
+func (br *batchRun) fanOut(B [][]float64, width, nw int, ctx context.Context, open func(w int) (*Session, func(), error), extra []Option) ([]Result, error) {
 	n := len(B)
 	br.results = slices.Grow(br.results[:0], n)[:n]
 	br.errs = slices.Grow(br.errs[:0], n)[:n]
@@ -161,20 +151,18 @@ func (br *batchRun) fanOut(B [][]float64, nw int, ctx context.Context, open func
 		if done != nil {
 			defer done()
 		}
-		for i := w; i < n; i += nw {
-			if err != nil {
-				br.errs[i] = err
+		for lo := w * width; lo < n; lo += nw * width {
+			hi := min(lo+width, n)
+			unitErr := err
+			if unitErr == nil && ctx != nil && ctx.Err() != nil {
+				unitErr = fmt.Errorf("solve: batch rhs not started: %w", ctx.Err())
+			}
+			if unitErr == nil {
+				sess.solveUnit(B[lo:hi], extra, br.results[lo:hi], br.errs[lo:hi], br.own[lo:hi])
 				continue
 			}
-			if ctx != nil && ctx.Err() != nil {
-				br.errs[i] = fmt.Errorf("solve: batch rhs not started: %w", ctx.Err())
-				continue
-			}
-			res, err := sess.Solve(B[i], extra...)
-			br.errs[i] = err
-			if res != nil {
-				br.results[i] = *res
-				br.own[i].adopt(&br.results[i])
+			for i := lo; i < hi; i++ {
+				br.errs[i] = unitErr
 			}
 		}
 	}
@@ -191,6 +179,29 @@ func (br *batchRun) fanOut(B [][]float64, nw int, ctx context.Context, open func
 	return br.results, joinRHSErrors(br.errs)
 }
 
+// solveUnit solves one unit of a batch — a panel of a block method, or
+// a single right-hand side — into results and errs, copying what each
+// result reports into own. A panel whose block iteration fails is
+// solved again one column at a time on s.
+func (s *Session) solveUnit(B [][]float64, extra []Option, results []Result, errs []error, own []owned) {
+	if bs, ok := s.solver.(*blockSolver); ok && len(B) > 1 {
+		if bs.solvePanel(s, B, extra, results, errs) == nil {
+			for j := range B {
+				own[j].adopt(&results[j])
+			}
+			return
+		}
+	}
+	for j, b := range B {
+		res, err := s.Solve(b, extra...)
+		errs[j] = err
+		if res != nil {
+			results[j] = *res
+			own[j].adopt(&results[j])
+		}
+	}
+}
+
 // joinRHSErrors joins every failure in errs, wrapped as an *RHSError
 // carrying its index; nil when there is none.
 func joinRHSErrors(errs []error) error {
@@ -203,98 +214,6 @@ func joinRHSErrors(errs []error) error {
 	return errors.Join(joined...)
 }
 
-// blockBatch routes a shared-operator batch through the block twin of
-// the session's method: the batch is cut into panels of at most
-// blockPanelWidth columns, each panel solved by one block solve, and
-// panels fan out across the batch workers exactly like the generic
-// path (round-robin, per-worker forked pools). The third return
-// reports whether the route handled the batch at all — false sends the
-// caller to the generic per-RHS fan-out.
-//
-// A panel whose block iteration fails structurally (Gram breakdown,
-// indefinite operator) degrades to independent single-RHS solves of
-// the session's original method, so the block route never turns a
-// solvable batch into an error the generic path would not produce.
-func blockBatch(s *Session, twin string, B [][]float64, baseOpts []Option, cfg *config) ([]Result, error, bool) {
-	if sol, err := New(twin); err != nil {
-		return nil, nil, false
-	} else if _, ok := sol.(*blockSolver); !ok {
-		return nil, nil, false
-	}
-	if err := cfg.preflight(twin); err != nil {
-		return nil, nil, false
-	}
-
-	npanels := (len(B) + blockPanelWidth - 1) / blockPanelWidth
-	nw := batchWidth(cfg, npanels)
-
-	results := make([]Result, len(B))
-	errs := make([]error, len(B))
-
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wcfg := cfg
-			workerOpts, wp := workerOptions(cfg, baseOpts, nw)
-			defer wp.Close()
-			if wp != nil {
-				wcfg = newConfig(workerOpts)
-			}
-			sol, err := New(twin)
-			if err != nil {
-				for pi := w; pi < npanels; pi += nw {
-					lo, hi := panelBounds(pi, len(B))
-					for i := lo; i < hi; i++ {
-						errs[i] = err
-					}
-				}
-				return
-			}
-			bs := sol.(*blockSolver)
-			var fallback *Session
-			for pi := w; pi < npanels; pi += nw {
-				lo, hi := panelBounds(pi, len(B))
-				if wcfg.ctx != nil && wcfg.ctx.Err() != nil {
-					for i := lo; i < hi; i++ {
-						errs[i] = fmt.Errorf("solve: batch rhs not started: %w", wcfg.ctx.Err())
-					}
-					continue
-				}
-				if err := bs.solvePanel(s.op, B[lo:hi], wcfg, results[lo:hi], errs[lo:hi]); err == nil {
-					continue
-				}
-				// The block iteration failed before producing per-column
-				// outcomes; solve this panel's columns independently with
-				// the session's own method instead.
-				if fallback == nil {
-					fs, err := NewSession(s.method, s.op, workerOpts...)
-					if err != nil {
-						for i := lo; i < hi; i++ {
-							errs[i] = err
-						}
-						continue
-					}
-					fallback = fs
-				}
-				for i := lo; i < hi; i++ {
-					res, err := fallback.Solve(B[i])
-					if err != nil {
-						errs[i] = err
-					}
-					if res != nil {
-						results[i] = *res
-						new(owned).adopt(&results[i])
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return results, joinRHSErrors(errs), true
-}
-
 // workerOptions returns the options one of nw batch workers solves with:
 // baseOpts, plus — when the session has a pool and the batch more than
 // one worker — a fork of that pool with its share of the workers, which
@@ -305,17 +224,6 @@ func workerOptions(cfg *config, baseOpts []Option, nw int) ([]Option, *sparse.Po
 	}
 	wp := cfg.pool.Fork(max(cfg.pool.Workers()/nw, 1))
 	return append(append([]Option(nil), baseOpts...), WithPool(wp)), wp
-}
-
-// panelBounds returns the half-open column range of panel pi in a
-// batch of n right-hand sides.
-func panelBounds(pi, n int) (lo, hi int) {
-	lo = pi * blockPanelWidth
-	hi = lo + blockPanelWidth
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
 }
 
 // RHSError tags one right-hand side's failure with its index in B, so

@@ -18,38 +18,6 @@ func blockRoutePool(t *testing.T) *sparse.Pool {
 	return p
 }
 
-// TestBatchRoutesThroughBlockTwin: a shared-operator cg batch at or
-// above the routing threshold, on a multi-worker pool, comes back
-// solved by blockcg (visible in Result.Method), every column accurate
-// against an independent solve.
-func TestBatchRoutesThroughBlockTwin(t *testing.T) {
-	a := sparse.Poisson2D(12)
-	B := rhsSet(a.Dim(), 9) // two panels: 8 + 1
-	sess, err := solve.NewSession("cg", a, solve.WithTol(1e-11), solve.WithPool(blockRoutePool(t)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := sess.SolveMany(B)
-	if err != nil {
-		t.Fatalf("batch: %v", err)
-	}
-	for i, res := range results {
-		if res.Method != "blockcg" {
-			t.Fatalf("rhs %d solved by %q, want the blockcg route", i, res.Method)
-		}
-		if !res.Converged {
-			t.Fatalf("rhs %d not converged", i)
-		}
-		lone, err := solve.MustNew("cg").Solve(a, B[i], solve.WithTol(1e-11))
-		if err != nil {
-			t.Fatalf("lone rhs %d: %v", i, err)
-		}
-		if d := maxAbsDiff(res.X, lone.X); d > 1e-9 {
-			t.Fatalf("rhs %d: block route differs from lone solve by %g", i, d)
-		}
-	}
-}
-
 // TestBatchBlockRouteSkips: the block route stays out of the way below
 // the width threshold, whenever per-RHS semantics are requested
 // (history recording has no block equivalent), and on serial kernels,

@@ -24,8 +24,8 @@ type Caps struct {
 	// the operator must provide transpose products.
 	Rectangular bool
 	// Block: the method iterates multiple right-hand sides through one
-	// shared Krylov space per solve (blockcg, blockpcg); Batch routes
-	// shared-operator multi-RHS workloads through these methods.
+	// shared Krylov space per solve (blockcg, blockpcg); a Batch of such
+	// a method runs in panels of up to eight right-hand sides.
 	Block bool
 	// Sharded: every reduction the method's kernel performs goes
 	// through the engine workspace, so the kernel runs unchanged on one

@@ -353,9 +353,8 @@ func TestBatchWithPoolMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Batch: %v", err)
 	}
-	// Six right-hand sides route through the blockcg twin — same
-	// tolerance, different Krylov sequence — so parity is at solution
-	// accuracy rather than bitwise.
+	// Every right-hand side is solved by cg on a forked pool, whose
+	// kernels are bitwise those of the lone pooled solve.
 	for i := range results {
 		if d := maxAbsDiff(results[i].X, want[i]); d > 1e-9 {
 			t.Fatalf("rhs %d: pooled batch differs from pooled solve by %g", i, d)

@@ -183,10 +183,8 @@ func (ps *PooledSession) SolveMany(B [][]float64, extra ...Option) ([]Result, er
 			ps.perSolveOpts = append(ps.perSolveOpts, o)
 		}
 	}
-	if results, err, handled := s.blockRoute(B, &ps.cfg, extra); handled {
-		return results, err
-	}
-	return ps.batch.fanOut(B, batchWidth(&ps.cfg, len(B)), ps.cfg.ctx, ps.worker, ps.perSolveOpts)
+	width := s.panelWidth()
+	return ps.batch.fanOut(B, width, batchWidth(&ps.cfg, len(B), width), ps.cfg.ctx, ps.worker, ps.perSolveOpts)
 }
 
 // worker is SolveMany's source of worker sessions: worker 0 is ps,
