@@ -96,7 +96,8 @@ kernel-allocs:
 # counts are deterministic: a binary solve, a JSON solve, a JSON
 # sequence step, a 16-rhs binary batch (which allocates nothing per
 # right-hand side) unpooled and on a 2-worker engine pool — and of the
-# step body's decode on its own, which allocates nothing. The CI bench-smoke job runs this target.
+# step body's decode on its own, which allocates nothing. The CI
+# bench-smoke job runs this target.
 server-allocs:
 	@out=$$($(GO) test -run '^$$' -bench '^(BenchmarkServeSolveWarm|BenchmarkServeSolveWarmBinary|BenchmarkServeSequenceStep|BenchmarkDecodeStepJSON|BenchmarkServeBatch|BenchmarkServeBatchEnginePool)$$' -benchtime=200x -benchmem -cpu 1 ./server) || { echo "$$out"; exit 1; }; \
 	echo "$$out"; \

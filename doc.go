@@ -115,8 +115,8 @@
 // Session/Batch behavior by method family:
 //
 //	method family        warm Session.Solve   Batch fan-out
-//	engine-backed (13)   0 allocs/op          forked per-worker workspaces, one rhs a unit
-//	blockcg, blockpcg    0 allocs/op          forked per-worker workspaces, panels of ≤ 8 rhs
+//	engine-backed (13)   0 allocs/op          forked per-worker workspaces, one rhs at a time
+//	blockcg, blockpcg    0 allocs/op          the same; each rhs a width-one block
 //
 // The execution layers underneath:
 //

@@ -101,50 +101,39 @@ func (kn *Kernel) ColumnResidual(j int) float64 { return kn.rn[j] }
 // ColumnTrueResidual returns ||b_j - A x_j|| computed at exit.
 func (kn *Kernel) ColumnTrueResidual(j int) float64 { return kn.truern[j] }
 
-// size fits the width-keyed scratch to block width s. It reallocates
-// only past the widest block seen, so a session whose solves alternate
-// widths (a batch's panels of 8 and 1) stays allocation-free; Init and
-// the step write every element they read.
+// size rebuilds the width-keyed scratch when the block width changes.
 func (kn *Kernel) size(s int) {
 	if kn.s == s {
 		return
 	}
 	kn.s = s
-	kn.bs = fit(kn.bs, s)
-	kn.x = fit(kn.x, s)
-	kn.r = fit(kn.r, s)
-	kn.p = fit(kn.p, s)
-	kn.q = fit(kn.q, s)
-	kn.z = fit(kn.z, s)
-	kn.xa = fit(kn.xa, s)[:0]
-	kn.ra = fit(kn.ra, s)[:0]
-	kn.pa = fit(kn.pa, s)[:0]
-	kn.qa = fit(kn.qa, s)[:0]
-	kn.za = fit(kn.za, s)[:0]
-	kn.act = fit(kn.act, s)[:0]
-	kn.keep = fit(kn.keep, s)[:0]
-	kn.bn = fit(kn.bn, s)
-	kn.rn = fit(kn.rn, s)
-	kn.truern = fit(kn.truern, s)
-	kn.conv = fit(kn.conv, s)
-	kn.iters = fit(kn.iters, s)
-	kn.srz = fit(kn.srz, s*s)
-	kn.srzNew = fit(kn.srzNew, s*s)
-	kn.spq = fit(kn.spq, s*s)
-	kn.lam = fit(kn.lam, s*s)
-	kn.neg = fit(kn.neg, s*s)
-	kn.beta = fit(kn.beta, s*s)
-	kn.fac = fit(kn.fac, s*s)
-	kn.perm = fit(kn.perm, s)
-	kn.ysol = fit(kn.ysol, s)
-}
-
-// fit returns v resliced to length n, or a new slice when v is shorter.
-func fit[T any](v []T, n int) []T {
-	if cap(v) < n {
-		return make([]T, n)
-	}
-	return v[:n]
+	kn.bs = make([]vec.Vector, s)
+	kn.x = make([]vec.Vector, s)
+	kn.r = make([]vec.Vector, s)
+	kn.p = make([]vec.Vector, s)
+	kn.q = make([]vec.Vector, s)
+	kn.z = make([]vec.Vector, s)
+	kn.xa = make([]vec.Vector, 0, s)
+	kn.ra = make([]vec.Vector, 0, s)
+	kn.pa = make([]vec.Vector, 0, s)
+	kn.qa = make([]vec.Vector, 0, s)
+	kn.za = make([]vec.Vector, 0, s)
+	kn.act = make([]int, 0, s)
+	kn.keep = make([]int, 0, s)
+	kn.bn = make([]float64, s)
+	kn.rn = make([]float64, s)
+	kn.truern = make([]float64, s)
+	kn.conv = make([]bool, s)
+	kn.iters = make([]int, s)
+	kn.srz = make([]float64, s*s)
+	kn.srzNew = make([]float64, s*s)
+	kn.spq = make([]float64, s*s)
+	kn.lam = make([]float64, s*s)
+	kn.neg = make([]float64, s*s)
+	kn.beta = make([]float64, s*s)
+	kn.fac = make([]float64, s*s)
+	kn.perm = make([]int, s)
+	kn.ysol = make([]float64, s)
 }
 
 // views rebuilds the active-column views from act.

@@ -118,9 +118,9 @@ type MethodInfo struct {
 	// accept rectangular ones. Both false means square SPD only.
 	Nonsymmetric bool `json:"nonsymmetric,omitempty"`
 	Rectangular  bool `json:"rectangular,omitempty"`
-	// Block marks the multi-RHS methods that iterate a whole panel of
-	// right-hand sides through one shared Krylov space; /v1/solve/batch
-	// on one of them runs the batch in panels of up to eight.
+	// Block marks the block-CG methods, whose kernel can iterate several
+	// right-hand sides through one shared Krylov space; a solve or
+	// /v1/solve/batch runs each right-hand side as a width-one block.
 	Block bool `json:"block,omitempty"`
 }
 

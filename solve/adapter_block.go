@@ -5,77 +5,11 @@ import (
 	"vrcg/internal/engine"
 )
 
-// blockSolver is the generic engine adapter specialized for the block
-// multi-RHS kernels: besides the ordinary single-RHS Solver surface it
-// offers solvePanel, which Batch calls for every panel of a batch of a
-// block method — one solve iterating every panel column simultaneously,
-// amortizing each SpMV row pass and fusing the s×s inner products into
-// single block reductions.
-type blockSolver struct {
-	engineSolver
-}
-
-// blockPanelWidth caps the width of one block solve. The Gram solves
-// cost s³ and very wide blocks slow per-column convergence, so a batch
-// runs as a sequence of panels.
-const blockPanelWidth = 8
-
-// solvePanel solves A x_j = B[j] for every column of the panel in one
-// block solve on session s (whose solver is bs), with extra applied
-// after the session's options, filling results[j] and errs[j] per
-// column. A returned error means the block iteration itself failed
-// (breakdown, indefinite operator, validation) before producing
-// per-column outcomes.
-//
-// Per-column semantics: X points into the kernel workspace and History
-// (the panel's scaled residual) into the driver's, valid until the
-// session's next solve; Iterations/Converged/ResidualNorm/
-// TrueResidualNorm are per column. Stats and Syncs are the panel
-// aggregate divided evenly across the columns — block work is
-// genuinely shared, so no exact per-column attribution exists.
-func (bs *blockSolver) solvePanel(s *Session, B [][]float64, extra []Option, results []Result, errs []error) error {
-	c, cb := s.cfg, s.cb
-	if len(extra) > 0 {
-		c = newConfig(append(append([]Option(nil), s.opts...), extra...))
-		cb = c.callback(&s.canceled, &s.stopped)
-	}
-	if err := c.preflight(bs.name); err != nil {
-		return err
-	}
-	s.canceled, s.stopped = false, false
-	kn := bs.kernel.(*block.Kernel)
-	kn.SetExtraRHS(B[1:])
-	err := bs.solve(s.op, B[0], c, cb)
-	kn.SetExtraRHS(nil) // Init consumes them, but a solve can fail before Init
-	if err != nil {
-		return err
-	}
-	er := &bs.er
-	nc := len(B)
-	stats := er.Stats
-	stats.MatVecs /= nc
-	stats.InnerProducts /= nc
-	stats.VectorUpdates /= nc
-	stats.PrecondSolves /= nc
-	stats.Flops /= int64(nc)
-	syncs := bs.syncs(er) / nc
-	for j := range B {
-		results[j] = Result{
-			Method:           bs.name,
-			X:                kn.ColumnX(j),
-			Iterations:       kn.ColumnIterations(j),
-			Converged:        kn.ColumnConverged(j),
-			ResidualNorm:     kn.ColumnResidual(j),
-			TrueResidualNorm: kn.ColumnTrueResidual(j),
-			History:          er.History,
-			Stats:            stats,
-			Syncs:            syncs,
-		}
-		_, errs[j] = finish(c, &results[j], nil, s.canceled, s.stopped)
-	}
-	return nil
-}
-
+// The block kernels iterate s right-hand sides through one shared
+// Krylov space (internal/block). A solve hands them one right-hand
+// side, so through this package every solve, and every right-hand side
+// of a Batch, is a width-one block; the multi-column iteration is
+// reached only through the kernel itself.
 func init() {
 	// Each block iteration blocks on three fused reductions — the
 	// curvature Gram, the per-column norms, and the (Z,R) Gram —
@@ -84,12 +18,12 @@ func init() {
 	syncs := func(er *engine.Result) int { return 3*er.Iterations + 2 }
 	caps := Caps{Block: true}
 
-	RegisterCaps("blockcg", "block CG: iterates s right-hand sides through one shared Krylov space (O'Leary), workspace-backed",
+	RegisterCaps("blockcg", "block CG (O'Leary) run one right-hand side at a time: a width-one block, workspace-backed",
 		caps, func() Solver {
-			return &blockSolver{engineSolver{name: "blockcg", kernel: block.NewCGKernel(), syncs: syncs}}
+			return &engineSolver{name: "blockcg", kernel: block.NewCGKernel(), syncs: syncs}
 		})
-	RegisterCaps("blockpcg", "block preconditioned CG over s right-hand sides (WithPreconditioner; identity default), workspace-backed",
+	RegisterCaps("blockpcg", "block preconditioned CG run one right-hand side at a time (WithPreconditioner; identity default), workspace-backed",
 		caps, func() Solver {
-			return &blockSolver{engineSolver{name: "blockpcg", kernel: block.NewPCGKernel(), syncs: syncs}}
+			return &engineSolver{name: "blockpcg", kernel: block.NewPCGKernel(), syncs: syncs}
 		})
 }

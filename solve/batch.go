@@ -15,17 +15,13 @@ import (
 // Batch solves A x = b_i for every right-hand side in B against the
 // session's prepared operator with the session's own method, fanning
 // the solves out across worker goroutines: each worker forks the
-// session once (its own solver and reusable workspace) and takes units
-// of work round-robin, so a batch of any size costs a fixed number of
-// workspaces. A unit is one right-hand side, or for a block method
-// (Caps.Block: blockcg, blockpcg) a panel of up to eight consecutive
-// ones iterated through one shared Krylov space; a panel whose block
-// iteration fails (a breakdown, an indefinite operator) is solved
-// again one column at a time by the same method. Results come back
-// aggregated, in input order, each owning what it reports: X, History,
-// Drift, Phases, Clocks and Machine are copied out of the worker's
-// session. The columns of one panel report the panel's residual
-// History and share its Stats and Syncs, divided evenly among them.
+// session once (its own solver and reusable workspace) and takes
+// right-hand sides round-robin, so a batch of any size costs a fixed
+// number of workspaces. A block method (Caps.Block: blockcg, blockpcg)
+// is no exception: each right-hand side is its own width-one block
+// solve. Results come back aggregated, in input order, each owning
+// what it reports: X, History, Drift, Phases, Clocks and Machine are
+// copied out of the worker's session.
 //
 // Per-RHS failures do not stop the batch: the returned error joins
 // every failure wrapped as an *RHSError carrying its index, and
@@ -36,7 +32,7 @@ import (
 // worker at its next iteration; right-hand sides never started report
 // the context error.
 //
-// The worker count defaults to min(units, GOMAXPROCS) and can be
+// The worker count defaults to min(len(B), GOMAXPROCS) and can be
 // pinned with WithBatchWorkers. Extra options apply to every solve in
 // the batch. Option values holding state are shared across workers:
 // in particular a WithPreconditioner instance whose Apply mutates
@@ -57,34 +53,23 @@ func Batch(s *Session, B [][]float64, extra ...Option) ([]Result, error) {
 	}
 	baseOpts := append(append([]Option(nil), s.opts...), extra...)
 	cfg := newConfig(baseOpts)
-	width := s.panelWidth()
-	nw := batchWidth(cfg, len(B), width)
+	nw := batchWidth(cfg, len(B))
 	var br batchRun
-	return br.fanOut(B, width, nw, cfg.ctx, func(int) (*Session, func(), error) {
+	return br.fanOut(B, nw, cfg.ctx, func(int) (*Session, func(), error) {
 		workerOpts, wp := workerOptions(cfg, baseOpts, nw)
 		sess, err := NewSession(s.method, s.op, workerOpts...)
 		return sess, wp.Close, err
 	}, nil)
 }
 
-// panelWidth is the number of right-hand sides one unit of a batch on s
-// carries: a panel for a block method, one otherwise.
-func (s *Session) panelWidth() int {
-	if _, ok := s.solver.(*blockSolver); ok {
-		return blockPanelWidth
-	}
-	return 1
-}
-
-// batchWidth is the number of workers a batch of n right-hand sides in
-// units of width fans out to: WithBatchWorkers, else GOMAXPROCS, at
-// most the number of units.
-func batchWidth(cfg *config, n, width int) int {
+// batchWidth is the number of workers a batch of n right-hand sides
+// fans out to: WithBatchWorkers, else GOMAXPROCS, at most n.
+func batchWidth(cfg *config, n int) int {
 	nw := cfg.batchWorkers
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-	return min(nw, (n+width-1)/width)
+	return min(nw, n)
 }
 
 // batchRun is the outcome of one per-right-hand-side fan-out and the
@@ -134,12 +119,11 @@ func (o *owned) adopt(res *Result) {
 	}
 }
 
-// fanOut solves B in units of width consecutive right-hand sides,
-// round-robin across nw workers, worker 0 on the calling goroutine.
-// open returns worker w's session and what ends the worker's use of it
-// (nil: nothing); every solve passes extra. When ctx is canceled,
-// right-hand sides not yet started report its error.
-func (br *batchRun) fanOut(B [][]float64, width, nw int, ctx context.Context, open func(w int) (*Session, func(), error), extra []Option) ([]Result, error) {
+// fanOut solves B round-robin across nw workers, worker 0 on the
+// calling goroutine. open returns worker w's session and what ends the
+// worker's use of it (nil: nothing); every solve passes extra. When ctx
+// is canceled, right-hand sides not yet started report its error.
+func (br *batchRun) fanOut(B [][]float64, nw int, ctx context.Context, open func(w int) (*Session, func(), error), extra []Option) ([]Result, error) {
 	n := len(B)
 	br.results = slices.Grow(br.results[:0], n)[:n]
 	br.errs = slices.Grow(br.errs[:0], n)[:n]
@@ -151,18 +135,20 @@ func (br *batchRun) fanOut(B [][]float64, width, nw int, ctx context.Context, op
 		if done != nil {
 			defer done()
 		}
-		for lo := w * width; lo < n; lo += nw * width {
-			hi := min(lo+width, n)
-			unitErr := err
-			if unitErr == nil && ctx != nil && ctx.Err() != nil {
-				unitErr = fmt.Errorf("solve: batch rhs not started: %w", ctx.Err())
-			}
-			if unitErr == nil {
-				sess.solveUnit(B[lo:hi], extra, br.results[lo:hi], br.errs[lo:hi], br.own[lo:hi])
+		for i := w; i < n; i += nw {
+			if err != nil {
+				br.errs[i] = err
 				continue
 			}
-			for i := lo; i < hi; i++ {
-				br.errs[i] = unitErr
+			if ctx != nil && ctx.Err() != nil {
+				br.errs[i] = fmt.Errorf("solve: batch rhs not started: %w", ctx.Err())
+				continue
+			}
+			res, err := sess.Solve(B[i], extra...)
+			br.errs[i] = err
+			if res != nil {
+				br.results[i] = *res
+				br.own[i].adopt(&br.results[i])
 			}
 		}
 	}
@@ -177,29 +163,6 @@ func (br *batchRun) fanOut(B [][]float64, width, nw int, ctx context.Context, op
 	work(0)
 	wg.Wait()
 	return br.results, joinRHSErrors(br.errs)
-}
-
-// solveUnit solves one unit of a batch — a panel of a block method, or
-// a single right-hand side — into results and errs, copying what each
-// result reports into own. A panel whose block iteration fails is
-// solved again one column at a time on s.
-func (s *Session) solveUnit(B [][]float64, extra []Option, results []Result, errs []error, own []owned) {
-	if bs, ok := s.solver.(*blockSolver); ok && len(B) > 1 {
-		if bs.solvePanel(s, B, extra, results, errs) == nil {
-			for j := range B {
-				own[j].adopt(&results[j])
-			}
-			return
-		}
-	}
-	for j, b := range B {
-		res, err := s.Solve(b, extra...)
-		errs[j] = err
-		if res != nil {
-			results[j] = *res
-			own[j].adopt(&results[j])
-		}
-	}
 }
 
 // joinRHSErrors joins every failure in errs, wrapped as an *RHSError

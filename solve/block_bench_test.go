@@ -28,14 +28,11 @@ func benchRHSBlock(n, nrhs int) [][]float64 {
 }
 
 // BenchmarkBatchBlockVsIndependent is the choice a caller with eight
-// right-hand sides makes by naming the method: one blockcg batch (a
-// panel of eight iterated through one shared Krylov space) against one
-// cg batch (eight independent solves fanned out across the batch
-// workers), both on sessions sharing one 2-worker pool. The block
-// iteration trades O(width·n) extra vector flops per column for one
-// reduction barrier per Gram instead of one per column; which side
-// wins depends on the machine and the operator, so the benchmark
-// reports both rather than the code choosing for the caller.
+// right-hand sides makes by naming the method: a blockcg batch against
+// a cg batch, both on sessions sharing one 2-worker pool. Both fan the
+// eight solves out across the batch workers; each blockcg right-hand
+// side is a width-one block solve, so the difference is what the block
+// kernel's bookkeeping costs a column that shares no Krylov space.
 func BenchmarkBatchBlockVsIndependent(b *testing.B) {
 	for _, grid := range []int{16, 48, 96} {
 		a := sparse.Poisson2D(grid)

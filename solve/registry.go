@@ -23,9 +23,10 @@ type Caps struct {
 	// the least-squares problem min ||b - A x|| (cgnr, lsqr). Implies
 	// the operator must provide transpose products.
 	Rectangular bool
-	// Block: the method iterates multiple right-hand sides through one
-	// shared Krylov space per solve (blockcg, blockpcg); a Batch of such
-	// a method runs in panels of up to eight right-hand sides.
+	// Block: the method's kernel can iterate several right-hand sides
+	// through one shared Krylov space (blockcg, blockpcg). A solve hands
+	// it one, so every solve, and every right-hand side of a Batch, is a
+	// width-one block.
 	Block bool
 	// Sharded: every reduction the method's kernel performs goes
 	// through the engine workspace, so the kernel runs unchanged on one

@@ -183,8 +183,7 @@ func (ps *PooledSession) SolveMany(B [][]float64, extra ...Option) ([]Result, er
 			ps.perSolveOpts = append(ps.perSolveOpts, o)
 		}
 	}
-	width := s.panelWidth()
-	return ps.batch.fanOut(B, width, batchWidth(&ps.cfg, len(B), width), ps.cfg.ctx, ps.worker, ps.perSolveOpts)
+	return ps.batch.fanOut(B, batchWidth(&ps.cfg, len(B)), ps.cfg.ctx, ps.worker, ps.perSolveOpts)
 }
 
 // worker is SolveMany's source of worker sessions: worker 0 is ps,
