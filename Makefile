@@ -34,7 +34,7 @@ CLUSTERPAT ?= BenchmarkClusterSolve|BenchmarkClusterReduction
 CLUSTEROUT ?= BENCH_cluster.json
 SERVEADDR  ?= :8080
 
-.PHONY: all build test vet fmt check lint kernel-allocs server-allocs bench bench-raw bins serve docs-check loc clean
+.PHONY: all build test vet fmt check lint kernel-allocs server-allocs fuzz-list bench bench-raw bins serve docs-check loc clean
 
 all: build test
 
@@ -107,6 +107,19 @@ server-allocs:
 			if ($$(i) == "allocs/op" && $$(i-1)+0 > max[$$1]) { print $$1 ": " $$(i-1) " allocs/op exceeds the budget of " max[$$1]; bad = 1 } \
 			if ($$(i) == "B/op" && ($$1 in maxB) && $$(i-1)+0 > maxB[$$1]) { print $$1 ": " $$(i-1) " B/op exceeds the budget of " maxB[$$1]; bad = 1 } } } \
 		END { if (seen != 6) { print "expected 6 benchmark rows, saw " seen+0; bad = 1 }; exit bad }'
+
+# The CI fuzz smoke's -fuzz lines, as (package, target) pairs, are the
+# tree's func Fuzz… set: `go test -fuzz` on a package without the target
+# prints PASS, so a stale line would fuzz nothing and stay green, and a
+# target with no line would never be fuzzed. The CI verification-tier
+# job runs this target.
+fuzz-list:
+	@ci=$$(sed -n "s|.*-fuzz '^\(Fuzz[A-Za-z0-9_]*\)\$$' .* \(\./[^ ]*\)$$|\2 \1|p" .github/workflows/ci.yml | sort); \
+	tree=$$(grep -rHoE '^func Fuzz[A-Za-z0-9_]+' --include='*_test.go' --exclude-dir=benchmark . | sed -E 's|^(.*)/[^/]*:func |\1 |' | sort); \
+	stale=$$(echo "$$ci" | grep -vxF "$$tree"); missing=$$(echo "$$tree" | grep -vxF "$$ci"); \
+	if [ -n "$$stale" ]; then echo "CI fuzzes targets the tree does not define:"; echo "$$stale"; fi; \
+	if [ -n "$$missing" ]; then echo "fuzz targets CI does not run:"; echo "$$missing"; fi; \
+	[ -z "$$stale$$missing" ] && echo "fuzz-list: $$(echo "$$tree" | wc -l) targets, each on one CI line"
 
 fmt:
 	gofmt -l -w .

@@ -116,7 +116,7 @@
 //
 //	method family        warm Session.Solve   Batch fan-out
 //	engine-backed (13)   0 allocs/op          forked per-worker workspaces, one rhs at a time
-//	blockcg, blockpcg    0 allocs/op          the same; each rhs a width-one block
+//	blockcg, blockpcg    0 allocs/op          the same (block CG at width one)
 //
 // The execution layers underneath:
 //

@@ -21,20 +21,27 @@ func testRHS(n, s int) []vec.Vector {
 	return bs
 }
 
-func blockSolve(t *testing.T, kn *Kernel, a sparse.Matrix, bs []vec.Vector, cfg engine.Config) (*engine.Result, error) {
+func blockSolve(t *testing.T, kn *Kernel, a sparse.Matrix, b vec.Vector, cfg engine.Config) (*engine.Result, error) {
 	t.Helper()
-	ws := engine.NewWorkspace(a.Dim(), cfg.Pool)
-	kn.SetExtraRHS(bs[1:])
 	var res engine.Result
-	err := engine.Solve(kn, ws, a, bs[0], cfg, &res)
+	err := engine.Solve(kn, engine.NewWorkspace(a.Dim(), cfg.Pool), a, b, cfg, &res)
 	return &res, err
 }
 
-// TestBlockCGMatchesIndependentSolves is the parity satellite: every
-// block column must match the corresponding independent single-RHS
-// engine solve to 1e-12 relative accuracy, and — sharing one Krylov
-// space across a shared-spectrum block — converge in no more
-// iterations than the slowest independent solve.
+// relDiff returns ‖x − y‖/‖y‖.
+func relDiff(x, y vec.Vector) float64 {
+	diff, norm := 0.0, 0.0
+	for i := range y {
+		d := x[i] - y[i]
+		diff += d * d
+		norm += y[i] * y[i]
+	}
+	return math.Sqrt(diff / norm)
+}
+
+// TestBlockCGMatchesIndependentSolves: each right-hand side's block
+// solve matches the independent single-RHS (P)CG solve to 1e-12
+// relative accuracy and meets its true residual.
 func TestBlockCGMatchesIndependentSolves(t *testing.T) {
 	// Well-conditioned so a 1e-13 residual tolerance pins the iterates
 	// to ~1e-13 relative accuracy: the 1e-12 parity bound then compares
@@ -55,114 +62,73 @@ func TestBlockCGMatchesIndependentSolves(t *testing.T) {
 		{"blockpcg", NewPCGKernel, krylov.NewPCGKernel, jac},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := 5
-			bs := testRHS(n, s)
 			cfg := engine.Config{Tol: 1e-13, Precond: tc.m}
-
-			maxSingleIters := 0
-			want := make([]vec.Vector, s)
-			for j := 0; j < s; j++ {
-				ws := engine.NewWorkspace(n, nil)
-				var res engine.Result
-				if err := engine.Solve(tc.single(), ws, a, bs[j], cfg, &res); err != nil {
-					t.Fatalf("single solve %d: %v", j, err)
-				}
-				if !res.Converged {
-					t.Fatalf("single solve %d did not converge", j)
-				}
-				if res.Iterations > maxSingleIters {
-					maxSingleIters = res.Iterations
-				}
-				want[j] = vec.Clone(res.X)
-			}
-
 			kn := tc.kernel()
-			res, err := blockSolve(t, kn, a, bs, cfg)
-			if err != nil {
-				t.Fatalf("block solve: %v", err)
-			}
-			if !res.Converged {
-				t.Fatalf("block solve did not converge: rn=%g", res.ResidualNorm)
-			}
-			if res.Iterations > maxSingleIters {
-				t.Errorf("block used %d iterations, independent max %d — the shared block space must not be slower",
-					res.Iterations, maxSingleIters)
-			}
-			for j := 0; j < s; j++ {
-				if !kn.ColumnConverged(j) {
-					t.Fatalf("column %d not converged", j)
+			for j, b := range testRHS(n, 5) {
+				want, err := engine.SolveOnce(tc.single(), a, b, cfg)
+				if err != nil || !want.Converged {
+					t.Fatalf("single solve %d: converged=%v err=%v", j, want.Converged, err)
 				}
-				x := kn.ColumnX(j)
-				diff := 0.0
-				norm := 0.0
-				for i := range x {
-					d := x[i] - want[j][i]
-					diff += d * d
-					norm += want[j][i] * want[j][i]
+				res, err := blockSolve(t, kn, a, b, cfg)
+				if err != nil || !res.Converged {
+					t.Fatalf("block solve %d: converged=%v err=%v", j, res.Converged, err)
 				}
-				if rel := math.Sqrt(diff / norm); rel > 1e-12 {
-					t.Errorf("column %d relative error %.3g > 1e-12", j, rel)
+				if rel := relDiff(res.X, want.X); rel > 1e-12 {
+					t.Errorf("rhs %d relative error %.3g > 1e-12", j, rel)
 				}
-				if kn.ColumnTrueResidual(j) > 1e-9*vec.Norm2(bs[j]) {
-					t.Errorf("column %d true residual %g too large", j, kn.ColumnTrueResidual(j))
+				if res.TrueResidualNorm > 1e-9*vec.Norm2(b) {
+					t.Errorf("rhs %d true residual %g too large", j, res.TrueResidualNorm)
 				}
 			}
 		})
 	}
 }
 
-// TestBlockCGDuplicateRHS: exactly duplicated right-hand sides make the
-// block Gram rank-1 at the very first iteration. The pivoted-Cholesky
-// basic solution must carry both columns to the identical answer rather
-// than breaking down.
+// TestBlockCGDuplicateRHS: solving a right-hand side and then a copy of
+// it on the same kernel and workspace gives the same bits — nothing the
+// first solve leaves in the kernel reaches the second.
 func TestBlockCGDuplicateRHS(t *testing.T) {
 	a := sparse.Poisson2D(16)
 	n := a.Dim()
 	b := vec.New(n)
 	vec.Random(b, 3)
-	bs := []vec.Vector{b, vec.Clone(b), vec.Clone(b)}
 
 	kn := NewCGKernel()
-	res, err := blockSolve(t, kn, a, bs, engine.Config{Tol: 1e-10})
-	if err != nil {
-		t.Fatalf("duplicate-RHS block solve: %v", err)
+	ws := engine.NewWorkspace(n, nil)
+	cfg := engine.Config{Tol: 1e-10}
+	var first, again engine.Result
+	if err := engine.Solve(kn, ws, a, b, cfg, &first); err != nil || !first.Converged {
+		t.Fatalf("first solve: converged=%v err=%v", first.Converged, err)
 	}
-	if !res.Converged {
-		t.Fatal("duplicate-RHS block solve did not converge")
+	x0 := vec.Clone(first.X)
+	if err := engine.Solve(kn, ws, a, vec.Clone(b), cfg, &again); err != nil {
+		t.Fatal(err)
 	}
-	x0 := kn.ColumnX(0)
-	for j := 1; j < 3; j++ {
-		if !vec.Equal(x0, kn.ColumnX(j)) {
-			t.Errorf("duplicate column %d differs from column 0", j)
-		}
+	if !vec.Equal(x0, again.X) || again.Iterations != first.Iterations || again.Stats != first.Stats {
+		t.Errorf("repeated solve differs: %d/%d iterations, stats %+v / %+v",
+			again.Iterations, first.Iterations, again.Stats, first.Stats)
 	}
 }
 
-// TestBlockCGMixedConvergence: columns with wildly different scales
-// deflate at different iterations, and late columns keep converging
-// after early ones retire.
+// TestBlockCGMixedConvergence: a zero right-hand side converges at the
+// start with x = 0 and no step taken, and the same kernel then carries
+// a nonzero one to convergence.
 func TestBlockCGMixedConvergence(t *testing.T) {
 	a := sparse.Poisson2D(16)
 	n := a.Dim()
-	bs := testRHS(n, 3)
-	// Column 1 is trivially converged from the start.
-	vec.Zero(bs[1])
-
 	kn := NewCGKernel()
-	res, err := blockSolve(t, kn, a, bs, engine.Config{Tol: 1e-10})
-	if err != nil {
-		t.Fatalf("block solve: %v", err)
+	cfg := engine.Config{Tol: 1e-10}
+
+	res, err := blockSolve(t, kn, a, vec.New(n), cfg)
+	if err != nil || !res.Converged {
+		t.Fatalf("zero-rhs solve: converged=%v err=%v", res.Converged, err)
 	}
-	if !res.Converged {
-		t.Fatal("block solve did not converge")
+	if res.Iterations != 0 || vec.Norm2(res.X) != 0 {
+		t.Errorf("zero-rhs solve used %d iterations, ‖x‖ = %g; want 0, 0", res.Iterations, vec.Norm2(res.X))
 	}
-	if kn.ColumnIterations(1) != 0 {
-		t.Errorf("zero-rhs column used %d iterations, want 0", kn.ColumnIterations(1))
-	}
-	for _, j := range []int{0, 2} {
-		if !kn.ColumnConverged(j) || vec.Norm2(kn.ColumnX(j)) == 0 {
-			t.Errorf("column %d did not converge to a nonzero solution", j)
-		}
+	res, err = blockSolve(t, kn, a, testRHS(n, 1)[0], cfg)
+	if err != nil || !res.Converged || vec.Norm2(res.X) == 0 {
+		t.Fatalf("nonzero-rhs solve after a zero one: converged=%v err=%v", res.Converged, err)
 	}
 }
 
@@ -170,23 +136,56 @@ func TestBlockCGMixedConvergence(t *testing.T) {
 // negative-curvature check with engine.ErrIndefinite.
 func TestBlockCGIndefinite(t *testing.T) {
 	a := sparse.TridiagToeplitz(50, -4, 1) // negative definite
-	bs := testRHS(50, 2)
-	_, err := blockSolve(t, NewCGKernel(), a, bs, engine.Config{Tol: 1e-10})
+	_, err := blockSolve(t, NewCGKernel(), a, testRHS(50, 1)[0], engine.Config{Tol: 1e-10})
 	if !errors.Is(err, engine.ErrIndefinite) {
 		t.Fatalf("err = %v, want ErrIndefinite", err)
 	}
 }
 
-// TestBlockCGBreakdown: the zero operator yields a wholly
-// rank-deficient curvature Gram — engine.ErrBreakdown, not a hang or
-// a panic.
+// TestBlockCGBreakdown: the zero operator gives a zero curvature —
+// engine.ErrBreakdown, not a hang or a panic.
 func TestBlockCGBreakdown(t *testing.T) {
 	coo := sparse.NewCOO(8)
 	a := coo.ToCSR() // all-zero matrix
-	bs := testRHS(8, 2)
-	_, err := blockSolve(t, NewCGKernel(), a, bs, engine.Config{Tol: 1e-10})
+	_, err := blockSolve(t, NewCGKernel(), a, testRHS(8, 1)[0], engine.Config{Tol: 1e-10})
 	if !errors.Is(err, engine.ErrBreakdown) {
 		t.Fatalf("err = %v, want ErrBreakdown", err)
+	}
+}
+
+// TestSolve1: the 1×1 Gram solve classifies s as the s×s pivoted
+// Cholesky factorization did and returns its basic solution's bits.
+func TestSolve1(t *testing.T) {
+	const c = 0.7310585786300049
+	for _, tc := range []struct {
+		s    float64
+		want error
+	}{
+		{-1, engine.ErrIndefinite},
+		{-1e-300, engine.ErrIndefinite},
+		{math.Inf(-1), engine.ErrIndefinite},
+		{0, engine.ErrBreakdown},
+		{math.Inf(1), engine.ErrBreakdown},
+		{5e-324, nil},
+		{1e-300, nil},
+		{0.3, nil},
+		{2, nil},
+		{1e300, nil},
+	} {
+		lam, err := solve1(tc.s, c)
+		if err != tc.want {
+			t.Fatalf("s = %g: err = %v, want %v", tc.s, err, tc.want)
+		}
+		if err != nil {
+			continue
+		}
+		l := math.Sqrt(tc.s)
+		if want := (c / l) / l; math.Float64bits(lam) != math.Float64bits(want) {
+			t.Errorf("s = %g: λ = %.17g, want (c/√s)/√s = %.17g", tc.s, lam, want)
+		}
+	}
+	if lam, err := solve1(math.NaN(), c); err != nil || !math.IsNaN(lam) {
+		t.Errorf("s = NaN: λ = %g, err = %v; want NaN, nil", lam, err)
 	}
 }
 
@@ -196,9 +195,7 @@ func TestBlockCGBreakdown(t *testing.T) {
 func TestBlockWarmZeroAlloc(t *testing.T) {
 	a := sparse.Poisson2D(16)
 	n := a.Dim()
-	s := 4
-	bs := testRHS(n, s)
-	extras := bs[1:]
+	b := testRHS(n, 1)[0]
 	cfg := engine.Config{Tol: 1e-10}
 	ws := engine.NewWorkspace(n, nil)
 	var res engine.Result
@@ -211,14 +208,11 @@ func TestBlockWarmZeroAlloc(t *testing.T) {
 		{"blockpcg", NewPCGKernel()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Warm: size caches, arena vectors, partition.
-			tc.kn.SetExtraRHS(extras)
-			if err := engine.Solve(tc.kn, ws, a, bs[0], cfg, &res); err != nil {
+			if err := engine.Solve(tc.kn, ws, a, b, cfg, &res); err != nil {
 				t.Fatalf("warmup solve: %v", err)
 			}
 			if avg := testing.AllocsPerRun(20, func() {
-				tc.kn.SetExtraRHS(extras)
-				if err := engine.Solve(tc.kn, ws, a, bs[0], cfg, &res); err != nil {
+				if err := engine.Solve(tc.kn, ws, a, b, cfg, &res); err != nil {
 					t.Fatalf("warm solve: %v", err)
 				}
 			}); avg != 0 {
@@ -228,34 +222,26 @@ func TestBlockWarmZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBlockSingleRHSDegenerates: with no extra columns the block kernel
-// is plain (P)CG — it must converge and match CG's iterate closely.
+// TestBlockSingleRHSDegenerates: the block kernel is plain (P)CG — it
+// must converge and match CG's iterate closely.
 func TestBlockSingleRHSDegenerates(t *testing.T) {
 	a := sparse.Poisson2D(16)
 	n := a.Dim()
 	b := vec.New(n)
 	vec.Random(b, 11)
 
-	ws := engine.NewWorkspace(n, nil)
-	var ref engine.Result
-	if err := engine.Solve(krylov.NewCGKernel(), ws, a, b, engine.Config{Tol: 1e-10}, &ref); err != nil {
+	ref, err := engine.SolveOnce(krylov.NewCGKernel(), a, b, engine.Config{Tol: 1e-10})
+	if err != nil {
 		t.Fatal(err)
 	}
-	kn := NewCGKernel()
-	res, err := blockSolve(t, kn, a, []vec.Vector{b}, engine.Config{Tol: 1e-10})
+	res, err := blockSolve(t, NewCGKernel(), a, b, engine.Config{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Converged {
 		t.Fatal("single-RHS block solve did not converge")
 	}
-	diff, norm := 0.0, 0.0
-	for i := range ref.X {
-		d := res.X[i] - ref.X[i]
-		diff += d * d
-		norm += ref.X[i] * ref.X[i]
-	}
-	if rel := math.Sqrt(diff / norm); rel > 1e-10 {
+	if rel := relDiff(res.X, ref.X); rel > 1e-10 {
 		t.Errorf("single-RHS block iterate differs from CG by %.3g", rel)
 	}
 }

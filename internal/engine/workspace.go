@@ -263,15 +263,6 @@ func (ws *Workspace) MatVec(a sparse.Matrix, dst, x vec.Vector) {
 	ws.charge(PhaseSpMV, t0)
 }
 
-// MatVecs computes dsts[j] = A*xs[j] for every column on the workspace
-// pool, using the operator's one-pass multi-vector product when it
-// offers one (see sparse.MultiMulVec) and per-column products otherwise.
-func (ws *Workspace) MatVecs(a sparse.Matrix, dsts, xs []vec.Vector) {
-	t0 := ws.begin()
-	sparse.PooledMulVecs(a, ws.pool, dsts, xs)
-	ws.charge(PhaseSpMV, t0)
-}
-
 // RowSweeper is an operator whose product can be taken a range of rows
 // at a time, completing the pending update of its operand a lead ahead
 // of the rows, and that knows how far ahead of a row it reads — what
@@ -331,23 +322,6 @@ func (ws *Workspace) Direction(a sparse.Matrix, src vec.Vector, beta float64, p,
 		lap = ws.lap
 	}
 	return vec.DirectionSweep(ws.sweep.MulRows, ws.sweep.Reach(), src, beta, p, ap, ws.slab(1), lap)
-}
-
-// DotBlock fills out[i*len(ys)+j] = <xs[i], ys[j]> — the s×s block Gram
-// reduction — in one pooled dispatch.
-func (ws *Workspace) DotBlock(xs, ys []vec.Vector, out []float64) {
-	t0 := ws.begin()
-	ws.pool.DotBlock(xs, ys, out, ws.slab(len(out)))
-	ws.combine(out)
-	ws.charge(PhaseReduction, t0)
-}
-
-// AxpyBlock accumulates ys[j] += sum_i coef[i*len(ys)+j]*xs[i] in one
-// pooled dispatch.
-func (ws *Workspace) AxpyBlock(coef []float64, xs, ys []vec.Vector) {
-	t0 := ws.begin()
-	ws.pool.AxpyBlock(coef, xs, ys)
-	ws.charge(PhaseUpdate, t0)
 }
 
 // MatVecT computes dst = Aᵀ*x on the workspace pool when the operator

@@ -156,37 +156,6 @@ func TestDotsBitwise(t *testing.T) {
 	}
 }
 
-// TestDotBlockIsDots: the cross-product shape, one-to-many included, is
-// the same sums, serial and pooled.
-func TestDotBlockIsDots(t *testing.T) {
-	pools := testPools(t)
-	for _, n := range []int{5, BlockLen + 1, 3*BlockLen + 258} {
-		for _, shape := range [][2]int{{1, 1}, {1, 5}, {3, 2}, {4, 9}, {7, 7}} {
-			fam := family(shape[0]+shape[1], n, uint64(n), leafEdge)
-			xs, ys := fam[:shape[0]], fam[shape[0]:]
-			out, part := make([]float64, len(xs)*len(ys)), make([]float64, len(xs)*len(ys)*nblocks(n))
-			check := func(what string) {
-				t.Helper()
-				for i, x := range xs {
-					for j, y := range ys {
-						if got, want := out[i*len(ys)+j], dotRef(x, y); !sameFloat(got, want) {
-							t.Fatalf("%s n=%d %dx%d [%d,%d]: %x, want %x", what, n, len(xs), len(ys), i, j,
-								math.Float64bits(got), math.Float64bits(want))
-						}
-					}
-				}
-			}
-			DotBlock(xs, ys, out, part)
-			check("DotBlock")
-			for _, p := range pools {
-				Fill(out, leafSentinel)
-				p.DotBlock(xs, ys, out, part)
-				check("pooled DotBlock")
-			}
-		}
-	}
-}
-
 // FuzzDotsLeaf holds the same oracle to fuzzed (pairs, length, seed)
 // triples, the pairing drawn from the seed.
 func FuzzDotsLeaf(f *testing.F) {
@@ -275,7 +244,7 @@ func checkCombineCase(terms, n int, withInit bool, alias int, coef []float64, se
 	if err := run("Combine", func(dst, init Vector, xs []Vector) { Combine(dst, init, coef, xs) }); err != nil {
 		return err
 	}
-	if err := run("combineGo", func(dst, init Vector, xs []Vector) { combineGo(dst, init, coef, 1, xs, 0, n) }); err != nil {
+	if err := run("combineGo", func(dst, init Vector, xs []Vector) { combineGo(dst, init, coef, xs, 0, n) }); err != nil {
 		return err
 	}
 	for _, p := range pools {

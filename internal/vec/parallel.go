@@ -46,7 +46,7 @@ import (
 type Pool struct {
 	workers  int
 	minChunk int         // granularity floor, fixed at construction
-	cut      [nOps]int64 // per-opcode parallel cutoff in elements (nnz for the CSR products)
+	cut      [nOps]int64 // per-opcode parallel cutoff in elements (nnz for the CSR product)
 	closed   atomic.Bool
 
 	mu    sync.Mutex // serializes dispatches; held while workers run
@@ -63,7 +63,7 @@ type Pool struct {
 	boundsSlab []int     // backing array reused by equal splits
 	blockPart  []float64 // per-block reduction partials (reused)
 	blockPart2 []float64 // second partial set (DotPair)
-	batchPart  []float64 // Dots/DotBlock partials, one padded stride per pair
+	batchPart  []float64 // Dots partials, one padded stride per pair
 	batchCap   int       // per-pair stride of batchPart
 }
 
@@ -89,9 +89,8 @@ const (
 	opFusedCG
 	opCSRMulVec
 	opRowRange
-	opDotBlock
-	opAxpyBlock
-	opCSRMulVecs
+	opDots
+	opCombine
 	nOps = iota
 )
 
@@ -128,8 +127,10 @@ const (
 // the part of the shift that carries over to other machines. That
 // spread is why the sweep is gone: which crossover a process measured
 // depended on the mode it drew, not on the machine. Where the Go leaves
-// run the values are only more conservative. mulelem, the CSR products
-// and rowrange have no assembly body and keep their values.
+// run the values are only more conservative. mulelem, the CSR product
+// and rowrange have no assembly body and keep their values. (dotbatch
+// and dotblock timed a batch of pairs and a one-to-many batch, both
+// opDots now; axpyblock a multi-term combination, as opCombine is.)
 var defaultCutoffs = [nOps]int64{
 	opDot:       1 << 18,
 	opDotPair:   1 << 17,
@@ -139,11 +140,10 @@ var defaultCutoffs = [nOps]int64{
 	opFusedCG:   1 << 17,
 	opCSRMulVec: 1 << 15, // in nonzeros
 	opRowRange:  1 << 15, // in rows
-	// The block multi-RHS kernels amortize one dispatch over s (or s^2)
-	// operand sweeps, so they cross over earlier.
-	opDotBlock:   1 << 16,
-	opAxpyBlock:  1 << 16,
-	opCSRMulVecs: 1 << 15, // in nonzeros (shared across the s outputs)
+	// A batch or a combination amortizes one dispatch over every pair's
+	// or term's sweep, so it crosses over earlier.
+	opDots:    1 << 16,
+	opCombine: 1 << 16,
 }
 
 // job carries the operands of the in-flight kernel. Slice fields are
@@ -157,11 +157,9 @@ type job struct {
 	z     []float64
 	w     []float64
 	ys    []Vector
-	// ds is the second vector set of the block multi-RHS kernels
-	// (destinations for opAxpyBlock/opCSRMulVecs, the right-hand operands
-	// of the batched inner products, paired with ys as cross says).
-	ds    []Vector
-	cross bool
+	// ds is the right-hand operands of a batch of inner products, ds[i]
+	// paired with ys[i].
+	ds []Vector
 	// CSR SpMV operands (row-partitioned; see CSRMulVec).
 	rowPtr []int
 	colIdx []int32
@@ -462,8 +460,8 @@ func (p *Pool) exec(c int) {
 			}
 			p.blockPart[b0/BlockLen] = fusedCGLeaf(a, pv[b0:b1], ap[b0:b1], x[b0:b1], r[b0:b1])
 		}
-	case opDotBlock:
-		dotsRange(p.batchPart, p.batchCap, j.ys, j.ds, j.cross, lo, hi)
+	case opDots:
+		dotsRange(p.batchPart, p.batchCap, j.ys, j.ds, lo, hi)
 	case opCSRMulVec:
 		rowPtr, colIdx, vals := j.rowPtr, j.colIdx, j.vals
 		x, dst := j.x, j.z
@@ -476,14 +474,8 @@ func (p *Pool) exec(c int) {
 		}
 	case opRowRange:
 		j.fn(lo, hi, j.z, j.x)
-	case opAxpyBlock:
-		if j.z == nil {
-			axpyBlockRange(j.x, j.ys, j.ds, lo, hi)
-		} else {
-			combineRange(j.z, j.w, j.x, 1, j.ys, lo, hi)
-		}
-	case opCSRMulVecs:
-		CSRMulVecsRows(j.rowPtr, j.colIdx, j.vals, j.ds, j.ys, lo, hi)
+	case opCombine:
+		combineRange(j.z, j.w, j.x, j.ys, lo, hi)
 	}
 }
 
@@ -579,29 +571,21 @@ func (p *Pool) FusedCGUpdate(alpha float64, pv, ap, x, r Vector) float64 {
 	return s
 }
 
-// Dots and DotBlock are the pooled batches: one dispatch for every pair,
-// parallel across chunks of the elements, bitwise identical to the serial
-// form — which runs, on the caller's part, when none is made.
+// Dots is the pooled batch: one dispatch for every pair, parallel across
+// chunks of the elements, bitwise identical to the serial form — which
+// runs, on the caller's part, when none is made.
 func (p *Pool) Dots(out []float64, xs, ys []Vector, part []float64) {
-	p.dots(out, xs, ys, false, part)
-}
-
-func (p *Pool) DotBlock(xs, ys []Vector, out, part []float64) {
-	p.dots(out, xs, ys, true, part)
-}
-
-func (p *Pool) dots(out []float64, xs, ys []Vector, cross bool, part []float64) {
 	nc := 0
-	n := dotsLen(out, xs, ys, cross)
+	n := dotsLen(out, xs, ys)
 	if n > 0 {
-		nc = p.beginEqual(opDotBlock, n)
+		nc = p.beginEqual(opDots, n)
 	}
 	if nc == 0 {
-		dots(out, xs, ys, cross, part)
+		Dots(out, xs, ys, part)
 		return
 	}
 	p.growBatchSlab(n, len(out))
-	p.job = job{op: opDotBlock, ys: xs, ds: ys, cross: cross}
+	p.job = job{op: opDots, ys: xs, ds: ys}
 	p.run(nc)
 	nb := nblocks(n)
 	for k := range out {
@@ -610,43 +594,15 @@ func (p *Pool) dots(out []float64, xs, ys []Vector, cross bool, part []float64) 
 	p.end()
 }
 
-// AxpyBlock accumulates ys[j] += sum_i coef[i*len(ys)+j]*xs[i] with
-// chunked parallelism (the block-CG multi-axpy); elementwise, so pooled
-// results are bitwise identical to the serial AxpyBlock.
-func (p *Pool) AxpyBlock(coef []float64, xs, ys []Vector) {
-	if len(coef) != len(xs)*len(ys) {
-		panic("vec: AxpyBlock coefficient length mismatch")
-	}
-	if len(xs) == 0 || len(ys) == 0 {
-		return
-	}
-	n := len(ys[0])
-	for _, x := range xs {
-		mustSameLen2(n, len(x))
-	}
-	for _, y := range ys {
-		mustSameLen2(n, len(y))
-	}
-	nc := p.beginEqual(opAxpyBlock, n)
-	if nc == 0 {
-		axpyBlockRange(coef, xs, ys, 0, n)
-		return
-	}
-	p.job = job{op: opAxpyBlock, x: coef, ys: xs, ds: ys}
-	p.run(nc)
-	p.end()
-}
-
-// Combine is the pooled vec.Combine, dispatched as the one-output
-// AxpyBlock it is; elementwise, so bitwise identical.
+// Combine is the pooled vec.Combine; elementwise, so bitwise identical.
 func (p *Pool) Combine(dst, init Vector, coef []float64, xs []Vector) {
 	checkCombine(dst, init, coef, xs)
-	nc := p.beginEqual(opAxpyBlock, len(dst))
+	nc := p.beginEqual(opCombine, len(dst))
 	if nc == 0 {
-		combineRange(dst, init, coef, 1, xs, 0, len(dst))
+		combineRange(dst, init, coef, xs, 0, len(dst))
 		return
 	}
-	p.job = job{op: opAxpyBlock, x: coef, ys: xs, z: dst, w: init}
+	p.job = job{op: opCombine, x: coef, ys: xs, z: dst, w: init}
 	p.run(nc)
 	p.end()
 }
@@ -706,58 +662,6 @@ func (p *Pool) CSRMulVec(bounds, rowPtr []int, colIdx []int32, vals []float64, d
 		return false
 	}
 	p.job = job{op: opCSRMulVec, rowPtr: rowPtr, colIdx: colIdx, vals: vals, x: x, z: dst}
-	p.run(nc)
-	p.end()
-	return true
-}
-
-// CSRMulVecsRows computes dsts[j][lo:hi] = (A*xs[j])[lo:hi] for every
-// column j in one pass over the row data: each row's (value, column)
-// stream is read once per group of four columns instead of once per
-// column, which is where the multi-RHS bandwidth win comes from. Each
-// column's accumulation order matches the single-vector CSR loop
-// exactly, so every output column is bitwise identical to MulVec.
-func CSRMulVecsRows(rowPtr []int, colIdx []int32, vals []float64, dsts, xs []Vector, lo, hi int) {
-	s := len(xs)
-	j := 0
-	for ; j+4 <= s; j += 4 {
-		x0, x1, x2, x3 := xs[j], xs[j+1], xs[j+2], xs[j+3]
-		d0, d1, d2, d3 := dsts[j], dsts[j+1], dsts[j+2], dsts[j+3]
-		for i := lo; i < hi; i++ {
-			var s0, s1, s2, s3 float64
-			for q := rowPtr[i]; q < rowPtr[i+1]; q++ {
-				v, c := vals[q], colIdx[q]
-				s0 += v * x0[c]
-				s1 += v * x1[c]
-				s2 += v * x2[c]
-				s3 += v * x3[c]
-			}
-			d0[i], d1[i], d2[i], d3[i] = s0, s1, s2, s3
-		}
-	}
-	for ; j < s; j++ {
-		x, d := xs[j], dsts[j]
-		for i := lo; i < hi; i++ {
-			var acc float64
-			for q := rowPtr[i]; q < rowPtr[i+1]; q++ {
-				acc += vals[q] * x[colIdx[q]]
-			}
-			d[i] = acc
-		}
-	}
-}
-
-// CSRMulVecs computes dsts[j] = A*xs[j] for all columns in one
-// parallelized row pass over the caller-provided partition (see
-// CSRMulVec for the partition contract). It returns false — leaving the
-// destinations untouched — when the nonzero count is below the
-// multi-vector SpMV cutoff or the partition does not fit this pool.
-func (p *Pool) CSRMulVecs(bounds, rowPtr []int, colIdx []int32, vals []float64, dsts, xs []Vector) bool {
-	nc := p.beginBounds(opCSRMulVecs, len(vals), bounds)
-	if nc == 0 {
-		return false
-	}
-	p.job = job{op: opCSRMulVecs, rowPtr: rowPtr, colIdx: colIdx, vals: vals, ds: dsts, ys: xs}
 	p.run(nc)
 	p.end()
 	return true

@@ -101,28 +101,6 @@ func TestPoolFusedCGUpdateMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPoolDotBlockOneXMatchesSerial: the one-to-many shape — one left
-// operand against a list, the cross path of the batched inner products.
-func TestPoolDotBlockOneXMatchesSerial(t *testing.T) {
-	n := 2048
-	x := New(n)
-	Random(x, 11)
-	ys := make([]Vector, 5)
-	for j := range ys {
-		ys[j] = New(n)
-		Random(ys[j], uint64(100+j))
-	}
-	want := make([]float64, len(ys))
-	DotBlock([]Vector{x}, ys, want, make([]float64, len(ys)*nblocks(len(x))))
-	got := make([]float64, len(ys))
-	forcedPool(4).DotBlock([]Vector{x}, ys, got, nil)
-	for j := range want {
-		if !almostEqual(want[j], got[j], 1e-12) {
-			t.Fatalf("batch dot %d: %v vs %v", j, got[j], want[j])
-		}
-	}
-}
-
 func TestPoolSmallFallsBackToSerial(t *testing.T) {
 	p := NewPool(8) // default minChunk large
 	x := NewFrom([]float64{1, 2, 3})
@@ -130,12 +108,6 @@ func TestPoolSmallFallsBackToSerial(t *testing.T) {
 	if got := p.Dot(x, y); got != 32 {
 		t.Fatalf("small-vector Dot = %v", got)
 	}
-}
-
-func TestPoolDotBlockEmpty(t *testing.T) {
-	p := forcedPool(2)
-	x := New(16)
-	p.DotBlock([]Vector{x}, nil, nil, nil) // must not panic
 }
 
 func TestPropPoolDotMatchesSerial(t *testing.T) {

@@ -21,10 +21,12 @@ func TestPooledReductionsBitwiseSerial(t *testing.T) {
 
 		wantDot := Dot(x, y)
 		wantXY, wantXZ := DotPair(x, y, z)
+		// One left operand against three: the one-to-many shape, as a
+		// batch that repeats it.
 		wantBatch := make([]float64, 3)
 		part := make([]float64, 3*nblocks(n))
-		xs, ys := []Vector{x}, []Vector{y, z, w}
-		DotBlock(xs, ys, wantBatch, part)
+		xs, ys := []Vector{x, x, x}, []Vector{y, z, w}
+		Dots(wantBatch, xs, ys, part)
 
 		for _, workers := range []int{2, 3, 4, 7} {
 			p := NewPoolMinChunk(workers, 1)
@@ -51,10 +53,10 @@ func TestPooledReductionsBitwiseSerial(t *testing.T) {
 			}
 
 			gotBatch := make([]float64, 3)
-			p.DotBlock(xs, ys, gotBatch, part)
+			p.Dots(gotBatch, xs, ys, part)
 			for j := range wantBatch {
 				if gotBatch[j] != wantBatch[j] {
-					t.Fatalf("n=%d w=%d: pooled DotBlock[%d] = %.17g, serial %.17g",
+					t.Fatalf("n=%d w=%d: pooled Dots[%d] = %.17g, serial %.17g",
 						n, workers, j, gotBatch[j], wantBatch[j])
 				}
 			}
@@ -111,7 +113,7 @@ func TestDotTreeShape(t *testing.T) {
 
 // TestPoolZeroAllocNewKernels extends the steady-state allocation guard
 // to the kernels added with the substrate rework: pooled Xpay, MulElem,
-// and a one-to-many DotBlock must also be allocation-free when warm.
+// and a one-to-many Dots batch must also be allocation-free when warm.
 func TestPoolZeroAllocNewKernels(t *testing.T) {
 	n := 1 << 15
 	x, y, z, w := New(n), New(n), New(n), New(n)
@@ -119,11 +121,11 @@ func TestPoolZeroAllocNewKernels(t *testing.T) {
 	Random(y, 42)
 	Random(z, 43)
 	Random(w, 44)
-	xs, ys := []Vector{x}, []Vector{y, z, w}
+	xs, ys := []Vector{x, x, x}, []Vector{y, z, w}
 	dots := make([]float64, 3)
 	p := NewPoolMinChunk(4, 64)
 	defer p.Close()
-	p.DotBlock(xs, ys, dots, nil) // warm: workers + batch slab
+	p.Dots(dots, xs, ys, nil) // warm: workers + batch slab
 	p.MulElem(z, x, y)
 
 	if avg := testing.AllocsPerRun(100, func() { p.Xpay(x, 0.5, y) }); avg != 0 {
@@ -132,8 +134,8 @@ func TestPoolZeroAllocNewKernels(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, func() { p.MulElem(z, x, y) }); avg != 0 {
 		t.Errorf("pooled MulElem allocates %v per call, want 0", avg)
 	}
-	if avg := testing.AllocsPerRun(100, func() { p.DotBlock(xs, ys, dots, nil) }); avg != 0 {
-		t.Errorf("pooled DotBlock allocates %v per call, want 0", avg)
+	if avg := testing.AllocsPerRun(100, func() { p.Dots(dots, xs, ys, nil) }); avg != 0 {
+		t.Errorf("pooled Dots allocates %v per call, want 0", avg)
 	}
 }
 
@@ -186,9 +188,9 @@ func TestNilPoolIsSerial(t *testing.T) {
 		}
 		bounds := []int{0, n / 2, n}
 		xs, ys := []Vector{x, y}, []Vector{y, z}
-		coef := []float64{0.5, -0.25, 1.5, 0}
+		coef := []float64{0.5, -0.25}
 		kern := RowKernel(func(lo, hi int, dst, x Vector) { copy(dst[lo:hi], x[lo:hi]) })
-		part := make([]float64, 4*nblocks(n))
+		part := make([]float64, 2*nblocks(n))
 		cases := []struct {
 			name           string
 			serial, pooled func(d []Vector, s []float64)
@@ -214,23 +216,15 @@ func TestNilPoolIsSerial(t *testing.T) {
 			{"Dots",
 				func(d []Vector, s []float64) { Dots(s[:2], xs, ys, part) },
 				func(d []Vector, s []float64) { p.Dots(s[:2], xs, ys, part) }},
-			{"DotBlock",
-				func(d []Vector, s []float64) { DotBlock(xs, ys, s, part) },
-				func(d []Vector, s []float64) { p.DotBlock(xs, ys, s, part) }},
-			{"AxpyBlock",
-				func(d []Vector, s []float64) { AxpyBlock(coef, xs, d) },
-				func(d []Vector, s []float64) { p.AxpyBlock(coef, xs, d) }},
 			{"Combine",
-				func(d []Vector, s []float64) { Combine(d[0], d[1], coef[:2], xs) },
-				func(d []Vector, s []float64) { p.Combine(d[0], d[1], coef[:2], xs) }},
+				func(d []Vector, s []float64) { Combine(d[0], d[1], coef, xs) },
+				func(d []Vector, s []float64) { p.Combine(d[0], d[1], coef, xs) }},
 			{"RowMulVec", func([]Vector, []float64) {},
 				func(d []Vector, s []float64) { s[0] = b2f(p.RowMulVec(n, d[0], x, kern)) }},
 			{"RowMulVecBounds", func([]Vector, []float64) {},
 				func(d []Vector, s []float64) { s[0] = b2f(p.RowMulVecBounds(bounds, d[0], x, kern)) }},
 			{"CSRMulVec", func([]Vector, []float64) {},
 				func(d []Vector, s []float64) { s[0] = b2f(p.CSRMulVec(bounds, rowPtr, colIdx, y, d[0], x)) }},
-			{"CSRMulVecs", func([]Vector, []float64) {},
-				func(d []Vector, s []float64) { s[0] = b2f(p.CSRMulVecs(bounds, rowPtr, colIdx, y, d, xs)) }},
 		}
 		want, got := []Vector{New(n), New(n)}, []Vector{New(n), New(n)}
 		wantS, gotS := make([]float64, 4), make([]float64, 4)

@@ -39,8 +39,8 @@
 // slab — taken a stretch of every pair at a time, four pairs' chains in
 // flight. Combine(dst, init, coef, xs): dst[i] = ((init[i] + c0*x0[i]) +
 // c1*x1[i]) + ..., from +0 without init, zero coefficients skipped — Axpy
-// after Axpy with one load per term and one store. DotBlock and AxpyBlock
-// are these two, the same bits serial and pooled.
+// after Axpy with one load per term and one store. Both are the same bits
+// serial and pooled.
 //
 // # The pipelined update
 //
@@ -417,7 +417,7 @@ func MulElem(dst, x, y Vector) {
 // itself, never a shifted overlap of one.
 func Combine(dst, init Vector, coef []float64, xs []Vector) {
 	checkCombine(dst, init, coef, xs)
-	combineRange(dst, init, coef, 1, xs, 0, len(dst))
+	combineRange(dst, init, coef, xs, 0, len(dst))
 }
 
 func checkCombine(dst, init Vector, coef []float64, xs []Vector) {
@@ -432,28 +432,29 @@ func checkCombine(dst, init Vector, coef []float64, xs []Vector) {
 	}
 }
 
-// combineRange is Combine over elements [lo, hi), term j's coefficient at
-// coef[j*stride]. combineGo is the definition; the assembly body takes
-// four blocks a call (see asmChunk; its work grows with the terms).
-func combineRange(dst, init Vector, coef []float64, stride int, xs []Vector, lo, hi int) {
+// combineRange is Combine over elements [lo, hi). combineGo is the
+// definition; the assembly body, whose coefficients are cstride apart,
+// runs with cstride 1 and takes four blocks a call (see asmChunk; its
+// work grows with the terms).
+func combineRange(dst, init Vector, coef []float64, xs []Vector, lo, hi int) {
 	if !useAVX2 || len(xs) == 0 {
-		combineGo(dst, init, coef, stride, xs, lo, hi)
+		combineGo(dst, init, coef, xs, lo, hi)
 		return
 	}
-	_ = coef[(len(xs)-1)*stride]
+	_ = coef[len(xs)-1]
 	for ; lo < hi; lo += 4 * BlockLen {
-		combineAVX2(dst[lo:min(hi, lo+4*BlockLen)], init, &coef[0], stride, xs, lo)
+		combineAVX2(dst[lo:min(hi, lo+4*BlockLen)], init, &coef[0], 1, xs, lo)
 	}
 }
 
-func combineGo(dst, init Vector, coef []float64, stride int, xs []Vector, lo, hi int) {
+func combineGo(dst, init Vector, coef []float64, xs []Vector, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		var s float64
 		if init != nil {
 			s = init[i]
 		}
 		for j, x := range xs {
-			if c := coef[j*stride]; c != 0 {
+			if c := coef[j]; c != 0 {
 				s += c * x[i]
 			}
 		}
@@ -651,54 +652,33 @@ func pipeLeafGo(alpha, beta float64, r, w, n, p, s, q, x []float64) (rr, wr floa
 // caller's slab of at least len(out)*ceil(n/BlockLen) cells — and each
 // pair's are combined as Dot combines them (see dotsRange).
 func Dots(out []float64, xs, ys []Vector, part []float64) {
-	dots(out, xs, ys, false, part)
-}
-
-// DotBlock fills out[i*len(ys)+j] = <xs[i], ys[j]> for every pair — the
-// s×s Gram reduction of the block multi-RHS methods — as one Dots.
-func DotBlock(xs, ys []Vector, out []float64, part []float64) {
-	dots(out, xs, ys, true, part)
-}
-
-// dotsLen checks a batch of inner products — pair i is (xs[i], ys[i]), or
-// with cross set (xs[i/len(ys)], ys[i%len(ys)]) — and returns its length.
-func dotsLen(out []float64, xs, ys []Vector, cross bool) int {
-	if m := len(xs); (cross && len(out) != m*len(ys)) || (!cross && (len(out) != m || len(ys) != m)) {
-		panic(fmt.Sprintf("vec: %d outputs for %dx%d vectors", len(out), len(xs), len(ys)))
-	}
-	if len(out) == 0 {
-		return 0
-	}
-	n := len(xs[0])
-	for _, x := range xs {
-		mustSameLen2(n, len(x))
-	}
-	for _, y := range ys {
-		mustSameLen2(n, len(y))
-	}
-	return n
-}
-
-func dots(out []float64, xs, ys []Vector, cross bool, part []float64) {
-	n := dotsLen(out, xs, ys, cross)
+	n := dotsLen(out, xs, ys)
 	if n == 0 {
 		clear(out) // Dot of nothing
 		return
 	}
 	nb := nblocks(n)
 	part = part[:len(out)*nb]
-	dotsRange(part, nb, xs, ys, cross, 0, n)
+	dotsRange(part, nb, xs, ys, 0, n)
 	for i := range out {
 		out[i] = combineTree(part[i*nb : (i+1)*nb])
 	}
 }
 
-// pairAt returns pair i of a batch (see dotsLen).
-func pairAt(xs, ys []Vector, cross bool, i int) (x, y Vector) {
-	if cross {
-		return xs[i/len(ys)], ys[i%len(ys)]
+// dotsLen checks a batch of inner products, pair i (xs[i], ys[i]), and
+// returns its length.
+func dotsLen(out []float64, xs, ys []Vector) int {
+	if m := len(xs); len(out) != m || len(ys) != m {
+		panic(fmt.Sprintf("vec: %d outputs for %d and %d vectors", len(out), len(xs), len(ys)))
 	}
-	return xs[i], ys[i]
+	if len(out) == 0 {
+		return 0
+	}
+	n := len(xs[0])
+	for i := range xs {
+		mustSameLen3(n, len(xs[i]), len(ys[i]))
+	}
+	return n
 }
 
 // The assembly body of a batch takes its pairs dotsPass at a time (the lane
@@ -716,11 +696,8 @@ const (
 // runs the same chains in fours and leaves (s0+s1)+(s2+s3) to be taken
 // here; one or two pairs over, or three alone, go to dotLeaf, which is
 // measured no slower than a four with repeats in it.
-func dotsRange(part []float64, stride int, xs, ys []Vector, cross bool, lo, hi int) {
+func dotsRange(part []float64, stride int, xs, ys []Vector, lo, hi int) {
 	m := len(xs)
-	if cross {
-		m *= len(ys)
-	}
 	fours := m &^ 3
 	if !useAVX2 {
 		fours = 0
@@ -728,7 +705,7 @@ func dotsRange(part []float64, stride int, xs, ys []Vector, cross bool, lo, hi i
 		fours = m
 	}
 	for i := fours; i < m; i++ {
-		x, y := pairAt(xs, ys, cross, i)
+		x, y := xs[i], ys[i]
 		for b0 := lo; b0 < hi; b0 += BlockLen {
 			b1 := min(hi, b0+BlockLen)
 			part[i*stride+b0/BlockLen] = dotLeaf(x[b0:b1], y[b0:b1])
@@ -743,7 +720,8 @@ func dotsRange(part []float64, stride int, xs, ys []Vector, cross bool, lo, hi i
 		g := min(fours-i0, dotsPass)
 		groups := (g + 3) / 4
 		for j := 0; j < 4*groups; j++ { // a short last group repeats the last pair into spare sums
-			x, y := pairAt(xs, ys, cross, i0+min(j, g-1))
+			k := i0 + min(j, g-1)
+			x, y := xs[k], ys[k]
 			ops[2*j], ops[2*j+1] = &x[0], &y[0]
 		}
 		for b0 := lo; b0 < hi; b0 += BlockLen {
@@ -756,39 +734,6 @@ func dotsRange(part []float64, stride int, xs, ys []Vector, cross bool, lo, hi i
 				a := acc[4*j : 4*j+4]
 				part[(i0+j)*stride+b0/BlockLen] = (a[0] + a[1]) + (a[2] + a[3])
 			}
-		}
-	}
-}
-
-// AxpyBlock accumulates ys[j] += sum_i coef[i*len(ys)+j] * xs[i] for
-// every output column — the block-CG update X += P·Λ as one kernel. The
-// sweep is blocked so each BlockLen segment of every operand is touched
-// while cache-resident; per element the accumulation order over i is
-// fixed, so the pooled (chunked) form is bitwise identical.
-func AxpyBlock(coef []float64, xs, ys []Vector) {
-	if len(coef) != len(xs)*len(ys) {
-		panic(fmt.Sprintf("vec: AxpyBlock coefficient length %d for %dx%d pairs", len(coef), len(xs), len(ys)))
-	}
-	if len(xs) == 0 || len(ys) == 0 {
-		return
-	}
-	n := len(ys[0])
-	for _, x := range xs {
-		mustSameLen2(n, len(x))
-	}
-	for _, y := range ys {
-		mustSameLen2(n, len(y))
-	}
-	axpyBlockRange(coef, xs, ys, 0, n)
-}
-
-// axpyBlockRange is the shared serial/pooled body of AxpyBlock over
-// element range [lo, hi): one Combine per output and block.
-func axpyBlockRange(coef []float64, xs, ys []Vector, lo, hi int) {
-	for b0 := lo; b0 < hi; b0 += BlockLen {
-		b1 := min(hi, b0+BlockLen)
-		for j, y := range ys {
-			combineRange(y, y, coef[j:], len(ys), xs, b0, b1)
 		}
 	}
 }

@@ -206,9 +206,9 @@ func TestDotPairAndBatch(t *testing.T) {
 		t.Fatalf("DotPair got %v %v", xy, xz)
 	}
 	dots := make([]float64, 2)
-	DotBlock([]Vector{x}, []Vector{y, z}, dots, make([]float64, 2))
+	Dots(dots, []Vector{x, x}, []Vector{y, z}, make([]float64, 2))
 	if dots[0] != 11 || dots[1] != 17 {
-		t.Fatalf("DotBlock got %v", dots)
+		t.Fatalf("Dots got %v", dots)
 	}
 }
 

@@ -166,8 +166,8 @@ func TestBinarySolveAffinityWarm(t *testing.T) {
 	}
 }
 
-// TestBinaryBatch: the batch endpoint over the binary transport, wide
-// enough to take the block route end to end.
+// TestBinaryBatch: a six-rhs cg batch over the binary transport
+// converges every right-hand side and agrees with the JSON solve of each.
 func TestBinaryBatch(t *testing.T) {
 	a, b := testSystem(8)
 	c := newTestClient(t, server.Config{})

@@ -421,7 +421,6 @@ func (s *Server) handleMethods(w http.ResponseWriter, r *http.Request) {
 			Summary:      solve.Summary(name),
 			Nonsymmetric: caps.Nonsymmetric,
 			Rectangular:  caps.Rectangular,
-			Block:        caps.Block,
 		}
 	}
 	writeJSON(w, http.StatusOK, out)

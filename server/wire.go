@@ -118,10 +118,6 @@ type MethodInfo struct {
 	// accept rectangular ones. Both false means square SPD only.
 	Nonsymmetric bool `json:"nonsymmetric,omitempty"`
 	Rectangular  bool `json:"rectangular,omitempty"`
-	// Block marks the block-CG methods, whose kernel can iterate several
-	// right-hand sides through one shared Krylov space; a solve or
-	// /v1/solve/batch runs each right-hand side as a width-one block.
-	Block bool `json:"block,omitempty"`
 }
 
 // MethodList is the GET /v1/methods response body.

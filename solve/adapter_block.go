@@ -5,25 +5,20 @@ import (
 	"vrcg/internal/engine"
 )
 
-// The block kernels iterate s right-hand sides through one shared
-// Krylov space (internal/block). A solve hands them one right-hand
-// side, so through this package every solve, and every right-hand side
-// of a Batch, is a width-one block; the multi-column iteration is
-// reached only through the kernel itself.
+// The block kernels run O'Leary's block CG at width one (internal/block):
+// one right-hand side, so every solve, and every right-hand side of a
+// Batch, is a width-one block.
 func init() {
-	// Each block iteration blocks on three fused reductions — the
-	// curvature Gram, the per-column norms, and the (Z,R) Gram —
-	// regardless of how many columns are in flight: the method's whole
-	// point on the paper's synchronization ledger.
+	// Each iteration blocks on three reductions — the curvature p·q,
+	// the residual norm and z·r — against cg's two.
 	syncs := func(er *engine.Result) int { return 3*er.Iterations + 2 }
-	caps := Caps{Block: true}
 
-	RegisterCaps("blockcg", "block CG (O'Leary) run one right-hand side at a time: a width-one block, workspace-backed",
-		caps, func() Solver {
+	Register("blockcg", "block CG (O'Leary) at width one: one right-hand side a solve, workspace-backed",
+		func() Solver {
 			return &engineSolver{name: "blockcg", kernel: block.NewCGKernel(), syncs: syncs}
 		})
-	RegisterCaps("blockpcg", "block preconditioned CG run one right-hand side at a time (WithPreconditioner; identity default), workspace-backed",
-		caps, func() Solver {
+	Register("blockpcg", "block preconditioned CG at width one (WithPreconditioner; identity default), workspace-backed",
+		func() Solver {
 			return &engineSolver{name: "blockpcg", kernel: block.NewPCGKernel(), syncs: syncs}
 		})
 }

@@ -31,8 +31,9 @@ func benchRHSBlock(n, nrhs int) [][]float64 {
 // right-hand sides makes by naming the method: a blockcg batch against
 // a cg batch, both on sessions sharing one 2-worker pool. Both fan the
 // eight solves out across the batch workers; each blockcg right-hand
-// side is a width-one block solve, so the difference is what the block
-// kernel's bookkeeping costs a column that shares no Krylov space.
+// side is a width-one block solve, so the difference is block CG's
+// ledger — a third reduction an iteration, and no update fused with a
+// product or an inner product — against cg's.
 func BenchmarkBatchBlockVsIndependent(b *testing.B) {
 	for _, grid := range []int{16, 48, 96} {
 		a := sparse.Poisson2D(grid)

@@ -23,11 +23,6 @@ type Caps struct {
 	// the least-squares problem min ||b - A x|| (cgnr, lsqr). Implies
 	// the operator must provide transpose products.
 	Rectangular bool
-	// Block: the method's kernel can iterate several right-hand sides
-	// through one shared Krylov space (blockcg, blockpcg). A solve hands
-	// it one, so every solve, and every right-hand side of a Batch, is a
-	// width-one block.
-	Block bool
 	// Sharded: every reduction the method's kernel performs goes
 	// through the engine workspace, so the kernel runs unchanged on one
 	// row block of an operator whose inner products are sums over all

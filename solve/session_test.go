@@ -128,20 +128,13 @@ func TestBatchMatchesSequentialAcrossMethods(t *testing.T) {
 			}
 			want[i] = append([]float64(nil), lone.X...)
 		}
-		// Blockable methods (cg, pcg) route a batch this wide through
-		// their block twin: same tolerance, different Krylov sequence,
-		// so parity there is at solution accuracy rather than bitwise.
-		bound := 1e-12
-		if solve.MethodCaps("block" + method).Block {
-			bound = 1e-9
-		}
 		for _, workers := range []int{1, 3} {
 			results, err := sess.SolveMany(B, solve.WithBatchWorkers(workers))
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", method, workers, err)
 			}
 			for i := range results {
-				if d := maxAbsDiff(results[i].X, want[i]); d > bound {
+				if d := maxAbsDiff(results[i].X, want[i]); d > 1e-12 {
 					t.Fatalf("%s workers=%d rhs %d: batch differs from lone solve by %g",
 						method, workers, i, d)
 				}

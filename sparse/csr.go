@@ -489,40 +489,6 @@ func (m *CSR) MulVecPool(pool *Pool, dst, x []float64) {
 	}
 }
 
-// MulVecs computes dsts[j] = A*xs[j] for every column: one column at a
-// time on the cached tuned operator when there is one (the row loop's
-// bits for finite x, see TuneMulVec), else in one pass over the row
-// data, reading each row's (value, column) stream once per group of
-// four columns instead of once per column. Each output column is
-// bitwise identical to MulVec on the same input. dsts and xs must
-// have equal length, with every vector of length Dim; no dst may alias
-// any x.
-func (m *CSR) MulVecs(dsts, xs [][]float64) {
-	checkMulVecs(m, dsts, xs)
-	if op, a := m.operands(); op != nil {
-		PooledMulVecs(op, nil, dsts, xs)
-	} else {
-		vec.CSRMulVecsRows(a.rowPtr, a.colIdx, a.vals, dsts, xs, 0, m.n)
-	}
-}
-
-// MulVecsPool computes dsts[j] = A*xs[j] in parallel over the pool —
-// column by column on the cached tuned operator when there is one, else
-// over the cached nnz-balanced row partition — with the same serial
-// fallbacks and the same bitwise-identity guarantee as MulVecPool.
-func (m *CSR) MulVecsPool(pool *Pool, dsts, xs [][]float64) {
-	checkMulVecs(m, dsts, xs)
-	op, a := m.operands()
-	if op != nil {
-		PooledMulVecs(op, pool, dsts, xs)
-		return
-	}
-	parts := pool.SpMVParts(len(a.vals))
-	if parts == 0 || !pool.CSRMulVecs(m.RowPartition(parts), a.rowPtr, a.colIdx, a.vals, dsts, xs) {
-		vec.CSRMulVecsRows(a.rowPtr, a.colIdx, a.vals, dsts, xs, 0, m.n)
-	}
-}
-
 // transpose returns the cached explicit transpose, building it on first
 // use. It is never tuned, so its own arrays are never released.
 func (m *CSR) transpose() *CSR {

@@ -103,27 +103,9 @@ func checkProductsLikeArrays(t *testing.T, name string, a, ref *CSR) {
 		pool := vec.NewPoolMinChunk(w, 1)
 		vec.Fill(got1, math.NaN())
 		a.MulVecPool(pool, got1, x)
-		xs := [][]float64{x, vec.New(n), vec.New(n)}
-		vec.Random(xs[1], 9)
-		vec.Random(xs[2], 10)
-		wants := [][]float64{vec.New(n), vec.New(n), vec.New(n)}
-		gots := [][]float64{vec.New(n), vec.New(n), vec.New(n)}
-		ref.MulVecs(wants, xs)
-		a.MulVecsPool(pool, gots, xs)
 		pool.Close()
 		if !bitsEqual(got1, want1) {
 			t.Fatalf("%s: MulVecPool(workers=%d) differs from the arrays'", name, w)
-		}
-		for c := range xs {
-			if !bitsEqual(gots[c], wants[c]) {
-				t.Fatalf("%s: MulVecsPool(workers=%d) column %d differs from the arrays'", name, w, c)
-			}
-		}
-		a.MulVecs(gots, xs)
-		for c := range xs {
-			if !bitsEqual(gots[c], wants[c]) {
-				t.Fatalf("%s: MulVecs column %d differs from the arrays'", name, c)
-			}
 		}
 	}
 }

@@ -112,36 +112,6 @@ func PooledMulVec(a Matrix, pool *Pool, dst, x []float64) {
 	a.MulVec(dst, x)
 }
 
-// MultiMulVec is a Matrix that can apply itself to several vectors in
-// one pass over its data — the multi-RHS product the block solvers
-// amortize their SpMV bandwidth with. CSR implements it with a
-// column-grouped row sweep.
-type MultiMulVec interface {
-	Matrix
-	// MulVecsPool computes dsts[j] = A*xs[j] for every column over the
-	// pool, falling back to a serial multi-vector sweep when parallelism
-	// is not profitable. Each output column must be bitwise identical to
-	// the single-vector MulVec.
-	MulVecsPool(pool *Pool, dsts, xs [][]float64)
-}
-
-// PooledMulVecs computes dsts[j] = a*xs[j] for every column, using the
-// operator's one-pass multi-vector product when it offers one and
-// falling back to per-column PooledMulVec otherwise. It is the block
-// solvers' single dispatch point, mirroring PooledMulVec.
-func PooledMulVecs(a Matrix, pool *Pool, dsts, xs [][]float64) {
-	if len(dsts) != len(xs) {
-		panic(fmt.Sprintf("sparse: MulVecs column count mismatch: %d dsts, %d xs", len(dsts), len(xs)))
-	}
-	if mm, ok := a.(MultiMulVec); ok {
-		mm.MulVecsPool(pool, dsts, xs)
-		return
-	}
-	for j := range xs {
-		PooledMulVec(a, pool, dsts[j], xs[j])
-	}
-}
-
 // ErrDim reports a dimension mismatch between an operator and a vector.
 var ErrDim = errors.New("sparse: dimension mismatch")
 
@@ -155,15 +125,6 @@ func checkMul(a Matrix, dst, x []float64) {
 func checkRows(a Matrix, lo, hi int) {
 	if lo < 0 || hi < lo || hi > a.Dim() {
 		panic(fmt.Sprintf("sparse: MulRows range [%d, %d) of %d rows", lo, hi, a.Dim()))
-	}
-}
-
-func checkMulVecs(a Matrix, dsts, xs [][]float64) {
-	if len(dsts) != len(xs) {
-		panic(fmt.Sprintf("sparse: MulVecs column count mismatch: %d dsts, %d xs", len(dsts), len(xs)))
-	}
-	for j := range xs {
-		checkMul(a, dsts[j], xs[j])
 	}
 }
 
