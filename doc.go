@@ -19,7 +19,7 @@
 // type satisfies solve.Operator, and any type with Dim/MulVec is an
 // operator too.
 //
-// Package solve is the control plane: one Solver interface, one
+// Package solve is the control plane: one Solver type, one
 // canonical Result, functional options, and a method registry covering
 // every CG variant in the repository —
 //
@@ -33,7 +33,7 @@
 // For repeated solves against one operator — the serving regime — a
 // Session prepares the (method, operator, options) triple once and
 // reuses its workspace and Result, so a warm Session.Solve performs
-// zero heap allocations for the workspace-backed methods; Batch (or
+// zero heap allocations for every method; Batch (or
 // Session.SolveMany) fans many right-hand sides out across forked
 // sessions round-robin and aggregates the results in input order:
 //
@@ -69,10 +69,10 @@
 // solve/example_test.go, one per method.
 //
 // Solvers built by solve.New own reusable workspaces: repeated solves
-// against same-order operators allocate nothing in steady state for the
-// workspace-backed methods. cmd/, examples/, and the experiment harness
-// all go through this registry — adding a method to the registry makes
-// it appear in the cgsolve CLI without touching the CLI.
+// against same-order operators allocate nothing in steady state.
+// cmd/, examples/, and the experiment harness all go through this
+// registry — a method added as one row of its table appears in the
+// cgsolve CLI without touching the CLI.
 //
 // # Architecture: one iteration engine, many kernels
 //
@@ -84,7 +84,7 @@
 // shared driver (internal/engine):
 //
 //	          solve registry (19 methods)
-//	                   │ one generic adapter (solveInto fast path)
+//	                   │ one table of engine kernels (solve/registry.go)
 //	     ┌─────────────┴─────────────┐
 //	     │ engine.Solve — the driver │   owns: defaults, dim checks,
 //	     │ Init / Step / Residual /  │   convergence, callbacks,

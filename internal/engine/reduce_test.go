@@ -108,11 +108,13 @@ func TestIssueAwaitScheduleOnly(t *testing.T) {
 		}
 		return k
 	}
-	before := runtime.NumGoroutine()
-	ref := run(NewWorkspace(n, nil), true)
-	pooled := run(NewWorkspace(n, pool), true)
-	if got := runtime.NumGoroutine(); got != before {
-		t.Errorf("blocking schedules started %d goroutine(s)", got-before)
+	serialWS, pooledWS := NewWorkspace(n, nil), NewWorkspace(n, pool)
+	ref := run(serialWS, true)
+	pooled := run(pooledWS, true)
+	for name, ws := range map[string]*Workspace{"serial": serialWS, "pooled": pooledWS} {
+		if got := len(ws.red.reqs); got != 0 || ws.red.quit != nil {
+			t.Errorf("%s blocking schedule started %d reduction worker(s)", name, got)
+		}
 	}
 
 	ws := NewWorkspace(n, pool)

@@ -33,7 +33,7 @@ func pipeLeafAVX2(alpha, beta float64, r, w, n, p, s, q, x []float64) (rr, wr fl
 func axpyAVX2(alpha float64, x, y []float64)
 
 //go:noescape
-func combineAVX2(dst, init []float64, coef *float64, cstride int, xs [][]float64, lo int)
+func combineAVX2(dst, init []float64, coef *float64, xs [][]float64, lo int)
 
 //go:noescape
 func xpayAVX2(x []float64, alpha float64, y []float64)

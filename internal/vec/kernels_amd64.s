@@ -966,27 +966,25 @@ dotsstore:
 	VZEROUPPER
 	RET
 
-// func combineAVX2(dst, init []float64, coef *float64, cstride int, xs [][]float64, lo int)
+// func combineAVX2(dst, init []float64, coef *float64, xs [][]float64, lo int)
 //
 // dst[i] = (init[lo+i], or +0 when init is nil) + Σ_j c_j * xs[j][lo+i] with
-// c_j = coef[j*cstride], one VMULPD and one VADDPD per term in ascending
+// c_j = coef[j], one VMULPD and one VADDPD per term in ascending
 // j — Axpy after Axpy — and a term whose c_j is ±0 skipped, as Axpy
 // skips it. It is diaRowsAVX2's loop with a broadcast coefficient where
 // that loads a diagonal: thirty-two elements per trip in Y0-Y7, then
 // four in Y0, then one in X0, each loaded and stored once. R11 walks the
 // coefficients and R12 the slice headers of xs; DX is the byte offset of
 // the trip in every term, SI the address of its init.
-TEXT ·combineAVX2(SB), NOSPLIT, $0-96
+TEXT ·combineAVX2(SB), NOSPLIT, $0-88
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
 	MOVQ init_base+24(FP), SI
 	MOVQ SI, R14              // zero: start from +0
 	MOVQ coef+48(FP), R8
-	MOVQ cstride+56(FP), R9
-	SHLQ $3, R9               // bytes between coefficients
-	MOVQ xs_base+64(FP), R10
-	MOVQ xs_len+72(FP), BX
-	MOVQ lo+88(FP), DX
+	MOVQ xs_base+56(FP), R10
+	MOVQ xs_len+64(FP), BX
+	MOVQ lo+80(FP), DX
 	SHLQ $3, DX
 	ADDQ DX, SI
 
@@ -1051,7 +1049,7 @@ comb32term:
 	VADDPD       Y11, Y7, Y7
 
 comb32next:
-	ADDQ R9, R11
+	ADDQ $8, R11
 	ADDQ $24, R12
 	DECQ R13
 	JNZ  comb32term
@@ -1096,7 +1094,7 @@ comb4term:
 	VADDPD       Y8, Y0, Y0
 
 comb4next:
-	ADDQ R9, R11
+	ADDQ $8, R11
 	ADDQ $24, R12
 	DECQ R13
 	JNZ  comb4term
@@ -1134,7 +1132,7 @@ comb1term:
 	VADDSD X8, X0, X0
 
 comb1next:
-	ADDQ R9, R11
+	ADDQ $8, R11
 	ADDQ $24, R12
 	DECQ R13
 	JNZ  comb1term

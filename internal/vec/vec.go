@@ -433,9 +433,8 @@ func checkCombine(dst, init Vector, coef []float64, xs []Vector) {
 }
 
 // combineRange is Combine over elements [lo, hi). combineGo is the
-// definition; the assembly body, whose coefficients are cstride apart,
-// runs with cstride 1 and takes four blocks a call (see asmChunk; its
-// work grows with the terms).
+// definition; the assembly body takes four blocks a call (see asmChunk;
+// its work grows with the terms).
 func combineRange(dst, init Vector, coef []float64, xs []Vector, lo, hi int) {
 	if !useAVX2 || len(xs) == 0 {
 		combineGo(dst, init, coef, xs, lo, hi)
@@ -443,7 +442,7 @@ func combineRange(dst, init Vector, coef []float64, xs []Vector, lo, hi int) {
 	}
 	_ = coef[len(xs)-1]
 	for ; lo < hi; lo += 4 * BlockLen {
-		combineAVX2(dst[lo:min(hi, lo+4*BlockLen)], init, &coef[0], 1, xs, lo)
+		combineAVX2(dst[lo:min(hi, lo+4*BlockLen)], init, &coef[0], xs, lo)
 	}
 }
 

@@ -8,10 +8,8 @@ import (
 // amortized serving path for repeated solves against one system: the
 // method is resolved, the options are parsed, and the solver workspace
 // is owned once, so Session.Solve is cheap to call per right-hand side.
-// For every engine-backed method (cg, cgfused, pcg, cr, sd, minres,
-// vrcg, pipecg, gropp, sstep) a steady-state Session.Solve performs
-// zero heap allocations — the Result itself is session-owned and
-// reused.
+// For every method a steady-state Session.Solve performs zero heap
+// allocations — the Result itself is session-owned and reused.
 //
 // Consequently a Session is NOT safe for concurrent Solve calls, and
 // both Result.X and the *Result returned by Solve are valid only until
@@ -22,7 +20,7 @@ type Session struct {
 	op     Operator
 	opts   []Option
 	cfg    *config
-	solver Solver
+	solver *Solver
 
 	// res is the reused result of the zero-allocation fast path;
 	// canceled/stopped are the session-owned callback flags (fields, not
@@ -32,15 +30,6 @@ type Session struct {
 	canceled bool
 	stopped  bool
 	cb       func(iter int, resNorm float64) bool
-}
-
-// intoSolver is the optional fast path a registered solver can offer a
-// Session: run with a pre-resolved config and prebuilt callback,
-// writing into a caller-owned Result. Returning handled == false means
-// the solver has no fast path for this configuration and the Session
-// falls back to the ordinary Solve.
-type intoSolver interface {
-	solveInto(res *Result, a Operator, b []float64, c *config, cb func(int, float64) bool) (handled bool, err error)
 }
 
 // NewSession prepares a session running the named method against a with
@@ -85,10 +74,9 @@ func (s *Session) Fork() (*Session, error) {
 }
 
 // Solve runs the prepared method on A x = b. With no extra options the
-// call reuses the session's resolved configuration and, for the
-// workspace-backed methods, its Result — zero heap allocations in
-// steady state. Extra options are merged after the base options through
-// the ordinary parsing path.
+// call reuses the session's resolved configuration and its Result —
+// zero heap allocations in steady state. Extra options are merged after
+// the base options through the ordinary parsing path.
 //
 // The returned Result (and its X) is valid until the next Solve on this
 // session; clone what must outlive it.
@@ -103,14 +91,10 @@ func (s *Session) Solve(b []float64, extra ...Option) (*Result, error) {
 		all = append(all, extra...)
 		return s.solver.Solve(s.op, b, all...)
 	}
-	if is, ok := s.solver.(intoSolver); ok {
-		if err := s.cfg.preflight(s.method); err != nil {
-			return nil, err
-		}
-		s.canceled, s.stopped = false, false
-		if handled, err := is.solveInto(&s.res, s.op, b, s.cfg, s.cb); handled {
-			return finish(s.cfg, &s.res, err, s.canceled, s.stopped)
-		}
+	if err := s.cfg.preflight(s.method); err != nil {
+		return nil, err
 	}
-	return s.solver.Solve(s.op, b, s.opts...)
+	s.canceled, s.stopped = false, false
+	err := s.solver.solveInto(&s.res, s.op, b, s.cfg, s.cb)
+	return finish(s.cfg, &s.res, err, s.canceled, s.stopped)
 }

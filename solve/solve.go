@@ -1,5 +1,5 @@
 // Package solve is the single front door to every conjugate gradient
-// variant in this repository. It presents one Solver interface, one
+// variant in this repository. It presents one Solver type, one
 // canonical Result, and a method registry, so the paper's comparison —
 // how the five inner-product data-dependency strategies trade blocking
 // reductions for pipeline depth — is a one-line method swap:
@@ -20,8 +20,8 @@
 //
 // Registered methods (solve.Methods() lists them at runtime):
 //
-//   - "cg", "cgfused": standard Hestenes–Stiefel CG (paper §2), plain
-//     and fused-kernel forms
+//   - "cg", "cgfused": standard Hestenes–Stiefel CG (paper §2), one
+//     kernel under two names
 //   - "pcg": preconditioned CG (pass WithPreconditioner)
 //   - "cr", "sd", "minres": conjugate residuals, steepest descent,
 //     MINRES baselines
@@ -37,24 +37,27 @@
 //     inner-product reduction on background goroutines until it is
 //     awaited (WithBlocking evaluates it at issue instead, bitwise
 //     identically; without WithPool "parcg-pipe" has none to run, its
-//     sums being taken inside the one pass that updates its vectors). "parcg" adds a divergence guard that restarts the
-//     look-ahead recurrences from the true residual when they drift
-//     (periodically audited, best iterate retained);
-//     WithProcessors/WithMachineConfig additionally replay the
-//     simulated-machine cost model over the solve, yielding
-//     parallel-time trajectories (Result.Clocks)
+//     sums being taken inside the one pass that updates its vectors).
+//     "parcg" adds a divergence guard that restarts the look-ahead
+//     recurrences from the true residual when they drift (periodically
+//     audited, best iterate retained); WithProcessors/WithMachineConfig
+//     additionally replay the simulated-machine cost model over the
+//     solve, yielding parallel-time trajectories (Result.Clocks)
+//   - "bicgstab", "gmres": square nonsymmetric systems (WithRestart m
+//     for gmres); "cgnr", "lsqr": least squares over rectangular
+//     operators (MethodCaps says which operators a method accepts)
+//   - "blockcg", "blockpcg": O'Leary's block CG at width one
 //
 // Configuration is by functional options. Options irrelevant to a
 // method are ignored (WithLookahead does nothing to "cg"), so one
 // option set can drive a sweep over every method.
 //
-// Every shared-memory method runs on the unified iteration engine
-// (internal/engine): one kernel contract, one driver loop, one
-// reusable workspace per solver. Solvers built by New therefore own
-// zero-allocation workspaces uniformly — repeated Solve calls against
-// same-order operators allocate nothing in steady state for all of
-// cg, cgfused, pcg, cr, sd, minres, vrcg, pipecg, gropp, and sstep,
-// and a warm Session.Solve on any of them is 0 allocs/op.
+// Every method is one row of the registry table (registry.go): an
+// engine kernel (internal/engine: one kernel contract, one driver
+// loop) and the few flags that set its schedule apart. Solvers built by
+// New therefore own zero-allocation workspaces uniformly — repeated
+// Solve calls against same-order operators allocate nothing in steady
+// state, and a warm Session.Solve on any method is 0 allocs/op.
 package solve
 
 // Operator is a square linear operator A, stated on plain []float64 so
@@ -62,9 +65,9 @@ package solve
 // products, so operators may be matrix-free. Every matrix type in the
 // public sparse package satisfies it. Operators that additionally
 // implement sparse.PoolMulVec (CSR, DIA and SELL do) run their
-// products on the worker pool when WithPool is given; the distributed
-// methods ("parcg*") require a *sparse.CSR, whose sparsity defines the
-// halo partition.
+// products on the worker pool when WithPool is given. The "parcg*"
+// methods' machine mode (WithProcessors, WithMachineConfig) requires a
+// *sparse.CSR, whose sparsity defines the halo partition.
 type Operator interface {
 	// Dim returns the order n of the (n x n) operator.
 	Dim() int
@@ -96,19 +99,3 @@ type MonitorFunc func(iter int, resNorm float64) bool
 
 // Observe implements Monitor.
 func (f MonitorFunc) Observe(iter int, resNorm float64) bool { return f(iter, resNorm) }
-
-// Solver is one registered method, ready to run. A Solver owns its
-// workspace: repeated Solve calls against operators of the same order
-// reuse it, so the workspace-backed methods allocate nothing in steady
-// state. Consequently a Solver is NOT safe for concurrent Solve calls
-// (use one Solver per goroutine; they are cheap), and Result.X may
-// alias solver-owned storage — it is valid until the next Solve on the
-// same Solver; Clone it to keep it longer.
-type Solver interface {
-	// Name returns the registry name the solver was built under.
-	Name() string
-	// Solve runs the method on A x = b. The returned Result is non-nil
-	// whenever iterations were performed, even when err is non-nil
-	// (ErrNotConverged in particular always carries a usable Result).
-	Solve(a Operator, b []float64, opts ...Option) (*Result, error)
-}
