@@ -105,18 +105,18 @@
 // everything the method silos used to duplicate. Kernels draw vectors
 // from the workspace arena and cache structured state (vrcg's Krylov
 // families, sstep's Gram and coefficient buffers) across solves, which
-// is what makes every shared-memory method — cg, cgfused, pcg, cr, sd,
-// minres, vrcg, pipecg, gropp, sstep, and the real-parallel parcg,
-// parcg-cg, parcg-pipe — workspace-backed: a warm Session.Solve on any
-// of them performs zero heap allocations (the background reduction
-// goroutines of parcg and parcg-pipe are persistent, started by the
-// workspace on its first overlapped reduction and ended with it).
+// is what makes every shared-memory method — cg, cgfused, blockcg, pcg,
+// blockpcg, cr, sd, minres, vrcg, pipecg, gropp, sstep, and the
+// real-parallel parcg, parcg-cg, parcg-pipe — workspace-backed: a warm
+// Session.Solve on any of them performs zero heap allocations (the
+// background reduction goroutines of parcg and parcg-pipe are
+// persistent, started by the workspace on its first overlapped
+// reduction and ended with it).
 //
 // Session/Batch behavior by method family:
 //
 //	method family        warm Session.Solve   Batch fan-out
-//	engine-backed (13)   0 allocs/op          forked per-worker workspaces, one rhs at a time
-//	blockcg, blockpcg    0 allocs/op          the same (block CG at width one)
+//	engine-backed (15)   0 allocs/op          forked per-worker workspaces, one rhs at a time
 //
 // The execution layers underneath:
 //

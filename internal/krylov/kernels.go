@@ -11,11 +11,11 @@ import (
 )
 
 // This file holds the engine kernels for the classic iterations: cg
-// (fused-update CG; the registry also serves it as "cgfused"), pcg, cr,
-// and sd. Each kernel implements engine.Kernel — Init/Step/Residual/
-// Finish — and draws every vector from the engine workspace arena, so a
-// warm repeated solve allocates nothing. The MINRES kernel lives in
-// minres.go.
+// (fused-update CG; the registry also serves it as "cgfused" and
+// "blockcg"), pcg (also served as "blockpcg"), cr, and sd. Each kernel
+// implements engine.Kernel — Init/Step/Residual/Finish — and draws
+// every vector from the engine workspace arena, so a warm repeated
+// solve allocates nothing. The MINRES kernel lives in minres.go.
 
 // cgKernel is standard Hestenes–Stiefel CG (paper §2) scheduled around
 // its two inner products, which are all that anything in an iteration

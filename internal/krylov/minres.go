@@ -68,6 +68,11 @@ func (k *minresKernel) Step(run *engine.Run) error {
 	run.MatVec(k.av, k.v)
 
 	alpha := run.Dot(k.v, k.av)
+	if math.IsNaN(alpha) || math.IsInf(alpha, 0) {
+		// Every scalar below would be NaN, and no comparison there
+		// catches one: stop before a vector is written.
+		return fmt.Errorf("krylov: MINRES (v,Av) = %g at iteration %d: %w", alpha, res.Iterations, engine.ErrBreakdown)
+	}
 
 	// av <- av - alpha*v - betaPrev*vPrev
 	ws.Axpy(-alpha, k.v, k.av)

@@ -277,7 +277,9 @@ func Norm2(x Vector) float64 {
 		}
 	}
 	if scale == 0 {
-		return 0
+		// No entry raised scale: all zeros (ssq is 1, the norm 0) or
+		// NaNs among zeros (a NaN leaves scale at 0 and makes ssq NaN).
+		return 0 * ssq
 	}
 	return scale * math.Sqrt(ssq)
 }

@@ -111,6 +111,12 @@ func TestNorm2(t *testing.T) {
 	if Norm2(New(4)) != 0 {
 		t.Fatal("Norm2 of zero vector != 0")
 	}
+	nan := math.NaN()
+	for _, x := range [][]float64{{nan}, {nan, nan}, {nan, 0}, {0, nan}, {3, nan}, {nan, 4}} {
+		if got := Norm2(NewFrom(x)); !math.IsNaN(got) {
+			t.Errorf("Norm2(%v) = %v, want NaN", x, got)
+		}
+	}
 }
 
 func TestNorm2Overflow(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 // the solves out across worker goroutines: each worker forks the
 // session once (its own solver and reusable workspace) and takes
 // right-hand sides round-robin, so a batch of any size costs a fixed
-// number of workspaces; blockcg and blockpcg are no exception.
+// number of workspaces.
 // Results come back aggregated, in input order, each owning
 // what it reports: X, History, Drift, Phases, Clocks and Machine are
 // copied out of the worker's session.

@@ -15,8 +15,9 @@ import (
 // batch's: every route hands back, for every right-hand side, the lone
 // pooled Session.Solve's result bit for bit — serial and pooled kernels
 // are bitwise equal, so a batch worker's forked pool changes nothing.
-// A block method's batch records History, which is per right-hand
-// side: each one ends at its own ResidualNorm.
+// The blockcg and blockpcg rows (cg's and pcg's kernels) record
+// History, which is per right-hand side: each one ends at its own
+// ResidualNorm.
 func TestBatchSolvesByItsOwnMethod(t *testing.T) {
 	a := sparse.Poisson2D(12)
 	jac, err := precond.NewJacobi(a)

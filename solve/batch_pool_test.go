@@ -66,8 +66,8 @@ func TestPoolBatchSolvedByCG(t *testing.T) {
 
 // TestPoolBatchIndefinite: on a negative-definite operator each right-hand
 // side's failure comes back as an *RHSError wrapping ErrIndefinite,
-// attributed to the method the batch names — for blockcg, the width-one
-// kernel's negative-curvature check.
+// attributed to the method the batch names — for blockcg, cg's kernel's
+// negative-curvature check under blockcg's name.
 func TestPoolBatchIndefinite(t *testing.T) {
 	a := sparse.TridiagToeplitz(40, -4, 1) // negative definite
 	B := rhsSet(a.Dim(), 5)
@@ -93,7 +93,7 @@ func TestPoolBatchIndefinite(t *testing.T) {
 }
 
 // TestPoolBatchDuplicateRHS: five copies of one right-hand side converge
-// to the same bits, for blockcg through the width-one kernel.
+// to the same bits, for blockcg through cg's kernel.
 func TestPoolBatchDuplicateRHS(t *testing.T) {
 	a := sparse.Poisson2D(12)
 	b := rhsSet(a.Dim(), 1)[0]

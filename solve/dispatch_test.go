@@ -15,7 +15,7 @@ import (
 // parameter — a kernel reaches the pool only through its workspace.
 func TestKernelsDispatchThroughTheWorkspace(t *testing.T) {
 	fset := token.NewFileSet()
-	for _, pkg := range []string{"core", "parcg", "krylov", "pipecg", "sstep", "gkrylov", "block"} {
+	for _, pkg := range []string{"core", "parcg", "krylov", "pipecg", "sstep", "gkrylov"} {
 		files, err := filepath.Glob(filepath.Join("..", "internal", pkg, "*.go"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("internal/%s: no Go files (%v)", pkg, err)

@@ -129,9 +129,9 @@ func TestEnginePrePostRefactorParity(t *testing.T) {
 var engineMethods = []string{"cg", "cgfused", "pcg", "cr", "sd", "minres", "vrcg", "pipecg", "gropp", "sstep"}
 
 // allocMethods extends engineMethods with the real-parallel parcg
-// family (background-reducer kernels) and the single-RHS face of the
-// block methods — every one must hold the warm zero-allocation
-// contract too.
+// family (background-reducer kernels) and blockcg/blockpcg, cg's and
+// pcg's kernels under other names — every one must hold the warm
+// zero-allocation contract too.
 var allocMethods = append(append([]string{}, engineMethods...),
 	"parcg-cg", "parcg-pipe", "parcg", "blockcg", "blockpcg")
 

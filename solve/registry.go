@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"vrcg/internal/block"
 	"vrcg/internal/core"
 	"vrcg/internal/engine"
 	"vrcg/internal/gkrylov"
@@ -73,20 +72,15 @@ func onePerIteration(er *engine.Result) int { return er.Iterations + 1 }
 // the paper sets out to remove.
 func twoPerIteration(er *engine.Result) int { return 2*er.Iterations + 1 }
 
-// The block kernels run O'Leary's block CG at width one
-// (internal/block): each iteration blocks on three reductions — the
-// curvature p·q, the residual norm and z·r — against cg's two.
-func threePerIteration(er *engine.Result) int { return 3*er.Iterations + 2 }
-
 // methods is the registry: every method, sorted by name. Methods lists
 // it in this order.
 var methods = [...]method{
 	{name: "bicgstab", summary: "BiCGStab for square nonsymmetric systems (van der Vorst), workspace-backed",
 		caps: Caps{Nonsymmetric: true}, newKernel: gkrylov.NewBiCGStabKernel, syncs: innerProducts},
-	{name: "blockcg", summary: "block CG (O'Leary) at width one: one right-hand side a solve, workspace-backed",
-		newKernel: func() engine.Kernel { return block.NewCGKernel() }, syncs: threePerIteration},
-	{name: "blockpcg", summary: "block preconditioned CG at width one (WithPreconditioner; identity default), workspace-backed",
-		newKernel: func() engine.Kernel { return block.NewPCGKernel() }, syncs: threePerIteration},
+	{name: "blockcg", summary: "a second name for cg, kept for wire compatibility, workspace-backed",
+		newKernel: krylov.NewCGKernel, syncs: innerProducts},
+	{name: "blockpcg", summary: "a second name for pcg, kept for wire compatibility, workspace-backed",
+		newKernel: krylov.NewPCGKernel, syncs: innerProducts},
 	{name: "cg", summary: "standard Hestenes-Stiefel CG (paper §2), workspace-backed",
 		caps: Caps{Sharded: true}, newKernel: krylov.NewCGKernel, syncs: innerProducts},
 	{name: "cgfused", summary: "a second name for cg, kept for wire compatibility, workspace-backed",

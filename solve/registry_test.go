@@ -18,8 +18,8 @@ func TestRegistryPublicFace(t *testing.T) {
 	}
 	want := map[string]row{
 		"bicgstab":   {"BiCGStab for square nonsymmetric systems (van der Vorst), workspace-backed", solve.Caps{Nonsymmetric: true}},
-		"blockcg":    {"block CG (O'Leary) at width one: one right-hand side a solve, workspace-backed", solve.Caps{}},
-		"blockpcg":   {"block preconditioned CG at width one (WithPreconditioner; identity default), workspace-backed", solve.Caps{}},
+		"blockcg":    {"a second name for cg, kept for wire compatibility, workspace-backed", solve.Caps{}},
+		"blockpcg":   {"a second name for pcg, kept for wire compatibility, workspace-backed", solve.Caps{}},
 		"cg":         {"standard Hestenes-Stiefel CG (paper §2), workspace-backed", solve.Caps{Sharded: true}},
 		"cgfused":    {"a second name for cg, kept for wire compatibility, workspace-backed", solve.Caps{Sharded: true}},
 		"cgnr":       {"CG on the normal equations: least-squares min ||b-Ax|| over rectangular operators, workspace-backed", solve.Caps{Nonsymmetric: true, Rectangular: true}},

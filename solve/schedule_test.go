@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"vrcg/internal/vec"
+	"vrcg/precond"
 	"vrcg/solve"
 	"vrcg/sparse"
 )
@@ -90,13 +91,19 @@ func TestPipelinedPooledIsSerial(t *testing.T) {
 	}
 }
 
-// TestCGFamilyOneKernel: cg, cgfused and parcg-cg are one kernel under
-// three names; parcg-cg is the one that times its phases.
+// TestCGFamilyOneKernel: cgfused, parcg-cg and blockcg are cg's kernel
+// and blockpcg is pcg's, each under another name. Every name answers
+// with the bits, counts and Stats of the kernel's own name; parcg-cg is
+// the one that times its phases and declares another sync count.
 func TestCGFamilyOneKernel(t *testing.T) {
 	a, b := goldenSystem(t, "poisson2d_31")
-	results := map[string]*solve.Result{}
-	for _, method := range []string{"cg", "cgfused", "parcg-cg"} {
-		res, err := solve.MustNew(method).Solve(a, b, solve.WithTol(1e-8))
+	jac, err := precond.NewJacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solveAs := func(method string, opts []solve.Option) *solve.Result {
+		t.Helper()
+		res, err := solve.MustNew(method).Solve(a, b, append([]solve.Option{solve.WithTol(1e-8)}, opts...)...)
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
@@ -106,12 +113,29 @@ func TestCGFamilyOneKernel(t *testing.T) {
 		if (res.Phases != nil) != (method == "parcg-cg") {
 			t.Errorf("%s: Phases non-nil = %v", method, res.Phases != nil)
 		}
-		results[method] = res
+		return res
 	}
-	sameSolve(t, "cgfused vs cg", results["cgfused"], results["cg"])
-	sameSolve(t, "parcg-cg vs cg", results["parcg-cg"], results["cg"])
-	if got, want := results["parcg-cg"].Stats, results["cg"].Stats; got != want {
-		t.Errorf("parcg-cg stats %+v, cg %+v", got, want)
+	for _, c := range []struct {
+		alias, kernel string
+		opts          []solve.Option
+	}{
+		{"cgfused", "cg", nil},
+		{"parcg-cg", "cg", nil},
+		{"blockcg", "cg", nil},
+		{"blockpcg", "pcg", []solve.Option{solve.WithPreconditioner(jac)}},
+	} {
+		got, want := solveAs(c.alias, c.opts), solveAs(c.kernel, c.opts)
+		name := c.alias + " vs " + c.kernel
+		sameSolve(t, name, got, want)
+		if math.Float64bits(got.TrueResidualNorm) != math.Float64bits(want.TrueResidualNorm) {
+			t.Errorf("%s: true residual %.17g, want %.17g", name, got.TrueResidualNorm, want.TrueResidualNorm)
+		}
+		if got.Stats != want.Stats {
+			t.Errorf("%s: stats %+v, want %+v", name, got.Stats, want.Stats)
+		}
+		if c.alias != "parcg-cg" && got.Syncs != want.Syncs {
+			t.Errorf("%s: %d syncs, want %d", name, got.Syncs, want.Syncs)
+		}
 	}
 }
 
@@ -237,7 +261,7 @@ func TestOnePEvaluatesAtIssue(t *testing.T) {
 func TestScheduleSessionsZeroAlloc(t *testing.T) {
 	a := sparse.Poisson2D(40)
 	b := rhsSet(a.Dim(), 1)[0]
-	for _, method := range []string{"sstep", "parcg", "vrcg", "blockcg", "pipecg", "gropp", "parcg-pipe"} {
+	for _, method := range []string{"sstep", "parcg", "vrcg", "pipecg", "gropp", "parcg-pipe"} {
 		sess, err := solve.NewSession(method, a, solve.WithTol(1e-6))
 		if err != nil {
 			t.Fatal(err)

@@ -46,7 +46,8 @@
 //   - "bicgstab", "gmres": square nonsymmetric systems (WithRestart m
 //     for gmres); "cgnr", "lsqr": least squares over rectangular
 //     operators (MethodCaps says which operators a method accepts)
-//   - "blockcg", "blockpcg": O'Leary's block CG at width one
+//   - "blockcg", "blockpcg": second names for "cg" and "pcg", kept for
+//     wire compatibility
 //
 // Configuration is by functional options. Options irrelevant to a
 // method are ignored (WithLookahead does nothing to "cg"), so one

@@ -232,9 +232,9 @@ func TestStoppedSolveKeepsLastIterate(t *testing.T) {
 // TestNonFiniteCurvatureKeepsTheIterate: an operator with a NaN in it
 // makes the first curvature NaN, which no ordered comparison catches.
 // Every method that tests a curvature must call that a breakdown — not
-// "not positive definite", and not 10·n iterations on NaN — before it
-// has written a vector: zero iterations, and X still the caller's warm
-// start, bit for bit.
+// "not positive definite", not 10·n iterations on NaN, and not a NaN X
+// labelled converged — before it has written a vector: zero iterations,
+// and X still the caller's warm start, bit for bit.
 func TestNonFiniteCurvatureKeepsTheIterate(t *testing.T) {
 	const n = 8
 	diag, off := make([]float64, n), make([]float64, n)
@@ -247,7 +247,7 @@ func TestNonFiniteCurvatureKeepsTheIterate(t *testing.T) {
 	for i := range b {
 		b[i], x0[i] = float64(i+1), 1
 	}
-	for _, method := range []string{"cg", "pcg", "cr", "sd", "pipecg", "gropp"} {
+	for _, method := range []string{"cg", "pcg", "cr", "sd", "pipecg", "gropp", "minres", "blockcg", "blockpcg"} {
 		for name, op := range map[string]solve.Operator{"sweep": a, "whole": wholeVectorOnly{a}} {
 			res, err := solve.MustNew(method).Solve(op, b, solve.WithX0(x0))
 			if !errors.Is(err, solve.ErrBreakdown) || errors.Is(err, solve.ErrIndefinite) {
@@ -259,6 +259,28 @@ func TestNonFiniteCurvatureKeepsTheIterate(t *testing.T) {
 			if res.Iterations != 0 || !sameBits(res.X, x0) {
 				t.Errorf("%s %s: %d iterations, X = %v; want none and the warm start %v", method, name, res.Iterations, res.X, x0)
 			}
+		}
+	}
+}
+
+// TestZeroCurvatureIsIndefinite: the all-zero operator gives the first
+// direction a zero curvature, which cg's and pcg's kernels call "not
+// positive definite" under every name they answer to, before a vector
+// is written.
+func TestZeroCurvatureIsIndefinite(t *testing.T) {
+	const n = 8
+	a := sparse.NewCOO(n).ToCSR()
+	b, x0 := make([]float64, n), make([]float64, n)
+	for i := range b {
+		b[i], x0[i] = float64(i+1), 1
+	}
+	for _, method := range []string{"cg", "cgfused", "blockcg", "pcg", "blockpcg"} {
+		res, err := solve.MustNew(method).Solve(a, b, solve.WithX0(x0))
+		if !errors.Is(err, solve.ErrIndefinite) {
+			t.Errorf("%s: error %v, want ErrIndefinite", method, err)
+		}
+		if res != nil && (res.Iterations != 0 || !sameBits(res.X, x0)) {
+			t.Errorf("%s: %d iterations, X = %v; want none and the warm start %v", method, res.Iterations, res.X, x0)
 		}
 	}
 }
