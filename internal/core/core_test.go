@@ -667,7 +667,8 @@ func TestSolveIndefiniteDetected(t *testing.T) {
 
 func TestSolveOneMatvecPerIteration(t *testing.T) {
 	// Claim C7: one matvec per iteration beyond startup and the final
-	// residual check. Startup = 1 (r0) + k+1 (families); exit = 1.
+	// residual check. Startup = k+1 (families) — with no X0, r0 is b and
+	// takes no product; exit = 1.
 	a := sparse.Poisson2D(6)
 	b := vec.New(a.Dim())
 	vec.Random(b, 17)
@@ -676,9 +677,9 @@ func TestSolveOneMatvecPerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1/iteration + startup (r0 + k+1 family powers) + exit check +
-	// 2k+1 per family refresh (stabilization).
-	want := res.Iterations + 1 + (k + 1) + 1 + res.Refreshes*(2*k+1)
+	// 1/iteration + startup (k+1 family powers) + exit check + 2k+1 per
+	// family refresh (stabilization).
+	want := res.Iterations + (k + 1) + 1 + res.Refreshes*(2*k+1)
 	if res.Stats.MatVecs != want {
 		t.Fatalf("matvecs = %d, want %d (1/iteration + startup + exit + refreshes)", res.Stats.MatVecs, want)
 	}
@@ -688,7 +689,7 @@ func TestSolveOneMatvecPerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pureWant := pure.Iterations + 1 + (k + 1) + 1 + pure.Refreshes*(2*k+1)
+	pureWant := pure.Iterations + (k + 1) + 1 + pure.Refreshes*(2*k+1)
 	if pure.Stats.MatVecs != pureWant {
 		t.Fatalf("window-only matvecs = %d, want %d", pure.Stats.MatVecs, pureWant)
 	}

@@ -40,7 +40,6 @@ func (kn *vrcgKernel) resNorm() float64 { return math.Sqrt(math.Max(kn.rr, 0)) }
 
 func (kn *vrcgKernel) Init(run *engine.Run) (float64, error) {
 	ws := run.Ws
-	n := ws.Dim()
 	if run.Cfg.K < 0 {
 		return 0, fmt.Errorf("core: look-ahead parameter K = %d must be >= 0: %w", run.Cfg.K, engine.ErrBadOption)
 	}
@@ -64,9 +63,6 @@ func (kn *vrcgKernel) Init(run *engine.Run) (float64, error) {
 		kn.win = NewWindow(k)
 	}
 	kn.win.InitDirect(ws, &kn.fam)
-	nDots := (2*k + 1) + (2*k + 2) + (2*k + 3)
-	run.Res.Stats.InnerProducts += nDots
-	run.Res.Stats.Flops += int64(nDots) * 2 * int64(n)
 
 	kn.rr = kn.win.RR()
 	kn.r0 = kn.resNorm()
@@ -115,7 +111,7 @@ func (kn *vrcgKernel) restart(run *engine.Run) {
 func (kn *vrcgKernel) Residual(run *engine.Run) float64 {
 	rn := kn.resNorm()
 	if rn <= run.Threshold {
-		rrDirect := run.Dot(kn.fam.Residual(), kn.fam.Residual())
+		rrDirect := run.Ws.Dot(kn.fam.Residual(), kn.fam.Residual())
 		run.Res.FallbackDots++
 		kn.win.M[0] = rrDirect
 		kn.rr = rrDirect
@@ -133,7 +129,6 @@ func (kn *vrcgKernel) Residual(run *engine.Run) float64 {
 
 func (kn *vrcgKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
-	n := int64(ws.Dim())
 	fam, win := &kn.fam, kn.win
 	k := fam.K
 
@@ -152,7 +147,7 @@ func (kn *vrcgKernel) Step(run *engine.Run) error {
 	if pap <= 0 || math.IsNaN(pap) {
 		// Drift symptom: fall back to the direct inner product
 		// (A p is family member P[1], so this is one dot).
-		pap = run.Dot(fam.Direction(), fam.AP())
+		pap = ws.Dot(fam.Direction(), fam.AP())
 		res.FallbackDots++
 		win.W[1] = pap
 	}
@@ -161,7 +156,8 @@ func (kn *vrcgKernel) Step(run *engine.Run) error {
 		// themselves drifted (P[1] is no longer A p). Emergency
 		// recovery: rebuild the families from the live r and p and
 		// re-anchor the windows. Only if the genuinely recomputed
-		// (p, A p) is still non-positive is the operator indefinite.
+		// (p, A p) is still non-positive is the operator indefinite;
+		// a non-finite one is a breakdown (engine.CheckCurvature).
 		reanchor(run, fam, win, true)
 		kn.rr = win.RR()
 		pap = win.PAP()
@@ -176,27 +172,23 @@ func (kn *vrcgKernel) Step(run *engine.Run) error {
 				return nil
 			}
 			return fmt.Errorf("core: (p,Ap) = %g at iteration %d: %w",
-				pap, res.Iterations, engine.ErrIndefinite)
+				pap, res.Iterations, engine.CheckCurvature(pap))
 		}
 	}
 	lambda := kn.rr / pap
 
 	// Iterate update (uses the live direction P[0] before StepP).
 	ws.Axpy(lambda, fam.Direction(), res.X)
-	res.Stats.VectorUpdates++
-	res.Stats.Flops += 2 * n
 
 	// Residual-family half step, then the recurrence value of (r',r').
 	fam.StepR(lambda)
-	res.Stats.VectorUpdates += k + 1
-	res.Stats.Flops += int64(k+1) * 2 * n
 
 	rrNew := win.PeekRR(lambda)
 	fellBack := false
 	if rrNew <= 0 || math.IsNaN(rrNew) {
 		// Drift pushed the recurrence nonpositive (typically at
 		// convergence); fall back to one direct inner product.
-		rrNew = run.Dot(fam.Residual(), fam.Residual())
+		rrNew = ws.Dot(fam.Residual(), fam.Residual())
 		fellBack = true
 		res.FallbackDots++
 	}
@@ -207,14 +199,10 @@ func (kn *vrcgKernel) Step(run *engine.Run) error {
 
 	// Direction-family half step: 2k+2 axpys + the single matvec.
 	fam.StepP(runOp{run}, alpha)
-	res.Stats.VectorUpdates += k + 1
-	res.Stats.Flops += int64(k+1) * 2 * n
 
 	// Window advance: all-but-top entries by scalar recurrence, tops
 	// by the three direct inner products of §5.
 	topN, topW1, topW2 := fam.DirectTops(ws)
-	res.Stats.InnerProducts += 3
-	res.Stats.Flops += 3 * 2 * n
 	win.Step(lambda, alpha, topN, topW1, topW2)
 	res.Stats.Flops += int64(6*(2*k+1) + 4) // scalar recurrence work
 	if fellBack {

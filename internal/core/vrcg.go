@@ -58,16 +58,11 @@ func relErr(got, want float64) float64 {
 
 func reanchor(run *engine.Run, fam *Families, win *Window, refresh bool) {
 	res := run.Res
-	n := run.Ws.Dim()
-	k := fam.K
 	if refresh {
 		fam.Regrow(runOp{run})
 		fam.Top(runOp{run})
 		res.Refreshes++
 	}
 	win.InitDirect(run.Ws, fam)
-	nDots := (2*k + 1) + (2*k + 2) + (2*k + 3)
-	res.Stats.InnerProducts += nDots
-	res.Stats.Flops += int64(nDots) * 2 * int64(n)
 	res.Reanchors++
 }

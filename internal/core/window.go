@@ -134,7 +134,7 @@ func (w *Window) InitDirect(ws *engine.Workspace, f *Families) {
 
 // Operator is what the families multiply by: a sparse.Matrix, or a
 // kernel's product on its run, which goes through the workspace and is
-// counted in the run's Stats (engine.Run.MatVec).
+// counted there (engine.Run.MatVec).
 type Operator interface{ MulVec(dst, x []float64) }
 
 // runOp is the run's operator as an Operator.

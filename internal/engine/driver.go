@@ -57,8 +57,6 @@ type Run struct {
 	Ws  *Workspace
 	// Threshold is the absolute convergence threshold Tol*||b||.
 	Threshold float64
-	// MatVecFlops is the flop cost charged for one product with A.
-	MatVecFlops int64
 
 	stopped bool
 	// phaseTime accumulates the timed Workspace calls of the step in
@@ -109,59 +107,38 @@ func (r *Run) Stop() { r.stopped = true }
 // stop.
 func (r *Run) Stopped() bool { return r.stopped }
 
-// MatVec computes dst = A x on the workspace and counts the product.
-func (r *Run) MatVec(dst, x vec.Vector) {
-	r.Ws.MatVec(r.A, dst, x)
-	r.Res.Stats.MatVecs++
-	r.Res.Stats.Flops += r.MatVecFlops
-}
+// MatVec computes dst = A x on the workspace.
+func (r *Run) MatVec(dst, x vec.Vector) { r.Ws.MatVec(r.A, dst, x) }
 
-// Dot returns <x, y> on the workspace and counts the inner product.
-func (r *Run) Dot(x, y vec.Vector) float64 {
-	r.Res.Stats.InnerProducts++
-	r.Res.Stats.Flops += 2 * int64(r.Ws.Dim())
-	return r.Ws.Dot(x, y)
-}
-
-// Direction completes the pending update p = src + beta*p (src nil: none
-// pending), forms ap = A p and returns <p, ap> on the workspace, counting
-// the product and the inner product. The update is not counted here but
-// by the step that determined beta, so an iteration's counts do not
-// depend on where its last update is executed — and the last update of a
-// converged solve, which nothing reads, is counted and never run.
-func (r *Run) Direction(src vec.Vector, beta float64, p, ap vec.Vector) float64 {
-	r.Res.Stats.MatVecs++
-	r.Res.Stats.InnerProducts++
-	r.Res.Stats.Flops += r.MatVecFlops + 2*int64(r.Ws.Dim())
-	return r.Ws.Direction(r.A, src, beta, p, ap)
-}
-
-// ResidualInto computes dst = b − A x with one counted product.
+// ResidualInto computes dst = b − A x with one product.
 func (r *Run) ResidualInto(dst, x vec.Vector) {
 	r.MatVec(dst, x)
 	vec.Sub(dst, r.B, dst)
 }
 
-// InitialIterate loads X0 (or zero) into x, publishes it as Res.X, and
-// forms the initial residual res = b − A x — the start-up the kernels
-// share. res has the operator's row count, x its column count; for
-// square operators the two coincide.
+// InitialIterate loads X0 into x, publishes it as Res.X, and forms the
+// initial residual res = b − A x — the start-up the kernels share.
+// Without an X0, x is zero and res is b: no product by a zero vector.
+// res has the operator's row count, x its column count; for square
+// operators the two coincide.
 func (r *Run) InitialIterate(x, res vec.Vector) {
-	if r.Cfg.X0 != nil {
-		vec.Copy(x, r.Cfg.X0)
-	} else {
-		vec.Zero(x)
-	}
 	r.Res.X = x
+	if r.Cfg.X0 == nil {
+		vec.Zero(x)
+		vec.Copy(res, r.B)
+		return
+	}
+	vec.Copy(x, r.Cfg.X0)
 	r.ResidualInto(res, x)
 }
 
 // TrueResidual computes ‖b − A x‖ into scratch (row space) and
 // publishes it as Res.TrueResidualNorm — the exit step the kernels
-// share.
+// share. The product is counted, the norm is the driver's check and is
+// not (Stats).
 func (r *Run) TrueResidual(scratch, x vec.Vector) {
 	r.ResidualInto(scratch, x)
-	r.Res.TrueResidualNorm = r.Ws.Norm2(scratch)
+	r.Res.TrueResidualNorm = r.Ws.norm2(scratch)
 }
 
 // errInFlight is a kernel contract violation: Init or Step returned
@@ -256,12 +233,14 @@ func Solve(k Kernel, ws *Workspace, a sparse.Matrix, b vec.Vector, cfg Config, r
 		ws.sweep, _ = a.(RowSweeper)
 	}
 
-	bnorm := ws.Norm2(b)
+	bnorm := ws.norm2(b)
 	if bnorm == 0 {
 		bnorm = 1
 	}
 	run := &ws.run
-	*run = Run{A: a, AT: at, B: b, Cfg: cfg, Res: res, Ws: ws, Threshold: cfg.Tol * bnorm, MatVecFlops: matVecFlops(a)}
+	*run = Run{A: a, AT: at, B: b, Cfg: cfg, Res: res, Ws: ws, Threshold: cfg.Tol * bnorm}
+	ws.stats, ws.mvFlops = Stats{}, matVecFlops(a)
+	defer func() { res.Stats.Add(ws.stats) }() // and the kernel's scalar flops
 
 	rn, err := k.Init(run)
 	if err = run.settle(k, "Init", err); err != nil {

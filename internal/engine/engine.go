@@ -94,9 +94,24 @@ var ErrBadOption = errors.New("krylov: invalid solver option")
 // transpose products, sparse.TransposeMulVec).
 var ErrUnsupportedOperator = errors.New("krylov: operator type not supported by this method")
 
-// Stats counts the work an iterative solve performed. Flops follow the
-// usual convention: 2n per inner product or axpy, 2*nnz per sparse
-// matrix–vector product.
+// Stats counts the work a solve ran, each item counted by the Workspace
+// call that ran it, so no kernel keeps a ledger. Flops follow the
+// operand's length (len: a rectangular operator's row-space vectors
+// count rows, not Dim):
+//
+//   - MatVec, MatVecT: one product, 2·nnz flops (2n² for a dense operator).
+//   - Dot, Norm2: one inner product, 2·len; DotPair and IssueDotPair two;
+//     Dots and IssueDots of m, m — counted at issue.
+//   - Axpy, Xpay: one update, 2·len; Combine one a nonzero coefficient
+//     (the leaf skips a zero one); Scale one, len flops.
+//   - FusedCGUpdate, IssueFusedCGUpdate: two updates and one inner
+//     product; IssuePipeUpdate six and two.
+//   - Direction: one product, one inner product, and the pending update.
+//   - ApplyPrecond: one preconditioner solve, no flops.
+//
+// The driver's ‖b‖ and exit ‖b − Ax‖ norms are its own checks and are not
+// counted (the exit product is). A kernel adds to Flops only the scalar
+// work no Workspace call sees (vrcg's window recurrence).
 type Stats struct {
 	MatVecs       int
 	InnerProducts int

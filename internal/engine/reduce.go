@@ -138,6 +138,7 @@ func (b *bgReducer) wait() {
 // IssueDotPair starts the fused reduction (<x,y>, <x,z>);
 // AwaitDotPair collects it.
 func (ws *Workspace) IssueDotPair(x, y, z vec.Vector) {
+	ws.dots(2, len(x))
 	j := ws.newJob()
 	j.x, j.y, j.z, j.out = x, y, z, j.pair[:]
 	ws.issue()
@@ -146,6 +147,7 @@ func (ws *Workspace) IssueDotPair(x, y, z vec.Vector) {
 // IssueDots starts the batch out[i] = <xs[i], ys[i]> of arena vectors;
 // Await completes it. The slices are read until then.
 func (ws *Workspace) IssueDots(out []float64, xs, ys []vec.Vector) {
+	ws.dots(len(out), ws.n)
 	j := ws.newJob()
 	j.x, j.out, j.xs, j.ys = nil, out, xs, ys
 	j.nb = blocks(ws.n)
@@ -247,6 +249,8 @@ func (ws *Workspace) IssuePipeUpdate(alpha, beta float64, r, w, n, p, s, q, x ve
 		ws.IssueDotPair(r, r, w)
 		return
 	}
+	ws.updates(6, len(x))
+	ws.dots(2, len(r))
 	j := ws.newJob()
 	t0 := ws.begin()
 	j.pair[0], j.pair[1] = vec.PipeUpdate(alpha, beta, r, w, n, p, s, q, x)
@@ -257,6 +261,8 @@ func (ws *Workspace) IssuePipeUpdate(alpha, beta float64, r, w, n, p, s, q, x ve
 // IssueFusedCGUpdate is FusedCGUpdate — x += alpha*p, r -= alpha*ap —
 // with its <r,r> issued instead of returned; AwaitSum collects it.
 func (ws *Workspace) IssueFusedCGUpdate(alpha float64, p, ap, x, r vec.Vector) {
+	ws.updates(2, len(x))
+	ws.dots(1, len(r))
 	j := ws.newJob()
 	t0 := ws.begin()
 	j.pair[0] = ws.pool.FusedCGUpdate(alpha, p, ap, x, r)

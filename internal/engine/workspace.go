@@ -17,8 +17,8 @@ import (
 //
 // Because every SpMV, inner product and vector update a kernel performs
 // goes through the workspace, it is also where a reduction is issued
-// and awaited (reduce.go) and where phase time is measured
-// (TimePhases).
+// and awaited (reduce.go), where phase time is measured (TimePhases),
+// and where the work is counted (Stats).
 //
 // Contract: vectors obtained from the arena — including the X field of
 // a Result produced on it — are owned by the workspace and valid only
@@ -38,6 +38,11 @@ type Workspace struct {
 	vecsN   []vec.Vector
 	history []float64
 	run     Run
+	// stats counts the work of the solve in progress (Stats' convention);
+	// mvFlops is what one of its products costs. Solve resets both and
+	// publishes stats into Result.Stats.
+	stats   Stats
+	mvFlops int64
 
 	// red holds the issue/await reduction job and, once a schedule has
 	// overlapped one, the goroutines that run it (reduce.go).
@@ -150,9 +155,27 @@ func (ws *Workspace) charge(p Phase, t0 time.Duration) {
 }
 
 // Pooled kernel dispatch: every hot-path vector operation a kernel
-// performs goes through one of these, so pool routing, phase timing and
-// the combination of a row block's sums are decided in exactly one
-// place.
+// performs goes through one of these, so pool routing, phase timing, the
+// combination of a row block's sums and the count of the work are
+// decided in exactly one place.
+
+// dots counts m inner products of length-long operands.
+func (ws *Workspace) dots(m, length int) {
+	ws.stats.InnerProducts += m
+	ws.stats.Flops += 2 * int64(m) * int64(length)
+}
+
+// updates counts m vector updates y = ±x + αy of length-long operands.
+func (ws *Workspace) updates(m, length int) {
+	ws.stats.VectorUpdates += m
+	ws.stats.Flops += 2 * int64(m) * int64(length)
+}
+
+// product counts a product with the solve's operator.
+func (ws *Workspace) product() {
+	ws.stats.MatVecs++
+	ws.stats.Flops += ws.mvFlops
+}
 
 // combine turns a row block's partial sums into the sums over every
 // block, in place: one exchange, waited for. Without a block operator
@@ -173,6 +196,7 @@ func (ws *Workspace) whole(d float64) float64 {
 
 // Dot returns <x, y> on the workspace pool.
 func (ws *Workspace) Dot(x, y vec.Vector) float64 {
+	ws.dots(1, len(x))
 	t0 := ws.begin()
 	d := ws.whole(ws.pool.Dot(x, y))
 	ws.charge(PhaseReduction, t0)
@@ -200,6 +224,7 @@ func (ws *Workspace) slab(m int) []float64 {
 // whole, exactly as Dot would — as one reduction (vec.Dots): one pass
 // over the operands and, for a row block, one exchange.
 func (ws *Workspace) Dots(out []float64, xs, ys []vec.Vector) {
+	ws.dots(len(out), ws.n)
 	t0 := ws.begin()
 	ws.pool.Dots(out, xs, ys, ws.slab(len(out)))
 	ws.combine(out)
@@ -208,6 +233,7 @@ func (ws *Workspace) Dots(out []float64, xs, ys []vec.Vector) {
 
 // DotPair returns <x, y> and <x, z> in one sweep.
 func (ws *Workspace) DotPair(x, y, z vec.Vector) (xy, xz float64) {
+	ws.dots(2, len(x))
 	t0 := ws.begin()
 	ws.sums[0], ws.sums[1] = ws.pool.DotPair(x, y, z)
 	ws.combine(ws.sums[:])
@@ -218,6 +244,15 @@ func (ws *Workspace) DotPair(x, y, z vec.Vector) (xy, xz float64) {
 // Norm2 returns ‖x‖₂; for a row block, the norm of the whole vector x
 // is this block's rows of.
 func (ws *Workspace) Norm2(x vec.Vector) float64 {
+	ws.dots(1, len(x))
+	t0 := ws.begin()
+	nrm := ws.norm2(x)
+	ws.charge(PhaseReduction, t0)
+	return nrm
+}
+
+// norm2 is Norm2 uncounted and untimed: the driver's own checks.
+func (ws *Workspace) norm2(x vec.Vector) float64 {
 	if ws.block == nil {
 		return vec.Norm2(x)
 	}
@@ -226,13 +261,23 @@ func (ws *Workspace) Norm2(x vec.Vector) float64 {
 
 // Axpy computes y += alpha*x.
 func (ws *Workspace) Axpy(alpha float64, x, y vec.Vector) {
+	ws.updates(1, len(x))
 	t0 := ws.begin()
 	ws.pool.Axpy(alpha, x, y)
 	ws.charge(PhaseUpdate, t0)
 }
 
-// Combine computes dst = init + sum_j coef[j]*xs[j] in one pass (vec.Combine).
+// Combine computes dst = init + sum_j coef[j]*xs[j] in one pass
+// (vec.Combine), which skips a zero coefficient: one update a term that
+// runs.
 func (ws *Workspace) Combine(dst, init vec.Vector, coef []float64, xs []vec.Vector) {
+	terms := 0
+	for _, c := range coef {
+		if c != 0 {
+			terms++
+		}
+	}
+	ws.updates(terms, len(dst))
 	t0 := ws.begin()
 	ws.pool.Combine(dst, init, coef, xs)
 	ws.charge(PhaseUpdate, t0)
@@ -240,8 +285,18 @@ func (ws *Workspace) Combine(dst, init vec.Vector, coef []float64, xs []vec.Vect
 
 // Xpay computes y = x + alpha*y.
 func (ws *Workspace) Xpay(x vec.Vector, alpha float64, y vec.Vector) {
+	ws.updates(1, len(x))
 	t0 := ws.begin()
 	ws.pool.Xpay(x, alpha, y)
+	ws.charge(PhaseUpdate, t0)
+}
+
+// Scale computes x *= alpha.
+func (ws *Workspace) Scale(alpha float64, x vec.Vector) {
+	ws.stats.VectorUpdates++
+	ws.stats.Flops += int64(len(x))
+	t0 := ws.begin()
+	vec.Scale(alpha, x)
 	ws.charge(PhaseUpdate, t0)
 }
 
@@ -249,6 +304,8 @@ func (ws *Workspace) Xpay(x vec.Vector, alpha float64, y vec.Vector) {
 // new <r, r> in one sweep. The sweep is charged to the update phase,
 // its reduction included.
 func (ws *Workspace) FusedCGUpdate(alpha float64, p, ap, x, r vec.Vector) float64 {
+	ws.updates(2, len(x))
+	ws.dots(1, len(r))
 	t0 := ws.begin()
 	rr := ws.whole(ws.pool.FusedCGUpdate(alpha, p, ap, x, r))
 	ws.charge(PhaseUpdate, t0)
@@ -258,6 +315,7 @@ func (ws *Workspace) FusedCGUpdate(alpha float64, p, ap, x, r vec.Vector) float6
 // MatVec computes dst = A*x on the workspace pool when the operator
 // supports pooled products.
 func (ws *Workspace) MatVec(a sparse.Matrix, dst, x vec.Vector) {
+	ws.product()
 	t0 := ws.begin()
 	sparse.PooledMulVec(a, ws.pool, dst, x)
 	ws.charge(PhaseSpMV, t0)
@@ -316,6 +374,11 @@ func (ws *Workspace) Direction(a sparse.Matrix, src vec.Vector, beta float64, p,
 		ws.MatVec(a, ap, p)
 		return ws.Dot(p, ap)
 	}
+	ws.product()
+	ws.dots(1, len(p))
+	if src != nil {
+		ws.updates(1, len(p))
+	}
 	var lap func(vec.SweepPart)
 	if ws.now != nil {
 		ws.lapAt = ws.now()
@@ -329,6 +392,7 @@ func (ws *Workspace) Direction(a sparse.Matrix, src vec.Vector, beta float64, p,
 // Run.AT, which the driver populates only when the (pre-tuning)
 // operator supports transpose products at all.
 func (ws *Workspace) MatVecT(a sparse.TransposeMulVec, dst, x vec.Vector) {
+	ws.product()
 	t0 := ws.begin()
 	sparse.PooledMulVecT(a, ws.pool, dst, x)
 	ws.charge(PhaseSpMV, t0)
@@ -337,6 +401,7 @@ func (ws *Workspace) MatVecT(a sparse.TransposeMulVec, dst, x vec.Vector) {
 // ApplyPrecond computes dst = M^{-1} r, routing pointwise
 // preconditioners through the pool.
 func (ws *Workspace) ApplyPrecond(m precond.Preconditioner, dst, r vec.Vector) {
+	ws.stats.PrecondSolves++
 	if ws.pool != nil {
 		if pa, ok := m.(precond.PoolApplier); ok {
 			pa.ApplyPool(ws.pool, dst, r)
@@ -347,7 +412,7 @@ func (ws *Workspace) ApplyPrecond(m precond.Preconditioner, dst, r vec.Vector) {
 }
 
 // matVecFlops returns the flop cost charged for one product with a:
-// 2*nnz for sparse operators, 2*n^2 for dense ones (Run.MatVecFlops).
+// 2*nnz for sparse operators, 2*n^2 for dense ones.
 func matVecFlops(a sparse.Matrix) int64 {
 	if sp, ok := a.(sparse.Sparse); ok {
 		return 2 * int64(sp.NNZ())

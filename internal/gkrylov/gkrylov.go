@@ -28,14 +28,6 @@ import (
 	"vrcg/internal/vec"
 )
 
-// matVecT computes dst = Aᵀ*x through the run's captured transpose
-// capability, charging it like a forward product.
-func matVecT(run *engine.Run, dst, x vec.Vector) {
-	run.Ws.MatVecT(run.AT, dst, x)
-	run.Res.Stats.MatVecs++
-	run.Res.Stats.Flops += run.MatVecFlops
-}
-
 // requireTranspose fails with engine.ErrUnsupportedOperator when the operator
 // cannot apply its transpose (Run.AT is nil).
 func requireTranspose(run *engine.Run, method string) error {
@@ -70,7 +62,7 @@ func (k *bicgstabKernel) Init(run *engine.Run) (float64, error) {
 	vec.Zero(k.p)
 	vec.Zero(k.v)
 	k.rho, k.alpha, k.omega = 1, 1, 1
-	k.rnorm = vec.Norm2(k.r)
+	k.rnorm = ws.Norm2(k.r)
 	return k.rnorm, nil
 }
 
@@ -78,27 +70,20 @@ func (k *bicgstabKernel) Residual(*engine.Run) float64 { return k.rnorm }
 
 func (k *bicgstabKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
-	n := int64(ws.Dim())
 
 	rhoNew := ws.Dot(k.rhat, k.r)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
 	if rhoNew == 0 || math.IsNaN(rhoNew) || math.IsInf(rhoNew, 0) {
 		return fmt.Errorf("gkrylov: (r̂,r) = %g at iteration %d: %w", rhoNew, res.Iterations, engine.ErrBreakdown)
 	}
 	beta := (rhoNew / k.rho) * (k.alpha / k.omega)
 
 	// p = r + beta*(p - omega*v)
-	vec.Axpy(-k.omega, k.v, k.p)
+	ws.Axpy(-k.omega, k.v, k.p)
 	ws.Xpay(k.r, beta, k.p)
-	res.Stats.VectorUpdates += 2
-	res.Stats.Flops += 4 * n
 
 	run.MatVec(k.v, k.p)
 
 	rhv := ws.Dot(k.rhat, k.v)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
 	if rhv == 0 {
 		return fmt.Errorf("gkrylov: (r̂,Ap) vanished at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
@@ -107,17 +92,11 @@ func (k *bicgstabKernel) Step(run *engine.Run) error {
 	// s = r - alpha*v; the half-step iterate x + alpha*p may already
 	// satisfy the tolerance, in which case the second matvec is skipped.
 	vec.Copy(k.s, k.r)
-	vec.Axpy(-k.alpha, k.v, k.s)
-	res.Stats.VectorUpdates++
-	res.Stats.Flops += 2 * n
-	snorm := vec.Norm2(k.s)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
+	ws.Axpy(-k.alpha, k.v, k.s)
+	snorm := ws.Norm2(k.s)
 	if snorm <= run.Threshold {
 		ws.Axpy(k.alpha, k.p, k.x)
 		vec.Copy(k.r, k.s)
-		res.Stats.VectorUpdates++
-		res.Stats.Flops += 2 * n
 		k.rho = rhoNew
 		k.rnorm = snorm
 		run.Tick(k.rnorm)
@@ -128,8 +107,6 @@ func (k *bicgstabKernel) Step(run *engine.Run) error {
 	run.MatVec(k.t, k.s)
 
 	ts, tt := ws.DotPair(k.t, k.s, k.t)
-	res.Stats.InnerProducts += 2
-	res.Stats.Flops += 4 * n
 	if tt == 0 {
 		return fmt.Errorf("gkrylov: ||As|| vanished at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
@@ -143,13 +120,9 @@ func (k *bicgstabKernel) Step(run *engine.Run) error {
 	ws.Axpy(k.omega, k.s, k.x)
 	vec.Copy(k.r, k.s)
 	ws.Axpy(-k.omega, k.t, k.r)
-	res.Stats.VectorUpdates += 3
-	res.Stats.Flops += 6 * n
 
 	k.rho = rhoNew
-	k.rnorm = vec.Norm2(k.r)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
+	k.rnorm = ws.Norm2(k.r)
 	if math.IsNaN(k.rnorm) || math.IsInf(k.rnorm, 0) {
 		return fmt.Errorf("gkrylov: non-finite residual at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}

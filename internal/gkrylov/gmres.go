@@ -55,7 +55,7 @@ func (k *gmresKernel) Init(run *engine.Run) (float64, error) {
 	}
 	k.x, k.r = ws.Vec(0), ws.Vec(1)
 	run.InitialIterate(k.x, k.r)
-	k.rnorm = vec.Norm2(k.r)
+	k.rnorm = ws.Norm2(k.r)
 	return k.rnorm, nil
 }
 
@@ -67,7 +67,6 @@ func (k *gmresKernel) Residual(*engine.Run) float64 { return k.rnorm }
 func (k *gmresKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
 	m := k.m
-	n := int64(ws.Dim())
 
 	h := ws.VecN(gmresH, (m+1)*m)
 	cs := ws.VecN(gmresCS, m)
@@ -81,9 +80,8 @@ func (k *gmresKernel) Step(run *engine.Run) error {
 		return nil
 	}
 	v0 := k.basis(ws, 0)
-	vec.ScaleTo(v0, 1/beta, k.r)
-	res.Stats.VectorUpdates++
-	res.Stats.Flops += n
+	vec.Copy(v0, k.r)
+	ws.Scale(1/beta, v0)
 	vec.Zero(g)
 	g[0] = beta
 
@@ -99,19 +97,12 @@ func (k *gmresKernel) Step(run *engine.Run) error {
 			h[i*m+j] = hij
 			ws.Axpy(-hij, vi, w)
 		}
-		res.Stats.InnerProducts += j + 1
-		res.Stats.VectorUpdates += j + 1
-		res.Stats.Flops += 4 * int64(j+1) * n
 
-		hnext := vec.Norm2(w)
-		res.Stats.InnerProducts++
-		res.Stats.Flops += 2 * n
+		hnext := ws.Norm2(w)
 		h[(j+1)*m+j] = hnext
 		happy := hnext == 0
 		if !happy {
-			vec.Scale(1/hnext, w)
-			res.Stats.VectorUpdates++
-			res.Stats.Flops += n
+			ws.Scale(1/hnext, w)
 		}
 
 		// Apply the accumulated Givens rotations to the new column,
@@ -156,15 +147,11 @@ func (k *gmresKernel) Step(run *engine.Run) error {
 	for i := 0; i < j; i++ {
 		ws.Axpy(y[i], k.basis(ws, i), k.x)
 	}
-	res.Stats.VectorUpdates += j
-	res.Stats.Flops += 2 * int64(j) * n
 
 	// True-residual refresh: restarting from the recurrence estimate
 	// would compound rounding across cycles.
 	run.ResidualInto(k.r, k.x)
-	k.rnorm = vec.Norm2(k.r)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
+	k.rnorm = ws.Norm2(k.r)
 	if math.IsNaN(k.rnorm) || math.IsInf(k.rnorm, 0) {
 		return fmt.Errorf("gkrylov: non-finite residual at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}

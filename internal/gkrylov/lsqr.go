@@ -49,13 +49,11 @@ func (k *cgnrKernel) Init(run *engine.Run) (float64, error) {
 	k.r, k.ap = ws.VecN(lsRow0, rows), ws.VecN(lsRow1, rows)
 
 	run.InitialIterate(k.x, k.r)
-	k.rnorm = vec.Norm2(k.r)
+	k.rnorm = ws.Norm2(k.r)
 
-	matVecT(run, k.z, k.r)
+	run.Ws.MatVecT(run.AT, k.z, k.r)
 	vec.Copy(k.p, k.z)
 	k.zz = ws.Dot(k.z, k.z)
-	run.Res.Stats.InnerProducts += 2
-	run.Res.Stats.Flops += 2*int64(rows) + 2*int64(ws.Dim())
 	if k.zz == 0 && k.rnorm > run.Threshold {
 		return 0, fmt.Errorf("gkrylov: Aᵀr vanished at start (rank-deficient or zero operator): %w", engine.ErrBreakdown)
 	}
@@ -76,24 +74,18 @@ func (k *cgnrKernel) Init(run *engine.Run) (float64, error) {
 
 // atbNorm computes ||Aᵀb|| into the given column-space scratch vector.
 func atbNorm(run *engine.Run, scratch vec.Vector) float64 {
-	matVecT(run, scratch, run.B)
-	run.Res.Stats.InnerProducts++
-	run.Res.Stats.Flops += 2 * int64(len(scratch))
-	return vec.Norm2(scratch)
+	run.Ws.MatVecT(run.AT, scratch, run.B)
+	return run.Ws.Norm2(scratch)
 }
 
 func (k *cgnrKernel) Residual(*engine.Run) float64 { return k.rnorm }
 
 func (k *cgnrKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
-	cols := int64(ws.Dim())
-	rows := int64(len(k.r))
 
 	run.MatVec(k.ap, k.p)
 
 	ww := ws.Dot(k.ap, k.ap)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * rows
 	if ww == 0 {
 		return fmt.Errorf("gkrylov: ||Ap|| vanished at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
@@ -101,26 +93,18 @@ func (k *cgnrKernel) Step(run *engine.Run) error {
 
 	ws.Axpy(alpha, k.p, k.x)
 	ws.Axpy(-alpha, k.ap, k.r)
-	res.Stats.VectorUpdates += 2
-	res.Stats.Flops += 2*cols + 2*rows
 
-	matVecT(run, k.z, k.r)
+	run.Ws.MatVecT(run.AT, k.z, k.r)
 	zzNew := ws.Dot(k.z, k.z)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * cols
 	if math.IsNaN(zzNew) || math.IsInf(zzNew, 0) {
 		return fmt.Errorf("gkrylov: non-finite gradient at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 
 	beta := zzNew / k.zz
 	ws.Xpay(k.z, beta, k.p)
-	res.Stats.VectorUpdates++
-	res.Stats.Flops += 2 * cols
 	k.zz = zzNew
 
-	k.rnorm = vec.Norm2(k.r)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * rows
+	k.rnorm = ws.Norm2(k.r)
 	run.Tick(k.rnorm)
 
 	// Least-squares stationarity: for inconsistent systems ||r|| never
@@ -163,35 +147,27 @@ func (k *lsqrKernel) Init(run *engine.Run) (float64, error) {
 	}
 	ws := run.Ws
 	rows := rowDim(run.A)
-	cols := ws.Dim()
 	k.x, k.v, k.w, k.vt = ws.Vec(0), ws.Vec(1), ws.Vec(2), ws.Vec(3)
 	k.u, k.ut = ws.VecN(lsRow0, rows), ws.VecN(lsRow1, rows)
 
 	// u = (b - A x0)/beta, v = Aᵀu/alpha: the first bidiagonalization
 	// step, seeded from the initial residual so warm starts carry over.
 	run.InitialIterate(k.x, k.u)
-	beta := vec.Norm2(k.u)
-	run.Res.Stats.InnerProducts++
-	run.Res.Stats.Flops += 2 * int64(rows)
+	beta := ws.Norm2(k.u)
 	if beta == 0 {
 		// x0 is already exact; the driver sees rnorm 0 and converges.
 		k.phibar, k.atrEst = 0, 0
 		return 0, nil
 	}
-	vec.Scale(1/beta, k.u)
+	ws.Scale(1/beta, k.u)
 
-	matVecT(run, k.v, k.u)
-	k.alpha = vec.Norm2(k.v)
-	run.Res.Stats.InnerProducts++
-	run.Res.Stats.VectorUpdates++
-	run.Res.Stats.Flops += int64(rows) + 2*int64(cols)
+	run.Ws.MatVecT(run.AT, k.v, k.u)
+	k.alpha = ws.Norm2(k.v)
 	if k.alpha == 0 {
 		return 0, fmt.Errorf("gkrylov: Aᵀu vanished at start (rank-deficient or zero operator): %w", engine.ErrBreakdown)
 	}
-	vec.Scale(1/k.alpha, k.v)
+	ws.Scale(1/k.alpha, k.v)
 	vec.Copy(k.w, k.v)
-	run.Res.Stats.VectorUpdates += 2
-	run.Res.Stats.Flops += 2 * int64(cols)
 
 	k.phibar = beta
 	k.rhobar = k.alpha
@@ -212,33 +188,23 @@ func (k *lsqrKernel) Residual(*engine.Run) float64 { return k.phibar }
 
 func (k *lsqrKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
-	cols := int64(ws.Dim())
-	rows := int64(len(k.u))
 
 	// Continue the bidiagonalization: beta u⁺ = A v - alpha u.
 	run.MatVec(k.ut, k.v)
 	ws.Axpy(-k.alpha, k.u, k.ut)
-	beta := vec.Norm2(k.ut)
-	res.Stats.VectorUpdates++
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 4 * rows
+	beta := ws.Norm2(k.ut)
 	if beta > 0 {
-		vec.ScaleTo(k.u, 1/beta, k.ut)
-		res.Stats.VectorUpdates++
-		res.Stats.Flops += rows
+		vec.Copy(k.u, k.ut)
+		ws.Scale(1/beta, k.u)
 	}
 
 	// alpha v⁺ = Aᵀu⁺ - beta v.
-	matVecT(run, k.vt, k.u)
+	run.Ws.MatVecT(run.AT, k.vt, k.u)
 	ws.Axpy(-beta, k.v, k.vt)
-	alphaNew := vec.Norm2(k.vt)
-	res.Stats.VectorUpdates++
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 4 * cols
+	alphaNew := ws.Norm2(k.vt)
 	if alphaNew > 0 {
-		vec.ScaleTo(k.v, 1/alphaNew, k.vt)
-		res.Stats.VectorUpdates++
-		res.Stats.Flops += cols
+		vec.Copy(k.v, k.vt)
+		ws.Scale(1/alphaNew, k.v)
 	}
 	k.alpha = alphaNew
 
@@ -256,8 +222,6 @@ func (k *lsqrKernel) Step(run *engine.Run) error {
 
 	ws.Axpy(phi/rho, k.w, k.x)
 	ws.Xpay(k.v, -theta/rho, k.w)
-	res.Stats.VectorUpdates += 2
-	res.Stats.Flops += 4 * cols
 
 	if math.IsNaN(k.phibar) || math.IsInf(k.phibar, 0) {
 		return fmt.Errorf("gkrylov: non-finite residual estimate at iteration %d: %w", res.Iterations, engine.ErrBreakdown)

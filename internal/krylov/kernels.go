@@ -19,7 +19,7 @@ import (
 
 // cgKernel is standard Hestenes–Stiefel CG (paper §2) scheduled around
 // its two inner products, which are all that anything in an iteration
-// has to wait for: one sweep over memory ends in each. run.Direction is
+// has to wait for: one sweep over memory ends in each. ws.Direction is
 // p = r + beta p, ap = A p and (p,ap); FusedCGUpdate is x += lambda p,
 // r -= lambda ap and (r,r). On an operator the engine can sweep by rows
 // that is two passes over memory where the six steps taken one at a
@@ -31,8 +31,8 @@ import (
 // Step's Direction applies it on the way to the product. Nothing between
 // two steps reads p — the driver's convergence test and the callbacks see
 // rr and x — and the update after the last iteration of a converged
-// solve is never executed. It is counted where it is determined, so an
-// iteration is three updates whichever step runs them.
+// solve is never executed, nor counted: Direction counts it where it
+// runs.
 type cgKernel struct {
 	x, r, p, ap vec.Vector
 	rr          float64
@@ -53,7 +53,7 @@ func (k *cgKernel) Init(run *engine.Run) (float64, error) {
 	run.InitialIterate(k.x, k.r)
 	vec.Copy(k.p, k.r)
 	k.src = nil
-	k.rr = run.Dot(k.r, k.r)
+	k.rr = ws.Dot(k.r, k.r)
 	return math.Sqrt(k.rr), nil
 }
 
@@ -69,9 +69,8 @@ func curvature(pap float64, iter int) error {
 
 func (k *cgKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
-	n := int64(ws.Dim())
 
-	pap := run.Direction(k.src, k.beta, k.p, k.ap)
+	pap := ws.Direction(run.A, k.src, k.beta, k.p, k.ap)
 	if err := curvature(pap, res.Iterations); err != nil {
 		return err
 	}
@@ -79,17 +78,11 @@ func (k *cgKernel) Step(run *engine.Run) error {
 
 	// The fused sweep: x += lambda p, r -= lambda ap, rr' = (r,r).
 	rrNew := ws.FusedCGUpdate(lambda, k.p, k.ap, k.x, k.r)
-	res.Stats.VectorUpdates += 2
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 6 * n
 	if math.IsNaN(rrNew) || math.IsInf(rrNew, 0) {
 		return fmt.Errorf("krylov: non-finite residual at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
 
 	k.src, k.beta = k.r, rrNew/k.rr
-	res.Stats.VectorUpdates++
-	res.Stats.Flops += 2 * n
-
 	k.rr = rrNew
 	run.Tick(math.Sqrt(k.rr))
 	return nil
@@ -116,8 +109,6 @@ type pcgKernel struct {
 // residualDots takes (r,z) and (r,r) in one reduction.
 func (k *pcgKernel) residualDots(run *engine.Run) (rz, rr float64) {
 	run.Ws.Dots(k.sums[:], k.rv[:], k.zr[:])
-	run.Res.Stats.InnerProducts += 2
-	run.Res.Stats.Flops += 4 * int64(run.Ws.Dim())
 	return k.sums[0], k.sums[1]
 }
 
@@ -144,8 +135,6 @@ func (k *pcgKernel) Init(run *engine.Run) (float64, error) {
 	run.InitialIterate(k.x, k.r)
 
 	ws.ApplyPrecond(k.m, k.z, k.r)
-	run.Res.Stats.PrecondSolves++
-
 	vec.Copy(k.p, k.z)
 	k.src = nil
 	k.rz, k.rr = k.residualDots(run)
@@ -156,9 +145,8 @@ func (k *pcgKernel) Residual(*engine.Run) float64 { return math.Sqrt(k.rr) }
 
 func (k *pcgKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
-	n := int64(ws.Dim())
 
-	pap := run.Direction(k.src, k.beta, k.p, k.ap)
+	pap := ws.Direction(run.A, k.src, k.beta, k.p, k.ap)
 	if err := curvature(pap, res.Iterations); err != nil {
 		return err
 	}
@@ -169,11 +157,7 @@ func (k *pcgKernel) Step(run *engine.Run) error {
 
 	ws.Axpy(lambda, k.p, k.x)
 	ws.Axpy(-lambda, k.ap, k.r)
-	res.Stats.VectorUpdates += 2
-	res.Stats.Flops += 4 * n
-
 	ws.ApplyPrecond(k.m, k.z, k.r)
-	res.Stats.PrecondSolves++
 
 	var rzNew float64
 	rzNew, k.rr = k.residualDots(run)
@@ -182,9 +166,6 @@ func (k *pcgKernel) Step(run *engine.Run) error {
 	}
 
 	k.src, k.beta = k.z, rzNew/k.rz
-	res.Stats.VectorUpdates++
-	res.Stats.Flops += 2 * n
-
 	k.rz = rzNew
 	run.Tick(math.Sqrt(k.rr))
 	return nil
@@ -213,7 +194,7 @@ func (k *crKernel) Init(run *engine.Run) (float64, error) {
 	run.MatVec(k.ar, k.r)
 	vec.Copy(k.ap, k.ar)
 
-	k.rar = run.Dot(k.r, k.ar)
+	k.rar = ws.Dot(k.r, k.ar)
 	k.rnorm = ws.Norm2(k.r)
 	return k.rnorm, nil
 }
@@ -222,9 +203,8 @@ func (k *crKernel) Residual(*engine.Run) float64 { return k.rnorm }
 
 func (k *crKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
-	n := int64(ws.Dim())
 
-	apap := run.Dot(k.ap, k.ap)
+	apap := ws.Dot(k.ap, k.ap)
 	if !(apap > 0) || math.IsInf(apap, 0) { // zero, or NaN, which == 0 lets through
 		return fmt.Errorf("krylov: ||Ap||^2 = %g at iteration %d: %w", apap, res.Iterations, engine.ErrBreakdown)
 	}
@@ -232,11 +212,9 @@ func (k *crKernel) Step(run *engine.Run) error {
 
 	ws.Axpy(alpha, k.p, k.x)
 	ws.Axpy(-alpha, k.ap, k.r)
-	res.Stats.VectorUpdates += 2
-	res.Stats.Flops += 4 * n
 
 	// Ar and (r,Ar) in one sweep; like sd's, with no update pending.
-	rarNew := run.Direction(nil, 0, k.r, k.ar)
+	rarNew := ws.Direction(run.A, nil, 0, k.r, k.ar)
 	if math.IsNaN(rarNew) || math.IsInf(rarNew, 0) {
 		return fmt.Errorf("krylov: non-finite (r,Ar) at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}
@@ -247,13 +225,9 @@ func (k *crKernel) Step(run *engine.Run) error {
 
 	ws.Xpay(k.r, beta, k.p)
 	ws.Xpay(k.ar, beta, k.ap)
-	res.Stats.VectorUpdates += 2
-	res.Stats.Flops += 4 * n
 
 	k.rar = rarNew
 	k.rnorm = ws.Norm2(k.r)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
 	run.Tick(k.rnorm)
 	return nil
 }
@@ -276,7 +250,7 @@ func (k *sdKernel) Init(run *engine.Run) (float64, error) {
 	ws := run.Ws
 	k.x, k.r, k.ar = ws.Vec(0), ws.Vec(1), ws.Vec(2)
 	run.InitialIterate(k.x, k.r)
-	k.rr = run.Dot(k.r, k.r)
+	k.rr = ws.Dot(k.r, k.r)
 	return math.Sqrt(k.rr), nil
 }
 
@@ -284,10 +258,9 @@ func (k *sdKernel) Residual(*engine.Run) float64 { return math.Sqrt(k.rr) }
 
 func (k *sdKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
-	n := int64(ws.Dim())
 
 	// The direction is r itself: a sweep with no update pending.
-	rar := run.Direction(nil, 0, k.r, k.ar)
+	rar := ws.Direction(run.A, nil, 0, k.r, k.ar)
 	if err := curvature(rar, res.Iterations); err != nil {
 		return err
 	}
@@ -295,10 +268,8 @@ func (k *sdKernel) Step(run *engine.Run) error {
 
 	ws.Axpy(alpha, k.r, k.x)
 	ws.Axpy(-alpha, k.ar, k.r)
-	res.Stats.VectorUpdates += 2
-	res.Stats.Flops += 4 * n
 
-	k.rr = run.Dot(k.r, k.r)
+	k.rr = ws.Dot(k.r, k.r)
 	if math.IsNaN(k.rr) || math.IsInf(k.rr, 0) {
 		return fmt.Errorf("krylov: non-finite residual at iteration %d: %w", res.Iterations, engine.ErrBreakdown)
 	}

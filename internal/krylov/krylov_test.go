@@ -146,21 +146,23 @@ func TestCGCallbackEarlyStop(t *testing.T) {
 func TestCGStatsPerIteration(t *testing.T) {
 	// The paper (§6): standard CG needs 2 inner products and 1 matvec per
 	// iteration. Verify the counters reflect exactly that (plus setup:
-	// 1 matvec + 1 dot, and the exit true-residual matvec).
+	// 1 dot — with no X0 the initial residual is b, no product — and the
+	// exit true-residual matvec). Three updates an iteration, less the
+	// last step's direction update, which a converged solve never runs.
 	a, b, _ := poissonSystem(6, 5)
 	res, err := engine.SolveOnce(NewCGKernel(), a, b, engine.Config{Tol: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	it := res.Iterations
-	if got, want := res.Stats.MatVecs, it+2; got != want {
-		t.Fatalf("matvecs = %d, want %d (1/iter + setup + final check)", got, want)
+	if got, want := res.Stats.MatVecs, it+1; got != want {
+		t.Fatalf("matvecs = %d, want %d (1/iter + final check)", got, want)
 	}
 	if got, want := res.Stats.InnerProducts, 2*it+1; got != want {
 		t.Fatalf("inner products = %d, want %d (2/iter + setup)", got, want)
 	}
-	if got, want := res.Stats.VectorUpdates, 3*it; got != want {
-		t.Fatalf("vector updates = %d, want %d (3/iter)", got, want)
+	if got, want := res.Stats.VectorUpdates, 3*it-1; got != want {
+		t.Fatalf("vector updates = %d, want %d (3/iter, less the last direction update)", got, want)
 	}
 	if res.Stats.Flops <= 0 {
 		t.Fatal("flop counter not accumulating")

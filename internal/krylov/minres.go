@@ -30,16 +30,13 @@ func (k *minresKernel) Name() string { return "minres" }
 
 func (k *minresKernel) Init(run *engine.Run) (float64, error) {
 	ws := run.Ws
-	n := ws.Dim()
 	k.x, k.v, k.vPrev = ws.Vec(0), ws.Vec(1), ws.Vec(2)
 	k.av, k.w, k.wPrev, k.wTmp = ws.Vec(3), ws.Vec(4), ws.Vec(5), ws.Vec(6)
 
 	// r = b - A x, formed directly in the first Lanczos vector's buffer.
 	run.InitialIterate(k.x, k.v)
 
-	beta := vec.Norm2(k.v)
-	run.Res.Stats.InnerProducts++
-	run.Res.Stats.Flops += 2 * int64(n)
+	beta := ws.Norm2(k.v)
 	k.phi = beta
 	if k.phi <= run.Threshold {
 		// Already converged; the driver's loop-top check exits before
@@ -47,8 +44,7 @@ func (k *minresKernel) Init(run *engine.Run) (float64, error) {
 		return k.phi, nil
 	}
 
-	vec.Scale(1/beta, k.v)
-	run.Res.Stats.VectorUpdates++
+	ws.Scale(1/beta, k.v)
 	vec.Zero(k.vPrev)
 	vec.Zero(k.w)
 	vec.Zero(k.wPrev)
@@ -63,11 +59,10 @@ func (k *minresKernel) Residual(*engine.Run) float64 { return k.phi }
 
 func (k *minresKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
-	n := int64(ws.Dim())
 
 	run.MatVec(k.av, k.v)
 
-	alpha := run.Dot(k.v, k.av)
+	alpha := ws.Dot(k.v, k.av)
 	if math.IsNaN(alpha) || math.IsInf(alpha, 0) {
 		// Every scalar below would be NaN, and no comparison there
 		// catches one: stop before a vector is written.
@@ -77,12 +72,8 @@ func (k *minresKernel) Step(run *engine.Run) error {
 	// av <- av - alpha*v - betaPrev*vPrev
 	ws.Axpy(-alpha, k.v, k.av)
 	ws.Axpy(-k.betaPrev, k.vPrev, k.av)
-	res.Stats.VectorUpdates += 2
-	res.Stats.Flops += 4 * n
 
-	betaNext := vec.Norm2(k.av)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
+	betaNext := ws.Norm2(k.av)
 
 	// Apply the previous rotations to the new tridiagonal column.
 	delta := k.cs*k.dltn + k.sn*alpha
@@ -104,13 +95,9 @@ func (k *minresKernel) Step(run *engine.Run) error {
 	vec.Copy(k.wTmp, k.v)
 	ws.Axpy(-delta, k.w, k.wTmp)
 	ws.Axpy(-eps, k.wPrev, k.wTmp)
-	vec.Scale(1/gamma, k.wTmp)
-	res.Stats.VectorUpdates += 3
-	res.Stats.Flops += 6 * n
+	ws.Scale(1/gamma, k.wTmp)
 
 	ws.Axpy(k.phi*k.cs, k.wTmp, k.x)
-	res.Stats.VectorUpdates++
-	res.Stats.Flops += 2 * n
 	k.phi = math.Abs(k.phi * k.sn)
 
 	k.wPrev, k.w, k.wTmp = k.w, k.wTmp, k.wPrev
@@ -118,9 +105,7 @@ func (k *minresKernel) Step(run *engine.Run) error {
 	// Advance the Lanczos recurrence by rotating the three v-buffers.
 	if betaNext > 0 {
 		k.vPrev, k.v, k.av = k.v, k.av, k.vPrev
-		vec.Scale(1/betaNext, k.v)
-		res.Stats.VectorUpdates++
-		res.Stats.Flops += n
+		ws.Scale(1/betaNext, k.v)
 	}
 	k.betaPrev = betaNext
 

@@ -136,8 +136,8 @@ func gershgorin(run *engine.Run) float64 {
 }
 
 // scaledOp is A/s as the families multiply by it: each product is the
-// run's (through the workspace, counted), then divided by s — charged
-// one flop an entry, also when s = 1 and the division is skipped.
+// run's, then divided by s unless s = 1 — all through the workspace, so
+// a division is counted where it runs.
 type scaledOp struct {
 	run *engine.Run
 	inv float64
@@ -145,10 +145,14 @@ type scaledOp struct {
 
 func (o *scaledOp) MulVec(dst, x []float64) {
 	o.run.MatVec(dst, x)
+	o.scale(dst)
+}
+
+// scale divides v by s, unless s = 1.
+func (o *scaledOp) scale(v vec.Vector) {
 	if o.inv != 1 {
-		vec.Scale(o.inv, dst)
+		o.run.Ws.Scale(o.inv, v)
 	}
-	o.run.Res.Stats.Flops += int64(len(dst))
 }
 
 // grow scales the unscaled residual b − A x in R[0] and rebuilds both
@@ -156,9 +160,7 @@ func (o *scaledOp) MulVec(dst, x []float64) {
 // plus the top power P[2k+1].
 func (kn *lookKernel) grow() {
 	r := kn.fam.Residual()
-	if kn.op.inv != 1 {
-		vec.Scale(kn.op.inv, r)
-	}
+	kn.op.scale(r)
 	kn.fam.Rebuild(&kn.op, r)
 }
 
@@ -234,14 +236,7 @@ func (kn *lookKernel) Init(run *engine.Run) (float64, error) {
 
 	// Scaled initial residual R[0] = (b - A x0)/s and the Krylov
 	// families above it.
-	if run.Cfg.X0 != nil {
-		vec.Copy(kn.x, run.Cfg.X0)
-		run.ResidualInto(kn.fam.Residual(), kn.x)
-	} else {
-		vec.Zero(kn.x)
-		vec.Copy(kn.fam.Residual(), run.B)
-	}
-	run.Res.X = kn.x
+	run.InitialIterate(kn.x, kn.fam.Residual())
 	kn.grow()
 
 	// Anchor 0 doubles as the first pending batch, promoted again at
@@ -293,8 +288,6 @@ func (kn *lookKernel) issueGram(run *engine.Run, idx int) {
 	w := kn.width()
 	xs, ys := kn.fam.Gram(w, w, w)
 	run.Ws.IssueDots(kn.gramBufs[idx], xs, ys)
-	run.Res.Stats.InnerProducts += 3 * kn.width()
-	run.Res.Stats.Flops += int64(3*kn.width()) * 2 * int64(run.Ws.Dim())
 }
 
 // anchorNow computes an anchor batch from the current families and
@@ -346,7 +339,7 @@ func (kn *lookKernel) restart(run *engine.Run) {
 func (kn *lookKernel) Residual(run *engine.Run) float64 {
 	rn := kn.resNorm()
 	if rn <= run.Threshold {
-		rrDirect := run.Dot(kn.fam.Residual(), kn.fam.Residual())
+		rrDirect := run.Ws.Dot(kn.fam.Residual(), kn.fam.Residual())
 		run.Res.FallbackDots++
 		kn.rr = rrDirect
 		rn = kn.resNorm()
@@ -357,14 +350,12 @@ func (kn *lookKernel) Residual(run *engine.Run) float64 {
 func (kn *lookKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
 	k := kn.k
-	n := int64(ws.Dim())
 
 	// Periodic true-residual audit (see the constants above).
 	if kn.sinceAudit++; kn.sinceAudit >= auditEvery {
 		kn.sinceAudit = 0
 		run.ResidualInto(kn.audit, kn.x)
 		trueN := ws.Norm2(kn.audit)
-		res.Stats.Flops += 3 * n
 		if trueN <= kn.bestNorm {
 			vec.Copy(kn.xBest, kn.x)
 			kn.bestNorm = trueN
@@ -412,8 +403,8 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 			run.Stop()
 			return nil
 		}
-		if pap <= 0 || math.IsNaN(pap) {
-			return fmt.Errorf("parcg: (p,Ap) = %g at iteration %d: %w", pap, res.Iterations, engine.ErrIndefinite)
+		if err := engine.CheckCurvature(pap); err != nil {
+			return fmt.Errorf("parcg: (p,Ap) = %g at iteration %d: %w", pap, res.Iterations, err)
 		}
 	}
 	lambda := kn.rr / pap
@@ -421,14 +412,12 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 	// Iterate and residual-family updates.
 	ws.Axpy(lambda, kn.fam.Direction(), kn.x)
 	kn.fam.StepR(lambda)
-	res.Stats.VectorUpdates += 2*k + 2
-	res.Stats.Flops += int64(2*k+2) * 2 * n
 
 	// Coefficient half-step and alpha via contraction.
 	kn.scratch.StepR(kn.cra.CoeffPair, kn.cpa.CoeffPair, lambda)
 	rrNew := kn.gram().Contract(kn.scratch.CoeffPair, kn.scratch.CoeffPair, 0)
 	if fellBack || rrNew <= 0 || math.IsNaN(rrNew) {
-		rrNew = run.Dot(kn.fam.Residual(), kn.fam.Residual())
+		rrNew = ws.Dot(kn.fam.Residual(), kn.fam.Residual())
 		res.FallbackDots++
 	}
 	if kn.rr == 0 {
@@ -438,8 +427,6 @@ func (kn *lookKernel) Step(run *engine.Run) error {
 
 	// Direction-family updates; the top power's product comes below.
 	kn.fam.UpdateP(alpha)
-	res.Stats.VectorUpdates += 2*k + 1
-	res.Stats.Flops += int64(2*k+1) * 2 * n
 
 	// Commit the coefficient steps (in place; cra adopts the staged
 	// half-step by pointer swap).

@@ -352,3 +352,50 @@ func TestGershgorinOnTheBand(t *testing.T) {
 		}
 	}
 }
+
+// TestScalingFlopsFollowTheDivisions: the division by the Gershgorin
+// bound is counted where it runs, one update and n flops a division. An
+// unscaled solve (NoScaling) carries no division term; a scaled one, run
+// through the same schedule, carries one for each product of the
+// families — every product but the exit's — and one for the start-up
+// residual.
+func TestScalingFlopsFollowTheDivisions(t *testing.T) {
+	a := sparse.Poisson2D(12)
+	n := int64(a.Dim())
+	b := make([]float64, a.Dim())
+	for i := range b {
+		b[i] = 1 + float64(i%5)
+	}
+	solveStats := func(noScaling bool) engine.Stats {
+		res, err := engine.SolveOnce(NewLookaheadKernel(), a, b, engine.Config{K: 2, MaxIter: 10, Tol: 1e-30, NoScaling: noScaling})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations != 10 || res.Replacements != 0 || res.FallbackDots != 0 {
+			t.Fatalf("noScaling=%v: %d iterations, %d restarts, %d fallbacks: not the plain schedule",
+				noScaling, res.Iterations, res.Replacements, res.FallbackDots)
+		}
+		return res.Stats
+	}
+	// work is the flops of the counts at 2·nnz a product and 2n an inner
+	// product or update: a division, n flops, is n short of its 2n.
+	work := func(s engine.Stats) int64 {
+		return int64(s.MatVecs)*2*int64(a.NNZ()) + 2*n*int64(s.InnerProducts+s.VectorUpdates)
+	}
+	plain, scaled := solveStats(true), solveStats(false)
+	if plain.Flops != work(plain) {
+		t.Errorf("unscaled: %d flops, the counts make %d: a division charged that never ran", plain.Flops, work(plain))
+	}
+	if scaled.MatVecs != plain.MatVecs || scaled.InnerProducts != plain.InnerProducts {
+		t.Fatalf("the schedules differ: scaled %+v, unscaled %+v", scaled, plain)
+	}
+	// The families' products are all but the exit's; with the start-up
+	// residual's division, as many divisions as products.
+	divisions := scaled.VectorUpdates - plain.VectorUpdates
+	if divisions != scaled.MatVecs {
+		t.Errorf("scaled: %d divisions counted, %d ran", divisions, scaled.MatVecs)
+	}
+	if scaled.Flops != work(scaled)-n*int64(divisions) {
+		t.Errorf("scaled: %d flops, want %d: n a division", scaled.Flops, work(scaled)-n*int64(divisions))
+	}
+}

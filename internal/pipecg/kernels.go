@@ -39,12 +39,6 @@ func (k *gvKernel) Name() string { return "pipecg" }
 
 func (k *gvKernel) resNorm() float64 { return math.Sqrt(math.Max(k.gamma, 0)) }
 
-// countReduction counts the (gamma, delta) pair.
-func (k *gvKernel) countReduction(run *engine.Run) {
-	run.Res.Stats.InnerProducts += 2
-	run.Res.Stats.Flops += 4 * int64(run.Ws.Dim())
-}
-
 func (k *gvKernel) Init(run *engine.Run) (float64, error) {
 	ws := run.Ws
 	k.x, k.r, k.w = ws.Vec(0), ws.Vec(1), ws.Vec(2)
@@ -60,7 +54,6 @@ func (k *gvKernel) Init(run *engine.Run) (float64, error) {
 	// waited for: issued over the product below it would start an
 	// overlapped schedule's reducer goroutine for this pair alone.
 	k.gamma, k.delta = ws.DotPair(k.r, k.r, k.w)
-	k.countReduction(run)
 	run.MatVec(k.nv, k.w)
 	k.gammaOld, k.alphaOld = 0, 0
 	k.first = true
@@ -71,7 +64,6 @@ func (k *gvKernel) Residual(*engine.Run) float64 { return k.resNorm() }
 
 func (k *gvKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
-	n := int64(ws.Dim())
 
 	var beta, alpha float64
 	if k.first {
@@ -96,12 +88,9 @@ func (k *gvKernel) Step(run *engine.Run) error {
 	// The reduction of the new r, w is in flight over the next
 	// iteration's n = A w.
 	ws.IssuePipeUpdate(alpha, beta, k.r, k.w, k.nv, k.p, k.s, k.q, k.x)
-	res.Stats.VectorUpdates += 6
-	res.Stats.Flops += 12 * n
 	run.MatVec(k.nv, k.w)
 	k.gammaOld, k.alphaOld = k.gamma, alpha
 	k.gamma, k.delta = ws.AwaitDotPair()
-	k.countReduction(run)
 	run.Tick(k.resNorm())
 	return nil
 }
@@ -134,7 +123,7 @@ func (k *groppKernel) Init(run *engine.Run) (float64, error) {
 	vec.Copy(k.p, k.r)
 	run.MatVec(k.s, k.p)
 
-	k.gamma = run.Dot(k.r, k.r)
+	k.gamma = ws.Dot(k.r, k.r)
 	return k.resNorm(), nil
 }
 
@@ -142,11 +131,10 @@ func (k *groppKernel) Residual(*engine.Run) float64 { return k.resNorm() }
 
 func (k *groppKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
-	n := int64(ws.Dim())
 
 	// First reduction: delta = (p, s). (In the preconditioned form it
 	// overlaps with the preconditioner solve.)
-	delta := run.Dot(k.p, k.s)
+	delta := ws.Dot(k.p, k.s)
 	if err := engine.CheckCurvature(delta); err != nil {
 		return fmt.Errorf("pipecg: curvature %g at iteration %d: %w", delta, res.Iterations, err)
 	}
@@ -156,18 +144,12 @@ func (k *groppKernel) Step(run *engine.Run) error {
 	// in one pass (cg's), the reduction in flight over the single matvec
 	// w = A r.
 	ws.IssueFusedCGUpdate(alpha, k.p, k.s, k.x, k.r)
-	res.Stats.VectorUpdates += 2
-	res.Stats.Flops += 4 * n
 	run.MatVec(k.w, k.r)
 	gammaNew := ws.AwaitSum()
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
 
 	beta := gammaNew / k.gamma
 	ws.Xpay(k.r, beta, k.p)
 	ws.Xpay(k.w, beta, k.s) // s = A p maintained by recurrence
-	res.Stats.VectorUpdates += 2
-	res.Stats.Flops += 4 * n
 
 	k.gamma = gammaNew
 	run.Tick(k.resNorm())

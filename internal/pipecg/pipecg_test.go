@@ -80,11 +80,12 @@ func TestGhyselsVanrooseOneMatvecPerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Setup: r0 (1) + w0 (1); exit: true residual (1); 1 per iteration;
-	// and one more because every stage issues the NEXT iteration's
-	// n = A w alongside the reduction that decides convergence, so the
-	// last product is speculative — the price of the pipelined order.
-	want := res.Iterations + 4
+	// Setup: w0 (1) + n0 (1) — with no X0, r0 is b and takes no
+	// product; exit: true residual (1); 1 per iteration. The last
+	// iteration's is speculative: every stage issues the NEXT iteration's
+	// n = A w alongside the reduction that decides convergence — the
+	// price of the pipelined order.
+	want := res.Iterations + 3
 	if res.Stats.MatVecs != want {
 		t.Fatalf("matvecs = %d, want %d", res.Stats.MatVecs, want)
 	}
@@ -100,7 +101,7 @@ func TestGroppOneMatvecPerIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := res.Iterations + 3 // r0, s0, exit check
+	want := res.Iterations + 2 // s0, exit check; with no X0, r0 is b and takes no product
 	if res.Stats.MatVecs != want {
 		t.Fatalf("matvecs = %d, want %d", res.Stats.MatVecs, want)
 	}

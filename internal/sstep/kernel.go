@@ -100,8 +100,6 @@ func (kn *sstepKernel) Init(run *engine.Run) (float64, error) {
 	vec.Copy(kn.p, kn.r)
 
 	kn.rr = ws.Dot(kn.r, kn.r)
-	run.Res.Stats.InnerProducts++
-	run.Res.Stats.Flops += 2 * int64(ws.Dim())
 	return kn.resNorm(), nil
 }
 
@@ -115,14 +113,11 @@ func (kn *sstepKernel) applyCombo(run *engine.Run, dst vec.Vector, c core.CoeffP
 	copy(kn.comb, c.Rho)
 	copy(kn.comb[len(kn.rPow):], c.Pi)
 	run.Ws.Combine(dst, nil, kn.comb, kn.fam)
-	run.Res.Stats.VectorUpdates += len(c.Rho) + len(c.Pi)
-	run.Res.Stats.Flops += int64(len(c.Rho)+len(c.Pi)) * 2 * int64(run.Ws.Dim())
 }
 
 // Step executes one s-step block.
 func (kn *sstepKernel) Step(run *engine.Run) error {
 	ws, res := run.Ws, run.Res
-	n := int64(ws.Dim())
 	s := kn.s
 
 	// Build block Krylov powers: rPow[0..s], pPow[0..s+1].
@@ -134,13 +129,9 @@ func (kn *sstepKernel) Step(run *engine.Run) error {
 	for i := 1; i <= s+1; i++ {
 		ws.MatVec(run.A, kn.pPow[i], kn.pPow[i-1])
 	}
-	res.Stats.MatVecs += 2*s + 1
-	res.Stats.Flops += int64(2*s+1) * run.MatVecFlops
 
 	// One batched reduction: Gram sequences to index 2s+2.
 	ws.Dots(kn.gram, kn.gx, kn.gy)
-	res.Stats.InnerProducts += len(kn.gram)
-	res.Stats.Flops += int64(len(kn.gram)) * 2 * n
 
 	// s CG steps by coefficient recurrences over (rho, pi) relative to
 	// the block base, contracted against the Gram data. cr/cp start as
@@ -154,9 +145,11 @@ func (kn *sstepKernel) Step(run *engine.Run) error {
 
 	blockRR := kn.rr
 	steps := 0
+	var bad float64 // the scalar that ended the block early
 	for j := 0; j < s; j++ {
 		pap := kn.base.Contract(kn.cp.CoeffPair, kn.cp.CoeffPair, 1)
 		if pap <= 0 || math.IsNaN(pap) {
+			bad = pap
 			break
 		}
 		lambda := blockRR / pap
@@ -166,6 +159,7 @@ func (kn *sstepKernel) Step(run *engine.Run) error {
 		kn.ct.StepR(kn.cr.CoeffPair, kn.cp.CoeffPair, lambda)
 		rrNew := kn.base.Contract(kn.ct.CoeffPair, kn.ct.CoeffPair, 0)
 		if rrNew < 0 || math.IsNaN(rrNew) {
+			bad = rrNew
 			break
 		}
 		alpha := rrNew / blockRR
@@ -177,6 +171,9 @@ func (kn *sstepKernel) Step(run *engine.Run) error {
 		if math.Sqrt(math.Max(rrNew, 0)) <= run.Threshold || res.Iterations+steps >= run.Cfg.MaxIter {
 			break
 		}
+	}
+	if steps == 0 && (math.IsNaN(bad) || math.IsInf(bad, 0)) {
+		return fmt.Errorf("sstep: block scalar %g at iteration %d is not finite: %w", bad, res.Iterations, engine.ErrBreakdown)
 	}
 	if steps == 0 {
 		return fmt.Errorf("sstep: block scalar breakdown at iteration %d (block size %d too large for this conditioning): %w",
@@ -201,8 +198,6 @@ func (kn *sstepKernel) Step(run *engine.Run) error {
 	// block basis went numerically rank-deficient early, the next block
 	// simply restarts from the repaired r, p.
 	kn.rr = ws.Dot(kn.r, kn.r)
-	res.Stats.InnerProducts++
-	res.Stats.Flops += 2 * n
 	return nil
 }
 

@@ -63,24 +63,32 @@ type method struct {
 // model.
 func innerProducts(er *engine.Result) int { return er.Stats.InnerProducts }
 
+// bicgstab blocks on every inner product but the pair (t,s), (t,t), one
+// reduction. After the start-up norm a full iteration takes six and the
+// half step converging at s three, so (InnerProducts−1−3·Iterations)/3
+// iterations are full.
+func bicgstabSyncs(er *engine.Result) int {
+	return er.Stats.InnerProducts - (er.Stats.InnerProducts-1-3*er.Iterations)/3
+}
+
 // The pipelined schedules wait on one in-flight reduction per
 // iteration (pipecg, parcg-pipe), plus start-up.
 func onePerIteration(er *engine.Result) int { return er.Iterations + 1 }
 
 // gropp waits on two overlappable reductions per iteration, plus
-// start-up, and parcg-cg on two blocking ones — the c*log(N) dependency
-// the paper sets out to remove.
+// start-up, and parcg-cg and pcg on two blocking ones (pcg's (r,z) and
+// (r,r) are one) — the c*log(N) dependency the paper sets out to remove.
 func twoPerIteration(er *engine.Result) int { return 2*er.Iterations + 1 }
 
 // methods is the registry: every method, sorted by name. Methods lists
 // it in this order.
 var methods = [...]method{
 	{name: "bicgstab", summary: "BiCGStab for square nonsymmetric systems (van der Vorst), workspace-backed",
-		caps: Caps{Nonsymmetric: true}, newKernel: gkrylov.NewBiCGStabKernel, syncs: innerProducts},
+		caps: Caps{Nonsymmetric: true}, newKernel: gkrylov.NewBiCGStabKernel, syncs: bicgstabSyncs},
 	{name: "blockcg", summary: "a second name for cg, kept for wire compatibility, workspace-backed",
 		newKernel: krylov.NewCGKernel, syncs: innerProducts},
 	{name: "blockpcg", summary: "a second name for pcg, kept for wire compatibility, workspace-backed",
-		newKernel: krylov.NewPCGKernel, syncs: innerProducts},
+		newKernel: krylov.NewPCGKernel, syncs: twoPerIteration},
 	{name: "cg", summary: "standard Hestenes-Stiefel CG (paper §2), workspace-backed",
 		caps: Caps{Sharded: true}, newKernel: krylov.NewCGKernel, syncs: innerProducts},
 	{name: "cgfused", summary: "a second name for cg, kept for wire compatibility, workspace-backed",
@@ -106,11 +114,14 @@ var methods = [...]method{
 	// its reduction overlapped.
 	{name: "parcg", summary: "the paper's VRCG: cg's iterates on three blocking reductions a solve, real-parallel pipelined anchors (WithLookahead k), workspace-backed",
 		newKernel: parcg.NewLookaheadKernel, drift: true, phases: true,
-		// The anchors ride behind the pipeline. What blocks: the
-		// Gershgorin bound, every anchor awaited where it was issued
-		// (start-up, restarts, emergency re-anchors), and the direct
-		// (r,r) of a drift fallback or a convergence check — three on a
-		// clean solve.
+		// What this counts: the Gershgorin bound, every anchor awaited
+		// where it was issued (start-up, restarts, emergency re-anchors),
+		// and the direct (r,r) of a drift fallback or a convergence check
+		// — three on a clean solve. Not counted yet: the pipelined
+		// anchors, meant to ride behind the pipeline but awaited in the
+		// Step that issues them (ROADMAP item 19), and the norm of the
+		// true-residual audit every 32 iterations
+		// (TestDeclaredSyncsAreTheWaits).
 		syncs: func(er *engine.Result) int { return 1 + er.BlockingAnchors + er.FallbackDots },
 		post: func(s *Solver, c *config, a Operator, res *Result) error {
 			if c.blocking {
@@ -124,8 +135,10 @@ var methods = [...]method{
 		newKernel: krylov.NewCGKernel, phases: true, post: parcgReplay, syncs: twoPerIteration},
 	{name: "parcg-pipe", summary: "Ghysels-Vanroose pipelined CG with phase timing and, on a pool, the reduction genuinely in flight behind the matvec, workspace-backed",
 		newKernel: pipecg.NewGVKernel, phases: true, post: parcgReplay, syncs: onePerIteration},
+	// (r,z) and (r,r) are one reduction (Workspace.Dots): two blocking
+	// reductions an iteration, as cg's.
 	{name: "pcg", summary: "preconditioned CG (WithPreconditioner; identity default), workspace-backed",
-		caps: Caps{Sharded: true}, newKernel: krylov.NewPCGKernel, syncs: innerProducts},
+		caps: Caps{Sharded: true}, newKernel: krylov.NewPCGKernel, syncs: twoPerIteration},
 	// Under this name the Ghysels–Vanroose reduction is evaluated at
 	// issue (parcg-pipe overlaps it; a fleet overlaps it with the wire).
 	{name: "pipecg", summary: "Ghysels-Vanroose pipelined CG (one fused reduction/iter), workspace-backed",
@@ -137,12 +150,16 @@ var methods = [...]method{
 	{name: "sstep", summary: "Chronopoulos-Gear s-step CG (WithBlockSize s, batched reductions), workspace-backed",
 		caps: Caps{Sharded: true}, newKernel: sstep.NewKernel,
 		syncs: func(er *engine.Result) int { return 2*er.Blocks + 1 }},
-	// The per-iteration window tops ride the k-deep pipeline; the
-	// schedule only blocks at start-up and at each stabilization or
-	// drift-fallback event.
+	// The window's scalars come from k iterations back, but its three
+	// tops are one blocking reduction every iteration (Families.DirectTops);
+	// the schedule also blocks at start-up, at each re-anchor (a
+	// replacement re-anchors too) and for each direct fallback or
+	// validation inner product.
 	{name: "vrcg", summary: "the paper's restructured look-ahead CG (WithLookahead k, §5 recurrences), workspace-backed",
 		newKernel: core.NewKernel, drift: true,
-		syncs: func(er *engine.Result) int { return 1 + er.Reanchors + er.Replacements + er.FallbackDots }},
+		syncs: func(er *engine.Result) int {
+			return 1 + er.Iterations + er.Reanchors + er.FallbackDots + er.ValidationDots
+		}},
 }
 
 // lookup returns the row registered under name, or nil.

@@ -39,17 +39,17 @@ type Result struct {
 	// History holds per-iteration residual norms when WithHistory was
 	// given (History[0] is the initial residual).
 	History []float64
-	// Stats counts the arithmetic work performed (matvecs, inner
-	// products, vector updates, preconditioner solves, flops).
+	// Stats counts the work that ran: each product, inner product,
+	// update and preconditioner solve, by the workspace call that ran it.
 	Stats engine.Stats
-	// Syncs estimates the blocking global-synchronization points of
-	// the schedule — the reductions whose completion the iteration had
-	// to wait for. This is the quantity the paper minimizes: standard
-	// CG blocks on every inner product (Syncs ~ Stats.InnerProducts),
-	// pipelined CG on one fused reduction per iteration, s-step CG on
-	// two per block, and the restructured method only on start-up,
-	// re-anchors, and drift fallbacks — its per-iteration reductions
-	// ride k iterations behind the pipeline.
+	// Syncs is the number of blocking global-synchronization points of
+	// the schedule, declared per method: the reductions whose completion
+	// the iteration had to wait for, the quantity the paper minimizes.
+	// CG waits on two an iteration (pcg too: (r,z) and (r,r) are one),
+	// pipelined CG on one, s-step CG on two per block, vrcg on one — its
+	// window tops — plus start-up, re-anchors and fallbacks. parcg's
+	// pipelined anchors are not counted: each is still awaited in the
+	// step that issues it.
 	Syncs int
 	// Blocks is the number of s-step blocks executed ("sstep" only).
 	Blocks int

@@ -207,8 +207,8 @@ func TestStoppedSolveKeepsLastIterate(t *testing.T) {
 			"sweep": func(op solve.Operator) solve.Operator { return op },
 			"whole": func(op solve.Operator) solve.Operator { return wholeVectorOnly{op.(sparse.Sparse)} },
 		} {
-			// The product of Init is the first; step i's is product i+1.
-			failing := &turnsNaN{DIA: d, after: k + 2}
+			// Init takes no product (no X0: r0 is b); step i's is product i.
+			failing := &turnsNaN{DIA: d, after: k + 1}
 			res, err := solve.MustNew(method).Solve(wrap(failing), b, solve.WithTol(1e-12))
 			if !errors.Is(err, solve.ErrBreakdown) {
 				t.Fatalf("%s %s: error %v, want a breakdown", method, name, err)
@@ -247,7 +247,7 @@ func TestNonFiniteCurvatureKeepsTheIterate(t *testing.T) {
 	for i := range b {
 		b[i], x0[i] = float64(i+1), 1
 	}
-	for _, method := range []string{"cg", "pcg", "cr", "sd", "pipecg", "gropp", "minres", "blockcg", "blockpcg"} {
+	for _, method := range []string{"cg", "pcg", "cr", "sd", "pipecg", "gropp", "minres", "blockcg", "blockpcg", "vrcg", "parcg", "sstep"} {
 		for name, op := range map[string]solve.Operator{"sweep": a, "whole": wholeVectorOnly{a}} {
 			res, err := solve.MustNew(method).Solve(op, b, solve.WithX0(x0))
 			if !errors.Is(err, solve.ErrBreakdown) || errors.Is(err, solve.ErrIndefinite) {
