@@ -134,8 +134,8 @@ func (r *Run) InitialIterate(x, res vec.Vector) {
 
 // TrueResidual computes ‖b − A x‖ into scratch (row space) and
 // publishes it as Res.TrueResidualNorm — the exit step the kernels
-// share. The product is counted, the norm is the driver's check and is
-// not (Stats).
+// share. The product is counted; the norm is the solve loop's own check
+// and is not (Stats).
 func (r *Run) TrueResidual(scratch, x vec.Vector) {
 	r.ResidualInto(scratch, x)
 	r.Res.TrueResidualNorm = r.Ws.norm2(scratch)

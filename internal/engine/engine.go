@@ -109,7 +109,7 @@ var ErrUnsupportedOperator = errors.New("krylov: operator type not supported by 
 //   - Direction: one product, one inner product, and the pending update.
 //   - ApplyPrecond: one preconditioner solve, no flops.
 //
-// The driver's ‖b‖ and exit ‖b − Ax‖ norms are its own checks and are not
+// The solve loop's ‖b‖ and exit ‖b − Ax‖ norms are its own checks and are not
 // counted (the exit product is). A kernel adds to Flops only the scalar
 // work no Workspace call sees (vrcg's window recurrence).
 type Stats struct {

@@ -251,7 +251,7 @@ func (ws *Workspace) Norm2(x vec.Vector) float64 {
 	return nrm
 }
 
-// norm2 is Norm2 uncounted and untimed: the driver's own checks.
+// norm2 is Norm2 uncounted and untimed: the solve loop's own checks.
 func (ws *Workspace) norm2(x vec.Vector) float64 {
 	if ws.block == nil {
 		return vec.Norm2(x)

@@ -23,7 +23,7 @@ func (o *oneBlock) CollectSums([]float64) { o.collects++ }
 
 // TestDeclaredSyncsAreTheWaits: each method's declared Result.Syncs is
 // the number of reductions its schedule waited for — the collects of a
-// one-block solve, less the driver's two (‖b‖ before Init, the exit true
+// one-block solve, less the solve loop's two (‖b‖ before Init, the exit true
 // residual after Finish) — but for the offsets in the table, each with
 // its reason. Syncs is still declared per method (the registry's syncs
 // functions); this is the harness a measured Syncs will be held to.
